@@ -35,6 +35,13 @@ def test_ablation_padding_and_cover_selection(runner) -> None:
     totals = {row[2] for row in result.rows}
     assert len(totals) == 1, result.rows
     # The optimiser should never be dramatically worse than the default policy.
-    assert runtimes["selectivity-optimised"] <= runtimes["minRC + padding (default)"] * 1.5
+    # Its planning (candidate covers + one stored-count read per key) is a
+    # fixed ~0.2 ms a query, which was 5% of an 8 ms query under the object
+    # kernel and is 30-45% of a 0.56 ms one now (ratio 1.28-1.45 over 10
+    # runs), so the bar allows 0.5 ms of planning on top of the 1.5x.
+    assert (
+        runtimes["selectivity-optimised"]
+        <= runtimes["minRC + padding (default)"] * 1.5 + 0.0005
+    )
     # All variants complete in sane time at this scale.
     assert all(value < 5.0 for value in runtimes.values())

@@ -2,21 +2,45 @@
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_experiment
-from repro.workloads.binning import average
+from benchmarks.conftest import PARITY_BAND, run_experiment
+from repro.bench.guard import timing_bars_enabled
 
 
-def test_figure11_runtime_by_matches(runner) -> None:
+def posting_bytes_fetched(context, sentence_count: int, coding: str, mss: int) -> int:
+    """Encoded bytes of every posting list the workload's covers fetch."""
+    index = context.subtree_index(sentence_count, coding, mss)
+    executor = context.executor(sentence_count, coding, mss)
+    sizes = {key: len(value) for key, value in index.raw_items()}
+    queries = [item.query for item in context.wh_queries()]
+    queries.extend(item.query for item in context.fb_queries(sentence_count, max_size=10))
+    return sum(
+        sizes.get(subtree.key_bytes(), 0)
+        for query in queries
+        for subtree in executor.decompose(query).subtrees
+    )
+
+
+def test_figure11_runtime_by_matches(runner, context) -> None:
     report = run_experiment(runner, "figure11_runtime_by_matches")
     result = report.result
+    sentence_count = report.params["sentence_count"]
 
     def mean_runtime(coding: str, mss: int) -> float:
+        """Mean seconds per query over the whole workload (bins weighted by size)."""
         rows = result.filtered(coding=coding, mss=mss)
-        return average([row[4] for row in rows])
+        return sum(row[3] * row[4] for row in rows) / sum(row[3] for row in rows)
 
-    # Paper shape 1: root-split beats subtree interval in all cases.
+    # Paper shape 1, the part that does not depend on the clock: root-split
+    # reads fewer posting bytes than subtree interval at every mss (the
+    # paper's mechanism for its runtime lead), and fewer as mss grows.
+    fetched = {
+        (coding, mss): posting_bytes_fetched(context, sentence_count, coding, mss)
+        for coding in ("root-split", "subtree-interval")
+        for mss in (1, 2, 3)
+    }
     for mss in (1, 2, 3):
-        assert mean_runtime("root-split", mss) <= mean_runtime("subtree-interval", mss) * 1.15
+        assert fetched["root-split", mss] < fetched["subtree-interval", mss]
+    assert fetched["root-split", 3] < fetched["root-split", 2] < fetched["root-split", 1]
 
     # Paper shape 2: runtimes decrease as mss grows, for every coding.
     for coding in ("filter", "root-split", "subtree-interval"):
@@ -30,3 +54,10 @@ def test_figure11_runtime_by_matches(runner) -> None:
     rs_rows = result.filtered(coding="root-split", mss=3, match_bin=largest_bin)
     if filter_rows and rs_rows:
         assert rs_rows[0][4] <= filter_rows[0][4] * 1.25
+
+    # Paper shape 1, on the clock: root-split is no slower than subtree
+    # interval beyond the parity band.  A ratio of two near-equal sub-ms
+    # means, so it goes through the shared CI / low-core guard.
+    if timing_bars_enabled():
+        for mss in (1, 2, 3):
+            assert mean_runtime("root-split", mss) <= mean_runtime("subtree-interval", mss) * PARITY_BAND

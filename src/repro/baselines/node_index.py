@@ -4,8 +4,9 @@ LPath (Bird et al.) stores the structural information of individual nodes in
 a relational store and evaluates queries with structural joins.  This module
 reproduces that design on top of the same disk B+Tree used by the subtree
 index: one posting list per node *label*, each posting carrying the node's
-``(tid, pre, post, level)`` record, and MPMGJN-style merge joins between the
-lists of adjacent query nodes.
+``(tid, pre, post, level)`` record, and structural joins between the lists
+of adjacent query nodes -- the executor's own join kernel, fed one
+single-slot relation per query node.
 
 It is also, by construction, what the subtree index degenerates to at
 ``mss = 1`` -- the comparison the paper draws in Section 6.3.1.
@@ -14,14 +15,15 @@ It is also, by construction, what the subtree index degenerates to at
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.coding.root_split import RootPosting, RootSplitCoding
+from repro.coding.postings import PostingColumns, RootPosting
+from repro.coding.root_split import RootSplitCoding
 from repro.exec.executor import ExecutionStats, QueryResult
-from repro.exec.joins import BindingRow, deduplicate_rows, merge_join_bindings
-from repro.query.model import QueryNode, QueryTree
+from repro.exec.joins import run_plan
+from repro.exec.plan import Relation, build_plan
+from repro.query.model import QueryTree
 from repro.storage.bptree import BPlusTree
-from repro.trees.matching import AXIS_CHILD
 from repro.trees.node import ParseTree
 from repro.trees.numbering import number_tree
 
@@ -69,11 +71,11 @@ class NodeIntervalIndex:
         return self._tree.size_bytes()
 
     # ------------------------------------------------------------------
-    def postings(self, label: str) -> List[RootPosting]:
+    def postings(self, label: str) -> PostingColumns:
         """Posting list of a node label (empty when the label never occurs)."""
         raw = self._tree.get(label.encode("utf-8"))
         if raw is None:
-            return []
+            return PostingColumns([])
         return self._coding.decode_postings(raw)
 
     def label_frequency(self, label: str) -> int:
@@ -84,60 +86,16 @@ class NodeIntervalIndex:
     def execute(self, query: QueryTree) -> QueryResult:
         """Evaluate *query* with one structural join per query edge."""
         started = time.perf_counter()
-        rows, fetched = self._join_query(query)
-        matches: Dict[int, set] = {}
-        root_id = query.root.node_id
-        for tid, binding in rows:
-            matches.setdefault(tid, set()).add(binding[root_id].pre)
+        relations = [
+            Relation(self.postings(node.label), {node.node_id: 0}) for node in query.nodes()
+        ]
+        matches = run_plan(build_plan(query, relations))
         stats = ExecutionStats(
             coding="node-interval",
             strategy="mpmgjn",
             cover_size=query.size(),
             join_count=max(0, query.size() - 1),
-            postings_fetched=fetched,
+            postings_fetched=sum(relation.cardinality for relation in relations),
             elapsed_seconds=time.perf_counter() - started,
         )
-        return QueryResult(
-            matches_per_tree={tid: len(pres) for tid, pres in matches.items()}, stats=stats
-        )
-
-    def _join_query(self, query: QueryTree) -> tuple[List[BindingRow], int]:
-        """Join the label posting lists along the query's edges in pre-order."""
-        fetched = 0
-        rows: Optional[List[BindingRow]] = None
-        for node in query.nodes():
-            postings = self.postings(node.label)
-            fetched += len(postings)
-            node_rows: List[BindingRow] = [
-                (posting.tid, {node.node_id: posting.code}) for posting in postings
-            ]
-            if rows is None:
-                rows = node_rows
-                continue
-            parent = node.parent
-            axis = node.parent_axis or AXIS_CHILD
-            rows = merge_join_bindings(
-                rows, node_rows, _edge_predicate(parent, node, axis)
-            )
-            rows = deduplicate_rows(rows)
-            if not rows:
-                return [], fetched
-        return rows or [], fetched
-
-
-def _edge_predicate(parent: QueryNode, child: QueryNode, axis: str):
-    """Predicate enforcing the structural relation of one query edge."""
-    parent_id = parent.node_id
-    child_id = child.node_id
-    parent_only = axis == AXIS_CHILD
-
-    def predicate(left, right) -> bool:
-        ancestor = left.get(parent_id)
-        descendant = right.get(child_id)
-        if ancestor is None or descendant is None:  # pragma: no cover - defensive
-            return True
-        if not ancestor.is_ancestor_of(descendant):
-            return False
-        return not parent_only or ancestor.level == descendant.level - 1
-
-    return predicate
+        return QueryResult(matches_per_tree=matches, stats=stats)

@@ -12,12 +12,24 @@ join phase can and cannot do:
 * :class:`~repro.coding.root_split.RootSplitCoding` -- the paper's novel
   scheme: only the ``(pre, post, level)`` of the subtree *root*; exact
   matching with joins restricted to subtree roots, and a much smaller index.
+
+Whatever the scheme, a decoded posting list is a
+:class:`~repro.coding.postings.PostingColumns`: flat ``tid`` and per-node
+``pre/post/level`` columns sliced straight out of the varint body, which the
+join kernel reads without building a record per posting.
 """
 
 from repro.coding.base import CodingScheme, Occurrence, get_coding
-from repro.coding.filter_based import FilterBasedCoding, FilterPosting
-from repro.coding.root_split import RootSplitCoding, RootPosting
-from repro.coding.subtree_interval import NodeCode, SubtreeIntervalCoding, SubtreePosting
+from repro.coding.filter_based import FilterBasedCoding
+from repro.coding.postings import (
+    FilterPosting,
+    NodeCode,
+    PostingColumns,
+    RootPosting,
+    SubtreePosting,
+)
+from repro.coding.root_split import RootSplitCoding
+from repro.coding.subtree_interval import SubtreeIntervalCoding
 
 __all__ = [
     "CodingScheme",
@@ -30,4 +42,5 @@ __all__ = [
     "SubtreeIntervalCoding",
     "SubtreePosting",
     "NodeCode",
+    "PostingColumns",
 ]

@@ -13,6 +13,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Type
 
+from repro.coding.postings import PostingColumns
+from repro.storage.codec import decode_varint, decode_varint_run
 from repro.trees.numbering import IntervalCode
 
 
@@ -40,6 +42,22 @@ class Occurrence:
         return len(self.codes)
 
 
+def decode_records(data: bytes, width: int) -> Sequence[int]:
+    """The flat varint body of an encoded posting list of *width*-value records.
+
+    Every coding stores a count followed by fixed-arity records, so field
+    ``f`` of all records is the strided slice ``body[f::width]``.  A body
+    that is not exactly ``count * width`` values long is corrupt.
+    """
+    count, offset = decode_varint(data, 0)
+    body = decode_varint_run(data, offset)
+    if len(body) != count * width:
+        raise ValueError(
+            f"corrupt posting list: {count} records of {width} values, {len(body)} values found"
+        )
+    return body
+
+
 class CodingScheme(ABC):
     """Strategy interface for the three coding schemes of Section 4.4."""
 
@@ -60,8 +78,12 @@ class CodingScheme(ABC):
         """Serialise a posting list for storage."""
 
     @abstractmethod
-    def decode_postings(self, data: bytes) -> List[object]:
-        """Deserialise a posting list previously produced by :meth:`encode_postings`."""
+    def decode_postings(self, data: bytes) -> PostingColumns:
+        """Deserialise a posting list previously produced by :meth:`encode_postings`.
+
+        The result is columnar; as a sequence it yields this scheme's posting
+        records and compares equal to the list that was encoded.
+        """
 
     # ------------------------------------------------------------------
     def posting_count(self, occurrences: Sequence[Occurrence]) -> int:

@@ -9,18 +9,12 @@ the exact matcher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence
 
-from repro.coding.base import CodingScheme, Occurrence, register_coding
-from repro.storage.codec import decode_delta_list, encode_delta_list
-
-
-@dataclass(frozen=True, order=True)
-class FilterPosting:
-    """A single filter-based posting: the containing tree's identifier."""
-
-    tid: int
+from repro.coding.base import CodingScheme, Occurrence, decode_records, register_coding
+from repro.coding.postings import FilterPosting, PostingColumns
+from repro.storage.codec import encode_delta_list
 
 
 @register_coding
@@ -36,6 +30,5 @@ class FilterBasedCoding(CodingScheme):
     def encode_postings(self, postings: Sequence[FilterPosting]) -> bytes:
         return encode_delta_list([posting.tid for posting in postings])
 
-    def decode_postings(self, data: bytes) -> List[FilterPosting]:
-        tids, _ = decode_delta_list(data)
-        return [FilterPosting(tid) for tid in tids]
+    def decode_postings(self, data: bytes) -> PostingColumns:
+        return PostingColumns(list(accumulate(decode_records(data, width=1))))

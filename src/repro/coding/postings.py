@@ -1,0 +1,147 @@
+"""Posting records of the three codings and their columnar container.
+
+A decoded posting list is a :class:`PostingColumns`: the tree ids in one
+column and, per stored node, one ``(pre, post, level)`` column triple (a
+*slot*).  The join kernel reads the columns directly; the record classes
+below exist only at the edges -- index building, delta segments, merged
+sharded/live lookups and tests -- where a ``PostingColumns`` still behaves
+as the read-only sequence of records it replaced.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Tuple
+
+from repro.trees.numbering import IntervalCode
+
+#: The ``(pre, post, level)`` columns of one stored node.
+Slot = Tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+
+@dataclass(frozen=True, order=True)
+class FilterPosting:
+    """A single filter-based posting: the containing tree's identifier."""
+
+    tid: int
+
+
+@dataclass(frozen=True, order=True)
+class RootPosting:
+    """A root-split posting: tree id and the root node's interval code."""
+
+    tid: int
+    pre: int
+    post: int
+    level: int
+
+    @property
+    def code(self) -> IntervalCode:
+        """The root's interval code as an :class:`IntervalCode`."""
+        return IntervalCode(self.pre, self.post, self.level)
+
+
+@dataclass(frozen=True, order=True)
+class NodeCode:
+    """The per-node structural record of a subtree-interval posting."""
+
+    pre: int
+    post: int
+    level: int
+    order: int
+
+    @property
+    def code(self) -> IntervalCode:
+        """The node's interval code without the order value."""
+        return IntervalCode(self.pre, self.post, self.level)
+
+
+@dataclass(frozen=True, order=True)
+class SubtreePosting:
+    """A subtree-interval posting: tree id plus one :class:`NodeCode` per node."""
+
+    tid: int
+    nodes: Tuple[NodeCode, ...]
+
+    @property
+    def size(self) -> int:
+        """Number of nodes of the indexed subtree (``m`` in the paper)."""
+        return len(self.nodes)
+
+    @property
+    def root(self) -> NodeCode:
+        """The code of the subtree root (canonical position 0)."""
+        return self.nodes[0]
+
+
+class PostingColumns(SequenceABC):
+    """One key's posting list as flat columns, ascending in ``tid``.
+
+    ``slots`` holds no entry for filter postings, the root's for root-split
+    and one per key node (canonical order, root first) for subtree-interval,
+    whose per-node order values sit in ``orders``.  Columns are ``bytes``
+    when every value fits one byte and lists otherwise; both index to ints.
+    """
+
+    __slots__ = ("tids", "slots", "orders")
+
+    def __init__(
+        self,
+        tids: Sequence[int],
+        slots: Tuple[Slot, ...] = (),
+        orders: Optional[Tuple[Sequence[int], ...]] = None,
+    ):
+        self.tids = tids
+        self.slots = slots
+        self.orders = orders
+
+    @classmethod
+    def from_postings(cls, postings: Sequence[object]) -> "PostingColumns":
+        """Columns of a plain record list (a delta segment, a merged list)."""
+        if isinstance(postings, cls):
+            return postings
+        tids = [posting.tid for posting in postings]
+        first = postings[0] if postings else None
+        if isinstance(first, RootPosting):
+            root = ([p.pre for p in postings], [p.post for p in postings], [p.level for p in postings])
+            return cls(tids, (root,))
+        if isinstance(first, SubtreePosting):
+            if any(posting.size != first.size for posting in postings):
+                raise ValueError("postings of one key must all have the key's node count")
+            per_node = list(zip(*(posting.nodes for posting in postings)))
+            slots = tuple(
+                ([n.pre for n in nodes], [n.post for n in nodes], [n.level for n in nodes])
+                for nodes in per_node
+            )
+            return cls(tids, slots, tuple([n.order for n in nodes] for nodes in per_node))
+        return cls(tids)
+
+    # -- the read-only sequence of posting records ----------------------
+    def __len__(self) -> int:
+        return len(self.tids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.tids)))]
+        tid = self.tids[index]
+        if self.orders is not None:
+            return SubtreePosting(tid, tuple(
+                NodeCode(pre[index], post[index], level[index], order[index])
+                for (pre, post, level), order in zip(self.slots, self.orders)
+            ))
+        if self.slots:
+            pre, post, level = self.slots[0]
+            return RootPosting(tid, pre[index], post[index], level[index])
+        return FilterPosting(tid)
+
+    def __iter__(self) -> Iterator[object]:
+        return map(self.__getitem__, range(len(self.tids)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"PostingColumns({list(self)!r})"

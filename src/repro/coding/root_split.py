@@ -14,27 +14,12 @@ The price is that queries may only be decomposed into *root-split covers*
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence
 
-from repro.coding.base import CodingScheme, Occurrence, register_coding
-from repro.storage.codec import decode_varint, encode_varint
-from repro.trees.numbering import IntervalCode
-
-
-@dataclass(frozen=True, order=True)
-class RootPosting:
-    """A root-split posting: tree id and the root node's interval code."""
-
-    tid: int
-    pre: int
-    post: int
-    level: int
-
-    @property
-    def code(self) -> IntervalCode:
-        """The root's interval code as an :class:`IntervalCode`."""
-        return IntervalCode(self.pre, self.post, self.level)
+from repro.coding.base import CodingScheme, Occurrence, decode_records, register_coding
+from repro.coding.postings import PostingColumns, RootPosting
+from repro.storage.codec import encode_varint
 
 
 @register_coding
@@ -61,15 +46,6 @@ class RootSplitCoding(CodingScheme):
             previous_tid = posting.tid
         return bytes(out)
 
-    def decode_postings(self, data: bytes) -> List[RootPosting]:
-        count, offset = decode_varint(data, 0)
-        postings: List[RootPosting] = []
-        tid = 0
-        for _ in range(count):
-            gap, offset = decode_varint(data, offset)
-            tid += gap
-            pre, offset = decode_varint(data, offset)
-            post, offset = decode_varint(data, offset)
-            level, offset = decode_varint(data, offset)
-            postings.append(RootPosting(tid, pre, post, level))
-        return postings
+    def decode_postings(self, data: bytes) -> PostingColumns:
+        body = decode_records(data, width=4)
+        return PostingColumns(list(accumulate(body[0::4])), ((body[1::4], body[2::4], body[3::4]),))

@@ -14,45 +14,12 @@ gap shown in Figures 8 and 9 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Sequence
 
-from repro.coding.base import CodingScheme, Occurrence, register_coding
-from repro.storage.codec import decode_varint, encode_varint
-from repro.trees.numbering import IntervalCode
-
-
-@dataclass(frozen=True, order=True)
-class NodeCode:
-    """The per-node structural record of a subtree-interval posting."""
-
-    pre: int
-    post: int
-    level: int
-    order: int
-
-    @property
-    def code(self) -> IntervalCode:
-        """The node's interval code without the order value."""
-        return IntervalCode(self.pre, self.post, self.level)
-
-
-@dataclass(frozen=True, order=True)
-class SubtreePosting:
-    """A subtree-interval posting: tree id plus one :class:`NodeCode` per node."""
-
-    tid: int
-    nodes: Tuple[NodeCode, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of nodes of the indexed subtree (``m`` in the paper)."""
-        return len(self.nodes)
-
-    @property
-    def root(self) -> NodeCode:
-        """The code of the subtree root (canonical position 0)."""
-        return self.nodes[0]
+from repro.coding.base import CodingScheme, Occurrence, decode_records, register_coding
+from repro.coding.postings import NodeCode, PostingColumns, SubtreePosting
+from repro.storage.codec import decode_varint, decode_varint_list, encode_varint
 
 
 @register_coding
@@ -74,6 +41,8 @@ class SubtreeIntervalCoding(CodingScheme):
         return sorted(postings)
 
     def encode_postings(self, postings: Sequence[SubtreePosting]) -> bytes:
+        if len({len(posting.nodes) for posting in postings}) > 1:
+            raise ValueError("postings of one key must all have the key's node count")
         out = bytearray(encode_varint(len(postings)))
         previous_tid = 0
         for posting in postings:
@@ -87,20 +56,16 @@ class SubtreeIntervalCoding(CodingScheme):
             previous_tid = posting.tid
         return bytes(out)
 
-    def decode_postings(self, data: bytes) -> List[SubtreePosting]:
+    def decode_postings(self, data: bytes) -> PostingColumns:
         count, offset = decode_varint(data, 0)
-        postings: List[SubtreePosting] = []
-        tid = 0
-        for _ in range(count):
-            gap, offset = decode_varint(data, offset)
-            tid += gap
-            node_count, offset = decode_varint(data, offset)
-            nodes: List[NodeCode] = []
-            for _ in range(node_count):
-                pre, offset = decode_varint(data, offset)
-                post, offset = decode_varint(data, offset)
-                level, offset = decode_varint(data, offset)
-                order, offset = decode_varint(data, offset)
-                nodes.append(NodeCode(pre, post, level, order))
-            postings.append(SubtreePosting(tid, tuple(nodes)))
-        return postings
+        node_count = decode_varint_list(data, 2, offset)[0][1] if count else 0
+        width = 2 + 4 * node_count
+        body = decode_records(data, width)
+        if body[1::width].count(node_count) != count:
+            raise ValueError("corrupt posting list: node counts differ within one key")
+        starts = range(2, width, 4)
+        return PostingColumns(
+            list(accumulate(body[0::width])),
+            tuple((body[at::width], body[at + 1::width], body[at + 2::width]) for at in starts),
+            tuple(body[at + 3::width] for at in starts),
+        )

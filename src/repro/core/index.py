@@ -20,6 +20,7 @@ from repro.coding.base import CodingScheme, get_coding
 from repro.core.enumeration import enumerate_key_occurrences
 from repro.core.keys import SubtreeKey, canonical_key, decode_key
 from repro.storage.bptree import BPlusTree, ProbeStats, ValueCache
+from repro.storage.codec import decode_varint
 from repro.trees.node import Node, ParseTree
 
 #: Reserved B+Tree key that stores the index metadata record.
@@ -217,8 +218,13 @@ class SubtreeIndex:
         return self._tree.get(self._normalise_key(key)) is not None
 
     def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
-        """Length of the posting list of *key* (0 when absent)."""
-        return len(self.lookup(key))
+        """Length of the posting list of *key* (0 when absent).
+
+        Every coding stores the count as the leading varint of the encoded
+        list, so nothing is decoded.
+        """
+        raw = self._tree.get(self._normalise_key(key))
+        return 0 if raw is None else decode_varint(raw)[0]
 
     # ------------------------------------------------------------------
     # Probe accounting and the read-through posting cache

@@ -1,10 +1,12 @@
 """Query execution over the subtree index.
 
-* :mod:`repro.exec.joins` -- structural merge joins: the MPMGJN-style
-  tid-merge join used between cover-subtree posting lists, and plain sorted
-  tid-list intersection for the filter-based coding.
-* :mod:`repro.exec.plan` -- join planning: binding maps, join predicates
-  derived from the query and the cover, and a greedy connected join order.
+* :mod:`repro.exec.plan` -- join planning: one relation (posting columns +
+  bound query nodes) per cover subtree, a greedy connected join order, and
+  the query's predicates compiled to offsets into a flat binding tuple.
+* :mod:`repro.exec.joins` -- the join kernel that executes such a plan
+  (tid pre-intersection, per-tree row ranges, distinct-root counting), and
+  the galloping sorted tid-list intersection it shares with the
+  filter-based coding.
 * :mod:`repro.exec.executor` -- the pipeline stages (``decompose_query``,
   ``fetch_postings``, ``join_postings``), the one-shot ``QueryExecutor``
   wrapper around them (including the filtering phase of the filter-based
@@ -26,8 +28,8 @@ from repro.exec.executor import (
     fetch_postings,
     join_postings,
 )
-from repro.exec.joins import intersect_sorted_tid_lists, merge_join_bindings
-from repro.exec.plan import JoinPlan, build_plan
+from repro.exec.joins import intersect_sorted_tid_lists, run_plan
+from repro.exec.plan import JoinPlan, Relation, build_plan, cover_relations
 
 __all__ = [
     "QueryExecutor",
@@ -38,8 +40,10 @@ __all__ = [
     "fetch_postings",
     "join_postings",
     "JoinPlan",
+    "Relation",
     "build_plan",
-    "merge_join_bindings",
+    "cover_relations",
+    "run_plan",
     "intersect_sorted_tid_lists",
     "FanoutExecutor",
     "execute_on_shards",

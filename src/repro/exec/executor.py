@@ -18,6 +18,9 @@ subtree-interval
     decompose with ``optimalCover``; joins may reference any node stored in a
     posting (all of them), again with no post-validation.
 
+Both structural codings run the same kernel (:func:`repro.exec.joins.run_plan`)
+over posting columns; only the slots a relation binds differ.
+
 The pipeline is exposed as three separable stages -- :func:`decompose_query`,
 :func:`fetch_postings` and :func:`join_postings` -- so a serving layer
 (:mod:`repro.service`) can cache the output of one stage and batch another.
@@ -29,22 +32,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.coding.base import CodingScheme
 from repro.coding.filter_based import FilterBasedCoding
+from repro.coding.postings import PostingColumns
 from repro.coding.root_split import RootSplitCoding
-from repro.coding.subtree_interval import SubtreeIntervalCoding, SubtreePosting
+from repro.coding.subtree_interval import SubtreeIntervalCoding
 from repro.core.index import SubtreeIndex
 from repro.corpus.store import Corpus, TreeStore
-from repro.exec.joins import (
-    BindingRow,
-    deduplicate_rows,
-    intersect_sorted_tid_lists,
-    merge_join_bindings,
-)
-from repro.exec.plan import JoinPlan, build_plan
+from repro.exec.joins import count_distinct_roots, intersect_sorted_tid_lists, run_plan
+from repro.exec.plan import build_plan, cover_relations
 from repro.query.covers import Cover
 from repro.query.decompose import decompose
 from repro.query.model import QueryTree
@@ -114,7 +113,7 @@ def decompose_query(
 # Stage 2: posting fetch
 # ----------------------------------------------------------------------
 #: A fetch function maps a canonical cover key to its decoded posting list.
-PostingFetcher = Callable[[bytes], List[object]]
+PostingFetcher = Callable[[bytes], Sequence[object]]
 
 
 def fetch_postings(
@@ -181,7 +180,15 @@ def _dispatch_join(
     if isinstance(coding, FilterBasedCoding):
         return _join_filter_based(query, cover, postings, store, stats)
     if isinstance(coding, (RootSplitCoding, SubtreeIntervalCoding)):
-        return _join_structural(query, cover, postings, coding)
+        if len(cover.subtrees) == 1:
+            # The key encodes the whole query, so its postings are the
+            # matches: nothing to plan or join (the very common case of
+            # small queries at larger mss, and of single-label queries).
+            only = PostingColumns.from_postings(postings[0])
+            pairs = zip(only.tids, only.slots[0][0]) if only else ()
+            return QueryResult(matches_per_tree=count_distinct_roots(pairs))
+        plan = build_plan(query, cover_relations(cover, postings))
+        return QueryResult(matches_per_tree=run_plan(plan))
     raise TypeError(f"unsupported coding scheme {type(coding).__name__}")
 
 
@@ -198,8 +205,9 @@ def _join_filter_based(
             "filter-based execution needs a data file (TreeStore) or Corpus "
             "to run its filtering phase; pass `store=` to QueryExecutor"
         )
-    tid_lists = [[posting.tid for posting in plist] for plist in postings]
-    candidates = intersect_sorted_tid_lists(tid_lists)
+    candidates = intersect_sorted_tid_lists(
+        [PostingColumns.from_postings(plist).tids for plist in postings]
+    )
     stats.candidates_filtered = len(candidates)
 
     matches: Dict[int, int] = {}
@@ -211,88 +219,6 @@ def _join_filter_based(
                 matches[tid] = count
         span.set(matched_trees=len(matches))
     return QueryResult(matches_per_tree=matches)
-
-
-def _join_structural(
-    query: QueryTree,
-    cover: Cover,
-    postings: Sequence[Sequence[object]],
-    coding: CodingScheme,
-) -> QueryResult:
-    """Root-split / subtree-interval codings: structural merge joins."""
-    if len(cover.subtrees) == 1:
-        # Single-subtree cover: the key already encodes the whole query, so
-        # the matches are simply the distinct roots of its postings.  This
-        # skips the binding/join machinery for the very common case of
-        # small queries at larger mss (and of single-label queries).
-        only = list(postings[0])
-        root_pre_of = (
-            (lambda posting: posting.root.pre)
-            if only and isinstance(only[0], SubtreePosting)
-            else (lambda posting: posting.pre)
-        )
-        per_tree: Dict[int, set] = {}
-        for posting in only:
-            per_tree.setdefault(posting.tid, set()).add(root_pre_of(posting))
-        return QueryResult(
-            matches_per_tree={tid: len(pres) for tid, pres in per_tree.items()}
-        )
-    plan = build_plan(query, cover, postings, coding)
-    rows = run_plan(plan)
-    return QueryResult(matches_per_tree=count_root_matches(query, rows))
-
-
-def run_plan(plan: JoinPlan) -> List[BindingRow]:
-    """Execute the plan's left-deep join order and return the joined rows."""
-    if not plan.relations:
-        return []
-    if any(relation.cardinality == 0 for relation in plan.relations):
-        return []
-
-    order = plan.order or list(range(len(plan.relations)))
-    first = plan.relations[order[0]]
-    rows: List[BindingRow] = list(first.rows)
-    bound: Set[int] = set(first.bound_nodes)
-
-    for index in order[1:]:
-        relation = plan.relations[index]
-        predicates = plan.predicates_between(bound, relation.bound_nodes)
-
-        def compatible(left, right, _predicates=predicates) -> bool:
-            for predicate in _predicates:
-                ancestor = left.get(predicate.ancestor_node) or right.get(predicate.ancestor_node)
-                descendant = (
-                    right.get(predicate.descendant_node)
-                    if predicate.descendant_node in right
-                    else left.get(predicate.descendant_node)
-                )
-                if predicate.kind == "equal":
-                    ancestor = left.get(predicate.ancestor_node)
-                    descendant = right.get(predicate.descendant_node)
-                if ancestor is None or descendant is None:
-                    continue
-                if not predicate.holds(ancestor, descendant):
-                    return False
-            return True
-
-        rows = merge_join_bindings(rows, relation.rows, compatible)
-        if not rows:
-            return []
-        bound |= relation.bound_nodes
-        rows = deduplicate_rows(rows)
-    return rows
-
-
-def count_root_matches(query: QueryTree, rows: Sequence[BindingRow]) -> Dict[int, int]:
-    """Count distinct query-root bindings per tree (the paper's match count)."""
-    root_id = query.root.node_id
-    per_tree: Dict[int, Set[int]] = {}
-    for tid, binding in rows:
-        code = binding.get(root_id)
-        if code is None:  # pragma: no cover - the query root is always bound
-            continue
-        per_tree.setdefault(tid, set()).add(code.pre)
-    return {tid: len(pres) for tid, pres in per_tree.items()}
 
 
 # ----------------------------------------------------------------------

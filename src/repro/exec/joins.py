@@ -4,167 +4,136 @@ The subtree index stores posting lists sorted by tree identifier, so every
 join in the system is a merge join on ``tid`` followed by the evaluation of
 structural predicates within each tree -- the shape of the
 Multi-Predicate MerGe JoiN (MPMGJN) the paper adopts off the shelf
-(Section 2).  Three entry points are provided:
+(Section 2).  Two entry points are provided:
 
-* :func:`intersect_sorted_tid_lists` -- k-way intersection of plain tid
-  lists (the whole join phase of the filter-based coding);
-* :func:`merge_join_bindings` -- merge join between two binding relations
-  (intermediate query results) under arbitrary structural predicates;
-* :func:`mpmg_join_codes` -- the classic node-level MPMGJN between two
-  ``(tid, IntervalCode)`` streams, used by the LPath-style node-index
-  baseline.
+* :func:`intersect_sorted_tid_lists` -- k-way intersection of tid lists:
+  the whole join phase of the filter-based coding, and the first step of
+  the kernel below;
+* :func:`run_plan` -- the join kernel: executes a compiled
+  :class:`~repro.exec.plan.JoinPlan` over posting *columns* and returns the
+  distinct query-root matches per tree.  The LPath-style node-index
+  baseline runs it too, with one single-slot relation per query node.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.trees.numbering import IntervalCode
+from repro.exec.plan import JoinPlan, JoinStep
 
-#: A binding maps query-node ids to the interval code bound for that node.
-Binding = Dict[int, IntervalCode]
-#: A binding row couples a tree id with a binding.
-BindingRow = Tuple[int, Binding]
-#: A predicate decides whether two bindings of the same tree are compatible.
-BindingPredicate = Callable[[Binding, Binding], bool]
+#: Beyond this length ratio the longer list is probed by bisection instead
+#: of being scanned.
+GALLOP_SKEW = 8
 
 
 # ----------------------------------------------------------------------
-# Plain tid-list intersection (filter-based coding)
+# Tid-list intersection
 # ----------------------------------------------------------------------
 def intersect_sorted_tid_lists(lists: Sequence[Sequence[int]]) -> List[int]:
-    """Intersect several ascending tid lists.
+    """Intersect several ascending tid lists (repeated tids allowed).
 
-    The shortest list drives the intersection; the others are probed with a
-    galloping merge.  Returns an ascending list of tids present in all lists.
+    The shortest list drives the intersection.  Returns the ascending
+    distinct tids present in all lists.
     """
-    if not lists:
-        return []
-    if any(len(single) == 0 for single in lists):
+    if not lists or not all(len(single) for single in lists):
         return []
     ordered = sorted(lists, key=len)
-    result = list(ordered[0])
+    result = list(dict.fromkeys(ordered[0]))
     for other in ordered[1:]:
         result = _intersect_two(result, other)
         if not result:
-            return []
+            break
     return result
 
 
-def _intersect_two(left: Sequence[int], right: Sequence[int]) -> List[int]:
+def _intersect_two(short: Sequence[int], long: Sequence[int]) -> List[int]:
+    """The tids of *short* (distinct, ascending) that occur in *long*.
+
+    When the lengths are skewed *long* is galloped through: one bisection
+    per tid of *short*, each starting where the previous one ended.
+    """
+    if len(long) <= GALLOP_SKEW * len(short):
+        members = set(long)
+        return [tid for tid in short if tid in members]
     out: List[int] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            out.append(a)
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
+    at, end = 0, len(long)
+    for tid in short:
+        at = bisect_left(long, tid, at)
+        if at == end:
+            break
+        if long[at] == tid:
+            out.append(tid)
     return out
 
 
 # ----------------------------------------------------------------------
-# Binding-relation merge join (root-split and subtree-interval codings)
+# The join kernel (root-split and subtree-interval codings)
 # ----------------------------------------------------------------------
-def group_rows_by_tid(rows: Iterable[BindingRow]) -> Iterator[Tuple[int, List[Binding]]]:
-    """Group an ascending-by-tid row stream into ``(tid, bindings)`` batches."""
-    current_tid: int | None = None
-    batch: List[Binding] = []
-    for tid, binding in rows:
-        if current_tid is None or tid != current_tid:
-            if current_tid is not None and batch:
-                yield current_tid, batch
-            current_tid = tid
-            batch = []
-        batch.append(binding)
-    if current_tid is not None and batch:
-        yield current_tid, batch
+def count_distinct_roots(pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """Matches per tree from tid-ascending ``(tid, root pre)`` pairs.
 
-
-def merge_join_bindings(
-    left: Sequence[BindingRow],
-    right: Sequence[BindingRow],
-    predicate: BindingPredicate,
-) -> List[BindingRow]:
-    """Merge join two binding relations sorted by tid.
-
-    For every tree id present on both sides, all binding pairs satisfying
-    *predicate* are merged into a single binding (right-hand values win ties,
-    but predicates are expected to enforce equality on shared nodes).
+    A match is a distinct binding of the query root, so repeated pairs
+    (several embeddings below one root) count once.
     """
-    left_groups = list(group_rows_by_tid(left))
-    right_groups = list(group_rows_by_tid(right))
-    out: List[BindingRow] = []
-    i = j = 0
-    while i < len(left_groups) and j < len(right_groups):
-        left_tid, left_batch = left_groups[i]
-        right_tid, right_batch = right_groups[j]
-        if left_tid == right_tid:
-            for left_binding in left_batch:
-                for right_binding in right_batch:
-                    if predicate(left_binding, right_binding):
-                        merged = dict(left_binding)
-                        merged.update(right_binding)
-                        out.append((left_tid, merged))
-            i += 1
-            j += 1
-        elif left_tid < right_tid:
-            i += 1
-        else:
-            j += 1
-    return out
+    return dict(Counter(tid for tid, _ in dict.fromkeys(pairs)))
 
 
-def deduplicate_rows(rows: Sequence[BindingRow]) -> List[BindingRow]:
-    """Drop binding rows that bind exactly the same codes for the same tree."""
-    seen = set()
-    out: List[BindingRow] = []
-    for tid, binding in rows:
-        fingerprint = (tid, tuple(sorted((node, code.pre) for node, code in binding.items())))
-        if fingerprint in seen:
-            continue
-        seen.add(fingerprint)
-        out.append((tid, binding))
-    return out
+def run_plan(plan: JoinPlan) -> Dict[int, int]:
+    """Execute *plan* and return the number of matches per tree.
 
-
-# ----------------------------------------------------------------------
-# Node-level MPMGJN (LPath-style baseline)
-# ----------------------------------------------------------------------
-CodeRow = Tuple[int, IntervalCode]
-
-
-def mpmg_join_codes(
-    ancestors: Sequence[CodeRow],
-    descendants: Sequence[CodeRow],
-    axis: str,
-) -> List[Tuple[int, IntervalCode, IntervalCode]]:
-    """Multi-predicate merge join between two node-code lists.
-
-    Both inputs must be sorted by ``(tid, pre)``.  Returns all
-    ``(tid, ancestor_code, descendant_code)`` triples where the ancestor
-    contains the descendant; with ``axis == '/'`` the containment is
-    restricted to direct parent-child (level difference of one).
-
-    This is the textbook MPMGJN of Zhang et al. that the paper's node-index
-    baseline (and our LPath-style baseline) is built on.
+    Only trees whose tid occurs in *every* relation are looked at, so no
+    binding is built for a tree that cannot match.  Within such a tree each
+    relation's rows are one contiguous range of its columns, found by
+    bisection, and bindings grow relation by relation in join order.
     """
-    out: List[Tuple[int, IntervalCode, IntervalCode]] = []
-    parent_only = axis == "/"
-    i = 0
-    for tid, descendant in descendants:
-        # Advance the ancestor cursor past trees smaller than this one.
-        while i < len(ancestors) and ancestors[i][0] < tid:
-            i += 1
-        j = i
-        while j < len(ancestors) and ancestors[j][0] == tid and ancestors[j][1].pre < descendant.pre:
-            ancestor = ancestors[j][1]
-            if ancestor.is_ancestor_of(descendant):
-                if not parent_only or ancestor.level == descendant.level - 1:
-                    out.append((tid, ancestor, descendant))
-            j += 1
+    steps = plan.steps
+    if not steps:
+        return {}
+    tid_columns = [plan.relations[step.relation].columns.tids for step in steps]
+    cursors = [0] * len(steps)
+    root = plan.root_offset
+    pairs: List[Tuple[int, int]] = []
+    for tid in intersect_sorted_tid_lists(tid_columns):
+        rows: List[tuple] = [()]
+        for number, step in enumerate(steps):
+            tids = tid_columns[number]
+            low = bisect_left(tids, tid, cursors[number])
+            high = cursors[number] = bisect_right(tids, tid, low)
+            rows = _join_step(rows, step, low, high)
+            if not rows:
+                break
+        else:
+            pairs.extend((tid, row[root]) for row in rows)
+    return count_distinct_roots(pairs)
+
+
+def _join_step(rows: List[tuple], step: JoinStep, low: int, high: int) -> List[tuple]:
+    """Every binding of *rows* extended by each compatible row ``low:high``
+    of the step's relation."""
+    candidates = list(zip(*[column[low:high] for column in step.columns]))
+    equal_row = step.equal_row
+    if equal_row is not None:
+        # A shared query node: look its bound pre up among the candidates
+        # instead of pairing every binding with every candidate.
+        by_key: Dict[object, List[tuple]] = {}
+        for candidate in candidates:
+            by_key.setdefault(step.equal_candidate(candidate), []).append(candidate)
+    checks = step.checks
+    out: List[tuple] = []
+    for row in rows:
+        if equal_row is not None:
+            candidates = by_key.get(equal_row(row), ())
+        for candidate in candidates:
+            joined = row + candidate
+            for upper, lower, child in checks:
+                if not (
+                    joined[upper] < joined[lower]
+                    and joined[upper + 1] > joined[lower + 1]
+                    and (not child or joined[upper + 2] + 1 == joined[lower + 2])
+                ):
+                    break
+            else:
+                out.append(joined)
     return out

@@ -1,229 +1,166 @@
-"""Join planning: predicates, binding relations and join order.
+"""Join planning: relations, join order and slot-compiled predicates.
 
-Given a query, a cover and the postings fetched for each cover subtree, the
-planner produces a *join plan*:
+Given a query and one *relation* per join input -- a key's posting columns
+plus the query nodes those columns bind -- the planner produces what the
+kernel (:func:`repro.exec.joins.run_plan`) executes:
 
-* a binding relation per cover subtree (which query nodes each posting binds,
-  and to which interval codes);
-* the set of structural predicates connecting those relations -- equality on
-  shared query nodes and the parent-child / ancestor-descendant conditions of
-  query edges whose endpoints live in different relations;
 * a left-deep join order that starts from the smallest relation and always
   joins a relation connected to what has been joined so far (Section 5.1:
-  plans are left-deep trees over the cover's posting-list streams).
+  plans are left-deep trees over the cover's posting-list streams);
+* one :class:`JoinStep` per relation in that order.  A binding is a flat
+  tuple of ``pre, post, level`` values, three per bound slot, laid out in
+  join order; every structural predicate -- equality on a query node bound
+  by two relations, parent-child / ancestor-descendant for a query edge
+  whose endpoints are bound by different relations -- is compiled once, here,
+  to offsets into that tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.coding.base import CodingScheme
-from repro.coding.filter_based import FilterPosting
-from repro.coding.root_split import RootPosting
-from repro.coding.subtree_interval import SubtreePosting
-from repro.exec.joins import Binding, BindingRow
-from repro.query.covers import Cover, CoverSubtree
+from repro.coding.postings import PostingColumns
+from repro.query.covers import Cover
 from repro.query.model import QueryTree
 from repro.trees.matching import AXIS_CHILD
-from repro.trees.numbering import IntervalCode
-
-
-@dataclass(frozen=True)
-class JoinPredicate:
-    """A structural condition between two bound query nodes.
-
-    ``kind`` is one of ``"equal"`` (same query node bound by two relations),
-    ``"child"`` (ancestor node must be the parent of the descendant node) or
-    ``"descendant"`` (ancestor must properly contain the descendant).
-    """
-
-    kind: str
-    ancestor_node: int
-    descendant_node: int
-
-    def holds(self, ancestor: IntervalCode, descendant: IntervalCode) -> bool:
-        """Evaluate the predicate over two interval codes."""
-        if self.kind == "equal":
-            return ancestor.pre == descendant.pre
-        if self.kind == "child":
-            return ancestor.is_ancestor_of(descendant) and ancestor.level == descendant.level - 1
-        if self.kind == "descendant":
-            return ancestor.is_ancestor_of(descendant)
-        raise ValueError(f"unknown predicate kind {self.kind!r}")  # pragma: no cover
 
 
 @dataclass
 class Relation:
-    """The binding relation of one cover subtree."""
+    """One join input: a key's postings and the query nodes they bind.
 
-    subtree: CoverSubtree
-    key: bytes
-    bound_nodes: Set[int]
-    rows: List[BindingRow]
+    ``nodes`` maps a query node id to the slot (node position within a
+    posting) bound to it: the root slot only under root-split coding, every
+    slot of the key under subtree-interval coding.
+    """
+
+    columns: PostingColumns
+    nodes: Dict[int, int]
 
     @property
     def cardinality(self) -> int:
         """Number of rows (postings) in the relation."""
-        return len(self.rows)
+        return len(self.columns)
+
+
+class JoinStep(NamedTuple):
+    """Joining one relation onto the bindings built so far.
+
+    A *candidate* is one row of ``columns``; appended to a binding it forms
+    the tuple the checks index.  ``equal_row`` / ``equal_candidate`` extract
+    the pre values that must agree (``None`` when no query node is shared);
+    each check ``(upper, lower, child)`` requires the node at offset *upper*
+    to contain the node at offset *lower*, as its parent when *child*.
+    """
+
+    relation: int
+    columns: Tuple[Sequence[int], ...]
+    equal_row: Optional[Callable[[tuple], object]]
+    equal_candidate: Optional[Callable[[tuple], object]]
+    checks: Tuple[Tuple[int, int, bool], ...]
 
 
 @dataclass
 class JoinPlan:
-    """A fully planned query: relations, predicates and a join order."""
+    """A planned query: relations, join order and the compiled steps.
 
-    query: QueryTree
-    cover: Cover
+    ``steps`` is empty when some relation has no rows -- the query cannot
+    match and nothing is compiled.  ``root_offset`` locates the query
+    root's pre value in a finished binding.
+    """
+
     relations: List[Relation]
-    predicates: List[JoinPredicate]
-    order: List[int] = field(default_factory=list)
+    order: List[int]
+    steps: List[JoinStep] = field(default_factory=list)
+    root_offset: int = 0
 
     @property
     def join_count(self) -> int:
         """Number of pairwise joins a left-deep execution performs."""
         return max(0, len(self.relations) - 1)
 
-    def predicates_between(self, bound: Set[int], incoming: Set[int]) -> List[JoinPredicate]:
-        """Predicates whose endpoints straddle the already-bound and incoming node sets."""
-        out: List[JoinPredicate] = []
-        for predicate in self.predicates:
-            a, d = predicate.ancestor_node, predicate.descendant_node
-            if predicate.kind == "equal":
-                if a in bound and a in incoming:
-                    out.append(predicate)
-            elif (a in bound and d in incoming) or (d in bound and a in incoming):
-                out.append(predicate)
-        return out
+
+def cover_relations(cover: Cover, postings: Sequence[Sequence[object]]) -> List[Relation]:
+    """The relations of a cover: one per cover subtree, over its postings."""
+    relations: List[Relation] = []
+    for subtree, plist in zip(cover.subtrees, postings):
+        columns = PostingColumns.from_postings(plist)
+        if len(columns.slots) > 1:
+            nodes = subtree.key()[1]
+        else:  # canonical position 0 is the subtree root
+            nodes = {subtree.root.node_id: 0}
+        relations.append(Relation(columns, nodes))
+    return relations
 
 
-# ----------------------------------------------------------------------
-# Building binding relations from postings
-# ----------------------------------------------------------------------
-def _rows_for_subtree(
-    subtree: CoverSubtree, postings: Sequence[object], coding: CodingScheme
-) -> Tuple[Set[int], List[BindingRow]]:
-    """Convert a cover subtree's postings into binding rows for its bound nodes."""
-    key, positions = subtree.key()
-    rows: List[BindingRow] = []
-
-    if not postings:
-        return set(), rows
-
-    sample = postings[0]
-    if isinstance(sample, RootPosting):
-        bound = {subtree.root.node_id}
-        root_id = subtree.root.node_id
-        for posting in postings:
-            rows.append((posting.tid, {root_id: posting.code}))
-        return bound, rows
-
-    if isinstance(sample, SubtreePosting):
-        bound = set(positions)
-        for posting in postings:
-            binding: Binding = {
-                node_id: posting.nodes[position].code
-                for node_id, position in positions.items()
-            }
-            rows.append((posting.tid, binding))
-        return bound, rows
-
-    if isinstance(sample, FilterPosting):
-        # Filter-based postings bind no structural information at all.
-        for posting in postings:
-            rows.append((posting.tid, {}))
-        return set(), rows
-
-    raise TypeError(f"unsupported posting type {type(sample).__name__}")
-
-
-# ----------------------------------------------------------------------
-# Predicates
-# ----------------------------------------------------------------------
-def _build_predicates(query: QueryTree, relations: Sequence[Relation]) -> List[JoinPredicate]:
-    """Derive the equality and edge predicates needed to stitch the relations."""
-    predicates: List[JoinPredicate] = []
-
-    # Equality on query nodes bound by more than one relation.
-    bound_by: Dict[int, int] = {}
-    shared: Set[int] = set()
-    for relation in relations:
-        for node_id in relation.bound_nodes:
-            if node_id in bound_by:
-                shared.add(node_id)
-            bound_by[node_id] = bound_by.get(node_id, 0) + 1
-    for node_id in sorted(shared):
-        predicates.append(JoinPredicate("equal", node_id, node_id))
-
-    # Structural predicates for every query edge whose endpoints are both
-    # bound somewhere.  Edges living entirely inside one cover subtree are
-    # already enforced by that subtree's key; the predicate is still listed
-    # because it is a necessary condition of the query and evaluating it at a
-    # join step can only discard rows that no full embedding could produce.
-    all_bound: Set[int] = set()
-    for relation in relations:
-        all_bound |= relation.bound_nodes
-    for parent, child, axis in query.edges():
-        if parent.node_id not in all_bound or child.node_id not in all_bound:
-            continue
-        kind = "child" if axis == AXIS_CHILD else "descendant"
-        predicates.append(JoinPredicate(kind, parent.node_id, child.node_id))
-    return predicates
-
-
-# ----------------------------------------------------------------------
-# Join order
-# ----------------------------------------------------------------------
-def _choose_order(relations: Sequence[Relation], predicates: Sequence[JoinPredicate]) -> List[int]:
+def _choose_order(relations: Sequence[Relation], edges: Sequence[Tuple[int, int, bool]]) -> List[int]:
     """Greedy left-deep order: smallest relation first, stay connected, smallest next."""
-    if not relations:
-        return []
     remaining = set(range(len(relations)))
     order: List[int] = []
-    bound_nodes: Set[int] = set()
+    bound: set = set()
 
     def connected(index: int) -> bool:
-        nodes = relations[index].bound_nodes
-        if not bound_nodes:
-            return True
-        if bound_nodes & nodes:
-            return True
-        for predicate in predicates:
-            a, d = predicate.ancestor_node, predicate.descendant_node
-            if predicate.kind == "equal":
-                if a in bound_nodes and a in nodes:
-                    return True
-            elif (a in bound_nodes and d in nodes) or (d in bound_nodes and a in nodes):
-                return True
-        return False
-
-    first = min(remaining, key=lambda index: relations[index].cardinality)
-    order.append(first)
-    remaining.remove(first)
-    bound_nodes |= relations[first].bound_nodes
+        nodes = relations[index].nodes
+        return any(node in bound for node in nodes) or any(
+            (upper in bound and lower in nodes) or (lower in bound and upper in nodes)
+            for upper, lower, _ in edges
+        )
 
     while remaining:
-        candidates = [index for index in remaining if connected(index)] or list(remaining)
-        chosen = min(candidates, key=lambda index: relations[index].cardinality)
+        candidates = [index for index in remaining if connected(index)] or remaining
+        chosen = min(candidates, key=lambda index: (relations[index].cardinality, index))
         order.append(chosen)
         remaining.remove(chosen)
-        bound_nodes |= relations[chosen].bound_nodes
+        bound.update(relations[chosen].nodes)
     return order
 
 
-# ----------------------------------------------------------------------
-def build_plan(
-    query: QueryTree,
-    cover: Cover,
-    postings_per_subtree: Sequence[Sequence[object]],
-    coding: CodingScheme,
-) -> JoinPlan:
-    """Assemble a :class:`JoinPlan` from fetched posting lists."""
-    relations: List[Relation] = []
-    for subtree, postings in zip(cover.subtrees, postings_per_subtree):
-        bound, rows = _rows_for_subtree(subtree, list(postings), coding)
-        relations.append(
-            Relation(subtree=subtree, key=subtree.key_bytes(), bound_nodes=bound, rows=rows)
-        )
-    predicates = _build_predicates(query, relations)
-    order = _choose_order(relations, predicates)
-    return JoinPlan(query=query, cover=cover, relations=relations, predicates=predicates, order=order)
+def build_plan(query: QueryTree, relations: Sequence[Relation]) -> JoinPlan:
+    """Order *relations* and compile the query's predicates between them."""
+    relations = list(relations)
+    edges = [
+        (parent.node_id, child.node_id, axis == AXIS_CHILD)
+        for parent, child, axis in query.edges()
+    ]
+    plan = JoinPlan(relations, _choose_order(relations, edges))
+    if not all(relation.cardinality for relation in relations):
+        return plan
+
+    offsets: Dict[int, int] = {}  # query node -> offset of its pre in a binding
+    width = 0
+    for index in plan.order:
+        relation = relations[index]
+        slots = sorted(relation.nodes.items(), key=itemgetter(1))
+        local = {node: width + 3 * at for at, (node, _) in enumerate(slots)}
+        shared = [node for node in local if node in offsets]
+        fresh = [node for node in local if node not in offsets]
+        # An edge needs checking here when this relation binds one endpoint
+        # for the first time and the other was bound outside it; an edge
+        # inside one relation is enforced by that relation's key.
+        checks = [
+            (offsets[upper], local[lower], child)
+            for upper, lower, child in edges
+            if lower in fresh and upper in offsets and upper not in local
+        ] + [
+            (local[upper], offsets[lower], child)
+            for upper, lower, child in edges
+            if upper in fresh and lower in offsets and lower not in local
+        ]
+        plan.steps.append(JoinStep(
+            relation=index,
+            columns=tuple(
+                column for _, slot in slots for column in relation.columns.slots[slot]
+            ),
+            equal_row=itemgetter(*(offsets[node] for node in shared)) if shared else None,
+            equal_candidate=(
+                itemgetter(*(local[node] - width for node in shared)) if shared else None
+            ),
+            checks=tuple(checks),
+        ))
+        for node in fresh:
+            offsets[node] = local[node]
+        width += 3 * len(slots)
+    plan.root_offset = offsets[query.root.node_id]
+    return plan

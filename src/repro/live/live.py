@@ -527,7 +527,7 @@ class LiveIndex:
             cache.put(encoded, merged)
         return merged
 
-    def _merged_lookup(self, encoded: bytes) -> List[object]:
+    def _merged_lookup(self, encoded: bytes) -> Sequence[object]:
         per_source = [segment.index.lookup(encoded) for segment in self.segments]
         per_source.append(self._delta.lookup(encoded))
         merged = ShardedIndex._merge_postings(per_source)
@@ -546,8 +546,17 @@ class LiveIndex:
         )
 
     def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
-        """Length of the surviving posting list of *key* (0 when absent)."""
-        return len(self.lookup(key))
+        """Length of the surviving posting list of *key* (0 when absent).
+
+        Tombstoned trees are only known posting by posting, so the merged
+        lookup is needed while any exist; otherwise the stored counts add up.
+        """
+        if self._tombstones:
+            return len(self.lookup(key))
+        encoded = SubtreeIndex._normalise_key(key)
+        return len(self._delta.lookup(encoded)) + sum(
+            segment.index.posting_list_length(encoded) for segment in self.segments
+        )
 
     def items(self) -> Iterator[Tuple[bytes, List[object]]]:
         """Yield ``(key bytes, merged posting list)`` in global key order.

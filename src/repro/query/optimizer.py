@@ -37,8 +37,8 @@ class SelectivityCatalog:
     """Posting-list lengths per index key, fetched lazily and memoised.
 
     The catalog answers "how many postings does this key have?" without
-    decoding the posting payloads (lengths are cheap to compute after one
-    lookup, and repeated queries share the cache).
+    decoding the posting payloads (the index reads the stored count), and
+    repeated queries share the memo.
     """
 
     index: SubtreeIndex
@@ -47,7 +47,7 @@ class SelectivityCatalog:
     def posting_list_length(self, key: bytes) -> int:
         """Length of the posting list stored under *key* (0 when absent)."""
         if key not in self._lengths:
-            self._lengths[key] = len(self.index.lookup(key))
+            self._lengths[key] = self.index.posting_list_length(key)
         return self._lengths[key]
 
     def preload(self, keys: Sequence[bytes]) -> None:

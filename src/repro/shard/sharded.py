@@ -25,6 +25,7 @@ from itertools import groupby
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
+from repro.coding.postings import PostingColumns
 from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import SubtreeKey, decode_key
 from repro.corpus.store import TreeStore
@@ -225,18 +226,23 @@ class ShardedIndex:
         return merged
 
     @staticmethod
-    def _merge_postings(per_shard: Sequence[Sequence[object]]) -> List[object]:
+    def _merge_postings(per_shard: Sequence[Sequence[object]]) -> Sequence[object]:
         """Merge per-shard posting lists into one list ascending in tid.
 
         Every coding's posting carries ``tid`` and each shard's list is
         already tid-ascending (shards receive their trees in corpus order),
         so this is a plain k-way merge.  Tids never repeat across shards.
+        A single populated source that is a (read-only) ``PostingColumns``
+        is returned as it is, so the join kernel gets its columns and no
+        posting object is built; a plain list is copied, since it may be a
+        delta segment's own.
         """
         populated = [plist for plist in per_shard if plist]
         if not populated:
             return []
         if len(populated) == 1:
-            return list(populated[0])
+            only = populated[0]
+            return only if isinstance(only, PostingColumns) else list(only)
         return list(heapq.merge(*populated, key=lambda posting: posting.tid))
 
     def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
@@ -246,7 +252,8 @@ class ShardedIndex:
 
     def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
         """Global posting-list length of *key* (0 when absent everywhere)."""
-        return len(self.lookup(key))
+        encoded = SubtreeIndex._normalise_key(key)
+        return sum(shard.index.posting_list_length(encoded) for shard in self.shards)
 
     def locate(self, tid: int) -> Optional[int]:
         """The shard id holding *tid*, when the partitioner can derive it."""

@@ -14,9 +14,9 @@ from repro.storage.bptree import BPlusTree
 from repro.storage.codec import (
     decode_uint32_list,
     decode_varint,
+    decode_varint_run,
     encode_uint32_list,
     encode_varint,
-    read_varint,
 )
 from repro.storage.pager import PAGE_SIZE, Pager
 
@@ -26,7 +26,7 @@ __all__ = [
     "PAGE_SIZE",
     "encode_varint",
     "decode_varint",
-    "read_varint",
+    "decode_varint_run",
     "encode_uint32_list",
     "decode_uint32_list",
 ]

@@ -50,18 +50,33 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
             raise ValueError("varint too long")
 
 
-def read_varint(data: memoryview | bytes, offset: int) -> Tuple[int, int]:
-    """Alias of :func:`decode_varint` accepting memoryviews (hot path)."""
-    result = 0
-    shift = 0
-    index = offset
-    while True:
-        byte = data[index]
-        index += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, index
-        shift += 7
+def decode_varint_run(data: bytes, offset: int = 0) -> Sequence[int]:
+    """Decode every varint from *offset* to the end of *data* in one pass.
+
+    Posting bodies are almost entirely one-byte varints (tid gaps, pre/post
+    numbers and levels below 128), and a one-byte varint is its own value:
+    when no byte of the tail has the continuation bit set the ``bytes`` slice
+    itself is returned -- indexing, iterating and strided slicing it yield
+    the integers with no per-value work.  Otherwise the values are decoded
+    into a list.  A trailing unterminated varint raises ``ValueError``.
+    """
+    tail = data[offset:]
+    if tail.isascii():
+        return tail
+    values: List[int] = []
+    result = shift = 0
+    for byte in tail:
+        if byte & 0x80:
+            result |= (byte & 0x7F) << shift
+            shift += 7
+            if shift > 63:
+                raise ValueError("varint too long")
+        else:
+            values.append(result | (byte << shift))
+            result = shift = 0
+    if shift:
+        raise ValueError("truncated varint")
+    return values
 
 
 def encode_varint_list(values: Sequence[int]) -> bytes:
@@ -85,7 +100,8 @@ def encode_delta_list(sorted_values: Sequence[int]) -> bytes:
     """Delta + varint encode a non-decreasing integer sequence.
 
     The count is encoded first, followed by the first value and then the
-    gaps.  This is the classic compressed posting-list layout.
+    gaps.  This is the classic compressed posting-list layout; the reader is
+    :func:`decode_varint_run` plus a running sum.
     """
     out = bytearray(encode_varint(len(sorted_values)))
     previous = 0
@@ -95,18 +111,6 @@ def encode_delta_list(sorted_values: Sequence[int]) -> bytes:
         out += encode_varint(value - previous)
         previous = value
     return bytes(out)
-
-
-def decode_delta_list(data: bytes, offset: int = 0) -> Tuple[List[int], int]:
-    """Decode a sequence produced by :func:`encode_delta_list`."""
-    count, offset = decode_varint(data, offset)
-    values: List[int] = []
-    current = 0
-    for _ in range(count):
-        gap, offset = decode_varint(data, offset)
-        current += gap
-        values.append(current)
-    return values, offset
 
 
 def encode_uint32_list(values: Iterable[int]) -> bytes:

@@ -9,6 +9,7 @@ from repro.coding import (
     FilterBasedCoding,
     FilterPosting,
     Occurrence,
+    PostingColumns,
     RootPosting,
     RootSplitCoding,
     SubtreeIntervalCoding,
@@ -110,25 +111,109 @@ class TestTidsOf:
 # ----------------------------------------------------------------------
 # Property tests: encode/decode are inverse for arbitrary occurrences.
 # ----------------------------------------------------------------------
-_code_strategy = st.tuples(
-    st.integers(min_value=1, max_value=10_000),
-    st.integers(min_value=1, max_value=10_000),
-    st.integers(min_value=0, max_value=60),
+# Values straddle the varint width boundaries (128, 16 384) so decoded bodies
+# are all-single-byte (the zero-copy ``bytes`` columns), all-multi-byte, or a
+# mix; tids make gaps of either width.
+_number = st.one_of(
+    st.integers(min_value=1, max_value=127),
+    st.integers(min_value=128, max_value=16_383),
+    st.integers(min_value=16_384, max_value=3_000_000),
 )
-_occurrence_strategy = st.builds(
-    _occurrence,
-    tid=st.integers(min_value=0, max_value=1_000_000),
-    codes=st.lists(_code_strategy, min_size=1, max_size=6, unique_by=lambda c: c[0]),
-)
+_tid = st.one_of(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=1_000_000))
 
 
-@pytest.mark.parametrize("name", ["filter", "root-split", "subtree-interval"])
-@given(occurrences=st.lists(_occurrence_strategy, min_size=0, max_size=20))
+def _occurrences(min_size: int = 0) -> st.SearchStrategy[list[Occurrence]]:
+    """Occurrences of *one* key: every embedding has the key's node count."""
+
+    def of_width(width: int) -> st.SearchStrategy[list[Occurrence]]:
+        code = st.tuples(_number, _number, st.integers(min_value=0, max_value=200))
+        codes = st.lists(code, min_size=width, max_size=width, unique_by=lambda c: c[0])
+        return st.lists(st.builds(_occurrence, tid=_tid, codes=codes), min_size=min_size, max_size=20)
+
+    return st.integers(min_value=1, max_value=6).flatmap(of_width)
+
+
+CODINGS = ["filter", "root-split", "subtree-interval"]
+
+
+@pytest.mark.parametrize("name", CODINGS)
+@given(occurrences=_occurrences())
 def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
     coding = get_coding(name)
     postings = coding.postings_from_occurrences(occurrences)
     decoded = coding.decode_postings(coding.encode_postings(postings))
-    assert decoded == postings
+    assert isinstance(decoded, PostingColumns)
+    assert decoded == postings and postings == decoded
+    assert len(decoded) == len(postings) and list(decoded) == postings
     # Posting lists are sorted by tid, which downstream merge joins rely on.
     tids = [coding._tid_of(posting) for posting in postings]
-    assert tids == sorted(tids)
+    assert tids == sorted(tids) == list(decoded.tids)
+
+
+@pytest.mark.parametrize("name", CODINGS)
+@given(occurrences=_occurrences(min_size=1), data=st.data())
+def test_columns_are_a_read_only_sequence_of_postings(name, occurrences, data) -> None:
+    coding = get_coding(name)
+    postings = coding.postings_from_occurrences(occurrences)
+    decoded = coding.decode_postings(coding.encode_postings(postings))
+    index = data.draw(st.integers(min_value=-len(postings), max_value=len(postings) - 1))
+    assert decoded[index] == postings[index]
+    assert decoded[index:] == postings[index:]
+    assert postings[index] in decoded
+    with pytest.raises(IndexError):
+        decoded[len(postings)]
+    # Columns built from the plain records are the same columns.
+    rebuilt = PostingColumns.from_postings(postings)
+    assert rebuilt == decoded
+    assert list(rebuilt.tids) == list(decoded.tids)
+    assert [[list(column) for column in slot] for slot in rebuilt.slots] == [
+        [list(column) for column in slot] for slot in decoded.slots
+    ]
+    assert PostingColumns.from_postings(decoded) is decoded
+
+
+@pytest.mark.parametrize("name", CODINGS)
+@given(occurrences=_occurrences(min_size=1), data=st.data())
+def test_damaged_input_raises_instead_of_answering(name, occurrences, data) -> None:
+    coding = get_coding(name)
+    postings = coding.postings_from_occurrences(occurrences)
+    encoded = coding.encode_postings(postings)
+    cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+    with pytest.raises(ValueError):
+        coding.decode_postings(encoded[:cut])
+    with pytest.raises(ValueError):
+        coding.decode_postings(encoded + b"\x01")
+    with pytest.raises(ValueError):
+        coding.decode_postings(encoded[:-1] + bytes([encoded[-1] | 0x80]))
+
+
+@pytest.mark.parametrize("name", CODINGS)
+def test_empty_list_round_trips(name: str) -> None:
+    coding = get_coding(name)
+    decoded = coding.decode_postings(coding.encode_postings([]))
+    assert len(decoded) == 0 and decoded == [] and list(decoded) == []
+    assert PostingColumns.from_postings([]) == decoded
+
+
+def test_single_byte_bodies_decode_without_copying_values() -> None:
+    coding = RootSplitCoding()
+    postings = [RootPosting(3, 2, 5, 1), RootPosting(3, 9, 8, 2), RootPosting(90, 1, 120, 0)]
+    decoded = coding.decode_postings(coding.encode_postings(postings))
+    assert all(isinstance(column, bytes) for column in decoded.slots[0])
+    wide = coding.decode_postings(coding.encode_postings(postings + [RootPosting(400, 130, 129, 3)]))
+    assert wide == postings + [RootPosting(400, 130, 129, 3)]
+    assert not isinstance(wide.slots[0][0], bytes)
+
+
+def test_subtree_interval_rejects_mixed_node_counts() -> None:
+    coding = SubtreeIntervalCoding()
+    narrow = coding.postings_from_occurrences([_occurrence(1, [(1, 5, 0)])])
+    wide = coding.postings_from_occurrences([_occurrence(2, [(1, 5, 0), (2, 1, 1)])])
+    with pytest.raises(ValueError):
+        coding.encode_postings(narrow + wide)
+    with pytest.raises(ValueError):
+        PostingColumns.from_postings(narrow + wide)
+    # Hand-assembled bytes claiming two records of different widths.
+    forged = b"\x02" + coding.encode_postings(narrow)[1:] + coding.encode_postings(wide)[1:]
+    with pytest.raises(ValueError):
+        coding.decode_postings(forged)

@@ -91,6 +91,18 @@ class TestCounts:
         actual = sum(len(postings) for _, postings in index.items())
         assert actual == index.posting_count
 
+    @pytest.mark.parametrize("coding", ["filter", "root-split", "subtree-interval"])
+    def test_posting_list_length_reads_the_stored_count(
+        self, tmp_path, mini_corpus: Corpus, coding: str, monkeypatch
+    ) -> None:
+        index = SubtreeIndex.build(mini_corpus, mss=3, coding=coding, path=str(tmp_path / "i.si"))
+        lengths = {key: len(postings) for key, postings in index.items()}
+        # The count is the leading varint of the stored value: no list is decoded.
+        monkeypatch.setattr(index.coding, "decode_postings", lambda data: pytest.fail("decoded"))
+        for key, length in lengths.items():
+            assert index.posting_list_length(key) == length
+        assert index.posting_list_length("ZZTOP(QQ)") == 0
+
     def test_key_count_matches_iteration(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=3, coding="filter", path=str(tmp_path / "i.si"))
         assert sum(1 for _ in index.keys()) == index.key_count

@@ -1,0 +1,137 @@
+"""The join kernel against an independent oracle (ROADMAP aim 3).
+
+Every WH template and a seeded FB sample, under all three codings, through
+the three ways a query reaches the kernel -- ``QueryExecutor`` over one
+index, per-shard fan-out, and ``LiveQueryService`` over base segments, a
+non-empty delta and tombstones -- must return exactly what the brute-force
+matcher (:func:`repro.trees.matching.count_matches`, the paper's
+Definition 3) finds tree by tree.  Nothing here compares one of our code
+paths with another.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict
+
+import pytest
+
+from repro.core.index import SubtreeIndex
+from repro.corpus.generator import CorpusGenerator
+from repro.corpus.store import Corpus
+from repro.exec import FanoutExecutor, QueryExecutor
+from repro.live import LiveIndex
+from repro.query.model import has_duplicate_siblings
+from repro.query.parser import parse_query
+from repro.service.live import LiveQueryService
+from repro.shard import ShardedIndex
+from repro.trees.matching import count_matches
+from repro.workloads.fb import generate_fb_queries
+from repro.workloads.wh import generate_wh_queries
+
+CODINGS = ("filter", "root-split", "subtree-interval")
+FLAVORS = ("executor", "fanout", "live")
+MSS = 3
+TREES = 150
+#: Live layout: a seed segment, a compacted second segment, then a delta.
+SEED, COMPACTED = 90, 120
+TOMBSTONES = (5, 47, 101, 133)  # seed, seed, second segment, delta
+
+_TREES = CorpusGenerator(seed=2012).generate_list(TREES)
+_WH = [item.text for item in generate_wh_queries()]
+_FB = [
+    item.text
+    for item in random.Random(13).sample(
+        generate_fb_queries(
+            _TREES, CorpusGenerator(seed=2013).generate_list(60), seed=13
+        ).queries,
+        24,
+    )
+]
+QUERIES = _WH + _FB
+
+#: Decomposition does not bind twin siblings to distinct data nodes.  Of the
+#: six WH templates with twin siblings, the five whose twins fit inside one
+#: cover subtree at mss 3 are answered exactly; this one splits ``NN``/``NN``
+#: across two cover subtrees and over-counts under both structural codings --
+#: on the parent commit too (CHANGES PR 12, "Oracle finding").  Fixing cover
+#: selection for twin siblings is out of scope for the kernel.
+TWIN_OVERCOUNT = "S(NP(DT)(NN)(NN))(VP(VBD)(NP))"
+
+
+def _cases():
+    for flavor in FLAVORS:
+        for coding in CODINGS:
+            for text in QUERIES:
+                marks = ()
+                if text == TWIN_OVERCOUNT and coding != "filter":
+                    marks = pytest.mark.xfail(
+                        strict=True,
+                        reason="twin siblings split across cover subtrees over-count "
+                        "(CHANGES PR 12, Oracle finding)",
+                    )
+                yield pytest.param(flavor, coding, text, marks=marks, id=f"{flavor}-{coding}-{text}")
+
+
+@pytest.fixture(scope="module")
+def oracle() -> Dict[str, Dict[int, int]]:
+    """``query text -> {tid: matches}`` by brute force over every tree."""
+    answers: Dict[str, Dict[int, int]] = {}
+    for text in QUERIES:
+        root = parse_query(text).root
+        counts = ((tree.tid, count_matches(root, tree)) for tree in _TREES)
+        answers[text] = {tid: count for tid, count in counts if count}
+    return answers
+
+
+@pytest.fixture(scope="module")
+def engines(tmp_path_factory):
+    """``(flavor, coding) -> query text -> matches_per_tree``."""
+    workdir = tmp_path_factory.mktemp("oracle")
+    run, closers = {}, []
+    for coding in CODINGS:
+        index = SubtreeIndex.build(_TREES, MSS, coding, str(workdir / f"plain-{coding}.si"))
+        executor = QueryExecutor(index, store=Corpus(_TREES))
+        run["executor", coding] = lambda text, e=executor: e.execute(parse_query(text))
+        closers.append(index.close)
+
+        sharded = ShardedIndex.build(
+            _TREES, MSS, coding, str(workdir / f"sharded-{coding}.si"), shards=3, workers=1
+        )
+        fanout = FanoutExecutor(sharded)
+        run["fanout", coding] = lambda text, f=fanout: f.execute(parse_query(text))
+        closers += [fanout.close, sharded.close]
+
+        live = LiveIndex.create(
+            str(workdir / f"live-{coding}"), MSS, coding, trees=_TREES[:SEED], fsync=False
+        )
+        for tree in _TREES[SEED:COMPACTED]:
+            live.add_tree(tree.root)
+        live.compact()
+        for tree in _TREES[COMPACTED:]:
+            live.add_tree(tree.root)
+        for tid in TOMBSTONES:
+            live.delete_tree(tid)
+        assert live.segment_count == 2 and live.delta.tree_count and live.tombstones
+        service = LiveQueryService(live, result_cache_size=0)
+        run["live", coding] = service.run
+        closers += [service.close, live.close]
+    yield run
+    for close in closers:
+        close()
+
+
+def test_the_sample_is_what_the_docstring_says() -> None:
+    assert len(_WH) == 48 and len(_FB) == 24
+    assert sum(has_duplicate_siblings(parse_query(text)) for text in _WH) == 6
+
+
+@pytest.mark.parametrize("flavor, coding, text", _cases())
+def test_matches_equal_the_brute_force_oracle(flavor, coding, text, engines, oracle) -> None:
+    expected = oracle[text]
+    if flavor == "live":
+        expected = {tid: count for tid, count in expected.items() if tid not in TOMBSTONES}
+    result = engines[flavor, coding](text)
+    assert result.matches_per_tree == expected
+    assert list(result.matches_per_tree) == sorted(expected)  # ascending tid
+    assert result.total_matches == sum(expected.values())

@@ -1,12 +1,11 @@
-"""Unit tests for join planning: binding relations, predicates and join order."""
+"""Unit tests for join planning: relations, join order and compiled predicates."""
 
 from __future__ import annotations
-
 
 from repro.coding.base import Occurrence
 from repro.coding.root_split import RootSplitCoding
 from repro.coding.subtree_interval import SubtreeIntervalCoding
-from repro.exec.plan import JoinPredicate, build_plan
+from repro.exec.plan import build_plan, cover_relations
 from repro.query.decompose import min_rc, optimal_cover
 from repro.query.parser import parse_query
 from repro.trees.numbering import IntervalCode
@@ -16,25 +15,26 @@ def _occurrence(tid: int, codes: list[tuple[int, int, int]]) -> Occurrence:
     return Occurrence(tid=tid, codes=tuple(IntervalCode(*code) for code in codes))
 
 
-class TestJoinPredicate:
-    def test_equal(self) -> None:
-        predicate = JoinPredicate("equal", 1, 1)
-        assert predicate.holds(IntervalCode(3, 8, 1), IntervalCode(3, 8, 1))
-        assert not predicate.holds(IntervalCode(3, 8, 1), IntervalCode(4, 2, 2))
+def _node_of_offset(plan) -> dict[int, int]:
+    """Binding offset of a pre value -> the query node bound there."""
+    owner: dict[int, int] = {}
+    width = 0
+    for step in plan.steps:
+        relation = plan.relations[step.relation]
+        for node, slot in sorted(relation.nodes.items(), key=lambda item: item[1]):
+            owner[width] = node
+            width += 3
+    return owner
 
-    def test_child(self) -> None:
-        predicate = JoinPredicate("child", 0, 1)
-        parent = IntervalCode(1, 10, 0)
-        child = IntervalCode(2, 5, 1)
-        grandchild = IntervalCode(3, 2, 2)
-        assert predicate.holds(parent, child)
-        assert not predicate.holds(parent, grandchild)
-        assert not predicate.holds(child, parent)
 
-    def test_descendant(self) -> None:
-        predicate = JoinPredicate("descendant", 0, 1)
-        assert predicate.holds(IntervalCode(1, 10, 0), IntervalCode(3, 2, 2))
-        assert not predicate.holds(IntervalCode(3, 2, 2), IntervalCode(1, 10, 0))
+def _checked_edges(plan) -> set[tuple[int, int, bool]]:
+    """Every ``(upper node, lower node, child?)`` some step checks."""
+    owner = _node_of_offset(plan)
+    return {
+        (owner[upper], owner[lower], child)
+        for step in plan.steps
+        for upper, lower, child in step.checks
+    }
 
 
 class TestBuildPlan:
@@ -46,17 +46,18 @@ class TestBuildPlan:
             coding.postings_from_occurrences([_occurrence(1, [(i + 1, 10 - i, i)])])
             for i, _ in enumerate(cover.subtrees)
         ]
-        return query, cover, build_plan(query, cover, postings, coding)
+        return query, cover, build_plan(query, cover_relations(cover, postings))
 
     def test_relations_match_cover(self) -> None:
         _, cover, plan = self._root_split_plan("S(NP(DT))(VP)")
         assert len(plan.relations) == len(cover.subtrees)
         assert plan.join_count == len(cover.subtrees) - 1
+        assert sorted(step.relation for step in plan.steps) == list(range(len(cover.subtrees)))
 
     def test_root_split_relations_bind_only_roots(self) -> None:
         _, cover, plan = self._root_split_plan("S(NP(DT)(NN))(VP(VBZ))", mss=2)
         for relation, subtree in zip(plan.relations, cover.subtrees):
-            assert relation.bound_nodes == {subtree.root.node_id}
+            assert relation.nodes == {subtree.root.node_id: 0}
 
     def test_subtree_interval_relations_bind_all_nodes(self) -> None:
         query = parse_query("NP(DT)(NN)")
@@ -67,24 +68,38 @@ class TestBuildPlan:
                 [_occurrence(1, [(1, 5, 0), (2, 1, 1), (3, 4, 1)])]
             )
         ]
-        plan = build_plan(query, cover, postings, coding)
-        assert plan.relations[0].bound_nodes == {0, 1, 2}
+        plan = build_plan(query, cover_relations(cover, postings))
+        assert set(plan.relations[0].nodes) == {0, 1, 2}
+        assert len(plan.steps[0].columns) == 9  # pre, post, level of three slots
 
-    def test_every_query_edge_between_bound_nodes_has_a_predicate(self) -> None:
+    def test_relations_accept_decoded_columns_and_plain_lists_alike(self) -> None:
+        query = parse_query("S(NP(DT)(NN))(VP(VBZ))")
+        cover = min_rc(query, 2)
+        coding = RootSplitCoding()
+        plain = [
+            coding.postings_from_occurrences([_occurrence(1, [(i + 1, 10 - i, i)])])
+            for i, _ in enumerate(cover.subtrees)
+        ]
+        decoded = [coding.decode_postings(coding.encode_postings(plist)) for plist in plain]
+        from_lists = cover_relations(cover, plain)
+        from_columns = cover_relations(cover, decoded)
+        assert [r.columns for r in from_lists] == [r.columns for r in from_columns]
+        assert [r.columns for r in from_columns] == decoded  # taken as-is
+
+    def test_every_query_edge_between_relations_is_checked_once(self) -> None:
         query, cover, plan = self._root_split_plan("S(NP(DT)(NN))(VP(VBZ))", mss=2)
         bound = set()
         for relation in plan.relations:
-            bound |= relation.bound_nodes
-        predicate_pairs = {
-            (predicate.ancestor_node, predicate.descendant_node)
-            for predicate in plan.predicates
-            if predicate.kind in ("child", "descendant")
+            bound |= set(relation.nodes)
+        expected = {
+            (parent.node_id, child.node_id, True)
+            for parent, child, _ in query.edges()
+            if parent.node_id in bound and child.node_id in bound
         }
-        for parent, child, _ in query.edges():
-            if parent.node_id in bound and child.node_id in bound:
-                assert (parent.node_id, child.node_id) in predicate_pairs
+        assert _checked_edges(plan) == expected
+        assert sum(len(step.checks) for step in plan.steps) == len(expected)
 
-    def test_descendant_axis_produces_descendant_predicate(self) -> None:
+    def test_descendant_axis_compiles_to_a_containment_check(self) -> None:
         query = parse_query("S(NP(//NN))")
         cover = min_rc(query, 3)
         coding = RootSplitCoding()
@@ -92,9 +107,25 @@ class TestBuildPlan:
             coding.postings_from_occurrences([_occurrence(1, [(i + 1, 9 - i, i)])])
             for i, _ in enumerate(cover.subtrees)
         ]
-        plan = build_plan(query, cover, postings, coding)
-        kinds = {predicate.kind for predicate in plan.predicates}
-        assert "descendant" in kinds
+        plan = build_plan(query, cover_relations(cover, postings))
+        assert any(not child for _, _, child in _checked_edges(plan))
+
+    def test_shared_query_node_compiles_to_an_equality_lookup(self) -> None:
+        # At mss 2, "NP(DT)(NN)" is covered by NP(DT) and NP(NN): two
+        # subtrees rooted at the same query node.
+        query = parse_query("NP(DT)(NN)")
+        cover = min_rc(query, 2)
+        assert len({subtree.root.node_id for subtree in cover.subtrees}) < len(cover.subtrees)
+        coding = RootSplitCoding()
+        postings = [
+            coding.postings_from_occurrences([_occurrence(1, [(1, 9, 0)])])
+            for _ in cover.subtrees
+        ]
+        plan = build_plan(query, cover_relations(cover, postings))
+        keyed = [step for step in plan.steps if step.equal_row is not None]
+        assert keyed and all(not step.checks for step in keyed)
+        binding, candidate = (1, 9, 0), (1, 9, 0)
+        assert keyed[0].equal_row(binding) == keyed[0].equal_candidate(candidate)
 
     def test_join_order_starts_with_smallest_relation(self) -> None:
         query = parse_query("S(NP)(VP)")
@@ -108,19 +139,28 @@ class TestBuildPlan:
                     [_occurrence(tid, [(tid + index, 20, index)]) for tid in range(count)]
                 )
             )
-        plan = build_plan(query, cover, postings, coding)
+        plan = build_plan(query, cover_relations(cover, postings))
         first = plan.order[0]
         assert plan.relations[first].cardinality == min(r.cardinality for r in plan.relations)
+        assert [step.relation for step in plan.steps] == plan.order
 
     def test_order_keeps_connectivity(self) -> None:
         query, cover, plan = self._root_split_plan("S(NP(DT)(NN))(VP(VBZ)(NP))", mss=2)
-        seen = set(plan.relations[plan.order[0]].bound_nodes)
+        edges = {(parent.node_id, child.node_id) for parent, child, _ in query.edges()}
+        seen = set(plan.relations[plan.order[0]].nodes)
         for index in plan.order[1:]:
-            nodes = plan.relations[index].bound_nodes
+            nodes = set(plan.relations[index].nodes)
             connected = bool(seen & nodes) or any(
-                (p.ancestor_node in seen and p.descendant_node in nodes)
-                or (p.descendant_node in seen and p.ancestor_node in nodes)
-                for p in plan.predicates
+                (upper in seen and lower in nodes) or (lower in seen and upper in nodes)
+                for upper, lower in edges
             )
             assert connected
             seen |= nodes
+
+    def test_an_empty_relation_compiles_nothing(self) -> None:
+        query = parse_query("S(NP)(VP)")
+        cover = min_rc(query, 1, pad=False)
+        coding = RootSplitCoding()
+        postings = [coding.postings_from_occurrences([_occurrence(1, [(1, 9, 0)])]), [], []]
+        plan = build_plan(query, cover_relations(cover, postings))
+        assert plan.steps == [] and len(plan.order) == 3

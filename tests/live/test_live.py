@@ -180,6 +180,32 @@ class TestLifecycle:
         finally:
             live.close()
 
+    def test_posting_list_length_with_and_without_tombstones(self, workdir, tiny_corpus) -> None:
+        trees = list(tiny_corpus)
+        live = LiveIndex.create(
+            str(workdir / "lengths"), mss=2, coding="root-split", trees=trees[:10]
+        )
+        try:
+            for tree in trees[10:15]:
+                live.add_tree(tree.root)  # segment + delta, nothing deleted
+            keys = [key for key, _ in live.items()]
+            assert [live.posting_list_length(key) for key in keys] == [
+                len(live.lookup(key)) for key in keys
+            ]
+            live.delete_tree(3)   # in the base segment
+            live.delete_tree(12)  # in the delta
+            assert [live.posting_list_length(key) for key in keys] == [
+                len(live.lookup(key)) for key in keys
+            ]
+            assert any(
+                live.posting_list_length(key)
+                < sum(s.index.posting_list_length(key) for s in live.segments)
+                + len(live.delta.lookup(key))
+                for key in keys
+            )
+        finally:
+            live.close()
+
     def test_tids_are_monotonic_and_never_reused(self, workdir, tiny_corpus) -> None:
         live = LiveIndex.create(
             str(workdir / "monotonic"), mss=2, coding="root-split",

@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.coding.root_split import RootPosting, RootSplitCoding
 from repro.core.index import SubtreeIndex
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import TreeStore, data_file_path
@@ -169,6 +170,13 @@ class TestMergedLookup:
         assert not sharded.has_key("ZZZTOP")
         assert sharded.has_key("NP(DT)")
 
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_posting_list_length_sums_the_shards(self, indexes, coding) -> None:
+        single, _, sharded = indexes[coding]
+        for key, postings in list(single.items())[:80]:
+            assert sharded.posting_list_length(key) == len(postings) == len(sharded.lookup(key))
+        assert sharded.posting_list_length("ZZZTOP") == 0
+
     def test_items_and_keys_match_single_index(self, indexes) -> None:
         single, _, sharded = indexes["root-split"]
         single_items = [(key, [p.tid for p in postings]) for key, postings in single.items()]
@@ -226,6 +234,19 @@ class TestMergeCorrectness:
             assert_identical_and_tid_ordered(
                 transparent.execute(query), reference.execute(query)
             )
+
+    def test_single_populated_source_keeps_its_columns(self) -> None:
+        columns = RootSplitCoding().decode_postings(
+            RootSplitCoding().encode_postings([RootPosting(3, 1, 2, 0), RootPosting(9, 4, 5, 1)])
+        )
+        assert ShardedIndex._merge_postings([[], columns, []]) is columns
+        # A plain list may be its owner's mutable state (a delta segment): copied.
+        plain = [RootPosting(3, 1, 2, 0)]
+        merged = ShardedIndex._merge_postings([plain, []])
+        assert merged == plain and merged is not plain
+        assert ShardedIndex._merge_postings([columns, [RootPosting(5, 1, 2, 0)]]) == [
+            RootPosting(3, 1, 2, 0), RootPosting(5, 1, 2, 0), RootPosting(9, 4, 5, 1),
+        ]
 
     def test_merge_shard_results_orders_by_tid(self) -> None:
         merged = merge_shard_results(

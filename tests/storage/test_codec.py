@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage.codec import (
-    decode_delta_list,
     decode_length_prefixed,
     decode_uint32_list,
     decode_varint,
     decode_varint_list,
+    decode_varint_run,
     encode_delta_list,
     encode_length_prefixed,
     encode_uint32_list,
@@ -52,14 +54,58 @@ class TestVarint:
         assert decoded == values
 
 
+class TestVarintRun:
+    def test_single_byte_run_is_the_bytes_slice_itself(self) -> None:
+        data = b"\x05" + bytes([0, 1, 127, 64])
+        run = decode_varint_run(data, 1)
+        assert isinstance(run, bytes) and list(run) == [0, 1, 127, 64]
+        assert run[1::2] == bytes([1, 64])  # columns are strided slices
+
+    def test_empty_tail(self) -> None:
+        assert len(decode_varint_run(b"\x00", 1)) == 0
+        assert len(decode_varint_run(b"")) == 0
+
+    def test_mixed_widths(self) -> None:
+        values = [0, 127, 128, 5, 16_383, 16_384, 1, 2**40, 3]
+        assert decode_varint_run(encode_varint_list(values)) == values
+
+    def test_truncated_tail_rejected(self) -> None:
+        with pytest.raises(ValueError):
+            decode_varint_run(encode_varint_list([1, 300])[:-1])
+
+    def test_overlong_varint_rejected(self) -> None:
+        with pytest.raises(ValueError):
+            decode_varint_run(b"\x80" * 10 + b"\x01")
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**62), max_size=60),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_agrees_with_the_scalar_decoder(self, values: list[int], skip: int) -> None:
+        data = encode_varint_list(values)
+        offset = 0
+        for _ in range(min(skip, len(values))):
+            _, offset = decode_varint(data, offset)
+        expected, _ = decode_varint_list(data, len(values) - min(skip, len(values)), offset)
+        assert list(decode_varint_run(data, offset)) == expected
+
+
+def decode_delta_list(data: bytes) -> list[int]:
+    """Read an :func:`encode_delta_list` value the way the filter coding does."""
+    count, offset = decode_varint(data)
+    values = list(accumulate(decode_varint_run(data, offset)))
+    assert len(values) == count
+    return values
+
+
 class TestDeltaList:
     def test_round_trip(self) -> None:
         values = [1, 1, 4, 9, 9, 120]
-        decoded, _ = decode_delta_list(encode_delta_list(values))
+        decoded = decode_delta_list(encode_delta_list(values))
         assert decoded == values
 
     def test_empty(self) -> None:
-        decoded, _ = decode_delta_list(encode_delta_list([]))
+        decoded = decode_delta_list(encode_delta_list([]))
         assert decoded == []
 
     def test_decreasing_rejected(self) -> None:
@@ -68,7 +114,7 @@ class TestDeltaList:
 
     @given(st.lists(st.integers(min_value=0, max_value=2**30), max_size=100).map(sorted))
     def test_round_trip_property(self, values: list[int]) -> None:
-        decoded, _ = decode_delta_list(encode_delta_list(values))
+        decoded = decode_delta_list(encode_delta_list(values))
         assert decoded == values
 
     def test_compression_beats_fixed_width(self) -> None:
