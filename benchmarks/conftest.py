@@ -6,8 +6,10 @@ Every ``benchmarks/test_*`` file is a thin wrapper over a registered
 over one shared :class:`~repro.bench.context.ExperimentContext` (corpora and
 indexes are built once across files) and writes both the human-readable
 ``<name>.txt`` table and the machine-readable ``BENCH_<name>.json`` document
-into ``benchmarks/results/`` -- the directory ``repro bench --gate`` diffs
-across commits.
+into the session's temp dir, so a test run leaves ``git status`` clean.  The
+committed tables in ``benchmarks/results/`` -- the directory ``repro bench
+--gate`` diffs across commits -- are refreshed on purpose only:
+``python -m repro.cli bench run <name>... --out benchmarks/results``.
 
 Corpus sizes live in the registry (``repro.bench.registry``); raise or
 shrink all of them with the ``REPRO_BENCH_SCALE`` environment variable
@@ -18,14 +20,11 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.bench.runner import ExperimentRunner, RunReport
 from repro.bench.schema import validate_document
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Figures 11 and 12: root-split and subtree-interval run the same columnar
 #: kernel and decode is a strided slice for both, so their runtimes sit at
@@ -38,10 +37,10 @@ PARITY_BAND = 2.0
 
 @pytest.fixture(scope="session")
 def runner(tmp_path_factory) -> ExperimentRunner:
-    """The shared experiment runner (one context, artefacts in results/)."""
+    """The shared experiment runner (one context, artefacts in a temp dir)."""
     workdir = tmp_path_factory.mktemp("repro-bench")
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    with ExperimentRunner(workdir=str(workdir), out_dir=str(RESULTS_DIR), seed=17) as bench:
+    out_dir = tmp_path_factory.mktemp("repro-bench-results")
+    with ExperimentRunner(workdir=str(workdir), out_dir=str(out_dir), seed=17) as bench:
         yield bench
 
 

@@ -12,7 +12,7 @@ query corpus and the root-split index at mss = 3:
 
 The experiment itself raises if any policy changes query answers; the
 assertions here are deliberately loose (ablation results are informational),
-and the measured tables land in ``benchmarks/results/`` for EXPERIMENTS.md.
+and the measured tables land among the run's artefacts.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def test_shard_scalability(runner) -> None:
 
     # The parallel-build bar: only meaningful with free cores to run the
     # worker processes on.  A single-core machine or shared CI runner still
-    # records the numbers (see benchmarks/results/shard_scalability.txt)
+    # records the numbers (shard_scalability.txt among the run's artefacts)
     # but cannot fairly be gated on a hardware-sensitive wall-clock ratio.
     if timing_bars_enabled(min_cores=CORES_FOR_BAR):
         speedup = rows[4]["build_speedup"]

@@ -27,7 +27,7 @@ def test_table2_system_comparison(runner) -> None:
     # The timing-ratio bars are hardware-sensitive: shared CI runners and
     # 1-CPU boxes are too noisy/throttled to gate a wall-clock ordering on
     # (the shared guard in repro.bench.guard).  The measured factors are
-    # still recorded in benchmarks/results/ either way.
+    # still recorded in the run's artefacts either way.
     if not timing_bars_enabled():
         return
 

@@ -3,7 +3,7 @@
 Correctness is asserted unconditionally: the workload must see identical
 match totals with the delta in memory, after compaction, and against a
 fresh monolithic rebuild of the final corpus.  Timing columns are recorded
-(``benchmarks/results/update_throughput.txt``) but never gated -- mutation
+(``update_throughput.txt`` among the run's artefacts) but never gated -- mutation
 wall-clock on a shared 1-CPU runner is noise.
 """
 

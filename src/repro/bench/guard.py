@@ -10,8 +10,8 @@ system-vs-system latency ratios) behind the same two conditions:
 
 Correctness and completeness assertions (match totals, every system
 measured on every class) never go through this guard -- they hold on any
-machine.  The measured numbers are always recorded in
-``benchmarks/results/`` either way.
+machine.  The measured numbers are always recorded in the run's
+artefacts either way.
 """
 
 from __future__ import annotations

@@ -276,7 +276,8 @@ def cmd_query(args: argparse.Namespace) -> int:
                 f"cache: plans {stats.plans.hits}/{stats.plans.lookups} hits, "
                 f"postings {stats.postings.hits}/{stats.postings.lookups} hits, "
                 f"index probes {stats.probes.gets} "
-                f"({stats.probes.tree_descents} tree descents)"
+                f"({stats.probes.tree_descents} tree descents, "
+                f"{stats.probes.node_decodes} nodes decoded)"
             )
     except RuntimeError as error:
         # e.g. filter-based coding without its .data file next to the index

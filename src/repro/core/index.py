@@ -78,7 +78,8 @@ class SubtreeIndex:
         # skip both the tree descent and posting decoding.
         self._postings_cache: Optional[ValueCache] = None
         #: Lookup counters: ``gets`` per :meth:`lookup`, ``cache_hits`` served
-        #: by the posting cache, ``tree_descents`` answered by the B+Tree.
+        #: by the posting cache, ``tree_descents`` answered by the B+Tree and
+        #: ``node_decodes`` the node images those descents had to parse.
         self.probe_stats = ProbeStats()
 
     # ------------------------------------------------------------------
@@ -207,7 +208,10 @@ class SubtreeIndex:
                 self.probe_stats.cache_hits += 1
                 return cached  # type: ignore[return-value]
         self.probe_stats.tree_descents += 1
+        tree_stats = self._tree.probe_stats
+        decodes_before = tree_stats.node_decodes
         raw = self._tree.get(encoded)
+        self.probe_stats.node_decodes += tree_stats.node_decodes - decodes_before
         postings = [] if raw is None else self.coding.decode_postings(raw)
         if cache is not None:
             cache.put(encoded, postings)

@@ -327,6 +327,11 @@ class ServerMetrics:
                 "Index lookups that went to an actual B+Tree descent.",
                 [prometheus_line("repro_index_tree_descents_total", probes["tree_descents"])],  # type: ignore[index]
             ),
+            (
+                "repro_index_node_decodes_total", "counter",
+                "B+Tree node images parsed from raw pages (0 per descent when warm).",
+                [prometheus_line("repro_index_node_decodes_total", probes["node_decodes"])],  # type: ignore[index]
+            ),
         ]
         if batcher is not None:
             families.append((

@@ -44,7 +44,6 @@ from repro.exec.fanout import execute_on_shards, finish_stats, make_fanout_pool
 from repro.live.live import LiveIndex
 from repro.service.cache import CacheStats, StripedLRUCache
 from repro.service.service import PreparedQuery, QueryLike, QueryService, ServiceStats
-from repro.storage.bptree import ProbeStats
 
 
 @dataclass
@@ -328,10 +327,7 @@ class LiveQueryService(QueryService):
         # report both summed (mirrors ShardedQueryService.stats()).
         probes = base.probes  # the merged-path snapshot
         for segment in self.index.segments:
-            snapshot: ProbeStats = segment.index.probe_stats
-            probes.gets += snapshot.gets
-            probes.cache_hits += snapshot.cache_hits
-            probes.tree_descents += snapshot.tree_descents
+            probes += segment.index.probe_stats
         return LiveServiceStats(
             queries=base.queries,
             batches=base.batches,

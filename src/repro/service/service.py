@@ -87,7 +87,9 @@ class ServiceStats:
     ``plans`` covers the prepared-query cache, ``postings`` the lock-striped
     posting cache, ``results`` the whole-result cache, and ``probes`` the
     index's lookup counters (``probes.tree_descents`` is the number of
-    actual B+Tree descents -- the disk I/O proxy).
+    actual B+Tree descents -- the disk I/O proxy -- and
+    ``probes.node_decodes`` the pages those descents had to parse: none
+    once the tree is warm).
     """
 
     queries: int = 0
@@ -131,6 +133,7 @@ class ServiceStats:
                 "gets": self.probes.gets,
                 "cache_hits": self.probes.cache_hits,
                 "tree_descents": self.probes.tree_descents,
+                "node_decodes": self.probes.node_decodes,
                 "hit_rate": self.probes.hit_rate,
             },
         }

@@ -73,6 +73,7 @@ class ShardedServiceStats(ServiceStats):
                     "postings_lookups": layer.postings.lookups,
                     "probe_gets": layer.probes.gets,
                     "tree_descents": layer.probes.tree_descents,
+                    "node_decodes": layer.probes.node_decodes,
                 }
                 for layer in self.per_shard
             ],
@@ -249,9 +250,7 @@ class ShardedQueryService(QueryService):
                 ShardLayerStats(shard.shard_id, postings=cache_stats, probes=probe_stats)
             )
             postings_total = postings_total + cache_stats
-            probes_total.gets += probe_stats.gets
-            probes_total.cache_hits += probe_stats.cache_hits
-            probes_total.tree_descents += probe_stats.tree_descents
+            probes_total += probe_stats
         return ShardedServiceStats(
             queries=self._queries,
             batches=self._batches,

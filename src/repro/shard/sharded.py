@@ -275,10 +275,7 @@ class ShardedIndex:
         """Sum of the per-shard indexes' probe counters (the fan-out path)."""
         total = ProbeStats()
         for shard in self.shards:
-            stats = shard.index.probe_stats
-            total.gets += stats.gets
-            total.cache_hits += stats.cache_hits
-            total.tree_descents += stats.tree_descents
+            total += shard.index.probe_stats
         return total
 
     def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:

@@ -9,6 +9,14 @@ lists of any size can be stored while keeping leaf pages balanced.
 The tree supports point lookups, ordered iteration, prefix scans, single-key
 insertion (with node splits) and sorted bulk loading, which is what index
 construction uses.
+
+Nodes are parsed once: the decoded :class:`_Leaf` / :class:`_Internal` image
+of a page is what the pager keeps resident for it (see
+:mod:`repro.storage.pager`), so a warm lookup is two ``bisect`` calls over
+ready lists rather than a re-parse of every record on the path.  An image is
+never mutated once resident -- writers build a new one and the ``_write_*``
+methods install what they serialised -- so a scan may hold one across
+``yield`` and readers always see what the file holds.
 """
 
 from __future__ import annotations
@@ -17,15 +25,11 @@ import struct
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro import obs
-from repro.storage.codec import (
-    decode_length_prefixed,
-    decode_varint,
-    encode_length_prefixed,
-    encode_varint,
-)
+from repro.storage.codec import decode_varint, encode_length_prefixed, encode_varint
 from repro.storage.pager import PAGE_SIZE, Pager
 
 _META = struct.Struct("<4sIIQ")  # magic, root page, height, entry count
@@ -69,6 +73,9 @@ class ProbeStats:
     ``gets`` counts every :meth:`BPlusTree.get` call, ``cache_hits`` the ones
     answered by the read-through cache, and ``tree_descents`` the ones that
     walked the tree (the on-disk probe the paper's Section 6 costs out).
+    ``node_decodes`` counts the node images parsed from raw pages on the way:
+    zero per descent once the path is resident, so it tells a cold tree from
+    a warm one.
 
     The counters are deliberately maintained without a lock so the cache-hit
     fast path stays contention-free: they are exact in single-threaded use
@@ -80,6 +87,7 @@ class ProbeStats:
     gets: int = 0
     cache_hits: int = 0
     tree_descents: int = 0
+    node_decodes: int = 0
 
     @property
     def cache_misses(self) -> int:
@@ -93,17 +101,26 @@ class ProbeStats:
 
     def snapshot(self) -> "ProbeStats":
         """An immutable copy of the current counters."""
-        return ProbeStats(self.gets, self.cache_hits, self.tree_descents)
+        return ProbeStats(self.gets, self.cache_hits, self.tree_descents, self.node_decodes)
 
     def reset(self) -> None:
         """Zero all counters."""
         self.gets = 0
         self.cache_hits = 0
         self.tree_descents = 0
+        self.node_decodes = 0
+
+    def __iadd__(self, other: "ProbeStats") -> "ProbeStats":
+        """Add *other*'s counters in (per-shard / per-segment roll-ups)."""
+        self.gets += other.gets
+        self.cache_hits += other.cache_hits
+        self.tree_descents += other.tree_descents
+        self.node_decodes += other.node_decodes
+        return self
 
 
 class _Leaf:
-    """In-memory image of a leaf page."""
+    """In-memory image of a leaf page (read-only once resident)."""
 
     __slots__ = ("keys", "values", "next_leaf")
 
@@ -118,13 +135,62 @@ class _Leaf:
 
 
 class _Internal:
-    """In-memory image of an internal page."""
+    """In-memory image of an internal page (read-only once resident)."""
 
     __slots__ = ("keys", "children")
 
     def __init__(self, keys: Optional[List[bytes]] = None, children: Optional[List[int]] = None):
         self.keys: List[bytes] = keys or []
         self.children: List[int] = children or []
+
+
+# Both decoders parse a page in one pass.  Nearly every record is shorter than
+# 128 bytes, so its length prefix is one byte that is its own value and is
+# read in line; only longer records go through ``decode_varint``.  A slice
+# past the end of the page comes back short instead of raising, hence the
+# final offset check: offsets only grow, so one overrun anywhere shows there.
+def _decode_leaf(data: bytes) -> _Leaf:
+    next_leaf = _UINT32.unpack_from(data, 1)[0]
+    count, offset = decode_varint(data, 1 + _UINT32.size)
+    keys: List[bytes] = []
+    values: List[Tuple[bool, bytes]] = []
+    for _ in range(count):
+        length = data[offset]
+        offset += 1
+        if length > 0x7F:
+            length, offset = decode_varint(data, offset - 1)
+        end = offset + length
+        keys.append(data[offset:end])
+        is_overflow = bool(data[end])
+        length = data[end + 1]
+        offset = end + 2
+        if length > 0x7F:
+            length, offset = decode_varint(data, end + 1)
+        end = offset + length
+        values.append((is_overflow, data[offset:end]))
+        offset = end
+    if offset > len(data):
+        raise ValueError("leaf records run past the end of the page")
+    return _Leaf(keys, values, next_leaf)
+
+
+def _decode_internal(data: bytes) -> _Internal:
+    count, offset = decode_varint(data, 1)
+    keys: List[bytes] = []
+    for _ in range(count):
+        length = data[offset]
+        offset += 1
+        if length > 0x7F:
+            length, offset = decode_varint(data, offset - 1)
+        end = offset + length
+        keys.append(data[offset:end])
+        offset = end
+    # ``unpack_from`` refuses to read past the end of the page.
+    children = list(struct.unpack_from(f"<{count + 1}I", data, offset))
+    return _Internal(keys, children)
+
+
+_NODE_DECODERS = {_NODE_LEAF: _decode_leaf, _NODE_INTERNAL: _decode_internal}
 
 
 class BPlusTree:
@@ -146,12 +212,13 @@ class BPlusTree:
         #: Optional read-through cache consulted by :meth:`get` before any
         #: page access; install one with :meth:`attach_cache`.
         self.value_cache = value_cache
-        #: Lookup counters (gets / cache hits / tree descents).
+        #: Lookup counters (gets / cache hits / tree descents / node decodes).
         self.probe_stats = ProbeStats()
-        # Point lookups share one file handle (seek + read is not atomic), so
-        # concurrent cache-missing `get` calls serialise on this lock.  Cache
-        # hits never take it, which is what makes a warm cache scale across
-        # threads.
+        # Lookups share one file handle (seek + read is not atomic) and the
+        # pager's resident pages, whose recency order every access updates,
+        # so cache-missing `get` calls, inserts and each step of a scan
+        # serialise on this lock.  Value-cache hits never take it, which is
+        # what makes a warm cache scale across threads.
         self._descent_lock = threading.Lock()
         meta = self.pager.read(0)
         magic, root, height, count = _META.unpack_from(meta, 0)
@@ -217,20 +284,7 @@ class BPlusTree:
         if len(out) > self.pager.page_size:
             raise BPlusTreeError("leaf serialisation exceeds the page size")
         self.pager.write(page_id, bytes(out))
-
-    def _read_leaf(self, data: bytes) -> _Leaf:
-        next_leaf = _UINT32.unpack_from(data, 1)[0]
-        count, offset = decode_varint(data, 1 + _UINT32.size)
-        keys: List[bytes] = []
-        values: List[Tuple[bool, bytes]] = []
-        for _ in range(count):
-            key, offset = decode_length_prefixed(data, offset)
-            is_overflow = bool(data[offset])
-            offset += 1
-            payload, offset = decode_length_prefixed(data, offset)
-            keys.append(key)
-            values.append((is_overflow, payload))
-        return _Leaf(keys, values, next_leaf)
+        self.pager.keep(page_id, leaf)
 
     def _write_internal(self, page_id: int, node: _Internal) -> None:
         out = bytearray([_NODE_INTERNAL])
@@ -242,27 +296,26 @@ class BPlusTree:
         if len(out) > self.pager.page_size:
             raise BPlusTreeError("internal node serialisation exceeds the page size")
         self.pager.write(page_id, bytes(out))
+        self.pager.keep(page_id, node)
 
-    def _read_internal(self, data: bytes) -> _Internal:
-        count, offset = decode_varint(data, 1)
-        keys: List[bytes] = []
-        for _ in range(count):
-            key, offset = decode_length_prefixed(data, offset)
-            keys.append(key)
-        children: List[int] = []
-        for _ in range(count + 1):
-            children.append(_UINT32.unpack_from(data, offset)[0])
-            offset += _UINT32.size
-        return _Internal(keys, children)
+    def _node(self, page_id: int) -> "_Leaf | _Internal":
+        """The image of node page *page_id*, decoded on first touch.
 
-    def _read_node(self, page_id: int) -> Tuple[int, object]:
-        data = self.pager.read(page_id)
-        node_type = data[0]
-        if node_type == _NODE_LEAF:
-            return node_type, self._read_leaf(data)
-        if node_type == _NODE_INTERNAL:
-            return node_type, self._read_internal(data)
-        raise BPlusTreeError(f"page {page_id} is not a tree node (type {node_type})")
+        The caller holds ``_descent_lock``: it covers the shared file handle
+        and the pager's recency order, which every hit updates.
+        """
+        image = self.pager.read(page_id)
+        if isinstance(image, bytes):
+            decode = _NODE_DECODERS.get(image[0])
+            if decode is None:
+                raise BPlusTreeError(f"page {page_id} is not a tree node (type {image[0]})")
+            try:
+                image = decode(image)
+            except (IndexError, ValueError, struct.error) as error:
+                raise BPlusTreeError(f"page {page_id} is malformed: {error}") from error
+            self.probe_stats.node_decodes += 1
+            self.pager.keep(page_id, image)
+        return image  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Overflow chains for large values
@@ -291,9 +344,10 @@ class BPlusTree:
         remaining = total
         while page_id and remaining > 0:
             data = self.pager.read(page_id)
-            node_type, next_page, used = _OVERFLOW_HEADER.unpack_from(data, 0)
-            if node_type != _NODE_OVERFLOW:
+            # A node image here means the chain points into the tree itself.
+            if not isinstance(data, bytes) or data[0] != _NODE_OVERFLOW:
                 raise BPlusTreeError(f"page {page_id} is not an overflow page")
+            _, next_page, used = _OVERFLOW_HEADER.unpack_from(data, 0)
             chunk = data[_OVERFLOW_HEADER.size:_OVERFLOW_HEADER.size + used]
             parts.append(chunk)
             remaining -= len(chunk)
@@ -335,14 +389,13 @@ class BPlusTree:
         """
         path: List[Tuple[int, _Internal, int]] = []
         page_id = self._root
-        while True:
-            node_type, node = self._read_node(page_id)
-            if node_type == _NODE_LEAF:
-                return page_id, node, path  # type: ignore[return-value]
-            internal: _Internal = node  # type: ignore[assignment]
-            index = bisect_right(internal.keys, key)
-            path.append((page_id, internal, index))
-            page_id = internal.children[index]
+        node = self._node(page_id)
+        while isinstance(node, _Internal):
+            index = bisect_right(node.keys, key)
+            path.append((page_id, node, index))
+            page_id = node.children[index]
+            node = self._node(page_id)
+        return page_id, node, path
 
     def attach_cache(self, cache: Optional[ValueCache]) -> None:
         """Install (or, with ``None``, remove) the read-through value cache."""
@@ -369,12 +422,14 @@ class BPlusTree:
         if obs.enabled():
             with obs.trace("bptree.descent", key=key.decode("utf-8", "replace")) as span:
                 reads_before = self.pager.read_count
+                decodes_before = self.probe_stats.node_decodes
                 with self._descent_lock:
                     value = self._get_from_tree(key)
                     if cache is not None:
                         cache.put(key, value)
                 span.set(
                     page_reads=self.pager.read_count - reads_before,
+                    nodes_decoded=self.probe_stats.node_decodes - decodes_before,
                     found=value is not None,
                 )
             return value
@@ -417,8 +472,11 @@ class BPlusTree:
                 self.value_cache.invalidate(bytes(key))
 
     def _insert_locked(self, key: bytes, value: bytes) -> None:
-        leaf_page, leaf, path = self._find_leaf(key)
+        leaf_page, resident, path = self._find_leaf(key)
         payload = self._store_value(value)
+        # Edit a copy: a scan may be holding the resident image, and a write
+        # that fails must leave it saying what the file says.
+        leaf = _Leaf(list(resident.keys), list(resident.values), resident.next_leaf)
         index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             leaf.values[index] = payload
@@ -473,7 +531,8 @@ class BPlusTree:
             self._root = new_root
             self._height += 1
             return
-        page_id, node, child_index = path.pop()
+        page_id, resident, child_index = path.pop()
+        node = _Internal(list(resident.keys), list(resident.children))
         node.keys.insert(child_index, separator)
         node.children.insert(child_index + 1, right_page)
         if self._internal_fits(node):
@@ -491,23 +550,33 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
-    def _leftmost_leaf(self) -> Tuple[int, _Leaf]:
-        page_id = self._root
+    def _scan(self, start: bytes, wanted: Callable[[bytes], bool]) -> Iterator[Tuple[bytes, bytes]]:
+        """Yield ``(key, value)`` in key order from the first key ``>= start``
+        for as long as ``wanted(key)`` holds.
+
+        The lock is taken for each page fetched, never across a ``yield``:
+        the caller may use the tree, even write to it, between two pairs.
+        """
+        with self._descent_lock:
+            _, leaf, _ = self._find_leaf(start)
+        index = bisect_left(leaf.keys, start)
         while True:
-            node_type, node = self._read_node(page_id)
-            if node_type == _NODE_LEAF:
-                return page_id, node  # type: ignore[return-value]
-            page_id = node.children[0]  # type: ignore[union-attr]
+            for key, (is_overflow, payload) in islice(zip(leaf.keys, leaf.values), index, None):
+                if not wanted(key):
+                    return
+                if is_overflow:
+                    with self._descent_lock:
+                        payload = self._load_value(True, payload)
+                yield key, payload
+            if not leaf.next_leaf:
+                return
+            with self._descent_lock:
+                leaf = self._node(leaf.next_leaf)  # type: ignore[assignment]
+            index = 0
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Yield all ``(key, value)`` pairs in key order."""
-        _, leaf = self._leftmost_leaf()
-        while True:
-            for key, (is_overflow, payload) in zip(leaf.keys, leaf.values):
-                yield key, self._load_value(is_overflow, payload)
-            if not leaf.next_leaf:
-                return
-            _, leaf = self._read_node(leaf.next_leaf)  # type: ignore[assignment]
+        return self._scan(b"", lambda key: True)
 
     def keys(self) -> Iterator[bytes]:
         """Yield all keys in order."""
@@ -516,38 +585,11 @@ class BPlusTree:
 
     def prefix_items(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Yield ``(key, value)`` pairs whose key starts with *prefix*."""
-        _, leaf, _ = self._find_leaf(prefix)
-        index = bisect_left(leaf.keys, prefix)
-        while True:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if key.startswith(prefix):
-                    is_overflow, payload = leaf.values[index]
-                    yield key, self._load_value(is_overflow, payload)
-                elif key > prefix:
-                    return
-                index += 1
-            if not leaf.next_leaf:
-                return
-            _, leaf = self._read_node(leaf.next_leaf)  # type: ignore[assignment]
-            index = 0
+        return self._scan(prefix, lambda key: key.startswith(prefix))
 
     def range_items(self, low: bytes, high: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Yield pairs with ``low <= key < high`` in key order."""
-        _, leaf, _ = self._find_leaf(low)
-        index = bisect_left(leaf.keys, low)
-        while True:
-            while index < len(leaf.keys):
-                key = leaf.keys[index]
-                if key >= high:
-                    return
-                is_overflow, payload = leaf.values[index]
-                yield key, self._load_value(is_overflow, payload)
-                index += 1
-            if not leaf.next_leaf:
-                return
-            _, leaf = self._read_node(leaf.next_leaf)  # type: ignore[assignment]
-            index = 0
+        return self._scan(low, lambda key: key < high)
 
     # ------------------------------------------------------------------
     # Bulk loading

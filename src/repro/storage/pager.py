@@ -2,15 +2,25 @@
 
 The experiments in the paper report index sizes with a 4096-byte system page
 size; the pager mirrors that: all B+Tree nodes and overflow chains live in
-4096-byte pages of one index file.  No user-level buffer cache is kept beyond
-a small write-back dictionary -- "we relied on the page buffering of the
-operating system", Section 6.1.
+4096-byte pages of one index file.
+
+The paper kept no buffer pool of its own -- "we relied on the page buffering
+of the operating system", Section 6.1 -- because in C a page handed back by
+the OS is searchable as it is.  In Python the fetch is the cheap part and
+*re-interpreting* the page is the cost: parsing the ~145 length-prefixed
+records of a leaf takes several times longer than the ``read`` that produced
+them.  So the pager keeps a bounded set of *resident images*, one per page
+and at most ``cache_pages`` (256) of them, evicting the least recently used.
+An image is the raw page unless the page's owner has replaced it through
+:meth:`Pager.keep`: the B+Tree keeps its decoded nodes there, overflow and
+metadata pages stay raw bytes.  Each page is resident once, in whichever form
+its reader needs, never in both.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict
+from collections import OrderedDict
 
 from repro import obs
 
@@ -33,9 +43,10 @@ class Pager:
         self.path = os.fspath(path)
         self.page_size = page_size
         self._cache_limit = cache_pages
-        self._cache: Dict[int, bytes] = {}
-        #: File reads performed (write-back cache hits excluded) -- the
-        #: cheap always-on I/O proxy the descent spans report deltas of.
+        # page id -> resident image, least recently used first.
+        self._cache: "OrderedDict[int, object]" = OrderedDict()
+        #: File reads performed (resident pages excluded) -- the cheap
+        #: always-on I/O proxy the descent spans report deltas of.
         self.read_count = 0
         existed = os.path.exists(self.path)
         self._file = open(self.path, "r+b" if existed else "w+b")
@@ -69,12 +80,17 @@ class Pager:
         self._page_count += 1
         return page_id
 
-    def read(self, page_id: int) -> bytes:
-        """Read the raw contents of page *page_id*."""
+    def read(self, page_id: int) -> object:
+        """The resident image of page *page_id*, read from the file if absent.
+
+        That is the raw page (``bytes``) unless :meth:`keep` replaced it.
+        """
         if not 0 <= page_id < self._page_count:
             raise PageError(f"page {page_id} out of range (have {self._page_count})")
-        cached = self._cache.get(page_id)
+        cache = self._cache
+        cached = cache.get(page_id)
         if cached is not None:
+            cache.move_to_end(page_id)
             return cached
         self.read_count += 1
         # Page-read spans only make sense nested under a descent (or some
@@ -85,7 +101,7 @@ class Pager:
                 data = self._read_page(page_id)
         else:
             data = self._read_page(page_id)
-        self._remember(page_id, data)
+        self.keep(page_id, data)
         return data
 
     def _read_page(self, page_id: int) -> bytes:
@@ -107,12 +123,19 @@ class Pager:
             data = data + b"\x00" * (self.page_size - len(data))
         self._file.seek(page_id * self.page_size)
         self._file.write(data)
-        self._remember(page_id, data)
+        self.keep(page_id, data)
 
-    def _remember(self, page_id: int, data: bytes) -> None:
-        if len(self._cache) >= self._cache_limit:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[page_id] = data
+    def keep(self, page_id: int, image: object) -> None:
+        """Make *image* the resident form of page *page_id*.
+
+        The caller vouches that *image* is what the page's bytes decode to;
+        it is handed back by :meth:`read` until evicted or replaced.
+        """
+        cache = self._cache
+        cache[page_id] = image
+        cache.move_to_end(page_id)
+        while len(cache) > self._cache_limit:
+            cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

@@ -35,6 +35,7 @@ EXPECTED_FAMILIES = {
     "repro_cache_hit_rate": "gauge",
     "repro_index_probes_total": "counter",
     "repro_index_tree_descents_total": "counter",
+    "repro_index_node_decodes_total": "counter",
     "repro_batcher_flushes_total": "counter",
     "repro_batcher_queries_total": "counter",
 }

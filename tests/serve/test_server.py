@@ -147,7 +147,7 @@ class TestEndpoints:
                 "hits", "misses", "lookups", "evictions", "size", "capacity", "hit_rate",
             }
         assert set(service_stats["probes"]) == {
-            "gets", "cache_hits", "tree_descents", "hit_rate",
+            "gets", "cache_hits", "tree_descents", "node_decodes", "hit_rate",
         }
         assert service_stats["queries"] >= 1
         # Flavor extras ride under their own keys, never in the core shape.

@@ -261,3 +261,216 @@ class TestReadThroughCache:
         snapshot = stats.snapshot()
         stats.reset()
         assert (stats.gets, snapshot.gets) == (0, 2)
+
+
+class TestResidentNodes:
+    """Decoded node images kept resident in place of raw pages."""
+
+    def test_lookups_beyond_the_budget_reread_only_the_leaf(self, tmp_path) -> None:
+        tree = _make(tmp_path)
+        keys = [b"key%06d" % index for index in range(24000)]
+        tree.bulk_load([(key, bytes(200)) for key in keys])
+        budget = tree.pager._cache_limit
+        assert tree.height >= 3
+        assert tree.pager.page_count > 4 * budget
+        tree.close()
+
+        tree = _make(tmp_path)
+        file_reads = []
+        read_page = tree.pager._read_page
+        tree.pager._read_page = lambda page_id: file_reads.append(page_id) or read_page(page_id)
+        rng = random.Random(5)
+        for _ in range(3 * budget):
+            tree.get(rng.choice(keys))
+        del file_reads[:]
+        for _ in range(1000):
+            before = tree.pager.read_count
+            assert tree.get(rng.choice(keys)) == bytes(200)
+            assert tree.pager.read_count - before <= 1
+        assert file_reads  # the working set really exceeds the budget
+        assert tree._root not in file_reads
+        tree.close()
+
+    def test_node_decodes_tell_cold_from_warm(self, tmp_path) -> None:
+        from repro import obs
+        from repro.obs.tracer import Tracer
+
+        tree = _make(tmp_path, page_size=512)
+        tree.bulk_load([(b"key%04d" % index, b"v%d" % index) for index in range(400)])
+        tree.close()
+        tree = _make(tmp_path, page_size=512)
+        tracer = obs.enable(Tracer())
+        try:
+            assert tree.get(b"key0123") == b"v123"
+            assert tree.get(b"key0123") == b"v123"
+        finally:
+            obs.disable()
+        cold, warm = (record["spans"] for record in tracer.last(2))
+        assert cold["name"] == warm["name"] == "bptree.descent"
+        assert cold["attrs"]["page_reads"] == cold["attrs"]["nodes_decoded"] == tree.height
+        assert len(cold["children"]) == tree.height  # one page_read span per level
+        assert warm["attrs"]["page_reads"] == warm["attrs"]["nodes_decoded"] == 0
+        assert warm["children"] == []
+        assert tree.probe_stats.node_decodes == tree.height
+        assert tree.probe_stats.snapshot().node_decodes == tree.height
+        tree.close()
+
+    def test_a_second_handle_on_the_same_file_answers_identically(self, tmp_path) -> None:
+        tree = _make(tmp_path, page_size=512)
+        items = [
+            (b"key%04d" % index, bytes([index % 251]) * (300 if index % 7 == 0 else 9))
+            for index in range(600)
+        ]
+        tree.bulk_load(items)
+        tree.insert(b"key0300", b"rewritten")
+        tree.insert(b"later", b"x" * 400)
+        tree.flush()
+        other = _make(tmp_path, page_size=512)
+        for key, _ in items + [(b"later", b""), (b"absent", b"")]:
+            assert other.get(key) == tree.get(key)
+        assert list(other.items()) == list(tree.items())
+        assert list(other.prefix_items(b"key01")) == list(tree.prefix_items(b"key01"))
+        assert (other.height, len(other)) == (tree.height, len(tree))
+        other.close()
+        tree.close()
+
+    def test_a_malformed_node_page_is_a_named_error(self, tmp_path) -> None:
+        tree = _make(tmp_path, page_size=512)
+        tree.bulk_load([(b"key%04d" % index, b"v") for index in range(400)])
+        root = tree._root
+        tree.close()
+        with open(tmp_path / "tree.bpt", "r+b") as handle:
+            handle.seek(root * 512 + 1)
+            handle.write(b"\x7f" * 8)  # 127 keys of 127 bytes: runs off the page
+        tree = _make(tmp_path, page_size=512)
+        with pytest.raises(BPlusTreeError, match=f"page {root} is malformed"):
+            tree.get(b"key0001")
+        tree.close()
+
+
+_TINY_PAGE = 128  # overflow threshold 32 bytes, ~12 children per internal node
+_SEEDED = {
+    b"k%04d" % index: bytes([index % 256]) * (50 if index % 8 == 0 else 10)
+    for index in range(0, 640, 4)
+}
+_op_keys = st.integers(0, 640).map(lambda index: b"k%04d" % index)
+_op_values = st.one_of(
+    st.binary(max_size=30),                  # inline
+    st.integers(33, 400).map(bytes),         # past the threshold: an overflow chain
+)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _op_keys, _op_values),
+        st.tuples(st.just("get"), _op_keys),
+        st.tuples(st.just("items")),
+        st.tuples(st.just("prefix"), st.integers(0, 64).map(lambda index: b"k%03d" % index)),
+        st.tuples(st.just("range"), _op_keys, _op_keys),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(budget=st.integers(2, 4), operations=_operations)
+def test_resident_nodes_stay_coherent_under_eviction(tmp_path_factory, budget, operations) -> None:
+    """Property: with room for only 2-4 resident pages -- every descent
+    evicts and re-decodes -- a height >= 3 tree still answers like a dict
+    through any interleaving of writes, lookups and scans, and after reopen.
+    """
+    path = str(tmp_path_factory.mktemp("coherence") / "tree.bpt")
+    tree = BPlusTree(path, page_size=_TINY_PAGE)
+    tree.pager._cache_limit = budget
+    model = dict(_SEEDED)
+    for key, value in _SEEDED.items():
+        tree.insert(key, value)
+    assert tree.height >= 3
+    for operation in operations:
+        if operation[0] == "insert":
+            _, key, value = operation
+            tree.insert(key, value)
+            model[key] = value
+        elif operation[0] == "get":
+            assert tree.get(operation[1]) == model.get(operation[1])
+        elif operation[0] == "items":
+            assert list(tree.items()) == sorted(model.items())
+        elif operation[0] == "prefix":
+            prefix = operation[1]
+            assert list(tree.prefix_items(prefix)) == sorted(
+                item for item in model.items() if item[0].startswith(prefix)
+            )
+        else:
+            _, low, high = operation
+            assert list(tree.range_items(low, high)) == sorted(
+                item for item in model.items() if low <= item[0] < high
+            )
+        assert len(tree.pager._cache) <= budget
+    assert len(tree) == len(model)
+    tree.close()
+    reopened = BPlusTree(path, page_size=_TINY_PAGE)
+    assert list(reopened.items()) == sorted(model.items())
+    assert all(reopened.get(key) == value for key, value in model.items())
+    assert (len(reopened), reopened.height) == (len(model), tree.height)
+    reopened.close()
+
+
+def test_threads_share_resident_nodes_coherently(tmp_path) -> None:
+    """More threads than cores over a 4-page budget: lookups and whole scans
+    race a writer that keeps splitting nodes; no reader may ever see a seeded
+    key missing or with another key's value, and no write may be lost."""
+    import sys
+    import threading
+
+    tree = BPlusTree(str(tmp_path / "shared.bpt"), page_size=_TINY_PAGE)
+    tree.pager._cache_limit = 4
+    for key, value in _SEEDED.items():
+        tree.insert(key, value)
+    seeded_keys = sorted(_SEEDED)
+    written = {b"w%04d" % index: bytes([index % 256]) * (index % 60) for index in range(400)}
+    errors = []
+    done = threading.Event()
+
+    def guarded(body):
+        def run() -> None:
+            try:
+                body()
+            except Exception as error:  # the test must report it, not the thread
+                errors.append(repr(error))
+        return threading.Thread(target=run)
+
+    def lookups(seed: int):
+        def body() -> None:
+            rng = random.Random(seed)
+            while not done.is_set():
+                key = rng.choice(seeded_keys)
+                if tree.get(key) != _SEEDED[key]:
+                    errors.append(f"get({key!r}) saw a wrong value")
+        return body
+
+    def scans() -> None:
+        while not done.is_set():
+            seen = dict(tree.items())
+            if any(seen.get(key) != value for key, value in _SEEDED.items()):
+                errors.append("a scan lost or garbled a seeded key")
+
+    def writes() -> None:
+        try:
+            for key, value in written.items():
+                tree.insert(key, value)
+        finally:
+            done.set()
+
+    threads = [guarded(lookups(seed)) for seed in range(3)] + [guarded(scans), guarded(writes)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert dict(tree.items()) == {**_SEEDED, **written}
+    tree.close()

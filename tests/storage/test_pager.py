@@ -67,3 +67,34 @@ class TestPager:
             pager.allocate()
         # File can be reopened after the context exits.
         assert Pager(tmp_path / "pages.bin").page_count == 2
+
+
+class TestResidentImages:
+    def _pager(self, tmp_path, budget: int) -> Pager:
+        pager = Pager(tmp_path / "pages.bin", page_size=64, cache_pages=budget)
+        for index in range(1, 6):
+            pager.write(pager.allocate(), bytes([index]))
+        return pager
+
+    def test_eviction_is_by_recency_not_by_arrival(self, tmp_path) -> None:
+        pager = self._pager(tmp_path, budget=3)  # pages 3, 4, 5 resident
+        before = pager.read_count
+        pager.read(3)                            # oldest arrival, now the most recent
+        pager.read(1)                            # evicts 4, not 3
+        pager.read(3)
+        assert pager.read_count - before == 1
+        pager.read(4)
+        assert pager.read_count - before == 2
+        assert len(pager._cache) == 3
+
+    def test_a_kept_image_replaces_the_raw_page(self, tmp_path) -> None:
+        pager = self._pager(tmp_path, budget=3)
+        image = ["decoded", 5]
+        pager.keep(5, image)
+        assert pager.read(5) is image
+        assert len(pager._cache) == 3            # replaced, not added
+        pager.write(5, b"new")                   # a write supersedes the image
+        assert pager.read(5)[:3] == b"new"
+        for page in (1, 2, 3):
+            pager.read(page)                     # evict 5: the file has the last write
+        assert pager.read(5)[:3] == b"new"
