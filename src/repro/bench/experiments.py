@@ -20,7 +20,8 @@ from repro import obs
 from repro.bench.context import ExperimentContext
 from repro.bench.results import ExperimentResult
 from repro.coding import get_coding
-from repro.core.enumeration import enumerate_key_occurrences, subtree_count_by_root_branching
+from repro.core.enumeration import subtree_count_by_root_branching
+from repro.core.index import accumulate_posting_lists, encode_posting_lists
 from repro.core.stats import count_postings, count_unique_keys
 from repro.corpus.generator import CorpusGenerator
 from repro.exec.executor import QueryExecutor
@@ -1104,14 +1105,8 @@ def ablation_storage(
         columns=["strategy", "seconds", "file_bytes", "height"],
     )
     scheme = get_coding(coding)
-    posting_lists: Dict[str, List[object]] = {}
-    for tree in context.corpus(sentence_count):
-        per_key: Dict[str, List[object]] = {}
-        for key, occurrence in enumerate_key_occurrences(tree, mss):
-            per_key.setdefault(key, []).append(occurrence)
-        for key, occurrences in per_key.items():
-            posting_lists.setdefault(key, []).extend(scheme.postings_from_occurrences(occurrences))
-    items = [(key, scheme.encode_postings(posting_lists[key])) for key in sorted(posting_lists)]
+    posting_lists, _ = accumulate_posting_lists(context.corpus(sentence_count), mss, scheme)
+    items = list(encode_posting_lists(posting_lists, scheme))
 
     strategies = ("bulk load (sorted)", "per-key inserts")
     trees: List[BPlusTree] = []

@@ -1,10 +1,11 @@
 """Common interfaces of the posting coding schemes.
 
-The index builder extracts *occurrences* of subtrees from data trees
-(:class:`Occurrence`: the tree id plus the interval codes of the occurrence's
-nodes listed in the canonical order of the index key).  A coding scheme turns
-occurrences into postings, serialises posting lists for storage in the B+Tree
-and deserialises them again at query time.
+The index builder extracts *occurrences* of subtrees from data trees: per
+tree and index key, the ``(pre, post, level)`` codes of each occurrence's
+nodes listed in the canonical order of the key (:class:`Occurrence` is the
+same thing as a record, for callers that hold occurrences of several trees).
+A coding scheme turns occurrences into postings, serialises posting lists
+for storage in the B+Tree and deserialises them again at query time.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from typing import Dict, List, Sequence, Tuple, Type
 from repro.coding.postings import PostingColumns
 from repro.storage.codec import decode_varint, decode_varint_run
 from repro.trees.numbering import IntervalCode
+
+#: A node's interval code as a plain ``(pre, post, level)`` triple.
+Code = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,25 @@ class CodingScheme(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def postings_from_occurrences(self, occurrences: Sequence[Occurrence]) -> List[object]:
-        """Convert raw occurrences of one key into this scheme's postings.
+    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[object]:
+        """Convert the occurrences of one key in tree *tid* into postings.
 
-        The returned list is deduplicated and sorted the way the scheme
-        stores postings on disk (ascending ``tid``, then structure).
+        Each occurrence lists the ``(pre, post, level)`` codes of its nodes
+        in the canonical order of the key.  The returned list is deduplicated
+        and sorted the way the scheme stores postings on disk; a key's list
+        is the concatenation of its trees' lists in ascending ``tid``.
         """
+
+    def postings_from_occurrences(self, occurrences: Sequence[Occurrence]) -> List[object]:
+        """:meth:`postings_from_codes` over :class:`Occurrence` records of any trees."""
+        by_tid: Dict[int, List[Tuple[Code, ...]]] = {}
+        for occurrence in occurrences:
+            by_tid.setdefault(occurrence.tid, []).append(
+                tuple((code.pre, code.post, code.level) for code in occurrence.codes)
+            )
+        return [
+            posting for tid in sorted(by_tid) for posting in self.postings_from_codes(tid, by_tid[tid])
+        ]
 
     @abstractmethod
     def encode_postings(self, postings: Sequence[object]) -> bytes:

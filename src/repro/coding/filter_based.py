@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import List, Sequence
 
-from repro.coding.base import CodingScheme, Occurrence, decode_records, register_coding
+from repro.coding.base import Code, CodingScheme, decode_records, register_coding
 from repro.coding.postings import FilterPosting, PostingColumns
 from repro.storage.codec import encode_delta_list
 
@@ -23,12 +23,11 @@ class FilterBasedCoding(CodingScheme):
 
     name = "filter"
 
-    def postings_from_occurrences(self, occurrences: Sequence[Occurrence]) -> List[FilterPosting]:
-        tids = sorted({occurrence.tid for occurrence in occurrences})
-        return [FilterPosting(tid) for tid in tids]
+    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[FilterPosting]:
+        return [FilterPosting(tid)]
 
     def encode_postings(self, postings: Sequence[FilterPosting]) -> bytes:
-        return encode_delta_list([posting.tid for posting in postings])
+        return encode_delta_list(PostingColumns.from_postings(postings).tids)
 
     def decode_postings(self, data: bytes) -> PostingColumns:
         return PostingColumns(list(accumulate(decode_records(data, width=1))))

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from itertools import compress
+from typing import AbstractSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.trees.numbering import IntervalCode
 
@@ -116,6 +117,21 @@ class PostingColumns(SequenceABC):
             )
             return cls(tids, slots, tuple([n.order for n in nodes] for nodes in per_node))
         return cls(tids)
+
+    def without_tids(self, dead: AbstractSet[int]) -> "PostingColumns":
+        """The list less every posting of a tree in *dead*; ``self`` when there is none."""
+        if dead.isdisjoint(self.tids):
+            return self
+        keep = [tid not in dead for tid in self.tids]
+
+        def kept(column: Sequence[int]) -> List[int]:
+            return list(compress(column, keep))
+
+        return PostingColumns(
+            kept(self.tids),
+            tuple((kept(pre), kept(post), kept(level)) for pre, post, level in self.slots),
+            None if self.orders is None else tuple(kept(order) for order in self.orders),
+        )
 
     # -- the read-only sequence of posting records ----------------------
     def __len__(self) -> int:

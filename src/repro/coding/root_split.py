@@ -17,9 +17,9 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import List, Sequence
 
-from repro.coding.base import CodingScheme, Occurrence, decode_records, register_coding
+from repro.coding.base import Code, CodingScheme, decode_records, register_coding
 from repro.coding.postings import PostingColumns, RootPosting
-from repro.storage.codec import encode_varint
+from repro.storage.codec import delta_gaps, encode_varint, encode_varint_list
 
 
 @register_coding
@@ -28,23 +28,18 @@ class RootSplitCoding(CodingScheme):
 
     name = "root-split"
 
-    def postings_from_occurrences(self, occurrences: Sequence[Occurrence]) -> List[RootPosting]:
-        unique = {
-            (occurrence.tid, occurrence.root.pre, occurrence.root.post, occurrence.root.level)
-            for occurrence in occurrences
-        }
-        return [RootPosting(*record) for record in sorted(unique)]
+    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[RootPosting]:
+        roots = {codes[0] for codes in occurrences}
+        return [RootPosting(tid, *root) for root in sorted(roots)]
 
     def encode_postings(self, postings: Sequence[RootPosting]) -> bytes:
-        out = bytearray(encode_varint(len(postings)))
-        previous_tid = 0
-        for posting in postings:
-            out += encode_varint(posting.tid - previous_tid)
-            out += encode_varint(posting.pre)
-            out += encode_varint(posting.post)
-            out += encode_varint(posting.level)
-            previous_tid = posting.tid
-        return bytes(out)
+        if not postings:
+            return encode_varint(0)
+        columns = PostingColumns.from_postings(postings)
+        body = [0] * (4 * len(columns))
+        body[0::4] = delta_gaps(columns.tids)
+        body[1::4], body[2::4], body[3::4] = columns.slots[0]
+        return encode_varint(len(columns)) + encode_varint_list(body)
 
     def decode_postings(self, data: bytes) -> PostingColumns:
         body = decode_records(data, width=4)

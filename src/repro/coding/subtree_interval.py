@@ -17,9 +17,15 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import List, Sequence
 
-from repro.coding.base import CodingScheme, Occurrence, decode_records, register_coding
+from repro.coding.base import Code, CodingScheme, decode_records, register_coding
 from repro.coding.postings import NodeCode, PostingColumns, SubtreePosting
-from repro.storage.codec import decode_varint, decode_varint_list, encode_varint
+from repro.storage.codec import (
+    decode_varint,
+    decode_varint_list,
+    delta_gaps,
+    encode_varint,
+    encode_varint_list,
+)
 
 
 @register_coding
@@ -28,33 +34,27 @@ class SubtreeIntervalCoding(CodingScheme):
 
     name = "subtree-interval"
 
-    def postings_from_occurrences(self, occurrences: Sequence[Occurrence]) -> List[SubtreePosting]:
-        postings = set()
-        for occurrence in occurrences:
-            pres = sorted(code.pre for code in occurrence.codes)
-            order_of = {pre: rank + 1 for rank, pre in enumerate(pres)}
-            nodes = tuple(
-                NodeCode(code.pre, code.post, code.level, order_of[code.pre])
-                for code in occurrence.codes
-            )
-            postings.add(SubtreePosting(occurrence.tid, nodes))
-        return sorted(postings)
+    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[SubtreePosting]:
+        unique = set()
+        for codes in occurrences:
+            pres = sorted(code[0] for code in codes)
+            order_of = {pre: rank for rank, pre in enumerate(pres, start=1)}
+            unique.add(tuple(code + (order_of[code[0]],) for code in codes))
+        return [
+            SubtreePosting(tid, tuple(NodeCode(*node) for node in nodes)) for nodes in sorted(unique)
+        ]
 
     def encode_postings(self, postings: Sequence[SubtreePosting]) -> bytes:
-        if len({len(posting.nodes) for posting in postings}) > 1:
-            raise ValueError("postings of one key must all have the key's node count")
-        out = bytearray(encode_varint(len(postings)))
-        previous_tid = 0
-        for posting in postings:
-            out += encode_varint(posting.tid - previous_tid)
-            out += encode_varint(len(posting.nodes))
-            for node in posting.nodes:
-                out += encode_varint(node.pre)
-                out += encode_varint(node.post)
-                out += encode_varint(node.level)
-                out += encode_varint(node.order)
-            previous_tid = posting.tid
-        return bytes(out)
+        if not postings:
+            return encode_varint(0)
+        columns = PostingColumns.from_postings(postings)  # refuses mixed node counts
+        width = 2 + 4 * len(columns.slots)
+        body = [len(columns.slots)] * (width * len(columns))
+        body[0::width] = delta_gaps(columns.tids)
+        for at, slot, order in zip(range(2, width, 4), columns.slots, columns.orders):
+            body[at::width], body[at + 1::width], body[at + 2::width] = slot
+            body[at + 3::width] = order
+        return encode_varint(len(columns)) + encode_varint_list(body)
 
     def decode_postings(self, data: bytes) -> PostingColumns:
         count, offset = decode_varint(data, 0)

@@ -2,7 +2,8 @@
 
 * :mod:`repro.core.enumeration` -- extracting every connected subtree of
   sizes ``1..mss`` rooted at each node of a data tree (Section 4.2,
-  Figure 4), together with the interval codes of their nodes.
+  Figure 4), together with the interval codes of their nodes: one bottom-up
+  kernel (``extract_subtrees``) and the iterators that view its output.
 * :mod:`repro.core.keys` -- canonical (unordered) encoding of subtrees used
   as index keys, and the reverse decoding.
 * :mod:`repro.core.index` -- building, opening and querying the disk-based
@@ -14,6 +15,7 @@
 from repro.core.enumeration import (
     enumerate_key_occurrences,
     enumerate_subtrees,
+    extract_subtrees,
     subtree_count_by_root_branching,
 )
 from repro.core.index import IndexMetadata, SubtreeIndex
@@ -27,6 +29,7 @@ __all__ = [
     "canonical_key",
     "decode_key",
     "key_from_query_subtree",
+    "extract_subtrees",
     "enumerate_subtrees",
     "enumerate_key_occurrences",
     "subtree_count_by_root_branching",

@@ -6,92 +6,137 @@ size parameter of the index).  Each extracted subtree contributes one
 occurrence -- the tree id plus the interval codes of its nodes in canonical
 order -- to the posting list of its canonical key.
 
-The enumeration is bottom-up with per-node memoisation: the set of rooted
-subtrees of size at most ``mss`` is computed once per node from the sets of
-its children.  For parse trees this stays small because branching factors are
-small (Figure 3 of the paper; reproduced by the Figure 3 benchmark here).
+One flat kernel, :func:`extract_subtrees`, does all of it bottom-up: a
+subtree rooted at a node is the node plus, for some of its children, one of
+the subtrees already extracted at that child, so its canonical text and its
+nodes in canonical order are *composed* from the children's finished entries
+(label + the stable-sorted child texts, the recursion of
+:func:`repro.core.keys.canonical_key`) rather than re-derived by walking the
+subtree again.  The per-node lists stay small because parse trees branch
+little (Figure 3 of the paper; reproduced by the Figure 3 benchmark here).
+Index builds, the live delta and the statistics all read the kernel's
+output; the iterators below are views of it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.coding.base import Occurrence
-from repro.core.keys import canonical_key
+from repro.coding.base import Code, Occurrence
 from repro.trees.node import Node, ParseTree
-from repro.trees.numbering import number_tree
+from repro.trees.numbering import IntervalCode
+
+#: One extracted subtree: ``(canonical text, node codes in canonical order, size)``.
+Extracted = Tuple[str, Tuple[Code, ...], int]
+
+_TEXT = itemgetter(0)
 
 
-class _OccNode:
-    """A node of an *extracted* subtree, referencing the underlying data node."""
+def extract_subtrees(tree: ParseTree | Node, mss: int) -> Tuple[List[Node], List[List[Extracted]]]:
+    """Number *tree* and extract every rooted subtree of at most *mss* nodes.
 
-    __slots__ = ("node", "children", "size")
-
-    def __init__(self, node: Node, children: Sequence["_OccNode"]):
-        self.node = node
-        self.children = list(children)
-        self.size = 1 + sum(child.size for child in children)
-
-    @property
-    def label(self) -> str:
-        """Label of the underlying data node (lets canonicalisation reuse one code path)."""
-        return self.node.label
-
-
-def _rooted_subtrees(node: Node, mss: int, cache: Dict[int, List[_OccNode]]) -> List[_OccNode]:
-    """All connected subtrees rooted at *node* with at most *mss* nodes."""
-    cached = cache.get(id(node))
-    if cached is not None:
-        return cached
-
-    child_options: List[List[_OccNode]] = [
-        _rooted_subtrees(child, mss - 1, cache) if mss > 1 else []
-        for child in node.children
-    ]
-
-    results: List[_OccNode] = []
-
-    def extend(child_index: int, remaining: int, chosen: List[_OccNode]) -> None:
-        if child_index == len(child_options):
-            results.append(_OccNode(node, list(chosen)))
-            return
-        # Option 1: skip this child entirely.
-        extend(child_index + 1, remaining, chosen)
-        # Option 2: include one of the subtrees rooted at this child.
-        if remaining > 0:
-            for candidate in child_options[child_index]:
-                if candidate.size <= remaining:
-                    chosen.append(candidate)
-                    extend(child_index + 1, remaining - candidate.size, chosen)
-                    chosen.pop()
-
-    extend(0, mss - 1, [])
-    cache[id(node)] = results
-    return results
-
-
-def _subtree_cache_for(tree: ParseTree | Node, mss: int) -> Tuple[Node, Dict[int, List[_OccNode]]]:
-    root = tree.root if isinstance(tree, ParseTree) else tree
-    cache: Dict[int, List[_OccNode]] = {}
-    # Populate bottom-up so recursion depth stays bounded by tree height.
-    for node in root.postorder():
-        _rooted_subtrees(node, mss, cache)
-    return root, cache
-
-
-def enumerate_subtrees(tree: ParseTree | Node, mss: int) -> Iterator[_OccNode]:
-    """Yield every extracted subtree (size 1..mss) of *tree* as an occurrence tree.
-
-    The memoisation cache stores, for each data node, subtrees of size at most
-    ``mss`` *as seen from that node*; the top-level enumeration simply walks
-    all nodes and emits their cached lists.
+    Returns the data nodes in pre-order and, parallel to them, the subtrees
+    rooted at each node (``pre`` of a code is its node's position plus one).
+    Sibling subtrees with equal texts keep their data-tree order, the
+    tie-break of :func:`repro.core.keys.canonical_key`'s stable sort.
     """
     if mss < 1:
         raise ValueError("mss must be at least 1")
-    root, cache = _subtree_cache_for(tree, mss)
-    for node in root.preorder():
-        yield from cache[id(node)]
+    root = tree.root if isinstance(tree, ParseTree) else tree
+    nodes: List[Node] = []
+    levels: List[int] = []
+    posts: List[int] = []
+    children: List[List[int]] = []
+    # One iterative DFS; ``at`` is the parent's position on the way down and
+    # the node's own on the way back up, where post numbers are handed out.
+    post = 0
+    stack: List[Tuple[Node, int, int, bool]] = [(root, 0, -1, False)]
+    while stack:
+        node, level, at, unwinding = stack.pop()
+        if unwinding:
+            post += 1
+            posts[at] = post
+            continue
+        position = len(nodes)
+        nodes.append(node)
+        levels.append(level)
+        posts.append(0)
+        children.append([])
+        if at >= 0:
+            children[at].append(position)
+        stack.append((node, level, position, True))
+        for child in reversed(node.children):
+            stack.append((child, level + 1, position, False))
+
+    room = mss - 1
+    extracted: List[List[Extracted]] = [[] for _ in nodes]
+    # Reverse pre-order visits every child before its parent.
+    for position in range(len(nodes) - 1, -1, -1):
+        label = nodes[position].label
+        own = ((position + 1, posts[position], levels[position]),)
+        found = extracted[position]
+        found.append((label, own, 1))
+        if not room or not children[position]:
+            continue
+        # Every way of giving some children one of their subtrees each.
+        choices: List[Tuple[Tuple[Extracted, ...], int]] = [((), 0)]
+        for child in children[position]:
+            options = extracted[child]
+            choices += [
+                (chosen + (option,), used + option[2])
+                for chosen, used in choices
+                for option in options
+                if used + option[2] <= room
+            ]
+        for chosen, used in choices[1:]:
+            if len(chosen) > 1:
+                chosen = sorted(chosen, key=_TEXT)
+            text, codes = label, own
+            for child_text, child_codes, _ in chosen:
+                text += "(" + child_text + ")"
+                codes += child_codes
+            found.append((text, codes, used + 1))
+    return nodes, extracted
+
+
+class ExtractedSubtree:
+    """An extracted subtree as a tree of references to the data nodes."""
+
+    __slots__ = ("node", "children")
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.children: List["ExtractedSubtree"] = []
+
+    @property
+    def label(self) -> str:
+        """Label of the underlying data node."""
+        return self.node.label
+
+    @property
+    def size(self) -> int:
+        """Number of nodes of the extracted subtree."""
+        return 1 + sum(child.size for child in self.children)
+
+
+def enumerate_subtrees(tree: ParseTree | Node, mss: int) -> Iterator[ExtractedSubtree]:
+    """Yield every extracted subtree (size 1..mss) of *tree*, children in canonical order."""
+    nodes, extracted = extract_subtrees(tree, mss)
+    for found in extracted:
+        for _, codes, _ in found:
+            # Canonical order is a pre-order: a parent precedes its children.
+            views: Dict[int, ExtractedSubtree] = {}
+            for pre, _, _ in codes:
+                node = nodes[pre - 1]
+                view = ExtractedSubtree(node)
+                if views:
+                    views[id(node.parent)].children.append(view)
+                else:
+                    top = view
+                views[id(node)] = view
+            yield top
 
 
 def enumerate_key_occurrences(
@@ -102,14 +147,27 @@ def enumerate_key_occurrences(
     The occurrence's node codes are listed in the canonical order of the key,
     as required by the coding schemes (see :class:`repro.coding.base.Occurrence`).
     """
-    codes = number_tree(tree)
-    for occ_root in enumerate_subtrees(tree, mss):
-        key, ordered = canonical_key(occ_root)
-        occurrence = Occurrence(
-            tid=tree.tid,
-            codes=tuple(codes[id(item.node)] for item in ordered),  # type: ignore[attr-defined]
-        )
-        yield key, occurrence
+    for found in extract_subtrees(tree, mss)[1]:
+        for text, codes, _ in found:
+            yield text.encode("utf-8"), Occurrence(
+                tid=tree.tid, codes=tuple(IntervalCode(*code) for code in codes)
+            )
+
+
+def _tally_by_branching(
+    trees: Iterable[ParseTree | Node], sizes: Sequence[int]
+) -> Tuple[Dict[int, Dict[int, int]], Dict[int, int]]:
+    """Per branching factor: extracted subtrees counted by size, and the nodes seen."""
+    totals: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    node_counts: Dict[int, int] = defaultdict(int)
+    for tree in trees:
+        for node, found in zip(*extract_subtrees(tree, max(sizes))):
+            node_counts[node.degree] += 1
+            counts = totals[node.degree]
+            for _, _, size in found:
+                if size in sizes:
+                    counts[size] += 1
+    return totals, node_counts
 
 
 def count_subtrees_per_node(tree: ParseTree | Node, sizes: Sequence[int]) -> Dict[int, Dict[int, int]]:
@@ -118,17 +176,7 @@ def count_subtrees_per_node(tree: ParseTree | Node, sizes: Sequence[int]) -> Dic
     Returns ``{branching_factor: {size: total subtree count}}`` aggregated
     over the nodes of *tree*; used by the Figure 3 experiment.
     """
-    mss = max(sizes)
-    root, cache = _subtree_cache_for(tree, mss)
-    by_branching: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    node_counts: Dict[int, int] = defaultdict(int)
-    for node in root.preorder():
-        counts = by_branching[node.degree]
-        node_counts[node.degree] += 1
-        for subtree in cache[id(node)]:
-            if subtree.size in sizes:
-                counts[subtree.size] += 1
-    return {degree: dict(counts) for degree, counts in by_branching.items()}
+    return {degree: dict(counts) for degree, counts in _tally_by_branching([tree], sizes)[0].items()}
 
 
 def subtree_count_by_root_branching(
@@ -140,19 +188,9 @@ def subtree_count_by_root_branching(
     *ss* in *sizes*, the average number of subtrees of that size rooted at a
     node with branching factor *b*.
     """
-    totals: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    node_counts: Dict[int, int] = defaultdict(int)
-    mss = max(sizes)
-    for tree in trees:
-        root, cache = _subtree_cache_for(tree, mss)
-        for node in root.preorder():
-            node_counts[node.degree] += 1
-            for subtree in cache[id(node)]:
-                if subtree.size in sizes:
-                    totals[node.degree][subtree.size] += 1
-    averages: Dict[int, Dict[int, float]] = {}
-    for degree, counts in totals.items():
-        averages[degree] = {
-            size: counts.get(size, 0) / node_counts[degree] for size in sizes
-        }
-    return dict(sorted(averages.items()))
+    totals, node_counts = _tally_by_branching(trees, sizes)
+    return {
+        degree: {size: counts.get(size, 0) / node_counts[degree] for size in sizes}
+        for degree, counts in sorted(totals.items())
+        if counts  # a branching factor no counted subtree is rooted at has no row
+    }

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.coding.base import CodingScheme, get_coding
-from repro.core.enumeration import enumerate_key_occurrences
+from repro.coding.base import Code, CodingScheme, get_coding
+from repro.core.enumeration import extract_subtrees
 from repro.core.keys import SubtreeKey, canonical_key, decode_key
 from repro.storage.bptree import BPlusTree, ProbeStats, ValueCache
 from repro.storage.codec import decode_varint
@@ -66,6 +67,42 @@ class IndexMetadata:
         return cls(**record)
 
 
+def accumulate_posting_lists(
+    trees: Iterable[ParseTree], mss: int, coding: CodingScheme
+) -> Tuple[Dict[bytes, List[object]], int]:
+    """Extract and code every tree; returns ``(key -> posting list, tree count)``.
+
+    The one loop behind an index build, a live delta's ``add_tree`` (a
+    one-tree call) and the storage ablation.  Trees must arrive in ascending
+    tid order, which keeps every list tid-ascending by construction.
+    """
+    posting_lists: Dict[bytes, List[object]] = {}
+    tree_count = 0
+    for tree in trees:
+        tree_count += 1
+        occurrences: Dict[str, List[Tuple[Code, ...]]] = defaultdict(list)
+        for found in extract_subtrees(tree, mss)[1]:
+            for text, codes, _ in found:
+                occurrences[text].append(codes)
+        for text, of_key in occurrences.items():
+            key = text.encode("utf-8")
+            postings = coding.postings_from_codes(tree.tid, of_key)
+            if key in posting_lists:
+                posting_lists[key] += postings
+            else:
+                posting_lists[key] = postings
+    return posting_lists, tree_count
+
+
+def encode_posting_lists(
+    posting_lists: Dict[bytes, Sequence[object]], coding: CodingScheme
+) -> Iterator[Tuple[bytes, bytes]]:
+    """Yield ``(key, encoded posting list)`` in key order, skipping empty lists."""
+    for key in sorted(posting_lists):
+        if posting_lists[key]:
+            yield key, coding.encode_postings(posting_lists[key])
+
+
 class SubtreeIndex:
     """A disk-resident subtree index over a corpus of parse trees."""
 
@@ -95,38 +132,46 @@ class SubtreeIndex:
     ) -> "SubtreeIndex":
         """Build an index over *trees* at *path* and return it opened.
 
-        Subtrees of sizes ``1..mss`` are extracted from every tree; the
-        coding scheme converts each key's occurrences into postings; finally
-        all posting lists are bulk-loaded into the B+Tree in key order.
+        Subtrees of sizes ``1..mss`` are extracted from every tree and the
+        coding scheme converts each key's occurrences into postings
+        (:func:`accumulate_posting_lists`); the encoded lists are then
+        bulk-loaded into the B+Tree in key order (:meth:`write_posting_lists`).
         """
         if isinstance(coding, str):
             coding = get_coding(coding)
         started = time.perf_counter()
+        posting_lists, tree_count = accumulate_posting_lists(trees, mss, coding)
+        encoded = encode_posting_lists(posting_lists, coding)
+        return cls.write_posting_lists(path, mss, coding, tree_count, encoded, started)
 
-        posting_lists: Dict[bytes, List[object]] = {}
-        tree_count = 0
-        for tree in trees:
-            tree_count += 1
-            per_key: Dict[bytes, List] = {}
-            for key, occurrence in enumerate_key_occurrences(tree, mss):
-                per_key.setdefault(key, []).append(occurrence)
-            for key, occurrences in per_key.items():
-                postings = coding.postings_from_occurrences(occurrences)
-                posting_lists.setdefault(key, []).extend(postings)
+    @classmethod
+    def write_posting_lists(
+        cls,
+        path: str,
+        mss: int,
+        coding: CodingScheme,
+        tree_count: int,
+        encoded: Iterable[Tuple[bytes, bytes]],
+        started: float,
+    ) -> "SubtreeIndex":
+        """Write an index file from finished posting lists and return it opened.
 
-        posting_count = sum(len(postings) for postings in posting_lists.values())
+        *encoded* yields ``(key, encoded list)`` in ascending key order --
+        fresh from :meth:`build`, or merged out of lists that were already
+        indexed when a live index compacts.  *started* is the ``perf_counter``
+        reading the recorded build time counts from.
+        """
+        items: List[Tuple[bytes, bytes]] = [(_META_KEY, b""), *encoded]
         metadata = IndexMetadata(
             mss=mss,
             coding=coding.name,
             tree_count=tree_count,
-            key_count=len(posting_lists),
-            posting_count=posting_count,
+            key_count=len(items) - 1,
+            # Every coding leads an encoded list with its posting count.
+            posting_count=sum(decode_varint(value)[0] for _, value in items[1:]),
             build_seconds=0.0,
         )
-
-        items: List[Tuple[bytes, bytes]] = [(_META_KEY, metadata.to_json())]
-        for key in sorted(posting_lists):
-            items.append((key, coding.encode_postings(posting_lists[key])))
+        items[0] = (_META_KEY, metadata.to_json())
 
         btree = BPlusTree(path)
         btree.bulk_load(items)

@@ -163,14 +163,17 @@ class TreeStore:
     # ------------------------------------------------------------------
     def append(self, tree: ParseTree) -> None:
         """Append one tree to the data file."""
+        self.append_record(tree.tid, to_penn(tree.root).encode("utf-8"))
+
+    def append_record(self, tid: int, payload: bytes) -> None:
+        """Append one stored record: *payload* is the tree's UTF-8 bracketed text."""
         assert self._file is not None
-        payload = to_penn(tree.root).encode("utf-8")
         with self._lock:
             self._file.seek(0, os.SEEK_END)
             offset = self._file.tell()
-            self._file.write(_HEADER.pack(tree.tid, len(payload)))
+            self._file.write(_HEADER.pack(tid, len(payload)))
             self._file.write(payload)
-            self._offsets[tree.tid] = offset
+            self._offsets[tid] = offset
 
     def extend(self, trees: Iterable[ParseTree]) -> None:
         """Append many trees."""
@@ -179,6 +182,14 @@ class TreeStore:
 
     def get(self, tid: int) -> ParseTree:
         """Fetch and re-parse the tree with identifier *tid* (thread-safe)."""
+        return ParseTree(parse_penn(self.record(tid).decode("utf-8")), tid=tid)
+
+    def record(self, tid: int) -> bytes:
+        """The stored bytes of tree *tid*, unparsed (thread-safe).
+
+        What a compaction copies into a rewritten segment's data file
+        (:meth:`append_record`) instead of parsing and re-rendering the tree.
+        """
         assert self._file is not None
         try:
             offset = self._offsets[tid]
@@ -186,10 +197,8 @@ class TreeStore:
             raise KeyError(f"no tree with tid {tid}") from None
         with self._lock:
             self._file.seek(offset)
-            header = self._file.read(_HEADER.size)
-            stored_tid, length = _HEADER.unpack(header)
-            payload = self._file.read(length).decode("utf-8")
-        return ParseTree(parse_penn(payload), tid=stored_tid)
+            _, length = _HEADER.unpack(self._file.read(_HEADER.size))
+            return self._file.read(length)
 
     def get_many(self, tids: Sequence[int]) -> List[ParseTree]:
         """Fetch several trees; tids are looked up in sorted order to keep IO sequential."""

@@ -3,10 +3,11 @@
 Recently added trees live here until :meth:`repro.live.live.LiveIndex.compact`
 flushes them into an immutable on-disk segment.  The delta stores exactly
 what a freshly built :class:`~repro.core.index.SubtreeIndex` over the same
-trees would store -- per-tree key occurrences run through the *same*
-enumeration (:func:`repro.core.enumeration.enumerate_key_occurrences`) and
-the *same* coding scheme -- so merging delta postings with base-segment
-postings by tid is byte-identical to a full rebuild.
+trees would store -- every tree goes through the *same* per-tree step as a
+build (:func:`repro.core.index.accumulate_posting_lists`: one extraction
+kernel, one coding scheme) -- so merging delta postings with base-segment
+postings by tid is byte-identical to a full rebuild, and a compaction can
+write the delta's finished lists out instead of indexing its trees again.
 
 Trees must be added in ascending tid order (the live index assigns
 monotonically increasing tids and never reuses one), which keeps every
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from repro.coding.base import CodingScheme
-from repro.core.enumeration import enumerate_key_occurrences
+from repro.core.index import accumulate_posting_lists
 from repro.trees.node import ParseTree
 
 
@@ -54,13 +55,10 @@ class DeltaSegment:
                 f"delta tids must be ascending: got {tree.tid} after "
                 f"{next(reversed(self.trees))}"
             )
-        per_key: Dict[bytes, List] = {}
-        for key, occurrence in enumerate_key_occurrences(tree, self.mss):
-            per_key.setdefault(key, []).append(occurrence)
+        per_key, _ = accumulate_posting_lists([tree], self.mss, self.coding)
         self.trees[tree.tid] = tree  # the tree before its postings: a posting
         # a reader can see must always name a fetchable tree
-        for key, occurrences in per_key.items():
-            postings = self.coding.postings_from_occurrences(occurrences)
+        for key, postings in per_key.items():
             existing = self._postings.get(key)
             self._postings[key] = postings if existing is None else existing + postings
             self.posting_count += len(postings)

@@ -45,12 +45,18 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
-from repro.core.index import IndexMetadata, SubtreeIndex
+from repro.core.index import (
+    IndexMetadata,
+    SubtreeIndex,
+    accumulate_posting_lists,
+    encode_posting_lists,
+)
 from repro.core.keys import SubtreeKey, decode_key
 from repro.corpus.store import Corpus, TreeStore
 from repro.live.delta import DeltaSegment
@@ -200,7 +206,7 @@ class LiveIndex:
         :meth:`add_tree`.  Returns the index opened for use.
         """
         coding_name = coding if isinstance(coding, str) else coding.name
-        get_coding(coding_name)  # validate the name before writing anything
+        scheme = get_coding(coding_name)  # validates the name before anything is written
         if mss < 1:
             raise ValueError(f"mss must be at least 1, got {mss}")
         if not path.endswith(LIVE_SUFFIX):
@@ -219,9 +225,15 @@ class LiveIndex:
             tids = [tree.tid for tree in seed]
             if tids != sorted(set(tids)):
                 raise ValueError("seed trees must have strictly ascending unique tids")
-            entries.append(
-                _build_segment(path, manifest_dir, 0, mss, coding_name, seed, keep_open=False)[0]
+            started = time.perf_counter()
+            posting_lists, _ = accumulate_posting_lists(seed, mss, scheme)
+            segment = _write_segment(
+                path, 0, mss, scheme, tids, encode_posting_lists(posting_lists, scheme),
+                partial(TreeStore.build, trees=seed), started,
             )
+            segment.index.close()
+            segment.store.close()
+            entries.append(segment.entry)
             next_tid = tids[-1] + 1
             next_segment_id = 1
 
@@ -403,49 +415,47 @@ class LiveIndex:
             ):
                 return CompactionStats(epoch=self.epoch, noop=True)
 
-            manifest_dir = os.path.dirname(os.path.abspath(self.manifest_path))
             new_epoch = self.epoch + 1
             next_segment_id = self.manifest.next_segment_id
-            kept: List[LiveSegment] = []
+            segments: List[LiveSegment] = []  # of the new epoch, ascending in tid
             replaced: List[LiveSegment] = []
-            new_segments: List[LiveSegment] = []
-            entries: List[SegmentEntry] = []
-            obsolete_files: List[str] = []
-            rewritten = dropped = 0
+            rewritten = 0
+            dead = self._tombstones
+            coding = self.coding
 
+            # What is already indexed is merged, never indexed again: a
+            # segment's stored lists and the delta's in-memory ones are
+            # written back out without the tombstoned trees' postings.
             for segment in self.segments:
-                dead = {tid for tid in self._tombstones if tid in segment.store}
-                if not dead:
-                    kept.append(segment)
-                    entries.append(segment.entry)
+                tids = segment.store.tids()
+                survivors = [tid for tid in tids if tid not in dead]
+                if len(survivors) == len(tids):
+                    segments.append(segment)
                     continue
                 replaced.append(segment)
-                obsolete_files.append(self.manifest.resolve(self.manifest_path, segment.entry.index_path))
-                obsolete_files.append(self.manifest.resolve(self.manifest_path, segment.entry.data_path))
-                survivors = [tree for tree in segment.store if tree.tid not in dead]
-                if not survivors:
-                    dropped += 1
-                    continue
-                entry, handle = _build_segment(
-                    self.manifest_path, manifest_dir, next_segment_id,
-                    self.mss, self.coding.name, survivors,
-                )
-                next_segment_id += 1
-                rewritten += 1
-                entries.append(entry)
-                new_segments.append(handle)
+                if survivors:  # else the segment is dropped entirely
+                    segments.append(_write_segment(
+                        self.manifest_path, next_segment_id, self.mss, coding, survivors,
+                        _surviving_lists(segment.index, dead),
+                        partial(_copy_records, source=segment.store, tids=survivors),
+                        time.perf_counter(),
+                    ))
+                    next_segment_id += 1
+                    rewritten += 1
 
-            flushed = [
-                tree for tid, tree in self._delta.trees.items() if tid not in self._tombstones
-            ]
+            flushed = [tree for tid, tree in self._delta.trees.items() if tid not in dead]
             if flushed:
-                entry, handle = _build_segment(
-                    self.manifest_path, manifest_dir, next_segment_id,
-                    self.mss, self.coding.name, flushed,
-                )
+                flush_started = time.perf_counter()
+                posting_lists = {
+                    key: [posting for posting in postings if posting.tid not in dead] if dead else postings
+                    for key, postings in self._delta.items()
+                }
+                segments.append(_write_segment(
+                    self.manifest_path, next_segment_id, self.mss, coding,
+                    [tree.tid for tree in flushed], encode_posting_lists(posting_lists, coding),
+                    partial(TreeStore.build, trees=flushed), flush_started,
+                ))
                 next_segment_id += 1
-                entries.append(entry)
-                new_segments.append(handle)
 
             manifest = LiveManifest(
                 mss=self.mss,
@@ -453,7 +463,7 @@ class LiveIndex:
                 epoch=new_epoch,
                 next_tid=self._next_tid,
                 next_segment_id=next_segment_id,
-                segments=entries,
+                segments=[segment.entry for segment in segments],
             )
 
             # Durability order: fresh WAL to a side file, manifest swap
@@ -473,28 +483,27 @@ class LiveIndex:
             # segment_handles() before the swap keeps valid file handles
             # (the unlinked files stay readable until the handles close).
             self._retired.extend(replaced)
-            self.segments = kept + new_segments
-            self.segments.sort(key=lambda segment: segment.entry.min_tid)
+            self.segments = segments
             purged = len(self._tombstones)
             self._tombstones.clear()
-            flushed_count = self._delta.tree_count
             self._delta = DeltaSegment(self.mss, self.coding)
             self._delta_corpus = Corpus()
             self.manifest = manifest
             self._bump()
 
-            for stale in obsolete_files:  # after the swap: best-effort cleanup
-                try:
-                    os.remove(stale)
-                except OSError:
-                    pass
+            for segment in replaced:  # after the swap: best-effort cleanup
+                for stale in (segment.entry.index_path, segment.entry.data_path):
+                    try:
+                        os.remove(manifest.resolve(self.manifest_path, stale))
+                    except OSError:
+                        pass
 
             return CompactionStats(
                 epoch=new_epoch,
-                flushed_trees=flushed_count,
+                flushed_trees=len(flushed),
                 purged_tombstones=purged,
                 segments_rewritten=rewritten,
-                segments_dropped=dropped,
+                segments_dropped=len(replaced) - rewritten,
                 wal_bytes_truncated=old_wal_bytes,
                 seconds=time.perf_counter() - started,
             )
@@ -722,26 +731,29 @@ class LiveIndex:
         self.close()
 
 
-def _build_segment(
+def _write_segment(
     manifest_path: str,
-    manifest_dir: str,
     segment_id: int,
     mss: int,
-    coding_name: str,
-    trees: Sequence[ParseTree],
-    keep_open: bool = True,
-) -> Tuple[SegmentEntry, Optional[LiveSegment]]:
-    """Build one immutable segment (index + data file) over *trees*.
+    coding: CodingScheme,
+    tids: Sequence[int],
+    encoded: Iterable[Tuple[bytes, bytes]],
+    write_store: Callable[[str], TreeStore],
+    started: float,
+) -> LiveSegment:
+    """Write one immutable segment -- index + data file over trees *tids* -- and open it.
 
-    Returns the manifest entry and, with ``keep_open``, the opened handle.
+    *encoded* is what :meth:`SubtreeIndex.write_posting_lists` takes;
+    *write_store* writes the data file at the path it is given.  Build times
+    count from *started*.
     """
-    started = time.perf_counter()
+    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     index_name, data_name = segment_file_names(manifest_path, segment_id)
     index_path = os.path.join(manifest_dir, index_name)
     if os.path.exists(index_path):  # ids are never reused; stale leftovers only
         os.remove(index_path)
-    index = SubtreeIndex.build(trees, mss=mss, coding=coding_name, path=index_path)
-    store = TreeStore.build(os.path.join(manifest_dir, data_name), trees)
+    index = SubtreeIndex.write_posting_lists(index_path, mss, coding, len(tids), encoded, started)
+    store = write_store(os.path.join(manifest_dir, data_name))
     entry = SegmentEntry(
         segment_id=segment_id,
         index_path=index_name,
@@ -750,14 +762,35 @@ def _build_segment(
         key_count=index.metadata.key_count,
         posting_count=index.metadata.posting_count,
         build_seconds=time.perf_counter() - started,
-        min_tid=trees[0].tid,
-        max_tid=trees[-1].tid,
+        min_tid=tids[0],
+        max_tid=tids[-1],
     )
-    if not keep_open:
-        index.close()
-        store.close()
-        return entry, None
-    return entry, LiveSegment(segment_id, entry, index, store)
+    return LiveSegment(segment_id, entry, index, store)
+
+
+def _surviving_lists(index: SubtreeIndex, dead: Set[int]) -> Iterator[Tuple[bytes, bytes]]:
+    """*index*'s stored lists without the postings of the trees in *dead*.
+
+    A list no dead tree appears in is passed on as the bytes it is stored
+    as; the others are filtered column-wise and re-encoded, and a key whose
+    every posting is dropped disappears.
+    """
+    for key, raw in index.raw_items():
+        postings = index.coding.decode_postings(raw)
+        surviving = postings.without_tids(dead)
+        if surviving is postings:
+            yield key, raw
+        elif surviving:
+            yield key, index.coding.encode_postings(surviving)
+
+
+def _copy_records(path: str, source: TreeStore, tids: Sequence[int]) -> TreeStore:
+    """A data file at *path* holding *source*'s records of *tids*, copied unparsed."""
+    store = TreeStore.build(path, ())
+    for tid in tids:
+        store.append_record(tid, source.record(tid))
+    store.flush()
+    return store
 
 
 def open_live(path: str, fsync: bool = True) -> LiveIndex:

@@ -26,10 +26,11 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from operator import ge
 from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro import obs
-from repro.storage.codec import decode_varint, encode_length_prefixed, encode_varint
+from repro.storage.codec import decode_varint, encode_length_prefixed, encode_varint, varint_size
 from repro.storage.pager import PAGE_SIZE, Pager
 
 _META = struct.Struct("<4sIIQ")  # magic, root page, height, entry count
@@ -142,6 +143,11 @@ class _Internal:
     def __init__(self, keys: Optional[List[bytes]] = None, children: Optional[List[int]] = None):
         self.keys: List[bytes] = keys or []
         self.children: List[int] = children or []
+
+
+def _prefixed_size(payload: bytes) -> int:
+    """Bytes of *payload* stored behind its varint length."""
+    return varint_size(len(payload)) + len(payload)
 
 
 # Both decoders parse a page in one pass.  Nearly every record is shorter than
@@ -355,28 +361,31 @@ class BPlusTree:
         return b"".join(parts)
 
     # ------------------------------------------------------------------
-    # Size accounting for splits
+    # Size accounting for splits and bulk loading
     # ------------------------------------------------------------------
     @staticmethod
     def _leaf_entry_size(key: bytes, payload: bytes) -> int:
-        return (
-            len(encode_varint(len(key))) + len(key)
-            + 1
-            + len(encode_varint(len(payload))) + len(payload)
-        )
+        return _prefixed_size(key) + 1 + _prefixed_size(payload)
+
+    @staticmethod
+    def _leaf_size(entry_count: int, entry_bytes: int) -> int:
+        """Serialised size of a leaf of *entry_count* entries totalling *entry_bytes*."""
+        return 1 + _UINT32.size + varint_size(entry_count) + entry_bytes
+
+    @staticmethod
+    def _internal_size(key_count: int, key_bytes: int) -> int:
+        """Serialised size of an internal node: its length-prefixed keys and one more child."""
+        return 1 + varint_size(key_count) + key_bytes + _UINT32.size * (key_count + 1)
 
     def _leaf_fits(self, leaf: _Leaf) -> bool:
-        size = 1 + _UINT32.size + len(encode_varint(len(leaf.keys)))
-        for key, (_, payload) in zip(leaf.keys, leaf.values):
-            size += self._leaf_entry_size(key, payload)
-        return size <= self.pager.page_size
+        entry_bytes = sum(
+            self._leaf_entry_size(key, payload) for key, (_, payload) in zip(leaf.keys, leaf.values)
+        )
+        return self._leaf_size(len(leaf.keys), entry_bytes) <= self.pager.page_size
 
     def _internal_fits(self, node: _Internal) -> bool:
-        size = 1 + len(encode_varint(len(node.keys)))
-        for key in node.keys:
-            size += len(encode_varint(len(key))) + len(key)
-        size += _UINT32.size * len(node.children)
-        return size <= self.pager.page_size
+        key_bytes = sum(map(_prefixed_size, node.keys))
+        return self._internal_size(len(node.keys), key_bytes) <= self.pager.page_size
 
     # ------------------------------------------------------------------
     # Lookup
@@ -603,55 +612,65 @@ class BPlusTree:
         """
         if self._count:
             raise BPlusTreeError("bulk_load requires an empty tree")
-        previous: Optional[bytes] = None
-        for key, _ in items:
-            if previous is not None and key <= previous:
-                raise BPlusTreeError("bulk_load requires strictly increasing keys")
-            previous = key
+        # Checked before anything is written: a refused load leaves the file as it was.
+        keys = [key for key, _ in items]
+        if any(map(ge, keys, islice(keys, 1, None))):
+            raise BPlusTreeError("bulk_load requires strictly increasing keys")
 
         if not items:
             self._write_meta()
             return
 
-        # Build the leaf level.
+        # Build the leaf level.  A leaf's size is kept as a running total, so
+        # packing costs one size computation per item, not one per item per
+        # item already in the leaf.
+        page_size = self.pager.page_size
         leaf_pages: List[Tuple[bytes, int]] = []  # (first key, page id)
         current = _Leaf()
+        current_bytes = 0
         current_page = self._root  # reuse the pre-allocated empty root leaf
         for key, value in items:
+            key = bytes(key)
             payload = self._store_value(value)
-            current.keys.append(bytes(key))
-            current.values.append(payload)
-            if not self._leaf_fits(current):
-                current.keys.pop()
-                current.values.pop()
+            entry_bytes = self._leaf_entry_size(key, payload[1])
+            if current.keys and (
+                self._leaf_size(len(current.keys) + 1, current_bytes + entry_bytes) > page_size
+            ):
                 leaf_pages.append((current.keys[0], current_page))
                 next_page = self.pager.allocate()
                 current.next_leaf = next_page
                 self._write_leaf(current_page, current)
                 current_page = next_page
-                current = _Leaf([bytes(key)], [payload])
+                current = _Leaf()
+                current_bytes = 0
+            current.keys.append(key)
+            current.values.append(payload)
+            current_bytes += entry_bytes
         leaf_pages.append((current.keys[0], current_page))
         self._write_leaf(current_page, current)
         self._count = len(items)
 
-        # Build internal levels bottom-up.
+        # Build internal levels bottom-up, sized the same way.
         level: List[Tuple[bytes, int]] = leaf_pages
         height = 1
         while len(level) > 1:
             next_level: List[Tuple[bytes, int]] = []
             node = _Internal(children=[level[0][1]])
+            node_bytes = 0
             node_first_key = level[0][0]
             for first_key, page_id in level[1:]:
-                node.keys.append(first_key)
-                node.children.append(page_id)
-                if not self._internal_fits(node):
-                    node.keys.pop()
-                    node.children.pop()
+                key_bytes = _prefixed_size(first_key)
+                if self._internal_size(len(node.keys) + 1, node_bytes + key_bytes) > page_size:
                     page = self.pager.allocate()
                     self._write_internal(page, node)
                     next_level.append((node_first_key, page))
                     node = _Internal(children=[page_id])
+                    node_bytes = 0
                     node_first_key = first_key
+                else:
+                    node.keys.append(first_key)
+                    node.children.append(page_id)
+                    node_bytes += key_bytes
             page = self.pager.allocate()
             self._write_internal(page, node)
             next_level.append((node_first_key, page))

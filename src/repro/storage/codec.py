@@ -9,6 +9,8 @@ the index auditable and easy to test exhaustively.
 from __future__ import annotations
 
 import struct
+from itertools import chain
+from operator import sub
 from typing import Iterable, List, Sequence, Tuple
 
 _UINT32 = struct.Struct("<I")
@@ -27,6 +29,15 @@ def encode_varint(value: int) -> bytes:
         else:
             out.append(byte)
             return bytes(out)
+
+
+def varint_size(value: int) -> int:
+    """Bytes :func:`encode_varint` spends on *value*, without encoding it."""
+    size = 1
+    while value > 0x7F:
+        value >>= 7
+        size += 1
+    return size
 
 
 def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
@@ -80,10 +91,24 @@ def decode_varint_run(data: bytes, offset: int = 0) -> Sequence[int]:
 
 
 def encode_varint_list(values: Sequence[int]) -> bytes:
-    """Encode a sequence of non-negative integers as concatenated varints."""
+    """Encode a sequence of non-negative integers as concatenated varints.
+
+    The writer half of :func:`decode_varint_run`: a value below 128 is its
+    own one-byte varint, so when every value is (true of nearly all posting
+    bodies) the whole run is one ``bytes(values)``.
+    """
+    try:
+        run = bytes(values)
+        if run.isascii():
+            return run
+    except ValueError:  # a value outside 0..255: multi-byte, or negative and refused below
+        pass
     out = bytearray()
     for value in values:
-        out += encode_varint(value)
+        if 0 <= value < 0x80:
+            out.append(value)
+        else:
+            out += encode_varint(value)
     return bytes(out)
 
 
@@ -96,6 +121,14 @@ def decode_varint_list(data: bytes, count: int, offset: int = 0) -> Tuple[List[i
     return values, offset
 
 
+def delta_gaps(sorted_values: Sequence[int]) -> List[int]:
+    """The gaps of a non-decreasing sequence, the first measured from zero."""
+    gaps = list(map(sub, sorted_values, chain((0,), sorted_values)))
+    if min(gaps, default=0) < 0:
+        raise ValueError("delta encoding requires a non-decreasing sequence")
+    return gaps
+
+
 def encode_delta_list(sorted_values: Sequence[int]) -> bytes:
     """Delta + varint encode a non-decreasing integer sequence.
 
@@ -103,14 +136,7 @@ def encode_delta_list(sorted_values: Sequence[int]) -> bytes:
     gaps.  This is the classic compressed posting-list layout; the reader is
     :func:`decode_varint_run` plus a running sum.
     """
-    out = bytearray(encode_varint(len(sorted_values)))
-    previous = 0
-    for value in sorted_values:
-        if value < previous:
-            raise ValueError("delta encoding requires a non-decreasing sequence")
-        out += encode_varint(value - previous)
-        previous = value
-    return bytes(out)
+    return encode_varint(len(sorted_values)) + encode_varint_list(delta_gaps(sorted_values))
 
 
 def encode_uint32_list(values: Iterable[int]) -> bytes:

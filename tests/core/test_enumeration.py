@@ -6,14 +6,21 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.coding.base import get_coding
+from repro.coding.postings import FilterPosting, NodeCode, RootPosting, SubtreePosting
 from repro.core.enumeration import (
     count_subtrees_per_node,
     enumerate_key_occurrences,
     enumerate_subtrees,
+    extract_subtrees,
     subtree_count_by_root_branching,
 )
+from repro.core.index import accumulate_posting_lists
 from repro.trees.node import ParseTree, build_tree
+from repro.trees.numbering import number_tree
 
 
 def _keys(tree: ParseTree, mss: int) -> Counter:
@@ -100,3 +107,110 @@ class TestFigure3Statistics:
         counts = count_subtrees_per_node(tree, sizes=(2, 3))
         assert counts[5][2] == comb(5, 1)
         assert counts[5][3] == comb(5, 2)
+
+
+# ----------------------------------------------------------------------
+# The kernel against an independent brute-force enumerator
+# ----------------------------------------------------------------------
+#: Two labels only: twin siblings and equal child texts turn up constantly.
+_shapes = st.recursive(
+    st.sampled_from("AB").map(lambda label: (label, [])),
+    lambda children: st.tuples(st.sampled_from("AB"), st.lists(children, max_size=5)),
+    max_leaves=12,
+)
+
+
+def _brute_force(root, mss: int) -> Counter:
+    """Every connected node set of at most *mss* nodes, keyed by its top node.
+
+    Sets are grown one adjacent node at a time and canonicalised by the
+    textbook recursion (stable sort of the rendered children), sharing
+    nothing with the kernel's bottom-up composition.
+    """
+    position = {id(node): index for index, node in enumerate(root.preorder())}
+
+    def canonical(node, members):
+        children = [canonical(child, members) for child in node.children if id(child) in members]
+        children.sort(key=lambda pair: pair[0])
+        text = node.label + "".join(f"({child_text})" for child_text, _ in children)
+        return text, [position[id(node)]] + [at for _, order in children for at in order]
+
+    found: Counter = Counter()
+    for top in root.preorder():
+        grown = {frozenset([id(top)])}
+        frontier = [(frozenset([id(top)]), [top])]
+        while frontier:
+            members, nodes = frontier.pop()
+            text, order = canonical(top, members)
+            found[(text.encode("utf-8"), tuple(order))] += 1
+            if len(members) == mss:
+                continue
+            for node in nodes:
+                for child in node.children:
+                    bigger = members | {id(child)}
+                    if id(child) not in members and bigger not in grown:
+                        grown.add(bigger)
+                        frontier.append((bigger, nodes + [child]))
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shapes, st.integers(min_value=1, max_value=5))
+def test_kernel_matches_brute_force(shape, mss: int) -> None:
+    tree = ParseTree(build_tree(shape), tid=3)
+    expected = _brute_force(tree.root, mss)
+    nodes, extracted = extract_subtrees(tree, mss)
+    assert nodes == list(tree.root.preorder())
+    codes = number_tree(tree)
+    got: Counter = Counter()
+    for node, found in zip(nodes, extracted):
+        for text, occurrence, size in found:
+            assert size == len(occurrence)
+            assert occurrence[0][0] - 1 == nodes.index(node)  # rooted where it is listed
+            for pre, post, level in occurrence:
+                code = codes[id(nodes[pre - 1])]
+                assert (pre, post, level) == (code.pre, code.post, code.level)
+            got[(text.encode("utf-8"), tuple(pre - 1 for pre, _, _ in occurrence))] += 1
+    assert got == expected  # same key multiset, same canonical node order
+    # The public iterator is a view of the same occurrences.
+    viewed = Counter(
+        (key, tuple(code.pre - 1 for code in occurrence.codes))
+        for key, occurrence in enumerate_key_occurrences(tree, mss)
+    )
+    assert viewed == expected
+
+
+def _reference_postings(coding: str, occurrences) -> list:
+    """The per-``Occurrence`` conversions the codings had before the kernel."""
+    if coding == "filter":
+        return [FilterPosting(tid) for tid in sorted({occ.tid for occ in occurrences})]
+    if coding == "root-split":
+        roots = {(occ.tid, occ.root.pre, occ.root.post, occ.root.level) for occ in occurrences}
+        return [RootPosting(*record) for record in sorted(roots)]
+    postings = set()
+    for occ in occurrences:
+        pres = sorted(code.pre for code in occ.codes)
+        order_of = {pre: rank + 1 for rank, pre in enumerate(pres)}
+        nodes = tuple(NodeCode(c.pre, c.post, c.level, order_of[c.pre]) for c in occ.codes)
+        postings.add(SubtreePosting(occ.tid, nodes))
+    return sorted(postings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_shapes, min_size=1, max_size=3), st.integers(min_value=1, max_value=5))
+def test_posting_lists_match_the_per_occurrence_reference(shapes, mss: int) -> None:
+    trees = [ParseTree(build_tree(shape), tid=5 + 2 * at) for at, shape in enumerate(shapes)]
+    per_key: dict = {}
+    for tree in trees:
+        for key, occurrence in enumerate_key_occurrences(tree, mss):
+            per_key.setdefault(key, []).append(occurrence)
+    for name in ("filter", "root-split", "subtree-interval"):
+        coding = get_coding(name)
+        posting_lists, tree_count = accumulate_posting_lists(trees, mss, coding)
+        assert tree_count == len(trees)
+        assert posting_lists == {
+            key: _reference_postings(name, occurrences) for key, occurrences in per_key.items()
+        }
+        # The record-object entry point agrees with the flat one.
+        for key, occurrences in per_key.items():
+            assert coding.postings_from_occurrences(occurrences) == posting_lists[key]

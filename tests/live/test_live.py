@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
 from repro.core.index import SubtreeIndex
 from repro.corpus.generator import CorpusGenerator
-from repro.corpus.store import Corpus
+from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import QueryExecutor
 from repro.live import LiveIndex, LiveIndexError
+from repro.trees.node import ParseTree
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
 
@@ -347,3 +349,71 @@ class TestLifecycle:
         os.remove(segment_file)
         with pytest.raises(LiveIndexError, match=r"segment 0 is missing"):
             LiveIndex.open(manifest_path)
+
+
+class TestCompactionIsAMerge:
+    """Compaction writes segments out of what is already indexed; the files
+    must still be the ones a from-scratch build over the survivors writes."""
+
+    @staticmethod
+    def _file_bytes(path) -> bytes:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        # The metadata record is padded to a fixed length: the build time's
+        # digits and the padding that follows are the only free bytes.
+        return re.sub(rb'"build_seconds": [0-9.e-]+, "pad": " *"', b"", data)
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_compacted_segments_equal_a_fresh_build_of_the_survivors(
+        self, workdir, small_corpus, coding
+    ) -> None:
+        trees = list(small_corpus)
+        live = LiveIndex.create(str(workdir / f"merge-{coding}"), MSS, coding, trees=trees[:12])
+        try:
+            by_tid = {tree.tid: tree for tree in trees[:12]}
+
+            def add(batch) -> list:
+                tids = [live.add_tree(tree.root) for tree in batch]
+                by_tid.update((tid, ParseTree(tree.root, tid=tid)) for tid, tree in zip(tids, batch))
+                return tids
+
+            add(trees[12:24])
+            live.compact()
+            emptied = add(trees[24:30])
+            live.compact()
+            assert live.segment_count == 3
+            # Tombstones in two base segments, one segment emptied entirely,
+            # and in the delta, whose survivors are flushed.
+            in_delta = add(trees[30:44])
+            for tid in [1, 2, 7, 13, 20, *emptied, *in_delta[::3]]:
+                live.delete_tree(tid)
+                del by_tid[tid]
+            stats = live.compact()
+            assert (stats.segments_rewritten, stats.segments_dropped) == (2, 1)
+            assert stats.flushed_trees == len(in_delta) - len(in_delta[::3])
+            assert live.segment_count == 3
+            assert sorted(tid for segment in live.segments for tid in segment.store.tids()) == sorted(by_tid)
+
+            for segment in live.segments:
+                survivors = [by_tid[tid] for tid in segment.store.tids()]
+                fresh_path = str(workdir / f"merge-{coding}-fresh{segment.segment_id}")
+                SubtreeIndex.build(survivors, mss=MSS, coding=coding, path=fresh_path + ".si").close()
+                TreeStore.build(fresh_path + ".data", survivors).close()
+                index_path = live.manifest.resolve(live.manifest_path, segment.entry.index_path)
+                data_path = live.manifest.resolve(live.manifest_path, segment.entry.data_path)
+                assert self._file_bytes(index_path) == self._file_bytes(fresh_path + ".si")
+                assert self._file_bytes(data_path) == self._file_bytes(fresh_path + ".data")
+        finally:
+            live.close()
+
+    def test_flushed_trees_counts_only_what_was_written(self, workdir, tiny_corpus) -> None:
+        live = LiveIndex.create(str(workdir / "flushed"), mss=2, coding="root-split")
+        try:
+            tids = [live.add_tree(tree.root) for tree in list(tiny_corpus)[:8]]
+            for tid in tids[:3]:
+                live.delete_tree(tid)  # tombstoned in the delta: never reaches a segment
+            stats = live.compact()
+            assert stats.flushed_trees == 5 == live.segments[0].entry.tree_count
+            assert stats.purged_tombstones == 3
+        finally:
+            live.close()

@@ -474,3 +474,119 @@ def test_threads_share_resident_nodes_coherently(tmp_path) -> None:
     assert errors == []
     assert dict(tree.items()) == {**_SEEDED, **written}
     tree.close()
+
+
+# ----------------------------------------------------------------------
+# bulk_load: running size totals must pack exactly what re-summing packed
+# ----------------------------------------------------------------------
+def _reference_bulk_load(tree: BPlusTree, items) -> None:
+    """The append-then-re-measure loader ``bulk_load`` had before it kept
+    running totals: every fit test re-sums the whole node with ``encode_varint``."""
+    from repro.storage.bptree import _Internal, _Leaf
+    from repro.storage.codec import encode_varint
+
+    page_size = tree.pager.page_size
+
+    def leaf_fits(leaf) -> bool:
+        size = 1 + 4 + len(encode_varint(len(leaf.keys)))
+        for key, (_, payload) in zip(leaf.keys, leaf.values):
+            size += len(encode_varint(len(key))) + len(key) + 1
+            size += len(encode_varint(len(payload))) + len(payload)
+        return size <= page_size
+
+    def internal_fits(node) -> bool:
+        size = 1 + len(encode_varint(len(node.keys))) + 4 * len(node.children)
+        return size + sum(len(encode_varint(len(key))) + len(key) for key in node.keys) <= page_size
+
+    level = []
+    current, current_page = _Leaf(), tree._root
+    for key, value in items:
+        payload = tree._store_value(value)
+        current.keys.append(key)
+        current.values.append(payload)
+        if not leaf_fits(current):
+            current.keys.pop()
+            current.values.pop()
+            level.append((current.keys[0], current_page))
+            current.next_leaf = tree.pager.allocate()
+            tree._write_leaf(current_page, current)
+            current_page, current = current.next_leaf, _Leaf([key], [payload])
+    level.append((current.keys[0], current_page))
+    tree._write_leaf(current_page, current)
+    tree._count = len(items)
+    height = 1
+    while len(level) > 1:
+        next_level = []
+        node, node_first_key = _Internal(children=[level[0][1]]), level[0][0]
+        for first_key, page_id in level[1:]:
+            node.keys.append(first_key)
+            node.children.append(page_id)
+            if not internal_fits(node):
+                node.keys.pop()
+                node.children.pop()
+                page = tree.pager.allocate()
+                tree._write_internal(page, node)
+                next_level.append((node_first_key, page))
+                node, node_first_key = _Internal(children=[page_id]), first_key
+        page = tree.pager.allocate()
+        tree._write_internal(page, node)
+        next_level.append((node_first_key, page))
+        level = next_level
+        height += 1
+    tree._root, tree._height = level[0][1], height
+    tree._write_meta()
+    tree.pager.flush()
+
+
+def _file_bytes(tree: BPlusTree) -> bytes:
+    tree.flush()
+    with open(tree.pager.path, "rb") as handle:
+        return handle.read()
+
+
+#: Keys on both sides of the one-byte length prefix, values on both sides of
+#: the overflow threshold (a quarter of the 512-byte page).
+_bulk_items = st.dictionaries(
+    st.one_of(st.binary(min_size=1, max_size=12), st.binary(min_size=128, max_size=160)),
+    st.one_of(st.binary(max_size=40), st.binary(min_size=120, max_size=140), st.binary(min_size=600, max_size=700)),
+    max_size=120,
+).map(lambda mapping: sorted(mapping.items()))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_bulk_items)
+def test_bulk_load_writes_the_bytes_the_resumming_loader_wrote(tmp_path_factory, items) -> None:
+    directory = tmp_path_factory.mktemp("bulk")
+    loaded = BPlusTree(str(directory / "loaded.bpt"), page_size=512)
+    reference = BPlusTree(str(directory / "reference.bpt"), page_size=512)
+    loaded.bulk_load(items)
+    if items:
+        _reference_bulk_load(reference, items)
+    assert _file_bytes(loaded) == _file_bytes(reference)
+    assert list(loaded.items()) == items
+    loaded.close()
+    reference.close()
+
+
+def test_bulk_load_is_byte_identical_on_a_tall_tree_and_sizes_each_item_once(tmp_path, monkeypatch) -> None:
+    rng = random.Random(15)
+    keys = sorted({bytes(rng.randrange(256) for _ in range(rng.choice((6, 140)))) for _ in range(900)})
+    items = [(key, bytes(rng.randrange(256) for _ in range(rng.choice((3, 30, 127, 129, 900))))) for key in keys]
+    reference = _make(tmp_path, "reference.bpt", page_size=512)
+    _reference_bulk_load(reference, items)
+    assert reference.height >= 3
+
+    sized = []
+    measure = BPlusTree._leaf_entry_size
+    monkeypatch.setattr(
+        BPlusTree, "_leaf_entry_size", staticmethod(lambda key, payload: sized.append(key) or measure(key, payload))
+    )
+    loaded = _make(tmp_path, "loaded.bpt", page_size=512)
+    loaded.bulk_load(items)
+    # One measurement per item: the re-summing loader took one per item per
+    # item already in the leaf.
+    assert sized == keys
+    assert loaded.height == reference.height
+    assert _file_bytes(loaded) == _file_bytes(reference)
+    loaded.close()
+    reference.close()

@@ -18,6 +18,7 @@ from repro.storage.codec import (
     encode_uint32_list,
     encode_varint,
     encode_varint_list,
+    varint_size,
 )
 
 
@@ -52,6 +53,17 @@ class TestVarint:
         data = encode_varint_list(values)
         decoded, _ = decode_varint_list(data, len(values))
         assert decoded == values
+
+    @given(st.lists(st.one_of(st.integers(0, 127), st.integers(0, 2**40)), max_size=50))
+    def test_batch_writer_is_the_scalar_writer_concatenated(self, values: list[int]) -> None:
+        # One-byte runs take the ``bytes(values)`` path, anything else the loop.
+        assert encode_varint_list(values) == b"".join(map(encode_varint, values))
+        assert all(varint_size(value) == len(encode_varint(value)) for value in values)
+
+    @pytest.mark.parametrize("values", [[3, -1], [-1], [300, -2]])
+    def test_batch_writer_rejects_negatives(self, values: list[int]) -> None:
+        with pytest.raises(ValueError):
+            encode_varint_list(values)
 
 
 class TestVarintRun:
