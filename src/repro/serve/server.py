@@ -24,7 +24,11 @@ five JSON/text endpoints:
 
 Query execution is synchronous, CPU-bound work, so handlers push it onto a
 thread pool (the services are thread-safe by design) and the event loop
-stays free to accept and batch further requests.  The server owns nothing:
+stays free to accept and batch further requests.  The one exception is a
+``/query`` whose result is already resident in a real
+:class:`~repro.service.service.QueryService`'s result cache: that costs
+microseconds, so it is answered on the loop, without the hand-off (and
+without a queue slot).  The server owns nothing:
 pass an open service, close it yourself -- or use :func:`open_server` /
 ``repro serve`` which open and close the service around the server.
 
@@ -38,10 +42,16 @@ The server assumes every client may be slow, dead or malicious:
   an *idle keep-alive* connection -- one that already completed a request
   -- is closed silently instead, like any production server);
 * the body must arrive within its own ``header_timeout`` budget (408);
+  each of these clocks is one timer, armed only when a read actually has
+  to wait -- a request that arrived whole costs none;
 * handler work is bounded by ``request_timeout`` (504; the executor
   thread finishes in the background -- threads cannot be killed);
 * response writes are bounded by ``write_timeout``: a client that stops
   reading has its connection aborted once ``writer.drain()`` stalls;
+* one request or header line may be 64 KiB at most, the header block
+  ``max_header_bytes`` and 256 headers (431);
+* a connection with pipelined requests buffered yields the loop between
+  them, so one client's backlog never stalls the others (or the timers);
 * at most ``max_connections`` connections are served; excess connections
   receive an immediate 503 with ``Retry-After`` and are closed;
 * at most ``max_queue`` queries may be queued or running on the executor;
@@ -50,7 +60,8 @@ The server assumes every client may be slow, dead or malicious:
   accepted);
 * oversized or malformed request heads (bad request line, header bytes
   over ``max_header_bytes``, a body over ``max_body_bytes``, chunked
-  transfer encoding) get a clean 4xx JSON error, never a traceback;
+  transfer encoding, ``Content-Length`` headers that disagree) get a clean
+  4xx JSON error, never a traceback;
 * :meth:`QueryServer.drain` is the graceful shutdown: stop accepting,
   let in-flight requests finish (time-boxed by ``drain_timeout``), flush
   the micro-batcher, shut the pool down.  ``repro serve`` wires it to
@@ -64,14 +75,16 @@ Every shed, timeout and drain is counted and exposed in ``/metrics``
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
+import functools
 import json
 import logging
 import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro import obs
@@ -80,7 +93,7 @@ from repro.obs.sinks import JsonlSink
 from repro.serve.batch import BatcherClosed, MicroBatcher
 from repro.serve.metrics import LatencyHistogram, prometheus_line, render_families, render_histogram
 from repro.service.live import LiveQueryService
-from repro.service.service import QueryService
+from repro.service.service import PreparedQuery, QueryService
 from repro.service.sharded import ShardedQueryService
 
 #: Routes the server knows, in display order.
@@ -91,6 +104,16 @@ SHED_REASONS = ("connections", "queue", "draining")
 
 #: Kinds of timeout the server enforces (label values in /metrics).
 TIMEOUT_KINDS = ("header", "body", "handler", "write")
+
+#: Where a ``/query`` answer ran -- the event loop (a resident result) or the
+#: worker pool (label values in /metrics).
+QUERY_PATHS = ("loop", "pool")
+
+#: The longest request line or header line accepted.
+_MAX_LINE = 64 * 1024
+
+#: Bytes taken from the stream per read.
+_READ_CHUNK = 64 * 1024
 
 _LOG = logging.getLogger("repro.serve")
 
@@ -113,7 +136,9 @@ _STATUS_REASONS = {
 
 def _header_safe(value: str) -> str:
     """A client-supplied id made safe to echo in a response header."""
-    return "".join(ch for ch in value if 32 <= ord(ch) < 127)[:128]
+    if not (value.isascii() and value.isprintable()):  # minted ids never are
+        value = "".join(ch for ch in value if 32 <= ord(ch) < 127)
+    return value[:128]
 
 
 def service_flavor(service: QueryService) -> str:
@@ -191,6 +216,8 @@ class ServerMetrics:
         self.sheds: Dict[str, int] = {reason: 0 for reason in SHED_REASONS}
         #: Enforced timeouts by kind (header / body / handler / write).
         self.timeouts: Dict[str, int] = {kind: 0 for kind in TIMEOUT_KINDS}
+        #: ``/query`` answers by where they ran (event loop / worker pool).
+        self.query_answers: Dict[str, int] = {path: 0 for path in QUERY_PATHS}
         #: Malformed request heads answered with a 4xx and a close.
         self.protocol_errors = 0
         #: Idle keep-alive connections reaped by the header timeout.
@@ -271,6 +298,15 @@ class ServerMetrics:
                 ],
             ),
             (
+                "repro_http_query_answers_total", "counter",
+                "/query answers by where they ran: the event loop (resident result, "
+                "no hand-off) or the worker pool.",
+                [
+                    prometheus_line("repro_http_query_answers_total", count, {"path": where})
+                    for where, count in self.query_answers.items()
+                ],
+            ),
+            (
                 "repro_http_protocol_errors_total", "counter",
                 "Malformed request heads answered with a 4xx and a closed connection.",
                 [prometheus_line("repro_http_protocol_errors_total", self.protocol_errors)],
@@ -345,6 +381,51 @@ class ServerMetrics:
                 [prometheus_line("repro_batcher_queries_total", batcher.queries_batched)],
             ))
         return render_families(families)
+
+
+class _Expired(Exception):
+    """A :func:`_deadline` ran out (never raised by the work it guards)."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float) -> Iterator[None]:
+    """Bound the awaits of a ``with`` block: :class:`_Expired` after *seconds*.
+
+    One timer handle and no Task (``asyncio.timeout`` for 3.10): the timer
+    cancels the current task -- which, when it fires, can only be suspended
+    inside the block -- and the cancellation leaves the block as
+    :class:`_Expired`.  Anyone else's cancellation passes through.  Enter it
+    only around an await that is about to block; arming the timer is the cost.
+    """
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    handle = asyncio.get_running_loop().call_later(seconds, expire)
+    try:
+        yield
+    except asyncio.CancelledError:
+        if not expired:
+            raise
+        if hasattr(task, "uncancel"):  # 3.11+: retract our own cancel request
+            task.uncancel()
+        raise _Expired() from None
+    finally:
+        handle.cancel()
+
+
+def _head_end(buffer: bytearray, start: int) -> int:
+    """The index just past the blank line that ends the request head in
+    *buffer* (searched from *start*), or -1.  Lines end in CRLF or bare LF."""
+    crlf = buffer.find(b"\n\r\n", start)
+    lf = buffer.find(b"\n\n", start)
+    if crlf < 0 or 0 <= lf < crlf:
+        return lf + 2 if lf >= 0 else -1
+    return crlf + 3
 
 
 class QueryServer:
@@ -482,7 +563,7 @@ class QueryServer:
         # tick lets every such task join the set before the snapshot below,
         # and the loop re-checks in case one still slips through.
         await asyncio.sleep(0)
-        # Idle keep-alive connections sit in readline() forever; cancel them
+        # Idle keep-alive connections sit in their read forever; cancel them
         # so no task outlives the loop.
         while self._connections:
             for task in list(self._connections):
@@ -581,12 +662,11 @@ class QueryServer:
         if task is not None:
             self._connections.add(task)
         self.metrics.connection_opened(len(self._connections))
-        transport = writer.transport
-        if transport is not None:
-            # A small write buffer makes writer.drain() apply backpressure
-            # early, so the write timeout actually observes a stalled client
-            # instead of the transport buffering megabytes silently.
-            transport.set_write_buffer_limits(high=self.write_buffer)
+        # A small write buffer makes writer.drain() apply backpressure
+        # early, so the write timeout actually observes a stalled client
+        # instead of the transport buffering megabytes silently.
+        writer.transport.set_write_buffer_limits(high=self.write_buffer)
+        buffer = bytearray()  # received, not yet consumed by a request
         first = True
         try:
             if len(self._connections) > self.max_connections:
@@ -609,7 +689,7 @@ class QueryServer:
                 return
             while True:
                 try:
-                    request = await self._read_request(reader, first)
+                    request = await self._read_request(reader, buffer, first)
                 except ProtocolError as error:
                     self.metrics.protocol_errors += 1
                     self.metrics.for_endpoint("/_protocol").record(error.status, 0.0)
@@ -648,11 +728,19 @@ class QueryServer:
                         self._busy.discard(task)
                 # Re-check _draining: it may have flipped while the write
                 # above was suspended (after keep_alive was computed).  A
-                # handler that loops back into readline here would have been
+                # handler that loops back into the read here would have been
                 # busy at drain's idle-reap snapshot -- never cancelled, and
                 # "forced" at the deadline despite sitting idle.
                 if not written or not keep_alive or self._draining:
                     break
+                if buffer:
+                    # A pipelined request is already here, and serving it may
+                    # never suspend (parsed from the buffer, answered on the
+                    # loop, written to an empty transport).  Yield once per
+                    # request so one client's pipeline cannot hold the loop
+                    # -- and every other connection, accept and timer -- for
+                    # as long as it has requests queued.
+                    await asyncio.sleep(0)
         except asyncio.CancelledError:
             # stop()/drain() reaped this connection (idle, or past the drain
             # deadline).  Swallow the cancellation and fall through to the
@@ -661,8 +749,8 @@ class QueryServer:
             # ends *cancelled* dumps a spurious traceback into the loop's
             # exception handler.
             pass
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away or sent garbage beyond limits; drop the connection
+        except ConnectionError:
+            pass  # client went away; drop the connection
         finally:
             if task is not None:
                 self._busy.discard(task)
@@ -699,23 +787,32 @@ class QueryServer:
         stopped reading for longer than ``write_timeout`` -- a never-reading
         sink must not pin the connection task forever.
         """
+        transport = writer.transport
         writer.write(
             self._encode_response(status, content_type, payload, keep_alive, request_id)
         )
+        if not transport.get_write_buffer_size():
+            await writer.drain()  # all of it reached the socket: cannot block
+            return True
         try:
-            await asyncio.wait_for(writer.drain(), self.write_timeout)
-        except asyncio.TimeoutError:
+            with _deadline(self.write_timeout):
+                await writer.drain()
+        except _Expired:
             self.metrics.timeouts["write"] += 1
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
+            transport.abort()
             return False
         return True
 
     async def _read_request(
-        self, reader: asyncio.StreamReader, first: bool
+        self, reader: asyncio.StreamReader, buffer: bytearray, first: bool
     ) -> Optional[Tuple[str, str, bool, bytes, str, Optional[str]]]:
         """Parse one request head + body under the read timeouts and limits.
+
+        *buffer* holds what the connection has received and not yet
+        consumed; the request is parsed out of it in one step and the
+        stream is read only when it runs short (a pipelined request is
+        already there).  Each such wait is guarded by one timer: the whole
+        head shares a ``header_timeout`` budget, the body gets its own.
 
         Returns ``(method, path, keep-alive, body, query string, client
         X-Request-ID or None)``; ``None`` on a cleanly closed connection.
@@ -723,66 +820,63 @@ class QueryServer:
         caller responds 4xx and closes) and :class:`_IdleTimeout` when an
         idle keep-alive connection times out between requests.
         """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.header_timeout
-
-        async def read_line(what: str) -> bytes:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                raise asyncio.TimeoutError
+        end = _head_end(buffer, 0)
+        if end < 0:
             try:
-                return await asyncio.wait_for(reader.readline(), remaining)
-            except ValueError as error:  # line beyond the stream's 64 KiB limit
-                raise ProtocolError(431, f"{what} exceeds the line length limit") from error
-
-        try:
-            request_line = await read_line("request line")
-        except asyncio.TimeoutError:
-            if first:
-                # The satellite guarantee: connect-and-say-nothing is reaped.
+                with _deadline(self.header_timeout):
+                    while end < 0:
+                        # The most a valid head holds, line ends included.
+                        if len(buffer) > _MAX_LINE + self.max_header_bytes + 3:
+                            raise ProtocolError(431, "request head exceeds the size limits")
+                        scanned = max(0, len(buffer) - 2)
+                        chunk = await reader.read(_READ_CHUNK)
+                        if not chunk:
+                            return None  # EOF before a complete head: client went away
+                        buffer += chunk
+                        end = _head_end(buffer, scanned)
+            except _Expired:
+                if not buffer and not first:
+                    raise _IdleTimeout() from None
+                # Connect-and-say-nothing, or a slow-loris head dribbling in
+                # slower than the budget.
                 self.metrics.timeouts["header"] += 1
+                doing = "reading request headers" if buffer else "waiting for a request"
                 raise ProtocolError(
-                    408,
-                    f"timed out waiting for a request (header timeout "
-                    f"{self.header_timeout:g}s)",
+                    408, f"timed out {doing} (header timeout {self.header_timeout:g}s)"
                 ) from None
-            raise _IdleTimeout() from None
-        if not request_line or not request_line.strip():
+        lines = buffer[:end].decode("latin-1").split("\n")
+        del lines[-2:]  # the blank line and what follows its LF
+        request_line = lines[0]
+        if not request_line.strip():
             return None
-        parts = request_line.decode("latin-1").split()
+        if max(map(len, lines)) > _MAX_LINE:
+            raise ProtocolError(431, "request or header line exceeds the line length limit")
+        parts = request_line.split()
         if len(parts) != 3:
             raise ProtocolError(400, "malformed request line")
         method, target, version = parts
+        # Header lines with their line ends; the blank line is not counted.
+        header_bytes = sum(map(len, lines)) + len(lines) - len(request_line) - 1
+        if header_bytes > self.max_header_bytes or len(lines) > 257:
+            raise ProtocolError(
+                431,
+                f"request headers exceed the limit ({self.max_header_bytes} bytes)",
+            )
         headers: Dict[str, str] = {}
-        header_bytes = 0
-        while True:
-            try:
-                line = await read_line("header line")
-            except asyncio.TimeoutError:
-                # Slow-loris: the head dribbles in slower than the budget.
-                self.metrics.timeouts["header"] += 1
-                raise ProtocolError(
-                    408,
-                    f"timed out reading request headers (header timeout "
-                    f"{self.header_timeout:g}s)",
-                ) from None
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:  # EOF mid-headers: client went away
-                return None
-            header_bytes += len(line)
-            if header_bytes > self.max_header_bytes or len(headers) >= 256:
-                raise ProtocolError(
-                    431,
-                    f"request headers exceed the limit ({self.max_header_bytes} bytes)",
-                )
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            name = name.strip().lower()
+            value = value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                # Two framings of one request: whichever a proxy in front
+                # picked, we might pick the other (request smuggling).
+                raise ProtocolError(400, "conflicting Content-Length headers")
+            headers[name] = value
         if "transfer-encoding" in headers:
             raise ProtocolError(
                 400, "Transfer-Encoding is not supported; send a Content-Length body"
             )
-        raw_length = headers.get("content-length", "0").strip()
+        raw_length = headers.get("content-length", "0")
         if not raw_length.isdigit():  # also rejects signs, spaces and '1_0'
             raise ProtocolError(400, f"invalid Content-Length {raw_length!r}")
         length = int(raw_length)
@@ -792,24 +886,27 @@ class QueryServer:
                 f"request body of {length} bytes exceeds the limit "
                 f"({self.max_body_bytes} bytes)",
             )
-        if length > 0:
+        need = end + length
+        if len(buffer) < need:
             try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), self.header_timeout
-                )
-            except asyncio.TimeoutError:
+                with _deadline(self.header_timeout):
+                    while len(buffer) < need:
+                        chunk = await reader.read(_READ_CHUNK)
+                        if not chunk:
+                            return None  # EOF mid-body
+                        buffer += chunk
+            except _Expired:
                 self.metrics.timeouts["body"] += 1
                 raise ProtocolError(
                     408,
                     f"timed out reading the request body (timeout "
                     f"{self.header_timeout:g}s)",
                 ) from None
-        else:
-            body = b""
+        body = bytes(buffer[end:need])
+        del buffer[:need]
         path, _, query_string = target.partition("?")
-        connection = headers.get("connection", "").lower()
-        keep_alive = version != "HTTP/1.0" and connection != "close"
-        client_rid = headers.get("x-request-id", "").strip() or None
+        keep_alive = version != "HTTP/1.0" and headers.get("connection", "").lower() != "close"
+        client_rid = headers.get("x-request-id") or None
         return method.upper(), path, keep_alive, body, query_string, client_rid
 
     def _encode_response(
@@ -846,37 +943,17 @@ class QueryServer:
     ) -> Tuple[int, str, bytes]:
         """Dispatch one request, under a traced root span when tracing is on."""
         if not obs.enabled():
-            return await self._dispatch_timed(method, path, body, query_string, request_id)
+            return await self._dispatch(method, path, body, query_string, request_id)
         token = obs.set_request_id(request_id)
         try:
             with obs.trace("http_request", method=method, path=path) as span:
-                status, content_type, payload = await self._dispatch_timed(
+                status, content_type, payload = await self._dispatch(
                     method, path, body, query_string, request_id
                 )
                 span.set(status=status)
                 return status, content_type, payload
         finally:
             obs.reset_request_id(token)
-
-    async def _dispatch_timed(
-        self, method: str, path: str, body: bytes, query_string: str, request_id: str
-    ) -> Tuple[int, str, bytes]:
-        """The handler timeout around dispatch: slow work becomes a 504.
-
-        The cancelled executor thread finishes its query in the background
-        (threads cannot be interrupted); the bounded queue keeps such
-        zombies from accumulating without limit.
-        """
-        try:
-            return await asyncio.wait_for(
-                self._dispatch(method, path, body, query_string, request_id),
-                self.request_timeout,
-            )
-        except asyncio.TimeoutError:
-            self.metrics.timeouts["handler"] += 1
-            return self._json_error(
-                504, f"request timed out after {self.request_timeout:g}s of processing"
-            )
 
     async def _dispatch(
         self, method: str, path: str, body: bytes, query_string: str, request_id: str
@@ -909,11 +986,20 @@ class QueryServer:
             return self._json_error(404, f"unknown path {path!r} (endpoints: {', '.join(ENDPOINTS)})")
         except BadRequest as error:
             return self._json_error(400, str(error))
+        except _Expired:
+            # The handler timeout around pool work.  The executor thread
+            # finishes its query in the background (threads cannot be
+            # interrupted); the bounded queue keeps such zombies from
+            # accumulating without limit.
+            self.metrics.timeouts["handler"] += 1
+            return self._json_error(
+                504, f"request timed out after {self.request_timeout:g}s of processing"
+            )
         except BatcherClosed:
             self.metrics.sheds["draining"] += 1
             return self._json_error(503, "server is draining; retry against a live replica")
         except asyncio.CancelledError:
-            raise  # the handler timeout / drain cancellation, not a bug
+            raise  # the drain cancellation, not a bug
         except Exception as error:  # noqa: BLE001 - the server must not die on a handler bug
             # The traceback goes to the structured log only; the response
             # body stays generic so internals never leak to clients.
@@ -936,15 +1022,14 @@ class QueryServer:
             raise BadRequest("request body must be a JSON object")
         return parsed
 
-    def _prepare_or_400(self, text: object) -> str:
+    def _prepare_or_400(self, text: object) -> PreparedQuery:
         """Validate one query string (plans are cached, so nothing is wasted)."""
         if not isinstance(text, str) or not text.strip():
             raise BadRequest("'query' must be a non-empty string")
         try:
-            self.service.prepare(text)
+            return self.service.prepare(text)
         except ValueError as error:
             raise BadRequest(f"cannot parse query {text!r}: {error}") from error
-        return text
 
     def _shed_if_saturated(self, incoming: int) -> Optional[Tuple[int, str, bytes]]:
         """The bounded-queue check: a 503 response when *incoming* more
@@ -962,40 +1047,52 @@ class QueryServer:
         payload = self._parse_json(body)
         if "query" not in payload:
             raise BadRequest("missing 'query' field")
-        text = self._prepare_or_400(payload["query"])
+        text = payload["query"]
+        prepared = self._prepare_or_400(text)
+        service = self.service
+        # A resident result costs microseconds: answer it here, with no
+        # hand-off and no queue slot.  Only a real QueryService is asked --
+        # a wrapper that forwards the probe to one and then blocks in its
+        # own run() would freeze the loop.
+        if isinstance(service, QueryService) and service.result_resident(prepared):
+            result = self.service.run(text)
+            self.metrics.query_answers["loop"] += 1
+            return self._json_ok({"query": text, "result": result_to_dict(result)})
         shed = self._shed_if_saturated(1)
         if shed is not None:
             return shed
-        loop = asyncio.get_running_loop()
+        run = self.service.run
+        if obs.enabled():
+            # run_in_executor does not carry context variables into the pool
+            # thread; copy the context so the service's spans nest under this
+            # request's root span and inherit its request id.
+            run = functools.partial(contextvars.copy_context().run, run)
         assert self._executor is not None
         self._inflight_queries += 1
         try:
-            if obs.enabled():
-                # run_in_executor does not carry context variables into the pool
-                # thread; copy the context so the service's spans nest under this
-                # request's root span and inherit its request id.
-                context = contextvars.copy_context()
-                result = await loop.run_in_executor(
-                    self._executor, context.run, self.service.run, text
-                )
-            else:
-                result = await loop.run_in_executor(self._executor, self.service.run, text)
+            answer = asyncio.get_running_loop().run_in_executor(self._executor, run, text)
+            with _deadline(self.request_timeout):
+                result = await answer
         finally:
             self._inflight_queries -= 1
+        self.metrics.query_answers["pool"] += 1
         return self._json_ok({"query": text, "result": result_to_dict(result)})
 
     async def _handle_batch(self, body: bytes, request_id: str) -> Tuple[int, str, bytes]:
         payload = self._parse_json(body)
         if "queries" not in payload or not isinstance(payload["queries"], list):
             raise BadRequest("missing 'queries' field (a JSON list of query strings)")
-        texts = [self._prepare_or_400(text) for text in payload["queries"]]
+        texts: List[str] = payload["queries"]
+        for text in texts:
+            self._prepare_or_400(text)
         shed = self._shed_if_saturated(len(texts))
         if shed is not None:
             return shed
         assert self._batcher is not None
         self._inflight_queries += len(texts)
         try:
-            results = await self._batcher.submit(texts, request_id=request_id)
+            with _deadline(self.request_timeout):
+                results = await self._batcher.submit(texts, request_id=request_id)
         finally:
             self._inflight_queries -= len(texts)
         return self._json_ok({
@@ -1063,6 +1160,7 @@ class QueryServer:
             },
             "sheds": dict(self.metrics.sheds),
             "timeouts": dict(self.metrics.timeouts),
+            "query_answers": dict(self.metrics.query_answers),
             "protocol_errors": self.metrics.protocol_errors,
             "idle_closed": self.metrics.idle_closed,
             "inflight_queries": self._inflight_queries,

@@ -1,7 +1,7 @@
 """LRU caches for the serving layer.
 
-Two implementations share one protocol (``get`` / ``put`` / ``invalidate`` /
-``clear`` plus hit/miss/eviction counters):
+Two implementations share one protocol (``get`` / ``peek`` / ``put`` /
+``invalidate`` / ``clear`` plus hit/miss/eviction counters):
 
 :class:`LRUCache`
     a single ordered map guarded by one lock; recency is updated on every
@@ -81,6 +81,11 @@ class LRUCache:
             self._hits += 1
             return value
 
+    def peek(self, key: Hashable, default: object = None) -> object:
+        """The cached value or *default*, leaving recency and counters alone."""
+        with self._lock:
+            return self._entries.get(key, default)
+
     def put(self, key: Hashable, value: object) -> None:
         """Insert or refresh *key*, evicting the LRU entry when full."""
         with self._lock:
@@ -159,6 +164,9 @@ class StripedLRUCache:
     # ------------------------------------------------------------------
     def get(self, key: Hashable, default: object = None) -> object:
         return self._stripe_for(key).get(key, default)
+
+    def peek(self, key: Hashable, default: object = None) -> object:
+        return self._stripe_for(key).peek(key, default)
 
     def put(self, key: Hashable, value: object) -> None:
         self._stripe_for(key).put(key, value)

@@ -177,11 +177,14 @@ class LiveQueryService(QueryService):
     # ------------------------------------------------------------------
     # Versioned result cache
     # ------------------------------------------------------------------
-    def _cached_result(self, prepared: PreparedQuery) -> Optional[QueryResult]:
+    def _cached_result(
+        self, prepared: PreparedQuery, peek: bool = False
+    ) -> Optional[QueryResult]:
         """A cached result, served only if its version tag is still current."""
         if self._result_cache is None:
             return None
-        entry = self._result_cache.get(prepared.normalized)
+        lookup = self._result_cache.peek if peek else self._result_cache.get
+        entry = lookup(prepared.normalized)
         if entry is None:
             return None
         version, result = entry  # type: ignore[misc]

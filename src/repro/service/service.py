@@ -321,10 +321,26 @@ class QueryService:
         result.stats = stats
         return result
 
-    def _cached_result(self, prepared: PreparedQuery) -> Optional[QueryResult]:
+    def _cached_result(
+        self, prepared: PreparedQuery, peek: bool = False
+    ) -> Optional[QueryResult]:
+        """The servable cached result; *peek* leaves counters and recency alone."""
         if self._result_cache is None:
             return None
-        return self._result_cache.get(prepared.normalized)  # type: ignore[return-value]
+        lookup = self._result_cache.peek if peek else self._result_cache.get
+        return lookup(prepared.normalized)  # type: ignore[return-value]
+
+    def result_resident(self, prepared: PreparedQuery) -> bool:
+        """Would :meth:`run` answer *prepared*'s query from the result cache now?
+
+        A probe without side effects, for callers that must decide *where*
+        to call ``run`` (the HTTP server answers resident results on its
+        event loop and sends everything else to its pool).  The answer can
+        go stale before ``run`` is called -- an eviction, or a mutation of a
+        live index -- in which case that one ``run`` executes in full on the
+        calling thread; it is never wrong, only slower.
+        """
+        return self._cached_result(prepared, peek=True) is not None
 
     def _remember_result(self, prepared: PreparedQuery, result: QueryResult) -> None:
         if self._result_cache is not None:

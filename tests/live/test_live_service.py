@@ -70,6 +70,23 @@ def test_mutations_invalidate_results(tmp_path, live) -> None:
         service.close()
 
 
+def test_result_resident_tracks_the_index_version(live) -> None:
+    # The HTTP server's where-to-run probe: true only while run() would be
+    # a result-cache hit, and it counts as neither a hit nor a miss.
+    service = LiveQueryService(live)
+    try:
+        prepared = service.prepare("NP(DT)(NN)")
+        assert not service.result_resident(prepared)
+        service.run("NP(DT)(NN)")
+        lookups = service.stats().results.lookups
+        assert service.result_resident(prepared)
+        live.add_tree("(ROOT (S (NP (DT the) (NN fish)) (VP (VBZ swims))))")
+        assert not service.result_resident(prepared)  # tagged with the old version
+        assert service.stats().results.lookups == lookups
+    finally:
+        service.close()
+
+
 def test_epoch_bump_clears_plans(live) -> None:
     service = LiveQueryService(live)
     try:

@@ -23,6 +23,7 @@ EXPECTED_FAMILIES = {
     "repro_http_request_duration_seconds": "histogram",
     "repro_http_sheds_total": "counter",
     "repro_http_timeouts_total": "counter",
+    "repro_http_query_answers_total": "counter",
     "repro_http_protocol_errors_total": "counter",
     "repro_http_idle_closed_total": "counter",
     "repro_http_connections_open": "gauge",
@@ -126,6 +127,15 @@ def test_metrics_roundtrip_wellformed_and_monotonic(start_server) -> None:
     errors = second["repro_http_errors_total"]
     assert errors.value({"endpoint": "/query"}) >= 2  # one 400 per _traffic call
     assert errors.value({"endpoint": "other"}) >= 2  # one 404 per _traffic call
+
+    # Every successful /query was answered somewhere: on the loop or on the
+    # pool, both series present from the first scrape.
+    def answers(families):
+        family = families["repro_http_query_answers_total"]
+        assert {labels["path"] for _, labels, _ in family.samples} == {"loop", "pool"}
+        return family.value({"path": "loop"}) + family.value({"path": "pool"})
+
+    assert answers(second) - answers(first) == len(QUERIES)
 
     # The histogram count for /query agrees with the request counter --
     # the two families are recorded by the same code path, in lockstep.

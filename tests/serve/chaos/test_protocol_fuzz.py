@@ -18,6 +18,22 @@ from tests.serve.chaoskit import connect, http_request, read_http_response
 
 SEED = 20260807
 
+_QUERY_BODY = json.dumps({"query": QUERIES[0]}).encode()
+_TWO_LENGTHS = (
+    b"POST /query HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: %d\r\n\r\n"
+    % len(_QUERY_BODY)
+) + _QUERY_BODY
+_SAME_LENGTH_TWICE = (
+    b"POST /query HTTP/1.1\r\nContent-Length: %d\r\ncontent-length:  %d \r\n\r\n"
+    % (len(_QUERY_BODY), len(_QUERY_BODY))
+) + _QUERY_BODY
+
+
+def _padded_head(header_bytes: int, line_end: bytes = b"\r\n") -> bytes:
+    """A GET whose one header line is *header_bytes* long, line end included."""
+    pad = b"a" * (header_bytes - len(b"X-Pad: ") - len(line_end))
+    return b"GET /healthz HTTP/1.1" + line_end + b"X-Pad: " + pad + line_end + line_end
+
 
 def _handcrafted_cases() -> list:
     """Deterministic classics: every parser branch gets a visit."""
@@ -36,10 +52,18 @@ def _handcrafted_cases() -> list:
         b"POST /query HTTP/1.1\r\nContent-Length: nan\r\n\r\n",
         b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
         b"5\r\nhello\r\n0\r\n\r\n",  # chunked bodies are refused up front
+        # Two framings of one request (the smuggling classic) are refused ...
+        _TWO_LENGTHS,
+        # ... the same length said twice is merely redundant.
+        _SAME_LENGTH_TWICE,
         # Declared body far past max_body_bytes (2048 on the fuzz server).
         b"POST /query HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
         # Header block past max_header_bytes (1024 on the fuzz server).
         b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: " + b"a" * 2048 + b"\r\n\r\n",
+        # Header lines of exactly max_header_bytes (the blank line is not
+        # one of them), and one byte more.
+        _padded_head(1024),
+        _padded_head(1025),
         # A single line past the stream reader's 64 KiB line limit.
         b"GET /healthz HTTP/1.1\r\nX-Line: " + b"b" * (80 * 1024) + b"\r\n\r\n",
         # More headers than the 256-header cap.
@@ -129,3 +153,27 @@ def test_parser_fuzz_never_breaks_the_server(start_server, service) -> None:
         assert response.json()["result"]["total_matches"] == service.run(QUERIES[0]).total_matches
     finally:
         sock.close()
+
+
+def test_conflicting_content_lengths_are_a_400(start_server, service) -> None:
+    # A dict of headers silently kept the last Content-Length (here the
+    # true one: a 200); a proxy in front that keeps the first would then
+    # disagree with us about where the next request starts.
+    thread = start_server()
+    response = _fire(thread.port, _TWO_LENGTHS)
+    assert response is not None and response.status == 400
+    assert "Content-Length" in response.json()["error"]
+    assert response.headers["connection"] == "close"
+    assert thread.server.metrics.protocol_errors == 1
+    response = _fire(thread.port, _SAME_LENGTH_TWICE)
+    assert response is not None and response.status == 200
+    assert response.json()["result"]["total_matches"] == service.run(QUERIES[0]).total_matches
+
+
+def test_header_limit_counts_header_lines_to_the_byte(start_server) -> None:
+    thread = start_server(max_header_bytes=1024)
+    for line_end in (b"\r\n", b"\n"):
+        response = _fire(thread.port, _padded_head(1024, line_end))
+        assert response is not None and response.status == 200
+        response = _fire(thread.port, _padded_head(1025, line_end))
+        assert response is not None and response.status == 431

@@ -14,6 +14,8 @@ from repro.serve.metrics import (
     render_families,
     render_histogram,
 )
+from repro.serve.server import ServerMetrics
+from repro.service.service import ServiceStats
 
 
 class TestPercentileOfSorted:
@@ -170,3 +172,17 @@ class TestPrometheusRendering:
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
         assert DEFAULT_BUCKETS[0] == pytest.approx(0.0001)
         assert DEFAULT_BUCKETS[-1] == 10.0
+
+
+class TestServerMetrics:
+    def test_query_answers_render_both_paths_from_the_first_scrape(self) -> None:
+        class IdleService:
+            def stats(self) -> ServiceStats:
+                return ServiceStats()
+
+        metrics = ServerMetrics()
+        metrics.query_answers["loop"] += 3
+        lines = metrics.render(IdleService(), None).splitlines()
+        assert "# TYPE repro_http_query_answers_total counter" in lines
+        assert 'repro_http_query_answers_total{path="loop"} 3' in lines
+        assert 'repro_http_query_answers_total{path="pool"} 0' in lines

@@ -48,6 +48,17 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert cache.get("c") == 3
 
+    def test_peek_leaves_recency_and_counters_alone(self) -> None:
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1
+        assert cache.peek("nope", "absent") == "absent"
+        cache.put("c", 3)       # a is still the LRU entry: evicted
+        assert "a" not in cache
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 0)
+
     def test_hit_miss_eviction_counters(self) -> None:
         cache = LRUCache(2)
         cache.put("a", 1)
