@@ -28,7 +28,6 @@ from repro.exec.executor import QueryExecutor
 from repro.live import LiveIndex
 from repro.query.decompose import min_rc, optimal_cover
 from repro.query.model import QueryTree
-from repro.query.optimizer import OptimizingExecutor
 from repro.service.live import LiveQueryService
 from repro.service.service import QueryService
 from repro.service.sharded import ShardedQueryService
@@ -1054,11 +1053,9 @@ def ablation_cover_selection(
 ) -> ExperimentResult:
     """Query runtime of the root-split index under different decomposition policies.
 
-    Ablates the two cover-construction knobs called out in DESIGN.md --
-    padding towards ``mss`` (Section 5.2.1's max-covers) and the
-    selectivity-aware cover selection of :mod:`repro.query.optimizer` --
-    over the combined WH + FB workload.  All policies must return identical
-    answers; the experiment raises if one changes any query's matches.
+    Ablates padding towards ``mss`` (Section 5.2.1's max-covers) over the
+    combined WH + FB workload.  Both policies must return identical answers;
+    the experiment raises if one changes any query's matches.
     """
     result = ExperimentResult(
         name="Ablation: cover construction",
@@ -1074,7 +1071,6 @@ def ablation_cover_selection(
     variants = [
         ("minRC + padding (default)", QueryExecutor(index, store=store, pad=True)),
         ("minRC, no padding", QueryExecutor(index, store=store, pad=False)),
-        ("selectivity-optimised", OptimizingExecutor(index, store=store)),
     ]
     baseline_matches: Dict[str, int] = {}
     for policy, executor in variants:

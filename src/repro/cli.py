@@ -187,6 +187,16 @@ def _explain_query(service: QueryService, text: str) -> None:
         f"coding={index.coding.name}"
     )
     print(f"  cover: {len(cover)} subtree(s), {cover.join_count} join(s)")
+    if cover.split_twins:
+        node = prepared.query.node
+        groups = ", ".join(
+            node(parent).label + "".join(f"({node(twin).to_string()})" for twin in twins)
+            for parent, twins in cover.split_twins
+        )
+        print(
+            f"  warning: twin siblings do not fit one cover subtree and may bind "
+            f"the same node (matches can be over-counted): {groups}"
+        )
     total = 0
     for key in prepared.key_bytes:
         count = index.posting_list_length(key)

@@ -45,7 +45,7 @@ from repro.corpus.store import Corpus, TreeStore
 from repro.exec.joins import count_distinct_roots, intersect_sorted_tid_lists, run_plan
 from repro.exec.plan import build_plan, cover_relations
 from repro.query.covers import Cover
-from repro.query.decompose import decompose
+from repro.query.decompose import compile_query
 from repro.query.model import QueryTree
 from repro.trees.matching import count_matches
 
@@ -102,9 +102,9 @@ def decompose_query(
 ) -> Cover:
     """Stage 1: pick a cover of *query* (Section 5.2's decomposition phase)."""
     if not obs.enabled():
-        return decompose(query, mss, strategy=strategy, pad=pad)
+        return compile_query(query, mss, strategy, pad)
     with obs.trace("decompose", strategy=strategy, mss=mss) as span:
-        cover = decompose(query, mss, strategy=strategy, pad=pad)
+        cover = compile_query(query, mss, strategy, pad)
         span.set(cover_size=len(cover), join_count=cover.join_count)
         return cover
 
@@ -185,9 +185,9 @@ def _dispatch_join(
             # matches: nothing to plan or join (the very common case of
             # small queries at larger mss, and of single-label queries).
             only = PostingColumns.from_postings(postings[0])
-            pairs = zip(only.tids, only.slots[0][0]) if only else ()
+            pairs = zip(only.tids, only.slots[0][0]) if only.tids else ()
             return QueryResult(matches_per_tree=count_distinct_roots(pairs))
-        plan = build_plan(query, cover_relations(cover, postings))
+        plan = build_plan(query, cover_relations(cover, postings), cover.edges)
         return QueryResult(matches_per_tree=run_plan(plan))
     raise TypeError(f"unsupported coding scheme {type(coding).__name__}")
 

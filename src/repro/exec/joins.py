@@ -18,7 +18,6 @@ Multi-Predicate MerGe JoiN (MPMGJN) the paper adopts off the shelf
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.exec.plan import JoinPlan, JoinStep
@@ -77,7 +76,10 @@ def count_distinct_roots(pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     A match is a distinct binding of the query root, so repeated pairs
     (several embeddings below one root) count once.
     """
-    return dict(Counter(tid for tid, _ in dict.fromkeys(pairs)))
+    counts: Dict[int, int] = {}
+    for tid, _ in dict.fromkeys(pairs):
+        counts[tid] = counts.get(tid, 0) + 1
+    return counts
 
 
 def run_plan(plan: JoinPlan) -> Dict[int, int]:

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.coding.postings import PostingColumns
-from repro.query.covers import Cover
+from repro.query.covers import Cover, Edge
 from repro.query.model import QueryTree
 from repro.trees.matching import AXIS_CHILD
 
@@ -87,11 +87,7 @@ def cover_relations(cover: Cover, postings: Sequence[Sequence[object]]) -> List[
     relations: List[Relation] = []
     for subtree, plist in zip(cover.subtrees, postings):
         columns = PostingColumns.from_postings(plist)
-        if len(columns.slots) > 1:
-            nodes = subtree.key()[1]
-        else:  # canonical position 0 is the subtree root
-            nodes = {subtree.root.node_id: 0}
-        relations.append(Relation(columns, nodes))
+        relations.append(Relation(columns, subtree.binding(len(columns.slots))))
     return relations
 
 
@@ -117,13 +113,20 @@ def _choose_order(relations: Sequence[Relation], edges: Sequence[Tuple[int, int,
     return order
 
 
-def build_plan(query: QueryTree, relations: Sequence[Relation]) -> JoinPlan:
-    """Order *relations* and compile the query's predicates between them."""
+def build_plan(
+    query: QueryTree, relations: Sequence[Relation], edges: Optional[Sequence[Edge]] = None
+) -> JoinPlan:
+    """Order *relations* and compile the query's predicates between them.
+
+    *edges* are the query's edges as a :class:`~repro.query.covers.Cover`
+    carries them; they are derived from *query* when not given.
+    """
     relations = list(relations)
-    edges = [
-        (parent.node_id, child.node_id, axis == AXIS_CHILD)
-        for parent, child, axis in query.edges()
-    ]
+    if edges is None:
+        edges = [
+            (parent.node_id, child.node_id, axis == AXIS_CHILD)
+            for parent, child, axis in query.edges()
+        ]
     plan = JoinPlan(relations, _choose_order(relations, edges))
     if not all(relation.cardinality for relation in relations):
         return plan

@@ -6,19 +6,17 @@
 * :mod:`repro.query.parser` -- a compact textual query syntax.
 * :mod:`repro.query.covers` -- covers, valid covers, root-split covers and
   the deep-branching-anomaly test (Definitions 5--10).
-* :mod:`repro.query.decompose` -- the paper's ``optimalCover``, ``assign``
-  and ``minRC`` algorithms (Section 5.2) plus the axis-aware wrapper that
-  splits queries at ``//`` edges before covering each rigid component.
+* :mod:`repro.query.decompose` -- the query compiler: one pass over the
+  query's nodes, then the paper's ``optimalCover``, ``assign`` and ``minRC``
+  (Section 5.2) over flat arrays, each rigid component (the query split at
+  its ``//`` edges) covered on its own; every cover subtree leaves with its
+  key.
 """
 
 from repro.query.covers import Cover, CoverSubtree, has_deep_branching_anomaly, is_root_split_cover, is_valid_cover
-from repro.query.decompose import decompose, min_rc, optimal_cover
+from repro.query.decompose import compile_query, decompose, min_rc, optimal_cover
 from repro.query.model import QueryNode, QueryTree, query_from_node, query_from_tree
 from repro.query.parser import QuerySyntaxError, parse_query
-
-# Note: the selectivity-aware optimiser lives in ``repro.query.optimizer`` and
-# is imported from there directly; importing it here would create an import
-# cycle with :mod:`repro.exec`, whose executor it extends.
 
 __all__ = [
     "QueryNode",
@@ -32,6 +30,7 @@ __all__ = [
     "is_valid_cover",
     "is_root_split_cover",
     "has_deep_branching_anomaly",
+    "compile_query",
     "optimal_cover",
     "min_rc",
     "decompose",

@@ -12,30 +12,40 @@ needs the more constrained *root-split covers* of Definition 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.keys import canonical_key
 from repro.query.model import QueryNode, QueryTree
 from repro.trees.matching import AXIS_CHILD
 
-
-class _KeyNode:
-    """Induced-subtree node used to canonicalise a cover subtree into a key."""
-
-    __slots__ = ("label", "children", "query_node")
-
-    def __init__(self, query_node: QueryNode, children: Sequence["_KeyNode"]):
-        self.query_node = query_node
-        self.label = query_node.label
-        self.children = list(children)
+#: A query edge as ``(parent node id, child node id, is a "/" edge)``.
+Edge = Tuple[int, int, bool]
 
 
-@dataclass(frozen=True)
 class CoverSubtree:
-    """One element of a cover: a connected, ``/``-only subtree of the query."""
+    """One element of a cover: a connected, ``/``-only subtree of the query.
 
-    root: QueryNode
-    node_ids: FrozenSet[int]
+    The compiler (:func:`repro.query.decompose.compile_query`) passes the
+    canonical *key* it composed while packing; its subtrees are connected by
+    construction and are never re-checked.  A subtree built by hand from a
+    node set is canonicalised -- and checked -- on first use.
+    """
+
+    __slots__ = ("root", "node_ids", "_key", "_positions")
+
+    def __init__(self, root: QueryNode, node_ids: FrozenSet[int], key: Optional[bytes] = None):
+        self.root = root
+        self.node_ids = node_ids
+        self._key = key
+        self._positions: Optional[Dict[int, int]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoverSubtree):
+            return NotImplemented
+        return self.root is other.root and self.node_ids == other.node_ids
+
+    def __hash__(self) -> int:
+        return hash((id(self.root), self.node_ids))
 
     # ------------------------------------------------------------------
     @property
@@ -47,23 +57,22 @@ class CoverSubtree:
         """``True`` when *node* belongs to this cover subtree."""
         return node.node_id in self.node_ids
 
-    def _induced(self, node: QueryNode) -> _KeyNode:
-        children = [
-            self._induced(child)
-            for child, axis in zip(node.children, node.child_axes)
-            if child.node_id in self.node_ids and axis == AXIS_CHILD
-        ]
-        return _KeyNode(node, children)
+    def _canonical(self) -> Tuple[bytes, List[QueryNode]]:
+        """Canonical key and canonical pre-order of the part of this subtree
+        reachable from the root through ``/`` edges."""
+
+        def children(node: QueryNode) -> List[QueryNode]:
+            return [
+                child
+                for child, axis in zip(node.children, node.child_axes)
+                if axis == AXIS_CHILD and child.node_id in self.node_ids
+            ]
+
+        return canonical_key(self.root, children_of=children)
 
     def validate(self) -> None:
         """Check connectivity and axis purity; raises ``ValueError`` if broken."""
-        reachable = {item.query_node.node_id for item in _preorder(self._induced(self.root))}
-        if reachable != set(self.node_ids):
-            missing = set(self.node_ids) - reachable
-            raise ValueError(
-                f"cover subtree rooted at {self.root.label!r} is not connected via '/' edges; "
-                f"unreachable node ids: {sorted(missing)}"
-            )
+        self.key()
 
     def key(self) -> Tuple[bytes, Dict[int, int]]:
         """Canonical index key of this subtree and the node-id -> position map.
@@ -71,38 +80,56 @@ class CoverSubtree:
         The position map tells the executor which slot of a subtree-interval
         posting corresponds to which query node.
         """
-        self.validate()
-        encoded, ordered = canonical_key(self._induced(self.root))
-        positions = {
-            item.query_node.node_id: position  # type: ignore[attr-defined]
-            for position, item in enumerate(ordered)
-        }
-        return encoded, positions
+        if self._positions is None:
+            key, ordered = self._canonical()
+            if len(ordered) != len(self.node_ids) or self.root.node_id not in self.node_ids:
+                reachable = {node.node_id for node in ordered}
+                raise ValueError(
+                    f"cover subtree rooted at {self.root.label!r} is not connected via '/' edges; "
+                    f"unreachable node ids: {sorted(set(self.node_ids) - reachable)}"
+                )
+            if self._key is None:
+                self._key = key
+            self._positions = {node.node_id: at for at, node in enumerate(ordered)}
+        return self._key, self._positions
 
     def key_bytes(self) -> bytes:
         """Canonical index key of this subtree."""
-        return self.key()[0]
+        return self._key if self._key is not None else self.key()[0]
+
+    def binding(self, slots: int) -> Dict[int, int]:
+        """Query node id -> posting slot, for postings that store *slots* nodes:
+        the root alone (canonical position 0) or every node of the key."""
+        return self.key()[1] if slots > 1 else {self.root.node_id: 0}
 
     def query_nodes(self) -> List[QueryNode]:
-        """The query nodes of this subtree (root first, then pre-order)."""
-        return [item.query_node for item in _preorder(self._induced(self.root))]
+        """The query nodes of this subtree (root first, canonical pre-order)."""
+        return self._canonical()[1]
 
     def __str__(self) -> str:
         return self.key_bytes().decode("utf-8")
 
-
-def _preorder(node: _KeyNode) -> Iterable[_KeyNode]:
-    yield node
-    for child in node.children:
-        yield from _preorder(child)
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"CoverSubtree({self}, node_ids={sorted(self.node_ids)})"
 
 
 @dataclass
 class Cover:
-    """A cover of a query: the query plus its list of cover subtrees."""
+    """A cover of a query: the query, its cover subtrees and what a join
+    planner needs of the query -- its edges as node-id triples, which the
+    compiler emits in passing (``None`` on a cover built by hand:
+    :func:`repro.exec.plan.build_plan` then derives them from the query).
+
+    ``split_twins`` lists the groups of canonically-equal siblings, as
+    ``(parent id, child ids)``, that no single cover subtree holds together:
+    nothing then makes the twins bind distinct data nodes, and the answer
+    may over-count (see ``docs/query-language.md``).
+    """
 
     query: QueryTree
     subtrees: List[CoverSubtree] = field(default_factory=list)
+    edges: Optional[List[Edge]] = None
+    split_twins: List[Tuple[int, Tuple[int, ...]]] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

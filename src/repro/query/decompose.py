@@ -1,4 +1,4 @@
-"""Query decomposition: ``optimalCover``, ``assign`` / FFD packing and ``minRC``.
+"""The query compiler: ``optimalCover``, ``assign`` / FFD packing and ``minRC``.
 
 Section 5.2 of the paper gives two decomposition algorithms:
 
@@ -19,7 +19,17 @@ Both are built on the same child-remainder packing primitive the paper calls
 packed into bins of capacity ``mss - 1`` rooted at the current node (Lemma 3
 maps this to FFD bin packing, optimal for ``mss <= 6``).
 
-Two deviations from the paper's pseudocode, documented in DESIGN.md:
+:func:`compile_query` runs either of them in two steps.  One pass over the
+query's nodes in reverse pre-order (:func:`_scan`) fills flat per-node
+arrays -- ``/``-children, size and member ids of the rigid component below
+the node, whether that component holds the parent of a ``//`` edge, and the
+node's canonical text, composed from its children's finished texts the way
+:func:`repro.core.enumeration.extract_subtrees` composes the keys of a data
+tree.  Packing then works on node ids over those arrays, and every cover
+subtree is born with its key: a bin's key is the root's label followed by
+the sorted texts of the pieces packed into it.
+
+Three deviations from the paper's pseudocode:
 
 * the paper's ``optimalCover`` can strand unassigned nodes below an already
   assigned ancestor; this implementation instead propagates a *connected
@@ -28,7 +38,11 @@ Two deviations from the paper's pseudocode, documented in DESIGN.md:
 * the optional padding step ("fill subtrees up to ``mss``") only absorbs
   *whole, already covered* child subtrees, never partial paths into covered
   regions, because partial padding is exactly what re-introduces the
-  deep-branching anomaly the root-split cover must avoid.
+  deep-branching anomaly the root-split cover must avoid;
+* ``assign`` packs canonically-equal siblings (*twins*) as one piece when
+  the group fits a bin: only a key that holds both, ``NP(NN)(NN)``, makes
+  them bind distinct data nodes.  Twins too large to share a subtree stay
+  apart and are reported in :attr:`~repro.query.covers.Cover.split_twins`.
 
 Queries with ``//`` (ancestor-descendant) edges are split into rigid
 components first -- index keys cannot express ``//`` -- and each component is
@@ -38,272 +52,277 @@ joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.keys import canonical_key
-from repro.query.covers import Cover, CoverSubtree, make_subtree
+from repro.query.covers import Cover, CoverSubtree, Edge
 from repro.query.model import QueryNode, QueryTree
-from repro.trees.matching import AXIS_CHILD, AXIS_DESCENDANT
+from repro.trees.matching import AXIS_CHILD
+
+STRATEGIES = ("min-rc", "optimal")
+
+#: A connected, still-uncovered part of the query hanging off the packing
+#: node: ``(size, node ids, canonical texts, root ids)``.  A whole child
+#: component or a deferred remainder has one text and one root; twins merged
+#: by ``assign`` have one of each per twin.
+_Part = Tuple[int, Tuple[int, ...], Tuple[str, ...], Tuple[int, ...]]
+
+_size_of = itemgetter(0)
+
+
+def _compose(label: str, texts: Sequence[str]) -> str:
+    """Canonical text of a node over the canonical *texts* of its children."""
+    return label + "(" + ")(".join(sorted(texts)) + ")" if texts else label
 
 
 # ----------------------------------------------------------------------
-# Rigid components (maximal '/'-connected subtrees)
+# The pass
 # ----------------------------------------------------------------------
-def component_children(node: QueryNode) -> List[QueryNode]:
-    """Children of *node* connected by a parent-child (``/``) edge."""
-    return [
-        child
-        for child, axis in zip(node.children, node.child_axes)
-        if axis == AXIS_CHILD
-    ]
+def _scan(nodes: Sequence[QueryNode], mss: int):
+    """One reverse pre-order pass over *nodes* (``node_id`` == index).
 
+    Returns, indexed by node id unless noted:
 
-def component_nodes(node: QueryNode) -> List[QueryNode]:
-    """All nodes of the rigid component subtree rooted at *node* (pre-order)."""
-    out = [node]
-    for child in component_children(node):
-        out.extend(component_nodes(child))
-    return out
+    ``kids``     ids of the children on ``/`` edges, in query order;
+    ``size``     node count of the rigid component subtree below the node;
+    ``forced``   that component contains the parent of a ``//`` edge;
+    ``text``     canonical text of that component;
+    ``full``     canonical text over *all* children, axes ignored (what
+                 makes two siblings twins); the same list as ``text`` for a
+                 query without ``//`` edges;
+    ``members``  ids of that component in pre-order, when ``size <= mss``;
+    ``edges``    every query edge ``(parent, child, is "/")``, by child id;
+    ``cuts``     ``(parent, child)`` of every ``//`` edge, in edge order;
+    ``twins``    parent id -> groups (child ids) of equal ``full`` text.
+    """
+    count = len(nodes)
+    kids: List[Sequence[int]] = [()] * count
+    size = [1] * count
+    forced = [False] * count
+    text = [node.label for node in nodes]
+    full = text
+    members: List[Optional[Tuple[int, ...]]] = [(index,) for index in range(count)]
+    edges: List[Edge] = [(0, 0, True)] * (count - 1)
+    cuts: List[Tuple[int, int]] = []
+    twins: Dict[int, List[Tuple[int, ...]]] = {}
 
-
-def component_size(node: QueryNode) -> int:
-    """Number of nodes of the rigid component subtree rooted at *node*."""
-    return len(component_nodes(node))
+    for index in range(count - 1, -1, -1):
+        node = nodes[index]
+        children = node.children
+        if not children:
+            continue
+        below: List[int] = []
+        texts: List[str] = []
+        total = 1
+        holds_cut = False
+        for child, axis in zip(children, node.child_axes):
+            child_id = child.node_id
+            if axis == AXIS_CHILD:
+                edges[child_id - 1] = (index, child_id, True)
+                below.append(child_id)
+                texts.append(text[child_id])
+                total += size[child_id]
+                if forced[child_id]:
+                    holds_cut = True
+            else:
+                edges[child_id - 1] = (index, child_id, False)
+                cuts.append((index, child_id))
+        rigid = len(below) == len(children)
+        kids[index], size[index], forced[index] = below, total, holds_cut or not rigid
+        if total > mss:
+            members[index] = None
+        else:
+            ids = (index,)
+            for child_id in below:
+                ids += members[child_id]
+            members[index] = ids
+        if len(texts) > 1:
+            texts.sort()
+        if texts:
+            text[index] += "(" + ")(".join(texts) + ")"
+        if full is not text or not rigid:
+            if full is text:
+                full = list(text)
+            texts = sorted([full[child.node_id] for child in children])
+            full[index] = _compose(node.label, texts)
+        if len(texts) > 1 and len(set(texts)) < len(texts):
+            groups: Dict[str, List[int]] = {}
+            for child in children:
+                groups.setdefault(full[child.node_id], []).append(child.node_id)
+            twins[index] = [tuple(group) for group in groups.values() if len(group) > 1]
+    cuts.sort()
+    return kids, size, forced, text, full, members, edges, cuts, twins
 
 
 def component_roots(query: QueryTree) -> List[QueryNode]:
     """Roots of the rigid components: the query root plus every ``//`` child."""
-    roots = [query.root]
-    for parent, child, axis in query.edges():
-        if axis == AXIS_DESCENDANT:
-            roots.append(child)
-    return roots
+    nodes = query._nodes
+    *_, cuts, _ = _scan(nodes, 0)
+    return [query.root] + [nodes[child] for _, child in cuts]
+
+
+def component_size(node: QueryNode) -> int:
+    """Number of nodes of the rigid component subtree rooted at *node*
+    (a node of a numbered :class:`~repro.query.model.QueryTree`)."""
+    root = node
+    while root.parent is not None:
+        root = root.parent
+    _, size, *_ = _scan(list(root.preorder()), 0)
+    return size[node.node_id]
 
 
 # ----------------------------------------------------------------------
-# FFD packing of child remainders ("assign" in the paper)
+# The compiler
 # ----------------------------------------------------------------------
-@dataclass
-class _Piece:
-    """A connected, still-uncovered subtree rooted at a child of the packing node."""
+def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bool = True) -> Cover:
+    """Compile *query* to a cover of subtrees of at most *mss* nodes.
 
-    root: QueryNode
-    nodes: List[QueryNode]
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-
-def _whole_piece(node: QueryNode) -> _Piece:
-    return _Piece(root=node, nodes=component_nodes(node))
-
-
-def _ffd_pack(pieces: Sequence[_Piece], capacity: int) -> List[List[_Piece]]:
-    """First-fit-decreasing packing of pieces into bins of the given capacity."""
-    bins: List[List[_Piece]] = []
-    fill: List[int] = []
-    for piece in sorted(pieces, key=lambda item: item.size, reverse=True):
-        for index, used in enumerate(fill):
-            if used + piece.size <= capacity:
-                bins[index].append(piece)
-                fill[index] += piece.size
-                break
-        else:
-            bins.append([piece])
-            fill.append(piece.size)
-    return bins
-
-
-def _bin_subtree(root: QueryNode, pieces: Sequence[_Piece]) -> CoverSubtree:
-    nodes = [root]
-    for piece in pieces:
-        nodes.extend(piece.nodes)
-    return make_subtree(root, nodes)
-
-
-# ----------------------------------------------------------------------
-# Padding (max-covers, Section 5.2.1)
-# ----------------------------------------------------------------------
-def _pad_bins(root: QueryNode, bins: List[CoverSubtree], mss: int) -> List[CoverSubtree]:
-    """Grow bins rooted at *root* towards size ``mss`` with whole covered child subtrees.
-
-    Only entire child subtrees already covered by the other bins are added, and
-    never one whose unordered structure duplicates an existing sibling inside
-    the bin (that would make key positions ambiguous).
+    *strategy* is ``"min-rc"`` (the smallest root-split cover: every subtree
+    root's parent roots another subtree, and so does the parent of every
+    ``//`` edge, since the executor can only anchor a join on a node whose
+    code is stored) or ``"optimal"`` (fewest subtrees; subtrees may overlap
+    on internal nodes).  With *pad*, subtrees are grown towards *mss* with
+    whole child subtrees that other subtrees already cover.
     """
-    padded: List[CoverSubtree] = []
-    for subtree in bins:
-        if subtree.root is not root or subtree.size >= mss:
-            padded.append(subtree)
-            continue
-        node_ids = set(subtree.node_ids)
-        existing_child_keys = {
-            canonical_key(child)[0]
-            for child in component_children(root)
-            if child.node_id in node_ids
-        }
-        for child in component_children(root):
-            if child.node_id in node_ids:
-                continue
-            child_nodes = component_nodes(child)
-            if len(node_ids) + len(child_nodes) > mss:
-                continue
-            child_key = canonical_key(child)[0]
-            if child_key in existing_child_keys:
-                continue
-            node_ids.update(node.node_id for node in child_nodes)
-            existing_child_keys.add(child_key)
-        padded.append(CoverSubtree(root=root, node_ids=frozenset(node_ids)))
-    return padded
+    if mss < 1:
+        raise ValueError("mss must be at least 1")
+    if strategy not in STRATEGIES:
+        known = ", ".join(sorted(STRATEGIES))
+        raise ValueError(f"unknown decomposition strategy {strategy!r} (known: {known})")
+    nodes = query._nodes
+    kids, size, forced, text, full, members, edges, cuts, twins = _scan(nodes, mss)
+    if size[0] <= mss and not cuts:
+        # The whole query is one key.
+        only = CoverSubtree(query.root, frozenset(members[0]), text[0].encode("utf-8"))
+        return Cover(query, [only], edges)
+    capacity = mss - 1
+    out: List[CoverSubtree] = []
 
+    def whole(node: int) -> None:
+        """The component below *node* as one cover subtree."""
+        out.append(CoverSubtree(nodes[node], frozenset(members[node]), text[node].encode("utf-8")))
 
-# ----------------------------------------------------------------------
-# optimalCover
-# ----------------------------------------------------------------------
-def _optimal_component(
-    node: QueryNode, mss: int, is_component_root: bool, pad: bool
-) -> Tuple[List[CoverSubtree], Optional[_Piece]]:
-    """Cover the rigid component below *node*; may defer a remainder to the parent."""
-    subtrees: List[CoverSubtree] = []
-    pieces: List[_Piece] = []
+    def merge_twins(node: int, pieces: List[_Part]) -> List[_Part]:
+        """Each group of twins below *node* as one piece, where all of the
+        group are pieces here and together fit a bin."""
+        for group in twins[node]:
+            at = [i for i, piece in enumerate(pieces) if piece[3][0] in group]
+            total = sum(pieces[i][0] for i in at)
+            if len(at) == len(group) and total <= capacity:
+                merged = tuple(sum((pieces[i][part] for i in at), ()) for part in (1, 2, 3))
+                pieces[at[0]] = (total,) + merged
+                for i in reversed(at[1:]):
+                    del pieces[i]
+        return pieces
 
-    for child in component_children(node):
-        size = component_size(child)
-        if size == mss:
-            subtrees.append(make_subtree(child, component_nodes(child)))
-        elif size > mss:
-            child_subtrees, remainder = _optimal_component(child, mss, False, pad)
-            subtrees.extend(child_subtrees)
-            if remainder is not None:
-                pieces.append(remainder)
+    def assign(node: int, pieces: List[_Part]) -> List[list]:
+        """First-fit-decreasing packing of *pieces* into bins of ``mss - 1``
+        nodes; a bin is ``[fill, ids, texts]``."""
+        if node in twins:
+            pieces = merge_twins(node, pieces)
+        if len(pieces) > 1:
+            pieces.sort(key=_size_of, reverse=True)
+        bins: List[list] = []
+        for piece_size, ids, texts, _ in pieces:
+            for held in bins:
+                if held[0] + piece_size <= capacity:
+                    held[0] += piece_size
+                    held[1] += ids
+                    held[2] += texts
+                    break
+            else:
+                bins.append([piece_size, ids, texts])
+        return bins
+
+    def root_bins(node: int, bins: List[list]) -> None:
+        """The bins packed at *node* as cover subtrees rooted there."""
+        below = kids[node]
+        for fill, ids, texts in bins:
+            if pad and fill + 1 < mss and fill + 1 < size[node]:
+                # Only whole child components other subtrees cover, and never
+                # the twin of a child the bin already holds.
+                held = set(ids)
+                seen = {full[child] for child in below if child in held}
+                for child in below:
+                    if child in held or fill + 1 + size[child] > mss or full[child] in seen:
+                        continue
+                    fill += size[child]
+                    ids += members[child]
+                    texts += (text[child],)
+                    held.update(members[child])
+                    seen.add(full[child])
+            key = _compose(nodes[node].label, texts).encode("utf-8")
+            out.append(CoverSubtree(nodes[node], frozenset((node,) + ids), key))
+
+    def cover_min_rc(node: int) -> None:
+        """Smallest root-split cover of the rigid component below *node*."""
+        pieces: List[_Part] = []
+        for child in kids[node]:
+            if forced[child] or size[child] > mss:
+                # The parent of a "//" edge must root its own subtree: descend.
+                cover_min_rc(child)
+            elif size[child] == mss:
+                whole(child)
+            else:
+                pieces.append((size[child], members[child], (text[child],), (child,)))
+        # With nothing to pack the node still needs a subtree rooted here.
+        root_bins(node, assign(node, pieces) or [[0, (), ()]])
+
+    def cover_optimal(node: int, component_root: bool) -> Optional[_Part]:
+        """Cover the rigid component below *node*; may defer a remainder
+        rooted at *node* to the parent's packing."""
+        pieces: List[_Part] = []
+        for child in kids[node]:
+            if size[child] == mss:
+                whole(child)
+            elif size[child] > mss:
+                deferred = cover_optimal(child, False)
+                if deferred is not None:
+                    pieces.append(deferred)
+            else:
+                pieces.append((size[child], members[child], (text[child],), (child,)))
+        bins = assign(node, pieces)
+        rest: Optional[list] = None
+        if not component_root and mss > 1:
+            if not bins:
+                rest = [0, (), ()]
+            else:
+                # Defer the least-full bin to the parent when it still fits there.
+                least = min(range(len(bins)), key=lambda at: bins[at][0])
+                if bins[least][0] + 1 <= capacity:
+                    rest = bins.pop(least)
+        if not bins and rest is None:
+            # Nothing roots here and nothing is deferred: the node still needs covering.
+            bins.append([0, (), ()])
+        root_bins(node, bins)
+        if rest is None:
+            return None
+        fill, ids, texts = rest
+        return fill + 1, (node,) + ids, (_compose(nodes[node].label, texts),), (node,)
+
+    for root in [0] + [child for _, child in cuts]:
+        if strategy == "min-rc":
+            cover_min_rc(root)
         else:
-            pieces.append(_whole_piece(child))
-
-    packed = _ffd_pack(pieces, mss - 1)
-
-    remainder: Optional[_Piece] = None
-    if not is_component_root and mss > 1:
-        if not packed:
-            remainder = _Piece(root=node, nodes=[node])
-        else:
-            # Defer the least-full bin to the parent when it still fits there.
-            smallest_index = min(range(len(packed)), key=lambda i: sum(p.size for p in packed[i]))
-            smallest_size = sum(piece.size for piece in packed[smallest_index])
-            if 1 + smallest_size <= mss - 1:
-                deferred = packed.pop(smallest_index)
-                nodes = [node]
-                for piece in deferred:
-                    nodes.extend(piece.nodes)
-                remainder = _Piece(root=node, nodes=nodes)
-
-    own_bins = [_bin_subtree(node, bin_pieces) for bin_pieces in packed]
-    if not own_bins and remainder is None:
-        # Nothing roots here and nothing is deferred: the node still needs covering.
-        own_bins.append(make_subtree(node, [node]))
-    if pad:
-        own_bins = _pad_bins(node, own_bins, mss)
-    subtrees.extend(own_bins)
-    return subtrees, remainder
+            cover_optimal(root, True)
+    split = [
+        (parent, group)
+        for parent, groups in sorted(twins.items())
+        for group in groups
+        if not any(subtree.node_ids.issuperset(group) for subtree in out)
+    ]
+    return Cover(query, out, edges, split)
 
 
 def optimal_cover(query: QueryTree, mss: int, pad: bool = True) -> Cover:
-    """Join-optimal cover of *query* (paper's ``optimalCover``).
-
-    Used with the filter-based and subtree-interval codings; the resulting
-    subtrees may overlap on internal nodes, which those codings can join on.
-    """
-    if mss < 1:
-        raise ValueError("mss must be at least 1")
-    subtrees: List[CoverSubtree] = []
-    for root in component_roots(query):
-        component_subtrees, remainder = _optimal_component(root, mss, True, pad)
-        subtrees.extend(component_subtrees)
-        if remainder is not None:  # pragma: no cover - component roots never defer
-            subtrees.append(make_subtree(remainder.root, remainder.nodes))
-    return Cover(query=query, subtrees=subtrees)
-
-
-# ----------------------------------------------------------------------
-# minRC
-# ----------------------------------------------------------------------
-def _forced_root_ids(query: QueryTree) -> frozenset:
-    """Query nodes that must root their own cover subtree under root-split coding.
-
-    These are the parent endpoints of ``//`` edges: the executor can only
-    anchor an ancestor-descendant join on a node whose interval code is
-    stored, i.e. on a cover-subtree root.
-    """
-    forced = set()
-    for parent, _, axis in query.edges():
-        if axis == AXIS_DESCENDANT:
-            forced.add(parent.node_id)
-    return frozenset(forced)
-
-
-def _contains_forced(node: QueryNode, forced: frozenset) -> bool:
-    """``True`` when the rigid component subtree of *node* contains a forced root."""
-    return any(item.node_id in forced for item in component_nodes(node))
-
-
-def _min_rc_component(node: QueryNode, mss: int, pad: bool, forced: frozenset) -> List[CoverSubtree]:
-    """Smallest root-split cover of the rigid component rooted at *node*."""
-    subtrees: List[CoverSubtree] = []
-    pieces: List[_Piece] = []
-
-    for child in component_children(node):
-        size = component_size(child)
-        if _contains_forced(child, forced) or size > mss:
-            # Forced roots must end up rooting their own subtrees, so descend.
-            subtrees.extend(_min_rc_component(child, mss, pad, forced))
-        elif size == mss:
-            subtrees.append(make_subtree(child, component_nodes(child)))
-        else:
-            pieces.append(_whole_piece(child))
-
-    packed = _ffd_pack(pieces, mss - 1)
-    if not packed:
-        packed = [[]]  # the node itself still needs a covering subtree rooted here
-    own_bins = [_bin_subtree(node, bin_pieces) for bin_pieces in packed]
-    if pad:
-        own_bins = _pad_bins(node, own_bins, mss)
-    subtrees.extend(own_bins)
-    return subtrees
+    """Join-optimal cover of *query* (paper's ``optimalCover``)."""
+    return compile_query(query, mss, "optimal", pad)
 
 
 def min_rc(query: QueryTree, mss: int, pad: bool = True) -> Cover:
-    """Smallest root-split cover of *query* (paper's ``minRC``).
-
-    Every cover subtree's root is the query root, a ``//`` child, the parent
-    endpoint of a ``//`` edge, a node whose component subtree exceeds ``mss``
-    or an exactly-``mss`` child of such a node -- and the parent of every
-    such root is itself the root of another cover subtree, which is what
-    makes root-only joins sufficient and avoids the deep-branching anomaly.
-    """
-    if mss < 1:
-        raise ValueError("mss must be at least 1")
-    forced = _forced_root_ids(query)
-    subtrees: List[CoverSubtree] = []
-    for root in component_roots(query):
-        subtrees.extend(_min_rc_component(root, mss, pad, forced))
-    return Cover(query=query, subtrees=subtrees)
+    """Smallest root-split cover of *query* (paper's ``minRC``)."""
+    return compile_query(query, mss, "min-rc", pad)
 
 
-# ----------------------------------------------------------------------
-# Strategy dispatch
-# ----------------------------------------------------------------------
-_STRATEGIES = {
-    "optimal": optimal_cover,
-    "min-rc": min_rc,
-}
-
-
-def decompose(query: QueryTree, mss: int, strategy: str = "optimal", pad: bool = True) -> Cover:
-    """Decompose *query* with the named strategy (``"optimal"`` or ``"min-rc"``)."""
-    try:
-        algorithm = _STRATEGIES[strategy]
-    except KeyError:
-        known = ", ".join(sorted(_STRATEGIES))
-        raise ValueError(f"unknown decomposition strategy {strategy!r} (known: {known})") from None
-    return algorithm(query, mss, pad=pad)
+#: Decompose a query with the named strategy: the compiler's older name.
+decompose = compile_query

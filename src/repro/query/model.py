@@ -87,9 +87,15 @@ class QueryNode:
 class QueryTree:
     """A query with stable node identifiers and convenience accessors."""
 
-    def __init__(self, root: QueryNode):
+    def __init__(self, root: QueryNode, preorder: Optional[List[QueryNode]] = None):
+        """Number the nodes below *root*.
+
+        *preorder* is for builders that already hold the nodes of *root* in
+        pre-order (the parser creates them in that order) and spares the
+        walk; it must be exactly ``list(root.preorder())``.
+        """
         self.root = root
-        self._nodes: List[QueryNode] = list(root.preorder())
+        self._nodes: List[QueryNode] = list(root.preorder()) if preorder is None else preorder
         for index, node in enumerate(self._nodes):
             node.node_id = index
 

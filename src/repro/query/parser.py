@@ -25,10 +25,11 @@ Whitespace around tokens is ignored.
 
 from __future__ import annotations
 
-
+import re
+from typing import List
 
 from repro.query.model import QueryNode, QueryTree
-from repro.trees.matching import AXIS_CHILD, AXIS_DESCENDANT
+from repro.trees.matching import AXIS_CHILD
 
 
 class QuerySyntaxError(ValueError):
@@ -39,86 +40,50 @@ class QuerySyntaxError(ValueError):
         self.position = position
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.position = 0
-
-    # ------------------------------------------------------------------
-    def _skip_whitespace(self) -> None:
-        while self.position < len(self.text) and self.text[self.position].isspace():
-            self.position += 1
-
-    def _peek(self) -> str:
-        self._skip_whitespace()
-        if self.position >= len(self.text):
-            return ""
-        return self.text[self.position]
-
-    def _read_axis(self) -> str:
-        """Consume an optional axis marker, defaulting to the child axis."""
-        self._skip_whitespace()
-        if self.text.startswith("//", self.position):
-            self.position += 2
-            return AXIS_DESCENDANT
-        if self.text.startswith("/", self.position):
-            self.position += 1
-            return AXIS_CHILD
-        return AXIS_CHILD
-
-    def _read_label(self) -> str:
-        self._skip_whitespace()
-        start = self.position
-        while self.position < len(self.text) and self.text[self.position] not in "()/" and not self.text[self.position].isspace():
-            self.position += 1
-        label = self.text[start:self.position]
-        if not label:
-            raise QuerySyntaxError("expected a node label", start)
-        return label
-
-    # ------------------------------------------------------------------
-    def parse_step(self) -> QueryNode:
-        """Parse ``label chain* child*`` starting at the current position."""
-        node = QueryNode(self._read_label())
-        self._parse_tail(node)
-        return node
-
-    def _parse_tail(self, node: QueryNode) -> None:
-        """Parse the chains and bracketed children that follow a label."""
-        while True:
-            self._skip_whitespace()
-            if self.position >= len(self.text):
-                return
-            current = self.text[self.position]
-            if current == "(":
-                self.position += 1
-                axis = self._read_axis()
-                child = self.parse_step()
-                if self._peek() != ")":
-                    raise QuerySyntaxError("missing ')'", self.position)
-                self.position += 1
-                node.add_child(child, axis)
-            elif current == "/":
-                axis = self._read_axis()
-                child = QueryNode(self._read_label())
-                node.add_child(child, axis)
-                # The rest of the chain hangs off the new child.
-                self._parse_tail(child)
-                return
-            else:
-                return
+#: One token with the whitespace before it: ``)``, or an optional ``(``, an
+#: optional axis and a label.  The label may be empty, so the pattern matches
+#: at every position of every text and consecutive matches tile the input;
+#: an empty label after ``(`` or an axis is the "expected a node label" error.
+_TOKEN = re.compile(r"\s*(?:(\))|(\()?\s*(//?)?\s*([^()/\s]*))")
 
 
 def parse_query(text: str) -> QueryTree:
-    """Parse a query string into a :class:`~repro.query.model.QueryTree`."""
-    parser = _Parser(text)
-    parser._skip_whitespace()
-    if parser.position >= len(text):
-        raise QuerySyntaxError("empty query", 0)
-    root = parser.parse_step()
-    parser._skip_whitespace()
-    if parser.position != len(text):
-        raise QuerySyntaxError(
-            f"unexpected trailing text {text[parser.position:]!r}", parser.position
-        )
-    return QueryTree(root)
+    """Parse a query string into a :class:`~repro.query.model.QueryTree`.
+
+    One pass over the tokens: a label that follows ``(`` or an axis is a new
+    child of the current node and becomes the current node; ``(`` also
+    remembers the node it hangs off, and ``)`` returns to it.  Nodes are
+    created in pre-order.
+    """
+    nodes: List[QueryNode] = []
+    owners: List[QueryNode] = []  # the nodes whose "(" is still open
+    current = None
+    for token in _TOKEN.finditer(text):
+        close, opened, axis, label = token.groups()
+        if current is None:
+            if close or opened or axis:
+                raise QuerySyntaxError("expected a node label", token.start(1 if close else 2 if opened else 3))
+            if not label:
+                raise QuerySyntaxError("empty query", 0)
+            current = QueryNode(label)
+            nodes.append(current)
+        elif close:
+            if not owners:
+                at = token.start(1)
+                raise QuerySyntaxError(f"unexpected trailing text {text[at:]!r}", at)
+            current = owners.pop()
+        elif opened or axis:
+            if not label:
+                raise QuerySyntaxError("expected a node label", token.end())
+            if opened:
+                owners.append(current)
+            current = current.add_child(QueryNode(label), axis or AXIS_CHILD)
+            nodes.append(current)
+        elif label:
+            at = token.start(4)
+            if owners:
+                raise QuerySyntaxError("missing ')'", at)
+            raise QuerySyntaxError(f"unexpected trailing text {text[at:]!r}", at)
+        elif owners:  # the end of the text
+            raise QuerySyntaxError("missing ')'", len(text))
+    return QueryTree(nodes[0], nodes)

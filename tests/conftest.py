@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
 from repro.trees.node import ParseTree, build_tree
 from repro.trees.penn import parse_penn
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    """Hypothesis keeps its example database and caches in a temp dir of the
+    session, not in ``.hypothesis/`` of the checkout.  (Its pytest plugin
+    writes there while collecting, before any fixture could step in.)"""
+    home = tempfile.mkdtemp(prefix="repro-hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture(scope="session")

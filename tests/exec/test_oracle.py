@@ -50,27 +50,18 @@ _FB = [
 ]
 QUERIES = _WH + _FB
 
-#: Decomposition does not bind twin siblings to distinct data nodes.  Of the
-#: six WH templates with twin siblings, the five whose twins fit inside one
-#: cover subtree at mss 3 are answered exactly; this one splits ``NN``/``NN``
-#: across two cover subtrees and over-counts under both structural codings --
-#: on the parent commit too (CHANGES PR 12, "Oracle finding").  Fixing cover
-#: selection for twin siblings is out of scope for the kernel.
-TWIN_OVERCOUNT = "S(NP(DT)(NN)(NN))(VP(VBD)(NP))"
+#: Six WH templates have twin siblings.  In all six the twins fit one cover
+#: subtree at mss 3, and ``assign`` packs them together (PR 17) -- including
+#: ``S(NP(DT)(NN)(NN))(VP(VBD)(NP))``, which FFD used to split across
+#: ``NP(DT)(NN)`` and ``NP(NN)`` and which over-counted 14 vs 3 under both
+#: structural codings.
 
 
 def _cases():
     for flavor in FLAVORS:
         for coding in CODINGS:
             for text in QUERIES:
-                marks = ()
-                if text == TWIN_OVERCOUNT and coding != "filter":
-                    marks = pytest.mark.xfail(
-                        strict=True,
-                        reason="twin siblings split across cover subtrees over-count "
-                        "(CHANGES PR 12, Oracle finding)",
-                    )
-                yield pytest.param(flavor, coding, text, marks=marks, id=f"{flavor}-{coding}-{text}")
+                yield pytest.param(flavor, coding, text, id=f"{flavor}-{coding}-{text}")
 
 
 @pytest.fixture(scope="module")
