@@ -14,6 +14,7 @@ run into the output directory:
 from __future__ import annotations
 
 import datetime
+import gc
 import json
 import os
 import platform
@@ -197,6 +198,10 @@ class ExperimentRunner:
 
         for _ in range(config.warmup):
             run_config(config, self.context)
+        # A full collection walks every resident posting column (~0.1 s with a
+        # few indexes open) and would land inside whichever timed pass crosses
+        # the threshold; pay for the garbage of earlier runs here instead.
+        gc.collect()
         # Warmups run untraced: the trace artefact describes the measured
         # run only.  An externally enabled tracer is left alone (and its
         # ring is not dumped -- it is not ours).

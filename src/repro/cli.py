@@ -10,8 +10,9 @@ Ten subcommands cover the everyday workflow:
     mutable (``--live``: base segment + write-ahead log);
 ``query``
     evaluate one or more queries against a built index (plain, sharded or
-    live); ``--explain`` prints the cover plan and per-stage posting counts
-    without running the join;
+    live); ``--explain`` prints the cover plan, per-stage posting counts, the
+    join order with each step's predicates and the generated kernel, without
+    running the join;
 ``add`` / ``delete`` / ``compact``
     mutate a live index: append trees from a Penn file, tombstone trees by
     tid, and fold the delta + tombstones into immutable segments;
@@ -67,11 +68,13 @@ from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.coding.base import coding_names
+from repro.coding.filter_based import FilterBasedCoding
 from repro.core.index import SubtreeIndex
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore, data_file_path
+from repro.exec.plan import JoinPlan, build_plan, cover_relations
 from repro.live import LiveIndex, LiveIndexError, WalError, is_live_manifest
-from repro.service.service import QueryService
+from repro.service.service import PreparedQuery, QueryService
 from repro.shard import ShardedIndex, ShardError, partitioner_names
 from repro.storage.bptree import BPlusTreeError
 from repro.storage.pager import PageError
@@ -173,36 +176,77 @@ def _print_result(args: argparse.Namespace, text: str, result, extra: str = "") 
 
 
 def _explain_query(service: QueryService, text: str) -> None:
-    """Print the cover plan and per-stage posting counts of one query.
+    """Print the cover plan, per-stage posting counts and join plan of one query.
 
-    Runs stages 1 (decomposition) and 2 (posting fetch, for the counts) but
-    never stage 3 -- no joins, no filtering phase.
+    Runs stages 1 (decomposition) and 2 (posting fetch) and plans stage 3 --
+    join order, each step's predicates, the generated kernel -- but executes
+    neither the join nor the filtering phase.
     """
     prepared = service.prepare(text)
     cover = prepared.cover
     index = service.index
+    node = prepared.query.node
+    postings = [index.lookup(key) for key in prepared.key_bytes]
+    plan = None
+    if len(cover) > 1 and not isinstance(index.coding, FilterBasedCoding):
+        plan = build_plan(prepared.query, cover_relations(cover, postings), cover.edges)
     print(f"{text}:")
     print(
         f"  plan: strategy={service.strategy}, mss={index.mss}, "
         f"coding={index.coding.name}"
     )
     print(f"  cover: {len(cover)} subtree(s), {cover.join_count} join(s)")
-    if cover.split_twins:
-        node = prepared.query.node
+    # Twins the plan binds in relations of their own are kept apart by the
+    # join; a twin buried inside a key is out of its reach.
+    bound = set().union(*(relation.nodes for relation in plan.relations)) if plan else set()
+    split = [(parent, twins) for parent, twins in cover.split_twins if not bound.issuperset(twins)]
+    if split:
         groups = ", ".join(
             node(parent).label + "".join(f"({node(twin).to_string()})" for twin in twins)
-            for parent, twins in cover.split_twins
+            for parent, twins in split
         )
         print(
             f"  warning: twin siblings do not fit one cover subtree and may bind "
             f"the same node (matches can be over-counted): {groups}"
         )
-    total = 0
-    for key in prepared.key_bytes:
-        count = index.posting_list_length(key)
-        total += count
-        print(f"    {key.decode('utf-8'):<40s} {count:,} postings")
+    for key, plist in zip(prepared.key_bytes, postings):
+        print(f"    {key.decode('utf-8'):<40s} {len(plist):,} postings")
+    total = sum(len(plist) for plist in postings)
     print(f"  fetch total: {total:,} postings (join phase not executed)")
+    if plan is not None and plan.steps:
+        _explain_join(prepared, plan, merged=not isinstance(index, SubtreeIndex))
+
+
+def _explain_join(prepared: PreparedQuery, plan: JoinPlan, merged: bool) -> None:
+    """Print *plan*: join order, predicates in query-node terms, kernel source."""
+    nodes = prepared.query.nodes()
+    labels = [item.label for item in nodes]
+    names = [
+        item.label if labels.count(item.label) == 1 else f"{item.label}#{item.node_id}"
+        for item in nodes
+    ]
+    note = " (over the merged lists; every shard / segment plans its own)" if merged else ""
+    print(f"  join: {len(plan.steps)} step(s), left-deep from the smallest relation{note}")
+    at: dict = {}  # binding offset of a pre value -> the query node bound there
+    for number, step in enumerate(plan.steps, 1):
+        relation = plan.relations[step.relation]
+        binds = sorted(relation.nodes, key=relation.nodes.get)
+        width = 3 * len(at)
+        at.update({width + 3 * slot: names[item] for slot, item in enumerate(binds)})
+        predicates = [f"{at[bound]}.pre == {at[own]}.pre" for bound, own in step.equal]
+        predicates += [
+            f"{at[upper]} \u2283 {at[lower]}" + (" (child)" if child else "")
+            for upper, lower, child in step.checks
+        ]
+        predicates += [f"{at[first]}.pre != {at[second]}.pre" for first, second in step.distinct]
+        print(
+            f"    {number}. {prepared.key_bytes[step.relation].decode('utf-8'):<30s} "
+            f"{relation.cardinality:>7,} rows  binds {', '.join(names[item] for item in binds)}"
+            + (f": {' and '.join(predicates)}" if predicates else "")
+        )
+    print("  kernel:")
+    for line in plan.kernel_source.splitlines():
+        print(f"    {line}")
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -1031,8 +1075,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--explain", action="store_true",
-        help="print the decomposition/cover plan and per-stage posting counts "
-             "without executing the join",
+        help="print the decomposition/cover plan, per-stage posting counts, the join "
+             "order with its predicates and the generated kernel, without executing the join",
     )
     query.add_argument(
         "--trace", action="store_true",

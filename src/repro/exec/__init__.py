@@ -2,11 +2,12 @@
 
 * :mod:`repro.exec.plan` -- join planning: one relation (posting columns +
   bound query nodes) per cover subtree, a greedy connected join order, and
-  the query's predicates compiled to offsets into a flat binding tuple.
-* :mod:`repro.exec.joins` -- the join kernel that executes such a plan
-  (tid pre-intersection, per-tree row ranges, distinct-root counting), and
-  the galloping sorted tid-list intersection it shares with the
-  filter-based coding.
+  the query's predicates reduced to offsets into a flat binding: the shape.
+* :mod:`repro.exec.codegen` -- the join kernel, generated once per plan shape:
+  nested loops over per-tree row ranges, distinct-root counting.
+* :mod:`repro.exec.joins` -- ``run_plan`` (tid pre-intersection, then the
+  plan's kernel) and the galloping sorted tid-list intersection it shares
+  with the filter-based coding.
 * :mod:`repro.exec.executor` -- the pipeline stages (``decompose_query``,
   ``fetch_postings``, ``join_postings``), the one-shot ``QueryExecutor``
   wrapper around them (including the filtering phase of the filter-based

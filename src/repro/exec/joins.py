@@ -9,18 +9,20 @@ Multi-Predicate MerGe JoiN (MPMGJN) the paper adopts off the shelf
 * :func:`intersect_sorted_tid_lists` -- k-way intersection of tid lists:
   the whole join phase of the filter-based coding, and the first step of
   the kernel below;
-* :func:`run_plan` -- the join kernel: executes a compiled
-  :class:`~repro.exec.plan.JoinPlan` over posting *columns* and returns the
-  distinct query-root matches per tree.  The LPath-style node-index
-  baseline runs it too, with one single-slot relation per query node.
+* :func:`run_plan` -- executes a :class:`~repro.exec.plan.JoinPlan` over
+  posting *columns* with the kernel generated for its shape
+  (:mod:`repro.exec.codegen`) and returns the distinct query-root matches
+  per tree.  The LPath-style node-index baseline runs it too, with one
+  single-slot relation per query node.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.exec.plan import JoinPlan, JoinStep
+from repro.exec.codegen import compile_kernel
+from repro.exec.plan import JoinPlan
 
 #: Beyond this length ratio the longer list is probed by bisection instead
 #: of being scanned.
@@ -68,7 +70,7 @@ def _intersect_two(short: Sequence[int], long: Sequence[int]) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# The join kernel (root-split and subtree-interval codings)
+# Running a plan (root-split and subtree-interval codings)
 # ----------------------------------------------------------------------
 def count_distinct_roots(pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Matches per tree from tid-ascending ``(tid, root pre)`` pairs.
@@ -85,57 +87,13 @@ def count_distinct_roots(pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
 def run_plan(plan: JoinPlan) -> Dict[int, int]:
     """Execute *plan* and return the number of matches per tree.
 
-    Only trees whose tid occurs in *every* relation are looked at, so no
-    binding is built for a tree that cannot match.  Within such a tree each
-    relation's rows are one contiguous range of its columns, found by
-    bisection, and bindings grow relation by relation in join order.
+    Only trees whose tid occurs in *every* relation are handed to the plan's
+    kernel (:mod:`repro.exec.codegen`), where each relation's rows of a tree
+    are one contiguous range of its columns and bindings grow in join order.
     """
     steps = plan.steps
     if not steps:
         return {}
-    tid_columns = [plan.relations[step.relation].columns.tids for step in steps]
-    cursors = [0] * len(steps)
-    root = plan.root_offset
-    pairs: List[Tuple[int, int]] = []
-    for tid in intersect_sorted_tid_lists(tid_columns):
-        rows: List[tuple] = [()]
-        for number, step in enumerate(steps):
-            tids = tid_columns[number]
-            low = bisect_left(tids, tid, cursors[number])
-            high = cursors[number] = bisect_right(tids, tid, low)
-            rows = _join_step(rows, step, low, high)
-            if not rows:
-                break
-        else:
-            pairs.extend((tid, row[root]) for row in rows)
-    return count_distinct_roots(pairs)
-
-
-def _join_step(rows: List[tuple], step: JoinStep, low: int, high: int) -> List[tuple]:
-    """Every binding of *rows* extended by each compatible row ``low:high``
-    of the step's relation."""
-    candidates = list(zip(*[column[low:high] for column in step.columns]))
-    equal_row = step.equal_row
-    if equal_row is not None:
-        # A shared query node: look its bound pre up among the candidates
-        # instead of pairing every binding with every candidate.
-        by_key: Dict[object, List[tuple]] = {}
-        for candidate in candidates:
-            by_key.setdefault(step.equal_candidate(candidate), []).append(candidate)
-    checks = step.checks
-    out: List[tuple] = []
-    for row in rows:
-        if equal_row is not None:
-            candidates = by_key.get(equal_row(row), ())
-        for candidate in candidates:
-            joined = row + candidate
-            for upper, lower, child in checks:
-                if not (
-                    joined[upper] < joined[lower]
-                    and joined[upper + 1] > joined[lower + 1]
-                    and (not child or joined[upper + 2] + 1 == joined[lower + 2])
-                ):
-                    break
-            else:
-                out.append(joined)
-    return out
+    tids = [plan.relations[step.relation].columns.tids for step in steps]
+    columns = [column for step in steps for column in step.columns]
+    return compile_kernel(plan.shape)(intersect_sorted_tid_lists(tids), tids, columns)

@@ -16,6 +16,7 @@ from typing import Dict
 
 import pytest
 
+from repro.baselines.node_index import NodeIntervalIndex
 from repro.core.index import SubtreeIndex
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
@@ -126,3 +127,31 @@ def test_matches_equal_the_brute_force_oracle(flavor, coding, text, engines, ora
     assert result.matches_per_tree == expected
     assert list(result.matches_per_tree) == sorted(expected)  # ascending tid
     assert result.total_matches == sum(expected.values())
+
+
+# ----------------------------------------------------------------------
+# Twins bound by relations of their own: the join keeps them apart
+# ----------------------------------------------------------------------
+_TWINS = [text for text in _WH if has_duplicate_siblings(parse_query(text))]
+
+
+@pytest.fixture(scope="module")
+def per_node_engines(tmp_path_factory):
+    """Engines with one relation per query node: both structural codings
+    at mss 1 and the node-index baseline."""
+    workdir = tmp_path_factory.mktemp("per-node")
+    indexes = [
+        SubtreeIndex.build(_TREES, 1, coding, str(workdir / f"{coding}.si")) for coding in CODINGS[1:]
+    ]
+    labels = NodeIntervalIndex.build(_TREES, str(workdir / "labels.idx"))
+    run = {index.coding.name: QueryExecutor(index).execute for index in indexes}
+    run["node-index"] = labels.execute
+    yield run
+    for index in indexes + [labels]:
+        index.close()
+
+
+@pytest.mark.parametrize("engine", ["root-split", "subtree-interval", "node-index"])
+@pytest.mark.parametrize("text", _TWINS)
+def test_twins_in_relations_of_their_own_are_exact(engine, text, per_node_engines, oracle) -> None:
+    assert per_node_engines[engine](parse_query(text)).matches_per_tree == oracle[text]

@@ -122,10 +122,10 @@ class TestBuildPlan:
             for _ in cover.subtrees
         ]
         plan = build_plan(query, cover_relations(cover, postings))
-        keyed = [step for step in plan.steps if step.equal_row is not None]
+        keyed = [step for step in plan.steps if step.equal]
         assert keyed and all(not step.checks for step in keyed)
-        binding, candidate = (1, 9, 0), (1, 9, 0)
-        assert keyed[0].equal_row(binding) == keyed[0].equal_candidate(candidate)
+        # The pre of the first relation's root against the second's.
+        assert keyed[0].equal == ((0, 3),)
 
     def test_join_order_starts_with_smallest_relation(self) -> None:
         query = parse_query("S(NP)(VP)")

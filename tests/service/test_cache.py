@@ -93,15 +93,25 @@ class TestLRUCache:
 
 class TestStripedLRUCache:
     def test_protocol_round_trip(self) -> None:
+        # Int keys: hash(i) == i puts ten in each stripe of sixteen whatever
+        # PYTHONHASHSEED is (str keys overflowed a stripe once in ~60 seeds).
         cache = StripedLRUCache(64, stripes=4)
         for i in range(40):
-            cache.put(f"key-{i}", i)
-        assert all(cache.get(f"key-{i}") == i for i in range(40))
+            cache.put(i, str(i))
+        assert all(cache.get(i) == str(i) for i in range(40))
         assert len(cache) == 40
-        cache.invalidate("key-7")
-        assert "key-7" not in cache
+        cache.invalidate(7)
+        assert 7 not in cache
         cache.clear()
         assert len(cache) == 0
+
+    def test_a_stripe_evicts_at_its_share_of_the_capacity(self) -> None:
+        cache = StripedLRUCache(64, stripes=4)
+        for i in range(0, 68, 4):  # seventeen keys, all of stripe 0
+            cache.put(i, i)
+        assert len(cache) == 16  # a quarter of 64, not 64
+        assert 0 not in cache and all(i in cache for i in range(4, 68, 4))
+        assert cache.stats().evictions == 1
 
     def test_stats_aggregate_over_stripes(self) -> None:
         cache = StripedLRUCache(64, stripes=4)

@@ -224,6 +224,35 @@ class TestExplain:
         assert "join phase not executed" in out
         assert "matches" not in out  # no execution happened
 
+    def test_explain_plans_the_join_and_prints_its_kernel(self, index_file, capsys) -> None:
+        assert main(["query", index_file, "S(NP(DT)(NN))(VP(VBZ)(NP))", "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert "join: 3 step(s), left-deep from the smallest relation" in out
+        assert "S \u2283 VP (child)" in out and "S \u2283 NP#1 (child)" in out
+        assert "    def kernel(common, tids, columns):" in out
+        assert "roots.add(" in out and "matches" not in out
+        # One key is one list: there is nothing to plan.
+        assert main(["query", index_file, "NP(DT)(NN)", "--explain"]) == 0
+        assert "join:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("coding, mss, warned, apart", [
+        ("root-split", 1, False, True),  # every node a relation: `!=` in the join
+        ("root-split", 2, True, False),  # the NNs are buried in two NP(NN) keys
+        ("subtree-interval", 2, False, True),  # every slot is bound
+        ("root-split", 3, False, False),  # NP(NN)(NN) is one key
+        ("filter", 2, True, False),  # nothing is planned; validation is exact anyway
+    ])
+    def test_explain_warns_only_of_twins_the_join_cannot_reach(
+        self, tmp_path, corpus_file, capsys, coding, mss, warned, apart
+    ) -> None:
+        path = str(tmp_path / "twins.si")
+        assert main(["build", corpus_file, "--mss", str(mss), "--coding", coding, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["query", path, "S(NP(NN)(NN))(VP(VBZ)(NP))", "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert ("warning: twin siblings" in out) == warned
+        assert ("NN#2.pre != NN#3.pre" in out) == apart
+
     def test_explain_rejects_batch_and_repeat(self, index_file, capsys) -> None:
         assert main(["query", index_file, "NP", "--explain", "--batch"]) == 2
         assert "--explain cannot be combined" in capsys.readouterr().err
@@ -235,6 +264,8 @@ class TestExplain:
         capsys.readouterr()
         assert main(["query", out + ".live.json", "NP(DT)(NN)", "--explain"]) == 0
         assert "fetch total:" in capsys.readouterr().out
+        assert main(["query", out + ".live.json", "S(NP(DT)(NN))(VP(VBZ)(NP))", "--explain"]) == 0
+        assert "(over the merged lists; every shard / segment plans its own)" in capsys.readouterr().out
 
 
 def _bench_document(value_factor: float = 1.0) -> dict:
