@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from repro import Corpus, CorpusGenerator, LiveIndex, LiveQueryService, SubtreeIndex, parse_query
+from repro import Corpus, CorpusGenerator, LiveIndex, QueryService, SubtreeIndex, parse_query
 from repro.exec.executor import QueryExecutor
 
 QUERY = "NP(DT)(NN)"
@@ -28,12 +28,13 @@ def main() -> None:
     live = LiveIndex.create(
         os.path.join(workdir, "corpus"), mss=3, coding="root-split", trees=base
     )
-    service = LiveQueryService(live)
+    service = QueryService(live)  # the same service as over a plain index file
     print(f"seeded: {live.tree_count} trees, epoch {live.epoch}")
     print(f"{QUERY!r}: {service.run(QUERY).total_matches} matches")
 
     # Mutate while serving: every op is fsynced to the WAL before it is
-    # acknowledged, and the service invalidates its caches automatically.
+    # acknowledged; the index empties its posting cache, and cached results
+    # carry the index version they were computed at, so none is served stale.
     added = [live.add_tree(tree.root) for tree in extra]
     live.delete_tree(added[0])
     live.delete_tree(5)

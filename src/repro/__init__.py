@@ -16,12 +16,12 @@ Syntactically Annotated Trees"*, VLDB 2012.  The package provides:
   (:mod:`repro.exec`);
 * a caching, batching, thread-safe serving layer over an open index
   (:mod:`repro.service`);
-* horizontal partitioning by tree id: parallel multiprocess shard builds,
-  a self-describing manifest, and fan-out query execution
-  (:mod:`repro.shard`, :mod:`repro.exec.fanout`);
+* horizontal partitioning by tree id: parallel multiprocess shard builds
+  and a self-describing manifest (:mod:`repro.shard`);
 * a mutable "live" index for a growing corpus: write-ahead log, in-memory
-  delta segment, tombstone deletes and explicit compaction behind the same
-  read API (:mod:`repro.live`, :mod:`repro.service.live`);
+  delta segment, tombstone deletes and explicit compaction
+  (:mod:`repro.live`) -- both behind the plain index's read API, written
+  once in :mod:`repro.core.segments`;
 * the baselines the paper compares against (:mod:`repro.baselines`);
 * the evaluation workloads and the experiment harness regenerating every
   table and figure of the paper (:mod:`repro.workloads`, :mod:`repro.bench`).
@@ -40,10 +40,10 @@ True
 from repro.coding import FilterBasedCoding, RootSplitCoding, SubtreeIntervalCoding, get_coding
 from repro.core import SubtreeIndex
 from repro.corpus import Corpus, CorpusGenerator, TreeStore, generate_corpus
-from repro.exec import FanoutExecutor, QueryExecutor, QueryResult
+from repro.exec import QueryExecutor, QueryResult
 from repro.live import LiveIndex
 from repro.query import QueryTree, min_rc, optimal_cover, parse_query
-from repro.service import LiveQueryService, QueryService, ShardedQueryService
+from repro.service import LiveQueryService, QueryService
 from repro.shard import ShardedIndex
 from repro.trees import Node, ParseTree, parse_penn, to_penn
 
@@ -76,8 +76,6 @@ __all__ = [
     "QueryService",
     # Sharding
     "ShardedIndex",
-    "ShardedQueryService",
-    "FanoutExecutor",
     # Live (mutable) indexing
     "LiveIndex",
     "LiveQueryService",

@@ -214,10 +214,10 @@ def _explain_query(service: QueryService, text: str) -> None:
     total = sum(len(plist) for plist in postings)
     print(f"  fetch total: {total:,} postings (join phase not executed)")
     if plan is not None and plan.steps:
-        _explain_join(prepared, plan, merged=not isinstance(index, SubtreeIndex))
+        _explain_join(prepared, plan)
 
 
-def _explain_join(prepared: PreparedQuery, plan: JoinPlan, merged: bool) -> None:
+def _explain_join(prepared: PreparedQuery, plan: JoinPlan) -> None:
     """Print *plan*: join order, predicates in query-node terms, kernel source."""
     nodes = prepared.query.nodes()
     labels = [item.label for item in nodes]
@@ -225,8 +225,7 @@ def _explain_join(prepared: PreparedQuery, plan: JoinPlan, merged: bool) -> None
         item.label if labels.count(item.label) == 1 else f"{item.label}#{item.node_id}"
         for item in nodes
     ]
-    note = " (over the merged lists; every shard / segment plans its own)" if merged else ""
-    print(f"  join: {len(plan.steps)} step(s), left-deep from the smallest relation{note}")
+    print(f"  join: {len(plan.steps)} step(s), left-deep from the smallest relation")
     at: dict = {}  # binding offset of a pre value -> the query node bound there
     for number, step in enumerate(plan.steps, 1):
         relation = plan.relations[step.relation]
@@ -466,7 +465,7 @@ def _stats_payload(path: str, index) -> dict:
         payload["segment_count"] = index.segment_count
         payload["segments"] = [
             {
-                "segment_id": segment.segment_id,
+                "segment_id": segment.entry.segment_id,
                 "index_path": segment.entry.index_path,
                 "tree_count": segment.entry.tree_count,
                 "key_count": segment.entry.key_count,
@@ -494,7 +493,7 @@ def _stats_payload(path: str, index) -> dict:
         payload["shard_count"] = manifest.shard_count
         payload["shards"] = [
             {
-                "shard_id": shard.shard_id,
+                "shard_id": shard.entry.shard_id,
                 "index_path": shard.entry.index_path,
                 "tree_count": shard.entry.tree_count,
                 "key_count": shard.entry.key_count,
@@ -546,7 +545,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for segment in index.segments:
             entry = segment.entry
             print(
-                f"  {segment.segment_id:<4d} {entry.tree_count:<8,} {entry.key_count:<9,} "
+                f"  {entry.segment_id:<4d} {entry.tree_count:<8,} {entry.key_count:<9,} "
                 f"{entry.posting_count:<10,} {segment.index.size_bytes():<12,} "
                 f"{entry.min_tid}-{entry.max_tid}"
             )
@@ -563,7 +562,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for shard in index.shards:
             entry = shard.entry
             print(
-                f"  {shard.shard_id:<3d} {entry.tree_count:<8,} {entry.key_count:<9,} "
+                f"  {entry.shard_id:<3d} {entry.tree_count:<8,} {entry.key_count:<9,} "
                 f"{entry.posting_count:<10,} {shard.index.size_bytes():<12,} "
                 f"{entry.build_seconds:.2f}"
             )

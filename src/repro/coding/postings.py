@@ -2,10 +2,11 @@
 
 A decoded posting list is a :class:`PostingColumns`: the tree ids in one
 column and, per stored node, one ``(pre, post, level)`` column triple (a
-*slot*).  The join kernel reads the columns directly; the record classes
-below exist only at the edges -- index building, delta segments, merged
-sharded/live lookups and tests -- where a ``PostingColumns`` still behaves
-as the read-only sequence of records it replaced.
+*slot*).  The join kernel reads the columns directly, and a sharded or live
+index merges its sources' lists column by column (:func:`merge_columns`);
+the record classes below exist only at the edges -- index building and
+tests -- where a ``PostingColumns`` still behaves as the read-only sequence
+of records it replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from typing import AbstractSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.trees.numbering import IntervalCode
@@ -161,3 +163,49 @@ class PostingColumns(SequenceABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"PostingColumns({list(self)!r})"
+
+
+def merge_columns(parts: Sequence[PostingColumns]) -> PostingColumns:
+    """One key's lists from tid-disjoint sources as one list ascending in tid.
+
+    Every part is ascending in tid already.  When the populated parts' tid
+    ranges follow one another in the order given (a live index: segments,
+    then the delta) the columns are concatenated; when they interleave (the
+    shards of either partitioner) one stable sort permutation of the
+    concatenated tids is applied to every column, which keeps the order of
+    a tree's postings.  A single populated part is returned as it is.
+    """
+    populated = [part for part in parts if part]
+    if len(populated) < 2:
+        return populated[0] if populated else PostingColumns(())
+    tids = _concatenated([part.tids for part in populated])
+    pick = None  # ranges in order: the concatenation is the merge
+    if any(left.tids[-1] > right.tids[0] for left, right in zip(populated, populated[1:])):
+        pick = itemgetter(*sorted(range(len(tids)), key=tids.__getitem__))
+
+    def merged(columns: Sequence[Sequence[int]]) -> Sequence[int]:
+        column = _concatenated(columns)
+        return column if pick is None else type(column)(pick(column))
+
+    first = populated[0]
+    slots = tuple(
+        tuple(merged([part.slots[node][field] for part in populated]) for field in range(3))
+        for node in range(len(first.slots))
+    )
+    orders = None
+    if first.orders is not None:
+        orders = tuple(
+            merged([part.orders[node] for part in populated]) for node in range(len(first.orders))
+        )
+    return PostingColumns(tids if pick is None else list(pick(tids)), slots, orders)
+
+
+def _concatenated(columns: Sequence[Sequence[int]]) -> Sequence[int]:
+    """The columns end to end: ``bytes`` when every one is, a list otherwise
+    (``bytes + list`` raises, and a decoded column may be either)."""
+    if all(type(column) is bytes for column in columns):
+        return b"".join(columns)
+    joined: List[int] = []
+    for column in columns:
+        joined += column
+    return joined

@@ -8,6 +8,9 @@
   as index keys, and the reverse decoding.
 * :mod:`repro.core.index` -- building, opening and querying the disk-based
   subtree index for any of the three coding schemes.
+* :mod:`repro.core.segments` -- :class:`SegmentSet`, that index's read API
+  over several tid-disjoint sources merged column-wise: the base of the
+  sharded and the live index.
 * :mod:`repro.core.stats` -- index statistics (key counts, posting counts,
   size on disk) backing the Figure 2/3/8/9/10 and Table 1 experiments.
 """
@@ -20,11 +23,15 @@ from repro.core.enumeration import (
 )
 from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import SubtreeKey, canonical_key, decode_key, key_from_query_subtree
+from repro.core.segments import SegmentSet, Snapshot, Source
 from repro.core.stats import IndexStats, collect_index_stats
 
 __all__ = [
     "SubtreeIndex",
     "IndexMetadata",
+    "SegmentSet",
+    "Snapshot",
+    "Source",
     "SubtreeKey",
     "canonical_key",
     "decode_key",

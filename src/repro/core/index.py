@@ -106,6 +106,12 @@ def encode_posting_lists(
 class SubtreeIndex:
     """A disk-resident subtree index over a corpus of parse trees."""
 
+    #: What ``/healthz``, ``/stats`` and the ``query`` span call this kind of index.
+    flavor = "plain"
+    #: An open index file never changes: results and cached lists stay valid.
+    #: (A live index counts its mutations here; see ``repro.core.segments``.)
+    version = (0, 0)
+
     def __init__(self, tree: BPlusTree, coding: CodingScheme, metadata: IndexMetadata):
         self._tree = tree
         self.coding = coding
@@ -283,6 +289,14 @@ class SubtreeIndex:
         snapshot = self.probe_stats.snapshot()
         self.probe_stats.reset()
         return snapshot
+
+    def probe_snapshot(self) -> ProbeStats:
+        """A copy of the lookup counters (what a service reports as ``probes``)."""
+        return self.probe_stats.snapshot()
+
+    def stats_extras(self) -> Dict[str, object]:
+        """What this kind of index adds to a service's ``/stats`` block: nothing."""
+        return {}
 
     def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:
         """Install a read-through cache of decoded posting lists.

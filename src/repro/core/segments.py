@@ -1,0 +1,393 @@
+"""The segmented read API: one index over several tid-disjoint sources.
+
+A sharded index and a live index are both a *set of sources* -- complete
+:class:`~repro.core.index.SubtreeIndex` files over disjoint tree ids, plus,
+for a live index, an in-memory delta -- read as if they were one index.
+:class:`SegmentSet` writes that read API once: a key's posting list is the
+column-wise merge of the sources' lists
+(:func:`repro.coding.postings.merge_columns`), so every consumer of a plain
+index (``QueryExecutor``, ``QueryService``, the CLI) runs one join over one
+tid-ordered list whatever the index is made of.  Subclasses add what makes
+them differ: :class:`~repro.shard.sharded.ShardedIndex` a manifest, a
+partitioner and a parallel build; :class:`~repro.live.live.LiveIndex` the
+delta, tombstones, the write-ahead log and compaction.
+
+What a reader sees is one :class:`Snapshot` -- the index version and the
+sources, each with the tombstoned tids it holds -- which a mutable subclass
+replaces with a single rebind per mutation.  *Which* sources make up the
+index never changes under a reader: ``lookup`` reads the snapshot once, so a
+list is never assembled from two generations of sources (a compaction's new
+segment and the delta it was flushed from, say).  Within a source the only
+change is growth -- a delta gains trees, a tombstone set gains tids -- and a
+reader that meets it merely answers as of a little later.  ``lookup`` tags
+what it caches with the snapshot's version, so a list computed while a
+mutation raced it is never served afterwards.
+"""
+
+from __future__ import annotations
+
+import heapq
+import os
+from itertools import groupby
+from operator import itemgetter
+from typing import AbstractSet, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro import obs
+from repro.coding.base import CodingScheme, get_coding
+from repro.coding.postings import PostingColumns, merge_columns
+from repro.core.index import SubtreeIndex
+from repro.core.keys import SubtreeKey, decode_key
+from repro.corpus.store import TreeStore
+from repro.storage.bptree import ProbeStats, ValueCache
+from repro.trees.node import Node, ParseTree
+
+#: ``(epoch, mutation counter)``; constant on an index that cannot change.
+Version = Tuple[int, int]
+
+
+class Source(NamedTuple):
+    """One readable part of a segment set: a shard, a base segment or a delta."""
+
+    #: ``lookup`` (-> ``PostingColumns``) / ``has_key`` /
+    #: ``posting_list_length`` / ``items`` over canonical key bytes: a
+    #: ``SubtreeIndex`` or a live index's delta.
+    index: object
+    #: The source's trees by tid (``None`` for a shard built without data).
+    store: object
+    #: Its manifest entry; ``None`` for a delta.
+    entry: object = None
+    #: Tombstoned tids this source holds, dropped from everything read.  A
+    #: live index grows a source's set in place (a delete is one ``add``, not
+    #: a copy of every tombstone before it); readers only test membership.
+    dead: AbstractSet[int] = frozenset()
+
+    def alive(self, columns: PostingColumns) -> PostingColumns:
+        """*columns* of this source less its tombstoned trees' postings."""
+        return columns.without_tids(self.dead) if self.dead and columns else columns
+
+    def postings(self, key: bytes) -> PostingColumns:
+        """The source's surviving posting list of *key*."""
+        return self.alive(self.index.lookup(key))
+
+
+class Snapshot(NamedTuple):
+    """What one read sees: rebound as a whole, its tuple never edited."""
+
+    version: Version
+    sources: Tuple[Source, ...]
+
+
+def open_sources(
+    manifest_path: str,
+    manifest,
+    entries: Sequence[object],
+    describe: Callable[[object], str],
+    error: type,
+    store_required: bool,
+) -> Tuple[Source, ...]:
+    """Open the index and data file of every manifest entry.
+
+    Raises *error* naming the entry (``describe(entry)``) when a file is
+    missing or unreadable or was built with other parameters than the
+    manifest's; whatever was opened before is closed again.
+    """
+    sources: List[Source] = []
+    try:
+        for entry in entries:
+            name = describe(entry)
+            index_path = manifest.resolve(manifest_path, entry.index_path)
+            if not os.path.exists(index_path):
+                raise error(
+                    f"{name} is missing its index file {index_path!r} (listed in {manifest_path!r})"
+                )
+            try:
+                index = SubtreeIndex.open(index_path)
+            except Exception as failure:
+                raise error(f"{name} is unreadable at {index_path!r}: {failure}") from failure
+            sources.append(Source(index, None, entry))
+            if index.mss != manifest.mss or index.coding.name != manifest.coding:
+                raise error(
+                    f"{name} at {index_path!r} was built with mss={index.mss} "
+                    f"coding={index.coding.name}, but the manifest says "
+                    f"mss={manifest.mss} coding={manifest.coding}"
+                )
+            data_path = manifest.resolve(manifest_path, entry.data_path)
+            if os.path.exists(data_path):
+                sources[-1] = Source(index, TreeStore(data_path), entry)
+            elif store_required:
+                raise error(f"{name} is missing its data file {data_path!r}")
+    except Exception:
+        for source in sources:
+            _close(source)
+        raise
+    return tuple(sources)
+
+
+def _close(source: Source) -> None:
+    source.index.close()
+    if source.store is not None:
+        source.store.close()
+
+
+class TreeGone(KeyError):
+    """No source holds a live tree with this tid (any more).
+
+    What :meth:`SegmentTreeStore.get` raises.  A reader that took the tid
+    from a posting list may meet it legitimately -- the tree was deleted
+    after the list was read -- and treats it as a tree that no longer
+    matches; a plain ``KeyError`` from a data file stays an error.
+    """
+
+
+class SegmentTreeStore:
+    """Tid-routed read view over the sources' trees.
+
+    Presents the parts of :class:`~repro.corpus.store.TreeStore` the
+    filtering phase and the CLI use.  Tombstoned trees are gone: ``get``
+    raises :class:`TreeGone` (a ``KeyError``) for them and iteration skips
+    them.  Every call reads the index's current snapshot; a tree that is
+    alive stays fetchable across a compaction (same tid, new segment, and
+    the replaced segment's file stays open for a ``get`` already on it).
+    """
+
+    def __init__(self, segments: "SegmentSet"):
+        self._segments = segments
+
+    def _sources(self) -> List[Source]:
+        return [source for source in self._segments.snapshot.sources if source.store is not None]
+
+    def _store_of(self, tid: int) -> Optional[object]:
+        sources = self._segments.snapshot.sources
+        position = self._segments.locate(tid)
+        for source in sources if position is None else sources[position:position + 1]:
+            store = source.store
+            if store is not None and tid in store:
+                return None if tid in source.dead else store
+        return None
+
+    def get(self, tid: int) -> ParseTree:
+        store = self._store_of(tid)
+        if store is None:
+            raise TreeGone(f"no tree with tid {tid}")
+        return store.get(tid)
+
+    def get_many(self, tids: Sequence[int]) -> List[ParseTree]:
+        return [self.get(tid) for tid in sorted(tids)]
+
+    def __contains__(self, tid: int) -> bool:
+        return self._store_of(tid) is not None
+
+    def __len__(self) -> int:
+        return sum(len(source.store) - len(source.dead) for source in self._sources())
+
+    def tids(self) -> List[int]:
+        return sorted(
+            tid for source in self._sources() for tid in source.store.tids() if tid not in source.dead
+        )
+
+    def __iter__(self) -> Iterator[ParseTree]:
+        for tid in self.tids():
+            yield self.get(tid)
+
+
+class SegmentSet:
+    """The ``SubtreeIndex`` read API over a :class:`Snapshot` of sources."""
+
+    #: What ``/healthz``, ``/stats`` and the ``query`` span call this kind of
+    #: index; set by the subclass, as is ``metadata``.
+    flavor: str
+
+    def __init__(
+        self, manifest_path: str, manifest, sources: Sequence[Source], version: Version = (0, 0)
+    ):
+        self.manifest_path = manifest_path
+        self.manifest = manifest
+        self.coding: CodingScheme = get_coding(manifest.coding)
+        #: What readers see.  Rebound as a whole by a subclass that mutates.
+        self.snapshot = Snapshot(version, tuple(sources))
+        #: Sources a mutation replaced, kept open (their files may already be
+        #: unlinked) until close() so a reader still holding the snapshot
+        #: they were part of finishes on them.
+        self._retired: List[Source] = []
+        self.store = SegmentTreeStore(self)
+        self._postings_cache: Optional[ValueCache] = None
+        #: Counters of lookups through this object: ``tree_descents`` counts
+        #: the lists that had to be merged from the sources, whose own
+        #: descents and node decodes :meth:`probe_snapshot` adds up.
+        self.probe_stats = ProbeStats()
+
+    # ------------------------------------------------------------------
+    # Lookup (merged across sources)
+    # ------------------------------------------------------------------
+    def lookup(self, key: bytes | str | SubtreeKey | Node) -> PostingColumns:
+        """The posting list of *key*: the sources' lists merged by tid.
+
+        Accepts the same key forms as :meth:`SubtreeIndex.lookup`.  With a
+        cache attached (:meth:`attach_postings_cache`) the *merged* list is
+        cached, tagged with the version it was read at.
+        """
+        stats = self.probe_stats
+        stats.gets += 1
+        encoded = SubtreeIndex._normalise_key(key)
+        version, sources = self.snapshot
+        cache = self._postings_cache
+        if cache is not None:
+            tagged = cache.get(encoded)
+            if tagged is not None and tagged[0] == version:
+                stats.cache_hits += 1
+                return tagged[1]
+        stats.tree_descents += 1
+        with obs.trace("merge", sources=len(sources)) as span:
+            merged = merge_columns([source.postings(encoded) for source in sources])
+            span.set(postings=len(merged))
+        if cache is not None:
+            cache.put(encoded, (version, merged))
+        return merged
+
+    def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
+        """``True`` when *key* has a posting in a tree that is not tombstoned."""
+        encoded = SubtreeIndex._normalise_key(key)
+        return any(
+            bool(source.postings(encoded)) if source.dead else source.index.has_key(encoded)
+            for source in self.snapshot.sources
+        )
+
+    def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
+        """Length of the merged posting list of *key* (0 when absent).
+
+        The stored counts add up; only a source holding tombstoned trees
+        has to decode its list to tell which postings are theirs.
+        """
+        encoded = SubtreeIndex._normalise_key(key)
+        return sum(
+            len(source.postings(encoded)) if source.dead
+            else source.index.posting_list_length(encoded)
+            for source in self.snapshot.sources
+        )
+
+    def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
+        """Yield ``(key bytes, merged posting list)`` in global key order.
+
+        A key held by several sources appears once and a key whose every
+        posting is tombstoned not at all -- the stream is exactly what one
+        index built over the surviving trees would store.
+        """
+        sources = self.snapshot.sources
+
+        def stream(position: int, source: Source) -> Iterator[Tuple[bytes, int, PostingColumns]]:
+            for key, postings in source.index.items():  # a delta's are records
+                yield key, position, source.alive(PostingColumns.from_postings(postings))
+
+        by_key = heapq.merge(*(stream(position, source) for position, source in enumerate(sources)))
+        for key, group in groupby(by_key, key=itemgetter(0)):
+            merged = merge_columns([columns for _, _, columns in group])
+            if merged:
+                yield key, merged
+
+    def keys(self) -> Iterator[SubtreeKey]:
+        """Yield every distinct surviving key as a parsed :class:`SubtreeKey`."""
+        for key, _ in self.items():
+            yield decode_key(key)
+
+    # ------------------------------------------------------------------
+    # Probe accounting and the read-through posting cache
+    # ------------------------------------------------------------------
+    def _files(self) -> List[Source]:
+        """The current sources that are files (all but a live index's delta)."""
+        return [source for source in self.snapshot.sources if source.entry is not None]
+
+    def reset_probe_stats(self) -> ProbeStats:
+        """Zero the lookup counters (the sources' included); returns the snapshot."""
+        before = self.probe_stats.snapshot()
+        self.probe_stats.reset()
+        for source in self._files() + self._retired:
+            source.index.reset_probe_stats()
+        return before
+
+    def probe_snapshot(self) -> ProbeStats:
+        """The lookup counters as the I/O proxy: ``gets`` / ``cache_hits`` of
+        this object, B+Tree descents and node decodes summed over every
+        source read since the last reset (replaced ones included)."""
+        total = ProbeStats(self.probe_stats.gets, self.probe_stats.cache_hits)
+        for source in self._files() + self._retired:
+            total.tree_descents += source.index.probe_stats.tree_descents
+            total.node_decodes += source.index.probe_stats.node_decodes
+        return total
+
+    def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:
+        """Install a read-through cache of merged posting lists.
+
+        Entries are ``(version, list)`` pairs and one is served only at the
+        version it was read at; an index that mutates also empties the cache
+        on every mutation.
+        """
+        self._postings_cache = cache
+
+    @property
+    def postings_cache(self) -> Optional[ValueCache]:
+        """The currently attached merged-posting cache, if any."""
+        return self._postings_cache
+
+    def _clear_postings_cache(self) -> None:
+        clear = getattr(self._postings_cache, "clear", None)
+        if clear is not None:
+            clear()
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def version(self) -> Version:
+        """The version of the current snapshot; results and cached lists are
+        valid while it stands."""
+        return self.snapshot.version
+
+    def locate(self, tid: int) -> Optional[int]:
+        """Position of the source that holds *tid* if it holds it at all, when
+        that follows from the tid alone; ``None`` means ask every source."""
+        return None
+
+    def stats_extras(self) -> Dict[str, object]:
+        """What this kind of index adds to a service's ``/stats`` block."""
+        return {}
+
+    @property
+    def mss(self) -> int:
+        """Maximum subtree size every source indexes."""
+        return self.manifest.mss
+
+    @property
+    def key_count(self) -> int:
+        """Sum of per-source distinct-key counts (>= the global distinct count)."""
+        return self.metadata.key_count
+
+    @property
+    def posting_count(self) -> int:
+        """Total stored postings, tombstoned ones included."""
+        return self.metadata.posting_count
+
+    def size_bytes(self) -> int:
+        """Total size of the sources' index files on disk."""
+        return sum(source.index.size_bytes() for source in self._files())
+
+    # ------------------------------------------------------------------
+    def flush(self) -> None:
+        """Flush every source's files."""
+        for source in self._files():
+            source.index.flush()
+            if source.store is not None:
+                source.store.flush()
+
+    def close(self) -> None:
+        """Close every source's files (replaced ones included) and drop the cache."""
+        self._clear_postings_cache()
+        self._postings_cache = None
+        for source in self._files() + self._retired:
+            _close(source)
+        self._retired.clear()
+
+    def __enter__(self) -> "SegmentSet":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

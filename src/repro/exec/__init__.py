@@ -13,13 +13,12 @@
   wrapper around them (including the filtering phase of the filter-based
   coding) and the result/statistics containers.  The stages are separable so
   :mod:`repro.service` can cache and batch them independently.
-* :mod:`repro.exec.fanout` -- per-shard execution over a
-  :class:`~repro.shard.sharded.ShardedIndex`: decompose once, fetch + join
-  on every shard in parallel, merge results in global tid order
-  (``FanoutExecutor`` and the shared ``execute_on_shards`` machinery).
+
+There is one pipeline for every index: a sharded or live index merges its
+sources' posting lists below ``lookup`` (:mod:`repro.core.segments`), so the
+stages above never see what the index is made of.
 """
 
-from repro.exec.fanout import FanoutExecutor, execute_on_shards, merge_shard_results
 from repro.exec.executor import (
     ExecutionStats,
     QueryExecutor,
@@ -46,7 +45,4 @@ __all__ = [
     "cover_relations",
     "run_plan",
     "intersect_sorted_tid_lists",
-    "FanoutExecutor",
-    "execute_on_shards",
-    "merge_shard_results",
 ]

@@ -41,6 +41,7 @@ from repro.coding.postings import PostingColumns
 from repro.coding.root_split import RootSplitCoding
 from repro.coding.subtree_interval import SubtreeIntervalCoding
 from repro.core.index import SubtreeIndex
+from repro.core.segments import TreeGone
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.joins import count_distinct_roots, intersect_sorted_tid_lists, run_plan
 from repro.exec.plan import build_plan, cover_relations
@@ -213,7 +214,10 @@ def _join_filter_based(
     matches: Dict[int, int] = {}
     with obs.trace("filter", candidates=len(candidates)) as span:
         for tid in candidates:
-            tree = store.get(tid)
+            try:
+                tree = store.get(tid)
+            except TreeGone:  # deleted since its postings were read (live index)
+                continue
             count = count_matches(query.root, tree)
             if count:
                 matches[tid] = count
@@ -225,7 +229,8 @@ def _join_filter_based(
 # One-shot wrapper
 # ----------------------------------------------------------------------
 class QueryExecutor:
-    """Evaluates tree queries against a :class:`~repro.core.index.SubtreeIndex`.
+    """Evaluates tree queries against a :class:`~repro.core.index.SubtreeIndex`
+    -- or a sharded or live index, which present the same read API.
 
     Runs all three pipeline stages per call, without caching; use
     :class:`repro.service.QueryService` to serve repeated or concurrent
@@ -238,7 +243,8 @@ class QueryExecutor:
     store:
         The corpus data file (or an in-memory :class:`~repro.corpus.store.Corpus`).
         Required for the filter-based coding, whose filtering phase re-reads
-        candidate trees; optional otherwise.
+        candidate trees; optional otherwise.  Defaults to ``index.store``
+        when the index routes tids to its own trees (sharded, live).
     strategy:
         Cover strategy override; defaults to ``"min-rc"`` for root-split
         coding and ``"optimal"`` for the other codings.
@@ -254,7 +260,7 @@ class QueryExecutor:
         pad: bool = True,
     ):
         self.index = index
-        self.store = store
+        self.store = store if store is not None else getattr(index, "store", None)
         self.pad = pad
         self.strategy = strategy if strategy is not None else default_strategy(index.coding)
 

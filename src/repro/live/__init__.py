@@ -11,18 +11,18 @@ read API (cf. Clarke's *Annotative Indexing*, 2024):
   SubtreeIndex-shaped memtable over recently added trees.
 * :mod:`repro.live.manifest` -- the epoch-stamped JSON manifest listing the
   immutable base segments; swapped atomically by compaction.
-* :mod:`repro.live.live` -- :class:`LiveIndex`: the full ``SubtreeIndex``
-  read API over segments + delta with tombstone filtering, plus
+* :mod:`repro.live.live` -- :class:`LiveIndex`: a
+  :class:`~repro.core.segments.SegmentSet` over segments + delta (the full
+  ``SubtreeIndex`` read API, tombstoned trees cut per source) plus
   ``add_tree`` / ``delete_tree`` / ``compact`` and crash recovery.
 
-The serving layer lives with the other services
-(:class:`repro.service.live.LiveQueryService`), and ``SubtreeIndex.open`` /
-``QueryService.open`` / the CLI all dispatch here when pointed at a live
-manifest.
+It is served by the one :class:`repro.service.QueryService`, and
+``SubtreeIndex.open`` / ``QueryService.open`` / the CLI all dispatch here
+when pointed at a live manifest.
 """
 
 from repro.live.delta import DeltaSegment
-from repro.live.live import CompactionStats, LiveIndex, LiveSegment, LiveTreeStore, open_live
+from repro.live.live import CompactionStats, LiveIndex
 from repro.live.manifest import (
     LIVE_SUFFIX,
     LiveIndexError,
@@ -35,10 +35,7 @@ from repro.live.wal import WalError, WalOp, WriteAheadLog
 
 __all__ = [
     "LiveIndex",
-    "LiveSegment",
-    "LiveTreeStore",
     "CompactionStats",
-    "open_live",
     "DeltaSegment",
     "LiveManifest",
     "SegmentEntry",

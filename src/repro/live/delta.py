@@ -8,11 +8,16 @@ build (:func:`repro.core.index.accumulate_posting_lists`: one extraction
 kernel, one coding scheme) -- so merging delta postings with base-segment
 postings by tid is byte-identical to a full rebuild, and a compaction can
 write the delta's finished lists out instead of indexing its trees again.
+A lookup hands out :class:`~repro.coding.postings.PostingColumns`, what the
+join kernel reads: a key's records are converted the first time the key is
+looked up after an add touched it, and the columns are kept until the next
+one does -- not at ``add_tree``, where converting every key of the tree,
+looked up or not, tripled the cost of an add.
 
 Trees must be added in ascending tid order (the live index assigns
 monotonically increasing tids and never reuses one), which keeps every
-posting list tid-ascending by construction -- the invariant the k-way merge
-and the join operators rely on.
+posting list tid-ascending by construction -- the invariant the column
+merge and the join operators rely on.
 """
 
 from __future__ import annotations
@@ -20,8 +25,12 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from repro.coding.base import CodingScheme
+from repro.coding.postings import PostingColumns
 from repro.core.index import accumulate_posting_lists
+from repro.corpus.store import Corpus
 from repro.trees.node import ParseTree
+
+_EMPTY = PostingColumns(())
 
 
 class DeltaSegment:
@@ -30,9 +39,12 @@ class DeltaSegment:
     def __init__(self, mss: int, coding: CodingScheme):
         self.mss = mss
         self.coding = coding
-        #: tid -> tree, in insertion (= ascending tid) order.
-        self.trees: Dict[int, ParseTree] = {}
+        #: The delta's trees, in insertion (= ascending tid) order.
+        self.trees = Corpus()
         self._postings: Dict[bytes, List[object]] = {}
+        #: key -> (the record list converted, its columns); good while that
+        #: list is still the key's list (an add rebinds, never extends).
+        self._columns: Dict[bytes, Tuple[List[object], PostingColumns]] = {}
         self.posting_count = 0
 
     # ------------------------------------------------------------------
@@ -50,14 +62,13 @@ class DeltaSegment:
         """
         if tree.tid < 0:
             raise ValueError("delta trees need an assigned tid")
-        if self.trees and tree.tid <= next(reversed(self.trees)):
+        if len(self.trees) and tree.tid <= self.trees[-1].tid:
             raise ValueError(
-                f"delta tids must be ascending: got {tree.tid} after "
-                f"{next(reversed(self.trees))}"
+                f"delta tids must be ascending: got {tree.tid} after {self.trees[-1].tid}"
             )
         per_key, _ = accumulate_posting_lists([tree], self.mss, self.coding)
-        self.trees[tree.tid] = tree  # the tree before its postings: a posting
-        # a reader can see must always name a fetchable tree
+        self.trees.add(tree)  # the tree before its postings: a posting a
+        # reader can see must always name a fetchable tree
         for key, postings in per_key.items():
             existing = self._postings.get(key)
             self._postings[key] = postings if existing is None else existing + postings
@@ -66,16 +77,27 @@ class DeltaSegment:
     # ------------------------------------------------------------------
     # The SubtreeIndex-shaped read surface
     # ------------------------------------------------------------------
-    def lookup(self, key: bytes) -> List[object]:
+    def lookup(self, key: bytes) -> PostingColumns:
         """The delta's posting list of *key* (empty when absent)."""
-        return self._postings.get(key, [])
+        records = self._postings.get(key)
+        if records is None:
+            return _EMPTY
+        converted = self._columns.get(key)
+        if converted is None or converted[0] is not records:
+            converted = self._columns[key] = (records, PostingColumns.from_postings(records))
+        return converted[1]
 
     def has_key(self, key: bytes) -> bool:
         """``True`` when any delta tree contains *key*."""
         return key in self._postings
 
+    def posting_list_length(self, key: bytes) -> int:
+        """Length of the delta's posting list of *key* (0 when absent)."""
+        return len(self.lookup(key))
+
     def items(self) -> Iterator[Tuple[bytes, List[object]]]:
-        """Yield ``(key bytes, posting list)`` pairs in ascending key order."""
+        """Yield ``(key bytes, posting list)`` pairs in ascending key order --
+        the record lists as built, which is what a compaction writes out."""
         for key in sorted(self._postings):
             yield key, self._postings[key]
 
@@ -92,10 +114,4 @@ class DeltaSegment:
 
     def tids(self) -> List[int]:
         """All delta tids in ascending order."""
-        return list(self.trees)
-
-    def clear(self) -> None:
-        """Drop every tree and posting (after a compaction flushed them)."""
-        self.trees.clear()
-        self._postings.clear()
-        self.posting_count = 0
+        return self.trees.tids()

@@ -18,36 +18,42 @@ LSM recipe:
   trees are rewritten without them, and the epoch-stamped manifest is
   swapped atomically before the WAL is truncated.
 
-Reads present the full ``SubtreeIndex`` read API: a key's posting list is
-the tid-ordered k-way merge of the per-segment lists and the delta's
-(reusing the merge machinery of :class:`~repro.shard.sharded.ShardedIndex`),
-with tombstoned tids filtered out.  Tids are assigned monotonically and
-never reused, so segment and delta posting lists stay disjoint and
-tid-ascending -- merged results are byte-identical to a fresh rebuild over
-the surviving corpus, which ``tests/live/`` asserts over the full WH + FB
-workloads for all three codings.
+Reads are the :class:`~repro.core.segments.SegmentSet` read API, written
+once for sharded and live indexes: a key's posting list is the column-wise
+concatenation of the per-segment lists and the delta's, each source's
+tombstoned trees cut from *its* list first (only a source whose tid range
+holds a dead tid pays for that).  Tids are assigned monotonically and never
+reused, so segment and delta posting lists stay disjoint and tid-ascending
+-- merged results are byte-identical to a fresh rebuild over the surviving
+corpus, which ``tests/live/`` asserts over the full WH + FB workloads for
+all three codings.
 
 Mutations take a writer lock (one writer at a time); readers are never
-blocked and never crash: posting lists are published copy-on-write (a list
-a reader holds is a stable snapshot), a visible posting always names a
-fetchable tree, and segments replaced by a compaction are retired -- kept
-open until :meth:`LiveIndex.close` -- so in-flight queries finish on the
-old epoch's files.  A query that *overlaps* a mutation may still observe
-it partially (the new tree on some keys, not yet on others); callers
-needing strict snapshot isolation should serialise queries with mutations
-externally.
+blocked and never crash.  What a reader sees -- the segments, the delta and
+each source's dead tids -- is one snapshot that every mutation and every
+compaction replaces with a single rebind, so a list is never assembled from
+two generations of sources (a compaction's new segment *and* the delta it
+was flushed from, say).  Between compactions a source only grows: the delta
+gains trees, a tombstone set gains tids (in place -- a delete does not copy
+the tombstones before it).  Delta posting lists are published copy-on-write
+(a list a reader holds is a stable snapshot), a posting of an added tree
+always names a fetchable tree, and segments replaced by a compaction are
+retired -- kept open until :meth:`LiveIndex.close` -- so in-flight queries
+finish on the old epoch's files.  A query that *overlaps* a mutation may
+observe it partially (an added tree on some keys, not yet on others; a
+deleted tree still in the lists it read, which the filter phase then finds
+gone and counts as no match); what it computed is tagged with the version
+it started at and never served once that version is gone.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
@@ -57,41 +63,20 @@ from repro.core.index import (
     accumulate_posting_lists,
     encode_posting_lists,
 )
-from repro.core.keys import SubtreeKey, decode_key
-from repro.corpus.store import Corpus, TreeStore
+from repro.core.segments import SegmentSet, Snapshot, Source, open_sources
+from repro.corpus.store import TreeStore
 from repro.live.delta import DeltaSegment
 from repro.live.manifest import (
     LIVE_SUFFIX,
     LiveIndexError,
     LiveManifest,
     SegmentEntry,
-    is_live_manifest,
     segment_file_names,
     wal_file_path,
 )
 from repro.live.wal import WriteAheadLog
-from repro.shard.sharded import ShardedIndex
-from repro.storage.bptree import ProbeStats, ValueCache
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import parse_penn, to_penn
-
-
-@dataclass
-class LiveSegment:
-    """One opened base segment: manifest entry, index and data file."""
-
-    segment_id: int
-    entry: SegmentEntry
-    index: SubtreeIndex
-    store: TreeStore
-
-
-@dataclass
-class _DeltaHandle:
-    """Adapts the delta to the ``.index`` / ``.store`` shape fan-out expects."""
-
-    index: DeltaSegment
-    store: Corpus
 
 
 @dataclass
@@ -108,83 +93,27 @@ class CompactionStats:
     noop: bool = False
 
 
-class LiveTreeStore:
-    """Tid-routed read view over the segments' data files plus the delta.
-
-    Presents the parts of :class:`~repro.corpus.store.TreeStore` the query
-    path and the CLI use.  Tombstoned trees are gone: ``get`` raises
-    ``KeyError`` for them and iteration skips them.
-    """
-
-    def __init__(self, live: "LiveIndex"):
-        self._live = live
-
-    def get(self, tid: int) -> ParseTree:
-        live = self._live
-        if tid not in live._tombstones:
-            tree = live._delta.trees.get(tid)
-            if tree is not None:
-                return tree
-            for segment in live.segments:
-                if tid in segment.store:
-                    return segment.store.get(tid)
-        raise KeyError(f"no tree with tid {tid}")
-
-    def get_many(self, tids: Sequence[int]) -> List[ParseTree]:
-        return [self.get(tid) for tid in sorted(tids)]
-
-    def __contains__(self, tid: int) -> bool:
-        live = self._live
-        if tid in live._tombstones:
-            return False
-        return tid in live._delta.trees or any(tid in s.store for s in live.segments)
-
-    def __len__(self) -> int:
-        return self._live.tree_count
-
-    def tids(self) -> List[int]:
-        live = self._live
-        all_tids: List[int] = []
-        for segment in live.segments:
-            all_tids.extend(segment.store.tids())
-        all_tids.extend(live._delta.tids())
-        return sorted(tid for tid in all_tids if tid not in live._tombstones)
-
-    def __iter__(self) -> Iterator[ParseTree]:
-        for tid in self.tids():
-            yield self.get(tid)
-
-
-class LiveIndex:
+class LiveIndex(SegmentSet):
     """A mutable subtree index: base segments + delta + tombstones + WAL."""
+
+    flavor = "live"
 
     def __init__(
         self,
         manifest_path: str,
         manifest: LiveManifest,
-        segments: Sequence[LiveSegment],
+        segments: Sequence[Source],
         wal: WriteAheadLog,
         fsync: bool = True,
     ):
-        self.manifest_path = manifest_path
-        self.manifest = manifest
-        self.segments: List[LiveSegment] = list(segments)
-        self.coding: CodingScheme = get_coding(manifest.coding)
+        super().__init__(
+            manifest_path, manifest, [*segments, _delta_source(manifest)], (manifest.epoch, 0)
+        )
         self._wal = wal
         self._fsync = fsync
-        self._delta = DeltaSegment(manifest.mss, self.coding)
-        self._delta_corpus = Corpus()
-        self._tombstones: Set[int] = set()
         self._next_tid = manifest.next_tid
         self._mutations = 0
-        #: Segments replaced/dropped by a compaction, kept open (their files
-        #: may already be unlinked) until close() so in-flight readers that
-        #: snapshotted segment_handles() finish on the old epoch.
-        self._retired: List[LiveSegment] = []
         self._write_lock = threading.Lock()
-        self.store = LiveTreeStore(self)
-        self._postings_cache: Optional[ValueCache] = None
-        self.probe_stats = ProbeStats()
 
     # ------------------------------------------------------------------
     # Creation and recovery
@@ -261,41 +190,10 @@ class LiveIndex:
         if not os.path.exists(path):
             raise FileNotFoundError(f"no such live index: {path}")
         manifest = LiveManifest.load(path)
-        segments: List[LiveSegment] = []
-        try:
-            for entry in manifest.segments:
-                index_path = manifest.resolve(path, entry.index_path)
-                if not os.path.exists(index_path):
-                    raise LiveIndexError(
-                        f"segment {entry.segment_id} is missing its index file "
-                        f"{index_path!r} (listed in {path!r})"
-                    )
-                try:
-                    index = SubtreeIndex.open(index_path)
-                except Exception as error:
-                    raise LiveIndexError(
-                        f"segment {entry.segment_id} is unreadable at "
-                        f"{index_path!r}: {error}"
-                    ) from error
-                if index.mss != manifest.mss or index.coding.name != manifest.coding:
-                    index.close()
-                    raise LiveIndexError(
-                        f"segment {entry.segment_id} at {index_path!r} was built with "
-                        f"mss={index.mss} coding={index.coding.name}, but the manifest "
-                        f"says mss={manifest.mss} coding={manifest.coding}"
-                    )
-                data_path = manifest.resolve(path, entry.data_path)
-                if not os.path.exists(data_path):
-                    index.close()
-                    raise LiveIndexError(
-                        f"segment {entry.segment_id} is missing its data file {data_path!r}"
-                    )
-                segments.append(LiveSegment(entry.segment_id, entry, index, TreeStore(data_path)))
-        except Exception:
-            for segment in segments:
-                segment.index.close()
-                segment.store.close()
-            raise
+        segments = open_sources(
+            path, manifest, manifest.segments,
+            lambda entry: f"segment {entry.segment_id}", LiveIndexError, store_required=True,
+        )
 
         wal_path = wal_file_path(path)
         leftover = wal_path + ".next"  # side file of an aborted compaction
@@ -318,14 +216,16 @@ class LiveIndex:
             ops = []
 
         live = cls(path, manifest, segments, wal, fsync=fsync)
+        sources = live.snapshot.sources
         for op in ops:
             if op.op == "add":
-                tree = ParseTree(parse_penn(op.tree), tid=op.tid)
-                live._delta.add_tree(tree)
-                live._delta_corpus.add(tree)
+                live.delta.add_tree(ParseTree(parse_penn(op.tree), tid=op.tid))
                 live._next_tid = max(live._next_tid, op.tid + 1)
             else:
-                live._tombstones.add(op.tid)
+                position = _holder(sources, op.tid)
+                if position is not None:
+                    sources = _bury(sources, position, op.tid)
+        live.snapshot = Snapshot(live.version, sources)
         return live
 
     # ------------------------------------------------------------------
@@ -346,38 +246,34 @@ class LiveIndex:
             root = tree.root
         with self._write_lock:
             tid = self._next_tid
-            added = ParseTree(root, tid=tid)
             with obs.trace("wal.append", op="add", tid=tid):
                 self._wal.append_add(tid, to_penn(root))
-            # Corpus before postings: any posting a concurrent reader can
-            # see must name a tree the filtering phase can fetch.
-            self._delta_corpus.add(added)
-            self._delta.add_tree(added)
+            self.delta.add_tree(ParseTree(root, tid=tid))
             self._next_tid = tid + 1
-            self._bump()
+            self._publish(self.snapshot.sources)
         return tid
 
     def delete_tree(self, tid: int) -> None:
         """Delete the tree with identifier *tid* (a tombstone until compaction)."""
         with self._write_lock:
-            if tid in self._tombstones or (
-                tid not in self._delta.trees
-                and not any(tid in segment.store for segment in self.segments)
-            ):
+            sources = self.snapshot.sources
+            position = _holder(sources, tid)
+            if position is None:
                 raise KeyError(f"no tree with tid {tid}")
             with obs.trace("wal.append", op="delete", tid=tid):
                 self._wal.append_delete(tid)
-            self._tombstones.add(tid)
-            self._bump()
+            self._publish(_bury(sources, position, tid))
 
-    def _bump(self) -> None:
-        """Version bump + posting-cache invalidation after any mutation."""
+    def _publish(self, sources: Tuple[Source, ...]) -> None:
+        """Make *sources* what readers see from now on, under a new version.
+
+        One rebind: a reader holds the snapshot from before or the one from
+        after, never a mix.  The posting cache is emptied with it (its
+        entries carry the old version and would not be served anyway).
+        """
         self._mutations += 1
-        cache = self._postings_cache
-        if cache is not None:
-            clear = getattr(cache, "clear", None)
-            if clear is not None:
-                clear()
+        self.snapshot = Snapshot((self.manifest.epoch, self._mutations), sources)
+        self._clear_postings_cache()
 
     # ------------------------------------------------------------------
     # Compaction
@@ -408,47 +304,44 @@ class LiveIndex:
     def _compact_impl(self) -> CompactionStats:
         started = time.perf_counter()
         with self._write_lock:
-            if (
-                self._wal.op_count == 0
-                and not self._tombstones
-                and self._delta.tree_count == 0
-            ):
+            *old_segments, delta = self.snapshot.sources
+            purged = len(self.tombstones)
+            if self._wal.op_count == 0 and not purged and delta.index.tree_count == 0:
                 return CompactionStats(epoch=self.epoch, noop=True)
 
             new_epoch = self.epoch + 1
             next_segment_id = self.manifest.next_segment_id
-            segments: List[LiveSegment] = []  # of the new epoch, ascending in tid
-            replaced: List[LiveSegment] = []
+            segments: List[Source] = []  # of the new epoch, ascending in tid
+            replaced: List[Source] = []
             rewritten = 0
-            dead = self._tombstones
             coding = self.coding
 
             # What is already indexed is merged, never indexed again: a
             # segment's stored lists and the delta's in-memory ones are
             # written back out without the tombstoned trees' postings.
-            for segment in self.segments:
-                tids = segment.store.tids()
-                survivors = [tid for tid in tids if tid not in dead]
-                if len(survivors) == len(tids):
+            for segment in old_segments:
+                if not segment.dead:
                     segments.append(segment)
                     continue
                 replaced.append(segment)
+                survivors = [tid for tid in segment.store.tids() if tid not in segment.dead]
                 if survivors:  # else the segment is dropped entirely
                     segments.append(_write_segment(
                         self.manifest_path, next_segment_id, self.mss, coding, survivors,
-                        _surviving_lists(segment.index, dead),
+                        _surviving_lists(segment),
                         partial(_copy_records, source=segment.store, tids=survivors),
                         time.perf_counter(),
                     ))
                     next_segment_id += 1
                     rewritten += 1
 
-            flushed = [tree for tid, tree in self._delta.trees.items() if tid not in dead]
+            flushed = [tree for tree in delta.store if tree.tid not in delta.dead]
             if flushed:
                 flush_started = time.perf_counter()
+                dead = delta.dead
                 posting_lists = {
                     key: [posting for posting in postings if posting.tid not in dead] if dead else postings
-                    for key, postings in self._delta.items()
+                    for key, postings in delta.index.items()
                 }
                 segments.append(_write_segment(
                     self.manifest_path, next_segment_id, self.mss, coding,
@@ -478,18 +371,14 @@ class LiveIndex:
             self._wal.close()
             self._wal = next_wal
 
-            # Swap the in-memory state over to the new epoch.  Replaced
-            # segments are retired, not closed: a reader that snapshotted
-            # segment_handles() before the swap keeps valid file handles
-            # (the unlinked files stay readable until the handles close).
+            # Swap readers over to the new epoch in one rebind: new segments,
+            # an empty delta and no tombstones become visible together.
+            # Replaced segments are retired, not closed: a reader that took
+            # its snapshot before the swap keeps valid file handles (the
+            # unlinked files stay readable until the handles close).
             self._retired.extend(replaced)
-            self.segments = segments
-            purged = len(self._tombstones)
-            self._tombstones.clear()
-            self._delta = DeltaSegment(self.mss, self.coding)
-            self._delta_corpus = Corpus()
             self.manifest = manifest
-            self._bump()
+            self._publish((*segments, _delta_source(manifest)))
 
             for segment in replaced:  # after the swap: best-effort cleanup
                 for stale in (segment.entry.index_path, segment.entry.data_path):
@@ -509,134 +398,22 @@ class LiveIndex:
             )
 
     # ------------------------------------------------------------------
-    # The SubtreeIndex read API
-    # ------------------------------------------------------------------
-    _CACHE_MISS = object()
-
-    def lookup(self, key: bytes | str | SubtreeKey | Node) -> List[object]:
-        """The live posting list of *key*: segments + delta merged by tid,
-        tombstoned trees filtered out.  Accepts the same key forms as
-        :meth:`SubtreeIndex.lookup`."""
-        self.probe_stats.gets += 1
-        encoded = SubtreeIndex._normalise_key(key)
-        cache = self._postings_cache
-        if cache is not None:
-            cached = cache.get(encoded, self._CACHE_MISS)
-            if cached is not self._CACHE_MISS:
-                self.probe_stats.cache_hits += 1
-                return cached  # type: ignore[return-value]
-        self.probe_stats.tree_descents += 1
-        if obs.enabled():
-            with obs.trace("live.merge", sources=len(self.segments) + 1) as span:
-                merged = self._merged_lookup(encoded)
-                span.set(postings=len(merged))
-        else:
-            merged = self._merged_lookup(encoded)
-        if cache is not None:
-            cache.put(encoded, merged)
-        return merged
-
-    def _merged_lookup(self, encoded: bytes) -> Sequence[object]:
-        per_source = [segment.index.lookup(encoded) for segment in self.segments]
-        per_source.append(self._delta.lookup(encoded))
-        merged = ShardedIndex._merge_postings(per_source)
-        if self._tombstones:
-            dead = self._tombstones
-            merged = [posting for posting in merged if posting.tid not in dead]
-        return merged
-
-    def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
-        """``True`` when *key* has at least one surviving posting."""
-        encoded = SubtreeIndex._normalise_key(key)
-        if self._tombstones:
-            return bool(self.lookup(encoded))
-        return self._delta.has_key(encoded) or any(
-            segment.index.has_key(encoded) for segment in self.segments
-        )
-
-    def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
-        """Length of the surviving posting list of *key* (0 when absent).
-
-        Tombstoned trees are only known posting by posting, so the merged
-        lookup is needed while any exist; otherwise the stored counts add up.
-        """
-        if self._tombstones:
-            return len(self.lookup(key))
-        encoded = SubtreeIndex._normalise_key(key)
-        return len(self._delta.lookup(encoded)) + sum(
-            segment.index.posting_list_length(encoded) for segment in self.segments
-        )
-
-    def items(self) -> Iterator[Tuple[bytes, List[object]]]:
-        """Yield ``(key bytes, merged posting list)`` in global key order.
-
-        Tombstoned postings are filtered; keys left with no postings are
-        skipped -- the stream is exactly what a fresh rebuild would store.
-        """
-        streams = [segment.index.items() for segment in self.segments]
-        streams.append(self._delta.items())
-        merged = heapq.merge(*streams, key=lambda item: item[0])
-        dead = self._tombstones
-        for key, group in groupby(merged, key=lambda item: item[0]):
-            postings = ShardedIndex._merge_postings([plist for _, plist in group])
-            if dead:
-                postings = [posting for posting in postings if posting.tid not in dead]
-            if postings:
-                yield key, postings
-
-    def keys(self) -> Iterator[SubtreeKey]:
-        """Yield every surviving distinct key as a parsed :class:`SubtreeKey`."""
-        for key, _ in self.items():
-            yield decode_key(key)
-
-    # ------------------------------------------------------------------
-    # Probe accounting and the read-through posting cache
-    # ------------------------------------------------------------------
-    def reset_probe_stats(self) -> ProbeStats:
-        """Zero the lookup counters (segments' included); returns the snapshot."""
-        snapshot = self.probe_stats.snapshot()
-        self.probe_stats.reset()
-        for segment in self.segments:
-            segment.index.reset_probe_stats()
-        return snapshot
-
-    def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:
-        """Install a read-through cache of merged, tombstone-filtered lists.
-
-        Unlike the immutable indexes, the live index *owns* invalidation:
-        every mutation and compaction clears the attached cache, so stale
-        postings can never be served.
-        """
-        self._postings_cache = cache
-
-    @property
-    def postings_cache(self) -> Optional[ValueCache]:
-        """The currently attached posting cache, if any."""
-        return self._postings_cache
-
-    # ------------------------------------------------------------------
-    # Fan-out support
-    # ------------------------------------------------------------------
-    def segment_handles(self) -> List[object]:
-        """Per-source handles (``.index`` / ``.store``) for fan-out execution.
-
-        Base segments plus, when non-empty, the delta.  All sources hold
-        disjoint tids, so per-source join results merge exactly like shard
-        results -- the caller filters tombstoned tids from the merged
-        matches (see :func:`repro.exec.fanout.merge_shard_results`).
-        """
-        handles: List[object] = list(self.segments)
-        if self._delta.tree_count:
-            handles.append(_DeltaHandle(index=self._delta, store=self._delta_corpus))
-        return handles
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def version(self) -> Tuple[int, int]:
-        """``(epoch, mutation counter)``: changes on every add/delete/compact."""
-        return (self.manifest.epoch, self._mutations)
+    def segments(self) -> Tuple[Source, ...]:
+        """The immutable base segments (``.index`` / ``.store`` / manifest ``.entry``)."""
+        return self.snapshot.sources[:-1]
+
+    @property
+    def delta(self) -> DeltaSegment:
+        """The in-memory delta segment (read-only access)."""
+        return self.snapshot.sources[-1].index
+
+    @property
+    def tombstones(self) -> FrozenSet[int]:
+        """The deleted tids awaiting compaction."""
+        return frozenset().union(*(source.dead for source in self.snapshot.sources))
 
     @property
     def epoch(self) -> int:
@@ -644,43 +421,14 @@ class LiveIndex:
         return self.manifest.epoch
 
     @property
-    def mss(self) -> int:
-        """Maximum subtree size every segment (and the delta) indexes."""
-        return self.manifest.mss
-
-    @property
     def tree_count(self) -> int:
         """Number of live (non-tombstoned) trees."""
-        return (
-            sum(segment.entry.tree_count for segment in self.segments)
-            + self._delta.tree_count
-            - len(self._tombstones)
-        )
-
-    @property
-    def key_count(self) -> int:
-        """Sum of per-source distinct-key counts (>= the global distinct count)."""
-        return sum(s.entry.key_count for s in self.segments) + self._delta.key_count
-
-    @property
-    def posting_count(self) -> int:
-        """Total stored postings, tombstoned ones included until compaction."""
-        return sum(s.entry.posting_count for s in self.segments) + self._delta.posting_count
+        return len(self.store)
 
     @property
     def segment_count(self) -> int:
         """Number of immutable base segments."""
         return len(self.segments)
-
-    @property
-    def delta(self) -> DeltaSegment:
-        """The in-memory delta segment (read-only access)."""
-        return self._delta
-
-    @property
-    def tombstones(self) -> frozenset:
-        """The deleted tids awaiting compaction."""
-        return frozenset(self._tombstones)
 
     @property
     def wal(self) -> WriteAheadLog:
@@ -689,46 +437,64 @@ class LiveIndex:
 
     @property
     def metadata(self) -> IndexMetadata:
-        """Aggregate metadata in the shape SubtreeIndex consumers expect."""
+        """Aggregate metadata in the shape SubtreeIndex consumers expect:
+        per-source sums, tombstoned postings included until compaction."""
+        entries = [segment.entry for segment in self.segments]
         return IndexMetadata(
             mss=self.mss,
             coding=self.coding.name,
             tree_count=self.tree_count,
-            key_count=self.key_count,
-            posting_count=self.posting_count,
+            key_count=sum(entry.key_count for entry in entries) + self.delta.key_count,
+            posting_count=sum(entry.posting_count for entry in entries) + self.delta.posting_count,
             build_seconds=0.0,
         )
 
-    def size_bytes(self) -> int:
-        """Total size of the segment index files on disk."""
-        return sum(segment.index.size_bytes() for segment in self.segments)
-
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Flush every segment (the WAL is fsynced per append)."""
-        for segment in self.segments:
-            segment.index.flush()
-            segment.store.flush()
+    def stats_extras(self) -> Dict[str, object]:
+        """The mutation-side state, under ``live``."""
+        return {
+            "live": {
+                "epoch": self.epoch,
+                "delta_trees": self.delta.tree_count,
+                "tombstones": sum(len(source.dead) for source in self.snapshot.sources),
+                "wal_ops": self._wal.op_count,
+                "invalidations": self._mutations,
+            },
+        }
 
     def close(self) -> None:
-        """Close every segment (retired ones included), the WAL, and drop
-        the posting cache."""
-        if self._postings_cache is not None:
-            clear = getattr(self._postings_cache, "clear", None)
-            if clear is not None:
-                clear()
-            self._postings_cache = None
-        for segment in self.segments + self._retired:
-            segment.index.close()
-            segment.store.close()
-        self._retired.clear()
+        """Close every segment (retired ones included) and the WAL."""
+        super().close()
         self._wal.close()
 
-    def __enter__(self) -> "LiveIndex":
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+def _delta_source(manifest: LiveManifest) -> Source:
+    """An empty delta as the last source of a snapshot."""
+    delta = DeltaSegment(manifest.mss, get_coding(manifest.coding))
+    return Source(delta, delta.trees)
+
+
+def _holder(sources: Tuple[Source, ...], tid: int) -> Optional[int]:
+    """Position of the source holding a live tree *tid*; ``None`` without one."""
+    for position, source in enumerate(sources):
+        if tid in source.store:
+            return None if tid in source.dead else position
+    return None
+
+
+def _bury(sources: Tuple[Source, ...], position: int, tid: int) -> Tuple[Source, ...]:
+    """*sources* with *tid* tombstoned in the source at *position*.
+
+    A source's first tombstone gives it a set of its own; every later one is
+    added to that set in place, so a delete costs the same whatever number
+    went before it.  (Readers only ask the set ``in`` / ``isdisjoint``, one
+    call each, and a tid that turns up early hides postings the next
+    snapshot hides anyway.)
+    """
+    source = sources[position]
+    if source.dead:
+        source.dead.add(tid)
+        return sources
+    return (*sources[:position], source._replace(dead={tid}), *sources[position + 1:])
 
 
 def _write_segment(
@@ -740,7 +506,7 @@ def _write_segment(
     encoded: Iterable[Tuple[bytes, bytes]],
     write_store: Callable[[str], TreeStore],
     started: float,
-) -> LiveSegment:
+) -> Source:
     """Write one immutable segment -- index + data file over trees *tids* -- and open it.
 
     *encoded* is what :meth:`SubtreeIndex.write_posting_lists` takes;
@@ -765,23 +531,24 @@ def _write_segment(
         min_tid=tids[0],
         max_tid=tids[-1],
     )
-    return LiveSegment(segment_id, entry, index, store)
+    return Source(index, store, entry)
 
 
-def _surviving_lists(index: SubtreeIndex, dead: Set[int]) -> Iterator[Tuple[bytes, bytes]]:
-    """*index*'s stored lists without the postings of the trees in *dead*.
+def _surviving_lists(segment: Source) -> Iterator[Tuple[bytes, bytes]]:
+    """*segment*'s stored lists without its tombstoned trees' postings.
 
     A list no dead tree appears in is passed on as the bytes it is stored
     as; the others are filtered column-wise and re-encoded, and a key whose
     every posting is dropped disappears.
     """
-    for key, raw in index.raw_items():
-        postings = index.coding.decode_postings(raw)
-        surviving = postings.without_tids(dead)
+    coding = segment.index.coding
+    for key, raw in segment.index.raw_items():
+        postings = coding.decode_postings(raw)
+        surviving = segment.alive(postings)
         if surviving is postings:
             yield key, raw
         elif surviving:
-            yield key, index.coding.encode_postings(surviving)
+            yield key, coding.encode_postings(surviving)
 
 
 def _copy_records(path: str, source: TreeStore, tids: Sequence[int]) -> TreeStore:
@@ -791,10 +558,3 @@ def _copy_records(path: str, source: TreeStore, tids: Sequence[int]) -> TreeStor
         store.append_record(tid, source.record(tid))
     store.flush()
     return store
-
-
-def open_live(path: str, fsync: bool = True) -> LiveIndex:
-    """Open *path* as a live index (the dispatch target of ``SubtreeIndex.open``)."""
-    if not is_live_manifest(path):
-        raise LiveIndexError(f"{path!r} is not a live-index manifest")
-    return LiveIndex.open(path, fsync=fsync)

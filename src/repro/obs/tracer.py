@@ -87,7 +87,7 @@ class Span:
     the context-local current span, exiting stops the clock and -- for a
     root span -- hands the finished tree to the tracer.  ``children`` is
     appended to by child spans (list appends are atomic under the GIL, so
-    fan-out worker threads may attach children concurrently).
+    worker threads handed a ``parent=`` may attach children concurrently).
     """
 
     __slots__ = (

@@ -39,7 +39,7 @@ class MicroBatcher:
     Parameters
     ----------
     service:
-        Any of the three query-service flavors; only ``run_many`` is used.
+        The query service; only ``run_many`` is used.
     executor:
         The thread pool the (blocking, CPU/IO-bound) ``run_many`` call runs
         on, keeping the event loop free to accept more requests -- which is

@@ -1,4 +1,4 @@
-"""A stdlib-only asyncio HTTP front end over any query-service flavor.
+"""A stdlib-only asyncio HTTP front end over a query service, whatever it serves.
 
 ``QueryServer`` speaks just enough HTTP/1.1 (request line, headers,
 ``Content-Length`` bodies, keep-alive) over ``asyncio`` streams to serve
@@ -92,9 +92,7 @@ from repro.exec.executor import QueryResult
 from repro.obs.sinks import JsonlSink
 from repro.serve.batch import BatcherClosed, MicroBatcher
 from repro.serve.metrics import LatencyHistogram, prometheus_line, render_families, render_histogram
-from repro.service.live import LiveQueryService
 from repro.service.service import PreparedQuery, QueryService
-from repro.service.sharded import ShardedQueryService
 
 #: Routes the server knows, in display order.
 ENDPOINTS = ("/query", "/query/batch", "/stats", "/healthz", "/metrics", "/debug/trace")
@@ -142,12 +140,8 @@ def _header_safe(value: str) -> str:
 
 
 def service_flavor(service: QueryService) -> str:
-    """The wire name of a service's flavor: ``plain`` / ``sharded`` / ``live``."""
-    if isinstance(service, LiveQueryService):
-        return "live"
-    if isinstance(service, ShardedQueryService):
-        return "sharded"
-    return "plain"
+    """The wire name of what a service serves: ``plain`` / ``sharded`` / ``live``."""
+    return service.index.flavor
 
 
 def result_to_dict(result: QueryResult) -> Dict[str, object]:

@@ -4,36 +4,24 @@
   :class:`LRUCache` and the lock-striped :class:`StripedLRUCache` used for
   both the prepared-query cache and the posting cache.
 * :mod:`repro.service.service` -- :class:`QueryService`, which wraps one
-  open index (plus its data file) and serves repeated and concurrent
-  queries through those caches, including the batch API
-  :meth:`QueryService.run_many`.
-* :mod:`repro.service.sharded` -- :class:`ShardedQueryService`, the same
-  semantics over a :class:`~repro.shard.sharded.ShardedIndex`: one global
-  plan/result cache, a posting cache *per shard*, and fan-out execution.
-  ``QueryService.open`` dispatches here automatically for manifests.
-* :mod:`repro.service.live` -- :class:`LiveQueryService`, serving over a
-  mutable :class:`~repro.live.live.LiveIndex` with version-keyed cache
-  invalidation (postings/results on every mutation, plans on epoch bumps).
+  open index -- plain, sharded or live -- and serves repeated and
+  concurrent queries through those caches, including the batch API
+  :meth:`QueryService.run_many`.  Results are tagged with the index's
+  version, so a live index needs no service of its own.
 """
 
 from repro.service.cache import CacheStats, LRUCache, StripedLRUCache
-from repro.service.live import LiveQueryService, LiveServiceStats
 from repro.service.service import PreparedQuery, QueryService, ServiceStats
-from repro.service.sharded import (
-    ShardedQueryService,
-    ShardedServiceStats,
-    ShardLayerStats,
-)
+
+#: The benchmark under ``perfbench/`` (frozen) imports and constructs this
+#: name; a live index is served by the one ``QueryService``.
+LiveQueryService = QueryService
 
 __all__ = [
     "QueryService",
-    "ShardedQueryService",
     "LiveQueryService",
     "PreparedQuery",
     "ServiceStats",
-    "ShardedServiceStats",
-    "LiveServiceStats",
-    "ShardLayerStats",
     "LRUCache",
     "StripedLRUCache",
     "CacheStats",

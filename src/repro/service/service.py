@@ -1,4 +1,5 @@
-"""The query service: a serving layer over one open subtree index.
+"""The query service: a serving layer over one open subtree index -- a plain
+index file, a sharded index or a live (mutable) one; they share one read API.
 
 :class:`~repro.exec.executor.QueryExecutor` re-runs the whole pipeline --
 parse, decompose, fetch, join -- on every call.  That is the right shape for
@@ -17,15 +18,21 @@ posting cache
     a lock-striped LRU of *decoded* posting lists installed in front of the
     B+Tree (:meth:`repro.core.index.SubtreeIndex.attach_postings_cache`), so
     repeated cover keys skip both the tree descent and posting decoding.
+    Over a sharded or live index it holds the lists *merged* across the
+    index's sources (:class:`repro.core.segments.SegmentSet`), which the
+    index tags with its version and, when it mutates, empties itself.
     (The B+Tree additionally offers a raw-value read-through hook,
     :meth:`repro.storage.bptree.BPlusTree.attach_cache`, for callers below
     the decode step.)
 
 result cache
     complete :class:`~repro.exec.executor.QueryResult` objects keyed by the
-    normalized query string.  The index is immutable while open, so an
-    identical repeated query can be answered without any join work at all.
-    Size 0 disables this layer.
+    normalized query string, so an identical repeated query is answered
+    without any join work at all.  Every entry is tagged with the
+    ``index.version`` it was computed at -- a constant on an immutable
+    index, ``(epoch, mutation counter)`` on a live one -- and served only
+    while that is still the index's version: a result computed while a
+    mutation raced it is never served after it.  Size 0 disables this layer.
 
 On top of these, :meth:`QueryService.run_many` batches: it prepares every
 query first, fetches each *distinct* cover key exactly once, and joins each
@@ -100,14 +107,15 @@ class ServiceStats:
     results: CacheStats = field(default_factory=CacheStats)
     probes: ProbeStats = field(default_factory=ProbeStats)
 
-    def as_dict(self) -> Dict[str, object]:
-        """The merged, flavor-independent dict shape of these counters.
+    #: What the index adds under keys of its own (``shards`` / ``live``).
+    extras: Dict[str, object] = field(default_factory=dict)
 
-        All three service flavors (plain / sharded / live) emit exactly
-        these keys -- the ``/stats`` endpoint and the metrics exporter rely
-        on the shape being identical, so they never branch per flavor.
-        Subclasses add their flavor-specific state under *additional* keys
-        (see :meth:`extras_dict`) without touching this core shape.
+    def as_dict(self) -> Dict[str, object]:
+        """The dict shape of these counters, the same over every index.
+
+        The ``/stats`` endpoint and the metrics exporter rely on the core
+        keys being identical whatever the service serves, so they never
+        branch per flavor; :attr:`extras` ride along under *additional* keys.
         """
         payload: Dict[str, object] = {
             "queries": self.queries,
@@ -137,12 +145,14 @@ class ServiceStats:
                 "hit_rate": self.probes.hit_rate,
             },
         }
-        payload.update(self.extras_dict())
+        payload.update(self.extras)
         return payload
 
-    def extras_dict(self) -> Dict[str, object]:
-        """Flavor-specific additions to :meth:`as_dict` (none for plain)."""
-        return {}
+
+def _counters(cache: Optional[StripedLRUCache]) -> CacheStats:
+    """The counters of *cache*; zeros for a disabled layer.  (Not ``if cache``:
+    a cache a mutation just emptied is falsy and still has its counters.)"""
+    return cache.stats() if cache is not None else CacheStats()
 
 
 class QueryService:
@@ -151,9 +161,13 @@ class QueryService:
     Parameters
     ----------
     index:
-        An open :class:`~repro.core.index.SubtreeIndex`.
+        An open :class:`~repro.core.index.SubtreeIndex`,
+        :class:`~repro.shard.sharded.ShardedIndex` or
+        :class:`~repro.live.live.LiveIndex`.
     store:
-        Data file or in-memory corpus; required for filter-based coding.
+        Data file or in-memory corpus; required for filter-based coding
+        unless the index routes tids to its own trees (``index.store``: a
+        sharded or live index), which is then the default.
         Both are safe under concurrency (``TreeStore`` serialises record
         reads on its shared handle); an in-memory
         :class:`~repro.corpus.store.Corpus` avoids that lock entirely for
@@ -168,9 +182,6 @@ class QueryService:
         Lock stripes per cache; raise for heavily threaded workloads.
     """
 
-    #: Span attribute naming the serving flavor ("plain" / "sharded" / "live").
-    flavor = "plain"
-
     def __init__(
         self,
         index: SubtreeIndex,
@@ -183,7 +194,7 @@ class QueryService:
         stripes: int = 8,
     ):
         self.index = index
-        self.store = store
+        self.store = store if store is not None else getattr(index, "store", None)
         self.pad = pad
         self.strategy = strategy if strategy is not None else default_strategy(index.coding)
 
@@ -196,6 +207,8 @@ class QueryService:
         if self._postings_cache is not None:
             index.attach_postings_cache(self._postings_cache)
         self._owned_resources: List[object] = []
+        #: The index version the result cache's entries were last swept at.
+        self._seen_version = index.version
         # Telemetry counters, deliberately lock-free like ProbeStats: exact
         # single-threaded, may undercount slightly under concurrency.  A
         # lock here would put every fully-cached run() behind one global
@@ -209,33 +222,17 @@ class QueryService:
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, index_path: str, **kwargs: object) -> "QueryService":
-        """Open an index file (and its ``.data`` file, if present) for serving.
+        """Open an index for serving: an index file (and its ``.data`` file,
+        if present), a sharded-index manifest or a live-index manifest.
 
-        Pointed at a sharded-index manifest this returns a
-        :class:`~repro.service.sharded.ShardedQueryService`, and at a
-        live-index manifest a :class:`~repro.service.live.LiveQueryService`
-        -- both serve the same API.  The service owns what it opens:
-        :meth:`close` releases every file.
+        The service owns what it opens: :meth:`close` releases every file.
         """
-        from repro.shard.manifest import is_manifest  # local: shard builds on service
-
-        if cls is QueryService and is_manifest(index_path):
-            from repro.service.sharded import ShardedQueryService
-
-            return ShardedQueryService.open(index_path, **kwargs)
-        from repro.live.manifest import is_live_manifest  # local: live builds on service
-
-        if cls is QueryService and is_live_manifest(index_path):
-            from repro.service.live import LiveQueryService
-
-            return LiveQueryService.open(index_path, **kwargs)
         index = SubtreeIndex.open(index_path)  # raises FileNotFoundError if missing
-        data_path = data_file_path(index_path)
+        data_path = data_file_path(index_path)  # none beside a manifest, whose
+        # index routes tids to its sources' trees itself (``index.store``)
         store = TreeStore(data_path) if os.path.exists(data_path) else None
         service = cls(index, store=store, **kwargs)  # type: ignore[arg-type]
-        service._owned_resources.append(index)
-        if store is not None:
-            service._owned_resources.append(store)
+        service._owned_resources = [index] if store is None else [index, store]
         return service
 
     def close(self) -> None:
@@ -324,11 +321,15 @@ class QueryService:
     def _cached_result(
         self, prepared: PreparedQuery, peek: bool = False
     ) -> Optional[QueryResult]:
-        """The servable cached result; *peek* leaves counters and recency alone."""
+        """The servable cached result -- one computed at the index's current
+        version; *peek* leaves counters and recency alone."""
         if self._result_cache is None:
             return None
         lookup = self._result_cache.peek if peek else self._result_cache.get
-        return lookup(prepared.normalized)  # type: ignore[return-value]
+        tagged = lookup(prepared.normalized)
+        if tagged is None or tagged[0] != self.index.version:  # type: ignore[index]
+            return None
+        return tagged[1]  # type: ignore[index]
 
     def result_resident(self, prepared: PreparedQuery) -> bool:
         """Would :meth:`run` answer *prepared*'s query from the result cache now?
@@ -342,9 +343,28 @@ class QueryService:
         """
         return self._cached_result(prepared, peek=True) is not None
 
-    def _remember_result(self, prepared: PreparedQuery, result: QueryResult) -> None:
+    def _remember_result(
+        self, prepared: PreparedQuery, result: QueryResult, version: Tuple[int, int]
+    ) -> None:
+        """Cache *result* tagged with the index version it was computed at.
+
+        The version is read *before* execution, so a result that raced a
+        mutation carries a stale tag and is simply never served -- the
+        read-side check makes the write-side race harmless.
+        """
         if self._result_cache is not None:
-            self._result_cache.put(prepared.normalized, result)
+            self._result_cache.put(prepared.normalized, (version, result))
+
+    def _current_version(self) -> Tuple[int, int]:
+        """The index version a run starts at.  Results of an earlier version
+        can never be served again; they are dropped here so they stop
+        holding memory and counting as hits."""
+        version = self.index.version
+        if version != self._seen_version:
+            if self._result_cache is not None:
+                self._result_cache.clear()
+            self._seen_version = version
+        return version
 
     def run(self, query: QueryLike) -> QueryResult:
         """Evaluate one query through the cached pipeline.
@@ -354,15 +374,13 @@ class QueryService:
         originally produced it.
 
         With tracing enabled (:func:`repro.obs.enable`) the whole run is
-        wrapped in a ``query`` span whose children are the pipeline stages;
-        the flavor subclasses inherit this wrapper and override only the
-        uncached-execution hook.
+        wrapped in a ``query`` span whose children are the pipeline stages.
         """
         if not obs.enabled():
             return self._run_impl(query)
         text = query.strip() if isinstance(query, str) else query.root.to_string()
         with obs.trace(
-            "query", flavor=self.flavor, query=text, query_sha1=obs.query_hash(text)
+            "query", flavor=self.index.flavor, query=text, query_sha1=obs.query_hash(text)
         ) as span:
             result = self._run_impl(query)
             span.set(matches=result.total_matches)
@@ -370,14 +388,15 @@ class QueryService:
 
     def _run_impl(self, query: QueryLike) -> QueryResult:
         started = time.perf_counter()
+        version = self._current_version()
         with obs.trace("prepare") as span:
             prepared = self.prepare(query)
             span.set(cover=len(prepared.cover))
         result = self._cached_result(prepared)
-        obs.annotate(result_cache="hit" if result is not None else "miss")
+        obs.annotate(result_cache="hit" if result is not None else "miss", epoch=version[0])
         if result is None:
             result = self._execute_uncached(prepared, started)
-            self._remember_result(prepared, result)
+            self._remember_result(prepared, result, version)
         self._queries += 1
         return result
 
@@ -412,12 +431,13 @@ class QueryService:
         """
         if not obs.enabled():
             return self._run_many_impl(queries)
-        with obs.trace("batch", flavor=self.flavor, queries=len(queries)) as span:
+        with obs.trace("batch", flavor=self.index.flavor, queries=len(queries)) as span:
             results = self._run_many_impl(queries)
             span.set(matches=sum(result.total_matches for result in results))
             return results
 
     def _run_many_impl(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
+        version = self._current_version()
         prepared_batch = [self.prepare(query) for query in queries]
         cached: List[Optional[QueryResult]] = [
             self._cached_result(prepared) for prepared in prepared_batch
@@ -444,7 +464,7 @@ class QueryService:
             if result is None:
                 postings = [memo[key] for key in prepared.key_bytes]
                 result = self._execute_prepared(prepared, postings, time.perf_counter())
-                self._remember_result(prepared, result)
+                self._remember_result(prepared, result, version)
                 computed[prepared.normalized] = result
             results.append(result)
         self._queries += len(prepared_batch)
@@ -456,15 +476,18 @@ class QueryService:
     # Introspection and maintenance
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        """Snapshot every counter: service, all three caches, index probes."""
+        """Snapshot every counter: service, all three caches, index probes
+        (descents and node decodes summed over a sharded or live index's
+        sources), plus what the index reports about itself."""
         return ServiceStats(
             queries=self._queries,
             batches=self._batches,
             batch_keys_deduped=self._batch_keys_deduped,
-            plans=self._plan_cache.stats() if self._plan_cache else CacheStats(),
-            postings=self._postings_cache.stats() if self._postings_cache else CacheStats(),
-            results=self._result_cache.stats() if self._result_cache else CacheStats(),
-            probes=self.index.probe_stats.snapshot(),
+            plans=_counters(self._plan_cache),
+            postings=_counters(self._postings_cache),
+            results=_counters(self._result_cache),
+            probes=self.index.probe_snapshot(),
+            extras=self.index.stats_extras(),
         )
 
     def clear_caches(self) -> None:

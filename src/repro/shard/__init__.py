@@ -7,13 +7,12 @@
 * :mod:`repro.shard.builder` -- parallel shard construction via
   ``ProcessPoolExecutor`` (one complete ``SubtreeIndex`` + ``TreeStore``
   per shard).
-* :mod:`repro.shard.sharded` -- :class:`ShardedIndex`, the merged
-  SubtreeIndex-compatible view over the shards, plus the tid-routed
-  :class:`ShardedTreeStore`.
+* :mod:`repro.shard.sharded` -- :class:`ShardedIndex`, a
+  :class:`~repro.core.segments.SegmentSet` over the shards: the plain
+  index's read API with the per-shard posting lists merged column-wise.
 
-Query-side fan-out lives with the other executors
-(:mod:`repro.exec.fanout`) and the sharded serving layer with the other
-services (:mod:`repro.service.sharded`).
+There is no query-side fan-out: ``QueryExecutor`` and ``QueryService`` run
+over a sharded index as over any other.
 """
 
 from repro.shard.builder import build_sharded, default_worker_count, partition_corpus
@@ -31,13 +30,10 @@ from repro.shard.partitioner import (
     get_partitioner,
     partitioner_names,
 )
-from repro.shard.sharded import ShardedIndex, ShardedTreeStore, ShardHandle, open_index
+from repro.shard.sharded import ShardedIndex
 
 __all__ = [
     "ShardedIndex",
-    "ShardedTreeStore",
-    "ShardHandle",
-    "open_index",
     "build_sharded",
     "partition_corpus",
     "default_worker_count",

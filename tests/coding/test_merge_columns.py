@@ -1,0 +1,103 @@
+"""``merge_columns``: the lists of tid-disjoint sources as one list.
+
+A sharded or live index reads a key by merging what each of its sources
+stores for it.  Whatever the parts look like -- tid ranges in order (a live
+index) or interleaved (shards), empty parts, columns that came out of the
+decoder as ``bytes`` in one part and as a ``list`` in another -- the merged
+list holds exactly the parts' records sorted by tid, a tree's own postings
+in the order its source had them.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.coding import PostingColumns, RootPosting, get_coding
+from repro.coding.postings import FilterPosting, NodeCode, SubtreePosting, merge_columns
+
+CODINGS = ("filter", "root-split", "subtree-interval")
+
+
+def _records(coding: str, tid: int, count: int, big: bool, nodes: int) -> List[object]:
+    """*count* postings of tree *tid* (one for filter coding, which stores a
+    tree once); *big* puts values past one byte, so the decoder hands the
+    column out as a list and not as ``bytes``."""
+    scale = 300 if big else 1
+    if coding == "filter":
+        return [FilterPosting(tid)]
+    if coding == "root-split":
+        return [RootPosting(tid, (row + 1) * scale, row + 2, row % 5) for row in range(count)]
+    return [
+        SubtreePosting(tid, tuple(
+            NodeCode((row + node + 1) * scale, row + node + 2, node, node) for node in range(nodes)
+        ))
+        for row in range(count)
+    ]
+
+
+@st.composite
+def _parts(draw):
+    """``(coding, per-part record lists)``: every tid in exactly one part."""
+    coding = draw(st.sampled_from(CODINGS))
+    nodes = draw(st.integers(min_value=1, max_value=3))
+    part_count = draw(st.integers(min_value=1, max_value=4))
+    tids = sorted(draw(st.sets(st.integers(min_value=0, max_value=400), max_size=12)))
+    if draw(st.booleans()):  # ranges follow one another, as in a live index
+        cuts = sorted(draw(st.lists(
+            st.integers(min_value=0, max_value=len(tids)), min_size=part_count - 1,
+            max_size=part_count - 1,
+        )))
+        owner = [sum(position >= cut for cut in cuts) for position in range(len(tids))]
+    else:  # any tid anywhere, as under a partitioner
+        owner = [draw(st.integers(min_value=0, max_value=part_count - 1)) for _ in tids]
+    parts: List[List[object]] = [[] for _ in range(part_count)]
+    for tid, part in zip(tids, owner):
+        parts[part] += _records(
+            coding, tid, draw(st.integers(min_value=1, max_value=3)), draw(st.booleans()), nodes
+        )
+    return coding, parts
+
+
+@given(_parts(), st.data())
+def test_merged_list_is_the_tid_sorted_records(drawn, data) -> None:
+    coding_name, parts = drawn
+    coding = get_coding(coding_name)
+    columns = []
+    for records in parts:
+        if not records:
+            columns.append(data.draw(st.sampled_from([PostingColumns(()), PostingColumns([])])))
+        elif data.draw(st.booleans()):  # as stored: bytes columns where the values fit
+            columns.append(coding.decode_postings(coding.encode_postings(records)))
+        else:  # as a delta holds them: lists throughout
+            columns.append(PostingColumns.from_postings(records))
+    merged = merge_columns(columns)
+    expected = sorted((record for records in parts for record in records), key=lambda r: r.tid)
+    assert list(merged) == expected  # stable: a tree's postings keep their order
+    assert list(merged.tids) == [record.tid for record in expected]
+    for column in (c for slot in merged.slots for c in slot):
+        assert len(column) == len(expected)
+    if expected:  # the round trip: the columns are what the coding stores
+        assert coding.decode_postings(coding.encode_postings(merged)) == expected
+
+
+def test_bytes_and_list_columns_concatenate() -> None:
+    coding = get_coding("root-split")
+    stored = coding.decode_postings(coding.encode_postings([RootPosting(1, 2, 3, 0)]))
+    assert isinstance(stored.slots[0][0], bytes)  # the trap: bytes + list raises
+    delta = PostingColumns.from_postings([RootPosting(7, 300, 4, 1)])
+    assert list(merge_columns([stored, delta])) == [RootPosting(1, 2, 3, 0), RootPosting(7, 300, 4, 1)]
+    assert list(merge_columns([delta, stored])) == [RootPosting(1, 2, 3, 0), RootPosting(7, 300, 4, 1)]
+
+
+@pytest.mark.parametrize("empty", [PostingColumns(()), PostingColumns([])])
+def test_single_populated_source_keeps_its_columns(empty) -> None:
+    coding = get_coding("root-split")
+    columns = coding.decode_postings(
+        coding.encode_postings([RootPosting(3, 1, 2, 0), RootPosting(9, 4, 5, 1)])
+    )
+    assert merge_columns([empty, columns, empty]) is columns
+    assert merge_columns([columns]) is columns
+    assert len(merge_columns([empty, empty])) == 0 and merge_columns([]) == []

@@ -1,11 +1,12 @@
 """The join kernel against an independent oracle (ROADMAP aim 3).
 
-Every WH template and a seeded FB sample, under all three codings, through
-the three ways a query reaches the kernel -- ``QueryExecutor`` over one
-index, per-shard fan-out, and ``LiveQueryService`` over base segments, a
-non-empty delta and tombstones -- must return exactly what the brute-force
-matcher (:func:`repro.trees.matching.count_matches`, the paper's
-Definition 3) finds tree by tree.  Nothing here compares one of our code
+Every WH template and a seeded FB sample, under all three codings, over the
+three shapes an index takes -- one file, three shards behind a manifest
+(``QueryExecutor`` over both), and a live index of base segments, a
+non-empty delta and tombstones behind ``QueryService`` -- must return
+exactly what the brute-force matcher
+(:func:`repro.trees.matching.count_matches`, the paper's Definition 3)
+finds tree by tree.  Nothing here compares one of our code
 paths with another.
 """
 
@@ -20,18 +21,18 @@ from repro.baselines.node_index import NodeIntervalIndex
 from repro.core.index import SubtreeIndex
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
-from repro.exec import FanoutExecutor, QueryExecutor
+from repro.exec import QueryExecutor
 from repro.live import LiveIndex
 from repro.query.model import has_duplicate_siblings
 from repro.query.parser import parse_query
-from repro.service.live import LiveQueryService
+from repro.service import QueryService
 from repro.shard import ShardedIndex
 from repro.trees.matching import count_matches
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
 
 CODINGS = ("filter", "root-split", "subtree-interval")
-FLAVORS = ("executor", "fanout", "live")
+FLAVORS = ("executor", "sharded", "live")
 MSS = 3
 TREES = 150
 #: Live layout: a seed segment, a compacted second segment, then a delta.
@@ -90,9 +91,9 @@ def engines(tmp_path_factory):
         sharded = ShardedIndex.build(
             _TREES, MSS, coding, str(workdir / f"sharded-{coding}.si"), shards=3, workers=1
         )
-        fanout = FanoutExecutor(sharded)
-        run["fanout", coding] = lambda text, f=fanout: f.execute(parse_query(text))
-        closers += [fanout.close, sharded.close]
+        merged = QueryExecutor(sharded)
+        run["sharded", coding] = lambda text, e=merged: e.execute(parse_query(text))
+        closers.append(sharded.close)
 
         live = LiveIndex.create(
             str(workdir / f"live-{coding}"), MSS, coding, trees=_TREES[:SEED], fsync=False
@@ -105,7 +106,7 @@ def engines(tmp_path_factory):
         for tid in TOMBSTONES:
             live.delete_tree(tid)
         assert live.segment_count == 2 and live.delta.tree_count and live.tombstones
-        service = LiveQueryService(live, result_cache_size=0)
+        service = QueryService(live, result_cache_size=0)
         run["live", coding] = service.run
         closers += [service.close, live.close]
     yield run

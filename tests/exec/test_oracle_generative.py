@@ -15,6 +15,11 @@ subtree, are not drawn there.  The second property draws them freely: the
 join keeps apart the ones it binds in different relations, which makes
 subtree-interval, mss 1 and the node-index baseline exact and leaves
 root-split a superset (``docs/query-language.md``).
+
+The third property takes the first one's queries to every *shape* an index
+has: the corpus split over one to three shards by either partitioner, or
+laid out as a live index -- base segments, a delta, tombstones, compacted
+or not -- under all three codings, through ``QueryService``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,10 @@ from repro.baselines.node_index import NodeIntervalIndex
 from repro.coding.root_split import RootSplitCoding
 from repro.core.index import SubtreeIndex
 from repro.exec import QueryExecutor
+from repro.live import LiveIndex
 from repro.query.model import QueryNode, QueryTree
+from repro.service import QueryService
+from repro.shard import ShardedIndex
 from repro.trees.matching import count_matches
 from repro.trees.node import ParseTree, build_tree
 
@@ -169,3 +177,62 @@ def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tup
         finally:
             for index in indexes + [labels]:
                 index.close()
+
+
+# ----------------------------------------------------------------------
+# Every shape of index: shards, segments + delta + tombstones
+# ----------------------------------------------------------------------
+def _sharded(data, trees: List[ParseTree], mss: int, coding: str, path: str):
+    """The corpus over 1-3 shards; returns ``(index, tombstoned tids)``."""
+    index = ShardedIndex.build(
+        trees, mss, coding, path, workers=1,
+        shards=data.draw(st.integers(min_value=1, max_value=3), label="shards"),
+        partitioner=data.draw(st.sampled_from(["hash", "round-robin"]), label="partitioner"),
+    )
+    return index, set()
+
+
+def _live(data, trees: List[ParseTree], mss: int, coding: str, path: str):
+    """The corpus as seed segment + (compacted?) second batch + delta, some
+    trees deleted, compacted once more or not."""
+    seed = data.draw(st.integers(min_value=0, max_value=len(trees)), label="seed trees")
+    second = data.draw(st.integers(min_value=seed, max_value=len(trees)), label="second batch end")
+    dead = data.draw(st.sets(st.sampled_from(range(len(trees))), max_size=3), label="deleted")
+    index = LiveIndex.create(path, mss, coding, trees=trees[:seed], fsync=False)
+    for tree in trees[seed:second]:
+        index.add_tree(tree.root)
+    if data.draw(st.booleans(), label="compact the second batch"):
+        index.compact()
+    for tree in trees[second:]:
+        index.add_tree(tree.root)
+    for tid in sorted(dead):
+        index.delete_tree(tid)
+    if data.draw(st.booleans(), label="compact at the end"):
+        index.compact()
+    return index, dead
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), mss=st.integers(min_value=2, max_value=4), specs=st.lists(_specs, max_size=5))
+def test_every_index_shape_equals_the_brute_force_oracle(data, mss: int, specs: List[tuple]) -> None:
+    query = data.draw(_queries(mss))
+    specs = specs + [_planted(query.root, False), _planted(query.root, True)]
+    # Data files and the write-ahead log hold trees as Penn text, which has
+    # no form for a tree of one node (``to_penn`` writes a bare label that
+    # ``parse_penn`` refuses): such a tree gets a parent.
+    specs = [spec if spec[1] else ("D", [spec]) for spec in specs]
+    trees = [ParseTree(build_tree(spec), tid=tid) for tid, spec in enumerate(specs)]
+    coding = data.draw(st.sampled_from(("filter",) + CODINGS), label="coding")
+    shape = data.draw(st.sampled_from([_sharded, _live]), label="shape")
+    with tempfile.TemporaryDirectory() as workdir:
+        index, dead = shape(data, trees, mss, coding, os.path.join(workdir, "index"))
+        try:
+            counts = ((tree.tid, count_matches(query.root, tree)) for tree in trees)
+            expected = {tid: count for tid, count in counts if count and tid not in dead}
+            with QueryService(index, result_cache_size=0) as service:
+                found = service.run(query).matches_per_tree
+                assert found == expected
+                assert list(found) == sorted(found)  # ascending tid
+                assert service.run_many([query])[0].matches_per_tree == expected
+        finally:
+            index.close()

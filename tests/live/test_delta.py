@@ -54,17 +54,3 @@ def test_tids_must_ascend(tiny_corpus) -> None:
         delta.add_tree(trees[1])
     with pytest.raises(ValueError, match="ascending"):
         delta.add_tree(trees[3])  # equal tid is just as illegal
-
-
-def test_clear_resets_everything(tiny_corpus) -> None:
-    delta = DeltaSegment(mss=2, coding=get_coding("root-split"))
-    for tree in list(tiny_corpus)[:4]:
-        delta.add_tree(tree)
-    assert delta.tree_count == 4
-    delta.clear()
-    assert delta.tree_count == 0
-    assert delta.key_count == 0
-    assert delta.posting_count == 0
-    assert list(delta.items()) == []
-    delta.add_tree(tiny_corpus[0])  # tid ordering restarts after a clear
-    assert delta.tree_count == 1

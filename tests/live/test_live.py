@@ -301,14 +301,14 @@ class TestLifecycle:
     def test_compaction_retires_replaced_segments_for_inflight_readers(
         self, workdir, tiny_corpus
     ) -> None:
-        """A reader's segment_handles() snapshot stays usable across a
-        compaction that replaces (and unlinks) those segments' files."""
+        """A reader's snapshot stays usable across a compaction that
+        replaces (and unlinks) the files of the segments in it."""
         live = LiveIndex.create(
             str(workdir / "retire"), mss=2, coding="root-split",
             trees=list(tiny_corpus)[:8],
         )
         try:
-            snapshot = live.segment_handles()
+            snapshot = live.snapshot.sources
             before = snapshot[0].index.lookup(b"NP(DT)")
             live.delete_tree(0)  # forces the segment rewrite on compact
             live.compact()
@@ -317,6 +317,39 @@ class TestLifecycle:
             assert snapshot[0].store.get(0).tid == 0
             # The live index itself serves the new epoch.
             assert all(p.tid != 0 for p in live.lookup(b"NP(DT)"))
+        finally:
+            live.close()
+
+    def test_no_state_of_a_compaction_shows_a_tree_twice(self, workdir, tiny_corpus) -> None:
+        """A reader may run between any two of a compaction's assignments.
+        Whatever it finds there must be the index before or the index after,
+        never the flushed trees in their new segment *and* in the old delta
+        (out-of-order tids for the join kernel)."""
+
+        class ReadsAfterEveryAssignment(LiveIndex):
+            watching = False
+
+            def __setattr__(self, name, value) -> None:
+                super().__setattr__(name, value)
+                if self.watching:
+                    seen.append([posting.tid for posting in self.lookup(b"NP(DT)")])
+
+        seen = []
+        trees = list(tiny_corpus)
+        live = ReadsAfterEveryAssignment.create(
+            str(workdir / "torn"), mss=2, coding="root-split", trees=trees[:6]
+        )
+        try:
+            for tree in trees[6:12]:
+                live.add_tree(tree.root)
+            live.delete_tree(1)   # in the base segment: it is rewritten
+            live.delete_tree(8)   # in the delta
+            expected = [posting.tid for posting in live.lookup(b"NP(DT)")]
+            assert expected == sorted(expected) and len(set(expected)) > 6
+            live.watching = True
+            live.compact()
+            live.watching = False
+            assert len(seen) >= 3 and all(tids == expected for tids in seen)
         finally:
             live.close()
 
@@ -332,6 +365,32 @@ class TestLifecycle:
                 live.add_tree(tree.root)
             assert len(held) == length  # the held list never mutated
             assert len(live.delta.lookup(b"NP(DT)")) > length
+        finally:
+            live.close()
+
+    def test_a_delete_does_not_copy_the_tombstones_before_it(self, workdir, tiny_corpus) -> None:
+        """A source's tombstone set grows in place (a delete is O(1) however
+        many went before); every delete still publishes a new version, and a
+        snapshot from before the source's first tombstone never changes."""
+        live = LiveIndex.create(
+            str(workdir / "bury"), mss=2, coding="root-split", trees=list(tiny_corpus)[:8]
+        )
+        try:
+            pristine = live.snapshot
+            live.delete_tree(0)
+            first = live.snapshot
+            dead = first.sources[0].dead
+            live.delete_tree(3)
+            second = live.snapshot
+            assert second.sources[0].dead is dead and dead == {0, 3}
+            assert second.version != first.version != pristine.version
+            assert pristine.sources[0].dead == frozenset()
+            assert [p.tid for p in live.lookup(b"NP(DT)")] == [
+                p.tid for p in pristine.sources[0].index.lookup(b"NP(DT)") if p.tid not in (0, 3)
+            ]
+            assert live.tombstones == {0, 3} and live.tree_count == 6
+            live.compact()  # the next generation of sources starts without tombstones
+            assert all(not source.dead for source in live.snapshot.sources)
         finally:
             live.close()
 
@@ -396,7 +455,7 @@ class TestCompactionIsAMerge:
 
             for segment in live.segments:
                 survivors = [by_tid[tid] for tid in segment.store.tids()]
-                fresh_path = str(workdir / f"merge-{coding}-fresh{segment.segment_id}")
+                fresh_path = str(workdir / f"merge-{coding}-fresh{segment.entry.segment_id}")
                 SubtreeIndex.build(survivors, mss=MSS, coding=coding, path=fresh_path + ".si").close()
                 TreeStore.build(fresh_path + ".data", survivors).close()
                 index_path = live.manifest.resolve(live.manifest_path, segment.entry.index_path)

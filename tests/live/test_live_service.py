@@ -1,4 +1,5 @@
-"""Tests for the live serving layer: fan-out results + cache invalidation."""
+"""Tests for serving a live index: the one ``QueryService``, results equal to
+a rebuild, and caches that never serve what a mutation made stale."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ import pytest
 
 from repro.core.index import SubtreeIndex
 from repro.corpus.store import Corpus
+from repro.exec import fetch_postings, join_postings
 from repro.live import LiveIndex
-from repro.service.live import LiveQueryService
 from repro.service.service import QueryService
 
 
@@ -35,7 +36,7 @@ def test_run_matches_plain_service(tmp_path, live, small_corpus) -> None:
     for tree in list(small_corpus)[60:75]:
         live.add_tree(tree.root)
     live.delete_tree(5)
-    service = LiveQueryService(live)
+    service = QueryService(live)
     reference = plain_service_over(tmp_path, live, "ref")
     try:
         for text in QUERIES:
@@ -49,7 +50,7 @@ def test_run_matches_plain_service(tmp_path, live, small_corpus) -> None:
 
 
 def test_mutations_invalidate_results(tmp_path, live) -> None:
-    service = LiveQueryService(live)
+    service = QueryService(live)
     try:
         text = "NP(DT)(NN)"
         before = service.run(text)
@@ -65,7 +66,7 @@ def test_mutations_invalidate_results(tmp_path, live) -> None:
         live.delete_tree(tid)
         after_delete = service.run(text)
         assert after_delete.matches_per_tree == before.matches_per_tree
-        assert service.stats().invalidations == 2
+        assert service.stats().extras["live"]["invalidations"] == 2
     finally:
         service.close()
 
@@ -73,7 +74,7 @@ def test_mutations_invalidate_results(tmp_path, live) -> None:
 def test_result_resident_tracks_the_index_version(live) -> None:
     # The HTTP server's where-to-run probe: true only while run() would be
     # a result-cache hit, and it counts as neither a hit nor a miss.
-    service = LiveQueryService(live)
+    service = QueryService(live)
     try:
         prepared = service.prepare("NP(DT)(NN)")
         assert not service.result_resident(prepared)
@@ -87,41 +88,41 @@ def test_result_resident_tracks_the_index_version(live) -> None:
         service.close()
 
 
-def test_epoch_bump_clears_plans(live) -> None:
-    service = LiveQueryService(live)
+def test_plans_survive_mutations_and_an_epoch_bump(live) -> None:
+    # A plan is a pure function of the query, mss, strategy and pad.
+    service = QueryService(live)
     try:
         service.run("NP(DT)(NN)")
-        service.run("NP(DT)(NN)")
-        assert service.stats().plans.hits > 0
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
         live.compact()
         assert live.epoch == 1
         stats_before = service.stats().plans
-        service.run("NP(DT)(NN)")  # re-prepared: the epoch bump dropped plans
+        service.run("NP(DT)(NN)")
         stats_after = service.stats().plans
-        assert stats_after.misses > stats_before.misses
-        assert service.stats().epoch == 1
+        assert stats_after.misses == stats_before.misses
+        assert stats_after.hits > stats_before.hits
+        assert service.stats().extras["live"]["epoch"] == 1
     finally:
         service.close()
 
 
-def test_segment_posting_caches_serve_repeats(live) -> None:
-    """The fan-out path reads through per-segment posting caches, and adds
-    do not invalidate them (segments are immutable within an epoch)."""
-    service = LiveQueryService(live, result_cache_size=0)
+def test_merged_posting_cache_serves_repeats_until_a_mutation(live) -> None:
+    """One posting cache holds the lists merged over segments + delta; the
+    index empties it on every mutation and compaction."""
+    service = QueryService(live, result_cache_size=0)
     try:
         service.run("NP(DT)(NN)")
         cold = service.stats().postings
-        assert cold.misses > 0
-        service.run("NP(DT)(NN)")
-        assert service.stats().postings.hits > cold.hits
-        live.add_tree("(ROOT (NP (DT a) (NN b)))")  # delta-only mutation
+        assert cold.misses > 0 and cold.size > 0
         service.run("NP(DT)(NN)")
         warm = service.stats().postings
-        assert warm.hits > cold.hits + 1  # segment cache survived the add
-        live.compact()  # epoch bump: caches rebuilt for the new segment set
+        assert warm.hits > cold.hits and warm.misses == cold.misses
+        live.add_tree("(ROOT (NP (DT a) (NN b)))")
+        assert service.stats().postings.size == 0
         service.run("NP(DT)(NN)")
         assert service.stats().postings.misses > warm.misses
+        live.compact()
+        assert service.stats().postings.size == 0
     finally:
         service.close()
 
@@ -129,7 +130,7 @@ def test_segment_posting_caches_serve_repeats(live) -> None:
 def test_stale_result_is_never_served_after_racing_a_mutation(live) -> None:
     """A result tagged with an old index version is not served even if it
     lands in the cache after the invalidation sweep (write-side race)."""
-    service = LiveQueryService(live)
+    service = QueryService(live)
     try:
         text = "NP(DT)(NN)"
         stale_version = live.version
@@ -145,8 +146,26 @@ def test_stale_result_is_never_served_after_racing_a_mutation(live) -> None:
         service.close()
 
 
+def test_stale_posting_list_is_never_served_after_racing_a_mutation(live) -> None:
+    """The posting twin: a merged list that lands in the cache after the
+    mutation's sweep, tagged with the version it was read at, is not served."""
+    service = QueryService(live, result_cache_size=0)
+    try:
+        key = b"NP(DT)"
+        stale_version = live.version
+        stale = live.lookup(key)
+        tid = live.add_tree("(ROOT (S (NP (DT the) (NN crab)) (VP (VBZ digs))))")
+        live.postings_cache.put(key, (stale_version, stale))  # the slow reader's put
+        served = live.lookup(key)
+        assert served is not stale
+        assert served.tids[-1] == tid and tid not in stale.tids
+        assert live.lookup(key) is served  # re-cached under the current version
+    finally:
+        service.close()
+
+
 def test_run_many_batches_and_dedups(tmp_path, live) -> None:
-    service = LiveQueryService(live, result_cache_size=0)
+    service = QueryService(live, result_cache_size=0)
     reference = plain_service_over(tmp_path, live, "batch-ref")
     try:
         results = service.run_many(QUERIES + QUERIES)
@@ -167,7 +186,7 @@ def test_filter_coding_service(tmp_path, small_corpus) -> None:
         for tree in list(small_corpus)[40:50]:
             live.add_tree(tree.root)
         live.delete_tree(2)
-        service = LiveQueryService(live)
+        service = QueryService(live)
         reference = plain_service_over(tmp_path, live, "filter-ref")
         try:
             for text in QUERIES:
@@ -179,7 +198,40 @@ def test_filter_coding_service(tmp_path, small_corpus) -> None:
         live.close()
 
 
-def test_open_dispatches_to_live_service(tmp_path, tiny_corpus) -> None:
+@pytest.mark.parametrize("then_compact", [False, True], ids=["delete", "delete+compact"])
+def test_filter_phase_survives_a_delete_racing_it(tmp_path, small_corpus, then_compact) -> None:
+    """A filter-coded query whose tid lists were read before a delete (and a
+    compaction) landed: the filter phase meets a candidate whose tree is
+    gone, and answers as of after the delete instead of raising."""
+    live = LiveIndex.create(
+        str(tmp_path / "race"), mss=3, coding="filter", trees=list(small_corpus)[:40]
+    )
+    try:
+        for tree in list(small_corpus)[40:50]:
+            live.add_tree(tree.root)
+        service = QueryService(live)
+        prepared = service.prepare("NP(DT)(NN)")
+        postings = fetch_postings(prepared.cover, live.lookup)
+        before = service.run("NP(DT)(NN)").matches_per_tree
+        in_segment, in_delta = min(before), max(before)
+        assert in_segment < 40 <= in_delta
+
+        live.delete_tree(in_segment)
+        live.delete_tree(in_delta)
+        if then_compact:
+            live.compact()
+        raced = join_postings(
+            prepared.query, prepared.cover, postings, live.coding, store=service.store
+        )
+        expected = {tid: n for tid, n in before.items() if tid not in (in_segment, in_delta)}
+        assert raced.matches_per_tree == expected
+        assert service.run("NP(DT)(NN)").matches_per_tree == expected
+        service.close()
+    finally:
+        live.close()
+
+
+def test_open_serves_a_live_manifest(tmp_path, tiny_corpus) -> None:
     live = LiveIndex.create(
         str(tmp_path / "dispatch"), mss=2, coding="root-split", trees=list(tiny_corpus)
     )
@@ -187,11 +239,11 @@ def test_open_dispatches_to_live_service(tmp_path, tiny_corpus) -> None:
     live.close()
     service = QueryService.open(manifest_path)
     try:
-        assert isinstance(service, LiveQueryService)
+        assert isinstance(service.index, LiveIndex)
         result = service.run("NP(DT)")
         assert result.total_matches > 0
-        stats = service.stats()
-        assert stats.epoch == 0
-        assert stats.wal_ops == 0
+        stats = service.stats().extras["live"]
+        assert stats["epoch"] == 0
+        assert stats["wal_ops"] == 0
     finally:
         service.close()

@@ -2,8 +2,8 @@
 
 The traces the tracer reports must be *internally consistent*: the stage
 tree mirrors the pipeline, children nest inside their parents on the
-timeline, and -- run sequentially -- per-shard child spans account for
-their fan-out parent.  These tests run the actual query services over a
+timeline, and the per-shard descents of a sharded index sit under the
+``merge`` span of the key they fetch.  These tests run the query service over a
 real index and assert on the recorded trees, plus the disabled-path
 overhead guard.
 """
@@ -23,7 +23,6 @@ from repro.obs.sinks import write_chrome_trace
 from repro.obs.tracer import NOOP_SPAN, Tracer
 from repro.query.parser import parse_query
 from repro.service.service import QueryService
-from repro.service.sharded import ShardedQueryService
 from repro.shard import ShardedIndex
 
 QUERY = "NP(DT)(NN)"
@@ -46,9 +45,7 @@ def sharded_service(tmp_path_factory, small_corpus):
     ShardedIndex.build(
         small_corpus, mss=3, coding="root-split", path=path, shards=2, workers=1
     ).close()
-    # One fan-out thread: shards execute sequentially, so their spans must
-    # tile the parent fan-out span rather than overlap.
-    service = ShardedQueryService.open(path + ".manifest.json", max_threads=1)
+    service = QueryService.open(path + ".manifest.json")
     yield service
     service.close()
 
@@ -155,30 +152,26 @@ class TestPlainServiceTrace:
 
 
 class TestShardedServiceTrace:
-    def test_shard_spans_account_for_the_fanout(self, sharded_service) -> None:
+    def test_shard_descents_sit_under_the_merge_of_their_key(self, sharded_service) -> None:
         sharded_service.clear_caches()
         tracer = obs.enable(Tracer())
         try:
-            sharded_service.run(QUERY)
+            result = sharded_service.run(QUERY)
         finally:
             obs.disable()
         record = tracer.last(1)[0]
         assert record["attrs"]["flavor"] == "sharded"
-        fanout = _find_span(record["spans"], "fanout")
-        assert fanout is not None
-        assert fanout["attrs"]["shards"] == 2
-        shards = [child for child in fanout["children"] if child["name"] == "shard"]
-        assert len(shards) == 2
-        assert {child["attrs"]["shard"] for child in shards} == {0, 1}
-        child_sum = sum(child["duration_us"] for child in shards)
-        # Sequential fan-out (max_threads=1): shard spans cannot exceed the
-        # parent...
-        assert child_sum <= fanout["duration_us"] + 2 * len(shards)
-        # ...and on an unloaded box they account for most of it (the rest is
-        # the merge and pool dispatch).  Ratio asserts are timing-sensitive,
-        # so they follow the shared bench guard.
-        if timing_bars_enabled():
-            assert child_sum >= 0.3 * fanout["duration_us"]
+        fetch_key = _find_span(record["spans"], "fetch_key")
+        assert [child["name"] for child in fetch_key["children"]] == ["merge"]
+        merge = fetch_key["children"][0]
+        assert merge["attrs"]["sources"] == 2
+        assert merge["attrs"]["postings"] == fetch_key["attrs"]["postings"]
+        assert merge["attrs"]["postings"] == result.stats.postings_fetched
+        # One B+Tree descent per shard, in sequence: they cannot exceed the
+        # merge they belong to.
+        descents = [child for child in merge["children"] if child["name"] == "bptree.descent"]
+        assert len(descents) == 2
+        assert sum(child["duration_us"] for child in descents) <= merge["duration_us"] + 2 * 2
 
     def test_chrome_export_of_a_sharded_trace_loads(self, sharded_service, tmp_path) -> None:
         sharded_service.clear_caches()
@@ -191,7 +184,7 @@ class TestShardedServiceTrace:
         path = write_chrome_trace(str(tmp_path / "trace.json"), records)
         document = json.load(open(path, encoding="utf-8"))
         events = document["traceEvents"]
-        assert {"query", "fanout", "shard", "merge_results"} <= {
+        assert {"query", "fetch_key", "merge", "bptree.descent"} <= {
             event["name"] for event in events
         }
         for event in events:

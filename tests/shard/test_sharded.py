@@ -1,10 +1,11 @@
-"""Integration tests for the sharded index, fan-out execution and service.
+"""Integration tests for the sharded index and serving over it.
 
 The heart of this module is the merge-correctness property: for every
 workload query (the full WH set plus a generated FB set) and every coding
-scheme, a 4-shard index must return *byte-identical, tid-ordered* results
-to a single monolithic index over the same corpus -- through the fan-out
-executor, the merged-lookup compatibility path, and the sharded service.
+scheme, a 4-shard index -- under either partitioner -- must return
+*byte-identical, tid-ordered* results to a single monolithic index over the
+same corpus, through ``QueryExecutor`` and through ``QueryService``: both
+read the shards' posting lists merged column-wise below ``lookup``.
 """
 
 from __future__ import annotations
@@ -14,16 +15,13 @@ import os
 
 import pytest
 
-from repro.coding.root_split import RootPosting, RootSplitCoding
 from repro.core.index import SubtreeIndex
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import TreeStore, data_file_path
-from repro.exec.executor import QueryExecutor, QueryResult
-from repro.exec.fanout import FanoutExecutor, merge_shard_results
+from repro.exec.executor import QueryExecutor
 from repro.query.parser import parse_query
 from repro.service.cache import LRUCache
 from repro.service.service import QueryService
-from repro.service.sharded import ShardedQueryService
 from repro.shard import ShardedIndex, ShardError
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
@@ -62,6 +60,21 @@ def indexes(workdir, small_corpus):
     for single, store, sharded in built.values():
         single.close()
         store.close()
+        sharded.close()
+
+
+@pytest.fixture(scope="module")
+def round_robin(workdir, small_corpus):
+    """``coding -> sharded index`` under the positional partitioner."""
+    built = {
+        coding: ShardedIndex.build(
+            small_corpus, mss=MSS, coding=coding, path=str(workdir / f"rr-{coding}.si"),
+            shards=SHARDS, workers=1, partitioner="round-robin",
+        )
+        for coding in CODINGS
+    }
+    yield built
+    for sharded in built.values():
         sharded.close()
 
 
@@ -146,8 +159,8 @@ class TestBuild:
                 two.tree_count, two.key_count, two.posting_count
             )
         query = parse_query("NP(DT)(NN)")
-        with FanoutExecutor(inline) as a, FanoutExecutor(pooled) as b:
-            assert a.execute(query).matches_per_tree == b.execute(query).matches_per_tree
+        a, b = QueryExecutor(inline), QueryExecutor(pooled)
+        assert a.execute(query).matches_per_tree == b.execute(query).matches_per_tree
         inline.close()
         pooled.close()
 
@@ -213,51 +226,20 @@ class TestMergedLookup:
 # Merge correctness over the full workload (the acceptance property)
 # ----------------------------------------------------------------------
 class TestMergeCorrectness:
+    @pytest.mark.parametrize("partitioner", ("hash", "round-robin"))
     @pytest.mark.parametrize("coding", CODINGS)
-    def test_fanout_matches_single_index_on_every_workload_query(
-        self, indexes, workload, coding
+    def test_merged_lookup_path_matches_single_index(
+        self, indexes, round_robin, workload, coding, partitioner
     ) -> None:
         single, store, sharded = indexes[coding]
+        if partitioner == "round-robin":
+            sharded = round_robin[coding]
         reference = QueryExecutor(single, store=store)
-        with FanoutExecutor(sharded) as fanout:
-            for query in workload:
-                assert_identical_and_tid_ordered(
-                    fanout.execute(query), reference.execute(query)
-                )
-
-    @pytest.mark.parametrize("coding", CODINGS)
-    def test_merged_lookup_path_matches_single_index(self, indexes, workload, coding) -> None:
-        single, store, sharded = indexes[coding]
-        reference = QueryExecutor(single, store=store)
-        transparent = QueryExecutor(sharded, store=sharded.store)
-        for query in workload[::5]:  # the cheaper invariant: sample the workload
+        transparent = QueryExecutor(sharded)  # trees routed by tid: index.store
+        for query in workload:
             assert_identical_and_tid_ordered(
                 transparent.execute(query), reference.execute(query)
             )
-
-    def test_single_populated_source_keeps_its_columns(self) -> None:
-        columns = RootSplitCoding().decode_postings(
-            RootSplitCoding().encode_postings([RootPosting(3, 1, 2, 0), RootPosting(9, 4, 5, 1)])
-        )
-        assert ShardedIndex._merge_postings([[], columns, []]) is columns
-        # A plain list may be its owner's mutable state (a delta segment): copied.
-        plain = [RootPosting(3, 1, 2, 0)]
-        merged = ShardedIndex._merge_postings([plain, []])
-        assert merged == plain and merged is not plain
-        assert ShardedIndex._merge_postings([columns, [RootPosting(5, 1, 2, 0)]]) == [
-            RootPosting(3, 1, 2, 0), RootPosting(5, 1, 2, 0), RootPosting(9, 4, 5, 1),
-        ]
-
-    def test_merge_shard_results_orders_by_tid(self) -> None:
-        merged = merge_shard_results(
-            [
-                QueryResult(matches_per_tree={7: 1, 19: 2}),
-                QueryResult(matches_per_tree={2: 3}),
-                QueryResult(matches_per_tree={}),
-                QueryResult(matches_per_tree={11: 1}),
-            ]
-        )
-        assert list(merged.matches_per_tree.items()) == [(2, 3), (7, 1), (11, 1), (19, 2)]
 
 
 # ----------------------------------------------------------------------
@@ -267,37 +249,39 @@ class TestShardedService:
     def test_run_matches_unsharded_service(self, indexes, workload) -> None:
         single, store, sharded = indexes["root-split"]
         plain = QueryService(single, store=store)
-        service = ShardedQueryService(sharded)
+        service = QueryService(sharded)
         try:
             for query in workload[:20]:
                 assert_identical_and_tid_ordered(service.run(query), plain.run(query))
         finally:
             # Neither service owns its index (constructed, not opened), so
-            # close() only detaches caches and shuts the fan-out pool down.
+            # close() only detaches caches.
             service.close()
             plain.close()
 
     def test_result_cache_and_per_shard_probe_counters(self, indexes) -> None:
         sharded = indexes["root-split"][2]
         sharded.reset_probe_stats()
-        service = ShardedQueryService(sharded)
+        service = QueryService(sharded)
         try:
             first = service.run("NP(DT)(NN)")
             again = service.run("NP ( DT ) ( NN )")  # normalises to the same plan
             assert again is first  # served whole from the result cache
             stats = service.stats()
-            assert len(stats.per_shard) == SHARDS
-            # One cover key fetched once per shard; the repeat hit the
-            # result cache, so no extra probes anywhere.
-            assert stats.probes.gets == SHARDS
+            assert len(stats.extras["shards"]) == SHARDS
+            # One cover key, one merged lookup, one descent in every shard;
+            # the repeat hit the result cache, so no extra probes anywhere.
+            assert stats.probes.gets == 1
+            assert stats.probes.tree_descents == SHARDS
+            assert [shard["tree_descents"] for shard in stats.extras["shards"]] == [1] * SHARDS
             assert stats.results.hits == 1
         finally:
             service.close()
 
-    def test_run_many_fetches_each_key_once_per_shard(self, indexes) -> None:
+    def test_run_many_fetches_each_key_once(self, indexes) -> None:
         sharded = indexes["subtree-interval"][2]
         sharded.reset_probe_stats()
-        service = ShardedQueryService(sharded, result_cache_size=0)
+        service = QueryService(sharded, result_cache_size=0)
         try:
             queries = ["NP(DT)(NN)", "NP(DT)(NN)", "NP(DT)"]
             results = service.run_many(queries)
@@ -308,7 +292,8 @@ class TestShardedService:
                 for key in service.prepare(text).key_bytes
             }
             stats = service.stats()
-            assert stats.probes.gets == len(distinct_keys) * SHARDS
+            assert stats.probes.gets == len(distinct_keys)
+            assert stats.probes.tree_descents == len(distinct_keys) * SHARDS
             assert stats.batch_keys_deduped > 0
         finally:
             service.close()
@@ -323,7 +308,7 @@ class TestShardedService:
         reference = QueryExecutor(single, store=store)
         queries = workload[:12]
         expected = [reference.execute(query).matches_per_tree for query in queries]
-        service = ShardedQueryService(sharded, result_cache_size=0)
+        service = QueryService(sharded, result_cache_size=0)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for _ in range(3):  # repeat so threads genuinely overlap
@@ -332,11 +317,11 @@ class TestShardedService:
         finally:
             service.close()
 
-    def test_query_service_open_dispatches(self, indexes) -> None:
+    def test_query_service_open_serves_a_manifest(self, indexes) -> None:
         manifest_path = indexes["root-split"][2].manifest_path
         service = QueryService.open(manifest_path)
         try:
-            assert isinstance(service, ShardedQueryService)
+            assert isinstance(service.index, ShardedIndex)
             result = service.run("NP(DT)(NN)")
             assert result.total_matches > 0
         finally:
