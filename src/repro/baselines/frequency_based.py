@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.core.enumeration import enumerate_key_occurrences
+from repro.core.enumeration import extract_subtrees
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import ExecutionStats, QueryResult
 from repro.exec.joins import intersect_sorted_tid_lists
@@ -61,10 +61,12 @@ class FrequencyBasedIndex:
         tid_sets: Dict[bytes, Set[int]] = {}
         key_sizes: Dict[bytes, int] = {}
         for tree in trees:
-            for key, occurrence in enumerate_key_occurrences(tree, mss):
-                occurrence_counts[key] += 1
-                key_sizes[key] = occurrence.size
-                tid_sets.setdefault(key, set()).add(occurrence.tid)
+            for found in extract_subtrees(tree, mss)[1]:
+                for text, _, size in found:
+                    key = text.encode("utf-8")
+                    occurrence_counts[key] += 1
+                    key_sizes[key] = size
+                    tid_sets.setdefault(key, set()).add(tree.tid)
 
         single_keys = [key for key, size in key_sizes.items() if size == 1]
         larger_keys = [key for key, size in key_sizes.items() if size > 1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List
 
-from repro.coding.postings import PostingColumns, RootPosting
+from repro.coding.postings import PostingColumns
 from repro.coding.root_split import RootSplitCoding
 from repro.exec.executor import ExecutionStats, QueryResult
 from repro.exec.joins import run_plan
@@ -39,18 +39,15 @@ class NodeIntervalIndex:
     @classmethod
     def build(cls, trees: Iterable[ParseTree], path: str) -> "NodeIntervalIndex":
         """Build the label index over *trees* at *path*."""
-        postings: Dict[str, List[RootPosting]] = {}
+        bodies: Dict[str, List[int]] = {}  # flat (tid, pre, post, level) rows
         for tree in trees:
             codes = number_tree(tree)
             for node in tree.preorder():
                 code = codes[id(node)]
-                postings.setdefault(node.label, []).append(
-                    RootPosting(tree.tid, code.pre, code.post, code.level)
-                )
+                bodies.setdefault(node.label, []).extend((tree.tid, code.pre, code.post, code.level))
         coding = RootSplitCoding()
         items = [
-            (label.encode("utf-8"), coding.encode_postings(plist))
-            for label, plist in sorted(postings.items())
+            (label.encode("utf-8"), coding.encode_body(body)) for label, body in sorted(bodies.items())
         ]
         btree = BPlusTree(path)
         btree.bulk_load(items)

@@ -1118,8 +1118,8 @@ def ablation_storage(
         columns=["strategy", "seconds", "file_bytes", "height"],
     )
     scheme = get_coding(coding)
-    posting_lists, _ = accumulate_posting_lists(context.corpus(sentence_count), mss, scheme)
-    items = list(encode_posting_lists(posting_lists, scheme))
+    bodies, _ = accumulate_posting_lists(context.corpus(sentence_count), mss, scheme)
+    items = list(encode_posting_lists(bodies, scheme))
 
     strategies = ("bulk load (sorted)", "per-key inserts")
     trees: List[BPlusTree] = []

@@ -19,7 +19,7 @@ Whatever the scheme, a decoded posting list is a
 join kernel reads without building a record per posting.
 """
 
-from repro.coding.base import CodingScheme, Occurrence, get_coding
+from repro.coding.base import CodingScheme, get_coding
 from repro.coding.filter_based import FilterBasedCoding
 from repro.coding.postings import (
     FilterPosting,
@@ -33,7 +33,6 @@ from repro.coding.subtree_interval import SubtreeIntervalCoding
 
 __all__ = [
     "CodingScheme",
-    "Occurrence",
     "get_coding",
     "FilterBasedCoding",
     "FilterPosting",

@@ -2,121 +2,105 @@
 
 The index builder extracts *occurrences* of subtrees from data trees: per
 tree and index key, the ``(pre, post, level)`` codes of each occurrence's
-nodes listed in the canonical order of the key (:class:`Occurrence` is the
-same thing as a record, for callers that hold occurrences of several trees).
-A coding scheme turns occurrences into postings, serialises posting lists
-for storage in the B+Tree and deserialises them again at query time.
+nodes listed in the canonical order of the key -- or, for a scheme that
+stores nothing below an occurrence's root, the keys rooted at each node.  A
+coding scheme says which flat rows of ints those become, serialises a key's
+rows for storage in the B+Tree and hands them back as columns at query time.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Type
+from itertools import accumulate
+from typing import Dict, Iterable, List, Sequence, Tuple, Type
 
 from repro.coding.postings import PostingColumns
-from repro.storage.codec import decode_varint, decode_varint_run
-from repro.trees.numbering import IntervalCode
+from repro.storage.codec import (
+    decode_varint,
+    decode_varint_run,
+    delta_gaps,
+    encode_varint,
+    encode_varint_list,
+)
 
 #: A node's interval code as a plain ``(pre, post, level)`` triple.
 Code = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    """One embedding of an index key (a unique subtree) in a data tree.
-
-    ``codes`` holds the interval codes of the occurrence's nodes in the
-    *canonical order* of the key, so ``codes[0]`` is always the subtree root
-    and position *i* corresponds to the same key node across all occurrences
-    of that key.
-    """
-
-    tid: int
-    codes: Tuple[IntervalCode, ...]
-
-    @property
-    def root(self) -> IntervalCode:
-        """Interval code of the occurrence's root node."""
-        return self.codes[0]
-
-    @property
-    def size(self) -> int:
-        """Number of nodes of the subtree."""
-        return len(self.codes)
-
-
-def decode_records(data: bytes, width: int) -> Sequence[int]:
-    """The flat varint body of an encoded posting list of *width*-value records.
-
-    Every coding stores a count followed by fixed-arity records, so field
-    ``f`` of all records is the strided slice ``body[f::width]``.  A body
-    that is not exactly ``count * width`` values long is corrupt.
-    """
-    count, offset = decode_varint(data, 0)
-    body = decode_varint_run(data, offset)
-    if len(body) != count * width:
-        raise ValueError(
-            f"corrupt posting list: {count} records of {width} values, {len(body)} values found"
-        )
-    return body
-
-
 class CodingScheme(ABC):
-    """Strategy interface for the three coding schemes of Section 4.4."""
+    """Strategy interface for the three coding schemes of Section 4.4.
+
+    A scheme says what one *row* is -- the flat ints of one posting, tree id
+    first -- and which rows a tree contributes to each key (:meth:`rows`).
+    A key's rows end to end are its *body*, the unit of the write path: the
+    builder appends to it, :meth:`encode_body` turns it into the stored
+    bytes and the columns the join reads are strided slices of it.
+    """
 
     #: Short machine name used in file metadata and experiment reports.
     name: str = "abstract"
+    #: ``True`` when a row is a function of ``(tid, key, root)`` alone: the
+    #: builder then extracts each root's key texts, not every embedding.
+    roots_only: bool = True
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[object]:
-        """Convert the occurrences of one key in tree *tid* into postings.
+    def rows(self, tid: int, heads: Sequence, found: Sequence) -> Iterable[Tuple[str, Sequence[int]]]:
+        """Yield ``(key text, row)`` for every posting tree *tid* contributes.
 
-        Each occurrence lists the ``(pre, post, level)`` codes of its nodes
-        in the canonical order of the key.  The returned list is deduplicated
-        and sorted the way the scheme stores postings on disk; a key's list
-        is the concatenation of its trees' lists in ascending ``tid``.
+        *heads* and *found* are what the extraction returned for the tree:
+        :func:`repro.core.enumeration.extract_root_texts` when
+        :attr:`roots_only`, else :func:`~repro.core.enumeration.extract_subtrees`.
+        A key's rows come deduplicated and in the order they are stored in;
+        its list is the concatenation of its trees' rows in ascending ``tid``.
         """
 
-    def postings_from_occurrences(self, occurrences: Sequence[Occurrence]) -> List[object]:
-        """:meth:`postings_from_codes` over :class:`Occurrence` records of any trees."""
-        by_tid: Dict[int, List[Tuple[Code, ...]]] = {}
-        for occurrence in occurrences:
-            by_tid.setdefault(occurrence.tid, []).append(
-                tuple((code.pre, code.post, code.level) for code in occurrence.codes)
-            )
-        return [
-            posting for tid in sorted(by_tid) for posting in self.postings_from_codes(tid, by_tid[tid])
-        ]
-
     @abstractmethod
+    def width(self, body: Sequence[int]) -> int:
+        """Values per row of a key's (non-empty) *body*."""
+
+    # ------------------------------------------------------------------
+    def columns(self, body: Sequence[int]) -> PostingColumns:
+        """A body's columns (its tids are absolute: nothing is summed)."""
+        if not body:
+            return PostingColumns(())
+        width = self.width(body)
+        return PostingColumns.from_body(body, width, body[0::width])
+
+    def encode_body(self, body: Sequence[int]) -> bytes:
+        """Serialise a key's body: the row count, then the rows with the tid
+        stride turned into gaps, as varints."""
+        if not body:
+            return encode_varint(0)
+        width = self.width(body)
+        flat = list(body)
+        flat[0::width] = delta_gaps(body[0::width])
+        # The first tid is the one value that is often wide (any list of a
+        # later segment); the gaps and codes after it nearly always fit a
+        # byte each, which is the case ``encode_varint_list`` is fast in.
+        return encode_varint(len(flat) // width) + encode_varint(flat[0]) + encode_varint_list(flat[1:])
+
     def encode_postings(self, postings: Sequence[object]) -> bytes:
-        """Serialise a posting list for storage."""
+        """Serialise a posting list held as columns or as records."""
+        return self.encode_body(PostingColumns.from_postings(postings).body())
 
-    @abstractmethod
     def decode_postings(self, data: bytes) -> PostingColumns:
-        """Deserialise a posting list previously produced by :meth:`encode_postings`.
+        """Deserialise a list produced by :meth:`encode_body`.
 
-        The result is columnar; as a sequence it yields this scheme's posting
-        records and compares equal to the list that was encoded.
+        The result is columnar -- field ``f`` of all rows is the strided
+        slice ``body[f::width]`` of the varint body; as a sequence it yields
+        this scheme's posting records and compares equal to the list that
+        was encoded.  A body that is not exactly ``count * width`` values
+        long is corrupt.
         """
-
-    # ------------------------------------------------------------------
-    def posting_count(self, occurrences: Sequence[Occurrence]) -> int:
-        """Number of postings this scheme stores for the given occurrences."""
-        return len(self.postings_from_occurrences(occurrences))
-
-    def tids_of(self, postings: Sequence[object]) -> List[int]:
-        """Sorted unique tree identifiers present in a posting list."""
-        seen: Dict[int, None] = {}
-        for posting in postings:
-            seen.setdefault(self._tid_of(posting))
-        return sorted(seen)
-
-    @staticmethod
-    def _tid_of(posting: object) -> int:
-        return posting.tid if hasattr(posting, "tid") else int(posting)  # type: ignore[arg-type]
+        count, offset = decode_varint(data, 0)
+        body = decode_varint_run(data, offset)
+        width = self.width(body)
+        if len(body) != count * width:
+            raise ValueError(
+                f"corrupt posting list: {count} records of {width} values, {len(body)} values found"
+            )
+        return PostingColumns.from_body(body, width, list(accumulate(body[0::width])))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}()"

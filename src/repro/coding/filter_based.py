@@ -9,12 +9,10 @@ the exact matcher.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, Sequence
+from itertools import chain
+from typing import Dict, ItemsView, Sequence, Tuple
 
-from repro.coding.base import Code, CodingScheme, decode_records, register_coding
-from repro.coding.postings import FilterPosting, PostingColumns
-from repro.storage.codec import encode_delta_list
+from repro.coding.base import Code, CodingScheme, register_coding
 
 
 @register_coding
@@ -23,11 +21,10 @@ class FilterBasedCoding(CodingScheme):
 
     name = "filter"
 
-    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[FilterPosting]:
-        return [FilterPosting(tid)]
+    def rows(
+        self, tid: int, heads: Sequence[Code], found: Sequence[Dict[str, int]]
+    ) -> ItemsView[str, Tuple[int]]:
+        return dict.fromkeys(chain.from_iterable(found), (tid,)).items()  # one row a key
 
-    def encode_postings(self, postings: Sequence[FilterPosting]) -> bytes:
-        return encode_delta_list(PostingColumns.from_postings(postings).tids)
-
-    def decode_postings(self, data: bytes) -> PostingColumns:
-        return PostingColumns(list(accumulate(decode_records(data, width=1))))
+    def width(self, body: Sequence[int]) -> int:
+        return 1

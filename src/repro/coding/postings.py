@@ -3,10 +3,11 @@
 A decoded posting list is a :class:`PostingColumns`: the tree ids in one
 column and, per stored node, one ``(pre, post, level)`` column triple (a
 *slot*).  The join kernel reads the columns directly, and a sharded or live
-index merges its sources' lists column by column (:func:`merge_columns`);
-the record classes below exist only at the edges -- index building and
-tests -- where a ``PostingColumns`` still behaves as the read-only sequence
-of records it replaced.
+index merges its sources' lists column by column (:func:`merge_columns`).
+The write path goes from a tree to a key's flat *body* of rows, of which
+the columns are strided slices (:meth:`PostingColumns.from_body`).  The
+record classes below exist only as the view a ``PostingColumns`` gives when
+read as the sequence of records it replaced -- for tests and baselines.
 """
 
 from __future__ import annotations
@@ -134,6 +135,45 @@ class PostingColumns(SequenceABC):
             tuple((kept(pre), kept(post), kept(level)) for pre, post, level in self.slots),
             None if self.orders is None else tuple(kept(order) for order in self.orders),
         )
+
+    @classmethod
+    def from_body(cls, body: Sequence[int], width: int, tids: Sequence[int]) -> "PostingColumns":
+        """Columns as strided slices of a flat body of *width*-value rows.
+
+        The row layouts of the three codings have distinct widths: ``[tid]``,
+        ``[tid, pre, post, level]`` and ``[tid, n, (pre, post, level, order)
+        * n]``.  *tids* is the tid column, which the caller has (a decoder
+        sums the stored gaps; a body held in memory has absolute tids).
+        """
+        if width == 1:
+            return cls(tids)
+        if width == 4:
+            return cls(tids, ((body[1::4], body[2::4], body[3::4]),))
+        if body[1::width].count((width - 2) // 4) != len(tids):
+            raise ValueError("corrupt posting list: node counts differ within one key")
+        starts = range(2, width, 4)
+        return cls(
+            tids,
+            tuple((body[at::width], body[at + 1::width], body[at + 2::width]) for at in starts),
+            tuple(body[at + 3::width] for at in starts),
+        )
+
+    def body(self) -> List[int]:
+        """The flat body these columns are strided slices of, tids absolute."""
+        count, nodes = len(self.tids), len(self.slots)
+        if self.orders is None:
+            width = 1 + 3 * nodes
+            body = [0] * (width * count)
+            if nodes:
+                body[1::4], body[2::4], body[3::4] = self.slots[0]
+        else:
+            width = 2 + 4 * nodes
+            body = [nodes] * (width * count)
+            for at, slot, order in zip(range(2, width, 4), self.slots, self.orders):
+                body[at::width], body[at + 1::width], body[at + 2::width] = slot
+                body[at + 3::width] = order
+        body[0::width] = self.tids
+        return body
 
     # -- the read-only sequence of posting records ----------------------
     def __len__(self) -> int:

@@ -14,12 +14,9 @@ The price is that queries may only be decomposed into *root-split covers*
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.coding.base import Code, CodingScheme, decode_records, register_coding
-from repro.coding.postings import PostingColumns, RootPosting
-from repro.storage.codec import delta_gaps, encode_varint, encode_varint_list
+from repro.coding.base import Code, CodingScheme, register_coding
 
 
 @register_coding
@@ -28,19 +25,16 @@ class RootSplitCoding(CodingScheme):
 
     name = "root-split"
 
-    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[RootPosting]:
-        roots = {codes[0] for codes in occurrences}
-        return [RootPosting(tid, *root) for root in sorted(roots)]
+    def rows(
+        self, tid: int, heads: Sequence[Code], found: Sequence[Dict[str, int]]
+    ) -> List[Tuple[str, Tuple[int, int, int, int]]]:
+        # Roots arrive in pre-order and a root's texts are distinct already.
+        return [
+            (text, row)
+            for root, texts in zip(heads, found)
+            for row in ((tid, *root),)
+            for text in texts
+        ]
 
-    def encode_postings(self, postings: Sequence[RootPosting]) -> bytes:
-        if not postings:
-            return encode_varint(0)
-        columns = PostingColumns.from_postings(postings)
-        body = [0] * (4 * len(columns))
-        body[0::4] = delta_gaps(columns.tids)
-        body[1::4], body[2::4], body[3::4] = columns.slots[0]
-        return encode_varint(len(columns)) + encode_varint_list(body)
-
-    def decode_postings(self, data: bytes) -> PostingColumns:
-        body = decode_records(data, width=4)
-        return PostingColumns(list(accumulate(body[0::4])), ((body[1::4], body[2::4], body[3::4]),))
+    def width(self, body: Sequence[int]) -> int:
+        return 4

@@ -14,18 +14,9 @@ gap shown in Figures 8 and 9 of the paper.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
-from repro.coding.base import Code, CodingScheme, decode_records, register_coding
-from repro.coding.postings import NodeCode, PostingColumns, SubtreePosting
-from repro.storage.codec import (
-    decode_varint,
-    decode_varint_list,
-    delta_gaps,
-    encode_varint,
-    encode_varint_list,
-)
+from repro.coding.base import Code, CodingScheme, register_coding
 
 
 @register_coding
@@ -33,39 +24,33 @@ class SubtreeIntervalCoding(CodingScheme):
     """Store full ``(pre, post, level, order)`` records for every node."""
 
     name = "subtree-interval"
+    roots_only = False
 
-    def postings_from_codes(self, tid: int, occurrences: Sequence[Sequence[Code]]) -> List[SubtreePosting]:
-        unique = set()
-        for codes in occurrences:
-            pres = sorted(code[0] for code in codes)
-            order_of = {pre: rank for rank, pre in enumerate(pres, start=1)}
-            unique.add(tuple(code + (order_of[code[0]],) for code in codes))
-        return [
-            SubtreePosting(tid, tuple(NodeCode(*node) for node in nodes)) for nodes in sorted(unique)
-        ]
+    def rows(
+        self, tid: int, heads: Sequence[object], found: Sequence[Sequence[Tuple[str, Tuple[Code, ...], int]]]
+    ) -> Iterator[Tuple[str, List[int]]]:
+        # ``[tid, node count, (pre, post, level, order) per node]``.  Roots
+        # arrive in pre-order; a root's embeddings of one key are stored
+        # ascending as rows (order values included: two embeddings may agree
+        # on a node and differ in its rank).
+        for subtrees in found:
+            built = []
+            for text, codes, size in subtrees:
+                row = [tid, size]
+                if size == 1:
+                    row += codes[0]
+                    row.append(1)
+                else:
+                    by_pre = sorted(codes)
+                    for code in codes:
+                        row += code
+                        row.append(by_pre.index(code) + 1)
+                built.append((text, row))
+            if len(built) > 1:
+                built.sort()
+            yield from built
 
-    def encode_postings(self, postings: Sequence[SubtreePosting]) -> bytes:
-        if not postings:
-            return encode_varint(0)
-        columns = PostingColumns.from_postings(postings)  # refuses mixed node counts
-        width = 2 + 4 * len(columns.slots)
-        body = [len(columns.slots)] * (width * len(columns))
-        body[0::width] = delta_gaps(columns.tids)
-        for at, slot, order in zip(range(2, width, 4), columns.slots, columns.orders):
-            body[at::width], body[at + 1::width], body[at + 2::width] = slot
-            body[at + 3::width] = order
-        return encode_varint(len(columns)) + encode_varint_list(body)
-
-    def decode_postings(self, data: bytes) -> PostingColumns:
-        count, offset = decode_varint(data, 0)
-        node_count = decode_varint_list(data, 2, offset)[0][1] if count else 0
-        width = 2 + 4 * node_count
-        body = decode_records(data, width)
-        if body[1::width].count(node_count) != count:
-            raise ValueError("corrupt posting list: node counts differ within one key")
-        starts = range(2, width, 4)
-        return PostingColumns(
-            list(accumulate(body[0::width])),
-            tuple((body[at::width], body[at + 1::width], body[at + 2::width]) for at in starts),
-            tuple(body[at + 3::width] for at in starts),
-        )
+    def width(self, body: Sequence[int]) -> int:
+        # The second value of every row is the key's node count.  (A body too
+        # short to hold one is corrupt, which no width lets pass.)
+        return 2 + 4 * body[1] if len(body) > 1 else 2

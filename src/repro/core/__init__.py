@@ -16,8 +16,6 @@
 """
 
 from repro.core.enumeration import (
-    enumerate_key_occurrences,
-    enumerate_subtrees,
     extract_subtrees,
     subtree_count_by_root_branching,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "decode_key",
     "key_from_query_subtree",
     "extract_subtrees",
-    "enumerate_subtrees",
-    "enumerate_key_occurrences",
     "subtree_count_by_root_branching",
     "IndexStats",
     "collect_index_stats",

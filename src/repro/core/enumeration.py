@@ -14,19 +14,20 @@ nodes in canonical order are *composed* from the children's finished entries
 :func:`repro.core.keys.canonical_key`) rather than re-derived by walking the
 subtree again.  The per-node lists stay small because parse trees branch
 little (Figure 3 of the paper; reproduced by the Figure 3 benchmark here).
-Index builds, the live delta and the statistics all read the kernel's
-output; the iterators below are views of it.
+:func:`extract_root_texts` is the same composition over texts alone, for the
+codings that store no node below an occurrence's root.  Index builds, the
+live delta and the statistics all read one of the two; the Figure 3 counters
+below are views of the kernel's output.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.coding.base import Code, Occurrence
+from repro.coding.base import Code
 from repro.trees.node import Node, ParseTree
-from repro.trees.numbering import IntervalCode
 
 #: One extracted subtree: ``(canonical text, node codes in canonical order, size)``.
 Extracted = Tuple[str, Tuple[Code, ...], int]
@@ -34,23 +35,16 @@ Extracted = Tuple[str, Tuple[Code, ...], int]
 _TEXT = itemgetter(0)
 
 
-def extract_subtrees(tree: ParseTree | Node, mss: int) -> Tuple[List[Node], List[List[Extracted]]]:
-    """Number *tree* and extract every rooted subtree of at most *mss* nodes.
-
-    Returns the data nodes in pre-order and, parallel to them, the subtrees
-    rooted at each node (``pre`` of a code is its node's position plus one).
-    Sibling subtrees with equal texts keep their data-tree order, the
-    tie-break of :func:`repro.core.keys.canonical_key`'s stable sort.
-    """
-    if mss < 1:
-        raise ValueError("mss must be at least 1")
+def _number(tree: ParseTree | Node) -> Tuple[List[Node], List[Code], List[List[int]]]:
+    """One DFS: the nodes in pre-order, their ``(pre, post, level)`` codes and,
+    per node, the positions of its children (``pre`` is a position plus one)."""
     root = tree.root if isinstance(tree, ParseTree) else tree
     nodes: List[Node] = []
     levels: List[int] = []
     posts: List[int] = []
     children: List[List[int]] = []
-    # One iterative DFS; ``at`` is the parent's position on the way down and
-    # the node's own on the way back up, where post numbers are handed out.
+    # ``at`` is the parent's position on the way down and the node's own on
+    # the way back up, where post numbers are handed out.
     post = 0
     stack: List[Tuple[Node, int, int, bool]] = [(root, 0, -1, False)]
     while stack:
@@ -69,13 +63,26 @@ def extract_subtrees(tree: ParseTree | Node, mss: int) -> Tuple[List[Node], List
         stack.append((node, level, position, True))
         for child in reversed(node.children):
             stack.append((child, level + 1, position, False))
+    return nodes, list(zip(range(1, len(nodes) + 1), posts, levels)), children
 
+
+def extract_subtrees(tree: ParseTree | Node, mss: int) -> Tuple[List[Node], List[List[Extracted]]]:
+    """Number *tree* and extract every rooted subtree of at most *mss* nodes.
+
+    Returns the data nodes in pre-order and, parallel to them, the subtrees
+    rooted at each node (``pre`` of a code is its node's position plus one).
+    Sibling subtrees with equal texts keep their data-tree order, the
+    tie-break of :func:`repro.core.keys.canonical_key`'s stable sort.
+    """
+    if mss < 1:
+        raise ValueError("mss must be at least 1")
+    nodes, numbered, children = _number(tree)
     room = mss - 1
     extracted: List[List[Extracted]] = [[] for _ in nodes]
     # Reverse pre-order visits every child before its parent.
     for position in range(len(nodes) - 1, -1, -1):
         label = nodes[position].label
-        own = ((position + 1, posts[position], levels[position]),)
+        own = (numbered[position],)
         found = extracted[position]
         found.append((label, own, 1))
         if not room or not children[position]:
@@ -101,57 +108,42 @@ def extract_subtrees(tree: ParseTree | Node, mss: int) -> Tuple[List[Node], List
     return nodes, extracted
 
 
-class ExtractedSubtree:
-    """An extracted subtree as a tree of references to the data nodes."""
+def extract_root_texts(tree: ParseTree | Node, mss: int) -> Tuple[List[Code], List[Dict[str, int]]]:
+    """The keys rooted at each node, without their embeddings.
 
-    __slots__ = ("node", "children")
-
-    def __init__(self, node: Node):
-        self.node = node
-        self.children: List["ExtractedSubtree"] = []
-
-    @property
-    def label(self) -> str:
-        """Label of the underlying data node."""
-        return self.node.label
-
-    @property
-    def size(self) -> int:
-        """Number of nodes of the extracted subtree."""
-        return 1 + sum(child.size for child in self.children)
-
-
-def enumerate_subtrees(tree: ParseTree | Node, mss: int) -> Iterator[ExtractedSubtree]:
-    """Yield every extracted subtree (size 1..mss) of *tree*, children in canonical order."""
-    nodes, extracted = extract_subtrees(tree, mss)
-    for found in extracted:
-        for _, codes, _ in found:
-            # Canonical order is a pre-order: a parent precedes its children.
-            views: Dict[int, ExtractedSubtree] = {}
-            for pre, _, _ in codes:
-                node = nodes[pre - 1]
-                view = ExtractedSubtree(node)
-                if views:
-                    views[id(node.parent)].children.append(view)
-                else:
-                    top = view
-                views[id(node)] = view
-            yield top
-
-
-def enumerate_key_occurrences(
-    tree: ParseTree, mss: int
-) -> Iterator[Tuple[bytes, Occurrence]]:
-    """Yield ``(canonical key, occurrence)`` pairs for every extracted subtree.
-
-    The occurrence's node codes are listed in the canonical order of the key,
-    as required by the coding schemes (see :class:`repro.coding.base.Occurrence`).
+    Returns every node's ``(pre, post, level)`` in pre-order and, parallel to
+    it, ``{canonical text: size}`` of the distinct subtrees of at most *mss*
+    nodes rooted there: ``{(text, root)}`` of :func:`extract_subtrees`, all a
+    coding needs whose postings store no node below the root.  Texts are
+    composed as there, but of texts alone, and embeddings that spell the same
+    text collapse at their root before they can multiply at its parent.
     """
-    for found in extract_subtrees(tree, mss)[1]:
-        for text, codes, _ in found:
-            yield text.encode("utf-8"), Occurrence(
-                tid=tree.tid, codes=tuple(IntervalCode(*code) for code in codes)
-            )
+    if mss < 1:
+        raise ValueError("mss must be at least 1")
+    nodes, numbered, children = _number(tree)
+    room = mss - 1
+    texts: List[Dict[str, int]] = [{node.label: 1} for node in nodes]
+    if not room:
+        return numbered, texts
+    for position in range(len(nodes) - 1, -1, -1):
+        if not children[position]:
+            continue
+        choices: List[Tuple[Tuple[str, ...], int]] = [((), 0)]
+        for child in children[position]:
+            options = texts[child].items()
+            choices += [
+                (chosen + (text,), used + size)
+                for chosen, used in choices
+                for text, size in options
+                if used + size <= room
+            ]
+        label = nodes[position].label
+        found = texts[position]
+        for chosen, used in choices[1:]:
+            if len(chosen) > 1:
+                chosen = sorted(chosen)
+            found[label + "(" + ")(".join(chosen) + ")"] = used + 1
+    return numbered, texts
 
 
 def _tally_by_branching(

@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.coding.base import Code, CodingScheme, get_coding
-from repro.core.enumeration import extract_subtrees
+from repro.coding.base import CodingScheme, get_coding
+from repro.core.enumeration import extract_root_texts, extract_subtrees
 from repro.core.keys import SubtreeKey, canonical_key, decode_key
 from repro.storage.bptree import BPlusTree, ProbeStats, ValueCache
 from repro.storage.codec import decode_varint
@@ -67,40 +66,48 @@ class IndexMetadata:
         return cls(**record)
 
 
+def tree_rows(
+    tree: ParseTree, mss: int, coding: CodingScheme
+) -> Iterable[Tuple[str, Sequence[int]]]:
+    """``(key text, row)`` for every posting *coding* stores of *tree*.
+
+    Only a coding that stores nodes below a key's root needs every embedding
+    extracted; the others get the keys rooted at each node.
+    """
+    extract = extract_root_texts if coding.roots_only else extract_subtrees
+    return coding.rows(tree.tid, *extract(tree, mss))
+
+
 def accumulate_posting_lists(
     trees: Iterable[ParseTree], mss: int, coding: CodingScheme
-) -> Tuple[Dict[bytes, List[object]], int]:
-    """Extract and code every tree; returns ``(key -> posting list, tree count)``.
+) -> Tuple[Dict[bytes, List[int]], int]:
+    """Extract and code every tree; returns ``(key -> body, tree count)``.
 
-    The one loop behind an index build, a live delta's ``add_tree`` (a
-    one-tree call) and the storage ablation.  Trees must arrive in ascending
-    tid order, which keeps every list tid-ascending by construction.
+    A key's body is its posting list as flat rows of ints with absolute
+    tids (:class:`~repro.coding.base.CodingScheme`).  The one loop behind an
+    index build, a live delta's ``add_tree`` (a one-tree call) and the
+    storage ablation.  Trees must arrive in ascending tid order, which keeps
+    every list tid-ascending by construction.
     """
-    posting_lists: Dict[bytes, List[object]] = {}
+    bodies: Dict[str, List[int]] = {}
     tree_count = 0
     for tree in trees:
         tree_count += 1
-        occurrences: Dict[str, List[Tuple[Code, ...]]] = defaultdict(list)
-        for found in extract_subtrees(tree, mss)[1]:
-            for text, codes, _ in found:
-                occurrences[text].append(codes)
-        for text, of_key in occurrences.items():
-            key = text.encode("utf-8")
-            postings = coding.postings_from_codes(tree.tid, of_key)
-            if key in posting_lists:
-                posting_lists[key] += postings
+        for text, row in tree_rows(tree, mss, coding):
+            if text in bodies:
+                bodies[text] += row
             else:
-                posting_lists[key] = postings
-    return posting_lists, tree_count
+                bodies[text] = list(row)
+    return {text.encode("utf-8"): body for text, body in bodies.items()}, tree_count
 
 
 def encode_posting_lists(
-    posting_lists: Dict[bytes, Sequence[object]], coding: CodingScheme
+    bodies: Dict[bytes, Sequence[int]], coding: CodingScheme
 ) -> Iterator[Tuple[bytes, bytes]]:
     """Yield ``(key, encoded posting list)`` in key order, skipping empty lists."""
-    for key in sorted(posting_lists):
-        if posting_lists[key]:
-            yield key, coding.encode_postings(posting_lists[key])
+    for key in sorted(bodies):
+        if bodies[key]:
+            yield key, coding.encode_body(bodies[key])
 
 
 class SubtreeIndex:
@@ -139,8 +146,8 @@ class SubtreeIndex:
         """Build an index over *trees* at *path* and return it opened.
 
         Subtrees of sizes ``1..mss`` are extracted from every tree and the
-        coding scheme converts each key's occurrences into postings
-        (:func:`accumulate_posting_lists`); the encoded lists are then
+        coding scheme's rows for them appended to each key's body
+        (:func:`accumulate_posting_lists`); the encoded bodies are then
         bulk-loaded into the B+Tree in key order (:meth:`write_posting_lists`).
         """
         if isinstance(coding, str):

@@ -275,8 +275,8 @@ class SegmentSet:
         sources = self.snapshot.sources
 
         def stream(position: int, source: Source) -> Iterator[Tuple[bytes, int, PostingColumns]]:
-            for key, postings in source.index.items():  # a delta's are records
-                yield key, position, source.alive(PostingColumns.from_postings(postings))
+            for key, postings in source.index.items():
+                yield key, position, source.alive(postings)
 
         by_key = heapq.merge(*(stream(position, source) for position, source in enumerate(sources)))
         for key, group in groupby(by_key, key=itemgetter(0)):

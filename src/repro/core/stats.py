@@ -10,11 +10,11 @@ without materialising an index (used for the cheap key-count sweeps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
-from repro.coding.base import CodingScheme, get_coding
-from repro.core.enumeration import enumerate_key_occurrences
-from repro.core.index import SubtreeIndex
+from repro.coding.base import get_coding
+from repro.core.enumeration import extract_root_texts
+from repro.core.index import SubtreeIndex, tree_rows
 from repro.trees.node import ParseTree
 
 
@@ -60,8 +60,9 @@ def count_unique_keys(trees: Iterable[ParseTree], mss_values: Sequence[int]) -> 
     max_mss = max(mss_values)
     keys_by_size: Dict[int, set] = {size: set() for size in range(1, max_mss + 1)}
     for tree in trees:
-        for key, occurrence in enumerate_key_occurrences(tree, max_mss):
-            keys_by_size[occurrence.size].add(key)
+        for found in extract_root_texts(tree, max_mss)[1]:
+            for text, size in found.items():
+                keys_by_size[size].add(text)
     counts: Dict[int, int] = {}
     for mss in mss_values:
         counts[mss] = sum(len(keys_by_size[size]) for size in range(1, mss + 1))
@@ -73,16 +74,13 @@ def count_postings(
 ) -> Dict[str, int]:
     """Total number of postings each coding scheme would store (Figure 9).
 
-    Computed without building the index files: occurrences are grouped per
-    key per tree and passed through each coding's deduplication logic.
+    Computed without building the index files: the rows every coding yields
+    for a tree (:func:`repro.core.index.tree_rows`, what a build appends to
+    the keys' bodies) are counted.
     """
-    codings: Dict[str, CodingScheme] = {name: get_coding(name) for name in coding_names}
+    codings = [get_coding(name) for name in coding_names]
     totals: Dict[str, int] = {name: 0 for name in coding_names}
     for tree in trees:
-        per_key: Dict[bytes, List] = {}
-        for key, occurrence in enumerate_key_occurrences(tree, mss):
-            per_key.setdefault(key, []).append(occurrence)
-        for occurrences in per_key.values():
-            for name, coding in codings.items():
-                totals[name] += coding.posting_count(occurrences)
+        for coding in codings:
+            totals[coding.name] += sum(1 for _ in tree_rows(tree, mss, coding))
     return totals

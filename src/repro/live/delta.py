@@ -8,11 +8,11 @@ build (:func:`repro.core.index.accumulate_posting_lists`: one extraction
 kernel, one coding scheme) -- so merging delta postings with base-segment
 postings by tid is byte-identical to a full rebuild, and a compaction can
 write the delta's finished lists out instead of indexing its trees again.
-A lookup hands out :class:`~repro.coding.postings.PostingColumns`, what the
-join kernel reads: a key's records are converted the first time the key is
-looked up after an add touched it, and the columns are kept until the next
-one does -- not at ``add_tree``, where converting every key of the tree,
-looked up or not, tripled the cost of an add.
+What it holds per key is the build's own unit, the flat *body* of rows
+(:class:`~repro.coding.base.CodingScheme`); a lookup hands out
+:class:`~repro.coding.postings.PostingColumns`, what the join kernel reads
+-- strided slices of the body, taken the first time the key is looked up
+after an add touched it and kept until the next one does.
 
 Trees must be added in ascending tid order (the live index assigns
 monotonically increasing tids and never reuses one), which keeps every
@@ -22,7 +22,7 @@ merge and the join operators rely on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Tuple
 
 from repro.coding.base import CodingScheme
 from repro.coding.postings import PostingColumns
@@ -41,11 +41,10 @@ class DeltaSegment:
         self.coding = coding
         #: The delta's trees, in insertion (= ascending tid) order.
         self.trees = Corpus()
-        self._postings: Dict[bytes, List[object]] = {}
-        #: key -> (the record list converted, its columns); good while that
-        #: list is still the key's list (an add rebinds, never extends).
-        self._columns: Dict[bytes, Tuple[List[object], PostingColumns]] = {}
-        self.posting_count = 0
+        self._bodies: Dict[bytes, List[int]] = {}
+        #: key -> (the body sliced, its columns); good while that body is
+        #: still the key's body (an add rebinds, never extends).
+        self._columns: Dict[bytes, Tuple[List[int], PostingColumns]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -53,9 +52,9 @@ class DeltaSegment:
     def add_tree(self, tree: ParseTree) -> None:
         """Index one tree; its tid must exceed every tid already present.
 
-        Publication is copy-on-write per key: the new posting list is built
-        aside and swapped in with one rebind, so a concurrent reader holding
-        the list :meth:`lookup` returned sees a stable snapshot -- never a
+        Publication is copy-on-write per key: the new body is built aside
+        and swapped in with one rebind, so a concurrent reader holding the
+        columns :meth:`lookup` returned sees a stable snapshot -- never a
         half-extended one.  (Readers racing the *whole* add may still see
         the new tree on some keys and not yet on others; see
         :class:`repro.live.live.LiveIndex` for the visibility contract.)
@@ -69,37 +68,51 @@ class DeltaSegment:
         per_key, _ = accumulate_posting_lists([tree], self.mss, self.coding)
         self.trees.add(tree)  # the tree before its postings: a posting a
         # reader can see must always name a fetchable tree
-        for key, postings in per_key.items():
-            existing = self._postings.get(key)
-            self._postings[key] = postings if existing is None else existing + postings
-            self.posting_count += len(postings)
+        for key, rows in per_key.items():
+            existing = self._bodies.get(key)
+            self._bodies[key] = rows if existing is None else existing + rows
 
     # ------------------------------------------------------------------
     # The SubtreeIndex-shaped read surface
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> PostingColumns:
         """The delta's posting list of *key* (empty when absent)."""
-        records = self._postings.get(key)
-        if records is None:
+        body = self._bodies.get(key)
+        if body is None:
             return _EMPTY
-        converted = self._columns.get(key)
-        if converted is None or converted[0] is not records:
-            converted = self._columns[key] = (records, PostingColumns.from_postings(records))
-        return converted[1]
+        sliced = self._columns.get(key)
+        if sliced is None or sliced[0] is not body:
+            sliced = self._columns[key] = (body, self.coding.columns(body))
+        return sliced[1]
 
     def has_key(self, key: bytes) -> bool:
         """``True`` when any delta tree contains *key*."""
-        return key in self._postings
+        return key in self._bodies
 
     def posting_list_length(self, key: bytes) -> int:
         """Length of the delta's posting list of *key* (0 when absent)."""
-        return len(self.lookup(key))
+        body = self._bodies.get(key)
+        return len(body) // self.coding.width(body) if body else 0
 
-    def items(self) -> Iterator[Tuple[bytes, List[object]]]:
-        """Yield ``(key bytes, posting list)`` pairs in ascending key order --
-        the record lists as built, which is what a compaction writes out."""
-        for key in sorted(self._postings):
-            yield key, self._postings[key]
+    def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
+        """Yield ``(key bytes, posting list)`` pairs in ascending key order."""
+        for key in sorted(self._bodies):
+            yield key, self.lookup(key)
+
+    def encoded(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
+        """Yield ``(key, encoded posting list)`` in key order, the postings of
+        trees in *dead* left out -- what a compaction writes.  A body no dead
+        tree appears in is encoded as it stands; a key left with no posting
+        disappears."""
+        coding = self.coding
+        for key in sorted(self._bodies):
+            body = self._bodies[key]
+            if dead and not dead.isdisjoint(body[0::coding.width(body)]):
+                alive = self.lookup(key).without_tids(dead)
+                if alive:
+                    yield key, coding.encode_postings(alive)
+            else:
+                yield key, coding.encode_body(body)
 
     # ------------------------------------------------------------------
     @property
@@ -110,8 +123,10 @@ class DeltaSegment:
     @property
     def key_count(self) -> int:
         """Number of distinct keys the delta indexes."""
-        return len(self._postings)
+        return len(self._bodies)
 
-    def tids(self) -> List[int]:
-        """All delta tids in ascending order."""
-        return self.trees.tids()
+    @property
+    def posting_count(self) -> int:
+        """Number of postings the delta holds (tombstoned trees' included)."""
+        width = self.coding.width
+        return sum(len(body) // width(body) for body in list(self._bodies.values()))

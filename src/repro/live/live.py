@@ -155,9 +155,9 @@ class LiveIndex(SegmentSet):
             if tids != sorted(set(tids)):
                 raise ValueError("seed trees must have strictly ascending unique tids")
             started = time.perf_counter()
-            posting_lists, _ = accumulate_posting_lists(seed, mss, scheme)
+            bodies, _ = accumulate_posting_lists(seed, mss, scheme)
             segment = _write_segment(
-                path, 0, mss, scheme, tids, encode_posting_lists(posting_lists, scheme),
+                path, 0, mss, scheme, tids, encode_posting_lists(bodies, scheme),
                 partial(TreeStore.build, trees=seed), started,
             )
             segment.index.close()
@@ -317,7 +317,7 @@ class LiveIndex(SegmentSet):
             coding = self.coding
 
             # What is already indexed is merged, never indexed again: a
-            # segment's stored lists and the delta's in-memory ones are
+            # segment's stored lists and the delta's in-memory bodies are
             # written back out without the tombstoned trees' postings.
             for segment in old_segments:
                 if not segment.dead:
@@ -338,14 +338,9 @@ class LiveIndex(SegmentSet):
             flushed = [tree for tree in delta.store if tree.tid not in delta.dead]
             if flushed:
                 flush_started = time.perf_counter()
-                dead = delta.dead
-                posting_lists = {
-                    key: [posting for posting in postings if posting.tid not in dead] if dead else postings
-                    for key, postings in delta.index.items()
-                }
                 segments.append(_write_segment(
                     self.manifest_path, next_segment_id, self.mss, coding,
-                    [tree.tid for tree in flushed], encode_posting_lists(posting_lists, coding),
+                    [tree.tid for tree in flushed], delta.index.encoded(delta.dead),
                     partial(TreeStore.build, trees=flushed), flush_started,
                 ))
                 next_segment_id += 1

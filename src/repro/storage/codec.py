@@ -129,16 +129,6 @@ def delta_gaps(sorted_values: Sequence[int]) -> List[int]:
     return gaps
 
 
-def encode_delta_list(sorted_values: Sequence[int]) -> bytes:
-    """Delta + varint encode a non-decreasing integer sequence.
-
-    The count is encoded first, followed by the first value and then the
-    gaps.  This is the classic compressed posting-list layout; the reader is
-    :func:`decode_varint_run` plus a running sum.
-    """
-    return encode_varint(len(sorted_values)) + encode_varint_list(delta_gaps(sorted_values))
-
-
 def encode_uint32_list(values: Iterable[int]) -> bytes:
     """Encode integers as fixed-width little-endian uint32 (page pointers)."""
     return b"".join(_UINT32.pack(value) for value in values)

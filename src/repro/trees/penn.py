@@ -6,7 +6,8 @@ emitted by the Stanford parser and consumed by TGrep2 / CorpusSearch::
     (ROOT (S (NP (DT The) (NN agouti)) (VP (VBZ is) (NP (DT a) (NN rodent)))))
 
 The reader is tolerant of surrounding whitespace and of an optional empty
-outermost label ``( (S ...))`` as produced by some parsers.
+outermost label ``( (S ...))`` as produced by some parsers.  A tree of one
+node is written ``(X)``; a bare ``X`` is read as the same tree.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ def parse_penn(text: str) -> Node:
     tokens = list(_tokenize(text))
     if not tokens:
         raise PennSyntaxError("empty input", 0)
+    if len(tokens) == 1 and tokens[0][0] not in "()":
+        # A bare label: how a tree of one node was written before ``to_penn``
+        # gave it brackets.  Data files and logs holding one stay readable.
+        return Node(tokens[0][0])
 
     stack: List[Node] = []
     root: Optional[Node] = None
@@ -124,7 +129,8 @@ def to_penn(node: Node, pretty: bool = False, _indent: int = 0) -> str:
     per line, which is convenient for eyeballing example output.
     """
     if node.is_leaf:
-        return node.label
+        # A tree of one node keeps its brackets: a bare label is a token.
+        return node.label if node.parent is not None else f"({node.label})"
     if not pretty:
         inner = " ".join(to_penn(child, pretty=False) for child in node.children)
         return f"({node.label} {inner})"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.coding import (
+    CodingScheme,
     FilterBasedCoding,
     FilterPosting,
-    Occurrence,
     PostingColumns,
     RootPosting,
     RootSplitCoding,
@@ -16,11 +16,33 @@ from repro.coding import (
     get_coding,
 )
 from repro.coding.base import coding_names
-from repro.trees.numbering import IntervalCode
+
+#: One embedding of a key: the tree and its nodes' ``(pre, post, level)`` in
+#: the key's canonical order, root first.
+Occurrence = tuple
 
 
 def _occurrence(tid: int, codes: list[tuple[int, int, int]]) -> Occurrence:
-    return Occurrence(tid=tid, codes=tuple(IntervalCode(*code) for code in codes))
+    return (tid, tuple(codes))
+
+
+def _postings(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
+    """The records *coding* stores for one key given as embeddings of any
+    trees: ``rows`` over what an extraction of those trees would hand it (one
+    anonymous key), read back through ``columns``."""
+    by_tid: dict = {}
+    for tid, codes in occurrences:
+        by_tid.setdefault(tid, set()).add(codes)
+    body: list = []
+    for tid, embeddings in sorted(by_tid.items()):
+        if coding.roots_only:
+            roots = sorted({codes[0] for codes in embeddings})
+            extraction = roots, [("",)] * len(roots)
+        else:
+            extraction = None, [[("", codes, len(codes)) for codes in embeddings]]
+        for _, row in coding.rows(tid, *extraction):
+            body += row
+    return list(coding.columns(body))
 
 
 OCCURRENCES = [
@@ -46,66 +68,59 @@ class TestRegistry:
 
 class TestFilterBasedCoding:
     def test_postings_are_unique_sorted_tids(self) -> None:
-        postings = FilterBasedCoding().postings_from_occurrences(OCCURRENCES)
+        postings = _postings(FilterBasedCoding(), OCCURRENCES)
         assert postings == [FilterPosting(3), FilterPosting(7)]
 
     def test_round_trip(self) -> None:
         coding = FilterBasedCoding()
-        postings = coding.postings_from_occurrences(OCCURRENCES)
+        postings = _postings(coding, OCCURRENCES)
         assert coding.decode_postings(coding.encode_postings(postings)) == postings
 
-    def test_posting_count(self) -> None:
-        assert FilterBasedCoding().posting_count(OCCURRENCES) == 2
+    def test_one_row_a_tree_however_many_roots(self) -> None:
+        rows = FilterBasedCoding().rows(9, [(1, 3, 0), (2, 1, 1), (3, 2, 1)], [["A", "A(B)"], ["B"], ["B"]])
+        assert sorted(rows) == [("A", (9,)), ("A(B)", (9,)), ("B", (9,))]
 
 
 class TestRootSplitCoding:
     def test_dedupes_same_root(self) -> None:
-        postings = RootSplitCoding().postings_from_occurrences(OCCURRENCES)
+        postings = _postings(RootSplitCoding(), OCCURRENCES)
         # Occurrences 1 and 2 share (tid=3, root pre=2); 3 and 4 are duplicates.
         assert postings == [RootPosting(3, 2, 5, 1), RootPosting(7, 10, 12, 4)]
 
     def test_round_trip(self) -> None:
         coding = RootSplitCoding()
-        postings = coding.postings_from_occurrences(OCCURRENCES)
+        postings = _postings(coding, OCCURRENCES)
         assert coding.decode_postings(coding.encode_postings(postings)) == postings
 
     def test_posting_is_smaller_than_subtree_interval(self) -> None:
         root_split = RootSplitCoding()
         interval = SubtreeIntervalCoding()
-        rs_bytes = root_split.encode_postings(root_split.postings_from_occurrences(OCCURRENCES))
-        si_bytes = interval.encode_postings(interval.postings_from_occurrences(OCCURRENCES))
+        rs_bytes = root_split.encode_postings(_postings(root_split, OCCURRENCES))
+        si_bytes = interval.encode_postings(_postings(interval, OCCURRENCES))
         assert len(rs_bytes) < len(si_bytes)
 
 
 class TestSubtreeIntervalCoding:
     def test_keeps_distinct_embeddings(self) -> None:
-        postings = SubtreeIntervalCoding().postings_from_occurrences(OCCURRENCES)
+        postings = _postings(SubtreeIntervalCoding(), OCCURRENCES)
         assert len(postings) == 3  # only the exact duplicate collapses
 
     def test_order_values_are_preorder_ranks(self) -> None:
         # Codes listed in canonical order that differs from pre order.
         occurrence = _occurrence(1, [(5, 9, 2), (8, 7, 3), (6, 6, 3)])
-        posting = SubtreeIntervalCoding().postings_from_occurrences([occurrence])[0]
+        posting = _postings(SubtreeIntervalCoding(), [occurrence])[0]
         orders = [node.order for node in posting.nodes]
         assert orders == [1, 3, 2]
 
     def test_round_trip(self) -> None:
         coding = SubtreeIntervalCoding()
-        postings = coding.postings_from_occurrences(OCCURRENCES)
+        postings = _postings(coding, OCCURRENCES)
         assert coding.decode_postings(coding.encode_postings(postings)) == postings
 
     def test_posting_properties(self) -> None:
-        posting = SubtreeIntervalCoding().postings_from_occurrences([OCCURRENCES[0]])[0]
+        posting = _postings(SubtreeIntervalCoding(), [OCCURRENCES[0]])[0]
         assert posting.size == 2
         assert posting.root.pre == 2
-
-
-class TestTidsOf:
-    @pytest.mark.parametrize("name", ["filter", "root-split", "subtree-interval"])
-    def test_tids_of(self, name: str) -> None:
-        coding = get_coding(name)
-        postings = coding.postings_from_occurrences(OCCURRENCES)
-        assert coding.tids_of(postings) == [3, 7]
 
 
 # ----------------------------------------------------------------------
@@ -140,13 +155,13 @@ CODINGS = ["filter", "root-split", "subtree-interval"]
 @given(occurrences=_occurrences())
 def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
     coding = get_coding(name)
-    postings = coding.postings_from_occurrences(occurrences)
+    postings = _postings(coding, occurrences)
     decoded = coding.decode_postings(coding.encode_postings(postings))
     assert isinstance(decoded, PostingColumns)
     assert decoded == postings and postings == decoded
     assert len(decoded) == len(postings) and list(decoded) == postings
     # Posting lists are sorted by tid, which downstream merge joins rely on.
-    tids = [coding._tid_of(posting) for posting in postings]
+    tids = [posting.tid for posting in postings]
     assert tids == sorted(tids) == list(decoded.tids)
 
 
@@ -154,7 +169,7 @@ def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
 @given(occurrences=_occurrences(min_size=1), data=st.data())
 def test_columns_are_a_read_only_sequence_of_postings(name, occurrences, data) -> None:
     coding = get_coding(name)
-    postings = coding.postings_from_occurrences(occurrences)
+    postings = _postings(coding, occurrences)
     decoded = coding.decode_postings(coding.encode_postings(postings))
     index = data.draw(st.integers(min_value=-len(postings), max_value=len(postings) - 1))
     assert decoded[index] == postings[index]
@@ -176,7 +191,7 @@ def test_columns_are_a_read_only_sequence_of_postings(name, occurrences, data) -
 @given(occurrences=_occurrences(min_size=1), data=st.data())
 def test_damaged_input_raises_instead_of_answering(name, occurrences, data) -> None:
     coding = get_coding(name)
-    postings = coding.postings_from_occurrences(occurrences)
+    postings = _postings(coding, occurrences)
     encoded = coding.encode_postings(postings)
     cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
     with pytest.raises(ValueError):
@@ -207,8 +222,8 @@ def test_single_byte_bodies_decode_without_copying_values() -> None:
 
 def test_subtree_interval_rejects_mixed_node_counts() -> None:
     coding = SubtreeIntervalCoding()
-    narrow = coding.postings_from_occurrences([_occurrence(1, [(1, 5, 0)])])
-    wide = coding.postings_from_occurrences([_occurrence(2, [(1, 5, 0), (2, 1, 1)])])
+    narrow = _postings(coding, [_occurrence(1, [(1, 5, 0)])])
+    wide = _postings(coding, [_occurrence(2, [(1, 5, 0), (2, 1, 1)])])
     with pytest.raises(ValueError):
         coding.encode_postings(narrow + wide)
     with pytest.raises(ValueError):

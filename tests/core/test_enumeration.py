@@ -13,8 +13,7 @@ from repro.coding.base import get_coding
 from repro.coding.postings import FilterPosting, NodeCode, RootPosting, SubtreePosting
 from repro.core.enumeration import (
     count_subtrees_per_node,
-    enumerate_key_occurrences,
-    enumerate_subtrees,
+    extract_root_texts,
     extract_subtrees,
     subtree_count_by_root_branching,
 )
@@ -23,70 +22,71 @@ from repro.trees.node import ParseTree, build_tree
 from repro.trees.numbering import number_tree
 
 
+def _occurrences(tree: ParseTree, mss: int):
+    """``(key, (pre, post, level) of the nodes in canonical order)`` per extracted subtree."""
+    for found in extract_subtrees(tree, mss)[1]:
+        for text, codes, _ in found:
+            yield text.encode("utf-8"), codes
+
+
 def _keys(tree: ParseTree, mss: int) -> Counter:
-    return Counter(key for key, _ in enumerate_key_occurrences(tree, mss))
+    return Counter(key for key, _ in _occurrences(tree, mss))
 
 
-class TestEnumerateSubtrees:
+def _sizes(tree: ParseTree, mss: int) -> list:
+    return [size for found in extract_subtrees(tree, mss)[1] for _, _, size in found]
+
+
+class TestExtractSubtrees:
     def test_mss_one_yields_every_node(self, figure4_tree: ParseTree) -> None:
-        subtrees = list(enumerate_subtrees(figure4_tree, 1))
-        assert len(subtrees) == figure4_tree.size()
-        assert all(subtree.size == 1 for subtree in subtrees)
+        assert _sizes(figure4_tree, 1) == [1] * figure4_tree.size()
 
     def test_size_two_subtrees_are_edges(self, figure4_tree: ParseTree) -> None:
-        subtrees = [s for s in enumerate_subtrees(figure4_tree, 2) if s.size == 2]
         # One subtree of size 2 per edge of the tree.
-        assert len(subtrees) == figure4_tree.size() - 1
+        assert _sizes(figure4_tree, 2).count(2) == figure4_tree.size() - 1
 
-    def test_invalid_mss_rejected(self, figure4_tree: ParseTree) -> None:
+    @pytest.mark.parametrize("extract", [extract_subtrees, extract_root_texts])
+    def test_invalid_mss_rejected(self, figure4_tree: ParseTree, extract) -> None:
         with pytest.raises(ValueError):
-            list(enumerate_subtrees(figure4_tree, 0))
+            extract(figure4_tree, 0)
 
     def test_unique_keys_of_size_two(self, figure4_tree: ParseTree) -> None:
         # Tree A(B)(C(A(C)(D))): edges A-B, A-C, C-A, A-C (inner), A-D.
-        size_two = {key for key, occ in enumerate_key_occurrences(figure4_tree, 2) if occ.size == 2}
+        size_two = {key for key, codes in _occurrences(figure4_tree, 2) if len(codes) == 2}
         assert size_two == {b"A(B)", b"A(C)", b"C(A)", b"A(D)"}
 
     def test_star_tree_counts_match_binomial(self) -> None:
         # Root with n-1 leaf children has C(n-1, m-1) subtrees of size m.
         tree = ParseTree(build_tree(("R", [f"L{i}" for i in range(6)])), tid=0)
         for size in range(2, 5):
-            count = sum(1 for s in enumerate_subtrees(tree, size) if s.size == size)
-            assert count == comb(6, size - 1)
+            assert _sizes(tree, size).count(size) == comb(6, size - 1)
 
     def test_chain_tree_counts(self) -> None:
         # A unary chain of height n has n - m + 1 subtrees of size m.
         tree = ParseTree(build_tree(("A", [("B", [("C", [("D", [("E", [])])])])])), tid=0)
         for size in range(1, 6):
-            count = sum(1 for s in enumerate_subtrees(tree, 5) if s.size == size)
-            assert count == 5 - size + 1
+            assert _sizes(tree, 5).count(size) == 5 - size + 1
 
     def test_all_subtrees_are_connected_and_rooted(self, paper_tree: ParseTree) -> None:
-        for subtree in enumerate_subtrees(paper_tree, 3):
-            # Every child of an occurrence node is a child of the data node.
-            stack = [subtree]
-            while stack:
-                item = stack.pop()
-                for child in item.children:
-                    assert child.node in item.node.children
-                    stack.append(child)
+        nodes, extracted = extract_subtrees(paper_tree, 3)
+        for found in extracted:
+            for _, codes, _ in found:
+                members = [nodes[pre - 1] for pre, _, _ in codes]
+                # Every node but the root has its data-tree parent in the subtree.
+                assert all(any(node.parent is other for other in members) for node in members[1:])
 
 
 class TestKeyOccurrences:
     def test_occurrence_codes_are_canonically_ordered(self, paper_tree: ParseTree) -> None:
         from repro.core.keys import decode_key
 
-        for key, occurrence in enumerate_key_occurrences(paper_tree, 3):
-            assert occurrence.size == decode_key(key).size
+        for key, codes in _occurrences(paper_tree, 3):
+            assert len(codes) == decode_key(key).size
+            (root_pre, root_post, root_level), rest = codes[0], codes[1:]
             # The root is canonical position 0 and is the shallowest node.
-            assert occurrence.root.level == min(code.level for code in occurrence.codes)
+            assert root_level == min(level for _, _, level in codes)
             # The root contains every other node of the occurrence.
-            for code in occurrence.codes[1:]:
-                assert occurrence.root.is_ancestor_of(code)
-
-    def test_occurrences_carry_tid(self, paper_tree: ParseTree) -> None:
-        for _, occurrence in enumerate_key_occurrences(paper_tree, 2):
-            assert occurrence.tid == paper_tree.tid
+            assert all(root_pre < pre and root_post > post for pre, post, _ in rest)
 
     def test_symmetric_instances_share_key(self) -> None:
         tree = ParseTree(build_tree(("A", [("B", []), ("C", []), ("B", [])])), tid=0)
@@ -172,27 +172,43 @@ def test_kernel_matches_brute_force(shape, mss: int) -> None:
                 assert (pre, post, level) == (code.pre, code.post, code.level)
             got[(text.encode("utf-8"), tuple(pre - 1 for pre, _, _ in occurrence))] += 1
     assert got == expected  # same key multiset, same canonical node order
-    # The public iterator is a view of the same occurrences.
-    viewed = Counter(
-        (key, tuple(code.pre - 1 for code in occurrence.codes))
-        for key, occurrence in enumerate_key_occurrences(tree, mss)
-    )
-    assert viewed == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shapes, st.integers(min_value=1, max_value=5))
+def test_root_texts_are_the_kernels_keys_by_root(shape, mss: int) -> None:
+    """The root-only extraction is ``{(text, root)}`` of the full one: the
+    same numbering, every key a node roots exactly once, its size with it."""
+    tree = ParseTree(build_tree(shape), tid=3)
+    nodes, extracted = extract_subtrees(tree, mss)
+    numbered, texts = extract_root_texts(tree, mss)
+    assert numbered == [found[0][1][0] for found in extracted]  # the size-1 subtree's only code
+    assert [pre for pre, _, _ in numbered] == list(range(1, len(nodes) + 1))
+    for found, rooted in zip(extracted, texts):
+        assert rooted == {text: size for text, _, size in found}
+    # Roots ascend per key: a tree's rows are born in stored order.
+    roots_of: dict = {}
+    for (pre, _, _), rooted in zip(numbered, texts):
+        for text in rooted:
+            roots_of.setdefault(text, []).append(pre)
+    assert all(roots == sorted(set(roots)) for roots in roots_of.values())
+    assert roots_of == {
+        text: sorted({codes[0][0] for found in extracted for t, codes, _ in found if t == text})
+        for text in roots_of
+    }
 
 
 def _reference_postings(coding: str, occurrences) -> list:
-    """The per-``Occurrence`` conversions the codings had before the kernel."""
+    """The conversion of ``(tid, codes)`` embeddings the codings had as record builders."""
     if coding == "filter":
-        return [FilterPosting(tid) for tid in sorted({occ.tid for occ in occurrences})]
+        return [FilterPosting(tid) for tid in sorted({tid for tid, _ in occurrences})]
     if coding == "root-split":
-        roots = {(occ.tid, occ.root.pre, occ.root.post, occ.root.level) for occ in occurrences}
-        return [RootPosting(*record) for record in sorted(roots)]
+        return [RootPosting(tid, *root) for tid, root in sorted({(tid, codes[0]) for tid, codes in occurrences})]
     postings = set()
-    for occ in occurrences:
-        pres = sorted(code.pre for code in occ.codes)
+    for tid, codes in occurrences:
+        pres = sorted(pre for pre, _, _ in codes)
         order_of = {pre: rank + 1 for rank, pre in enumerate(pres)}
-        nodes = tuple(NodeCode(c.pre, c.post, c.level, order_of[c.pre]) for c in occ.codes)
-        postings.add(SubtreePosting(occ.tid, nodes))
+        postings.add(SubtreePosting(tid, tuple(NodeCode(*code, order_of[code[0]]) for code in codes)))
     return sorted(postings)
 
 
@@ -202,15 +218,12 @@ def test_posting_lists_match_the_per_occurrence_reference(shapes, mss: int) -> N
     trees = [ParseTree(build_tree(shape), tid=5 + 2 * at) for at, shape in enumerate(shapes)]
     per_key: dict = {}
     for tree in trees:
-        for key, occurrence in enumerate_key_occurrences(tree, mss):
-            per_key.setdefault(key, []).append(occurrence)
+        for key, codes in _occurrences(tree, mss):
+            per_key.setdefault(key, []).append((tree.tid, codes))
     for name in ("filter", "root-split", "subtree-interval"):
         coding = get_coding(name)
-        posting_lists, tree_count = accumulate_posting_lists(trees, mss, coding)
+        bodies, tree_count = accumulate_posting_lists(trees, mss, coding)
         assert tree_count == len(trees)
-        assert posting_lists == {
+        assert {key: list(coding.columns(body)) for key, body in bodies.items()} == {
             key: _reference_postings(name, occurrences) for key, occurrences in per_key.items()
         }
-        # The record-object entry point agrees with the flat one.
-        for key, occurrences in per_key.items():
-            assert coding.postings_from_occurrences(occurrences) == posting_lists[key]

@@ -143,3 +143,45 @@ class TestCrossCodingInvariants:
             sizes[name] = index.size_bytes()
             index.close()
         assert sizes["filter"] <= sizes["root-split"] <= sizes["subtree-interval"]
+
+
+class TestWritePathBuildsNoRecords:
+    """Build, live add and compaction go from a tree to flat bodies to bytes:
+    a posting record exists only as the view ``PostingColumns`` gives a reader."""
+
+    @pytest.mark.parametrize("coding", ["filter", "root-split", "subtree-interval"])
+    def test_no_posting_object_between_a_tree_and_its_bytes(
+        self, tmp_path, tiny_corpus, monkeypatch, coding: str
+    ) -> None:
+        from repro.coding import postings as records
+        from repro.core.stats import count_postings
+        from repro.live.delta import DeltaSegment
+        from repro.live.live import LiveIndex
+
+        def refuse(self, *args, **kwargs) -> None:
+            raise AssertionError(f"the write path constructed a {type(self).__name__}")
+
+        trees = list(tiny_corpus)
+        with monkeypatch.context() as patched:
+            for record in (records.FilterPosting, records.RootPosting, records.SubtreePosting, records.NodeCode):
+                patched.setattr(record, "__init__", refuse)
+            SubtreeIndex.build(trees[:10], mss=3, coding=coding, path=str(tmp_path / "plain.si")).close()
+            count_postings(trees[:5], 3, [coding])
+
+            live = LiveIndex.create(str(tmp_path / "live"), 3, coding, trees=trees[:10], fsync=False)
+            try:
+                added = [live.add_tree(tree.root) for tree in trees[10:20]]
+                assert isinstance(live.delta, DeltaSegment) and live.delta.tree_count == 10
+                assert live.posting_list_length(b"NP") == len(live.lookup(b"NP").tids)
+                for tid in (2, 3, added[0], added[4]):  # in the segment and in the delta
+                    live.delete_tree(tid)
+                stats = live.compact()
+                assert (stats.flushed_trees, stats.segments_rewritten) == (8, 1)
+                live.add_tree(trees[20].root)
+                live.compact()
+                assert sum(1 for _ in live.items()) > 0
+            finally:
+                live.close()
+        # Outside the patch the same lists still read as records.
+        with SubtreeIndex.open(str(tmp_path / "plain.si")) as index:
+            assert index.lookup(b"NP")[0].tid == 0

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from repro.coding.base import Occurrence
+from repro.coding.postings import NodeCode, RootPosting, SubtreePosting
 from repro.coding.root_split import RootSplitCoding
-from repro.coding.subtree_interval import SubtreeIntervalCoding
 from repro.exec.plan import build_plan, cover_relations
 from repro.query.decompose import min_rc, optimal_cover
 from repro.query.parser import parse_query
-from repro.trees.numbering import IntervalCode
-
-
-def _occurrence(tid: int, codes: list[tuple[int, int, int]]) -> Occurrence:
-    return Occurrence(tid=tid, codes=tuple(IntervalCode(*code) for code in codes))
 
 
 def _node_of_offset(plan) -> dict[int, int]:
@@ -41,11 +35,7 @@ class TestBuildPlan:
     def _root_split_plan(self, text: str, mss: int = 2):
         query = parse_query(text)
         cover = min_rc(query, mss)
-        coding = RootSplitCoding()
-        postings = [
-            coding.postings_from_occurrences([_occurrence(1, [(i + 1, 10 - i, i)])])
-            for i, _ in enumerate(cover.subtrees)
-        ]
+        postings = [[RootPosting(1, i + 1, 10 - i, i)] for i, _ in enumerate(cover.subtrees)]
         return query, cover, build_plan(query, cover_relations(cover, postings))
 
     def test_relations_match_cover(self) -> None:
@@ -62,11 +52,8 @@ class TestBuildPlan:
     def test_subtree_interval_relations_bind_all_nodes(self) -> None:
         query = parse_query("NP(DT)(NN)")
         cover = optimal_cover(query, 3)
-        coding = SubtreeIntervalCoding()
         postings = [
-            coding.postings_from_occurrences(
-                [_occurrence(1, [(1, 5, 0), (2, 1, 1), (3, 4, 1)])]
-            )
+            [SubtreePosting(1, (NodeCode(1, 5, 0, 1), NodeCode(2, 1, 1, 2), NodeCode(3, 4, 1, 3)))]
         ]
         plan = build_plan(query, cover_relations(cover, postings))
         assert set(plan.relations[0].nodes) == {0, 1, 2}
@@ -76,10 +63,7 @@ class TestBuildPlan:
         query = parse_query("S(NP(DT)(NN))(VP(VBZ))")
         cover = min_rc(query, 2)
         coding = RootSplitCoding()
-        plain = [
-            coding.postings_from_occurrences([_occurrence(1, [(i + 1, 10 - i, i)])])
-            for i, _ in enumerate(cover.subtrees)
-        ]
+        plain = [[RootPosting(1, i + 1, 10 - i, i)] for i, _ in enumerate(cover.subtrees)]
         decoded = [coding.decode_postings(coding.encode_postings(plist)) for plist in plain]
         from_lists = cover_relations(cover, plain)
         from_columns = cover_relations(cover, decoded)
@@ -102,11 +86,7 @@ class TestBuildPlan:
     def test_descendant_axis_compiles_to_a_containment_check(self) -> None:
         query = parse_query("S(NP(//NN))")
         cover = min_rc(query, 3)
-        coding = RootSplitCoding()
-        postings = [
-            coding.postings_from_occurrences([_occurrence(1, [(i + 1, 9 - i, i)])])
-            for i, _ in enumerate(cover.subtrees)
-        ]
+        postings = [[RootPosting(1, i + 1, 9 - i, i)] for i, _ in enumerate(cover.subtrees)]
         plan = build_plan(query, cover_relations(cover, postings))
         assert any(not child for _, _, child in _checked_edges(plan))
 
@@ -116,11 +96,7 @@ class TestBuildPlan:
         query = parse_query("NP(DT)(NN)")
         cover = min_rc(query, 2)
         assert len({subtree.root.node_id for subtree in cover.subtrees}) < len(cover.subtrees)
-        coding = RootSplitCoding()
-        postings = [
-            coding.postings_from_occurrences([_occurrence(1, [(1, 9, 0)])])
-            for _ in cover.subtrees
-        ]
+        postings = [[RootPosting(1, 1, 9, 0)] for _ in cover.subtrees]
         plan = build_plan(query, cover_relations(cover, postings))
         keyed = [step for step in plan.steps if step.equal]
         assert keyed and all(not step.checks for step in keyed)
@@ -130,15 +106,10 @@ class TestBuildPlan:
     def test_join_order_starts_with_smallest_relation(self) -> None:
         query = parse_query("S(NP)(VP)")
         cover = min_rc(query, 1, pad=False)
-        coding = RootSplitCoding()
         postings = []
         for index, _ in enumerate(cover.subtrees):
             count = 5 - index  # later subtrees get shorter posting lists
-            postings.append(
-                coding.postings_from_occurrences(
-                    [_occurrence(tid, [(tid + index, 20, index)]) for tid in range(count)]
-                )
-            )
+            postings.append([RootPosting(tid, tid + index, 20, index) for tid in range(count)])
         plan = build_plan(query, cover_relations(cover, postings))
         first = plan.order[0]
         assert plan.relations[first].cardinality == min(r.cardinality for r in plan.relations)
@@ -160,7 +131,6 @@ class TestBuildPlan:
     def test_an_empty_relation_compiles_nothing(self) -> None:
         query = parse_query("S(NP)(VP)")
         cover = min_rc(query, 1, pad=False)
-        coding = RootSplitCoding()
-        postings = [coding.postings_from_occurrences([_occurrence(1, [(1, 9, 0)])]), [], []]
+        postings = [[RootPosting(1, 1, 9, 0)], [], []]
         plan = build_plan(query, cover_relations(cover, postings))
         assert plan.steps == [] and len(plan.order) == 3

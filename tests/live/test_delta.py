@@ -5,33 +5,83 @@ from __future__ import annotations
 import pytest
 
 from repro.coding.base import get_coding
+from repro.coding.postings import PostingColumns
 from repro.core.index import SubtreeIndex
 from repro.live.delta import DeltaSegment
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 
 
+def _columns(postings: PostingColumns) -> tuple:
+    """Every column as a plain list (a decoded one may be ``bytes``)."""
+    return (
+        list(postings.tids),
+        [[list(column) for column in slot] for slot in postings.slots],
+        None if postings.orders is None else [list(order) for order in postings.orders],
+    )
+
+
+@pytest.mark.parametrize("mss", (1, 3, 4))
 @pytest.mark.parametrize("coding", CODINGS)
-def test_delta_stores_what_a_fresh_build_would(tmp_path, tiny_corpus, coding) -> None:
-    """Per-key postings in the delta are exactly a built index's postings."""
+def test_delta_stores_what_a_fresh_build_would(tmp_path, tiny_corpus, coding, mss) -> None:
+    """Per-key postings in the delta are exactly a built index's postings --
+    as records, column by column, and as the bytes a compaction writes."""
     trees = list(tiny_corpus)[:10]
-    delta = DeltaSegment(mss=3, coding=get_coding(coding))
+    delta = DeltaSegment(mss=mss, coding=get_coding(coding))
     for tree in trees:
         delta.add_tree(tree)
     built = SubtreeIndex.build(
-        trees, mss=3, coding=coding, path=str(tmp_path / f"ref-{coding}.si")
+        trees, mss=mss, coding=coding, path=str(tmp_path / f"ref-{coding}.si")
     )
     try:
         delta_items = list(delta.items())
         built_items = list(built.items())
         assert [key for key, _ in delta_items] == [key for key, _ in built_items]
         for (key, delta_postings), (_, built_postings) in zip(delta_items, built_items):
+            assert isinstance(delta_postings, PostingColumns)
             assert delta_postings == built_postings, key
+            assert _columns(delta_postings) == _columns(built_postings), key
+            assert delta.posting_list_length(key) == len(built_postings) == built.posting_list_length(key)
+        assert list(delta.encoded()) == list(built.raw_items())
         assert delta.key_count == built.key_count
         assert delta.posting_count == built.posting_count
         assert delta.tree_count == built.metadata.tree_count
     finally:
         built.close()
+
+
+@pytest.mark.parametrize("coding", CODINGS)
+def test_encoded_without_dead_trees_is_a_build_of_the_survivors(tmp_path, tiny_corpus, coding) -> None:
+    trees = list(tiny_corpus)[:10]
+    delta = DeltaSegment(mss=3, coding=get_coding(coding))
+    for tree in trees:
+        delta.add_tree(tree)
+    dead = {trees[0].tid, trees[4].tid, trees[9].tid}
+    survivors = [tree for tree in trees if tree.tid not in dead]
+    with SubtreeIndex.build(survivors, mss=3, coding=coding, path=str(tmp_path / "alive.si")) as built:
+        assert list(delta.encoded(dead)) == list(built.raw_items())
+
+
+@pytest.mark.parametrize("coding", CODINGS)
+def test_columns_handed_out_survive_later_adds(tiny_corpus, coding) -> None:
+    """Copy-on-write per key: a reader's columns are a stable snapshot."""
+    trees = list(tiny_corpus)[:8]
+    delta = DeltaSegment(mss=3, coding=get_coding(coding))
+    for tree in trees[:4]:
+        delta.add_tree(tree)
+    held = {key: (postings, _columns(postings), list(postings)) for key, postings in delta.items()}
+    assert all(delta.lookup(key) is postings for key, (postings, _, _) in held.items())  # cached
+    for tree in trees[4:]:
+        delta.add_tree(tree)
+    grown = 0
+    for key, (postings, columns, records) in held.items():
+        assert _columns(postings) == columns and list(postings) == records, key
+        now = delta.lookup(key)
+        assert list(now)[: len(records)] == records
+        grown += now is not postings  # an untouched key keeps its columns
+        assert delta.posting_list_length(key) == len(now)
+    assert 0 < grown
+    assert delta.posting_list_length(b"no such key") == 0
 
 
 def test_lookup_and_has_key(tiny_corpus) -> None:
@@ -54,3 +104,46 @@ def test_tids_must_ascend(tiny_corpus) -> None:
         delta.add_tree(trees[1])
     with pytest.raises(ValueError, match="ascending"):
         delta.add_tree(trees[3])  # equal tid is just as illegal
+
+
+@pytest.mark.parametrize("coding", CODINGS)
+def test_readers_racing_adds_never_see_a_torn_list(tiny_corpus, coding) -> None:
+    """Readers look keys up while a writer adds trees: whatever they get has
+    columns of one length, ascends in tid and extends what they saw before."""
+    import sys
+    import threading
+
+    trees = list(tiny_corpus)
+    delta = DeltaSegment(mss=3, coding=get_coding(coding))
+    delta.add_tree(trees[0])
+    keys = [key for key, _ in delta.items()][:40]
+    failures: list = []
+    done = threading.Event()
+
+    def read() -> None:
+        seen = {key: [] for key in keys}
+        while not done.is_set() and not failures:
+            for key in keys:
+                postings = delta.lookup(key)
+                tids, columns = list(postings.tids), _columns(postings)
+                lengths = {len(tids), *(len(c) for slot in columns[1] for c in slot), *(len(o) for o in columns[2] or ())}
+                if len(lengths) != 1 or tids != sorted(tids) or tids[: len(seen[key])] != seen[key]:
+                    failures.append((key, tids, seen[key]))
+                seen[key] = tids
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for reader in readers:
+            reader.start()
+        for tree in trees[1:]:
+            delta.add_tree(tree)
+    finally:
+        done.set()
+        for reader in readers:
+            reader.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert not failures, failures[0]
+    assert delta.tree_count == len(trees)

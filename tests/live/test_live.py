@@ -410,6 +410,43 @@ class TestLifecycle:
             LiveIndex.open(manifest_path)
 
 
+class TestOneNodeTree:
+    """A tree of one node has a Penn form (``(X)``), so the data file and the
+    write-ahead log can hold it: build, add, replay, compact."""
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_build_add_reopen_compact(self, workdir, tiny_corpus, coding) -> None:
+        from repro.trees.node import Node
+
+        lone = ParseTree(Node("X"), tid=3)
+        seed = [*list(tiny_corpus)[:3], lone]
+        with TreeStore.build(str(workdir / f"lone-{coding}.data"), seed) as store:
+            assert store.get(3).root.structurally_equal(lone.root)
+            assert [tree.tid for tree in store] == [0, 1, 2, 3]
+
+        path = str(workdir / f"lone-{coding}")
+        live = LiveIndex.create(path, MSS, coding, trees=seed)
+        added = live.add_tree(Node("X"))
+        assert live.add_tree("(Y)") == added + 1
+        live.close()
+        live = LiveIndex.open(live.manifest_path)  # WAL replay parses the one-node adds
+        try:
+            assert live.delta.tree_count == 2
+            assert list(live.lookup(b"X").tids) == [3, added]
+            live.delete_tree(3)
+            stats = live.compact()
+            assert (stats.flushed_trees, stats.segments_rewritten) == (2, 1)
+            assert list(live.lookup(b"X").tids) == [added]
+            assert list(live.lookup(b"Y").tids) == [added + 1]
+            assert live.store.get(added).root.structurally_equal(lone.root)
+            executor = QueryExecutor(live, store=live.store)
+            from repro.query.parser import parse_query
+
+            assert executor.execute(parse_query("X")).matched_tids == [added]
+        finally:
+            live.close()
+
+
 class TestCompactionIsAMerge:
     """Compaction writes segments out of what is already indexed; the files
     must still be the ones a from-scratch build over the survivors writes."""

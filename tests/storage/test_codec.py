@@ -13,7 +13,7 @@ from repro.storage.codec import (
     decode_varint,
     decode_varint_list,
     decode_varint_run,
-    encode_delta_list,
+    delta_gaps,
     encode_length_prefixed,
     encode_uint32_list,
     encode_varint,
@@ -100,6 +100,11 @@ class TestVarintRun:
             _, offset = decode_varint(data, offset)
         expected, _ = decode_varint_list(data, len(values) - min(skip, len(values)), offset)
         assert list(decode_varint_run(data, offset)) == expected
+
+
+def encode_delta_list(values: list[int]) -> bytes:
+    """Count, first value, gaps: a posting body of one-value rows, as the codings write it."""
+    return encode_varint(len(values)) + encode_varint_list(delta_gaps(values))
 
 
 def decode_delta_list(data: bytes) -> list[int]:

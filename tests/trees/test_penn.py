@@ -32,6 +32,17 @@ class TestParsePenn:
         text = "(S (NP (DT the) (NN dog)) (VP (VBZ barks)))"
         assert to_penn(parse_penn(text)) == text
 
+    def test_a_tree_of_one_node_round_trips(self) -> None:
+        from repro.trees.node import Node
+
+        assert to_penn(Node("X")) == to_penn(Node("X"), pretty=True) == "(X)"
+        assert to_penn(parse_penn("(X)")) == "(X)"
+        leaf = parse_penn("(NP dog)").children[0]
+        assert to_penn(leaf) == "dog"  # a token inside a tree stays bare
+        # The bare form an earlier to_penn wrote for such a tree is still read.
+        old = parse_penn(" X ")
+        assert (old.label, old.children) == ("X", [])
+
     def test_pretty_round_trip(self) -> None:
         text = "(S (NP (DT the) (NN dog)) (VP (VBZ barks) (PP (IN at) (NP (NN cats)))))"
         pretty = to_penn(parse_penn(text), pretty=True)
