@@ -449,6 +449,7 @@ def _stats_payload(path: str, index) -> dict:
         "key_count": meta.key_count,
         "posting_count": meta.posting_count,
         "size_bytes": index.size_bytes(),
+        "storage": index.page_census(),
         "build_seconds": meta.build_seconds,
         "sharded": isinstance(index, ShardedIndex),
         "live": isinstance(index, LiveIndex),
@@ -537,6 +538,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"unique keys     : {meta.key_count:,}")
     print(f"total postings  : {meta.posting_count:,}")
     print(f"size on disk    : {index.size_bytes():,} bytes")
+    for name, row in sorted(index.page_census().items()):
+        print(
+            f"  {name:<9s} {row['pages']:>6,} pages  {row['payload_bytes']:>11,} payload  "
+            f"{row['slack_bytes']:>9,} slack"
+        )
     if not live:
         print(f"build time      : {meta.build_seconds:.2f} s")
     if live:

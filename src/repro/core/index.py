@@ -276,16 +276,16 @@ class SubtreeIndex:
         return postings
 
     def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
-        """``True`` when *key* is present in the index."""
-        return self._tree.get(self._normalise_key(key)) is not None
+        """``True`` when *key* is present in the index (the leaf says: no list is read)."""
+        return self._normalise_key(key) in self._tree
 
     def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
         """Length of the posting list of *key* (0 when absent).
 
         Every coding stores the count as the leading varint of the encoded
-        list, so nothing is decoded.
+        list, so nothing is decoded and only the head of a long list is read.
         """
-        raw = self._tree.get(self._normalise_key(key))
+        raw = self._tree.peek(self._normalise_key(key), 10)  # the longest varint
         return 0 if raw is None else decode_varint(raw)[0]
 
     # ------------------------------------------------------------------
@@ -364,6 +364,10 @@ class SubtreeIndex:
     def size_bytes(self) -> int:
         """Size of the index file on disk in bytes."""
         return self._tree.size_bytes()
+
+    def page_census(self) -> Dict[str, Dict[str, int]]:
+        """Where those bytes are (:meth:`repro.storage.bptree.BPlusTree.page_census`)."""
+        return self._tree.page_census()
 
     # ------------------------------------------------------------------
     def flush(self) -> None:

@@ -370,6 +370,15 @@ class SegmentSet:
         """Total size of the sources' index files on disk."""
         return sum(source.index.size_bytes() for source in self._files())
 
+    def page_census(self) -> Dict[str, Dict[str, int]]:
+        """The page censuses of those files, added up."""
+        total: Dict[str, Dict[str, int]] = {}
+        for source in self._files():
+            for name, row in source.index.page_census().items():
+                seen = total.get(name, {})
+                total[name] = {field: seen.get(field, 0) + value for field, value in row.items()}
+        return total
+
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Flush every source's files."""

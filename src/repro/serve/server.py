@@ -501,6 +501,7 @@ class QueryServer:
         self._inflight_queries = 0
         self._draining = False
         self._started_at = 0.0
+        self._census: Tuple[object, Dict[str, object]] = (None, {})  # index version it was taken at
         self._trace_sink: Optional[JsonlSink] = None
         self._owns_tracer = False
         self._server_errors = 0
@@ -1194,7 +1195,13 @@ class QueryServer:
                 "slow_queries": list(tracer.slow_queries),
             })
         server_block["tracing"] = tracing
-        return self._json_ok({"flavor": self.flavor, "service": stats, "server": server_block})
+        # The census reads every page of every index file: once per version.
+        index = self.service.index
+        if self._census[0] != index.version:
+            self._census = (index.version, index.page_census())
+        return self._json_ok(
+            {"flavor": self.flavor, "service": stats, "server": server_block, "storage": self._census[1]}
+        )
 
     def _handle_healthz(self) -> Tuple[int, str, bytes]:
         """Liveness -- 503 + ``"draining"`` once a graceful drain started,

@@ -3,8 +3,11 @@
 This is the physical structure behind the subtree index ("our subtree index
 was implemented as a native disk-based B+Tree index", Section 6.1).  Keys are
 canonical subtree encodings, values are serialised posting lists.  Values
-larger than a quarter page spill into overflow page chains so that posting
-lists of any size can be stored while keeping leaf pages balanced.
+larger than a quarter page go end to end into the tree's one overflow stream,
+a chain of pages, so that posting lists of any size can be stored while
+keeping leaf pages balanced; a leaf stores each key as the suffix the key
+before it does not share (``docs/architecture.md`` has both page layouts and
+the v1 ones this reader still opens).
 
 The tree supports point lookups, ordered iteration, prefix scans, single-key
 insertion (with node splits) and sorted bulk loading, which is what index
@@ -25,9 +28,10 @@ import struct
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from operator import ge
-from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro import obs
 from repro.storage.codec import decode_varint, encode_length_prefixed, encode_varint, varint_size
@@ -37,11 +41,13 @@ _META = struct.Struct("<4sIIQ")  # magic, root page, height, entry count
 _MAGIC = b"SIBT"
 
 _NODE_INTERNAL = 1
-_NODE_LEAF = 2
+_NODE_LEAF_V1 = 2  # keys stored whole: read, never written
 _NODE_OVERFLOW = 3
+_NODE_LEAF = 4
 
 _UINT32 = struct.Struct("<I")
 _OVERFLOW_HEADER = struct.Struct("<BIH")  # type, next page, bytes used in page
+_POINTER = struct.Struct("<IIH")  # first page, total length, offset in that page's bytes
 
 
 class BPlusTreeError(RuntimeError):
@@ -130,7 +136,7 @@ class _Leaf:
                  next_leaf: int = 0):
         self.keys: List[bytes] = keys or []
         # Each value is (is_overflow, payload); payload is the inline value or
-        # the packed (first_page, total_length) pointer for overflow chains.
+        # the ``_POINTER`` into the overflow stream.
         self.values: List[Tuple[bool, bytes]] = values or []
         self.next_leaf = next_leaf
 
@@ -150,37 +156,80 @@ def _prefixed_size(payload: bytes) -> int:
     return varint_size(len(payload)) + len(payload)
 
 
-# Both decoders parse a page in one pass.  Nearly every record is shorter than
-# 128 bytes, so its length prefix is one byte that is its own value and is
-# read in line; only longer records go through ``decode_varint``.  A slice
-# past the end of the page comes back short instead of raising, hence the
-# final offset check: offsets only grow, so one overrun anywhere shows there.
-def _decode_leaf(data: bytes) -> _Leaf:
+def _shared_prefix(previous: bytes, key: bytes) -> int:
+    """Length of the prefix *key* shares with *previous*, capped at the 255 a
+    leaf record's one byte can say.  No per-byte loop: the first byte the two
+    differ in is the highest set byte of their XOR as big-endian integers."""
+    width = min(len(previous), len(key), 255)
+    difference = int.from_bytes(previous[:width], "big") ^ int.from_bytes(key[:width], "big")
+    return width - (difference.bit_length() + 7) // 8
+
+
+def _leaf_record(previous: bytes, key: bytes, value: Tuple[bool, bytes]) -> bytes:
+    """One leaf record as written: the length *key* shares with the key before
+    it in the leaf, the rest of *key*, the overflow flag and the payload."""
+    shared = _shared_prefix(previous, key)
+    suffix = key[shared:]
+    is_overflow, payload = value
+    if len(suffix) < 0x80 and len(payload) < 0x80:  # nearly every record: both lengths are one byte
+        return b"%c%c%b%c%c%b" % (shared, len(suffix), suffix, is_overflow, len(payload), payload)
+    return b"%c%b%c%b" % (
+        shared, encode_length_prefixed(suffix), is_overflow, encode_length_prefixed(payload)
+    )
+
+
+def _leaf_records(leaf: _Leaf) -> List[bytes]:
+    return list(map(_leaf_record, chain((b"",), leaf.keys), leaf.keys, leaf.values))
+
+
+# The decoders parse a page in one pass and return the image with the offset
+# its records end at.  Nearly every record is shorter than 128 bytes, so its
+# length prefix is one byte that is its own value and is read in line; only
+# longer records go through ``decode_varint``.  A slice past the end of the
+# page comes back short instead of raising, hence the final offset check:
+# offsets only grow, so one overrun anywhere shows there.
+def _decode_leaf(data: bytes, front_coded: bool = True) -> Tuple[_Leaf, int]:
     next_leaf = _UINT32.unpack_from(data, 1)[0]
     count, offset = decode_varint(data, 1 + _UINT32.size)
     keys: List[bytes] = []
     values: List[Tuple[bool, bytes]] = []
+    key = b""
+    shared = 0  # a v1 leaf stores every key whole
     for _ in range(count):
+        if front_coded:
+            shared = data[offset]
+            offset += 1
+            if shared > len(key):
+                raise ValueError("a key shares more than the key before it holds")
         length = data[offset]
         offset += 1
         if length > 0x7F:
             length, offset = decode_varint(data, offset - 1)
         end = offset + length
-        keys.append(data[offset:end])
+        key = key[:shared] + data[offset:end]
+        keys.append(key)
         is_overflow = bool(data[end])
         length = data[end + 1]
         offset = end + 2
         if length > 0x7F:
             length, offset = decode_varint(data, end + 1)
         end = offset + length
-        values.append((is_overflow, data[offset:end]))
+        payload = data[offset:end]
+        if is_overflow:
+            if not front_coded:
+                # A v1 pointer is (first page, varint length): its chain shares no page.
+                first_page = _UINT32.unpack_from(payload, 0)[0]
+                payload = _POINTER.pack(first_page, decode_varint(payload, _UINT32.size)[0], 0)
+            elif length != _POINTER.size:
+                raise ValueError(f"an overflow pointer of {length} bytes")
+        values.append((is_overflow, payload))
         offset = end
     if offset > len(data):
         raise ValueError("leaf records run past the end of the page")
-    return _Leaf(keys, values, next_leaf)
+    return _Leaf(keys, values, next_leaf), offset
 
 
-def _decode_internal(data: bytes) -> _Internal:
+def _decode_internal(data: bytes) -> Tuple[_Internal, int]:
     count, offset = decode_varint(data, 1)
     keys: List[bytes] = []
     for _ in range(count):
@@ -193,10 +242,14 @@ def _decode_internal(data: bytes) -> _Internal:
         offset = end
     # ``unpack_from`` refuses to read past the end of the page.
     children = list(struct.unpack_from(f"<{count + 1}I", data, offset))
-    return _Internal(keys, children)
+    return _Internal(keys, children), offset + _UINT32.size * (count + 1)
 
 
-_NODE_DECODERS = {_NODE_LEAF: _decode_leaf, _NODE_INTERNAL: _decode_internal}
+_NODE_DECODERS = {  # by the page's type byte
+    _NODE_INTERNAL: _decode_internal,
+    _NODE_LEAF: _decode_leaf,
+    _NODE_LEAF_V1: partial(_decode_leaf, front_coded=False),
+}
 
 
 class BPlusTree:
@@ -215,6 +268,9 @@ class BPlusTree:
                  value_cache: Optional[ValueCache] = None):
         self.pager = Pager(path, page_size=page_size)
         self._overflow_threshold = page_size // 4
+        # (page, bytes used) where the overflow stream ends; a full page, which
+        # a tree just opened starts from, makes the next long value open one.
+        self._stream_end = (0, page_size - _OVERFLOW_HEADER.size)
         #: Optional read-through cache consulted by :meth:`get` before any
         #: page access; install one with :meth:`attach_cache`.
         self.value_cache = value_cache
@@ -260,6 +316,29 @@ class BPlusTree:
         """Size of the index file in bytes."""
         return self.pager.size_bytes()
 
+    def page_census(self) -> Dict[str, Dict[str, int]]:
+        """Where the file's bytes are, by page type: ``pages``, ``payload_bytes``
+        (header and records, up to the last byte a reader of the page looks
+        at) and ``slack_bytes`` (the rest).  Reads every page from the file,
+        past the resident images and the probe counters.
+        """
+        census: Dict[str, Dict[str, int]] = {}
+        for page_id in range(self.pager.page_count):
+            with self._descent_lock:
+                data = self.pager.read_raw(page_id)
+            if page_id == 0:
+                name, used = "meta", _META.size
+            elif data[0] == _NODE_OVERFLOW:
+                name, used = "overflow", _OVERFLOW_HEADER.size + _OVERFLOW_HEADER.unpack_from(data, 0)[2]
+            else:
+                name = "internal" if data[0] == _NODE_INTERNAL else "leaf"
+                used = self._decode(page_id, data)[1]
+            row = census.setdefault(name, {"pages": 0, "payload_bytes": 0, "slack_bytes": 0})
+            row["pages"] += 1
+            row["payload_bytes"] += used
+            row["slack_bytes"] += self.pager.page_size - used
+        return census
+
     def close(self) -> None:
         """Flush and close the backing file."""
         self._write_meta()
@@ -279,17 +358,16 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Page (de)serialisation
     # ------------------------------------------------------------------
-    def _write_leaf(self, page_id: int, leaf: _Leaf) -> None:
-        out = bytearray([_NODE_LEAF])
-        out += _UINT32.pack(leaf.next_leaf)
-        out += encode_varint(len(leaf.keys))
-        for key, (is_overflow, payload) in zip(leaf.keys, leaf.values):
-            out += encode_length_prefixed(key)
-            out.append(1 if is_overflow else 0)
-            out += encode_length_prefixed(payload)
+    def _write_leaf(self, page_id: int, leaf: _Leaf, records: Optional[List[bytes]] = None) -> None:
+        """Write *leaf*; *records* are its ``_leaf_records`` when the caller sized it by them."""
+        if records is None:
+            records = _leaf_records(leaf)
+        out = b"%c%b%b%b" % (
+            _NODE_LEAF, _UINT32.pack(leaf.next_leaf), encode_varint(len(records)), b"".join(records)
+        )
         if len(out) > self.pager.page_size:
             raise BPlusTreeError("leaf serialisation exceeds the page size")
-        self.pager.write(page_id, bytes(out))
+        self.pager.write(page_id, out)
         self.pager.keep(page_id, leaf)
 
     def _write_internal(self, page_id: int, node: _Internal) -> None:
@@ -312,61 +390,82 @@ class BPlusTree:
         """
         image = self.pager.read(page_id)
         if isinstance(image, bytes):
-            decode = _NODE_DECODERS.get(image[0])
-            if decode is None:
-                raise BPlusTreeError(f"page {page_id} is not a tree node (type {image[0]})")
-            try:
-                image = decode(image)
-            except (IndexError, ValueError, struct.error) as error:
-                raise BPlusTreeError(f"page {page_id} is malformed: {error}") from error
+            image, _ = self._decode(page_id, image)
             self.probe_stats.node_decodes += 1
             self.pager.keep(page_id, image)
         return image  # type: ignore[return-value]
 
+    @staticmethod
+    def _decode(page_id: int, data: bytes) -> "Tuple[_Leaf | _Internal, int]":
+        """The node image of raw page *data* and the offset its records end at."""
+        decode = _NODE_DECODERS.get(data[0])
+        if decode is None:
+            raise BPlusTreeError(f"page {page_id} is not a tree node (type {data[0]})")
+        try:
+            return decode(data)
+        except (IndexError, ValueError, struct.error) as error:
+            raise BPlusTreeError(f"page {page_id} is malformed: {error}") from error
+
     # ------------------------------------------------------------------
-    # Overflow chains for large values
+    # The overflow stream for large values
     # ------------------------------------------------------------------
     def _store_value(self, value: bytes) -> Tuple[bool, bytes]:
-        """Return the leaf payload for *value*, spilling to overflow pages if large."""
+        """Return the leaf payload for *value*, appending it to the overflow stream if
+        large: every page it touches is written here, the stream's last one
+        again with the bytes it already held."""
         if len(value) <= self._overflow_threshold:
             return False, value
-        capacity = self.pager.page_size - _OVERFLOW_HEADER.size
-        chunks = [value[i:i + capacity] for i in range(0, len(value), capacity)]
-        next_page = 0
-        for chunk in reversed(chunks):
-            page_id = self.pager.allocate()
-            payload = _OVERFLOW_HEADER.pack(_NODE_OVERFLOW, next_page, len(chunk)) + chunk
-            self.pager.write(page_id, payload)
-            next_page = page_id
-        pointer = _UINT32.pack(next_page) + encode_varint(len(value))
+        header = _OVERFLOW_HEADER.size
+        capacity = self.pager.page_size - header
+        page_id, used = self._stream_end
+        if used == capacity:
+            page_id, used = self.pager.allocate(), 0
+        pointer = _POINTER.pack(page_id, len(value), used)
+        data = value
+        if used:
+            data = self.pager.read(page_id)[header:header + used] + value  # type: ignore[index]
+        for start in range(0, len(data), capacity):
+            chunk = data[start:start + capacity]
+            next_page = self.pager.allocate() if start + capacity < len(data) else 0
+            self.pager.write(page_id, _OVERFLOW_HEADER.pack(_NODE_OVERFLOW, next_page, len(chunk)) + chunk)
+            self._stream_end = (page_id, len(chunk))
+            page_id = next_page
         return True, pointer
 
-    def _load_value(self, is_overflow: bool, payload: bytes) -> bytes:
+    def _load_value(self, is_overflow: bool, payload: bytes, limit: Optional[int] = None) -> bytes:
+        """The value behind a leaf payload, or its first *limit* bytes."""
         if not is_overflow:
-            return payload
-        page_id = _UINT32.unpack_from(payload, 0)[0]
-        total, _ = decode_varint(payload, _UINT32.size)
+            return payload[:limit]
+        page_id, remaining, offset = _POINTER.unpack(payload)
+        if limit is not None and limit < remaining:
+            remaining = limit
+        header = _OVERFLOW_HEADER.size
+        capacity = self.pager.page_size - header
         parts: List[bytes] = []
-        remaining = total
-        while page_id and remaining > 0:
+        while remaining:
             data = self.pager.read(page_id)
             # A node image here means the chain points into the tree itself.
             if not isinstance(data, bytes) or data[0] != _NODE_OVERFLOW:
                 raise BPlusTreeError(f"page {page_id} is not an overflow page")
             _, next_page, used = _OVERFLOW_HEADER.unpack_from(data, 0)
-            chunk = data[_OVERFLOW_HEADER.size:_OVERFLOW_HEADER.size + used]
-            parts.append(chunk)
-            remaining -= len(chunk)
-            page_id = next_page
+            # Every page of the stream but its last is full: the page holds
+            # all the pointer says it does, or something is wrong.
+            end = offset + remaining if offset + remaining < capacity else capacity
+            if not offset < end <= used <= capacity:
+                raise BPlusTreeError(
+                    f"overflow page {page_id} is malformed: {used} of {capacity} bytes used, "
+                    f"bytes {offset}-{end} expected"
+                )
+            parts.append(data[header + offset:header + end])
+            remaining -= end - offset
+            if remaining and not next_page:
+                raise BPlusTreeError(f"overflow chain ends at page {page_id} with {remaining} bytes owed")
+            page_id, offset = next_page, 0
         return b"".join(parts)
 
     # ------------------------------------------------------------------
     # Size accounting for splits and bulk loading
     # ------------------------------------------------------------------
-    @staticmethod
-    def _leaf_entry_size(key: bytes, payload: bytes) -> int:
-        return _prefixed_size(key) + 1 + _prefixed_size(payload)
-
     @staticmethod
     def _leaf_size(entry_count: int, entry_bytes: int) -> int:
         """Serialised size of a leaf of *entry_count* entries totalling *entry_bytes*."""
@@ -376,12 +475,6 @@ class BPlusTree:
     def _internal_size(key_count: int, key_bytes: int) -> int:
         """Serialised size of an internal node: its length-prefixed keys and one more child."""
         return 1 + varint_size(key_count) + key_bytes + _UINT32.size * (key_count + 1)
-
-    def _leaf_fits(self, leaf: _Leaf) -> bool:
-        entry_bytes = sum(
-            self._leaf_entry_size(key, payload) for key, (_, payload) in zip(leaf.keys, leaf.values)
-        )
-        return self._leaf_size(len(leaf.keys), entry_bytes) <= self.pager.page_size
 
     def _internal_fits(self, node: _Internal) -> bool:
         key_bytes = sum(map(_prefixed_size, node.keys))
@@ -448,18 +541,25 @@ class BPlusTree:
                 cache.put(key, value)
         return value
 
-    def _get_from_tree(self, key: bytes) -> Optional[bytes]:
+    def _get_from_tree(self, key: bytes, limit: Optional[int] = None) -> Optional[bytes]:
         """Uncached point lookup; the caller must hold ``_descent_lock``."""
         self.probe_stats.tree_descents += 1
         _, leaf, _ = self._find_leaf(key)
         index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             is_overflow, payload = leaf.values[index]
-            return self._load_value(is_overflow, payload)
+            return self._load_value(is_overflow, payload, limit)
         return None
 
+    def peek(self, key: bytes, size: int) -> Optional[bytes]:
+        """The first *size* bytes of the value under *key*, or ``None``: reads only
+        the overflow pages they lie on (none for ``size`` 0, the leaf hit that
+        answers "present?") and leaves the value cache alone."""
+        with self._descent_lock:
+            return self._get_from_tree(key, size)
+
     def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
+        return self.peek(key, 0) is not None
 
     # ------------------------------------------------------------------
     # Insertion
@@ -494,19 +594,17 @@ class BPlusTree:
             leaf.values.insert(index, payload)
             self._count += 1
 
-        if self._leaf_fits(leaf):
-            self._write_leaf(leaf_page, leaf)
+        records = _leaf_records(leaf)
+        entry_sizes = list(map(len, records))
+        total = sum(entry_sizes)
+        if self._leaf_size(len(records), total) <= self.pager.page_size:
+            self._write_leaf(leaf_page, leaf, records)
             self._write_meta()
             return
 
         # Split the leaf.  The split point balances *bytes*, not entry counts:
         # posting lists vary wildly in size and a count-based split can leave
         # one half still larger than a page.
-        entry_sizes = [
-            self._leaf_entry_size(key, payload)
-            for key, (_, payload) in zip(leaf.keys, leaf.values)
-        ]
-        total = sum(entry_sizes)
         accumulated = 0
         mid = 1
         for index, size in enumerate(entry_sizes[:-1]):
@@ -621,33 +719,37 @@ class BPlusTree:
             self._write_meta()
             return
 
-        # Build the leaf level.  A leaf's size is kept as a running total, so
-        # packing costs one size computation per item, not one per item per
-        # item already in the leaf.
+        # Build the leaf level.  A record is encoded once, its length is its
+        # size, and a leaf's size is kept as a running total: packing costs
+        # one encoding per item, not one per item per item already in the leaf.
         page_size = self.pager.page_size
         leaf_pages: List[Tuple[bytes, int]] = []  # (first key, page id)
         current = _Leaf()
+        records: List[bytes] = []
         current_bytes = 0
         current_page = self._root  # reuse the pre-allocated empty root leaf
+        previous = b""
         for key, value in items:
             key = bytes(key)
             payload = self._store_value(value)
-            entry_bytes = self._leaf_entry_size(key, payload[1])
-            if current.keys and (
-                self._leaf_size(len(current.keys) + 1, current_bytes + entry_bytes) > page_size
-            ):
+            record = _leaf_record(previous, key, payload)
+            if records and self._leaf_size(len(records) + 1, current_bytes + len(record)) > page_size:
                 leaf_pages.append((current.keys[0], current_page))
                 next_page = self.pager.allocate()
                 current.next_leaf = next_page
-                self._write_leaf(current_page, current)
+                self._write_leaf(current_page, current, records)
                 current_page = next_page
                 current = _Leaf()
+                records = []
                 current_bytes = 0
+                record = _leaf_record(b"", key, payload)  # a leaf's first key is whole
             current.keys.append(key)
             current.values.append(payload)
-            current_bytes += entry_bytes
+            records.append(record)
+            current_bytes += len(record)
+            previous = key
         leaf_pages.append((current.keys[0], current_page))
-        self._write_leaf(current_page, current)
+        self._write_leaf(current_page, current, records)
         self._count = len(items)
 
         # Build internal levels bottom-up, sized the same way.

@@ -98,13 +98,14 @@ class Pager:
         # tracing is on, so builds never flood the trace ring.
         if obs.enabled() and obs.current_span() is not None:
             with obs.trace("page_read", page=page_id):
-                data = self._read_page(page_id)
+                data = self.read_raw(page_id)
         else:
-            data = self._read_page(page_id)
+            data = self.read_raw(page_id)
         self.keep(page_id, data)
         return data
 
-    def _read_page(self, page_id: int) -> bytes:
+    def read_raw(self, page_id: int) -> bytes:
+        """Page *page_id* as the file holds it; resident images are neither used nor changed."""
         self._file.seek(page_id * self.page_size)
         data = self._file.read(self.page_size)
         if len(data) != self.page_size:

@@ -185,3 +185,62 @@ class TestWritePathBuildsNoRecords:
         # Outside the patch the same lists still read as records.
         with SubtreeIndex.open(str(tmp_path / "plain.si")) as index:
             assert index.lookup(b"NP")[0].tid == 0
+
+
+class TestStorageFootprint:
+    """The file is its payload: what `page_census` says of a built index."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        from repro.corpus.generator import CorpusGenerator
+
+        return CorpusGenerator(seed=7).generate_list(200)
+
+    @pytest.mark.parametrize("coding", ["filter", "root-split", "subtree-interval"])
+    def test_the_file_is_little_more_than_its_keys_and_values(self, tmp_path, trees, coding: str) -> None:
+        import os
+
+        from repro.storage.pager import PAGE_SIZE
+
+        path = str(tmp_path / f"{coding}.si")
+        index = SubtreeIndex.build(trees, mss=3, coding=coding, path=path)
+        stored = sum(len(key) + len(value) for key, value in index._tree.items())  # the metadata record too
+        census = index.page_census()
+        index.close()
+        size = os.path.getsize(path)
+        assert size == index.size_bytes() == PAGE_SIZE * sum(row["pages"] for row in census.values())
+        for row in census.values():
+            assert row["payload_bytes"] + row["slack_bytes"] == PAGE_SIZE * row["pages"]
+        # The bar a slack regression fails (PR 20's layout: 1.13, 1.30 and
+        # 1.52 times the stored bytes past the three pages; now 0.75-0.98).
+        assert size <= 1.08 * stored + 3 * PAGE_SIZE
+        # One open page at the end of the overflow stream, however many long lists.
+        assert census.get("overflow", {"slack_bytes": 0})["slack_bytes"] < PAGE_SIZE
+        assert census["meta"]["pages"] == 1
+
+    def test_presence_and_length_of_a_long_list_do_not_read_it(self, tmp_path, trees) -> None:
+        path = str(tmp_path / "si.si")
+        built = SubtreeIndex.build(trees, mss=3, coding="subtree-interval", path=path)
+        lengths = {key: (len(value), built.posting_list_length(key)) for key, value in built.raw_items()}
+        built.close()
+        longest = max(lengths, key=lambda key: lengths[key][0])
+        assert lengths[longest][0] > 4096  # a list on two pages at least
+
+        index = SubtreeIndex.open(path)
+        pager = index._tree.pager
+        assert index.has_key(longest)
+        reads = pager.read_count  # the path to the leaf is resident from here on
+        assert index.has_key(longest) and not index.has_key(longest + b"(ZZTOP)")
+        assert pager.read_count == reads
+        assert index.posting_list_length(longest) == lengths[longest][1]
+        assert pager.read_count == reads + 1  # the page the list starts on
+        assert len(index.lookup(longest)) == lengths[longest][1]
+        assert pager.read_count > reads + 1  # the lookup walks the rest
+        # Every key: present, and as long as stored, by at most two page reads
+        # (the leaf, and the overflow page a long list starts on -- or two,
+        # when the count straddles them).
+        for key, (_, count) in lengths.items():
+            before = pager.read_count
+            assert index.has_key(key) and index.posting_list_length(key) == count
+            assert pager.read_count - before <= 3
+        index.close()

@@ -130,7 +130,7 @@ class TestEndpoints:
             assert item["result"] == direct
 
     def test_stats_shape_is_flavor_independent(self, served) -> None:
-        flavor, _, url = served
+        flavor, service, url = served
         _post(url + "/query", json.dumps({"query": QUERIES[0]}).encode())
         _, _, body = _get(url + "/stats")
         payload = json.loads(body)
@@ -158,6 +158,10 @@ class TestEndpoints:
         server_stats = payload["server"]
         assert set(server_stats["endpoints"]) == set(ENDPOINTS)
         assert server_stats["endpoints"]["/query"]["requests"] >= 1
+        # Where the index files' bytes are, every flavor's sources added up.
+        storage = payload["storage"]
+        assert storage == service.index.page_census()
+        assert 4096 * sum(row["pages"] for row in storage.values()) == service.index.size_bytes()
         assert server_stats["batcher"]["max_batch"] == 64
 
     def test_metrics_exposition(self, served) -> None:

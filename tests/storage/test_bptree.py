@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -277,8 +278,8 @@ class TestResidentNodes:
 
         tree = _make(tmp_path)
         file_reads = []
-        read_page = tree.pager._read_page
-        tree.pager._read_page = lambda page_id: file_reads.append(page_id) or read_page(page_id)
+        read_page = tree.pager.read_raw
+        tree.pager.read_raw = lambda page_id: file_reads.append(page_id) or read_page(page_id)
         rng = random.Random(5)
         for _ in range(3 * budget):
             tree.get(rng.choice(keys))
@@ -479,9 +480,21 @@ def test_threads_share_resident_nodes_coherently(tmp_path) -> None:
 # ----------------------------------------------------------------------
 # bulk_load: running size totals must pack exactly what re-summing packed
 # ----------------------------------------------------------------------
+def _shared_by_loop(previous: bytes, key: bytes) -> int:
+    """The per-byte loop ``_shared_prefix`` is the C-speed form of."""
+    shared = 0
+    for ours, theirs in zip(previous[:255], key[:255]):
+        if ours != theirs:
+            break
+        shared += 1
+    return shared
+
+
 def _reference_bulk_load(tree: BPlusTree, items) -> None:
     """The append-then-re-measure loader ``bulk_load`` had before it kept
-    running totals: every fit test re-sums the whole node with ``encode_varint``."""
+    running totals: every fit test re-sums the whole node with ``encode_varint``
+    -- restated for front-coded leaves: a record is the shared length (one
+    byte), the suffix and the payload behind their lengths, and the flag."""
     from repro.storage.bptree import _Internal, _Leaf
     from repro.storage.codec import encode_varint
 
@@ -489,9 +502,12 @@ def _reference_bulk_load(tree: BPlusTree, items) -> None:
 
     def leaf_fits(leaf) -> bool:
         size = 1 + 4 + len(encode_varint(len(leaf.keys)))
+        previous = b""
         for key, (_, payload) in zip(leaf.keys, leaf.values):
-            size += len(encode_varint(len(key))) + len(key) + 1
+            suffix = len(key) - _shared_by_loop(previous, key)
+            size += 1 + len(encode_varint(suffix)) + suffix + 1
             size += len(encode_varint(len(payload))) + len(payload)
+            previous = key
         return size <= page_size
 
     def internal_fits(node) -> bool:
@@ -576,17 +592,309 @@ def test_bulk_load_is_byte_identical_on_a_tall_tree_and_sizes_each_item_once(tmp
     _reference_bulk_load(reference, items)
     assert reference.height >= 3
 
+    from repro.storage import bptree
+
     sized = []
-    measure = BPlusTree._leaf_entry_size
-    monkeypatch.setattr(
-        BPlusTree, "_leaf_entry_size", staticmethod(lambda key, payload: sized.append(key) or measure(key, payload))
-    )
+    encode = bptree._leaf_record
+
+    def recording(previous, key, value):
+        sized.append((previous, key))
+        return encode(previous, key, value)
+
+    monkeypatch.setattr(bptree, "_leaf_record", recording)
     loaded = _make(tmp_path, "loaded.bpt", page_size=512)
     loaded.bulk_load(items)
-    # One measurement per item: the re-summing loader took one per item per
-    # item already in the leaf.
-    assert sized == keys
+    # A record's length is its size.  One encoding per item against the key
+    # before it, and a second, as a whole key, for the item that did not fit
+    # and opens the next leaf: the re-summing loader measured every item once
+    # per item already in the leaf, and then encoded it.
+    openers = set()
+    leaf = reference._node(reference._find_leaf(b"")[0])
+    while leaf.next_leaf:
+        leaf = reference._node(leaf.next_leaf)
+        openers.add(leaf.keys[0])
+    assert len(openers) > 100
+    expected = []
+    for previous, key in zip([b""] + keys, keys):
+        expected.append((previous, key))
+        if key in openers:
+            expected.append((b"", key))
+    assert sized == expected
     assert loaded.height == reference.height
     assert _file_bytes(loaded) == _file_bytes(reference)
     loaded.close()
     reference.close()
+
+
+# ----------------------------------------------------------------------
+# The v2 page layout: one overflow stream, front-coded leaves
+# ----------------------------------------------------------------------
+_HEADER = 7  # overflow page header: type, next page, bytes used
+
+
+def _pages(tree: BPlusTree) -> list:
+    data = _file_bytes(tree)
+    size = tree.pager.page_size
+    return [data[offset:offset + size] for offset in range(0, len(data), size)]
+
+
+def _patch(tree: BPlusTree, page_id: int, offset: int, data: bytes) -> BPlusTree:
+    """Close *tree*, overwrite bytes of one page in its file, reopen it."""
+    path, size = tree.pager.path, tree.pager.page_size
+    tree.close()
+    with open(path, "r+b") as handle:
+        handle.seek(page_id * size + offset)
+        handle.write(data)
+    return BPlusTree(path, page_size=size)
+
+
+class TestPageLayout:
+    def test_a_leaf_page_is_front_coded_record_for_record(self, tmp_path) -> None:
+        tree = _make(tmp_path, page_size=256)
+        tree.bulk_load([(b"NP", b"1"), (b"NP(DT)", b""), (b"NP(DT)(NN)", b"22"), (b"VP", b"3")])
+        assert _pages(tree)[1].rstrip(b"\x00") == (
+            b"\x04" + b"\x00\x00\x00\x00" + b"\x04"       # v2 leaf, no next leaf, 4 records
+            + b"\x00\x02NP" + b"\x00\x011"                # shared 0, suffix, inline flag, value
+            + b"\x02\x04(DT)" + b"\x00\x00"
+            + b"\x06\x04(NN)" + b"\x00\x0222"
+            + b"\x00\x02VP" + b"\x00\x013"
+        )
+        tree.close()
+
+    def test_long_values_run_end_to_end_through_the_overflow_pages(self, tmp_path) -> None:
+        tree = _make(tmp_path, page_size=256)  # threshold 64, 249 value bytes a page
+        first, second, third = b"a" * 100, b"b" * 300, b"c" * 120
+        tree.bulk_load([(b"k1", first), (b"k2", b"inline"), (b"k3", second), (b"k4", third)])
+        pages = _pages(tree)
+        assert pages[1] == (
+            b"\x04\x00\x00\x00\x00\x04"
+            # overflow flag, then the pointer: first page, length, offset in that page
+            + b"\x00\x02k1" + b"\x01\x0a" + b"\x02\x00\x00\x00" + b"\x64\x00\x00\x00" + b"\x00\x00"
+            + b"\x01\x012" + b"\x00\x06inline"
+            + b"\x01\x013" + b"\x01\x0a" + b"\x02\x00\x00\x00" + b"\x2c\x01\x00\x00" + b"\x64\x00"
+            + b"\x01\x014" + b"\x01\x0a" + b"\x03\x00\x00\x00" + b"\x78\x00\x00\x00" + b"\x97\x00"
+        ).ljust(256, b"\x00")
+        stream = first + second + third
+        assert pages[2] == b"\x03" + b"\x03\x00\x00\x00" + b"\xf9\x00" + stream[:249]
+        assert pages[3] == b"\x03" + b"\x04\x00\x00\x00" + b"\xf9\x00" + stream[249:498]
+        assert pages[4] == (b"\x03" + b"\x00\x00\x00\x00" + b"\x16\x00" + stream[498:]).ljust(256, b"\x00")
+        assert len(pages) == 5
+        assert [tree.get(key) for key in (b"k1", b"k3", b"k4")] == [first, second, third]
+        assert tree.page_census() == {
+            "meta": {"pages": 1, "payload_bytes": 20, "slack_bytes": 236},
+            "leaf": {"pages": 1, "payload_bytes": 63, "slack_bytes": 193},
+            "overflow": {"pages": 3, "payload_bytes": 3 * _HEADER + 520, "slack_bytes": 249 - 22},
+        }
+        tree.close()
+
+
+class TestOverflowCorruption:
+    """A damaged chain is a named error, never a short or a foreign value."""
+
+    def _tree(self, tmp_path) -> BPlusTree:
+        tree = _make(tmp_path)
+        # Pages 2-4 hold the 10 240 bytes of "big", page 4 goes on with "next".
+        tree.bulk_load([(b"big", bytes(range(256)) * 40), (b"next", b"n" * 3000), (b"small", b"s")])
+        assert tree.page_census()["overflow"]["pages"] == 4
+        return tree
+
+    def test_a_chain_that_ends_early(self, tmp_path) -> None:
+        tree = _patch(self._tree(tmp_path), 2, 1, b"\x00\x00\x00\x00")  # next page of the first
+        with pytest.raises(BPlusTreeError, match="chain ends at page 2 with 6151 bytes owed"):
+            tree.get(b"big")
+        assert tree.peek(b"big", 10) == bytes(range(10))  # the head is all on page 2
+        assert tree.get(b"small") == b"s"
+        tree.close()
+
+    def test_more_bytes_used_than_a_page_holds(self, tmp_path) -> None:
+        tree = _patch(self._tree(tmp_path), 3, 5, (4090).to_bytes(2, "little"))
+        with pytest.raises(BPlusTreeError, match="overflow page 3 is malformed: 4090 of 4089 bytes used"):
+            tree.get(b"big")
+        tree.close()
+
+    def test_fewer_bytes_used_than_the_values_on_the_page_need(self, tmp_path) -> None:
+        # "big" ends 2 062 bytes into page 4 and "next" starts there.
+        tree = _patch(self._tree(tmp_path), 4, 5, (2000).to_bytes(2, "little"))
+        with pytest.raises(BPlusTreeError, match="overflow page 4 is malformed: 2000 of 4089 bytes used"):
+            tree.get(b"big")
+        with pytest.raises(BPlusTreeError, match="bytes 2062-4089 expected"):
+            tree.get(b"next")
+        tree.close()
+
+    def test_a_pointer_whose_offset_lies_past_the_bytes_used(self, tmp_path) -> None:
+        tree = self._tree(tmp_path)
+        leaf = _pages(tree)[1]
+        pointer = struct.pack("<IIH", 4, 3000, 2062)  # page 4, 3 000 bytes, at 2 062
+        at = leaf.index(pointer)
+        tree = _patch(tree, 1, at + 8, struct.pack("<H", 4089))  # the first byte past any page's last
+        with pytest.raises(BPlusTreeError, match="overflow page 4 is malformed"):
+            tree.get(b"next")
+        tree.close()
+
+    def test_a_chain_that_leaves_the_overflow_pages(self, tmp_path) -> None:
+        tree = _patch(self._tree(tmp_path), 2, 1, b"\x01\x00\x00\x00")  # on into the leaf
+        with pytest.raises(BPlusTreeError, match="page 1 is not an overflow page"):
+            tree.get(b"big")
+        with pytest.raises(BPlusTreeError, match="page 1 is not an overflow page"):
+            list(tree.items())
+        tree.close()
+
+
+class TestPresenceAndHeadReads:
+    """"Present?" is the leaf hit; a value's head is at most the page it starts
+    on (and the next, when the head straddles the two)."""
+
+    def test_contains_and_peek_read_no_more_than_they_say(self, tmp_path) -> None:
+        tree = _make(tmp_path)
+        big = bytes(range(256)) * 200  # 13 overflow pages
+        tree.bulk_load([(b"big", big), (b"other", b"o" * 2000), (b"small", b"tiny")])
+        tree.close()
+        tree = _make(tmp_path)
+        assert b"small" in tree  # the path is resident from here on
+        reads = tree.pager.read_count
+        assert b"big" in tree and b"other" in tree and b"absent" not in tree
+        assert tree.peek(b"big", 0) == b"" and tree.peek(b"absent", 0) is None
+        assert tree.pager.read_count == reads
+        assert tree.peek(b"big", 10) == big[:10]
+        assert tree.pager.read_count == reads + 1
+        assert tree.peek(b"small", 2) == b"ti" and tree.peek(b"small", 10) == b"tiny"
+        assert tree.peek(b"other", 10) == b"o" * 10  # starts where "big" ends
+        assert tree.pager.read_count == reads + 2
+        assert tree.get(b"big") == big
+        assert tree.pager.read_count == reads + 13
+        tree.close()
+
+    def test_a_head_that_straddles_two_pages(self, tmp_path) -> None:
+        tree = _make(tmp_path, page_size=256)
+        # "b" starts four bytes before the first overflow page ends.
+        tree.bulk_load([(b"a", b"a" * 245), (b"b", bytes(range(100)))])
+        assert tree.peek(b"b", 10) == bytes(range(10))
+        assert tree.peek(b"b", 4) == bytes(range(4))
+        tree.close()
+
+    def test_contains_leaves_the_value_cache_and_its_counters_alone(self, tmp_path) -> None:
+        from repro.service.cache import LRUCache
+
+        tree = _make(tmp_path)
+        tree.insert(b"key", b"value")
+        tree.attach_cache(LRUCache(4))
+        assert b"key" in tree and b"nope" not in tree
+        assert (tree.probe_stats.gets, tree.probe_stats.cache_hits) == (0, 0)
+        assert tree.get(b"key") == b"value"
+        assert tree.probe_stats.tree_descents == 3
+        tree.close()
+
+
+# Values on both sides of the threshold (a quarter of 512) and of one, two and
+# three pages' worth of stream (505 bytes each).
+_stream_values = st.one_of(
+    st.integers(0, 40), st.integers(126, 131), st.integers(500, 512),
+    st.integers(1005, 1015), st.integers(1510, 1520),
+).map(lambda size: bytes([size % 251]) * size)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(_stream_values, max_size=40), loaded=st.integers(0, 40), data=st.data())
+def test_the_overflow_stream_wastes_less_than_one_page(tmp_path_factory, values, loaded, data) -> None:
+    """Property: the first values go in by ``bulk_load``, the rest by ``insert``
+    in any order; every one reads back, and the long ones fill
+    ceil(stream bytes / page capacity) overflow pages between them."""
+    path = str(tmp_path_factory.mktemp("stream") / "tree.bpt")
+    tree = BPlusTree(path, page_size=512)
+    items = [(b"key%03d" % index, value) for index, value in enumerate(values)]
+    tree.bulk_load(items[:loaded])
+    for key, value in data.draw(st.permutations(items[loaded:])):
+        tree.insert(key, value)
+    stream = sum(len(value) for value in values if len(value) > 128)
+    census = tree.page_census()
+    assert census.get("overflow", {"pages": 0})["pages"] == -(-stream // (512 - _HEADER))
+    assert sum(row["pages"] for row in census.values()) * 512 == tree.size_bytes()
+    assert list(tree.items()) == items
+    assert all(tree.get(key) == value and tree.peek(key, 3) == value[:3] for key, value in items)
+    tree.close()
+    reopened = BPlusTree(path, page_size=512)
+    assert list(reopened.items()) == items
+    reopened.insert(b"later", b"l" * 300)  # a reopened tree starts a page of its own
+    assert reopened.get(b"later") == b"l" * 300 and reopened.get(b"key000") == (values[0] if values else None)
+    reopened.close()
+
+
+# Families of keys that share nothing, a little, 254, 255, 256 and 300 bytes.
+_prefixed_keys = st.tuples(
+    st.sampled_from([b"", b"p" * 9, b"q" * 254, b"r" * 255, b"s" * 256, b"t" * 300]),
+    st.binary(min_size=1, max_size=6),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    entries=st.dictionaries(
+        _prefixed_keys, st.one_of(st.binary(max_size=24), st.integers(257, 600).map(bytes)), max_size=80
+    ),
+    data=st.data(),
+)
+def test_front_coded_leaves_hold_any_mix_of_shared_prefixes(tmp_path_factory, entries, data) -> None:
+    """Property: keys sharing nothing, a few, 254-256 or 300 bytes with their
+    neighbours, bulk-loaded or inserted in any order (every split re-sizes
+    the right half's first key as whole): no page outgrows the page size --
+    the writers raise if one would -- every page decodes, every key reads
+    back, and a reopened tree says the same."""
+    directory = tmp_path_factory.mktemp("front")
+    items = sorted(entries.items())
+    loaded = BPlusTree(str(directory / "loaded.bpt"), page_size=1024)
+    loaded.bulk_load(items)
+    inserted = BPlusTree(str(directory / "inserted.bpt"), page_size=1024)
+    for key, value in data.draw(st.permutations(items)):
+        inserted.insert(key, value)
+    for tree in (loaded, inserted):
+        assert list(tree.items()) == items
+        assert all(tree.get(key) == value and key in tree for key, value in items)
+        census = tree.page_census()  # decodes every node page from the file
+        assert sum(row["pages"] for row in census.values()) * 1024 == tree.size_bytes()
+        assert all(row["slack_bytes"] >= 0 for row in census.values())
+        tree.close()
+        reopened = BPlusTree(tree.pager.path, page_size=1024)
+        assert list(reopened.items()) == items
+        reopened.close()
+
+
+def test_keys_that_share_a_long_prefix_are_stored_as_their_suffixes(tmp_path) -> None:
+    tree = _make(tmp_path)
+    keys = [b"S(NP(DT)(JJ)(NN))(VP(VBD)(NP(DT)(NN)))" * 5 + b"%04d" % index for index in range(400)]
+    tree.bulk_load([(key, b"v") for key in keys])
+    census = tree.page_census()
+    assert sum(map(len, keys)) > 75_000 and census["leaf"]["payload_bytes"] < 4_000
+    assert census["leaf"]["pages"] == 1  # twenty, with the keys whole
+    assert [key for key, _ in tree.items()] == keys
+    tree.close()
+
+
+def test_shared_prefix_is_the_per_byte_loop() -> None:
+    from repro.storage.bptree import _shared_prefix
+
+    rng = random.Random(21)
+    for _ in range(2000):
+        stem = bytes(rng.randrange(2) for _ in range(rng.choice((0, 1, 7, 254, 255, 256, 300))))
+        ours = stem + bytes(rng.randrange(256) for _ in range(rng.randrange(4)))
+        theirs = stem + bytes(rng.randrange(256) for _ in range(rng.randrange(4)))
+        assert _shared_prefix(ours, theirs) == _shared_by_loop(ours, theirs) <= 255
+    assert _shared_prefix(b"", b"abc") == _shared_prefix(b"abc", b"") == 0
+    assert _shared_prefix(b"\x00\x00", b"\x00\x00\x00") == 2  # zero bytes count like any other
+
+
+def test_a_damaged_leaf_record_is_a_named_error(tmp_path) -> None:
+    tree = _make(tmp_path, page_size=256)
+    tree.bulk_load([(b"NP", b"1"), (b"NP(DT)", b"2"), (b"long", b"l" * 100)])
+    leaf = _pages(tree)[1]
+    shared_at = leaf.index(b"\x02\x04(DT)")
+    tree = _patch(tree, 1, shared_at, b"\x03")  # shares three bytes with the two-byte "NP"
+    with pytest.raises(BPlusTreeError, match="page 1 is malformed: a key shares more"):
+        tree.get(b"NP")
+    with pytest.raises(BPlusTreeError, match="page 1 is malformed"):
+        tree.page_census()
+    tree = _patch(tree, 1, shared_at, b"\x02")
+    assert tree.get(b"NP(DT)") == b"2"
+    tree = _patch(tree, 1, leaf.index(b"\x01\x0a"), b"\x01\x09")  # a nine-byte pointer
+    with pytest.raises(BPlusTreeError, match="page 1 is malformed: an overflow pointer of 9 bytes"):
+        tree.get(b"long")
+    tree.close()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,9 @@ class TestSharded:
         assert main(["stats", manifest_file]) == 0
         captured = capsys.readouterr().out
         assert "shards          : 3 (hash partitioner)" in captured
+        # The page census under the size: three files' pages added up.
+        assert re.search(r"^  meta +3 pages +60 payload +12,228 slack$", captured, re.MULTILINE)
+        assert re.search(r"^  leaf +[\d,]+ pages +[\d,]+ payload +[\d,]+ slack$", captured, re.MULTILINE)
 
     def test_stats_json(self, manifest_file, index_file, capsys) -> None:
         assert main(["stats", manifest_file, "--json"]) == 0
@@ -122,11 +126,16 @@ class TestSharded:
         assert payload["shard_count"] == 3
         assert len(payload["shards"]) == 3
         assert sum(s["tree_count"] for s in payload["shards"]) == payload["tree_count"]
+        assert payload["storage"]["meta"]["pages"] == 3
+        assert 4096 * sum(row["pages"] for row in payload["storage"].values()) == payload["size_bytes"]
         # Plain indexes emit the same shape, minus the shard breakdown.
         assert main(["stats", index_file, "--json"]) == 0
         plain = json.loads(capsys.readouterr().out)
         assert plain["sharded"] is False
         assert "shards" not in plain
+        assert {"meta", "leaf"} <= set(plain["storage"])
+        assert all(set(row) == {"pages", "payload_bytes", "slack_bytes"} for row in plain["storage"].values())
+        assert 4096 * sum(row["pages"] for row in plain["storage"].values()) == plain["size_bytes"]
 
 
 class TestLive:
@@ -212,6 +221,7 @@ class TestLive:
         assert payload["wal"]["ops"] == 6
         assert payload["tree_count"] == 46
         assert len(payload["segments"]) == 1
+        assert 4096 * sum(row["pages"] for row in payload["storage"].values()) == payload["size_bytes"]
 
 
 class TestExplain:
