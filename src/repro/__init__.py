@@ -17,10 +17,11 @@ Syntactically Annotated Trees"*, VLDB 2012.  The package provides:
 * a caching, batching, thread-safe serving layer over an open index
   (:mod:`repro.service`);
 * horizontal partitioning by tree id: parallel multiprocess shard builds
-  and a self-describing manifest (:mod:`repro.shard`);
+  (:mod:`repro.shard`);
 * a mutable "live" index for a growing corpus: write-ahead log, in-memory
   delta segment, tombstone deletes and explicit compaction
-  (:mod:`repro.live`) -- both behind the plain index's read API, written
+  (:mod:`repro.live`) -- both one manifest over segment files
+  (:mod:`repro.core.manifest`) behind the plain index's read API, written
   once in :mod:`repro.core.segments`;
 * the baselines the paper compares against (:mod:`repro.baselines`);
 * the evaluation workloads and the experiment harness regenerating every
@@ -44,7 +45,6 @@ from repro.exec import QueryExecutor, QueryResult
 from repro.live import LiveIndex
 from repro.query import QueryTree, min_rc, optimal_cover, parse_query
 from repro.service import LiveQueryService, QueryService
-from repro.shard import ShardedIndex
 from repro.trees import Node, ParseTree, parse_penn, to_penn
 
 __version__ = "1.0.0"
@@ -74,8 +74,6 @@ __all__ = [
     "QueryExecutor",
     "QueryResult",
     "QueryService",
-    # Sharding
-    "ShardedIndex",
     # Live (mutable) indexing
     "LiveIndex",
     "LiveQueryService",

@@ -18,10 +18,11 @@ from repro.baselines.atreegrep import ATreeGrepIndex
 from repro.baselines.frequency_based import FrequencyBasedIndex
 from repro.baselines.node_index import NodeIntervalIndex
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import QueryExecutor
-from repro.shard.sharded import ShardedIndex
+from repro.shard.builder import build_sharded
 from repro.workloads.fb import FBQuerySet, generate_fb_queries
 from repro.workloads.wh import WHQuery, generate_wh_queries
 
@@ -34,7 +35,7 @@ class ExperimentContext:
     seed: int = 17
     _corpora: Dict[int, Corpus] = field(default_factory=dict)
     _indexes: Dict[Tuple[int, str, int], SubtreeIndex] = field(default_factory=dict)
-    _sharded: Dict[Tuple[int, str, int, int, int, str], ShardedIndex] = field(default_factory=dict)
+    _sharded: Dict[Tuple[int, str, int, int, int, str], SegmentSet] = field(default_factory=dict)
     _node_indexes: Dict[int, NodeIntervalIndex] = field(default_factory=dict)
     _fb_sets: Dict[Tuple[int, int], FBQuerySet] = field(default_factory=dict)
     _stores: Dict[int, TreeStore] = field(default_factory=dict)
@@ -98,10 +99,10 @@ class ExperimentContext:
         shards: int,
         workers: int = 1,
         partitioner: str = "hash",
-    ) -> ShardedIndex:
+    ) -> SegmentSet:
         """Build (or reuse) a sharded index for the given configuration.
 
-        Always built fresh on first use, so ``manifest.build_wall_seconds``
+        Always built fresh on first use, so ``manifest.build_seconds``
         of the returned index is a valid build-time measurement for that
         (shards, workers) configuration.
         """
@@ -111,7 +112,7 @@ class ExperimentContext:
                 self.workdir,
                 f"shard-{sentence_count}-{coding}-{mss}-n{shards}-w{workers}-{partitioner}.si",
             )
-            self._sharded[key] = ShardedIndex.build(
+            self._sharded[key] = SegmentSet.open(build_sharded(
                 self.corpus(sentence_count),
                 mss=mss,
                 coding=coding,
@@ -119,7 +120,7 @@ class ExperimentContext:
                 shards=shards,
                 workers=workers,
                 partitioner=partitioner,
-            )
+            ))
         return self._sharded[key]
 
     def executor(self, sentence_count: int, coding: str, mss: int) -> QueryExecutor:

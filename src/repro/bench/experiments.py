@@ -428,12 +428,12 @@ def shard_scalability(
         for shards in shard_counts
     }
     baseline_shards = 1 if 1 in built else min(built)
-    base_build_seconds = built[baseline_shards].manifest.build_wall_seconds
+    base_build_seconds = built[baseline_shards].manifest.build_seconds
 
     for shards in shard_counts:
         sharded = built[shards]
         workers = shards
-        build_seconds = sharded.manifest.build_wall_seconds
+        build_seconds = sharded.manifest.build_seconds
         sharded.reset_probe_stats()
         cold_seconds = float("inf")
         for _ in range(cold_passes):

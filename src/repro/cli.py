@@ -18,8 +18,8 @@ Ten subcommands cover the everyday workflow:
     tid, and fold the delta + tombstones into immutable segments;
 ``stats``
     print metadata and key statistics of a built index (``--json`` for a
-    machine-readable dump, including per-shard / per-segment breakdowns and
-    the live index's delta/WAL sizes);
+    machine-readable dump, including the per-source breakdown of a sharded
+    or live index and the live index's delta/WAL sizes);
 ``bench``
     list and run the registered experiments (text table + machine-readable
     ``BENCH_<experiment>.json`` per run) and gate a result directory
@@ -70,17 +70,18 @@ from repro import obs
 from repro.coding.base import coding_names
 from repro.coding.filter_based import FilterBasedCoding
 from repro.core.index import SubtreeIndex
+from repro.core.manifest import ManifestError
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.exec.plan import JoinPlan, build_plan, cover_relations
-from repro.live import LiveIndex, LiveIndexError, WalError, is_live_manifest
+from repro.live import LiveIndex, WalError
 from repro.service.service import PreparedQuery, QueryService
-from repro.shard import ShardedIndex, ShardError, partitioner_names
+from repro.shard import build_sharded, partitioner_names
 from repro.storage.bptree import BPlusTreeError
 from repro.storage.pager import PageError
 
 #: Exceptions any "open an index/service" step may raise, mapped to exit 2.
-_OPEN_ERRORS = (OSError, ValueError, ShardError, LiveIndexError, WalError, BPlusTreeError, PageError)
+_OPEN_ERRORS = (OSError, ValueError, ManifestError, WalError, BPlusTreeError, PageError)
 
 
 # ----------------------------------------------------------------------
@@ -122,19 +123,12 @@ def cmd_build(args: argparse.Namespace) -> int:
         )
     corpus = Corpus.load(args.corpus)
 
+    # Three constructions (they differ), one report.
     if args.live:
         index = LiveIndex.create(args.out, mss=args.mss, coding=args.coding, trees=list(corpus))
-        print(
-            f"built live {args.coding} index over {len(corpus)} trees: "
-            f"{index.key_count:,} keys, {index.posting_count:,} postings, "
-            f"{index.size_bytes():,} bytes, epoch {index.epoch}"
-        )
-        print(f"manifest: {index.manifest_path}")
-        index.close()
-        return 0
-
-    if args.shards > 1:
-        index = ShardedIndex.build(
+        what, detail = f"live {args.coding} index", f"epoch {index.epoch}"
+    elif args.shards > 1:
+        index = SubtreeIndex.open(build_sharded(
             corpus,
             mss=args.mss,
             coding=args.coding,
@@ -142,25 +136,23 @@ def cmd_build(args: argparse.Namespace) -> int:
             shards=args.shards,
             workers=args.workers,
             partitioner=args.partitioner or "hash",
+        ))
+        what = f"{args.coding} index"
+        detail = (
+            f"{index.segment_count} shards ({index.manifest.partitioner} partitioner), "
+            f"{index.metadata.build_seconds:.2f}s wall"
         )
-        manifest = index.manifest
-        print(
-            f"built {args.coding} index over {len(corpus)} trees in "
-            f"{manifest.shard_count} shards ({manifest.partitioner} partitioner): "
-            f"{index.key_count:,} keys, {index.posting_count:,} postings, "
-            f"{index.size_bytes():,} bytes, {manifest.build_wall_seconds:.2f}s wall"
-        )
-        print(f"manifest: {index.manifest_path}")
-        index.close()
-        return 0
-
-    index = SubtreeIndex.build(corpus, mss=args.mss, coding=args.coding, path=args.out)
-    TreeStore.build(data_file_path(args.out), corpus).close()
+    else:
+        index = SubtreeIndex.build(corpus, mss=args.mss, coding=args.coding, path=args.out)
+        TreeStore.build(data_file_path(args.out), corpus).close()
+        what, detail = f"{args.coding} index", f"{index.metadata.build_seconds:.2f}s"
     print(
-        f"built {args.coding} index over {len(corpus)} trees: "
-        f"{index.key_count:,} keys, {index.posting_count:,} postings, "
-        f"{index.size_bytes():,} bytes, {index.metadata.build_seconds:.2f}s"
+        f"built {what} over {len(corpus)} trees: {index.key_count:,} keys, "
+        f"{index.posting_count:,} postings, {index.size_bytes():,} bytes, {detail}"
     )
+    manifest_path = getattr(index, "manifest_path", None)
+    if manifest_path is not None:
+        print(f"manifest: {manifest_path}")
     index.close()
     return 0
 
@@ -349,11 +341,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def _open_live(path: str) -> Optional[LiveIndex]:
     """Open *path* as a live index; prints a friendly error and returns None."""
     try:
-        if not is_live_manifest(path):
-            raise LiveIndexError(
-                f"{path!r} is not a live index (build one with 'build --live')"
-            )
-        return LiveIndex.open(path)
+        return LiveIndex.open(path)  # refuses a plain or sharded index by name
     except _OPEN_ERRORS as error:
         print(f"error: cannot open live index {path!r}: {error}", file=sys.stderr)
         return None
@@ -439,10 +427,18 @@ def cmd_compact(args: argparse.Namespace) -> int:
 
 
 def _stats_payload(path: str, index) -> dict:
-    """The machine-readable metadata of *index* (plain or sharded)."""
+    """The machine-readable metadata of *index*, whatever kind it is.
+
+    A segmented index adds its manifest's ``epoch`` / ``partitioner`` and
+    whatever it reports through ``stats_extras()``: one row per file under
+    ``sources`` and, for a live index, the delta / tombstone / WAL state
+    under ``live``.
+    """
     meta = index.metadata
+    manifest = getattr(index, "manifest", None)
     payload = {
         "index": path,
+        "flavor": index.flavor,
         "coding": meta.coding,
         "mss": meta.mss,
         "tree_count": meta.tree_count,
@@ -451,127 +447,69 @@ def _stats_payload(path: str, index) -> dict:
         "size_bytes": index.size_bytes(),
         "storage": index.page_census(),
         "build_seconds": meta.build_seconds,
-        "sharded": isinstance(index, ShardedIndex),
-        "live": isinstance(index, LiveIndex),
         # A key indexed by k shards/segments counts k times in that index's
         # key_count; "distinct" means the global unique-subtree count.
-        "key_count_semantics": (
-            "per-shard-sum"
-            if isinstance(index, ShardedIndex)
-            else "per-source-sum" if isinstance(index, LiveIndex) else "distinct"
-        ),
+        "key_count_semantics": "distinct" if manifest is None else "per-source-sum",
     }
-    if isinstance(index, LiveIndex):
-        payload["epoch"] = index.epoch
-        payload["segment_count"] = index.segment_count
-        payload["segments"] = [
-            {
-                "segment_id": segment.entry.segment_id,
-                "index_path": segment.entry.index_path,
-                "tree_count": segment.entry.tree_count,
-                "key_count": segment.entry.key_count,
-                "posting_count": segment.entry.posting_count,
-                "size_bytes": segment.index.size_bytes(),
-                "min_tid": segment.entry.min_tid,
-                "max_tid": segment.entry.max_tid,
-            }
-            for segment in index.segments
-        ]
-        payload["delta"] = {
-            "tree_count": index.delta.tree_count,
-            "key_count": index.delta.key_count,
-            "posting_count": index.delta.posting_count,
-        }
-        payload["tombstones"] = len(index.tombstones)
-        payload["wal"] = {
-            "ops": index.wal.op_count,
-            "size_bytes": index.wal.size_bytes(),
-            "epoch": index.wal.epoch,
-        }
-    if isinstance(index, ShardedIndex):
-        manifest = index.manifest
+    if manifest is not None:
+        payload["epoch"] = manifest.epoch
         payload["partitioner"] = manifest.partitioner
-        payload["shard_count"] = manifest.shard_count
-        payload["shards"] = [
-            {
-                "shard_id": shard.entry.shard_id,
-                "index_path": shard.entry.index_path,
-                "tree_count": shard.entry.tree_count,
-                "key_count": shard.entry.key_count,
-                "posting_count": shard.entry.posting_count,
-                "size_bytes": shard.index.size_bytes(),
-                "build_seconds": shard.entry.build_seconds,
-            }
-            for shard in index.shards
-        ]
+    payload.update(index.stats_extras())
     return payload
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Print metadata and the largest posting lists of an index."""
     try:
-        index = SubtreeIndex.open(args.index)  # dispatches to Sharded/LiveIndex
+        index = SubtreeIndex.open(args.index)  # whatever the file says it is
     except _OPEN_ERRORS as error:
         print(f"error: cannot open index {args.index!r}: {error}", file=sys.stderr)
         return 2
 
+    payload = _stats_payload(args.index, index)
     if args.json:
-        print(json.dumps(_stats_payload(args.index, index), indent=2))
+        print(json.dumps(payload, indent=2))
         index.close()
         return 0
 
-    meta = index.metadata
-    sharded = isinstance(index, ShardedIndex)
-    live = isinstance(index, LiveIndex)
+    kind = payload["flavor"]
+    if "epoch" in payload:
+        partitioner = payload["partitioner"]
+        kind += f" (epoch {payload['epoch']}" + (f", {partitioner} partitioner)" if partitioner else ")")
+    distinct = payload["key_count_semantics"] == "distinct"
     print(f"index file      : {args.index}")
-    if live:
-        print(f"kind            : live (epoch {index.epoch})")
-    print(f"coding          : {meta.coding}")
-    print(f"mss             : {meta.mss}")
-    print(f"trees indexed   : {meta.tree_count:,}")
-    if sharded:
-        # A key indexed by several shards counts once per shard.
-        print(f"keys (shard sum): {meta.key_count:,}")
-    elif live:
-        print(f"keys (src sum)  : {meta.key_count:,}")
-    else:
-        print(f"unique keys     : {meta.key_count:,}")
-    print(f"total postings  : {meta.posting_count:,}")
-    print(f"size on disk    : {index.size_bytes():,} bytes")
-    for name, row in sorted(index.page_census().items()):
+    print(f"kind            : {kind}")
+    print(f"coding          : {payload['coding']}")
+    print(f"mss             : {payload['mss']}")
+    print(f"trees indexed   : {payload['tree_count']:,}")
+    # A key indexed by several sources counts once per source.
+    print(f"{'unique keys     ' if distinct else 'keys (src sum)  '}: {payload['key_count']:,}")
+    print(f"total postings  : {payload['posting_count']:,}")
+    print(f"size on disk    : {payload['size_bytes']:,} bytes")
+    for name, row in sorted(payload["storage"].items()):
         print(
             f"  {name:<9s} {row['pages']:>6,} pages  {row['payload_bytes']:>11,} payload  "
             f"{row['slack_bytes']:>9,} slack"
         )
-    if not live:
-        print(f"build time      : {meta.build_seconds:.2f} s")
-    if live:
-        print(f"segments        : {index.segment_count}")
-        print("  id   trees    keys      postings   bytes        tids")
-        for segment in index.segments:
-            entry = segment.entry
+    print(f"build time      : {payload['build_seconds']:.2f} s")
+    if "sources" in payload:
+        print(f"sources         : {len(payload['sources'])}")
+        print("  id   trees    keys      postings   bytes        tids         build s")
+        for row in payload["sources"]:
+            tids = "-" if row["min_tid"] is None else f"{row['min_tid']}-{row['max_tid']}"
             print(
-                f"  {entry.segment_id:<4d} {entry.tree_count:<8,} {entry.key_count:<9,} "
-                f"{entry.posting_count:<10,} {segment.index.size_bytes():<12,} "
-                f"{entry.min_tid}-{entry.max_tid}"
+                f"  {row['segment_id']:<4d} {row['tree_count']:<8,} {row['key_count']:<9,} "
+                f"{row['posting_count']:<10,} {row['size_bytes']:<12,} {tids:<12s} "
+                f"{row['build_seconds']:.2f}"
             )
+    live = payload.get("live")
+    if live is not None:
         print(
-            f"delta           : {index.delta.tree_count} trees, "
-            f"{index.delta.key_count:,} keys, {index.delta.posting_count:,} postings"
+            f"delta           : {live['delta_trees']} trees, "
+            f"{live['delta_keys']:,} keys, {live['delta_postings']:,} postings"
         )
-        print(f"tombstones      : {len(index.tombstones)}")
-        print(f"wal             : {index.wal.op_count} ops, {index.wal.size_bytes():,} bytes")
-    if sharded:
-        manifest = index.manifest
-        print(f"shards          : {manifest.shard_count} ({manifest.partitioner} partitioner)")
-        print("  id  trees    keys      postings   bytes        build s")
-        for shard in index.shards:
-            entry = shard.entry
-            print(
-                f"  {entry.shard_id:<3d} {entry.tree_count:<8,} {entry.key_count:<9,} "
-                f"{entry.posting_count:<10,} {shard.index.size_bytes():<12,} "
-                f"{entry.build_seconds:.2f}"
-            )
+        print(f"tombstones      : {live['tombstones']}")
+        print(f"wal             : {live['wal_ops']} ops, {live['wal_bytes']:,} bytes")
     if args.top:
         ranked = sorted(
             ((len(postings), key) for key, postings in index.items()), reverse=True
@@ -616,7 +554,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.serve.server import ENDPOINTS, QueryServer, service_flavor
+    from repro.serve.server import ENDPOINTS, QueryServer
 
     problem = _validate_serve_knobs(args)
     if problem is not None:
@@ -649,7 +587,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await server.start()
-        print(f"serving {service_flavor(service)} index {args.index!r} on {server.url}", flush=True)
+        print(f"serving {service.index.flavor} index {args.index!r} on {server.url}", flush=True)
         print(f"endpoints: {', '.join(ENDPOINTS)} (SIGTERM/ctrl-c drains and exits)", flush=True)
         if server.trace:
             detail = f" -> {args.trace_log}" if args.trace_log else ""
@@ -1154,11 +1092,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     stats = subparsers.add_parser("stats", help="print statistics of a built index")
-    stats.add_argument("index", help="index file or sharded-index manifest")
+    stats.add_argument("index", help="index file, sharded manifest or live manifest")
     stats.add_argument("--top", type=int, default=0, help="show the N longest posting lists")
     stats.add_argument(
         "--json", action="store_true",
-        help="emit machine-readable JSON (with a per-shard breakdown when sharded)",
+        help="emit machine-readable JSON (with a per-source breakdown when sharded or live)",
     )
     stats.set_defaults(func=cmd_stats)
 

@@ -8,9 +8,12 @@
   as index keys, and the reverse decoding.
 * :mod:`repro.core.index` -- building, opening and querying the disk-based
   subtree index for any of the three coding schemes.
+* :mod:`repro.core.manifest` -- the one catalogue of a multi-file index
+  (segment files + mss + coding, a partitioner when a sharded build wrote
+  it) and the one error a damaged bundle raises.
 * :mod:`repro.core.segments` -- :class:`SegmentSet`, that index's read API
-  over several tid-disjoint sources merged column-wise: the base of the
-  sharded and the live index.
+  over several tid-disjoint sources merged column-wise: a sharded index as
+  it stands, and the base of the live index.
 * :mod:`repro.core.stats` -- index statistics (key counts, posting counts,
   size on disk) backing the Figure 2/3/8/9/10 and Table 1 experiments.
 """
@@ -21,6 +24,7 @@ from repro.core.enumeration import (
 )
 from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import SubtreeKey, canonical_key, decode_key, key_from_query_subtree
+from repro.core.manifest import Manifest, ManifestError, SegmentEntry, is_manifest
 from repro.core.segments import SegmentSet, Snapshot, Source
 from repro.core.stats import IndexStats, collect_index_stats
 
@@ -30,6 +34,10 @@ __all__ = [
     "SegmentSet",
     "Snapshot",
     "Source",
+    "Manifest",
+    "SegmentEntry",
+    "ManifestError",
+    "is_manifest",
     "SubtreeKey",
     "canonical_key",
     "decode_key",

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.coding.base import CodingScheme, get_coding
 from repro.core.enumeration import extract_root_texts, extract_subtrees
 from repro.core.keys import SubtreeKey, canonical_key, decode_key
+from repro.core.manifest import is_manifest
 from repro.storage.bptree import BPlusTree, ProbeStats, ValueCache
 from repro.storage.codec import decode_varint
 from repro.trees.node import Node, ParseTree
@@ -198,27 +199,20 @@ class SubtreeIndex:
     def open(cls, path: str) -> "SubtreeIndex":
         """Open an existing index file.
 
-        Pointed at a sharded-index manifest (``*.manifest.json``) or a
-        live-index manifest (``*.live.json``) -- both sniffed by content
-        rather than filename -- this transparently returns a
-        :class:`~repro.shard.sharded.ShardedIndex` or a
-        :class:`~repro.live.live.LiveIndex`, which present the same read API.
+        Pointed at a manifest (``*.manifest.json`` / ``*.live.json``,
+        sniffed by content rather than filename) this returns what the
+        manifest describes instead -- a frozen
+        :class:`~repro.core.segments.SegmentSet` over a sharded build's
+        files, or a :class:`~repro.live.live.LiveIndex` -- which present the
+        same read API.
         """
         if not os.path.exists(path):
             # BPlusTree initialises missing files; opening an index must not.
             raise FileNotFoundError(f"no such index file: {path}")
-        from repro.shard.manifest import is_manifest  # local: shard builds on core
-
         if is_manifest(path):
-            from repro.shard.sharded import ShardedIndex
+            from repro.core.segments import SegmentSet  # local: segments builds on this module
 
-            return ShardedIndex.open(path)  # type: ignore[return-value]
-        from repro.live.manifest import is_live_manifest  # local: live builds on core
-
-        if is_live_manifest(path):
-            from repro.live.live import LiveIndex
-
-            return LiveIndex.open(path)  # type: ignore[return-value]
+            return SegmentSet.open(path)  # type: ignore[return-value]
         btree = BPlusTree(path)
         raw = btree.get(_META_KEY)
         if raw is None:

@@ -7,10 +7,11 @@ for a live index, an in-memory delta -- read as if they were one index.
 column-wise merge of the sources' lists
 (:func:`repro.coding.postings.merge_columns`), so every consumer of a plain
 index (``QueryExecutor``, ``QueryService``, the CLI) runs one join over one
-tid-ordered list whatever the index is made of.  Subclasses add what makes
-them differ: :class:`~repro.shard.sharded.ShardedIndex` a manifest, a
-partitioner and a parallel build; :class:`~repro.live.live.LiveIndex` the
-delta, tombstones, the write-ahead log and compaction.
+tid-ordered list whatever the index is made of.  Which of the two a bundle is
+its manifest says (:mod:`repro.core.manifest`): one a sharded build wrote
+records the partitioner and opens as a frozen :class:`SegmentSet`; any other
+opens as a :class:`~repro.live.live.LiveIndex`, the subclass that adds what
+mutates -- the delta, tombstones, the write-ahead log and compaction.
 
 What a reader sees is one :class:`Snapshot` -- the index version and the
 sources, each with the tombstoned tids it holds -- which a mutable subclass
@@ -28,15 +29,18 @@ from __future__ import annotations
 
 import heapq
 import os
+from contextlib import ExitStack
+from dataclasses import asdict
 from itertools import groupby
 from operator import itemgetter
-from typing import AbstractSet, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns, merge_columns
-from repro.core.index import SubtreeIndex
+from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import SubtreeKey, decode_key
+from repro.core.manifest import Manifest, ManifestError
 from repro.corpus.store import TreeStore
 from repro.storage.bptree import ProbeStats, ValueCache
 from repro.trees.node import Node, ParseTree
@@ -52,7 +56,7 @@ class Source(NamedTuple):
     #: ``posting_list_length`` / ``items`` over canonical key bytes: a
     #: ``SubtreeIndex`` or a live index's delta.
     index: object
-    #: The source's trees by tid (``None`` for a shard built without data).
+    #: The source's trees by tid.
     store: object
     #: Its manifest entry; ``None`` for a delta.
     entry: object = None
@@ -77,56 +81,45 @@ class Snapshot(NamedTuple):
     sources: Tuple[Source, ...]
 
 
-def open_sources(
-    manifest_path: str,
-    manifest,
-    entries: Sequence[object],
-    describe: Callable[[object], str],
-    error: type,
-    store_required: bool,
-) -> Tuple[Source, ...]:
-    """Open the index and data file of every manifest entry.
+def open_sources(manifest_path: str, manifest: Manifest) -> Tuple[Source, ...]:
+    """Open the index and data file of every entry of *manifest*.
 
-    Raises *error* naming the entry (``describe(entry)``) when a file is
-    missing or unreadable or was built with other parameters than the
-    manifest's; whatever was opened before is closed again.
+    Raises :class:`~repro.core.manifest.ManifestError` naming the segment
+    when a file is missing or unreadable or was built with other parameters
+    than the manifest's; whatever was opened before is closed again.
     """
     sources: List[Source] = []
-    try:
-        for entry in entries:
-            name = describe(entry)
+    with ExitStack() as undo:  # closes what was opened before an entry that fails
+        for entry in manifest.segments:
+            name = f"segment {entry.segment_id}"
             index_path = manifest.resolve(manifest_path, entry.index_path)
-            if not os.path.exists(index_path):
-                raise error(
-                    f"{name} is missing its index file {index_path!r} (listed in {manifest_path!r})"
-                )
+            data_path = manifest.resolve(manifest_path, entry.data_path)
+            for kind, path in (("index", index_path), ("data", data_path)):
+                if not os.path.exists(path):
+                    raise ManifestError(
+                        f"{name} is missing its {kind} file {path!r} (listed in {manifest_path!r})"
+                    )
             try:
                 index = SubtreeIndex.open(index_path)
+                undo.callback(index.close)
+                store = TreeStore(data_path)
+                undo.callback(store.close)
             except Exception as failure:
-                raise error(f"{name} is unreadable at {index_path!r}: {failure}") from failure
-            sources.append(Source(index, None, entry))
+                raise ManifestError(f"{name} is unreadable at {index_path!r}: {failure}") from failure
             if index.mss != manifest.mss or index.coding.name != manifest.coding:
-                raise error(
+                raise ManifestError(
                     f"{name} at {index_path!r} was built with mss={index.mss} "
                     f"coding={index.coding.name}, but the manifest says "
                     f"mss={manifest.mss} coding={manifest.coding}"
                 )
-            data_path = manifest.resolve(manifest_path, entry.data_path)
-            if os.path.exists(data_path):
-                sources[-1] = Source(index, TreeStore(data_path), entry)
-            elif store_required:
-                raise error(f"{name} is missing its data file {data_path!r}")
-    except Exception:
-        for source in sources:
-            _close(source)
-        raise
+            sources.append(Source(index, store, entry))
+        undo.pop_all()
     return tuple(sources)
 
 
 def _close(source: Source) -> None:
     source.index.close()
-    if source.store is not None:
-        source.store.close()
+    source.store.close()
 
 
 class TreeGone(KeyError):
@@ -153,16 +146,12 @@ class SegmentTreeStore:
     def __init__(self, segments: "SegmentSet"):
         self._segments = segments
 
-    def _sources(self) -> List[Source]:
-        return [source for source in self._segments.snapshot.sources if source.store is not None]
-
     def _store_of(self, tid: int) -> Optional[object]:
         sources = self._segments.snapshot.sources
         position = self._segments.locate(tid)
         for source in sources if position is None else sources[position:position + 1]:
-            store = source.store
-            if store is not None and tid in store:
-                return None if tid in source.dead else store
+            if tid in source.store:
+                return None if tid in source.dead else source.store
         return None
 
     def get(self, tid: int) -> ParseTree:
@@ -178,11 +167,14 @@ class SegmentTreeStore:
         return self._store_of(tid) is not None
 
     def __len__(self) -> int:
-        return sum(len(source.store) - len(source.dead) for source in self._sources())
+        return sum(len(source.store) - len(source.dead) for source in self._segments.snapshot.sources)
 
     def tids(self) -> List[int]:
         return sorted(
-            tid for source in self._sources() for tid in source.store.tids() if tid not in source.dead
+            tid
+            for source in self._segments.snapshot.sources
+            for tid in source.store.tids()
+            if tid not in source.dead
         )
 
     def __iter__(self) -> Iterator[ParseTree]:
@@ -191,18 +183,28 @@ class SegmentTreeStore:
 
 
 class SegmentSet:
-    """The ``SubtreeIndex`` read API over a :class:`Snapshot` of sources."""
+    """The ``SubtreeIndex`` read API over a :class:`Snapshot` of sources.
 
-    #: What ``/healthz``, ``/stats`` and the ``query`` span call this kind of
-    #: index; set by the subclass, as is ``metadata``.
-    flavor: str
+    Used as it is, this is a *frozen* index: the segments a sharded build
+    wrote, which nothing adds to or deletes from.
+    """
+
+    #: What ``/healthz``, ``/stats`` and the ``query`` span call this kind of index.
+    flavor = "sharded"
 
     def __init__(
-        self, manifest_path: str, manifest, sources: Sequence[Source], version: Version = (0, 0)
+        self, manifest_path: str, manifest: Manifest, sources: Sequence[Source],
+        version: Version = (0, 0),
     ):
         self.manifest_path = manifest_path
         self.manifest = manifest
         self.coding: CodingScheme = get_coding(manifest.coding)
+        #: Routes a tid to the segment a sharded build dealt it to, if one did.
+        self._partitioner = None
+        if manifest.partitioner is not None:
+            from repro.shard.partitioner import get_partitioner  # local: shard builds on core
+
+            self._partitioner = get_partitioner(manifest.partitioner, len(manifest.segments))
         #: What readers see.  Rebound as a whole by a subclass that mutates.
         self.snapshot = Snapshot(version, tuple(sources))
         #: Sources a mutation replaced, kept open (their files may already be
@@ -215,6 +217,22 @@ class SegmentSet:
         #: the lists that had to be merged from the sources, whose own
         #: descents and node decodes :meth:`probe_snapshot` adds up.
         self.probe_stats = ProbeStats()
+
+    @classmethod
+    def open(cls, path: str) -> "SegmentSet":
+        """Open the index manifest *path* describes, as what the file says it
+        is: frozen when a partitioner is recorded, else a live index.
+
+        Raises :class:`~repro.core.manifest.ManifestError` -- naming the
+        field or the segment -- when the manifest is damaged or a file it
+        lists is missing, unreadable or built with other parameters.
+        """
+        manifest = Manifest.load(path)
+        if manifest.partitioner is None:
+            from repro.live.live import LiveIndex  # local: live builds on core
+
+            return LiveIndex.open(path)
+        return cls(path, manifest, open_sources(path, manifest))
 
     # ------------------------------------------------------------------
     # Lookup (merged across sources)
@@ -292,15 +310,22 @@ class SegmentSet:
     # ------------------------------------------------------------------
     # Probe accounting and the read-through posting cache
     # ------------------------------------------------------------------
-    def _files(self) -> List[Source]:
-        """The current sources that are files (all but a live index's delta)."""
-        return [source for source in self.snapshot.sources if source.entry is not None]
+    @property
+    def segments(self) -> Tuple[Source, ...]:
+        """The sources that are files (``.index`` / ``.store`` / manifest
+        ``.entry``): all but a live index's delta."""
+        return tuple(source for source in self.snapshot.sources if source.entry is not None)
+
+    @property
+    def segment_count(self) -> int:
+        """Number of those."""
+        return len(self.segments)
 
     def reset_probe_stats(self) -> ProbeStats:
         """Zero the lookup counters (the sources' included); returns the snapshot."""
         before = self.probe_stats.snapshot()
         self.probe_stats.reset()
-        for source in self._files() + self._retired:
+        for source in [*self.segments, *self._retired]:
             source.index.reset_probe_stats()
         return before
 
@@ -309,7 +334,7 @@ class SegmentSet:
         this object, B+Tree descents and node decodes summed over every
         source read since the last reset (replaced ones included)."""
         total = ProbeStats(self.probe_stats.gets, self.probe_stats.cache_hits)
-        for source in self._files() + self._retired:
+        for source in [*self.segments, *self._retired]:
             total.tree_descents += source.index.probe_stats.tree_descents
             total.node_decodes += source.index.probe_stats.node_decodes
         return total
@@ -342,14 +367,48 @@ class SegmentSet:
         valid while it stands."""
         return self.snapshot.version
 
+    @property
+    def epoch(self) -> int:
+        """Manifest generation; bumped by every compaction of a live index."""
+        return self.manifest.epoch
+
     def locate(self, tid: int) -> Optional[int]:
         """Position of the source that holds *tid* if it holds it at all, when
-        that follows from the tid alone; ``None`` means ask every source."""
-        return None
+        that follows from the tid alone (a hash-partitioned build: a tree
+        fetch then asks one shard); ``None`` means ask every source."""
+        return self._partitioner.locate(tid) if self._partitioner is not None else None
 
     def stats_extras(self) -> Dict[str, object]:
-        """What this kind of index adds to a service's ``/stats`` block."""
-        return {}
+        """What a segmented index adds to a service's ``/stats`` block and to
+        ``repro stats``: one row per segment under ``sources`` -- its
+        manifest entry, its size and its share of the probe counters."""
+        return {
+            "sources": [
+                {
+                    **asdict(entry),
+                    "size_bytes": index.size_bytes(),
+                    "probe_gets": index.probe_stats.gets,
+                    "tree_descents": index.probe_stats.tree_descents,
+                    "node_decodes": index.probe_stats.node_decodes,
+                }
+                for index, _, entry, _ in self.segments
+            ],
+        }
+
+    @property
+    def metadata(self) -> IndexMetadata:
+        """Aggregate metadata in the shape ``SubtreeIndex`` consumers expect:
+        per-source sums, so a key held by k sources counts k times and
+        tombstoned postings stay in until a compaction drops them."""
+        sources = self.snapshot.sources
+        return IndexMetadata(
+            mss=self.manifest.mss,
+            coding=self.manifest.coding,
+            tree_count=len(self.store),
+            key_count=sum(source.index.key_count for source in sources),
+            posting_count=sum(source.index.posting_count for source in sources),
+            build_seconds=self.manifest.build_seconds,
+        )
 
     @property
     def mss(self) -> int:
@@ -368,12 +427,12 @@ class SegmentSet:
 
     def size_bytes(self) -> int:
         """Total size of the sources' index files on disk."""
-        return sum(source.index.size_bytes() for source in self._files())
+        return sum(source.index.size_bytes() for source in self.segments)
 
     def page_census(self) -> Dict[str, Dict[str, int]]:
         """The page censuses of those files, added up."""
         total: Dict[str, Dict[str, int]] = {}
-        for source in self._files():
+        for source in self.segments:
             for name, row in source.index.page_census().items():
                 seen = total.get(name, {})
                 total[name] = {field: seen.get(field, 0) + value for field, value in row.items()}
@@ -382,16 +441,15 @@ class SegmentSet:
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Flush every source's files."""
-        for source in self._files():
+        for source in self.segments:
             source.index.flush()
-            if source.store is not None:
-                source.store.flush()
+            source.store.flush()
 
     def close(self) -> None:
         """Close every source's files (replaced ones included) and drop the cache."""
         self._clear_postings_cache()
         self._postings_cache = None
-        for source in self._files() + self._retired:
+        for source in [*self.segments, *self._retired]:
             _close(source)
         self._retired.clear()
 

@@ -9,12 +9,14 @@ read API (cf. Clarke's *Annotative Indexing*, 2024):
   epoch-bumped) by compaction.
 * :mod:`repro.live.delta` -- :class:`DeltaSegment`, the in-memory
   SubtreeIndex-shaped memtable over recently added trees.
-* :mod:`repro.live.manifest` -- the epoch-stamped JSON manifest listing the
-  immutable base segments; swapped atomically by compaction.
 * :mod:`repro.live.live` -- :class:`LiveIndex`: a
   :class:`~repro.core.segments.SegmentSet` over segments + delta (the full
   ``SubtreeIndex`` read API, tombstoned trees cut per source) plus
   ``add_tree`` / ``delete_tree`` / ``compact`` and crash recovery.
+
+The catalogue of the immutable base segments is the one epoch-stamped
+manifest of :mod:`repro.core.manifest`, swapped atomically by compaction; a
+manifest with no partitioner recorded is a live one.
 
 It is served by the one :class:`repro.service.QueryService`, and
 ``SubtreeIndex.open`` / ``QueryService.open`` / the CLI all dispatch here
@@ -23,26 +25,12 @@ when pointed at a live manifest.
 
 from repro.live.delta import DeltaSegment
 from repro.live.live import CompactionStats, LiveIndex
-from repro.live.manifest import (
-    LIVE_SUFFIX,
-    LiveIndexError,
-    LiveManifest,
-    SegmentEntry,
-    is_live_manifest,
-    wal_file_path,
-)
 from repro.live.wal import WalError, WalOp, WriteAheadLog
 
 __all__ = [
     "LiveIndex",
     "CompactionStats",
     "DeltaSegment",
-    "LiveManifest",
-    "SegmentEntry",
-    "LiveIndexError",
-    "is_live_manifest",
-    "wal_file_path",
-    "LIVE_SUFFIX",
     "WriteAheadLog",
     "WalOp",
     "WalError",

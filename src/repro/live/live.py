@@ -57,23 +57,19 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
-from repro.core.index import (
-    IndexMetadata,
-    SubtreeIndex,
-    accumulate_posting_lists,
-    encode_posting_lists,
+from repro.core.index import SubtreeIndex, accumulate_posting_lists, encode_posting_lists
+from repro.core.manifest import (
+    LIVE_SUFFIX,
+    Manifest,
+    ManifestError,
+    SegmentEntry,
+    is_manifest,
+    segment_file_names,
+    wal_file_path,
 )
 from repro.core.segments import SegmentSet, Snapshot, Source, open_sources
 from repro.corpus.store import TreeStore
 from repro.live.delta import DeltaSegment
-from repro.live.manifest import (
-    LIVE_SUFFIX,
-    LiveIndexError,
-    LiveManifest,
-    SegmentEntry,
-    segment_file_names,
-    wal_file_path,
-)
 from repro.live.wal import WriteAheadLog
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import parse_penn, to_penn
@@ -101,7 +97,7 @@ class LiveIndex(SegmentSet):
     def __init__(
         self,
         manifest_path: str,
-        manifest: LiveManifest,
+        manifest: Manifest,
         segments: Sequence[Source],
         wal: WriteAheadLog,
         fsync: bool = True,
@@ -166,7 +162,7 @@ class LiveIndex(SegmentSet):
             next_tid = tids[-1] + 1
             next_segment_id = 1
 
-        manifest = LiveManifest(
+        manifest = Manifest(
             mss=mss,
             coding=coding_name,
             epoch=0,
@@ -189,11 +185,10 @@ class LiveIndex(SegmentSet):
         """
         if not os.path.exists(path):
             raise FileNotFoundError(f"no such live index: {path}")
-        manifest = LiveManifest.load(path)
-        segments = open_sources(
-            path, manifest, manifest.segments,
-            lambda entry: f"segment {entry.segment_id}", LiveIndexError, store_required=True,
-        )
+        manifest = Manifest.load(path) if is_manifest(path) else None
+        if manifest is None or manifest.partitioner is not None:  # a plain or a sharded index
+            raise ManifestError(f"{path!r} is not a live index (build one with 'build --live')")
+        segments = open_sources(path, manifest)
 
         wal_path = wal_file_path(path)
         leftover = wal_path + ".next"  # side file of an aborted compaction
@@ -203,7 +198,7 @@ class LiveIndex(SegmentSet):
             wal, ops = WriteAheadLog.open(wal_path, fsync=fsync)
             if wal.epoch > manifest.epoch:
                 wal.close()
-                raise LiveIndexError(
+                raise ManifestError(
                     f"write-ahead log epoch {wal.epoch} is newer than manifest "
                     f"epoch {manifest.epoch} in {path!r}"
                 )
@@ -345,7 +340,7 @@ class LiveIndex(SegmentSet):
                 ))
                 next_segment_id += 1
 
-            manifest = LiveManifest(
+            manifest = Manifest(
                 mss=self.mss,
                 coding=self.coding.name,
                 epoch=new_epoch,
@@ -396,11 +391,6 @@ class LiveIndex(SegmentSet):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def segments(self) -> Tuple[Source, ...]:
-        """The immutable base segments (``.index`` / ``.store`` / manifest ``.entry``)."""
-        return self.snapshot.sources[:-1]
-
-    @property
     def delta(self) -> DeltaSegment:
         """The in-memory delta segment (read-only access)."""
         return self.snapshot.sources[-1].index
@@ -411,47 +401,28 @@ class LiveIndex(SegmentSet):
         return frozenset().union(*(source.dead for source in self.snapshot.sources))
 
     @property
-    def epoch(self) -> int:
-        """Manifest generation; bumped by every compaction."""
-        return self.manifest.epoch
-
-    @property
     def tree_count(self) -> int:
         """Number of live (non-tombstoned) trees."""
         return len(self.store)
-
-    @property
-    def segment_count(self) -> int:
-        """Number of immutable base segments."""
-        return len(self.segments)
 
     @property
     def wal(self) -> WriteAheadLog:
         """The write-ahead log (for size/op introspection)."""
         return self._wal
 
-    @property
-    def metadata(self) -> IndexMetadata:
-        """Aggregate metadata in the shape SubtreeIndex consumers expect:
-        per-source sums, tombstoned postings included until compaction."""
-        entries = [segment.entry for segment in self.segments]
-        return IndexMetadata(
-            mss=self.mss,
-            coding=self.coding.name,
-            tree_count=self.tree_count,
-            key_count=sum(entry.key_count for entry in entries) + self.delta.key_count,
-            posting_count=sum(entry.posting_count for entry in entries) + self.delta.posting_count,
-            build_seconds=0.0,
-        )
-
     def stats_extras(self) -> Dict[str, object]:
-        """The mutation-side state, under ``live``."""
+        """The segments' rows plus the mutation-side state, under ``live``."""
+        delta = self.delta
         return {
+            **super().stats_extras(),
             "live": {
                 "epoch": self.epoch,
-                "delta_trees": self.delta.tree_count,
+                "delta_trees": delta.tree_count,
+                "delta_keys": delta.key_count,
+                "delta_postings": delta.posting_count,
                 "tombstones": sum(len(source.dead) for source in self.snapshot.sources),
                 "wal_ops": self._wal.op_count,
+                "wal_bytes": os.path.getsize(self._wal.path),  # appends are flushed
                 "invalidations": self._mutations,
             },
         }
@@ -462,7 +433,7 @@ class LiveIndex(SegmentSet):
         self._wal.close()
 
 
-def _delta_source(manifest: LiveManifest) -> Source:
+def _delta_source(manifest: Manifest) -> Source:
     """An empty delta as the last source of a snapshot."""
     delta = DeltaSegment(manifest.mss, get_coding(manifest.coding))
     return Source(delta, delta.trees)

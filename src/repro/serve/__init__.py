@@ -30,7 +30,6 @@ from repro.serve.server import (
     ServerThread,
     open_server,
     result_to_dict,
-    service_flavor,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "render_families",
     "result_to_dict",
     "run_load",
-    "service_flavor",
 ]

@@ -139,11 +139,6 @@ def _header_safe(value: str) -> str:
     return value[:128]
 
 
-def service_flavor(service: QueryService) -> str:
-    """The wire name of what a service serves: ``plain`` / ``sharded`` / ``live``."""
-    return service.index.flavor
-
-
 def result_to_dict(result: QueryResult) -> Dict[str, object]:
     """The JSON form of one :class:`QueryResult` (tids are string keys)."""
     stats = result.stats
@@ -490,7 +485,8 @@ class QueryServer:
         self.slow_ms = slow_ms
         self.trace_buffer = trace_buffer
         self.metrics = ServerMetrics()
-        self.flavor = service_flavor(service)
+        #: The wire name of what is served: ``plain`` / ``sharded`` / ``live``.
+        self.flavor = service.index.flavor
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher: Optional[MicroBatcher] = None

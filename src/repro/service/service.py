@@ -107,7 +107,7 @@ class ServiceStats:
     results: CacheStats = field(default_factory=CacheStats)
     probes: ProbeStats = field(default_factory=ProbeStats)
 
-    #: What the index adds under keys of its own (``shards`` / ``live``).
+    #: What the index adds under keys of its own (``sources`` / ``live``).
     extras: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
@@ -161,9 +161,9 @@ class QueryService:
     Parameters
     ----------
     index:
-        An open :class:`~repro.core.index.SubtreeIndex`,
-        :class:`~repro.shard.sharded.ShardedIndex` or
-        :class:`~repro.live.live.LiveIndex`.
+        An open :class:`~repro.core.index.SubtreeIndex` or
+        :class:`~repro.core.segments.SegmentSet` (a sharded build's frozen
+        one, or a :class:`~repro.live.live.LiveIndex`).
     store:
         Data file or in-memory corpus; required for filter-based coding
         unless the index routes tids to its own trees (``index.store``: a

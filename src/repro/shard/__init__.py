@@ -2,27 +2,20 @@
 
 * :mod:`repro.shard.partitioner` -- the tid -> shard policies
   (``round-robin`` and stable-``hash``).
-* :mod:`repro.shard.manifest` -- the self-describing JSON manifest that
-  ties N shard files into one openable index, and manifest sniffing.
 * :mod:`repro.shard.builder` -- parallel shard construction via
   ``ProcessPoolExecutor`` (one complete ``SubtreeIndex`` + ``TreeStore``
-  per shard).
-* :mod:`repro.shard.sharded` -- :class:`ShardedIndex`, a
-  :class:`~repro.core.segments.SegmentSet` over the shards: the plain
-  index's read API with the per-shard posting lists merged column-wise.
+  per shard), committed by one manifest swap.
 
-There is no query-side fan-out: ``QueryExecutor`` and ``QueryService`` run
-over a sharded index as over any other.
+What a sharded build writes is a *frozen segment set*: its manifest
+(:mod:`repro.core.manifest`) records the partitioner, and
+``SubtreeIndex.open(build_sharded(...))`` opens it as a
+:class:`~repro.core.segments.SegmentSet` -- the plain index's read API with
+the per-shard posting lists merged column-wise.  There is no sharded index
+class and no query-side fan-out: ``QueryExecutor`` and ``QueryService`` run
+over it as over any other index.
 """
 
 from repro.shard.builder import build_sharded, default_worker_count, partition_corpus
-from repro.shard.manifest import (
-    MANIFEST_SUFFIX,
-    ShardEntry,
-    ShardError,
-    ShardManifest,
-    is_manifest,
-)
 from repro.shard.partitioner import (
     HashPartitioner,
     Partitioner,
@@ -30,18 +23,11 @@ from repro.shard.partitioner import (
     get_partitioner,
     partitioner_names,
 )
-from repro.shard.sharded import ShardedIndex
 
 __all__ = [
-    "ShardedIndex",
     "build_sharded",
     "partition_corpus",
     "default_worker_count",
-    "ShardManifest",
-    "ShardEntry",
-    "ShardError",
-    "is_manifest",
-    "MANIFEST_SUFFIX",
     "Partitioner",
     "RoundRobinPartitioner",
     "HashPartitioner",

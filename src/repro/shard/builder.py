@@ -2,7 +2,10 @@
 
 The build partitions the corpus by tree id, hands each shard's trees to a
 worker and writes one ``SubtreeIndex`` + ``TreeStore`` pair per shard, then
-records the manifest.  Workers are separate *processes*
+commits them as a live index commits a compaction: the manifest
+(:mod:`repro.core.manifest`, the partitioner recorded in it) goes over the
+old one in a single rename, and only then are files the replaced manifest
+listed and the new one does not removed.  Workers are separate *processes*
 (:class:`concurrent.futures.ProcessPoolExecutor`): subtree enumeration and
 posting encoding are pure Python and CPU-bound, so threads would serialise
 on the GIL.  Trees cross the process boundary as Penn-bracket text -- the
@@ -23,13 +26,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.coding.base import CodingScheme
 from repro.core.index import SubtreeIndex
-from repro.corpus.store import TreeStore, data_file_path
-from repro.shard.manifest import (
+from repro.core.manifest import (
     MANIFEST_SUFFIX,
-    ShardEntry,
-    ShardManifest,
-    shard_file_paths,
+    Manifest,
+    ManifestError,
+    SegmentEntry,
+    segment_file_names,
 )
+from repro.corpus.store import TreeStore, data_file_path
 from repro.shard.partitioner import Partitioner, get_partitioner
 from repro.trees.node import ParseTree
 from repro.trees.penn import parse_penn, to_penn
@@ -54,11 +58,13 @@ def _build_shard_trees(
     index = SubtreeIndex.build(trees, mss=mss, coding=coding_name, path=index_path)
     TreeStore.build(data_file_path(index_path), trees).close()
     counters = {
-        "shard_id": shard_id,
+        "segment_id": shard_id,
         "tree_count": index.metadata.tree_count,
         "key_count": index.metadata.key_count,
         "posting_count": index.metadata.posting_count,
         "build_seconds": time.perf_counter() - started,
+        "min_tid": trees[0].tid if trees else None,
+        "max_tid": trees[-1].tid if trees else None,
     }
     index.close()
     return counters
@@ -133,15 +139,16 @@ def build_sharded(
     manifest_dir = os.path.dirname(os.path.abspath(path))
     os.makedirs(manifest_dir, exist_ok=True)
 
-    shard_paths: List[str] = []
-    names: List[Tuple[str, str]] = []
-    for shard_id in range(shards):
-        index_name, data_name = shard_file_paths(path, shard_id)
-        index_path = os.path.join(manifest_dir, index_name)
+    # What a build to the same path left behind, to be removed once replaced.
+    try:
+        replaced = Manifest.load(path).segments
+    except ManifestError:  # none there, or nothing this build could have written
+        replaced = []
+    names = [segment_file_names(path, shard_id, frozen=True) for shard_id in range(shards)]
+    shard_paths = [os.path.join(manifest_dir, index_name) for index_name, _ in names]
+    for index_path in shard_paths:
         if os.path.exists(index_path):  # rebuilds must not append to old files
             os.remove(index_path)
-        shard_paths.append(index_path)
-        names.append((index_name, data_name))
 
     if workers == 1 or shards == 1:
         # Inline: hand the parsed trees straight to the builder, skipping
@@ -164,26 +171,26 @@ def build_sharded(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counters = list(pool.map(_build_shard, jobs))
 
-    entries = [
-        ShardEntry(
-            shard_id=result["shard_id"],
-            index_path=names[result["shard_id"]][0],
-            data_path=names[result["shard_id"]][1],
-            tree_count=result["tree_count"],
-            key_count=result["key_count"],
-            posting_count=result["posting_count"],
-            build_seconds=result["build_seconds"],
-        )
-        for result in sorted(counters, key=lambda item: item["shard_id"])
+    entries = [  # both build paths return the shards' counters in shard order
+        SegmentEntry(index_path=index_name, data_path=data_name, **result)
+        for (index_name, data_name), result in zip(names, counters)
     ]
-    manifest = ShardManifest(
+    manifest = Manifest(
         mss=mss,
         coding=coding_name,
+        next_tid=max((shard[-1].tid for shard in per_shard if shard), default=-1) + 1,
+        next_segment_id=shards,
+        segments=entries,
         partitioner=partitioner.name,
-        shard_count=shards,
-        tree_count=sum(entry.tree_count for entry in entries),
-        build_wall_seconds=time.perf_counter() - started,
-        shards=entries,
+        build_seconds=time.perf_counter() - started,
     )
-    manifest.save(path)
+    manifest.save_atomic(path)  # the commit point
+    kept = {name for pair in names for name in pair}
+    for entry in replaced:  # after the swap: best-effort cleanup
+        for stale in {entry.index_path, entry.data_path} - kept:
+            if os.path.basename(stale) == stale:  # only ever a file a build put beside it
+                try:
+                    os.remove(os.path.join(manifest_dir, stale))
+                except OSError:
+                    pass
     return path

@@ -26,7 +26,7 @@ from repro.live import LiveIndex
 from repro.query.model import has_duplicate_siblings
 from repro.query.parser import parse_query
 from repro.service import QueryService
-from repro.shard import ShardedIndex
+from repro.shard import build_sharded
 from repro.trees.matching import count_matches
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
@@ -88,9 +88,9 @@ def engines(tmp_path_factory):
         run["executor", coding] = lambda text, e=executor: e.execute(parse_query(text))
         closers.append(index.close)
 
-        sharded = ShardedIndex.build(
+        sharded = SubtreeIndex.open(build_sharded(
             _TREES, MSS, coding, str(workdir / f"sharded-{coding}.si"), shards=3, workers=1
-        )
+        ))
         merged = QueryExecutor(sharded)
         run["sharded", coding] = lambda text, e=merged: e.execute(parse_query(text))
         closers.append(sharded.close)

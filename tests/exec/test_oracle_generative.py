@@ -37,7 +37,7 @@ from repro.exec import QueryExecutor
 from repro.live import LiveIndex
 from repro.query.model import QueryNode, QueryTree
 from repro.service import QueryService
-from repro.shard import ShardedIndex
+from repro.shard import build_sharded
 from repro.trees.matching import count_matches
 from repro.trees.node import ParseTree, build_tree
 
@@ -184,11 +184,11 @@ def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tup
 # ----------------------------------------------------------------------
 def _sharded(data, trees: List[ParseTree], mss: int, coding: str, path: str):
     """The corpus over 1-3 shards; returns ``(index, tombstoned tids)``."""
-    index = ShardedIndex.build(
+    index = SubtreeIndex.open(build_sharded(
         trees, mss, coding, path, workers=1,
         shards=data.draw(st.integers(min_value=1, max_value=3), label="shards"),
         partitioner=data.draw(st.sampled_from(["hash", "round-robin"]), label="partitioner"),
-    )
+    ))
     return index, set()
 
 

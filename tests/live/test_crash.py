@@ -15,9 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.core.manifest import wal_file_path
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
-from repro.live import LiveIndex, wal_file_path
+from repro.live import LiveIndex
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent.parent / "src")
 

@@ -17,10 +17,11 @@ import re
 import pytest
 
 from repro.core.index import SubtreeIndex
+from repro.core.manifest import ManifestError
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import QueryExecutor
-from repro.live import LiveIndex, LiveIndexError
+from repro.live import LiveIndex
 from repro.trees.node import ParseTree
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
@@ -406,7 +407,7 @@ class TestLifecycle:
         import os
 
         os.remove(segment_file)
-        with pytest.raises(LiveIndexError, match=r"segment 0 is missing"):
+        with pytest.raises(ManifestError, match=r"segment 0 is missing"):
             LiveIndex.open(manifest_path)
 
 

@@ -23,7 +23,7 @@ from repro.obs.sinks import write_chrome_trace
 from repro.obs.tracer import NOOP_SPAN, Tracer
 from repro.query.parser import parse_query
 from repro.service.service import QueryService
-from repro.shard import ShardedIndex
+from repro.shard import build_sharded
 
 QUERY = "NP(DT)(NN)"
 #: A WH template with a two-key cover: descents, decodes and a real join.
@@ -42,9 +42,9 @@ def plain_service(tmp_path_factory, small_corpus):
 @pytest.fixture(scope="module")
 def sharded_service(tmp_path_factory, small_corpus):
     path = str(tmp_path_factory.mktemp("obs-sharded") / "sharded.si")
-    ShardedIndex.build(
+    SubtreeIndex.open(build_sharded(
         small_corpus, mss=3, coding="root-split", path=path, shards=2, workers=1
-    ).close()
+    )).close()
     service = QueryService.open(path + ".manifest.json")
     yield service
     service.close()

@@ -18,7 +18,7 @@ from repro.core.index import SubtreeIndex
 from repro.corpus.store import TreeStore, data_file_path
 from repro.live import LiveIndex
 from repro.serve.server import ENDPOINTS, ServerThread, open_server, result_to_dict
-from repro.shard import ShardedIndex
+from repro.shard import build_sharded
 
 QUERIES = ["NP(DT)(NN)", "VP(VBZ)", "S(NP)(VP)", "NP(DT)(JJ)(NN)"]
 
@@ -55,9 +55,9 @@ def index_paths(tmp_path_factory, small_corpus) -> dict:
     SubtreeIndex.build(small_corpus, mss=3, coding="root-split", path=plain).close()
     TreeStore.build(data_file_path(plain), small_corpus).close()
     sharded = str(root / "sharded.si")
-    ShardedIndex.build(
+    SubtreeIndex.open(build_sharded(
         small_corpus, mss=3, coding="root-split", path=sharded, shards=2, workers=1
-    ).close()
+    )).close()
     live = str(root / "live.si")
     LiveIndex.create(live, mss=3, coding="root-split", trees=list(small_corpus)).close()
     return {
@@ -150,9 +150,16 @@ class TestEndpoints:
             "gets", "cache_hits", "tree_descents", "node_decodes", "hit_rate",
         }
         assert service_stats["queries"] >= 1
-        # Flavor extras ride under their own keys, never in the core shape.
-        if flavor == "sharded":
-            assert len(service_stats["shards"]) == 2
+        # Flavor extras ride under their own keys, never in the core shape:
+        # one row per file of a segmented index, the mutation side of a live one.
+        assert ("sources" in service_stats) == (flavor != "plain")
+        assert ("live" in service_stats) == (flavor == "live")
+        if flavor != "plain":
+            sources = service_stats["sources"]
+            assert len(sources) == {"sharded": 2, "live": 1}[flavor]
+            assert sum(row["tree_count"] for row in sources) == len(service.index.store)
+            assert sum(row["size_bytes"] for row in sources) == service.index.size_bytes()
+            assert all(row["tree_descents"] >= 1 for row in sources)  # the probe split
         if flavor == "live":
             assert service_stats["live"]["epoch"] >= 0
         server_stats = payload["server"]

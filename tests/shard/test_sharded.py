@@ -16,13 +16,15 @@ import os
 import pytest
 
 from repro.core.index import SubtreeIndex
+from repro.core.manifest import ManifestError
+from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import TreeStore, data_file_path
 from repro.exec.executor import QueryExecutor
 from repro.query.parser import parse_query
 from repro.service.cache import LRUCache
 from repro.service.service import QueryService
-from repro.shard import ShardedIndex, ShardError
+from repro.shard import build_sharded
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
 
@@ -47,14 +49,14 @@ def indexes(workdir, small_corpus):
         single_path = str(workdir / f"single-{coding}.si")
         single = SubtreeIndex.build(small_corpus, mss=MSS, coding=coding, path=single_path)
         store = TreeStore.build(data_file_path(single_path), small_corpus)
-        sharded = ShardedIndex.build(
+        sharded = SubtreeIndex.open(build_sharded(
             small_corpus,
             mss=MSS,
             coding=coding,
             path=str(workdir / f"sharded-{coding}.si"),
             shards=SHARDS,
             workers=1,
-        )
+        ))
         built[coding] = (single, store, sharded)
     yield built
     for single, store, sharded in built.values():
@@ -67,10 +69,10 @@ def indexes(workdir, small_corpus):
 def round_robin(workdir, small_corpus):
     """``coding -> sharded index`` under the positional partitioner."""
     built = {
-        coding: ShardedIndex.build(
+        coding: SubtreeIndex.open(build_sharded(
             small_corpus, mss=MSS, coding=coding, path=str(workdir / f"rr-{coding}.si"),
             shards=SHARDS, workers=1, partitioner="round-robin",
-        )
+        ))
         for coding in CODINGS
     }
     yield built
@@ -111,13 +113,13 @@ class TestBuild:
     def test_manifest_and_shard_files_exist(self, indexes, workdir) -> None:
         sharded = indexes["root-split"][2]
         assert os.path.isfile(sharded.manifest_path)
-        for shard in sharded.shards:
+        for shard in sharded.segments:
             assert os.path.isfile(os.path.join(str(workdir), shard.entry.index_path))
             assert shard.store is not None
 
     def test_every_tree_lands_in_exactly_one_shard(self, indexes, small_corpus) -> None:
         sharded = indexes["root-split"][2]
-        per_shard = [set(shard.store.tids()) for shard in sharded.shards]
+        per_shard = [set(shard.store.tids()) for shard in sharded.segments]
         union = set().union(*per_shard)
         assert union == set(small_corpus.tids())
         assert sum(len(tids) for tids in per_shard) == len(small_corpus)
@@ -125,12 +127,13 @@ class TestBuild:
     def test_counters_sum_over_shards(self, indexes) -> None:
         sharded = indexes["root-split"][2]
         manifest = sharded.manifest
-        assert manifest.tree_count == sum(e.tree_count for e in manifest.shards)
-        assert sharded.posting_count == sum(e.posting_count for e in manifest.shards)
+        assert sharded.metadata.tree_count == sum(e.tree_count for e in manifest.segments)
+        assert sharded.key_count == sum(e.key_count for e in manifest.segments)
+        assert sharded.posting_count == sum(e.posting_count for e in manifest.segments)
         assert sharded.mss == MSS
 
     def test_round_robin_partitioner(self, tmp_path, tiny_corpus) -> None:
-        sharded = ShardedIndex.build(
+        sharded = SubtreeIndex.open(build_sharded(
             tiny_corpus,
             mss=2,
             coding="root-split",
@@ -138,23 +141,23 @@ class TestBuild:
             shards=3,
             workers=1,
             partitioner="round-robin",
-        )
-        sizes = [len(shard.store) for shard in sharded.shards]
+        ))
+        sizes = [len(shard.store) for shard in sharded.segments]
         assert max(sizes) - min(sizes) <= 1  # perfectly balanced
         assert sharded.locate(0) is None  # positional policy: not derivable
         assert 0 in sharded.store  # membership probing still routes
         sharded.close()
 
     def test_process_pool_build_matches_inline(self, tmp_path, tiny_corpus) -> None:
-        inline = ShardedIndex.build(
+        inline = SubtreeIndex.open(build_sharded(
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "inline.si"), shards=2, workers=1,
-        )
-        pooled = ShardedIndex.build(
+        ))
+        pooled = SubtreeIndex.open(build_sharded(
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "pooled.si"), shards=2, workers=2,
-        )
-        for one, two in zip(inline.manifest.shards, pooled.manifest.shards):
+        ))
+        for one, two in zip(inline.manifest.segments, pooled.manifest.segments):
             assert (one.tree_count, one.key_count, one.posting_count) == (
                 two.tree_count, two.key_count, two.posting_count
             )
@@ -163,6 +166,59 @@ class TestBuild:
         assert a.execute(query).matches_per_tree == b.execute(query).matches_per_tree
         inline.close()
         pooled.close()
+
+
+class TestCommit:
+    """A sharded build commits like a compaction: files, one manifest swap,
+    then whatever the replaced manifest listed and the new one does not."""
+
+    def test_a_rebuild_with_fewer_shards_leaves_no_orphans(self, tmp_path, tiny_corpus) -> None:
+        out = str(tmp_path / "re.si")
+        plain = SubtreeIndex.build(tiny_corpus, mss=2, coding="root-split", path=str(tmp_path / "plain.si"))
+        build_sharded(tiny_corpus, 2, "root-split", out, shards=4, workers=1)
+        assert len(os.listdir(tmp_path)) == 1 + 1 + 2 * 4
+        manifest_path = build_sharded(tiny_corpus, 2, "root-split", out, shards=2, workers=1)
+        assert sorted(os.listdir(tmp_path)) == [
+            "plain.si", "re.si.manifest.json", "re.si.shard00", "re.si.shard00.data",
+            "re.si.shard01", "re.si.shard01.data",
+        ]
+        with SubtreeIndex.open(manifest_path) as sharded, plain:
+            assert sharded.segment_count == 2 and sharded.metadata.tree_count == len(tiny_corpus)
+            assert [(key, list(postings)) for key, postings in sharded.items()] == [
+                (key, list(postings)) for key, postings in plain.items()
+            ]
+
+    def test_a_failed_manifest_swap_leaves_the_old_bundle(self, tmp_path, tiny_corpus, monkeypatch) -> None:
+        from repro.core.manifest import Manifest
+
+        manifest_path = build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "keep.si"), 3, workers=1)
+        before = open(manifest_path, "rb").read()
+        with SubtreeIndex.open(manifest_path) as sharded:
+            expected = [(key, list(postings)) for key, postings in sharded.items()]
+
+        def refuse(self, path) -> None:
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Manifest, "save_atomic", refuse)
+        with pytest.raises(OSError, match="no space left"):
+            build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "keep.si"), 3, workers=1)
+        monkeypatch.undo()
+        assert open(manifest_path, "rb").read() == before
+        with SubtreeIndex.open(manifest_path) as sharded:  # nothing it lists was cleaned up
+            assert sharded.segment_count == 3
+            assert [(key, list(postings)) for key, postings in sharded.items()] == expected
+
+    def test_the_manifest_records_what_the_builder_knows(self, tmp_path, tiny_corpus) -> None:
+        manifest_path = build_sharded(
+            tiny_corpus, 2, "root-split", str(tmp_path / "m.si"), 2, workers=1, partitioner="round-robin"
+        )
+        with SubtreeIndex.open(manifest_path) as sharded:
+            manifest = sharded.manifest
+            assert (manifest.partitioner, manifest.epoch, manifest.next_segment_id) == ("round-robin", 0, 2)
+            assert manifest.next_tid == max(tiny_corpus.tids()) + 1 and manifest.build_seconds > 0
+            for shard in sharded.segments:
+                tids = shard.store.tids()
+                assert (shard.entry.min_tid, shard.entry.max_tid) == (min(tids), max(tids))
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +272,8 @@ class TestMergedLookup:
         sharded = indexes["root-split"][2]
         reopened = SubtreeIndex.open(sharded.manifest_path)
         try:
-            assert isinstance(reopened, ShardedIndex)
-            assert reopened.shard_count == SHARDS
+            assert type(reopened) is SegmentSet and reopened.flavor == "sharded"
+            assert reopened.segment_count == SHARDS
         finally:
             reopened.close()
 
@@ -268,12 +324,12 @@ class TestShardedService:
             again = service.run("NP ( DT ) ( NN )")  # normalises to the same plan
             assert again is first  # served whole from the result cache
             stats = service.stats()
-            assert len(stats.extras["shards"]) == SHARDS
+            assert len(stats.extras["sources"]) == SHARDS
             # One cover key, one merged lookup, one descent in every shard;
             # the repeat hit the result cache, so no extra probes anywhere.
             assert stats.probes.gets == 1
             assert stats.probes.tree_descents == SHARDS
-            assert [shard["tree_descents"] for shard in stats.extras["shards"]] == [1] * SHARDS
+            assert [shard["tree_descents"] for shard in stats.extras["sources"]] == [1] * SHARDS
             assert stats.results.hits == 1
         finally:
             service.close()
@@ -321,7 +377,7 @@ class TestShardedService:
         manifest_path = indexes["root-split"][2].manifest_path
         service = QueryService.open(manifest_path)
         try:
-            assert isinstance(service.index, ShardedIndex)
+            assert type(service.index) is SegmentSet and service.index.flavor == "sharded"
             result = service.run("NP(DT)(NN)")
             assert result.total_matches > 0
         finally:
@@ -329,28 +385,34 @@ class TestShardedService:
 
 
 # ----------------------------------------------------------------------
-# Failure modes: every error names the offending shard
+# Failure modes: every error names the offending segment (= shard)
 # ----------------------------------------------------------------------
 class TestShardErrors:
     @pytest.fixture()
     def built(self, tmp_path, tiny_corpus):
-        manifest_path = ShardedIndex.build(
+        manifest_path = SubtreeIndex.open(build_sharded(
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "err.si"), shards=3, workers=1,
-        ).manifest_path
+        )).manifest_path
         return tmp_path, manifest_path
 
     def test_missing_shard_file(self, built) -> None:
         tmp_path, manifest_path = built
         os.remove(tmp_path / "err.si.shard01")
-        with pytest.raises(ShardError, match=r"shard 1 of 3 is missing"):
-            ShardedIndex.open(manifest_path)
+        with pytest.raises(ManifestError, match=r"segment 1 is missing its index file"):
+            SubtreeIndex.open(manifest_path)
+
+    def test_missing_data_file(self, built) -> None:
+        tmp_path, manifest_path = built
+        os.remove(tmp_path / "err.si.shard01.data")
+        with pytest.raises(ManifestError, match=r"segment 1 is missing its data file"):
+            SubtreeIndex.open(manifest_path)
 
     def test_corrupted_shard_file(self, built) -> None:
         tmp_path, manifest_path = built
         (tmp_path / "err.si.shard02").write_bytes(b"this is not a B+Tree")
-        with pytest.raises(ShardError, match=r"shard 2 of 3 is unreadable"):
-            ShardedIndex.open(manifest_path)
+        with pytest.raises(ManifestError, match=r"segment 2 is unreadable"):
+            SubtreeIndex.open(manifest_path)
 
     def test_shard_with_mismatched_parameters(self, built, tiny_corpus) -> None:
         tmp_path, manifest_path = built
@@ -358,5 +420,5 @@ class TestShardErrors:
         os.remove(shard_path)
         rebuilt = SubtreeIndex.build(tiny_corpus, mss=1, coding="root-split", path=shard_path)
         rebuilt.close()
-        with pytest.raises(ShardError, match=r"shard 0 .* mss=1"):
-            ShardedIndex.open(manifest_path)
+        with pytest.raises(ManifestError, match=r"segment 0 .* mss=1"):
+            SubtreeIndex.open(manifest_path)

@@ -7,6 +7,9 @@ a 200-sentence root-split mss-3 index with one two-page chain and thirteen
 one-page chains, and a live directory of one such segment plus a WAL that
 holds four adds and two deletes.  Do not regenerate them from the checkout --
 it would write v2 files and the tests would compare the reader with itself.
+The live directory's manifest is a legacy one too (``repro-live-index``, the
+format ``repro.live.manifest`` wrote until PR 22): opening it changes no byte
+of it, and its next compaction writes the one format of ``repro.core.manifest``.
 
 (The index is 188 KB, not the < 150 KB its issue asked for: in the v1 layout
 a 200-sentence index with a list long enough to span two pages cannot be
@@ -16,6 +19,7 @@ zeros, which is the slack the v2 layout removes.)
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 from pathlib import Path
@@ -24,6 +28,7 @@ from typing import List
 import pytest
 
 from repro.core.index import SubtreeIndex
+from repro.core.manifest import MANIFEST_FORMAT, MANIFEST_VERSION
 from repro.corpus.generator import CorpusGenerator
 from repro.exec.executor import QueryExecutor
 from repro.live.live import LiveIndex
@@ -101,7 +106,10 @@ def test_a_v1_live_directory_opens_replays_and_compacts_to_v2(v1, tmp_path) -> N
     trees = _corpus()[:_LIVE_SEED + _LIVE_ADDED]
     survivors = [tree for tree in trees if tree.tid not in _LIVE_DELETED]
     fresh = SubtreeIndex.build(survivors, mss=3, coding="root-split", path=str(tmp_path / "fresh.si"))
-    live = LiveIndex.open(str(v1 / "v1live.live.json"), fsync=False)
+    manifest_path = v1 / "v1live.live.json"
+    legacy_bytes = manifest_path.read_bytes()
+    assert json.loads(legacy_bytes)["format"] == "repro-live-index"
+    live = LiveIndex.open(str(manifest_path), fsync=False)
     try:
         assert live.delta.tree_count == _LIVE_ADDED and len(live.tombstones) == len(_LIVE_DELETED)
         expected = _answers(fresh)
@@ -109,7 +117,15 @@ def test_a_v1_live_directory_opens_replays_and_compacts_to_v2(v1, tmp_path) -> N
         assert _answers(live) == expected
         live.delete_tree(live.add_tree(_corpus()[100].root))
         assert _answers(live) == expected
+        # Open, replay, mutate, query: the legacy manifest is read, never rewritten ...
+        assert manifest_path.read_bytes() == legacy_bytes == (_DATA / "v1live.live.json").read_bytes()
         live.compact()
+        # ... and the compaction's swap writes the one format, which both
+        # legacy loaders refuse by its format id ("not a ... manifest").
+        written = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert (written["format"], written["version"]) == (MANIFEST_FORMAT, MANIFEST_VERSION)
+        assert written["format"] not in ("repro-live-index", "repro-sharded-index")
+        assert (written["partitioner"], written["epoch"]) == (None, 1)
         assert _answers(live) == expected
         merged = {}
         for segment in live.segments:

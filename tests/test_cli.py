@@ -111,10 +111,14 @@ class TestSharded:
         assert sharded_out.splitlines()[0].split("(")[0] == single_out.splitlines()[0].split("(")[0]
         assert sharded_out.splitlines()[1] == single_out.splitlines()[1]
 
-    def test_stats_shows_per_shard_table(self, manifest_file, capsys) -> None:
+    def test_stats_shows_per_source_table(self, manifest_file, capsys) -> None:
         assert main(["stats", manifest_file]) == 0
         captured = capsys.readouterr().out
-        assert "shards          : 3 (hash partitioner)" in captured
+        assert "kind            : sharded (epoch 0, hash partitioner)" in captured
+        assert "keys (src sum)  : " in captured
+        assert "sources         : 3" in captured
+        rows = re.findall(r"^  (\d)    (\d+) +[\d,]+ +[\d,]+ +[\d,]+ +(\d+-\d+) +\d\.\d\d$", captured, re.MULTILINE)
+        assert [row[0] for row in rows] == ["0", "1", "2"] and sum(int(row[1]) for row in rows) == 40
         # The page census under the size: three files' pages added up.
         assert re.search(r"^  meta +3 pages +60 payload +12,228 slack$", captured, re.MULTILINE)
         assert re.search(r"^  leaf +[\d,]+ pages +[\d,]+ payload +[\d,]+ slack$", captured, re.MULTILINE)
@@ -122,17 +126,20 @@ class TestSharded:
     def test_stats_json(self, manifest_file, index_file, capsys) -> None:
         assert main(["stats", manifest_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["sharded"] is True
-        assert payload["shard_count"] == 3
-        assert len(payload["shards"]) == 3
-        assert sum(s["tree_count"] for s in payload["shards"]) == payload["tree_count"]
+        assert (payload["flavor"], payload["partitioner"], payload["epoch"]) == ("sharded", "hash", 0)
+        assert payload["key_count_semantics"] == "per-source-sum"
+        assert [s["segment_id"] for s in payload["sources"]] == [0, 1, 2]
+        assert sum(s["tree_count"] for s in payload["sources"]) == payload["tree_count"]
+        assert sum(s["key_count"] for s in payload["sources"]) == payload["key_count"]
+        assert sum(s["size_bytes"] for s in payload["sources"]) == payload["size_bytes"]
+        assert not {"sharded", "live", "shards", "segments", "shard_count"} & set(payload)
         assert payload["storage"]["meta"]["pages"] == 3
         assert 4096 * sum(row["pages"] for row in payload["storage"].values()) == payload["size_bytes"]
-        # Plain indexes emit the same shape, minus the shard breakdown.
+        # Plain indexes emit the same shape, minus the per-source breakdown.
         assert main(["stats", index_file, "--json"]) == 0
         plain = json.loads(capsys.readouterr().out)
-        assert plain["sharded"] is False
-        assert "shards" not in plain
+        assert (plain["flavor"], plain["key_count_semantics"]) == ("plain", "distinct")
+        assert not {"sources", "partitioner", "epoch", "live"} & set(plain)
         assert {"meta", "leaf"} <= set(plain["storage"])
         assert all(set(row) == {"pages", "payload_bytes", "slack_bytes"} for row in plain["storage"].values())
         assert 4096 * sum(row["pages"] for row in plain["storage"].values()) == plain["size_bytes"]
@@ -205,7 +212,11 @@ class TestLive:
         assert main(["stats", live_manifest]) == 0
         out = capsys.readouterr().out
         assert "kind            : live (epoch 1)" in out
+        assert "sources         : 2" in out  # the rewritten seed segment + the flushed delta
+        assert re.search(r"^  1    39 .* 1-39 ", out, re.MULTILINE)
+        assert re.search(r"^  2    6 .* 40-45 ", out, re.MULTILINE)
         assert "delta           : 0 trees" in out
+        assert "tombstones      : 0" in out
         assert "wal             : 0 ops" in out
 
     def test_stats_json_live_payload(self, live_manifest, extra_file, capsys) -> None:
@@ -213,14 +224,14 @@ class TestLive:
         capsys.readouterr()
         assert main(["stats", live_manifest, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["live"] is True
-        assert payload["sharded"] is False
+        assert (payload["flavor"], payload["partitioner"]) == ("live", None)
         assert payload["key_count_semantics"] == "per-source-sum"
-        assert payload["epoch"] == 0
-        assert payload["delta"]["tree_count"] == 6
-        assert payload["wal"]["ops"] == 6
+        assert payload["epoch"] == 0 == payload["live"]["epoch"]
+        assert payload["live"]["delta_trees"] == 6 and payload["live"]["delta_keys"] > 0
+        assert payload["live"]["wal_ops"] == 6 and payload["live"]["wal_bytes"] > 0
+        assert payload["live"]["tombstones"] == 0
         assert payload["tree_count"] == 46
-        assert len(payload["segments"]) == 1
+        assert [(s["segment_id"], s["min_tid"], s["max_tid"]) for s in payload["sources"]] == [(0, 0, 39)]
         assert 4096 * sum(row["pages"] for row in payload["storage"].values()) == payload["size_bytes"]
 
 
@@ -453,6 +464,61 @@ class TestQuery:
         main(["build", corpus_file, "--coding", "filter", "--out", out])
         assert main(["query", out, "S(NP)(VP)"]) == 0
         assert "matches" in capsys.readouterr().out
+
+
+class TestDamagedManifest:
+    """A manifest that is valid JSON but damaged is a named error and exit 2
+    from every command that opens an index -- never a traceback."""
+
+    @pytest.fixture(params=("sharded", "live"))
+    def manifest_file(self, request, tmp_path, corpus_file) -> str:
+        out = str(tmp_path / "m.si")
+        if request.param == "live":
+            assert main(["build", corpus_file, "--live", "--out", out]) == 0
+            return out + ".live.json"
+        assert main(["build", corpus_file, "--shards", "2", "--workers", "1", "--out", out]) == 0
+        return out + ".manifest.json"
+
+    @staticmethod
+    def _damage(path: str, change) -> None:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        change(payload)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda payload: payload.pop("coding"), "'coding' of the manifest is missing"),
+        (lambda payload: payload["segments"][0].update(colour="blue"), "unknown field 'colour'"),
+        (lambda payload: payload.update(segments="oops"), "'segments' of the manifest is 'oops'"),
+        (lambda payload: payload.update(mss="3"), "'mss' of the manifest is '3'"),
+    ])
+    def test_every_command_names_the_field(self, manifest_file, corpus_file, capsys, change, named) -> None:
+        self._damage(manifest_file, change)
+        capsys.readouterr()
+        for command in (
+            ["stats", manifest_file],
+            ["stats", manifest_file, "--json"],
+            ["query", manifest_file, "NP(DT)(NN)"],
+            ["serve", manifest_file, "--port", "0"],
+            ["loadtest", manifest_file],
+        ):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert f"error: cannot open index {manifest_file!r}" in captured.err and named in captured.err
+            assert captured.out == ""
+        for command in (["add", manifest_file, corpus_file], ["delete", manifest_file, "0"], ["compact", manifest_file]):
+            assert main(command) == 2
+            assert named in capsys.readouterr().err
+
+    def test_mutating_a_sharded_index_is_refused_by_name(self, tmp_path, corpus_file, capsys) -> None:
+        out = str(tmp_path / "frozen.si")
+        assert main(["build", corpus_file, "--shards", "2", "--workers", "1", "--out", out]) == 0
+        capsys.readouterr()
+        for command in (["add", out + ".manifest.json", corpus_file], ["delete", out + ".manifest.json", "0"],
+                        ["compact", out + ".manifest.json"]):
+            assert main(command) == 2
+            assert "is not a live index (build one with 'build --live')" in capsys.readouterr().err
 
 
 class TestServeValidation:

@@ -7,6 +7,7 @@ session breaks, this test breaks.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -99,7 +100,9 @@ def test_readme_sharded_session(workdir) -> None:
 
     stats = run_cli("stats", "sharded.si.manifest.json", "--json", cwd=workdir)
     assert stats.returncode == 0, stats.stderr
-    assert '"shard_count": 4' in stats.stdout
+    payload = json.loads(stats.stdout)
+    assert (payload["flavor"], payload["partitioner"]) == ("sharded", "hash")
+    assert [row["segment_id"] for row in payload["sources"]] == [0, 1, 2, 3]
 
 
 def test_readme_live_session(workdir) -> None:
