@@ -1,19 +1,22 @@
 """Shared fixtures for the benchmark harness.
 
 Every ``benchmarks/test_*`` file is a thin wrapper over a registered
-:class:`~repro.bench.config.ExperimentConfig`: the session-scoped
-:class:`~repro.bench.runner.ExperimentRunner` resolves the config, runs it
-over one shared :class:`~repro.bench.context.ExperimentContext` (corpora and
-indexes are built once across files) and writes both the human-readable
+:class:`~repro.bench.registry.Experiment`: the session-scoped
+:class:`~repro.bench.runner.ExperimentRunner` resolves the declaration, runs
+it over one shared :class:`~repro.bench.context.ExperimentContext` (corpora
+and indexes are built once across files) and writes both the human-readable
 ``<name>.txt`` table and the machine-readable ``BENCH_<name>.json`` document
 into the session's temp dir, so a test run leaves ``git status`` clean.  The
 committed tables in ``benchmarks/results/`` -- the directory ``repro bench
---gate`` diffs across commits -- are refreshed on purpose only:
+gate`` diffs across commits -- are refreshed on purpose only:
 ``python -m repro.cli bench run <name>... --out benchmarks/results``.
 
-Corpus sizes live in the registry (``repro.bench.registry``); raise or
-shrink all of them with the ``REPRO_BENCH_SCALE`` environment variable
-(a float multiplier, default 1.0), which the runner picks up itself.
+Corpus sizes live in the declarations (``repro.bench.experiments``); raise
+or shrink all of them with the ``REPRO_BENCH_SCALE`` environment variable
+(a float multiplier, default 1.0), which the runner picks up itself.  At
+the default scale every run is also held to its committed table: all cells
+but the wall-clock ones, row order included, must be what
+``benchmarks/results/`` says.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ import os
 
 import pytest
 
-from repro.bench.runner import ExperimentRunner, RunReport
-from repro.bench.schema import validate_document
+from repro.bench.runner import ExperimentRunner, RunReport, json_filename
+from repro.bench.schema import strip_volatile, validate_document
+
+#: The committed tables (``repro bench run ... --out benchmarks/results``).
+RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 
 #: Figures 11 and 12: root-split and subtree-interval run the same columnar
 #: kernel and decode is a strided slice for both, so their runtimes sit at
@@ -55,11 +61,22 @@ def run_experiment(runner: ExperimentRunner, name: str, **overrides) -> RunRepor
 
     The JSON document is re-read from disk and schema-validated so every
     benchmark run doubles as a check that its ``BENCH_<name>.json`` is
-    well-formed for the regression gate.
+    well-formed for the regression gate.  At scale 1.0 with nothing
+    overridden its ``result`` block -- name, description, columns, rows with
+    the timing cells masked, notes -- must equal the committed table's: a
+    change to what an experiment measures shows up here, not in a later
+    refresh of ``benchmarks/results/``.
     """
     report = runner.run(name, overrides=overrides or None)
     assert report.text_path is not None and os.path.exists(report.text_path)
     assert report.json_path is not None and os.path.exists(report.json_path)
     with open(report.json_path, encoding="utf-8") as handle:
-        assert validate_document(json.load(handle)) == []
+        document = json.load(handle)
+    assert validate_document(document) == []
+    if runner.scale == 1.0 and not overrides:
+        with open(os.path.join(RESULTS_DIR, json_filename(name)), encoding="utf-8") as handle:
+            committed = json.load(handle)
+        assert strip_volatile(document)["result"] == strip_volatile(committed)["result"], (
+            f"{name}: a non-timing cell differs from benchmarks/results/{json_filename(name)}"
+        )
     return report

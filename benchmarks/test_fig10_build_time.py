@@ -8,7 +8,7 @@ from benchmarks.conftest import run_experiment
 def test_figure10_build_time(runner) -> None:
     report = run_experiment(runner, "figure10_build_time")
     result = report.result
-    sizes = tuple(report.params["sentence_counts"])
+    sizes = tuple(report.params["sentences"])
 
     def build_time(count: int, coding: str, mss: int) -> float:
         return result.filtered(sentences=count, coding=coding, mss=mss)[0][3]

@@ -23,7 +23,7 @@ def posting_bytes_fetched(context, sentence_count: int, coding: str, mss: int) -
 def test_figure11_runtime_by_matches(runner, context) -> None:
     report = run_experiment(runner, "figure11_runtime_by_matches")
     result = report.result
-    sentence_count = report.params["sentence_count"]
+    sentence_count = report.params["sentences"]
 
     def mean_runtime(coding: str, mss: int) -> float:
         """Mean seconds per query over the whole workload (bins weighted by size)."""

@@ -8,7 +8,7 @@ from benchmarks.conftest import run_experiment
 def test_figure13_scalability(runner) -> None:
     report = run_experiment(runner, "figure13_scalability")
     result = report.result
-    sizes = tuple(report.params["sentence_counts"])
+    sizes = tuple(report.params["sentences"])
 
     def runtime(count: int, coding: str) -> float:
         return result.filtered(sentences=count, coding=coding)[0][2]

@@ -8,7 +8,7 @@ from benchmarks.conftest import run_experiment
 def test_figure2_index_keys(runner) -> None:
     report = run_experiment(runner, "figure2_index_keys")
     result = report.result
-    counts = tuple(report.params["sentence_counts"])
+    counts = tuple(report.params["sentences"])
 
     # Paper shape 1: the number of keys grows monotonically with the corpus size.
     for mss in (1, 2, 3, 4, 5):

@@ -18,7 +18,7 @@ from benchmarks.conftest import run_experiment
 def test_figure8_index_size(runner) -> None:
     report = run_experiment(runner, "figure8_index_size")
     result = report.result
-    sizes = tuple(report.params["sentence_counts"])
+    sizes = tuple(report.params["sentences"])
 
     def size_of(count: int, coding: str, mss: int) -> int:
         return result.filtered(sentences=count, coding=coding, mss=mss)[0][3]

@@ -8,7 +8,7 @@ from benchmarks.conftest import run_experiment
 def test_figure9_posting_counts(runner) -> None:
     report = run_experiment(runner, "figure9_postings")
     result = report.result
-    sizes = tuple(report.params["sentence_counts"])
+    sizes = tuple(report.params["sentences"])
 
     def postings(count: int, coding: str, mss: int) -> int:
         return result.filtered(sentences=count, coding=coding, mss=mss)[0][3]

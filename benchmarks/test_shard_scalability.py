@@ -27,7 +27,7 @@ def test_shard_scalability(runner) -> None:
     report = run_experiment(runner, "shard_scalability")
     result = report.result
     rows = {row["shards"]: row for row in result.as_dicts()}
-    assert set(rows) == set(report.params["shard_counts"])
+    assert set(rows) == set(report.params["shards"])
 
     # Merge correctness across every shard count: the WH workload must see
     # exactly the same matches no matter how the corpus is partitioned.

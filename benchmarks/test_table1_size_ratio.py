@@ -19,7 +19,7 @@ from benchmarks.conftest import run_experiment
 def test_table1_size_ratio(runner) -> None:
     report = run_experiment(runner, "table1_size_ratio")
     result = report.result
-    sizes = tuple(report.params["sentence_counts"])
+    sizes = tuple(report.params["sentences"])
 
     def ratio(count: int, coding: str) -> float:
         return result.filtered(sentences=count, coding=coding)[0][2]

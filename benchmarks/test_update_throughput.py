@@ -19,8 +19,8 @@ from repro.exec.executor import QueryExecutor
 def test_update_throughput(runner, context) -> None:
     report = run_experiment(runner, "update_throughput")
     result = report.result
-    corpus_size = report.params["sentence_count"]
-    fractions = tuple(report.params["delta_fractions"])
+    corpus_size = report.params["sentences"]
+    fractions = tuple(report.params["delta_fraction"])
 
     rows = {row["delta_fraction"]: row for row in result.as_dicts()}
     assert set(rows) == set(fractions)

@@ -5,54 +5,46 @@
 * :mod:`repro.bench.context` -- a small laboratory object that builds and
   caches corpora, data files and indexes inside a working directory so the
   individual experiments do not repeat expensive setup.
-* :mod:`repro.bench.experiments` -- one runner function per table/figure of
-  the paper's Section 6 (Figures 2, 3, 8--13 and Tables 1--3) plus the
-  serving/sharding/live-index experiments, each returning an
-  :class:`~repro.bench.results.ExperimentResult`.
-* :mod:`repro.bench.config` / :mod:`repro.bench.registry` -- declarative
-  experiment configs (corpus sizes, seed, gated metrics) and the central
-  registry every benchmark resolves through.
-* :mod:`repro.bench.runner` -- the :class:`ExperimentRunner` owning
-  build/measure/report: warmup, environment capture, text tables and
-  schema-validated ``BENCH_<experiment>.json`` documents.
+* :mod:`repro.bench.registry` -- :class:`Experiment`, the one declaration an
+  experiment has (title, description, independent variables with levels,
+  value columns and their gate / timing semantics, notes), the
+  :func:`experiment` decorator that puts it on a measure function, and the
+  central registry every benchmark resolves through.
+* :mod:`repro.bench.experiments` -- one declared *measure function* per
+  table/figure of the paper's Section 6 (Figures 2, 3, 8--13 and Tables
+  1--3) plus the serving/sharding/live-index experiments; each measures one
+  cell of its design.
+* :mod:`repro.bench.runner` -- the orchestrator: :class:`ExperimentRunner`
+  scales and crosses the declared variables, calls the measure function per
+  cell, builds the :class:`ExperimentResult`, and owns warmup, environment
+  capture, text tables and schema-validated ``BENCH_<experiment>.json``.
 * :mod:`repro.bench.gate` -- the regression gate diffing two runs'
-  ``BENCH_*.json`` with tolerance bands (``repro bench --gate``).
+  ``BENCH_*.json`` with tolerance bands (``repro bench gate``).
 * :mod:`repro.bench.schema` -- the versioned document schema and the
   stdlib validator.
 
-See ``docs/benchmarks.md`` for the config format, the JSON schema and how
-to read a perf trajectory across commits.
+See ``docs/benchmarks.md`` for how to add an experiment, the JSON schema and
+how to read a perf trajectory across commits.
 """
 
-from repro.bench.config import ExperimentConfig
+from repro.bench import experiments  # registers the built-in experiments
 from repro.bench.context import ExperimentContext
-from repro.bench.experiments import (
-    ablation_cover_selection,
-    ablation_storage,
-    figure2_index_keys,
-    figure3_branching,
-    figure8_index_size,
-    figure9_posting_counts,
-    figure10_build_time,
-    figure11_runtime_by_matches,
-    figure12_runtime_by_query_size,
-    figure13_scalability,
-    serve_cold_warm,
-    shard_scalability,
-    table1_size_ratio,
-    table2_system_comparison,
-    table3_join_counts,
-    update_throughput,
-)
 from repro.bench.gate import GateOptions, GateReport, compare, compare_directories
 from repro.bench.guard import timing_bars_enabled
-from repro.bench.registry import all_configs, experiment_names, get_config, register
+from repro.bench.registry import (
+    Experiment,
+    all_experiments,
+    experiment,
+    experiment_names,
+    get_experiment,
+    register,
+)
 from repro.bench.results import ExperimentResult
 from repro.bench.runner import ExperimentRunner, RunReport
 from repro.bench.schema import SCHEMA_VERSION, SchemaError, require_valid, validate_document
 
 __all__ = [
-    "ExperimentConfig",
+    "Experiment",
     "ExperimentContext",
     "ExperimentResult",
     "ExperimentRunner",
@@ -65,25 +57,11 @@ __all__ = [
     "SchemaError",
     "require_valid",
     "validate_document",
+    "experiment",
     "register",
-    "get_config",
-    "all_configs",
+    "get_experiment",
+    "all_experiments",
     "experiment_names",
     "timing_bars_enabled",
-    "figure2_index_keys",
-    "figure3_branching",
-    "figure8_index_size",
-    "table1_size_ratio",
-    "figure9_posting_counts",
-    "figure10_build_time",
-    "figure11_runtime_by_matches",
-    "figure12_runtime_by_query_size",
-    "table2_system_comparison",
-    "figure13_scalability",
-    "table3_join_counts",
-    "serve_cold_warm",
-    "shard_scalability",
-    "update_throughput",
-    "ablation_cover_selection",
-    "ablation_storage",
+    "experiments",
 ]

@@ -16,7 +16,6 @@ from typing import Dict, List, Tuple
 
 from repro.baselines.atreegrep import ATreeGrepIndex
 from repro.baselines.frequency_based import FrequencyBasedIndex
-from repro.baselines.node_index import NodeIntervalIndex
 from repro.core.index import SubtreeIndex
 from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
@@ -36,7 +35,6 @@ class ExperimentContext:
     _corpora: Dict[int, Corpus] = field(default_factory=dict)
     _indexes: Dict[Tuple[int, str, int], SubtreeIndex] = field(default_factory=dict)
     _sharded: Dict[Tuple[int, str, int, int, int, str], SegmentSet] = field(default_factory=dict)
-    _node_indexes: Dict[int, NodeIntervalIndex] = field(default_factory=dict)
     _fb_sets: Dict[Tuple[int, int], FBQuerySet] = field(default_factory=dict)
     _stores: Dict[int, TreeStore] = field(default_factory=dict)
 
@@ -133,17 +131,6 @@ class ExperimentContext:
         index = self.subtree_index(sentence_count, coding, mss)
         return QueryExecutor(index, store=self.tree_store(sentence_count))
 
-    def node_index(self, sentence_count: int) -> NodeIntervalIndex:
-        """The LPath-style node index over the corpus."""
-        if sentence_count not in self._node_indexes:
-            path = os.path.join(self.workdir, f"node-{sentence_count}.bpt")
-            if os.path.exists(path):
-                os.remove(path)
-            self._node_indexes[sentence_count] = NodeIntervalIndex.build(
-                self.corpus(sentence_count), path
-            )
-        return self._node_indexes[sentence_count]
-
     def atreegrep(self, sentence_count: int) -> ATreeGrepIndex:
         """An ATreeGrep-style index; candidate validation reads the data file."""
         corpus = self.corpus(sentence_count)
@@ -173,13 +160,10 @@ class ExperimentContext:
             index.close()
         for sharded in self._sharded.values():
             sharded.close()
-        for index in self._node_indexes.values():
-            index.close()
         for store in self._stores.values():
             store.close()
         self._indexes.clear()
         self._sharded.clear()
-        self._node_indexes.clear()
         self._stores.clear()
 
     def __enter__(self) -> "ExperimentContext":

@@ -1,50 +1,66 @@
-"""The central experiment registry.
+"""Experiment declarations and the central registry.
 
-Every benchmark the repo knows how to run is registered here as an
-:class:`~repro.bench.config.ExperimentConfig` naming a runner function from
-:mod:`repro.bench.experiments`.  The ``benchmarks/test_*`` files, the
-``repro bench`` CLI and the regression gate all resolve experiments through
-this registry, so corpus sizes, row identities and gated metrics live in
-exactly one place.
+An experiment is declared once, on its *measure function*
+(:mod:`repro.bench.experiments`), with the :func:`experiment` decorator::
 
-Default parameters are the laptop-scale sizes the committed numbers in
-``benchmarks/results/`` were measured at; pass a scale factor (or set
-``REPRO_BENCH_SCALE``) to shrink or grow every corpus proportionally.
+    @experiment(
+        title="Figure 8",
+        description="Subtree index size (bytes) for the three codings",
+        variables={"sentences": (100, 400, 1_200), "coding": CODINGS, "mss": (1, 2, 3, 4, 5)},
+        values={"size_bytes": "lower", "build_seconds": "timing:lower"},
+    )
+    def figure8_index_size(context, sentences, coding, mss):
+        index = context.subtree_index(sentences, coding, mss)
+        return index.size_bytes(), index.metadata.build_seconds
+
+* **variables** -- the independent variables, in column order.  One with
+  levels is *crossed* by the orchestrator
+  (:class:`~repro.bench.runner.ExperimentRunner`), row-major in declared
+  order, and reaches the function as a keyword; one declared
+  :data:`REPORTED` is reported by the function itself, which then ``yield``s
+  several rows per cell, each starting with the reported variables' values
+  (Figure 11's match bins, Table 2's classes and systems).  The variables are
+  the row identity the regression gate joins on (``key_columns``).
+* **values** -- the measured columns, each with what downstream tooling may
+  do with it: ``"lower"`` / ``"higher"`` / ``"exact"`` gate it in that
+  direction, ``"timing"`` marks a wall-clock cell (masked by determinism
+  checks, never compared for equality), ``"timing:lower"`` both, ``None``
+  only reports it.  The table header is variables + values.
+* **fixed parameters** are the function's keyword defaults; ``sentences``
+  -- variable or parameter -- is the corpus size the scale factor multiplies.
+  ``description`` and ``notes`` are templates over the parameters and the
+  crossed variables' level tuples (``"{coding}, mss={mss}"``,
+  ``"{shards[0]}-shard"``).
+
+The name is the function's.  The ``benchmarks/test_*`` files, the ``repro
+bench`` CLI, ``repro loadtest`` and the regression gate all resolve
+experiments through this registry, so corpus sizes, row identities and gated
+metrics live in exactly one place.  Default levels are the laptop-scale sizes
+the committed numbers in ``benchmarks/results/`` were measured at; pass a
+scale factor (or set ``REPRO_BENCH_SCALE``) to shrink or grow every corpus
+proportionally.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import inspect
+import itertools
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.bench import experiments as _experiments
-from repro.bench.config import ExperimentConfig
-from repro.bench.context import ExperimentContext
-from repro.bench.results import ExperimentResult
+from repro.bench.schema import METRIC_DIRECTIONS
 
-#: Runner-function registry: config.runner -> callable(context, **params).
-RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
-    "figure2_index_keys": _experiments.figure2_index_keys,
-    "figure3_branching": _experiments.figure3_branching,
-    "figure8_index_size": _experiments.figure8_index_size,
-    "table1_from_context": _experiments.table1_from_context,
-    "figure9_posting_counts": _experiments.figure9_posting_counts,
-    "figure10_build_time": _experiments.figure10_build_time,
-    "figure11_runtime_by_matches": _experiments.figure11_runtime_by_matches,
-    "figure12_runtime_by_query_size": _experiments.figure12_runtime_by_query_size,
-    "figure13_scalability": _experiments.figure13_scalability,
-    "table2_system_comparison": _experiments.table2_system_comparison,
-    "table3_join_counts": lambda context, **params: _experiments.table3_join_counts(**params),
-    "serve_cold_warm": _experiments.serve_cold_warm,
-    "serve_http_throughput": _experiments.serve_http_throughput,
-    "serve_overload": _experiments.serve_overload,
-    "serve_mixed_rw": _experiments.serve_mixed_rw,
-    "shard_scalability": _experiments.shard_scalability,
-    "update_throughput": _experiments.update_throughput,
-    "ablation_cover_selection": _experiments.ablation_cover_selection,
-    "ablation_storage": _experiments.ablation_storage,
-}
+#: Levels of a variable the measure function reports itself (see module doc).
+REPORTED = None
 
-_REGISTRY: Dict[str, ExperimentConfig] = {}
+#: The corpus-size variable / parameter; ``scaled()`` multiplies it.
+SIZE = "sentences"
+
+#: Marks a wall-clock value column (``"timing"``, ``"timing:lower"``).
+TIMING = "timing"
+
+#: Everything a value column may be declared as.
+_VALUE_SPECS = (None, TIMING, *METRIC_DIRECTIONS, *(f"{TIMING}:{d}" for d in METRIC_DIRECTIONS))
 
 #: ``warmup`` of the experiments that time every query *once*: the join runs a
 #: kernel generated per plan shape (:mod:`repro.exec.codegen`) and the first
@@ -58,18 +74,205 @@ class UnknownExperimentError(KeyError):
     """No experiment with the requested name is registered."""
 
 
-def register(config: ExperimentConfig, replace: bool = False) -> ExperimentConfig:
-    """Add *config* to the registry (``replace=True`` to overwrite)."""
-    if config.runner not in RUNNERS:
-        raise ValueError(f"config {config.name!r} names unknown runner {config.runner!r}")
-    if config.name in _REGISTRY and not replace:
-        raise ValueError(f"experiment {config.name!r} is already registered")
-    _REGISTRY[config.name] = config
-    return config
+@dataclass(frozen=True)
+class Experiment:
+    """One declared experiment: measure function + design + column semantics."""
+
+    #: ``measure(context, **cell)`` -> one row's values, or a generator of rows.
+    measure: Callable[..., object]
+    #: Human title, e.g. ``"Figure 8"`` (the result table's name).
+    title: str
+    #: What the experiment measures; a template over :meth:`parameters`.
+    description: str
+    #: Independent variable -> levels (crossed) or :data:`REPORTED`.
+    variables: Mapping[str, Optional[Tuple[object, ...]]] = field(default_factory=dict)
+    #: Value column -> ``None`` / direction / ``"timing"`` / ``"timing:<direction>"``.
+    values: Mapping[str, Optional[str]] = field(default_factory=dict)
+    #: Fixed keyword arguments of *measure* (its signature's defaults).
+    params: Mapping[str, object] = field(default_factory=dict)
+    #: Free-text notes rendered below the table; templates like *description*.
+    notes: Tuple[str, ...] = ()
+    #: Seed of the experiment context (corpora are functions of (seed, size)).
+    seed: int = 17
+    #: Discarded runs of the whole experiment before the measured one.
+    warmup: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variables", {
+            name: levels if levels is REPORTED else tuple(levels)
+            for name, levels in self.variables.items()
+        })
+        object.__setattr__(self, "values", dict(self.values))
+        object.__setattr__(self, "params", dict(self.params))
+        for column, spec in self.values.items():
+            if spec not in _VALUE_SPECS:
+                raise ValueError(
+                    f"experiment {self.name!r}: value column {column!r} is declared {spec!r}, "
+                    f"expected one of {_VALUE_SPECS}"
+                )
+        if self.warmup < 0:
+            raise ValueError(f"experiment {self.name!r}: warmup must be >= 0")
+        self._check_signature()
+
+    def _check_signature(self) -> None:
+        """The design must be callable: fail at declaration, not mid-run."""
+        _context, *parameters = inspect.signature(self.measure).parameters.values()
+        named = [p for p in parameters if p.kind is not p.VAR_KEYWORD]
+        required = {p.name for p in named if p.default is p.empty}
+        problems = [
+            f"column {name!r} is both a variable and a value"
+            for name in self.variables if name in self.values
+        ] + [
+            f"argument {name!r} has no default and is not a crossed variable"
+            for name in sorted(required - set(self.crossed) - {"levels"})
+        ]
+        if len(named) == len(parameters):  # no **kwargs to take whatever is passed
+            accepted = {p.name for p in named}
+            problems += [
+                f"the function takes no argument {name!r}"
+                for name in (*self.crossed, *self.params) if name not in accepted
+            ]
+        if len(self.crossed) < len(self.variables) and not inspect.isgeneratorfunction(self.measure):
+            problems.append("a reported variable needs a generator function (one yield per row)")
+        if problems:
+            raise ValueError(f"experiment {self.name!r}: " + "; ".join(problems))
+
+    # ------------------------------------------------------------------
+    # What the declaration implies
+    # ------------------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """Registry name; also the stem of ``BENCH_<name>.json`` / ``<name>.txt``."""
+        return self.measure.__name__
+
+    @property
+    def crossed(self) -> Dict[str, Tuple[object, ...]]:
+        """The variables the orchestrator crosses, with their levels."""
+        return {name: levels for name, levels in self.variables.items() if levels is not REPORTED}
+
+    @property
+    def columns(self) -> List[str]:
+        """The table header: variables, then value columns."""
+        return [*self.variables, *self.values]
+
+    @property
+    def metrics(self) -> Dict[str, str]:
+        """Gated value columns -> direction (``lower`` / ``higher`` / ``exact``)."""
+        directions = {column: (spec or "").rpartition(":")[2] for column, spec in self.values.items()}
+        return {column: way for column, way in directions.items() if way in METRIC_DIRECTIONS}
+
+    @property
+    def timing_columns(self) -> List[str]:
+        """Value columns holding wall-clock measurements."""
+        return [column for column, spec in self.values.items() if (spec or "").startswith(TIMING)]
+
+    def parameters(self) -> Dict[str, object]:
+        """What ``description`` / ``notes`` templates and the document's
+        ``params`` block see: fixed parameters plus each crossed variable's levels."""
+        return {**self.params, **self.crossed}
+
+    def render(self, template: str) -> str:
+        """*template* (the description, a note) filled in from :meth:`parameters`."""
+        return template.format(**self.parameters())
+
+    def cells(self) -> Iterator[Dict[str, object]]:
+        """The cross of the crossed variables, row-major in declared order."""
+        names = list(self.crossed)
+        for combination in itertools.product(*self.crossed.values()):
+            yield dict(zip(names, combination))
+
+    # ------------------------------------------------------------------
+    # Derived copies (a registry entry is never mutated)
+    # ------------------------------------------------------------------
+    def with_params(self, **overrides: object) -> "Experiment":
+        """A copy with a crossed variable's levels or a fixed parameter replaced."""
+        variables, params = dict(self.variables), dict(self.params)
+        for name, value in overrides.items():
+            if name in self.crossed:
+                variables[name] = value  # type: ignore[assignment]
+            elif name in params:
+                params[name] = value
+            else:
+                raise ValueError(
+                    f"experiment {self.name!r} has no variable or parameter {name!r} "
+                    f"(known: {', '.join(self.parameters())})"
+                )
+        return replace(self, variables=variables, params=params)
+
+    def scaled(self, factor: float) -> "Experiment":
+        """A copy whose corpus size (:data:`SIZE`) is multiplied by *factor*.
+
+        Every scaled size is clamped to at least one sentence; levels that
+        collapse onto one size are kept once, in order, so no two cells (and
+        no two rows) share a key.
+        """
+        if factor <= 0:
+            raise ValueError(f"scale factor must be positive, got {factor}")
+        if factor == 1.0 or SIZE not in self.parameters():
+            return self
+
+        def scale(size: int) -> int:
+            return max(1, int(size * factor))
+
+        if SIZE in self.params:
+            return self.with_params(**{SIZE: scale(self.params[SIZE])})  # type: ignore[arg-type]
+        levels = tuple(dict.fromkeys(scale(size) for size in self.crossed[SIZE]))  # type: ignore[arg-type]
+        return self.with_params(**{SIZE: levels})
+
+    def without(self, *columns: str) -> "Experiment":
+        """A copy that does not report the given value columns."""
+        return replace(self, values={c: s for c, s in self.values.items() if c not in columns})
+
+    # ------------------------------------------------------------------
+    def as_dict(self, scale: float = 1.0) -> Dict[str, object]:
+        """The JSON form embedded in a bench document (its ``config`` block)."""
+        return {
+            "name": self.name,
+            "title": self.title,
+            "description": self.render(self.description),
+            "runner": self.name,
+            "seed": self.seed,
+            "scale": float(scale),
+            "params": self.parameters(),
+            "key_columns": list(self.variables),
+            "metrics": self.metrics,
+            "timing_columns": self.timing_columns,
+        }
 
 
-def get_config(name: str) -> ExperimentConfig:
-    """The registered config named *name*."""
+_REGISTRY: Dict[str, Experiment] = {}
+
+
+def register(declared: Experiment, replace: bool = False) -> Experiment:
+    """Add *declared* to the registry (``replace=True`` to overwrite)."""
+    if declared.name in _REGISTRY and not replace:
+        raise ValueError(f"experiment {declared.name!r} is already registered")
+    _REGISTRY[declared.name] = declared
+    return declared
+
+
+def experiment(**declaration: object) -> Callable[[Callable[..., object]], Callable[..., object]]:
+    """Declare and register the decorated measure function (see module doc).
+
+    The function's keyword defaults become the fixed parameters; the
+    function itself is returned unchanged, so one cell can be measured by
+    calling it.
+    """
+
+    def declare(measure: Callable[..., object]) -> Callable[..., object]:
+        defaults = {
+            parameter.name: parameter.default
+            for parameter in inspect.signature(measure).parameters.values()
+            if parameter.default is not parameter.empty
+        }
+        register(Experiment(measure=measure, params=defaults, **declaration))  # type: ignore[arg-type]
+        return measure
+
+    return declare
+
+
+def get_experiment(name: str) -> Experiment:
+    """The registered experiment named *name*."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -82,285 +285,6 @@ def experiment_names() -> List[str]:
     return list(_REGISTRY)
 
 
-def all_configs() -> List[ExperimentConfig]:
-    """All registered configs, in registration order."""
+def all_experiments() -> List[Experiment]:
+    """All registered experiments, in registration order."""
     return list(_REGISTRY.values())
-
-
-def run_config(config: ExperimentConfig, context: ExperimentContext) -> ExperimentResult:
-    """Invoke the config's runner on *context* (no reporting; see runner.py)."""
-    return RUNNERS[config.runner](context, **dict(config.params))
-
-
-# ----------------------------------------------------------------------
-# The built-in experiments (one per benchmarks/test_* file).
-# ----------------------------------------------------------------------
-register(ExperimentConfig(
-    name="figure2_index_keys",
-    title="Figure 2",
-    description="Number of index keys (unique subtrees) as a function of the input size",
-    runner="figure2_index_keys",
-    params={"sentence_counts": (1, 10, 100, 1_000)},
-    key_columns=("sentences", "mss"),
-    metrics={"unique_subtrees": "exact"},
-))
-
-register(ExperimentConfig(
-    name="figure3_branching",
-    title="Figure 3",
-    description="Average number of subtrees per node by root branching factor",
-    runner="figure3_branching",
-    params={"sentence_count": 1_000},
-    key_columns=("branching_factor", "subtree_size"),
-    metrics={"avg_subtrees": "exact"},
-))
-
-register(ExperimentConfig(
-    name="figure8_index_size",
-    title="Figure 8",
-    description="Subtree index size (bytes) for the three codings",
-    runner="figure8_index_size",
-    params={"sentence_counts": (100, 400, 1_200)},
-    key_columns=("sentences", "coding", "mss"),
-    metrics={"size_bytes": "lower", "build_seconds": "lower"},
-    timing_columns=("build_seconds",),
-))
-
-register(ExperimentConfig(
-    name="table1_size_ratio",
-    title="Table 1",
-    description="Ratio of the subtree index size at mss=5 to the size at mss=1",
-    runner="table1_from_context",
-    params={"sentence_counts": (100, 400, 1_200)},
-    key_columns=("sentences", "coding"),
-    metrics={"ratio": "lower"},
-))
-
-register(ExperimentConfig(
-    name="figure9_postings",
-    title="Figure 9",
-    description="Total number of postings for the three codings",
-    runner="figure9_posting_counts",
-    params={"sentence_counts": (100, 400, 1_200)},
-    key_columns=("sentences", "coding", "mss"),
-    metrics={"postings": "exact"},
-))
-
-register(ExperimentConfig(
-    name="figure10_build_time",
-    title="Figure 10",
-    description="Index construction time (seconds) for the three codings",
-    runner="figure10_build_time",
-    params={"sentence_counts": (100, 400, 1_200)},
-    key_columns=("sentences", "coding", "mss"),
-    metrics={"build_seconds": "lower"},
-    timing_columns=("build_seconds",),
-))
-
-register(ExperimentConfig(
-    name="figure11_runtime_by_matches",
-    title="Figure 11",
-    description="Average runtime of queries in terms of the number of matches",
-    runner="figure11_runtime_by_matches",
-    params={"sentence_count": 1_200, "mss_values": (1, 2, 3)},
-    key_columns=("coding", "mss", "match_bin"),
-    metrics={"avg_seconds": "lower", "queries": "exact"},
-    timing_columns=("avg_seconds",),
-    warmup=STEADY_STATE,
-))
-
-register(ExperimentConfig(
-    name="figure12_runtime_by_size",
-    title="Figure 12",
-    description="Average runtime of queries in terms of the size of queries",
-    runner="figure12_runtime_by_query_size",
-    params={"sentence_count": 1_200, "mss_values": (1, 2, 3), "min_matches": 10},
-    key_columns=("coding", "mss", "query_size"),
-    metrics={"avg_seconds": "lower", "queries": "exact"},
-    timing_columns=("avg_seconds",),
-    warmup=STEADY_STATE,
-))
-
-register(ExperimentConfig(
-    name="figure13_scalability",
-    title="Figure 13",
-    description="Average runtime of queries (mss=3) over growing corpus sizes",
-    runner="figure13_scalability",
-    params={"sentence_counts": (300, 600, 1_200, 2_400)},
-    key_columns=("sentences", "coding"),
-    metrics={"avg_seconds": "lower"},
-    timing_columns=("avg_seconds",),
-    warmup=STEADY_STATE,
-))
-
-register(ExperimentConfig(
-    name="table2_system_comparison",
-    title="Table 2",
-    description="FB query classes: subtree index (root-split) vs ATreeGrep and frequency-based",
-    runner="table2_system_comparison",
-    params={"sentence_count": 2_400},
-    key_columns=("class", "system"),
-    metrics={"avg_seconds": "lower"},
-    timing_columns=("avg_seconds",),
-    warmup=STEADY_STATE,
-))
-
-register(ExperimentConfig(
-    name="table3_join_counts",
-    title="Table 3",
-    description="Average number of joins per WH query group: minRC vs optimalCover",
-    runner="table3_join_counts",
-    params={"mss_values": (2, 3, 4, 5)},
-    key_columns=("group", "mss"),
-    metrics={"joins_root_split": "exact", "joins_subtree_interval": "exact"},
-))
-
-register(ExperimentConfig(
-    name="serve_cold_warm",
-    title="Serve",
-    description="Cold vs warm-cache vs hot-cache latency through QueryService",
-    runner="serve_cold_warm",
-    params={"sentence_count": 1_200, "mss": 3},
-    key_columns=("coding",),
-    metrics={"cold_ms_per_query": "lower", "warm_ms_per_query": "lower"},
-    timing_columns=(
-        "cold_ms_per_query",
-        "warm_ms_per_query",
-        "hot_ms_per_query",
-        "warm_speedup",
-        "hot_speedup",
-    ),
-    warmup=STEADY_STATE,  # "cold" is cold caches, not a cold join-kernel table
-))
-
-register(ExperimentConfig(
-    name="serve_http_throughput",
-    title="Serve HTTP throughput",
-    description="Closed-loop throughput vs latency of the asyncio HTTP query server",
-    runner="serve_http_throughput",
-    params={"sentence_count": 600, "concurrency_levels": (1, 2, 4), "duration_seconds": 1.0},
-    key_columns=("concurrency",),
-    metrics={"errors": "exact", "mismatches": "exact"},
-    timing_columns=(
-        "duration_seconds",
-        "requests",
-        "qps",
-        "qps_traced",
-        "trace_overhead_pct",
-        "p50_ms",
-        "p95_ms",
-        "p99_ms",
-    ),
-))
-
-register(ExperimentConfig(
-    name="serve_overload",
-    title="Serve overload",
-    description="Open-loop overload: load shedding, bounded latency, zero wrong answers",
-    runner="serve_overload",
-    params={
-        "sentence_count": 600,
-        "duration_seconds": 1.5,
-        "calibration_seconds": 0.75,
-        "max_queue": 16,
-        "max_workers": 2,
-        "profile": "fb_heavy",
-    },
-    key_columns=("load",),
-    metrics={"errors": "exact", "mismatches": "exact"},
-    timing_columns=(
-        "rate_qps",
-        "offered",
-        "accepted",
-        "shed",
-        "overflowed",
-        "duration_seconds",
-        "p50_ms",
-        "p99_ms",
-    ),
-))
-
-register(ExperimentConfig(
-    name="serve_mixed_rw",
-    title="Serve mixed read/write",
-    description="Queries against a live index under concurrent adds/deletes, then settled verification",
-    runner="serve_mixed_rw",
-    params={
-        "sentence_count": 400,
-        "duration_seconds": 1.5,
-        "verify_seconds": 0.75,
-        "concurrency": 2,
-    },
-    key_columns=("phase",),
-    metrics={"errors": "exact", "mismatches": "exact"},
-    timing_columns=(
-        "duration_seconds",
-        "requests",
-        "qps",
-        "adds",
-        "deletes",
-        "writes_per_sec",
-        "p50_ms",
-        "p99_ms",
-    ),
-))
-
-register(ExperimentConfig(
-    name="shard_scalability",
-    title="Shard scalability",
-    description="Parallel build time and merged-read query latency of the sharded index",
-    runner="shard_scalability",
-    params={"sentence_count": 1_200, "shard_counts": (1, 2, 4, 8)},
-    key_columns=("shards",),
-    metrics={
-        "total_matches": "exact",
-        "cold_ms_per_query": "lower",
-        "warm_ms_per_query": "lower",
-    },
-    timing_columns=(
-        "build_seconds",
-        "build_speedup",
-        "cold_ms_per_query",
-        "warm_ms_per_query",
-    ),
-    warmup=STEADY_STATE,  # the rows are compared; the first must not pay the kernels
-))
-
-register(ExperimentConfig(
-    name="update_throughput",
-    title="Update throughput",
-    description="Live-index mutation cost: adds/sec, delta-fraction latency, compaction",
-    runner="update_throughput",
-    params={"sentence_count": 600, "delta_fractions": (0.0, 0.10, 0.50)},
-    key_columns=("delta_fraction",),
-    metrics={"total_matches": "exact", "total_matches_compacted": "exact"},
-    timing_columns=(
-        "adds_per_sec",
-        "query_ms_delta",
-        "compact_seconds",
-        "query_ms_compacted",
-    ),
-))
-
-register(ExperimentConfig(
-    name="ablation_cover_selection",
-    title="Ablation: cover construction",
-    description="Query runtime of the root-split index under different decomposition policies",
-    runner="ablation_cover_selection",
-    params={"sentence_count": 1_200, "mss": 3},
-    key_columns=("policy",),
-    metrics={"total_matches": "exact", "avg_seconds": "lower"},
-    timing_columns=("avg_seconds",),
-    warmup=STEADY_STATE,
-))
-
-register(ExperimentConfig(
-    name="ablation_storage",
-    title="Ablation: B+Tree loading strategy",
-    description="Building the index B+Tree by sorted bulk load vs one insert per key",
-    runner="ablation_storage",
-    params={"sentence_count": 300, "mss": 3},
-    key_columns=("strategy",),
-    metrics={"file_bytes": "lower", "height": "exact"},
-    timing_columns=("seconds",),
-))

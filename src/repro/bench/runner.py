@@ -1,10 +1,13 @@
-"""The experiment runner: build, measure, report.
+"""The orchestrator: resolve, cross, measure, report.
 
 One :class:`ExperimentRunner` owns a shared
 :class:`~repro.bench.context.ExperimentContext` (so corpora and indexes are
-built once across experiments), resolves registered configs, wraps every
-measurement with warmup + environment capture, and emits two artefacts per
-run into the output directory:
+built once across experiments).  It resolves a declared
+:class:`~repro.bench.registry.Experiment` (scale, overrides), crosses its
+independent variables row-major in declared order, calls the measure
+function once per cell and assembles the rows into the result table, wraps
+the measurement with warmup + environment capture, and emits two artefacts
+per run into the output directory:
 
 * ``<name>.txt`` -- the fixed-width table for humans / EXPERIMENTS.md;
 * ``BENCH_<name>.json`` -- the schema-validated machine-readable document
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import datetime
 import gc
+import inspect
 import json
 import os
 import platform
@@ -25,9 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.bench.config import ExperimentConfig
 from repro.bench.context import ExperimentContext
-from repro.bench.registry import get_config, run_config
+from repro.bench.registry import Experiment, get_experiment
 from repro.bench.results import ExperimentResult
 from repro.bench.schema import DOCUMENT_KIND, SCHEMA_VERSION, require_valid
 
@@ -59,32 +62,27 @@ def capture_environment() -> Dict[str, object]:
 
 
 def build_document(
-    config: ExperimentConfig,
+    experiment: Experiment,
     result: ExperimentResult,
     wall_seconds: float,
     scale: float = 1.0,
-    warmup_runs: int = 0,
-    measured_runs: int = 1,
 ) -> Dict[str, object]:
     """Assemble and validate the bench document for one measured result.
 
-    This is the single place the document shape is defined; both
-    :meth:`ExperimentRunner.run` and ``repro loadtest`` (which measures
-    against a user-supplied index, outside any runner context) build their
-    artefacts through it, so everything downstream of the schema -- the
-    validator, the regression gate, the committed baselines -- sees one
-    format.
+    This is the single place the document shape is defined, so everything
+    downstream of the schema -- the validator, the regression gate, the
+    committed baselines -- sees one format.
     """
     document: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "kind": DOCUMENT_KIND,
-        "experiment": config.name,
-        "config": config.as_dict(scale=scale),
+        "experiment": experiment.name,
+        "config": experiment.as_dict(scale=scale),
         "environment": capture_environment(),
         "measurement": {
             "wall_seconds": wall_seconds,
-            "warmup_runs": warmup_runs,
-            "measured_runs": measured_runs,
+            "warmup_runs": experiment.warmup,
+            "measured_runs": 1,
         },
         "result": result.to_dict(),
     }
@@ -94,16 +92,16 @@ def build_document(
 
 def write_artifacts(
     out_dir: str,
-    config: ExperimentConfig,
+    name: str,
     result: ExperimentResult,
     document: Dict[str, object],
 ) -> Tuple[str, str]:
     """Write the ``<name>.txt`` and ``BENCH_<name>.json`` artefact pair."""
     os.makedirs(out_dir, exist_ok=True)
-    text_path = os.path.join(out_dir, f"{config.name}.txt")
+    text_path = os.path.join(out_dir, f"{name}.txt")
     with open(text_path, "w", encoding="utf-8") as handle:
         handle.write(result.to_text() + "\n")
-    json_path = os.path.join(out_dir, json_filename(config.name))
+    json_path = os.path.join(out_dir, json_filename(name))
     with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -130,9 +128,8 @@ def _git_sha() -> Optional[str]:
 class RunReport:
     """Everything one experiment run produced."""
 
-    config: ExperimentConfig
-    #: The parameters actually passed to the runner (post-scaling).
-    params: Dict[str, object]
+    #: The experiment as it ran (post-scaling, overrides applied).
+    experiment: Experiment
     result: ExperimentResult
     document: Dict[str, object]
     wall_seconds: float
@@ -142,9 +139,14 @@ class RunReport:
     #: ``TRACE_<name>.json`` path (None unless the runner traces).
     trace_path: Optional[str] = None
 
+    @property
+    def params(self) -> Dict[str, object]:
+        """Fixed parameters and crossed levels the measure function saw."""
+        return self.experiment.parameters()
+
 
 class ExperimentRunner:
-    """Runs registered experiments and reports text + JSON artefacts."""
+    """Runs declared experiments and reports text + JSON artefacts."""
 
     def __init__(
         self,
@@ -154,7 +156,6 @@ class ExperimentRunner:
         scale: Optional[float] = None,
         trace: bool = False,
     ) -> None:
-        self._owns_workdir = workdir is None
         if workdir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-bench-")
             workdir = self._tempdir.name
@@ -172,32 +173,69 @@ class ExperimentRunner:
         self.context = ExperimentContext(workdir=workdir, seed=seed)
 
     # ------------------------------------------------------------------
-    def resolve(self, experiment: Union[str, ExperimentConfig]) -> ExperimentConfig:
-        """Look up a name in the registry, or pass a config through."""
-        if isinstance(experiment, ExperimentConfig):
-            return experiment
-        return get_config(experiment)
+    def resolve(
+        self,
+        experiment: Union[str, Experiment],
+        overrides: Optional[Dict[str, object]] = None,
+    ) -> Experiment:
+        """The experiment as it will run: looked up, scaled, then overridden.
+
+        *overrides* replace a crossed variable's levels or a fixed parameter
+        after scaling (the benchmark wrappers and ``repro loadtest`` use this).
+        """
+        if isinstance(experiment, str):
+            experiment = get_experiment(experiment)
+        return experiment.scaled(self.scale).with_params(**(overrides or {}))
+
+    def measure(self, experiment: Experiment) -> ExperimentResult:
+        """One pass over the design: every cell measured, rows in cross order.
+
+        A cell's function returns one row's values (a tuple, or a bare value
+        for a single column) or yields several rows, each led by the reported
+        variables' values.  A row that does not fill the declared columns
+        fails here, under the experiment's name.
+        """
+        result = ExperimentResult(
+            name=experiment.title,
+            description=experiment.render(experiment.description),
+            columns=experiment.columns,
+        )
+        fixed = dict(experiment.params)
+        if "levels" in inspect.signature(experiment.measure).parameters:
+            fixed["levels"] = experiment.crossed
+        # What a row carries: the reported variables' values, then the value columns.
+        expected = [column for column in experiment.columns if column not in experiment.crossed]
+        for cell in experiment.cells():
+            measured = experiment.measure(self.context, **cell, **fixed)
+            if not inspect.isgenerator(measured):
+                measured = [measured if isinstance(measured, tuple) else (measured,)]
+            for row in measured:
+                if len(row) != len(expected):
+                    raise ValueError(
+                        f"experiment {experiment.name!r}: cell {cell} returned {len(row)} values "
+                        f"{row!r}, declared {len(expected)}: {expected}"
+                    )
+                rest = iter(row)
+                keys = [cell[name] if name in cell else next(rest) for name in experiment.variables]
+                result.add_row(*keys, *rest)
+        for note in experiment.notes:
+            result.add_note(experiment.render(note))
+        return result
 
     def run(
         self,
-        experiment: Union[str, ExperimentConfig],
+        experiment: Union[str, Experiment],
         overrides: Optional[Dict[str, object]] = None,
         write: bool = True,
     ) -> RunReport:
         """Run one experiment: warmup, measure, validate, emit artefacts.
 
-        *overrides* replace individual runner parameters after scaling (the
-        benchmark wrappers use this for one-off knobs); ``write=False``
-        skips the artefact files but still builds and validates the JSON
-        document.
+        ``write=False`` skips the artefact files but still builds and
+        validates the JSON document.
         """
-        config = self.resolve(experiment).scaled(self.scale)
-        if overrides:
-            config = config.with_params(**overrides)
-        params = dict(config.params)
-
-        for _ in range(config.warmup):
-            run_config(config, self.context)
+        experiment = self.resolve(experiment, overrides)
+        for _ in range(experiment.warmup):
+            self.measure(experiment)
         # A full collection walks every resident posting column (~0.1 s with a
         # few indexes open) and would land inside whichever timed pass crosses
         # the threshold; pay for the garbage of earlier runs here instead.
@@ -210,39 +248,32 @@ class ExperimentRunner:
             tracer = obs.enable(obs.Tracer(capacity=4096))
         started = time.perf_counter()
         try:
-            result = run_config(config, self.context)
+            result = self.measure(experiment)
         finally:
             if tracer is not None:
                 obs.disable()
         wall_seconds = time.perf_counter() - started
 
-        document = build_document(
-            config, result, wall_seconds, scale=self.scale, warmup_runs=config.warmup
-        )
-
+        document = build_document(experiment, result, wall_seconds, scale=self.scale)
         report = RunReport(
-            config=config,
-            params=params,
-            result=result,
-            document=document,
-            wall_seconds=wall_seconds,
+            experiment=experiment, result=result, document=document, wall_seconds=wall_seconds
         )
         if write and self.out_dir is not None:
             report.text_path, report.json_path = write_artifacts(
-                self.out_dir, config, result, document
+                self.out_dir, experiment.name, result, document
             )
             if tracer is not None:
                 from repro.obs.sinks import write_chrome_trace
 
                 records = tracer.last(len(tracer.recent))
                 report.trace_path = os.path.join(
-                    self.out_dir, trace_filename(config.name)
+                    self.out_dir, trace_filename(experiment.name)
                 )
                 write_chrome_trace(
                     report.trace_path,
                     records,
                     metadata={
-                        "reproExperiment": config.name,
+                        "reproExperiment": experiment.name,
                         "reproTraceCount": len(records),
                         "reproStageTotals": obs.stage_totals(records),
                     },
@@ -251,7 +282,7 @@ class ExperimentRunner:
 
     def run_many(
         self,
-        experiments: List[Union[str, ExperimentConfig]],
+        experiments: List[Union[str, Experiment]],
         write: bool = True,
     ) -> List[RunReport]:
         """Run several experiments over the shared context, in order."""

@@ -23,16 +23,17 @@ Ten subcommands cover the everyday workflow:
 ``bench``
     list and run the registered experiments (text table + machine-readable
     ``BENCH_<experiment>.json`` per run) and gate a result directory
-    against a baseline run (``--gate``; exits 1 on regression);
+    against a baseline run (``bench gate``; exits 1 on regression);
 ``serve``
     serve a built index (plain, sharded or live) over HTTP: ``/query``,
     ``/query/batch`` (micro-batched), ``/stats``, ``/healthz`` and a
     Prometheus ``/metrics`` endpoint;
 ``loadtest``
-    drive a closed-loop load test of the WH workload against an index --
-    self-served on an ephemeral port, or a server started elsewhere
-    (``--url``) -- verifying every response against the in-process ground
-    truth and writing a schema-valid ``BENCH_serve_http_throughput.json``.
+    run the registered ``serve_http_throughput`` (or, ``--mode open``,
+    ``serve_overload``) experiment against an index -- self-served on an
+    ephemeral port, or a server started elsewhere (``--url``) -- verifying
+    every response against the in-process ground truth and writing the
+    experiment's schema-valid ``BENCH_<experiment>.json``.
 
 Example session::
 
@@ -54,7 +55,7 @@ Example session::
     python -m repro.cli loadtest corpus.si --url http://127.0.0.1:8321
     python -m repro.cli bench list
     python -m repro.cli bench run figure8_index_size --out results/ --scale 0.5
-    python -m repro.cli bench --gate baseline/ --current results/
+    python -m repro.cli bench gate baseline/ results/
 """
 
 from __future__ import annotations
@@ -629,15 +630,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Closed- or open-loop load test of the WH workload against an index."""
+    """Closed- or open-loop load test of the WH workload against an index.
+
+    Runs the registered ``serve_http_throughput`` (closed) or
+    ``serve_overload`` (open) experiment with the user's index, URL and
+    sweep in place of the generated corpus and the declared levels.
+    """
     from dataclasses import replace
 
-    from repro.bench.registry import get_config
-    from repro.bench.results import ExperimentResult
-    from repro.bench.runner import build_document, write_artifacts
-    from repro.serve.loadgen import parse_base_url, run_load, run_open_loop
-    from repro.serve.server import ServerThread, result_to_dict
-    from repro.workloads.wh import generate_wh_queries
+    from repro.bench.experiments import TRACED_COLUMNS
+    from repro.bench.registry import get_experiment
+    from repro.bench.runner import ExperimentRunner
+    from repro.serve.loadgen import parse_base_url
 
     if any(level < 1 for level in args.concurrency):
         print(
@@ -658,173 +662,54 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     try:
-        service = QueryService.open(args.index)
+        with QueryService.open(args.index) as service:
+            metadata = service.index.metadata
     except _OPEN_ERRORS as error:
         print(f"error: cannot open index {args.index!r}: {error}", file=sys.stderr)
         return 2
 
-    # The registered experiment defines the column semantics (key columns,
-    # gated metrics, timing columns); only the parameters differ -- the
-    # index under test comes from the user, not the bench context.  The
-    # traced-pass columns stay out: tracing cannot be toggled in a server
-    # reached over --url, so the load test measures the untraced path only.
+    overrides = {
+        "index": args.index,
+        "url": args.url,
+        "duration_seconds": args.duration,
+        # What the table's description says was measured.
+        "sentences": metadata.tree_count,
+        "coding": metadata.coding,
+        "mss": metadata.mss,
+    }
     if args.mode == "open":
-        registered = get_config("serve_overload")
-        config = replace(
-            registered,
-            params={
-                "index": args.index,
-                "url": args.url,
-                "rates": tuple(args.rate),
-                "duration_seconds": args.duration,
-                "arrivals": args.arrivals,
-            },
-        )
-        result = ExperimentResult(
-            name="Serve overload",
-            description=f"Open-loop WH-workload ({args.arrivals} arrivals) against {args.index!r}",
-            columns=[
-                "load",
-                "rate_qps",
-                "duration_seconds",
-                "offered",
-                "accepted",
-                "shed",
-                "errors",
-                "mismatches",
-                "overflowed",
-                "p50_ms",
-                "p99_ms",
-            ],
+        experiment = get_experiment("serve_overload")
+        overrides.update(
+            rates=tuple((f"{rate:g}qps", rate) for rate in args.rate),
+            capacity=1.0,  # the rates are absolute, not multiples of a calibration
+            arrivals=args.arrivals,
         )
     else:
-        registered = get_config("serve_http_throughput")
-        config = replace(
-            registered,
-            params={
-                "index": args.index,
-                "url": args.url,
-                "concurrency_levels": tuple(args.concurrency),
-                "duration_seconds": args.duration,
-            },
-            timing_columns=tuple(
-                column
-                for column in registered.timing_columns
-                if column not in ("qps_traced", "trace_overhead_pct")
-            ),
+        # The traced pass stays an experiment-only addition: tracing cannot
+        # be toggled in a server reached over --url.
+        experiment = get_experiment("serve_http_throughput").without(*TRACED_COLUMNS)
+        overrides.update(
+            concurrency=tuple(args.concurrency), flush_window=args.flush_window, traced=False
         )
-        result = ExperimentResult(
-            name="Serve HTTP throughput",
-            description=f"Closed-loop WH-workload throughput against {args.index!r}",
-            columns=[
-                "concurrency",
-                "duration_seconds",
-                "requests",
-                "errors",
-                "mismatches",
-                "qps",
-                "p50_ms",
-                "p95_ms",
-                "p99_ms",
-            ],
-        )
-
-    texts = [item.text for item in generate_wh_queries()]
-    thread = None
-    wall_started = time.perf_counter()
-    try:
-        # Warm the caches, then snapshot the in-process ground truth every
-        # response is verified against.
-        service.run_many(texts)
-        expected = {
-            text: json.loads(json.dumps(result_to_dict(service.run(text)))) for text in texts
-        }
-        if args.url is None:
-            thread = ServerThread(service, flush_window=args.flush_window).start()
-            url = thread.url
-            print(f"serving {args.index!r} on {url} for the duration of the test")
-        else:
-            url = args.url
-        if args.mode == "open":
-            for rate in args.rate:
-                try:
-                    report = run_open_loop(
-                        url, texts, rate=rate, duration=args.duration,
-                        arrivals=args.arrivals, expected=expected,
-                    )
-                except OSError as error:
-                    print(f"error: load test against {url} failed: {error}", file=sys.stderr)
-                    return 2
-                latency = report.percentiles_ms()
-                result.add_row(
-                    f"{rate:g}qps",
-                    rate,
-                    report.duration_seconds,
-                    report.offered,
-                    report.accepted,
-                    report.shed,
-                    report.errors,
-                    report.mismatches,
-                    report.overflowed,
-                    latency["p50"] or 0.0,
-                    latency["p99"] or 0.0,
-                )
-                print(
-                    f"rate {rate:g}/s: offered {report.offered:,}, "
-                    f"accepted {report.accepted:,}, shed {report.shed:,}, "
-                    f"{report.errors} errors, {report.mismatches} mismatches, "
-                    f"p50 {latency['p50'] or 0.0:.2f} ms, p99 {latency['p99'] or 0.0:.2f} ms"
-                )
-        else:
-            for concurrency in args.concurrency:
-                try:
-                    report = run_load(
-                        url, texts, concurrency=concurrency, duration=args.duration,
-                        expected=expected,
-                    )
-                except OSError as error:
-                    print(f"error: load test against {url} failed: {error}", file=sys.stderr)
-                    return 2
-                latency = report.percentiles_ms()
-                result.add_row(
-                    concurrency,
-                    report.duration_seconds,
-                    report.requests,
-                    report.errors,
-                    report.mismatches,
-                    report.qps,
-                    latency["p50"],
-                    latency["p95"],
-                    latency["p99"],
-                )
-                print(
-                    f"concurrency {concurrency}: {report.qps:,.0f} qps "
-                    f"({report.requests:,} requests, {report.errors} errors, "
-                    f"{report.mismatches} mismatches), "
-                    f"p50 {latency['p50']:.2f} ms, p95 {latency['p95']:.2f} ms, "
-                    f"p99 {latency['p99']:.2f} ms"
-                )
-    finally:
-        if thread is not None:
-            thread.stop()
-        service.close()
-
-    result.add_note(f"driven by 'repro loadtest' against {args.index!r}")
-    document = build_document(
-        config, result, wall_seconds=time.perf_counter() - wall_started
-    )
-    _, json_path = write_artifacts(args.out, config, result, document)
-    print(f"wrote {json_path}")
-    total_errors = sum(row["errors"] for row in result.as_dicts())
-    total_mismatches = sum(row["mismatches"] for row in result.as_dicts())
-    if total_mismatches:
-        print(
-            f"error: {total_mismatches} responses differed from QueryService.run",
-            file=sys.stderr,
-        )
-        return 1
-    if total_errors:
-        print(f"error: {total_errors} requests failed", file=sys.stderr)
+    # The declared notes describe the declared sweep; this one describes ours.
+    experiment = replace(experiment, notes=("driven by 'repro loadtest' against {index!r}",))
+    target = args.url or f"{args.index!r} (self-served on an ephemeral port)"
+    print(f"load-testing {target} ...", flush=True)
+    with ExperimentRunner(out_dir=args.out, scale=1.0) as runner:
+        try:
+            report = runner.run(experiment, overrides=overrides)
+        except OSError as error:
+            print(f"error: load test against {target} failed: {error}", file=sys.stderr)
+            return 2
+    print(report.result.to_text())
+    print(f"wrote {report.json_path}")
+    # The exact-gated columns of both experiments count failures (requests
+    # that erred, responses that differed from QueryService.run).
+    failures = {column: sum(report.result.column(column)) for column in experiment.metrics}
+    print(", ".join(f"{count} {column}" for column, count in failures.items()))
+    if any(failures.values()):
+        print("error: requests failed or were answered differently from QueryService.run",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -833,16 +718,16 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 # Experiment orchestration (bench list / run / gate)
 # ----------------------------------------------------------------------
 def _bench_list(args: argparse.Namespace) -> int:
-    from repro.bench.registry import all_configs
+    from repro.bench.registry import all_experiments
 
-    configs = all_configs()
+    declared = [experiment.as_dict() for experiment in all_experiments()]
     if args.json:
-        print(json.dumps([config.as_dict() for config in configs], indent=2))
+        print(json.dumps(declared, indent=2))
         return 0
-    width = max(len(config.name) for config in configs)
-    for config in configs:
-        print(f"{config.name:<{width}s}  {config.title:<16s} {config.description}")
-    print(f"{len(configs)} experiments registered")
+    width = max(len(config["name"]) for config in declared)
+    for config in declared:
+        print(f"{config['name']:<{width}s}  {config['title']:<16s} {config['description']}")
+    print(f"{len(declared)} experiments registered")
     return 0
 
 
@@ -868,7 +753,7 @@ def _bench_run(args: argparse.Namespace) -> int:
                 continue
             trace_note = f" (+ {report.trace_path})" if report.trace_path else ""
             print(
-                f"{report.config.name}: {len(report.result.rows)} rows in "
+                f"{report.experiment.name}: {len(report.result.rows)} rows in "
                 f"{report.wall_seconds:.2f}s -> {report.json_path}{trace_note}"
             )
     finally:
@@ -878,7 +763,9 @@ def _bench_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_gate(args: argparse.Namespace, baseline_dir: str, current_dir: str) -> int:
+def _bench_gate(
+    args: argparse.Namespace, baseline_dir: str, current_dir: str = "benchmarks/results"
+) -> int:
     from repro.bench.gate import GateError, GateOptions, compare_directories
 
     options = GateOptions()
@@ -932,12 +819,7 @@ def _bench_gate(args: argparse.Namespace, baseline_dir: str, current_dir: str) -
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Dispatch `bench list` / `bench run` / `bench gate` (or `--gate DIR`)."""
-    if args.gate_dir is not None:
-        if args.action not in (None, "gate") or args.names:
-            print("error: --gate cannot be combined with an action", file=sys.stderr)
-            return 2
-        return _bench_gate(args, args.gate_dir, args.current)
+    """Dispatch `bench list` / `bench run` / `bench gate BASELINE [CURRENT]`."""
     if args.action == "list":
         if args.names:
             print("error: 'bench list' takes no experiment names", file=sys.stderr)
@@ -952,9 +834,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if len(args.names) > 2:
             print("error: 'bench gate' takes BASELINE [CURRENT]", file=sys.stderr)
             return 2
-        current = args.names[1] if len(args.names) == 2 else args.current
-        return _bench_gate(args, args.names[0], current)
-    print("error: pass an action (list, run, gate) or --gate BASELINE_DIR", file=sys.stderr)
+        return _bench_gate(args, *args.names)
+    print("error: pass an action (list, run, gate)", file=sys.stderr)
     return 2
 
 
@@ -1053,19 +934,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "names", nargs="*",
-        help="experiment names for 'run' (default: all); BASELINE [CURRENT] for 'gate'",
-    )
-    bench.add_argument(
-        "--gate", dest="gate_dir", metavar="BASELINE_DIR", default=None,
-        help="shorthand for 'bench gate BASELINE_DIR' (exits 1 on regression)",
+        help="experiment names for 'run' (default: all); BASELINE [CURRENT] for 'gate' "
+             "(CURRENT defaults to benchmarks/results; exits 1 on regression)",
     )
     bench.add_argument(
         "--out", default="benchmarks/results",
         help="directory for <name>.txt and BENCH_<name>.json artefacts (run mode)",
-    )
-    bench.add_argument(
-        "--current", default="benchmarks/results",
-        help="current result directory to gate (gate mode; default: benchmarks/results)",
     )
     bench.add_argument(
         "--workdir", default=None,

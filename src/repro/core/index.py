@@ -306,8 +306,6 @@ class SubtreeIndex:
         key (within and across queries) are answered from memory, skipping
         both the tree descent and posting decoding.  Pass ``None`` to detach.
         :class:`repro.service.QueryService` attaches a lock-striped LRU here.
-        (For caching raw values below the decode step, the B+Tree has its own
-        read-through hook: :meth:`repro.storage.bptree.BPlusTree.attach_cache`.)
         """
         self._postings_cache = cache
 
@@ -375,13 +373,10 @@ class SubtreeIndex:
         shared with a service cannot serve stale entries once the index is
         reopened (possibly after a rebuild).
         """
-        for cache in (self._postings_cache, self._tree.value_cache):
-            if cache is not None:
-                clear = getattr(cache, "clear", None)
-                if clear is not None:
-                    clear()
+        clear = getattr(self._postings_cache, "clear", None)
+        if clear is not None:
+            clear()
         self._postings_cache = None
-        self._tree.attach_cache(None)
         self._tree.close()
 
     def __enter__(self) -> "SubtreeIndex":

@@ -57,8 +57,26 @@ def answer_of(result: Dict[str, object]) -> Tuple[object, ...]:
     return tuple(result.get(field) for field in ANSWER_FIELDS)
 
 
+class _Latencies:
+    """Exact percentiles over a report's ``latencies`` (seconds, sorted ascending)."""
+
+    latencies: List[float]
+
+    def percentile(self, q: float) -> Optional[float]:
+        """The exact q-th latency percentile in seconds (None if no samples)."""
+        return percentile_of_sorted(self.latencies, q)
+
+    def percentiles_ms(self) -> Dict[str, Optional[float]]:
+        """``{"p50": ..., "p95": ..., "p99": ...}`` in milliseconds."""
+        out: Dict[str, Optional[float]] = {}
+        for q in REPORTED_QUANTILES:
+            value = self.percentile(q)
+            out[f"p{int(q * 100)}"] = None if value is None else value * 1000.0
+        return out
+
+
 @dataclass
-class LoadgenReport:
+class LoadgenReport(_Latencies):
     """What one closed-loop run measured."""
 
     concurrency: int
@@ -76,18 +94,6 @@ class LoadgenReport:
         if self.duration_seconds <= 0:
             return 0.0
         return self.requests / self.duration_seconds
-
-    def percentile(self, q: float) -> Optional[float]:
-        """The exact q-th latency percentile in seconds (None if no samples)."""
-        return percentile_of_sorted(self.latencies, q)
-
-    def percentiles_ms(self) -> Dict[str, Optional[float]]:
-        """``{"p50": ..., "p95": ..., "p99": ...}`` in milliseconds."""
-        out: Dict[str, Optional[float]] = {}
-        for q in REPORTED_QUANTILES:
-            value = self.percentile(q)
-            out[f"p{int(q * 100)}"] = None if value is None else value * 1000.0
-        return out
 
     def as_dict(self) -> Dict[str, object]:
         """The JSON-friendly summary (raw samples reduced to percentiles)."""
@@ -302,7 +308,7 @@ def profile_mix(
 # Open-loop (fixed-rate) load generation
 # ----------------------------------------------------------------------
 @dataclass
-class OpenLoopReport:
+class OpenLoopReport(_Latencies):
     """What one open-loop run measured.
 
     ``offered`` counts scheduled arrivals that were dispatched; responses
@@ -333,18 +339,6 @@ class OpenLoopReport:
     def completed(self) -> int:
         """Requests that received a non-error HTTP response (accepted + shed)."""
         return self.accepted + self.shed
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Exact q-th accepted-latency percentile in seconds (None if none)."""
-        return percentile_of_sorted(self.latencies, q)
-
-    def percentiles_ms(self) -> Dict[str, Optional[float]]:
-        """``{"p50": ..., "p95": ..., "p99": ...}`` in milliseconds."""
-        out: Dict[str, Optional[float]] = {}
-        for q in REPORTED_QUANTILES:
-            value = self.percentile(q)
-            out[f"p{int(q * 100)}"] = None if value is None else value * 1000.0
-        return out
 
     def as_dict(self) -> Dict[str, object]:
         """The JSON-friendly summary (raw samples reduced to percentiles)."""

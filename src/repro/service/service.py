@@ -21,9 +21,6 @@ posting cache
     Over a sharded or live index it holds the lists *merged* across the
     index's sources (:class:`repro.core.segments.SegmentSet`), which the
     index tags with its version and, when it mutates, empties itself.
-    (The B+Tree additionally offers a raw-value read-through hook,
-    :meth:`repro.storage.bptree.BPlusTree.attach_cache`, for callers below
-    the decode step.)
 
 result cache
     complete :class:`~repro.exec.executor.QueryResult` objects keyed by the

@@ -55,31 +55,27 @@ class BPlusTreeError(RuntimeError):
 
 
 class ValueCache(Protocol):
-    """Read-through cache protocol consumed by :meth:`BPlusTree.get`.
+    """What the index layers ask of the decoded-posting cache they read through
+    (:meth:`repro.core.index.SubtreeIndex.attach_postings_cache`).
 
-    Any object with ``get(key, default)`` / ``put(key, value)`` /
-    ``invalidate(key)`` works; :class:`repro.service.cache.StripedLRUCache`
-    is the production implementation.
+    Any object with ``get(key, default)`` / ``put(key, value)`` works;
+    :class:`repro.service.cache.StripedLRUCache` is the production
+    implementation.  The B+Tree itself caches nothing but its decoded pages.
     """
 
     def get(self, key: bytes, default: object = None) -> object: ...
 
     def put(self, key: bytes, value: object) -> None: ...
 
-    def invalidate(self, key: bytes) -> None: ...
-
-
-#: Sentinel distinguishing "not cached" from a cached ``None`` (missing key).
-_CACHE_MISS = object()
-
 
 @dataclass
 class ProbeStats:
     """Counters describing how lookups were served.
 
-    ``gets`` counts every :meth:`BPlusTree.get` call, ``cache_hits`` the ones
-    answered by the read-through cache, and ``tree_descents`` the ones that
-    walked the tree (the on-disk probe the paper's Section 6 costs out).
+    ``gets`` counts every lookup (:meth:`BPlusTree.get`, or an index's
+    ``lookup``), ``cache_hits`` the ones an index answered from its attached
+    posting cache -- always zero on a tree -- and ``tree_descents`` the ones
+    that walked the tree (the on-disk probe the paper's Section 6 costs out).
     ``node_decodes`` counts the node images parsed from raw pages on the way:
     zero per descent once the path is resident, so it tells a cold tree from
     a warm one.
@@ -264,23 +260,19 @@ class BPlusTree:
         Page size in bytes (default 4096, as in the paper's setup).
     """
 
-    def __init__(self, path: str, page_size: int = PAGE_SIZE,
-                 value_cache: Optional[ValueCache] = None):
+    def __init__(self, path: str, page_size: int = PAGE_SIZE):
         self.pager = Pager(path, page_size=page_size)
         self._overflow_threshold = page_size // 4
         # (page, bytes used) where the overflow stream ends; a full page, which
         # a tree just opened starts from, makes the next long value open one.
         self._stream_end = (0, page_size - _OVERFLOW_HEADER.size)
-        #: Optional read-through cache consulted by :meth:`get` before any
-        #: page access; install one with :meth:`attach_cache`.
-        self.value_cache = value_cache
         #: Lookup counters (gets / cache hits / tree descents / node decodes).
         self.probe_stats = ProbeStats()
         # Lookups share one file handle (seek + read is not atomic) and the
         # pager's resident pages, whose recency order every access updates,
-        # so cache-missing `get` calls, inserts and each step of a scan
-        # serialise on this lock.  Value-cache hits never take it, which is
-        # what makes a warm cache scale across threads.
+        # so `get` calls, inserts and each step of a scan serialise on this
+        # lock.  The posting cache above the tree answers its hits without
+        # coming here, which is what makes a warm cache scale across threads.
         self._descent_lock = threading.Lock()
         meta = self.pager.read(0)
         magic, root, height, count = _META.unpack_from(meta, 0)
@@ -499,36 +491,15 @@ class BPlusTree:
             node = self._node(page_id)
         return page_id, node, path
 
-    def attach_cache(self, cache: Optional[ValueCache]) -> None:
-        """Install (or, with ``None``, remove) the read-through value cache."""
-        self.value_cache = cache
-
     def get(self, key: bytes) -> Optional[bytes]:
-        """Return the value stored under *key* or ``None``.
-
-        When a :attr:`value_cache` is attached the lookup is read-through:
-        cached keys (including cached absences) are answered without touching
-        any page; uncached keys descend the tree once and populate the cache.
-        """
+        """Return the value stored under *key* or ``None`` (one tree descent)."""
         self.probe_stats.gets += 1
-        cache = self.value_cache
-        if cache is not None:
-            cached = cache.get(key, _CACHE_MISS)
-            if cached is not _CACHE_MISS:
-                self.probe_stats.cache_hits += 1
-                return cached  # type: ignore[return-value]
-        # The cache re-population happens inside the descent lock; insert()
-        # performs its write AND its invalidation under the same lock, so a
-        # concurrent writer cannot slip between our read and our put and the
-        # cache can never be left holding a stale value.
         if obs.enabled():
             with obs.trace("bptree.descent", key=key.decode("utf-8", "replace")) as span:
                 reads_before = self.pager.read_count
                 decodes_before = self.probe_stats.node_decodes
                 with self._descent_lock:
                     value = self._get_from_tree(key)
-                    if cache is not None:
-                        cache.put(key, value)
                 span.set(
                     page_reads=self.pager.read_count - reads_before,
                     nodes_decoded=self.probe_stats.node_decodes - decodes_before,
@@ -536,13 +507,10 @@ class BPlusTree:
                 )
             return value
         with self._descent_lock:
-            value = self._get_from_tree(key)
-            if cache is not None:
-                cache.put(key, value)
-        return value
+            return self._get_from_tree(key)
 
     def _get_from_tree(self, key: bytes, limit: Optional[int] = None) -> Optional[bytes]:
-        """Uncached point lookup; the caller must hold ``_descent_lock``."""
+        """Point lookup; the caller must hold ``_descent_lock``."""
         self.probe_stats.tree_descents += 1
         _, leaf, _ = self._find_leaf(key)
         index = bisect_left(leaf.keys, key)
@@ -554,7 +522,7 @@ class BPlusTree:
     def peek(self, key: bytes, size: int) -> Optional[bytes]:
         """The first *size* bytes of the value under *key*, or ``None``: reads only
         the overflow pages they lie on (none for ``size`` 0, the leaf hit that
-        answers "present?") and leaves the value cache alone."""
+        answers "present?") and is not counted as a ``get``."""
         with self._descent_lock:
             return self._get_from_tree(key, size)
 
@@ -567,18 +535,13 @@ class BPlusTree:
     def insert(self, key: bytes, value: bytes) -> None:
         """Insert or replace the value stored under *key*.
 
-        Takes the descent lock for the whole update (so concurrent readers
-        never observe a mid-split tree) and invalidates the cache entry
-        inside the same critical section.  Together with :meth:`get` caching
-        inside the lock, a reader's stale put can never interleave between
-        the write and the invalidation.
+        Takes the descent lock for the whole update, so concurrent readers
+        never observe a mid-split tree.
         """
         if not isinstance(key, (bytes, bytearray)):
             raise TypeError("keys must be bytes")
         with self._descent_lock:
             self._insert_locked(bytes(key), value)
-            if self.value_cache is not None:
-                self.value_cache.invalidate(bytes(key))
 
     def _insert_locked(self, key: bytes, value: bytes) -> None:
         leaf_page, resident, path = self._find_leaf(key)

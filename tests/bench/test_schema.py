@@ -125,8 +125,8 @@ class TestDeterminism:
         # figure8 measures index *file sizes*: this regression-tests that
         # index construction (including the fixed-width metadata record) is
         # byte-deterministic across fresh contexts.
-        first = self._run_fresh("figure8_index_size", sentence_counts=(10, 30))
-        second = self._run_fresh("figure8_index_size", sentence_counts=(10, 30))
+        first = self._run_fresh("figure8_index_size", sentences=(10, 30))
+        second = self._run_fresh("figure8_index_size", sentences=(10, 30))
         assert first == second
         sizes = [row for row in first["result"]["rows"]]
         assert sizes, "figure8 must produce rows"

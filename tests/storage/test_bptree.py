@@ -202,55 +202,15 @@ def test_bptree_behaves_like_a_dict(tmp_path_factory, entries: dict) -> None:
     tree.close()
 
 
-class TestReadThroughCache:
-    """The value-cache hook: read-through gets, invalidation, probe counters."""
+class TestProbeStats:
+    """The lookup counters of a bare tree (it has no cache: every get descends)."""
 
     def _loaded(self, tmp_path) -> BPlusTree:
         tree = _make(tmp_path)
         tree.bulk_load([(f"k{index:03d}".encode(), f"v{index}".encode()) for index in range(50)])
         return tree
 
-    def test_get_populates_and_serves_from_cache(self, tmp_path) -> None:
-        from repro.service.cache import LRUCache
-
-        tree = self._loaded(tmp_path)
-        tree.attach_cache(LRUCache(16))
-        assert tree.get(b"k010") == b"v10"      # miss: descends and caches
-        assert tree.get(b"k010") == b"v10"      # hit: no further descent
-        stats = tree.probe_stats
-        assert stats.gets == 2
-        assert stats.cache_hits == 1
-        assert stats.tree_descents == 1
-
-    def test_missing_keys_are_cached_too(self, tmp_path) -> None:
-        from repro.service.cache import LRUCache
-
-        tree = self._loaded(tmp_path)
-        tree.attach_cache(LRUCache(16))
-        assert tree.get(b"absent") is None
-        assert tree.get(b"absent") is None
-        assert tree.probe_stats.tree_descents == 1
-
-    def test_insert_invalidates_the_cached_entry(self, tmp_path) -> None:
-        from repro.service.cache import LRUCache
-
-        tree = self._loaded(tmp_path)
-        tree.attach_cache(LRUCache(16))
-        assert tree.get(b"k005") == b"v5"
-        tree.insert(b"k005", b"updated")
-        assert tree.get(b"k005") == b"updated"  # stale entry was dropped
-
-    def test_detach_restores_plain_lookups(self, tmp_path) -> None:
-        from repro.service.cache import LRUCache
-
-        tree = self._loaded(tmp_path)
-        tree.attach_cache(LRUCache(16))
-        tree.get(b"k001")
-        tree.attach_cache(None)
-        tree.get(b"k001")
-        assert tree.probe_stats.tree_descents == 2
-
-    def test_probe_stats_without_cache(self, tmp_path) -> None:
+    def test_every_get_is_a_descent(self, tmp_path) -> None:
         tree = self._loaded(tmp_path)
         tree.get(b"k001")
         tree.get(b"k001")
@@ -772,12 +732,9 @@ class TestPresenceAndHeadReads:
         assert tree.peek(b"b", 4) == bytes(range(4))
         tree.close()
 
-    def test_contains_leaves_the_value_cache_and_its_counters_alone(self, tmp_path) -> None:
-        from repro.service.cache import LRUCache
-
+    def test_contains_is_not_counted_as_a_get(self, tmp_path) -> None:
         tree = _make(tmp_path)
         tree.insert(b"key", b"value")
-        tree.attach_cache(LRUCache(4))
         assert b"key" in tree and b"nope" not in tree
         assert (tree.probe_stats.gets, tree.probe_stats.cache_hits) == (0, 0)
         assert tree.get(b"key") == b"value"

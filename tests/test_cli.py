@@ -376,8 +376,7 @@ class TestBench:
                 json.dumps(_bench_document()), encoding="utf-8"
             )
         assert main([
-            "bench", "gate", str(tmp_path / "baseline"),
-            "--current", str(tmp_path / "current"),
+            "bench", "gate", str(tmp_path / "baseline"), str(tmp_path / "current"),
         ]) == 0
         assert "gate: OK" in capsys.readouterr().out
 
@@ -398,7 +397,7 @@ class TestBench:
         assert "regressed" in out
         assert "gate: REGRESSED" in out
 
-    def test_gate_shorthand_flag_and_json(self, tmp_path, monkeypatch, capsys) -> None:
+    def test_gate_json(self, tmp_path, monkeypatch, capsys) -> None:
         monkeypatch.delenv("CI", raising=False)
         for directory in ("baseline", "current"):
             (tmp_path / directory).mkdir()
@@ -406,8 +405,7 @@ class TestBench:
                 json.dumps(_bench_document()), encoding="utf-8"
             )
         assert main([
-            "bench", "--gate", str(tmp_path / "baseline"),
-            "--current", str(tmp_path / "current"), "--json",
+            "bench", "gate", str(tmp_path / "baseline"), str(tmp_path / "current"), "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
@@ -431,11 +429,17 @@ class TestBench:
         capsys.readouterr()
 
     def test_gate_missing_baseline_is_friendly(self, tmp_path, capsys) -> None:
-        assert main([
-            "bench", "gate", str(tmp_path / "nope"),
-            "--current", str(tmp_path / "nope"),
-        ]) == 2
+        assert main(["bench", "gate", str(tmp_path / "nope"), str(tmp_path / "nope")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_gate_flag_spelling_is_gone(self, tmp_path, capsys) -> None:
+        for argv in (
+            ["bench", "gate", str(tmp_path), "--current", str(tmp_path)],
+            ["bench", "gate", "--gate", str(tmp_path)],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_gate_requires_baseline_argument(self, capsys) -> None:
         assert main(["bench", "gate"]) == 2
@@ -576,6 +580,29 @@ class TestLoadtest:
         assert [row[columns.index("concurrency")] for row in document["result"]["rows"]] == [1, 2]
         mismatches = columns.index("mismatches")
         assert all(row[mismatches] == 0 for row in document["result"]["rows"])
+
+    def test_loadtest_runs_the_registered_experiments(self, index_file, tmp_path, capsys) -> None:
+        from repro.bench.registry import get_experiment
+
+        out = tmp_path / "results"
+        assert main(["loadtest", index_file, "--concurrency", "1", "--duration", "0.2",
+                     "--out", str(out)]) == 0
+        assert main(["loadtest", index_file, "--mode", "open", "--rate", "100", "250",
+                     "--duration", "0.3", "--out", str(out)]) == 0
+        assert "0 errors, 0 mismatches" in capsys.readouterr().out
+        closed = json.loads((out / "BENCH_serve_http_throughput.json").read_text())
+        declared = get_experiment("serve_http_throughput")
+        traced = ["qps_traced", "trace_overhead_pct"]  # an experiment-only addition
+        assert closed["result"]["columns"] == [c for c in declared.columns if c not in traced]
+        assert closed["config"]["metrics"] == declared.metrics
+        assert closed["result"]["notes"] == [f"driven by 'repro loadtest' against {index_file!r}"]
+        opened = json.loads((out / "BENCH_serve_overload.json").read_text())
+        assert opened["result"]["columns"] == get_experiment("serve_overload").columns
+        assert opened["config"]["params"]["index"] == index_file
+        load, rate = (opened["result"]["columns"].index(c) for c in ("load", "rate_qps"))
+        assert [(row[load], row[rate]) for row in opened["result"]["rows"]] == [
+            ("100qps", 100.0), ("250qps", 250.0),
+        ]
 
     def test_loadtest_against_external_url(self, index_file, tmp_path, capsys) -> None:
         from repro.serve.server import open_server

@@ -179,9 +179,8 @@ def test_readme_serving_session(workdir) -> None:
         "--duration", "0.3", "--out", "results", cwd=workdir,
     )
     assert loadtest.returncode == 0, loadtest.stderr
-    assert "concurrency 1:" in loadtest.stdout
-    assert "concurrency 2:" in loadtest.stdout
-    assert "0 mismatches" in loadtest.stdout
+    assert "== Serve HTTP throughput ==" in loadtest.stdout  # the registered experiment's table
+    assert "0 errors, 0 mismatches" in loadtest.stdout
     assert (Path(workdir) / "results" / "BENCH_serve_http_throughput.json").exists()
 
 
