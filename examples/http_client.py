@@ -9,8 +9,8 @@ this demo uses ``urllib``. It
    the foreground),
 2. runs single queries over ``POST /query`` and checks the answers match
    an in-process ``service.run``,
-3. sends one ``POST /query/batch`` whose queries coalesce into a single
-   ``run_many`` call server-side, and
+3. sends one ``POST /query/batch``, answered by a single ``run_many`` call
+   server-side (each distinct cover key fetched once), and
 4. scrapes ``GET /stats`` and ``GET /metrics`` to show what a dashboard
    would see.
 
@@ -86,7 +86,8 @@ def main() -> None:
         print(f"\n/stats: {stats['service']['queries']} queries, "
               f"result-cache hit rate {caches['results']['hit_rate']:.0%}, "
               f"postings {caches['postings']['hit_rate']:.0%}, "
-              f"batcher flushed {stats['server']['batcher']['flushes']} batch(es)")
+              f"{stats['service']['batches']} batch(es), "
+              f"{stats['server']['query_answers']['loop']} answer(s) on the event loop")
 
         with urllib.request.urlopen(base + "/metrics") as response:
             families = [line for line in response.read().decode().splitlines()

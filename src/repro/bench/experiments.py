@@ -674,7 +674,6 @@ def serve_http_throughput(
     mss: int = 3,
     coding: str = "root-split",
     duration_seconds: float = 1.0,
-    flush_window: float = 0.002,
     traced: bool = True,
     index: Optional[str] = None,
     url: Optional[str] = None,
@@ -692,7 +691,7 @@ def serve_http_throughput(
     """
     service, fb_texts = _service_under_load(context, sentences, coding, mss, index)
     texts = [item.text for item in context.wh_queries()] + fb_texts
-    with service, _serving(service, texts, url, flush_window=flush_window) as (target, expected):
+    with service, _serving(service, texts, url) as (target, expected):
         report = run_load(
             target, texts, concurrency=concurrency, duration=duration_seconds, expected=expected
         )

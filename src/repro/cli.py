@@ -525,31 +525,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # HTTP serving and load testing
 # ----------------------------------------------------------------------
-def _validate_serve_knobs(args: argparse.Namespace) -> Optional[str]:
-    """The first invalid server knob as an error message, or None."""
-    if not 0 <= args.port <= 65535:
-        return f"--port must be in 0..65535 (0 = ephemeral), got {args.port}"
-    if args.flush_window < 0:
-        return f"--flush-window must be >= 0, got {args.flush_window}"
-    if args.max_batch < 1:
-        return f"--max-batch must be at least 1, got {args.max_batch}"
-    if args.workers < 1:
-        return f"--workers must be at least 1, got {args.workers}"
-    if args.header_timeout <= 0:
-        return f"--header-timeout must be positive, got {args.header_timeout}"
-    if args.request_timeout <= 0:
-        return f"--request-timeout must be positive, got {args.request_timeout}"
-    if args.write_timeout <= 0:
-        return f"--write-timeout must be positive, got {args.write_timeout}"
-    if args.max_connections < 1:
-        return f"--max-connections must be at least 1, got {args.max_connections}"
-    if args.max_queue < 1:
-        return f"--max-queue must be at least 1, got {args.max_queue}"
-    if args.drain_timeout < 0:
-        return f"--drain-timeout must be >= 0, got {args.drain_timeout}"
-    return None
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve an index over HTTP until interrupted, then drain gracefully."""
     import asyncio
@@ -557,34 +532,33 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.server import ENDPOINTS, QueryServer
 
-    problem = _validate_serve_knobs(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
         service = QueryService.open(args.index)
     except _OPEN_ERRORS as error:
         print(f"error: cannot open index {args.index!r}: {error}", file=sys.stderr)
         return 2
-
-    server = QueryServer(
-        service,
-        host=args.host,
-        port=args.port,
-        flush_window=args.flush_window,
-        max_batch=args.max_batch,
-        max_workers=args.workers,
-        header_timeout=args.header_timeout,
-        request_timeout=args.request_timeout,
-        write_timeout=args.write_timeout,
-        max_connections=args.max_connections,
-        max_queue=args.max_queue,
-        drain_timeout=args.drain_timeout,
-        index_path=args.index,
-        trace=args.trace,
-        trace_log=args.trace_log,
-        slow_ms=args.slow_ms,
-    )
+    try:
+        # The constructor is the one validator of the server's knobs.
+        server = QueryServer(
+            service,
+            host=args.host,
+            port=args.port,
+            max_workers=args.workers,
+            header_timeout=args.header_timeout,
+            request_timeout=args.request_timeout,
+            write_timeout=args.write_timeout,
+            max_connections=args.max_connections,
+            max_queue=args.max_queue,
+            drain_timeout=args.drain_timeout,
+            index_path=args.index,
+            trace=args.trace,
+            trace_log=args.trace_log,
+            slow_ms=args.slow_ms,
+        )
+    except ValueError as error:
+        service.close()
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     async def _serve() -> None:
         await server.start()
@@ -688,9 +662,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         # The traced pass stays an experiment-only addition: tracing cannot
         # be toggled in a server reached over --url.
         experiment = get_experiment("serve_http_throughput").without(*TRACED_COLUMNS)
-        overrides.update(
-            concurrency=tuple(args.concurrency), flush_window=args.flush_window, traced=False
-        )
+        overrides.update(concurrency=tuple(args.concurrency), traced=False)
     # The declared notes describe the declared sweep; this one describes ours.
     experiment = replace(experiment, notes=("driven by 'repro loadtest' against {index!r}",))
     target = args.url or f"{args.index!r} (self-served on an ephemeral port)"
@@ -982,15 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="port to bind (0 picks an ephemeral port; default: 8321)",
     )
     serve.add_argument(
-        "--flush-window", type=float, default=0.002,
-        help="seconds /query/batch waits to coalesce concurrent queries into one "
-             "run_many batch (default: 0.002)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=64,
-        help="flush a pending micro-batch once it reaches this many queries",
-    )
-    serve.add_argument(
         "--workers", type=int, default=4,
         help="worker threads executing queries off the event loop (default: 4)",
     )
@@ -1068,10 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--duration", type=float, default=2.0,
         help="seconds to drive load at each concurrency level (default: 2)",
-    )
-    loadtest.add_argument(
-        "--flush-window", type=float, default=0.002,
-        help="micro-batch flush window of the self-served server (default: 0.002)",
     )
     loadtest.add_argument(
         "--out", default=".",

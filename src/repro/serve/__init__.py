@@ -3,10 +3,11 @@
 The package splits into four small modules:
 
 ``metrics``
-    latency histograms with log-spaced buckets, quantile estimation and
-    Prometheus text rendering;
-``batch``
-    the micro-batcher that coalesces concurrent queries into ``run_many``;
+    latency histograms with log-spaced buckets, quantile estimation, what
+    the server counts and its Prometheus text rendering;
+``framing``
+    HTTP/1.1 request reading and response writing over asyncio streams,
+    with every read/write timeout and size limit;
 ``server``
     the stdlib-only asyncio HTTP server (``/query``, ``/query/batch``,
     ``/stats``, ``/healthz``, ``/metrics``) plus helpers for running it
@@ -16,7 +17,6 @@ The package splits into four small modules:
     ``serve_http_throughput`` bench experiment.
 """
 
-from repro.serve.batch import MicroBatcher
 from repro.serve.loadgen import LoadgenReport, parse_base_url, run_load
 from repro.serve.metrics import (
     DEFAULT_BUCKETS,
@@ -37,7 +37,6 @@ __all__ = [
     "ENDPOINTS",
     "LatencyHistogram",
     "LoadgenReport",
-    "MicroBatcher",
     "QueryServer",
     "ServerThread",
     "open_server",

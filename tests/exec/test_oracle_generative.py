@@ -14,7 +14,9 @@ Siblings with one label that are *not* twins, or twins too large to share a
 subtree, are not drawn there.  The second property draws them freely: the
 join keeps apart the ones it binds in different relations, which makes
 subtree-interval, mss 1 and the node-index baseline exact and leaves
-root-split a superset (``docs/query-language.md``).
+root-split a superset (``docs/query-language.md``) -- bar one shape it does
+not draw, pinned as a table below it: same-label siblings that differ only
+below a ``//`` edge (ROADMAP item 4).
 
 The third property takes the first one's queries to every *shape* an index
 has: the corpus split over one to three shards by either partitioner, or
@@ -28,14 +30,17 @@ import os
 import tempfile
 from typing import List
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.baselines.node_index import NodeIntervalIndex
 from repro.coding.root_split import RootSplitCoding
 from repro.core.index import SubtreeIndex
+from repro.corpus.store import Corpus
 from repro.exec import QueryExecutor
 from repro.live import LiveIndex
 from repro.query.model import QueryNode, QueryTree
+from repro.query.parser import parse_query
 from repro.service import QueryService
 from repro.shard import build_sharded
 from repro.trees.matching import count_matches
@@ -148,6 +153,26 @@ def _two_labels(spec: tuple) -> tuple:
 _narrow_specs = _specs.map(_two_labels)
 
 
+def _rigid(node: QueryNode) -> str:
+    """*node* cut at its ``//`` edges -- the most of it one cover key can hold."""
+    kept = sorted(
+        _rigid(child) for child, axis in zip(node.children, node.child_axes) if axis == "/"
+    )
+    return node.label + "".join(f"({text})" for text in kept)
+
+
+def _siblings_differ_only_below_a_descendant_edge(root: QueryNode) -> bool:
+    """Do two ``/`` children of one node look alike to a key and differ below it?"""
+    for node in root.preorder():
+        forms: dict = {}
+        for child, axis in zip(node.children, node.child_axes):
+            if axis == "/":
+                forms.setdefault(_rigid(child), set()).add(child.to_string())
+        if any(len(full) > 1 for full in forms.values()):
+            return True
+    return False
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), mss=st.integers(min_value=1, max_value=3), specs=st.lists(_narrow_specs, max_size=4))
 def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tuple]) -> None:
@@ -156,6 +181,8 @@ def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tup
     root-split a sibling buried in a key may still over-count, but the ``!=``
     never loses a match."""
     query = data.draw(_free_queries(5))
+    # The one known hole, pinned cell by cell in the table below.
+    assume(not _siblings_differ_only_below_a_descendant_edge(query.root))
     specs = specs + [_planted(query.root, False), _planted(query.root, True)]
     trees = [ParseTree(build_tree(spec), tid=tid) for tid, spec in enumerate(specs)]
     counts = ((tree.tid, count_matches(query.root, tree)) for tree in trees)
@@ -177,6 +204,41 @@ def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tup
         finally:
             for index in indexes + [labels]:
                 index.close()
+
+
+_WRONG_CELLS = {("subtree-interval", 3), ("subtree-interval", 4)}
+_ONE_KEY_FIXES_THE_TWINS = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the children are one key A(A)(A) whose single stored "
+    "embedding fixes which of them gets the //A",
+)
+
+
+@pytest.mark.parametrize(
+    "coding, mss",
+    [
+        pytest.param(
+            coding, mss,
+            marks=_ONE_KEY_FIXES_THE_TWINS if (coding, mss) in _WRONG_CELLS else (),
+        )
+        for coding in ("filter", "root-split", "subtree-interval")
+        for mss in (1, 2, 3, 4)
+    ],
+)
+def test_siblings_that_differ_only_below_a_descendant_edge(tmp_path, coding: str, mss: int) -> None:
+    """``A(A)(A(//A))`` over ``(A (A A) A)``: the first child is the one with
+    a descendant.  What the property above used to draw once in ~1 000 runs,
+    written down: one match, in every cell but the two marked."""
+    query = parse_query("A(A)(A(//A))")
+    tree = ParseTree(build_tree(("A", [("A", [("A", [])]), ("A", [])])), tid=0)
+    assert _siblings_differ_only_below_a_descendant_edge(query.root)
+    assert count_matches(query.root, tree) == 1
+    index = SubtreeIndex.build([tree], mss, coding, str(tmp_path / "twins.si"))
+    try:
+        executor = QueryExecutor(index, store=Corpus([tree]))
+        assert executor.execute(query).matches_per_tree == {0: 1}
+    finally:
+        index.close()
 
 
 # ----------------------------------------------------------------------

@@ -65,9 +65,35 @@ class TestDrain:
         assert thread.server._connections == set()
         assert thread.server._busy == set()
         assert thread.server._executor is None
-        assert thread.server._batcher is None
         assert _serve_threads() == []
         assert thread.server.draining is True
+
+    def test_a_batch_racing_the_drain_is_answered_not_dropped(self, start_server, service) -> None:
+        # A batch on the pool when the drain starts is a busy connection like
+        # any other: it finishes, with Connection: close -- there is no
+        # "batcher closed" window in which it could be rejected or lost.
+        slow = SlowService(service, delay=0.4)
+        thread = start_server(service_override=slow, drain_timeout=10.0)
+        sock = connect(thread.port)
+        try:
+            body = json.dumps({"queries": QUERIES}).encode()
+            sock.sendall(http_request("/query/batch", method="POST", body=body))
+            _wait_for(lambda: thread.server._inflight_queries == len(QUERIES))
+            summary = thread.drain()
+            assert summary["forced_connections"] == 0
+            response = read_http_response(sock, timeout=5.0)
+            assert response is not None and response.status == 200
+            assert response.headers["connection"] == "close"
+            payload = response.json()
+            assert payload["count"] == len(QUERIES)
+            for item, text in zip(payload["results"], QUERIES):
+                expected = json.loads(json.dumps(result_to_dict(service.run(text))))
+                assert (item["query"], item["result"]) == (text, expected)
+        finally:
+            sock.close()
+        assert thread.server._inflight_queries == 0
+        assert thread.server.metrics.sheds["draining"] == 0
+        assert _serve_threads() == []
 
     def test_drain_reaps_idle_keepalive_without_loop_noise(
         self, start_server, caplog

@@ -63,6 +63,12 @@ def _post_query(sock, text: str) -> None:
     )
 
 
+def _post_batch(sock, texts) -> None:
+    sock.sendall(
+        http_request("/query/batch", method="POST", body=json.dumps({"queries": texts}).encode())
+    )
+
+
 def test_hit_overtakes_a_miss_holding_the_only_worker(held_service, start_server) -> None:
     expected = held_service.run(HIT).total_matches  # now resident
     thread = start_server(service_override=held_service, max_workers=1)
@@ -89,6 +95,46 @@ def test_hit_overtakes_a_miss_holding_the_only_worker(held_service, start_server
         held_service.gate.set()
         miss_sock.close()
         hit_sock.close()
+
+
+def test_resident_batch_is_answered_on_the_loop_and_one_miss_sends_it_to_the_pool(
+    held_service, start_server
+) -> None:
+    # /query/batch is /query over a list: the same residency rule decides.
+    hits = [HIT, MISSES[0], HIT]
+    expected = [result.total_matches for result in held_service.run_many(hits)]  # now resident
+    thread = start_server(service_override=held_service, max_workers=1, max_queue=4)
+    held_service.gate.clear()
+    hold_sock, batch_sock = connect(thread.port), connect(thread.port)
+    try:
+        _post_query(hold_sock, MISSES[1])
+        _wait_for(lambda: held_service.held == 1)  # the one worker is taken
+        _post_batch(batch_sock, hits)
+        response = read_http_response(batch_sock, timeout=5.0)
+        assert response is not None and response.status == 200
+        payload = response.json()
+        assert payload["count"] == 3 and [item["query"] for item in payload["results"]] == hits
+        assert [item["result"]["total_matches"] for item in payload["results"]] == expected
+        assert not held_service.gate.is_set()  # answered before the gate opened
+        assert thread.server._inflight_queries == 1  # the batch took no slot
+        assert thread.server.metrics.query_answers == {"loop": 1, "pool": 0}  # once a request
+        # One miss among the hits: the whole batch is one run_many on the pool
+        # and holds a queue slot per query while it is there.
+        _post_batch(batch_sock, [HIT, MISSES[2], HIT])
+        _wait_for(lambda: thread.server._inflight_queries == 4)
+        assert thread.server.metrics.query_answers == {"loop": 1, "pool": 0}
+        held_service.gate.set()
+        response = read_http_response(batch_sock, timeout=10.0)
+        assert response is not None and response.status == 200
+        assert response.json()["count"] == 3
+        response = read_http_response(hold_sock, timeout=10.0)
+        assert response is not None and response.status == 200
+        assert thread.server.metrics.query_answers == {"loop": 1, "pool": 2}
+        assert thread.server._inflight_queries == 0
+    finally:
+        held_service.gate.set()
+        hold_sock.close()
+        batch_sock.close()
 
 
 def test_hit_takes_no_queue_slot(held_service, start_server) -> None:

@@ -103,6 +103,53 @@ class TestQueueBound:
         assert thread.server.metrics.sheds["queue"] == 4
 
 
+    def test_a_batch_longer_than_the_bound_is_a_413_not_a_shed(self, start_server) -> None:
+        # It could never be admitted, idle server or not: telling the client
+        # to retry (503 + Retry-After) would be a lie, and it is no shed.
+        thread = start_server(max_queue=2)
+        sock = connect(thread.port)
+        try:
+            body = json.dumps({"queries": QUERIES[:3]}).encode()
+            sock.sendall(http_request("/query/batch", method="POST", body=body))
+            response = read_http_response(sock, timeout=5.0)
+            assert response is not None and response.status == 413
+            assert "max_queue=2" in response.json()["error"]
+            assert "retry-after" not in response.headers
+            assert response.headers["connection"] == "keep-alive"
+            # A batch of exactly the bound is admitted by the idle server.
+            body = json.dumps({"queries": QUERIES[:2]}).encode()
+            sock.sendall(http_request("/query/batch", method="POST", body=body))
+            response = read_http_response(sock, timeout=5.0)
+            assert response is not None and response.status == 200
+        finally:
+            sock.close()
+        assert thread.server.metrics.sheds["queue"] == 0
+        assert thread.server._inflight_queries == 0
+
+    def test_a_batch_that_would_fit_an_idle_server_is_shed_with_503(
+        self, start_server, service
+    ) -> None:
+        gated = GatedService(service)
+        thread = start_server(service_override=gated, max_queue=2, max_workers=1)
+        held, batch = connect(thread.port), connect(thread.port)
+        try:
+            body = json.dumps({"query": QUERIES[0]}).encode()
+            held.sendall(http_request("/query", method="POST", body=body))
+            _wait_for(lambda: thread.server._inflight_queries == 1)
+            body = json.dumps({"queries": QUERIES[:2]}).encode()  # 1 + 2 > 2
+            batch.sendall(http_request("/query/batch", method="POST", body=body))
+            response = read_http_response(batch, timeout=5.0)
+            assert response is not None and response.status == 503
+            assert response.headers.get("retry-after") == "1"
+            assert "saturated (1 queries in flight, max_queue=2)" in response.json()["error"]
+            assert thread.server.metrics.sheds["queue"] == 1
+            assert thread.server._inflight_queries == 1  # the shed batch took nothing
+        finally:
+            gated.release()
+            held.close()
+            batch.close()
+
+
 class TestDrainingSurface:
     def test_keepalive_connection_sees_healthz_draining_and_close(self, start_server) -> None:
         thread = start_server()

@@ -114,3 +114,26 @@ class TestHandlerTimeout:
             # Executor threads cannot be cancelled: open the gate so the
             # zombie query finishes and shutdown does not hang.
             gated.release()
+
+    def test_frozen_batch_becomes_504_and_releases_its_queue_slots(
+        self, start_server, service
+    ) -> None:
+        gated = GatedService(service)
+        thread = start_server(service_override=gated, request_timeout=0.3, max_workers=1)
+        try:
+            sock = connect(thread.port)
+            try:
+                body = json.dumps({"queries": QUERIES[:3]}).encode()
+                sock.sendall(http_request("/query/batch", method="POST", body=body))
+                _wait_for(lambda: thread.server._inflight_queries == 3)  # a slot a query
+                response = read_http_response(sock, timeout=10.0)
+                assert response is not None and response.status == 504
+                assert "timed out" in response.json()["error"]
+            finally:
+                sock.close()
+            assert gated.entered == 1  # one run_many, not three runs
+            assert thread.server.metrics.timeouts["handler"] == 1
+            assert thread.server._inflight_queries == 0
+            assert thread.server.metrics.query_answers == {"loop": 0, "pool": 0}
+        finally:
+            gated.release()

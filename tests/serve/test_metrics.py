@@ -8,13 +8,14 @@ import pytest
 
 from repro.serve.metrics import (
     DEFAULT_BUCKETS,
+    FAMILIES,
     LatencyHistogram,
+    ServerMetrics,
     percentile_of_sorted,
     prometheus_line,
     render_families,
     render_histogram,
 )
-from repro.serve.server import ServerMetrics
 from repro.service.service import ServiceStats
 
 
@@ -176,13 +177,18 @@ class TestPrometheusRendering:
 
 class TestServerMetrics:
     def test_query_answers_render_both_paths_from_the_first_scrape(self) -> None:
-        class IdleService:
-            def stats(self) -> ServiceStats:
-                return ServiceStats()
-
-        metrics = ServerMetrics()
+        metrics = ServerMetrics(("/query",))
         metrics.query_answers["loop"] += 3
-        lines = metrics.render(IdleService(), None).splitlines()
+        lines = metrics.render(ServiceStats().as_dict()).splitlines()
         assert "# TYPE repro_http_query_answers_total counter" in lines
         assert 'repro_http_query_answers_total{path="loop"} 3' in lines
         assert 'repro_http_query_answers_total{path="pool"} 0' in lines
+
+    def test_every_family_of_the_table_renders_once_with_samples(self) -> None:
+        text = ServerMetrics(("/query",)).render(ServiceStats().as_dict(), draining=True)
+        for name, kind, _, label, _ in FAMILIES:
+            assert text.count(f"# TYPE {name} {kind}\n") == 1, name
+            sample = f"{name}_bucket{{" if kind == "histogram" else name + ("{" if label else " ")
+            assert f"\n{sample}" in text, name
+        assert "\nrepro_server_draining 1\n" in text
+        assert 'repro_http_requests_total{endpoint="other"} 0' in text

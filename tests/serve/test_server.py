@@ -129,6 +129,30 @@ class TestEndpoints:
             direct = json.loads(json.dumps(result_to_dict(service.run(item["query"]))))
             assert item["result"] == direct
 
+    def test_a_batch_is_one_run_many(self, served) -> None:
+        # Each distinct cover key fetched once, each distinct query joined
+        # once: duplicates of a query not yet run come back as one result
+        # (the same execution, to the last digit of its elapsed time), in
+        # request order, and the service's batch counters move.
+        _, service, url = served
+        before = service.stats()
+        queries = ["VP(VBD)(NP)", "S(NP)(VP(VBD))", "VP(VBD)(NP)", "VP(VBD)"]
+        _, _, body = _post(url + "/query/batch", json.dumps({"queries": queries}).encode())
+        payload = json.loads(body)
+        assert [item["query"] for item in payload["results"]] == queries
+        assert payload["results"][0]["result"] == payload["results"][2]["result"]
+        after = service.stats()
+        assert after.batches == before.batches + 1
+        assert after.queries == before.queries + len(queries)
+        assert after.batch_keys_deduped > before.batch_keys_deduped
+        for item in payload["results"]:  # and each equals /query's answer
+            _, _, single = _post(url + "/query", json.dumps({"query": item["query"]}).encode())
+            assert json.loads(single)["result"] == item["result"]
+        _, _, body = _get(url + "/metrics")
+        assert f"repro_batches_total {after.batches}\n" in body.decode("utf-8")
+        status, _, body = _post(url + "/query/batch", json.dumps({"queries": []}).encode())
+        assert status == 200 and json.loads(body) == {"count": 0, "results": []}
+
     def test_stats_shape_is_flavor_independent(self, served) -> None:
         flavor, service, url = served
         _post(url + "/query", json.dumps({"query": QUERIES[0]}).encode())
@@ -169,7 +193,6 @@ class TestEndpoints:
         storage = payload["storage"]
         assert storage == service.index.page_census()
         assert 4096 * sum(row["pages"] for row in storage.values()) == service.index.size_bytes()
-        assert server_stats["batcher"]["max_batch"] == 64
 
     def test_metrics_exposition(self, served) -> None:
         _, _, url = served
@@ -185,7 +208,7 @@ class TestEndpoints:
             "repro_queries_total",
             "repro_cache_hit_rate",
             "repro_index_probes_total",
-            "repro_batcher_flushes_total",
+            "repro_batches_total",
         ):
             assert f"# TYPE {family}" in text, family
         assert 'repro_http_requests_total{endpoint="/query"}' in text
@@ -219,8 +242,7 @@ class TestErrorHandling:
         assert code == 400 and "JSON object" in payload["error"]
 
     def test_bad_batch_query_fails_before_batching(self, served) -> None:
-        # One bad query must 400 the request without failing the good ones
-        # coalesced into the same micro-batch window.
+        # One bad query must 400 the whole request, before anything runs.
         _, _, url = served
         code, payload = _post_error(
             url + "/query/batch", json.dumps({"queries": [QUERIES[0], "((bad"]}).encode()

@@ -9,7 +9,6 @@ tracing off when stopped.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -91,47 +90,28 @@ class TestRequestIdPropagation:
         assert "query" in trace["stages"]
         assert trace["stages"]["query"] <= trace["duration_ms"] + 0.01
 
-    def test_batched_requests_keep_distinct_ids(self, service) -> None:
-        # Two concurrent /query/batch clients may share one MicroBatcher
-        # flush; each response must still carry its own id and the flush
-        # span must attribute both.
-        with ServerThread(service, trace=True, flush_window=0.05) as thread:
-            results = {}
-
-            def call(rid: str) -> None:
-                results[rid] = _request(
-                    thread.url + "/query/batch",
-                    {"queries": [QUERY, "VP(VBZ)"]},
+    def test_a_batch_nests_under_its_own_request(self, service) -> None:
+        # A batch is one run_many with the request's context copied in: its
+        # `batch` span is a child of that request's `http_request` root (and
+        # of no other), on the pool first and on the loop once resident.
+        queries = [QUERY, "VP(VBZ)"]
+        with ServerThread(service, trace=True) as thread:
+            for rid in ("rid-batch-pool", "rid-batch-loop"):
+                status, headers, body = _request(
+                    thread.url + "/query/batch", {"queries": queries},
                     headers={"X-Request-ID": rid},
                 )
-
-            workers = [
-                threading.Thread(target=call, args=(rid,))
-                for rid in ("rid-batch-a", "rid-batch-b")
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
+                assert status == 200 and body["count"] == 2
+                assert headers["X-Request-ID"] == rid
+            assert thread.server.metrics.query_answers == {"loop": 1, "pool": 1}
             _, _, debug = _request(thread.url + "/debug/trace?n=20")
-
-        for rid, (status, headers, body) in results.items():
-            assert status == 200
-            assert headers["X-Request-ID"] == rid
-            assert body["count"] == 2
-        http_ids = {
-            t["request_id"] for t in debug["traces"] if t["name"] == "http_request"
-        }
-        assert {"rid-batch-a", "rid-batch-b"} <= http_ids
-        # The flush spans are their own roots (a flush serves several
-        # requests); together they must attribute every submitted id.
-        flushes = [t for t in debug["traces"] if t["name"] == "batch_flush"]
-        assert 1 <= len(flushes) <= 2
-        flushed_ids = set()
-        for flush in flushes:
-            assert flush["request_id"] is None
-            flushed_ids.update(flush["attrs"]["request_ids"])
-        assert flushed_ids == {"rid-batch-a", "rid-batch-b"}
+        assert {t["name"] for t in debug["traces"]} == {"http_request"}  # no detached root
+        for rid in ("rid-batch-pool", "rid-batch-loop"):
+            (trace,) = [t for t in debug["traces"] if t["request_id"] == rid]
+            assert trace["attrs"]["path"] == "/query/batch"
+            (batch,) = [c for c in trace["spans"]["children"] if c["name"] == "batch"]
+            assert batch["attrs"]["queries"] == 2
+            assert batch["duration_us"] <= trace["spans"]["duration_us"]
 
     def test_hostile_request_id_is_sanitised(self, service) -> None:
         with ServerThread(service) as thread:

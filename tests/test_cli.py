@@ -537,19 +537,34 @@ class TestServeValidation:
         assert main(["serve", path]) == 2
         assert "cannot open index" in capsys.readouterr().err
 
-    def test_invalid_port_is_friendly(self, index_file, capsys) -> None:
-        assert main(["serve", index_file, "--port", "99999"]) == 2
-        assert "--port must be in 0..65535" in capsys.readouterr().err
-        assert main(["serve", index_file, "--port", "-1"]) == 2
-        assert "--port" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--port", "99999", "port must be in 0..65535 (0 = ephemeral), got 99999"),
+            ("--port", "-1", "port must be in 0..65535 (0 = ephemeral), got -1"),
+            ("--workers", "0", "max_workers must be >= 1, got 0"),
+            ("--header-timeout", "0", "header_timeout must be positive, got 0.0"),
+            ("--request-timeout", "-1", "request_timeout must be positive, got -1.0"),
+            ("--write-timeout", "0", "write_timeout must be positive, got 0.0"),
+            # Used to pass the CLI's own check (< 0) and die in the constructor (<= 0).
+            ("--drain-timeout", "0", "drain_timeout must be positive, got 0.0"),
+            ("--max-connections", "0", "max_connections must be >= 1, got 0"),
+            ("--max-queue", "0", "max_queue must be >= 1, got 0"),
+        ],
+    )
+    def test_an_invalid_knob_is_the_constructors_error(
+        self, index_file, capsys, monkeypatch, flag, value, message
+    ) -> None:
+        # QueryServer.__init__ is the only validator: the CLI prints its
+        # ValueError, exits 2 and leaves no service open behind it.
+        from repro.service.service import QueryService
 
-    def test_invalid_server_knobs_are_friendly(self, index_file, capsys) -> None:
-        assert main(["serve", index_file, "--flush-window", "-0.5"]) == 2
-        assert "--flush-window" in capsys.readouterr().err
-        assert main(["serve", index_file, "--max-batch", "0"]) == 2
-        assert "--max-batch" in capsys.readouterr().err
-        assert main(["serve", index_file, "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
+        closed = []
+        close = QueryService.close
+        monkeypatch.setattr(QueryService, "close", lambda self: (closed.append(self), close(self)))
+        assert main(["serve", index_file, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert len(closed) == 1
 
 
 class TestLoadtest:
