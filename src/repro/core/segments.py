@@ -62,7 +62,7 @@ class Source(NamedTuple):
     entry: object = None
     #: Tombstoned tids this source holds, dropped from everything read.  A
     #: live index grows a source's set in place (a delete is one ``add``, not
-    #: a copy of every tombstone before it); readers only test membership.
+    #: a copy of every tombstone before it); readers only test or count it.
     dead: AbstractSet[int] = frozenset()
 
     def alive(self, columns: PostingColumns) -> PostingColumns:
@@ -256,11 +256,15 @@ class SegmentSet:
                 return tagged[1]
         stats.tree_descents += 1
         with obs.trace("merge", sources=len(sources)) as span:
-            merged = merge_columns([source.postings(encoded) for source in sources])
+            merged = self._merge(encoded, version, sources)
             span.set(postings=len(merged))
         if cache is not None:
             cache.put(encoded, (version, merged))
         return merged
+
+    def _merge(self, encoded: bytes, version: Version, sources: Tuple[Source, ...]) -> PostingColumns:
+        """*encoded*'s list over *sources*, as ``lookup`` caches it."""
+        return merge_columns([source.postings(encoded) for source in sources])
 
     def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
         """``True`` when *key* has a posting in a tree that is not tombstoned."""
@@ -343,8 +347,8 @@ class SegmentSet:
         """Install a read-through cache of merged posting lists.
 
         Entries are ``(version, list)`` pairs and one is served only at the
-        version it was read at; an index that mutates also empties the cache
-        on every mutation.
+        version it was read at; an index that mutates also sweeps them on
+        every mutation.
         """
         self._postings_cache = cache
 

@@ -162,7 +162,7 @@ class TreeStore:
 
     # ------------------------------------------------------------------
     def append(self, tree: ParseTree) -> None:
-        """Append one tree to the data file."""
+        """Append one tree to the data file (``ValueError`` if ``to_penn`` refuses it)."""
         self.append_record(tree.tid, to_penn(tree.root).encode("utf-8"))
 
     def append_record(self, tid: int, payload: bytes) -> None:

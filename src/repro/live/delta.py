@@ -42,9 +42,9 @@ class DeltaSegment:
         #: The delta's trees, in insertion (= ascending tid) order.
         self.trees = Corpus()
         self._bodies: Dict[bytes, List[int]] = {}
-        #: key -> (the body sliced, its columns); good while that body is
-        #: still the key's body (an add rebinds, never extends).
-        self._columns: Dict[bytes, Tuple[List[int], PostingColumns]] = {}
+        #: key -> (the body length sliced, its columns); good while the body
+        #: (which only grows) is that long.
+        self._columns: Dict[bytes, Tuple[int, PostingColumns]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -52,11 +52,10 @@ class DeltaSegment:
     def add_tree(self, tree: ParseTree) -> None:
         """Index one tree; its tid must exceed every tid already present.
 
-        Publication is copy-on-write per key: the new body is built aside
-        and swapped in with one rebind, so a concurrent reader holding the
-        columns :meth:`lookup` returned sees a stable snapshot -- never a
-        half-extended one.  (Readers racing the *whole* add may still see
-        the new tree on some keys and not yet on others; see
+        A key's body grows in place by the tree's rows (one ``+=``, atomic
+        under the GIL), and a reader racing the add cuts the body where
+        :meth:`lookup` found it.  (Readers racing the *whole* add may still
+        see the new tree on some keys and not yet on others; see
         :class:`repro.live.live.LiveIndex` for the visibility contract.)
         """
         if tree.tid < 0:
@@ -69,8 +68,9 @@ class DeltaSegment:
         self.trees.add(tree)  # the tree before its postings: a posting a
         # reader can see must always name a fetchable tree
         for key, rows in per_key.items():
-            existing = self._bodies.get(key)
-            self._bodies[key] = rows if existing is None else existing + rows
+            body = self._bodies.setdefault(key, rows)
+            if body is not rows:
+                body += rows
 
     # ------------------------------------------------------------------
     # The SubtreeIndex-shaped read surface
@@ -80,9 +80,10 @@ class DeltaSegment:
         body = self._bodies.get(key)
         if body is None:
             return _EMPTY
+        length = len(body)
         sliced = self._columns.get(key)
-        if sliced is None or sliced[0] is not body:
-            sliced = self._columns[key] = (body, self.coding.columns(body))
+        if sliced is None or sliced[0] != length:
+            sliced = self._columns[key] = (length, self.coding.columns(body[:length]))
         return sliced[1]
 
     def has_key(self, key: bytes) -> bool:

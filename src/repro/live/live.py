@@ -26,7 +26,7 @@ holds a dead tid pays for that).  Tids are assigned monotonically and never
 reused, so segment and delta posting lists stay disjoint and tid-ascending
 -- merged results are byte-identical to a fresh rebuild over the surviving
 corpus, which ``tests/live/`` asserts over the full WH + FB workloads for
-all three codings.
+all three codings; below the merged list the segments' part is cached (``_merge``).
 
 Mutations take a writer lock (one writer at a time); readers are never
 blocked and never crash.  What a reader sees -- the segments, the delta and
@@ -35,11 +35,11 @@ compaction replaces with a single rebind, so a list is never assembled from
 two generations of sources (a compaction's new segment *and* the delta it
 was flushed from, say).  Between compactions a source only grows: the delta
 gains trees, a tombstone set gains tids (in place -- a delete does not copy
-the tombstones before it).  Delta posting lists are published copy-on-write
-(a list a reader holds is a stable snapshot), a posting of an added tree
-always names a fetchable tree, and segments replaced by a compaction are
-retired -- kept open until :meth:`LiveIndex.close` -- so in-flight queries
-finish on the old epoch's files.  A query that *overlaps* a mutation may
+the tombstones before it), a delta body gains rows in place (the columns
+a reader holds are its own slices).  A posting of an added tree always
+names a fetchable tree, and segments replaced by a compaction are retired
+-- kept open until :meth:`LiveIndex.close` -- so in-flight queries finish
+on the old epoch's files.  A query that *overlaps* a mutation may
 observe it partially (an added tree on some keys, not yet on others; a
 deleted tree still in the lists it read, which the filter phase then finds
 gone and counts as no match); what it computed is tagged with the version
@@ -53,10 +53,11 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
+from repro.coding.postings import PostingColumns, merge_columns
 from repro.core.index import SubtreeIndex, accumulate_posting_lists, encode_posting_lists
 from repro.core.manifest import (
     LIVE_SUFFIX,
@@ -67,7 +68,7 @@ from repro.core.manifest import (
     segment_file_names,
     wal_file_path,
 )
-from repro.core.segments import SegmentSet, Snapshot, Source, open_sources
+from repro.core.segments import SegmentSet, Snapshot, Source, Version, open_sources
 from repro.corpus.store import TreeStore
 from repro.live.delta import DeltaSegment
 from repro.live.wal import WriteAheadLog
@@ -110,6 +111,8 @@ class LiveIndex(SegmentSet):
         self._next_tid = manifest.next_tid
         self._mutations = 0
         self._write_lock = threading.Lock()
+        #: Keys merged since the last sweep (one added during a swap is missed; it is never served).
+        self._merged_keys: Set[bytes] = set()
 
     # ------------------------------------------------------------------
     # Creation and recovery
@@ -231,7 +234,8 @@ class LiveIndex(SegmentSet):
 
         Accepts a :class:`ParseTree`, a bare root :class:`Node` or a
         Penn-bracket string.  The op is fsynced to the WAL before it is
-        applied, so an acknowledged add survives any crash.
+        applied, so an acknowledged add survives any crash; a tree
+        :func:`to_penn` refuses is refused before anything is written.
         """
         if isinstance(tree, str):
             root = parse_penn(tree)
@@ -263,12 +267,30 @@ class LiveIndex(SegmentSet):
         """Make *sources* what readers see from now on, under a new version.
 
         One rebind: a reader holds the snapshot from before or the one from
-        after, never a mix.  The posting cache is emptied with it (its
-        entries carry the old version and would not be served anyway).
+        after, never a mix.  The merged lists cached since the last one are
+        swept with it; the segment parts below them stay (:meth:`_merge`).
         """
         self._mutations += 1
         self.snapshot = Snapshot((self.manifest.epoch, self._mutations), sources)
-        self._clear_postings_cache()
+        swept, self._merged_keys = self._merged_keys, set()
+        for key in swept if hasattr(self._postings_cache, "invalidate") else ():
+            self._postings_cache.invalidate(key)  # type: ignore[union-attr]
+
+    def _merge(self, encoded: bytes, version: Version, sources: Tuple[Source, ...]) -> PostingColumns:
+        """The segments' part of the list, cached under ``(encoded,)`` with the
+        epoch and the segments' tombstone count as its tag (counted first: a
+        racing delete leaves the part newer than its tag), then the delta's."""
+        cache = self._postings_cache
+        if cache is None:
+            return super()._merge(encoded, version, sources)
+        self._merged_keys.add(encoded)
+        *segments, delta = sources
+        tag = (version[0], sum(len(segment.dead) for segment in segments))
+        tagged = cache.get((encoded,))
+        if tagged is None or tagged[0] != tag:
+            tagged = (tag, merge_columns([segment.postings(encoded) for segment in segments]))
+            cache.put((encoded,), tagged)
+        return merge_columns([tagged[1], delta.postings(encoded)])
 
     # ------------------------------------------------------------------
     # Compaction
@@ -369,6 +391,7 @@ class LiveIndex(SegmentSet):
             self._retired.extend(replaced)
             self.manifest = manifest
             self._publish((*segments, _delta_source(manifest)))
+            self._clear_postings_cache()  # every segment part was of the old epoch
 
             for segment in replaced:  # after the swap: best-effort cleanup
                 for stale in (segment.entry.index_path, segment.entry.data_path):
@@ -452,9 +475,9 @@ def _bury(sources: Tuple[Source, ...], position: int, tid: int) -> Tuple[Source,
 
     A source's first tombstone gives it a set of its own; every later one is
     added to that set in place, so a delete costs the same whatever number
-    went before it.  (Readers only ask the set ``in`` / ``isdisjoint``, one
-    call each, and a tid that turns up early hides postings the next
-    snapshot hides anyway.)
+    went before it.  (Readers only ask the set ``in`` / ``isdisjoint`` /
+    ``len``, one call each, and a tid that turns up early hides postings the
+    next snapshot hides anyway.)
     """
     source = sources[position]
     if source.dead:

@@ -12,9 +12,12 @@ node is written ``(X)``; a bare ``X`` is read as the same tree.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, List, Optional
 
 from repro.trees.node import Node, ParseTree
+
+_UNWRITABLE = re.compile(r"[\s()]")  # what a label must not hold to be one Penn token
 
 
 class PennSyntaxError(ValueError):
@@ -126,14 +129,20 @@ def to_penn(node: Node, pretty: bool = False, _indent: int = 0) -> str:
     """Serialize a tree back into bracketed Penn notation.
 
     With ``pretty=True`` the output is indented across lines, one constituent
-    per line, which is convenient for eyeballing example output.
+    per line, which is convenient for eyeballing example output.  The one-line
+    form, which data files and the WAL store, refuses any label ``parse_penn``
+    would not read back (empty, or with whitespace or a bracket): ``ValueError``.
     """
-    if node.is_leaf:
-        # A tree of one node keeps its brackets: a bare label is a token.
-        return node.label if node.parent is not None else f"({node.label})"
     if not pretty:
-        inner = " ".join(to_penn(child, pretty=False) for child in node.children)
-        return f"({node.label} {inner})"
+        labels: List[str] = []
+        text = _line(node, labels)
+        if "" in labels or _UNWRITABLE.search("".join(labels)):
+            bad = next(label for label in labels if not label or _UNWRITABLE.search(label))
+            raise ValueError(f"label {bad!r} has no Penn form: it is empty or holds whitespace or a bracket")
+        # A tree of one node keeps its brackets: a bare label is a token.
+        return text if node.children or node.parent is not None else f"({text})"
+    if node.is_leaf:
+        return node.label if node.parent is not None else f"({node.label})"
     pad = "  " * _indent
     if all(child.is_leaf for child in node.children):
         inner = " ".join(child.label for child in node.children)
@@ -148,6 +157,9 @@ def to_penn(node: Node, pretty: bool = False, _indent: int = 0) -> str:
     return "\n".join(parts)
 
 
-def tree_to_line(tree: ParseTree) -> str:
-    """Serialize a :class:`ParseTree` as a single bracketed line."""
-    return to_penn(tree.root, pretty=False)
+def _line(node: Node, labels: List[str]) -> str:
+    """*node* on one line, its labels appended to *labels* in pre-order."""
+    labels.append(node.label)
+    if not node.children:
+        return node.label
+    return f"({node.label} {' '.join([_line(child, labels) for child in node.children])})"

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 
 import pytest
+from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from repro.corpus.generator import CorpusGenerator
@@ -21,6 +23,14 @@ def pytest_configure(config: pytest.Config) -> None:
     home = tempfile.mkdtemp(prefix="repro-hypothesis-")
     set_hypothesis_home_dir(home)
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+
+
+# Tier-1 runs Hypothesis's default profile.  ``REPRO_HYPOTHESIS_PROFILE=deep``
+# (a CI step over the generative oracles) gives every property ten times its
+# examples; a property that sets its own count scales it with
+# ``tests/exec/test_oracle_generative.py::_examples``.
+settings.register_profile("deep", max_examples=10 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("REPRO_HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,11 @@ below a ``//`` edge (ROADMAP item 4).
 The third property takes the first one's queries to every *shape* an index
 has: the corpus split over one to three shards by either partitioner, or
 laid out as a live index -- base segments, a delta, tombstones, compacted
-or not -- under all three codings, through ``QueryService``.
+or not -- under all three codings, through ``QueryService``.  The fourth
+keeps one warm ``QueryService`` per coding over a live index and queries it
+after every write -- adds, deletes of delta trees and of segment trees,
+compactions -- where a cached list that outlived what it was read from
+would show.
 """
 
 from __future__ import annotations
@@ -49,6 +53,13 @@ from repro.trees.node import ParseTree, build_tree
 LABELS = ["A", "B", "C", "D"]
 ABSENT = "Z"
 CODINGS = ("root-split", "subtree-interval")
+
+
+def _examples(count: int) -> int:
+    """*count* examples under Hypothesis's default profile, scaled with the
+    loaded one (``deep``: ten times; see ``tests/conftest.py``)."""
+    return count * settings.default.max_examples // settings.get_profile("default").max_examples
+
 
 _specs = st.recursive(
     st.sampled_from(LABELS).map(lambda label: (label, [])),
@@ -106,7 +117,7 @@ def _planted(node: QueryNode, drop_twins: bool) -> tuple:
     return (node.label, children)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=_examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), mss=st.integers(min_value=2, max_value=4), specs=st.lists(_specs, max_size=4))
 def test_random_queries_equal_the_brute_force_oracle(data, mss: int, specs: List[tuple]) -> None:
     query = data.draw(_queries(mss))
@@ -173,7 +184,7 @@ def _siblings_differ_only_below_a_descendant_edge(root: QueryNode) -> bool:
     return False
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=_examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), mss=st.integers(min_value=1, max_value=3), specs=st.lists(_narrow_specs, max_size=4))
 def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tuple]) -> None:
     """Where the plan binds every query node -- subtree-interval coding, any
@@ -274,7 +285,7 @@ def _live(data, trees: List[ParseTree], mss: int, coding: str, path: str):
     return index, dead
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=_examples(120), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), mss=st.integers(min_value=2, max_value=4), specs=st.lists(_specs, max_size=5))
 def test_every_index_shape_equals_the_brute_force_oracle(data, mss: int, specs: List[tuple]) -> None:
     query = data.draw(_queries(mss))
@@ -298,3 +309,79 @@ def test_every_index_shape_equals_the_brute_force_oracle(data, mss: int, specs: 
                 assert service.run_many([query])[0].matches_per_tree == expected
         finally:
             index.close()
+
+
+# ----------------------------------------------------------------------
+# One warm service over a live index, queried between writes
+# ----------------------------------------------------------------------
+_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.one_of(_specs, st.integers(0, 1))),  # an int: a planted query
+        st.tuples(
+            st.sampled_from(["delete from delta", "delete from segment"]), st.integers(0, 99)
+        ),
+        st.tuples(st.just("compact"), st.none()),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=_examples(100), deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.data(),
+    mss=st.integers(min_value=2, max_value=4),
+    seed=st.lists(_specs, max_size=4),
+    writes=_writes,
+)
+def test_a_warm_live_service_equals_the_oracle_after_every_write(
+    data, mss: int, seed: List[tuple], writes: List[tuple]
+) -> None:
+    """After every write, each query through a service whose caches are warm
+    from the step before must equal the brute-force matcher over the trees
+    that survive -- under all three codings, by ``run`` and by ``run_many``."""
+    queries = [data.draw(_queries(mss), label="query") for _ in range(2)]
+    planted = [_planted(query.root, False) for query in queries]
+    alive = {tid: ParseTree(build_tree(spec), tid=tid) for tid, spec in enumerate(seed + planted)}
+    in_segments, in_delta = list(alive), []
+    with tempfile.TemporaryDirectory() as workdir:
+        indexes = [
+            LiveIndex.create(
+                os.path.join(workdir, coding), mss, coding, trees=list(alive.values()), fsync=False
+            )
+            for coding in ("filter",) + CODINGS
+        ]
+        services = [QueryService(index) for index in indexes]
+        try:
+            for op, argument in [("query", None), *writes]:
+                if op == "add":
+                    spec = planted[argument] if isinstance(argument, int) else argument
+                    (tid,) = {index.add_tree(build_tree(spec)) for index in indexes}
+                    alive[tid] = ParseTree(build_tree(spec), tid=tid)
+                    in_delta.append(tid)
+                elif op == "compact":
+                    for index in indexes:
+                        index.compact()
+                    in_segments, in_delta = in_segments + in_delta, []
+                elif op.startswith("delete"):
+                    pool = in_delta if op == "delete from delta" else in_segments
+                    if not pool:
+                        continue
+                    tid = pool.pop(argument % len(pool))
+                    for index in indexes:
+                        index.delete_tree(tid)
+                    del alive[tid]
+                expected = []
+                for query in queries:
+                    counts = ((tid, count_matches(query.root, tree)) for tid, tree in sorted(alive.items()))
+                    expected.append({tid: count for tid, count in counts if count})
+                for service in services:
+                    coding = service.index.coding.name
+                    found = [service.run(query).matches_per_tree for query in queries]
+                    assert found == expected, (op, coding)
+                    batch = [result.matches_per_tree for result in service.run_many(queries)]
+                    assert batch == expected, (op, coding)
+        finally:
+            for service in services:
+                service.close()
+            for index in indexes:
+                index.close()

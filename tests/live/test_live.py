@@ -22,7 +22,7 @@ from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import QueryExecutor
 from repro.live import LiveIndex
-from repro.trees.node import ParseTree
+from repro.trees.node import Node, ParseTree
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
 
@@ -354,9 +354,9 @@ class TestLifecycle:
         finally:
             live.close()
 
-    def test_posting_lists_are_published_copy_on_write(self, workdir, tiny_corpus) -> None:
+    def test_a_posting_list_a_reader_holds_never_changes(self, workdir, tiny_corpus) -> None:
         """A posting list a reader fetched is a stable snapshot: a later add
-        rebinds, never extends, the delta's shared lists."""
+        grows the delta's body in place, never the columns handed out."""
         live = LiveIndex.create(str(workdir / "cow"), mss=2, coding="root-split")
         try:
             live.add_tree(tiny_corpus[0].root)
@@ -417,8 +417,6 @@ class TestOneNodeTree:
 
     @pytest.mark.parametrize("coding", CODINGS)
     def test_build_add_reopen_compact(self, workdir, tiny_corpus, coding) -> None:
-        from repro.trees.node import Node
-
         lone = ParseTree(Node("X"), tid=3)
         seed = [*list(tiny_corpus)[:3], lone]
         with TreeStore.build(str(workdir / f"lone-{coding}.data"), seed) as store:
@@ -446,6 +444,45 @@ class TestOneNodeTree:
             assert executor.execute(parse_query("X")).matched_tids == [added]
         finally:
             live.close()
+
+
+class TestLabelsWithoutAPennForm:
+    """A label that is empty or holds whitespace or a bracket has no Penn
+    form that reads back as itself.  The write-ahead log and the data files
+    store Penn text, so such a tree is refused before anything is written:
+    acknowledged, it would be another tree after a restart (``the dog`` ->
+    ``the``, ``dog``) or leave the index unopenable (``a)``)."""
+
+    CASES = {
+        "whitespace": (Node("S", [Node("NP", [Node("the dog")]), Node("VP")]), "the dog"),
+        "bracket": (Node("S", [Node("NP", [Node("a)")]), Node("VP")]), "a)"),
+        "empty": (Node("S", [Node("", [Node("NP")]), Node("VP")]), ""),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_add_refuses_it_and_changes_nothing(self, tmp_path, tiny_corpus, case) -> None:
+        root, label = self.CASES[case]
+        live = LiveIndex.create(str(tmp_path / "labels"), MSS, "root-split", trees=list(tiny_corpus)[:3])
+        live.add_tree(tiny_corpus[3].root)
+        ops, items = live.wal.op_count, list(live.items())
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            live.add_tree(root)
+        assert live.wal.op_count == ops
+        assert list(live.items()) == items
+        live.close()
+        reopened = LiveIndex.open(live.manifest_path)
+        try:
+            assert list(reopened.items()) == items and reopened.tree_count == 4
+        finally:
+            reopened.close()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_data_file_refuses_it(self, tmp_path, case) -> None:
+        root, label = self.CASES[case]
+        with TreeStore.build(str(tmp_path / "labels.data"), []) as store:
+            with pytest.raises(ValueError, match=re.escape(repr(label))):
+                store.append(ParseTree(root, tid=0))
+            assert len(store) == 0
 
 
 class TestCompactionIsAMerge:

@@ -107,22 +107,114 @@ def test_plans_survive_mutations_and_an_epoch_bump(live) -> None:
 
 
 def test_merged_posting_cache_serves_repeats_until_a_mutation(live) -> None:
-    """One posting cache holds the lists merged over segments + delta; the
-    index empties it on every mutation and compaction."""
+    """One posting cache holds two levels per key: the list merged over
+    segments + delta, and below it the segments' part.  A mutation sweeps
+    the merged lists only; a compaction empties the cache."""
     service = QueryService(live, result_cache_size=0)
     try:
-        service.run("NP(DT)(NN)")
+        service.run("NP(DT)(NN)")  # one cover key at mss 3
         cold = service.stats().postings
-        assert cold.misses > 0 and cold.size > 0
+        assert cold.misses == 2 and cold.size == 2
         service.run("NP(DT)(NN)")
         warm = service.stats().postings
-        assert warm.hits > cold.hits and warm.misses == cold.misses
+        assert warm.hits == cold.hits + 1 and warm.misses == cold.misses
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
-        assert service.stats().postings.size == 0
+        assert service.stats().postings.size == 1  # the segment part stays
         service.run("NP(DT)(NN)")
-        assert service.stats().postings.misses > warm.misses
+        after = service.stats().postings
+        assert (after.misses, after.hits, after.size) == (warm.misses + 1, warm.hits + 1, 2)
         live.compact()
         assert service.stats().postings.size == 0
+    finally:
+        service.close()
+
+
+def test_a_write_to_the_delta_costs_no_descent(tmp_path, live) -> None:
+    """An add, or a delete of a delta tree, leaves the cached segment parts
+    valid: re-running the queries descends into no segment's B+Tree, and
+    the answers are a rebuild's over the surviving trees."""
+    service = QueryService(live, result_cache_size=0)
+    try:
+        for text in QUERIES:
+            service.run(text)
+        warm = service.stats().postings.size
+        descents = live.probe_snapshot().tree_descents
+        assert descents > 0
+        tid = live.add_tree("(ROOT (S (NP (DT the) (NN fish)) (VP (VBZ swims))))")
+        assert service.stats().postings.size * 2 == warm  # the merged level is swept
+        assert service.run("NP(DT)(NN)").matches_per_tree.get(tid) == 1
+        live.add_tree("(ROOT (S (NP (DT a) (NN crab)) (VP (VBZ digs))))")
+        live.delete_tree(tid)
+        reference = plain_service_over(tmp_path, live, "delta-writes")
+        try:
+            for text in QUERIES:
+                assert service.run(text).matches_per_tree == reference.run(text).matches_per_tree
+        finally:
+            reference.close()
+        assert live.probe_snapshot().tree_descents == descents
+    finally:
+        service.close()
+
+
+def test_a_delete_in_a_segment_rereads_each_cached_part_once(live) -> None:
+    """After a segment tree is deleted, each key's segment part is read
+    again once -- one descent per segment -- and later writes to the delta
+    do not read it again."""
+    service = QueryService(live, result_cache_size=0)
+    try:
+        keys = {key for text in QUERIES for key in service.prepare(text).key_bytes}
+        for text in QUERIES:
+            service.run(text)
+        victim = min(service.run("NP(DT)(NN)").matches_per_tree)
+        assert victim in live.snapshot.sources[0].store  # a tree of the seed segment
+        descents = live.probe_snapshot().tree_descents
+        live.delete_tree(victim)
+        for text in QUERIES + QUERIES:
+            assert victim not in service.run(text).matches_per_tree
+        reread = live.probe_snapshot().tree_descents
+        assert reread == descents + len(keys) * live.segment_count
+        live.add_tree("(ROOT (NP (DT a) (NN b)))")
+        for text in QUERIES:
+            service.run(text)
+        assert live.probe_snapshot().tree_descents == reread
+    finally:
+        service.close()
+
+
+def test_stale_segment_part_is_never_served(live) -> None:
+    """The segment-level twin of the test below: a part put with an older
+    tag -- a slow reader's, from before a segment delete or of the epoch a
+    compaction replaced -- is never served."""
+    service = QueryService(live, result_cache_size=0)
+    try:
+        key = b"NP(DT)"
+        stale_tag = (live.epoch, 0)
+        stale = live.lookup(key)  # seed segment only: the delta is empty
+        victim = stale.tids[0]
+        live.delete_tree(victim)
+        live.postings_cache.put((key,), (stale_tag, stale))  # the slow reader's put
+        expected = [tid for tid in stale.tids if tid != victim]
+        assert list(live.lookup(key).tids) == expected
+        live.compact()
+        live.postings_cache.put((key,), (stale_tag, stale))  # a part of the replaced segment
+        assert list(live.lookup(key).tids) == expected
+    finally:
+        service.close()
+
+
+def test_a_compaction_drops_both_levels(live) -> None:
+    service = QueryService(live, result_cache_size=0)
+    try:
+        live.add_tree("(ROOT (NP (DT a) (NN b)))")
+        for text in QUERIES:
+            service.run(text)
+        assert service.stats().postings.size > 0
+        descents = live.probe_snapshot().tree_descents
+        live.compact()
+        assert service.stats().postings.size == 0
+        for text in QUERIES:
+            service.run(text)
+        assert live.probe_snapshot().tree_descents > descents  # read from the new segments
     finally:
         service.close()
 

@@ -268,6 +268,19 @@ class TestMergedLookup:
         finally:
             sharded.attach_postings_cache(None)
 
+    def test_a_frozen_set_caches_one_entry_per_key(self, indexes) -> None:
+        """Without a delta the merged list is the segments' part: one entry,
+        not the two levels of a live index."""
+        _, _, sharded = indexes["root-split"]
+        cache = LRUCache(16)
+        sharded.attach_postings_cache(cache)
+        try:
+            for key in ("NP(DT)", "VP(VBZ)", "NP(DT)"):
+                sharded.lookup(key)
+            assert sorted(cache.keys()) == [b"NP(DT)", b"VP(VBZ)"]
+        finally:
+            sharded.attach_postings_cache(None)
+
     def test_open_dispatches_from_subtree_index(self, indexes) -> None:
         sharded = indexes["root-split"][2]
         reopened = SubtreeIndex.open(sharded.manifest_path)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.trees.node import Node, ParseTree
 from repro.trees.penn import PennSyntaxError, parse_penn, parse_penn_corpus, to_penn
 
 
@@ -33,8 +36,6 @@ class TestParsePenn:
         assert to_penn(parse_penn(text)) == text
 
     def test_a_tree_of_one_node_round_trips(self) -> None:
-        from repro.trees.node import Node
-
         assert to_penn(Node("X")) == to_penn(Node("X"), pretty=True) == "(X)"
         assert to_penn(parse_penn("(X)")) == "(X)"
         leaf = parse_penn("(NP dog)").children[0]
@@ -68,6 +69,22 @@ class TestParsePenn:
         with pytest.raises(PennSyntaxError) as excinfo:
             parse_penn("(NP (DT the)")
         assert excinfo.value.position >= 0
+
+
+class TestLabelsWithoutAPennForm:
+    """The one-line form is what data files and the write-ahead log store:
+    it round-trips every tree whose labels are Penn tokens and refuses the
+    others by label."""
+
+    def test_every_generated_tree_round_trips(self, small_corpus) -> None:
+        for tree in list(small_corpus) + [ParseTree(Node("X"))]:
+            assert parse_penn(to_penn(tree.root)).structurally_equal(tree.root)
+
+    @pytest.mark.parametrize("label", ["", "the dog", "a)", "(b", "tab\there", "no\u00a0break"])
+    def test_refuses_a_label_without_a_penn_form(self, label: str) -> None:
+        for root in (Node("S", [Node("NP", [Node(label)])]), Node(label, [Node("NP")]), Node(label)):
+            with pytest.raises(ValueError, match=re.escape(repr(label))):
+                to_penn(root)
 
 
 class TestParseCorpus:
