@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
-import uuid
 from collections import deque
 from contextvars import ContextVar
 from typing import Dict, List, Optional, Sequence
@@ -347,8 +347,8 @@ def annotate(**attrs: object) -> None:
 # Request ids
 # ----------------------------------------------------------------------
 def new_request_id() -> str:
-    """A fresh, URL-safe request id (32 hex chars)."""
-    return uuid.uuid4().hex
+    """A fresh, URL-safe request id (32 hex chars: 16 random bytes)."""
+    return os.urandom(16).hex()
 
 
 def set_request_id(request_id: Optional[str]):

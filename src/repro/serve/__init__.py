@@ -6,12 +6,13 @@ The package splits into four small modules:
     latency histograms with log-spaced buckets, quantile estimation, what
     the server counts and its Prometheus text rendering;
 ``framing``
-    HTTP/1.1 request reading and response writing over asyncio streams,
-    with every read/write timeout and size limit;
+    the HTTP/1.1 request parser over a connection's receive buffer, with
+    every size limit, and the response encoder;
 ``server``
     the stdlib-only asyncio HTTP server (``/query``, ``/query/batch``,
-    ``/stats``, ``/healthz``, ``/metrics``) plus helpers for running it
-    from synchronous code;
+    ``/stats``, ``/healthz``, ``/metrics``), one ``asyncio.Protocol`` a
+    connection with its read and write clocks, plus helpers for running
+    it from synchronous code;
 ``loadgen``
     the closed-loop load generator behind ``repro loadtest`` and the
     ``serve_http_throughput`` bench experiment.

@@ -1,37 +1,32 @@
-"""HTTP/1.1 framing over ``asyncio`` streams: read one request, write one response.
+"""HTTP/1.1 framing over one receive buffer: parse a request, encode a response.
 
 Just enough of the protocol for :mod:`repro.serve.server` -- request line,
-headers, ``Content-Length`` bodies, keep-alive -- and every limit and clock
-that protects the read and write side from a slow, dead or malicious peer:
+headers, ``Content-Length`` bodies, keep-alive -- and every size limit that
+protects the read side from a malicious peer:
 
-* the whole request head (request line + headers) must arrive within
-  ``header_timeout`` seconds, the body within its own ``header_timeout``
-  budget (408); each clock is one timer, armed only when a read actually
-  has to wait -- a request that arrived whole costs none;
 * one request or header line may be 64 KiB at most, the header block
   ``max_header_bytes`` and 256 headers (431), the body ``max_body_bytes``
   (413); chunked transfer encoding and ``Content-Length`` headers that
-  disagree are refused (400);
-* a response write is bounded by ``write_timeout``: a client that stops
-  reading has its connection aborted once ``writer.drain()`` stalls.
+  disagree are refused (400).
 
-Nothing here knows what is served: the module imports nothing from the
-query service, counts nothing and routes nothing.  A refused request is a
-:class:`ProtocolError` carrying the status to answer with (and which clock
-ran out, if one did); the server counts it and closes the connection.
+Nothing here reads a socket, arms a clock, knows what is served or counts
+anything: a :class:`RequestParser` takes requests out of the bytes a
+connection has received and says which clock guards the wait when they are
+not a whole request yet.  A refused request is a :class:`ProtocolError`
+carrying the status to answer with (and which clock ran out, if one did);
+the server counts it and closes the connection.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
-from typing import Dict, Iterator, NamedTuple, Optional
+import re
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 #: The longest request line or header line accepted.
 _MAX_LINE = 64 * 1024
 
-#: Bytes taken from the stream per read.
-_READ_CHUNK = 64 * 1024
+#: The end of a request head: its first blank line (lines end in CRLF or LF).
+_HEAD_END = re.compile(rb"\n\r?\n")
 
 _STATUS_REASONS = {
     200: "OK",
@@ -48,13 +43,13 @@ _STATUS_REASONS = {
 
 
 class ProtocolError(Exception):
-    """A malformed or abusive request head, answered with a 4xx and a close.
+    """A malformed, abusive or stalled request, answered with a 4xx and a close.
 
-    Raised by the request reader before any handler runs; the connection
-    loop sends the JSON error and drops the connection (a peer that cannot
-    frame a request cannot be trusted to frame the next one either).
-    *timeout* names the read clock that ran out (``"header"`` / ``"body"``)
-    when that is why.
+    Raised by the request parser before any handler runs (or built by the
+    connection when a read clock runs out); the connection sends the JSON
+    error and drops the connection (a peer that cannot frame a request
+    cannot be trusted to frame the next one either).  *timeout* names the
+    read clock that ran out (``"header"`` / ``"body"``) when that is why.
     """
 
     def __init__(self, status: int, message: str, timeout: Optional[str] = None):
@@ -64,117 +59,79 @@ class ProtocolError(Exception):
         self.timeout = timeout
 
 
-class IdleTimeout(Exception):
-    """An idle keep-alive connection hit the header timeout: close silently."""
-
-
-class Expired(Exception):
-    """A :func:`deadline` ran out (never raised by the work it guards)."""
-
-
 class Request(NamedTuple):
     """One framed request (*client_request_id*: its ``X-Request-ID``, if any)."""
 
     method: str
     path: str
     keep_alive: bool
-    body: bytes
     query_string: str
     client_request_id: Optional[str]
+    body: bytes
 
 
-@contextlib.contextmanager
-def deadline(seconds: float) -> Iterator[None]:
-    """Bound the awaits of a ``with`` block: :class:`Expired` after *seconds*.
+class RequestParser:
+    """Takes requests, one at a time, out of one connection's receive buffer.
 
-    One timer handle and no Task (``asyncio.timeout`` for 3.10): the timer
-    cancels the current task -- which, when it fires, can only be suspended
-    inside the block -- and the cancellation leaves the block as
-    :class:`Expired`.  Anyone else's cancellation passes through.  Enter it
-    only around an await that is about to block; arming the timer is the cost.
+    The connection appends what it receives to :attr:`buffer` and calls
+    :meth:`next`.  However many segments a request arrives in, each byte is
+    searched for the end of the head once and the head is parsed once; while
+    the body is short a call is one length check.  So a client dribbling a
+    large head or body costs the loop time in proportion to what it sends.
     """
-    task = asyncio.current_task()
-    expired = False
 
-    def expire() -> None:
-        nonlocal expired
-        expired = True
-        task.cancel()
+    def __init__(self, max_header_bytes: int, max_body_bytes: int):
+        self.buffer = bytearray()  # received, not yet consumed by a request
+        self.max_header_bytes = max_header_bytes
+        self.max_body_bytes = max_body_bytes
+        self._scanned = 0  # where the search for the end of the head resumes
+        #: A parsed head waiting for its body: the fields, where the body starts and ends.
+        self._head: Optional[Tuple[tuple, int, int]] = None
 
-    handle = asyncio.get_running_loop().call_later(seconds, expire)
-    try:
-        yield
-    except asyncio.CancelledError:
-        if not expired:
-            raise
-        if hasattr(task, "uncancel"):  # 3.11+: retract our own cancel request
-            task.uncancel()
-        raise Expired() from None
-    finally:
-        handle.cancel()
+    def next(self) -> Union[Request, str, None]:
+        """Take the request at the front of the buffer out of it, under the limits.
+
+        Returns the :class:`Request` (its bytes deleted from the buffer); or,
+        when the buffer holds only part of one, the name of the read clock
+        that guards the wait for the rest -- ``"header"`` until the head is
+        complete, ``"body"`` after; or ``None`` for a blank request line, on
+        which the connection hangs up.  Raises :class:`ProtocolError` for a
+        malformed or oversized head (the caller responds 4xx and closes).
+        """
+        buffer, head = self.buffer, self._head
+        if head is None:
+            match = _HEAD_END.search(buffer, self._scanned)
+            if match is None:
+                # The most a valid head holds, line ends included.
+                if len(buffer) > _MAX_LINE + self.max_header_bytes + 3:
+                    raise ProtocolError(431, "request head exceeds the size limits")
+                self._scanned = max(0, len(buffer) - 2)  # a match may straddle the next read
+                return "header"
+            end = match.end()
+            fields, length = _parse_head(
+                buffer[:end].decode("latin-1"), self.max_header_bytes, self.max_body_bytes
+            )
+            if fields is None:
+                return None
+            head = self._head = fields, end, end + length
+        fields, end, need = head
+        if len(buffer) < need:
+            return "body"
+        body = bytes(buffer[end:need])
+        del buffer[:need]
+        self._head, self._scanned = None, 0
+        return Request(*fields, body)
 
 
-def _head_end(buffer: bytearray, start: int) -> int:
-    """The index just past the blank line that ends the request head in
-    *buffer* (searched from *start*), or -1.  Lines end in CRLF or bare LF."""
-    crlf = buffer.find(b"\n\r\n", start)
-    lf = buffer.find(b"\n\n", start)
-    if crlf < 0 or 0 <= lf < crlf:
-        return lf + 2 if lf >= 0 else -1
-    return crlf + 3
-
-
-async def read_request(
-    reader: asyncio.StreamReader,
-    buffer: bytearray,
-    first: bool,
-    header_timeout: float,
-    max_header_bytes: int,
-    max_body_bytes: int,
-) -> Optional[Request]:
-    """Parse one request head + body under the read timeouts and limits.
-
-    *buffer* holds what the connection has received and not yet
-    consumed; the request is parsed out of it in one step and the
-    stream is read only when it runs short (a pipelined request is
-    already there).  Each such wait is guarded by one timer: the whole
-    head shares a *header_timeout* budget, the body gets its own.
-
-    Returns ``None`` on a cleanly closed connection.  Raises
-    :class:`ProtocolError` for malformed/oversized heads (the caller
-    responds 4xx and closes) and :class:`IdleTimeout` when an idle
-    keep-alive connection (not its *first* request) times out between
-    requests.
-    """
-    end = _head_end(buffer, 0)
-    if end < 0:
-        try:
-            with deadline(header_timeout):
-                while end < 0:
-                    # The most a valid head holds, line ends included.
-                    if len(buffer) > _MAX_LINE + max_header_bytes + 3:
-                        raise ProtocolError(431, "request head exceeds the size limits")
-                    scanned = max(0, len(buffer) - 2)
-                    chunk = await reader.read(_READ_CHUNK)
-                    if not chunk:
-                        return None  # EOF before a complete head: client went away
-                    buffer += chunk
-                    end = _head_end(buffer, scanned)
-        except Expired:
-            if not buffer and not first:
-                raise IdleTimeout() from None
-            # Connect-and-say-nothing, or a slow-loris head dribbling in
-            # slower than the budget.
-            doing = "reading request headers" if buffer else "waiting for a request"
-            raise ProtocolError(
-                408, f"timed out {doing} (header timeout {header_timeout:g}s)", timeout="header"
-            ) from None
-    lines = buffer[:end].decode("latin-1").split("\n")
+def _parse_head(head: str, max_header_bytes: int, max_body_bytes: int) -> Tuple[Optional[tuple], int]:
+    """The :class:`Request` fields but the body, and the body's length, of
+    the request *head*; ``(None, 0)`` for a blank request line."""
+    lines = head.split("\n")
     del lines[-2:]  # the blank line and what follows its LF
     request_line = lines[0]
     if not request_line.strip():
-        return None
-    if max(map(len, lines)) > _MAX_LINE:
+        return None, 0
+    if len(head) > _MAX_LINE and max(map(len, lines)) > _MAX_LINE:
         raise ProtocolError(431, "request or header line exceeds the line length limit")
     parts = request_line.split()
     if len(parts) != 3:
@@ -204,28 +161,9 @@ async def read_request(
         raise ProtocolError(
             413, f"request body of {length} bytes exceeds the limit ({max_body_bytes} bytes)"
         )
-    need = end + length
-    if len(buffer) < need:
-        try:
-            with deadline(header_timeout):
-                while len(buffer) < need:
-                    chunk = await reader.read(_READ_CHUNK)
-                    if not chunk:
-                        return None  # EOF mid-body
-                    buffer += chunk
-        except Expired:
-            raise ProtocolError(
-                408,
-                f"timed out reading the request body (timeout {header_timeout:g}s)",
-                timeout="body",
-            ) from None
-    body = bytes(buffer[end:need])
-    del buffer[:need]
     path, _, query_string = target.partition("?")
     keep_alive = version != "HTTP/1.0" and headers.get("connection", "").lower() != "close"
-    return Request(
-        method.upper(), path, keep_alive, body, query_string, headers.get("x-request-id") or None
-    )
+    return (method.upper(), path, keep_alive, query_string, headers.get("x-request-id") or None), length
 
 
 def _header_safe(value: str) -> str:
@@ -258,26 +196,3 @@ def encode_response(
         "\r\n"
     )
     return head.encode("latin-1") + payload
-
-
-async def write_response(
-    writer: asyncio.StreamWriter, response: bytes, write_timeout: float
-) -> bool:
-    """Write one encoded response under the write timeout.
-
-    Returns False (after aborting the connection) when the client
-    stopped reading for longer than *write_timeout* -- a never-reading
-    sink must not pin the connection task forever.
-    """
-    transport = writer.transport
-    writer.write(response)
-    if not transport.get_write_buffer_size():
-        await writer.drain()  # all of it reached the socket: cannot block
-        return True
-    try:
-        with deadline(write_timeout):
-            await writer.drain()
-    except Expired:
-        transport.abort()
-        return False
-    return True

@@ -1,8 +1,8 @@
 """A stdlib-only asyncio HTTP front end over a query service, whatever it serves.
 
 ``QueryServer`` speaks just enough HTTP/1.1 (:mod:`repro.serve.framing`:
-request line, headers, ``Content-Length`` bodies, keep-alive) over
-``asyncio`` streams to serve six JSON/text endpoints:
+request line, headers, ``Content-Length`` bodies, keep-alive), one
+``asyncio.Protocol`` per connection, to serve six JSON/text endpoints:
 
 ``POST /query``
     ``{"query": "NP(DT)(NN)"}`` -> one result (matches per tree, stats);
@@ -30,26 +30,26 @@ thread pool (the services are thread-safe by design) and the event loop
 stays free to accept further requests.  The one exception is a request
 whose every result is already resident in a real
 :class:`~repro.service.service.QueryService`'s result cache: that costs
-microseconds a query, so it is answered on the loop, without the hand-off
-(and without a queue slot).  The server owns nothing: pass an open
-service, close it yourself -- or use :func:`open_server` / ``repro serve``
-which open and close the service around the server.
+microseconds a query, so it is answered on the loop, in the
+``data_received`` call that completed it, like every GET and refusal.  The
+server owns nothing: pass an open service, close it yourself -- or use
+:func:`open_server` / ``repro serve`` which open and close the service
+around the server.
 
 Hostile-traffic hardening
 -------------------------
 The server assumes every client may be slow, dead or malicious:
 
-* request heads and bodies are read, and responses written, under the
-  clocks and size limits listed in :mod:`repro.serve.framing`
-  (``header_timeout``: 408, ``write_timeout``: abort, 431 / 413 past the
-  sizes) -- a client that connects and sends nothing is reaped on the
-  header clock, while an *idle keep-alive* connection -- one that already
-  completed a request -- is closed silently instead, like any production
-  server; a malformed head gets a clean 4xx JSON error, never a traceback;
+* requests are read, and responses written, under one clock a connection
+  (``header_timeout``: 408; ``write_timeout``: abort) and the size limits
+  of :mod:`repro.serve.framing` (431 / 413) -- a client that connects and
+  sends nothing is reaped on the header clock, while an *idle keep-alive*
+  connection is closed silently instead, like any production server; a
+  malformed head gets a clean 4xx JSON error, never a traceback;
 * handler work is bounded by ``request_timeout`` (504; the executor
   thread finishes in the background -- threads cannot be killed);
-* a connection with pipelined requests buffered yields the loop between
-  them, so one client's backlog never stalls the others (or the timers);
+* a connection with pipelined requests buffered serves one a loop turn,
+  so one client's backlog never stalls the others (or the timers);
 * at most ``max_connections`` connections are served; excess connections
   receive an immediate 503 with ``Retry-After`` and are closed;
 * at most ``max_queue`` queries may be queued or running on the executor;
@@ -77,22 +77,13 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Awaitable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
 from repro import obs
 from repro.exec.executor import QueryResult
 from repro.obs.sinks import JsonlSink
-from repro.serve.framing import (
-    Expired,
-    IdleTimeout,
-    ProtocolError,
-    Request,
-    deadline,
-    encode_response,
-    read_request,
-    write_response,
-)
+from repro.serve.framing import ProtocolError, Request, RequestParser, encode_response
 from repro.serve.metrics import ServerMetrics
 from repro.service.service import PreparedQuery, QueryService
 
@@ -116,6 +107,9 @@ _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 
 #: One answer before framing: status, content type, body.
 Response = Tuple[int, str, bytes]
+
+#: What a request dispatches to: its response, or what will produce it.
+Answer = Union[Response, Awaitable[Response]]
 
 #: The hardening knobs by what a valid value is (``limits`` in ``/stats``).
 _POSITIVE = ("header_timeout", "request_timeout", "write_timeout", "drain_timeout")
@@ -204,8 +198,8 @@ class QueryServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._connections: set = set()
-        #: Connection tasks currently between "request read" and "response
-        #: written"; drain() lets these finish, idle connections it cancels.
+        #: Connections currently between "request read" and "response
+        #: written"; drain() lets these finish, idle connections it closes.
         self._busy: set = set()
         self._inflight_queries = 0
         self._draining = False
@@ -244,7 +238,9 @@ class QueryServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="repro-serve"
         )
-        self._server = await asyncio.start_server(self._handle_connection, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.time()
         return self
@@ -256,12 +252,12 @@ class QueryServer:
         first step on):
 
         1. close the listening socket -- new connections are refused;
-        2. cancel *idle* connections (blocked waiting for a request line);
+        2. close *idle* connections (waiting for a request);
         3. wait up to *grace* seconds (``drain_timeout`` when not given)
            for busy connections to finish writing their current response
-           (which carries ``Connection: close``), then cancel any
+           (which carries ``Connection: close``), then abort any
            stragglers -- a *grace* of 0 is the abrupt stop: every
-           connection is cancelled at once;
+           connection is aborted at once;
         4. shut the executor down.
 
         Returns a summary dict (``drain_seconds``, ``forced_connections``).
@@ -271,30 +267,33 @@ class QueryServer:
             return {"drain_seconds": 0.0, "forced_connections": 0, "completed": True}
         started = time.perf_counter()
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Handlers accepted in the close window register themselves on their
-        # first step; give them that step so the snapshots below see them.
+        listener, self._server = self._server, None
+        if listener is not None:
+            listener.close()
+        # Connections accepted in the close window register themselves a
+        # loop turn later; give them that turn so the snapshots below see them.
         await asyncio.sleep(0)
         # Idle connections have nothing in flight: reap them now so the
         # drain clock is spent on connections doing real work.
-        for task in list(self._connections - self._busy):
-            task.cancel()
+        for connection in list(self._connections - self._busy):
+            connection.transport.close()
         forced = 0
         if self._connections:
             _, pending = await asyncio.wait(
-                list(self._connections), timeout=self.drain_timeout if grace is None else grace
+                [connection.closed for connection in self._connections],
+                timeout=self.drain_timeout if grace is None else grace,
             )
             forced = len(pending)
         # Whatever is left -- past the deadline, or slipped past the snapshot
         # (it cannot do real work: the executor is about to go away) -- is
-        # cancelled rather than abandoned to outlive the loop.
+        # aborted rather than abandoned to outlive the loop.
         while self._connections:
-            for task in list(self._connections):
-                task.cancel()
-            await asyncio.gather(*list(self._connections), return_exceptions=True)
+            closing = list(self._connections)
+            for connection in closing:
+                connection.transport.abort()
+            await asyncio.gather(*[connection.closed for connection in closing])
+        if listener is not None:
+            await listener.wait_closed()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -323,146 +322,25 @@ class QueryServer:
             await self.drain(grace=0.0)
 
     # ------------------------------------------------------------------
-    # Connections
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()  # start_server runs every handler as one
-        self._connections.add(task)
-        self.metrics.connection_opened(len(self._connections))
-        # A small write buffer makes writer.drain() apply backpressure
-        # early, so the write timeout actually observes a stalled client
-        # instead of the transport buffering megabytes silently.
-        writer.transport.set_write_buffer_limits(high=self.write_buffer)
-        buffer = bytearray()  # received, not yet consumed by a request
-        first = True
-        try:
-            refusal = None
-            if len(self._connections) > self.max_connections:
-                refusal = (
-                    "connections",
-                    f"connection limit reached (max_connections={self.max_connections})",
-                )
-            elif self._draining:
-                refusal = "draining", "server is draining"
-            if refusal is not None:
-                self.metrics.sheds[refusal[0]] += 1
-                await self._write(writer, self._json_error(503, refusal[1]), keep_alive=False)
-                return
-            while True:
-                try:
-                    request = await read_request(
-                        reader, buffer, first,
-                        self.header_timeout, self.max_header_bytes, self.max_body_bytes,
-                    )
-                except ProtocolError as error:
-                    if error.timeout is not None:
-                        self.metrics.timeouts[error.timeout] += 1
-                    self.metrics.protocol_errors += 1
-                    self.metrics.for_endpoint("/_protocol").record(error.status, 0.0)
-                    await self._write(
-                        writer, self._json_error(error.status, error.message), keep_alive=False
-                    )
-                    break
-                except IdleTimeout:
-                    self.metrics.idle_closed += 1
-                    break
-                if request is None:
-                    break
-                first = False
-                # Request ids always flow, traced or not: take the client's
-                # X-Request-ID, mint one otherwise, echo it on the response.
-                request_id = request.client_request_id or obs.new_request_id()
-                started = time.perf_counter()
-                self._busy.add(task)
-                try:
-                    response = await self._serve_request(request, request_id)
-                    self.metrics.for_endpoint(request.path).record(
-                        response[0], time.perf_counter() - started
-                    )
-                    # A drain that started while this request ran still gets
-                    # its response out, marked Connection: close.
-                    keep_alive = request.keep_alive and not self._draining
-                    written = await self._write(writer, response, keep_alive, request_id)
-                finally:
-                    self._busy.discard(task)
-                # Re-check _draining: it may have flipped while the write
-                # above was suspended (after keep_alive was computed).  A
-                # handler that loops back into the read here would have been
-                # busy at drain's idle-reap snapshot -- never cancelled, and
-                # "forced" at the deadline despite sitting idle.
-                if not written or not keep_alive or self._draining:
-                    break
-                if buffer:
-                    # A pipelined request is already here, and serving it may
-                    # never suspend (parsed from the buffer, answered on the
-                    # loop, written to an empty transport).  Yield once per
-                    # request so one client's pipeline cannot hold the loop
-                    # -- and every other connection, accept and timer -- for
-                    # as long as it has requests queued.
-                    await asyncio.sleep(0)
-        except asyncio.CancelledError:
-            # drain() reaped this connection (idle, or past the drain
-            # deadline).  Swallow the cancellation and fall through to the
-            # close below: on 3.11 the streams done-callback calls
-            # task.exception() without a cancelled() guard, so a task that
-            # ends *cancelled* dumps a spurious traceback into the loop's
-            # exception handler.
-            pass
-        except ConnectionError:
-            pass  # client went away; drop the connection
-        finally:
-            self._busy.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - platform dependent
-                pass
-            except asyncio.CancelledError:
-                # drain() cancelled us mid-close; the transport is
-                # already closing, so completing normally is both safe and
-                # what keeps the task gatherable.
-                pass
-            # Deregister only once the close is complete: a handler that
-            # leaves the set while still awaiting wait_closed is invisible
-            # to drain()'s gather and gets destroyed pending when the loop
-            # shuts down (seen as "Task was destroyed but it is pending"
-            # under mass client disconnects racing server stop).
-            self._connections.discard(task)
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        response: Response,
-        keep_alive: bool,
-        request_id: Optional[str] = None,
-    ) -> bool:
-        """Frame and write one response; False (counted) on a write timeout."""
-        written = await write_response(
-            writer, encode_response(*response, keep_alive, request_id), self.write_timeout
-        )
-        if not written:
-            self.metrics.timeouts["write"] += 1
-        return written
-
-    # ------------------------------------------------------------------
     # Routing and handlers
     # ------------------------------------------------------------------
-    async def _serve_request(self, request: Request, request_id: str) -> Response:
-        """Dispatch one request, under a traced root span when tracing is on."""
-        if not obs.enabled():
-            return await self._dispatch(request, request_id)
+    async def _traced(self, request: Request, request_id: str) -> Response:
+        """:meth:`_dispatch` under a root span (which outlives the callback
+        that parsed the request, so a traced request is always awaited)."""
         token = obs.set_request_id(request_id)
         try:
             with obs.trace("http_request", method=request.method, path=request.path) as span:
-                response = await self._dispatch(request, request_id)
+                response = self._dispatch(request, request_id)
+                if not isinstance(response, tuple):
+                    response = await response
                 span.set(status=response[0])
                 return response
         finally:
             obs.reset_request_id(token)
 
-    async def _dispatch(self, request: Request, request_id: str) -> Response:
+    def _dispatch(self, request: Request, request_id: str) -> Answer:
+        """The response to *request* if it is ready now, else an awaitable
+        of it (a request that needs the pool)."""
         path = request.path
         allowed = _METHODS.get(path)
         if allowed is None:
@@ -475,7 +353,7 @@ class QueryServer:
             )
         try:
             if allowed == "POST":
-                return await self._handle_queries(request.body, batch=path == "/query/batch")
+                return self._handle_queries(request.body, path, request_id)
             if path == "/stats":
                 return self._handle_stats()
             if path == "/healthz":
@@ -485,22 +363,8 @@ class QueryServer:
             return self._handle_debug_trace(request.query_string)
         except BadRequest as error:
             return self._json_error(400, str(error))
-        except Expired:
-            # The handler timeout around pool work.  The executor thread
-            # finishes its query in the background (threads cannot be
-            # interrupted); the bounded queue keeps such zombies from
-            # accumulating without limit.
-            self.metrics.timeouts["handler"] += 1
-            return self._json_error(
-                504, f"request timed out after {self.request_timeout:g}s of processing"
-            )
-        except asyncio.CancelledError:
-            raise  # the drain cancellation, not a bug
         except Exception as error:  # noqa: BLE001 - the server must not die on a handler bug
-            # The traceback goes to the structured log only; the response
-            # body stays generic so internals never leak to clients.
-            self._log_server_error(path, request_id, error)
-            return self._json_error(500, "internal server error")
+            return self._server_error(path, request_id, error)
 
     def _json_error(self, status: int, message: str) -> Response:
         return status, _JSON, json.dumps({"error": message}).encode("utf-8")
@@ -527,11 +391,12 @@ class QueryServer:
         except ValueError as error:
             raise BadRequest(f"cannot parse query {text!r}: {error}") from error
 
-    async def _handle_queries(self, body: bytes, batch: bool) -> Response:
+    def _handle_queries(self, body: bytes, path: str, request_id: str) -> Answer:
         """``/query`` and ``/query/batch``: prepare, answer resident results
-        here, shed, run everything else once on the pool under the deadline."""
+        here, shed, hand everything else to the pool (:meth:`_on_pool`)."""
         payload = self._parse_json(body)
         service = self.service
+        batch = path == "/query/batch"
         if batch:
             texts = payload.get("queries")
             if not isinstance(texts, list):
@@ -556,50 +421,60 @@ class QueryServer:
         if isinstance(service, QueryService) and all(map(service.result_resident, prepared)):
             answer = run(argument)
             self.metrics.query_answers["loop"] += 1
-        else:
-            if self._inflight_queries + len(texts) > self.max_queue:
-                self.metrics.sheds["queue"] += 1
-                return self._json_error(
-                    503,
-                    f"server saturated ({self._inflight_queries} queries in flight, "
-                    f"max_queue={self.max_queue}); retry later",
-                )
-            if obs.enabled():
-                # run_in_executor does not carry context variables into the pool
-                # thread; copy the context so the service's spans nest under this
-                # request's root span and inherit its request id.
-                run = functools.partial(contextvars.copy_context().run, run)
-            assert self._executor is not None
-            self._inflight_queries += len(texts)
-            try:
-                pending = asyncio.get_running_loop().run_in_executor(self._executor, run, argument)
-                with deadline(self.request_timeout):
-                    answer = await pending
-            finally:
-                self._inflight_queries -= len(texts)
-            self.metrics.query_answers["pool"] += 1
+            return self._queries_ok(texts, answer, batch)
+        if self._inflight_queries + len(texts) > self.max_queue:
+            self.metrics.sheds["queue"] += 1
+            return self._json_error(
+                503,
+                f"server saturated ({self._inflight_queries} queries in flight, "
+                f"max_queue={self.max_queue}); retry later",
+            )
+        if obs.enabled():
+            # run_in_executor does not carry context variables into the pool
+            # thread; copy the context so the service's spans nest under this
+            # request's root span and inherit its request id.
+            run = functools.partial(contextvars.copy_context().run, run)
+        # The slots are taken here, in the same step as the check above, so
+        # no other request can slip in between; _on_pool gives them back.
+        self._inflight_queries += len(texts)
+        return self._on_pool(run, argument, texts, path, request_id)
+
+    async def _on_pool(self, run, argument, texts: List[object], path: str, request_id: str) -> Response:
+        """One ``run`` / ``run_many`` on the pool under the handler timer."""
+        assert self._executor is not None
+        try:
+            pending = asyncio.get_running_loop().run_in_executor(self._executor, run, argument)
+            answer = await asyncio.wait_for(pending, self.request_timeout)
+        except asyncio.TimeoutError:
+            # The executor thread finishes its query in the background
+            # (threads cannot be interrupted); the bounded queue keeps such
+            # zombies from accumulating without limit.
+            self.metrics.timeouts["handler"] += 1
+            return self._json_error(
+                504, f"request timed out after {self.request_timeout:g}s of processing"
+            )
+        except Exception as error:  # noqa: BLE001 - the server must not die on a handler bug
+            return self._server_error(path, request_id, error)
+        finally:
+            self._inflight_queries -= len(texts)
+        self.metrics.query_answers["pool"] += 1
+        return self._queries_ok(texts, answer, path == "/query/batch")
+
+    def _queries_ok(self, texts: List[object], answer, batch: bool) -> Response:
         if not batch:
-            return self._json_ok({"query": argument, "result": result_to_dict(answer)})
-        results: List[QueryResult] = answer
-        return self._json_ok({
-            "count": len(results),
-            "results": [
-                {"query": text, "result": result_to_dict(result)}
-                for text, result in zip(texts, results)
-            ],
-        })
+            return self._json_ok({"query": texts[0], "result": result_to_dict(answer)})
+        results = [{"query": text, "result": result_to_dict(result)} for text, result in zip(texts, answer)]
+        return self._json_ok({"count": len(results), "results": results})
 
-    def _log_server_error(self, path: str, request_id: str, error: BaseException) -> None:
-        """One structured line per 500: request id, error, full traceback.
+    def _server_error(self, path: str, request_id: str, error: BaseException) -> Response:
+        """A 500, and one structured line for it: request id, error, full traceback.
 
-        Goes to the tracer's sinks (the ``--trace-log`` JSONL file) when
-        tracing is on, to the ``repro.serve`` logger otherwise -- never into
-        the HTTP response.
+        The line goes to the tracer's sinks (the ``--trace-log`` JSONL file)
+        when tracing is on, to the ``repro.serve`` logger otherwise -- never
+        into the HTTP response, whose body stays generic.
         """
         self._server_errors += 1
-        detail = "".join(
-            traceback.format_exception(type(error), error, error.__traceback__)
-        )
+        detail = "".join(traceback.format_exception(type(error), error, error.__traceback__))
         if obs.enabled():
             obs.get_tracer().emit({
                 "kind": "error",
@@ -610,9 +485,8 @@ class QueryServer:
                 "ts": time.time(),
             })
         else:
-            _LOG.error(
-                "request %s to %s failed: %r\n%s", request_id, path, error, detail
-            )
+            _LOG.error("request %s to %s failed: %r\n%s", request_id, path, error, detail)
+        return self._json_error(500, "internal server error")
 
     def _handle_debug_trace(self, query_string: str) -> Response:
         if not obs.enabled():
@@ -686,6 +560,216 @@ class QueryServer:
             connections_open=len(self._connections),
         )
         return 200, _PROMETHEUS, body.encode("utf-8")
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: its receive buffer, its one clock, at most one task.
+
+    A request whose answer is ready -- a GET, any refusal, a resident
+    ``/query`` -- is answered in the ``data_received`` call that completed
+    it.  One that needs the pool (or runs traced) pauses reading and becomes
+    one task, which writes its response and comes back to the buffer a loop
+    turn later -- as does the next of several pipelined requests.  The clock
+    is the wait's: *header* while the head is incomplete, *body* while the
+    body is, *write* while the transport has paused writing.
+    """
+
+    def __init__(self, server: QueryServer):
+        self.server = server
+        self.loop = asyncio.get_running_loop()
+        self.transport: asyncio.Transport  # set by connection_made
+        self.parser = RequestParser(server.max_header_bytes, server.max_body_bytes)
+        self.first = True  # no request yet: the header clock ends in a 408
+        self.eof = False  # the peer has closed its end
+        self.writing_paused = False
+        self.clock: Optional[str] = None  # "header" / "body" / "write"
+        self.deadline = 0.0  # when the running clock runs out (loop time)
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.task: Optional[asyncio.Task] = None
+        self.next_turn: Optional[asyncio.Handle] = None
+        #: Resolved when the connection is gone; what drain() waits on.
+        self.closed = self.loop.create_future()
+
+    # -- asyncio callbacks ----------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        server = self.server
+        server._connections.add(self)
+        server.metrics.connection_opened(len(server._connections))
+        # A small write buffer makes the transport pause writing early, so
+        # the write clock observes a stalled client instead of the
+        # transport buffering megabytes silently.
+        self.transport.set_write_buffer_limits(high=server.write_buffer)
+        if len(server._connections) > server.max_connections:
+            reason = "connections"
+            message = f"connection limit reached (max_connections={server.max_connections})"
+        elif server._draining:
+            reason, message = "draining", "server is draining"
+        else:
+            self._next()
+            return
+        server.metrics.sheds[reason] += 1
+        self._write(server._json_error(503, message), keep_alive=False)
+
+    def data_received(self, data: bytes) -> None:
+        self.parser.buffer += data
+        self._next()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._next()
+        return True  # the transport stays open until _next closes it
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self._cancel_timer()
+        if self.task is not None:
+            self.task.cancel()
+        self.server._busy.discard(self)
+        self.server._connections.discard(self)
+        self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        # The client stopped reading: serve nothing more until it catches up.
+        self.writing_paused = True
+        self.transport.pause_reading()
+        self._start_clock("write", self.server.write_timeout)
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        self._stop_clock()
+        self._next_later()
+
+    # -- serving --------------------------------------------------------
+    def _next(self) -> None:
+        """Serve the request at the front of the buffer, or wait for it."""
+        transport = self.transport
+        if self.task or self.next_turn or self.writing_paused or transport.is_closing():
+            return
+        server = self.server
+        try:
+            request = self.parser.next()
+        except ProtocolError as error:
+            self._refuse(error)
+            return
+        if not isinstance(request, Request):
+            if request is None or self.eof:
+                # A blank request line, or the peer closed its end before
+                # the request was whole: hang up, with no response.
+                self._stop_clock()
+                transport.close()
+            else:
+                self._start_clock(request, server.header_timeout)
+                transport.resume_reading()
+            return
+        self._stop_clock()
+        self.first = False
+        # Request ids always flow, traced or not: take the client's
+        # X-Request-ID, mint one otherwise, echo it on the response.
+        request_id = request.client_request_id or obs.new_request_id()
+        started = time.perf_counter()
+        dispatch = server._traced if obs.enabled() else server._dispatch
+        answer = dispatch(request, request_id)
+        if not isinstance(answer, tuple):
+            transport.pause_reading()
+            server._busy.add(self)
+            self.task = self.loop.create_task(self._answer_later(answer, request, request_id, started))
+            return
+        self._answer(request, request_id, started, answer)
+        if self.parser.buffer:
+            transport.pause_reading()
+            self._next_later()
+        else:
+            self._next()  # arms the idle clock
+
+    async def _answer_later(
+        self, pending: Awaitable[Response], request: Request, request_id: str, started: float
+    ) -> None:
+        # connection_lost cancels the task: nobody is left to answer.
+        response = await pending
+        self.task = None
+        self.server._busy.discard(self)
+        self._answer(request, request_id, started, response)
+        self._next_later()
+
+    def _next_later(self) -> None:
+        """Come back to the buffer on the next loop turn (once, however often asked)."""
+        if self.next_turn is None:
+            self.next_turn = self.loop.call_soon(self._on_next_turn)
+
+    def _on_next_turn(self) -> None:
+        self.next_turn = None
+        self._next()
+
+    def _answer(self, request: Request, request_id: str, started: float, response: Response) -> None:
+        server = self.server
+        server.metrics.for_endpoint(request.path).record(response[0], time.perf_counter() - started)
+        # A drain that started while the request ran still gets its
+        # response out, marked Connection: close.
+        self._write(response, request.keep_alive and not server._draining, request_id)
+
+    def _write(self, response: Response, keep_alive: bool, request_id: Optional[str] = None) -> None:
+        self.transport.write(encode_response(*response, keep_alive, request_id))
+        if not keep_alive:
+            self.transport.close()
+
+    def _refuse(self, error: ProtocolError) -> None:
+        self._stop_clock()  # the connection is closing: no read clock may ring
+        if self.transport.is_closing():
+            return  # closed already (drain reaped it while a read clock ran)
+        metrics = self.server.metrics
+        if error.timeout is not None:
+            metrics.timeouts[error.timeout] += 1
+        metrics.protocol_errors += 1
+        metrics.for_endpoint("/_protocol").record(error.status, 0.0)
+        self._write(self.server._json_error(error.status, error.message), keep_alive=False)
+
+    # -- the clock --------------------------------------------------------
+    def _start_clock(self, clock: str, seconds: float) -> None:
+        """Run *clock* for *seconds* unless it runs already: a wait's clock
+        starts once, however many reads the wait takes."""
+        if self.clock != clock:
+            self.clock = clock
+            self.deadline = self.loop.time() + seconds
+            # The timer is moved only when it would ring late: a clock that
+            # stops and starts again between two requests costs no timer.
+            if self.timer is None or self.timer.when() > self.deadline:
+                self._cancel_timer()
+                self.timer = self.loop.call_at(self.deadline, self._ring)
+
+    def _stop_clock(self) -> None:
+        self.clock = None  # an armed timer finds nothing to do when it rings
+
+    def _cancel_timer(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def _ring(self) -> None:
+        rang, self.timer = self.timer.when(), None  # type: ignore[union-attr]
+        if self.clock is None:
+            return
+        if rang < self.deadline:  # the clock restarted after the timer was set
+            self.timer = self.loop.call_at(self.deadline, self._ring)
+            return
+        clock, self.clock = self.clock, None
+        server = self.server
+        if clock == "write":
+            server.metrics.timeouts["write"] += 1
+            self.transport.abort()
+        elif clock == "body":
+            self._refuse(ProtocolError(
+                408, f"timed out reading the request body (timeout {server.header_timeout:g}s)", "body"
+            ))
+        elif self.parser.buffer or self.first:
+            # Connect-and-say-nothing, or a slow-loris head dribbling in
+            # slower than the budget.
+            doing = "reading request headers" if self.parser.buffer else "waiting for a request"
+            self._refuse(ProtocolError(
+                408, f"timed out {doing} (header timeout {server.header_timeout:g}s)", "header"
+            ))
+        else:
+            server.metrics.idle_closed += 1
+            self.transport.close()
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ built once per module.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.index import SubtreeIndex
@@ -32,6 +34,31 @@ def index_path(tmp_path_factory, small_corpus) -> str:
 def service(index_path):
     service = QueryService.open(index_path)
     yield service
+    service.close()
+
+
+class HeldMisses(QueryService):
+    """A real QueryService whose uncached executions wait for a gate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gate = threading.Event()
+        self.gate.set()
+        self.held = 0
+
+    def _execute_uncached(self, prepared, started):
+        if not self.gate.is_set():
+            self.held += 1  # executions the gate has stopped, not warm-up runs
+        assert self.gate.wait(30.0), "the test never opened the gate"
+        return super()._execute_uncached(prepared, started)
+
+
+@pytest.fixture()
+def held_service(index_path):
+    """A :class:`HeldMisses` over the shared index, its gate opened at teardown."""
+    service = HeldMisses.open(index_path)
+    yield service
+    service.gate.set()  # pool threads cannot be cancelled: let them finish
     service.close()
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 
 from tests.serve.chaos.conftest import QUERIES
 from tests.serve.chaoskit import (
@@ -11,16 +10,8 @@ from tests.serve.chaoskit import (
     http_request,
     never_reading_socket,
     read_http_response,
+    wait_for,
 )
-
-
-def _wait_for(predicate, timeout: float = 15.0, interval: float = 0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached within the timeout")
 
 
 class TestDisconnects:
@@ -31,7 +22,7 @@ class TestDisconnects:
             b"POST /query HTTP/1.1\r\nHost: chaos\r\nContent-Length: 100\r\n\r\nhalf"
         )
         sock.close()  # vanish with 96 body bytes owed
-        _wait_for(lambda: len(thread.server._connections) == 0)
+        wait_for(lambda: len(thread.server._connections) == 0)
         assert thread.server._server_errors == 0
         # The server is unharmed: the next client is served normally.
         follow_up = connect(thread.port)
@@ -47,22 +38,22 @@ class TestDisconnects:
         sock = connect(thread.port)
         sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: cha")  # no terminator, ever
         sock.close()
-        _wait_for(lambda: len(thread.server._connections) == 0)
+        wait_for(lambda: len(thread.server._connections) == 0)
         assert thread.server._server_errors == 0
         assert thread.server.metrics.protocol_errors == 0
 
     def test_never_reading_client_is_aborted_by_write_timeout(self, start_server) -> None:
         # A sink that requests responses but never reads them fills the
-        # write buffers until writer.drain() stalls; the write timeout must
-        # abort the connection instead of pinning its task forever.
+        # write buffers until the transport pauses writing; the write timeout
+        # must abort the connection instead of pinning it forever.
         thread = start_server(write_timeout=0.5, write_buffer=4096)
         sock = never_reading_socket(thread.port)
         try:
             # Pipeline a flood of /metrics requests (multi-KiB responses)
             # and never read a byte of the answers.
             sock.sendall(http_request("/metrics") * 2000)
-            _wait_for(lambda: thread.server.metrics.timeouts["write"] >= 1)
-            _wait_for(lambda: len(thread.server._connections) == 0)
+            wait_for(lambda: thread.server.metrics.timeouts["write"] >= 1)
+            wait_for(lambda: len(thread.server._connections) == 0)
         finally:
             sock.close()
         assert thread.server._server_errors == 0

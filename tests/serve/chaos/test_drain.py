@@ -24,16 +24,7 @@ import pytest
 from repro.serve.loadgen import run_load
 from repro.serve.server import result_to_dict
 from tests.serve.chaos.conftest import QUERIES
-from tests.serve.chaoskit import SlowService, connect, http_request, read_http_response
-
-
-def _wait_for(predicate, timeout: float = 10.0, interval: float = 0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached within the timeout")
+from tests.serve.chaoskit import SlowService, connect, http_request, read_http_response, wait_for
 
 
 def _serve_threads() -> list:
@@ -49,7 +40,7 @@ class TestDrain:
         try:
             body = json.dumps({"query": QUERIES[0]}).encode()
             sock.sendall(http_request("/query", method="POST", body=body))
-            _wait_for(lambda: len(thread.server._busy) == 1)
+            wait_for(lambda: len(thread.server._busy) == 1)
             summary = thread.drain()
             assert summary["completed"] is True
             assert summary["forced_connections"] == 0
@@ -78,7 +69,7 @@ class TestDrain:
         try:
             body = json.dumps({"queries": QUERIES}).encode()
             sock.sendall(http_request("/query/batch", method="POST", body=body))
-            _wait_for(lambda: thread.server._inflight_queries == len(QUERIES))
+            wait_for(lambda: thread.server._inflight_queries == len(QUERIES))
             summary = thread.drain()
             assert summary["forced_connections"] == 0
             response = read_http_response(sock, timeout=5.0)
@@ -102,15 +93,15 @@ class TestDrain:
         # task *cancelled*, and on 3.11 asyncio.streams' done-callback calls
         # task.exception() without a cancelled() guard -- every drain dumped
         # a spurious CancelledError into the loop's exception handler (which
-        # logs to the "asyncio" logger).  The handler now swallows the
-        # cancellation and closes the socket like any other goodbye.
+        # logs to the "asyncio" logger).  A connection has no task to cancel
+        # now: drain closes an idle one's socket like any other goodbye.
         thread = start_server()
         sock = connect(thread.port)
         try:
             sock.sendall(http_request("/healthz"))  # keep-alive: stays parked
             response = read_http_response(sock, timeout=5.0)
             assert response is not None and response.status == 200
-            _wait_for(lambda: len(thread.server._connections) == 1)
+            wait_for(lambda: len(thread.server._connections) == 1)
             with caplog.at_level(logging.ERROR, logger="asyncio"):
                 summary = thread.drain()
                 time.sleep(0.2)  # let any straggling done-callbacks fire
@@ -145,7 +136,7 @@ class TestDrain:
         try:
             body = json.dumps({"query": QUERIES[0]}).encode()
             sock.sendall(http_request("/query", method="POST", body=body))
-            _wait_for(lambda: len(thread.server._busy) == 1)
+            wait_for(lambda: len(thread.server._busy) == 1)
             summary = thread.drain()
             assert summary["forced_connections"] == 1
             # The straggler's client gets a dropped connection, not junk.

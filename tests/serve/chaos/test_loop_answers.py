@@ -15,46 +15,10 @@ import json
 import threading
 import time
 
-import pytest
-
-from repro.service.service import QueryService
 from tests.serve.chaos.conftest import QUERIES
-from tests.serve.chaoskit import GatedService, connect, http_request, read_http_response
+from tests.serve.chaoskit import GatedService, connect, http_request, read_http_response, wait_for
 
 HIT, MISSES = QUERIES[0], QUERIES[1:]
-
-
-class HeldMisses(QueryService):
-    """A real QueryService whose uncached executions wait for a gate."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.gate = threading.Event()
-        self.gate.set()
-        self.held = 0
-
-    def _execute_uncached(self, prepared, started):
-        if not self.gate.is_set():
-            self.held += 1  # executions the gate has stopped, not warm-up runs
-        assert self.gate.wait(30.0), "the test never opened the gate"
-        return super()._execute_uncached(prepared, started)
-
-
-@pytest.fixture()
-def held_service(index_path):
-    service = HeldMisses.open(index_path)
-    yield service
-    service.gate.set()  # pool threads cannot be cancelled: let them finish
-    service.close()
-
-
-def _wait_for(predicate, timeout: float = 5.0, interval: float = 0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached within the timeout")
 
 
 def _post_query(sock, text: str) -> None:
@@ -76,7 +40,7 @@ def test_hit_overtakes_a_miss_holding_the_only_worker(held_service, start_server
     miss_sock, hit_sock = connect(thread.port), connect(thread.port)
     try:
         _post_query(miss_sock, MISSES[0])
-        _wait_for(lambda: held_service.held == 1)  # the one worker is taken
+        wait_for(lambda: held_service.held == 1)  # the one worker is taken
         _post_query(hit_sock, HIT)
         response = read_http_response(hit_sock, timeout=5.0)
         assert response is not None and response.status == 200
@@ -108,7 +72,7 @@ def test_resident_batch_is_answered_on_the_loop_and_one_miss_sends_it_to_the_poo
     hold_sock, batch_sock = connect(thread.port), connect(thread.port)
     try:
         _post_query(hold_sock, MISSES[1])
-        _wait_for(lambda: held_service.held == 1)  # the one worker is taken
+        wait_for(lambda: held_service.held == 1)  # the one worker is taken
         _post_batch(batch_sock, hits)
         response = read_http_response(batch_sock, timeout=5.0)
         assert response is not None and response.status == 200
@@ -121,7 +85,7 @@ def test_resident_batch_is_answered_on_the_loop_and_one_miss_sends_it_to_the_poo
         # One miss among the hits: the whole batch is one run_many on the pool
         # and holds a queue slot per query while it is there.
         _post_batch(batch_sock, [HIT, MISSES[2], HIT])
-        _wait_for(lambda: thread.server._inflight_queries == 4)
+        wait_for(lambda: thread.server._inflight_queries == 4)
         assert thread.server.metrics.query_answers == {"loop": 1, "pool": 0}
         held_service.gate.set()
         response = read_http_response(batch_sock, timeout=10.0)
@@ -145,7 +109,7 @@ def test_hit_takes_no_queue_slot(held_service, start_server) -> None:
     try:
         for sock, text in zip(socks, MISSES[:2]):
             _post_query(sock, text)
-        _wait_for(lambda: thread.server._inflight_queries == 2)  # the bound is full
+        wait_for(lambda: thread.server._inflight_queries == 2)  # the bound is full
         _post_query(socks[2], MISSES[2])
         shed = read_http_response(socks[2], timeout=5.0)
         assert shed is not None and shed.status == 503  # a miss is shed ...
@@ -251,7 +215,7 @@ def test_a_wrapper_never_answers_on_the_loop(start_server, service) -> None:
     query_sock, health_sock = connect(thread.port), connect(thread.port)
     try:
         _post_query(query_sock, HIT)
-        _wait_for(lambda: gated.entered == 1)  # held on a pool thread
+        wait_for(lambda: gated.entered == 1)  # held on a pool thread
         health_sock.sendall(http_request("/healthz"))
         health = read_http_response(health_sock, timeout=5.0)
         assert health is not None and health.status == 200  # the loop is alive

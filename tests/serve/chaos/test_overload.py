@@ -16,16 +16,8 @@ from tests.serve.chaoskit import (
     http_request,
     parse_prometheus,
     read_http_response,
+    wait_for,
 )
-
-
-def _wait_for(predicate, timeout: float = 10.0, interval: float = 0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached within the timeout")
 
 
 class TestConnectionCap:
@@ -33,7 +25,7 @@ class TestConnectionCap:
         thread = start_server(max_connections=4, header_timeout=5.0)
         holders = [connect(thread.port) for _ in range(4)]
         try:
-            _wait_for(lambda: len(thread.server._connections) >= 4)
+            wait_for(lambda: len(thread.server._connections) >= 4)
             shed_statuses = []
             for _ in range(3):
                 extra = connect(thread.port)
@@ -94,7 +86,7 @@ class TestQueueBound:
                 worker.start()
             # All six reach the server while the gate is closed: exactly two
             # fit the bound, exactly four are shed.
-            _wait_for(lambda: thread.server.metrics.sheds["queue"] == 4)
+            wait_for(lambda: thread.server.metrics.sheds["queue"] == 4)
         finally:
             gated.release()
             for worker in clients:
@@ -135,7 +127,7 @@ class TestQueueBound:
         try:
             body = json.dumps({"query": QUERIES[0]}).encode()
             held.sendall(http_request("/query", method="POST", body=body))
-            _wait_for(lambda: thread.server._inflight_queries == 1)
+            wait_for(lambda: thread.server._inflight_queries == 1)
             body = json.dumps({"queries": QUERIES[:2]}).encode()  # 1 + 2 > 2
             batch.sendall(http_request("/query/batch", method="POST", body=body))
             response = read_http_response(batch, timeout=5.0)

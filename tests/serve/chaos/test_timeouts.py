@@ -13,16 +13,8 @@ from tests.serve.chaoskit import (
     http_request,
     read_http_response,
     send_slowly,
+    wait_for,
 )
-
-
-def _wait_for(predicate, timeout: float = 5.0, interval: float = 0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(interval)
-    raise AssertionError("condition not reached within the timeout")
 
 
 class TestHeaderTimeout:
@@ -108,7 +100,7 @@ class TestHandlerTimeout:
                 assert "timed out" in response.json()["error"]
             finally:
                 sock.close()
-            _wait_for(lambda: gated.entered >= 1)
+            wait_for(lambda: gated.entered >= 1)
             assert thread.server.metrics.timeouts["handler"] == 1
         finally:
             # Executor threads cannot be cancelled: open the gate so the
@@ -125,7 +117,7 @@ class TestHandlerTimeout:
             try:
                 body = json.dumps({"queries": QUERIES[:3]}).encode()
                 sock.sendall(http_request("/query/batch", method="POST", body=body))
-                _wait_for(lambda: thread.server._inflight_queries == 3)  # a slot a query
+                wait_for(lambda: thread.server._inflight_queries == 3)  # a slot a query
                 response = read_http_response(sock, timeout=10.0)
                 assert response is not None and response.status == 504
                 assert "timed out" in response.json()["error"]

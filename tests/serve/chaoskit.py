@@ -89,38 +89,64 @@ class HttpResponse:
         return json.loads(self.body.decode("utf-8"))
 
 
-def read_http_response(sock: socket.socket, timeout: float = 10.0) -> Optional[HttpResponse]:
-    """Read exactly one response off *sock*; ``None`` on a clean close.
+def read_http_responses(sock: socket.socket, count: int, timeout: float = 10.0) -> List[HttpResponse]:
+    """Read *count* pipelined responses off *sock*, in order; fewer if the
+    server closes cleanly between two.
 
+    No byte of a later response is lost when two arrive in one ``recv``.
     Raises ``socket.timeout`` if the server sends nothing within *timeout*
     and ``ValueError`` if it sends something that is not HTTP -- both are
     test failures, never silent.
     """
     sock.settimeout(timeout)
     buffer = b""
-    while b"\r\n\r\n" not in buffer:
-        chunk = sock.recv(4096)
-        if not chunk:
-            if buffer:
-                raise ValueError(f"connection closed mid-head: {buffer!r}")
-            return None
-        buffer += chunk
-    head, _, rest = buffer.partition(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    match = re.fullmatch(r"HTTP/1\.1 (\d{3}) (.*)", lines[0])
-    if match is None:
-        raise ValueError(f"malformed status line: {lines[0]!r}")
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
-    while len(rest) < length:
-        chunk = sock.recv(4096)
-        if not chunk:
-            raise ValueError(f"connection closed mid-body ({len(rest)}/{length} bytes)")
-        rest += chunk
-    return HttpResponse(int(match.group(1)), match.group(2), headers, rest[:length])
+    responses: List[HttpResponse] = []
+    while len(responses) < count:
+        while b"\r\n\r\n" not in buffer:
+            chunk = sock.recv(4096)
+            if not chunk:
+                if buffer:
+                    raise ValueError(f"connection closed mid-head: {buffer!r}")
+                return responses
+            buffer += chunk
+        head, _, buffer = buffer.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        match = re.fullmatch(r"HTTP/1\.1 (\d{3}) (.*)", lines[0])
+        if match is None:
+            raise ValueError(f"malformed status line: {lines[0]!r}")
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", "0"))
+        while len(buffer) < length:
+            chunk = sock.recv(4096)
+            if not chunk:
+                raise ValueError(f"connection closed mid-body ({len(buffer)}/{length} bytes)")
+            buffer += chunk
+        responses.append(HttpResponse(int(match.group(1)), match.group(2), headers, buffer[:length]))
+        buffer = buffer[length:]
+    return responses
+
+
+def read_http_response(sock: socket.socket, timeout: float = 10.0) -> Optional[HttpResponse]:
+    """Read one response off *sock*; ``None`` on a clean close.
+
+    Whatever a ``recv`` brought past it is dropped: read pipelined
+    responses with :func:`read_http_responses`.
+    """
+    responses = read_http_responses(sock, 1, timeout)
+    return responses[0] if responses else None
+
+
+def wait_for(predicate, timeout: float = 15.0, interval: float = 0.01) -> None:
+    """Poll *predicate* until it holds; fail the test after *timeout* seconds."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(interval)
+    raise AssertionError("condition not reached within the timeout")
 
 
 def assert_closed(sock: socket.socket, timeout: float = 5.0) -> None:
@@ -140,7 +166,7 @@ def never_reading_socket(port: int, host: str = "127.0.0.1") -> socket.socket:
     """A connected socket with the smallest receive buffer the OS allows.
 
     The owner must *not* read from it: responses pile up in the tiny kernel
-    buffers until the server's ``writer.drain()`` stalls and its write
+    buffers until the server's transport pauses writing and its write
     timeout fires.
     """
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
