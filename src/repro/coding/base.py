@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import accumulate
-from typing import Dict, Iterable, List, Sequence, Tuple, Type
+from typing import AbstractSet, Dict, Iterable, List, Sequence, Tuple, Type
 
 from repro.coding.postings import PostingColumns
 from repro.storage.codec import (
@@ -33,8 +33,9 @@ class CodingScheme(ABC):
     A scheme says what one *row* is -- the flat ints of one posting, tree id
     first -- and which rows a tree contributes to each key (:meth:`rows`).
     A key's rows end to end are its *body*, the unit of the write path: the
-    builder appends to it, :meth:`encode_body` turns it into the stored
-    bytes and the columns the join reads are strided slices of it.
+    builder appends to it, a compaction cuts dead trees' rows out of it
+    (:meth:`cut_rows`), :meth:`encode_body` turns it into the stored bytes
+    and the columns the join reads are strided slices of it.
     """
 
     #: Short machine name used in file metadata and experiment reports.
@@ -80,9 +81,39 @@ class CodingScheme(ABC):
         # byte each, which is the case ``encode_varint_list`` is fast in.
         return encode_varint(len(flat) // width) + encode_varint(flat[0]) + encode_varint_list(flat[1:])
 
-    def encode_postings(self, postings: Sequence[object]) -> bytes:
-        """Serialise a posting list held as columns or as records."""
-        return self.encode_body(PostingColumns.from_postings(postings).body())
+    def decode_body(self, data: bytes) -> List[int]:
+        """The body :meth:`encode_body` was given, tids absolute, for a
+        compaction to cut; its often wide first tid is decoded on its own,
+        so the one-byte varints after it come back in one pass."""
+        count, offset = decode_varint(data, 0)
+        if not count:
+            return []
+        first, offset = decode_varint(data, offset)
+        body = [first, *decode_varint_run(data, offset)]
+        width = self.width(body)
+        if len(body) != count * width:
+            raise ValueError(
+                f"corrupt posting list: {count} records of {width} values, {len(body)} values found"
+            )
+        body[0::width] = accumulate(body[0::width])
+        return body
+
+    def cut_rows(self, body: Sequence[int], dead: AbstractSet[int]) -> Sequence[int]:
+        """*body* (tids absolute) less the rows of the trees in *dead*; *body*
+        itself when it holds none.  The runs of rows between dead ones are
+        copied a slice at a time."""
+        width = self.width(body)
+        tids = body[0::width]
+        if dead.isdisjoint(tids):
+            return body
+        kept: List[int] = []
+        start = 0  # the first row of the run being kept
+        for row, tid in enumerate(tids):
+            if tid in dead:
+                kept += body[start * width:row * width]
+                start = row + 1
+        kept += body[start * width:]
+        return kept
 
     def decode_postings(self, data: bytes) -> PostingColumns:
         """Deserialise a list produced by :meth:`encode_body`.

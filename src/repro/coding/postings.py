@@ -158,23 +158,6 @@ class PostingColumns(SequenceABC):
             tuple(body[at + 3::width] for at in starts),
         )
 
-    def body(self) -> List[int]:
-        """The flat body these columns are strided slices of, tids absolute."""
-        count, nodes = len(self.tids), len(self.slots)
-        if self.orders is None:
-            width = 1 + 3 * nodes
-            body = [0] * (width * count)
-            if nodes:
-                body[1::4], body[2::4], body[3::4] = self.slots[0]
-        else:
-            width = 2 + 4 * nodes
-            body = [nodes] * (width * count)
-            for at, slot, order in zip(range(2, width, 4), self.slots, self.orders):
-                body[at::width], body[at + 1::width], body[at + 2::width] = slot
-                body[at + 3::width] = order
-        body[0::width] = self.tids
-        return body
-
     # -- the read-only sequence of posting records ----------------------
     def __len__(self) -> int:
         return len(self.tids)

@@ -12,7 +12,8 @@ What it holds per key is the build's own unit, the flat *body* of rows
 (:class:`~repro.coding.base.CodingScheme`); a lookup hands out
 :class:`~repro.coding.postings.PostingColumns`, what the join kernel reads
 -- strided slices of the body, taken the first time the key is looked up
-after an add touched it and kept until the next one does.
+after an add touched it and kept until the next one does.  Its trees are
+the records a data file holds (:class:`DeltaTrees`), copied out as they are.
 
 Trees must be added in ascending tid order (the live index assigns
 monotonically increasing tids and never reuses one), which keeps every
@@ -27,10 +28,34 @@ from typing import AbstractSet, Dict, Iterator, List, Tuple
 from repro.coding.base import CodingScheme
 from repro.coding.postings import PostingColumns
 from repro.core.index import accumulate_posting_lists
-from repro.corpus.store import Corpus
 from repro.trees.node import ParseTree
+from repro.trees.penn import parse_penn
 
 _EMPTY = PostingColumns(())
+
+
+class DeltaTrees:
+    """The delta's trees as data-file records (tid -> UTF-8 Penn line) behind
+    the ``TreeStore`` surface live code reads; ``get`` parses on demand, so
+    an add's node tree lives only for its extraction."""
+
+    def __init__(self) -> None:
+        self.records: Dict[int, bytes] = {}
+
+    def record(self, tid: int) -> bytes:
+        return self.records[tid]
+
+    def get(self, tid: int) -> ParseTree:
+        return ParseTree(parse_penn(self.records[tid].decode("utf-8")), tid=tid)
+
+    def tids(self) -> List[int]:
+        return list(self.records)  # ascending: the insertion order
+
+    def __contains__(self, tid: int) -> bool:
+        return tid in self.records
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 class DeltaSegment:
@@ -40,7 +65,7 @@ class DeltaSegment:
         self.mss = mss
         self.coding = coding
         #: The delta's trees, in insertion (= ascending tid) order.
-        self.trees = Corpus()
+        self.trees = DeltaTrees()
         self._bodies: Dict[bytes, List[int]] = {}
         #: key -> (the body length sliced, its columns); good while the body
         #: (which only grows) is that long.
@@ -49,9 +74,10 @@ class DeltaSegment:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_tree(self, tree: ParseTree) -> None:
+    def add_tree(self, tree: ParseTree, record: bytes) -> None:
         """Index one tree; its tid must exceed every tid already present.
 
+        *record* is its data-file record, ``to_penn`` of the root in UTF-8.
         A key's body grows in place by the tree's rows (one ``+=``, atomic
         under the GIL), and a reader racing the add cuts the body where
         :meth:`lookup` found it.  (Readers racing the *whole* add may still
@@ -60,13 +86,12 @@ class DeltaSegment:
         """
         if tree.tid < 0:
             raise ValueError("delta trees need an assigned tid")
-        if len(self.trees) and tree.tid <= self.trees[-1].tid:
-            raise ValueError(
-                f"delta tids must be ascending: got {tree.tid} after {self.trees[-1].tid}"
-            )
+        last = next(reversed(self.trees.records), -1)
+        if tree.tid <= last:
+            raise ValueError(f"delta tids must be ascending: got {tree.tid} after {last}")
         per_key, _ = accumulate_posting_lists([tree], self.mss, self.coding)
-        self.trees.add(tree)  # the tree before its postings: a posting a
-        # reader can see must always name a fetchable tree
+        self.trees.records[tree.tid] = record  # the tree before its postings: a
+        # posting a reader can see must always name a fetchable tree
         for key, rows in per_key.items():
             body = self._bodies.setdefault(key, rows)
             if body is not rows:
@@ -101,19 +126,14 @@ class DeltaSegment:
             yield key, self.lookup(key)
 
     def encoded(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, encoded posting list)`` in key order, the postings of
-        trees in *dead* left out -- what a compaction writes.  A body no dead
-        tree appears in is encoded as it stands; a key left with no posting
-        disappears."""
+        """Yield ``(key, encoded posting list)`` in key order, the rows of
+        trees in *dead* cut from each body first -- what a compaction writes.
+        A key left with no row disappears."""
         coding = self.coding
         for key in sorted(self._bodies):
-            body = self._bodies[key]
-            if dead and not dead.isdisjoint(body[0::coding.width(body)]):
-                alive = self.lookup(key).without_tids(dead)
-                if alive:
-                    yield key, coding.encode_postings(alive)
-            else:
-                yield key, coding.encode_body(body)
+            kept = coding.cut_rows(self._bodies[key], dead)
+            if kept:
+                yield key, coding.encode_body(kept)
 
     # ------------------------------------------------------------------
     @property

@@ -14,9 +14,9 @@ LSM recipe:
   mutation is fsynced to the log before it is applied, so reopening after a
   crash replays the delta exactly -- zero lost, zero duplicated ops;
 * an explicit :meth:`compact`: the delta is flushed into a fresh immutable
-  segment via the existing builder, base segments containing tombstoned
-  trees are rewritten without them, and the epoch-stamped manifest is
-  swapped atomically before the WAL is truncated.
+  segment, base segments containing tombstoned trees are rewritten without
+  them (dead rows cut from bodies, records copied, no tree touched), and the
+  epoch-stamped manifest is swapped atomically before the WAL is truncated.
 
 Reads are the :class:`~repro.core.segments.SegmentSet` read API, written
 once for sharded and live indexes: a key's posting list is the column-wise
@@ -70,7 +70,7 @@ from repro.core.manifest import (
 )
 from repro.core.segments import SegmentSet, Snapshot, Source, Version, open_sources
 from repro.corpus.store import TreeStore
-from repro.live.delta import DeltaSegment
+from repro.live.delta import DeltaSegment, DeltaTrees
 from repro.live.wal import WriteAheadLog
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import parse_penn, to_penn
@@ -216,8 +216,9 @@ class LiveIndex(SegmentSet):
         live = cls(path, manifest, segments, wal, fsync=fsync)
         sources = live.snapshot.sources
         for op in ops:
-            if op.op == "add":
-                live.delta.add_tree(ParseTree(parse_penn(op.tree), tid=op.tid))
+            if op.op == "add":  # the record is rendered again: an old log's bare "X" is "(X)"
+                root = parse_penn(op.tree)
+                live.delta.add_tree(ParseTree(root, tid=op.tid), to_penn(root).encode("utf-8"))
                 live._next_tid = max(live._next_tid, op.tid + 1)
             else:
                 position = _holder(sources, op.tid)
@@ -245,9 +246,10 @@ class LiveIndex(SegmentSet):
             root = tree.root
         with self._write_lock:
             tid = self._next_tid
+            penn = to_penn(root)
             with obs.trace("wal.append", op="add", tid=tid):
-                self._wal.append_add(tid, to_penn(root))
-            self.delta.add_tree(ParseTree(root, tid=tid))
+                self._wal.append_add(tid, penn)
+            self.delta.add_tree(ParseTree(root, tid=tid), penn.encode("utf-8"))
             self._next_tid = tid + 1
             self._publish(self.snapshot.sources)
         return tid
@@ -298,9 +300,10 @@ class LiveIndex(SegmentSet):
     def compact(self) -> CompactionStats:
         """Fold the delta and tombstones into immutable segments.
 
-        Delta trees are flushed into a fresh segment via the existing
-        builder; base segments holding tombstoned trees are rewritten
-        without them (dropped entirely when nothing survives).  The order of
+        The delta's lists and records are flushed into a fresh segment;
+        base segments holding tombstoned trees are rewritten without them
+        (dropped entirely when nothing survives) -- no tree is indexed,
+        parsed or rendered again.  The order of
         durability is: new segment files first, then the epoch-bumped
         manifest in one atomic rename, then the WAL swap, then old-file
         cleanup -- a crash at any point leaves a consistent index (see
@@ -335,7 +338,7 @@ class LiveIndex(SegmentSet):
 
             # What is already indexed is merged, never indexed again: a
             # segment's stored lists and the delta's in-memory bodies are
-            # written back out without the tombstoned trees' postings.
+            # written back out with the tombstoned trees' rows cut.
             for segment in old_segments:
                 if not segment.dead:
                     segments.append(segment)
@@ -352,13 +355,13 @@ class LiveIndex(SegmentSet):
                     next_segment_id += 1
                     rewritten += 1
 
-            flushed = [tree for tree in delta.store if tree.tid not in delta.dead]
+            flushed = [tid for tid in delta.store.tids() if tid not in delta.dead]
             if flushed:
-                flush_started = time.perf_counter()
                 segments.append(_write_segment(
                     self.manifest_path, next_segment_id, self.mss, coding,
-                    [tree.tid for tree in flushed], delta.index.encoded(delta.dead),
-                    partial(TreeStore.build, trees=flushed), flush_started,
+                    flushed, delta.index.encoded(delta.dead),
+                    partial(_copy_records, source=delta.store, tids=flushed),
+                    time.perf_counter(),
                 ))
                 next_segment_id += 1
 
@@ -524,24 +527,24 @@ def _write_segment(
 
 
 def _surviving_lists(segment: Source) -> Iterator[Tuple[bytes, bytes]]:
-    """*segment*'s stored lists without its tombstoned trees' postings.
+    """*segment*'s stored lists without its tombstoned trees' rows.
 
-    A list no dead tree appears in is passed on as the bytes it is stored
-    as; the others are filtered column-wise and re-encoded, and a key whose
-    every posting is dropped disappears.
+    Each list goes back to its body, never to columns.  One no dead tree
+    appears in is passed on as the bytes it is stored as; the others are
+    cut and re-encoded, and a key left with no row disappears.
     """
-    coding = segment.index.coding
+    coding, dead = segment.index.coding, segment.dead
     for key, raw in segment.index.raw_items():
-        postings = coding.decode_postings(raw)
-        surviving = segment.alive(postings)
-        if surviving is postings:
+        body = coding.decode_body(raw)
+        kept = coding.cut_rows(body, dead)
+        if kept is body:
             yield key, raw
-        elif surviving:
-            yield key, coding.encode_postings(surviving)
+        elif kept:
+            yield key, coding.encode_body(kept)
 
 
-def _copy_records(path: str, source: TreeStore, tids: Sequence[int]) -> TreeStore:
-    """A data file at *path* holding *source*'s records of *tids*, copied unparsed."""
+def _copy_records(path: str, source: TreeStore | DeltaTrees, tids: Sequence[int]) -> TreeStore:
+    """A data file at *path* holding *source*'s records of *tids* (a data file's or the delta's)."""
     store = TreeStore.build(path, ())
     for tid in tids:
         store.append_record(tid, source.record(tid))

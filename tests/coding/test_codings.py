@@ -16,6 +16,7 @@ from repro.coding import (
     get_coding,
 )
 from repro.coding.base import coding_names
+from tests.coding.recordkit import encode_records
 
 #: One embedding of a key: the tree and its nodes' ``(pre, post, level)`` in
 #: the key's canonical order, root first.
@@ -28,8 +29,14 @@ def _occurrence(tid: int, codes: list[tuple[int, int, int]]) -> Occurrence:
 
 def _postings(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
     """The records *coding* stores for one key given as embeddings of any
-    trees: ``rows`` over what an extraction of those trees would hand it (one
-    anonymous key), read back through ``columns``."""
+    trees, read back through ``columns``."""
+    return list(coding.columns(_body(coding, occurrences)))
+
+
+def _body(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
+    """The body *coding* builds for one key given as embeddings of any trees:
+    ``rows`` over what an extraction of those trees would hand it (one
+    anonymous key)."""
     by_tid: dict = {}
     for tid, codes in occurrences:
         by_tid.setdefault(tid, set()).add(codes)
@@ -42,7 +49,7 @@ def _postings(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
             extraction = None, [[("", codes, len(codes)) for codes in embeddings]]
         for _, row in coding.rows(tid, *extraction):
             body += row
-    return list(coding.columns(body))
+    return body
 
 
 OCCURRENCES = [
@@ -74,7 +81,7 @@ class TestFilterBasedCoding:
     def test_round_trip(self) -> None:
         coding = FilterBasedCoding()
         postings = _postings(coding, OCCURRENCES)
-        assert coding.decode_postings(coding.encode_postings(postings)) == postings
+        assert coding.decode_postings(encode_records(coding, postings)) == postings
 
     def test_one_row_a_tree_however_many_roots(self) -> None:
         rows = FilterBasedCoding().rows(9, [(1, 3, 0), (2, 1, 1), (3, 2, 1)], [["A", "A(B)"], ["B"], ["B"]])
@@ -90,13 +97,13 @@ class TestRootSplitCoding:
     def test_round_trip(self) -> None:
         coding = RootSplitCoding()
         postings = _postings(coding, OCCURRENCES)
-        assert coding.decode_postings(coding.encode_postings(postings)) == postings
+        assert coding.decode_postings(encode_records(coding, postings)) == postings
 
     def test_posting_is_smaller_than_subtree_interval(self) -> None:
         root_split = RootSplitCoding()
         interval = SubtreeIntervalCoding()
-        rs_bytes = root_split.encode_postings(_postings(root_split, OCCURRENCES))
-        si_bytes = interval.encode_postings(_postings(interval, OCCURRENCES))
+        rs_bytes = encode_records(root_split, _postings(root_split, OCCURRENCES))
+        si_bytes = encode_records(interval, _postings(interval, OCCURRENCES))
         assert len(rs_bytes) < len(si_bytes)
 
 
@@ -115,7 +122,7 @@ class TestSubtreeIntervalCoding:
     def test_round_trip(self) -> None:
         coding = SubtreeIntervalCoding()
         postings = _postings(coding, OCCURRENCES)
-        assert coding.decode_postings(coding.encode_postings(postings)) == postings
+        assert coding.decode_postings(encode_records(coding, postings)) == postings
 
     def test_posting_properties(self) -> None:
         posting = _postings(SubtreeIntervalCoding(), [OCCURRENCES[0]])[0]
@@ -156,7 +163,7 @@ CODINGS = ["filter", "root-split", "subtree-interval"]
 def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
     coding = get_coding(name)
     postings = _postings(coding, occurrences)
-    decoded = coding.decode_postings(coding.encode_postings(postings))
+    decoded = coding.decode_postings(encode_records(coding, postings))
     assert isinstance(decoded, PostingColumns)
     assert decoded == postings and postings == decoded
     assert len(decoded) == len(postings) and list(decoded) == postings
@@ -166,11 +173,27 @@ def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
 
 
 @pytest.mark.parametrize("name", CODINGS)
+@given(occurrences=_occurrences(), data=st.data())
+def test_a_compaction_cuts_bodies_not_columns(name: str, occurrences: list[Occurrence], data) -> None:
+    """``decode_body`` undoes ``encode_body`` -- a wide first tid included --
+    and ``cut_rows`` drops exactly the dead trees' rows, handing the body
+    back itself when it holds none of them."""
+    coding = get_coding(name)
+    body = _body(coding, occurrences)
+    assert coding.decode_body(coding.encode_body(body)) == body
+    tids = sorted({tid for tid, _ in occurrences})
+    dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
+    kept = coding.cut_rows(body, dead)
+    assert list(coding.columns(kept)) == [row for row in coding.columns(body) if row.tid not in dead]
+    assert (kept is body) == dead.isdisjoint(tids)
+
+
+@pytest.mark.parametrize("name", CODINGS)
 @given(occurrences=_occurrences(min_size=1), data=st.data())
 def test_columns_are_a_read_only_sequence_of_postings(name, occurrences, data) -> None:
     coding = get_coding(name)
     postings = _postings(coding, occurrences)
-    decoded = coding.decode_postings(coding.encode_postings(postings))
+    decoded = coding.decode_postings(encode_records(coding, postings))
     index = data.draw(st.integers(min_value=-len(postings), max_value=len(postings) - 1))
     assert decoded[index] == postings[index]
     assert decoded[index:] == postings[index:]
@@ -192,7 +215,7 @@ def test_columns_are_a_read_only_sequence_of_postings(name, occurrences, data) -
 def test_damaged_input_raises_instead_of_answering(name, occurrences, data) -> None:
     coding = get_coding(name)
     postings = _postings(coding, occurrences)
-    encoded = coding.encode_postings(postings)
+    encoded = encode_records(coding, postings)
     cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
     with pytest.raises(ValueError):
         coding.decode_postings(encoded[:cut])
@@ -205,7 +228,7 @@ def test_damaged_input_raises_instead_of_answering(name, occurrences, data) -> N
 @pytest.mark.parametrize("name", CODINGS)
 def test_empty_list_round_trips(name: str) -> None:
     coding = get_coding(name)
-    decoded = coding.decode_postings(coding.encode_postings([]))
+    decoded = coding.decode_postings(encode_records(coding, []))
     assert len(decoded) == 0 and decoded == [] and list(decoded) == []
     assert PostingColumns.from_postings([]) == decoded
 
@@ -213,9 +236,9 @@ def test_empty_list_round_trips(name: str) -> None:
 def test_single_byte_bodies_decode_without_copying_values() -> None:
     coding = RootSplitCoding()
     postings = [RootPosting(3, 2, 5, 1), RootPosting(3, 9, 8, 2), RootPosting(90, 1, 120, 0)]
-    decoded = coding.decode_postings(coding.encode_postings(postings))
+    decoded = coding.decode_postings(encode_records(coding, postings))
     assert all(isinstance(column, bytes) for column in decoded.slots[0])
-    wide = coding.decode_postings(coding.encode_postings(postings + [RootPosting(400, 130, 129, 3)]))
+    wide = coding.decode_postings(encode_records(coding, postings + [RootPosting(400, 130, 129, 3)]))
     assert wide == postings + [RootPosting(400, 130, 129, 3)]
     assert not isinstance(wide.slots[0][0], bytes)
 
@@ -225,10 +248,8 @@ def test_subtree_interval_rejects_mixed_node_counts() -> None:
     narrow = _postings(coding, [_occurrence(1, [(1, 5, 0)])])
     wide = _postings(coding, [_occurrence(2, [(1, 5, 0), (2, 1, 1)])])
     with pytest.raises(ValueError):
-        coding.encode_postings(narrow + wide)
-    with pytest.raises(ValueError):
         PostingColumns.from_postings(narrow + wide)
     # Hand-assembled bytes claiming two records of different widths.
-    forged = b"\x02" + coding.encode_postings(narrow)[1:] + coding.encode_postings(wide)[1:]
+    forged = b"\x02" + encode_records(coding, narrow)[1:] + encode_records(coding, wide)[1:]
     with pytest.raises(ValueError):
         coding.decode_postings(forged)

@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from repro.coding import PostingColumns, RootPosting, get_coding
 from repro.coding.postings import FilterPosting, NodeCode, SubtreePosting, merge_columns
+from tests.coding.recordkit import encode_records
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 
@@ -70,7 +71,7 @@ def test_merged_list_is_the_tid_sorted_records(drawn, data) -> None:
         if not records:
             columns.append(data.draw(st.sampled_from([PostingColumns(()), PostingColumns([])])))
         elif data.draw(st.booleans()):  # as stored: bytes columns where the values fit
-            columns.append(coding.decode_postings(coding.encode_postings(records)))
+            columns.append(coding.decode_postings(encode_records(coding, records)))
         else:  # as a delta holds them: lists throughout
             columns.append(PostingColumns.from_postings(records))
     merged = merge_columns(columns)
@@ -80,12 +81,12 @@ def test_merged_list_is_the_tid_sorted_records(drawn, data) -> None:
     for column in (c for slot in merged.slots for c in slot):
         assert len(column) == len(expected)
     if expected:  # the round trip: the columns are what the coding stores
-        assert coding.decode_postings(coding.encode_postings(merged)) == expected
+        assert coding.decode_postings(encode_records(coding, merged)) == expected
 
 
 def test_bytes_and_list_columns_concatenate() -> None:
     coding = get_coding("root-split")
-    stored = coding.decode_postings(coding.encode_postings([RootPosting(1, 2, 3, 0)]))
+    stored = coding.decode_postings(encode_records(coding, [RootPosting(1, 2, 3, 0)]))
     assert isinstance(stored.slots[0][0], bytes)  # the trap: bytes + list raises
     delta = PostingColumns.from_postings([RootPosting(7, 300, 4, 1)])
     assert list(merge_columns([stored, delta])) == [RootPosting(1, 2, 3, 0), RootPosting(7, 300, 4, 1)]
@@ -96,7 +97,7 @@ def test_bytes_and_list_columns_concatenate() -> None:
 def test_single_populated_source_keeps_its_columns(empty) -> None:
     coding = get_coding("root-split")
     columns = coding.decode_postings(
-        coding.encode_postings([RootPosting(3, 1, 2, 0), RootPosting(9, 4, 5, 1)])
+        encode_records(coding, [RootPosting(3, 1, 2, 0), RootPosting(9, 4, 5, 1)])
     )
     assert merge_columns([empty, columns, empty]) is columns
     assert merge_columns([columns]) is columns

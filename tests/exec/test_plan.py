@@ -7,6 +7,7 @@ from repro.coding.root_split import RootSplitCoding
 from repro.exec.plan import build_plan, cover_relations
 from repro.query.decompose import min_rc, optimal_cover
 from repro.query.parser import parse_query
+from tests.coding.recordkit import encode_records
 
 
 def _node_of_offset(plan) -> dict[int, int]:
@@ -64,7 +65,7 @@ class TestBuildPlan:
         cover = min_rc(query, 2)
         coding = RootSplitCoding()
         plain = [[RootPosting(1, i + 1, 10 - i, i)] for i, _ in enumerate(cover.subtrees)]
-        decoded = [coding.decode_postings(coding.encode_postings(plist)) for plist in plain]
+        decoded = [coding.decode_postings(encode_records(coding, plist)) for plist in plain]
         from_lists = cover_relations(cover, plain)
         from_columns = cover_relations(cover, decoded)
         assert [r.columns for r in from_lists] == [r.columns for r in from_columns]

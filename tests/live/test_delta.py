@@ -8,8 +8,13 @@ from repro.coding.base import get_coding
 from repro.coding.postings import PostingColumns
 from repro.core.index import SubtreeIndex
 from repro.live.delta import DeltaSegment
+from repro.trees.penn import to_penn
 
 CODINGS = ("filter", "root-split", "subtree-interval")
+
+
+def _add(delta: DeltaSegment, tree) -> None:
+    delta.add_tree(tree, to_penn(tree.root).encode("utf-8"))
 
 
 def _columns(postings: PostingColumns) -> tuple:
@@ -29,7 +34,7 @@ def test_delta_stores_what_a_fresh_build_would(tmp_path, tiny_corpus, coding, ms
     trees = list(tiny_corpus)[:10]
     delta = DeltaSegment(mss=mss, coding=get_coding(coding))
     for tree in trees:
-        delta.add_tree(tree)
+        _add(delta, tree)
     built = SubtreeIndex.build(
         trees, mss=mss, coding=coding, path=str(tmp_path / f"ref-{coding}.si")
     )
@@ -55,7 +60,7 @@ def test_encoded_without_dead_trees_is_a_build_of_the_survivors(tmp_path, tiny_c
     trees = list(tiny_corpus)[:10]
     delta = DeltaSegment(mss=3, coding=get_coding(coding))
     for tree in trees:
-        delta.add_tree(tree)
+        _add(delta, tree)
     dead = {trees[0].tid, trees[4].tid, trees[9].tid}
     survivors = [tree for tree in trees if tree.tid not in dead]
     with SubtreeIndex.build(survivors, mss=3, coding=coding, path=str(tmp_path / "alive.si")) as built:
@@ -68,11 +73,11 @@ def test_columns_handed_out_survive_later_adds(tiny_corpus, coding) -> None:
     trees = list(tiny_corpus)[:8]
     delta = DeltaSegment(mss=3, coding=get_coding(coding))
     for tree in trees[:4]:
-        delta.add_tree(tree)
+        _add(delta, tree)
     held = {key: (postings, _columns(postings), list(postings)) for key, postings in delta.items()}
     assert all(delta.lookup(key) is postings for key, (postings, _, _) in held.items())  # cached
     for tree in trees[4:]:
-        delta.add_tree(tree)
+        _add(delta, tree)
     grown = 0
     for key, (postings, columns, records) in held.items():
         assert _columns(postings) == columns and list(postings) == records, key
@@ -89,7 +94,7 @@ def test_lookup_and_has_key(tiny_corpus) -> None:
     assert delta.lookup(b"NP(DT)") == []
     assert not delta.has_key(b"NP(DT)")
     for tree in list(tiny_corpus)[:5]:
-        delta.add_tree(tree)
+        _add(delta, tree)
     postings = delta.lookup(b"NP(DT)")
     assert postings
     assert [p.tid for p in postings] == sorted(p.tid for p in postings)
@@ -99,11 +104,11 @@ def test_lookup_and_has_key(tiny_corpus) -> None:
 def test_tids_must_ascend(tiny_corpus) -> None:
     delta = DeltaSegment(mss=2, coding=get_coding("root-split"))
     trees = list(tiny_corpus)
-    delta.add_tree(trees[3])
+    _add(delta, trees[3])
     with pytest.raises(ValueError, match="ascending"):
-        delta.add_tree(trees[1])
+        _add(delta, trees[1])
     with pytest.raises(ValueError, match="ascending"):
-        delta.add_tree(trees[3])  # equal tid is just as illegal
+        _add(delta, trees[3])  # equal tid is just as illegal
 
 
 @pytest.mark.parametrize("coding", CODINGS)
@@ -115,7 +120,7 @@ def test_readers_racing_adds_never_see_a_torn_list(tiny_corpus, coding) -> None:
 
     trees = list(tiny_corpus)
     delta = DeltaSegment(mss=3, coding=get_coding(coding))
-    delta.add_tree(trees[0])
+    _add(delta, trees[0])
     keys = [key for key, _ in delta.items()][:40]
     failures: list = []
     done = threading.Event()
@@ -138,7 +143,7 @@ def test_readers_racing_adds_never_see_a_torn_list(tiny_corpus, coding) -> None:
         for reader in readers:
             reader.start()
         for tree in trees[1:]:
-            delta.add_tree(tree)
+            _add(delta, tree)
     finally:
         done.set()
         for reader in readers:
@@ -147,3 +152,21 @@ def test_readers_racing_adds_never_see_a_torn_list(tiny_corpus, coding) -> None:
     assert not any(reader.is_alive() for reader in readers)
     assert not failures, failures[0]
     assert delta.tree_count == len(trees)
+
+
+def test_trees_are_kept_as_data_file_records(tiny_corpus) -> None:
+    """The delta holds an added tree as the record it was given, the Penn
+    line a data file stores, and parses it on ``get``."""
+    trees = list(tiny_corpus)[:3]
+    delta = DeltaSegment(mss=2, coding=get_coding("root-split"))
+    for tree in trees[:2]:
+        _add(delta, tree)
+    assert delta.trees.tids() == [trees[0].tid, trees[1].tid] and len(delta.trees) == 2
+    for tree in trees[:2]:
+        assert delta.trees.record(tree.tid) == to_penn(tree.root).encode("utf-8")
+        fetched = delta.trees.get(tree.tid)
+        assert fetched.tid == tree.tid and to_penn(fetched.root) == to_penn(tree.root)
+        assert fetched.root is not tree.root  # parsed on demand, not kept
+    assert trees[2].tid not in delta.trees
+    with pytest.raises(KeyError):
+        delta.trees.get(trees[2].tid)

@@ -13,16 +13,18 @@ from __future__ import annotations
 import json
 import random
 import re
+import zlib
 
 import pytest
 
 from repro.core.index import SubtreeIndex
-from repro.core.manifest import ManifestError
+from repro.core.manifest import ManifestError, wal_file_path
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import QueryExecutor
 from repro.live import LiveIndex
 from repro.trees.node import Node, ParseTree
+from repro.trees.penn import parse_penn
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
 
@@ -537,6 +539,34 @@ class TestCompactionIsAMerge:
                 data_path = live.manifest.resolve(live.manifest_path, segment.entry.data_path)
                 assert self._file_bytes(index_path) == self._file_bytes(fresh_path + ".si")
                 assert self._file_bytes(data_path) == self._file_bytes(fresh_path + ".data")
+        finally:
+            live.close()
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_an_old_logs_bare_label_is_flushed_as_a_build_writes_it(self, tmp_path, coding) -> None:
+        """A log written before one-node trees got brackets holds ``"tree":
+        "X"``.  Its delta record is ``to_penn`` of the replayed tree, so the
+        flushed data file is the one ``TreeStore.build`` writes: ``(X)``."""
+        path = str(tmp_path / "old.live.json")
+        LiveIndex.create(path, MSS, coding, fsync=False).close()
+        texts = ["(S (NP (DT a) (NN dog)) (VP (VBZ barks)))", "X", "(NP (NN cat))"]
+        with open(wal_file_path(path), "ab") as log:
+            for tid, text in enumerate(texts):
+                body = json.dumps({"op": "add", "tid": tid, "tree": text}, separators=(",", ":")).encode()
+                log.write(b"%08x " % zlib.crc32(body) + body + b"\n")
+        trees = [ParseTree(parse_penn(text), tid=tid) for tid, text in enumerate(texts)]
+        live = LiveIndex.open(path, fsync=False)
+        try:
+            assert live.delta.tree_count == 3 and live.store.get(1).root.label == "X"
+            assert live.compact().flushed_trees == 3
+            (segment,) = live.segments
+            data_path = live.manifest.resolve(live.manifest_path, segment.entry.data_path)
+            index_path = live.manifest.resolve(live.manifest_path, segment.entry.index_path)
+            TreeStore.build(str(tmp_path / "fresh.data"), trees).close()
+            SubtreeIndex.build(trees, mss=MSS, coding=coding, path=str(tmp_path / "fresh.si")).close()
+            assert self._file_bytes(data_path) == self._file_bytes(tmp_path / "fresh.data")
+            assert b"(X)" in self._file_bytes(data_path)
+            assert self._file_bytes(index_path) == self._file_bytes(tmp_path / "fresh.si")
         finally:
             live.close()
 
