@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro import Corpus, CorpusGenerator, QueryService, SubtreeIndex
+from repro import Corpus, CorpusGenerator, QueryService, SegmentSet, SubtreeIndex
 
 #: A skewed template mix: the first entries are "hot" and repeat the most.
 QUERY_TEMPLATES = [
@@ -48,14 +48,18 @@ def build_workload(requests: int, seed: int = 13) -> list:
 def main() -> None:
     corpus = Corpus(CorpusGenerator(seed=42).generate(1_000))
     workdir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
-    index = SubtreeIndex.build(corpus, mss=3, coding="root-split", path=str(workdir / "c.si"))
+    # A plain index file is the set of one source; its trees are the
+    # in-memory corpus here, which no filtering phase has to lock.
+    index = SegmentSet.of(
+        SubtreeIndex.build(corpus, mss=3, coding="root-split", path=str(workdir / "c.si")), corpus
+    )
     print(f"index: {index.key_count:,} keys over {len(corpus)} trees\n")
 
     workload = build_workload(requests=2_000)
     baseline = None
     for pool_size in (1, 2, 4, 8):
         index.reset_probe_stats()
-        service = QueryService(index, store=corpus)
+        service = QueryService(index)
         # One warm-up pass per template so every pool size measures the same
         # steady serving state rather than its own cache-fill transient.
         for text in QUERY_TEMPLATES:
@@ -79,8 +83,7 @@ def main() -> None:
             f"plans {stats.plans.hit_rate:.1%}, postings {stats.postings.hit_rate:.1%} "
             f"| index descents {stats.probes.tree_descents}"
         )
-        service.clear_caches()
-        index.attach_postings_cache(None)
+        service.close()  # drops and detaches its caches; the index stays open
 
     # Sanity: every request got a deterministic answer.
     assert all(isinstance(count, int) for count in matches)

@@ -21,8 +21,11 @@ Syntactically Annotated Trees"*, VLDB 2012.  The package provides:
 * a mutable "live" index for a growing corpus: write-ahead log, in-memory
   delta segment, tombstone deletes and explicit compaction
   (:mod:`repro.live`) -- both one manifest over segment files
-  (:mod:`repro.core.manifest`) behind the plain index's read API, written
-  once in :mod:`repro.core.segments`;
+  (:mod:`repro.core.manifest`);
+* one index type over all of them: :class:`SegmentSet`
+  (:mod:`repro.core.segments`), whose ``open`` opens a plain index file as
+  the set of one source, a sharded manifest as a frozen set and a live
+  manifest as a :class:`LiveIndex`;
 * the baselines the paper compares against (:mod:`repro.baselines`);
 * the evaluation workloads and the experiment harness regenerating every
   table and figure of the paper (:mod:`repro.workloads`, :mod:`repro.bench`).
@@ -36,10 +39,14 @@ Quickstart
 >>> result = executor.execute(parse_query("NP(DT)(NN)"))
 >>> result.total_matches > 0
 True
+>>> from repro import QueryService, SegmentSet
+>>> with QueryService(SegmentSet.of(index, corpus)) as service:
+...     service.run("NP(DT)(NN)").total_matches == result.total_matches
+True
 """
 
 from repro.coding import FilterBasedCoding, RootSplitCoding, SubtreeIntervalCoding, get_coding
-from repro.core import SubtreeIndex
+from repro.core import SegmentSet, SubtreeIndex
 from repro.corpus import Corpus, CorpusGenerator, TreeStore, generate_corpus
 from repro.exec import QueryExecutor, QueryResult
 from repro.live import LiveIndex
@@ -61,6 +68,7 @@ __all__ = [
     "CorpusGenerator",
     "generate_corpus",
     # Index and codings
+    "SegmentSet",
     "SubtreeIndex",
     "get_coding",
     "FilterBasedCoding",

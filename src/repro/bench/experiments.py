@@ -28,6 +28,7 @@ from repro.bench.registry import REPORTED, STEADY_STATE, TIMING, experiment
 from repro.coding import get_coding
 from repro.core.enumeration import subtree_count_by_root_branching
 from repro.core.index import accumulate_posting_lists, encode_posting_lists
+from repro.core.segments import SegmentSet
 from repro.core.stats import count_postings, count_unique_keys
 from repro.corpus.generator import CorpusGenerator
 from repro.exec.executor import QueryExecutor
@@ -530,16 +531,15 @@ def serve_cold_warm(
     with progressively more of the pipeline amortised across repetitions.
     """
     queries = [item.query for item in context.wh_queries()]
-    index = context.subtree_index(sentences, coding, mss)
-    store = context.tree_store(sentences)
-    index.reset_probe_stats()  # the context shares indexes across experiments
-    # The context owns the index: leaving a service's block only drops its
-    # caches and detaches them.
-    with QueryService(index, store=store, result_cache_size=0) as service:
+    # The context owns the files and shares them across experiments: the set
+    # is never closed, and leaving a service's block only drops its caches.
+    index = SegmentSet.of(context.subtree_index(sentences, coding, mss), context.tree_store(sentences))
+    index.reset_probe_stats()
+    with QueryService(index, result_cache_size=0) as service:
         cold_seconds = sum(_timed(service.run, queries)[0])
         warm_seconds = sum(_timed(service.run, queries * warm_passes)[0]) / warm_passes
         warm_stats = service.stats()
-    with QueryService(index, store=store) as hot_service:
+    with QueryService(index) as hot_service:
         _timed(hot_service.run, queries)  # populate every cache, result cache included
         hot_seconds = sum(_timed(hot_service.run, queries * warm_passes)[0]) / warm_passes
     return (
@@ -583,11 +583,8 @@ def _service_under_load(
     """
     if index is not None:
         return QueryService.open(index, **cache_options), []
-    service = QueryService(
-        context.subtree_index(sentences, coding, mss),
-        store=context.tree_store(sentences),
-        **cache_options,  # type: ignore[arg-type]
-    )
+    index = SegmentSet.of(context.subtree_index(sentences, coding, mss), context.tree_store(sentences))
+    service = QueryService(index, **cache_options)  # type: ignore[arg-type]
     return service, [item.text for item in context.fb_queries(sentences)]
 
 

@@ -72,6 +72,7 @@ from repro.coding.base import coding_names
 from repro.coding.filter_based import FilterBasedCoding
 from repro.core.index import SubtreeIndex
 from repro.core.manifest import ManifestError
+from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.exec.plan import JoinPlan, build_plan, cover_relations
@@ -129,7 +130,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         index = LiveIndex.create(args.out, mss=args.mss, coding=args.coding, trees=list(corpus))
         what, detail = f"live {args.coding} index", f"epoch {index.epoch}"
     elif args.shards > 1:
-        index = SubtreeIndex.open(build_sharded(
+        index = SegmentSet.open(build_sharded(
             corpus,
             mss=args.mss,
             coding=args.coding,
@@ -144,16 +145,17 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"{index.metadata.build_seconds:.2f}s wall"
         )
     else:
-        index = SubtreeIndex.build(corpus, mss=args.mss, coding=args.coding, path=args.out)
-        TreeStore.build(data_file_path(args.out), corpus).close()
+        index = SegmentSet.of(
+            SubtreeIndex.build(corpus, mss=args.mss, coding=args.coding, path=args.out),
+            TreeStore.build(data_file_path(args.out), corpus),
+        )
         what, detail = f"{args.coding} index", f"{index.metadata.build_seconds:.2f}s"
     print(
         f"built {what} over {len(corpus)} trees: {index.key_count:,} keys, "
         f"{index.posting_count:,} postings, {index.size_bytes():,} bytes, {detail}"
     )
-    manifest_path = getattr(index, "manifest_path", None)
-    if manifest_path is not None:
-        print(f"manifest: {manifest_path}")
+    if index.manifest_path is not None:
+        print(f"manifest: {index.manifest_path}")
     index.close()
     return 0
 
@@ -427,16 +429,16 @@ def cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_payload(path: str, index) -> dict:
+def _stats_payload(path: str, index: SegmentSet) -> dict:
     """The machine-readable metadata of *index*, whatever kind it is.
 
     A segmented index adds its manifest's ``epoch`` / ``partitioner`` and
     whatever it reports through ``stats_extras()``: one row per file under
     ``sources`` and, for a live index, the delta / tombstone / WAL state
-    under ``live``.
+    under ``live``.  A plain index file adds neither.
     """
     meta = index.metadata
-    manifest = getattr(index, "manifest", None)
+    manifest = index.manifest
     payload = {
         "index": path,
         "flavor": index.flavor,
@@ -462,7 +464,7 @@ def _stats_payload(path: str, index) -> dict:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Print metadata and the largest posting lists of an index."""
     try:
-        index = SubtreeIndex.open(args.index)  # whatever the file says it is
+        index = SegmentSet.open(args.index)  # whatever the file says it is
     except _OPEN_ERRORS as error:
         print(f"error: cannot open index {args.index!r}: {error}", file=sys.stderr)
         return 2

@@ -6,14 +6,15 @@
   kernel (``extract_subtrees``) and the iterators that view its output.
 * :mod:`repro.core.keys` -- canonical (unordered) encoding of subtrees used
   as index keys, and the reverse decoding.
-* :mod:`repro.core.index` -- building, opening and querying the disk-based
-  subtree index for any of the three coding schemes.
+* :mod:`repro.core.index` -- building one disk-based subtree index file for
+  any of the three coding schemes, and reading it.
 * :mod:`repro.core.manifest` -- the one catalogue of a multi-file index
   (segment files + mss + coding, a partitioner when a sharded build wrote
   it) and the one error a damaged bundle raises.
-* :mod:`repro.core.segments` -- :class:`SegmentSet`, that index's read API
-  over several tid-disjoint sources merged column-wise: a sharded index as
-  it stands, and the base of the live index.
+* :mod:`repro.core.segments` -- :class:`SegmentSet`, the one index type:
+  the read API over tid-disjoint sources merged column-wise -- a plain index
+  file (one source) or a sharded index as it stands, and the base of the
+  live index.
 * :mod:`repro.core.stats` -- index statistics (key counts, posting counts,
   size on disk) backing the Figure 2/3/8/9/10 and Table 1 experiments.
 """

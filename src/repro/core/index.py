@@ -14,13 +14,13 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
+from repro.coding.postings import PostingColumns
 from repro.core.enumeration import extract_root_texts, extract_subtrees
 from repro.core.keys import SubtreeKey, canonical_key, decode_key
-from repro.core.manifest import is_manifest
-from repro.storage.bptree import BPlusTree, ProbeStats, ValueCache
+from repro.storage.bptree import MAGIC, BPlusTree, ProbeStats
 from repro.storage.codec import decode_varint
 from repro.trees.node import Node, ParseTree
 
@@ -112,24 +112,19 @@ def encode_posting_lists(
 
 
 class SubtreeIndex:
-    """A disk-resident subtree index over a corpus of parse trees."""
+    """One index file: its B+Tree of key -> encoded posting list, and the build.
 
-    #: What ``/healthz``, ``/stats`` and the ``query`` span call this kind of index.
-    flavor = "plain"
-    #: An open index file never changes: results and cached lists stay valid.
-    #: (A live index counts its mutations here; see ``repro.core.segments``.)
-    version = (0, 0)
+    The reader of every part of an index -- a plain index file, a shard, a
+    live segment.  What serves queries is the ``SegmentSet`` over such
+    parts; a plain file opens as the set of one with ``SegmentSet.open``.
+    """
 
     def __init__(self, tree: BPlusTree, coding: CodingScheme, metadata: IndexMetadata):
         self._tree = tree
         self.coding = coding
         self.metadata = metadata
-        # Optional read-through cache of *decoded* posting lists installed by
-        # the serving layer; caching above the B+Tree lets repeated lookups
-        # skip both the tree descent and posting decoding.
-        self._postings_cache: Optional[ValueCache] = None
-        #: Lookup counters: ``gets`` per :meth:`lookup`, ``cache_hits`` served
-        #: by the posting cache, ``tree_descents`` answered by the B+Tree and
+        #: Lookup counters: ``gets`` per :meth:`lookup`, ``tree_descents``
+        #: answered by the B+Tree (every one: this reader caches nothing) and
         #: ``node_decodes`` the node images those descents had to parse.
         self.probe_stats = ProbeStats()
 
@@ -197,22 +192,20 @@ class SubtreeIndex:
 
     @classmethod
     def open(cls, path: str) -> "SubtreeIndex":
-        """Open an existing index file.
+        """Open one existing index file.
 
-        Pointed at a manifest (``*.manifest.json`` / ``*.live.json``,
-        sniffed by content rather than filename) this returns what the
-        manifest describes instead -- a frozen
-        :class:`~repro.core.segments.SegmentSet` over a sharded build's
-        files, or a :class:`~repro.live.live.LiveIndex` -- which present the
-        same read API.
+        Anything else -- a manifest, an empty or foreign file -- is refused
+        before the B+Tree sees it (which would initialise an empty file);
+        ``SegmentSet.open`` opens whatever an index path names.
         """
         if not os.path.exists(path):
             # BPlusTree initialises missing files; opening an index must not.
             raise FileNotFoundError(f"no such index file: {path}")
-        if is_manifest(path):
-            from repro.core.segments import SegmentSet  # local: segments builds on this module
-
-            return SegmentSet.open(path)  # type: ignore[return-value]
+        with open(path, "rb") as handle:
+            if handle.read(len(MAGIC)) != MAGIC:
+                raise ValueError(
+                    f"{path!r} is not an index file; SegmentSet.open opens a manifest too"
+                )
         btree = BPlusTree(path)
         raw = btree.get(_META_KEY)
         if raw is None:
@@ -237,37 +230,22 @@ class SubtreeIndex:
             return encoded
         raise TypeError(f"unsupported key type {type(key).__name__}")
 
-    #: Sentinel distinguishing "not cached" from a cached empty posting list.
-    _CACHE_MISS = object()
-
-    def lookup(self, key: bytes | str | SubtreeKey | Node) -> List[object]:
+    def lookup(self, key: bytes | str | SubtreeKey | Node) -> PostingColumns:
         """Return the posting list of *key* (empty when the key is not indexed).
 
         *key* may be canonical bytes, a canonical string, a parsed
         :class:`SubtreeKey` or a :class:`~repro.trees.node.Node` subtree; the
-        latter two are canonicalised before the lookup.
-
-        With a posting cache attached (:meth:`attach_postings_cache`) the
-        lookup is read-through over *decoded* lists; cached lists are shared
-        between callers and must be treated as read-only.
+        latter two are canonicalised before the lookup.  Every call descends
+        the B+Tree and decodes the list.
         """
         self.probe_stats.gets += 1
-        encoded = self._normalise_key(key)
-        cache = self._postings_cache
-        if cache is not None:
-            cached = cache.get(encoded, self._CACHE_MISS)
-            if cached is not self._CACHE_MISS:
-                self.probe_stats.cache_hits += 1
-                return cached  # type: ignore[return-value]
         self.probe_stats.tree_descents += 1
+        encoded = self._normalise_key(key)
         tree_stats = self._tree.probe_stats
         decodes_before = tree_stats.node_decodes
         raw = self._tree.get(encoded)
         self.probe_stats.node_decodes += tree_stats.node_decodes - decodes_before
-        postings = [] if raw is None else self.coding.decode_postings(raw)
-        if cache is not None:
-            cache.put(encoded, postings)
-        return postings
+        return PostingColumns(()) if raw is None else self.coding.decode_postings(raw)
 
     def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
         """``True`` when *key* is present in the index (the leaf says: no list is read)."""
@@ -282,37 +260,11 @@ class SubtreeIndex:
         raw = self._tree.peek(self._normalise_key(key), 10)  # the longest varint
         return 0 if raw is None else decode_varint(raw)[0]
 
-    # ------------------------------------------------------------------
-    # Probe accounting and the read-through posting cache
-    # ------------------------------------------------------------------
     def reset_probe_stats(self) -> ProbeStats:
         """Zero the lookup counters and return the pre-reset snapshot."""
         snapshot = self.probe_stats.snapshot()
         self.probe_stats.reset()
         return snapshot
-
-    def probe_snapshot(self) -> ProbeStats:
-        """A copy of the lookup counters (what a service reports as ``probes``)."""
-        return self.probe_stats.snapshot()
-
-    def stats_extras(self) -> Dict[str, object]:
-        """What this kind of index adds to a service's ``/stats`` block: nothing."""
-        return {}
-
-    def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:
-        """Install a read-through cache of decoded posting lists.
-
-        The cache sits in front of the B+Tree: repeated lookups of the same
-        key (within and across queries) are answered from memory, skipping
-        both the tree descent and posting decoding.  Pass ``None`` to detach.
-        :class:`repro.service.QueryService` attaches a lock-striped LRU here.
-        """
-        self._postings_cache = cache
-
-    @property
-    def postings_cache(self) -> Optional[ValueCache]:
-        """The currently attached posting cache, if any."""
-        return self._postings_cache
 
     # ------------------------------------------------------------------
     # Iteration and statistics
@@ -324,7 +276,7 @@ class SubtreeIndex:
                 continue
             yield decode_key(key)
 
-    def items(self) -> Iterator[Tuple[bytes, List[object]]]:
+    def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
         """Yield ``(canonical key bytes, decoded posting list)`` pairs."""
         for key, value in self._tree.items():
             if key == _META_KEY:
@@ -362,21 +314,8 @@ class SubtreeIndex:
         return self._tree.page_census()
 
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Flush the underlying B+Tree."""
-        self._tree.flush()
-
     def close(self) -> None:
-        """Close the underlying B+Tree file.
-
-        Any attached posting cache is cleared and detached so a cache object
-        shared with a service cannot serve stale entries once the index is
-        reopened (possibly after a rebuild).
-        """
-        clear = getattr(self._postings_cache, "clear", None)
-        if clear is not None:
-            clear()
-        self._postings_cache = None
+        """Close the underlying B+Tree file."""
         self._tree.close()
 
     def __enter__(self) -> "SubtreeIndex":

@@ -1,17 +1,20 @@
-"""The segmented read API: one index over several tid-disjoint sources.
+"""The index: one read API over any number of tid-disjoint sources.
 
-A sharded index and a live index are both a *set of sources* -- complete
+Every index is a *set of sources* -- complete
 :class:`~repro.core.index.SubtreeIndex` files over disjoint tree ids, plus,
-for a live index, an in-memory delta -- read as if they were one index.
-:class:`SegmentSet` writes that read API once: a key's posting list is the
-column-wise merge of the sources' lists
-(:func:`repro.coding.postings.merge_columns`), so every consumer of a plain
-index (``QueryExecutor``, ``QueryService``, the CLI) runs one join over one
-tid-ordered list whatever the index is made of.  Which of the two a bundle is
-its manifest says (:mod:`repro.core.manifest`): one a sharded build wrote
-records the partitioner and opens as a frozen :class:`SegmentSet`; any other
-opens as a :class:`~repro.live.live.LiveIndex`, the subclass that adds what
-mutates -- the delta, tombstones, the write-ahead log and compaction.
+for a live index, an in-memory delta -- read as if they were one file.  A
+plain index file is the set of one; a sharded build's shards and a live
+index's segments are sets of several.  :class:`SegmentSet` writes that read
+API once: a key's posting list is the column-wise merge of the sources'
+lists (:func:`repro.coding.postings.merge_columns`; one source's list is
+handed back as it is), so every consumer (``QueryExecutor``,
+``QueryService``, the CLI) runs one join over one tid-ordered list whatever
+the index is made of.  :meth:`SegmentSet.open` opens any index path as what
+the file says it is (:mod:`repro.core.manifest`): a plain index file; a
+manifest that records a partitioner, which a sharded build wrote, as a frozen
+:class:`SegmentSet`; any other manifest as a
+:class:`~repro.live.live.LiveIndex`, the subclass that adds what mutates --
+the delta, tombstones, the write-ahead log and compaction.
 
 What a reader sees is one :class:`Snapshot` -- the index version and the
 sources, each with the tombstoned tids it holds -- which a mutable subclass
@@ -40,8 +43,8 @@ from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns, merge_columns
 from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import SubtreeKey, decode_key
-from repro.core.manifest import Manifest, ManifestError
-from repro.corpus.store import TreeStore
+from repro.core.manifest import Manifest, ManifestError, is_manifest
+from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.storage.bptree import ProbeStats, ValueCache
 from repro.trees.node import Node, ParseTree
 
@@ -56,9 +59,10 @@ class Source(NamedTuple):
     #: ``posting_list_length`` / ``items`` over canonical key bytes: a
     #: ``SubtreeIndex`` or a live index's delta.
     index: object
-    #: The source's trees by tid.
+    #: The source's trees by tid: a data file, a delta's records, an
+    #: in-memory ``Corpus``, or ``None`` for a plain index file without one.
     store: object
-    #: Its manifest entry; ``None`` for a delta.
+    #: Its manifest entry; ``None`` for a plain index file and a delta.
     entry: object = None
     #: Tombstoned tids this source holds, dropped from everything read.  A
     #: live index grows a source's set in place (a delete is one ``add``, not
@@ -119,7 +123,8 @@ def open_sources(manifest_path: str, manifest: Manifest) -> Tuple[Source, ...]:
 
 def _close(source: Source) -> None:
     source.index.close()
-    source.store.close()
+    if isinstance(source.store, TreeStore):  # not a Corpus, nor a missing data file
+        source.store.close()
 
 
 class TreeGone(KeyError):
@@ -183,25 +188,27 @@ class SegmentTreeStore:
 
 
 class SegmentSet:
-    """The ``SubtreeIndex`` read API over a :class:`Snapshot` of sources.
+    """The index read API over a :class:`Snapshot` of sources.
 
-    Used as it is, this is a *frozen* index: the segments a sharded build
-    wrote, which nothing adds to or deletes from.
+    Used as it is, this is a *frozen* index: a plain index file, or the
+    segments a sharded build wrote -- nothing adds to or deletes from either.
     """
 
-    #: What ``/healthz``, ``/stats`` and the ``query`` span call this kind of index.
-    flavor = "sharded"
-
     def __init__(
-        self, manifest_path: str, manifest: Manifest, sources: Sequence[Source],
+        self, manifest_path: Optional[str], manifest: Optional[Manifest], sources: Sequence[Source],
         version: Version = (0, 0),
     ):
         self.manifest_path = manifest_path
+        #: The catalogue of a sharded or live bundle; ``None`` for a plain
+        #: index file, whose one source describes itself.
         self.manifest = manifest
-        self.coding: CodingScheme = get_coding(manifest.coding)
+        described = manifest if manifest is not None else sources[0].index.metadata
+        self.coding: CodingScheme = get_coding(described.coding)
+        #: Maximum subtree size every source indexes.
+        self.mss: int = described.mss
         #: Routes a tid to the segment a sharded build dealt it to, if one did.
         self._partitioner = None
-        if manifest.partitioner is not None:
+        if manifest is not None and manifest.partitioner is not None:
             from repro.shard.partitioner import get_partitioner  # local: shard builds on core
 
             self._partitioner = get_partitioner(manifest.partitioner, len(manifest.segments))
@@ -211,7 +218,9 @@ class SegmentSet:
         #: unlinked) until close() so a reader still holding the snapshot
         #: they were part of finishes on them.
         self._retired: List[Source] = []
-        self.store = SegmentTreeStore(self)
+        #: The trees by tid: a plain file's own store (``None`` without a data
+        #: file), else a view routed over the sources'.
+        self.store = SegmentTreeStore(self) if manifest is not None else sources[0].store
         self._postings_cache: Optional[ValueCache] = None
         #: Counters of lookups through this object: ``tree_descents`` counts
         #: the lists that had to be merged from the sources, whose own
@@ -220,19 +229,33 @@ class SegmentSet:
 
     @classmethod
     def open(cls, path: str) -> "SegmentSet":
-        """Open the index manifest *path* describes, as what the file says it
-        is: frozen when a partitioner is recorded, else a live index.
+        """Open the index *path* names, as what the file says it is: a plain
+        index file (with the data file beside it, if there is one), a
+        manifest recording a partitioner (frozen), or a live index.
 
-        Raises :class:`~repro.core.manifest.ManifestError` -- naming the
-        field or the segment -- when the manifest is damaged or a file it
-        lists is missing, unreadable or built with other parameters.
+        Raises ``FileNotFoundError`` for a missing path, creating nothing,
+        and :class:`~repro.core.manifest.ManifestError` -- naming the field
+        or the segment -- when a manifest is damaged or a file it lists is
+        missing, unreadable or built with other parameters.
         """
+        if not is_manifest(path):
+            index = SubtreeIndex.open(path)
+            data_path = data_file_path(path)
+            return cls.of(index, TreeStore(data_path) if os.path.exists(data_path) else None)
         manifest = Manifest.load(path)
         if manifest.partitioner is None:
             from repro.live.live import LiveIndex  # local: live builds on core
 
             return LiveIndex.open(path)
         return cls(path, manifest, open_sources(path, manifest))
+
+    @classmethod
+    def of(cls, index: SubtreeIndex, store: Optional[TreeStore | Corpus] = None) -> "SegmentSet":
+        """A plain index: the set of one open index file over the trees in
+        *store* -- its data file, an in-memory ``Corpus``, or ``None``, when a
+        filter-coded query cannot run its filtering phase.  :meth:`close`
+        closes *index* and a data file."""
+        return cls(None, None, [Source(index, store)])
 
     # ------------------------------------------------------------------
     # Lookup (merged across sources)
@@ -242,7 +265,8 @@ class SegmentSet:
 
         Accepts the same key forms as :meth:`SubtreeIndex.lookup`.  With a
         cache attached (:meth:`attach_postings_cache`) the *merged* list is
-        cached, tagged with the version it was read at.
+        cached, tagged with the version it was read at; cached lists are
+        shared between callers and must be treated as read-only.
         """
         stats = self.probe_stats
         stats.gets += 1
@@ -315,10 +339,15 @@ class SegmentSet:
     # Probe accounting and the read-through posting cache
     # ------------------------------------------------------------------
     @property
+    def flavor(self) -> str:
+        """What ``/healthz``, ``/stats`` and the ``query`` span call this kind of index."""
+        return "plain" if self.manifest is None else "sharded"
+
+    @property
     def segments(self) -> Tuple[Source, ...]:
-        """The sources that are files (``.index`` / ``.store`` / manifest
-        ``.entry``): all but a live index's delta."""
-        return tuple(source for source in self.snapshot.sources if source.entry is not None)
+        """The sources that are files (``.index`` / ``.store``): every one of
+        a frozen set; a live index leaves out its delta."""
+        return self.snapshot.sources
 
     @property
     def segment_count(self) -> int:
@@ -385,7 +414,10 @@ class SegmentSet:
     def stats_extras(self) -> Dict[str, object]:
         """What a segmented index adds to a service's ``/stats`` block and to
         ``repro stats``: one row per segment under ``sources`` -- its
-        manifest entry, its size and its share of the probe counters."""
+        manifest entry, its size and its share of the probe counters.  A
+        plain index file adds nothing."""
+        if self.manifest is None:
+            return {}
         return {
             "sources": [
                 {
@@ -401,10 +433,12 @@ class SegmentSet:
 
     @property
     def metadata(self) -> IndexMetadata:
-        """Aggregate metadata in the shape ``SubtreeIndex`` consumers expect:
-        per-source sums, so a key held by k sources counts k times and
-        tombstoned postings stay in until a compaction drops them."""
+        """A plain file's own metadata; else the sources' added up, so a key
+        held by k sources counts k times and tombstoned postings stay in
+        until a compaction drops them."""
         sources = self.snapshot.sources
+        if self.manifest is None:
+            return sources[0].index.metadata
         return IndexMetadata(
             mss=self.manifest.mss,
             coding=self.manifest.coding,
@@ -413,11 +447,6 @@ class SegmentSet:
             posting_count=sum(source.index.posting_count for source in sources),
             build_seconds=self.manifest.build_seconds,
         )
-
-    @property
-    def mss(self) -> int:
-        """Maximum subtree size every source indexes."""
-        return self.manifest.mss
 
     @property
     def key_count(self) -> int:
@@ -443,12 +472,6 @@ class SegmentSet:
         return total
 
     # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Flush every source's files."""
-        for source in self.segments:
-            source.index.flush()
-            source.store.flush()
-
     def close(self) -> None:
         """Close every source's files (replaced ones included) and drop the cache."""
         self._clear_postings_cache()

@@ -107,8 +107,8 @@ def data_file_path(index_path: str) -> str:
     """The data-file path conventionally stored next to a subtree index.
 
     The single home of the ``<index>.data`` naming convention: the CLI's
-    ``build`` writes it and the query service's :meth:`QueryService.open`
-    reads it, so the two can never drift apart.
+    ``build`` writes it and ``SegmentSet.open`` reads it, so the two can
+    never drift apart.
     """
     return index_path + ".data"
 

@@ -41,7 +41,7 @@ from repro.coding.postings import PostingColumns
 from repro.coding.root_split import RootSplitCoding
 from repro.coding.subtree_interval import SubtreeIntervalCoding
 from repro.core.index import SubtreeIndex
-from repro.core.segments import TreeGone
+from repro.core.segments import SegmentSet, TreeGone
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.joins import count_distinct_roots, intersect_sorted_tid_lists, run_plan
 from repro.exec.plan import build_plan, cover_relations
@@ -114,13 +114,13 @@ def decompose_query(
 # Stage 2: posting fetch
 # ----------------------------------------------------------------------
 #: A fetch function maps a canonical cover key to its decoded posting list.
-PostingFetcher = Callable[[bytes], Sequence[object]]
+PostingFetcher = Callable[[bytes], PostingColumns]
 
 
 def fetch_postings(
     cover: Cover,
     fetch: PostingFetcher,
-) -> List[List[object]]:
+) -> List[PostingColumns]:
     """Stage 2: fetch the posting list of each cover subtree.
 
     *fetch* is any key -> postings function: a bare ``index.lookup``, a
@@ -130,7 +130,7 @@ def fetch_postings(
     if not obs.enabled():
         return [fetch(subtree.key_bytes()) for subtree in cover.subtrees]
     with obs.trace("fetch_postings", keys=len(cover.subtrees)) as span:
-        postings: List[List[object]] = []
+        postings: List[PostingColumns] = []
         total = 0
         for subtree in cover.subtrees:
             key = subtree.key_bytes()
@@ -149,17 +149,18 @@ def fetch_postings(
 def join_postings(
     query: QueryTree,
     cover: Cover,
-    postings: Sequence[Sequence[object]],
+    postings: Sequence[PostingColumns],
     coding: CodingScheme,
     store: Optional[TreeStore | Corpus] = None,
     stats: Optional[ExecutionStats] = None,
 ) -> QueryResult:
     """Stage 3: combine the cover's posting lists into the final matches.
 
-    Dispatches on the coding scheme: tid intersection plus the filtering
-    phase for filter-based coding, structural merge joins otherwise.  When a
-    *stats* object is passed it receives the join-phase counters
-    (``candidates_filtered``).
+    *postings* holds each cover subtree's list as ``lookup`` returns it (a
+    sequence of posting records is read too).  Dispatches on the coding
+    scheme: tid intersection plus the filtering phase for filter-based
+    coding, structural merge joins otherwise.  When a *stats* object is
+    passed it receives the join-phase counters (``candidates_filtered``).
     """
     stats = stats if stats is not None else ExecutionStats()
     if not obs.enabled():
@@ -173,7 +174,7 @@ def join_postings(
 def _dispatch_join(
     query: QueryTree,
     cover: Cover,
-    postings: Sequence[Sequence[object]],
+    postings: Sequence[PostingColumns],
     coding: CodingScheme,
     store: Optional[TreeStore | Corpus],
     stats: ExecutionStats,
@@ -196,7 +197,7 @@ def _dispatch_join(
 def _join_filter_based(
     query: QueryTree,
     cover: Cover,
-    postings: Sequence[Sequence[object]],
+    postings: Sequence[PostingColumns],
     store: Optional[TreeStore | Corpus],
     stats: ExecutionStats,
 ) -> QueryResult:
@@ -229,8 +230,9 @@ def _join_filter_based(
 # One-shot wrapper
 # ----------------------------------------------------------------------
 class QueryExecutor:
-    """Evaluates tree queries against a :class:`~repro.core.index.SubtreeIndex`
-    -- or a sharded or live index, which present the same read API.
+    """Evaluates tree queries against an index: a
+    :class:`~repro.core.segments.SegmentSet` (plain, sharded or live) or one
+    bare :class:`~repro.core.index.SubtreeIndex` file, which reads the same.
 
     Runs all three pipeline stages per call, without caching; use
     :class:`repro.service.QueryService` to serve repeated or concurrent
@@ -243,8 +245,8 @@ class QueryExecutor:
     store:
         The corpus data file (or an in-memory :class:`~repro.corpus.store.Corpus`).
         Required for the filter-based coding, whose filtering phase re-reads
-        candidate trees; optional otherwise.  Defaults to ``index.store``
-        when the index routes tids to its own trees (sharded, live).
+        candidate trees; optional otherwise.  Defaults to a set's
+        ``index.store``.
     strategy:
         Cover strategy override; defaults to ``"min-rc"`` for root-split
         coding and ``"optimal"`` for the other codings.
@@ -254,7 +256,7 @@ class QueryExecutor:
 
     def __init__(
         self,
-        index: SubtreeIndex,
+        index: SubtreeIndex | SegmentSet,
         store: Optional[TreeStore | Corpus] = None,
         strategy: Optional[str] = None,
         pad: bool = True,

@@ -94,7 +94,7 @@ class JoinPlan:
         return compile_kernel(self.shape).source
 
 
-def cover_relations(cover: Cover, postings: Sequence[Sequence[object]]) -> List[Relation]:
+def cover_relations(cover: Cover, postings: Sequence[PostingColumns]) -> List[Relation]:
     """The relations of a cover: one per cover subtree, over its postings."""
     relations: List[Relation] = []
     for subtree, plist in zip(cover.subtrees, postings):

@@ -8,10 +8,10 @@ read API (cf. Clarke's *Annotative Indexing*, 2024):
   mutation hits before it is applied; replayed on open, truncated (and
   epoch-bumped) by compaction.
 * :mod:`repro.live.delta` -- :class:`DeltaSegment`, the in-memory
-  SubtreeIndex-shaped memtable over recently added trees.
+  memtable over recently added trees, read like one index file.
 * :mod:`repro.live.live` -- :class:`LiveIndex`: a
-  :class:`~repro.core.segments.SegmentSet` over segments + delta (the full
-  ``SubtreeIndex`` read API, tombstoned trees cut per source) plus
+  :class:`~repro.core.segments.SegmentSet` over segments + delta (the one
+  index read API, tombstoned trees cut per source) plus
   ``add_tree`` / ``delete_tree`` / ``compact`` and crash recovery.
 
 The catalogue of the immutable base segments is the one epoch-stamped
@@ -19,8 +19,8 @@ manifest of :mod:`repro.core.manifest`, swapped atomically by compaction; a
 manifest with no partitioner recorded is a live one.
 
 It is served by the one :class:`repro.service.QueryService`, and
-``SubtreeIndex.open`` / ``QueryService.open`` / the CLI all dispatch here
-when pointed at a live manifest.
+``SegmentSet.open`` -- hence ``QueryService.open`` and the CLI -- opens a
+live manifest as one.
 """
 
 from repro.live.delta import DeltaSegment

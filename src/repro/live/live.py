@@ -417,6 +417,11 @@ class LiveIndex(SegmentSet):
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def segments(self) -> Tuple[Source, ...]:
+        """The sources that are files: all but the delta."""
+        return self.snapshot.sources[:-1]
+
+    @property
     def delta(self) -> DeltaSegment:
         """The in-memory delta segment (read-only access)."""
         return self.snapshot.sources[-1].index

@@ -1,5 +1,6 @@
-"""The query service: a serving layer over one open subtree index -- a plain
-index file, a sharded index or a live (mutable) one; they share one read API.
+"""The query service: a serving layer over one open index -- a
+:class:`~repro.core.segments.SegmentSet`, of one plain index file, of a
+sharded build's shards or of a live (mutable) index's segments.
 
 :class:`~repro.exec.executor.QueryExecutor` re-runs the whole pipeline --
 parse, decompose, fetch, join -- on every call.  That is the right shape for
@@ -16,11 +17,10 @@ prepared-query cache
 
 posting cache
     a lock-striped LRU of *decoded* posting lists installed in front of the
-    B+Tree (:meth:`repro.core.index.SubtreeIndex.attach_postings_cache`), so
-    repeated cover keys skip both the tree descent and posting decoding.
-    Over a sharded or live index it holds the lists *merged* across the
-    index's sources (:class:`repro.core.segments.SegmentSet`), which the
-    index tags with its version and, when it mutates, empties itself.
+    index's sources (:meth:`repro.core.segments.SegmentSet.attach_postings_cache`),
+    so repeated cover keys skip the tree descents, posting decoding and the
+    merge across sources.  The index tags every list with its version and,
+    when it mutates, sweeps the lists it changed.
 
 result cache
     complete :class:`~repro.exec.executor.QueryResult` objects keyed by the
@@ -40,14 +40,13 @@ caches stripe their locks and the B+Tree serialises cache-missing descents
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.core.index import SubtreeIndex
-from repro.corpus.store import Corpus, TreeStore, data_file_path
+from repro.coding.postings import PostingColumns
+from repro.core.segments import SegmentSet
 from repro.exec.executor import (
     ExecutionStats,
     QueryResult,
@@ -158,15 +157,13 @@ class QueryService:
     Parameters
     ----------
     index:
-        An open :class:`~repro.core.index.SubtreeIndex` or
-        :class:`~repro.core.segments.SegmentSet` (a sharded build's frozen
-        one, or a :class:`~repro.live.live.LiveIndex`).
-    store:
-        Data file or in-memory corpus; required for filter-based coding
-        unless the index routes tids to its own trees (``index.store``: a
-        sharded or live index), which is then the default.
-        Both are safe under concurrency (``TreeStore`` serialises record
-        reads on its shared handle); an in-memory
+        An open :class:`~repro.core.segments.SegmentSet`: a plain index file
+        (``SegmentSet.open``, or ``SegmentSet.of`` over an index already
+        open), a sharded build's frozen set, or a
+        :class:`~repro.live.live.LiveIndex`.  The filter-based coding's
+        filtering phase reads candidate trees from ``index.store``; a
+        ``TreeStore`` is safe under concurrency (it serialises record reads
+        on its shared handle), and a plain set over an in-memory
         :class:`~repro.corpus.store.Corpus` avoids that lock entirely for
         heavily threaded filter-based serving.
     strategy / pad:
@@ -181,8 +178,7 @@ class QueryService:
 
     def __init__(
         self,
-        index: SubtreeIndex,
-        store: Optional[TreeStore | Corpus] = None,
+        index: SegmentSet,
         strategy: Optional[str] = None,
         pad: bool = True,
         plan_cache_size: int = 256,
@@ -191,7 +187,7 @@ class QueryService:
         stripes: int = 8,
     ):
         self.index = index
-        self.store = store if store is not None else getattr(index, "store", None)
+        self.store = index.store
         self.pad = pad
         self.strategy = strategy if strategy is not None else default_strategy(index.coding)
 
@@ -203,7 +199,7 @@ class QueryService:
         self._result_cache = make_cache(result_cache_size)
         if self._postings_cache is not None:
             index.attach_postings_cache(self._postings_cache)
-        self._owned_resources: List[object] = []
+        self._owns_index = False
         #: The index version the result cache's entries were last swept at.
         self._seen_version = index.version
         # Telemetry counters, deliberately lock-free like ProbeStats: exact
@@ -219,26 +215,24 @@ class QueryService:
     # ------------------------------------------------------------------
     @classmethod
     def open(cls, index_path: str, **kwargs: object) -> "QueryService":
-        """Open an index for serving: an index file (and its ``.data`` file,
-        if present), a sharded-index manifest or a live-index manifest.
+        """Serve what :meth:`SegmentSet.open <repro.core.segments.SegmentSet.open>`
+        opens at *index_path*: an index file (with its data file, if there is
+        one), a sharded-index manifest or a live-index manifest.
 
-        The service owns what it opens: :meth:`close` releases every file.
+        The service owns the index it opens: :meth:`close` closes it.
         """
-        index = SubtreeIndex.open(index_path)  # raises FileNotFoundError if missing
-        data_path = data_file_path(index_path)  # none beside a manifest, whose
-        # index routes tids to its sources' trees itself (``index.store``)
-        store = TreeStore(data_path) if os.path.exists(data_path) else None
-        service = cls(index, store=store, **kwargs)  # type: ignore[arg-type]
-        service._owned_resources = [index] if store is None else [index, store]
+        service = cls(SegmentSet.open(index_path), **kwargs)  # type: ignore[arg-type]
+        service._owns_index = True
         return service
 
     def close(self) -> None:
-        """Clear the caches and close any resources opened by :meth:`open`."""
+        """Clear the caches, detach the posting cache and close the index if
+        :meth:`open` opened it."""
         self.clear_caches()
         self.index.attach_postings_cache(None)
-        for resource in self._owned_resources:
-            resource.close()  # type: ignore[attr-defined]
-        self._owned_resources.clear()
+        if self._owns_index:
+            self._owns_index = False
+            self.index.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -293,7 +287,7 @@ class QueryService:
     def _execute_prepared(
         self,
         prepared: PreparedQuery,
-        postings: Sequence[Sequence[object]],
+        postings: Sequence[PostingColumns],
         started: float,
     ) -> QueryResult:
         stats = ExecutionStats(
@@ -402,11 +396,11 @@ class QueryService:
         postings = self._fetch_for_run(prepared)
         return self._execute_prepared(prepared, postings, started)
 
-    def _fetch_for_run(self, prepared: PreparedQuery) -> List[List[object]]:
+    def _fetch_for_run(self, prepared: PreparedQuery) -> List[PostingColumns]:
         if not obs.enabled():
             return [self.index.lookup(key) for key in prepared.key_bytes]
         with obs.trace("fetch_postings", keys=len(prepared.key_bytes)) as span:
-            postings: List[List[object]] = []
+            postings: List[PostingColumns] = []
             for key in prepared.key_bytes:
                 with obs.trace("fetch_key", key=key.decode("utf-8", "replace")) as key_span:
                     plist = self.index.lookup(key)
@@ -419,8 +413,8 @@ class QueryService:
         """Evaluate a batch, fetching each distinct cover key exactly once.
 
         The batch is prepared first; the union of cover keys is deduplicated
-        and fetched into a memo (one :meth:`~repro.core.index.SubtreeIndex.lookup`
-        -- hence at most one B+Tree descent -- per distinct key), every query
+        and fetched into a memo (one :meth:`~repro.core.segments.SegmentSet.lookup`
+        -- hence at most one B+Tree descent per source -- per distinct key), every query
         joins against the shared memo, and identical queries share one join.
         Results keep the input order; each result's ``stats.elapsed_seconds``
         covers only its own join, since the prepare/fetch work is shared by
@@ -441,7 +435,7 @@ class QueryService:
         ]
         obs.annotate(result_cache_hits=sum(1 for hit in cached if hit is not None))
 
-        memo: Dict[bytes, List[object]] = {}
+        memo: Dict[bytes, PostingColumns] = {}
         total_keys = 0
         for prepared, hit in zip(prepared_batch, cached):
             if hit is not None:

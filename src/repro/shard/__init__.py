@@ -8,9 +8,9 @@
 
 What a sharded build writes is a *frozen segment set*: its manifest
 (:mod:`repro.core.manifest`) records the partitioner, and
-``SubtreeIndex.open(build_sharded(...))`` opens it as a
-:class:`~repro.core.segments.SegmentSet` -- the plain index's read API with
-the per-shard posting lists merged column-wise.  There is no sharded index
+``SegmentSet.open(build_sharded(...))`` opens it as a frozen
+:class:`~repro.core.segments.SegmentSet` -- the index read API a plain file
+gets too, with the per-shard posting lists merged column-wise.  There is no sharded index
 class and no query-side fan-out: ``QueryExecutor`` and ``QueryService`` run
 over it as over any other index.
 """

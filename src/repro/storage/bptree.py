@@ -38,7 +38,8 @@ from repro.storage.codec import decode_varint, encode_length_prefixed, encode_va
 from repro.storage.pager import PAGE_SIZE, Pager
 
 _META = struct.Struct("<4sIIQ")  # magic, root page, height, entry count
-_MAGIC = b"SIBT"
+#: The first four bytes of every tree file.
+MAGIC = b"SIBT"
 
 _NODE_INTERNAL = 1
 _NODE_LEAF_V1 = 2  # keys stored whole: read, never written
@@ -56,7 +57,7 @@ class BPlusTreeError(RuntimeError):
 
 class ValueCache(Protocol):
     """What the index layers ask of the decoded-posting cache they read through
-    (:meth:`repro.core.index.SubtreeIndex.attach_postings_cache`).
+    (:meth:`repro.core.segments.SegmentSet.attach_postings_cache`).
 
     Any object with ``get(key, default)`` / ``put(key, value)`` works;
     :class:`repro.service.cache.StripedLRUCache` is the production
@@ -276,7 +277,7 @@ class BPlusTree:
         self._descent_lock = threading.Lock()
         meta = self.pager.read(0)
         magic, root, height, count = _META.unpack_from(meta, 0)
-        if magic == _MAGIC:
+        if magic == MAGIC:
             self._root = root
             self._height = height
             self._count = count
@@ -294,7 +295,7 @@ class BPlusTree:
     # Metadata
     # ------------------------------------------------------------------
     def _write_meta(self) -> None:
-        self.pager.write(0, _META.pack(_MAGIC, self._root, self._height, self._count))
+        self.pager.write(0, _META.pack(MAGIC, self._root, self._height, self._count))
 
     def __len__(self) -> int:
         return self._count

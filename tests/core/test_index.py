@@ -46,6 +46,23 @@ class TestBuildAndOpen:
         with pytest.raises(ValueError):
             SubtreeIndex.open(path)
 
+    def test_open_refuses_a_manifest_by_naming_the_opener(self, tmp_path, tiny_corpus) -> None:
+        from repro.core.segments import SegmentSet
+        from repro.shard import build_sharded
+
+        manifest_path = build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "s.si"), shards=2, workers=1)
+        before = open(manifest_path, "rb").read()
+        with pytest.raises(ValueError, match="SegmentSet.open"):
+            SubtreeIndex.open(manifest_path)
+        assert open(manifest_path, "rb").read() == before  # the B+Tree never saw the JSON
+        empty = tmp_path / "empty.si"
+        empty.write_bytes(b"")
+        with pytest.raises(ValueError, match="not an index file"):
+            SubtreeIndex.open(str(empty))
+        assert empty.read_bytes() == b""  # not initialised as an empty tree
+        with SegmentSet.open(manifest_path) as sharded:
+            assert sharded.flavor == "sharded" and sharded.metadata.tree_count == len(tiny_corpus)
+
     def test_metadata_round_trip(self) -> None:
         metadata = IndexMetadata(3, "root-split", 10, 100, 500, 1.5)
         assert IndexMetadata.from_json(metadata.to_json()) == metadata

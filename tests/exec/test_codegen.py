@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.node_index import NodeIntervalIndex
 from repro.coding.postings import PostingColumns
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
 from repro.exec import QueryExecutor, build_plan, cover_relations, run_plan
 from repro.exec.codegen import MAX_LOOPS, compile_kernel, kernel_source
 from repro.exec.plan import JoinPlan, JoinStep, Relation
@@ -153,7 +154,7 @@ class TestChainedFunctions:
         assert deep["node-index"].execute(parse_query(text)).matches_per_tree == _oracle(text)
 
     def test_post_query(self, deep, text) -> None:
-        with ServerThread(QueryService(deep["root-split"])) as server:
+        with ServerThread(QueryService(SegmentSet.of(deep["root-split"]))) as server:
             request = urllib.request.Request(
                 server.url + "/query", data=json.dumps({"query": text}).encode(),
                 headers={"Content-Type": "application/json"}, method="POST",

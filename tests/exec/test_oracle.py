@@ -19,6 +19,7 @@ import pytest
 
 from repro.baselines.node_index import NodeIntervalIndex
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
 from repro.exec import QueryExecutor
@@ -88,7 +89,7 @@ def engines(tmp_path_factory):
         run["executor", coding] = lambda text, e=executor: e.execute(parse_query(text))
         closers.append(index.close)
 
-        sharded = SubtreeIndex.open(build_sharded(
+        sharded = SegmentSet.open(build_sharded(
             _TREES, MSS, coding, str(workdir / f"sharded-{coding}.si"), shards=3, workers=1
         ))
         merged = QueryExecutor(sharded)

@@ -19,9 +19,10 @@ not draw, pinned as a table below it: same-label siblings that differ only
 below a ``//`` edge (ROADMAP item 4).
 
 The third property takes the first one's queries to every *shape* an index
-has: the corpus split over one to three shards by either partitioner, or
-laid out as a live index -- base segments, a delta, tombstones, compacted
-or not -- under all three codings, through ``QueryService``.  The fourth
+has: one index file and its data file opened as the set of one, the corpus
+split over one to three shards by either partitioner, or laid out as a live
+index -- base segments, a delta, tombstones, compacted or not -- under all
+three codings, through ``QueryService``.  The fourth
 keeps one warm ``QueryService`` per coding over a live index and queries it
 after every write -- adds, deletes of delta trees and of segment trees,
 compactions -- where a cached list that outlived what it was read from
@@ -40,7 +41,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from repro.baselines.node_index import NodeIntervalIndex
 from repro.coding.root_split import RootSplitCoding
 from repro.core.index import SubtreeIndex
-from repro.corpus.store import Corpus
+from repro.core.segments import SegmentSet
+from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.exec import QueryExecutor
 from repro.live import LiveIndex
 from repro.query.model import QueryNode, QueryTree
@@ -253,11 +255,18 @@ def test_siblings_that_differ_only_below_a_descendant_edge(tmp_path, coding: str
 
 
 # ----------------------------------------------------------------------
-# Every shape of index: shards, segments + delta + tombstones
+# Every shape of index: one file, shards, segments + delta + tombstones
 # ----------------------------------------------------------------------
+def _plain(data, trees: List[ParseTree], mss: int, coding: str, path: str):
+    """The corpus as one index file beside its data file: the set of one."""
+    SubtreeIndex.build(trees, mss, coding, path).close()
+    TreeStore.build(data_file_path(path), trees).close()
+    return SegmentSet.open(path), set()
+
+
 def _sharded(data, trees: List[ParseTree], mss: int, coding: str, path: str):
     """The corpus over 1-3 shards; returns ``(index, tombstoned tids)``."""
-    index = SubtreeIndex.open(build_sharded(
+    index = SegmentSet.open(build_sharded(
         trees, mss, coding, path, workers=1,
         shards=data.draw(st.integers(min_value=1, max_value=3), label="shards"),
         partitioner=data.draw(st.sampled_from(["hash", "round-robin"]), label="partitioner"),
@@ -296,7 +305,7 @@ def test_every_index_shape_equals_the_brute_force_oracle(data, mss: int, specs: 
     specs = [spec if spec[1] else ("D", [spec]) for spec in specs]
     trees = [ParseTree(build_tree(spec), tid=tid) for tid, spec in enumerate(specs)]
     coding = data.draw(st.sampled_from(("filter",) + CODINGS), label="coding")
-    shape = data.draw(st.sampled_from([_sharded, _live]), label="shape")
+    shape = data.draw(st.sampled_from([_plain, _sharded, _live]), label="shape")
     with tempfile.TemporaryDirectory() as workdir:
         index, dead = shape(data, trees, mss, coding, os.path.join(workdir, "index"))
         try:

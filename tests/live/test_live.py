@@ -18,6 +18,7 @@ import zlib
 import pytest
 
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
 from repro.core.manifest import ManifestError, wal_file_path
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore
@@ -162,7 +163,7 @@ class TestLifecycle:
         )
         manifest_path = live.manifest_path
         live.close()
-        via_open = SubtreeIndex.open(manifest_path)
+        via_open = SegmentSet.open(manifest_path)
         try:
             assert isinstance(via_open, LiveIndex)
             assert via_open.tree_count == len(tiny_corpus)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
 from repro.corpus.store import Corpus
 from repro.exec import fetch_postings, join_postings
 from repro.live import LiveIndex
@@ -26,7 +27,7 @@ def plain_service_over(tmp_path, live: LiveIndex, tag: str) -> QueryService:
     index = SubtreeIndex.build(
         trees, mss=live.mss, coding=live.coding.name, path=str(tmp_path / f"{tag}.si")
     )
-    return QueryService(index, store=Corpus(trees))
+    return QueryService(SegmentSet.of(index, Corpus(trees)))
 
 
 QUERIES = ["NP(DT)(NN)", "S(NP)(VP(VBZ))", "VP(VBZ)", "NP(DT)"]

@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.bench.guard import timing_bars_enabled
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
 from repro.exec import QueryExecutor
 from repro.obs.sinks import write_chrome_trace
 from repro.obs.tracer import NOOP_SPAN, Tracer
@@ -42,7 +43,7 @@ def plain_service(tmp_path_factory, small_corpus):
 @pytest.fixture(scope="module")
 def sharded_service(tmp_path_factory, small_corpus):
     path = str(tmp_path_factory.mktemp("obs-sharded") / "sharded.si")
-    SubtreeIndex.open(build_sharded(
+    SegmentSet.open(build_sharded(
         small_corpus, mss=3, coding="root-split", path=path, shards=2, workers=1
     )).close()
     service = QueryService.open(path + ".manifest.json")
@@ -123,6 +124,14 @@ class TestPlainServiceTrace:
         assert fetch["attrs"]["postings"] == sum(
             child["attrs"]["postings"] for child in keys
         )
+        # A plain file is the set of one source: its one descent sits under
+        # a `merge sources=1` span, as a shard's does under its key's merge.
+        for key in keys:
+            assert [child["name"] for child in key["children"]] == ["merge"]
+            merge = key["children"][0]
+            assert merge["attrs"]["sources"] == 1
+            assert merge["attrs"]["postings"] == key["attrs"]["postings"]
+            assert [child["name"] for child in merge["children"]] == ["bptree.descent"]
 
     def test_warm_query_skips_execution_stages(self, plain_service) -> None:
         plain_service.clear_caches()

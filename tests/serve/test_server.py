@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
 from repro.corpus.store import TreeStore, data_file_path
 from repro.live import LiveIndex
 from repro.serve.server import ENDPOINTS, ServerThread, open_server, result_to_dict
@@ -55,7 +56,7 @@ def index_paths(tmp_path_factory, small_corpus) -> dict:
     SubtreeIndex.build(small_corpus, mss=3, coding="root-split", path=plain).close()
     TreeStore.build(data_file_path(plain), small_corpus).close()
     sharded = str(root / "sharded.si")
-    SubtreeIndex.open(build_sharded(
+    SegmentSet.open(build_sharded(
         small_corpus, mss=3, coding="root-split", path=sharded, shards=2, workers=1
     )).close()
     live = str(root / "live.si")

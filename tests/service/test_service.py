@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.index import SubtreeIndex
+from repro.core.segments import SegmentSet
+from repro.corpus.generator import CorpusGenerator
 from repro.exec.executor import QueryExecutor
 from repro.query.parser import parse_query
 from repro.service.service import QueryService
@@ -28,22 +31,22 @@ def index_path(tmp_path_factory, small_corpus) -> str:
 
 
 @pytest.fixture()
-def index(index_path) -> SubtreeIndex:
-    opened = SubtreeIndex.open(index_path)
+def index(index_path, small_corpus) -> SegmentSet:
+    opened = SegmentSet.of(SubtreeIndex.open(index_path), small_corpus)
     yield opened
     opened.close()
 
 
 @pytest.fixture()
-def service(index, small_corpus) -> QueryService:
-    svc = QueryService(index, store=small_corpus)
+def service(index) -> QueryService:
+    svc = QueryService(index)
     yield svc
     svc.close()
 
 
 class TestResultsMatchExecutor:
-    def test_run_agrees_with_query_executor(self, service, index, small_corpus) -> None:
-        executor = QueryExecutor(index, store=small_corpus)
+    def test_run_agrees_with_query_executor(self, service, index) -> None:
+        executor = QueryExecutor(index)
         for text in QUERIES:
             expected = executor.execute(parse_query(text))
             assert service.run(text).matches_per_tree == expected.matches_per_tree
@@ -90,8 +93,8 @@ class TestPreparedQueryCache:
 
 
 class TestPostingCache:
-    def test_repeat_run_hits_posting_cache(self, index, small_corpus) -> None:
-        service = QueryService(index, store=small_corpus, result_cache_size=0)
+    def test_repeat_run_hits_posting_cache(self, index) -> None:
+        service = QueryService(index, result_cache_size=0)
         service.run("NP(DT)(NN)")
         descents_after_cold = service.stats().probes.tree_descents
         service.run("NP(DT)(NN)")
@@ -100,9 +103,9 @@ class TestPostingCache:
         assert stats.postings.hits > 0
         service.close()
 
-    def test_probe_counters_account_hits_and_misses(self, index, small_corpus) -> None:
+    def test_probe_counters_account_hits_and_misses(self, index) -> None:
         index.reset_probe_stats()
-        service = QueryService(index, store=small_corpus, result_cache_size=0)
+        service = QueryService(index, result_cache_size=0)
         service.run("NP(DT)(NN)")   # single-key cover: one get, one descent
         service.run("NP(DT)(NN)")   # served by the posting cache
         stats = service.stats().probes
@@ -121,10 +124,9 @@ class TestResultCache:
         assert second is first
         assert service.stats().results.hits == 1
 
-    def test_all_caches_can_be_disabled(self, index, small_corpus) -> None:
+    def test_all_caches_can_be_disabled(self, index) -> None:
         service = QueryService(
-            index, store=small_corpus,
-            plan_cache_size=0, postings_cache_size=0, result_cache_size=0,
+            index, plan_cache_size=0, postings_cache_size=0, result_cache_size=0,
         )
         first = service.run("NP(DT)(NN)")
         second = service.run("NP(DT)(NN)")
@@ -137,8 +139,8 @@ class TestResultCache:
         assert index.postings_cache is None  # nothing was attached
         service.close()
 
-    def test_disabled_result_cache_recomputes(self, index, small_corpus) -> None:
-        service = QueryService(index, store=small_corpus, result_cache_size=0)
+    def test_disabled_result_cache_recomputes(self, index) -> None:
+        service = QueryService(index, result_cache_size=0)
         first = service.run("NP(DT)(NN)")
         second = service.run("NP(DT)(NN)")
         assert second is not first
@@ -148,10 +150,10 @@ class TestResultCache:
 
 
 class TestBatchAPI:
-    def test_batch_fetches_each_distinct_key_exactly_once(self, index, small_corpus) -> None:
+    def test_batch_fetches_each_distinct_key_exactly_once(self, index) -> None:
         """The acceptance property: one B+Tree probe per distinct cover key."""
         index.reset_probe_stats()
-        service = QueryService(index, store=small_corpus, result_cache_size=0)
+        service = QueryService(index, result_cache_size=0)
 
         batch = ["NP(DT)(NN)", "S(NP)(VP)", "NP(DT)(NN)", "S(NP)(VP(VBZ))"]
         distinct_keys = set()
@@ -168,8 +170,8 @@ class TestBatchAPI:
         assert stats.batch_keys_deduped == total_keys - len(distinct_keys)
         service.close()
 
-    def test_second_batch_is_served_from_caches(self, index, small_corpus) -> None:
-        service = QueryService(index, store=small_corpus, result_cache_size=0)
+    def test_second_batch_is_served_from_caches(self, index) -> None:
+        service = QueryService(index, result_cache_size=0)
         service.run_many(QUERIES)
         descents = service.stats().probes.tree_descents
         service.run_many(QUERIES)
@@ -186,8 +188,8 @@ class TestBatchAPI:
     def test_empty_batch(self, service) -> None:
         assert service.run_many([]) == []
 
-    def test_identical_batch_queries_share_one_join(self, index, small_corpus) -> None:
-        service = QueryService(index, store=small_corpus, result_cache_size=0)
+    def test_identical_batch_queries_share_one_join(self, index) -> None:
+        service = QueryService(index, result_cache_size=0)
         first, second = service.run_many(["NP(DT)(NN)", "NP( DT )( NN )"])
         assert second is first  # joined once, shared across positions
         service.close()
@@ -195,8 +197,8 @@ class TestBatchAPI:
 
 class TestInvalidationOnReopen:
     def test_close_clears_and_detaches_the_cache(self, index_path, small_corpus) -> None:
-        index = SubtreeIndex.open(index_path)
-        service = QueryService(index, store=small_corpus)
+        index = SegmentSet.of(SubtreeIndex.open(index_path), small_corpus)
+        service = QueryService(index)
         service.run("NP(DT)(NN)")
         cache = index.postings_cache
         assert cache is not None and len(cache) > 0
@@ -205,8 +207,8 @@ class TestInvalidationOnReopen:
         assert index.postings_cache is None
 
         # A reopened index starts cold: nothing stale is served.
-        reopened = SubtreeIndex.open(index_path)
-        fresh = QueryService(reopened, store=small_corpus)
+        reopened = SegmentSet.open(index_path)
+        fresh = QueryService(reopened)
         fresh.run("NP(DT)(NN)")
         stats = fresh.stats()
         assert stats.postings.hits == 0
@@ -228,9 +230,31 @@ class TestInvalidationOnReopen:
         assert not (tmp_path / "nope.si").exists()
 
 
+class TestPlainIndexWithoutDataFile:
+    """An index file alone: a structural coding answers, the filtering phase
+    names the data file it lacks, and opening the file writes nothing."""
+
+    @pytest.fixture()
+    def directory(self, tmp_path):
+        trees = CorpusGenerator(seed=3).generate_list(60)
+        for coding in ("root-split", "filter"):
+            SubtreeIndex.build(trees, mss=3, coding=coding, path=str(tmp_path / f"{coding}.si")).close()
+        return tmp_path
+
+    def test_open_serves_it_and_creates_no_data_file(self, directory) -> None:
+        with QueryService.open(str(directory / "root-split.si")) as service:
+            assert service.index.flavor == "plain"
+            assert service.run("NP(DT)(NN)").total_matches == 71
+            assert service.index.metadata.tree_count == 60  # from the file, not a data file
+        with QueryService.open(str(directory / "filter.si")) as service:
+            with pytest.raises(RuntimeError, match="filter-based execution needs a data file"):
+                service.run("NP(DT)(NN)")
+        assert sorted(os.listdir(directory)) == ["filter.si", "root-split.si"]
+
+
 class TestConcurrency:
-    def test_threaded_runs_return_consistent_results(self, index, small_corpus) -> None:
-        service = QueryService(index, store=small_corpus)
+    def test_threaded_runs_return_consistent_results(self, index) -> None:
+        service = QueryService(index)
         expected = {text: service.run(text).matches_per_tree for text in QUERIES}
         service.clear_caches()
 

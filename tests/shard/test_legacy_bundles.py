@@ -73,7 +73,7 @@ def test_the_fixtures_are_legacy_manifests() -> None:
 def test_a_legacy_bundle_opens_frozen_and_answers_as_a_fresh_build(legacy, expected, name) -> None:
     partitioner, shards = BUNDLES[name]
     manifest_bytes = (legacy / name).read_bytes()
-    with SubtreeIndex.open(str(legacy / name)) as index:
+    with SegmentSet.open(str(legacy / name)) as index:
         assert type(index) is SegmentSet and index.flavor == "sharded"
         assert (index.segment_count, index.manifest.partitioner, index.epoch) == (shards, partitioner, 0)
         assert index.metadata.tree_count == 60 == len(index.store)
@@ -91,13 +91,13 @@ def test_a_legacy_bundle_opens_frozen_and_answers_as_a_fresh_build(legacy, expec
 
 
 def test_locate_routes_under_hash_and_asks_everyone_under_round_robin(legacy) -> None:
-    with SubtreeIndex.open(str(legacy / "hash2.si.manifest.json")) as hashed:
+    with SegmentSet.open(str(legacy / "hash2.si.manifest.json")) as hashed:
         for tid in range(60):
             position = hashed.locate(tid)
             assert position == HashPartitioner(2).locate(tid)
             assert tid in hashed.segments[position].store
             assert hashed.store.get(tid).tid == tid
-    with SubtreeIndex.open(str(legacy / "rr3.si.manifest.json")) as dealt:
+    with SegmentSet.open(str(legacy / "rr3.si.manifest.json")) as dealt:
         assert {dealt.locate(tid) for tid in range(60)} == {None}
         assert [dealt.store.get(tid).tid for tid in range(60)] == list(range(60))
 

@@ -49,7 +49,7 @@ def indexes(workdir, small_corpus):
         single_path = str(workdir / f"single-{coding}.si")
         single = SubtreeIndex.build(small_corpus, mss=MSS, coding=coding, path=single_path)
         store = TreeStore.build(data_file_path(single_path), small_corpus)
-        sharded = SubtreeIndex.open(build_sharded(
+        sharded = SegmentSet.open(build_sharded(
             small_corpus,
             mss=MSS,
             coding=coding,
@@ -69,7 +69,7 @@ def indexes(workdir, small_corpus):
 def round_robin(workdir, small_corpus):
     """``coding -> sharded index`` under the positional partitioner."""
     built = {
-        coding: SubtreeIndex.open(build_sharded(
+        coding: SegmentSet.open(build_sharded(
             small_corpus, mss=MSS, coding=coding, path=str(workdir / f"rr-{coding}.si"),
             shards=SHARDS, workers=1, partitioner="round-robin",
         ))
@@ -133,7 +133,7 @@ class TestBuild:
         assert sharded.mss == MSS
 
     def test_round_robin_partitioner(self, tmp_path, tiny_corpus) -> None:
-        sharded = SubtreeIndex.open(build_sharded(
+        sharded = SegmentSet.open(build_sharded(
             tiny_corpus,
             mss=2,
             coding="root-split",
@@ -149,11 +149,11 @@ class TestBuild:
         sharded.close()
 
     def test_process_pool_build_matches_inline(self, tmp_path, tiny_corpus) -> None:
-        inline = SubtreeIndex.open(build_sharded(
+        inline = SegmentSet.open(build_sharded(
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "inline.si"), shards=2, workers=1,
         ))
-        pooled = SubtreeIndex.open(build_sharded(
+        pooled = SegmentSet.open(build_sharded(
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "pooled.si"), shards=2, workers=2,
         ))
@@ -182,7 +182,7 @@ class TestCommit:
             "plain.si", "re.si.manifest.json", "re.si.shard00", "re.si.shard00.data",
             "re.si.shard01", "re.si.shard01.data",
         ]
-        with SubtreeIndex.open(manifest_path) as sharded, plain:
+        with SegmentSet.open(manifest_path) as sharded, plain:
             assert sharded.segment_count == 2 and sharded.metadata.tree_count == len(tiny_corpus)
             assert [(key, list(postings)) for key, postings in sharded.items()] == [
                 (key, list(postings)) for key, postings in plain.items()
@@ -193,7 +193,7 @@ class TestCommit:
 
         manifest_path = build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "keep.si"), 3, workers=1)
         before = open(manifest_path, "rb").read()
-        with SubtreeIndex.open(manifest_path) as sharded:
+        with SegmentSet.open(manifest_path) as sharded:
             expected = [(key, list(postings)) for key, postings in sharded.items()]
 
         def refuse(self, path) -> None:
@@ -204,7 +204,7 @@ class TestCommit:
             build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "keep.si"), 3, workers=1)
         monkeypatch.undo()
         assert open(manifest_path, "rb").read() == before
-        with SubtreeIndex.open(manifest_path) as sharded:  # nothing it lists was cleaned up
+        with SegmentSet.open(manifest_path) as sharded:  # nothing it lists was cleaned up
             assert sharded.segment_count == 3
             assert [(key, list(postings)) for key, postings in sharded.items()] == expected
 
@@ -212,7 +212,7 @@ class TestCommit:
         manifest_path = build_sharded(
             tiny_corpus, 2, "root-split", str(tmp_path / "m.si"), 2, workers=1, partitioner="round-robin"
         )
-        with SubtreeIndex.open(manifest_path) as sharded:
+        with SegmentSet.open(manifest_path) as sharded:
             manifest = sharded.manifest
             assert (manifest.partitioner, manifest.epoch, manifest.next_segment_id) == ("round-robin", 0, 2)
             assert manifest.next_tid == max(tiny_corpus.tids()) + 1 and manifest.build_seconds > 0
@@ -222,7 +222,7 @@ class TestCommit:
 
 
 # ----------------------------------------------------------------------
-# The merged SubtreeIndex-compatible surface
+# The merged read surface: what one index file answers
 # ----------------------------------------------------------------------
 class TestMergedLookup:
     def test_lookup_equals_single_index(self, indexes) -> None:
@@ -281,9 +281,9 @@ class TestMergedLookup:
         finally:
             sharded.attach_postings_cache(None)
 
-    def test_open_dispatches_from_subtree_index(self, indexes) -> None:
+    def test_open_dispatches_on_the_manifest(self, indexes) -> None:
         sharded = indexes["root-split"][2]
-        reopened = SubtreeIndex.open(sharded.manifest_path)
+        reopened = SegmentSet.open(sharded.manifest_path)
         try:
             assert type(reopened) is SegmentSet and reopened.flavor == "sharded"
             assert reopened.segment_count == SHARDS
@@ -317,7 +317,7 @@ class TestMergeCorrectness:
 class TestShardedService:
     def test_run_matches_unsharded_service(self, indexes, workload) -> None:
         single, store, sharded = indexes["root-split"]
-        plain = QueryService(single, store=store)
+        plain = QueryService(SegmentSet.of(single, store))
         service = QueryService(sharded)
         try:
             for query in workload[:20]:
@@ -403,7 +403,7 @@ class TestShardedService:
 class TestShardErrors:
     @pytest.fixture()
     def built(self, tmp_path, tiny_corpus):
-        manifest_path = SubtreeIndex.open(build_sharded(
+        manifest_path = SegmentSet.open(build_sharded(
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "err.si"), shards=3, workers=1,
         )).manifest_path
@@ -413,19 +413,19 @@ class TestShardErrors:
         tmp_path, manifest_path = built
         os.remove(tmp_path / "err.si.shard01")
         with pytest.raises(ManifestError, match=r"segment 1 is missing its index file"):
-            SubtreeIndex.open(manifest_path)
+            SegmentSet.open(manifest_path)
 
     def test_missing_data_file(self, built) -> None:
         tmp_path, manifest_path = built
         os.remove(tmp_path / "err.si.shard01.data")
         with pytest.raises(ManifestError, match=r"segment 1 is missing its data file"):
-            SubtreeIndex.open(manifest_path)
+            SegmentSet.open(manifest_path)
 
     def test_corrupted_shard_file(self, built) -> None:
         tmp_path, manifest_path = built
         (tmp_path / "err.si.shard02").write_bytes(b"this is not a B+Tree")
         with pytest.raises(ManifestError, match=r"segment 2 is unreadable"):
-            SubtreeIndex.open(manifest_path)
+            SegmentSet.open(manifest_path)
 
     def test_shard_with_mismatched_parameters(self, built, tiny_corpus) -> None:
         tmp_path, manifest_path = built
@@ -434,4 +434,4 @@ class TestShardErrors:
         rebuilt = SubtreeIndex.build(tiny_corpus, mss=1, coding="root-split", path=shard_path)
         rebuilt.close()
         with pytest.raises(ManifestError, match=r"segment 0 .* mss=1"):
-            SubtreeIndex.open(manifest_path)
+            SegmentSet.open(manifest_path)

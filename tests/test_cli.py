@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
 
 from repro.cli import main
+from repro.core.index import SubtreeIndex
+from repro.corpus.store import data_file_path
 
 
 @pytest.fixture()
@@ -143,6 +146,17 @@ class TestSharded:
         assert {"meta", "leaf"} <= set(plain["storage"])
         assert all(set(row) == {"pages", "payload_bytes", "slack_bytes"} for row in plain["storage"].values())
         assert 4096 * sum(row["pages"] for row in plain["storage"].values()) == plain["size_bytes"]
+
+
+    def test_stats_json_of_an_index_without_its_data_file(self, index_file, capsys) -> None:
+        os.remove(data_file_path(index_file))
+        assert main(["stats", index_file, "--json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        with SubtreeIndex.open(index_file) as reader:
+            assert plain["tree_count"] == reader.metadata.tree_count == 40
+        assert (plain["flavor"], plain["key_count_semantics"]) == ("plain", "distinct")
+        assert not {"sources", "partitioner", "epoch", "live"} & set(plain)
+        assert not os.path.exists(data_file_path(index_file))  # opening it wrote nothing
 
 
 class TestLive:
