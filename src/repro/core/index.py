@@ -14,7 +14,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns
@@ -289,6 +289,19 @@ class SubtreeIndex:
             if key == _META_KEY:
                 continue
             yield key, value
+
+    def encoded_lists(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
+        """``(key, encoded list)`` in key order without the rows of the trees
+        in *dead*, a list going back to its body, never to columns: one no dead
+        tree is in as it is stored, a key left with no row not at all."""
+        coding = self.coding
+        for key, raw in self.raw_items():
+            body = coding.decode_body(raw)
+            kept = coding.cut_rows(body, dead)
+            if kept is body:
+                yield key, raw
+            elif kept:
+                yield key, coding.encode_body(kept)
 
     @property
     def mss(self) -> int:

@@ -31,11 +31,13 @@ plain :class:`~repro.core.segments.SegmentSet`.  Without one the bundle is
 :class:`~repro.live.live.LiveIndex`, whose every compaction writes the new
 segment files first and then replaces the manifest with the epoch bumped.
 
-The manifest is the unit of atomicity: :meth:`Manifest.save_atomic` is one
-:func:`os.replace`, so a reader sees the old catalogue or the new one, never
-a half state, and the files the *old* one names stay valid until the swap
-(live segment ids are never reused).  Paths are stored relative to the
-manifest's directory, so a bundle can be moved or copied as one.
+The manifest is the unit of atomicity.  :meth:`Manifest.commit` publishes
+every bundle -- a live index's creation, each compaction, a sharded build --
+over files already on disk (``repro.core.segments.write_segment`` fsyncs
+them) with one :func:`os.replace` and an fsync of the directory, so a reader
+and a power loss alike find the old catalogue or the new one, never a half
+state.  Paths are stored relative to the manifest's directory, so a bundle
+can be moved or copied as one.
 
 :meth:`Manifest.load` also reads the two formats this one replaced --
 ``repro-live-index`` and ``repro-sharded-index``, both version 1 -- and
@@ -48,7 +50,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: Identifies a manifest file regardless of its filename.
 MANIFEST_FORMAT = "repro-index-manifest"
@@ -127,13 +129,37 @@ class Manifest:
         return json.dumps(payload, indent=2) + "\n"
 
     def save_atomic(self, path: str) -> None:
-        """Write the manifest durably: temp file, fsync, then one rename."""
+        """Write the manifest durably: temp file, fsync, one rename, then an
+        fsync of the directory so that the rename itself is on disk."""
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        fsync_path(os.path.dirname(os.path.abspath(path)))
+
+    def commit(self, path: str, then: Optional[Callable[[], None]] = None) -> None:
+        """Make this the manifest at *path* (:meth:`save_atomic`, the commit
+        point), run *then* (a live index swaps its write-ahead log there), and
+        remove -- best effort, a bare filename beside the manifest only -- the
+        files that only the replaced manifest listed."""
+        try:
+            replaced = Manifest.load(path).segments
+        except ManifestError:  # none there, or nothing a build could have written
+            replaced = []
+        self.save_atomic(path)
+        if then is not None:
+            then()
+        kept = {name for entry in self.segments for name in (entry.index_path, entry.data_path)}
+        directory = os.path.dirname(os.path.abspath(path))
+        for entry in replaced:
+            for stale in {entry.index_path, entry.data_path} - kept:
+                if os.path.basename(stale) == stale:
+                    try:
+                        os.remove(os.path.join(directory, stale))
+                    except OSError:
+                        pass
 
     @classmethod
     def load(cls, path: str) -> "Manifest":
@@ -227,3 +253,13 @@ def wal_file_path(manifest_path: str) -> str:
     """The write-ahead-log path conventionally stored next to a live manifest."""
     directory, base = os.path.split(os.path.abspath(manifest_path))
     return os.path.join(directory, base.removesuffix(LIVE_SUFFIX) + ".wal")
+
+
+def fsync_path(path: str) -> None:
+    """Flush what the OS holds of *path* -- a file's bytes, or a directory's
+    entries (a rename into it) -- to the disk."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)

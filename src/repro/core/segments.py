@@ -25,25 +25,34 @@ segment and the delta it was flushed from, say).  Within a source the only
 change is growth -- a delta gains trees, a tombstone set gains tids -- and a
 reader that meets it merely answers as of a little later.  ``lookup`` tags
 what it caches with the snapshot's version, so a list computed while a
-mutation raced it is never served afterwards.
+mutation raced it is never served afterwards.  The files a manifest names
+are written by one function, :func:`write_segment`, and fsynced there.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+import time
 from contextlib import ExitStack
 from dataclasses import asdict
 from itertools import groupby
 from operator import itemgetter
-from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns, merge_columns
 from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import SubtreeKey, decode_key
-from repro.core.manifest import Manifest, ManifestError, is_manifest
+from repro.core.manifest import (
+    Manifest,
+    ManifestError,
+    SegmentEntry,
+    fsync_path,
+    is_manifest,
+    segment_file_names,
+)
 from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.storage.bptree import ProbeStats, ValueCache
 from repro.trees.node import Node, ParseTree
@@ -76,6 +85,12 @@ class Source(NamedTuple):
     def postings(self, key: bytes) -> PostingColumns:
         """The source's surviving posting list of *key*."""
         return self.alive(self.index.lookup(key))
+
+    def close(self) -> None:
+        """Close the source's files: its index and its data file, if it has one."""
+        self.index.close()
+        if isinstance(self.store, TreeStore):  # not a Corpus, nor a missing data file
+            self.store.close()
 
 
 class Snapshot(NamedTuple):
@@ -121,10 +136,49 @@ def open_sources(manifest_path: str, manifest: Manifest) -> Tuple[Source, ...]:
     return tuple(sources)
 
 
-def _close(source: Source) -> None:
-    source.index.close()
-    if isinstance(source.store, TreeStore):  # not a Corpus, nor a missing data file
-        source.store.close()
+def write_segment(
+    manifest_path: str,
+    segment_id: int,
+    mss: int,
+    coding: CodingScheme,
+    encoded: Iterable[Tuple[bytes, bytes]],
+    records: Iterable[Tuple[int, bytes]],
+    started: float,
+    frozen: bool = False,
+    fsync: bool = True,
+) -> Source:
+    """Write segment *segment_id* beside *manifest_path* -- the one writer of
+    every file a manifest names -- and return it opened, with its entry.
+
+    *records* are its trees' ``(tid, data-file record)`` pairs in tid order,
+    copied into the data file; *encoded* their ``(key, encoded list)`` stream
+    in key order, for :meth:`SubtreeIndex.write_posting_lists`.  With *fsync*
+    both files are on disk before this returns.  Build times count from
+    *started*; *frozen* names the files as a shard's.
+    """
+    directory = os.path.dirname(os.path.abspath(manifest_path))
+    index_name, data_name = segment_file_names(manifest_path, segment_id, frozen=frozen)
+    index_path, data_path = os.path.join(directory, index_name), os.path.join(directory, data_name)
+    for stale in (index_path, data_path):  # a file left there is replaced, never appended to
+        if os.path.exists(stale):
+            os.remove(stale)
+    store = TreeStore(data_path)
+    tids = []
+    for tid, record in records:
+        store.append_record(tid, record)
+        tids.append(tid)
+    store.flush()
+    index = SubtreeIndex.write_posting_lists(index_path, mss, coding, len(tids), encoded, started)
+    if fsync:
+        fsync_path(index_path)
+        fsync_path(data_path)
+    counts = index.metadata
+    entry = SegmentEntry(
+        segment_id, index_name, data_name, counts.tree_count, counts.key_count, counts.posting_count,
+        build_seconds=time.perf_counter() - started,
+        min_tid=tids[0] if tids else None, max_tid=tids[-1] if tids else None,  # a shard may get none
+    )
+    return Source(index, store, entry)
 
 
 class TreeGone(KeyError):
@@ -477,7 +531,7 @@ class SegmentSet:
         self._clear_postings_cache()
         self._postings_cache = None
         for source in [*self.segments, *self._retired]:
-            _close(source)
+            source.close()
         self._retired.clear()
 
     def __enter__(self) -> "SegmentSet":

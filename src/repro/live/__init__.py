@@ -15,8 +15,10 @@ read API (cf. Clarke's *Annotative Indexing*, 2024):
   ``add_tree`` / ``delete_tree`` / ``compact`` and crash recovery.
 
 The catalogue of the immutable base segments is the one epoch-stamped
-manifest of :mod:`repro.core.manifest`, swapped atomically by compaction; a
-manifest with no partitioner recorded is a live one.
+manifest of :mod:`repro.core.manifest`, which every compaction publishes
+with ``Manifest.commit`` over segments the one writer
+(``repro.core.segments.write_segment``) put on disk; a manifest with no
+partitioner recorded is a live one.
 
 It is served by the one :class:`repro.service.QueryService`, and
 ``SegmentSet.open`` -- hence ``QueryService.open`` and the CLI -- opens a

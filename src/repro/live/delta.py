@@ -125,10 +125,11 @@ class DeltaSegment:
         for key in sorted(self._bodies):
             yield key, self.lookup(key)
 
-    def encoded(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
+    def encoded_lists(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
         """Yield ``(key, encoded posting list)`` in key order, the rows of
-        trees in *dead* cut from each body first -- what a compaction writes.
-        A key left with no row disappears."""
+        trees in *dead* cut from each body first -- what a compaction writes,
+        as ``SubtreeIndex.encoded_lists`` yields a segment's.  A key left with
+        no row disappears."""
         coding = self.coding
         for key in sorted(self._bodies):
             kept = coding.cut_rows(self._bodies[key], dead)

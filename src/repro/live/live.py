@@ -13,10 +13,11 @@ LSM recipe:
 * a **write-ahead log** (:class:`~repro.live.wal.WriteAheadLog`): every
   mutation is fsynced to the log before it is applied, so reopening after a
   crash replays the delta exactly -- zero lost, zero duplicated ops;
-* an explicit :meth:`compact`: the delta is flushed into a fresh immutable
-  segment, base segments containing tombstoned trees are rewritten without
-  them (dead rows cut from bodies, records copied, no tree touched), and the
-  epoch-stamped manifest is swapped atomically before the WAL is truncated.
+* an explicit :meth:`compact`: one loop writes each source that changed --
+  the delta, a segment holding tombstones -- as a fresh immutable segment
+  without its dead trees (dead rows cut from bodies, records copied, no tree
+  touched), and the epoch-stamped manifest is committed before the WAL is
+  swapped for an empty one.
 
 Reads are the :class:`~repro.core.segments.SegmentSet` read API, written
 once for sharded and live indexes: a key's posting list is the column-wise
@@ -51,26 +52,17 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns, merge_columns
-from repro.core.index import SubtreeIndex, accumulate_posting_lists, encode_posting_lists
-from repro.core.manifest import (
-    LIVE_SUFFIX,
-    Manifest,
-    ManifestError,
-    SegmentEntry,
-    is_manifest,
-    segment_file_names,
-    wal_file_path,
-)
-from repro.core.segments import SegmentSet, Snapshot, Source, Version, open_sources
-from repro.corpus.store import TreeStore
-from repro.live.delta import DeltaSegment, DeltaTrees
+from repro.core.index import accumulate_posting_lists, encode_posting_lists
+from repro.core.manifest import LIVE_SUFFIX, Manifest, ManifestError, is_manifest, wal_file_path
+from repro.core.segments import SegmentSet, Snapshot, Source, Version, open_sources, write_segment
+from repro.live.delta import DeltaSegment
 from repro.live.wal import WriteAheadLog
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import parse_penn, to_penn
@@ -142,9 +134,7 @@ class LiveIndex(SegmentSet):
         manifest_dir = os.path.dirname(os.path.abspath(path))
         os.makedirs(manifest_dir, exist_ok=True)
 
-        entries: List[SegmentEntry] = []
-        next_tid = 0
-        next_segment_id = 0
+        manifest = Manifest(mss=mss, coding=coding_name)  # epoch 0, no segment
         seed = list(trees) if trees is not None else []
         if seed:
             for position, tree in enumerate(seed):
@@ -155,26 +145,17 @@ class LiveIndex(SegmentSet):
                 raise ValueError("seed trees must have strictly ascending unique tids")
             started = time.perf_counter()
             bodies, _ = accumulate_posting_lists(seed, mss, scheme)
-            segment = _write_segment(
-                path, 0, mss, scheme, tids, encode_posting_lists(bodies, scheme),
-                partial(TreeStore.build, trees=seed), started,
+            records = ((tree.tid, to_penn(tree.root).encode("utf-8")) for tree in seed)
+            segment = write_segment(
+                path, 0, mss, scheme, encode_posting_lists(bodies, scheme), records, started, fsync=fsync
             )
-            segment.index.close()
-            segment.store.close()
-            entries.append(segment.entry)
-            next_tid = tids[-1] + 1
-            next_segment_id = 1
+            segment.close()
+            manifest.segments.append(segment.entry)
+            manifest.next_tid, manifest.next_segment_id = tids[-1] + 1, 1
 
-        manifest = Manifest(
-            mss=mss,
-            coding=coding_name,
-            epoch=0,
-            next_tid=next_tid,
-            next_segment_id=next_segment_id,
-            segments=entries,
-        )
-        manifest.save_atomic(path)
+        # The log first: the commit's directory fsync then covers its name too.
         WriteAheadLog.create(wal_file_path(path), epoch=0, fsync=fsync).close()
+        manifest.commit(path)
         return cls.open(path, fsync=fsync)
 
     @classmethod
@@ -300,14 +281,15 @@ class LiveIndex(SegmentSet):
     def compact(self) -> CompactionStats:
         """Fold the delta and tombstones into immutable segments.
 
-        The delta's lists and records are flushed into a fresh segment;
-        base segments holding tombstoned trees are rewritten without them
-        (dropped entirely when nothing survives) -- no tree is indexed,
-        parsed or rendered again.  The order of
-        durability is: new segment files first, then the epoch-bumped
-        manifest in one atomic rename, then the WAL swap, then old-file
-        cleanup -- a crash at any point leaves a consistent index (see
-        :meth:`open` for how a stale WAL is recognised).
+        One pass over the snapshot's sources: each whose trees changed since
+        its file was written -- a segment holding tombstoned trees, or the
+        delta, which has no file yet -- is written out as a fresh segment
+        without its dead trees (dropped when nothing survives); an untouched
+        segment is kept.  No tree is indexed, parsed or rendered again.
+        Durability order: new segment files fsynced, the epoch-bumped
+        manifest renamed and its directory fsynced, the WAL swapped, old
+        files removed -- a crash at any point leaves a consistent index (see
+        :meth:`open` for a stale WAL); a failed commit leaves it as it was.
         """
         if not obs.enabled():
             return self._compact_impl()
@@ -324,65 +306,53 @@ class LiveIndex(SegmentSet):
     def _compact_impl(self) -> CompactionStats:
         started = time.perf_counter()
         with self._write_lock:
-            *old_segments, delta = self.snapshot.sources
+            sources = self.snapshot.sources
+            delta = sources[-1]
             purged = len(self.tombstones)
             if self._wal.op_count == 0 and not purged and delta.index.tree_count == 0:
                 return CompactionStats(epoch=self.epoch, noop=True)
 
             new_epoch = self.epoch + 1
-            next_segment_id = self.manifest.next_segment_id
+            segment_id = self.manifest.next_segment_id
             segments: List[Source] = []  # of the new epoch, ascending in tid
-            replaced: List[Source] = []
-            rewritten = 0
-            coding = self.coding
-
+            written: List[Source] = []
             # What is already indexed is merged, never indexed again: a
-            # segment's stored lists and the delta's in-memory bodies are
-            # written back out with the tombstoned trees' rows cut.
-            for segment in old_segments:
-                if not segment.dead:
-                    segments.append(segment)
+            # source's lists (stored, or the delta's bodies) and its records
+            # are written back out without its tombstoned trees.
+            for source in sources:
+                if source.entry is not None and not source.dead:  # its file is what it holds
+                    segments.append(source)
                     continue
-                replaced.append(segment)
-                survivors = [tid for tid in segment.store.tids() if tid not in segment.dead]
-                if survivors:  # else the segment is dropped entirely
-                    segments.append(_write_segment(
-                        self.manifest_path, next_segment_id, self.mss, coding, survivors,
-                        _surviving_lists(segment),
-                        partial(_copy_records, source=segment.store, tids=survivors),
-                        time.perf_counter(),
-                    ))
-                    next_segment_id += 1
-                    rewritten += 1
+                survivors = [tid for tid in source.store.tids() if tid not in source.dead]
+                if survivors:  # else the source is dropped entirely
+                    records = ((tid, source.store.record(tid)) for tid in survivors)
+                    segment = write_segment(
+                        self.manifest_path, segment_id, self.mss, self.coding,
+                        source.index.encoded_lists(source.dead), records, time.perf_counter(),
+                        fsync=self._fsync,
+                    )
+                    segment_id += 1
+                    segments.append(segment)
+                    written.append(segment)
 
-            flushed = [tid for tid in delta.store.tids() if tid not in delta.dead]
-            if flushed:
-                segments.append(_write_segment(
-                    self.manifest_path, next_segment_id, self.mss, coding,
-                    flushed, delta.index.encoded(delta.dead),
-                    partial(_copy_records, source=delta.store, tids=flushed),
-                    time.perf_counter(),
-                ))
-                next_segment_id += 1
-
-            manifest = Manifest(
-                mss=self.mss,
-                coding=self.coding.name,
-                epoch=new_epoch,
-                next_tid=self._next_tid,
-                next_segment_id=next_segment_id,
+            manifest = replace(
+                self.manifest, epoch=new_epoch, next_tid=self._next_tid, next_segment_id=segment_id,
                 segments=[segment.entry for segment in segments],
             )
 
-            # Durability order: fresh WAL to a side file, manifest swap
-            # (the commit point), then the WAL rename.  A crash between the
-            # last two leaves a stale-epoch WAL that open() discards.
+            # A fresh WAL goes to a side file and is renamed over the old one
+            # after the manifest swap (the commit point).  A crash between
+            # the two leaves a stale-epoch WAL that open() discards.
             wal_path = wal_file_path(self.manifest_path)
             old_wal_bytes = self._wal.size_bytes()
             next_wal = WriteAheadLog.create(wal_path + ".next", new_epoch, fsync=self._fsync)
-            manifest.save_atomic(self.manifest_path)
-            os.replace(wal_path + ".next", wal_path)
-            next_wal.path = wal_path
+            try:
+                manifest.commit(self.manifest_path, then=partial(next_wal.move_to, wal_path))
+            except BaseException:  # the old manifest and WAL stand
+                next_wal.close()
+                for segment in written:
+                    segment.close()
+                raise
             self._wal.close()
             self._wal = next_wal
 
@@ -391,21 +361,17 @@ class LiveIndex(SegmentSet):
             # Replaced segments are retired, not closed: a reader that took
             # its snapshot before the swap keeps valid file handles (the
             # unlinked files stay readable until the handles close).
+            replaced = [segment for segment in sources[:-1] if segment.dead]
             self._retired.extend(replaced)
             self.manifest = manifest
             self._publish((*segments, _delta_source(manifest)))
             self._clear_postings_cache()  # every segment part was of the old epoch
 
-            for segment in replaced:  # after the swap: best-effort cleanup
-                for stale in (segment.entry.index_path, segment.entry.data_path):
-                    try:
-                        os.remove(manifest.resolve(self.manifest_path, stale))
-                    except OSError:
-                        pass
-
+            flushed = len(delta.store) - len(delta.dead)
+            rewritten = len(written) - (flushed > 0)
             return CompactionStats(
                 epoch=new_epoch,
-                flushed_trees=len(flushed),
+                flushed_trees=flushed,
                 purged_tombstones=purged,
                 segments_rewritten=rewritten,
                 segments_dropped=len(replaced) - rewritten,
@@ -493,65 +459,3 @@ def _bury(sources: Tuple[Source, ...], position: int, tid: int) -> Tuple[Source,
         return sources
     return (*sources[:position], source._replace(dead={tid}), *sources[position + 1:])
 
-
-def _write_segment(
-    manifest_path: str,
-    segment_id: int,
-    mss: int,
-    coding: CodingScheme,
-    tids: Sequence[int],
-    encoded: Iterable[Tuple[bytes, bytes]],
-    write_store: Callable[[str], TreeStore],
-    started: float,
-) -> Source:
-    """Write one immutable segment -- index + data file over trees *tids* -- and open it.
-
-    *encoded* is what :meth:`SubtreeIndex.write_posting_lists` takes;
-    *write_store* writes the data file at the path it is given.  Build times
-    count from *started*.
-    """
-    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
-    index_name, data_name = segment_file_names(manifest_path, segment_id)
-    index_path = os.path.join(manifest_dir, index_name)
-    if os.path.exists(index_path):  # ids are never reused; stale leftovers only
-        os.remove(index_path)
-    index = SubtreeIndex.write_posting_lists(index_path, mss, coding, len(tids), encoded, started)
-    store = write_store(os.path.join(manifest_dir, data_name))
-    entry = SegmentEntry(
-        segment_id=segment_id,
-        index_path=index_name,
-        data_path=data_name,
-        tree_count=index.metadata.tree_count,
-        key_count=index.metadata.key_count,
-        posting_count=index.metadata.posting_count,
-        build_seconds=time.perf_counter() - started,
-        min_tid=tids[0],
-        max_tid=tids[-1],
-    )
-    return Source(index, store, entry)
-
-
-def _surviving_lists(segment: Source) -> Iterator[Tuple[bytes, bytes]]:
-    """*segment*'s stored lists without its tombstoned trees' rows.
-
-    Each list goes back to its body, never to columns.  One no dead tree
-    appears in is passed on as the bytes it is stored as; the others are
-    cut and re-encoded, and a key left with no row disappears.
-    """
-    coding, dead = segment.index.coding, segment.dead
-    for key, raw in segment.index.raw_items():
-        body = coding.decode_body(raw)
-        kept = coding.cut_rows(body, dead)
-        if kept is body:
-            yield key, raw
-        elif kept:
-            yield key, coding.encode_body(kept)
-
-
-def _copy_records(path: str, source: TreeStore | DeltaTrees, tids: Sequence[int]) -> TreeStore:
-    """A data file at *path* holding *source*'s records of *tids* (a data file's or the delta's)."""
-    store = TreeStore.build(path, ())
-    for tid in tids:
-        store.append_record(tid, source.record(tid))
-    store.flush()
-    return store

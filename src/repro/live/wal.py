@@ -37,6 +37,8 @@ import zlib
 from dataclasses import dataclass
 from typing import IO, List, Optional, Tuple
 
+from repro.core.manifest import fsync_path
+
 #: Identifies a WAL header record.
 WAL_FORMAT = "repro-live-wal"
 WAL_VERSION = 1
@@ -165,6 +167,15 @@ class WriteAheadLog:
     def append_delete(self, tid: int) -> None:
         """Durably record the deletion of one tree."""
         self._append({"op": "delete", "tid": tid})
+
+    def move_to(self, path: str) -> None:
+        """Rename the log to *path*, over whatever is there; a log that
+        fsyncs fsyncs the directory too, so the rename survives a power loss
+        (the ops appended after it go to this file)."""
+        os.replace(self.path, path)
+        self.path = path
+        if self._fsync:
+            fsync_path(os.path.dirname(os.path.abspath(path)))
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

@@ -3,8 +3,8 @@
 * :mod:`repro.shard.partitioner` -- the tid -> shard policies
   (``round-robin`` and stable-``hash``).
 * :mod:`repro.shard.builder` -- parallel shard construction via
-  ``ProcessPoolExecutor`` (one complete ``SubtreeIndex`` + ``TreeStore``
-  per shard), committed by one manifest swap.
+  ``ProcessPoolExecutor`` (one ``write_segment`` per shard), published by
+  one ``Manifest.commit``.
 
 What a sharded build writes is a *frozen segment set*: its manifest
 (:mod:`repro.core.manifest`) records the partitioner, and

@@ -1,16 +1,18 @@
 """Parallel construction of a sharded index.
 
 The build partitions the corpus by tree id, hands each shard's trees to a
-worker and writes one ``SubtreeIndex`` + ``TreeStore`` pair per shard, then
-commits them as a live index commits a compaction: the manifest
-(:mod:`repro.core.manifest`, the partitioner recorded in it) goes over the
-old one in a single rename, and only then are files the replaced manifest
-listed and the new one does not removed.  Workers are separate *processes*
+worker and writes one ``SubtreeIndex`` + ``TreeStore`` pair per shard through
+the one segment writer (:func:`repro.core.segments.write_segment`, which
+fsyncs both files), then commits them as a live index commits a compaction:
+:meth:`repro.core.manifest.Manifest.commit` puts the manifest (the
+partitioner recorded in it) over the old one in a single rename and only then
+removes the files the replaced manifest listed and the new one does not.
+Workers are separate *processes*
 (:class:`concurrent.futures.ProcessPoolExecutor`): subtree enumeration and
 posting encoding are pure Python and CPU-bound, so threads would serialise
-on the GIL.  Trees cross the process boundary as Penn-bracket text -- the
-corpus's own serialisation -- which is compact, picklable and reparsed by
-the worker into interval-numbered trees identical to the parent's.
+on the GIL.  Trees cross the process boundary as Penn-bracket records -- the
+data file's own bytes -- which are compact and picklable: the worker writes
+them to its data file as they are and parses them only for extraction.
 
 ``workers=1`` (or a single shard) builds inline in the calling process with
 no pool at all, which is both the degenerate-correctness path the merge
@@ -22,64 +24,41 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.coding.base import CodingScheme
-from repro.core.index import SubtreeIndex
-from repro.core.manifest import (
-    MANIFEST_SUFFIX,
-    Manifest,
-    ManifestError,
-    SegmentEntry,
-    segment_file_names,
-)
-from repro.corpus.store import TreeStore, data_file_path
+from repro.coding.base import CodingScheme, get_coding
+from repro.core.index import accumulate_posting_lists, encode_posting_lists
+from repro.core.manifest import MANIFEST_SUFFIX, Manifest, SegmentEntry
+from repro.core.segments import write_segment
 from repro.shard.partitioner import Partitioner, get_partitioner
 from repro.trees.node import ParseTree
 from repro.trees.penn import parse_penn, to_penn
 
-#: One shard's build order for a *worker process*: (shard_id, index path,
-#: mss, coding name, records), where records are ``(tid, penn line)`` pairs.
-_ShardJob = Tuple[int, str, int, str, List[Tuple[int, str]]]
+#: One shard's build order: (manifest path, shard id, mss, coding name,
+#: records), where records are ``(tid, UTF-8 Penn line)`` pairs.
+_ShardJob = Tuple[str, int, int, str, List[Tuple[int, bytes]]]
 
 
-def _build_shard_trees(
-    shard_id: int,
-    index_path: str,
-    mss: int,
-    coding_name: str,
-    trees: Sequence[ParseTree],
-) -> Dict[str, object]:
-    """Build one shard's index and data file over already-parsed trees.
+def _build_shard(job: _ShardJob, trees: Optional[Sequence[ParseTree]] = None) -> SegmentEntry:
+    """Write one shard and return its manifest entry.
 
-    Returns the counters the manifest records for this shard.
+    *trees* are the records' trees already parsed (the inline path); a
+    worker process gets none and parses the records it was sent, for
+    extraction only.  Module-level (not a closure) so :mod:`pickle` can ship
+    it to the pool.
     """
+    manifest_path, shard_id, mss, coding_name, records = job
     started = time.perf_counter()
-    index = SubtreeIndex.build(trees, mss=mss, coding=coding_name, path=index_path)
-    TreeStore.build(data_file_path(index_path), trees).close()
-    counters = {
-        "segment_id": shard_id,
-        "tree_count": index.metadata.tree_count,
-        "key_count": index.metadata.key_count,
-        "posting_count": index.metadata.posting_count,
-        "build_seconds": time.perf_counter() - started,
-        "min_tid": trees[0].tid if trees else None,
-        "max_tid": trees[-1].tid if trees else None,
-    }
-    index.close()
-    return counters
-
-
-def _build_shard(job: _ShardJob) -> Dict[str, object]:
-    """Worker-process entry point: reparse the shipped Penn lines and build.
-
-    Module-level (not a closure) so :mod:`pickle` can ship it to the pool.
-    The inline path calls :func:`_build_shard_trees` directly and never pays
-    this serialise/reparse round trip.
-    """
-    shard_id, index_path, mss, coding_name, records = job
-    trees = [ParseTree(parse_penn(text), tid=tid) for tid, text in records]
-    return _build_shard_trees(shard_id, index_path, mss, coding_name, trees)
+    if trees is None:
+        trees = [ParseTree(parse_penn(record.decode("utf-8")), tid=tid) for tid, record in records]
+    coding = get_coding(coding_name)
+    bodies, _ = accumulate_posting_lists(trees, mss, coding)
+    shard = write_segment(
+        manifest_path, shard_id, mss, coding, encode_posting_lists(bodies, coding), records, started,
+        frozen=True,
+    )
+    shard.close()
+    return shard.entry
 
 
 def default_worker_count(shard_count: int) -> int:
@@ -136,45 +115,19 @@ def build_sharded(
 
     started = time.perf_counter()
     per_shard = partition_corpus(trees, partitioner)
-    manifest_dir = os.path.dirname(os.path.abspath(path))
-    os.makedirs(manifest_dir, exist_ok=True)
-
-    # What a build to the same path left behind, to be removed once replaced.
-    try:
-        replaced = Manifest.load(path).segments
-    except ManifestError:  # none there, or nothing this build could have written
-        replaced = []
-    names = [segment_file_names(path, shard_id, frozen=True) for shard_id in range(shards)]
-    shard_paths = [os.path.join(manifest_dir, index_name) for index_name, _ in names]
-    for index_path in shard_paths:
-        if os.path.exists(index_path):  # rebuilds must not append to old files
-            os.remove(index_path)
-
-    if workers == 1 or shards == 1:
-        # Inline: hand the parsed trees straight to the builder, skipping
-        # the Penn serialise/reparse round trip the pool path needs.
-        counters = [
-            _build_shard_trees(shard_id, shard_paths[shard_id], mss, coding_name, shard_trees)
-            for shard_id, shard_trees in enumerate(per_shard)
-        ]
-    else:
-        jobs: List[_ShardJob] = [
-            (
-                shard_id,
-                shard_paths[shard_id],
-                mss,
-                coding_name,
-                [(tree.tid, to_penn(tree.root)) for tree in shard_trees],
-            )
-            for shard_id, shard_trees in enumerate(per_shard)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counters = list(pool.map(_build_shard, jobs))
-
-    entries = [  # both build paths return the shards' counters in shard order
-        SegmentEntry(index_path=index_name, data_path=data_name, **result)
-        for (index_name, data_name), result in zip(names, counters)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    jobs: List[_ShardJob] = [
+        (path, shard_id, mss, coding_name, [(tree.tid, to_penn(tree.root).encode("utf-8")) for tree in trees])
+        for shard_id, trees in enumerate(per_shard)
     ]
+    if workers == 1 or shards == 1:
+        # Inline: the parsed trees go straight to extraction, skipping the
+        # reparse the pool path needs.
+        entries = [_build_shard(job, shard_trees) for job, shard_trees in zip(jobs, per_shard)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            entries = list(pool.map(_build_shard, jobs))
+
     manifest = Manifest(
         mss=mss,
         coding=coding_name,
@@ -184,13 +137,5 @@ def build_sharded(
         partitioner=partitioner.name,
         build_seconds=time.perf_counter() - started,
     )
-    manifest.save_atomic(path)  # the commit point
-    kept = {name for pair in names for name in pair}
-    for entry in replaced:  # after the swap: best-effort cleanup
-        for stale in {entry.index_path, entry.data_path} - kept:
-            if os.path.basename(stale) == stale:  # only ever a file a build put beside it
-                try:
-                    os.remove(os.path.join(manifest_dir, stale))
-                except OSError:
-                    pass
+    manifest.commit(path)
     return path

@@ -15,10 +15,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.core.manifest import wal_file_path
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
 from repro.live import LiveIndex
+from tests.core.fsynckit import (
+    assert_committed_durably,
+    last_rename_onto,
+    needs_proc_fd,
+    open_file_names,
+    record_durability,
+)
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent.parent / "src")
 
@@ -123,6 +132,100 @@ def test_crash_between_manifest_swap_and_wal_truncate(tmp_path, tiny_corpus) -> 
         assert reopened.wal.op_count == 0
     finally:
         reopened.close()
+
+
+@needs_proc_fd
+def test_a_compaction_puts_what_its_manifest_names_on_disk_before_the_swap(
+    tmp_path, tiny_corpus, monkeypatch
+) -> None:
+    """Segment files fsynced -> manifest rename -> directory fsync -> WAL
+    rename -> directory fsync: a power loss at any point leaves a manifest
+    whose every page is on disk, and an op acked after the compaction in the
+    log the directory names."""
+    events = record_durability(monkeypatch)
+    trees = list(tiny_corpus)
+    live = LiveIndex.create(str(tmp_path / "durable"), mss=2, coding="root-split", trees=trees[:6])
+    try:
+        for tree in trees[6:10]:
+            live.add_tree(tree.root)
+        live.compact()
+        for tree in trees[10:13]:
+            live.add_tree(tree.root)
+        live.delete_tree(7)
+        live.compact()  # keeps segment 0, rewrites segment 1, flushes the delta
+        assert [segment.entry.segment_id for segment in live.segments] == [0, 2, 3]
+        assert_committed_durably(events, live.manifest_path)
+        wal_path = wal_file_path(live.manifest_path)
+        assert last_rename_onto(events, wal_path) > last_rename_onto(events, live.manifest_path)
+        assert ("fsync", str(tmp_path.resolve())) in events[last_rename_onto(events, wal_path) + 1:]
+    finally:
+        live.close()
+
+
+@needs_proc_fd
+def test_a_live_index_without_fsync_fsyncs_no_segment(tmp_path, tiny_corpus, monkeypatch) -> None:
+    events = record_durability(monkeypatch)
+    live = LiveIndex.create(
+        str(tmp_path / "lax"), mss=2, coding="root-split", trees=list(tiny_corpus)[:6], fsync=False
+    )
+    try:
+        live.add_tree(tiny_corpus[6].root)
+        live.delete_tree(0)
+        live.compact()
+        synced = [path for kind, path in events if kind == "fsync"]
+        assert not [path for path in synced if ".seg" in os.path.basename(path)]
+        assert synced.count(str(tmp_path.resolve())) == 2  # each manifest's rename, nothing else
+    finally:
+        live.close()
+
+
+def test_a_failed_manifest_swap_leaves_the_index_as_it_was(tmp_path, tiny_corpus, monkeypatch) -> None:
+    """The live twin of the sharded build's failed swap: the compaction
+    raises, the index answers as before with its ops still in the log, the
+    files it wrote for nothing are closed, and a retry commits."""
+    from repro.core.manifest import Manifest
+
+    trees = list(tiny_corpus)
+    live = LiveIndex.create(str(tmp_path / "refused"), mss=2, coding="root-split", trees=trees[:6])
+    manifest_path = live.manifest_path
+    try:
+        added = [live.add_tree(tree.root) for tree in trees[6:10]]
+        live.delete_tree(2)
+        before = (live.version, live.store.tids(), list(live.items()), live.wal.op_count)
+        manifest_bytes = Path(manifest_path).read_bytes()
+
+        def refuse(self, path) -> None:
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Manifest, "save_atomic", refuse)
+        with pytest.raises(OSError, match="no space left") as refused:
+            live.compact()
+        monkeypatch.undo()
+        assert Path(manifest_path).read_bytes() == manifest_bytes
+        assert (live.version, live.store.tids(), list(live.items()), live.wal.op_count) == before
+        if os.path.isdir("/proc/self/fd"):  # closed, not left to the collector: the
+            # traceback keeps the compaction's locals alive
+            written = {"refused.seg001", "refused.seg001.data", "refused.seg002", "refused.seg002.data"}
+            assert refused.tb is not None
+            assert not (written | {"refused.wal.next"}) & open_file_names()
+
+        reopened = LiveIndex.open(manifest_path)  # every op replays from the log
+        try:
+            assert reopened.store.tids() == before[1] and list(reopened.items()) == before[2]
+            assert reopened.delta.trees.tids() == added and reopened.tombstones == {2}
+        finally:
+            reopened.close()
+
+        stats = live.compact()  # a retry commits
+        assert (stats.epoch, stats.flushed_trees, stats.segments_rewritten) == (1, 4, 1)
+        assert live.store.tids() == before[1] and list(live.items()) == before[2]
+    finally:
+        live.close()
+    again = LiveIndex.open(manifest_path)
+    try:
+        assert again.epoch == 1 and again.wal.op_count == 0 and again.store.tids() == before[1]
+    finally:
+        again.close()
 
 
 def test_crash_leaves_wal_side_file(tmp_path, tiny_corpus) -> None:

@@ -47,7 +47,7 @@ def test_delta_stores_what_a_fresh_build_would(tmp_path, tiny_corpus, coding, ms
             assert delta_postings == built_postings, key
             assert _columns(delta_postings) == _columns(built_postings), key
             assert delta.posting_list_length(key) == len(built_postings) == built.posting_list_length(key)
-        assert list(delta.encoded()) == list(built.raw_items())
+        assert list(delta.encoded_lists()) == list(built.raw_items())
         assert delta.key_count == built.key_count
         assert delta.posting_count == built.posting_count
         assert delta.tree_count == built.metadata.tree_count
@@ -64,7 +64,7 @@ def test_encoded_without_dead_trees_is_a_build_of_the_survivors(tmp_path, tiny_c
     dead = {trees[0].tid, trees[4].tid, trees[9].tid}
     survivors = [tree for tree in trees if tree.tid not in dead]
     with SubtreeIndex.build(survivors, mss=3, coding=coding, path=str(tmp_path / "alive.si")) as built:
-        assert list(delta.encoded(dead)) == list(built.raw_items())
+        assert list(delta.encoded_lists(dead)) == list(built.raw_items())
 
 
 @pytest.mark.parametrize("coding", CODINGS)

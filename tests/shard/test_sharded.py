@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.core.index import SubtreeIndex
 from repro.core.manifest import ManifestError
 from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
-from repro.corpus.store import TreeStore, data_file_path
+from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.exec.executor import QueryExecutor
 from repro.query.parser import parse_query
 from repro.service.cache import LRUCache
@@ -27,6 +28,7 @@ from repro.service.service import QueryService
 from repro.shard import build_sharded
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
+from tests.core.fsynckit import assert_committed_durably, needs_proc_fd, record_durability
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 MSS = 3
@@ -149,6 +151,9 @@ class TestBuild:
         sharded.close()
 
     def test_process_pool_build_matches_inline(self, tmp_path, tiny_corpus) -> None:
+        """A worker writes the records it was sent; its shards are the inline
+        build's: data files byte for byte, index files key for key and list
+        for list (their metadata holds the build time)."""
         inline = SegmentSet.open(build_sharded(
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "inline.si"), shards=2, workers=1,
@@ -157,15 +162,45 @@ class TestBuild:
             tiny_corpus, mss=2, coding="root-split",
             path=str(tmp_path / "pooled.si"), shards=2, workers=2,
         ))
-        for one, two in zip(inline.manifest.segments, pooled.manifest.segments):
-            assert (one.tree_count, one.key_count, one.posting_count) == (
-                two.tree_count, two.key_count, two.posting_count
-            )
-        query = parse_query("NP(DT)(NN)")
-        a, b = QueryExecutor(inline), QueryExecutor(pooled)
-        assert a.execute(query).matches_per_tree == b.execute(query).matches_per_tree
-        inline.close()
-        pooled.close()
+        with inline, pooled:
+            for one, two in zip(inline.segments, pooled.segments):
+                assert list(one.index.raw_items()) == list(two.index.raw_items())
+                data = [
+                    Path(index.manifest.resolve(index.manifest_path, shard.entry.data_path)).read_bytes()
+                    for index, shard in ((inline, one), (pooled, two))
+                ]
+                assert data[0] == data[1] and len(data[0]) > 0
+                assert (one.entry.tree_count, one.entry.min_tid, one.entry.max_tid) == (
+                    two.entry.tree_count, two.entry.min_tid, two.entry.max_tid
+                )
+            query = parse_query("NP(DT)(NN)")
+            a, b = QueryExecutor(inline), QueryExecutor(pooled)
+            assert a.execute(query).matches_per_tree == b.execute(query).matches_per_tree
+
+    def test_a_shard_that_gets_no_tree(self, tmp_path, tiny_corpus, capsys) -> None:
+        """More shards than trees: a shard dealt nothing is still written,
+        opened and listed, with no tids."""
+        from repro.cli import main
+
+        trees = list(tiny_corpus)[:3]
+        manifest_path = build_sharded(trees, 2, "root-split", str(tmp_path / "few.si"), shards=5, workers=1)
+        plain = SubtreeIndex.build(trees, mss=2, coding="root-split", path=str(tmp_path / "plain.si"))
+        with SegmentSet.open(manifest_path) as sharded, plain:
+            assert sharded.segment_count == 5 and sharded.metadata.tree_count == 3
+            assert [(key, list(postings)) for key, postings in sharded.items()] == [
+                (key, list(postings)) for key, postings in plain.items()
+            ]
+            reference = QueryExecutor(plain, store=Corpus(trees))
+            for text in ("NP(DT)(NN)", "S(NP)(VP)", "VP"):
+                query = parse_query(text)
+                assert_identical_and_tid_ordered(QueryExecutor(sharded).execute(query), reference.execute(query))
+        assert main(["stats", manifest_path, "--json"]) == 0
+        sources = json.loads(capsys.readouterr().out)["sources"]
+        assert len(sources) == 5
+        empty = [source for source in sources if source["tree_count"] == 0]
+        assert [(source["min_tid"], source["max_tid"], source["key_count"]) for source in empty] == [
+            (None, None, 0)
+        ] * 2
 
 
 class TestCommit:
@@ -207,6 +242,14 @@ class TestCommit:
         with SegmentSet.open(manifest_path) as sharded:  # nothing it lists was cleaned up
             assert sharded.segment_count == 3
             assert [(key, list(postings)) for key, postings in sharded.items()] == expected
+
+    @needs_proc_fd
+    def test_every_shard_is_on_disk_before_the_manifest_swap(self, tmp_path, tiny_corpus, monkeypatch) -> None:
+        events = record_durability(monkeypatch)
+        out = str(tmp_path / "durable.si")
+        build_sharded(tiny_corpus, 2, "root-split", out, shards=3, workers=1)
+        manifest_path = build_sharded(tiny_corpus, 2, "root-split", out, shards=2, workers=1)
+        assert_committed_durably(events, manifest_path)
 
     def test_the_manifest_records_what_the_builder_knows(self, tmp_path, tiny_corpus) -> None:
         manifest_path = build_sharded(
