@@ -93,6 +93,10 @@ class ManifestError(RuntimeError):
     """A manifest, or a file it lists, is missing, damaged or inconsistent."""
 
 
+class UnsyncedCommit(ManifestError):
+    """A manifest is renamed into place, but the rename may not survive a power loss."""
+
+
 @dataclass
 class SegmentEntry:
     """One immutable segment's files and counters, as the manifest records them."""
@@ -130,25 +134,36 @@ class Manifest:
 
     def save_atomic(self, path: str) -> None:
         """Write the manifest durably: temp file, fsync, one rename, then an
-        fsync of the directory so that the rename itself is on disk."""
+        fsync of the directory so that the rename itself is on disk.  That
+        last failing raises :class:`UnsyncedCommit`: the rename has happened."""
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        fsync_path(os.path.dirname(os.path.abspath(path)))
+        try:
+            fsync_path(os.path.dirname(os.path.abspath(path)))
+        except OSError as failure:
+            raise UnsyncedCommit(f"manifest {path!r} is in place but not yet durable: {failure}") from failure
 
     def commit(self, path: str, then: Optional[Callable[[], None]] = None) -> None:
         """Make this the manifest at *path* (:meth:`save_atomic`, the commit
         point), run *then* (a live index swaps its write-ahead log there), and
         remove -- best effort, a bare filename beside the manifest only -- the
-        files that only the replaced manifest listed."""
+        files that only the replaced manifest listed.  Once renamed the commit
+        stands: an :class:`UnsyncedCommit` is raised after *then*, removing
+        nothing (the replaced manifest may come back after a power loss)."""
         try:
             replaced = Manifest.load(path).segments
         except ManifestError:  # none there, or nothing a build could have written
             replaced = []
-        self.save_atomic(path)
+        try:
+            self.save_atomic(path)
+        except UnsyncedCommit:
+            if then is not None:
+                then()
+            raise
         if then is not None:
             then()
         kept = {name for entry in self.segments for name in (entry.index_path, entry.data_path)}

@@ -19,14 +19,18 @@ the delta, tombstones, the write-ahead log and compaction.
 What a reader sees is one :class:`Snapshot` -- the index version and the
 sources, each with the tombstoned tids it holds -- which a mutable subclass
 replaces with a single rebind per mutation.  *Which* sources make up the
-index never changes under a reader: ``lookup`` reads the snapshot once, so a
+index never changes under a reader: a read takes the snapshot once, so a
 list is never assembled from two generations of sources (a compaction's new
 segment and the delta it was flushed from, say).  Within a source the only
 change is growth -- a delta gains trees, a tombstone set gains tids -- and a
-reader that meets it merely answers as of a little later.  ``lookup`` tags
-what it caches with the snapshot's version, so a list computed while a
-mutation raced it is never served afterwards.  The files a manifest names
-are written by one function, :func:`write_segment`, and fsynced there.
+reader that meets it merely answers as of a little later.
+
+A snapshot is read in parts (:class:`Part`) whose tags change whenever what
+their sources hold can: a frozen set is one part, a live index's files and
+its delta are two.  A later part's tids all exceed an earlier part's, so a
+list -- or a query's answer -- is the parts' end to end, and what is cached
+of a part is served while its tag stands.  The files a manifest names are
+written by one function, :func:`write_segment`, and fsynced there.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from contextlib import ExitStack
 from dataclasses import asdict
 from itertools import groupby
 from operator import itemgetter
-from typing import AbstractSet, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
@@ -93,11 +99,34 @@ class Source(NamedTuple):
             self.store.close()
 
 
+class Part(NamedTuple):
+    """Sources read, joined and cached as one, under one tag."""
+
+    #: Its position in the snapshot: what its cache entries are keyed by.
+    number: int
+    #: Equal for two reads exactly when the sources held the same trees.
+    tag: Hashable
+    sources: Tuple[Source, ...]
+
+
 class Snapshot(NamedTuple):
     """What one read sees: rebound as a whole, its tuple never edited."""
 
     version: Version
     sources: Tuple[Source, ...]
+    parts: Tuple[Part, ...]
+
+    @classmethod
+    def of(cls, version: Version, sources: Tuple[Source, ...], delta: bool = False) -> "Snapshot":
+        """*sources* at *version*: one part, or with a *delta* last, the files
+        tagged with the epoch and the tombstones they hold (tombstones only
+        grow within an epoch, and are counted before any list is read) and
+        the delta tagged with *version*."""
+        if not delta:
+            return cls(version, sources, (Part(0, version, sources),))
+        files = sources[:-1]
+        tag = (version[0], sum(len(source.dead) for source in files))
+        return cls(version, sources, (Part(0, tag, files), Part(1, version, sources[-1:])))
 
 
 def open_sources(manifest_path: str, manifest: Manifest) -> Tuple[Source, ...]:
@@ -248,6 +277,9 @@ class SegmentSet:
     segments a sharded build wrote -- nothing adds to or deletes from either.
     """
 
+    #: Whether the last source is an in-memory delta, read as a part of its own.
+    _delta = False
+
     def __init__(
         self, manifest_path: Optional[str], manifest: Optional[Manifest], sources: Sequence[Source],
         version: Version = (0, 0),
@@ -267,7 +299,7 @@ class SegmentSet:
 
             self._partitioner = get_partitioner(manifest.partitioner, len(manifest.segments))
         #: What readers see.  Rebound as a whole by a subclass that mutates.
-        self.snapshot = Snapshot(version, tuple(sources))
+        self.snapshot = Snapshot.of(version, tuple(sources), self._delta)
         #: Sources a mutation replaced, kept open (their files may already be
         #: unlinked) until close() so a reader still holding the snapshot
         #: they were part of finishes on them.
@@ -276,8 +308,8 @@ class SegmentSet:
         #: file), else a view routed over the sources'.
         self.store = SegmentTreeStore(self) if manifest is not None else sources[0].store
         self._postings_cache: Optional[ValueCache] = None
-        #: Counters of lookups through this object: ``tree_descents`` counts
-        #: the lists that had to be merged from the sources, whose own
+        #: Counters of part lookups through this object: ``tree_descents``
+        #: counts the lists that had to be merged from the sources, whose own
         #: descents and node decodes :meth:`probe_snapshot` adds up.
         self.probe_stats = ProbeStats()
 
@@ -315,34 +347,32 @@ class SegmentSet:
     # Lookup (merged across sources)
     # ------------------------------------------------------------------
     def lookup(self, key: bytes | str | SubtreeKey | Node) -> PostingColumns:
-        """The posting list of *key*: the sources' lists merged by tid.
+        """The posting list of *key*: its parts' lists (:meth:`part_lookup`)
+        end to end.  Accepts the same key forms as :meth:`SubtreeIndex.lookup`."""
+        encoded = SubtreeIndex._normalise_key(key)
+        return merge_columns([self.part_lookup(part, encoded) for part in self.snapshot.parts])
 
-        Accepts the same key forms as :meth:`SubtreeIndex.lookup`.  With a
-        cache attached (:meth:`attach_postings_cache`) the *merged* list is
-        cached, tagged with the version it was read at; cached lists are
-        shared between callers and must be treated as read-only.
-        """
+    def part_lookup(self, part: Part, encoded: bytes) -> PostingColumns:
+        """*part*'s list of the canonical key *encoded*: its sources' lists
+        merged by tid.  With a cache attached (:meth:`attach_postings_cache`)
+        it is cached under ``(encoded, part.number)`` with the part's tag;
+        cached lists are shared between callers and must be treated as
+        read-only."""
         stats = self.probe_stats
         stats.gets += 1
-        encoded = SubtreeIndex._normalise_key(key)
-        version, sources = self.snapshot
         cache = self._postings_cache
         if cache is not None:
-            tagged = cache.get(encoded)
-            if tagged is not None and tagged[0] == version:
+            cached = cache.get_tagged((encoded, part.number), part.tag)
+            if cached is not None:
                 stats.cache_hits += 1
-                return tagged[1]
+                return cached
         stats.tree_descents += 1
-        with obs.trace("merge", sources=len(sources)) as span:
-            merged = self._merge(encoded, version, sources)
+        with obs.trace("merge", sources=len(part.sources)) as span:
+            merged = merge_columns([source.postings(encoded) for source in part.sources])
             span.set(postings=len(merged))
         if cache is not None:
-            cache.put(encoded, (version, merged))
+            cache.put((encoded, part.number), (part.tag, merged))
         return merged
-
-    def _merge(self, encoded: bytes, version: Version, sources: Tuple[Source, ...]) -> PostingColumns:
-        """*encoded*'s list over *sources*, as ``lookup`` caches it."""
-        return merge_columns([source.postings(encoded) for source in sources])
 
     def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
         """``True`` when *key* has a posting in a tree that is not tombstoned."""
@@ -399,9 +429,9 @@ class SegmentSet:
 
     @property
     def segments(self) -> Tuple[Source, ...]:
-        """The sources that are files (``.index`` / ``.store``): every one of
-        a frozen set; a live index leaves out its delta."""
-        return self.snapshot.sources
+        """The sources that are files (``.index`` / ``.store``), the first
+        part's: every one of a frozen set; a live index leaves out its delta."""
+        return self.snapshot.parts[0].sources
 
     @property
     def segment_count(self) -> int:
@@ -427,17 +457,16 @@ class SegmentSet:
         return total
 
     def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:
-        """Install a read-through cache of merged posting lists.
+        """Install a read-through cache of the parts' posting lists.
 
-        Entries are ``(version, list)`` pairs and one is served only at the
-        version it was read at; an index that mutates also sweeps them on
-        every mutation.
+        Entries are ``(tag, list)`` pairs and one is served only while its
+        part's tag stands; a stale one is replaced on its next miss.
         """
         self._postings_cache = cache
 
     @property
     def postings_cache(self) -> Optional[ValueCache]:
-        """The currently attached merged-posting cache, if any."""
+        """The currently attached part-posting cache, if any."""
         return self._postings_cache
 
     def _clear_postings_cache(self) -> None:
@@ -450,8 +479,8 @@ class SegmentSet:
     # ------------------------------------------------------------------
     @property
     def version(self) -> Version:
-        """The version of the current snapshot; results and cached lists are
-        valid while it stands."""
+        """The version of the current snapshot: it changes with every
+        mutation, so whatever was read at one stays valid while it stands."""
         return self.snapshot.version
 
     @property

@@ -27,7 +27,10 @@ holds a dead tid pays for that).  Tids are assigned monotonically and never
 reused, so segment and delta posting lists stay disjoint and tid-ascending
 -- merged results are byte-identical to a fresh rebuild over the surviving
 corpus, which ``tests/live/`` asserts over the full WH + FB workloads for
-all three codings; below the merged list the segments' part is cached (``_merge``).
+all three codings.  The segments are one part of a read and the delta
+another (:class:`~repro.core.segments.Part`), so what is cached of the
+segments -- a list, a query's result -- outlives every write but a segment
+delete or a compaction.
 
 Mutations take a writer lock (one writer at a time); readers are never
 blocked and never crash.  What a reader sees -- the segments, the delta and
@@ -43,8 +46,8 @@ names a fetchable tree, and segments replaced by a compaction are retired
 on the old epoch's files.  A query that *overlaps* a mutation may
 observe it partially (an added tree on some keys, not yet on others; a
 deleted tree still in the lists it read, which the filter phase then finds
-gone and counts as no match); what it computed is tagged with the version
-it started at and never served once that version is gone.
+gone and counts as no match); what it computed is tagged with its part's
+tag as it started and never served once that tag is gone.
 """
 
 from __future__ import annotations
@@ -54,14 +57,15 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
-from repro.coding.postings import PostingColumns, merge_columns
 from repro.core.index import accumulate_posting_lists, encode_posting_lists
-from repro.core.manifest import LIVE_SUFFIX, Manifest, ManifestError, is_manifest, wal_file_path
-from repro.core.segments import SegmentSet, Snapshot, Source, Version, open_sources, write_segment
+from repro.core.manifest import (
+    LIVE_SUFFIX, Manifest, ManifestError, UnsyncedCommit, is_manifest, wal_file_path,
+)
+from repro.core.segments import SegmentSet, Snapshot, Source, open_sources, write_segment
 from repro.live.delta import DeltaSegment
 from repro.live.wal import WriteAheadLog
 from repro.trees.node import Node, ParseTree
@@ -86,6 +90,7 @@ class LiveIndex(SegmentSet):
     """A mutable subtree index: base segments + delta + tombstones + WAL."""
 
     flavor = "live"
+    _delta = True
 
     def __init__(
         self,
@@ -103,8 +108,6 @@ class LiveIndex(SegmentSet):
         self._next_tid = manifest.next_tid
         self._mutations = 0
         self._write_lock = threading.Lock()
-        #: Keys merged since the last sweep (one added during a swap is missed; it is never served).
-        self._merged_keys: Set[bytes] = set()
 
     # ------------------------------------------------------------------
     # Creation and recovery
@@ -205,7 +208,7 @@ class LiveIndex(SegmentSet):
                 position = _holder(sources, op.tid)
                 if position is not None:
                     sources = _bury(sources, position, op.tid)
-        live.snapshot = Snapshot(live.version, sources)
+        live.snapshot = Snapshot.of(live.version, sources, delta=True)
         return live
 
     # ------------------------------------------------------------------
@@ -250,30 +253,11 @@ class LiveIndex(SegmentSet):
         """Make *sources* what readers see from now on, under a new version.
 
         One rebind: a reader holds the snapshot from before or the one from
-        after, never a mix.  The merged lists cached since the last one are
-        swept with it; the segment parts below them stay (:meth:`_merge`).
+        after, never a mix.  Its delta part has a new tag; the segments' part
+        a new one only when a segment gained a tombstone.
         """
         self._mutations += 1
-        self.snapshot = Snapshot((self.manifest.epoch, self._mutations), sources)
-        swept, self._merged_keys = self._merged_keys, set()
-        for key in swept if hasattr(self._postings_cache, "invalidate") else ():
-            self._postings_cache.invalidate(key)  # type: ignore[union-attr]
-
-    def _merge(self, encoded: bytes, version: Version, sources: Tuple[Source, ...]) -> PostingColumns:
-        """The segments' part of the list, cached under ``(encoded,)`` with the
-        epoch and the segments' tombstone count as its tag (counted first: a
-        racing delete leaves the part newer than its tag), then the delta's."""
-        cache = self._postings_cache
-        if cache is None:
-            return super()._merge(encoded, version, sources)
-        self._merged_keys.add(encoded)
-        *segments, delta = sources
-        tag = (version[0], sum(len(segment.dead) for segment in segments))
-        tagged = cache.get((encoded,))
-        if tagged is None or tagged[0] != tag:
-            tagged = (tag, merge_columns([segment.postings(encoded) for segment in segments]))
-            cache.put((encoded,), tagged)
-        return merge_columns([tagged[1], delta.postings(encoded)])
+        self.snapshot = Snapshot.of((self.manifest.epoch, self._mutations), sources, delta=True)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -289,7 +273,9 @@ class LiveIndex(SegmentSet):
         Durability order: new segment files fsynced, the epoch-bumped
         manifest renamed and its directory fsynced, the WAL swapped, old
         files removed -- a crash at any point leaves a consistent index (see
-        :meth:`open` for a stale WAL); a failed commit leaves it as it was.
+        :meth:`open` for a stale WAL); a commit that fails before its rename
+        leaves it as it was, one whose directory fsync fails after it moves it
+        to the new epoch and then raises :class:`UnsyncedCommit`.
         """
         if not obs.enabled():
             return self._compact_impl()
@@ -346,8 +332,11 @@ class LiveIndex(SegmentSet):
             wal_path = wal_file_path(self.manifest_path)
             old_wal_bytes = self._wal.size_bytes()
             next_wal = WriteAheadLog.create(wal_path + ".next", new_epoch, fsync=self._fsync)
+            unsynced = None
             try:
                 manifest.commit(self.manifest_path, then=partial(next_wal.move_to, wal_path))
+            except UnsyncedCommit as failure:  # renamed: the new epoch stands, raised once in it
+                unsynced = failure
             except BaseException:  # the old manifest and WAL stand
                 next_wal.close()
                 for segment in written:
@@ -366,6 +355,8 @@ class LiveIndex(SegmentSet):
             self.manifest = manifest
             self._publish((*segments, _delta_source(manifest)))
             self._clear_postings_cache()  # every segment part was of the old epoch
+            if unsynced is not None:
+                raise unsynced
 
             flushed = len(delta.store) - len(delta.dead)
             rewritten = len(written) - (flushed > 0)
@@ -382,11 +373,6 @@ class LiveIndex(SegmentSet):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def segments(self) -> Tuple[Source, ...]:
-        """The sources that are files: all but the delta."""
-        return self.snapshot.sources[:-1]
-
     @property
     def delta(self) -> DeltaSegment:
         """The in-memory delta segment (read-only access)."""

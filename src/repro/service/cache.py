@@ -1,7 +1,7 @@
 """LRU caches for the serving layer.
 
-Two implementations share one protocol (``get`` / ``peek`` / ``put`` /
-``invalidate`` / ``clear`` plus hit/miss/eviction counters):
+Two implementations share one protocol (``get`` / ``get_tagged`` / ``peek``
+/ ``put`` / ``clear`` plus hit/miss/eviction counters):
 
 :class:`LRUCache`
     a single ordered map guarded by one lock; recency is updated on every
@@ -81,6 +81,18 @@ class LRUCache:
             self._hits += 1
             return value
 
+    def get_tagged(self, key: Hashable, tag: object) -> object:
+        """The value of a ``(tag, value)`` entry put under *key* with *tag*,
+        else ``None``; an entry with another tag counts as a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] != tag:  # type: ignore[index]
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry[1]  # type: ignore[index]
+
     def peek(self, key: Hashable, default: object = None) -> object:
         """The cached value or *default*, leaving recency and counters alone."""
         with self._lock:
@@ -97,11 +109,6 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
             self._entries[key] = value
-
-    def invalidate(self, key: Hashable) -> None:
-        """Drop *key* from the cache if present."""
-        with self._lock:
-            self._entries.pop(key, None)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
@@ -165,14 +172,14 @@ class StripedLRUCache:
     def get(self, key: Hashable, default: object = None) -> object:
         return self._stripe_for(key).get(key, default)
 
+    def get_tagged(self, key: Hashable, tag: object) -> object:
+        return self._stripe_for(key).get_tagged(key, tag)
+
     def peek(self, key: Hashable, default: object = None) -> object:
         return self._stripe_for(key).peek(key, default)
 
     def put(self, key: Hashable, value: object) -> None:
         self._stripe_for(key).put(key, value)
-
-    def invalidate(self, key: Hashable) -> None:
-        self._stripe_for(key).invalidate(key)
 
     def clear(self) -> None:
         for stripe in self._stripes:

@@ -19,17 +19,19 @@ posting cache
     a lock-striped LRU of *decoded* posting lists installed in front of the
     index's sources (:meth:`repro.core.segments.SegmentSet.attach_postings_cache`),
     so repeated cover keys skip the tree descents, posting decoding and the
-    merge across sources.  The index tags every list with its version and,
-    when it mutates, sweeps the lists it changed.
+    merge across sources.  The index keeps one list per key and part
+    (:class:`~repro.core.segments.Part`), tagged with the part's tag.
 
 result cache
-    complete :class:`~repro.exec.executor.QueryResult` objects keyed by the
-    normalized query string, so an identical repeated query is answered
-    without any join work at all.  Every entry is tagged with the
-    ``index.version`` it was computed at -- a constant on an immutable
-    index, ``(epoch, mutation counter)`` on a live one -- and served only
-    while that is still the index's version: a result computed while a
-    mutation raced it is never served after it.  Size 0 disables this layer.
+    :class:`~repro.exec.executor.QueryResult` objects, one per normalized
+    query string and part of the index, so an identical repeated query is
+    answered without any join work at all.  Every entry is tagged with its
+    part's tag when the run started -- a constant on an immutable index; on
+    a live one ``(epoch, tombstones)`` for the segments, the version for the
+    delta -- and served only while that tag stands: a result computed while
+    a mutation raced it is never served after it, and a write to the delta
+    leaves the segments' results servable.  The answer is the parts' results
+    end to end.  Size 0 disables this layer.
 
 On top of these, :meth:`QueryService.run_many` batches: it prepares every
 query first, fetches each *distinct* cover key exactly once, and joins each
@@ -41,17 +43,19 @@ caches stripe their locks and the B+Tree serialises cache-missing descents
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.coding.postings import PostingColumns
-from repro.core.segments import SegmentSet
+from repro.core.segments import Part, SegmentSet
 from repro.exec.executor import (
     ExecutionStats,
     QueryResult,
     decompose_query,
     default_strategy,
+    fetch_postings,
     join_postings,
 )
 from repro.query.covers import Cover
@@ -151,6 +155,23 @@ def _counters(cache: Optional[StripedLRUCache]) -> CacheStats:
     return cache.stats() if cache is not None else CacheStats()
 
 
+def _concatenated(results: Sequence[QueryResult]) -> QueryResult:
+    """The parts' results of one query as its answer, in part order (a later
+    part's tids all exceed an earlier part's).  The one result with a match,
+    if only one has any, is that answer as it is."""
+    populated = [result for result in results if result.matches_per_tree]
+    if len(populated) < 2:
+        return populated[0] if populated else results[0]
+    matches: Dict[int, int] = {}
+    for result in populated:
+        matches.update(result.matches_per_tree)
+    stats = replace(populated[0].stats, **{
+        name: sum(getattr(result.stats, name) for result in results)
+        for name in ("postings_fetched", "candidates_filtered", "elapsed_seconds")
+    })
+    return QueryResult(matches_per_tree=matches, stats=stats)
+
+
 class QueryService:
     """Serves repeated and concurrent queries over one open index.
 
@@ -200,8 +221,6 @@ class QueryService:
         if self._postings_cache is not None:
             index.attach_postings_cache(self._postings_cache)
         self._owns_index = False
-        #: The index version the result cache's entries were last swept at.
-        self._seen_version = index.version
         # Telemetry counters, deliberately lock-free like ProbeStats: exact
         # single-threaded, may undercount slightly under concurrency.  A
         # lock here would put every fully-cached run() behind one global
@@ -297,33 +316,25 @@ class QueryService:
             join_count=prepared.cover.join_count,
             postings_fetched=sum(len(plist) for plist in postings),
         )
-        result = join_postings(
-            prepared.query,
-            prepared.cover,
-            postings,
-            self.index.coding,
-            store=self.store,
-            stats=stats,
-        )
+        if not all(postings):  # a cover key without a posting: no match, and no plan to build
+            result = QueryResult()
+        else:
+            result = join_postings(
+                prepared.query, prepared.cover, postings, self.index.coding, store=self.store, stats=stats
+            )
         stats.elapsed_seconds = time.perf_counter() - started
         result.stats = stats
         return result
 
-    def _cached_result(
-        self, prepared: PreparedQuery, peek: bool = False
-    ) -> Optional[QueryResult]:
-        """The servable cached result -- one computed at the index's current
-        version; *peek* leaves counters and recency alone."""
-        if self._result_cache is None:
-            return None
-        lookup = self._result_cache.peek if peek else self._result_cache.get
-        tagged = lookup(prepared.normalized)
-        if tagged is None or tagged[0] != self.index.version:  # type: ignore[index]
-            return None
-        return tagged[1]  # type: ignore[index]
+    def _cached_result(self, prepared: PreparedQuery, part: Part) -> Optional[QueryResult]:
+        """*part*'s cached result of *prepared*, if it was computed under the
+        part's current tag (a stale one counts as a miss)."""
+        cache = self._result_cache
+        return None if cache is None else cache.get_tagged((prepared.normalized, part.number), part.tag)
 
     def result_resident(self, prepared: PreparedQuery) -> bool:
-        """Would :meth:`run` answer *prepared*'s query from the result cache now?
+        """Would :meth:`run` answer *prepared*'s query from the result cache
+        now, every part of it?
 
         A probe without side effects, for callers that must decide *where*
         to call ``run`` (the HTTP server answers resident results on its
@@ -332,37 +343,32 @@ class QueryService:
         live index -- in which case that one ``run`` executes in full on the
         calling thread; it is never wrong, only slower.
         """
-        return self._cached_result(prepared, peek=True) is not None
+        cache = self._result_cache
+        if cache is None:
+            return False
+        for part in self.index.snapshot.parts:
+            tagged = cache.peek((prepared.normalized, part.number))
+            if tagged is None or tagged[0] != part.tag:  # type: ignore[index]
+                return False
+        return True
 
-    def _remember_result(
-        self, prepared: PreparedQuery, result: QueryResult, version: Tuple[int, int]
-    ) -> None:
-        """Cache *result* tagged with the index version it was computed at.
+    def _remember_result(self, prepared: PreparedQuery, part: Part, result: QueryResult) -> None:
+        """Cache *result* tagged with *part*'s tag as the run read it.
 
-        The version is read *before* execution, so a result that raced a
+        The tag is read *before* execution, so a result that raced a
         mutation carries a stale tag and is simply never served -- the
         read-side check makes the write-side race harmless.
         """
         if self._result_cache is not None:
-            self._result_cache.put(prepared.normalized, (version, result))
-
-    def _current_version(self) -> Tuple[int, int]:
-        """The index version a run starts at.  Results of an earlier version
-        can never be served again; they are dropped here so they stop
-        holding memory and counting as hits."""
-        version = self.index.version
-        if version != self._seen_version:
-            if self._result_cache is not None:
-                self._result_cache.clear()
-            self._seen_version = version
-        return version
+            self._result_cache.put((prepared.normalized, part.number), (part.tag, result))
 
     def run(self, query: QueryLike) -> QueryResult:
         """Evaluate one query through the cached pipeline.
 
-        An identical (up to normalization) earlier query is answered straight
-        from the result cache; its ``stats`` describe the execution that
-        originally produced it.
+        A part whose result of an identical (up to normalization) earlier
+        query is still current is answered from the result cache; the
+        others are fetched and joined.  A result served whole from the cache
+        is the object computed before, its ``stats`` those of that execution.
 
         With tracing enabled (:func:`repro.obs.enable`) the whole run is
         wrapped in a ``query`` span whose children are the pipeline stages.
@@ -378,47 +384,45 @@ class QueryService:
             return result
 
     def _run_impl(self, query: QueryLike) -> QueryResult:
-        started = time.perf_counter()
-        version = self._current_version()
+        snapshot = self.index.snapshot
         with obs.trace("prepare") as span:
             prepared = self.prepare(query)
             span.set(cover=len(prepared.cover))
-        result = self._cached_result(prepared)
-        obs.annotate(result_cache="hit" if result is not None else "miss", epoch=version[0])
-        if result is None:
-            result = self._execute_uncached(prepared, started)
-            self._remember_result(prepared, result, version)
+        results = []
+        joined = 0
+        for part in snapshot.parts:
+            result = self._cached_result(prepared, part)
+            if result is None:
+                joined += 1
+                result = self._execute_uncached(prepared, part)
+                self._remember_result(prepared, part, result)
+            results.append(result)
+        obs.annotate(result_cache="miss" if joined else "hit", parts_joined=joined, epoch=snapshot.version[0])
         self._queries += 1
-        return result
+        return results[0] if len(results) == 1 else _concatenated(results)
 
-    def _execute_uncached(self, prepared: PreparedQuery, started: float) -> QueryResult:
-        """Stages 2+3 for one query that missed the result cache."""
-        postings = self._fetch_for_run(prepared)
-        return self._execute_prepared(prepared, postings, started)
+    def _execute_uncached(self, prepared: PreparedQuery, part: Part) -> QueryResult:
+        """Stages 2+3 of one part for one query that missed the result cache."""
+        started = time.perf_counter()
+        return self._execute_prepared(prepared, self._fetch_for_run(prepared, part), started)
 
-    def _fetch_for_run(self, prepared: PreparedQuery) -> List[PostingColumns]:
+    def _fetch_for_run(self, prepared: PreparedQuery, part: Part) -> List[PostingColumns]:
         if not obs.enabled():
-            return [self.index.lookup(key) for key in prepared.key_bytes]
-        with obs.trace("fetch_postings", keys=len(prepared.key_bytes)) as span:
-            postings: List[PostingColumns] = []
-            for key in prepared.key_bytes:
-                with obs.trace("fetch_key", key=key.decode("utf-8", "replace")) as key_span:
-                    plist = self.index.lookup(key)
-                    key_span.set(postings=len(plist))
-                postings.append(plist)
-            span.set(postings=sum(len(plist) for plist in postings))
-        return postings
+            return [self.index.part_lookup(part, key) for key in prepared.key_bytes]
+        return fetch_postings(prepared.cover, partial(self.index.part_lookup, part))
 
     def run_many(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
-        """Evaluate a batch, fetching each distinct cover key exactly once.
+        """Evaluate a batch, fetching each distinct cover key exactly once a part.
 
-        The batch is prepared first; the union of cover keys is deduplicated
-        and fetched into a memo (one :meth:`~repro.core.segments.SegmentSet.lookup`
-        -- hence at most one B+Tree descent per source -- per distinct key), every query
-        joins against the shared memo, and identical queries share one join.
-        Results keep the input order; each result's ``stats.elapsed_seconds``
-        covers only its own join, since the prepare/fetch work is shared by
-        the whole batch (time the ``run_many`` call itself for batch totals).
+        The batch is prepared first; the union of the cover keys of what the
+        result cache cannot answer is deduplicated and fetched into a memo
+        (one :meth:`~repro.core.segments.SegmentSet.part_lookup` -- hence at
+        most one B+Tree descent per source -- per distinct key and part),
+        every query joins against the shared memo, and identical queries
+        share one join.  Results keep the input order; each result's
+        ``stats.elapsed_seconds`` covers only its own join, since the
+        prepare/fetch work is shared by the whole batch (time the
+        ``run_many`` call itself for batch totals).
         """
         if not obs.enabled():
             return self._run_many_impl(queries)
@@ -428,36 +432,34 @@ class QueryService:
             return results
 
     def _run_many_impl(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
-        version = self._current_version()
+        parts = self.index.snapshot.parts
         prepared_batch = [self.prepare(query) for query in queries]
-        cached: List[Optional[QueryResult]] = [
-            self._cached_result(prepared) for prepared in prepared_batch
-        ]
-        obs.annotate(result_cache_hits=sum(1 for hit in cached if hit is not None))
+        cached = [[self._cached_result(prepared, part) for part in parts] for prepared in prepared_batch]
+        obs.annotate(result_cache_hits=sum(hit is not None for row in cached for hit in row))
 
-        memo: Dict[bytes, PostingColumns] = {}
-        total_keys = 0
-        for prepared, hit in zip(prepared_batch, cached):
-            if hit is not None:
-                continue
-            for key in prepared.key_bytes:
-                total_keys += 1
-                if key not in memo:
-                    memo[key] = self.index.lookup(key)
+        memo: Dict[Tuple[bytes, int], PostingColumns] = {}
+        for prepared, row in zip(prepared_batch, cached):
+            for part, hit in zip(parts, row):
+                for key in prepared.key_bytes if hit is None else ():
+                    if (key, part.number) not in memo:
+                        memo[key, part.number] = self.index.part_lookup(part, key)
 
         results: List[QueryResult] = []
-        computed: Dict[str, QueryResult] = {}  # joins run once per distinct query
-        for prepared, hit in zip(prepared_batch, cached):
-            if hit is not None:
-                results.append(hit)
-                continue
-            result = computed.get(prepared.normalized)
-            if result is None:
-                postings = [memo[key] for key in prepared.key_bytes]
-                result = self._execute_prepared(prepared, postings, time.perf_counter())
-                self._remember_result(prepared, result, version)
-                computed[prepared.normalized] = result
-            results.append(result)
+        computed: Dict[Tuple[str, int], QueryResult] = {}  # joins run once per distinct query and part
+        total_keys = 0
+        for prepared, row in zip(prepared_batch, cached):
+            answers = []
+            for part, hit in zip(parts, row):
+                if hit is None:
+                    total_keys += len(prepared.key_bytes)
+                    hit = computed.get((prepared.normalized, part.number))
+                if hit is None:
+                    postings = [memo[key, part.number] for key in prepared.key_bytes]
+                    hit = self._execute_prepared(prepared, postings, time.perf_counter())
+                    self._remember_result(prepared, part, hit)
+                    computed[prepared.normalized, part.number] = hit
+                answers.append(hit)
+            results.append(answers[0] if len(answers) == 1 else _concatenated(answers))
         self._queries += len(prepared_batch)
         self._batches += 1
         self._batch_keys_deduped += total_keys - len(memo)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import ge
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro import obs
 from repro.storage.codec import decode_varint, encode_length_prefixed, encode_varint, varint_size
@@ -59,14 +59,14 @@ class ValueCache(Protocol):
     """What the index layers ask of the decoded-posting cache they read through
     (:meth:`repro.core.segments.SegmentSet.attach_postings_cache`).
 
-    Any object with ``get(key, default)`` / ``put(key, value)`` works;
-    :class:`repro.service.cache.StripedLRUCache` is the production
+    Any object with ``get_tagged(key, tag)`` / ``put(key, (tag, value))``
+    works; :class:`repro.service.cache.StripedLRUCache` is the production
     implementation.  The B+Tree itself caches nothing but its decoded pages.
     """
 
-    def get(self, key: bytes, default: object = None) -> object: ...
+    def get_tagged(self, key: Hashable, tag: object) -> object: ...
 
-    def put(self, key: bytes, value: object) -> None: ...
+    def put(self, key: Hashable, value: object) -> None: ...
 
 
 @dataclass

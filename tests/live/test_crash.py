@@ -228,6 +228,68 @@ def test_a_failed_manifest_swap_leaves_the_index_as_it_was(tmp_path, tiny_corpus
         again.close()
 
 
+def test_a_directory_fsync_that_fails_after_the_manifest_rename_keeps_the_commit(
+    tmp_path, tiny_corpus, monkeypatch
+) -> None:
+    """The twin of the failed swap above, failing one step later: the
+    manifest is renamed into place and only the fsync of its directory
+    fails.  The rename is the commit, so the index moves to the new epoch
+    with it -- the WAL swapped, then a named error -- an add acked after it
+    survives a reopen, and the next compaction overwrites no file the
+    manifest on disk names."""
+    from repro.core import manifest as manifest_module
+    from repro.core.manifest import Manifest, UnsyncedCommit, segment_file_names
+    from repro.live import live as live_module
+
+    trees = list(tiny_corpus)
+    live = LiveIndex.create(str(tmp_path / "unsynced"), mss=2, coding="root-split", trees=trees[:6])
+    manifest_path = live.manifest_path
+    try:
+        for tree in trees[6:10]:
+            live.add_tree(tree.root)
+        live.delete_tree(2)
+        survivors = live.store.tids()
+        fsync = manifest_module.fsync_path
+
+        def refuse_directories(path: str) -> None:
+            if os.path.isdir(path):
+                raise OSError("input/output error")
+            fsync(path)
+
+        monkeypatch.setattr(manifest_module, "fsync_path", refuse_directories)
+        with pytest.raises(UnsyncedCommit, match="input/output error"):
+            live.compact()
+        monkeypatch.undo()
+        on_disk = Manifest.load(manifest_path)
+        assert live.epoch == on_disk.epoch == 1 and live.wal.epoch == 1 and live.wal.op_count == 0
+        assert live.store.tids() == survivors and not live.tombstones
+
+        acked = live.add_tree(trees[10].root)
+        peek = LiveIndex.open(manifest_path)  # what a restart would find
+        try:
+            assert peek.epoch == 1 and peek.store.tids() == survivors + [acked]
+        finally:
+            peek.close()
+
+        named = {name for entry in on_disk.segments for name in (entry.index_path, entry.data_path)}
+        write, written = live_module.write_segment, []
+
+        def spy(path, segment_id, *args, **kwargs):
+            written.extend(segment_file_names(path, segment_id))
+            return write(path, segment_id, *args, **kwargs)
+
+        monkeypatch.setattr(live_module, "write_segment", spy)
+        assert live.compact().epoch == 2
+        assert written and not set(written) & named
+    finally:
+        live.close()
+    reopened = LiveIndex.open(manifest_path)
+    try:
+        assert reopened.epoch == 2 and reopened.store.tids() == survivors + [acked]
+    finally:
+        reopened.close()
+
+
 def test_crash_leaves_wal_side_file(tmp_path, tiny_corpus) -> None:
     """A leftover ``.wal.next`` from an aborted compaction is cleaned up."""
     live = LiveIndex.create(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.index import SubtreeIndex
-from repro.core.segments import SegmentSet
+from repro.core.segments import SegmentSet, Source
 from repro.corpus.store import Corpus
 from repro.exec import fetch_postings, join_postings
 from repro.live import LiveIndex
@@ -107,43 +107,48 @@ def test_plans_survive_mutations_and_an_epoch_bump(live) -> None:
         service.close()
 
 
-def test_merged_posting_cache_serves_repeats_until_a_mutation(live) -> None:
-    """One posting cache holds two levels per key: the list merged over
-    segments + delta, and below it the segments' part.  A mutation sweeps
-    the merged lists only; a compaction empties the cache."""
+def test_the_posting_cache_holds_each_part_until_its_tag_moves(live) -> None:
+    """One list per key and part: the segments' and the delta's.  An add
+    leaves the segments' list servable and replaces the delta's on its next
+    read -- a stale tag is a miss; a compaction empties the cache."""
     service = QueryService(live, result_cache_size=0)
     try:
         service.run("NP(DT)(NN)")  # one cover key at mss 3
         cold = service.stats().postings
-        assert cold.misses == 2 and cold.size == 2
+        assert (cold.hits, cold.misses, cold.size) == (0, 2, 2)
         service.run("NP(DT)(NN)")
         warm = service.stats().postings
-        assert warm.hits == cold.hits + 1 and warm.misses == cold.misses
+        assert (warm.hits, warm.misses) == (2, 2)
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
-        assert service.stats().postings.size == 1  # the segment part stays
+        assert service.stats().postings.size == 2  # nothing is swept
         service.run("NP(DT)(NN)")
         after = service.stats().postings
-        assert (after.misses, after.hits, after.size) == (warm.misses + 1, warm.hits + 1, 2)
+        assert (after.hits, after.misses, after.size) == (3, 3, 2)
         live.compact()
         assert service.stats().postings.size == 0
     finally:
         service.close()
 
 
-def test_a_write_to_the_delta_costs_no_descent(tmp_path, live) -> None:
-    """An add, or a delete of a delta tree, leaves the cached segment parts
-    valid: re-running the queries descends into no segment's B+Tree, and
-    the answers are a rebuild's over the surviving trees."""
-    service = QueryService(live, result_cache_size=0)
+@pytest.mark.parametrize("result_cache_size", [1024, 0], ids=["results", "lists"])
+def test_a_write_to_the_delta_costs_no_descent(tmp_path, live, result_cache_size) -> None:
+    """An add, or a delete of a delta tree, leaves the segments' cached
+    results and lists valid: re-running the queries joins only the delta's
+    part (or, with no result cache, reads the segments' lists from the
+    cache), descends into no segment's B+Tree, and answers what a rebuild
+    over the surviving trees answers."""
+    service = QueryService(live, result_cache_size=result_cache_size)
     try:
         for text in QUERIES:
             service.run(text)
-        warm = service.stats().postings.size
         descents = live.probe_snapshot().tree_descents
         assert descents > 0
         tid = live.add_tree("(ROOT (S (NP (DT the) (NN fish)) (VP (VBZ swims))))")
-        assert service.stats().postings.size * 2 == warm  # the merged level is swept
+        before = service.stats().results
         assert service.run("NP(DT)(NN)").matches_per_tree.get(tid) == 1
+        after = service.stats().results
+        if result_cache_size:  # the segments' result hit, the delta's joined
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
         live.add_tree("(ROOT (S (NP (DT a) (NN crab)) (VP (VBZ digs))))")
         live.delete_tree(tid)
         reference = plain_service_over(tmp_path, live, "delta-writes")
@@ -153,6 +158,43 @@ def test_a_write_to_the_delta_costs_no_descent(tmp_path, live) -> None:
         finally:
             reference.close()
         assert live.probe_snapshot().tree_descents == descents
+    finally:
+        service.close()
+
+
+def test_a_segment_result_is_never_served_after_a_segment_delete(monkeypatch, tmp_path, live) -> None:
+    """A segment delete moves the segments' tag: the result cached before it
+    is joined again -- also when the delete lands while that join's lists
+    are being read, which leaves the result it is computing stale at once."""
+    service = QueryService(live)
+    text = "NP(DT)(NN)"
+    try:
+        first, second, third = sorted(service.run(text).matches_per_tree)[:3]
+        assert third in live.snapshot.sources[0].store  # all three in the seed segment
+        live.delete_tree(first)
+        assert first not in service.run(text).matches_per_tree
+
+        live.delete_tree(second)  # the next run joins the segments again ...
+        fetch, raced = Source.postings, []
+
+        def delete_mid_fetch(source: Source, key: bytes):
+            columns = fetch(source, key)
+            if source.entry is not None and not raced:  # ... and a delete lands mid-fetch
+                raced.append(key)
+                live.delete_tree(third)
+            return columns
+
+        monkeypatch.setattr(Source, "postings", delete_mid_fetch)
+        assert third in service.run(text).matches_per_tree  # as of its snapshot
+        monkeypatch.undo()
+        assert raced
+        served = service.run(text)
+        reference = plain_service_over(tmp_path, live, "segment-deletes")
+        try:
+            assert not {first, second, third} & set(served.matches_per_tree)
+            assert served.matches_per_tree == reference.run(text).matches_per_tree
+        finally:
+            reference.close()
     finally:
         service.close()
 
@@ -193,17 +235,17 @@ def test_stale_segment_part_is_never_served(live) -> None:
         stale = live.lookup(key)  # seed segment only: the delta is empty
         victim = stale.tids[0]
         live.delete_tree(victim)
-        live.postings_cache.put((key,), (stale_tag, stale))  # the slow reader's put
+        live.postings_cache.put((key, 0), (stale_tag, stale))  # the slow reader's put
         expected = [tid for tid in stale.tids if tid != victim]
         assert list(live.lookup(key).tids) == expected
         live.compact()
-        live.postings_cache.put((key,), (stale_tag, stale))  # a part of the replaced segment
+        live.postings_cache.put((key, 0), (stale_tag, stale))  # a part of the replaced segment
         assert list(live.lookup(key).tids) == expected
     finally:
         service.close()
 
 
-def test_a_compaction_drops_both_levels(live) -> None:
+def test_a_compaction_drops_every_part_list(live) -> None:
     service = QueryService(live, result_cache_size=0)
     try:
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
@@ -221,17 +263,18 @@ def test_a_compaction_drops_both_levels(live) -> None:
 
 
 def test_stale_result_is_never_served_after_racing_a_mutation(live) -> None:
-    """A result tagged with an old index version is not served even if it
-    lands in the cache after the invalidation sweep (write-side race)."""
+    """A result tagged with a part's old tag is not served even if it lands
+    in the cache after the mutation moved that tag (write-side race)."""
     service = QueryService(live)
     try:
         text = "NP(DT)(NN)"
-        stale_version = live.version
+        stale_parts = live.snapshot.parts
         stale = service.run(text)
         tid = live.add_tree("(ROOT (S (NP (DT the) (NN crab)) (VP (VBZ digs))))")
         # Simulate the race: a slow reader finishes now and stores the result
-        # it computed against the pre-mutation state.
-        service._remember_result(service.prepare(text), stale, stale_version)
+        # it computed against the pre-mutation state, in every part.
+        for part in stale_parts:
+            service._remember_result(service.prepare(text), part, stale)
         served = service.run(text)
         assert served is not stale
         assert served.matches_per_tree.get(tid) == 1
@@ -240,19 +283,19 @@ def test_stale_result_is_never_served_after_racing_a_mutation(live) -> None:
 
 
 def test_stale_posting_list_is_never_served_after_racing_a_mutation(live) -> None:
-    """The posting twin: a merged list that lands in the cache after the
-    mutation's sweep, tagged with the version it was read at, is not served."""
+    """The posting twin: a delta list that lands in the cache after the
+    mutation, tagged with the version it was read at, is not served."""
     service = QueryService(live, result_cache_size=0)
     try:
         key = b"NP(DT)"
-        stale_version = live.version
-        stale = live.lookup(key)
+        stale_delta = live.snapshot.parts[1]
+        stale = live.part_lookup(stale_delta, key)
         tid = live.add_tree("(ROOT (S (NP (DT the) (NN crab)) (VP (VBZ digs))))")
-        live.postings_cache.put(key, (stale_version, stale))  # the slow reader's put
+        live.postings_cache.put((key, 1), (stale_delta.tag, stale))  # the slow reader's put
         served = live.lookup(key)
-        assert served is not stale
         assert served.tids[-1] == tid and tid not in stale.tids
-        assert live.lookup(key) is served  # re-cached under the current version
+        delta = live.snapshot.parts[1]
+        assert live.part_lookup(delta, key) is live.part_lookup(delta, key)  # re-cached under its tag
     finally:
         service.close()
 

@@ -76,14 +76,15 @@ class TestLRUCache:
         assert stats.size == 2
         assert stats.capacity == 2
 
-    def test_invalidate_and_clear(self) -> None:
+    def test_a_stale_tag_is_a_miss_and_clear_empties(self) -> None:
         cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.invalidate("a")
-        cache.invalidate("never-there")  # no-op
-        assert "a" not in cache
-        assert "b" in cache
+        cache.put("a", ((0, 1), "old"))
+        cache.put("b", ((0, 2), "new"))
+        assert cache.get_tagged("b", (0, 2)) == "new"
+        assert cache.get_tagged("a", (0, 2)) is None  # stale: kept until replaced
+        assert cache.get_tagged("never-there", (0, 2)) is None
+        assert (cache.stats().hits, cache.stats().misses) == (1, 2)
+        assert "a" in cache and "b" in cache
         cache.clear()
         assert len(cache) == 0
 
@@ -100,8 +101,8 @@ class TestStripedLRUCache:
             cache.put(i, str(i))
         assert all(cache.get(i) == str(i) for i in range(40))
         assert len(cache) == 40
-        cache.invalidate(7)
-        assert 7 not in cache
+        cache.put(7, ("tag", "seven"))
+        assert cache.get_tagged(7, "tag") == "seven" and cache.get_tagged(7, "other") is None
         cache.clear()
         assert len(cache) == 0
 
@@ -151,7 +152,7 @@ class TestStripedLRUCache:
                     value = cache.get(key)
                     assert value is None or value == key * 2
                     if i % 50 == 0:
-                        cache.invalidate(key)
+                        cache.clear()
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 

@@ -312,15 +312,15 @@ class TestMergedLookup:
             sharded.attach_postings_cache(None)
 
     def test_a_frozen_set_caches_one_entry_per_key(self, indexes) -> None:
-        """Without a delta the merged list is the segments' part: one entry,
-        not the two levels of a live index."""
+        """A frozen set is one part: one entry per key, not the two of a live
+        index (its segments' and its delta's)."""
         _, _, sharded = indexes["root-split"]
         cache = LRUCache(16)
         sharded.attach_postings_cache(cache)
         try:
             for key in ("NP(DT)", "VP(VBZ)", "NP(DT)"):
                 sharded.lookup(key)
-            assert sorted(cache.keys()) == [b"NP(DT)", b"VP(VBZ)"]
+            assert sorted(cache.keys()) == [(b"NP(DT)", 0), (b"VP(VBZ)", 0)]
         finally:
             sharded.attach_postings_cache(None)
 
