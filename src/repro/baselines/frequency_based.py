@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.core.enumeration import extract_subtrees
+from repro.core.enumeration import extract_subtrees, number
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import ExecutionStats, QueryResult
 from repro.exec.joins import intersect_sorted_tid_lists
@@ -61,7 +61,7 @@ class FrequencyBasedIndex:
         tid_sets: Dict[bytes, Set[int]] = {}
         key_sizes: Dict[bytes, int] = {}
         for tree in trees:
-            for found in extract_subtrees(tree, mss)[1]:
+            for found in extract_subtrees(number(tree), mss):
                 for text, _, size in found:
                     key = text.encode("utf-8")
                     occurrence_counts[key] += 1

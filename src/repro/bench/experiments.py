@@ -27,7 +27,7 @@ from repro.bench.context import ExperimentContext
 from repro.bench.registry import REPORTED, STEADY_STATE, TIMING, experiment
 from repro.coding import get_coding
 from repro.core.enumeration import subtree_count_by_root_branching
-from repro.core.index import accumulate_posting_lists, encode_posting_lists
+from repro.core.index import accumulate_posting_lists, encode_posting_lists, numbered
 from repro.core.segments import SegmentSet
 from repro.core.stats import count_postings, count_unique_keys
 from repro.corpus.generator import CorpusGenerator
@@ -988,7 +988,7 @@ def ablation_storage(
     lookups identically.
     """
     scheme = get_coding(coding)
-    bodies, _ = accumulate_posting_lists(context.corpus(sentences), mss, scheme)
+    bodies, _ = accumulate_posting_lists(numbered(context.corpus(sentences)), mss, scheme)
     items = list(encode_posting_lists(bodies, scheme))
 
     trees: List[BPlusTree] = []

@@ -81,6 +81,7 @@ from repro.service.service import PreparedQuery, QueryService
 from repro.shard import build_sharded, partitioner_names
 from repro.storage.bptree import BPlusTreeError
 from repro.storage.pager import PageError
+from repro.trees.penn import scan_penn
 
 #: Exceptions any "open an index/service" step may raise, mapped to exit 2.
 _OPEN_ERRORS = (OSError, ValueError, ManifestError, WalError, BPlusTreeError, PageError)
@@ -359,12 +360,16 @@ def cmd_add(args: argparse.Namespace) -> int:
     if live is None:
         return 2
     try:
-        try:
-            corpus = Corpus.load(args.corpus)
+        try:  # the whole file is checked before the first tree is added
+            with open(args.corpus, "r", encoding="utf-8") as handle:
+                lines = [line.strip() for line in handle]
+            texts = [line for line in lines if line and not line.startswith("#")]
+            for text in texts:
+                scan_penn(text)
         except (OSError, ValueError) as error:  # e.g. a malformed Penn line
             print(f"error: cannot read corpus {args.corpus!r}: {error}", file=sys.stderr)
             return 2
-        tids = [live.add_tree(tree.root) for tree in corpus]
+        tids = [live.add_tree(text) for text in texts]
         if tids:
             print(
                 f"added {len(tids)} trees (tids {tids[0]}..{tids[-1]}): "

@@ -46,10 +46,11 @@ class CodingScheme(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def rows(self, tid: int, heads: Sequence, found: Sequence) -> Iterable[Tuple[str, Sequence[int]]]:
+    def rows(self, tid: int, heads: Sequence[Code], found: Sequence) -> Iterable[Tuple[str, Sequence[int]]]:
         """Yield ``(key text, row)`` for every posting tree *tid* contributes.
 
-        *heads* and *found* are what the extraction returned for the tree:
+        *heads* are the tree's node codes in pre-order and *found*, parallel
+        to them, what the extraction returned for the tree:
         :func:`repro.core.enumeration.extract_root_texts` when
         :attr:`roots_only`, else :func:`~repro.core.enumeration.extract_subtrees`.
         A key's rows come deduplicated and in the order they are stored in;

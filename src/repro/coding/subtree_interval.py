@@ -27,7 +27,7 @@ class SubtreeIntervalCoding(CodingScheme):
     roots_only = False
 
     def rows(
-        self, tid: int, heads: Sequence[object], found: Sequence[Sequence[Tuple[str, Tuple[Code, ...], int]]]
+        self, tid: int, heads: Sequence[Code], found: Sequence[Sequence[Tuple[str, Tuple[Code, ...], int]]]
     ) -> Iterator[Tuple[str, List[int]]]:
         # ``[tid, node count, (pre, post, level, order) per node]``.  Roots
         # arrive in pre-order; a root's embeddings of one key are stored

@@ -18,6 +18,11 @@ little (Figure 3 of the paper; reproduced by the Figure 3 benchmark here).
 codings that store no node below an occurrence's root.  Index builds, the
 live delta and the statistics all read one of the two; the Figure 3 counters
 below are views of the kernel's output.
+
+Both read a tree as its :data:`~repro.trees.penn.Numbering` -- labels, codes
+and child positions in pre-order -- which :func:`number` takes from a node
+tree and :func:`~repro.trees.penn.scan_penn` straight from Penn text, so a
+tree added to a live index is never built as nodes.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.coding.base import Code
 from repro.trees.node import Node, ParseTree
+from repro.trees.penn import Numbering
 
 #: One extracted subtree: ``(canonical text, node codes in canonical order, size)``.
 Extracted = Tuple[str, Tuple[Code, ...], int]
@@ -35,11 +41,13 @@ Extracted = Tuple[str, Tuple[Code, ...], int]
 _TEXT = itemgetter(0)
 
 
-def _number(tree: ParseTree | Node) -> Tuple[List[Node], List[Code], List[List[int]]]:
-    """One DFS: the nodes in pre-order, their ``(pre, post, level)`` codes and,
-    per node, the positions of its children (``pre`` is a position plus one)."""
+def number(tree: ParseTree | Node) -> Numbering:
+    """One DFS: the labels in pre-order, their ``(pre, post, level)`` codes
+    and, per node, the positions of its children (``pre`` is a position plus
+    one) -- the :data:`~repro.trees.penn.Numbering` that
+    :func:`~repro.trees.penn.scan_penn` reads off a tree's Penn text."""
     root = tree.root if isinstance(tree, ParseTree) else tree
-    nodes: List[Node] = []
+    labels: List[str] = []
     levels: List[int] = []
     posts: List[int] = []
     children: List[List[int]] = []
@@ -53,8 +61,8 @@ def _number(tree: ParseTree | Node) -> Tuple[List[Node], List[Code], List[List[i
             post += 1
             posts[at] = post
             continue
-        position = len(nodes)
-        nodes.append(node)
+        position = len(labels)
+        labels.append(node.label)
         levels.append(level)
         posts.append(0)
         children.append([])
@@ -63,25 +71,25 @@ def _number(tree: ParseTree | Node) -> Tuple[List[Node], List[Code], List[List[i
         stack.append((node, level, position, True))
         for child in reversed(node.children):
             stack.append((child, level + 1, position, False))
-    return nodes, list(zip(range(1, len(nodes) + 1), posts, levels)), children
+    return labels, list(zip(range(1, len(labels) + 1), posts, levels)), children
 
 
-def extract_subtrees(tree: ParseTree | Node, mss: int) -> Tuple[List[Node], List[List[Extracted]]]:
-    """Number *tree* and extract every rooted subtree of at most *mss* nodes.
+def extract_subtrees(numbering: Numbering, mss: int) -> List[List[Extracted]]:
+    """Extract every rooted subtree of at most *mss* nodes of a numbered tree.
 
-    Returns the data nodes in pre-order and, parallel to them, the subtrees
-    rooted at each node (``pre`` of a code is its node's position plus one).
-    Sibling subtrees with equal texts keep their data-tree order, the
-    tie-break of :func:`repro.core.keys.canonical_key`'s stable sort.
+    Returns, parallel to the nodes in pre-order, the subtrees rooted at each
+    (``pre`` of a code is its node's position plus one).  Sibling subtrees
+    with equal texts keep their data-tree order, the tie-break of
+    :func:`repro.core.keys.canonical_key`'s stable sort.
     """
     if mss < 1:
         raise ValueError("mss must be at least 1")
-    nodes, numbered, children = _number(tree)
+    labels, numbered, children = numbering
     room = mss - 1
-    extracted: List[List[Extracted]] = [[] for _ in nodes]
+    extracted: List[List[Extracted]] = [[] for _ in labels]
     # Reverse pre-order visits every child before its parent.
-    for position in range(len(nodes) - 1, -1, -1):
-        label = nodes[position].label
+    for position in range(len(labels) - 1, -1, -1):
+        label = labels[position]
         own = (numbered[position],)
         found = extracted[position]
         found.append((label, own, 1))
@@ -105,27 +113,27 @@ def extract_subtrees(tree: ParseTree | Node, mss: int) -> Tuple[List[Node], List
                 text += "(" + child_text + ")"
                 codes += child_codes
             found.append((text, codes, used + 1))
-    return nodes, extracted
+    return extracted
 
 
-def extract_root_texts(tree: ParseTree | Node, mss: int) -> Tuple[List[Code], List[Dict[str, int]]]:
-    """The keys rooted at each node, without their embeddings.
+def extract_root_texts(numbering: Numbering, mss: int) -> List[Dict[str, int]]:
+    """The keys rooted at each node of a numbered tree, without their embeddings.
 
-    Returns every node's ``(pre, post, level)`` in pre-order and, parallel to
-    it, ``{canonical text: size}`` of the distinct subtrees of at most *mss*
-    nodes rooted there: ``{(text, root)}`` of :func:`extract_subtrees`, all a
-    coding needs whose postings store no node below the root.  Texts are
-    composed as there, but of texts alone, and embeddings that spell the same
-    text collapse at their root before they can multiply at its parent.
+    Returns, parallel to the nodes in pre-order, ``{canonical text: size}``
+    of the distinct subtrees of at most *mss* nodes rooted there:
+    ``{(text, root)}`` of :func:`extract_subtrees`, all a coding needs whose
+    postings store no node below the root.  Texts are composed as there, but
+    of texts alone, and embeddings that spell the same text collapse at their
+    root before they can multiply at its parent.
     """
     if mss < 1:
         raise ValueError("mss must be at least 1")
-    nodes, numbered, children = _number(tree)
+    labels, _, children = numbering
     room = mss - 1
-    texts: List[Dict[str, int]] = [{node.label: 1} for node in nodes]
+    texts: List[Dict[str, int]] = [{label: 1} for label in labels]
     if not room:
-        return numbered, texts
-    for position in range(len(nodes) - 1, -1, -1):
+        return texts
+    for position in range(len(labels) - 1, -1, -1):
         if not children[position]:
             continue
         choices: List[Tuple[Tuple[str, ...], int]] = [((), 0)]
@@ -137,13 +145,13 @@ def extract_root_texts(tree: ParseTree | Node, mss: int) -> Tuple[List[Code], Li
                 for text, size in options
                 if used + size <= room
             ]
-        label = nodes[position].label
+        label = labels[position]
         found = texts[position]
         for chosen, used in choices[1:]:
             if len(chosen) > 1:
                 chosen = sorted(chosen)
             found[label + "(" + ")(".join(chosen) + ")"] = used + 1
-    return numbered, texts
+    return texts
 
 
 def _tally_by_branching(
@@ -153,9 +161,10 @@ def _tally_by_branching(
     totals: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
     node_counts: Dict[int, int] = defaultdict(int)
     for tree in trees:
-        for node, found in zip(*extract_subtrees(tree, max(sizes))):
-            node_counts[node.degree] += 1
-            counts = totals[node.degree]
+        numbering = number(tree)
+        for below, found in zip(numbering[2], extract_subtrees(numbering, max(sizes))):
+            node_counts[len(below)] += 1
+            counts = totals[len(below)]
             for _, _, size in found:
                 if size in sizes:
                     counts[size] += 1

@@ -18,11 +18,12 @@ from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns
-from repro.core.enumeration import extract_root_texts, extract_subtrees
+from repro.core.enumeration import extract_root_texts, extract_subtrees, number
 from repro.core.keys import SubtreeKey, canonical_key, decode_key
 from repro.storage.bptree import MAGIC, BPlusTree, ProbeStats
 from repro.storage.codec import decode_varint
 from repro.trees.node import Node, ParseTree
+from repro.trees.penn import Numbering
 
 #: Reserved B+Tree key that stores the index metadata record.
 _META_KEY = b"\x00__si_meta__"
@@ -68,33 +69,41 @@ class IndexMetadata:
 
 
 def tree_rows(
-    tree: ParseTree, mss: int, coding: CodingScheme
+    tid: int, numbering: Numbering, mss: int, coding: CodingScheme
 ) -> Iterable[Tuple[str, Sequence[int]]]:
-    """``(key text, row)`` for every posting *coding* stores of *tree*.
+    """``(key text, row)`` for every posting *coding* stores of tree *tid*.
 
     Only a coding that stores nodes below a key's root needs every embedding
     extracted; the others get the keys rooted at each node.
     """
     extract = extract_root_texts if coding.roots_only else extract_subtrees
-    return coding.rows(tree.tid, *extract(tree, mss))
+    return coding.rows(tid, numbering[1], extract(numbering, mss))
+
+
+def numbered(trees: Iterable[ParseTree]) -> Iterator[Tuple[int, Numbering]]:
+    """``(tid, numbering)`` of each node tree, what a build extracts from."""
+    for tree in trees:
+        yield tree.tid, number(tree)
 
 
 def accumulate_posting_lists(
-    trees: Iterable[ParseTree], mss: int, coding: CodingScheme
+    trees: Iterable[Tuple[int, Numbering]], mss: int, coding: CodingScheme
 ) -> Tuple[Dict[bytes, List[int]], int]:
-    """Extract and code every tree; returns ``(key -> body, tree count)``.
+    """Extract and code every ``(tid, numbering)``; returns ``(key -> body,
+    tree count)``.
 
     A key's body is its posting list as flat rows of ints with absolute
     tids (:class:`~repro.coding.base.CodingScheme`).  The one loop behind an
-    index build, a live delta's ``add_tree`` (a one-tree call) and the
-    storage ablation.  Trees must arrive in ascending tid order, which keeps
-    every list tid-ascending by construction.
+    index build (over :func:`numbered` node trees), a live delta's
+    ``add_tree`` (one tree, numbered by :func:`~repro.trees.penn.scan_penn`)
+    and the storage ablation.  Trees must arrive in ascending tid order,
+    which keeps every list tid-ascending by construction.
     """
     bodies: Dict[str, List[int]] = {}
     tree_count = 0
-    for tree in trees:
+    for tid, numbering in trees:
         tree_count += 1
-        for text, row in tree_rows(tree, mss, coding):
+        for text, row in tree_rows(tid, numbering, mss, coding):
             if text in bodies:
                 bodies[text] += row
             else:
@@ -149,7 +158,7 @@ class SubtreeIndex:
         if isinstance(coding, str):
             coding = get_coding(coding)
         started = time.perf_counter()
-        posting_lists, tree_count = accumulate_posting_lists(trees, mss, coding)
+        posting_lists, tree_count = accumulate_posting_lists(numbered(trees), mss, coding)
         encoded = encode_posting_lists(posting_lists, coding)
         return cls.write_posting_lists(path, mss, coding, tree_count, encoded, started)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
 from repro.coding.base import get_coding
-from repro.core.enumeration import extract_root_texts
-from repro.core.index import SubtreeIndex, tree_rows
+from repro.core.enumeration import extract_root_texts, number
+from repro.core.index import SubtreeIndex, numbered, tree_rows
 from repro.trees.node import ParseTree
 
 
@@ -60,7 +60,7 @@ def count_unique_keys(trees: Iterable[ParseTree], mss_values: Sequence[int]) -> 
     max_mss = max(mss_values)
     keys_by_size: Dict[int, set] = {size: set() for size in range(1, max_mss + 1)}
     for tree in trees:
-        for found in extract_root_texts(tree, max_mss)[1]:
+        for found in extract_root_texts(number(tree), max_mss):
             for text, size in found.items():
                 keys_by_size[size].add(text)
     counts: Dict[int, int] = {}
@@ -80,7 +80,7 @@ def count_postings(
     """
     codings = [get_coding(name) for name in coding_names]
     totals: Dict[str, int] = {name: 0 for name in coding_names}
-    for tree in trees:
+    for tid, numbering in numbered(trees):
         for coding in codings:
-            totals[coding.name] += sum(1 for _ in tree_rows(tree, mss, coding))
+            totals[coding.name] += sum(1 for _ in tree_rows(tid, numbering, mss, coding))
     return totals

@@ -247,9 +247,6 @@ class QueryExecutor:
         Required for the filter-based coding, whose filtering phase re-reads
         candidate trees; optional otherwise.  Defaults to a set's
         ``index.store``.
-    strategy:
-        Cover strategy override; defaults to ``"min-rc"`` for root-split
-        coding and ``"optimal"`` for the other codings.
     pad:
         Whether decomposition pads cover subtrees towards ``mss`` (max-covers).
     """
@@ -258,13 +255,13 @@ class QueryExecutor:
         self,
         index: SubtreeIndex | SegmentSet,
         store: Optional[TreeStore | Corpus] = None,
-        strategy: Optional[str] = None,
         pad: bool = True,
     ):
         self.index = index
         self.store = store if store is not None else getattr(index, "store", None)
         self.pad = pad
-        self.strategy = strategy if strategy is not None else default_strategy(index.coding)
+        #: The cover policy, a function of the coding (:func:`default_strategy`).
+        self.strategy = default_strategy(index.coding)
 
     # ------------------------------------------------------------------
     def decompose(self, query: QueryTree) -> Cover:

@@ -5,7 +5,9 @@ flushes them into an immutable on-disk segment.  The delta stores exactly
 what a freshly built :class:`~repro.core.index.SubtreeIndex` over the same
 trees would store -- every tree goes through the *same* per-tree step as a
 build (:func:`repro.core.index.accumulate_posting_lists`: one extraction
-kernel, one coding scheme) -- so merging delta postings with base-segment
+kernel, one coding scheme), over the numbering
+:func:`~repro.trees.penn.scan_penn` read off the tree's Penn line where a
+build numbers a node tree -- so merging delta postings with base-segment
 postings by tid is byte-identical to a full rebuild, and a compaction can
 write the delta's finished lists out instead of indexing its trees again.
 What it holds per key is the build's own unit, the flat *body* of rows
@@ -29,7 +31,7 @@ from repro.coding.base import CodingScheme
 from repro.coding.postings import PostingColumns
 from repro.core.index import accumulate_posting_lists
 from repro.trees.node import ParseTree
-from repro.trees.penn import parse_penn
+from repro.trees.penn import Numbering, parse_penn
 
 _EMPTY = PostingColumns(())
 
@@ -74,23 +76,24 @@ class DeltaSegment:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def add_tree(self, tree: ParseTree, record: bytes) -> None:
-        """Index one tree; its tid must exceed every tid already present.
+    def add_tree(self, tid: int, record: bytes, numbering: Numbering) -> None:
+        """Index one tree; *tid* must exceed every tid already present.
 
-        *record* is its data-file record, ``to_penn`` of the root in UTF-8.
-        A key's body grows in place by the tree's rows (one ``+=``, atomic
-        under the GIL), and a reader racing the add cuts the body where
-        :meth:`lookup` found it.  (Readers racing the *whole* add may still
-        see the new tree on some keys and not yet on others; see
-        :class:`repro.live.live.LiveIndex` for the visibility contract.)
+        *record* is its data-file record (``to_penn`` of the tree, in UTF-8)
+        and *numbering* the tree as :func:`~repro.trees.penn.scan_penn` read
+        it from that line.  A key's body grows in place by the tree's rows
+        (one ``+=``, atomic under the GIL), and a reader racing the add cuts
+        the body where :meth:`lookup` found it.  (Readers racing the *whole*
+        add may still see the new tree on some keys and not yet on others;
+        see :class:`repro.live.live.LiveIndex` for the visibility contract.)
         """
-        if tree.tid < 0:
+        if tid < 0:
             raise ValueError("delta trees need an assigned tid")
         last = next(reversed(self.trees.records), -1)
-        if tree.tid <= last:
-            raise ValueError(f"delta tids must be ascending: got {tree.tid} after {last}")
-        per_key, _ = accumulate_posting_lists([tree], self.mss, self.coding)
-        self.trees.records[tree.tid] = record  # the tree before its postings: a
+        if tid <= last:
+            raise ValueError(f"delta tids must be ascending: got {tid} after {last}")
+        per_key, _ = accumulate_posting_lists([(tid, numbering)], self.mss, self.coding)
+        self.trees.records[tid] = record  # the tree before its postings: a
         # posting a reader can see must always name a fetchable tree
         for key, rows in per_key.items():
             body = self._bodies.setdefault(key, rows)

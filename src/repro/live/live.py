@@ -56,20 +56,19 @@ import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.coding.base import CodingScheme, get_coding
-from repro.core.index import accumulate_posting_lists, encode_posting_lists
+from repro.core.index import accumulate_posting_lists, encode_posting_lists, numbered
 from repro.core.manifest import (
-    LIVE_SUFFIX, Manifest, ManifestError, UnsyncedCommit, is_manifest, wal_file_path,
+    LIVE_SUFFIX, Manifest, ManifestError, is_manifest, wal_file_path,
 )
 from repro.core.segments import SegmentSet, Snapshot, Source, open_sources, write_segment
 from repro.live.delta import DeltaSegment
 from repro.live.wal import WriteAheadLog
 from repro.trees.node import Node, ParseTree
-from repro.trees.penn import parse_penn, to_penn
+from repro.trees.penn import scan_penn, to_penn
 
 
 @dataclass
@@ -147,7 +146,7 @@ class LiveIndex(SegmentSet):
             if tids != sorted(set(tids)):
                 raise ValueError("seed trees must have strictly ascending unique tids")
             started = time.perf_counter()
-            bodies, _ = accumulate_posting_lists(seed, mss, scheme)
+            bodies, _ = accumulate_posting_lists(numbered(seed), mss, scheme)
             records = ((tree.tid, to_penn(tree.root).encode("utf-8")) for tree in seed)
             segment = write_segment(
                 path, 0, mss, scheme, encode_posting_lists(bodies, scheme), records, started, fsync=fsync
@@ -200,9 +199,9 @@ class LiveIndex(SegmentSet):
         live = cls(path, manifest, segments, wal, fsync=fsync)
         sources = live.snapshot.sources
         for op in ops:
-            if op.op == "add":  # the record is rendered again: an old log's bare "X" is "(X)"
-                root = parse_penn(op.tree)
-                live.delta.add_tree(ParseTree(root, tid=op.tid), to_penn(root).encode("utf-8"))
+            if op.op == "add":  # the record is scanned again: an old log's bare "X" is "(X)"
+                record, numbering = scan_penn(op.tree)
+                live.delta.add_tree(op.tid, record.encode("utf-8"), numbering)
                 live._next_tid = max(live._next_tid, op.tid + 1)
             else:
                 position = _holder(sources, op.tid)
@@ -217,23 +216,21 @@ class LiveIndex(SegmentSet):
     def add_tree(self, tree: ParseTree | Node | str) -> int:
         """Add one tree; returns its assigned tid.
 
-        Accepts a :class:`ParseTree`, a bare root :class:`Node` or a
-        Penn-bracket string.  The op is fsynced to the WAL before it is
-        applied, so an acknowledged add survives any crash; a tree
-        :func:`to_penn` refuses is refused before anything is written.
+        Accepts a Penn-bracket string, a :class:`ParseTree` or a bare root
+        :class:`Node`; a tree of nodes is first rendered by :func:`to_penn`,
+        so one it refuses is refused before anything is written.  The text is
+        read once (:func:`scan_penn`): its record is logged and its numbering
+        indexed, and no node is built.  The op is fsynced to the WAL before it
+        is applied, so an acknowledged add survives any crash.
         """
-        if isinstance(tree, str):
-            root = parse_penn(tree)
-        elif isinstance(tree, Node):
-            root = tree
-        else:
-            root = tree.root
+        if not isinstance(tree, str):
+            tree = to_penn(tree if isinstance(tree, Node) else tree.root)
+        record, numbering = scan_penn(tree)
         with self._write_lock:
             tid = self._next_tid
-            penn = to_penn(root)
             with obs.trace("wal.append", op="add", tid=tid):
-                self._wal.append_add(tid, penn)
-            self.delta.add_tree(ParseTree(root, tid=tid), penn.encode("utf-8"))
+                self._wal.append_add(tid, record)
+            self.delta.add_tree(tid, record.encode("utf-8"), numbering)
             self._next_tid = tid + 1
             self._publish(self.snapshot.sources)
         return tid
@@ -274,8 +271,13 @@ class LiveIndex(SegmentSet):
         manifest renamed and its directory fsynced, the WAL swapped, old
         files removed -- a crash at any point leaves a consistent index (see
         :meth:`open` for a stale WAL); a commit that fails before its rename
-        leaves it as it was, one whose directory fsync fails after it moves it
-        to the new epoch and then raises :class:`UnsyncedCommit`.
+        leaves it as it was.  Once the manifest is renamed the commit stands:
+        a failure after it -- its directory fsync
+        (:class:`~repro.core.manifest.UnsyncedCommit`), the WAL's rename or
+        the fsync after that -- moves the index to the new epoch and then
+        raises.  If the new WAL is not in place, every later write
+        raises :class:`~repro.live.wal.WalError` until the index is reopened,
+        so no op is acked into a log :meth:`open` would discard.
         """
         if not obs.enabled():
             return self._compact_impl()
@@ -332,18 +334,30 @@ class LiveIndex(SegmentSet):
             wal_path = wal_file_path(self.manifest_path)
             old_wal_bytes = self._wal.size_bytes()
             next_wal = WriteAheadLog.create(wal_path + ".next", new_epoch, fsync=self._fsync)
-            unsynced = None
+            renamed = False
+
+            def swap_wal() -> None:  # runs once the manifest is renamed: the commit stands
+                nonlocal renamed
+                renamed = True
+                next_wal.move_to(wal_path)
+
+            failure: Optional[BaseException] = None
             try:
-                manifest.commit(self.manifest_path, then=partial(next_wal.move_to, wal_path))
-            except UnsyncedCommit as failure:  # renamed: the new epoch stands, raised once in it
-                unsynced = failure
-            except BaseException:  # the old manifest and WAL stand
-                next_wal.close()
-                for segment in written:
-                    segment.close()
-                raise
+                manifest.commit(self.manifest_path, then=swap_wal)
+            except BaseException as error:
+                if not renamed:  # the old manifest and WAL stand
+                    next_wal.close()
+                    for segment in written:
+                        segment.close()
+                    raise
+                failure = error  # the new epoch stands: raised once the index is in it
             self._wal.close()
             self._wal = next_wal
+            if next_wal.path != wal_path:  # open() would discard what it logged
+                next_wal.refuse(
+                    f"the write-ahead log of epoch {new_epoch} could not be renamed into place "
+                    f"({failure}); reopen the index to write again"
+                )
 
             # Swap readers over to the new epoch in one rebind: new segments,
             # an empty delta and no tombstones become visible together.
@@ -355,8 +369,8 @@ class LiveIndex(SegmentSet):
             self.manifest = manifest
             self._publish((*segments, _delta_source(manifest)))
             self._clear_postings_cache()  # every segment part was of the old epoch
-            if unsynced is not None:
-                raise unsynced
+            if failure is not None:
+                raise failure
 
             flushed = len(delta.store) - len(delta.dead)
             rewritten = len(written) - (flushed > 0)

@@ -89,6 +89,8 @@ class WriteAheadLog:
         self.op_count = op_count
         self._file = handle
         self._fsync = fsync
+        #: Why appends are refused (:meth:`refuse`); ``None`` while they are not.
+        self._refusal: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Creation and recovery
@@ -154,6 +156,8 @@ class WriteAheadLog:
     # Appending
     # ------------------------------------------------------------------
     def _append(self, payload: dict) -> None:
+        if self._refusal is not None:
+            raise WalError(f"write-ahead log {self.path!r} refuses appends: {self._refusal}")
         self._file.write(_encode_record(payload))
         self._file.flush()
         if self._fsync:
@@ -176,6 +180,13 @@ class WriteAheadLog:
         self.path = path
         if self._fsync:
             fsync_path(os.path.dirname(os.path.abspath(path)))
+
+    def refuse(self, reason: str) -> None:
+        """Close the log for good: every later append raises :class:`WalError`
+        naming *reason*, and nothing is acknowledged that a reopen would not
+        replay."""
+        self.close()
+        self._refusal = reason
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

@@ -187,8 +187,9 @@ class QueryService:
         on its shared handle), and a plain set over an in-memory
         :class:`~repro.corpus.store.Corpus` avoids that lock entirely for
         heavily threaded filter-based serving.
-    strategy / pad:
-        Decomposition knobs, as on :class:`~repro.exec.executor.QueryExecutor`.
+    pad:
+        Decomposition knob, as on :class:`~repro.exec.executor.QueryExecutor`;
+        the cover policy is the coding's own (``default_strategy``).
     plan_cache_size / postings_cache_size / result_cache_size:
         Entry bounds of the three LRU caches; size 0 disables that layer
         entirely.  Cached results are shared objects and must be treated as
@@ -200,7 +201,6 @@ class QueryService:
     def __init__(
         self,
         index: SegmentSet,
-        strategy: Optional[str] = None,
         pad: bool = True,
         plan_cache_size: int = 256,
         postings_cache_size: int = 4096,
@@ -210,7 +210,7 @@ class QueryService:
         self.index = index
         self.store = index.store
         self.pad = pad
-        self.strategy = strategy if strategy is not None else default_strategy(index.coding)
+        self.strategy = default_strategy(index.coding)
 
         def make_cache(size: int) -> Optional[StripedLRUCache]:
             return StripedLRUCache(size, stripes=stripes) if size else None

@@ -12,7 +12,7 @@ Workers are separate *processes*
 posting encoding are pure Python and CPU-bound, so threads would serialise
 on the GIL.  Trees cross the process boundary as Penn-bracket records -- the
 data file's own bytes -- which are compact and picklable: the worker writes
-them to its data file as they are and parses them only for extraction.
+them to its data file as they are and scans them only for extraction.
 
 ``workers=1`` (or a single shard) builds inline in the calling process with
 no pool at all, which is both the degenerate-correctness path the merge
@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
 from repro.core.index import accumulate_posting_lists, encode_posting_lists
@@ -32,27 +32,26 @@ from repro.core.manifest import MANIFEST_SUFFIX, Manifest, SegmentEntry
 from repro.core.segments import write_segment
 from repro.shard.partitioner import Partitioner, get_partitioner
 from repro.trees.node import ParseTree
-from repro.trees.penn import parse_penn, to_penn
+from repro.trees.penn import scan_penn, to_penn
 
 #: One shard's build order: (manifest path, shard id, mss, coding name,
 #: records), where records are ``(tid, UTF-8 Penn line)`` pairs.
 _ShardJob = Tuple[str, int, int, str, List[Tuple[int, bytes]]]
 
 
-def _build_shard(job: _ShardJob, trees: Optional[Sequence[ParseTree]] = None) -> SegmentEntry:
+def _build_shard(job: _ShardJob) -> SegmentEntry:
     """Write one shard and return its manifest entry.
 
-    *trees* are the records' trees already parsed (the inline path); a
-    worker process gets none and parses the records it was sent, for
-    extraction only.  Module-level (not a closure) so :mod:`pickle` can ship
-    it to the pool.
+    Each record is read once (:func:`scan_penn`), as a live index reads an
+    added tree: its numbering is extracted, its bytes are written as they
+    are.  Module-level (not a closure) so :mod:`pickle` can ship it to the
+    pool.
     """
     manifest_path, shard_id, mss, coding_name, records = job
     started = time.perf_counter()
-    if trees is None:
-        trees = [ParseTree(parse_penn(record.decode("utf-8")), tid=tid) for tid, record in records]
     coding = get_coding(coding_name)
-    bodies, _ = accumulate_posting_lists(trees, mss, coding)
+    numbered = ((tid, scan_penn(record.decode("utf-8"))[1]) for tid, record in records)
+    bodies, _ = accumulate_posting_lists(numbered, mss, coding)
     shard = write_segment(
         manifest_path, shard_id, mss, coding, encode_posting_lists(bodies, coding), records, started,
         frozen=True,
@@ -121,9 +120,7 @@ def build_sharded(
         for shard_id, trees in enumerate(per_shard)
     ]
     if workers == 1 or shards == 1:
-        # Inline: the parsed trees go straight to extraction, skipping the
-        # reparse the pool path needs.
-        entries = [_build_shard(job, shard_trees) for job, shard_trees in zip(jobs, per_shard)]
+        entries = [_build_shard(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_build_shard, jobs))

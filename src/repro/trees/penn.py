@@ -8,12 +8,16 @@ emitted by the Stanford parser and consumed by TGrep2 / CorpusSearch::
 The reader is tolerant of surrounding whitespace and of an optional empty
 outermost label ``( (S ...))`` as produced by some parsers.  A tree of one
 node is written ``(X)``; a bare ``X`` is read as the same tree.
+
+:func:`scan_penn` is the one reader: a single pass over the text that gives
+the tree's one-line record and its numbering without building a node, which
+is all an index needs of a tree; :func:`parse_penn` builds the nodes from it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.trees.node import Node, ParseTree
 
@@ -28,86 +32,122 @@ class PennSyntaxError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, int]]:
-    """Yield ``(token, position)`` pairs for a bracketed tree string."""
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            yield ch, i
-            i += 1
-            continue
-        j = i
-        while j < length and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        yield text[i:j], i
-        i = j
+#: A tree as flat arrays over its nodes in pre-order: their labels, their
+#: ``(pre, post, level)`` codes (``pre`` is a position plus one) and, per
+#: node, the positions of its children.
+Numbering = Tuple[List[str], List[Tuple[int, int, int]], List[List[int]]]
 
 
-def parse_penn(text: str) -> Node:
-    """Parse a single bracketed tree string into a :class:`Node` tree.
+def scan_penn(text: str) -> Tuple[str, Numbering]:
+    """Read a bracketed tree string once, building no :class:`Node`.
+
+    Returns the one-line record ``to_penn(parse_penn(text))`` gives -- what a
+    data file and the write-ahead log store -- and the tree's
+    :data:`Numbering`, what :func:`repro.core.enumeration.number` gives of
+    the parsed tree.  The text is split once around its brackets; a tree of
+    one node may be a bare label, and an anonymous constituent ``( (S ...))``
+    is labelled ``ROOT``.
 
     Raises
     ------
     PennSyntaxError
         If the string is not a well-formed bracketed tree.
     """
-    tokens = list(_tokenize(text))
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise PennSyntaxError("empty input", 0)
-    if len(tokens) == 1 and tokens[0][0] not in "()":
+    total = len(tokens)
+    if total == 1 and tokens[0] not in "()":
         # A bare label: how a tree of one node was written before ``to_penn``
         # gave it brackets.  Data files and logs holding one stay readable.
-        return Node(tokens[0][0])
+        return f"({tokens[0]})", ([tokens[0]], [(1, 1, 0)], [[]])
 
-    stack: List[Node] = []
-    root: Optional[Node] = None
+    labels: List[str] = []
+    levels: List[int] = []
+    posts: List[int] = []
+    children: List[List[int]] = []
+    pieces: List[str] = []  # the record, one piece per label or closing bracket
+    ancestors: List[int] = []  # positions of the constituents still open
+    post = 0
     index = 0
-    total = len(tokens)
-
     while index < total:
-        token, pos = tokens[index]
+        token = tokens[index]
+        if token == ")":
+            if not ancestors:
+                raise _error("unbalanced ')'", text, tokens, index)
+            position = ancestors.pop()
+            post += 1
+            posts[position] = post
+            if children[position] or not ancestors:
+                pieces.append(")")
+            else:  # a constituent of one label inside a tree is written bare
+                pieces[-1] = " " + labels[position]
+            index += 1
+            continue
+        position = len(labels)
         if token == "(":
-            index += 1
-            if index >= total:
-                raise PennSyntaxError("unexpected end of input after '('", pos)
-            label, label_pos = tokens[index]
+            if index + 1 == total:
+                raise _error("unexpected end of input after '('", text, tokens, index)
+            label = tokens[index + 1]
             if label == ")":
-                raise PennSyntaxError("empty constituent '()'", label_pos)
-            if label == "(":
-                # Anonymous wrapper such as "( (S ...))"; use a ROOT label.
-                node = Node("ROOT")
-                index -= 1  # re-process the '(' as the first child
+                raise _error("empty constituent '()'", text, tokens, index + 1)
+            if ancestors:
+                children[ancestors[-1]].append(position)
+            elif labels:
+                raise _error("multiple root constituents", text, tokens, index)
+            if label == "(":  # an anonymous wrapper: its '(' opens the first child
+                label = "ROOT"
+                index += 1
             else:
-                node = Node(label)
-            if stack:
-                stack[-1].add_child(node)
-            elif root is None:
-                root = node
-            else:
-                raise PennSyntaxError("multiple root constituents", pos)
-            stack.append(node)
-            index += 1
-        elif token == ")":
-            if not stack:
-                raise PennSyntaxError("unbalanced ')'", pos)
-            stack.pop()
-            index += 1
+                index += 2
+            pieces.append(" (" + label if ancestors else "(" + label)
+            levels.append(len(ancestors))
+            posts.append(0)
+            ancestors.append(position)
         else:
-            if not stack:
-                raise PennSyntaxError(f"unexpected token {token!r} outside brackets", pos)
-            stack[-1].add_child(Node(token))
+            if not ancestors:
+                raise _error(f"unexpected token {token!r} outside brackets", text, tokens, index)
+            label = token
+            children[ancestors[-1]].append(position)
+            pieces.append(" " + label)
+            levels.append(len(ancestors))
+            post += 1
+            posts.append(post)
             index += 1
+        labels.append(label)
+        children.append([])
 
-    if stack:
+    if ancestors:
         raise PennSyntaxError("unbalanced '(': missing closing bracket", len(text))
-    if root is None:
-        raise PennSyntaxError("no tree found", 0)
-    return root
+    return "".join(pieces), (labels, list(zip(range(1, len(labels) + 1), posts, levels)), children)
+
+
+def _error(message: str, text: str, tokens: List[str], index: int) -> PennSyntaxError:
+    """*message* at the character where ``tokens[index]`` starts in *text*."""
+    end = 0
+    for token in tokens[:index + 1]:
+        end = text.index(token, end) + len(token)
+    return PennSyntaxError(message, end - len(tokens[index]))
+
+
+def parse_penn(text: str) -> Node:
+    """Parse a single bracketed tree string into a :class:`Node` tree.
+
+    The nodes are built from :func:`scan_penn`'s numbering.
+
+    Raises
+    ------
+    PennSyntaxError
+        If the string is not a well-formed bracketed tree.
+    """
+    _, (labels, _, children) = scan_penn(text)
+    nodes = [Node(label) for label in labels]
+    for node, below in zip(nodes, children):
+        if below:
+            node.children = [nodes[position] for position in below]
+            for child in node.children:
+                child.parent = node
+    return nodes[0]
 
 
 def parse_penn_corpus(lines: Iterable[str], start_tid: int = 0) -> Iterator[ParseTree]:

@@ -15,16 +15,17 @@ from repro.core.enumeration import (
     count_subtrees_per_node,
     extract_root_texts,
     extract_subtrees,
+    number,
     subtree_count_by_root_branching,
 )
-from repro.core.index import accumulate_posting_lists
+from repro.core.index import accumulate_posting_lists, numbered
 from repro.trees.node import ParseTree, build_tree
 from repro.trees.numbering import number_tree
 
 
 def _occurrences(tree: ParseTree, mss: int):
     """``(key, (pre, post, level) of the nodes in canonical order)`` per extracted subtree."""
-    for found in extract_subtrees(tree, mss)[1]:
+    for found in extract_subtrees(number(tree), mss):
         for text, codes, _ in found:
             yield text.encode("utf-8"), codes
 
@@ -34,7 +35,7 @@ def _keys(tree: ParseTree, mss: int) -> Counter:
 
 
 def _sizes(tree: ParseTree, mss: int) -> list:
-    return [size for found in extract_subtrees(tree, mss)[1] for _, _, size in found]
+    return [size for found in extract_subtrees(number(tree), mss) for _, _, size in found]
 
 
 class TestExtractSubtrees:
@@ -48,7 +49,7 @@ class TestExtractSubtrees:
     @pytest.mark.parametrize("extract", [extract_subtrees, extract_root_texts])
     def test_invalid_mss_rejected(self, figure4_tree: ParseTree, extract) -> None:
         with pytest.raises(ValueError):
-            extract(figure4_tree, 0)
+            extract(number(figure4_tree), 0)
 
     def test_unique_keys_of_size_two(self, figure4_tree: ParseTree) -> None:
         # Tree A(B)(C(A(C)(D))): edges A-B, A-C, C-A, A-C (inner), A-D.
@@ -68,8 +69,8 @@ class TestExtractSubtrees:
             assert _sizes(tree, 5).count(size) == 5 - size + 1
 
     def test_all_subtrees_are_connected_and_rooted(self, paper_tree: ParseTree) -> None:
-        nodes, extracted = extract_subtrees(paper_tree, 3)
-        for found in extracted:
+        nodes = list(paper_tree.preorder())
+        for found in extract_subtrees(number(paper_tree), 3):
             for _, codes, _ in found:
                 members = [nodes[pre - 1] for pre, _, _ in codes]
                 # Every node but the root has its data-tree parent in the subtree.
@@ -159,8 +160,11 @@ def _brute_force(root, mss: int) -> Counter:
 def test_kernel_matches_brute_force(shape, mss: int) -> None:
     tree = ParseTree(build_tree(shape), tid=3)
     expected = _brute_force(tree.root, mss)
-    nodes, extracted = extract_subtrees(tree, mss)
-    assert nodes == list(tree.root.preorder())
+    nodes = list(tree.root.preorder())
+    labels, _, children = numbering = number(tree)
+    assert labels == [node.label for node in nodes]
+    assert children == [[nodes.index(child) for child in node.children] for node in nodes]
+    extracted = extract_subtrees(numbering, mss)
     codes = number_tree(tree)
     got: Counter = Counter()
     for node, found in zip(nodes, extracted):
@@ -180,15 +184,17 @@ def test_root_texts_are_the_kernels_keys_by_root(shape, mss: int) -> None:
     """The root-only extraction is ``{(text, root)}`` of the full one: the
     same numbering, every key a node roots exactly once, its size with it."""
     tree = ParseTree(build_tree(shape), tid=3)
-    nodes, extracted = extract_subtrees(tree, mss)
-    numbered, texts = extract_root_texts(tree, mss)
-    assert numbered == [found[0][1][0] for found in extracted]  # the size-1 subtree's only code
-    assert [pre for pre, _, _ in numbered] == list(range(1, len(nodes) + 1))
+    numbering = number(tree)
+    extracted = extract_subtrees(numbering, mss)
+    texts = extract_root_texts(numbering, mss)
+    numbered_codes = numbering[1]
+    assert numbered_codes == [found[0][1][0] for found in extracted]  # the size-1 subtree's only code
+    assert [pre for pre, _, _ in numbered_codes] == list(range(1, len(extracted) + 1))
     for found, rooted in zip(extracted, texts):
         assert rooted == {text: size for text, _, size in found}
     # Roots ascend per key: a tree's rows are born in stored order.
     roots_of: dict = {}
-    for (pre, _, _), rooted in zip(numbered, texts):
+    for (pre, _, _), rooted in zip(numbered_codes, texts):
         for text in rooted:
             roots_of.setdefault(text, []).append(pre)
     assert all(roots == sorted(set(roots)) for roots in roots_of.values())
@@ -222,7 +228,7 @@ def test_posting_lists_match_the_per_occurrence_reference(shapes, mss: int) -> N
             per_key.setdefault(key, []).append((tree.tid, codes))
     for name in ("filter", "root-split", "subtree-interval"):
         coding = get_coding(name)
-        bodies, tree_count = accumulate_posting_lists(trees, mss, coding)
+        bodies, tree_count = accumulate_posting_lists(numbered(trees), mss, coding)
         assert tree_count == len(trees)
         assert {key: list(coding.columns(body)) for key, body in bodies.items()} == {
             key: _reference_postings(name, occurrences) for key, occurrences in per_key.items()

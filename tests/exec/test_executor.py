@@ -156,3 +156,18 @@ class TestExecutionStats:
         assert executors[("root-split", 2)].strategy == "min-rc"
         assert executors[("subtree-interval", 2)].strategy == "optimal"
         assert executors[("filter", 2)].strategy == "optimal"
+
+    def test_no_constructor_accepts_a_cover_policy(self, executors, corpus) -> None:
+        """The cover policy is a function of the coding (Section 5.2): on
+        root-split only ``min-rc`` is exact, and an ``optimal`` cover there
+        gave wrong answers without a warning, so no caller may choose one."""
+        import inspect
+
+        from repro.core.segments import SegmentSet
+        from repro.service.service import QueryService
+
+        index = executors[("root-split", 2)].index
+        for constructor in (QueryExecutor, QueryService):
+            assert "strategy" not in inspect.signature(constructor).parameters
+            with pytest.raises(TypeError, match="strategy"):
+                constructor(SegmentSet.of(index, corpus), strategy="optimal")

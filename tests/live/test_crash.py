@@ -290,6 +290,66 @@ def test_a_directory_fsync_that_fails_after_the_manifest_rename_keeps_the_commit
         reopened.close()
 
 
+@pytest.mark.parametrize("failing", ["rename", "directory fsync"])
+def test_a_wal_swap_that_fails_after_the_manifest_rename_keeps_the_commit(
+    tmp_path, tiny_corpus, monkeypatch, failing
+) -> None:
+    """One step later again: the manifest is renamed and durable, and then
+    the new WAL's rename (or the directory fsync after it) fails.  The
+    commit stands -- the index moves to the new epoch and the compaction
+    raises -- and no op is acked into a log a reopen would discard: with the
+    new log in place an add is acked and replays, without it every write
+    raises ``WalError`` until the index is reopened."""
+    from repro.core.manifest import Manifest
+    from repro.live import wal as wal_module
+    from repro.live.wal import WalError, WriteAheadLog
+
+    trees = list(tiny_corpus)
+    live = LiveIndex.create(str(tmp_path / "swap"), mss=2, coding="root-split", trees=trees[:6])
+    manifest_path = live.manifest_path
+    try:
+        for tree in trees[6:10]:
+            live.add_tree(tree.root)
+        live.delete_tree(2)
+        survivors = live.store.tids()
+
+        def broken(*args) -> None:
+            raise OSError("input/output error")
+
+        if failing == "rename":
+            monkeypatch.setattr(WriteAheadLog, "move_to", broken)
+        else:
+            monkeypatch.setattr(wal_module, "fsync_path", broken)
+        with pytest.raises(OSError, match="input/output error"):
+            live.compact()
+        monkeypatch.undo()
+        assert live.epoch == Manifest.load(manifest_path).epoch == 1 and live.wal.epoch == 1
+        assert live.store.tids() == survivors and not live.tombstones
+
+        if failing == "rename":
+            with pytest.raises(WalError, match="reopen the index"):
+                live.add_tree(trees[10].root)
+            with pytest.raises(WalError, match="reopen the index"):
+                live.delete_tree(0)
+            assert live.store.tids() == survivors
+            expected = survivors
+        else:
+            expected = survivors + [live.add_tree(trees[10].root)]
+    finally:
+        live.close()
+    reopened = LiveIndex.open(manifest_path)
+    try:
+        assert reopened.epoch == 1 and reopened.store.tids() == expected
+        acked = reopened.add_tree(trees[11].root)  # the reopened index writes again
+    finally:
+        reopened.close()
+    again = LiveIndex.open(manifest_path)
+    try:
+        assert again.store.tids() == expected + [acked]
+    finally:
+        again.close()
+
+
 def test_crash_leaves_wal_side_file(tmp_path, tiny_corpus) -> None:
     """A leftover ``.wal.next`` from an aborted compaction is cleaned up."""
     live = LiveIndex.create(

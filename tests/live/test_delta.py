@@ -8,13 +8,14 @@ from repro.coding.base import get_coding
 from repro.coding.postings import PostingColumns
 from repro.core.index import SubtreeIndex
 from repro.live.delta import DeltaSegment
-from repro.trees.penn import to_penn
+from repro.trees.penn import scan_penn, to_penn
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 
 
 def _add(delta: DeltaSegment, tree) -> None:
-    delta.add_tree(tree, to_penn(tree.root).encode("utf-8"))
+    record, numbering = scan_penn(to_penn(tree.root))
+    delta.add_tree(tree.tid, record.encode("utf-8"), numbering)
 
 
 def _columns(postings: PostingColumns) -> tuple:

@@ -25,7 +25,7 @@ from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import QueryExecutor
 from repro.live import LiveIndex
 from repro.trees.node import Node, ParseTree
-from repro.trees.penn import parse_penn
+from repro.trees.penn import parse_penn, to_penn
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
 
@@ -486,6 +486,39 @@ class TestLabelsWithoutAPennForm:
             with pytest.raises(ValueError, match=re.escape(repr(label))):
                 store.append(ParseTree(root, tid=0))
             assert len(store) == 0
+
+
+class TestEveryFormOfAnAdd:
+    """An add reads Penn text once; a tree of nodes is rendered to it first.
+    Text, a root node and a parse tree of one tree log the same line and put
+    the same rows in the delta."""
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_text_a_node_and_a_parse_tree_add_the_same(self, tmp_path, tiny_corpus, coding) -> None:
+        texts = [
+            "  ( (S (NP (DT the) (NN dog))\n (VP (VBZ barks)) ) )",  # wrapped, spread over lines
+            "X",
+            "(A (B) (C d))",
+            *(to_penn(tree.root) for tree in list(tiny_corpus)[:6]),
+        ]
+        forms = {
+            "text": texts,
+            "node": [parse_penn(text) for text in texts],
+            "parse tree": [ParseTree(parse_penn(text), tid=99) for text in texts],
+        }
+        held = {}
+        for form, trees in forms.items():
+            live = LiveIndex.create(str(tmp_path / form.replace(" ", "-")), MSS, coding, fsync=False)
+            try:
+                assert [live.add_tree(tree) for tree in trees] == list(range(len(texts)))
+                with open(live.wal.path, "rb") as handle:
+                    log = handle.read()
+                delta = live.delta
+                held[form] = (log, dict(delta.trees.records), list(delta.encoded_lists()), list(delta.items()))
+            finally:
+                live.close()
+        assert held["text"] == held["node"] == held["parse tree"]
+        assert list(held["text"][1].values()) == [to_penn(parse_penn(text)).encode("utf-8") for text in texts]
 
 
 class TestCompactionIsAMerge:

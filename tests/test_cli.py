@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.core.index import SubtreeIndex
 from repro.corpus.store import data_file_path
+from repro.live import LiveIndex
 
 
 @pytest.fixture()
@@ -202,6 +203,29 @@ class TestLive:
         bad.write_text("(NP ((BAD\n", encoding="utf-8")
         assert main(["add", live_manifest, str(bad)]) == 2
         assert "cannot read corpus" in capsys.readouterr().err
+
+    def test_add_checks_every_line_before_adding_one(self, live_manifest, tmp_path, capsys) -> None:
+        """A malformed line anywhere in the file: exit 2, nothing added."""
+        bad = tmp_path / "late.penn"
+        bad.write_text("(S (NP (NN cats)) (VP (VBP purr)))\n# note\n\n(NP (DT the)))\n", encoding="utf-8")
+        assert main(["add", live_manifest, str(bad)]) == 2
+        assert "unbalanced ')' (at position 13)" in capsys.readouterr().err
+        live = LiveIndex.open(live_manifest)
+        try:
+            assert live.wal.op_count == 0 and live.delta.tree_count == 0
+        finally:
+            live.close()
+        good = tmp_path / "good.penn"
+        good.write_text("  ( (S (NP (NN cats)) (VP (VBP purr))))\n# note\n(X)\n", encoding="utf-8")
+        assert main(["add", live_manifest, str(good)]) == 0
+        assert "added 2 trees" in capsys.readouterr().out
+        live = LiveIndex.open(live_manifest)
+        try:
+            assert [live.delta.trees.record(tid) for tid in live.delta.trees.tids()] == [
+                b"(ROOT (S (NP (NN cats)) (VP (VBP purr))))", b"(X)",
+            ]
+        finally:
+            live.close()
 
     def test_add_to_non_live_index_is_friendly(self, index_file, extra_file, capsys) -> None:
         assert main(["add", index_file, extra_file]) == 2

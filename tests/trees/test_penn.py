@@ -5,9 +5,12 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.trees.node import Node, ParseTree
-from repro.trees.penn import PennSyntaxError, parse_penn, parse_penn_corpus, to_penn
+from repro.core.enumeration import number
+from repro.trees.node import Node, ParseTree, build_tree
+from repro.trees.penn import PennSyntaxError, parse_penn, parse_penn_corpus, scan_penn, to_penn
 
 
 class TestParsePenn:
@@ -69,6 +72,106 @@ class TestParsePenn:
         with pytest.raises(PennSyntaxError) as excinfo:
             parse_penn("(NP (DT the)")
         assert excinfo.value.position >= 0
+
+    #: ``(text, message, position)`` as the character-by-character tokenizer
+    #: that ``scan_penn`` replaced reported them.
+    MALFORMED = [
+        ("", "empty input", 0),
+        ("   ", "empty input", 0),
+        ("\n\t", "empty input", 0),
+        ("(", "unexpected end of input after '('", 0),
+        (")", "unbalanced ')'", 0),
+        ("(NP", "unbalanced '(': missing closing bracket", 3),
+        ("(NP (DT the)))", "unbalanced ')'", 13),
+        ("()", "empty constituent '()'", 1),
+        ("( )", "empty constituent '()'", 2),
+        ("stray (NP (DT the))extra)", "unexpected token 'stray' outside brackets", 0),
+        ("(A) (B)", "multiple root constituents", 4),
+        ("(A)(B)", "multiple root constituents", 3),
+        ("(A) B", "unexpected token 'B' outside brackets", 4),
+        ("A B", "unexpected token 'A' outside brackets", 0),
+        ("( (", "unexpected end of input after '('", 2),
+        ("((A)", "unbalanced '(': missing closing bracket", 4),
+        ("(A ())", "empty constituent '()'", 4),
+        ("(()", "empty constituent '()'", 2),
+        ("(A B", "unbalanced '(': missing closing bracket", 4),
+        ("\n(A\n (B c))\n)", "unbalanced ')'", 12),
+        (")(A)", "unbalanced ')'", 0),
+        ("(A (B c)) )", "unbalanced ')'", 10),
+        ("(A\t(B", "unbalanced '(': missing closing bracket", 5),
+        ("(A (B c) ( ))", "empty constituent '()'", 11),
+        ("  ( ( ", "unexpected end of input after '('", 4),
+        ("x)", "unexpected token 'x' outside brackets", 0),
+        ("(A))(", "unbalanced ')'", 3),
+        ("(A (B c)))(D)", "unbalanced ')'", 9),
+    ]
+
+    @pytest.mark.parametrize("text, message, position", MALFORMED)
+    def test_malformed_input_is_named_where_it_breaks(self, text: str, message: str, position: int) -> None:
+        for read in (scan_penn, parse_penn):
+            with pytest.raises(PennSyntaxError) as excinfo:
+                read(text)
+            assert (str(excinfo.value), excinfo.value.position) == (f"{message} (at position {position})", position)
+
+
+#: Labels are Penn tokens: no whitespace, no bracket.
+_labels = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"), blacklist_characters="()"),
+    min_size=1, max_size=4,
+).filter(lambda label: not any(char.isspace() for char in label))
+_trees = st.recursive(
+    _labels.map(lambda label: (label, [])),
+    lambda children: st.tuples(_labels, st.lists(children, min_size=1, max_size=4)),
+    max_leaves=15,
+)
+#: Any run of whitespace a reader must skip, newlines included.
+_space = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\u00a0\u2028\u3000"), max_size=3)
+
+
+@st.composite
+def _written(draw, root: Node) -> str:
+    """*root* in bracketed form with whitespace drawn around every token; a
+    leaf is written bare or bracketed, at random."""
+    if not root.children and root.parent is not None and draw(st.booleans()):
+        return root.label
+    parts = ["(", draw(_space), root.label]
+    for child in root.children:
+        parts += [draw(_space) + " ", draw(_written(child))]
+    return "".join(parts + [draw(_space), ")"])
+
+
+class TestScanPenn:
+    """``scan_penn`` reads what ``parse_penn`` + ``to_penn`` + ``number``
+    read, in one pass: the same record and the same numbering."""
+
+    @staticmethod
+    def _check(text: str, tree: Node) -> None:
+        record, numbering = scan_penn(text)
+        assert record == to_penn(tree) == to_penn(parse_penn(text))
+        assert numbering == number(tree) == number(parse_penn(text))
+
+    @given(_trees, st.data())
+    def test_scan_reads_what_the_parse_render_and_number_read(self, shape, data) -> None:
+        tree = build_tree(shape)
+        text = data.draw(_space) + data.draw(_written(tree)) + data.draw(_space)
+        self._check(text, tree)
+        # The anonymous wrapper some parsers write is a ROOT above the tree.
+        self._check(f"({data.draw(_space)}{text})", Node("ROOT", [build_tree(shape)]))
+
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            ("X", Node("X")),  # a bare label: a tree of one node, as written before brackets
+            ("\n  X\t", Node("X")),
+            ("(X)", Node("X")),
+            ("( X )", Node("X")),
+            ("( (X))", Node("ROOT", [Node("X")])),
+            ("((A (B c)))", Node("ROOT", [build_tree(("A", [("B", ["c"])]))])),
+            ("(A (B) (C d) e)", build_tree(("A", ["B", ("C", ["d"]), "e"]))),
+        ],
+    )
+    def test_scan_of_small_and_wrapped_trees(self, text: str, tree: Node) -> None:
+        self._check(text, tree)
 
 
 class TestLabelsWithoutAPennForm:
