@@ -1,6 +1,6 @@
 """Baseline systems the paper compares against.
 
-All four baselines answer the same question as the subtree index -- "which
+All three baselines answer the same question as the subtree index -- "which
 trees match this query, and at which nodes?" -- with different storage and
 evaluation strategies:
 
@@ -8,8 +8,6 @@ evaluation strategies:
   inverted index over single node labels with interval codes, evaluated with
   MPMGJN structural joins (the paper's main relational baseline, and the
   ``mss = 1`` boundary case of the subtree index).
-* :mod:`repro.baselines.tgrep_scan` -- a TGrep2 / CorpusSearch style
-  full-scan engine: load the corpus in memory, match every tree.
 * :mod:`repro.baselines.atreegrep` -- an ATreeGrep-style index: root-to-leaf
   paths in a suffix-array-like path index plus a node/edge pre-filter, with
   candidate post-validation.
@@ -21,11 +19,9 @@ evaluation strategies:
 from repro.baselines.atreegrep import ATreeGrepIndex
 from repro.baselines.frequency_based import FrequencyBasedIndex
 from repro.baselines.node_index import NodeIntervalIndex
-from repro.baselines.tgrep_scan import TGrepScanner
 
 __all__ = [
     "NodeIntervalIndex",
-    "TGrepScanner",
     "ATreeGrepIndex",
     "FrequencyBasedIndex",
 ]

@@ -51,7 +51,6 @@ class NodeIntervalIndex:
         ]
         btree = BPlusTree(path)
         btree.bulk_load(items)
-        btree.flush()
         return cls(btree)
 
     @classmethod

@@ -25,9 +25,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 from repro import obs
 from repro.bench.context import ExperimentContext
 from repro.bench.registry import REPORTED, STEADY_STATE, TIMING, experiment
-from repro.coding import get_coding
 from repro.core.enumeration import subtree_count_by_root_branching
-from repro.core.index import accumulate_posting_lists, encode_posting_lists, numbered
 from repro.core.segments import SegmentSet
 from repro.core.stats import count_postings, count_unique_keys
 from repro.corpus.generator import CorpusGenerator
@@ -38,7 +36,6 @@ from repro.query.model import QueryTree
 from repro.serve.loadgen import LoadgenReport, profile_mix, run_load, run_open_loop
 from repro.serve.server import ServerThread, result_to_dict
 from repro.service.service import QueryService
-from repro.storage.bptree import BPlusTree
 from repro.workloads.binning import MATCH_BINS, average, bin_for_match_count, group_by_query_size
 from repro.workloads.wh import WH_GROUPS, wh_queries_by_group
 
@@ -968,50 +965,3 @@ def ablation_cover_selection(
         elif matches != baseline_matches:
             raise AssertionError(f"policy {policy!r} changed query results")
         yield policy, average(seconds), sum(matches.values())
-
-
-@experiment(
-    title="Ablation: B+Tree loading strategy",
-    description="Building the index B+Tree by sorted bulk load vs one insert per key",
-    variables={"strategy": REPORTED},
-    values={"seconds": TIMING, "file_bytes": "lower", "height": "exact"},
-    notes=("both strategies must answer sampled lookups identically (checked)",),
-)
-def ablation_storage(
-    context: ExperimentContext, sentences: int = 300, mss: int = 3, coding: str = "root-split"
-) -> Iterator[Row]:
-    """Building the index B+Tree by sorted bulk load vs one insert per key.
-
-    The subtree index bulk-loads its B+Tree from key-sorted posting lists
-    (the paper builds once over a static corpus); this quantifies what that
-    buys over naive per-key inserts and checks both strategies answer
-    lookups identically.
-    """
-    scheme = get_coding(coding)
-    bodies, _ = accumulate_posting_lists(numbered(context.corpus(sentences)), mss, scheme)
-    items = list(encode_posting_lists(bodies, scheme))
-
-    trees: List[BPlusTree] = []
-    try:
-        for strategy, stem in (("bulk load (sorted)", "bulk"), ("per-key inserts", "insert")):
-            path = os.path.join(context.workdir, f"ablation-{sentences}-{mss}-{stem}.bpt")
-            if os.path.exists(path):
-                os.remove(path)
-            started = time.perf_counter()
-            tree = BPlusTree(path)
-            if stem == "bulk":
-                tree.bulk_load(items)
-            else:
-                for key, value in items:
-                    tree.insert(key, value)
-            seconds = time.perf_counter() - started
-            trees.append(tree)
-            yield strategy, seconds, tree.size_bytes(), tree.height
-
-        # Both trees must answer lookups identically (sampled).
-        bulk, inserted = trees
-        for key, value in items[:: max(1, len(items) // 200)]:
-            assert bulk.get(key) == value == inserted.get(key)
-    finally:
-        for tree in trees:
-            tree.close()

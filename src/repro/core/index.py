@@ -30,10 +30,9 @@ _META_KEY = b"\x00__si_meta__"
 
 #: Fixed byte length of the serialised metadata record.  The record is
 #: written twice -- during the bulk load with ``build_seconds=0.0`` and
-#: again with the measured time -- and the B+Tree replaces an equal-length
-#: payload in place.  Without padding the second write could overflow the
-#: tightly packed leaf and split a page, making the index *file size*
-#: depend on how many digits the build time happened to have.
+#: again with the measured time -- and ``BPlusTree.overwrite`` replaces a
+#: value only with one of the same length, so that no page of the tightly
+#: packed tree moves for the digits of a build time.
 _META_RECORD_LENGTH = 256
 
 
@@ -96,7 +95,7 @@ def accumulate_posting_lists(
     tids (:class:`~repro.coding.base.CodingScheme`).  The one loop behind an
     index build (over :func:`numbered` node trees), a live delta's
     ``add_tree`` (one tree, numbered by :func:`~repro.trees.penn.scan_penn`)
-    and the storage ablation.  Trees must arrive in ascending tid order,
+    and a shard worker.  Trees must arrive in ascending tid order,
     which keeps every list tid-ascending by construction.
     """
     bodies: Dict[str, List[int]] = {}
@@ -194,9 +193,7 @@ class SubtreeIndex:
         btree = BPlusTree(path)
         btree.bulk_load(items)
         metadata.build_seconds = time.perf_counter() - started
-        # Re-write the metadata record with the final build time.
-        btree.insert(_META_KEY, metadata.to_json())
-        btree.flush()
+        btree.overwrite(_META_KEY, metadata.to_json())  # the final build time
         return cls(btree, coding, metadata)
 
     @classmethod

@@ -248,19 +248,25 @@ def is_manifest(path: str) -> bool:
     return any(name.encode("ascii") in head for name in _READERS)
 
 
-def segment_file_names(manifest_path: str, segment_id: int, frozen: bool = False) -> Tuple[str, str]:
+def segment_file_names(
+    manifest_path: str, segment_id: int, shard_epoch: Optional[int] = None
+) -> Tuple[str, str]:
     """The conventional (index, data) filenames of one segment.
 
     ``corpus.live.json`` -> ``corpus.seg000`` / ``corpus.seg000.data``, whose
-    ids are never reused; a *frozen* bundle's ``corpus.si.manifest.json`` ->
-    ``corpus.si.shard00`` / ``.shard00.data``.  Both are relative to the
-    manifest's directory.
+    ids are never reused.  A frozen bundle's shard is named after the epoch
+    of the build that writes it, so a rebuild never touches a file the
+    manifest it replaces names: ``corpus.si.manifest.json`` ->
+    ``corpus.si.shard00`` / ``.shard00.data`` at *shard_epoch* 0,
+    ``corpus.si.e1.shard00`` at 1.  Both are relative to the manifest's
+    directory.
     """
     base = os.path.basename(manifest_path)
-    if frozen:
-        index_name = f"{base.removesuffix(MANIFEST_SUFFIX)}.shard{segment_id:02d}"
-    else:
+    if shard_epoch is None:
         index_name = f"{base.removesuffix(LIVE_SUFFIX)}.seg{segment_id:03d}"
+    else:
+        stem = base.removesuffix(MANIFEST_SUFFIX) + (f".e{shard_epoch}" if shard_epoch else "")
+        index_name = f"{stem}.shard{segment_id:02d}"
     return index_name, index_name + ".data"
 
 

@@ -173,7 +173,7 @@ def write_segment(
     encoded: Iterable[Tuple[bytes, bytes]],
     records: Iterable[Tuple[int, bytes]],
     started: float,
-    frozen: bool = False,
+    shard_epoch: Optional[int] = None,
     fsync: bool = True,
 ) -> Source:
     """Write segment *segment_id* beside *manifest_path* -- the one writer of
@@ -183,10 +183,11 @@ def write_segment(
     copied into the data file; *encoded* their ``(key, encoded list)`` stream
     in key order, for :meth:`SubtreeIndex.write_posting_lists`.  With *fsync*
     both files are on disk before this returns.  Build times count from
-    *started*; *frozen* names the files as a shard's.
+    *started*; a *shard_epoch* names the files as a shard of a sharded
+    build at that epoch (:func:`segment_file_names`).
     """
     directory = os.path.dirname(os.path.abspath(manifest_path))
-    index_name, data_name = segment_file_names(manifest_path, segment_id, frozen=frozen)
+    index_name, data_name = segment_file_names(manifest_path, segment_id, shard_epoch)
     index_path, data_path = os.path.join(directory, index_name), os.path.join(directory, data_name)
     for stale in (index_path, data_path):  # a file left there is replaced, never appended to
         if os.path.exists(stale):

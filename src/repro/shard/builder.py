@@ -6,7 +6,10 @@ the one segment writer (:func:`repro.core.segments.write_segment`, which
 fsyncs both files), then commits them as a live index commits a compaction:
 :meth:`repro.core.manifest.Manifest.commit` puts the manifest (the
 partitioner recorded in it) over the old one in a single rename and only then
-removes the files the replaced manifest listed and the new one does not.
+removes the files the replaced manifest listed and the new one does not.  A
+rebuild bumps the epoch and names its files after it, so until that rename
+the old manifest's files stay as they were; a build that fails removes what
+it wrote.
 Workers are separate *processes*
 (:class:`concurrent.futures.ProcessPoolExecutor`): subtree enumeration and
 posting encoding are pure Python and CPU-bound, so threads would serialise
@@ -28,15 +31,17 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
 from repro.core.index import accumulate_posting_lists, encode_posting_lists
-from repro.core.manifest import MANIFEST_SUFFIX, Manifest, SegmentEntry
+from repro.core.manifest import (
+    MANIFEST_SUFFIX, Manifest, ManifestError, SegmentEntry, UnsyncedCommit, segment_file_names,
+)
 from repro.core.segments import write_segment
 from repro.shard.partitioner import Partitioner, get_partitioner
 from repro.trees.node import ParseTree
 from repro.trees.penn import scan_penn, to_penn
 
-#: One shard's build order: (manifest path, shard id, mss, coding name,
-#: records), where records are ``(tid, UTF-8 Penn line)`` pairs.
-_ShardJob = Tuple[str, int, int, str, List[Tuple[int, bytes]]]
+#: One shard's build order: (manifest path, shard id, build epoch, mss,
+#: coding name, records), where records are ``(tid, UTF-8 Penn line)`` pairs.
+_ShardJob = Tuple[str, int, int, int, str, List[Tuple[int, bytes]]]
 
 
 def _build_shard(job: _ShardJob) -> SegmentEntry:
@@ -47,14 +52,14 @@ def _build_shard(job: _ShardJob) -> SegmentEntry:
     are.  Module-level (not a closure) so :mod:`pickle` can ship it to the
     pool.
     """
-    manifest_path, shard_id, mss, coding_name, records = job
+    manifest_path, shard_id, epoch, mss, coding_name, records = job
     started = time.perf_counter()
     coding = get_coding(coding_name)
     numbered = ((tid, scan_penn(record.decode("utf-8"))[1]) for tid, record in records)
     bodies, _ = accumulate_posting_lists(numbered, mss, coding)
     shard = write_segment(
         manifest_path, shard_id, mss, coding, encode_posting_lists(bodies, coding), records, started,
-        frozen=True,
+        shard_epoch=epoch,
     )
     shard.close()
     return shard.entry
@@ -113,26 +118,44 @@ def build_sharded(
         path = path + MANIFEST_SUFFIX
 
     started = time.perf_counter()
+    try:  # a rebuild names its files after the next epoch: none the current manifest names
+        epoch = Manifest.load(path).epoch + 1
+    except ManifestError:
+        epoch = 0
     per_shard = partition_corpus(trees, partitioner)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     jobs: List[_ShardJob] = [
-        (path, shard_id, mss, coding_name, [(tree.tid, to_penn(tree.root).encode("utf-8")) for tree in trees])
+        (path, shard_id, epoch, mss, coding_name,
+         [(tree.tid, to_penn(tree.root).encode("utf-8")) for tree in trees])
         for shard_id, trees in enumerate(per_shard)
     ]
-    if workers == 1 or shards == 1:
-        entries = [_build_shard(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_build_shard, jobs))
-
-    manifest = Manifest(
-        mss=mss,
-        coding=coding_name,
-        next_tid=max((shard[-1].tid for shard in per_shard if shard), default=-1) + 1,
-        next_segment_id=shards,
-        segments=entries,
-        partitioner=partitioner.name,
-        build_seconds=time.perf_counter() - started,
-    )
-    manifest.commit(path)
+    try:
+        if workers == 1 or shards == 1:
+            entries = [_build_shard(job) for job in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                entries = list(pool.map(_build_shard, jobs))
+        manifest = Manifest(
+            mss=mss,
+            coding=coding_name,
+            epoch=epoch,
+            next_tid=max((shard[-1].tid for shard in per_shard if shard), default=-1) + 1,
+            next_segment_id=shards,
+            segments=entries,
+            partitioner=partitioner.name,
+            build_seconds=time.perf_counter() - started,
+        )
+        manifest.commit(path)
+    except UnsyncedCommit:  # the new manifest is in place and names the new files
+        raise
+    except BaseException:
+        # No manifest names what this build wrote: remove it, leave the current bundle.
+        for shard_id in range(shards):
+            for name in segment_file_names(path, shard_id, epoch):
+                try:
+                    os.remove(os.path.join(directory, name))
+                except OSError:
+                    pass
+        raise
     return path

@@ -9,17 +9,19 @@ keeping leaf pages balanced; a leaf stores each key as the suffix the key
 before it does not share (``docs/architecture.md`` has both page layouts and
 the v1 ones this reader still opens).
 
-The tree supports point lookups, ordered iteration, prefix scans, single-key
-insertion (with node splits) and sorted bulk loading, which is what index
-construction uses.
+A tree is written once, as the paper builds its index once over a static
+corpus: :meth:`BPlusTree.bulk_load` writes a new file from key-sorted pairs,
+and a tree opened from an existing file is read-only -- point lookups,
+ordered iteration and prefix scans.  The one write after the load is
+:meth:`BPlusTree.overwrite`, which swaps an inline value for one of the same
+length in its leaf, so no page splits or moves.
 
 Nodes are parsed once: the decoded :class:`_Leaf` / :class:`_Internal` image
 of a page is what the pager keeps resident for it (see
 :mod:`repro.storage.pager`), so a warm lookup is two ``bisect`` calls over
-ready lists rather than a re-parse of every record on the path.  An image is
-never mutated once resident -- writers build a new one and the ``_write_*``
-methods install what they serialised -- so a scan may hold one across
-``yield`` and readers always see what the file holds.
+ready lists rather than a re-parse of every record on the path.  Once the
+file is written an image is what its page holds for as long as it is
+resident, so a scan may hold one across ``yield``.
 """
 
 from __future__ import annotations
@@ -124,7 +126,8 @@ class ProbeStats:
 
 
 class _Leaf:
-    """In-memory image of a leaf page (read-only once resident)."""
+    """In-memory image of a leaf page (read-only once resident, but for the
+    value :meth:`BPlusTree.overwrite` swaps while the tree is being written)."""
 
     __slots__ = ("keys", "values", "next_leaf")
 
@@ -255,8 +258,9 @@ class BPlusTree:
     Parameters
     ----------
     path:
-        File backing the tree.  An existing file is opened, a missing one is
-        initialised with an empty tree.
+        File backing the tree.  An existing file is opened read-only; a
+        missing one is created holding an empty tree, for one
+        :meth:`bulk_load`.
     page_size:
         Page size in bytes (default 4096, as in the paper's setup).
     """
@@ -265,30 +269,27 @@ class BPlusTree:
         self.pager = Pager(path, page_size=page_size)
         self._overflow_threshold = page_size // 4
         # (page, bytes used) where the overflow stream ends; a full page, which
-        # a tree just opened starts from, makes the next long value open one.
+        # a new tree starts from, makes the first long value open one.
         self._stream_end = (0, page_size - _OVERFLOW_HEADER.size)
         #: Lookup counters (gets / cache hits / tree descents / node decodes).
         self.probe_stats = ProbeStats()
         # Lookups share one file handle (seek + read is not atomic) and the
         # pager's resident pages, whose recency order every access updates,
-        # so `get` calls, inserts and each step of a scan serialise on this
-        # lock.  The posting cache above the tree answers its hits without
-        # coming here, which is what makes a warm cache scale across threads.
+        # so `get` calls and each step of a scan serialise on this lock.  The
+        # posting cache above the tree answers its hits without coming here,
+        # which is what makes a warm cache scale across threads.
         self._descent_lock = threading.Lock()
-        meta = self.pager.read(0)
-        magic, root, height, count = _META.unpack_from(meta, 0)
-        if magic == MAGIC:
-            self._root = root
-            self._height = height
-            self._count = count
-        elif magic == b"\x00\x00\x00\x00":
-            root_page = self.pager.allocate()
-            self._root = root_page
+        if self.pager.writable:
+            self._root = self.pager.allocate()
             self._height = 1
             self._count = 0
-            self._write_leaf(root_page, _Leaf())
+            self._write_leaf(self._root, _Leaf())
             self._write_meta()
-        else:
+            return
+        meta = self.pager.read(0) if self.pager.page_count else bytes(_META.size)  # an empty file
+        magic, self._root, self._height, self._count = _META.unpack_from(meta, 0)
+        if magic != MAGIC:
+            self.pager.close()
             raise BPlusTreeError(f"not a B+Tree file: bad magic {magic!r}")
 
     # ------------------------------------------------------------------
@@ -333,14 +334,8 @@ class BPlusTree:
         return census
 
     def close(self) -> None:
-        """Flush and close the backing file."""
-        self._write_meta()
+        """Close the backing file (everything was written when it was loaded)."""
         self.pager.close()
-
-    def flush(self) -> None:
-        """Flush metadata and dirty pages to disk."""
-        self._write_meta()
-        self.pager.flush()
 
     def __enter__(self) -> "BPlusTree":
         return self
@@ -469,28 +464,17 @@ class BPlusTree:
         """Serialised size of an internal node: its length-prefixed keys and one more child."""
         return 1 + varint_size(key_count) + key_bytes + _UINT32.size * (key_count + 1)
 
-    def _internal_fits(self, node: _Internal) -> bool:
-        key_bytes = sum(map(_prefixed_size, node.keys))
-        return self._internal_size(len(node.keys), key_bytes) <= self.pager.page_size
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _find_leaf(self, key: bytes) -> Tuple[int, _Leaf, List[Tuple[int, _Internal, int]]]:
-        """Descend to the leaf responsible for *key*.
-
-        Returns the leaf page id, the leaf image and the path of
-        ``(page_id, internal_node, child_index)`` traversed, root first.
-        """
-        path: List[Tuple[int, _Internal, int]] = []
+    def _find_leaf(self, key: bytes) -> Tuple[int, _Leaf]:
+        """Descend to the leaf responsible for *key*: its page id and image."""
         page_id = self._root
         node = self._node(page_id)
         while isinstance(node, _Internal):
-            index = bisect_right(node.keys, key)
-            path.append((page_id, node, index))
-            page_id = node.children[index]
+            page_id = node.children[bisect_right(node.keys, key)]
             node = self._node(page_id)
-        return page_id, node, path
+        return page_id, node
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value stored under *key* or ``None`` (one tree descent)."""
@@ -513,7 +497,7 @@ class BPlusTree:
     def _get_from_tree(self, key: bytes, limit: Optional[int] = None) -> Optional[bytes]:
         """Point lookup; the caller must hold ``_descent_lock``."""
         self.probe_stats.tree_descents += 1
-        _, leaf, _ = self._find_leaf(key)
+        _, leaf = self._find_leaf(key)
         index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             is_overflow, payload = leaf.values[index]
@@ -531,94 +515,6 @@ class BPlusTree:
         return self.peek(key, 0) is not None
 
     # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-    def insert(self, key: bytes, value: bytes) -> None:
-        """Insert or replace the value stored under *key*.
-
-        Takes the descent lock for the whole update, so concurrent readers
-        never observe a mid-split tree.
-        """
-        if not isinstance(key, (bytes, bytearray)):
-            raise TypeError("keys must be bytes")
-        with self._descent_lock:
-            self._insert_locked(bytes(key), value)
-
-    def _insert_locked(self, key: bytes, value: bytes) -> None:
-        leaf_page, resident, path = self._find_leaf(key)
-        payload = self._store_value(value)
-        # Edit a copy: a scan may be holding the resident image, and a write
-        # that fails must leave it saying what the file says.
-        leaf = _Leaf(list(resident.keys), list(resident.values), resident.next_leaf)
-        index = bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            leaf.values[index] = payload
-        else:
-            leaf.keys.insert(index, key)
-            leaf.values.insert(index, payload)
-            self._count += 1
-
-        records = _leaf_records(leaf)
-        entry_sizes = list(map(len, records))
-        total = sum(entry_sizes)
-        if self._leaf_size(len(records), total) <= self.pager.page_size:
-            self._write_leaf(leaf_page, leaf, records)
-            self._write_meta()
-            return
-
-        # Split the leaf.  The split point balances *bytes*, not entry counts:
-        # posting lists vary wildly in size and a count-based split can leave
-        # one half still larger than a page.
-        accumulated = 0
-        mid = 1
-        for index, size in enumerate(entry_sizes[:-1]):
-            accumulated += size
-            if accumulated >= total // 2:
-                mid = index + 1
-                break
-        else:
-            mid = len(leaf.keys) // 2 or 1
-        right = _Leaf(leaf.keys[mid:], leaf.values[mid:], leaf.next_leaf)
-        left = _Leaf(leaf.keys[:mid], leaf.values[:mid], 0)
-        right_page = self.pager.allocate()
-        left.next_leaf = right_page
-        separator = right.keys[0]
-        self._write_leaf(leaf_page, left)
-        self._write_leaf(right_page, right)
-        self._insert_into_parent(path, leaf_page, separator, right_page)
-        self._write_meta()
-
-    def _insert_into_parent(
-        self,
-        path: List[Tuple[int, _Internal, int]],
-        left_page: int,
-        separator: bytes,
-        right_page: int,
-    ) -> None:
-        if not path:
-            # The split node was the root: grow the tree by one level.
-            new_root = self.pager.allocate()
-            self._write_internal(new_root, _Internal([separator], [left_page, right_page]))
-            self._root = new_root
-            self._height += 1
-            return
-        page_id, resident, child_index = path.pop()
-        node = _Internal(list(resident.keys), list(resident.children))
-        node.keys.insert(child_index, separator)
-        node.children.insert(child_index + 1, right_page)
-        if self._internal_fits(node):
-            self._write_internal(page_id, node)
-            return
-        mid = len(node.keys) // 2
-        push_up = node.keys[mid]
-        right = _Internal(node.keys[mid + 1:], node.children[mid + 1:])
-        left = _Internal(node.keys[:mid], node.children[:mid + 1])
-        right_page_id = self.pager.allocate()
-        self._write_internal(page_id, left)
-        self._write_internal(right_page_id, right)
-        self._insert_into_parent(path, page_id, push_up, right_page_id)
-
-    # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
     def _scan(self, start: bytes, wanted: Callable[[bytes], bool]) -> Iterator[Tuple[bytes, bytes]]:
@@ -626,10 +522,10 @@ class BPlusTree:
         for as long as ``wanted(key)`` holds.
 
         The lock is taken for each page fetched, never across a ``yield``:
-        the caller may use the tree, even write to it, between two pairs.
+        the caller may use the tree between two pairs.
         """
         with self._descent_lock:
-            _, leaf, _ = self._find_leaf(start)
+            _, leaf = self._find_leaf(start)
         index = bisect_left(leaf.keys, start)
         while True:
             for key, (is_overflow, payload) in islice(zip(leaf.keys, leaf.values), index, None):
@@ -663,24 +559,22 @@ class BPlusTree:
         return self._scan(low, lambda key: key < high)
 
     # ------------------------------------------------------------------
-    # Bulk loading
+    # Writing, once
     # ------------------------------------------------------------------
     def bulk_load(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
         """Build the tree bottom-up from key-sorted ``(key, value)`` pairs.
 
-        Bulk loading an empty tree is how index construction writes its
-        accumulated posting lists; it produces tightly packed pages and is
-        much faster than repeated inserts.
+        This is how index construction writes its accumulated posting lists,
+        into tightly packed pages, and the only way a tree gets its entries:
+        once, into the empty tree of a file this handle created.
         """
-        if self._count:
-            raise BPlusTreeError("bulk_load requires an empty tree")
+        if not self.pager.writable or self._count:
+            raise BPlusTreeError("a tree is written once: bulk_load needs the empty tree of a new file")
         # Checked before anything is written: a refused load leaves the file as it was.
         keys = [key for key, _ in items]
         if any(map(ge, keys, islice(keys, 1, None))):
             raise BPlusTreeError("bulk_load requires strictly increasing keys")
-
         if not items:
-            self._write_meta()
             return
 
         # Build the leaf level.  A record is encoded once, its length is its
@@ -746,4 +640,30 @@ class BPlusTree:
         self._root = level[0][1]
         self._height = height
         self._write_meta()
+        self.pager.flush()
+
+    def overwrite(self, key: bytes, value: bytes) -> None:
+        """Replace the inline value under *key* with *value* of the same length.
+
+        The one write after :meth:`bulk_load` -- an index build stamps its
+        metadata record with the build time -- and made to move nothing: the
+        record keeps its length, so its leaf neither splits nor shifts.  A
+        missing key, another length or a value in the overflow stream is
+        refused, as is any write to a tree opened from a file.
+        """
+        if not self.pager.writable:
+            raise BPlusTreeError("a tree opened from a file is read-only")
+        with self._descent_lock:
+            page_id, leaf = self._find_leaf(key)
+            index = bisect_left(leaf.keys, key)
+            if index == len(leaf.keys) or leaf.keys[index] != key:
+                raise BPlusTreeError(f"no value under {key!r} to overwrite")
+            is_overflow, payload = leaf.values[index]
+            if is_overflow or len(payload) != len(value):
+                raise BPlusTreeError(
+                    f"{key!r} holds {'an overflow value' if is_overflow else f'{len(payload)} bytes'}: "
+                    f"only an inline value of the same length is overwritten, not {len(value)} bytes"
+                )
+            leaf.values[index] = (False, bytes(value))
+            self._write_leaf(page_id, leaf)
         self.pager.flush()

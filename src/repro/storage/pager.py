@@ -36,7 +36,9 @@ class Pager:
     """Allocate, read and write fixed-size pages in a single file.
 
     Page 0 is reserved for the caller's metadata (the B+Tree stores its root
-    pointer there).  Pages are identified by their ordinal number.
+    pointer there).  Pages are identified by their ordinal number.  A new
+    file is created for writing; an existing one is opened read-only, so a
+    reader never changes a byte of it (nor its modification time).
     """
 
     def __init__(self, path: str | os.PathLike, page_size: int = PAGE_SIZE, cache_pages: int = 256):
@@ -48,16 +50,18 @@ class Pager:
         #: File reads performed (resident pages excluded) -- the cheap
         #: always-on I/O proxy the descent spans report deltas of.
         self.read_count = 0
-        existed = os.path.exists(self.path)
-        self._file = open(self.path, "r+b" if existed else "w+b")
+        #: ``True`` for a file this pager created, the only kind it writes.
+        self.writable = not os.path.exists(self.path)
+        self._file = open(self.path, "w+b" if self.writable else "rb")
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
         if size % page_size:
+            self._file.close()
             raise PageError(
                 f"file size {size} is not a multiple of the page size {page_size}"
             )
         self._page_count = size // page_size
-        if self._page_count == 0:
+        if self.writable:
             # Reserve the metadata page.
             self.allocate()
 

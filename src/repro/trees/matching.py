@@ -4,7 +4,7 @@ This module implements the reference matching semantics used in three places:
 
 * the *filtering phase* of the filter-based coding (post-validation of
   candidate trees),
-* the TGrep2-style full-scan baseline, and
+* the ATreeGrep-style and frequency-based baselines' post-validation, and
 * the test suite, where every index executor is checked against this
   implementation on the same corpus and queries.
 

@@ -1,4 +1,4 @@
-"""Tests for the four baseline systems.
+"""Tests for the three baseline systems.
 
 Every baseline must return exactly the matches of the reference matcher; the
 comparisons in Table 2 are only meaningful if all engines answer queries
@@ -14,7 +14,6 @@ import pytest
 from repro.baselines.atreegrep import ATreeGrepIndex
 from repro.baselines.frequency_based import FrequencyBasedIndex
 from repro.baselines.node_index import NodeIntervalIndex
-from repro.baselines.tgrep_scan import TGrepScanner
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
 from repro.query.parser import parse_query
@@ -42,24 +41,6 @@ def corpus() -> Corpus:
 @pytest.fixture(scope="module")
 def expected(corpus) -> Dict[str, Dict[int, int]]:
     return {text: match_corpus(parse_query(text).root, list(corpus)) for text in QUERY_TEXTS}
-
-
-class TestTGrepScanner:
-    def test_matches_reference(self, corpus, expected) -> None:
-        scanner = TGrepScanner(corpus)
-        for text in QUERY_TEXTS:
-            assert scanner.execute(parse_query(text)).matches_per_tree == expected[text]
-
-    def test_scans_whole_corpus(self, corpus) -> None:
-        scanner = TGrepScanner.from_trees(corpus)
-        result = scanner.execute(parse_query("NP"))
-        assert result.stats.candidates_filtered == len(corpus)
-        assert result.stats.coding == "tgrep-scan"
-
-    def test_execute_many(self, corpus) -> None:
-        scanner = TGrepScanner(corpus)
-        results = scanner.execute_many([parse_query("NP"), parse_query("VP")])
-        assert len(results) == 2
 
 
 class TestNodeIntervalIndex:

@@ -150,7 +150,7 @@ class TestScaling:
 class TestRegistry:
     def test_all_builtin_experiments_registered(self) -> None:
         names = experiment_names()
-        assert len(names) == len(set(names)) == 19
+        assert len(names) == len(set(names)) == 18
         for expected in (
             "figure2_index_keys",
             "figure8_index_size",
@@ -165,7 +165,6 @@ class TestRegistry:
             "shard_scalability",
             "update_throughput",
             "ablation_cover_selection",
-            "ablation_storage",
         ):
             assert expected in names
 

@@ -5,12 +5,14 @@
 rename by its destination -- and still do their work, so a test can check the
 commit order after the fact: every file a manifest names fsynced before the
 rename that put the manifest in place, the directory fsynced after it.
+:func:`file_states` is the other side: what a reader must leave as it was.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Set, Tuple
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
 
 import pytest
 
@@ -70,3 +72,12 @@ def assert_committed_durably(events: List[Tuple[str, str]], manifest_path: str) 
     assert named and named <= synced, sorted(named - synced)
     directory = os.path.dirname(os.path.realpath(manifest_path))
     assert ("fsync", directory) in events[swap + 1:]
+
+
+def file_states(directory: "os.PathLike[str]") -> Dict[str, Tuple[bytes, int]]:
+    """Every file of *directory* by name: its bytes and modification time
+    (ns) -- equal before and after a reader, which writes nothing."""
+    return {
+        entry.name: (Path(entry.path).read_bytes(), entry.stat().st_mtime_ns)
+        for entry in sorted(os.scandir(directory), key=lambda entry: entry.name)
+    }

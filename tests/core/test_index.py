@@ -41,7 +41,7 @@ class TestBuildAndOpen:
 
         path = str(tmp_path / "plain.bpt")
         tree = BPlusTree(path)
-        tree.insert(b"key", b"value")
+        tree.bulk_load([(b"key", b"value")])
         tree.close()
         with pytest.raises(ValueError):
             SubtreeIndex.open(path)
@@ -66,6 +66,52 @@ class TestBuildAndOpen:
     def test_metadata_round_trip(self) -> None:
         metadata = IndexMetadata(3, "root-split", 10, 100, 500, 1.5)
         assert IndexMetadata.from_json(metadata.to_json()) == metadata
+
+
+class TestAReaderWritesNothing:
+    """Opening, querying and closing an index changes no byte and no
+    modification time of any of its files (a tree opened from a file used to
+    rewrite its page 0 on close)."""
+
+    @staticmethod
+    def _write(flavor: str, directory, corpus: Corpus) -> str:
+        from repro.corpus.store import TreeStore, data_file_path
+        from repro.live import LiveIndex
+        from repro.shard import build_sharded
+
+        path = str(directory / "c.si")
+        if flavor == "plain":
+            SubtreeIndex.build(corpus, mss=3, coding="root-split", path=path).close()
+            TreeStore.build(data_file_path(path), corpus).close()
+            return path
+        if flavor == "sharded":
+            return build_sharded(corpus, 3, "root-split", path, shards=2, workers=1)
+        live = LiveIndex.create(path + ".live.json", 3, "root-split", trees=list(corpus), fsync=False)
+        live.close()
+        return live.manifest_path
+
+    @pytest.mark.parametrize("flavor", ["plain", "sharded", "live"])
+    def test_open_query_close(self, tmp_path, tiny_corpus: Corpus, flavor: str) -> None:
+        import os
+
+        from repro.core.segments import SegmentSet
+        from repro.exec.executor import QueryExecutor
+        from repro.query.parser import parse_query
+        from repro.service.service import QueryService
+        from tests.core.fsynckit import file_states
+
+        path = self._write(flavor, tmp_path, tiny_corpus)
+        for entry in os.scandir(tmp_path):
+            os.utime(entry.path, ns=(10**18, 10**18))  # an mtime no write could keep
+        before = file_states(tmp_path)
+        assert len(before) >= 2  # an index file and a data file at least
+        query = parse_query("S(NP(DT))(VP)")
+        with SegmentSet.open(path) as index:
+            found = QueryExecutor(index).execute(query).matches_per_tree
+            assert found and index.size_bytes() and index.has_key("NP(DT)")
+        with QueryService.open(path) as service:
+            assert service.run(query).matches_per_tree == found
+        assert file_states(tmp_path) == before
 
 
 class TestLookup:

@@ -283,10 +283,13 @@ class TestSniffing:
 
 class TestNaming:
     def test_a_frozen_bundles_shard_files(self) -> None:
-        assert segment_file_names("/some/dir/c.si.manifest.json", 3, frozen=True) == (
+        assert segment_file_names("/some/dir/c.si.manifest.json", 3, shard_epoch=0) == (
             "c.si.shard03", "c.si.shard03.data"
         )
-        assert segment_file_names("c.si", 0, frozen=True)[0] == "c.si.shard00"
+        assert segment_file_names("c.si", 0, shard_epoch=0)[0] == "c.si.shard00"
+        assert segment_file_names("c.si.manifest.json", 1, shard_epoch=2) == (
+            "c.si.e2.shard01", "c.si.e2.shard01.data"
+        )
 
     def test_a_live_bundles_segment_and_wal_files(self, tmp_path) -> None:
         path = str(tmp_path / ("corpus" + LIVE_SUFFIX))

@@ -213,21 +213,59 @@ class TestCommit:
         build_sharded(tiny_corpus, 2, "root-split", out, shards=4, workers=1)
         assert len(os.listdir(tmp_path)) == 1 + 1 + 2 * 4
         manifest_path = build_sharded(tiny_corpus, 2, "root-split", out, shards=2, workers=1)
+        # A rebuild writes files named after its epoch; the commit removes the old ones.
         assert sorted(os.listdir(tmp_path)) == [
-            "plain.si", "re.si.manifest.json", "re.si.shard00", "re.si.shard00.data",
-            "re.si.shard01", "re.si.shard01.data",
+            "plain.si", "re.si.e1.shard00", "re.si.e1.shard00.data",
+            "re.si.e1.shard01", "re.si.e1.shard01.data", "re.si.manifest.json",
         ]
         with SegmentSet.open(manifest_path) as sharded, plain:
             assert sharded.segment_count == 2 and sharded.metadata.tree_count == len(tiny_corpus)
+            assert sharded.epoch == 1
             assert [(key, list(postings)) for key, postings in sharded.items()] == [
                 (key, list(postings)) for key, postings in plain.items()
             ]
+        build_sharded(tiny_corpus, 2, "root-split", out, shards=3, workers=1)
+        assert sorted(os.listdir(tmp_path)) == ["plain.si"] + [
+            f"re.si.e2.shard0{shard}{suffix}" for shard in range(3) for suffix in ("", ".data")
+        ] + ["re.si.manifest.json"]
+
+    def test_a_failed_rebuild_leaves_the_old_bundle_answering_as_it_did(self, tmp_path, monkeypatch) -> None:
+        """A rebuild to the same path whose second shard fails writes no file
+        the current manifest names: its answers stay byte-identical (they used
+        to go wrong without warning, 278 matches for 280), and nothing of the
+        failed build is left."""
+        from repro.shard import builder
+        from repro.trees.matching import match_corpus
+
+        first = CorpusGenerator(seed=1).generate_list(200)
+        manifest_path = build_sharded(first, 3, "root-split", str(tmp_path / "s.si"), shards=2, workers=1)
+        query = parse_query("NP(DT)(NN)")
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        with SegmentSet.open(manifest_path) as sharded:
+            expected = QueryExecutor(sharded).execute(query).matches_per_tree
+        assert expected == match_corpus(query.root, first) and sum(expected.values()) == 280
+
+        build_shard = builder._build_shard
+
+        def failing(job):
+            if job[1] == 1:
+                raise OSError("no space left on device")
+            return build_shard(job)
+
+        monkeypatch.setattr(builder, "_build_shard", failing)
+        second = CorpusGenerator(seed=2).generate_list(200)
+        with pytest.raises(OSError, match="no space left"):
+            build_sharded(second, 3, "root-split", manifest_path, shards=2, workers=1)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+        with SegmentSet.open(manifest_path) as sharded:
+            assert QueryExecutor(sharded).execute(query).matches_per_tree == expected
 
     def test_a_failed_manifest_swap_leaves_the_old_bundle(self, tmp_path, tiny_corpus, monkeypatch) -> None:
         from repro.core.manifest import Manifest
 
         manifest_path = build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "keep.si"), 3, workers=1)
         before = open(manifest_path, "rb").read()
+        listed = sorted(os.listdir(tmp_path))
         with SegmentSet.open(manifest_path) as sharded:
             expected = [(key, list(postings)) for key, postings in sharded.items()]
 
@@ -239,6 +277,7 @@ class TestCommit:
             build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "keep.si"), 3, workers=1)
         monkeypatch.undo()
         assert open(manifest_path, "rb").read() == before
+        assert sorted(os.listdir(tmp_path)) == listed  # the failed build took its files away
         with SegmentSet.open(manifest_path) as sharded:  # nothing it lists was cleaned up
             assert sharded.segment_count == 3
             assert [(key, list(postings)) for key, postings in sharded.items()] == expected

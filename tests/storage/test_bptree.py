@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 
@@ -9,10 +10,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.storage.bptree import BPlusTree, BPlusTreeError
+from tests.core.fsynckit import file_states
 
 
 def _make(tmp_path, name: str = "tree.bpt", page_size: int = 4096) -> BPlusTree:
     return BPlusTree(str(tmp_path / name), page_size=page_size)
+
+
+def _loaded(tmp_path, items, name: str = "tree.bpt", page_size: int = 4096) -> BPlusTree:
+    """A new tree at *name* bulk-loaded with *items* (sorted here)."""
+    tree = _make(tmp_path, name, page_size)
+    tree.bulk_load(sorted(items))
+    return tree
 
 
 class TestBasicOperations:
@@ -22,83 +31,61 @@ class TestBasicOperations:
         assert tree.get(b"missing") is None
         assert list(tree.items()) == []
 
-    def test_insert_and_get(self, tmp_path) -> None:
-        tree = _make(tmp_path)
-        tree.insert(b"alpha", b"1")
-        tree.insert(b"beta", b"2")
+    def test_load_and_get(self, tmp_path) -> None:
+        tree = _loaded(tmp_path, [(b"alpha", b"1"), (b"beta", b"2")])
         assert tree.get(b"alpha") == b"1"
         assert tree.get(b"beta") == b"2"
         assert len(tree) == 2
 
-    def test_insert_replaces_existing(self, tmp_path) -> None:
-        tree = _make(tmp_path)
-        tree.insert(b"key", b"old")
-        tree.insert(b"key", b"new")
-        assert tree.get(b"key") == b"new"
-        assert len(tree) == 1
-
     def test_contains(self, tmp_path) -> None:
-        tree = _make(tmp_path)
-        tree.insert(b"present", b"x")
+        tree = _loaded(tmp_path, [(b"present", b"x")])
         assert b"present" in tree
         assert b"absent" not in tree
 
     def test_non_bytes_key_rejected(self, tmp_path) -> None:
         tree = _make(tmp_path)
         with pytest.raises(TypeError):
-            tree.insert("string", b"x")  # type: ignore[arg-type]
+            tree.bulk_load([("string", b"x")])  # type: ignore[list-item]
 
 
-class TestSplitsAndOrdering:
-    def test_many_inserts_cause_splits(self, tmp_path) -> None:
-        tree = _make(tmp_path, page_size=512)
+class TestLevelsAndOrdering:
+    def test_a_multi_level_tree_answers_every_key(self, tmp_path) -> None:
         items = {f"key{index:05d}".encode(): f"value{index}".encode() for index in range(500)}
-        for key, value in items.items():
-            tree.insert(key, value)
+        tree = _loaded(tmp_path, items.items(), page_size=512)
         assert tree.height > 1
         for key, value in items.items():
             assert tree.get(key) == value
 
     def test_items_are_sorted(self, tmp_path) -> None:
-        tree = _make(tmp_path, page_size=512)
         keys = [f"k{index:04d}".encode() for index in range(300)]
         random.Random(0).shuffle(keys)
-        for key in keys:
-            tree.insert(key, key)
-        listed = [key for key, _ in tree.items()]
-        assert listed == sorted(keys)
+        tree = _loaded(tmp_path, [(key, key) for key in keys], page_size=512)
+        assert [key for key, _ in tree.items()] == sorted(keys)
 
-    def test_random_insert_order(self, tmp_path) -> None:
+    def test_random_keys(self, tmp_path) -> None:
         rng = random.Random(42)
         pairs = {f"{rng.random():.10f}".encode(): str(index).encode() for index in range(400)}
-        tree = _make(tmp_path, page_size=512)
-        for key, value in pairs.items():
-            tree.insert(key, value)
+        tree = _loaded(tmp_path, pairs.items(), page_size=512)
         for key, value in pairs.items():
             assert tree.get(key) == value
 
 
 class TestLargeValues:
     def test_overflow_values_round_trip(self, tmp_path) -> None:
-        tree = _make(tmp_path)
         big = bytes(range(256)) * 200  # ~51 KB, far above a page
-        tree.insert(b"big", big)
-        tree.insert(b"small", b"tiny")
+        tree = _loaded(tmp_path, [(b"big", big), (b"small", b"tiny")])
         assert tree.get(b"big") == big
         assert tree.get(b"small") == b"tiny"
 
     def test_multiple_overflow_values(self, tmp_path) -> None:
-        tree = _make(tmp_path)
         values = {f"key{i}".encode(): bytes([i]) * (5000 + i * 1000) for i in range(8)}
-        for key, value in values.items():
-            tree.insert(key, value)
+        tree = _loaded(tmp_path, values.items())
         for key, value in values.items():
             assert tree.get(key) == value
 
     def test_overflow_value_visible_in_items(self, tmp_path) -> None:
-        tree = _make(tmp_path)
         big = b"z" * 20000
-        tree.insert(b"big", big)
+        tree = _loaded(tmp_path, [(b"big", big)])
         assert dict(tree.items())[b"big"] == big
 
 
@@ -106,8 +93,7 @@ class TestPersistence:
     def test_reopen_preserves_content(self, tmp_path) -> None:
         path = str(tmp_path / "persist.bpt")
         tree = BPlusTree(path)
-        for index in range(100):
-            tree.insert(f"key{index:03d}".encode(), f"value{index}".encode())
+        tree.bulk_load([(f"key{index:03d}".encode(), f"value{index}".encode()) for index in range(100)])
         tree.close()
         reopened = BPlusTree(path)
         assert len(reopened) == 100
@@ -119,27 +105,94 @@ class TestPersistence:
         path.write_bytes(b"NOTATREE" + b"\x00" * 4088)
         with pytest.raises(BPlusTreeError):
             BPlusTree(str(path))
+        path.write_bytes(b"")
+        with pytest.raises(BPlusTreeError, match="not a B\\+Tree file"):
+            BPlusTree(str(path))
+        assert path.read_bytes() == b""  # not initialised as an empty tree
+
+    def test_a_reopened_tree_is_read_and_never_written(self, tmp_path) -> None:
+        path = tmp_path / "tree.bpt"
+        _loaded(tmp_path, [(b"k%04d" % index, bytes(index % 200)) for index in range(600)], page_size=512).close()
+        os.utime(path, ns=(10**18, 10**18))  # an mtime no write could keep
+        before = file_states(tmp_path)
+        tree = BPlusTree(str(path), page_size=512)
+        assert tree.get(b"k0100") == bytes(100) and b"k0599" in tree
+        assert len(list(tree.items())) == 600 and tree.peek(b"k0199", 3) == bytes(3)
+        tree.page_census()
+        with pytest.raises(BPlusTreeError, match="written once"):
+            tree.bulk_load([(b"a", b"1")])
+        with pytest.raises(BPlusTreeError, match="read-only"):
+            tree.overwrite(b"k0001", b"\x01")
+        assert tree.get(b"k0001") == bytes(1)
+        tree.close()
+        assert file_states(tmp_path) == before
+
+    def test_a_reopened_empty_tree_refuses_a_load(self, tmp_path) -> None:
+        _make(tmp_path).close()
+        tree = _make(tmp_path)
+        with pytest.raises(BPlusTreeError, match="written once"):
+            tree.bulk_load([(b"a", b"1")])
+        assert len(tree) == 0 and list(tree.items()) == []
+        tree.close()
+
+
+class TestOverwrite:
+    """The one write after a load: an inline value for one of its length."""
+
+    def _tree(self, tmp_path) -> BPlusTree:
+        items = [(b"k%04d" % index, b"v%03d" % index) for index in range(400)] + [(b"long", b"l" * 2000)]
+        return _loaded(tmp_path, items, page_size=512)
+
+    def test_a_same_length_value_is_replaced_in_its_leaf(self, tmp_path) -> None:
+        tree = self._tree(tmp_path)
+        size, height = tree.size_bytes(), tree.height
+        pages = _pages(tree)
+        tree.overwrite(b"k0123", b"XYZW")
+        assert tree.get(b"k0123") == b"XYZW" and tree.get(b"k0122") == b"v122"
+        changed = [page for page, (old, new) in enumerate(zip(pages, _pages(tree))) if old != new]
+        assert len(changed) == 1 and (tree.size_bytes(), tree.height) == (size, height)
+        tree.close()
+        reopened = _make(tmp_path, page_size=512)
+        assert reopened.get(b"k0123") == b"XYZW" and len(reopened) == 401
+        reopened.close()
+
+    def test_a_missing_key_is_refused(self, tmp_path) -> None:
+        tree = self._tree(tmp_path)
+        with pytest.raises(BPlusTreeError, match="no value under"):
+            tree.overwrite(b"k0123x", b"XYZW")
+        tree.close()
+
+    def test_a_different_length_is_refused(self, tmp_path) -> None:
+        tree = self._tree(tmp_path)
+        before = _pages(tree)
+        for value in (b"XYZ", b"XYZWV"):
+            with pytest.raises(BPlusTreeError, match="of the same length"):
+                tree.overwrite(b"k0123", value)
+        assert tree.get(b"k0123") == b"v123" and _pages(tree) == before
+        tree.close()
+
+    def test_an_overflow_value_is_refused(self, tmp_path) -> None:
+        tree = self._tree(tmp_path)
+        with pytest.raises(BPlusTreeError, match="an overflow value"):
+            tree.overwrite(b"long", b"m" * 2000)
+        assert tree.get(b"long") == b"l" * 2000
+        tree.close()
 
 
 class TestScans:
     def test_prefix_scan(self, tmp_path) -> None:
-        tree = _make(tmp_path)
-        for key in [b"NP", b"NP(DT)", b"NP(DT)(NN)", b"NN", b"VP", b"VP(VBZ)"]:
-            tree.insert(key, key)
+        keys = [b"NP", b"NP(DT)", b"NP(DT)(NN)", b"NN", b"VP", b"VP(VBZ)"]
+        tree = _loaded(tmp_path, [(key, key) for key in keys])
         matches = [key for key, _ in tree.prefix_items(b"NP")]
         assert matches == [b"NP", b"NP(DT)", b"NP(DT)(NN)"]
 
     def test_prefix_scan_across_pages(self, tmp_path) -> None:
-        tree = _make(tmp_path, page_size=512)
-        for index in range(300):
-            tree.insert(f"A{index:04d}".encode(), b"x")
-            tree.insert(f"B{index:04d}".encode(), b"x")
+        items = [(f"{side}{index:04d}".encode(), b"x") for index in range(300) for side in "AB"]
+        tree = _loaded(tmp_path, items, page_size=512)
         assert len(list(tree.prefix_items(b"A"))) == 300
 
     def test_range_scan(self, tmp_path) -> None:
-        tree = _make(tmp_path)
-        for index in range(50):
-            tree.insert(f"{index:03d}".encode(), b"x")
+        tree = _loaded(tmp_path, [(f"{index:03d}".encode(), b"x") for index in range(50)])
         keys = [key for key, _ in tree.range_items(b"010", b"020")]
         assert keys == [f"{index:03d}".encode() for index in range(10, 20)]
 
@@ -154,11 +207,12 @@ class TestBulkLoad:
             assert tree.get(key) == value
         assert [key for key, _ in tree.items()] == [key for key, _ in items]
 
-    def test_bulk_load_requires_empty_tree(self, tmp_path) -> None:
+    def test_a_tree_is_loaded_once(self, tmp_path) -> None:
         tree = _make(tmp_path)
-        tree.insert(b"a", b"1")
-        with pytest.raises(BPlusTreeError):
+        tree.bulk_load([(b"a", b"1")])
+        with pytest.raises(BPlusTreeError, match="written once"):
             tree.bulk_load([(b"b", b"2")])
+        assert list(tree.items()) == [(b"a", b"1")]
 
     def test_bulk_load_requires_sorted_unique_keys(self, tmp_path) -> None:
         tree = _make(tmp_path)
@@ -167,6 +221,8 @@ class TestBulkLoad:
         tree2 = _make(tmp_path, "tree2.bpt")
         with pytest.raises(BPlusTreeError):
             tree2.bulk_load([(b"a", b"1"), (b"a", b"2")])
+        tree.bulk_load([(b"a", b"2"), (b"b", b"1")])  # a refused load wrote nothing
+        assert list(tree.items()) == [(b"a", b"2"), (b"b", b"1")]
 
     def test_bulk_load_with_large_values(self, tmp_path) -> None:
         items = [(f"k{index:02d}".encode(), bytes([index]) * 9000) for index in range(20)]
@@ -174,13 +230,6 @@ class TestBulkLoad:
         tree.bulk_load(items)
         for key, value in items:
             assert tree.get(key) == value
-
-    def test_bulk_then_insert(self, tmp_path) -> None:
-        tree = _make(tmp_path)
-        tree.bulk_load([(f"k{index:03d}".encode(), b"v") for index in range(100)])
-        tree.insert(b"zzz", b"new")
-        assert tree.get(b"zzz") == b"new"
-        assert len(tree) == 101
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -190,14 +239,17 @@ class TestBulkLoad:
     )
 )
 def test_bptree_behaves_like_a_dict(tmp_path_factory, entries: dict) -> None:
-    """Property: after arbitrary inserts, the tree matches an in-memory dict."""
+    """Property: a tree loaded from arbitrary pairs matches an in-memory dict,
+    and so does the tree reopened from its file."""
     directory = tmp_path_factory.mktemp("bpt")
     tree = BPlusTree(str(directory / "prop.bpt"), page_size=512)
-    for key, value in entries.items():
-        tree.insert(key, value)
+    tree.bulk_load(sorted(entries.items()))
+    tree.close()
+    tree = BPlusTree(str(directory / "prop.bpt"), page_size=512)
     assert len(tree) == len(entries)
     for key, value in entries.items():
         assert tree.get(key) == value
+    assert tree.get(b"\xff" * 41) is None
     assert [key for key, _ in tree.items()] == sorted(entries)
     tree.close()
 
@@ -283,11 +335,8 @@ class TestResidentNodes:
             for index in range(600)
         ]
         tree.bulk_load(items)
-        tree.insert(b"key0300", b"rewritten")
-        tree.insert(b"later", b"x" * 400)
-        tree.flush()
         other = _make(tmp_path, page_size=512)
-        for key, _ in items + [(b"later", b""), (b"absent", b"")]:
+        for key, _ in items + [(b"absent", b"")]:
             assert other.get(key) == tree.get(key)
         assert list(other.items()) == list(tree.items())
         assert list(other.prefix_items(b"key01")) == list(tree.prefix_items(b"key01"))
@@ -321,7 +370,6 @@ _op_values = st.one_of(
 )
 _operations = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), _op_keys, _op_values),
         st.tuples(st.just("get"), _op_keys),
         st.tuples(st.just("items")),
         st.tuples(st.just("prefix"), st.integers(0, 64).map(lambda index: b"k%03d" % index)),
@@ -332,63 +380,60 @@ _operations = st.lists(
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(budget=st.integers(2, 4), operations=_operations)
-def test_resident_nodes_stay_coherent_under_eviction(tmp_path_factory, budget, operations) -> None:
+@given(budget=st.integers(2, 4), extra=st.dictionaries(_op_keys, _op_values, max_size=60), operations=_operations)
+def test_resident_nodes_stay_coherent_under_eviction(tmp_path_factory, budget, extra, operations) -> None:
     """Property: with room for only 2-4 resident pages -- every descent
-    evicts and re-decodes -- a height >= 3 tree still answers like a dict
-    through any interleaving of writes, lookups and scans, and after reopen.
+    evicts and re-decodes -- a height >= 3 tree answers like a dict through
+    any interleaving of lookups and scans, as written and after reopen.
     """
     path = str(tmp_path_factory.mktemp("coherence") / "tree.bpt")
+    model = {**_SEEDED, **extra}
     tree = BPlusTree(path, page_size=_TINY_PAGE)
     tree.pager._cache_limit = budget
-    model = dict(_SEEDED)
-    for key, value in _SEEDED.items():
-        tree.insert(key, value)
+    tree.bulk_load(sorted(model.items()))
     assert tree.height >= 3
-    for operation in operations:
-        if operation[0] == "insert":
-            _, key, value = operation
-            tree.insert(key, value)
-            model[key] = value
-        elif operation[0] == "get":
-            assert tree.get(operation[1]) == model.get(operation[1])
-        elif operation[0] == "items":
-            assert list(tree.items()) == sorted(model.items())
-        elif operation[0] == "prefix":
-            prefix = operation[1]
-            assert list(tree.prefix_items(prefix)) == sorted(
-                item for item in model.items() if item[0].startswith(prefix)
-            )
-        else:
-            _, low, high = operation
-            assert list(tree.range_items(low, high)) == sorted(
-                item for item in model.items() if low <= item[0] < high
-            )
-        assert len(tree.pager._cache) <= budget
-    assert len(tree) == len(model)
+    for handle in range(2):
+        for operation in operations:
+            if operation[0] == "get":
+                assert tree.get(operation[1]) == model.get(operation[1])
+            elif operation[0] == "items":
+                assert list(tree.items()) == sorted(model.items())
+            elif operation[0] == "prefix":
+                prefix = operation[1]
+                assert list(tree.prefix_items(prefix)) == sorted(
+                    item for item in model.items() if item[0].startswith(prefix)
+                )
+            else:
+                _, low, high = operation
+                assert list(tree.range_items(low, high)) == sorted(
+                    item for item in model.items() if low <= item[0] < high
+                )
+            assert len(tree.pager._cache) <= budget
+        assert len(tree) == len(model)
+        height = tree.height
+        tree.close()
+        tree = BPlusTree(path, page_size=_TINY_PAGE)
+        tree.pager._cache_limit = budget
+    assert list(tree.items()) == sorted(model.items())
+    assert all(tree.get(key) == value for key, value in model.items())
+    assert (len(tree), tree.height) == (len(model), height)
     tree.close()
-    reopened = BPlusTree(path, page_size=_TINY_PAGE)
-    assert list(reopened.items()) == sorted(model.items())
-    assert all(reopened.get(key) == value for key, value in model.items())
-    assert (len(reopened), reopened.height) == (len(model), tree.height)
-    reopened.close()
 
 
 def test_threads_share_resident_nodes_coherently(tmp_path) -> None:
     """More threads than cores over a 4-page budget: lookups and whole scans
-    race a writer that keeps splitting nodes; no reader may ever see a seeded
-    key missing or with another key's value, and no write may be lost."""
+    race each other through constant eviction; no reader may ever see a key
+    missing or with another key's value."""
     import sys
     import threading
 
-    tree = BPlusTree(str(tmp_path / "shared.bpt"), page_size=_TINY_PAGE)
-    tree.pager._cache_limit = 4
-    for key, value in _SEEDED.items():
-        tree.insert(key, value)
-    seeded_keys = sorted(_SEEDED)
     written = {b"w%04d" % index: bytes([index % 256]) * (index % 60) for index in range(400)}
+    model = {**_SEEDED, **written}
+    _loaded(tmp_path, model.items(), "shared.bpt", page_size=_TINY_PAGE).close()
+    tree = _make(tmp_path, "shared.bpt", page_size=_TINY_PAGE)
+    tree.pager._cache_limit = 4
+    keys = sorted(model)
     errors = []
-    done = threading.Event()
 
     def guarded(body):
         def run() -> None:
@@ -401,26 +446,18 @@ def test_threads_share_resident_nodes_coherently(tmp_path) -> None:
     def lookups(seed: int):
         def body() -> None:
             rng = random.Random(seed)
-            while not done.is_set():
-                key = rng.choice(seeded_keys)
-                if tree.get(key) != _SEEDED[key]:
+            for _ in range(3000):
+                key = rng.choice(keys)
+                if tree.get(key) != model[key]:
                     errors.append(f"get({key!r}) saw a wrong value")
         return body
 
     def scans() -> None:
-        while not done.is_set():
-            seen = dict(tree.items())
-            if any(seen.get(key) != value for key, value in _SEEDED.items()):
-                errors.append("a scan lost or garbled a seeded key")
+        for _ in range(15):
+            if dict(tree.items()) != model:
+                errors.append("a scan lost or garbled a key")
 
-    def writes() -> None:
-        try:
-            for key, value in written.items():
-                tree.insert(key, value)
-        finally:
-            done.set()
-
-    threads = [guarded(lookups(seed)) for seed in range(3)] + [guarded(scans), guarded(writes)]
+    threads = [guarded(lookups(seed)) for seed in range(3)] + [guarded(scans), guarded(scans)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -429,11 +466,10 @@ def test_threads_share_resident_nodes_coherently(tmp_path) -> None:
         for thread in threads:
             thread.join(timeout=60)
     finally:
-        done.set()
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert dict(tree.items()) == {**_SEEDED, **written}
+    assert dict(tree.items()) == model
     tree.close()
 
 
@@ -515,7 +551,6 @@ def _reference_bulk_load(tree: BPlusTree, items) -> None:
 
 
 def _file_bytes(tree: BPlusTree) -> bytes:
-    tree.flush()
     with open(tree.pager.path, "rb") as handle:
         return handle.read()
 
@@ -733,8 +768,7 @@ class TestPresenceAndHeadReads:
         tree.close()
 
     def test_contains_is_not_counted_as_a_get(self, tmp_path) -> None:
-        tree = _make(tmp_path)
-        tree.insert(b"key", b"value")
+        tree = _loaded(tmp_path, [(b"key", b"value")])
         assert b"key" in tree and b"nope" not in tree
         assert (tree.probe_stats.gets, tree.probe_stats.cache_hits) == (0, 0)
         assert tree.get(b"key") == b"value"
@@ -751,17 +785,14 @@ _stream_values = st.one_of(
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(values=st.lists(_stream_values, max_size=40), loaded=st.integers(0, 40), data=st.data())
-def test_the_overflow_stream_wastes_less_than_one_page(tmp_path_factory, values, loaded, data) -> None:
-    """Property: the first values go in by ``bulk_load``, the rest by ``insert``
-    in any order; every one reads back, and the long ones fill
+@given(values=st.lists(_stream_values, max_size=40))
+def test_the_overflow_stream_wastes_less_than_one_page(tmp_path_factory, values) -> None:
+    """Property: every value reads back, and the long ones fill
     ceil(stream bytes / page capacity) overflow pages between them."""
     path = str(tmp_path_factory.mktemp("stream") / "tree.bpt")
     tree = BPlusTree(path, page_size=512)
     items = [(b"key%03d" % index, value) for index, value in enumerate(values)]
-    tree.bulk_load(items[:loaded])
-    for key, value in data.draw(st.permutations(items[loaded:])):
-        tree.insert(key, value)
+    tree.bulk_load(items)
     stream = sum(len(value) for value in values if len(value) > 128)
     census = tree.page_census()
     assert census.get("overflow", {"pages": 0})["pages"] == -(-stream // (512 - _HEADER))
@@ -771,8 +802,7 @@ def test_the_overflow_stream_wastes_less_than_one_page(tmp_path_factory, values,
     tree.close()
     reopened = BPlusTree(path, page_size=512)
     assert list(reopened.items()) == items
-    reopened.insert(b"later", b"l" * 300)  # a reopened tree starts a page of its own
-    assert reopened.get(b"later") == b"l" * 300 and reopened.get(b"key000") == (values[0] if values else None)
+    assert all(reopened.peek(key, 3) == value[:3] for key, value in items)
     reopened.close()
 
 
@@ -788,31 +818,25 @@ _prefixed_keys = st.tuples(
     entries=st.dictionaries(
         _prefixed_keys, st.one_of(st.binary(max_size=24), st.integers(257, 600).map(bytes)), max_size=80
     ),
-    data=st.data(),
 )
-def test_front_coded_leaves_hold_any_mix_of_shared_prefixes(tmp_path_factory, entries, data) -> None:
+def test_front_coded_leaves_hold_any_mix_of_shared_prefixes(tmp_path_factory, entries) -> None:
     """Property: keys sharing nothing, a few, 254-256 or 300 bytes with their
-    neighbours, bulk-loaded or inserted in any order (every split re-sizes
-    the right half's first key as whole): no page outgrows the page size --
-    the writers raise if one would -- every page decodes, every key reads
-    back, and a reopened tree says the same."""
+    neighbours (a leaf's first key re-sized as whole): no page outgrows the
+    page size -- the writers raise if one would -- every page decodes, every
+    key reads back, and a reopened tree says the same."""
     directory = tmp_path_factory.mktemp("front")
     items = sorted(entries.items())
-    loaded = BPlusTree(str(directory / "loaded.bpt"), page_size=1024)
-    loaded.bulk_load(items)
-    inserted = BPlusTree(str(directory / "inserted.bpt"), page_size=1024)
-    for key, value in data.draw(st.permutations(items)):
-        inserted.insert(key, value)
-    for tree in (loaded, inserted):
-        assert list(tree.items()) == items
-        assert all(tree.get(key) == value and key in tree for key, value in items)
-        census = tree.page_census()  # decodes every node page from the file
-        assert sum(row["pages"] for row in census.values()) * 1024 == tree.size_bytes()
-        assert all(row["slack_bytes"] >= 0 for row in census.values())
-        tree.close()
-        reopened = BPlusTree(tree.pager.path, page_size=1024)
-        assert list(reopened.items()) == items
-        reopened.close()
+    tree = BPlusTree(str(directory / "loaded.bpt"), page_size=1024)
+    tree.bulk_load(items)
+    assert list(tree.items()) == items
+    assert all(tree.get(key) == value and key in tree for key, value in items)
+    census = tree.page_census()  # decodes every node page from the file
+    assert sum(row["pages"] for row in census.values()) * 1024 == tree.size_bytes()
+    assert all(row["slack_bytes"] >= 0 for row in census.values())
+    tree.close()
+    reopened = BPlusTree(tree.pager.path, page_size=1024)
+    assert list(reopened.items()) == items
+    reopened.close()
 
 
 def test_keys_that_share_a_long_prefix_are_stored_as_their_suffixes(tmp_path) -> None:

@@ -23,7 +23,7 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import List
+from typing import Iterator, List
 
 import pytest
 
@@ -36,6 +36,7 @@ from repro.storage.bptree import _NODE_OVERFLOW
 from repro.storage.pager import PAGE_SIZE
 from repro.trees.node import ParseTree
 from repro.workloads.wh import generate_wh_queries
+from tests.core.fsynckit import file_states
 
 _DATA = Path(__file__).parent / "data"
 _LIVE_SEED, _LIVE_ADDED, _LIVE_DELETED = 30, 4, (7, 31)
@@ -58,8 +59,16 @@ def build_fixtures(directory: str) -> None:
 
 
 @pytest.fixture()
+def committed() -> Iterator[Path]:
+    """The committed files, opened in place: a reader writes no byte of them."""
+    before = file_states(_DATA)
+    yield _DATA
+    assert file_states(_DATA) == before
+
+
+@pytest.fixture()
 def v1(tmp_path) -> Path:
-    """A scratch copy of the committed files: opening a tree rewrites its page 0."""
+    """A scratch copy of the committed files, for a live index: it writes its WAL."""
     return Path(shutil.copytree(_DATA, tmp_path / "v1"))
 
 
@@ -73,21 +82,21 @@ def _answers(index) -> List[object]:
     return [executor.execute(item.query) for item in generate_wh_queries()]
 
 
-def test_the_fixtures_are_v1_files_with_both_kinds_of_chain(v1) -> None:
-    types = _page_types(v1 / "v1.si")
+def test_the_fixtures_are_v1_files_with_both_kinds_of_chain(committed) -> None:
+    types = _page_types(committed / "v1.si")
     assert set(types) == {1, 2, 3}  # internal, v1 leaf, overflow: no v2 leaf (4)
-    with SubtreeIndex.open(str(v1 / "v1.si")) as index:
+    with SubtreeIndex.open(str(committed / "v1.si")) as index:
         long_values = [len(value) for _, value in index.raw_items() if len(value) > PAGE_SIZE // 4]
     capacity = PAGE_SIZE - 7
     assert sorted(-(-length // capacity) for length in long_values) == [1] * 13 + [2]
     assert types.count(_NODE_OVERFLOW) == 15  # a private chain each
-    assert 2 in _page_types(v1 / "v1live.seg000")
+    assert 2 in _page_types(committed / "v1live.seg000")
     assert sum(path.stat().st_size for path in _DATA.iterdir()) < 280 * 1024
 
 
-def test_a_v1_index_holds_and_answers_what_a_fresh_build_does(v1, tmp_path) -> None:
+def test_a_v1_index_holds_and_answers_what_a_fresh_build_does(committed, tmp_path) -> None:
     fresh = SubtreeIndex.build(_corpus(), mss=3, coding="root-split", path=str(tmp_path / "fresh.si"))
-    old = SubtreeIndex.open(str(v1 / "v1.si"))
+    old = SubtreeIndex.open(str(committed / "v1.si"))
     try:
         assert 2 not in _page_types(tmp_path / "fresh.si")  # the writer writes v2 only
         assert fresh.size_bytes() < old.size_bytes()
