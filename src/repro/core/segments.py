@@ -26,11 +26,12 @@ change is growth -- a delta gains trees, a tombstone set gains tids -- and a
 reader that meets it merely answers as of a little later.
 
 A snapshot is read in parts (:class:`Part`) whose tags change whenever what
-their sources hold can: a frozen set is one part, a live index's files and
-its delta are two.  A later part's tids all exceed an earlier part's, so a
-list -- or a query's answer -- is the parts' end to end, and what is cached
-of a part is served while its tag stands.  The files a manifest names are
-written by one function, :func:`write_segment`, and fsynced there.
+their sources hold can: a frozen set is one part, a live index has one per
+file and one for its delta.  A later part's tids all exceed an earlier
+part's, so a list -- or a query's answer -- is the parts' end to end, and
+what is cached of a part is served while its tag stands.  The files a
+manifest names are written by one function, :func:`write_segment`, and
+fsynced there.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ class Source(NamedTuple):
 class Part(NamedTuple):
     """Sources read, joined and cached as one, under one tag."""
 
-    #: Its position in the snapshot: what its cache entries are keyed by.
-    number: int
+    #: What its cache entries are keyed by, the same in every snapshot it is
+    #: in: a segment's id, or a fixed name for a delta and for a frozen set.
+    key: Hashable
     #: Equal for two reads exactly when the sources held the same trees.
     tag: Hashable
     sources: Tuple[Source, ...]
@@ -118,15 +120,15 @@ class Snapshot(NamedTuple):
 
     @classmethod
     def of(cls, version: Version, sources: Tuple[Source, ...], delta: bool = False) -> "Snapshot":
-        """*sources* at *version*: one part, or with a *delta* last, the files
-        tagged with the epoch and the tombstones they hold (tombstones only
-        grow within an epoch, and are counted before any list is read) and
-        the delta tagged with *version*."""
+        """*sources* at *version*: one part tagged with *version*, or with a
+        *delta* last, a part per file -- keyed by its segment id and tagged
+        with the tombstones it holds, which only grow while the file lives
+        (a rewrite gets a new id) and are counted before any list is read --
+        and the delta's, tagged with *version*."""
         if not delta:
-            return cls(version, sources, (Part(0, version, sources),))
-        files = sources[:-1]
-        tag = (version[0], sum(len(source.dead) for source in files))
-        return cls(version, sources, (Part(0, tag, files), Part(1, version, sources[-1:])))
+            return cls(version, sources, (Part("all", version, sources),))
+        files = (Part(source.entry.segment_id, len(source.dead), (source,)) for source in sources[:-1])
+        return cls(version, sources, (*files, Part("delta", version, sources[-1:])))
 
 
 def open_sources(manifest_path: str, manifest: Manifest) -> Tuple[Source, ...]:
@@ -356,14 +358,14 @@ class SegmentSet:
     def part_lookup(self, part: Part, encoded: bytes) -> PostingColumns:
         """*part*'s list of the canonical key *encoded*: its sources' lists
         merged by tid.  With a cache attached (:meth:`attach_postings_cache`)
-        it is cached under ``(encoded, part.number)`` with the part's tag;
+        it is cached under ``(encoded, part.key)`` with the part's tag;
         cached lists are shared between callers and must be treated as
         read-only."""
         stats = self.probe_stats
         stats.gets += 1
         cache = self._postings_cache
         if cache is not None:
-            cached = cache.get_tagged((encoded, part.number), part.tag)
+            cached = cache.get_tagged((encoded, part.key), part.tag)
             if cached is not None:
                 stats.cache_hits += 1
                 return cached
@@ -372,7 +374,7 @@ class SegmentSet:
             merged = merge_columns([source.postings(encoded) for source in part.sources])
             span.set(postings=len(merged))
         if cache is not None:
-            cache.put((encoded, part.number), (part.tag, merged))
+            cache.put((encoded, part.key), (part.tag, merged))
         return merged
 
     def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
@@ -430,9 +432,10 @@ class SegmentSet:
 
     @property
     def segments(self) -> Tuple[Source, ...]:
-        """The sources that are files (``.index`` / ``.store``), the first
-        part's: every one of a frozen set; a live index leaves out its delta."""
-        return self.snapshot.parts[0].sources
+        """The sources that are files (``.index`` / ``.store``): every one of
+        a frozen set; a live index leaves out its delta."""
+        sources = self.snapshot.sources
+        return sources[:-1] if self._delta else sources
 
     @property
     def segment_count(self) -> int:
@@ -469,11 +472,6 @@ class SegmentSet:
     def postings_cache(self) -> Optional[ValueCache]:
         """The currently attached part-posting cache, if any."""
         return self._postings_cache
-
-    def _clear_postings_cache(self) -> None:
-        clear = getattr(self._postings_cache, "clear", None)
-        if clear is not None:
-            clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -558,7 +556,9 @@ class SegmentSet:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close every source's files (replaced ones included) and drop the cache."""
-        self._clear_postings_cache()
+        clear = getattr(self._postings_cache, "clear", None)
+        if clear is not None:
+            clear()
         self._postings_cache = None
         for source in [*self.segments, *self._retired]:
             source.close()

@@ -27,10 +27,10 @@ holds a dead tid pays for that).  Tids are assigned monotonically and never
 reused, so segment and delta posting lists stay disjoint and tid-ascending
 -- merged results are byte-identical to a fresh rebuild over the surviving
 corpus, which ``tests/live/`` asserts over the full WH + FB workloads for
-all three codings.  The segments are one part of a read and the delta
-another (:class:`~repro.core.segments.Part`), so what is cached of the
-segments -- a list, a query's result -- outlives every write but a segment
-delete or a compaction.
+all three codings.  Each segment is a part of a read and the delta one
+more (:class:`~repro.core.segments.Part`), so what is cached of a segment --
+a list, a query's result -- outlives every write but a delete of one of its
+trees, and a compaction that keeps the segment keeps it too.
 
 Mutations take a writer lock (one writer at a time); readers are never
 blocked and never crash.  What a reader sees -- the segments, the delta and
@@ -250,8 +250,9 @@ class LiveIndex(SegmentSet):
         """Make *sources* what readers see from now on, under a new version.
 
         One rebind: a reader holds the snapshot from before or the one from
-        after, never a mix.  Its delta part has a new tag; the segments' part
-        a new one only when a segment gained a tombstone.
+        after, never a mix.  Its delta part has a new tag; a segment's part a
+        new one only when that segment gained a tombstone, and a segment a
+        compaction wrote is a new part under a new id.
         """
         self._mutations += 1
         self.snapshot = Snapshot.of((self.manifest.epoch, self._mutations), sources, delta=True)
@@ -367,8 +368,7 @@ class LiveIndex(SegmentSet):
             replaced = [segment for segment in sources[:-1] if segment.dead]
             self._retired.extend(replaced)
             self.manifest = manifest
-            self._publish((*segments, _delta_source(manifest)))
-            self._clear_postings_cache()  # every segment part was of the old epoch
+            self._publish((*segments, _delta_source(manifest)))  # kept segments keep their parts
             if failure is not None:
                 raise failure
 

@@ -27,11 +27,12 @@ result cache
     query string and part of the index, so an identical repeated query is
     answered without any join work at all.  Every entry is tagged with its
     part's tag when the run started -- a constant on an immutable index; on
-    a live one ``(epoch, tombstones)`` for the segments, the version for the
-    delta -- and served only while that tag stands: a result computed while
-    a mutation raced it is never served after it, and a write to the delta
-    leaves the segments' results servable.  The answer is the parts' results
-    end to end.  Size 0 disables this layer.
+    a live one a segment's tombstones, the delta's version -- and served
+    only while that tag stands: a result computed while a mutation raced it
+    is never served after it, and a write leaves every part it did not
+    touch servable.  The parts a run misses are joined once, and that
+    answer is cut back into their results; the answer is the parts'
+    results end to end.  Size 0 disables this layer.
 
 On top of these, :meth:`QueryService.run_many` batches: it prepares every
 query first, fetches each *distinct* cover key exactly once, and joins each
@@ -43,12 +44,13 @@ caches stripe their locks and the B+Tree serialises cache-missing descents
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.coding.postings import PostingColumns
+from repro.coding.postings import PostingColumns, merge_columns
 from repro.core.segments import Part, SegmentSet
 from repro.exec.executor import (
     ExecutionStats,
@@ -157,19 +159,36 @@ def _counters(cache: Optional[StripedLRUCache]) -> CacheStats:
 
 def _concatenated(results: Sequence[QueryResult]) -> QueryResult:
     """The parts' results of one query as its answer, in part order (a later
-    part's tids all exceed an earlier part's).  The one result with a match,
-    if only one has any, is that answer as it is."""
+    part's tids all exceed an earlier part's), its stats those of the runs
+    that computed them, each counted once.  The one result with a match, if
+    only one has any, is that answer as it is."""
     populated = [result for result in results if result.matches_per_tree]
     if len(populated) < 2:
         return populated[0] if populated else results[0]
     matches: Dict[int, int] = {}
     for result in populated:
         matches.update(result.matches_per_tree)
-    stats = replace(populated[0].stats, **{
-        name: sum(getattr(result.stats, name) for result in results)
-        for name in ("postings_fetched", "candidates_filtered", "elapsed_seconds")
-    })
+    runs = {id(result.stats): result.stats for result in results}.values()  # a join's pieces share one
+    first = populated[0].stats
+    stats = ExecutionStats(
+        first.coding, first.strategy, first.cover_size, first.join_count,
+        sum(run.postings_fetched for run in runs),
+        sum(run.candidates_filtered for run in runs),
+        sum(run.elapsed_seconds for run in runs),
+    )
     return QueryResult(matches_per_tree=matches, stats=stats)
+
+
+def _split(joined: QueryResult, parts: Sequence[Part]) -> List[QueryResult]:
+    """*joined*, one join over *parts*' lists end to end, cut back into each
+    part's result at the parts' tid bounds; the pieces share its stats."""
+    if len(parts) == 1:
+        return [joined]
+    bounds = [part.sources[0].entry.max_tid for part in parts[:-1]]  # all segments: the delta is last
+    pieces: List[Dict[int, int]] = [{} for _ in parts]
+    for tid, count in joined.matches_per_tree.items():
+        pieces[bisect_left(bounds, tid)][tid] = count
+    return [QueryResult(piece, joined.stats) for piece in pieces]
 
 
 class QueryService:
@@ -330,7 +349,7 @@ class QueryService:
         """*part*'s cached result of *prepared*, if it was computed under the
         part's current tag (a stale one counts as a miss)."""
         cache = self._result_cache
-        return None if cache is None else cache.get_tagged((prepared.normalized, part.number), part.tag)
+        return None if cache is None else cache.get_tagged((prepared.normalized, part.key), part.tag)
 
     def result_resident(self, prepared: PreparedQuery) -> bool:
         """Would :meth:`run` answer *prepared*'s query from the result cache
@@ -347,7 +366,7 @@ class QueryService:
         if cache is None:
             return False
         for part in self.index.snapshot.parts:
-            tagged = cache.peek((prepared.normalized, part.number))
+            tagged = cache.peek((prepared.normalized, part.key))
             if tagged is None or tagged[0] != part.tag:  # type: ignore[index]
                 return False
         return True
@@ -360,15 +379,15 @@ class QueryService:
         read-side check makes the write-side race harmless.
         """
         if self._result_cache is not None:
-            self._result_cache.put((prepared.normalized, part.number), (part.tag, result))
+            self._result_cache.put((prepared.normalized, part.key), (part.tag, result))
 
     def run(self, query: QueryLike) -> QueryResult:
         """Evaluate one query through the cached pipeline.
 
         A part whose result of an identical (up to normalization) earlier
         query is still current is answered from the result cache; the
-        others are fetched and joined.  A result served whole from the cache
-        is the object computed before, its ``stats`` those of that execution.
+        others are fetched and joined in one join.  A result served whole
+        from the cache is the object computed before, stats and all.
 
         With tracing enabled (:func:`repro.obs.enable`) the whole run is
         wrapped in a ``query`` span whose children are the pipeline stages.
@@ -388,28 +407,48 @@ class QueryService:
         with obs.trace("prepare") as span:
             prepared = self.prepare(query)
             span.set(cover=len(prepared.cover))
-        results = []
-        joined = 0
-        for part in snapshot.parts:
-            result = self._cached_result(prepared, part)
-            if result is None:
-                joined += 1
-                result = self._execute_uncached(prepared, part)
-                self._remember_result(prepared, part, result)
-            results.append(result)
-        obs.annotate(result_cache="miss" if joined else "hit", parts_joined=joined, epoch=snapshot.version[0])
+        cached = [self._cached_result(prepared, part) for part in snapshot.parts]
+        missed = [part for part, hit in zip(snapshot.parts, cached) if hit is None]
+        obs.annotate(result_cache="miss" if missed else "hit", parts_joined=len(missed), epoch=snapshot.version[0])
         self._queries += 1
+        joined = self._execute_uncached(prepared, missed) if missed else None
+        return self._answer(prepared, snapshot.parts, cached, joined)
+
+    def _answer(self, prepared: PreparedQuery, parts: Sequence[Part],
+                cached: List[Optional[QueryResult]], joined: Optional[QueryResult]) -> QueryResult:
+        """*prepared*'s answer over *parts*, from each one's *cached* result
+        (``None`` where it missed) and *joined*, the one join over the parts
+        that missed, whose piece of it each of them caches under its tag."""
+        if joined is None:  # every part was cached
+            return cached[0] if len(cached) == 1 else _concatenated(cached)
+        if self._result_cache is None:  # nothing is cached, so every part missed
+            return joined
+        missed = [part for part, hit in zip(parts, cached) if hit is None]
+        pieces = iter(_split(joined, missed))
+        results = []
+        for part, hit in zip(parts, cached):
+            if hit is None:
+                hit = next(pieces)
+                self._remember_result(prepared, part, hit)
+            results.append(hit)
         return results[0] if len(results) == 1 else _concatenated(results)
 
-    def _execute_uncached(self, prepared: PreparedQuery, part: Part) -> QueryResult:
-        """Stages 2+3 of one part for one query that missed the result cache."""
+    def _execute_uncached(self, prepared: PreparedQuery, parts: Sequence[Part]) -> QueryResult:
+        """Stages 2+3 of the *parts* one query missed in the result cache:
+        one join over their lists end to end."""
         started = time.perf_counter()
-        return self._execute_prepared(prepared, self._fetch_for_run(prepared, part), started)
+        return self._execute_prepared(prepared, self._fetch_for_run(prepared, parts), started)
 
-    def _fetch_for_run(self, prepared: PreparedQuery, part: Part) -> List[PostingColumns]:
+    def _fetch_for_run(self, prepared: PreparedQuery, parts: Sequence[Part]) -> List[PostingColumns]:
+        if len(parts) == 1:
+            fetch = partial(self.index.part_lookup, parts[0])
+        else:
+            def fetch(key: bytes) -> PostingColumns:
+                return merge_columns([self.index.part_lookup(part, key) for part in parts])
+
         if not obs.enabled():
-            return [self.index.part_lookup(part, key) for key in prepared.key_bytes]
-        return fetch_postings(prepared.cover, partial(self.index.part_lookup, part))
+            return [fetch(key) for key in prepared.key_bytes]
+        return fetch_postings(prepared.cover, fetch)
 
     def run_many(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
         """Evaluate a batch, fetching each distinct cover key exactly once a part.
@@ -418,10 +457,10 @@ class QueryService:
         result cache cannot answer is deduplicated and fetched into a memo
         (one :meth:`~repro.core.segments.SegmentSet.part_lookup` -- hence at
         most one B+Tree descent per source -- per distinct key and part),
-        every query joins against the shared memo, and identical queries
-        share one join.  Results keep the input order; each result's
-        ``stats.elapsed_seconds`` covers only its own join, since the
-        prepare/fetch work is shared by the whole batch (time the
+        every query joins the parts it missed once against the shared memo,
+        and identical queries share one join.  Results keep the input order;
+        each result's ``stats.elapsed_seconds`` covers only its own join,
+        since the prepare/fetch work is shared by the whole batch (time the
         ``run_many`` call itself for batch totals).
         """
         if not obs.enabled():
@@ -437,29 +476,29 @@ class QueryService:
         cached = [[self._cached_result(prepared, part) for part in parts] for prepared in prepared_batch]
         obs.annotate(result_cache_hits=sum(hit is not None for row in cached for hit in row))
 
-        memo: Dict[Tuple[bytes, int], PostingColumns] = {}
+        memo: Dict[Tuple[bytes, object], PostingColumns] = {}
         for prepared, row in zip(prepared_batch, cached):
             for part, hit in zip(parts, row):
                 for key in prepared.key_bytes if hit is None else ():
-                    if (key, part.number) not in memo:
-                        memo[key, part.number] = self.index.part_lookup(part, key)
+                    if (key, part.key) not in memo:
+                        memo[key, part.key] = self.index.part_lookup(part, key)
 
         results: List[QueryResult] = []
-        computed: Dict[Tuple[str, int], QueryResult] = {}  # joins run once per distinct query and part
+        computed: Dict[str, QueryResult] = {}  # a join runs once per distinct query
         total_keys = 0
         for prepared, row in zip(prepared_batch, cached):
-            answers = []
-            for part, hit in zip(parts, row):
-                if hit is None:
-                    total_keys += len(prepared.key_bytes)
-                    hit = computed.get((prepared.normalized, part.number))
-                if hit is None:
-                    postings = [memo[key, part.number] for key in prepared.key_bytes]
-                    hit = self._execute_prepared(prepared, postings, time.perf_counter())
-                    self._remember_result(prepared, part, hit)
-                    computed[prepared.normalized, part.number] = hit
-                answers.append(hit)
-            results.append(answers[0] if len(answers) == 1 else _concatenated(answers))
+            missed = [part for part, hit in zip(parts, row) if hit is None]
+            total_keys += len(prepared.key_bytes) * len(missed)
+            answer = computed.get(prepared.normalized)
+            if answer is None:
+                joined = None
+                if missed:
+                    postings = [
+                        merge_columns([memo[key, part.key] for part in missed]) for key in prepared.key_bytes
+                    ]
+                    joined = self._execute_prepared(prepared, postings, time.perf_counter())
+                answer = computed[prepared.normalized] = self._answer(prepared, parts, row, joined)
+            results.append(answer)
         self._queries += len(prepared_batch)
         self._batches += 1
         self._batch_keys_deduped += total_keys - len(memo)

@@ -10,6 +10,7 @@ from repro.core.segments import SegmentSet, Source
 from repro.corpus.store import Corpus
 from repro.exec import fetch_postings, join_postings
 from repro.live import LiveIndex
+from repro.service import service as service_module
 from repro.service.service import QueryService
 
 
@@ -20,6 +21,28 @@ def live(tmp_path, small_corpus):
     )
     yield index
     index.close()
+
+
+@pytest.fixture(params=["root-split", "subtree-interval"])
+def coded_live(request, tmp_path, small_corpus):
+    """The ``live`` index under each structural coding."""
+    index = LiveIndex.create(
+        str(tmp_path / "coded"), mss=3, coding=request.param, trees=list(small_corpus)[:60]
+    )
+    yield index
+    index.close()
+
+
+def grow(live: LiveIndex, trees, segments: int, per_segment: int = 5) -> None:
+    """Add *per_segment* of *trees* and compact until *live* has *segments*
+    segments; then add three more, so the delta holds trees too."""
+    trees = iter(trees)
+    while live.segment_count < segments:
+        for _ in range(per_segment):
+            live.add_tree(next(trees).root)
+        live.compact()
+    for _ in range(3):
+        live.add_tree(next(trees).root)
 
 
 def plain_service_over(tmp_path, live: LiveIndex, tag: str) -> QueryService:
@@ -108,9 +131,10 @@ def test_plans_survive_mutations_and_an_epoch_bump(live) -> None:
 
 
 def test_the_posting_cache_holds_each_part_until_its_tag_moves(live) -> None:
-    """One list per key and part: the segments' and the delta's.  An add
-    leaves the segments' list servable and replaces the delta's on its next
-    read -- a stale tag is a miss; a compaction empties the cache."""
+    """One list per key and part: each segment's and the delta's.  An add
+    leaves the segment's list servable and replaces the delta's on its next
+    read -- a stale tag is a miss; a compaction sweeps nothing, and the
+    segment it keeps keeps its list."""
     service = QueryService(live, result_cache_size=0)
     try:
         service.run("NP(DT)(NN)")  # one cover key at mss 3
@@ -124,8 +148,11 @@ def test_the_posting_cache_holds_each_part_until_its_tag_moves(live) -> None:
         service.run("NP(DT)(NN)")
         after = service.stats().postings
         assert (after.hits, after.misses, after.size) == (3, 3, 2)
-        live.compact()
-        assert service.stats().postings.size == 0
+        live.compact()  # the delta becomes segment 1; segment 0 is kept
+        assert service.stats().postings.size == 2
+        service.run("NP(DT)(NN)")
+        kept = service.stats().postings
+        assert (kept.hits, kept.misses, kept.size) == (4, 5, 3)  # segment 0's list is served
     finally:
         service.close()
 
@@ -163,7 +190,7 @@ def test_a_write_to_the_delta_costs_no_descent(tmp_path, live, result_cache_size
 
 
 def test_a_segment_result_is_never_served_after_a_segment_delete(monkeypatch, tmp_path, live) -> None:
-    """A segment delete moves the segments' tag: the result cached before it
+    """A segment delete moves its segment's tag: the result cached before it
     is joined again -- also when the delete lands while that join's lists
     are being read, which leaves the result it is computing stale at once."""
     service = QueryService(live)
@@ -199,23 +226,27 @@ def test_a_segment_result_is_never_served_after_a_segment_delete(monkeypatch, tm
         service.close()
 
 
-def test_a_delete_in_a_segment_rereads_each_cached_part_once(live) -> None:
-    """After a segment tree is deleted, each key's segment part is read
-    again once -- one descent per segment -- and later writes to the delta
-    do not read it again."""
+def test_a_delete_in_a_segment_rereads_only_that_segment_once(live, small_corpus) -> None:
+    """After a segment tree is deleted, each key's list of that segment is
+    read again once -- one descent per key, into that segment alone -- and
+    later writes to the delta do not read it again."""
+    grow(live, list(small_corpus)[60:], segments=3)
     service = QueryService(live, result_cache_size=0)
     try:
         keys = {key for text in QUERIES for key in service.prepare(text).key_bytes}
         for text in QUERIES:
             service.run(text)
         victim = min(service.run("NP(DT)(NN)").matches_per_tree)
-        assert victim in live.snapshot.sources[0].store  # a tree of the seed segment
+        seed, *others = live.segments
+        assert victim in seed.store  # a tree of the seed segment
         descents = live.probe_snapshot().tree_descents
+        untouched = [segment.index.probe_stats.tree_descents for segment in others]
         live.delete_tree(victim)
         for text in QUERIES + QUERIES:
             assert victim not in service.run(text).matches_per_tree
         reread = live.probe_snapshot().tree_descents
-        assert reread == descents + len(keys) * live.segment_count
+        assert reread == descents + len(keys)
+        assert [segment.index.probe_stats.tree_descents for segment in others] == untouched
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
         for text in QUERIES:
             service.run(text)
@@ -226,40 +257,130 @@ def test_a_delete_in_a_segment_rereads_each_cached_part_once(live) -> None:
 
 def test_stale_segment_part_is_never_served(live) -> None:
     """The segment-level twin of the test below: a part put with an older
-    tag -- a slow reader's, from before a segment delete or of the epoch a
-    compaction replaced -- is never served."""
+    tag -- a slow reader's, from before a segment delete -- is never served,
+    nor is one of the segment a compaction replaced."""
     service = QueryService(live, result_cache_size=0)
     try:
         key = b"NP(DT)"
-        stale_tag = (live.epoch, 0)
+        seed = live.snapshot.parts[0]
+        assert (seed.key, seed.tag) == (0, 0)  # segment 0, no tombstone
         stale = live.lookup(key)  # seed segment only: the delta is empty
         victim = stale.tids[0]
         live.delete_tree(victim)
-        live.postings_cache.put((key, 0), (stale_tag, stale))  # the slow reader's put
+        live.postings_cache.put((key, seed.key), (seed.tag, stale))  # the slow reader's put
         expected = [tid for tid in stale.tids if tid != victim]
         assert list(live.lookup(key).tids) == expected
         live.compact()
-        live.postings_cache.put((key, 0), (stale_tag, stale))  # a part of the replaced segment
+        assert [part.key for part in live.snapshot.parts] == [1, "delta"]  # segment 0 rewritten
+        live.postings_cache.put((key, seed.key), (1, stale))  # a part of the replaced segment
         assert list(live.lookup(key).tids) == expected
     finally:
         service.close()
 
 
-def test_a_compaction_drops_every_part_list(live) -> None:
+def test_a_compaction_keeps_the_lists_of_the_segments_it_keeps(live) -> None:
+    """A compaction that only flushes the delta keeps segment 0, and every
+    list cached of it: re-running the queries descends into the new segment
+    alone, once per cover key."""
     service = QueryService(live, result_cache_size=0)
     try:
+        keys = {key for text in QUERIES for key in service.prepare(text).key_bytes}
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
         for text in QUERIES:
             service.run(text)
-        assert service.stats().postings.size > 0
+        size = service.stats().postings.size
         descents = live.probe_snapshot().tree_descents
         live.compact()
-        assert service.stats().postings.size == 0
+        assert service.stats().postings.size == size  # nothing is swept
         for text in QUERIES:
             service.run(text)
-        assert live.probe_snapshot().tree_descents > descents  # read from the new segments
+        assert live.probe_snapshot().tree_descents == descents + len(keys)  # the new segment's
     finally:
         service.close()
+
+
+def test_a_compaction_leaves_the_kept_segments_results_served(tmp_path, coded_live, small_corpus) -> None:
+    """After a compaction, re-running the queries descends into no segment
+    it kept, and the kept segments' results are result-cache hits."""
+    live = coded_live
+    grow(live, list(small_corpus)[60:], segments=2)
+    service = QueryService(live)
+    try:
+        for text in QUERIES:
+            service.run(text)
+        kept = live.segments
+        descents = [segment.index.probe_stats.tree_descents for segment in kept]
+        hits = service.stats().results.hits
+        live.compact()  # flushes the delta; both segments are kept
+        assert live.segments[:2] == kept
+        reference = plain_service_over(tmp_path, live, "compacted")
+        try:
+            for text in QUERIES:
+                assert service.run(text).matches_per_tree == reference.run(text).matches_per_tree
+        finally:
+            reference.close()
+        assert [segment.index.probe_stats.tree_descents for segment in kept] == descents
+        assert service.stats().results.hits == hits + len(kept) * len(QUERIES)
+    finally:
+        service.close()
+
+
+def test_a_delete_in_the_newest_segment_leaves_the_base_results_served(
+    tmp_path, coded_live, small_corpus
+) -> None:
+    """The delete that follows a compaction lands in the newest segment: the
+    base segment's results and lists stay served, and the answer is a
+    rebuild's."""
+    live = coded_live
+    grow(live, list(small_corpus)[60:], segments=2, per_segment=10)
+    service = QueryService(live)
+    try:
+        for text in QUERIES:
+            service.run(text)
+        base, newest = live.segments
+        descents = base.index.probe_stats.tree_descents
+        hits = service.stats().results.hits
+        live.delete_tree(newest.store.tids()[0])
+        reference = plain_service_over(tmp_path, live, "newest-delete")
+        try:
+            for text in QUERIES:
+                assert service.run(text).matches_per_tree == reference.run(text).matches_per_tree
+        finally:
+            reference.close()
+        assert base.index.probe_stats.tree_descents == descents
+        assert service.stats().results.hits == hits + len(QUERIES)  # the base's (every write moves the delta's tag)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("segments", [1, 3, 5])
+def test_a_run_whose_parts_all_miss_joins_once(monkeypatch, coded_live, small_corpus, segments) -> None:
+    """However many segments a live index has, a query none of whose parts
+    is cached is one join over their lists end to end; so is each distinct
+    query of a batch."""
+    live = coded_live
+    grow(live, list(small_corpus)[60:], segments=segments)
+    assert len(live.snapshot.parts) == segments + 1
+    joins = []
+
+    def counted(*args, **kwargs):
+        joins.append(args[0])
+        return join_postings(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "join_postings", counted)
+    for result_cache_size in (1024, 0):
+        service = QueryService(live, result_cache_size=result_cache_size)
+        try:
+            for text in QUERIES:
+                joins.clear()
+                assert service.run(text).total_matches > 0
+                assert len(joins) == 1, text
+            joins.clear()
+            service.clear_caches()
+            service.run_many(QUERIES + QUERIES)
+            assert len(joins) == len(QUERIES)
+        finally:
+            service.close()
 
 
 def test_stale_result_is_never_served_after_racing_a_mutation(live) -> None:
@@ -288,13 +409,13 @@ def test_stale_posting_list_is_never_served_after_racing_a_mutation(live) -> Non
     service = QueryService(live, result_cache_size=0)
     try:
         key = b"NP(DT)"
-        stale_delta = live.snapshot.parts[1]
+        stale_delta = live.snapshot.parts[-1]
         stale = live.part_lookup(stale_delta, key)
         tid = live.add_tree("(ROOT (S (NP (DT the) (NN crab)) (VP (VBZ digs))))")
-        live.postings_cache.put((key, 1), (stale_delta.tag, stale))  # the slow reader's put
+        live.postings_cache.put((key, stale_delta.key), (stale_delta.tag, stale))  # the slow reader's put
         served = live.lookup(key)
         assert served.tids[-1] == tid and tid not in stale.tids
-        delta = live.snapshot.parts[1]
+        delta = live.snapshot.parts[-1]
         assert live.part_lookup(delta, key) is live.part_lookup(delta, key)  # re-cached under its tag
     finally:
         service.close()

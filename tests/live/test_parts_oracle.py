@@ -1,15 +1,19 @@
 """A live query's parts against the brute-force matcher, over drawn histories.
 
-A live index answers a query per part -- its segments, tagged ``(epoch,
-tombstones)``, and its delta, tagged with the version -- and caches each
-part's result and lists under that tag, so what one write leaves valid is
-served across it.  Hypothesis draws the writes that move one tag and not the
-other: adds from a fixed pool of generated trees, deletes of a live tid from
-the delta or from a segment, compactions, and plain repeats of the queries.
-After every op, ``run``, ``run_many`` and a second ``run`` of a sample of the
-WH templates must equal :func:`~repro.trees.matching.count_matches` over the
-trees alive, tid order included -- under all three codings, with the result
-cache at its default size and switched off.
+A live index answers a query per part -- each segment, keyed by its id and
+tagged with the tombstones it holds, and its delta, tagged with the version
+-- and caches each part's result and lists under that tag, so what one write
+leaves valid is served across it; the parts a query misses are joined once
+and the answer cut back into each one's result.  Hypothesis draws the writes
+that move some tags and not others: adds from a fixed pool of generated
+trees, deletes of a live tid from the delta, from any segment or from the
+newest one (where a compaction put the trees the delta held), compactions,
+and plain repeats of the queries, in histories long enough to reach three
+segments and more.  After every op, ``run``, ``run_many`` and a second
+``run`` of a sample of the WH templates must equal
+:func:`~repro.trees.matching.count_matches` over the trees alive, tid order
+included -- under all three codings, with the result cache at its default
+size and switched off.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 import tempfile
 from typing import Dict, List, Tuple
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.live import LiveIndex
 from repro.service import QueryService
@@ -33,11 +37,20 @@ _seeds = st.lists(st.integers(0, len(POOL) - 1), max_size=4)
 _history = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(0, len(POOL) - 1)),
-        st.tuples(st.sampled_from(["delete from delta", "delete from segment"]), st.integers(0, 99)),
+        st.tuples(
+            st.sampled_from(["delete from delta", "delete from segment", "delete from newest segment"]),
+            st.integers(0, 99),
+        ),
         st.tuples(st.sampled_from(["compact", "query"]), st.none()),
     ),
-    max_size=10,
+    max_size=16,
 )
+#: Three segments and a delta, then a delete from each of the segments.
+_THREE_SEGMENTS = [
+    ("add", 0), ("add", 1), ("compact", None), ("add", 2), ("add", 3), ("compact", None),
+    ("add", 4), ("query", None), ("delete from newest segment", 1), ("delete from segment", 0),
+    ("delete from delta", 0), ("compact", None),
+]
 
 
 def _assert_answers(services: List[QueryService], pool_of: Dict[int, int], op: Tuple) -> None:
@@ -58,11 +71,13 @@ def _assert_answers(services: List[QueryService], pool_of: Dict[int, int], op: T
 
 @settings(max_examples=_examples(25), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=_seeds, history=_history)
+@example(seed=[5, 0], history=_THREE_SEGMENTS)
 def test_every_part_answers_as_the_oracle_after_every_write(seed: List[int], history: List[Tuple]) -> None:
     pool_of = dict(enumerate(seed))  # alive tid -> its pool tree
-    in_segments, in_delta = list(pool_of), []
+    segments: List[List[int]] = [list(pool_of)] if seed else []  # each one's alive tids, in tid order
+    in_delta: List[int] = []
     with tempfile.TemporaryDirectory() as workdir:
-        trees = [_tree(tid, pool_of) for tid in in_segments]
+        trees = [_tree(tid, pool_of) for tid in sorted(pool_of)]
         indexes = [
             LiveIndex.create(os.path.join(workdir, coding), MSS, coding, trees=trees, fsync=False)
             for coding in CODINGS
@@ -77,12 +92,19 @@ def test_every_part_answers_as_the_oracle_after_every_write(seed: List[int], his
                 elif op == "compact":
                     for index in indexes:
                         index.compact()
-                    in_segments, in_delta = in_segments + in_delta, []
+                    segments = [tids for tids in (*segments, in_delta) if tids]
+                    in_delta = []
+                    assert {index.segment_count for index in indexes} == {len(segments)}
                 elif op.startswith("delete"):
-                    pool = in_delta if op == "delete from delta" else in_segments
-                    if not pool:
+                    if op == "delete from delta":
+                        pools = [in_delta]
+                    else:
+                        pools = segments[-1:] if op == "delete from newest segment" else segments
+                    candidates = [(pool, tid) for pool in pools for tid in pool]
+                    if not candidates:
                         continue
-                    tid = pool.pop(argument % len(pool))
+                    pool, tid = candidates[argument % len(candidates)]
+                    pool.remove(tid)
                     for index in indexes:
                         index.delete_tree(tid)
                     del pool_of[tid]

@@ -46,11 +46,11 @@ class HeldMisses(QueryService):
         self.gate.set()
         self.held = 0
 
-    def _execute_uncached(self, prepared, part):
+    def _execute_uncached(self, prepared, parts):
         if not self.gate.is_set():
             self.held += 1  # executions the gate has stopped, not warm-up runs
         assert self.gate.wait(30.0), "the test never opened the gate"
-        return super()._execute_uncached(prepared, part)
+        return super()._execute_uncached(prepared, parts)
 
 
 @pytest.fixture()

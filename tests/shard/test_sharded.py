@@ -351,15 +351,16 @@ class TestMergedLookup:
             sharded.attach_postings_cache(None)
 
     def test_a_frozen_set_caches_one_entry_per_key(self, indexes) -> None:
-        """A frozen set is one part: one entry per key, not the two of a live
-        index (its segments' and its delta's)."""
+        """A frozen set is one part: one entry per key, not the one per
+        segment and the delta's of a live index."""
         _, _, sharded = indexes["root-split"]
+        (part,) = sharded.snapshot.parts
         cache = LRUCache(16)
         sharded.attach_postings_cache(cache)
         try:
             for key in ("NP(DT)", "VP(VBZ)", "NP(DT)"):
                 sharded.lookup(key)
-            assert sorted(cache.keys()) == [(b"NP(DT)", 0), (b"VP(VBZ)", 0)]
+            assert sorted(cache.keys()) == [(b"NP(DT)", part.key), (b"VP(VBZ)", part.key)]
         finally:
             sharded.attach_postings_cache(None)
 
