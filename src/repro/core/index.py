@@ -14,7 +14,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns
@@ -336,6 +336,11 @@ class SubtreeIndex:
     def close(self) -> None:
         """Close the underlying B+Tree file."""
         self._tree.close()
+
+    def closer(self) -> Callable[[], None]:
+        """What :meth:`close` calls, holding no reference to this index: for a
+        finalizer that closes the file once the index is unreachable."""
+        return self._tree.close
 
     def __enter__(self) -> "SubtreeIndex":
         return self

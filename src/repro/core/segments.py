@@ -25,13 +25,13 @@ segment and the delta it was flushed from, say).  Within a source the only
 change is growth -- a delta gains trees, a tombstone set gains tids -- and a
 reader that meets it merely answers as of a little later.
 
-A snapshot is read in parts (:class:`Part`) whose tags change whenever what
-their sources hold can: a frozen set is one part, a live index has one per
-file and one for its delta.  A later part's tids all exceed an earlier
-part's, so a list -- or a query's answer -- is the parts' end to end, and
-what is cached of a part is served while its tag stands.  The files a
-manifest names are written by one function, :func:`write_segment`, and
-fsynced there.
+A snapshot is read in parts (:class:`Part`): a frozen set is one, a live
+index has one per file and one for its delta.  A later part's tids all
+exceed an earlier part's, so a list -- or a query's answer -- is the parts'
+end to end.  What is cached of a part is served while its tag stands, which
+only an add can move; the trees removed from it since are cut from what is
+served (:meth:`Part.removed_since`).  The files a manifest names are written
+by one function, :func:`write_segment`, and fsynced there.
 """
 
 from __future__ import annotations
@@ -39,12 +39,15 @@ from __future__ import annotations
 import heapq
 import os
 import time
+import weakref
+from bisect import bisect_left
 from contextlib import ExitStack
 from dataclasses import asdict
 from itertools import groupby
 from operator import itemgetter
 from typing import (
-    AbstractSet, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from repro import obs
@@ -68,6 +71,21 @@ from repro.trees.node import Node, ParseTree
 Version = Tuple[int, int]
 
 
+class Lineage(NamedTuple):
+    """What a live index's cached lists and results of a part belong to: a
+    delta and the segment a compaction flushes it to, or a segment and every
+    rewrite of it.  Each holds the same trees less the ones removed since."""
+
+    #: A runtime id, unique within its index: the cache key of its part.
+    key: int
+    #: The number of trees it was written from -- a segment's constant tag;
+    #: ``None`` for a delta, tagged with the trees added to it so far.
+    trees: Optional[int]
+    #: Every tid removed from it, in removal order: its tombstones, and those
+    #: a compaction purged when it rewrote the segment.  Only ever appended to.
+    removed: List[int]
+
+
 class Source(NamedTuple):
     """One readable part of a segment set: a shard, a base segment or a delta."""
 
@@ -84,6 +102,8 @@ class Source(NamedTuple):
     #: live index grows a source's set in place (a delete is one ``add``, not
     #: a copy of every tombstone before it); readers only test or count it.
     dead: AbstractSet[int] = frozenset()
+    #: What its part's cache entries belong to, on a live index.
+    lineage: Optional[Lineage] = None
 
     def alive(self, columns: PostingColumns) -> PostingColumns:
         """*columns* of this source less its tombstoned trees' postings."""
@@ -92,6 +112,15 @@ class Source(NamedTuple):
     def postings(self, key: bytes) -> PostingColumns:
         """The source's surviving posting list of *key*."""
         return self.alive(self.index.lookup(key))
+
+    def part(self) -> "Part":
+        """This source of a live index as a part of its own, keyed by its
+        lineage and tagged with what only an add changes: the trees its file
+        was written from, or the trees added to the delta so far.  The
+        removals it counts are those made before the snapshot was taken."""
+        lineage = self.lineage
+        tag = len(self.store) if lineage.trees is None else lineage.trees
+        return Part(lineage.key, tag, (self,), lineage.removed, len(lineage.removed))
 
     def close(self) -> None:
         """Close the source's files: its index and its data file, if it has one."""
@@ -104,11 +133,22 @@ class Part(NamedTuple):
     """Sources read, joined and cached as one, under one tag."""
 
     #: What its cache entries are keyed by, the same in every snapshot it is
-    #: in: a segment's id, or a fixed name for a delta and for a frozen set.
+    #: in: a lineage's id, or a fixed name for a frozen set.
     key: Hashable
-    #: Equal for two reads exactly when the sources held the same trees.
+    #: Equal for two reads exactly when the sources held the same trees,
+    #: removals aside.
     tag: Hashable
     sources: Tuple[Source, ...]
+    #: The lineage's removed tids, in removal order (shared, append-only).
+    removed: Sequence[int] = ()
+    #: How many of them the snapshot counted: what a read of the part serves
+    #: is cut by ``removed[:cut]``, and cached with that count.
+    cut: int = 0
+
+    def removed_since(self, cut: int) -> FrozenSet[int]:
+        """The tids removed after the first *cut*, up to this read's count:
+        what an entry cached at *cut* still holds and must not serve."""
+        return frozenset(self.removed[cut:self.cut])
 
 
 class Snapshot(NamedTuple):
@@ -121,14 +161,10 @@ class Snapshot(NamedTuple):
     @classmethod
     def of(cls, version: Version, sources: Tuple[Source, ...], delta: bool = False) -> "Snapshot":
         """*sources* at *version*: one part tagged with *version*, or with a
-        *delta* last, a part per file -- keyed by its segment id and tagged
-        with the tombstones it holds, which only grow while the file lives
-        (a rewrite gets a new id) and are counted before any list is read --
-        and the delta's, tagged with *version*."""
+        *delta* last, a part per source (:meth:`Source.part`)."""
         if not delta:
             return cls(version, sources, (Part("all", version, sources),))
-        files = (Part(source.entry.segment_id, len(source.dead), (source,)) for source in sources[:-1])
-        return cls(version, sources, (*files, Part("delta", version, sources[-1:])))
+        return cls(version, sources, tuple(source.part() for source in sources))
 
 
 def open_sources(manifest_path: str, manifest: Manifest) -> Tuple[Source, ...]:
@@ -213,6 +249,17 @@ def write_segment(
     return Source(index, store, entry)
 
 
+def _max_tid(source: Source) -> int:
+    return source.entry.max_tid
+
+
+def _close_retired(totals: ProbeStats, counters: ProbeStats, *closers: Callable[[], None]) -> None:
+    """Fold a replaced source's probe *counters* into *totals*, then close its files."""
+    totals += counters
+    for close in closers:
+        close()
+
+
 class TreeGone(KeyError):
     """No source holds a live tree with this tid (any more).
 
@@ -231,31 +278,28 @@ class SegmentTreeStore:
     raises :class:`TreeGone` (a ``KeyError``) for them and iteration skips
     them.  Every call reads the index's current snapshot; a tree that is
     alive stays fetchable across a compaction (same tid, new segment, and
-    the replaced segment's file stays open for a ``get`` already on it).
+    the replaced segment's file stays open while a ``get`` holds it).
     """
 
     def __init__(self, segments: "SegmentSet"):
         self._segments = segments
 
-    def _store_of(self, tid: int) -> Optional[object]:
+    def _source_of(self, tid: int) -> Optional[Source]:
         sources = self._segments.snapshot.sources
-        position = self._segments.locate(tid)
-        for source in sources if position is None else sources[position:position + 1]:
-            if tid in source.store:
-                return None if tid in source.dead else source.store
-        return None
+        position = self._segments.holder(sources, tid)
+        return None if position is None else sources[position]
 
     def get(self, tid: int) -> ParseTree:
-        store = self._store_of(tid)
-        if store is None:
+        source = self._source_of(tid)  # held until the read is done: a replaced file stays open
+        if source is None:
             raise TreeGone(f"no tree with tid {tid}")
-        return store.get(tid)
+        return source.store.get(tid)
 
     def get_many(self, tids: Sequence[int]) -> List[ParseTree]:
         return [self.get(tid) for tid in sorted(tids)]
 
     def __contains__(self, tid: int) -> bool:
-        return self._store_of(tid) is not None
+        return self._source_of(tid) is not None
 
     def __len__(self) -> int:
         return sum(len(source.store) - len(source.dead) for source in self._segments.snapshot.sources)
@@ -303,10 +347,13 @@ class SegmentSet:
             self._partitioner = get_partitioner(manifest.partitioner, len(manifest.segments))
         #: What readers see.  Rebound as a whole by a subclass that mutates.
         self.snapshot = Snapshot.of(version, tuple(sources), self._delta)
-        #: Sources a mutation replaced, kept open (their files may already be
-        #: unlinked) until close() so a reader still holding the snapshot
-        #: they were part of finishes on them.
-        self._retired: List[Source] = []
+        #: A finalizer per source a mutation replaced: its files stay open
+        #: (they may already be unlinked) while a snapshot can reach it, so a
+        #: reader holding that snapshot finishes on them; once none can, its
+        #: probe counters go into ``_closed_probes`` and its files are closed
+        #: (:meth:`_retire`).
+        self._retired: List[weakref.finalize] = []
+        self._closed_probes = ProbeStats()
         #: The trees by tid: a plain file's own store (``None`` without a data
         #: file), else a view routed over the sources'.
         self.store = SegmentTreeStore(self) if manifest is not None else sources[0].store
@@ -358,9 +405,10 @@ class SegmentSet:
     def part_lookup(self, part: Part, encoded: bytes) -> PostingColumns:
         """*part*'s list of the canonical key *encoded*: its sources' lists
         merged by tid.  With a cache attached (:meth:`attach_postings_cache`)
-        it is cached under ``(encoded, part.key)`` with the part's tag;
-        cached lists are shared between callers and must be treated as
-        read-only."""
+        it is cached under ``(encoded, part.key)`` with the part's tag and
+        removal count; a list cached before later removals is cut by them
+        once and cached back.  Cached lists are shared between callers and
+        must be treated as read-only."""
         stats = self.probe_stats
         stats.gets += 1
         cache = self._postings_cache
@@ -368,13 +416,17 @@ class SegmentSet:
             cached = cache.get_tagged((encoded, part.key), part.tag)
             if cached is not None:
                 stats.cache_hits += 1
-                return cached
+                cut, columns = cached
+                if cut < part.cut:
+                    columns = columns.without_tids(part.removed_since(cut))
+                    cache.put((encoded, part.key), (part.tag, (part.cut, columns)))
+                return columns
         stats.tree_descents += 1
         with obs.trace("merge", sources=len(part.sources)) as span:
             merged = merge_columns([source.postings(encoded) for source in part.sources])
             span.set(postings=len(merged))
         if cache is not None:
-            cache.put((encoded, part.key), (part.tag, merged))
+            cache.put((encoded, part.key), (part.tag, (part.cut, merged)))
         return merged
 
     def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
@@ -446,18 +498,24 @@ class SegmentSet:
         """Zero the lookup counters (the sources' included); returns the snapshot."""
         before = self.probe_stats.snapshot()
         self.probe_stats.reset()
-        for source in [*self.segments, *self._retired]:
+        self._closed_probes.reset()
+        for source in self.segments:
             source.index.reset_probe_stats()
+        for counters in self._retired_probes():
+            counters.reset()
         return before
 
     def probe_snapshot(self) -> ProbeStats:
         """The lookup counters as the I/O proxy: ``gets`` / ``cache_hits`` of
         this object, B+Tree descents and node decodes summed over every
-        source read since the last reset (replaced ones included)."""
+        source read since the last reset (replaced ones included, closed or
+        not)."""
         total = ProbeStats(self.probe_stats.gets, self.probe_stats.cache_hits)
-        for source in [*self.segments, *self._retired]:
-            total.tree_descents += source.index.probe_stats.tree_descents
-            total.node_decodes += source.index.probe_stats.node_decodes
+        for counters in [
+            *(source.index.probe_stats for source in self.segments), *self._retired_probes(), self._closed_probes,
+        ]:
+            total.tree_descents += counters.tree_descents
+            total.node_decodes += counters.node_decodes
         return total
 
     def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:
@@ -487,11 +545,28 @@ class SegmentSet:
         """Manifest generation; bumped by every compaction of a live index."""
         return self.manifest.epoch
 
-    def locate(self, tid: int) -> Optional[int]:
-        """Position of the source that holds *tid* if it holds it at all, when
-        that follows from the tid alone (a hash-partitioned build: a tree
-        fetch then asks one shard); ``None`` means ask every source."""
-        return self._partitioner.locate(tid) if self._partitioner is not None else None
+    def locate(self, tid: int, sources: Optional[Tuple[Source, ...]] = None) -> Optional[int]:
+        """Position among *sources* (default: the snapshot's) of the one that
+        holds *tid* if any does, when that follows from the tid alone: a
+        hash-partitioned build deals tids by hash, and a live index's files
+        hold ascending tid ranges (bisected by their ``max_tid``) with the
+        delta past the last.  ``None`` means ask every source."""
+        if self._partitioner is not None:
+            return self._partitioner.locate(tid)
+        if not self._delta:
+            return None
+        sources = self.snapshot.sources if sources is None else sources
+        return bisect_left(sources, tid, 0, len(sources) - 1, key=_max_tid)
+
+    def holder(self, sources: Tuple[Source, ...], tid: int) -> Optional[int]:
+        """Position among *sources* of the one holding a live tree *tid*;
+        ``None`` without one (never held, or tombstoned)."""
+        located = self.locate(tid, sources)
+        for position in range(len(sources)) if located is None else (located,):
+            source = sources[position]
+            if tid in source.store:
+                return None if tid in source.dead else position
+        return None
 
     def stats_extras(self) -> Dict[str, object]:
         """What a segmented index adds to a service's ``/stats`` block and to
@@ -503,13 +578,13 @@ class SegmentSet:
         return {
             "sources": [
                 {
-                    **asdict(entry),
-                    "size_bytes": index.size_bytes(),
-                    "probe_gets": index.probe_stats.gets,
-                    "tree_descents": index.probe_stats.tree_descents,
-                    "node_decodes": index.probe_stats.node_decodes,
+                    **asdict(source.entry),
+                    "size_bytes": source.index.size_bytes(),
+                    "probe_gets": source.index.probe_stats.gets,
+                    "tree_descents": source.index.probe_stats.tree_descents,
+                    "node_decodes": source.index.probe_stats.node_decodes,
                 }
-                for index, _, entry, _ in self.segments
+                for source in self.segments
             ],
         }
 
@@ -554,14 +629,32 @@ class SegmentSet:
         return total
 
     # ------------------------------------------------------------------
+    def _retire(self, sources: Sequence[Source]) -> None:
+        """Close each of *sources*, which a mutation replaced, once no
+        snapshot can reach it -- when its index is collected -- folding its
+        probe counters into the set's totals first, so
+        :meth:`probe_snapshot` never goes down."""
+        self._retired = [finalizer for finalizer in self._retired if finalizer.alive]
+        for source in sources:
+            self._retired.append(weakref.finalize(
+                source.index, _close_retired, self._closed_probes, source.index.probe_stats,
+                source.index.closer(), source.store.close,
+            ))
+
+    def _retired_probes(self) -> List[ProbeStats]:
+        """The probe counters of the replaced sources not closed yet."""
+        return [held[2][1] for held in map(weakref.finalize.peek, self._retired) if held is not None]
+
     def close(self) -> None:
         """Close every source's files (replaced ones included) and drop the cache."""
         clear = getattr(self._postings_cache, "clear", None)
         if clear is not None:
             clear()
         self._postings_cache = None
-        for source in [*self.segments, *self._retired]:
+        for source in self.segments:
             source.close()
+        for finalizer in self._retired:
+            finalizer()  # closes what a snapshot still reaches; a no-op once it ran
         self._retired.clear()
 
     def __enter__(self) -> "SegmentSet":

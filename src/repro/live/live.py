@@ -28,9 +28,10 @@ reused, so segment and delta posting lists stay disjoint and tid-ascending
 -- merged results are byte-identical to a fresh rebuild over the surviving
 corpus, which ``tests/live/`` asserts over the full WH + FB workloads for
 all three codings.  Each segment is a part of a read and the delta one
-more (:class:`~repro.core.segments.Part`), so what is cached of a segment --
-a list, a query's result -- outlives every write but a delete of one of its
-trees, and a compaction that keeps the segment keeps it too.
+more (:class:`~repro.core.segments.Part`), keyed by a *lineage* that a
+compaction keeps when it flushes the delta or rewrites a segment, so what is
+cached of a part -- a list, a query's result -- outlives every write but an
+add to the delta: a delete is cut from it when it is served.
 
 Mutations take a writer lock (one writer at a time); readers are never
 blocked and never crash.  What a reader sees -- the segments, the delta and
@@ -42,16 +43,18 @@ gains trees, a tombstone set gains tids (in place -- a delete does not copy
 the tombstones before it), a delta body gains rows in place (the columns
 a reader holds are its own slices).  A posting of an added tree always
 names a fetchable tree, and segments replaced by a compaction are retired
--- kept open until :meth:`LiveIndex.close` -- so in-flight queries finish
+-- kept open until no snapshot reaches them -- so in-flight queries finish
 on the old epoch's files.  A query that *overlaps* a mutation may
 observe it partially (an added tree on some keys, not yet on others; a
 deleted tree still in the lists it read, which the filter phase then finds
-gone and counts as no match); what it computed is tagged with its part's
-tag as it started and never served once that tag is gone.
+gone and counts as no match); what it computed is cached with its part's
+tag and removal count as it started, never served once that tag is gone,
+and cut by every removal after that count.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -64,7 +67,7 @@ from repro.core.index import accumulate_posting_lists, encode_posting_lists, num
 from repro.core.manifest import (
     LIVE_SUFFIX, Manifest, ManifestError, is_manifest, wal_file_path,
 )
-from repro.core.segments import SegmentSet, Snapshot, Source, open_sources, write_segment
+from repro.core.segments import Lineage, SegmentSet, Snapshot, Source, open_sources, write_segment
 from repro.live.delta import DeltaSegment
 from repro.live.wal import WriteAheadLog
 from repro.trees.node import Node, ParseTree
@@ -99,13 +102,18 @@ class LiveIndex(SegmentSet):
         wal: WriteAheadLog,
         fsync: bool = True,
     ):
-        super().__init__(
-            manifest_path, manifest, [*segments, _delta_source(manifest)], (manifest.epoch, 0)
-        )
+        #: Ids of the lineages of this object's parts, in the order made.
+        self._lineage_keys = itertools.count()
+        segments = [
+            segment._replace(lineage=Lineage(next(self._lineage_keys), segment.entry.tree_count, []))
+            for segment in segments
+        ]
+        super().__init__(manifest_path, manifest, [*segments, self._new_delta(manifest)], (manifest.epoch, 0))
         self._wal = wal
         self._fsync = fsync
         self._next_tid = manifest.next_tid
         self._mutations = 0
+        self._adds = 0
         self._write_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -204,7 +212,7 @@ class LiveIndex(SegmentSet):
                 live.delta.add_tree(op.tid, record.encode("utf-8"), numbering)
                 live._next_tid = max(live._next_tid, op.tid + 1)
             else:
-                position = _holder(sources, op.tid)
+                position = live.holder(sources, op.tid)
                 if position is not None:
                     sources = _bury(sources, position, op.tid)
         live.snapshot = Snapshot.of(live.version, sources, delta=True)
@@ -232,6 +240,7 @@ class LiveIndex(SegmentSet):
                 self._wal.append_add(tid, record)
             self.delta.add_tree(tid, record.encode("utf-8"), numbering)
             self._next_tid = tid + 1
+            self._adds += 1
             self._publish(self.snapshot.sources)
         return tid
 
@@ -239,7 +248,7 @@ class LiveIndex(SegmentSet):
         """Delete the tree with identifier *tid* (a tombstone until compaction)."""
         with self._write_lock:
             sources = self.snapshot.sources
-            position = _holder(sources, tid)
+            position = self.holder(sources, tid)
             if position is None:
                 raise KeyError(f"no tree with tid {tid}")
             with obs.trace("wal.append", op="delete", tid=tid):
@@ -250,12 +259,17 @@ class LiveIndex(SegmentSet):
         """Make *sources* what readers see from now on, under a new version.
 
         One rebind: a reader holds the snapshot from before or the one from
-        after, never a mix.  Its delta part has a new tag; a segment's part a
-        new one only when that segment gained a tombstone, and a segment a
-        compaction wrote is a new part under a new id.
+        after, never a mix.  An add gives the delta's part a new tag; a
+        delete moves no tag, only the count of its part's removals, which
+        what is cached of the part is cut by when it is served.
         """
         self._mutations += 1
         self.snapshot = Snapshot.of((self.manifest.epoch, self._mutations), sources, delta=True)
+
+    def _new_delta(self, manifest: Manifest) -> Source:
+        """An empty delta, of a lineage of its own, as the last source of a snapshot."""
+        delta = DeltaSegment(manifest.mss, get_coding(manifest.coding))
+        return Source(delta, delta.trees, lineage=Lineage(next(self._lineage_keys), None, []))
 
     # ------------------------------------------------------------------
     # Compaction
@@ -307,7 +321,8 @@ class LiveIndex(SegmentSet):
             written: List[Source] = []
             # What is already indexed is merged, never indexed again: a
             # source's lists (stored, or the delta's bodies) and its records
-            # are written back out without its tombstoned trees.
+            # are written back out without its tombstoned trees, under the
+            # lineage they came from -- what is cached of them stays served.
             for source in sources:
                 if source.entry is not None and not source.dead:  # its file is what it holds
                     segments.append(source)
@@ -321,7 +336,10 @@ class LiveIndex(SegmentSet):
                         fsync=self._fsync,
                     )
                     segment_id += 1
-                    segments.append(segment)
+                    lineage = source.lineage
+                    if lineage.trees is None:  # the delta: tagged, from now on, with all it was given
+                        lineage = lineage._replace(trees=len(source.store))
+                    segments.append(segment._replace(lineage=lineage))
                     written.append(segment)
 
             manifest = replace(
@@ -366,9 +384,9 @@ class LiveIndex(SegmentSet):
             # its snapshot before the swap keeps valid file handles (the
             # unlinked files stay readable until the handles close).
             replaced = [segment for segment in sources[:-1] if segment.dead]
-            self._retired.extend(replaced)
             self.manifest = manifest
-            self._publish((*segments, _delta_source(manifest)))  # kept segments keep their parts
+            self._publish((*segments, self._new_delta(manifest)))  # every written segment keeps its lineage
+            self._retire(replaced)
             if failure is not None:
                 raise failure
 
@@ -420,7 +438,7 @@ class LiveIndex(SegmentSet):
                 "tombstones": sum(len(source.dead) for source in self.snapshot.sources),
                 "wal_ops": self._wal.op_count,
                 "wal_bytes": os.path.getsize(self._wal.path),  # appends are flushed
-                "invalidations": self._mutations,
+                "invalidations": self._adds,
             },
         }
 
@@ -430,22 +448,9 @@ class LiveIndex(SegmentSet):
         self._wal.close()
 
 
-def _delta_source(manifest: Manifest) -> Source:
-    """An empty delta as the last source of a snapshot."""
-    delta = DeltaSegment(manifest.mss, get_coding(manifest.coding))
-    return Source(delta, delta.trees)
-
-
-def _holder(sources: Tuple[Source, ...], tid: int) -> Optional[int]:
-    """Position of the source holding a live tree *tid*; ``None`` without one."""
-    for position, source in enumerate(sources):
-        if tid in source.store:
-            return None if tid in source.dead else position
-    return None
-
-
 def _bury(sources: Tuple[Source, ...], position: int, tid: int) -> Tuple[Source, ...]:
-    """*sources* with *tid* tombstoned in the source at *position*.
+    """*sources* with *tid* tombstoned in the source at *position*, and
+    appended to its lineage's removals.
 
     A source's first tombstone gives it a set of its own; every later one is
     added to that set in place, so a delete costs the same whatever number
@@ -454,6 +459,7 @@ def _bury(sources: Tuple[Source, ...], position: int, tid: int) -> Tuple[Source,
     next snapshot hides anyway.)
     """
     source = sources[position]
+    source.lineage.removed.append(tid)
     if source.dead:
         source.dead.add(tid)
         return sources

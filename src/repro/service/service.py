@@ -27,12 +27,14 @@ result cache
     query string and part of the index, so an identical repeated query is
     answered without any join work at all.  Every entry is tagged with its
     part's tag when the run started -- a constant on an immutable index; on
-    a live one a segment's tombstones, the delta's version -- and served
-    only while that tag stands: a result computed while a mutation raced it
-    is never served after it, and a write leaves every part it did not
-    touch servable.  The parts a run misses are joined once, and that
-    answer is cut back into their results; the answer is the parts'
-    results end to end.  Size 0 disables this layer.
+    a live one the trees a segment was written from, or those added to the
+    delta -- and served only while that tag stands: a result computed while
+    an add raced it is never served after it.  A delete moves no tag: the
+    trees removed from a part since its entry was cached are cut from it
+    when it is next served, and it is cached back cut.  The parts a run
+    misses are joined once, and that answer is cut back into their results;
+    the answer is the parts' results end to end.  Size 0 disables this
+    layer.
 
 On top of these, :meth:`QueryService.run_many` batches: it prepares every
 query first, fetches each *distinct* cover key exactly once, and joins each
@@ -47,7 +49,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.coding.postings import PostingColumns, merge_columns
@@ -177,6 +179,14 @@ def _concatenated(results: Sequence[QueryResult]) -> QueryResult:
         sum(run.elapsed_seconds for run in runs),
     )
     return QueryResult(matches_per_tree=matches, stats=stats)
+
+
+def _without(result: QueryResult, removed: AbstractSet[int]) -> QueryResult:
+    """*result* less the matches in the trees *removed*; itself without any."""
+    matches = result.matches_per_tree
+    if removed.isdisjoint(matches):
+        return result
+    return QueryResult({tid: count for tid, count in matches.items() if tid not in removed}, result.stats)
 
 
 def _split(joined: QueryResult, parts: Sequence[Part]) -> List[QueryResult]:
@@ -347,9 +357,19 @@ class QueryService:
 
     def _cached_result(self, prepared: PreparedQuery, part: Part) -> Optional[QueryResult]:
         """*part*'s cached result of *prepared*, if it was computed under the
-        part's current tag (a stale one counts as a miss)."""
+        part's current tag (a stale one counts as a miss), less the trees
+        removed from the part since -- cut once, and cached back."""
         cache = self._result_cache
-        return None if cache is None else cache.get_tagged((prepared.normalized, part.key), part.tag)
+        if cache is None:
+            return None
+        cached = cache.get_tagged((prepared.normalized, part.key), part.tag)
+        if cached is None:
+            return None
+        cut, result = cached
+        if cut < part.cut:
+            result = _without(result, part.removed_since(cut))
+            self._remember_result(prepared, part, result)
+        return result
 
     def result_resident(self, prepared: PreparedQuery) -> bool:
         """Would :meth:`run` answer *prepared*'s query from the result cache
@@ -372,14 +392,16 @@ class QueryService:
         return True
 
     def _remember_result(self, prepared: PreparedQuery, part: Part, result: QueryResult) -> None:
-        """Cache *result* tagged with *part*'s tag as the run read it.
+        """Cache *result* tagged with *part*'s tag and removal count as the
+        run read them.
 
-        The tag is read *before* execution, so a result that raced a
-        mutation carries a stale tag and is simply never served -- the
-        read-side check makes the write-side race harmless.
+        Both are read *before* execution, so a result that raced an add
+        carries a stale tag and is simply never served -- the read-side
+        check makes the write-side race harmless -- and one that raced a
+        delete is cut by it again when served, which changes nothing.
         """
         if self._result_cache is not None:
-            self._result_cache.put((prepared.normalized, part.key), (part.tag, result))
+            self._result_cache.put((prepared.normalized, part.key), (part.tag, (part.cut, result)))
 
     def run(self, query: QueryLike) -> QueryResult:
         """Evaluate one query through the cached pipeline.

@@ -11,6 +11,7 @@ reopening (WAL replay).
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 import zlib
@@ -24,6 +25,7 @@ from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import QueryExecutor
 from repro.live import LiveIndex
+from repro.live.delta import DeltaTrees
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import parse_penn, to_penn
 from repro.workloads.fb import generate_fb_queries
@@ -321,6 +323,75 @@ class TestLifecycle:
             assert snapshot[0].store.get(0).tid == 0
             # The live index itself serves the new epoch.
             assert all(p.tid != 0 for p in live.lookup(b"NP(DT)"))
+        finally:
+            live.close()
+
+    def test_a_replaced_segment_is_closed_once_no_snapshot_reaches_it(self, workdir, tiny_corpus) -> None:
+        """300 compactions, each dropping the segment the one before wrote
+        (its one tree deleted): the replaced files are closed as their last
+        snapshot goes, so open descriptors stay at two a live segment plus a
+        constant, the probe counters never go down, and a snapshot held
+        across every compaction still answers from the files it holds."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("counts descriptors in /proc/self/fd")
+        trees = list(tiny_corpus)
+        live = LiveIndex.create(str(workdir / "closes"), mss=2, coding="root-split", trees=trees[:8], fsync=False)
+        try:
+            previous = live.add_tree(trees[8].root)
+            live.compact()
+            held = live.snapshot
+            answer = [live.part_lookup(part, b"NP(DT)").tids for part in held.parts[:-1]]
+            descents = live.probe_snapshot().tree_descents
+            constant = len(os.listdir("/proc/self/fd")) - 2 * live.segment_count
+            for round_ in range(300):
+                added = live.add_tree(trees[9 + round_ % 16].root)
+                live.delete_tree(previous)
+                live.compact()
+                assert live.segment_count == 2
+                live.lookup(b"NP(DT)")  # a descent into the new segment
+                now = live.probe_snapshot().tree_descents
+                assert now >= descents
+                descents, previous = now, added
+                assert len(os.listdir("/proc/self/fd")) <= constant + 2 * live.segment_count + 4
+            assert [live.part_lookup(part, b"NP(DT)").tids for part in held.parts[:-1]] == answer
+            assert held.sources[1].store.get(8).tid == 8
+        finally:
+            live.close()
+
+    def test_a_tid_is_routed_to_the_one_source_that_can_hold_it(
+        self, workdir, small_corpus, monkeypatch
+    ) -> None:
+        """On a 40-segment index a delete and a tree fetch each ask one
+        source whether it holds the tid: the one whose tid range covers it,
+        or the delta past the last."""
+        trees = list(small_corpus)
+        live = LiveIndex.create(str(workdir / "routes"), mss=2, coding="root-split", trees=trees[:2], fsync=False)
+        try:
+            for tree in trees[2:80]:
+                live.add_tree(tree.root)
+                if tree.tid % 2:
+                    live.compact()
+            live.add_tree(trees[80].root)
+            assert live.segment_count == 40
+            asked = []
+            for store in (TreeStore, DeltaTrees):
+                def counted(self, tid, contains=store.__contains__):
+                    asked.append(self)
+                    return contains(self, tid)
+
+                monkeypatch.setattr(store, "__contains__", counted)
+            middle = live.segments[20]
+            for tid, holder in ((middle.store.tids()[0], middle.store), (80, live.delta.trees)):
+                asked.clear()
+                assert live.store.get(tid).tid == tid
+                assert asked == [holder]
+                asked.clear()
+                live.delete_tree(tid)
+                assert asked == [holder]
+                asked.clear()
+                with pytest.raises(KeyError):
+                    live.store.get(tid)
+                assert asked == [holder]
         finally:
             live.close()
 

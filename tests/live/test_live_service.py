@@ -90,7 +90,7 @@ def test_mutations_invalidate_results(tmp_path, live) -> None:
         live.delete_tree(tid)
         after_delete = service.run(text)
         assert after_delete.matches_per_tree == before.matches_per_tree
-        assert service.stats().extras["live"]["invalidations"] == 2
+        assert service.stats().extras["live"]["invalidations"] == 1  # the add; a delete moves no tag
     finally:
         service.close()
 
@@ -133,8 +133,9 @@ def test_plans_survive_mutations_and_an_epoch_bump(live) -> None:
 def test_the_posting_cache_holds_each_part_until_its_tag_moves(live) -> None:
     """One list per key and part: each segment's and the delta's.  An add
     leaves the segment's list servable and replaces the delta's on its next
-    read -- a stale tag is a miss; a compaction sweeps nothing, and the
-    segment it keeps keeps its list."""
+    read -- a stale tag is a miss; a compaction sweeps nothing, the segment
+    it keeps keeps its list, and the delta's list is served as the list of
+    the segment the delta was flushed to."""
     service = QueryService(live, result_cache_size=0)
     try:
         service.run("NP(DT)(NN)")  # one cover key at mss 3
@@ -152,7 +153,7 @@ def test_the_posting_cache_holds_each_part_until_its_tag_moves(live) -> None:
         assert service.stats().postings.size == 2
         service.run("NP(DT)(NN)")
         kept = service.stats().postings
-        assert (kept.hits, kept.misses, kept.size) == (4, 5, 3)  # segment 0's list is served
+        assert (kept.hits, kept.misses, kept.size) == (5, 4, 3)  # only the new, empty delta's is read
     finally:
         service.close()
 
@@ -189,10 +190,13 @@ def test_a_write_to_the_delta_costs_no_descent(tmp_path, live, result_cache_size
         service.close()
 
 
-def test_a_segment_result_is_never_served_after_a_segment_delete(monkeypatch, tmp_path, live) -> None:
-    """A segment delete moves its segment's tag: the result cached before it
-    is joined again -- also when the delete lands while that join's lists
-    are being read, which leaves the result it is computing stale at once."""
+def test_a_segment_delete_is_cut_from_the_cached_result_also_when_it_races_a_join(
+    monkeypatch, tmp_path, live
+) -> None:
+    """A segment delete moves no tag: the result cached before it is served
+    less the deleted tree.  A delete that lands while a join's lists are
+    being read may be in that run's answer -- it is as of its snapshot --
+    and is cut from the result the run cached when it is next served."""
     service = QueryService(live)
     text = "NP(DT)(NN)"
     try:
@@ -201,7 +205,8 @@ def test_a_segment_result_is_never_served_after_a_segment_delete(monkeypatch, tm
         live.delete_tree(first)
         assert first not in service.run(text).matches_per_tree
 
-        live.delete_tree(second)  # the next run joins the segments again ...
+        live.delete_tree(second)
+        service.clear_caches()  # the next run joins the segments again ...
         fetch, raced = Source.postings, []
 
         def delete_mid_fetch(source: Source, key: bytes):
@@ -226,65 +231,85 @@ def test_a_segment_result_is_never_served_after_a_segment_delete(monkeypatch, tm
         service.close()
 
 
-def test_a_delete_in_a_segment_rereads_only_that_segment_once(live, small_corpus) -> None:
-    """After a segment tree is deleted, each key's list of that segment is
-    read again once -- one descent per key, into that segment alone -- and
-    later writes to the delta do not read it again."""
+@pytest.mark.parametrize("result_cache_size", [1024, 0], ids=["results", "lists"])
+def test_a_delete_in_a_segment_costs_no_descent_and_no_join(
+    monkeypatch, tmp_path, live, small_corpus, result_cache_size
+) -> None:
+    """After a segment tree is deleted, re-running the queries descends into
+    no B+Tree: each part's cached result (or, with no result cache, each
+    part's cached list) is served less the deleted tree, so with a result
+    cache no query is joined again; later writes to the delta read no
+    segment either."""
     grow(live, list(small_corpus)[60:], segments=3)
-    service = QueryService(live, result_cache_size=0)
+    service = QueryService(live, result_cache_size=result_cache_size)
+    joins = []
+
+    def counted(*args, **kwargs):
+        joins.append(args[0])
+        return join_postings(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "join_postings", counted)
     try:
-        keys = {key for text in QUERIES for key in service.prepare(text).key_bytes}
         for text in QUERIES:
             service.run(text)
         victim = min(service.run("NP(DT)(NN)").matches_per_tree)
-        seed, *others = live.segments
-        assert victim in seed.store  # a tree of the seed segment
+        assert victim in live.segments[0].store  # a tree of the seed segment
         descents = live.probe_snapshot().tree_descents
-        untouched = [segment.index.probe_stats.tree_descents for segment in others]
+        joins.clear()
         live.delete_tree(victim)
-        for text in QUERIES + QUERIES:
-            assert victim not in service.run(text).matches_per_tree
-        reread = live.probe_snapshot().tree_descents
-        assert reread == descents + len(keys)
-        assert [segment.index.probe_stats.tree_descents for segment in others] == untouched
+        served = [service.run(text).matches_per_tree for text in QUERIES + QUERIES]
+        assert live.probe_snapshot().tree_descents == descents
+        if result_cache_size:
+            assert joins == []
+        reference = plain_service_over(tmp_path, live, "segment-delete")
+        try:
+            for text, matches in zip(QUERIES + QUERIES, served):
+                assert victim not in matches
+                assert matches == reference.run(text).matches_per_tree
+        finally:
+            reference.close()
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
         for text in QUERIES:
             service.run(text)
-        assert live.probe_snapshot().tree_descents == reread
+        assert live.probe_snapshot().tree_descents == descents
     finally:
         service.close()
 
 
-def test_stale_segment_part_is_never_served(live) -> None:
-    """The segment-level twin of the test below: a part put with an older
-    tag -- a slow reader's, from before a segment delete -- is never served,
-    nor is one of the segment a compaction replaced."""
+def test_a_list_cached_before_a_removal_is_served_without_it(live) -> None:
+    """A list put under its part's tag and an older removal count -- a slow
+    reader's, from before a segment delete -- is served less the deleted
+    tree, and so is the one cached of the segment a compaction rewrote: the
+    rewrite keeps the segment's lineage, so no B+Tree is read for it."""
     service = QueryService(live, result_cache_size=0)
     try:
         key = b"NP(DT)"
         seed = live.snapshot.parts[0]
-        assert (seed.key, seed.tag) == (0, 0)  # segment 0, no tombstone
+        assert (seed.key, seed.tag, seed.cut) == (0, 60, 0)  # lineage 0, 60 trees, nothing removed
         stale = live.lookup(key)  # seed segment only: the delta is empty
         victim = stale.tids[0]
         live.delete_tree(victim)
-        live.postings_cache.put((key, seed.key), (seed.tag, stale))  # the slow reader's put
+        live.postings_cache.put((key, seed.key), (seed.tag, (seed.cut, stale)))  # the slow reader's put
         expected = [tid for tid in stale.tids if tid != victim]
         assert list(live.lookup(key).tids) == expected
+        live.postings_cache.put((key, seed.key), (seed.tag, (seed.cut, stale)))
+        descents = live.probe_snapshot().tree_descents
         live.compact()
-        assert [part.key for part in live.snapshot.parts] == [1, "delta"]  # segment 0 rewritten
-        live.postings_cache.put((key, seed.key), (1, stale))  # a part of the replaced segment
+        rewritten = live.snapshot.parts[0]
+        assert live.segments[0].entry.segment_id == 1  # segment 0 rewritten ...
+        assert (rewritten.key, rewritten.tag, rewritten.cut) == (0, 60, 1)  # ... under its lineage
         assert list(live.lookup(key).tids) == expected
+        assert live.probe_snapshot().tree_descents == descents
     finally:
         service.close()
 
 
-def test_a_compaction_keeps_the_lists_of_the_segments_it_keeps(live) -> None:
+def test_a_compaction_keeps_every_cached_list(live) -> None:
     """A compaction that only flushes the delta keeps segment 0, and every
-    list cached of it: re-running the queries descends into the new segment
-    alone, once per cover key."""
+    list cached of it, and serves the delta's lists as the new segment's:
+    re-running the queries descends into no B+Tree."""
     service = QueryService(live, result_cache_size=0)
     try:
-        keys = {key for text in QUERIES for key in service.prepare(text).key_bytes}
         live.add_tree("(ROOT (NP (DT a) (NN b)))")
         for text in QUERIES:
             service.run(text)
@@ -294,43 +319,47 @@ def test_a_compaction_keeps_the_lists_of_the_segments_it_keeps(live) -> None:
         assert service.stats().postings.size == size  # nothing is swept
         for text in QUERIES:
             service.run(text)
-        assert live.probe_snapshot().tree_descents == descents + len(keys)  # the new segment's
+        assert live.probe_snapshot().tree_descents == descents
     finally:
         service.close()
 
 
-def test_a_compaction_leaves_the_kept_segments_results_served(tmp_path, coded_live, small_corpus) -> None:
-    """After a compaction, re-running the queries descends into no segment
-    it kept, and the kept segments' results are result-cache hits."""
+def test_after_a_compaction_every_part_but_the_delta_is_a_result_hit(tmp_path, coded_live, small_corpus) -> None:
+    """A compaction that keeps the base segment, rewrites the newest one
+    (which holds a tombstone) and flushes the delta: re-running the queries
+    descends into no B+Tree, and every part but the new delta is a result
+    hit, the rewritten segment's less the tree it purged."""
     live = coded_live
-    grow(live, list(small_corpus)[60:], segments=2)
+    grow(live, list(small_corpus)[60:], segments=2, per_segment=10)
     service = QueryService(live)
     try:
+        base, newest = live.segments
+        live.delete_tree(newest.store.tids()[0])
         for text in QUERIES:
             service.run(text)
-        kept = live.segments
-        descents = [segment.index.probe_stats.tree_descents for segment in kept]
+        descents = live.probe_snapshot().tree_descents
         hits = service.stats().results.hits
-        live.compact()  # flushes the delta; both segments are kept
-        assert live.segments[:2] == kept
+        stats = live.compact()
+        assert (stats.flushed_trees, stats.segments_rewritten) == (3, 1)
+        assert live.segments[0] == base and len(live.segments) == 3
         reference = plain_service_over(tmp_path, live, "compacted")
         try:
             for text in QUERIES:
                 assert service.run(text).matches_per_tree == reference.run(text).matches_per_tree
         finally:
             reference.close()
-        assert [segment.index.probe_stats.tree_descents for segment in kept] == descents
-        assert service.stats().results.hits == hits + len(kept) * len(QUERIES)
+        assert live.probe_snapshot().tree_descents == descents
+        assert service.stats().results.hits == hits + len(live.segments) * len(QUERIES)
     finally:
         service.close()
 
 
-def test_a_delete_in_the_newest_segment_leaves_the_base_results_served(
+def test_a_delete_in_the_newest_segment_leaves_every_result_served(
     tmp_path, coded_live, small_corpus
 ) -> None:
-    """The delete that follows a compaction lands in the newest segment: the
-    base segment's results and lists stay served, and the answer is a
-    rebuild's."""
+    """The delete that follows a compaction lands in the newest segment:
+    every part's results and lists stay served, that segment's less the
+    deleted tree, and the answer is a rebuild's."""
     live = coded_live
     grow(live, list(small_corpus)[60:], segments=2, per_segment=10)
     service = QueryService(live)
@@ -338,7 +367,7 @@ def test_a_delete_in_the_newest_segment_leaves_the_base_results_served(
         for text in QUERIES:
             service.run(text)
         base, newest = live.segments
-        descents = base.index.probe_stats.tree_descents
+        descents = live.probe_snapshot().tree_descents
         hits = service.stats().results.hits
         live.delete_tree(newest.store.tids()[0])
         reference = plain_service_over(tmp_path, live, "newest-delete")
@@ -347,8 +376,8 @@ def test_a_delete_in_the_newest_segment_leaves_the_base_results_served(
                 assert service.run(text).matches_per_tree == reference.run(text).matches_per_tree
         finally:
             reference.close()
-        assert base.index.probe_stats.tree_descents == descents
-        assert service.stats().results.hits == hits + len(QUERIES)  # the base's (every write moves the delta's tag)
+        assert live.probe_snapshot().tree_descents == descents
+        assert service.stats().results.hits == hits + len(live.snapshot.parts) * len(QUERIES)
     finally:
         service.close()
 
@@ -412,7 +441,7 @@ def test_stale_posting_list_is_never_served_after_racing_a_mutation(live) -> Non
         stale_delta = live.snapshot.parts[-1]
         stale = live.part_lookup(stale_delta, key)
         tid = live.add_tree("(ROOT (S (NP (DT the) (NN crab)) (VP (VBZ digs))))")
-        live.postings_cache.put((key, stale_delta.key), (stale_delta.tag, stale))  # the slow reader's put
+        live.postings_cache.put((key, stale_delta.key), (stale_delta.tag, (stale_delta.cut, stale)))  # a slow reader's
         served = live.lookup(key)
         assert served.tids[-1] == tid and tid not in stale.tids
         delta = live.snapshot.parts[-1]
@@ -502,5 +531,64 @@ def test_open_serves_a_live_manifest(tmp_path, tiny_corpus) -> None:
         stats = service.stats().extras["live"]
         assert stats["epoch"] == 0
         assert stats["wal_ops"] == 0
+    finally:
+        service.close()
+
+
+def test_readers_racing_deletes_and_compactions_never_serve_a_deleted_tree(tmp_path, live, small_corpus) -> None:
+    """Four threads run the queries through one service while a writer
+    deletes segment and delta trees, adds and compacts.  No run answers
+    with a tree deleted before it began, none fails on a file a compaction
+    retired, and once the writer stops the cached answers are a rebuild's."""
+    import sys
+    import threading
+
+    service = QueryService(live)
+    deleted: list = []
+    failures: list = []
+    done = threading.Event()
+
+    def read() -> None:
+        while not done.is_set() and not failures:
+            for text in QUERIES:
+                gone = set(deleted)
+                try:
+                    served = service.run(text).matches_per_tree
+                except Exception as error:  # a reader must never fail
+                    failures.append((text, repr(error)))
+                    return
+                if gone & set(served):
+                    failures.append((text, sorted(gone & set(served))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    try:
+        for reader in readers:
+            reader.start()
+        trees = iter(list(small_corpus)[60:])
+        for step in range(24):
+            live.add_tree(next(trees).root)
+            for source in (live.segments[step % live.segment_count], live.snapshot.sources[-1]):
+                alive = [tid for tid in source.store.tids() if tid not in source.dead]
+                if alive:
+                    live.delete_tree(alive[len(alive) // 2])
+                    deleted.append(alive[len(alive) // 2])
+            if step % 4 == 3:
+                live.compact()
+    finally:
+        done.set()
+        for reader in readers:
+            reader.join(timeout=60)
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(reader.is_alive() for reader in readers)
+        assert not failures, failures[0]
+        reference = plain_service_over(tmp_path, live, "raced")
+        try:
+            for text in QUERIES:
+                assert service.run(text).matches_per_tree == reference.run(text).matches_per_tree
+        finally:
+            reference.close()
     finally:
         service.close()

@@ -1,10 +1,13 @@
 """A live query's parts against the brute-force matcher, over drawn histories.
 
-A live index answers a query per part -- each segment, keyed by its id and
-tagged with the tombstones it holds, and its delta, tagged with the version
--- and caches each part's result and lists under that tag, so what one write
-leaves valid is served across it; the parts a query misses are joined once
-and the answer cut back into each one's result.  Hypothesis draws the writes
+A live index answers a query per part -- each segment and its delta, keyed
+by a lineage that a compaction's rewrite or flush keeps, and tagged with the
+trees it was written from or the trees added to the delta -- and caches each
+part's result and lists under that tag, so what one write leaves valid is
+served across it: a delete moves no tag, and the trees removed from a part
+since an entry was cached are cut from it when it is served.  The parts a
+query misses are joined once and the answer cut back into each one's
+result.  Hypothesis draws the writes
 that move some tags and not others: adds from a fixed pool of generated
 trees, deletes of a live tid from the delta, from any segment or from the
 newest one (where a compaction put the trees the delta held), compactions,
@@ -13,7 +16,9 @@ segments and more.  After every op, ``run``, ``run_many`` and a second
 ``run`` of a sample of the WH templates must equal
 :func:`~repro.trees.matching.count_matches` over the trees alive, tid order
 included -- under all three codings, with the result cache at its default
-size and switched off.
+size and switched off, and each of those with the posting cache on and off:
+both cuts, of a cached list and of a cached answer, and the cut of a list
+as it is fetched.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ def _assert_answers(services: List[QueryService], pool_of: Dict[int, int], op: T
         counts = ((tid, COUNTS[pool_of[tid]][position]) for tid in sorted(pool_of))
         expected.append([(tid, count) for tid, count in counts if count])
     for service in services:
-        where = (op, service.index.coding.name, service.stats().results.capacity)
+        stats = service.stats()
+        where = (op, service.index.coding.name, stats.results.capacity, stats.postings.capacity)
         for calls in ("run", "run_many", "run again"):
             if calls == "run_many":
                 results = service.run_many(TEXTS)
@@ -78,11 +84,17 @@ def test_every_part_answers_as_the_oracle_after_every_write(seed: List[int], his
     in_delta: List[int] = []
     with tempfile.TemporaryDirectory() as workdir:
         trees = [_tree(tid, pool_of) for tid in sorted(pool_of)]
+        # A posting cache belongs to the index it is attached to: an index
+        # per coding and posting-cache size, and a service per result-cache size.
+        shapes = [(coding, lists) for coding in CODINGS for lists in (4096, 0)]
         indexes = [
-            LiveIndex.create(os.path.join(workdir, coding), MSS, coding, trees=trees, fsync=False)
-            for coding in CODINGS
+            LiveIndex.create(os.path.join(workdir, f"{coding}-{lists}"), MSS, coding, trees=trees, fsync=False)
+            for coding, lists in shapes
         ]
-        services = [QueryService(index, result_cache_size=size) for index in indexes for size in (1024, 0)]
+        services = [
+            QueryService(index, result_cache_size=results, postings_cache_size=lists)
+            for index, (_, lists) in zip(indexes, shapes) for results in (1024, 0)
+        ]
         try:
             for op, argument in [("query", None), *history]:
                 if op == "add":
