@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Serve concurrent queries from one QueryService behind a thread pool.
 
-The service's caches are lock-striped and the B+Tree serialises only its
-cache-missing descents, so many threads can share one open index.  This demo
+The service owns its caches -- one locked LRU map each -- and the B+Tree
+serialises only the descents a cache miss makes, so many threads can share
+one open index.  This demo
 
 1. builds a small index,
 2. replays a skewed workload (a few hot templates, many repeats) through a
    ``ThreadPoolExecutor`` at several pool sizes, and
-3. prints the per-pool throughput plus the cache hit rates that make the
-   hot path lock-free.
+3. prints the per-pool throughput plus the cache hit rates that keep the
+   hot path out of the B+Tree.
 
 Run it from the repository root::
 
@@ -83,7 +84,7 @@ def main() -> None:
             f"plans {stats.plans.hit_rate:.1%}, postings {stats.postings.hit_rate:.1%} "
             f"| index descents {stats.probes.tree_descents}"
         )
-        service.close()  # drops and detaches its caches; the index stays open
+        service.close()  # drops its caches; the index stays open
 
     # Sanity: every request got a deterministic answer.
     assert all(isinstance(count, int) for count in matches)

@@ -84,10 +84,6 @@ class FrequencyBasedIndex:
         """Number of keys retained in the index."""
         return len(self._tid_lists)
 
-    def has_key(self, key: bytes) -> bool:
-        """``True`` when the (canonical) key is retained."""
-        return key in self._tid_lists
-
     def tids(self, key: bytes) -> Optional[List[int]]:
         """Sorted tid list of *key*, or ``None`` when the key is not retained."""
         return self._tid_lists.get(key)

@@ -388,7 +388,7 @@ def shard_scalability(
     sharded.reset_probe_stats()
     cold_seconds = float("inf")
     for _ in range(cold_passes):
-        service = QueryService(sharded)  # replaces the last pass's caches
+        service = QueryService(sharded)  # a fresh service: fresh caches
         seconds, outcomes = _timed(service.run, queries)
         cold_seconds = min(cold_seconds, sum(seconds))
     with service:
@@ -576,7 +576,7 @@ def _service_under_load(
     The context's index over *sentences* -- or, for ``repro loadtest``, the
     index file *index* names, whose corpus the context cannot draw FB
     queries from.  Either way the service is closed by its ``with`` block:
-    that drops and detaches its caches, and closes only files it opened.
+    that drops its caches, and closes only files it opened.
     """
     if index is not None:
         return QueryService.open(index, **cache_options), []

@@ -19,7 +19,7 @@ from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, Sequen
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns
 from repro.core.enumeration import extract_root_texts, extract_subtrees, number
-from repro.core.keys import SubtreeKey, canonical_key, decode_key
+from repro.core.keys import SubtreeKey, canonical_key
 from repro.storage.bptree import MAGIC, BPlusTree, ProbeStats
 from repro.storage.codec import decode_varint
 from repro.trees.node import Node, ParseTree
@@ -253,10 +253,6 @@ class SubtreeIndex:
         self.probe_stats.node_decodes += tree_stats.node_decodes - decodes_before
         return PostingColumns(()) if raw is None else self.coding.decode_postings(raw)
 
-    def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
-        """``True`` when *key* is present in the index (the leaf says: no list is read)."""
-        return self._normalise_key(key) in self._tree
-
     def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
         """Length of the posting list of *key* (0 when absent).
 
@@ -275,13 +271,6 @@ class SubtreeIndex:
     # ------------------------------------------------------------------
     # Iteration and statistics
     # ------------------------------------------------------------------
-    def keys(self) -> Iterator[SubtreeKey]:
-        """Yield all index keys as parsed :class:`SubtreeKey` objects."""
-        for key, _ in self._tree.items():
-            if key == _META_KEY:
-                continue
-            yield decode_key(key)
-
     def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
         """Yield ``(canonical key bytes, decoded posting list)`` pairs."""
         for key, value in self._tree.items():

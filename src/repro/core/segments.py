@@ -54,7 +54,7 @@ from repro import obs
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns, merge_columns
 from repro.core.index import IndexMetadata, SubtreeIndex
-from repro.core.keys import SubtreeKey, decode_key
+from repro.core.keys import SubtreeKey
 from repro.core.manifest import (
     Manifest,
     ManifestError,
@@ -64,7 +64,7 @@ from repro.core.manifest import (
     segment_file_names,
 )
 from repro.corpus.store import Corpus, TreeStore, data_file_path
-from repro.storage.bptree import ProbeStats, ValueCache
+from repro.storage.bptree import ProbeStats
 from repro.trees.node import Node, ParseTree
 
 #: ``(epoch, mutation counter)``; constant on an index that cannot change.
@@ -89,9 +89,9 @@ class Lineage(NamedTuple):
 class Source(NamedTuple):
     """One readable part of a segment set: a shard, a base segment or a delta."""
 
-    #: ``lookup`` (-> ``PostingColumns``) / ``has_key`` /
-    #: ``posting_list_length`` / ``items`` over canonical key bytes: a
-    #: ``SubtreeIndex`` or a live index's delta.
+    #: ``lookup`` (-> ``PostingColumns``) / ``posting_list_length`` /
+    #: ``items`` over canonical key bytes: a ``SubtreeIndex`` or a live
+    #: index's delta.
     index: object
     #: The source's trees by tid: a data file, a delta's records, an
     #: in-memory ``Corpus``, or ``None`` for a plain index file without one.
@@ -295,9 +295,6 @@ class SegmentTreeStore:
             raise TreeGone(f"no tree with tid {tid}")
         return source.store.get(tid)
 
-    def get_many(self, tids: Sequence[int]) -> List[ParseTree]:
-        return [self.get(tid) for tid in sorted(tids)]
-
     def __contains__(self, tid: int) -> bool:
         return self._source_of(tid) is not None
 
@@ -357,10 +354,9 @@ class SegmentSet:
         #: The trees by tid: a plain file's own store (``None`` without a data
         #: file), else a view routed over the sources'.
         self.store = SegmentTreeStore(self) if manifest is not None else sources[0].store
-        self._postings_cache: Optional[ValueCache] = None
-        #: Counters of part lookups through this object: ``tree_descents``
-        #: counts the lists that had to be merged from the sources, whose own
-        #: descents and node decodes :meth:`probe_snapshot` adds up.
+        #: Counters of part lookups through this object: ``gets`` counts the
+        #: lists merged from the sources, whose own descents and node decodes
+        #: :meth:`probe_snapshot` adds up.
         self.probe_stats = ProbeStats()
 
     @classmethod
@@ -403,39 +399,13 @@ class SegmentSet:
         return merge_columns([self.part_lookup(part, encoded) for part in self.snapshot.parts])
 
     def part_lookup(self, part: Part, encoded: bytes) -> PostingColumns:
-        """*part*'s list of the canonical key *encoded*: its sources' lists
-        merged by tid.  With a cache attached (:meth:`attach_postings_cache`)
-        it is cached under ``(encoded, part.key)`` with the part's tag and
-        removal count; a list cached before later removals is cut by them
-        once and cached back.  Cached lists are shared between callers and
-        must be treated as read-only."""
-        stats = self.probe_stats
-        stats.gets += 1
-        cache = self._postings_cache
-        if cache is not None:
-            cached = cache.get_tagged((encoded, part.key), part.tag)
-            if cached is not None:
-                stats.cache_hits += 1
-                cut, columns = cached
-                if cut < part.cut:
-                    columns = columns.without_tids(part.removed_since(cut))
-                    cache.put((encoded, part.key), (part.tag, (part.cut, columns)))
-                return columns
-        stats.tree_descents += 1
+        """*part*'s list of the canonical key *encoded*: its sources' lists,
+        less their tombstoned trees' postings, merged by tid."""
+        self.probe_stats.gets += 1
         with obs.trace("merge", sources=len(part.sources)) as span:
             merged = merge_columns([source.postings(encoded) for source in part.sources])
             span.set(postings=len(merged))
-        if cache is not None:
-            cache.put((encoded, part.key), (part.tag, (part.cut, merged)))
         return merged
-
-    def has_key(self, key: bytes | str | SubtreeKey | Node) -> bool:
-        """``True`` when *key* has a posting in a tree that is not tombstoned."""
-        encoded = SubtreeIndex._normalise_key(key)
-        return any(
-            bool(source.postings(encoded)) if source.dead else source.index.has_key(encoded)
-            for source in self.snapshot.sources
-        )
 
     def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
         """Length of the merged posting list of *key* (0 when absent).
@@ -469,13 +439,8 @@ class SegmentSet:
             if merged:
                 yield key, merged
 
-    def keys(self) -> Iterator[SubtreeKey]:
-        """Yield every distinct surviving key as a parsed :class:`SubtreeKey`."""
-        for key, _ in self.items():
-            yield decode_key(key)
-
     # ------------------------------------------------------------------
-    # Probe accounting and the read-through posting cache
+    # Probe accounting
     # ------------------------------------------------------------------
     @property
     def flavor(self) -> str:
@@ -506,30 +471,17 @@ class SegmentSet:
         return before
 
     def probe_snapshot(self) -> ProbeStats:
-        """The lookup counters as the I/O proxy: ``gets`` / ``cache_hits`` of
-        this object, B+Tree descents and node decodes summed over every
-        source read since the last reset (replaced ones included, closed or
-        not)."""
-        total = ProbeStats(self.probe_stats.gets, self.probe_stats.cache_hits)
+        """The lookup counters as the I/O proxy: the part lookups of this
+        object as ``gets``, B+Tree descents and node decodes summed over
+        every source read since the last reset (replaced ones included,
+        closed or not)."""
+        total = ProbeStats(self.probe_stats.gets)
         for counters in [
             *(source.index.probe_stats for source in self.segments), *self._retired_probes(), self._closed_probes,
         ]:
             total.tree_descents += counters.tree_descents
             total.node_decodes += counters.node_decodes
         return total
-
-    def attach_postings_cache(self, cache: Optional[ValueCache]) -> None:
-        """Install a read-through cache of the parts' posting lists.
-
-        Entries are ``(tag, list)`` pairs and one is served only while its
-        part's tag stands; a stale one is replaced on its next miss.
-        """
-        self._postings_cache = cache
-
-    @property
-    def postings_cache(self) -> Optional[ValueCache]:
-        """The currently attached part-posting cache, if any."""
-        return self._postings_cache
 
     # ------------------------------------------------------------------
     # Introspection
@@ -646,11 +598,7 @@ class SegmentSet:
         return [held[2][1] for held in map(weakref.finalize.peek, self._retired) if held is not None]
 
     def close(self) -> None:
-        """Close every source's files (replaced ones included) and drop the cache."""
-        clear = getattr(self._postings_cache, "clear", None)
-        if clear is not None:
-            clear()
-        self._postings_cache = None
+        """Close every source's files (replaced ones included)."""
         for source in self.segments:
             source.close()
         for finalizer in self._retired:

@@ -20,7 +20,7 @@ import io
 import os
 import struct
 import threading
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.trees.node import ParseTree
 from repro.trees.penn import parse_penn, to_penn
@@ -200,10 +200,6 @@ class TreeStore:
             _, length = _HEADER.unpack(self._file.read(_HEADER.size))
             return self._file.read(length)
 
-    def get_many(self, tids: Sequence[int]) -> List[ParseTree]:
-        """Fetch several trees; tids are looked up in sorted order to keep IO sequential."""
-        return [self.get(tid) for tid in sorted(tids)]
-
     def __contains__(self, tid: int) -> bool:
         return tid in self._offsets
 
@@ -211,9 +207,9 @@ class TreeStore:
         """Stream every tree in :meth:`tids` order without materialising the store.
 
         Walks the offset table on a dedicated read handle, so iteration
-        neither builds a list (unlike ``get_many(tids())``) nor disturbs the
-        seek position used by concurrent :meth:`get` calls, and it always
-        agrees with :meth:`get` -- including for a tid whose record was
+        neither builds a list of trees nor disturbs the seek position used
+        by concurrent :meth:`get` calls, and it always agrees with
+        :meth:`get` -- including for a tid whose record was
         re-appended (the superseded physical record is skipped).  Offsets
         are ascending for append-only stores, so the pass stays sequential.
         Records appended after the iterator was created are not yielded.

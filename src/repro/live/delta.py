@@ -114,10 +114,6 @@ class DeltaSegment:
             sliced = self._columns[key] = (length, self.coding.columns(body[:length]))
         return sliced[1]
 
-    def has_key(self, key: bytes) -> bool:
-        """``True`` when any delta tree contains *key*."""
-        return key in self._bodies
-
     def posting_list_length(self, key: bytes) -> int:
         """Length of the delta's posting list of *key* (0 when absent)."""
         body = self._bodies.get(key)

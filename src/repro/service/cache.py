@@ -1,20 +1,12 @@
-"""LRU caches for the serving layer.
+"""The LRU cache of the serving layer.
 
-Two implementations share one protocol (``get`` / ``get_tagged`` / ``peek``
-/ ``put`` / ``clear`` plus hit/miss/eviction counters):
-
-:class:`LRUCache`
-    a single ordered map guarded by one lock; recency is updated on every
-    hit, eviction removes the least recently used entry.
-
-:class:`StripedLRUCache`
-    N independent :class:`LRUCache` stripes selected by key hash, so
-    concurrent readers on different stripes never contend on one lock.  This
-    is the cache the :class:`~repro.service.service.QueryService` installs in
-    front of the B+Tree and in front of query preparation.
-
-Both treat ``None`` as a legitimate cached value (a key known to be absent
-from the index), which is why :meth:`get` takes an explicit *default*.
+:class:`LRUCache` is a single ordered map guarded by one lock (``get`` /
+``get_tagged`` / ``peek`` / ``put`` / ``clear`` plus hit/miss/eviction
+counters); recency is updated on every hit, eviction removes the least
+recently used entry.  The :class:`~repro.service.service.QueryService` keeps
+three: in front of query preparation, of the index's part lookups and of the
+join.  It treats ``None`` as a legitimate cached value, which is why
+:meth:`~LRUCache.get` takes an explicit *default*.
 """
 
 from __future__ import annotations
@@ -27,7 +19,7 @@ from typing import Hashable, List
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of one cache (or an aggregate of stripes)."""
+    """Hit/miss/eviction counters of one cache."""
 
     hits: int = 0
     misses: int = 0
@@ -44,15 +36,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Fraction of lookups that hit (0.0 when never probed)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            size=self.size + other.size,
-            capacity=self.capacity + other.capacity,
-        )
 
 
 class LRUCache:
@@ -139,67 +122,3 @@ class LRUCache:
                 size=len(self._entries),
                 capacity=self.capacity,
             )
-
-
-class StripedLRUCache:
-    """An LRU cache sharded into independently locked stripes.
-
-    Keys are distributed by hash; each stripe gets an equal share of the
-    total capacity (a capacity smaller than the stripe count reduces the
-    stripe count rather than inflating the capacity).  All protocol methods
-    simply delegate to the owning stripe, so the cost of thread safety is
-    one uncontended lock acquisition in the common case.
-    """
-
-    def __init__(self, capacity: int, stripes: int = 8):
-        if capacity < 1:
-            raise ValueError("cache capacity must be at least 1")
-        if stripes < 1:
-            raise ValueError("stripe count must be at least 1")
-        # Never inflate a small capacity: drop to one stripe per entry
-        # rather than padding every stripe up to one entry.  The division
-        # remainder is spread over the first stripes so the total is exact.
-        stripes = min(stripes, capacity)
-        per_stripe, extra = divmod(capacity, stripes)
-        self._stripes = [
-            LRUCache(per_stripe + (1 if index < extra else 0)) for index in range(stripes)
-        ]
-
-    def _stripe_for(self, key: Hashable) -> LRUCache:
-        return self._stripes[hash(key) % len(self._stripes)]
-
-    # ------------------------------------------------------------------
-    def get(self, key: Hashable, default: object = None) -> object:
-        return self._stripe_for(key).get(key, default)
-
-    def get_tagged(self, key: Hashable, tag: object) -> object:
-        return self._stripe_for(key).get_tagged(key, tag)
-
-    def peek(self, key: Hashable, default: object = None) -> object:
-        return self._stripe_for(key).peek(key, default)
-
-    def put(self, key: Hashable, value: object) -> None:
-        self._stripe_for(key).put(key, value)
-
-    def clear(self) -> None:
-        for stripe in self._stripes:
-            stripe.clear()
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return sum(len(stripe) for stripe in self._stripes)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._stripe_for(key)
-
-    @property
-    def stripe_count(self) -> int:
-        """Number of stripes."""
-        return len(self._stripes)
-
-    def stats(self) -> CacheStats:
-        """Aggregated counters across all stripes."""
-        total = CacheStats()
-        for stripe in self._stripes:
-            total = total + stripe.stats()
-        return total

@@ -16,31 +16,34 @@ prepared-query cache
     equivalent path form all share one entry.
 
 posting cache
-    a lock-striped LRU of *decoded* posting lists installed in front of the
-    index's sources (:meth:`repro.core.segments.SegmentSet.attach_postings_cache`),
-    so repeated cover keys skip the tree descents, posting decoding and the
-    merge across sources.  The index keeps one list per key and part
-    (:class:`~repro.core.segments.Part`), tagged with the part's tag.
+    *decoded* posting lists, one per cover key and part of the index
+    (:class:`~repro.core.segments.Part`), in front of
+    :meth:`~repro.core.segments.SegmentSet.part_lookup`, so repeated cover
+    keys skip the tree descents, posting decoding and the merge across
+    sources.
 
 result cache
     :class:`~repro.exec.executor.QueryResult` objects, one per normalized
     query string and part of the index, so an identical repeated query is
-    answered without any join work at all.  Every entry is tagged with its
-    part's tag when the run started -- a constant on an immutable index; on
-    a live one the trees a segment was written from, or those added to the
-    delta -- and served only while that tag stands: a result computed while
-    an add raced it is never served after it.  A delete moves no tag: the
-    trees removed from a part since its entry was cached are cut from it
-    when it is next served, and it is cached back cut.  The parts a run
-    misses are joined once, and that answer is cut back into their results;
-    the answer is the parts' results end to end.  Size 0 disables this
-    layer.
+    answered without any join work at all.  The parts a run misses are
+    joined once, and that answer is cut back into their results; the answer
+    is the parts' results end to end.
+
+The posting and result caches read one way (:func:`_cached`): an entry is
+tagged with its part's tag when the run started -- a constant on an
+immutable index; on a live one the trees a segment was written from, or
+those added to the delta -- and served only while that tag stands, so what
+a run computed while an add raced it is never served after it.  A delete
+moves no tag: the trees removed from a part since its entry was cached are
+cut from it when it is next served, and it is cached back cut.  Size 0
+disables a layer.
 
 On top of these, :meth:`QueryService.run_many` batches: it prepares every
 query first, fetches each *distinct* cover key exactly once, and joins each
-query against the shared fetch memo.  All structures are thread-safe -- the
-caches stripe their locks and the B+Tree serialises cache-missing descents
--- so one service instance can sit behind a thread pool.
+query against the shared fetch memo.  All structures are thread-safe -- each
+cache is one locked LRU map and the B+Tree serialises its descents -- so one
+service instance can sit behind a thread pool.  The caches are the
+service's own: two services over one index share none of them.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro import obs
 from repro.coding.postings import PostingColumns, merge_columns
@@ -65,11 +68,17 @@ from repro.exec.executor import (
 from repro.query.covers import Cover
 from repro.query.model import QueryTree
 from repro.query.parser import parse_query
-from repro.service.cache import CacheStats, StripedLRUCache
+from repro.service.cache import CacheStats, LRUCache
 from repro.storage.bptree import ProbeStats
 
 #: Anything `run` / `run_many` accept as a query.
 QueryLike = Union[str, QueryTree]
+
+#: Entry bound of the prepared-query cache.
+PLAN_CACHE_SIZE = 256
+
+#: What a cache holds of a part: a posting list or a query's result.
+Value = TypeVar("Value")
 
 
 @dataclass(frozen=True)
@@ -95,12 +104,12 @@ class PreparedQuery:
 class ServiceStats:
     """One snapshot of every counter the service keeps.
 
-    ``plans`` covers the prepared-query cache, ``postings`` the lock-striped
-    posting cache, ``results`` the whole-result cache, and ``probes`` the
-    index's lookup counters (``probes.tree_descents`` is the number of
-    actual B+Tree descents -- the disk I/O proxy -- and
-    ``probes.node_decodes`` the pages those descents had to parse: none
-    once the tree is warm).
+    ``plans`` covers the prepared-query cache, ``postings`` the posting
+    cache, ``results`` the whole-result cache, and ``probes`` the lookups of
+    posting lists: ``gets`` each one, ``cache_hits`` those the posting cache
+    served, ``tree_descents`` the actual B+Tree descents of the others -- the
+    disk I/O proxy -- and ``node_decodes`` the pages those descents had to
+    parse: none once the tree is warm.
     """
 
     queries: int = 0
@@ -153,7 +162,7 @@ class ServiceStats:
         return payload
 
 
-def _counters(cache: Optional[StripedLRUCache]) -> CacheStats:
+def _counters(cache: Optional[LRUCache]) -> CacheStats:
     """The counters of *cache*; zeros for a disabled layer.  (Not ``if cache``:
     a cache a mutation just emptied is falsy and still has its counters.)"""
     return cache.stats() if cache is not None else CacheStats()
@@ -189,6 +198,38 @@ def _without(result: QueryResult, removed: AbstractSet[int]) -> QueryResult:
     return QueryResult({tid: count for tid, count in matches.items() if tid not in removed}, result.stats)
 
 
+def _cached(
+    cache: Optional[LRUCache], item: object, part: Part, cut: Callable[[Value, FrozenSet[int]], Value]
+) -> Optional[Value]:
+    """What *cache* holds of *item* -- a cover key or a normalized query -- over
+    *part*, if it was computed under the part's current tag (a stale one
+    counts as a miss), less the trees removed from the part since: *cut* by
+    them once, and cached back."""
+    if cache is None:
+        return None
+    entry = cache.get_tagged((item, part.key), part.tag)
+    if entry is None:
+        return None
+    count, value = entry
+    if count < part.cut:
+        value = cut(value, part.removed_since(count))
+        _remember(cache, item, part, value)
+    return value
+
+
+def _remember(cache: Optional[LRUCache], item: object, part: Part, value: object) -> None:
+    """Cache *value* of *item* over *part*, tagged with the part's tag and
+    removal count as the run's snapshot read them.
+
+    Both are read *before* the value is computed, so one that raced an add
+    carries a stale tag and is simply never served -- the read-side check
+    makes the write-side race harmless -- and one that raced a delete is cut
+    by it again when served, which changes nothing.
+    """
+    if cache is not None:
+        cache.put((item, part.key), (part.tag, (part.cut, value)))
+
+
 def _split(joined: QueryResult, parts: Sequence[Part]) -> List[QueryResult]:
     """*joined*, one join over *parts*' lists end to end, cut back into each
     part's result at the parts' tid bounds; the pieces share its stats."""
@@ -215,40 +256,22 @@ class QueryService:
         ``TreeStore`` is safe under concurrency (it serialises record reads
         on its shared handle), and a plain set over an in-memory
         :class:`~repro.corpus.store.Corpus` avoids that lock entirely for
-        heavily threaded filter-based serving.
-    pad:
-        Decomposition knob, as on :class:`~repro.exec.executor.QueryExecutor`;
-        the cover policy is the coding's own (``default_strategy``).
-    plan_cache_size / postings_cache_size / result_cache_size:
-        Entry bounds of the three LRU caches; size 0 disables that layer
-        entirely.  Cached results are shared objects and must be treated as
-        read-only by callers.
-    stripes:
-        Lock stripes per cache; raise for heavily threaded workloads.
+        heavily threaded filter-based serving.  Queries are decomposed with
+        the coding's own cover policy (``default_strategy``), padded.
+    postings_cache_size / result_cache_size:
+        Entry bounds of the posting and result caches; size 0 disables that
+        layer entirely.  (The prepared-query cache holds
+        :data:`PLAN_CACHE_SIZE` entries.)  Cached lists and results are
+        shared objects and must be treated as read-only by callers.
     """
 
-    def __init__(
-        self,
-        index: SegmentSet,
-        pad: bool = True,
-        plan_cache_size: int = 256,
-        postings_cache_size: int = 4096,
-        result_cache_size: int = 1024,
-        stripes: int = 8,
-    ):
+    def __init__(self, index: SegmentSet, postings_cache_size: int = 4096, result_cache_size: int = 1024):
         self.index = index
         self.store = index.store
-        self.pad = pad
         self.strategy = default_strategy(index.coding)
-
-        def make_cache(size: int) -> Optional[StripedLRUCache]:
-            return StripedLRUCache(size, stripes=stripes) if size else None
-
-        self._plan_cache = make_cache(plan_cache_size)
-        self._postings_cache = make_cache(postings_cache_size)
-        self._result_cache = make_cache(result_cache_size)
-        if self._postings_cache is not None:
-            index.attach_postings_cache(self._postings_cache)
+        self._plan_cache = LRUCache(PLAN_CACHE_SIZE)
+        self._postings_cache = LRUCache(postings_cache_size) if postings_cache_size else None
+        self._result_cache = LRUCache(result_cache_size) if result_cache_size else None
         self._owns_index = False
         # Telemetry counters, deliberately lock-free like ProbeStats: exact
         # single-threaded, may undercount slightly under concurrency.  A
@@ -274,10 +297,8 @@ class QueryService:
         return service
 
     def close(self) -> None:
-        """Clear the caches, detach the posting cache and close the index if
-        :meth:`open` opened it."""
+        """Clear the caches and close the index if :meth:`open` opened it."""
         self.clear_caches()
-        self.index.attach_postings_cache(None)
         if self._owns_index:
             self._owns_index = False
             self.index.close()
@@ -303,30 +324,25 @@ class QueryService:
             return self._prepare_parsed(query.root.to_string(), query)
 
         text_key = query.strip()
-        cache = self._plan_cache
-        if cache is not None:
-            cached = cache.get(text_key)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
+        cached = self._plan_cache.get(text_key)
+        if cached is not None:
+            return cached  # type: ignore[return-value]
         parsed = parse_query(query)
         prepared = self._prepare_parsed(parsed.root.to_string(), parsed)
-        if cache is not None and text_key != prepared.normalized:
-            cache.put(text_key, prepared)
+        if text_key != prepared.normalized:
+            self._plan_cache.put(text_key, prepared)
         return prepared
 
     def _prepare_parsed(self, normalized: str, parsed: QueryTree) -> PreparedQuery:
-        cache = self._plan_cache
-        if cache is not None:
-            cached = cache.get(normalized)
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-        cover = decompose_query(parsed, self.index.mss, self.strategy, pad=self.pad)
+        cached = self._plan_cache.get(normalized)
+        if cached is not None:
+            return cached  # type: ignore[return-value]
+        cover = decompose_query(parsed, self.index.mss, self.strategy)
         keys = tuple(subtree.key_bytes() for subtree in cover.subtrees)
         prepared = PreparedQuery(
             normalized=normalized, query=parsed, cover=cover, key_bytes=keys
         )
-        if cache is not None:
-            cache.put(normalized, prepared)
+        self._plan_cache.put(normalized, prepared)
         return prepared
 
     # ------------------------------------------------------------------
@@ -355,21 +371,15 @@ class QueryService:
         result.stats = stats
         return result
 
-    def _cached_result(self, prepared: PreparedQuery, part: Part) -> Optional[QueryResult]:
-        """*part*'s cached result of *prepared*, if it was computed under the
-        part's current tag (a stale one counts as a miss), less the trees
-        removed from the part since -- cut once, and cached back."""
-        cache = self._result_cache
-        if cache is None:
-            return None
-        cached = cache.get_tagged((prepared.normalized, part.key), part.tag)
-        if cached is None:
-            return None
-        cut, result = cached
-        if cut < part.cut:
-            result = _without(result, part.removed_since(cut))
-            self._remember_result(prepared, part, result)
-        return result
+    def _postings(self, part: Part, key: bytes) -> PostingColumns:
+        """*part*'s list of *key*: the posting cache's (:func:`_cached`), else
+        the index's (:meth:`~repro.core.segments.SegmentSet.part_lookup`),
+        which is cached."""
+        columns = _cached(self._postings_cache, key, part, PostingColumns.without_tids)
+        if columns is None:
+            columns = self.index.part_lookup(part, key)
+            _remember(self._postings_cache, key, part, columns)
+        return columns
 
     def result_resident(self, prepared: PreparedQuery) -> bool:
         """Would :meth:`run` answer *prepared*'s query from the result cache
@@ -390,18 +400,6 @@ class QueryService:
             if tagged is None or tagged[0] != part.tag:  # type: ignore[index]
                 return False
         return True
-
-    def _remember_result(self, prepared: PreparedQuery, part: Part, result: QueryResult) -> None:
-        """Cache *result* tagged with *part*'s tag and removal count as the
-        run read them.
-
-        Both are read *before* execution, so a result that raced an add
-        carries a stale tag and is simply never served -- the read-side
-        check makes the write-side race harmless -- and one that raced a
-        delete is cut by it again when served, which changes nothing.
-        """
-        if self._result_cache is not None:
-            self._result_cache.put((prepared.normalized, part.key), (part.tag, (part.cut, result)))
 
     def run(self, query: QueryLike) -> QueryResult:
         """Evaluate one query through the cached pipeline.
@@ -429,7 +427,8 @@ class QueryService:
         with obs.trace("prepare") as span:
             prepared = self.prepare(query)
             span.set(cover=len(prepared.cover))
-        cached = [self._cached_result(prepared, part) for part in snapshot.parts]
+        results = self._result_cache
+        cached = [_cached(results, prepared.normalized, part, _without) for part in snapshot.parts]
         missed = [part for part, hit in zip(snapshot.parts, cached) if hit is None]
         obs.annotate(result_cache="miss" if missed else "hit", parts_joined=len(missed), epoch=snapshot.version[0])
         self._queries += 1
@@ -451,7 +450,7 @@ class QueryService:
         for part, hit in zip(parts, cached):
             if hit is None:
                 hit = next(pieces)
-                self._remember_result(prepared, part, hit)
+                _remember(self._result_cache, prepared.normalized, part, hit)
             results.append(hit)
         return results[0] if len(results) == 1 else _concatenated(results)
 
@@ -463,10 +462,10 @@ class QueryService:
 
     def _fetch_for_run(self, prepared: PreparedQuery, parts: Sequence[Part]) -> List[PostingColumns]:
         if len(parts) == 1:
-            fetch = partial(self.index.part_lookup, parts[0])
+            fetch = partial(self._postings, parts[0])
         else:
             def fetch(key: bytes) -> PostingColumns:
-                return merge_columns([self.index.part_lookup(part, key) for part in parts])
+                return merge_columns([self._postings(part, key) for part in parts])
 
         if not obs.enabled():
             return [fetch(key) for key in prepared.key_bytes]
@@ -477,8 +476,8 @@ class QueryService:
 
         The batch is prepared first; the union of the cover keys of what the
         result cache cannot answer is deduplicated and fetched into a memo
-        (one :meth:`~repro.core.segments.SegmentSet.part_lookup` -- hence at
-        most one B+Tree descent per source -- per distinct key and part),
+        (one fetch through the posting cache -- hence at most one B+Tree
+        descent per source -- per distinct key and part),
         every query joins the parts it missed once against the shared memo,
         and identical queries share one join.  Results keep the input order;
         each result's ``stats.elapsed_seconds`` covers only its own join,
@@ -495,7 +494,10 @@ class QueryService:
     def _run_many_impl(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
         parts = self.index.snapshot.parts
         prepared_batch = [self.prepare(query) for query in queries]
-        cached = [[self._cached_result(prepared, part) for part in parts] for prepared in prepared_batch]
+        cached = [
+            [_cached(self._result_cache, prepared.normalized, part, _without) for part in parts]
+            for prepared in prepared_batch
+        ]
         obs.annotate(result_cache_hits=sum(hit is not None for row in cached for hit in row))
 
         memo: Dict[Tuple[bytes, object], PostingColumns] = {}
@@ -503,7 +505,7 @@ class QueryService:
             for part, hit in zip(parts, row):
                 for key in prepared.key_bytes if hit is None else ():
                     if (key, part.key) not in memo:
-                        memo[key, part.key] = self.index.part_lookup(part, key)
+                        memo[key, part.key] = self._postings(part, key)
 
         results: List[QueryResult] = []
         computed: Dict[str, QueryResult] = {}  # a join runs once per distinct query
@@ -530,17 +532,22 @@ class QueryService:
     # Introspection and maintenance
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        """Snapshot every counter: service, all three caches, index probes
-        (descents and node decodes summed over a sharded or live index's
+        """Snapshot every counter: service, all three caches, list lookups
+        (the posting cache's hits, and the index's part lookups with their
+        descents and node decodes summed over a sharded or live index's
         sources), plus what the index reports about itself."""
+        postings = _counters(self._postings_cache)
+        probes = self.index.probe_snapshot()
+        probes.gets += postings.hits
+        probes.cache_hits = postings.hits
         return ServiceStats(
             queries=self._queries,
             batches=self._batches,
             batch_keys_deduped=self._batch_keys_deduped,
             plans=_counters(self._plan_cache),
-            postings=_counters(self._postings_cache),
+            postings=postings,
             results=_counters(self._result_cache),
-            probes=self.index.probe_snapshot(),
+            probes=probes,
             extras=self.index.stats_extras(),
         )
 

@@ -11,8 +11,8 @@ the v1 ones this reader still opens).
 
 A tree is written once, as the paper builds its index once over a static
 corpus: :meth:`BPlusTree.bulk_load` writes a new file from key-sorted pairs,
-and a tree opened from an existing file is read-only -- point lookups,
-ordered iteration and prefix scans.  The one write after the load is
+and a tree opened from an existing file is read-only -- point lookups and
+ordered iteration.  The one write after the load is
 :meth:`BPlusTree.overwrite`, which swaps an inline value for one of the same
 length in its leaf, so no page splits or moves.
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import ge
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.storage.codec import decode_varint, encode_length_prefixed, encode_varint, varint_size
@@ -57,28 +57,15 @@ class BPlusTreeError(RuntimeError):
     """Raised on malformed tree files or invalid operations."""
 
 
-class ValueCache(Protocol):
-    """What the index layers ask of the decoded-posting cache they read through
-    (:meth:`repro.core.segments.SegmentSet.attach_postings_cache`).
-
-    Any object with ``get_tagged(key, tag)`` / ``put(key, (tag, value))``
-    works; :class:`repro.service.cache.StripedLRUCache` is the production
-    implementation.  The B+Tree itself caches nothing but its decoded pages.
-    """
-
-    def get_tagged(self, key: Hashable, tag: object) -> object: ...
-
-    def put(self, key: Hashable, value: object) -> None: ...
-
-
 @dataclass
 class ProbeStats:
     """Counters describing how lookups were served.
 
     ``gets`` counts every lookup (:meth:`BPlusTree.get`, or an index's
-    ``lookup``), ``cache_hits`` the ones an index answered from its attached
-    posting cache -- always zero on a tree -- and ``tree_descents`` the ones
-    that walked the tree (the on-disk probe the paper's Section 6 costs out).
+    ``lookup``), ``cache_hits`` the ones a query service answered from its
+    posting cache -- always zero on a tree or an index -- and
+    ``tree_descents`` the ones that walked the tree (the on-disk probe the
+    paper's Section 6 costs out).
     ``node_decodes`` counts the node images parsed from raw pages on the way:
     zero per descent once the path is resident, so it tells a cold tree from
     a warm one.
@@ -511,26 +498,19 @@ class BPlusTree:
         with self._descent_lock:
             return self._get_from_tree(key, size)
 
-    def __contains__(self, key: bytes) -> bool:
-        return self.peek(key, 0) is not None
-
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
-    def _scan(self, start: bytes, wanted: Callable[[bytes], bool]) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, value)`` in key order from the first key ``>= start``
-        for as long as ``wanted(key)`` holds.
+    def items(self) -> Iterator[Tuple[bytes, bytes]]:
+        """Yield all ``(key, value)`` pairs in key order.
 
         The lock is taken for each page fetched, never across a ``yield``:
         the caller may use the tree between two pairs.
         """
         with self._descent_lock:
-            _, leaf = self._find_leaf(start)
-        index = bisect_left(leaf.keys, start)
+            _, leaf = self._find_leaf(b"")
         while True:
-            for key, (is_overflow, payload) in islice(zip(leaf.keys, leaf.values), index, None):
-                if not wanted(key):
-                    return
+            for key, (is_overflow, payload) in zip(leaf.keys, leaf.values):
                 if is_overflow:
                     with self._descent_lock:
                         payload = self._load_value(True, payload)
@@ -539,24 +519,6 @@ class BPlusTree:
                 return
             with self._descent_lock:
                 leaf = self._node(leaf.next_leaf)  # type: ignore[assignment]
-            index = 0
-
-    def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield all ``(key, value)`` pairs in key order."""
-        return self._scan(b"", lambda key: True)
-
-    def keys(self) -> Iterator[bytes]:
-        """Yield all keys in order."""
-        for key, _ in self.items():
-            yield key
-
-    def prefix_items(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, value)`` pairs whose key starts with *prefix*."""
-        return self._scan(prefix, lambda key: key.startswith(prefix))
-
-    def range_items(self, low: bytes, high: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield pairs with ``low <= key < high`` in key order."""
-        return self._scan(low, lambda key: key < high)
 
     # ------------------------------------------------------------------
     # Writing, once

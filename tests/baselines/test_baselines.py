@@ -108,5 +108,4 @@ class TestFrequencyBased:
 
     def test_single_nodes_always_kept(self, corpus) -> None:
         index = FrequencyBasedIndex.build(corpus, store=corpus, frequency_cutoff=0.0)
-        assert index.has_key(b"NP")
         assert index.tids(b"NP")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.coding import RootPosting
 from repro.core.index import IndexMetadata, SubtreeIndex
+from repro.core.keys import decode_key
 from repro.core.stats import IndexStats, count_postings, count_unique_keys
 from repro.corpus.store import Corpus
 from repro.trees.node import ParseTree, build_tree
@@ -108,7 +109,7 @@ class TestAReaderWritesNothing:
         query = parse_query("S(NP(DT))(VP)")
         with SegmentSet.open(path) as index:
             found = QueryExecutor(index).execute(query).matches_per_tree
-            assert found and index.size_bytes() and index.has_key("NP(DT)")
+            assert found and index.size_bytes() and index.lookup("NP(DT)")
         with QueryService.open(path) as service:
             assert service.run(query).matches_per_tree == found
         assert file_states(tmp_path) == before
@@ -134,7 +135,6 @@ class TestLookup:
     def test_missing_key_gives_empty_list(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=2, coding="root-split", path=str(tmp_path / "i.si"))
         assert index.lookup(b"QP(CD)") == []
-        assert not index.has_key(b"QP(CD)")
 
     def test_posting_lists_sorted_by_tid(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=3, coding="subtree-interval", path=str(tmp_path / "i.si"))
@@ -144,8 +144,8 @@ class TestLookup:
 
     def test_keys_larger_than_mss_not_indexed(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=2, coding="filter", path=str(tmp_path / "i.si"))
-        for key in index.keys():
-            assert key.size <= 2
+        for key, _ in index.items():
+            assert decode_key(key).size <= 2
 
 
 class TestCounts:
@@ -168,7 +168,7 @@ class TestCounts:
 
     def test_key_count_matches_iteration(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=3, coding="filter", path=str(tmp_path / "i.si"))
-        assert sum(1 for _ in index.keys()) == index.key_count
+        assert sum(1 for _ in index.items()) == index.key_count
 
     def test_stats_of(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=2, coding="filter", path=str(tmp_path / "i.si"))
@@ -194,7 +194,7 @@ class TestCrossCodingInvariants:
             name: SubtreeIndex.build(mini_corpus, mss=3, coding=name, path=path)
             for name, path in paths.items()
         }
-        key_sets = {name: {str(key) for key in index.keys()} for name, index in indexes.items()}
+        key_sets = {name: {key for key, _ in index.items()} for name, index in indexes.items()}
         assert key_sets["filter"] == key_sets["root-split"] == key_sets["subtree-interval"]
 
     def test_index_size_ordering(self, tmp_path, small_corpus) -> None:
@@ -291,9 +291,10 @@ class TestStorageFootprint:
 
         index = SubtreeIndex.open(path)
         pager = index._tree.pager
-        assert index.has_key(longest)
+        absent = longest + b"(ZZTOP)"
+        assert index.posting_list_length(absent) == 0
         reads = pager.read_count  # the path to the leaf is resident from here on
-        assert index.has_key(longest) and not index.has_key(longest + b"(ZZTOP)")
+        assert index.posting_list_length(absent) == 0  # absent: the leaf says so
         assert pager.read_count == reads
         assert index.posting_list_length(longest) == lengths[longest][1]
         assert pager.read_count == reads + 1  # the page the list starts on
@@ -304,6 +305,6 @@ class TestStorageFootprint:
         # when the count straddles them).
         for key, (_, count) in lengths.items():
             before = pager.read_count
-            assert index.has_key(key) and index.posting_list_length(key) == count
+            assert index.posting_list_length(key) == count
             assert pager.read_count - before <= 3
         index.close()

@@ -75,12 +75,6 @@ class TestTreeStore:
         assert reopened.get(7).root.structurally_equal(corpus[7].root)
         reopened.close()
 
-    def test_get_many(self, tmp_path) -> None:
-        corpus = generate_corpus(5, seed=5)
-        store = TreeStore.build(tmp_path / "data.bin", corpus)
-        fetched = store.get_many([4, 0, 2])
-        assert sorted(tree.tid for tree in fetched) == [0, 2, 4]
-
     def test_size_bytes_grows(self, tmp_path) -> None:
         store = TreeStore(tmp_path / "data.bin")
         empty = store.size_bytes()
@@ -103,12 +97,12 @@ class TestTreeStoreIteration:
         for streamed_tree, original in zip(streamed, corpus):
             assert streamed_tree.root.structurally_equal(original.root)
 
-    def test_iter_matches_get_many(self, tmp_path) -> None:
+    def test_iter_matches_get(self, tmp_path) -> None:
         corpus = generate_corpus(8, seed=7)
         store = TreeStore.build(tmp_path / "data.bin", corpus)
-        via_get_many = store.get_many(store.tids())
+        via_get = [store.get(tid) for tid in store.tids()]
         via_iter = list(store)
-        assert [t.tid for t in via_iter] == [t.tid for t in via_get_many]
+        assert [t.tid for t in via_iter] == [t.tid for t in via_get]
 
     def test_iter_empty_store(self, tmp_path) -> None:
         assert list(TreeStore(tmp_path / "data.bin")) == []

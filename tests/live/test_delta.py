@@ -90,16 +90,14 @@ def test_columns_handed_out_survive_later_adds(tiny_corpus, coding) -> None:
     assert delta.posting_list_length(b"no such key") == 0
 
 
-def test_lookup_and_has_key(tiny_corpus) -> None:
+def test_lookup_before_and_after_adds(tiny_corpus) -> None:
     delta = DeltaSegment(mss=2, coding=get_coding("root-split"))
     assert delta.lookup(b"NP(DT)") == []
-    assert not delta.has_key(b"NP(DT)")
     for tree in list(tiny_corpus)[:5]:
         _add(delta, tree)
     postings = delta.lookup(b"NP(DT)")
     assert postings
     assert [p.tid for p in postings] == sorted(p.tid for p in postings)
-    assert delta.has_key(b"NP(DT)")
 
 
 def test_tids_must_ascend(tiny_corpus) -> None:

@@ -299,7 +299,6 @@ class TestLifecycle:
                 (key, [p.tid for p in postings]) for key, postings in fresh.items()
             ]
             assert live_items == fresh_items
-            assert [k.encode() for k in live.keys()] == [key for key, _ in fresh_items]
             fresh.close()
         finally:
             live.close()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.coding.postings import PostingColumns, merge_columns
 from repro.core.index import SubtreeIndex
 from repro.core.segments import SegmentSet, Source
 from repro.corpus.store import Corpus
@@ -54,6 +55,12 @@ def plain_service_over(tmp_path, live: LiveIndex, tag: str) -> QueryService:
 
 
 QUERIES = ["NP(DT)(NN)", "S(NP)(VP(VBZ))", "VP(VBZ)", "NP(DT)"]
+
+
+def served_list(service: QueryService, key: bytes) -> PostingColumns:
+    """The list of *key* a run of *service* joins now: each part's through
+    the service's posting cache, end to end."""
+    return merge_columns([service._postings(part, key) for part in service.index.snapshot.parts])
 
 
 def test_run_matches_plain_service(tmp_path, live, small_corpus) -> None:
@@ -282,6 +289,7 @@ def test_a_list_cached_before_a_removal_is_served_without_it(live) -> None:
     tree, and so is the one cached of the segment a compaction rewrote: the
     rewrite keeps the segment's lineage, so no B+Tree is read for it."""
     service = QueryService(live, result_cache_size=0)
+    cache = service._postings_cache
     try:
         key = b"NP(DT)"
         seed = live.snapshot.parts[0]
@@ -289,16 +297,16 @@ def test_a_list_cached_before_a_removal_is_served_without_it(live) -> None:
         stale = live.lookup(key)  # seed segment only: the delta is empty
         victim = stale.tids[0]
         live.delete_tree(victim)
-        live.postings_cache.put((key, seed.key), (seed.tag, (seed.cut, stale)))  # the slow reader's put
+        cache.put((key, seed.key), (seed.tag, (seed.cut, stale)))  # the slow reader's put
         expected = [tid for tid in stale.tids if tid != victim]
-        assert list(live.lookup(key).tids) == expected
-        live.postings_cache.put((key, seed.key), (seed.tag, (seed.cut, stale)))
+        assert list(served_list(service, key).tids) == expected
+        cache.put((key, seed.key), (seed.tag, (seed.cut, stale)))
         descents = live.probe_snapshot().tree_descents
         live.compact()
         rewritten = live.snapshot.parts[0]
         assert live.segments[0].entry.segment_id == 1  # segment 0 rewritten ...
         assert (rewritten.key, rewritten.tag, rewritten.cut) == (0, 60, 1)  # ... under its lineage
-        assert list(live.lookup(key).tids) == expected
+        assert list(served_list(service, key).tids) == expected
         assert live.probe_snapshot().tree_descents == descents
     finally:
         service.close()
@@ -424,7 +432,7 @@ def test_stale_result_is_never_served_after_racing_a_mutation(live) -> None:
         # Simulate the race: a slow reader finishes now and stores the result
         # it computed against the pre-mutation state, in every part.
         for part in stale_parts:
-            service._remember_result(service.prepare(text), part, stale)
+            service_module._remember(service._result_cache, service.prepare(text).normalized, part, stale)
         served = service.run(text)
         assert served is not stale
         assert served.matches_per_tree.get(tid) == 1
@@ -441,11 +449,12 @@ def test_stale_posting_list_is_never_served_after_racing_a_mutation(live) -> Non
         stale_delta = live.snapshot.parts[-1]
         stale = live.part_lookup(stale_delta, key)
         tid = live.add_tree("(ROOT (S (NP (DT the) (NN crab)) (VP (VBZ digs))))")
-        live.postings_cache.put((key, stale_delta.key), (stale_delta.tag, (stale_delta.cut, stale)))  # a slow reader's
-        served = live.lookup(key)
+        cache = service._postings_cache
+        cache.put((key, stale_delta.key), (stale_delta.tag, (stale_delta.cut, stale)))  # a slow reader's
+        served = served_list(service, key)
         assert served.tids[-1] == tid and tid not in stale.tids
         delta = live.snapshot.parts[-1]
-        assert live.part_lookup(delta, key) is live.part_lookup(delta, key)  # re-cached under its tag
+        assert service._postings(delta, key) is service._postings(delta, key)  # re-cached under its tag
     finally:
         service.close()
 

@@ -1,4 +1,4 @@
-"""Unit tests for the serving-layer LRU caches."""
+"""Unit tests for the serving-layer LRU cache."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.service.cache import CacheStats, LRUCache, StripedLRUCache
+from repro.service.cache import LRUCache
 
 
 class TestLRUCache:
@@ -91,12 +91,8 @@ class TestLRUCache:
     def test_hit_rate_of_untouched_cache_is_zero(self) -> None:
         assert LRUCache(1).stats().hit_rate == 0.0
 
-
-class TestStripedLRUCache:
     def test_protocol_round_trip(self) -> None:
-        # Int keys: hash(i) == i puts ten in each stripe of sixteen whatever
-        # PYTHONHASHSEED is (str keys overflowed a stripe once in ~60 seeds).
-        cache = StripedLRUCache(64, stripes=4)
+        cache = LRUCache(64)
         for i in range(40):
             cache.put(i, str(i))
         assert all(cache.get(i) == str(i) for i in range(40))
@@ -106,42 +102,8 @@ class TestStripedLRUCache:
         cache.clear()
         assert len(cache) == 0
 
-    def test_a_stripe_evicts_at_its_share_of_the_capacity(self) -> None:
-        cache = StripedLRUCache(64, stripes=4)
-        for i in range(0, 68, 4):  # seventeen keys, all of stripe 0
-            cache.put(i, i)
-        assert len(cache) == 16  # a quarter of 64, not 64
-        assert 0 not in cache and all(i in cache for i in range(4, 68, 4))
-        assert cache.stats().evictions == 1
-
-    def test_stats_aggregate_over_stripes(self) -> None:
-        cache = StripedLRUCache(64, stripes=4)
-        for i in range(10):
-            cache.put(i, i)
-        for i in range(10):
-            assert cache.get(i) == i
-        cache.get("missing")
-        stats = cache.stats()
-        assert stats.hits == 10
-        assert stats.misses == 1
-        assert stats.size == 10
-        assert stats.capacity == 64
-
-    def test_capacity_is_split_across_stripes(self) -> None:
-        cache = StripedLRUCache(8, stripes=4)
-        assert cache.stats().capacity == 8
-        tiny = StripedLRUCache(2, stripes=8)  # fewer stripes, never more entries
-        assert tiny.stats().capacity == 2
-        assert tiny.stripe_count == 2
-
-    def test_stripe_count_validation(self) -> None:
-        with pytest.raises(ValueError):
-            StripedLRUCache(8, stripes=0)
-        with pytest.raises(ValueError):
-            StripedLRUCache(0, stripes=4)
-
     def test_concurrent_mixed_operations_are_safe(self) -> None:
-        cache = StripedLRUCache(128, stripes=8)
+        cache = LRUCache(128)
         errors = []
 
         def worker(worker_id: int) -> None:
@@ -163,12 +125,3 @@ class TestStripedLRUCache:
             thread.join()
         assert not errors
         assert len(cache) <= 128
-
-
-class TestCacheStats:
-    def test_addition(self) -> None:
-        total = CacheStats(hits=1, misses=2, evictions=3, size=4, capacity=5) + CacheStats(
-            hits=10, misses=20, evictions=30, size=40, capacity=50
-        )
-        assert (total.hits, total.misses, total.evictions) == (11, 22, 33)
-        assert (total.size, total.capacity) == (44, 55)

@@ -125,18 +125,20 @@ class TestResultCache:
         assert service.stats().results.hits == 1
 
     def test_all_caches_can_be_disabled(self, index) -> None:
-        service = QueryService(
-            index, plan_cache_size=0, postings_cache_size=0, result_cache_size=0,
-        )
+        """Both caches with a size: a repeat is joined again over lists read
+        again from the index (the prepared-query cache has no knob)."""
+        index.reset_probe_stats()
+        service = QueryService(index, postings_cache_size=0, result_cache_size=0)
         first = service.run("NP(DT)(NN)")
+        descents = service.stats().probes.tree_descents
         second = service.run("NP(DT)(NN)")
         assert second is not first
         assert second.matches_per_tree == first.matches_per_tree
         stats = service.stats()
-        assert stats.plans.lookups == 0
         assert stats.postings.lookups == 0
         assert stats.results.lookups == 0
-        assert index.postings_cache is None  # nothing was attached
+        assert stats.probes.cache_hits == 0
+        assert stats.probes.tree_descents == 2 * descents > 0  # nothing is cached in front of the index
         service.close()
 
     def test_disabled_result_cache_recomputes(self, index) -> None:
@@ -195,16 +197,36 @@ class TestBatchAPI:
         service.close()
 
 
+class TestTwoServicesOverOneIndex:
+    def test_each_counts_and_caches_its_own_lookups(self, index) -> None:
+        """Two services over one set share no cache: each counts its own
+        posting lookups, and closing one leaves the other's cache serving."""
+        index.reset_probe_stats()
+        first = QueryService(index, result_cache_size=0)
+        second = QueryService(index, result_cache_size=0)
+        first.run("NP(DT)(NN)")
+        first.run("NP(DT)(NN)")
+        assert first.stats().postings.lookups == 2
+        assert second.stats().postings.lookups == 0
+        first.close()
+        second.run("NP(DT)(NN)")
+        hits, descents = second.stats().postings.hits, second.stats().probes.tree_descents
+        second.run("NP(DT)(NN)")
+        assert second.stats().postings.hits == hits + 1
+        assert second.stats().probes.tree_descents == descents
+        second.close()
+
+
 class TestInvalidationOnReopen:
-    def test_close_clears_and_detaches_the_cache(self, index_path, small_corpus) -> None:
+    def test_close_clears_the_cache(self, index_path, small_corpus) -> None:
         index = SegmentSet.of(SubtreeIndex.open(index_path), small_corpus)
         service = QueryService(index)
         service.run("NP(DT)(NN)")
-        cache = index.postings_cache
-        assert cache is not None and len(cache) > 0
+        cache = service._postings_cache
+        assert len(cache) > 0
+        service.close()
+        assert len(cache) == 0          # close() dropped the service's lists
         index.close()
-        assert len(cache) == 0          # close() flushed the shared cache
-        assert index.postings_cache is None
 
         # A reopened index starts cold: nothing stale is served.
         reopened = SegmentSet.open(index_path)

@@ -37,11 +37,6 @@ class TestBasicOperations:
         assert tree.get(b"beta") == b"2"
         assert len(tree) == 2
 
-    def test_contains(self, tmp_path) -> None:
-        tree = _loaded(tmp_path, [(b"present", b"x")])
-        assert b"present" in tree
-        assert b"absent" not in tree
-
     def test_non_bytes_key_rejected(self, tmp_path) -> None:
         tree = _make(tmp_path)
         with pytest.raises(TypeError):
@@ -116,7 +111,7 @@ class TestPersistence:
         os.utime(path, ns=(10**18, 10**18))  # an mtime no write could keep
         before = file_states(tmp_path)
         tree = BPlusTree(str(path), page_size=512)
-        assert tree.get(b"k0100") == bytes(100) and b"k0599" in tree
+        assert tree.get(b"k0100") == bytes(100) and tree.get(b"k0599") == bytes(199)
         assert len(list(tree.items())) == 600 and tree.peek(b"k0199", 3) == bytes(3)
         tree.page_census()
         with pytest.raises(BPlusTreeError, match="written once"):
@@ -177,24 +172,6 @@ class TestOverwrite:
             tree.overwrite(b"long", b"m" * 2000)
         assert tree.get(b"long") == b"l" * 2000
         tree.close()
-
-
-class TestScans:
-    def test_prefix_scan(self, tmp_path) -> None:
-        keys = [b"NP", b"NP(DT)", b"NP(DT)(NN)", b"NN", b"VP", b"VP(VBZ)"]
-        tree = _loaded(tmp_path, [(key, key) for key in keys])
-        matches = [key for key, _ in tree.prefix_items(b"NP")]
-        assert matches == [b"NP", b"NP(DT)", b"NP(DT)(NN)"]
-
-    def test_prefix_scan_across_pages(self, tmp_path) -> None:
-        items = [(f"{side}{index:04d}".encode(), b"x") for index in range(300) for side in "AB"]
-        tree = _loaded(tmp_path, items, page_size=512)
-        assert len(list(tree.prefix_items(b"A"))) == 300
-
-    def test_range_scan(self, tmp_path) -> None:
-        tree = _loaded(tmp_path, [(f"{index:03d}".encode(), b"x") for index in range(50)])
-        keys = [key for key, _ in tree.range_items(b"010", b"020")]
-        assert keys == [f"{index:03d}".encode() for index in range(10, 20)]
 
 
 class TestBulkLoad:
@@ -339,7 +316,6 @@ class TestResidentNodes:
         for key, _ in items + [(b"absent", b"")]:
             assert other.get(key) == tree.get(key)
         assert list(other.items()) == list(tree.items())
-        assert list(other.prefix_items(b"key01")) == list(tree.prefix_items(b"key01"))
         assert (other.height, len(other)) == (tree.height, len(tree))
         other.close()
         tree.close()
@@ -372,8 +348,6 @@ _operations = st.lists(
     st.one_of(
         st.tuples(st.just("get"), _op_keys),
         st.tuples(st.just("items")),
-        st.tuples(st.just("prefix"), st.integers(0, 64).map(lambda index: b"k%03d" % index)),
-        st.tuples(st.just("range"), _op_keys, _op_keys),
     ),
     max_size=60,
 )
@@ -396,18 +370,8 @@ def test_resident_nodes_stay_coherent_under_eviction(tmp_path_factory, budget, e
         for operation in operations:
             if operation[0] == "get":
                 assert tree.get(operation[1]) == model.get(operation[1])
-            elif operation[0] == "items":
-                assert list(tree.items()) == sorted(model.items())
-            elif operation[0] == "prefix":
-                prefix = operation[1]
-                assert list(tree.prefix_items(prefix)) == sorted(
-                    item for item in model.items() if item[0].startswith(prefix)
-                )
             else:
-                _, low, high = operation
-                assert list(tree.range_items(low, high)) == sorted(
-                    item for item in model.items() if low <= item[0] < high
-                )
+                assert list(tree.items()) == sorted(model.items())
             assert len(tree.pager._cache) <= budget
         assert len(tree) == len(model)
         height = tree.height
@@ -739,15 +703,15 @@ class TestPresenceAndHeadReads:
     """"Present?" is the leaf hit; a value's head is at most the page it starts
     on (and the next, when the head straddles the two)."""
 
-    def test_contains_and_peek_read_no_more_than_they_say(self, tmp_path) -> None:
+    def test_presence_and_peek_read_no_more_than_they_say(self, tmp_path) -> None:
         tree = _make(tmp_path)
         big = bytes(range(256)) * 200  # 13 overflow pages
         tree.bulk_load([(b"big", big), (b"other", b"o" * 2000), (b"small", b"tiny")])
         tree.close()
         tree = _make(tmp_path)
-        assert b"small" in tree  # the path is resident from here on
+        assert tree.peek(b"small", 0) == b""  # the path is resident from here on
         reads = tree.pager.read_count
-        assert b"big" in tree and b"other" in tree and b"absent" not in tree
+        assert tree.peek(b"other", 0) == b""
         assert tree.peek(b"big", 0) == b"" and tree.peek(b"absent", 0) is None
         assert tree.pager.read_count == reads
         assert tree.peek(b"big", 10) == big[:10]
@@ -767,9 +731,9 @@ class TestPresenceAndHeadReads:
         assert tree.peek(b"b", 4) == bytes(range(4))
         tree.close()
 
-    def test_contains_is_not_counted_as_a_get(self, tmp_path) -> None:
+    def test_a_peek_is_not_counted_as_a_get(self, tmp_path) -> None:
         tree = _loaded(tmp_path, [(b"key", b"value")])
-        assert b"key" in tree and b"nope" not in tree
+        assert tree.peek(b"key", 0) == b"" and tree.peek(b"nope", 0) is None
         assert (tree.probe_stats.gets, tree.probe_stats.cache_hits) == (0, 0)
         assert tree.get(b"key") == b"value"
         assert tree.probe_stats.tree_descents == 3
@@ -829,7 +793,7 @@ def test_front_coded_leaves_hold_any_mix_of_shared_prefixes(tmp_path_factory, en
     tree = BPlusTree(str(directory / "loaded.bpt"), page_size=1024)
     tree.bulk_load(items)
     assert list(tree.items()) == items
-    assert all(tree.get(key) == value and key in tree for key, value in items)
+    assert all(tree.get(key) == value for key, value in items)
     census = tree.page_census()  # decodes every node page from the file
     assert sum(row["pages"] for row in census.values()) * 1024 == tree.size_bytes()
     assert all(row["slack_bytes"] >= 0 for row in census.values())
