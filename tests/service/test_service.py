@@ -12,7 +12,7 @@ from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
 from repro.exec.executor import QueryExecutor
 from repro.query.parser import parse_query
-from repro.service.service import QueryService
+from repro.service.service import PLAN_CACHE_SIZE, QueryService
 
 QUERIES = [
     "NP(DT)(NN)",
@@ -215,6 +215,43 @@ class TestTwoServicesOverOneIndex:
         assert second.stats().postings.hits == hits + 1
         assert second.stats().probes.tree_descents == descents
         second.close()
+
+    def test_a_list_one_service_cached_is_read_again_by_the_other(self, index) -> None:
+        index.reset_probe_stats()
+        first = QueryService(index, result_cache_size=0)
+        second = QueryService(index, result_cache_size=0)
+        first.run("NP(DT)(NN)")
+        second.run("NP(DT)(NN)")
+        assert index.probe_stats.gets == 2  # one part lookup each
+        assert first.stats().postings.hits == second.stats().postings.hits == 0
+        assert len(first._postings_cache) == len(second._postings_cache) == 1
+        first.close()
+        second.close()
+
+    def test_a_new_service_over_a_served_index_starts_cold(self, index) -> None:
+        earlier = QueryService(index)
+        earlier.run("NP(DT)(NN)")  # still open: its caches stay filled, and its own
+        fresh = QueryService(index)
+        fresh.run("NP(DT)(NN)")
+        stats = fresh.stats()
+        assert (stats.postings.hits, stats.postings.misses) == (0, 1)
+        assert (stats.results.hits, stats.results.misses) == (0, 1)
+        fresh.close()
+        earlier.close()
+
+
+class TestConstruction:
+    def test_cache_capacities(self, index) -> None:
+        service = QueryService(index)
+        stats = service.stats()
+        assert stats.plans.capacity == PLAN_CACHE_SIZE == 256
+        assert (stats.postings.capacity, stats.results.capacity) == (4096, 1024)
+        service.close()
+
+    @pytest.mark.parametrize("knob", ["plan_cache_size", "stripes", "pad"])
+    def test_no_other_knob_is_taken(self, index, knob) -> None:
+        with pytest.raises(TypeError):
+            QueryService(index, **{knob: 8})
 
 
 class TestInvalidationOnReopen:
