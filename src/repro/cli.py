@@ -185,7 +185,8 @@ def _explain_query(service: QueryService, text: str) -> None:
     postings = [index.lookup(key) for key in prepared.key_bytes]
     plan = None
     if len(cover) > 1 and not isinstance(index.coding, FilterBasedCoding):
-        plan = build_plan(prepared.query, cover_relations(cover, postings), cover.edges)
+        relations = cover_relations(cover, postings)
+        plan = build_plan(prepared.query, relations, cover.edges, cover.twin_pairs, prepared.order)
     print(f"{text}:")
     print(
         f"  plan: strategy={service.strategy}, mss={index.mss}, "

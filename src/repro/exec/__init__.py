@@ -2,7 +2,7 @@
 
 * :mod:`repro.exec.plan` -- join planning: one relation (posting columns +
   bound query nodes) per cover subtree, a greedy connected join order, and
-  the query's predicates reduced to offsets into a flat binding: the shape.
+  a skeleton cached per cover and order: predicates as offsets, the shape.
 * :mod:`repro.exec.codegen` -- the join kernel, generated once per plan shape:
   nested loops over per-tree row ranges, distinct-root counting.
 * :mod:`repro.exec.joins` -- ``run_plan`` (tid pre-intersection, then the

@@ -153,20 +153,22 @@ def join_postings(
     coding: CodingScheme,
     store: Optional[TreeStore | Corpus] = None,
     stats: Optional[ExecutionStats] = None,
+    order: Optional[Sequence[int]] = None,
 ) -> QueryResult:
     """Stage 3: combine the cover's posting lists into the final matches.
 
     *postings* holds each cover subtree's list as ``lookup`` returns it (a
     sequence of posting records is read too).  Dispatches on the coding
     scheme: tid intersection plus the filtering phase for filter-based
-    coding, structural merge joins otherwise.  When a *stats* object is
+    coding, structural merge joins otherwise, in *order* (a prepared
+    query's) or else smallest list first.  When a *stats* object is
     passed it receives the join-phase counters (``candidates_filtered``).
     """
     stats = stats if stats is not None else ExecutionStats()
     if not obs.enabled():
-        return _dispatch_join(query, cover, postings, coding, store, stats)
+        return _dispatch_join(query, cover, postings, coding, store, stats, order)
     with obs.trace("join", coding=coding.name, cover=len(cover.subtrees)) as span:
-        result = _dispatch_join(query, cover, postings, coding, store, stats)
+        result = _dispatch_join(query, cover, postings, coding, store, stats, order)
         span.set(matches=result.total_matches)
         return result
 
@@ -178,6 +180,7 @@ def _dispatch_join(
     coding: CodingScheme,
     store: Optional[TreeStore | Corpus],
     stats: ExecutionStats,
+    order: Optional[Sequence[int]],
 ) -> QueryResult:
     if isinstance(coding, FilterBasedCoding):
         return _join_filter_based(query, cover, postings, store, stats)
@@ -189,7 +192,7 @@ def _dispatch_join(
             only = PostingColumns.from_postings(postings[0])
             pairs = zip(only.tids, only.slots[0][0]) if only.tids else ()
             return QueryResult(matches_per_tree=count_distinct_roots(pairs))
-        plan = build_plan(query, cover_relations(cover, postings), cover.edges)
+        plan = build_plan(query, cover_relations(cover, postings), cover.edges, cover.twin_pairs, order)
         return QueryResult(matches_per_tree=run_plan(plan))
     raise TypeError(f"unsupported coding scheme {type(coding).__name__}")
 

@@ -6,29 +6,32 @@ plus the query nodes those columns bind -- the planner produces what
 
 * a left-deep join order that starts from the smallest relation and always
   joins a relation connected to what has been joined so far (Section 5.1:
-  plans are left-deep trees over the cover's posting-list streams);
+  plans are left-deep trees over the cover's posting-list streams).  A
+  prepared query brings the order it chose once, from stored list counts;
 * one :class:`JoinStep` per relation in that order.  A binding is a flat
   sequence of ``pre, post, level`` values, three per bound slot, laid out in
   join order; every structural predicate -- equality on a query node bound
   by two relations, parent-child / ancestor-descendant for a query edge
   whose endpoints are bound by different relations, inequality of same-label
-  siblings bound by different relations -- is reduced once, here, to offsets
-  into that sequence.  The offsets alone are the plan's *shape*, from which
-  :mod:`repro.exec.codegen` generates the kernel.
+  siblings bound by different relations -- is reduced to offsets into that
+  sequence.  Offsets, slots read and the *shape* (from which
+  :mod:`repro.exec.codegen` generates the kernel) are the plan's skeleton, a
+  function of the cover and the order cached like the kernels; a query only
+  binds its columns to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.coding.postings import PostingColumns
 from repro.exec.codegen import Shape, compile_kernel
 from repro.query.covers import Cover, Edge
+from repro.query.decompose import query_links
 from repro.query.model import QueryTree
-from repro.trees.matching import AXIS_CHILD
 
 
 @dataclass
@@ -96,67 +99,44 @@ class JoinPlan:
 
 def cover_relations(cover: Cover, postings: Sequence[PostingColumns]) -> List[Relation]:
     """The relations of a cover: one per cover subtree, over its postings."""
-    relations: List[Relation] = []
-    for subtree, plist in zip(cover.subtrees, postings):
-        columns = PostingColumns.from_postings(plist)
-        relations.append(Relation(columns, subtree.binding(len(columns.slots))))
-    return relations
+    columns = [PostingColumns.from_postings(plist) for plist in postings]
+    return [Relation(own, subtree.binding(len(own.slots))) for subtree, own in zip(cover.subtrees, columns)]
 
 
-def _choose_order(relations: Sequence[Relation], edges: Sequence[Edge]) -> List[int]:
-    """Greedy left-deep order: smallest relation first, stay connected, smallest next."""
-    # What connects a relation to the bound nodes: a node it binds itself or
-    # the other end of an edge at one.
-    reach = [set(relation.nodes) for relation in relations]
+def choose_order(sizes: Sequence[int], nodes: Sequence[Collection[int]], edges: Sequence[Edge]) -> tuple:
+    """Greedy left-deep order over relations of *sizes* that bind *nodes*:
+    smallest first, then the smallest connected to what is bound."""
+    near: Dict[int, List[int]] = {}  # query node -> its neighbours over an edge
     for upper, lower, _ in edges:
-        for relation, near in zip(relations, reach):
-            if upper in relation.nodes:
-                near.add(lower)
-            if lower in relation.nodes:
-                near.add(upper)
-    remaining = set(range(len(relations)))
+        near.setdefault(upper, []).append(lower)
+        near.setdefault(lower, []).append(upper)
+    rank = sorted(range(len(nodes)), key=sizes.__getitem__)
     order: List[int] = []
-    bound: set = set()
-    while remaining:
-        candidates = [index for index in remaining if not bound.isdisjoint(reach[index])] or remaining
-        chosen = min(candidates, key=lambda index: (relations[index].cardinality, index))
+    reach: set = set()  # the bound nodes and their neighbours
+    while rank:
+        chosen = next((index for index in rank if not reach.isdisjoint(nodes[index])), rank[0])
+        rank.remove(chosen)
         order.append(chosen)
-        remaining.remove(chosen)
-        bound.update(relations[chosen].nodes)
-    return order
+        for node in nodes[chosen]:
+            reach.add(node)
+            reach.update(near.get(node, ()))
+    return tuple(order)
 
 
-def build_plan(
-    query: QueryTree, relations: Sequence[Relation], edges: Optional[Sequence[Edge]] = None
-) -> JoinPlan:
-    """Order *relations* and compile the query's predicates between them.
+@lru_cache(maxsize=512)  # compile_kernel's bound; a skeleton is a few tuples of ints
+def plan_skeleton(bindings: tuple, edges: tuple, twins: tuple, root: int, order: tuple) -> tuple:
+    """The steps of a plan less their columns, and its :data:`~repro.exec.codegen.Shape`.
 
-    *edges* are the query's edges as a :class:`~repro.query.covers.Cover`
-    carries them; they are derived from *query* when not given.
+    *bindings* are the relations' ``(query node, slot)`` pairs and *twins*
+    the ordered pairs of same-label siblings, which must map to distinct
+    data nodes.  A step is ``(relation, slots, equal, checks, distinct)``:
+    the slots whose columns it reads, in binding order, and its predicates
+    as offsets.  Keyed by integers, the table holds no posting.
     """
-    relations = list(relations)
-    if edges is None:
-        edges = [
-            (parent.node_id, child.node_id, axis == AXIS_CHILD)
-            for parent, child, axis in query.edges()
-        ]
-    plan = JoinPlan(relations, _choose_order(relations, edges))
-    if not all(relation.cardinality for relation in relations):
-        return plan
-    # Children of one query node map to distinct data nodes; labels keep
-    # apart all but same-label siblings, and a key the ones it holds itself.
-    twins = [
-        pair
-        for node in query.nodes() if len(node.children) > 1
-        for first, second in combinations(node.children, 2) if first.label == second.label
-        for pair in ((first.node_id, second.node_id), (second.node_id, first.node_id))
-    ]
-
     offsets: Dict[int, int] = {}  # query node -> offset of its pre in a binding
-    width = 0
-    for index in plan.order:
-        relation = relations[index]
-        slots = sorted(relation.nodes.items(), key=itemgetter(1))
+    steps, width = [], 0
+    for index in order:
+        slots = sorted(bindings[index], key=itemgetter(1))
         local = {node: width + 3 * at for at, (node, _) in enumerate(slots)}
         fresh = local.keys() - offsets.keys()
         outside = {node: at for node, at in offsets.items() if node not in local}
@@ -170,18 +150,38 @@ def build_plan(
             (local[upper], outside[lower], child)
             for upper, lower, child in edges if upper in fresh and lower in outside
         ]
-        plan.steps.append(JoinStep(
-            relation=index,
-            columns=tuple(column for _, slot in slots for column in relation.columns.slots[slot]),
-            equal=tuple((offsets[node], at) for node, at in local.items() if node in offsets),
-            checks=tuple(checks),
-            distinct=tuple(
-                (outside[old], local[new]) for old, new in twins if new in fresh and old in outside
-            ),
-        ))
+        equal = tuple((offsets[node], at) for node, at in local.items() if node in offsets)
+        distinct = tuple((outside[old], local[new]) for old, new in twins if new in fresh and old in outside)
+        steps.append((index, tuple(slot for _, slot in slots), equal, tuple(checks), distinct))
         for node in fresh:
             offsets[node] = local[node]
         width += 3 * len(slots)
-    shape = tuple((len(step.columns), step.equal, step.checks, step.distinct) for step in plan.steps)
-    plan.shape = (shape, offsets[query.root.node_id])
+    shape = tuple((3 * len(slots), *predicates) for _, slots, *predicates in steps)
+    return tuple(steps), (shape, offsets[root])
+
+
+def build_plan(
+    query: QueryTree, relations: Sequence[Relation], edges: Optional[Sequence[Edge]] = None,
+    twins: Optional[Sequence[Tuple[int, int]]] = None, order: Optional[Sequence[int]] = None,
+) -> JoinPlan:
+    """Plan the join of *relations* in *order*, by default :func:`choose_order`'s
+    over their lengths: the cached :func:`plan_skeleton` and the columns it picks.
+
+    *edges* and *twins* are the query's as a :class:`~repro.query.covers.Cover`
+    carries them; both are derived from *query* when either is not given.
+    """
+    relations = list(relations)
+    if edges is None or twins is None:
+        edges, twins = query_links(query)
+    sizes = [relation.cardinality for relation in relations]
+    order = choose_order(sizes, [relation.nodes for relation in relations], edges) if order is None else order
+    plan = JoinPlan(relations, list(order))
+    if not all(sizes):
+        return plan
+    bindings = tuple(tuple(relation.nodes.items()) for relation in relations)
+    steps, plan.shape = plan_skeleton(bindings, tuple(edges), tuple(twins), query.root.node_id, tuple(order))
+    plan.steps = [
+        JoinStep(at, tuple(column for slot in slots for column in relations[at].columns.slots[slot]), *rest)
+        for at, slots, *rest in steps
+    ]
     return plan

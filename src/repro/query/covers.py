@@ -12,7 +12,7 @@ needs the more constrained *root-split covers* of Definition 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.keys import canonical_key
 from repro.query.model import QueryNode, QueryTree
@@ -116,8 +116,9 @@ class CoverSubtree:
 @dataclass
 class Cover:
     """A cover of a query: the query, its cover subtrees and what a join
-    planner needs of the query -- its edges as node-id triples, which the
-    compiler emits in passing (``None`` on a cover built by hand:
+    planner needs of the query -- its edges as node-id triples and the
+    ordered pairs of its same-label siblings, which the compiler emits in
+    passing (``None`` on a cover built by hand:
     :func:`repro.exec.plan.build_plan` then derives them from the query).
 
     ``split_twins`` lists the groups of canonically-equal siblings, as
@@ -128,8 +129,9 @@ class Cover:
 
     query: QueryTree
     subtrees: List[CoverSubtree] = field(default_factory=list)
-    edges: Optional[List[Edge]] = None
+    edges: Optional[Sequence[Edge]] = None
     split_twins: List[Tuple[int, Tuple[int, ...]]] = field(default_factory=list)
+    twin_pairs: Optional[Sequence[Tuple[int, int]]] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

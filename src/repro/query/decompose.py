@@ -52,6 +52,7 @@ joins.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,7 +94,10 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
     ``members``  ids of that component in pre-order, when ``size <= mss``;
     ``edges``    every query edge ``(parent, child, is "/")``, by child id;
     ``cuts``     ``(parent, child)`` of every ``//`` edge, in edge order;
-    ``twins``    parent id -> groups (child ids) of equal ``full`` text.
+    ``twins``    parent id -> groups (child ids) of equal ``full`` text;
+    ``pairs``    ``(first, second)`` and ``(second, first)`` of every two
+                 same-label siblings, parents in pre-order: they map to
+                 distinct data nodes, which labels alone do not ensure.
     """
     count = len(nodes)
     kids: List[Sequence[int]] = [()] * count
@@ -105,6 +109,7 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
     edges: List[Edge] = [(0, 0, True)] * (count - 1)
     cuts: List[Tuple[int, int]] = []
     twins: Dict[int, List[Tuple[int, ...]]] = {}
+    pairs: List[Tuple[int, int]] = []
 
     for index in range(count - 1, -1, -1):
         node = nodes[index]
@@ -127,6 +132,11 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
             else:
                 edges[child_id - 1] = (index, child_id, False)
                 cuts.append((index, child_id))
+        if len(children) > 1 and len({child.label for child in children}) < len(children):
+            same = [
+                (one.node_id, two.node_id) for one, two in combinations(children, 2) if one.label == two.label
+            ]
+            pairs[:0] = [pair for one, two in same for pair in ((one, two), (two, one))]
         rigid = len(below) == len(children)
         kids[index], size[index], forced[index] = below, total, holds_cut or not rigid
         if total > mss:
@@ -151,13 +161,20 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
                 groups.setdefault(full[child.node_id], []).append(child.node_id)
             twins[index] = [tuple(group) for group in groups.values() if len(group) > 1]
     cuts.sort()
-    return kids, size, forced, text, full, members, edges, cuts, twins
+    return kids, size, forced, text, full, members, tuple(edges), cuts, twins, tuple(pairs)
+
+
+def query_links(query: QueryTree) -> Tuple[Tuple[Edge, ...], Tuple[Tuple[int, int], ...]]:
+    """The query's edges and same-label sibling pairs, as :func:`compile_query`
+    puts them on a cover (for a cover built by hand, which has neither)."""
+    *_, edges, _, _, pairs = _scan(query._nodes, 0)
+    return edges, pairs
 
 
 def component_roots(query: QueryTree) -> List[QueryNode]:
     """Roots of the rigid components: the query root plus every ``//`` child."""
     nodes = query._nodes
-    *_, cuts, _ = _scan(nodes, 0)
+    *_, cuts, _, _ = _scan(nodes, 0)
     return [query.root] + [nodes[child] for _, child in cuts]
 
 
@@ -190,11 +207,11 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
         known = ", ".join(sorted(STRATEGIES))
         raise ValueError(f"unknown decomposition strategy {strategy!r} (known: {known})")
     nodes = query._nodes
-    kids, size, forced, text, full, members, edges, cuts, twins = _scan(nodes, mss)
+    kids, size, forced, text, full, members, edges, cuts, twins, pairs = _scan(nodes, mss)
     if size[0] <= mss and not cuts:
         # The whole query is one key.
         only = CoverSubtree(query.root, frozenset(members[0]), text[0].encode("utf-8"))
-        return Cover(query, [only], edges)
+        return Cover(query, [only], edges, twin_pairs=pairs)
     capacity = mss - 1
     out: List[CoverSubtree] = []
 
@@ -311,7 +328,7 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
         for group in groups
         if not any(subtree.node_ids.issuperset(group) for subtree in out)
     ]
-    return Cover(query, out, edges, split)
+    return Cover(query, out, edges, split, pairs)
 
 
 def optimal_cover(query: QueryTree, mss: int, pad: bool = True) -> Cover:

@@ -11,9 +11,9 @@ three caches in front of the pipeline:
 prepared-query cache
     parse + decomposition are pure functions of the query text and the index
     parameters, so their output (a :class:`PreparedQuery`: the parsed tree,
-    its cover and the cover's canonical key bytes) is cached under the
-    *normalized* query string.  ``NP( DT ) ( NN )``, ``NP(DT)(NN)`` and the
-    equivalent path form all share one entry.
+    its cover, the cover's key bytes and a join order, kept however writes
+    move the lists) is cached under the *normalized* query string.
+    ``NP( DT ) ( NN )``, ``NP(DT)(NN)`` and the path form share one entry.
 
 posting cache
     *decoded* posting lists, one per cover key and part of the index
@@ -65,6 +65,7 @@ from repro.exec.executor import (
     fetch_postings,
     join_postings,
 )
+from repro.exec.plan import choose_order
 from repro.query.covers import Cover
 from repro.query.model import QueryTree
 from repro.query.parser import parse_query
@@ -83,21 +84,18 @@ Value = TypeVar("Value")
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """The cacheable output of the parse + decomposition stages.
+    """The cacheable output of the parse + decomposition stages, and the join
+    order, chosen once from the whole index's stored list counts.
 
-    Immutable and shared between threads: executions read the cover and key
-    bytes but never mutate them.
+    Immutable and shared between threads.  Writes can make the order stale,
+    which costs speed, never an answer: any connected order gives the same matches.
     """
 
     normalized: str
     query: QueryTree
     cover: Cover
     key_bytes: Tuple[bytes, ...]
-
-    @property
-    def distinct_keys(self) -> frozenset:
-        """The distinct canonical cover keys this query fetches."""
-        return frozenset(self.key_bytes)
+    order: Tuple[int, ...]
 
 
 @dataclass
@@ -339,9 +337,12 @@ class QueryService:
             return cached  # type: ignore[return-value]
         cover = decompose_query(parsed, self.index.mss, self.strategy)
         keys = tuple(subtree.key_bytes() for subtree in cover.subtrees)
-        prepared = PreparedQuery(
-            normalized=normalized, query=parsed, cover=cover, key_bytes=keys
-        )
+        order: Tuple[int, ...] = (0,)
+        if len(keys) > 1:  # a relation binds what the coding stores of a key: its root, or every node
+            roots_only = self.index.coding.roots_only
+            nodes = [subtree.binding(1 if roots_only else subtree.size) for subtree in cover.subtrees]
+            order = choose_order([self.index.posting_list_length(key) for key in keys], nodes, cover.edges)
+        prepared = PreparedQuery(normalized, parsed, cover, keys, order)
         self._plan_cache.put(normalized, prepared)
         return prepared
 
@@ -365,7 +366,8 @@ class QueryService:
             result = QueryResult()
         else:
             result = join_postings(
-                prepared.query, prepared.cover, postings, self.index.coding, store=self.store, stats=stats
+                prepared.query, prepared.cover, postings, self.index.coding, store=self.store, stats=stats,
+                order=prepared.order,
             )
         stats.elapsed_seconds = time.perf_counter() - started
         result.stats = stats

@@ -166,6 +166,20 @@ class TestCounts:
             assert index.posting_list_length(key) == length
         assert index.posting_list_length("ZZTOP(QQ)") == 0
 
+    def test_a_count_read_on_a_cold_index_counts_the_pages_it_parses(self, tmp_path, small_corpus) -> None:
+        path = str(tmp_path / "i.si")
+        SubtreeIndex.build(small_corpus, mss=3, coding="root-split", path=path).close()
+        index = SubtreeIndex.open(path)
+        assert index.probe_stats.node_decodes == 0
+        assert index.posting_list_length("NP(DT)(NN)") > 0
+        decodes = index.probe_stats.node_decodes
+        assert decodes > 0
+        # The lookup that follows finds the path resident; a count read is no get.
+        index.lookup("NP(DT)(NN)")
+        assert index.probe_stats.node_decodes == decodes
+        assert (index.probe_stats.gets, index.probe_stats.tree_descents) == (1, 1)
+        index.close()
+
     def test_key_count_matches_iteration(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=3, coding="filter", path=str(tmp_path / "i.si"))
         assert sum(1 for _ in index.items()) == index.key_count

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from repro.coding.postings import NodeCode, RootPosting, SubtreePosting
 from repro.coding.root_split import RootSplitCoding
-from repro.exec.plan import build_plan, cover_relations
+from repro.exec.plan import build_plan, cover_relations, plan_skeleton
 from repro.query.decompose import min_rc, optimal_cover
 from repro.query.parser import parse_query
 from tests.coding.recordkit import encode_records
@@ -135,3 +137,41 @@ class TestBuildPlan:
         postings = [[RootPosting(1, 1, 9, 0)], [], []]
         plan = build_plan(query, cover_relations(cover, postings))
         assert plan.steps == [] and len(plan.order) == 3
+
+    def test_a_given_order_is_kept(self) -> None:
+        query, cover, plan = self._root_split_plan("S(NP(DT)(NN))(VP(VBZ)(NP))", mss=2)
+        order = plan.order[::-1]
+        given = build_plan(query, plan.relations, cover.edges, cover.twin_pairs, order)
+        assert given.order == order == [step.relation for step in given.steps]
+
+
+class TestSkeletonTable:
+    def test_one_cover_and_order_is_one_skeleton(self) -> None:
+        query = parse_query("S(NP(DT))(VP(VBZ))")
+        cover = min_rc(query, 2)
+        postings = [[RootPosting(1, i + 1, 10 - i, i)] for i, _ in enumerate(cover.subtrees)]
+        first = build_plan(query, cover_relations(cover, postings), cover.edges, cover.twin_pairs)
+        hits = plan_skeleton.cache_info().hits
+        moved = [[RootPosting(2, i + 3, 12 - i, i)] for i, _ in enumerate(cover.subtrees)]
+        second = build_plan(query, cover_relations(cover, moved), cover.edges, cover.twin_pairs)
+        assert plan_skeleton.cache_info().hits == hits + 1
+        assert second.shape == first.shape and second.steps != first.steps  # same offsets, new columns
+
+    def test_the_table_holds_integers_only(self) -> None:
+        def leaves(item):
+            return [item] if not isinstance(item, tuple) else [leaf for part in item for leaf in leaves(part)]
+
+        skeleton = plan_skeleton((((0, 0),), ((1, 0),)), ((0, 1, True),), (), 0, (1, 0))
+        assert all(isinstance(leaf, int) for leaf in leaves(skeleton))
+
+    def test_the_table_is_bounded(self) -> None:
+        # A six-node path, one single-slot relation a node: 720 orders.
+        bindings = tuple(((node, 0),) for node in range(6))
+        edges = tuple((node, node + 1, True) for node in range(5))
+        bound = plan_skeleton.cache_info().maxsize
+        assert bound == 512
+        orders = list(permutations(range(6)))
+        assert len(orders) > bound
+        for order in orders:
+            plan_skeleton(bindings, edges, (), 0, order)
+            assert plan_skeleton.cache_info().currsize <= bound

@@ -87,9 +87,7 @@ class TestPreparedQueryCache:
     def test_prepared_keys_match_cover(self, service) -> None:
         prepared = service.prepare("S(NP)(VP(VBZ))")
         assert len(prepared.key_bytes) == len(prepared.cover.subtrees)
-        assert prepared.distinct_keys == frozenset(
-            subtree.key_bytes() for subtree in prepared.cover.subtrees
-        )
+        assert prepared.key_bytes == tuple(subtree.key_bytes() for subtree in prepared.cover.subtrees)
 
 
 class TestPostingCache:
@@ -160,7 +158,7 @@ class TestBatchAPI:
         batch = ["NP(DT)(NN)", "S(NP)(VP)", "NP(DT)(NN)", "S(NP)(VP(VBZ))"]
         distinct_keys = set()
         for text in batch:
-            distinct_keys |= service.prepare(text).distinct_keys
+            distinct_keys.update(service.prepare(text).key_bytes)
 
         results = service.run_many(batch)
         stats = service.stats()
