@@ -7,8 +7,7 @@ it over one shared :class:`~repro.bench.context.ExperimentContext` (corpora
 and indexes are built once across files) and writes both the human-readable
 ``<name>.txt`` table and the machine-readable ``BENCH_<name>.json`` document
 into the session's temp dir, so a test run leaves ``git status`` clean.  The
-committed tables in ``benchmarks/results/`` -- the directory ``repro bench
-gate`` diffs across commits -- are refreshed on purpose only:
+committed tables in ``benchmarks/results/`` are refreshed on purpose only:
 ``python -m repro.cli bench run <name>... --out benchmarks/results``.
 
 Corpus sizes live in the declarations (``repro.bench.experiments``); raise
@@ -16,7 +15,9 @@ or shrink all of them with the ``REPRO_BENCH_SCALE`` environment variable
 (a float multiplier, default 1.0), which the runner picks up itself.  At
 the default scale every run is also held to its committed table: all cells
 but the wall-clock ones, row order included, must be what
-``benchmarks/results/`` says.
+``benchmarks/results/`` says.  That check is the only one on ``exact``
+columns: a change that moves one fails here.  Timing claims are decided by
+``perfbench``'s alternating pairs, not by these tables.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def run_experiment(runner: ExperimentRunner, name: str, **overrides) -> RunRepor
 
     The JSON document is re-read from disk and schema-validated so every
     benchmark run doubles as a check that its ``BENCH_<name>.json`` is
-    well-formed for the regression gate.  At scale 1.0 with nothing
+    well-formed.  At scale 1.0 with nothing
     overridden its ``result`` block -- name, description, columns, rows with
     the timing cells masked, notes -- must equal the committed table's: a
     change to what an experiment measures shows up here, not in a later

@@ -74,10 +74,6 @@ class NodeIntervalIndex:
             return PostingColumns([])
         return self._coding.decode_postings(raw)
 
-    def label_frequency(self, label: str) -> int:
-        """Number of nodes carrying *label* across the corpus."""
-        return len(self.postings(label))
-
     # ------------------------------------------------------------------
     def execute(self, query: QueryTree) -> QueryResult:
         """Evaluate *query* with one structural join per query edge."""

@@ -1,13 +1,13 @@
 """Experiment harness regenerating the paper's tables and figures.
 
 * :mod:`repro.bench.results` -- the generic tabular result container with a
-  plain-text renderer and a JSON round-trip shared by all experiments.
+  plain-text renderer and a JSON form shared by all experiments.
 * :mod:`repro.bench.context` -- a small laboratory object that builds and
   caches corpora, data files and indexes inside a working directory so the
   individual experiments do not repeat expensive setup.
 * :mod:`repro.bench.registry` -- :class:`Experiment`, the one declaration an
   experiment has (title, description, independent variables with levels,
-  value columns and their gate / timing semantics, notes), the
+  value columns and their direction / timing semantics, notes), the
   :func:`experiment` decorator that puts it on a measure function, and the
   central registry every benchmark resolves through.
 * :mod:`repro.bench.experiments` -- one declared *measure function* per
@@ -18,18 +18,17 @@
   scales and crosses the declared variables, calls the measure function per
   cell, builds the :class:`ExperimentResult`, and owns warmup, environment
   capture, text tables and schema-validated ``BENCH_<experiment>.json``.
-* :mod:`repro.bench.gate` -- the regression gate diffing two runs'
-  ``BENCH_*.json`` with tolerance bands (``repro bench gate``).
 * :mod:`repro.bench.schema` -- the versioned document schema and the
   stdlib validator.
 
 See ``docs/benchmarks.md`` for how to add an experiment, the JSON schema and
-how to read a perf trajectory across commits.
+the two instruments that decide a change: ``benchmarks/conftest.py`` holds
+every non-timing cell to ``benchmarks/results/``, and ``perfbench`` pairs
+decide timing claims.
 """
 
 from repro.bench import experiments  # registers the built-in experiments
 from repro.bench.context import ExperimentContext
-from repro.bench.gate import GateOptions, GateReport, compare, compare_directories
 from repro.bench.guard import timing_bars_enabled
 from repro.bench.registry import (
     Experiment,
@@ -49,10 +48,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentRunner",
     "RunReport",
-    "GateOptions",
-    "GateReport",
-    "compare",
-    "compare_directories",
     "SCHEMA_VERSION",
     "SchemaError",
     "require_valid",

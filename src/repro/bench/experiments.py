@@ -3,7 +3,7 @@
 Each function measures **one cell** of its experiment and carries the
 experiment's whole declaration in its :func:`~repro.bench.registry.experiment`
 decorator: title, description, independent variables with their levels, value
-columns and what the gate may do with each, notes.  The orchestrator
+columns and the direction of each, notes.  The orchestrator
 (:class:`~repro.bench.runner.ExperimentRunner`) crosses the variables and
 calls the function with one level of each as keywords, next to an
 :class:`~repro.bench.context.ExperimentContext`; the function returns that

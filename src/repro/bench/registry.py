@@ -20,10 +20,9 @@ An experiment is declared once, on its *measure function*
   :data:`REPORTED` is reported by the function itself, which then ``yield``s
   several rows per cell, each starting with the reported variables' values
   (Figure 11's match bins, Table 2's classes and systems).  The variables are
-  the row identity the regression gate joins on (``key_columns``).
-* **values** -- the measured columns, each with what downstream tooling may
-  do with it: ``"lower"`` / ``"higher"`` / ``"exact"`` gate it in that
-  direction, ``"timing"`` marks a wall-clock cell (masked by determinism
+  the row identity (``key_columns``).
+* **values** -- the measured columns, each with its direction:
+  ``"lower"`` / ``"higher"`` is better that way, ``"exact"`` must not move, ``"timing"`` marks a wall-clock cell (masked by determinism
   checks, never compared for equality), ``"timing:lower"`` both, ``None``
   only reports it.  The table header is variables + values.
 * **fixed parameters** are the function's keyword defaults; ``sentences``
@@ -33,9 +32,9 @@ An experiment is declared once, on its *measure function*
   ``"{shards[0]}-shard"``).
 
 The name is the function's.  The ``benchmarks/test_*`` files, the ``repro
-bench`` CLI, ``repro loadtest`` and the regression gate all resolve
-experiments through this registry, so corpus sizes, row identities and gated
-metrics live in exactly one place.  Default levels are the laptop-scale sizes
+bench`` CLI and ``repro loadtest`` all resolve experiments through this
+registry, so corpus sizes, row identities and metric directions live in
+exactly one place.  Default levels are the laptop-scale sizes
 the committed numbers in ``benchmarks/results/`` were measured at; pass a
 scale factor (or set ``REPRO_BENCH_SCALE``) to shrink or grow every corpus
 proportionally.

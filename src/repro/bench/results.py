@@ -9,7 +9,7 @@ be diffed and pasted into EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 
 def _format_value(value: object) -> str:
@@ -54,6 +54,7 @@ class ExperimentResult:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
 
+    # Only ``benchmarks/`` calls this, to pick the rows a bar compares.
     def filtered(self, **criteria: object) -> List[List[object]]:
         """Rows whose named columns equal the given values."""
         indexes = {self.columns.index(name): value for name, value in criteria.items()}
@@ -77,24 +78,6 @@ class ExperimentResult:
             "rows": [list(row) for row in self.rows],
             "notes": list(self.notes),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. a reloaded JSON file).
-
-        Round-trip guarantee: ``from_dict(to_dict())`` agrees with the
-        original on columns, rows, notes, ``as_dicts()`` and ``to_text()``.
-        """
-        result = cls(
-            name=str(data["name"]),
-            description=str(data["description"]),
-            columns=list(data["columns"]),  # type: ignore[arg-type]
-        )
-        for row in data.get("rows", []):  # type: ignore[union-attr]
-            result.add_row(*row)
-        for note in data.get("notes", []):  # type: ignore[union-attr]
-            result.add_note(str(note))
-        return result
 
     # ------------------------------------------------------------------
     def to_text(self) -> str:
@@ -120,11 +103,3 @@ class ExperimentResult:
     def print(self) -> None:  # pragma: no cover - console convenience
         """Print the rendered table."""
         print(self.to_text())
-
-
-def geometric_spread(values: Iterable[float]) -> float:
-    """max/min ratio of positive values (used for 'order of magnitude' checks)."""
-    materialised = [value for value in values if value > 0]
-    if not materialised:
-        return 0.0
-    return max(materialised) / min(materialised)

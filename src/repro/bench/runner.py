@@ -11,7 +11,7 @@ per run into the output directory:
 
 * ``<name>.txt`` -- the fixed-width table for humans / EXPERIMENTS.md;
 * ``BENCH_<name>.json`` -- the schema-validated machine-readable document
-  the regression gate diffs across commits.
+  that ``benchmarks/conftest.py`` holds a run's non-timing cells to.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def build_document(
     """Assemble and validate the bench document for one measured result.
 
     This is the single place the document shape is defined, so everything
-    downstream of the schema -- the validator, the regression gate, the
-    committed baselines -- sees one format.
+    downstream of the schema -- the validator, the committed tables --
+    sees one format.
     """
     document: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,

@@ -3,12 +3,13 @@
 Every experiment run emits one JSON document describing *what* was measured
 (the resolved config), *where* (the captured environment), and *what came
 out* (the result table plus notes).  The schema is validated with plain
-stdlib code -- no ``jsonschema`` dependency -- and is versioned so the
-regression gate can refuse to diff documents it does not understand.
+stdlib code -- no ``jsonschema`` dependency -- and is versioned so a
+reader can refuse documents it does not understand.
 
 Volatile fields (wall-clock measurements, timestamps) are declared here so
-both the determinism tests and the regression gate agree on what "the same
-result" means across two runs of one commit.
+the determinism tests and ``benchmarks/conftest.py`` -- which holds every
+non-timing cell of a run to the committed table -- agree on what "the same
+result" means across two runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ SCHEMA_VERSION = 1
 #: The ``kind`` discriminator of every bench document.
 DOCUMENT_KIND = "repro-bench-result"
 
-#: Allowed metric directions (see :mod:`repro.bench.gate`).
+#: Allowed metric directions (see :mod:`repro.bench.registry`).
 METRIC_DIRECTIONS = ("lower", "higher", "exact")
 
 
@@ -177,6 +178,7 @@ def require_valid(document: object) -> None:
         raise SchemaError("invalid bench document:\n  " + "\n  ".join(errors))
 
 
+# Only ``benchmarks/conftest.py`` calls this, to compare a run with its committed table.
 def strip_volatile(document: dict) -> dict:
     """A deep copy of *document* with every run-to-run volatile field masked.
 

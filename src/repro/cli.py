@@ -22,11 +22,10 @@ Ten subcommands cover the everyday workflow:
     or live index and the live index's delta/WAL sizes);
 ``bench``
     list and run the registered experiments (text table + machine-readable
-    ``BENCH_<experiment>.json`` per run) and gate a result directory
-    against a baseline run (``bench gate``; exits 1 on regression);
+    ``BENCH_<experiment>.json`` per run);
 ``serve``
     serve a built index (plain, sharded or live) over HTTP: ``/query``,
-    ``/query/batch`` (micro-batched), ``/stats``, ``/healthz`` and a
+    ``/query/batch``, ``/stats``, ``/healthz`` and a
     Prometheus ``/metrics`` endpoint;
 ``loadtest``
     run the registered ``serve_http_throughput`` (or, ``--mode open``,
@@ -55,7 +54,6 @@ Example session::
     python -m repro.cli loadtest corpus.si --url http://127.0.0.1:8321
     python -m repro.cli bench list
     python -m repro.cli bench run figure8_index_size --out results/ --scale 0.5
-    python -m repro.cli bench gate baseline/ results/
 """
 
 from __future__ import annotations
@@ -695,7 +693,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Experiment orchestration (bench list / run / gate)
+# Experiment orchestration (bench list / run)
 # ----------------------------------------------------------------------
 def _bench_list(args: argparse.Namespace) -> int:
     from repro.bench.registry import all_experiments
@@ -743,63 +741,8 @@ def _bench_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_gate(
-    args: argparse.Namespace, baseline_dir: str, current_dir: str = "benchmarks/results"
-) -> int:
-    from repro.bench.gate import GateError, GateOptions, compare_directories
-
-    options = GateOptions()
-    if args.tolerance is not None:
-        try:
-            options = GateOptions(
-                tolerance=args.tolerance,
-                ci_tolerance=max(args.tolerance, options.ci_tolerance),
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    try:
-        report = compare_directories(baseline_dir, current_dir, options)
-    except GateError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(
-            {
-                "ok": report.ok,
-                "tolerance": report.tolerance,
-                "ci_guard": report.ci_guard,
-                "new_experiments": report.new_experiments,
-                "missing_experiments": report.missing_experiments,
-                "experiments": [
-                    {
-                        "experiment": comparison.experiment,
-                        "ok": comparison.ok,
-                        "failures": comparison.failures,
-                        "verdicts": [
-                            {
-                                "metric": verdict.metric,
-                                "direction": verdict.direction,
-                                "status": verdict.status,
-                                "ratio": verdict.ratio,
-                                "rows_compared": verdict.rows_compared,
-                                "detail": verdict.detail,
-                            }
-                            for verdict in comparison.verdicts
-                        ],
-                    }
-                    for comparison in report.comparisons
-                ],
-            },
-            indent=2,
-        ))
-    else:
-        print(report.to_text())
-    return 0 if report.ok else 1
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Dispatch `bench list` / `bench run` / `bench gate BASELINE [CURRENT]`."""
+    """Dispatch `bench list` / `bench run`."""
     if args.action == "list":
         if args.names:
             print("error: 'bench list' takes no experiment names", file=sys.stderr)
@@ -807,15 +750,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _bench_list(args)
     if args.action == "run":
         return _bench_run(args)
-    if args.action == "gate":
-        if not args.names:
-            print("error: 'bench gate' needs a baseline directory", file=sys.stderr)
-            return 2
-        if len(args.names) > 2:
-            print("error: 'bench gate' takes BASELINE [CURRENT]", file=sys.stderr)
-            return 2
-        return _bench_gate(args, *args.names)
-    print("error: pass an action (list, run, gate)", file=sys.stderr)
+    print("error: pass an action (list, run)", file=sys.stderr)
     return 2
 
 
@@ -905,18 +840,11 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument("index", help="live-index manifest built with 'build --live'")
     compact.set_defaults(func=cmd_compact)
 
-    bench = subparsers.add_parser(
-        "bench", help="run registered experiments and gate results against a baseline"
-    )
+    bench = subparsers.add_parser("bench", help="list and run the registered experiments")
     bench.add_argument(
-        "action", nargs="?", choices=("list", "run", "gate"),
-        help="list experiments, run some/all, or gate a run against a baseline",
+        "action", nargs="?", choices=("list", "run"), help="list experiments, or run some/all",
     )
-    bench.add_argument(
-        "names", nargs="*",
-        help="experiment names for 'run' (default: all); BASELINE [CURRENT] for 'gate' "
-             "(CURRENT defaults to benchmarks/results; exits 1 on regression)",
-    )
+    bench.add_argument("names", nargs="*", help="experiment names for 'run' (default: all)")
     bench.add_argument(
         "--out", default="benchmarks/results",
         help="directory for <name>.txt and BENCH_<name>.json artefacts (run mode)",
@@ -930,10 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="corpus-size multiplier (default: REPRO_BENCH_SCALE or 1.0)",
     )
     bench.add_argument("--seed", type=int, default=17, help="experiment-context seed")
-    bench.add_argument(
-        "--tolerance", type=float, default=None,
-        help="gate tolerance band around a ratio of 1.0 (default 0.35; CI guard 0.60)",
-    )
     bench.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of human-readable output",

@@ -21,13 +21,7 @@ join kernel reads without building a record per posting.
 
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.filter_based import FilterBasedCoding
-from repro.coding.postings import (
-    FilterPosting,
-    NodeCode,
-    PostingColumns,
-    RootPosting,
-    SubtreePosting,
-)
+from repro.coding.postings import PostingColumns
 from repro.coding.root_split import RootSplitCoding
 from repro.coding.subtree_interval import SubtreeIntervalCoding
 
@@ -35,11 +29,7 @@ __all__ = [
     "CodingScheme",
     "get_coding",
     "FilterBasedCoding",
-    "FilterPosting",
     "RootSplitCoding",
-    "RootPosting",
     "SubtreeIntervalCoding",
-    "SubtreePosting",
-    "NodeCode",
     "PostingColumns",
 ]

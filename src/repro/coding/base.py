@@ -120,10 +120,9 @@ class CodingScheme(ABC):
         """Deserialise a list produced by :meth:`encode_body`.
 
         The result is columnar -- field ``f`` of all rows is the strided
-        slice ``body[f::width]`` of the varint body; as a sequence it yields
-        this scheme's posting records and compares equal to the list that
-        was encoded.  A body that is not exactly ``count * width`` values
-        long is corrupt.
+        slice ``body[f::width]`` of the varint body, tids summed from their
+        gaps -- and equal to :meth:`columns` of the body that was encoded.
+        A body that is not exactly ``count * width`` values long is corrupt.
         """
         count, offset = decode_varint(data, 0)
         body = decode_varint_run(data, offset)

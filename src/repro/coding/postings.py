@@ -1,91 +1,32 @@
-"""Posting records of the three codings and their columnar container.
+"""A key's decoded posting list as flat columns, and their merge.
 
 A decoded posting list is a :class:`PostingColumns`: the tree ids in one
 column and, per stored node, one ``(pre, post, level)`` column triple (a
 *slot*).  The join kernel reads the columns directly, and a sharded or live
 index merges its sources' lists column by column (:func:`merge_columns`).
 The write path goes from a tree to a key's flat *body* of rows, of which
-the columns are strided slices (:meth:`PostingColumns.from_body`).  The
-record classes below exist only as the view a ``PostingColumns`` gives when
-read as the sequence of records it replaced -- for tests and baselines.
+the columns are strided slices (:meth:`PostingColumns.from_body`); no
+posting is ever a record object.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import AbstractSet, Iterator, List, Optional, Sequence, Tuple
-
-from repro.trees.numbering import IntervalCode
+from typing import AbstractSet, List, Optional, Sequence, Tuple
 
 #: The ``(pre, post, level)`` columns of one stored node.
 Slot = Tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
-@dataclass(frozen=True, order=True)
-class FilterPosting:
-    """A single filter-based posting: the containing tree's identifier."""
-
-    tid: int
-
-
-@dataclass(frozen=True, order=True)
-class RootPosting:
-    """A root-split posting: tree id and the root node's interval code."""
-
-    tid: int
-    pre: int
-    post: int
-    level: int
-
-    @property
-    def code(self) -> IntervalCode:
-        """The root's interval code as an :class:`IntervalCode`."""
-        return IntervalCode(self.pre, self.post, self.level)
-
-
-@dataclass(frozen=True, order=True)
-class NodeCode:
-    """The per-node structural record of a subtree-interval posting."""
-
-    pre: int
-    post: int
-    level: int
-    order: int
-
-    @property
-    def code(self) -> IntervalCode:
-        """The node's interval code without the order value."""
-        return IntervalCode(self.pre, self.post, self.level)
-
-
-@dataclass(frozen=True, order=True)
-class SubtreePosting:
-    """A subtree-interval posting: tree id plus one :class:`NodeCode` per node."""
-
-    tid: int
-    nodes: Tuple[NodeCode, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of nodes of the indexed subtree (``m`` in the paper)."""
-        return len(self.nodes)
-
-    @property
-    def root(self) -> NodeCode:
-        """The code of the subtree root (canonical position 0)."""
-        return self.nodes[0]
-
-
-class PostingColumns(SequenceABC):
+class PostingColumns:
     """One key's posting list as flat columns, ascending in ``tid``.
 
     ``slots`` holds no entry for filter postings, the root's for root-split
     and one per key node (canonical order, root first) for subtree-interval,
     whose per-node order values sit in ``orders``.  Columns are ``bytes``
-    when every value fits one byte and lists otherwise; both index to ints.
+    when every value fits one byte and lists otherwise; both index to ints,
+    and two lists are equal when their columns hold the same values.
     """
 
     __slots__ = ("tids", "slots", "orders")
@@ -102,24 +43,14 @@ class PostingColumns(SequenceABC):
 
     @classmethod
     def from_postings(cls, postings: Sequence[object]) -> "PostingColumns":
-        """Columns of a plain record list (a delta segment, a merged list)."""
+        """*postings* as columns: a decoded list is passed through, and the
+        ``[]`` a caller reading the B+Tree itself has for a key the index
+        lacks becomes the empty list."""
         if isinstance(postings, cls):
             return postings
-        tids = [posting.tid for posting in postings]
-        first = postings[0] if postings else None
-        if isinstance(first, RootPosting):
-            root = ([p.pre for p in postings], [p.post for p in postings], [p.level for p in postings])
-            return cls(tids, (root,))
-        if isinstance(first, SubtreePosting):
-            if any(posting.size != first.size for posting in postings):
-                raise ValueError("postings of one key must all have the key's node count")
-            per_node = list(zip(*(posting.nodes for posting in postings)))
-            slots = tuple(
-                ([n.pre for n in nodes], [n.post for n in nodes], [n.level for n in nodes])
-                for nodes in per_node
-            )
-            return cls(tids, slots, tuple([n.order for n in nodes] for nodes in per_node))
-        return cls(tids)
+        if postings:
+            raise TypeError(f"expected PostingColumns or [], got {type(postings).__name__}")
+        return cls(())
 
     def without_tids(self, dead: AbstractSet[int]) -> "PostingColumns":
         """The list less every posting of a tree in *dead*; ``self`` when there is none."""
@@ -158,34 +89,27 @@ class PostingColumns(SequenceABC):
             tuple(body[at + 3::width] for at in starts),
         )
 
-    # -- the read-only sequence of posting records ----------------------
     def __len__(self) -> int:
         return len(self.tids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self.tids)))]
-        tid = self.tids[index]
-        if self.orders is not None:
-            return SubtreePosting(tid, tuple(
-                NodeCode(pre[index], post[index], level[index], order[index])
-                for (pre, post, level), order in zip(self.slots, self.orders)
-            ))
-        if self.slots:
-            pre, post, level = self.slots[0]
-            return RootPosting(tid, pre[index], post[index], level[index])
-        return FilterPosting(tid)
-
-    def __iter__(self) -> Iterator[object]:
-        return map(self.__getitem__, range(len(self.tids)))
+    def _columns(self) -> tuple:
+        """Every column as a list (``bytes`` and ``list`` columns of equal
+        values compare equal), the slot and order structure kept.  A list
+        with no postings has no structure: every empty list is equal."""
+        if not self.tids:
+            return [], (), None
+        slots = tuple(tuple(list(column) for column in slot) for slot in self.slots)
+        orders = None if self.orders is None else tuple(list(order) for order in self.orders)
+        return list(self.tids), slots, orders
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SequenceABC):
+        if not isinstance(other, PostingColumns):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return self._columns() == other._columns()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"PostingColumns({list(self)!r})"
+        tids, slots, orders = self._columns()
+        return f"PostingColumns(tids={tids!r}, slots={slots!r}, orders={orders!r})"
 
 
 def merge_columns(parts: Sequence[PostingColumns]) -> PostingColumns:

@@ -171,15 +171,6 @@ def _tally_by_branching(
     return totals, node_counts
 
 
-def count_subtrees_per_node(tree: ParseTree | Node, sizes: Sequence[int]) -> Dict[int, Dict[int, int]]:
-    """For every node, count extracted subtrees of each size in *sizes*.
-
-    Returns ``{branching_factor: {size: total subtree count}}`` aggregated
-    over the nodes of *tree*; used by the Figure 3 experiment.
-    """
-    return {degree: dict(counts) for degree, counts in _tally_by_branching([tree], sizes)[0].items()}
-
-
 def subtree_count_by_root_branching(
     trees: Iterable[ParseTree], sizes: Sequence[int] = (2, 3, 4, 5)
 ) -> Dict[int, Dict[int, float]]:

@@ -80,10 +80,6 @@ class Vocabulary:
         }
         return sizes
 
-    def tags(self) -> Sequence[str]:
-        """The POS tags this vocabulary can realise."""
-        return list(self._words)
-
     def sample(self, tag: str, rng: random.Random) -> str:
         """Sample a word for *tag* according to the Zipf distribution."""
         if tag not in self._words:
@@ -127,13 +123,6 @@ class Grammar:
             raise ValueError(f"start symbol {start_symbol!r} has no productions")
 
     # ------------------------------------------------------------------
-    def symbols(self) -> Sequence[str]:
-        """All left-hand-side symbols of the grammar."""
-        return list(self._by_lhs)
-
-    def productions_for(self, symbol: str) -> Sequence[Production]:
-        """The productions whose left-hand side is *symbol*."""
-        return list(self._by_lhs.get(symbol, ()))
 
     def is_phrase(self, symbol: str) -> bool:
         """``True`` when *symbol* is expanded recursively (has productions)."""

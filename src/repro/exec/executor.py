@@ -157,8 +157,8 @@ def join_postings(
 ) -> QueryResult:
     """Stage 3: combine the cover's posting lists into the final matches.
 
-    *postings* holds each cover subtree's list as ``lookup`` returns it (a
-    sequence of posting records is read too).  Dispatches on the coding
+    *postings* holds each cover subtree's list as ``lookup`` returns it, or
+    ``[]`` for a key the index lacks.  Dispatches on the coding
     scheme: tid intersection plus the filtering phase for filter-based
     coding, structural merge joins otherwise, in *order* (a prepared
     query's) or else smallest list first.  When a *stats* object is

@@ -12,7 +12,7 @@ needs the more constrained *root-split covers* of Definition 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.keys import canonical_key
 from repro.query.model import QueryNode, QueryTree
@@ -52,10 +52,6 @@ class CoverSubtree:
     def size(self) -> int:
         """Number of query nodes in this cover subtree."""
         return len(self.node_ids)
-
-    def contains(self, node: QueryNode) -> bool:
-        """``True`` when *node* belongs to this cover subtree."""
-        return node.node_id in self.node_ids
 
     def _canonical(self) -> Tuple[bytes, List[QueryNode]]:
         """Canonical key and canonical pre-order of the part of this subtree
@@ -152,14 +148,6 @@ class Cover:
             covered |= subtree.node_ids
         return covered
 
-    def roots(self) -> List[QueryNode]:
-        """Roots of the cover subtrees (duplicates possible)."""
-        return [subtree.root for subtree in self.subtrees]
-
-    def subtrees_rooted_at(self, node: QueryNode) -> List[CoverSubtree]:
-        """Cover subtrees whose root is *node*."""
-        return [subtree for subtree in self.subtrees if subtree.root is node]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         rendered = ", ".join(str(subtree) for subtree in self.subtrees)
         return f"Cover([{rendered}])"
@@ -238,8 +226,3 @@ def has_deep_branching_anomaly(cover: Cover) -> bool:
                 if in_si_only and in_sj_only:
                     return True
     return False
-
-
-def make_subtree(root: QueryNode, nodes: Iterable[QueryNode]) -> CoverSubtree:
-    """Build a :class:`CoverSubtree` from a root and an iterable of query nodes."""
-    return CoverSubtree(root=root, node_ids=frozenset(node.node_id for node in nodes))

@@ -171,23 +171,6 @@ def query_links(query: QueryTree) -> Tuple[Tuple[Edge, ...], Tuple[Tuple[int, in
     return edges, pairs
 
 
-def component_roots(query: QueryTree) -> List[QueryNode]:
-    """Roots of the rigid components: the query root plus every ``//`` child."""
-    nodes = query._nodes
-    *_, cuts, _, _ = _scan(nodes, 0)
-    return [query.root] + [nodes[child] for _, child in cuts]
-
-
-def component_size(node: QueryNode) -> int:
-    """Number of nodes of the rigid component subtree rooted at *node*
-    (a node of a numbered :class:`~repro.query.model.QueryTree`)."""
-    root = node
-    while root.parent is not None:
-        root = root.parent
-    _, size, *_ = _scan(list(root.preorder()), 0)
-    return size[node.node_id]
-
-
 # ----------------------------------------------------------------------
 # The compiler
 # ----------------------------------------------------------------------

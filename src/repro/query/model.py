@@ -42,13 +42,6 @@ class QueryNode:
         self.child_axes.append(axis)
         return child
 
-    def axis_to(self, child: "QueryNode") -> str:
-        """Axis of the edge from this node to *child*."""
-        for candidate, axis in zip(self.children, self.child_axes):
-            if candidate is child:
-                return axis
-        raise ValueError("not a child of this node")
-
     # ------------------------------------------------------------------
     def preorder(self) -> Iterator["QueryNode"]:
         """Yield the nodes of this query subtree in pre-order."""
@@ -123,34 +116,6 @@ class QueryTree:
     def labels(self) -> List[str]:
         """Labels of the query nodes in pre-order."""
         return [node.label for node in self._nodes]
-
-    def has_descendant_axis(self) -> bool:
-        """``True`` when any edge uses the ``//`` axis."""
-        return any(axis == AXIS_DESCENDANT for _, _, axis in self.edges())
-
-    def depth_of(self, node: QueryNode) -> int:
-        """Depth of *node* below the query root (root has depth 0)."""
-        depth = 0
-        current = node
-        while current.parent is not None:
-            current = current.parent
-            depth += 1
-        return depth
-
-    def path_between(self, ancestor: QueryNode, descendant: QueryNode) -> List[str]:
-        """Axes along the path from *ancestor* down to *descendant*.
-
-        Raises ``ValueError`` when *ancestor* is not actually an ancestor.
-        """
-        axes: List[str] = []
-        current = descendant
-        while current is not ancestor:
-            if current.parent is None:
-                raise ValueError("nodes are not in an ancestor-descendant relationship")
-            axes.append(current.parent_axis or AXIS_CHILD)
-            current = current.parent
-        axes.reverse()
-        return axes
 
     def to_string(self) -> str:
         """Serialise the query in the textual syntax."""

@@ -83,11 +83,6 @@ class ProbeStats:
     node_decodes: int = 0
 
     @property
-    def cache_misses(self) -> int:
-        """Lookups that had to descend into the tree."""
-        return self.gets - self.cache_hits
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache (0.0 when never probed)."""
         return self.cache_hits / self.gets if self.gets else 0.0

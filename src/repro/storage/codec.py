@@ -112,6 +112,8 @@ def encode_varint_list(values: Sequence[int]) -> bytes:
     return bytes(out)
 
 
+# Nothing in the package calls this: it is the scalar reference that the
+# tests hold decode_varint_run to.
 def decode_varint_list(data: bytes, count: int, offset: int = 0) -> Tuple[List[int], int]:
     """Decode *count* varints from *data*; returns ``(values, next_offset)``."""
     values: List[int] = []
@@ -144,12 +146,3 @@ def decode_uint32_list(data: bytes) -> List[int]:
 def encode_length_prefixed(payload: bytes) -> bytes:
     """Prefix *payload* with its varint-encoded length."""
     return encode_varint(len(payload)) + payload
-
-
-def decode_length_prefixed(data: bytes, offset: int = 0) -> Tuple[bytes, int]:
-    """Decode a length-prefixed payload; returns ``(payload, next_offset)``."""
-    length, offset = decode_varint(data, offset)
-    end = offset + length
-    if end > len(data):
-        raise ValueError("truncated length-prefixed payload")
-    return bytes(data[offset:end]), end

@@ -18,7 +18,7 @@ This package provides the substrate every other layer builds on:
 
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import parse_penn, parse_penn_corpus, to_penn
-from repro.trees.numbering import IntervalCode, NodeRecord, number_tree
+from repro.trees.numbering import IntervalCode, number_tree
 from repro.trees.matching import count_matches, find_matches, tree_matches_query
 from repro.trees.stats import TreeShapeStats, corpus_stats, tree_stats
 
@@ -29,7 +29,6 @@ __all__ = [
     "parse_penn_corpus",
     "to_penn",
     "IntervalCode",
-    "NodeRecord",
     "number_tree",
     "tree_matches_query",
     "find_matches",

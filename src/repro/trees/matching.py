@@ -115,6 +115,8 @@ def tree_matches_query(query: QueryLike, tree: ParseTree | Node) -> bool:
     return any(_match_at(query, node) for node in root.preorder())
 
 
+# Nothing in the package calls this: it is the brute-force oracle the tests
+# hold every executor, flavor and coding to.
 def match_corpus(query: QueryLike, trees: Sequence[ParseTree]) -> Dict[int, int]:
     """Match *query* against every tree of a corpus.
 

@@ -63,12 +63,6 @@ class Node:
         """Number of nodes in the subtree rooted at this node."""
         return 1 + sum(child.size() for child in self.children)
 
-    def height(self) -> int:
-        """Height of the subtree rooted at this node (a leaf has height 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.height() for child in self.children)
-
     def depth(self) -> int:
         """Depth of this node from the root (the root has depth 0)."""
         depth = 0
@@ -99,12 +93,6 @@ class Node:
         """Yield the leaf nodes of this subtree, left to right."""
         for node in self.preorder():
             if node.is_leaf:
-                yield node
-
-    def internal_nodes(self) -> Iterator["Node"]:
-        """Yield the non-leaf nodes of this subtree in pre-order."""
-        for node in self.preorder():
-            if not node.is_leaf:
                 yield node
 
     def descendants(self) -> Iterator["Node"]:
@@ -198,10 +186,6 @@ class ParseTree:
     def size(self) -> int:
         """Number of nodes in the tree."""
         return self.root.size()
-
-    def height(self) -> int:
-        """Height of the tree."""
-        return self.root.height()
 
     def preorder(self) -> Iterator[Node]:
         """Yield nodes in pre-order."""

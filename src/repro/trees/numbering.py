@@ -17,7 +17,7 @@ subtree*) is computed separately at key-extraction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.trees.node import Node, ParseTree
 
@@ -29,45 +29,6 @@ class IntervalCode:
     pre: int
     post: int
     level: int
-
-    def is_ancestor_of(self, other: "IntervalCode") -> bool:
-        """``True`` when this node is a proper ancestor of *other*."""
-        return self.pre < other.pre and self.post > other.post
-
-    def is_descendant_of(self, other: "IntervalCode") -> bool:
-        """``True`` when this node is a proper descendant of *other*."""
-        return other.is_ancestor_of(self)
-
-    def is_parent_of(self, other: "IntervalCode") -> bool:
-        """``True`` when this node is the parent of *other*."""
-        return self.is_ancestor_of(other) and self.level == other.level - 1
-
-    def contains(self, other: "IntervalCode") -> bool:
-        """``True`` for ancestor-or-self containment."""
-        return self.pre <= other.pre and self.post >= other.post
-
-
-@dataclass(frozen=True)
-class NodeRecord:
-    """A fully tagged tree node, mirroring the tuple format of Section 6.1.
-
-    ``(treeId, nodeId, parentId, pre, post, level, label)`` -- this is the
-    relational representation used by the node-interval (LPath-style)
-    baseline and by the data file.
-    """
-
-    tid: int
-    node_id: int
-    parent_id: int
-    pre: int
-    post: int
-    level: int
-    label: str
-
-    @property
-    def code(self) -> IntervalCode:
-        """The interval code of the node."""
-        return IntervalCode(self.pre, self.post, self.level)
 
 
 def number_tree(tree: ParseTree | Node) -> Dict[int, IntervalCode]:
@@ -99,38 +60,3 @@ def number_tree(tree: ParseTree | Node) -> Dict[int, IntervalCode]:
         for child in reversed(node.children):
             stack.append((child, level + 1, False))
     return codes
-
-
-def node_records(tree: ParseTree) -> List[NodeRecord]:
-    """Produce the relational node records of *tree* (Section 6.1 format).
-
-    Node ids are pre-order ranks (1-based); the root's parent id is 0.
-    Records are returned in increasing ``pre`` order, the sort order required
-    by merge-based structural joins.
-    """
-    codes = number_tree(tree)
-    records: List[NodeRecord] = []
-    node_ids: Dict[int, int] = {}
-    for index, node in enumerate(tree.preorder(), start=1):
-        node_ids[id(node)] = index
-    for node in tree.preorder():
-        code = codes[id(node)]
-        parent_id = node_ids[id(node.parent)] if node.parent is not None else 0
-        records.append(
-            NodeRecord(
-                tid=tree.tid,
-                node_id=node_ids[id(node)],
-                parent_id=parent_id,
-                pre=code.pre,
-                post=code.post,
-                level=code.level,
-                label=node.label,
-            )
-        )
-    return records
-
-
-def iter_label_records(trees: Iterator[ParseTree] | List[ParseTree]) -> Iterator[NodeRecord]:
-    """Yield node records for every tree of a corpus, in (tid, pre) order."""
-    for tree in trees:
-        yield from node_records(tree)

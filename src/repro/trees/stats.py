@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable
 
 from repro.trees.node import Node, ParseTree
 
@@ -27,7 +27,6 @@ class TreeShapeStats:
     leaf_count: int = 0
     max_branching: int = 0
     total_branching: int = 0
-    height_sum: int = 0
     label_counts: Counter = field(default_factory=Counter)
     branching_histogram: Counter = field(default_factory=Counter)
 
@@ -47,13 +46,6 @@ class TreeShapeStats:
         return self.node_count / self.tree_count
 
     @property
-    def avg_height(self) -> float:
-        """Average tree height."""
-        if not self.tree_count:
-            return 0.0
-        return self.height_sum / self.tree_count
-
-    @property
     def unique_labels(self) -> int:
         """Size of the node-label alphabet seen so far."""
         return len(self.label_counts)
@@ -67,7 +59,6 @@ class TreeShapeStats:
         """Fold a single tree into the running statistics."""
         root = tree.root if isinstance(tree, ParseTree) else tree
         self.tree_count += 1
-        self.height_sum += root.height()
         for node in root.preorder():
             self.node_count += 1
             self.label_counts[node.label] += 1
@@ -88,7 +79,6 @@ class TreeShapeStats:
         self.leaf_count += other.leaf_count
         self.max_branching = max(self.max_branching, other.max_branching)
         self.total_branching += other.total_branching
-        self.height_sum += other.height_sum
         self.label_counts.update(other.label_counts)
         self.branching_histogram.update(other.branching_histogram)
         return self
@@ -135,14 +125,3 @@ def corpus_stats(trees: Iterable[ParseTree]) -> TreeShapeStats:
     for tree in trees:
         stats.add_tree(tree)
     return stats
-
-
-def branching_factor_histogram(trees: Iterable[ParseTree]) -> Dict[int, int]:
-    """Histogram of internal-node branching factors over a corpus."""
-    stats = corpus_stats(trees)
-    return dict(sorted(stats.branching_histogram.items()))
-
-
-def size_distribution(trees: Sequence[ParseTree]) -> List[int]:
-    """Return the list of tree sizes, useful for sanity-checking a corpus."""
-    return [tree.size() for tree in trees]

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench.results import ExperimentResult, geometric_spread
+from repro.bench.results import ExperimentResult
 
 
 @pytest.fixture()
@@ -81,39 +79,3 @@ class TestRoundTrip:
         payload = result.to_dict()
         payload["rows"][0][0] = 999
         assert result.rows[0][0] == 100
-
-    def test_from_dict_round_trip(self, result: ExperimentResult) -> None:
-        result.add_note("a note")
-        rebuilt = ExperimentResult.from_dict(result.to_dict())
-        assert rebuilt.columns == result.columns
-        assert rebuilt.rows == result.rows
-        assert rebuilt.notes == result.notes
-        assert rebuilt.as_dicts() == result.as_dicts()
-        assert rebuilt.to_text() == result.to_text()
-
-    def test_round_trip_through_json_text(self, result: ExperimentResult) -> None:
-        rebuilt = ExperimentResult.from_dict(json.loads(json.dumps(result.to_dict())))
-        assert rebuilt.to_text() == result.to_text()
-        assert rebuilt.filtered(size=100, coding="filter") == [[100, "filter", 1.5]]
-
-    def test_from_dict_checks_arity(self) -> None:
-        payload = {
-            "name": "F",
-            "description": "d",
-            "columns": ["a", "b"],
-            "rows": [[1, 2, 3]],
-            "notes": [],
-        }
-        with pytest.raises(ValueError):
-            ExperimentResult.from_dict(payload)
-
-
-class TestGeometricSpread:
-    def test_spread(self) -> None:
-        assert geometric_spread([1.0, 10.0, 100.0]) == 100.0
-
-    def test_ignores_non_positive(self) -> None:
-        assert geometric_spread([0.0, -1.0, 2.0, 8.0]) == 4.0
-
-    def test_empty(self) -> None:
-        assert geometric_spread([]) == 0.0

@@ -8,15 +8,13 @@ from hypothesis import given, strategies as st
 from repro.coding import (
     CodingScheme,
     FilterBasedCoding,
-    FilterPosting,
     PostingColumns,
-    RootPosting,
     RootSplitCoding,
     SubtreeIntervalCoding,
     get_coding,
 )
 from repro.coding.base import coding_names
-from tests.coding.recordkit import encode_records
+from tests.coding.recordkit import encode_records, rows
 
 #: One embedding of a key: the tree and its nodes' ``(pre, post, level)`` in
 #: the key's canonical order, root first.
@@ -28,9 +26,9 @@ def _occurrence(tid: int, codes: list[tuple[int, int, int]]) -> Occurrence:
 
 
 def _postings(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
-    """The records *coding* stores for one key given as embeddings of any
+    """The rows *coding* stores for one key given as embeddings of any
     trees, read back through ``columns``."""
-    return list(coding.columns(_body(coding, occurrences)))
+    return rows(coding.columns(_body(coding, occurrences)))
 
 
 def _body(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
@@ -76,28 +74,28 @@ class TestRegistry:
 class TestFilterBasedCoding:
     def test_postings_are_unique_sorted_tids(self) -> None:
         postings = _postings(FilterBasedCoding(), OCCURRENCES)
-        assert postings == [FilterPosting(3), FilterPosting(7)]
+        assert postings == [(3,), (7,)]
 
     def test_round_trip(self) -> None:
         coding = FilterBasedCoding()
         postings = _postings(coding, OCCURRENCES)
-        assert coding.decode_postings(encode_records(coding, postings)) == postings
+        assert rows(coding.decode_postings(encode_records(coding, postings))) == postings
 
     def test_one_row_a_tree_however_many_roots(self) -> None:
-        rows = FilterBasedCoding().rows(9, [(1, 3, 0), (2, 1, 1), (3, 2, 1)], [["A", "A(B)"], ["B"], ["B"]])
-        assert sorted(rows) == [("A", (9,)), ("A(B)", (9,)), ("B", (9,))]
+        keyed = FilterBasedCoding().rows(9, [(1, 3, 0), (2, 1, 1), (3, 2, 1)], [["A", "A(B)"], ["B"], ["B"]])
+        assert sorted(keyed) == [("A", (9,)), ("A(B)", (9,)), ("B", (9,))]
 
 
 class TestRootSplitCoding:
     def test_dedupes_same_root(self) -> None:
         postings = _postings(RootSplitCoding(), OCCURRENCES)
         # Occurrences 1 and 2 share (tid=3, root pre=2); 3 and 4 are duplicates.
-        assert postings == [RootPosting(3, 2, 5, 1), RootPosting(7, 10, 12, 4)]
+        assert postings == [(3, 2, 5, 1), (7, 10, 12, 4)]
 
     def test_round_trip(self) -> None:
         coding = RootSplitCoding()
         postings = _postings(coding, OCCURRENCES)
-        assert coding.decode_postings(encode_records(coding, postings)) == postings
+        assert rows(coding.decode_postings(encode_records(coding, postings))) == postings
 
     def test_posting_is_smaller_than_subtree_interval(self) -> None:
         root_split = RootSplitCoding()
@@ -116,18 +114,17 @@ class TestSubtreeIntervalCoding:
         # Codes listed in canonical order that differs from pre order.
         occurrence = _occurrence(1, [(5, 9, 2), (8, 7, 3), (6, 6, 3)])
         posting = _postings(SubtreeIntervalCoding(), [occurrence])[0]
-        orders = [node.order for node in posting.nodes]
-        assert orders == [1, 3, 2]
+        assert posting[5::4] == (1, 3, 2)  # (tid, n, (pre, post, level, order) * n)
 
     def test_round_trip(self) -> None:
         coding = SubtreeIntervalCoding()
         postings = _postings(coding, OCCURRENCES)
-        assert coding.decode_postings(encode_records(coding, postings)) == postings
+        assert rows(coding.decode_postings(encode_records(coding, postings))) == postings
 
-    def test_posting_properties(self) -> None:
+    def test_a_row_holds_the_node_count_then_the_root_first(self) -> None:
         posting = _postings(SubtreeIntervalCoding(), [OCCURRENCES[0]])[0]
-        assert posting.size == 2
-        assert posting.root.pre == 2
+        assert posting[1] == 2
+        assert posting[2] == 2  # the root's pre
 
 
 # ----------------------------------------------------------------------
@@ -144,13 +141,15 @@ _number = st.one_of(
 _tid = st.one_of(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=1_000_000))
 
 
-def _occurrences(min_size: int = 0) -> st.SearchStrategy[list[Occurrence]]:
+def _occurrences(
+    min_size: int = 0, number: st.SearchStrategy[int] = _number, tid: st.SearchStrategy[int] = _tid
+) -> st.SearchStrategy[list[Occurrence]]:
     """Occurrences of *one* key: every embedding has the key's node count."""
 
     def of_width(width: int) -> st.SearchStrategy[list[Occurrence]]:
-        code = st.tuples(_number, _number, st.integers(min_value=0, max_value=200))
+        code = st.tuples(number, number, st.integers(min_value=0, max_value=200))
         codes = st.lists(code, min_size=width, max_size=width, unique_by=lambda c: c[0])
-        return st.lists(st.builds(_occurrence, tid=_tid, codes=codes), min_size=min_size, max_size=20)
+        return st.lists(st.builds(_occurrence, tid=tid, codes=codes), min_size=min_size, max_size=20)
 
     return st.integers(min_value=1, max_value=6).flatmap(of_width)
 
@@ -162,13 +161,15 @@ CODINGS = ["filter", "root-split", "subtree-interval"]
 @given(occurrences=_occurrences())
 def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
     coding = get_coding(name)
-    postings = _postings(coding, occurrences)
+    body = _body(coding, occurrences)
+    postings = rows(coding.columns(body))
     decoded = coding.decode_postings(encode_records(coding, postings))
     assert isinstance(decoded, PostingColumns)
-    assert decoded == postings and postings == decoded
-    assert len(decoded) == len(postings) and list(decoded) == postings
+    assert len(decoded) == len(postings) and rows(decoded) == postings
+    if body:
+        assert decoded == coding.columns(body)
     # Posting lists are sorted by tid, which downstream merge joins rely on.
-    tids = [posting.tid for posting in postings]
+    tids = [posting[0] for posting in postings]
     assert tids == sorted(tids) == list(decoded.tids)
 
 
@@ -184,30 +185,116 @@ def test_a_compaction_cuts_bodies_not_columns(name: str, occurrences: list[Occur
     tids = sorted({tid for tid, _ in occurrences})
     dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
     kept = coding.cut_rows(body, dead)
-    assert list(coding.columns(kept)) == [row for row in coding.columns(body) if row.tid not in dead]
+    assert rows(coding.columns(kept)) == [row for row in rows(coding.columns(body)) if row[0] not in dead]
     assert (kept is body) == dead.isdisjoint(tids)
 
 
+# ----------------------------------------------------------------------
+# Equality: two lists are equal when their columns hold the same values.
+# ----------------------------------------------------------------------
+_byte = st.integers(min_value=0, max_value=255)
+
+
 @pytest.mark.parametrize("name", CODINGS)
-@given(occurrences=_occurrences(min_size=1), data=st.data())
-def test_columns_are_a_read_only_sequence_of_postings(name, occurrences, data) -> None:
+@given(occurrences=_occurrences(min_size=1, number=_byte, tid=_byte))
+def test_a_bytes_column_equals_a_list_column_of_the_same_values(name, occurrences) -> None:
+    """A stored list decodes to ``bytes`` columns where its values fit one
+    byte and a list held in memory has ``list`` columns: the same postings
+    are the same list either way."""
     coding = get_coding(name)
-    postings = _postings(coding, occurrences)
-    decoded = coding.decode_postings(encode_records(coding, postings))
-    index = data.draw(st.integers(min_value=-len(postings), max_value=len(postings) - 1))
-    assert decoded[index] == postings[index]
-    assert decoded[index:] == postings[index:]
-    assert postings[index] in decoded
-    with pytest.raises(IndexError):
-        decoded[len(postings)]
-    # Columns built from the plain records are the same columns.
-    rebuilt = PostingColumns.from_postings(postings)
-    assert rebuilt == decoded
-    assert list(rebuilt.tids) == list(decoded.tids)
-    assert [[list(column) for column in slot] for slot in rebuilt.slots] == [
-        [list(column) for column in slot] for slot in decoded.slots
-    ]
+    body = _body(coding, occurrences)
+    listed, packed = coding.columns(body), coding.columns(bytes(body))
+    assert type(listed.tids) is list and type(packed.tids) is bytes
+    assert listed == packed and packed == listed
+    changed = list(body)
+    changed[-1] ^= 1  # a level, an order value or (filter coding) a tid
+    assert coding.columns(changed) != packed and packed != coding.columns(changed)
+
+
+@given(
+    tids=st.lists(st.integers(min_value=0, max_value=1_000), min_size=1, max_size=12).map(sorted),
+    code=st.tuples(_byte, _byte, _byte),
+)
+def test_a_root_split_list_never_equals_another_codings_list_of_the_same_tids(tids, code) -> None:
+    root_split = RootSplitCoding().columns([value for tid in tids for value in (tid, *code)])
+    filtered = FilterBasedCoding().columns(tids)
+    one_node = SubtreeIntervalCoding().columns([value for tid in tids for value in (tid, 1, *code, 1)])
+    assert list(root_split.tids) == list(filtered.tids) == list(one_node.tids) == tids
+    assert root_split.slots == one_node.slots  # the same node codes, but one also has order values
+    for other in (filtered, one_node):
+        assert root_split != other and other != root_split
+
+
+#: One list of two postings per coding, as a body, and the first row's
+#: positions whose value a change must make a different list: every stored
+#: value but subtree-interval's node count, which fixes the row's shape.
+_TWO_POSTINGS = {
+    "filter": [3, 7],
+    "root-split": [3, 2, 5, 1, 7, 10, 12, 4],
+    "subtree-interval": [3, 2, 2, 5, 1, 1, 3, 2, 2, 2, 7, 2, 10, 12, 4, 1, 11, 10, 5, 2],
+}
+_FIELDS = {
+    "filter": {0: "tid"},
+    "root-split": {0: "tid", 1: "pre", 2: "post", 3: "level"},
+    "subtree-interval": {
+        0: "tid", 2: "root-pre", 3: "root-post", 4: "root-level", 5: "root-order",
+        6: "child-pre", 7: "child-post", 8: "child-level", 9: "child-order",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, position",
+    [(name, position) for name, fields in _FIELDS.items() for position in fields],
+    ids=[f"{name}-{field}" for name, fields in _FIELDS.items() for field in fields.values()],
+)
+def test_every_column_takes_part_in_equality(name: str, position: int) -> None:
+    coding = get_coding(name)
+    body = _TWO_POSTINGS[name]
+    changed = list(body)
+    changed[position] += 1
+    original = coding.columns(bytes(body))
+    assert coding.columns(list(body)) == original
+    assert coding.columns(changed) != original and original != coding.columns(changed)
+    assert coding.columns(bytes(changed)) != original
+
+
+@pytest.mark.parametrize("name", CODINGS)
+def test_from_postings_passes_a_decoded_list_through(name: str) -> None:
+    coding = get_coding(name)
+    decoded = coding.decode_postings(coding.encode_body(_TWO_POSTINGS[name]))
     assert PostingColumns.from_postings(decoded) is decoded
+
+
+@pytest.mark.parametrize("name", CODINGS)
+def test_a_list_cut_to_nothing_equals_the_empty_list(name: str) -> None:
+    """A key whose every tree was deleted reads the same as a key the index
+    lacks, whatever slots the coding gave the list before."""
+    emptied = get_coding(name).columns(_TWO_POSTINGS[name]).without_tids({3, 7})
+    assert len(emptied) == 0
+    assert emptied == PostingColumns.from_postings([]) == get_coding(name).columns([])
+
+
+def test_from_postings_takes_nothing_but_columns_or_the_empty_list() -> None:
+    with pytest.raises(TypeError):
+        PostingColumns.from_postings([(3,)])
+
+
+@pytest.mark.parametrize("name", CODINGS)
+@given(occurrences=_occurrences(), data=st.data())
+def test_cutting_columns_agrees_with_cutting_the_body(name: str, occurrences: list[Occurrence], data) -> None:
+    """``without_tids`` -- what a service or a segment with deletes does to a
+    decoded list -- keeps the list a compaction's ``cut_rows`` would have
+    stored, and hands the list back itself when it holds no dead tree."""
+    coding = get_coding(name)
+    body = _body(coding, occurrences)
+    columns = coding.columns(body)
+    tids = sorted({tid for tid, _ in occurrences})
+    dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
+    cut = columns.without_tids(dead)
+    assert cut == coding.columns(coding.cut_rows(body, dead))
+    assert rows(cut) == [row for row in rows(columns) if row[0] not in dead]
+    assert (cut is columns) == dead.isdisjoint(tids)
 
 
 @pytest.mark.parametrize("name", CODINGS)
@@ -229,17 +316,17 @@ def test_damaged_input_raises_instead_of_answering(name, occurrences, data) -> N
 def test_empty_list_round_trips(name: str) -> None:
     coding = get_coding(name)
     decoded = coding.decode_postings(encode_records(coding, []))
-    assert len(decoded) == 0 and decoded == [] and list(decoded) == []
-    assert PostingColumns.from_postings([]) == decoded
+    assert len(decoded) == 0 and rows(decoded) == []
+    assert len(PostingColumns.from_postings([])) == 0
 
 
 def test_single_byte_bodies_decode_without_copying_values() -> None:
     coding = RootSplitCoding()
-    postings = [RootPosting(3, 2, 5, 1), RootPosting(3, 9, 8, 2), RootPosting(90, 1, 120, 0)]
+    postings = [(3, 2, 5, 1), (3, 9, 8, 2), (90, 1, 120, 0)]
     decoded = coding.decode_postings(encode_records(coding, postings))
     assert all(isinstance(column, bytes) for column in decoded.slots[0])
-    wide = coding.decode_postings(encode_records(coding, postings + [RootPosting(400, 130, 129, 3)]))
-    assert wide == postings + [RootPosting(400, 130, 129, 3)]
+    wide = coding.decode_postings(encode_records(coding, postings + [(400, 130, 129, 3)]))
+    assert rows(wide) == postings + [(400, 130, 129, 3)]
     assert not isinstance(wide.slots[0][0], bytes)
 
 
@@ -247,8 +334,6 @@ def test_subtree_interval_rejects_mixed_node_counts() -> None:
     coding = SubtreeIntervalCoding()
     narrow = _postings(coding, [_occurrence(1, [(1, 5, 0)])])
     wide = _postings(coding, [_occurrence(2, [(1, 5, 0), (2, 1, 1)])])
-    with pytest.raises(ValueError):
-        PostingColumns.from_postings(narrow + wide)
     # Hand-assembled bytes claiming two records of different widths.
     forged = b"\x02" + encode_records(coding, narrow)[1:] + encode_records(coding, wide)[1:]
     with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ A sharded or live index reads a key by merging what each of its sources
 stores for it.  Whatever the parts look like -- tid ranges in order (a live
 index) or interleaved (shards), empty parts, columns that came out of the
 decoder as ``bytes`` in one part and as a ``list`` in another -- the merged
-list holds exactly the parts' records sorted by tid, a tree's own postings
-in the order its source had them.
+list holds exactly the parts' rows sorted by tid, a tree's own postings in
+the order its source had them.
 """
 
 from __future__ import annotations
@@ -15,25 +15,26 @@ from typing import List
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.coding import PostingColumns, RootPosting, get_coding
-from repro.coding.postings import FilterPosting, NodeCode, SubtreePosting, merge_columns
-from tests.coding.recordkit import encode_records
+from repro.coding import PostingColumns, get_coding
+from repro.coding.postings import merge_columns
+from tests.coding.recordkit import Row, encode_records, rows
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 
 
-def _records(coding: str, tid: int, count: int, big: bool, nodes: int) -> List[object]:
-    """*count* postings of tree *tid* (one for filter coding, which stores a
-    tree once); *big* puts values past one byte, so the decoder hands the
-    column out as a list and not as ``bytes``."""
+def _records(coding: str, tid: int, count: int, big: bool, nodes: int) -> List[Row]:
+    """*count* rows of tree *tid* (one for filter coding, which stores a tree
+    once); *big* puts values past one byte, so the decoder hands the column
+    out as a list and not as ``bytes``."""
     scale = 300 if big else 1
     if coding == "filter":
-        return [FilterPosting(tid)]
+        return [(tid,)]
     if coding == "root-split":
-        return [RootPosting(tid, (row + 1) * scale, row + 2, row % 5) for row in range(count)]
+        return [(tid, (row + 1) * scale, row + 2, row % 5) for row in range(count)]
     return [
-        SubtreePosting(tid, tuple(
-            NodeCode((row + node + 1) * scale, row + node + 2, node, node) for node in range(nodes)
+        (tid, nodes, *(
+            value for node in range(nodes)
+            for value in ((row + node + 1) * scale, row + node + 2, node, node)
         ))
         for row in range(count)
     ]
@@ -41,7 +42,7 @@ def _records(coding: str, tid: int, count: int, big: bool, nodes: int) -> List[o
 
 @st.composite
 def _parts(draw):
-    """``(coding, per-part record lists)``: every tid in exactly one part."""
+    """``(coding, per-part row lists)``: every tid in exactly one part."""
     coding = draw(st.sampled_from(CODINGS))
     nodes = draw(st.integers(min_value=1, max_value=3))
     part_count = draw(st.integers(min_value=1, max_value=4))
@@ -54,7 +55,7 @@ def _parts(draw):
         owner = [sum(position >= cut for cut in cuts) for position in range(len(tids))]
     else:  # any tid anywhere, as under a partitioner
         owner = [draw(st.integers(min_value=0, max_value=part_count - 1)) for _ in tids]
-    parts: List[List[object]] = [[] for _ in range(part_count)]
+    parts: List[List[Row]] = [[] for _ in range(part_count)]
     for tid, part in zip(tids, owner):
         parts[part] += _records(
             coding, tid, draw(st.integers(min_value=1, max_value=3)), draw(st.booleans()), nodes
@@ -73,32 +74,32 @@ def test_merged_list_is_the_tid_sorted_records(drawn, data) -> None:
         elif data.draw(st.booleans()):  # as stored: bytes columns where the values fit
             columns.append(coding.decode_postings(encode_records(coding, records)))
         else:  # as a delta holds them: lists throughout
-            columns.append(PostingColumns.from_postings(records))
+            columns.append(coding.columns([value for row in records for value in row]))
     merged = merge_columns(columns)
-    expected = sorted((record for records in parts for record in records), key=lambda r: r.tid)
-    assert list(merged) == expected  # stable: a tree's postings keep their order
-    assert list(merged.tids) == [record.tid for record in expected]
+    expected = sorted((row for records in parts for row in records), key=lambda row: row[0])
+    assert rows(merged) == expected  # stable: a tree's postings keep their order
+    assert list(merged.tids) == [row[0] for row in expected]
     for column in (c for slot in merged.slots for c in slot):
         assert len(column) == len(expected)
     if expected:  # the round trip: the columns are what the coding stores
-        assert coding.decode_postings(encode_records(coding, merged)) == expected
+        assert coding.decode_postings(encode_records(coding, expected)) == merged
 
 
 def test_bytes_and_list_columns_concatenate() -> None:
     coding = get_coding("root-split")
-    stored = coding.decode_postings(encode_records(coding, [RootPosting(1, 2, 3, 0)]))
+    stored = coding.decode_postings(encode_records(coding, [(1, 2, 3, 0)]))
     assert isinstance(stored.slots[0][0], bytes)  # the trap: bytes + list raises
-    delta = PostingColumns.from_postings([RootPosting(7, 300, 4, 1)])
-    assert list(merge_columns([stored, delta])) == [RootPosting(1, 2, 3, 0), RootPosting(7, 300, 4, 1)]
-    assert list(merge_columns([delta, stored])) == [RootPosting(1, 2, 3, 0), RootPosting(7, 300, 4, 1)]
+    delta = coding.columns([7, 300, 4, 1])
+    assert rows(merge_columns([stored, delta])) == [(1, 2, 3, 0), (7, 300, 4, 1)]
+    assert rows(merge_columns([delta, stored])) == [(1, 2, 3, 0), (7, 300, 4, 1)]
 
 
 @pytest.mark.parametrize("empty", [PostingColumns(()), PostingColumns([])])
 def test_single_populated_source_keeps_its_columns(empty) -> None:
     coding = get_coding("root-split")
     columns = coding.decode_postings(
-        encode_records(coding, [RootPosting(3, 1, 2, 0), RootPosting(9, 4, 5, 1)])
+        encode_records(coding, [(3, 1, 2, 0), (9, 4, 5, 1)])
     )
     assert merge_columns([empty, columns, empty]) is columns
     assert merge_columns([columns]) is columns
-    assert len(merge_columns([empty, empty])) == 0 and merge_columns([]) == []
+    assert len(merge_columns([empty, empty])) == 0 and len(merge_columns([])) == 0

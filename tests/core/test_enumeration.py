@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.base import get_coding
-from repro.coding.postings import FilterPosting, NodeCode, RootPosting, SubtreePosting
 from repro.core.enumeration import (
-    count_subtrees_per_node,
     extract_root_texts,
     extract_subtrees,
     number,
@@ -21,6 +19,7 @@ from repro.core.enumeration import (
 from repro.core.index import accumulate_posting_lists, numbered
 from repro.trees.node import ParseTree, build_tree
 from repro.trees.numbering import number_tree
+from tests.coding.recordkit import rows
 
 
 def _occurrences(tree: ParseTree, mss: int):
@@ -102,12 +101,6 @@ class TestFigure3Statistics:
         # Nodes with larger branching factors root more subtrees on average.
         if 1 in averages and 3 in averages:
             assert averages[3][3] >= averages[1][3]
-
-    def test_count_subtrees_per_node_star(self) -> None:
-        tree = ParseTree(build_tree(("R", [f"L{i}" for i in range(5)])), tid=0)
-        counts = count_subtrees_per_node(tree, sizes=(2, 3))
-        assert counts[5][2] == comb(5, 1)
-        assert counts[5][3] == comb(5, 2)
 
 
 # ----------------------------------------------------------------------
@@ -205,16 +198,16 @@ def test_root_texts_are_the_kernels_keys_by_root(shape, mss: int) -> None:
 
 
 def _reference_postings(coding: str, occurrences) -> list:
-    """The conversion of ``(tid, codes)`` embeddings the codings had as record builders."""
+    """The rows of ``(tid, codes)`` embeddings, converted one embedding at a time."""
     if coding == "filter":
-        return [FilterPosting(tid) for tid in sorted({tid for tid, _ in occurrences})]
+        return [(tid,) for tid in sorted({tid for tid, _ in occurrences})]
     if coding == "root-split":
-        return [RootPosting(tid, *root) for tid, root in sorted({(tid, codes[0]) for tid, codes in occurrences})]
+        return [(tid, *root) for tid, root in sorted({(tid, codes[0]) for tid, codes in occurrences})]
     postings = set()
     for tid, codes in occurrences:
         pres = sorted(pre for pre, _, _ in codes)
         order_of = {pre: rank + 1 for rank, pre in enumerate(pres)}
-        postings.add(SubtreePosting(tid, tuple(NodeCode(*code, order_of[code[0]]) for code in codes)))
+        postings.add((tid, len(codes), *(value for code in codes for value in (*code, order_of[code[0]]))))
     return sorted(postings)
 
 
@@ -230,6 +223,6 @@ def test_posting_lists_match_the_per_occurrence_reference(shapes, mss: int) -> N
         coding = get_coding(name)
         bodies, tree_count = accumulate_posting_lists(numbered(trees), mss, coding)
         assert tree_count == len(trees)
-        assert {key: list(coding.columns(body)) for key, body in bodies.items()} == {
+        assert {key: rows(coding.columns(body)) for key, body in bodies.items()} == {
             key: _reference_postings(name, occurrences) for key, occurrences in per_key.items()
         }

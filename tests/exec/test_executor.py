@@ -171,3 +171,28 @@ class TestExecutionStats:
             assert "strategy" not in inspect.signature(constructor).parameters
             with pytest.raises(TypeError, match="strategy"):
                 constructor(SegmentSet.of(index, corpus), strategy="optimal")
+
+
+class TestStagedJoin:
+    """``join_postings`` called stage by stage, as a caller that reads the
+    B+Tree itself does (``perfbench``): ``[]`` stands for a key the index
+    lacks, and a list for a key it holds is passed as ``lookup`` decodes it."""
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    @pytest.mark.parametrize("text, keys", [("NP(ZZZ)", 1), ("S(NP(ZZZ))(VP(VBZ))", 2)])
+    def test_an_absent_key_passed_as_an_empty_list_matches_nothing(
+        self, executors, corpus, coding: str, text: str, keys: int
+    ) -> None:
+        from repro.exec.executor import join_postings
+
+        executor = executors[(coding, 3)]
+        query = parse_query(text)
+        cover = executor.decompose(query)
+        assert min(len(cover.subtrees), 2) == keys  # the single-key path, then the multi-key one
+        postings = []
+        for subtree in cover.subtrees:
+            found = executor.index.lookup(subtree.key_bytes())
+            postings.append(found if len(found) else [])
+        assert [] in postings and (keys == 1 or any(len(plist) for plist in postings))
+        result = join_postings(query, cover, postings, executor.index.coding, store=corpus)
+        assert result.matches_per_tree == {} and result.total_matches == 0

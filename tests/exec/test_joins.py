@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 from hypothesis import given, strategies as st
 
-from repro.coding.postings import PostingColumns, RootPosting
+from repro.coding import RootSplitCoding
 from repro.exec.joins import (
     GALLOP_SKEW,
     count_distinct_roots,
@@ -78,7 +78,7 @@ class TestIntersection:
 
 def _relation(node_id: int, postings: list[tuple[int, int, int, int]]) -> Relation:
     """A single-slot relation binding query node *node_id*."""
-    columns = PostingColumns.from_postings([RootPosting(*posting) for posting in postings])
+    columns = RootSplitCoding().columns([value for posting in postings for value in posting])
     return Relation(columns, {node_id: 0})
 
 

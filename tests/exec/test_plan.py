@@ -4,12 +4,16 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from repro.coding.postings import NodeCode, RootPosting, SubtreePosting
-from repro.coding.root_split import RootSplitCoding
+from repro.coding import PostingColumns, RootSplitCoding, SubtreeIntervalCoding
 from repro.exec.plan import build_plan, cover_relations, plan_skeleton
 from repro.query.decompose import min_rc, optimal_cover
 from repro.query.parser import parse_query
 from tests.coding.recordkit import encode_records
+
+
+def _root_split(*rows: tuple[int, int, int, int]) -> PostingColumns:
+    """A root-split list of ``(tid, pre, post, level)`` rows."""
+    return RootSplitCoding().columns([value for row in rows for value in row])
 
 
 def _node_of_offset(plan) -> dict[int, int]:
@@ -38,7 +42,7 @@ class TestBuildPlan:
     def _root_split_plan(self, text: str, mss: int = 2):
         query = parse_query(text)
         cover = min_rc(query, mss)
-        postings = [[RootPosting(1, i + 1, 10 - i, i)] for i, _ in enumerate(cover.subtrees)]
+        postings = [_root_split((1, i + 1, 10 - i, i)) for i, _ in enumerate(cover.subtrees)]
         return query, cover, build_plan(query, cover_relations(cover, postings))
 
     def test_relations_match_cover(self) -> None:
@@ -55,23 +59,25 @@ class TestBuildPlan:
     def test_subtree_interval_relations_bind_all_nodes(self) -> None:
         query = parse_query("NP(DT)(NN)")
         cover = optimal_cover(query, 3)
-        postings = [
-            [SubtreePosting(1, (NodeCode(1, 5, 0, 1), NodeCode(2, 1, 1, 2), NodeCode(3, 4, 1, 3)))]
-        ]
+        # One row: tid 1, three nodes of (pre, post, level, order).
+        postings = [SubtreeIntervalCoding().columns([1, 3, 1, 5, 0, 1, 2, 1, 1, 2, 3, 4, 1, 3])]
         plan = build_plan(query, cover_relations(cover, postings))
         assert set(plan.relations[0].nodes) == {0, 1, 2}
         assert len(plan.steps[0].columns) == 9  # pre, post, level of three slots
 
-    def test_relations_accept_decoded_columns_and_plain_lists_alike(self) -> None:
+    def test_relations_take_decoded_columns_as_they_are(self) -> None:
         query = parse_query("S(NP(DT)(NN))(VP(VBZ))")
         cover = min_rc(query, 2)
         coding = RootSplitCoding()
-        plain = [[RootPosting(1, i + 1, 10 - i, i)] for i, _ in enumerate(cover.subtrees)]
-        decoded = [coding.decode_postings(encode_records(coding, plist)) for plist in plain]
-        from_lists = cover_relations(cover, plain)
-        from_columns = cover_relations(cover, decoded)
-        assert [r.columns for r in from_lists] == [r.columns for r in from_columns]
-        assert [r.columns for r in from_columns] == decoded  # taken as-is
+        decoded = [
+            coding.decode_postings(encode_records(coding, [(1, i + 1, 10 - i, i)]))
+            for i, _ in enumerate(cover.subtrees)
+        ]
+        relations = cover_relations(cover, decoded)
+        assert all(relation.columns is columns for relation, columns in zip(relations, decoded))
+        # ``[]``, a key the index lacks, is the empty list.
+        absent = cover_relations(cover, [[] for _ in cover.subtrees])
+        assert all(len(relation.columns) == 0 for relation in absent)
 
     def test_every_query_edge_between_relations_is_checked_once(self) -> None:
         query, cover, plan = self._root_split_plan("S(NP(DT)(NN))(VP(VBZ))", mss=2)
@@ -89,7 +95,7 @@ class TestBuildPlan:
     def test_descendant_axis_compiles_to_a_containment_check(self) -> None:
         query = parse_query("S(NP(//NN))")
         cover = min_rc(query, 3)
-        postings = [[RootPosting(1, i + 1, 9 - i, i)] for i, _ in enumerate(cover.subtrees)]
+        postings = [_root_split((1, i + 1, 9 - i, i)) for i, _ in enumerate(cover.subtrees)]
         plan = build_plan(query, cover_relations(cover, postings))
         assert any(not child for _, _, child in _checked_edges(plan))
 
@@ -99,7 +105,7 @@ class TestBuildPlan:
         query = parse_query("NP(DT)(NN)")
         cover = min_rc(query, 2)
         assert len({subtree.root.node_id for subtree in cover.subtrees}) < len(cover.subtrees)
-        postings = [[RootPosting(1, 1, 9, 0)] for _ in cover.subtrees]
+        postings = [_root_split((1, 1, 9, 0)) for _ in cover.subtrees]
         plan = build_plan(query, cover_relations(cover, postings))
         keyed = [step for step in plan.steps if step.equal]
         assert keyed and all(not step.checks for step in keyed)
@@ -112,7 +118,7 @@ class TestBuildPlan:
         postings = []
         for index, _ in enumerate(cover.subtrees):
             count = 5 - index  # later subtrees get shorter posting lists
-            postings.append([RootPosting(tid, tid + index, 20, index) for tid in range(count)])
+            postings.append(_root_split(*((tid, tid + index, 20, index) for tid in range(count))))
         plan = build_plan(query, cover_relations(cover, postings))
         first = plan.order[0]
         assert plan.relations[first].cardinality == min(r.cardinality for r in plan.relations)
@@ -134,7 +140,7 @@ class TestBuildPlan:
     def test_an_empty_relation_compiles_nothing(self) -> None:
         query = parse_query("S(NP)(VP)")
         cover = min_rc(query, 1, pad=False)
-        postings = [[RootPosting(1, 1, 9, 0)], [], []]
+        postings = [_root_split((1, 1, 9, 0)), [], []]
         plan = build_plan(query, cover_relations(cover, postings))
         assert plan.steps == [] and len(plan.order) == 3
 
@@ -149,10 +155,10 @@ class TestSkeletonTable:
     def test_one_cover_and_order_is_one_skeleton(self) -> None:
         query = parse_query("S(NP(DT))(VP(VBZ))")
         cover = min_rc(query, 2)
-        postings = [[RootPosting(1, i + 1, 10 - i, i)] for i, _ in enumerate(cover.subtrees)]
+        postings = [_root_split((1, i + 1, 10 - i, i)) for i, _ in enumerate(cover.subtrees)]
         first = build_plan(query, cover_relations(cover, postings), cover.edges, cover.twin_pairs)
         hits = plan_skeleton.cache_info().hits
-        moved = [[RootPosting(2, i + 3, 12 - i, i)] for i, _ in enumerate(cover.subtrees)]
+        moved = [_root_split((2, i + 3, 12 - i, i)) for i, _ in enumerate(cover.subtrees)]
         second = build_plan(query, cover_relations(cover, moved), cover.edges, cover.twin_pairs)
         assert plan_skeleton.cache_info().hits == hits + 1
         assert second.shape == first.shape and second.steps != first.steps  # same offsets, new columns

@@ -9,6 +9,7 @@ from repro.coding.postings import PostingColumns
 from repro.core.index import SubtreeIndex
 from repro.live.delta import DeltaSegment
 from repro.trees.penn import scan_penn, to_penn
+from tests.coding.recordkit import rows
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 
@@ -31,7 +32,7 @@ def _columns(postings: PostingColumns) -> tuple:
 @pytest.mark.parametrize("coding", CODINGS)
 def test_delta_stores_what_a_fresh_build_would(tmp_path, tiny_corpus, coding, mss) -> None:
     """Per-key postings in the delta are exactly a built index's postings --
-    as records, column by column, and as the bytes a compaction writes."""
+    as lists, column by column, and as the bytes a compaction writes."""
     trees = list(tiny_corpus)[:10]
     delta = DeltaSegment(mss=mss, coding=get_coding(coding))
     for tree in trees:
@@ -75,15 +76,15 @@ def test_columns_handed_out_survive_later_adds(tiny_corpus, coding) -> None:
     delta = DeltaSegment(mss=3, coding=get_coding(coding))
     for tree in trees[:4]:
         _add(delta, tree)
-    held = {key: (postings, _columns(postings), list(postings)) for key, postings in delta.items()}
+    held = {key: (postings, _columns(postings), rows(postings)) for key, postings in delta.items()}
     assert all(delta.lookup(key) is postings for key, (postings, _, _) in held.items())  # cached
     for tree in trees[4:]:
         _add(delta, tree)
     grown = 0
     for key, (postings, columns, records) in held.items():
-        assert _columns(postings) == columns and list(postings) == records, key
+        assert _columns(postings) == columns and rows(postings) == records, key
         now = delta.lookup(key)
-        assert list(now)[: len(records)] == records
+        assert rows(now)[: len(records)] == records
         grown += now is not postings  # an untouched key keeps its columns
         assert delta.posting_list_length(key) == len(now)
     assert 0 < grown
@@ -92,12 +93,12 @@ def test_columns_handed_out_survive_later_adds(tiny_corpus, coding) -> None:
 
 def test_lookup_before_and_after_adds(tiny_corpus) -> None:
     delta = DeltaSegment(mss=2, coding=get_coding("root-split"))
-    assert delta.lookup(b"NP(DT)") == []
+    assert len(delta.lookup(b"NP(DT)")) == 0
     for tree in list(tiny_corpus)[:5]:
         _add(delta, tree)
     postings = delta.lookup(b"NP(DT)")
     assert postings
-    assert [p.tid for p in postings] == sorted(p.tid for p in postings)
+    assert list(postings.tids) == sorted(postings.tids)
 
 
 def test_tids_must_ascend(tiny_corpus) -> None:

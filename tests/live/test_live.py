@@ -178,7 +178,7 @@ class TestLifecycle:
         try:
             assert live.tree_count == 0
             assert live.segment_count == 0
-            assert live.lookup("NP(DT)") == []
+            assert len(live.lookup("NP(DT)")) == 0
             tid = live.add_tree("(ROOT (S (NP (DT the) (NN dog)) (VP (VBZ runs))))")
             assert tid == 0
             assert live.posting_list_length("NP(DT)") == 1
@@ -292,13 +292,7 @@ class TestLifecycle:
             fresh = SubtreeIndex.build(
                 survivors, mss=2, coding="root-split", path=str(workdir / "items-fresh.si")
             )
-            live_items = [
-                (key, [p.tid for p in postings]) for key, postings in live.items()
-            ]
-            fresh_items = [
-                (key, [p.tid for p in postings]) for key, postings in fresh.items()
-            ]
-            assert live_items == fresh_items
+            assert list(live.items()) == list(fresh.items())
             fresh.close()
         finally:
             live.close()
@@ -321,7 +315,7 @@ class TestLifecycle:
             assert snapshot[0].index.lookup(b"NP(DT)") == before
             assert snapshot[0].store.get(0).tid == 0
             # The live index itself serves the new epoch.
-            assert all(p.tid != 0 for p in live.lookup(b"NP(DT)"))
+            assert 0 not in live.lookup(b"NP(DT)").tids
         finally:
             live.close()
 
@@ -406,7 +400,7 @@ class TestLifecycle:
             def __setattr__(self, name, value) -> None:
                 super().__setattr__(name, value)
                 if self.watching:
-                    seen.append([posting.tid for posting in self.lookup(b"NP(DT)")])
+                    seen.append(list(self.lookup(b"NP(DT)").tids))
 
         seen = []
         trees = list(tiny_corpus)
@@ -418,7 +412,7 @@ class TestLifecycle:
                 live.add_tree(tree.root)
             live.delete_tree(1)   # in the base segment: it is rewritten
             live.delete_tree(8)   # in the delta
-            expected = [posting.tid for posting in live.lookup(b"NP(DT)")]
+            expected = list(live.lookup(b"NP(DT)").tids)
             assert expected == sorted(expected) and len(set(expected)) > 6
             live.watching = True
             live.compact()
@@ -459,8 +453,8 @@ class TestLifecycle:
             assert second.sources[0].dead is dead and dead == {0, 3}
             assert second.version != first.version != pristine.version
             assert pristine.sources[0].dead == frozenset()
-            assert [p.tid for p in live.lookup(b"NP(DT)")] == [
-                p.tid for p in pristine.sources[0].index.lookup(b"NP(DT)") if p.tid not in (0, 3)
+            assert list(live.lookup(b"NP(DT)").tids) == [
+                tid for tid in pristine.sources[0].index.lookup(b"NP(DT)").tids if tid not in (0, 3)
             ]
             assert live.tombstones == {0, 3} and live.tree_count == 6
             live.compact()  # the next generation of sources starts without tombstones

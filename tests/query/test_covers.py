@@ -6,11 +6,11 @@ import pytest
 
 from repro.query.covers import (
     Cover,
+    CoverSubtree,
     has_deep_branching_anomaly,
     is_node_cover,
     is_root_split_cover,
     is_valid_cover,
-    make_subtree,
 )
 from repro.query.parser import parse_query
 
@@ -18,7 +18,7 @@ from repro.query.parser import parse_query
 class TestCoverSubtree:
     def test_key_of_simple_subtree(self) -> None:
         query = parse_query("NP(NN)(DT)")
-        subtree = make_subtree(query.root, query.nodes())
+        subtree = CoverSubtree(query.root, frozenset(range(query.size())))
         key, positions = subtree.key()
         assert key == b"NP(DT)(NN)"
         # Canonical order: NP, DT, NN -> positions follow the sorted children.
@@ -26,43 +26,41 @@ class TestCoverSubtree:
         assert positions[query.node(2).node_id] == 1  # DT
         assert positions[query.node(1).node_id] == 2  # NN
 
-    def test_size_and_contains(self) -> None:
+    def test_size(self) -> None:
         query = parse_query("S(NP(DT))(VP)")
-        subtree = make_subtree(query.root, [query.root, query.node(1)])
+        subtree = CoverSubtree(query.root, frozenset({0, 1}))
         assert subtree.size == 2
-        assert subtree.contains(query.node(1))
-        assert not subtree.contains(query.node(3))
 
     def test_disconnected_subtree_rejected(self) -> None:
         query = parse_query("S(NP(DT))(VP)")
         # S and DT without NP in between is not connected.
-        subtree = make_subtree(query.root, [query.root, query.node(2)])
+        subtree = CoverSubtree(query.root, frozenset({0, 2}))
         with pytest.raises(ValueError):
             subtree.validate()
 
     def test_descendant_edge_not_part_of_key(self) -> None:
         query = parse_query("S(//NN)")
-        subtree = make_subtree(query.root, query.nodes())
+        subtree = CoverSubtree(query.root, frozenset(range(query.size())))
         with pytest.raises(ValueError):
             subtree.validate()
 
     def test_query_nodes_listing(self) -> None:
         query = parse_query("NP(DT)(NN)")
-        subtree = make_subtree(query.root, query.nodes())
+        subtree = CoverSubtree(query.root, frozenset(range(query.size())))
         assert {node.label for node in subtree.query_nodes()} == {"NP", "DT", "NN"}
 
 
 class TestCoverPredicates:
     def test_node_cover_detection(self) -> None:
         query = parse_query("S(NP)(VP)")
-        full = Cover(query, [make_subtree(query.root, query.nodes())])
-        partial = Cover(query, [make_subtree(query.root, [query.root, query.node(1)])])
+        full = Cover(query, [CoverSubtree(query.root, frozenset(range(query.size())))])
+        partial = Cover(query, [CoverSubtree(query.root, frozenset({0, 1}))])
         assert is_node_cover(full)
         assert not is_node_cover(partial)
 
     def test_valid_cover_respects_mss(self) -> None:
         query = parse_query("S(NP)(VP)")
-        cover = Cover(query, [make_subtree(query.root, query.nodes())])
+        cover = Cover(query, [CoverSubtree(query.root, frozenset(range(query.size())))])
         assert is_valid_cover(cover, mss=3)
         assert not is_valid_cover(cover, mss=2)
 
@@ -71,8 +69,8 @@ class TestCoverPredicates:
         cover = Cover(
             query,
             [
-                make_subtree(query.root, [query.root, query.node(1)]),
-                make_subtree(query.root, [query.root, query.node(2)]),
+                CoverSubtree(query.root, frozenset({0, 1})),
+                CoverSubtree(query.root, frozenset({0, 2})),
             ],
         )
         assert is_root_split_cover(cover)
@@ -82,8 +80,8 @@ class TestCoverPredicates:
         cover = Cover(
             query,
             [
-                make_subtree(query.root, [query.root, query.node(1)]),
-                make_subtree(query.node(1), [query.node(1), query.node(2), query.node(3)]),
+                CoverSubtree(query.root, frozenset({0, 1})),
+                CoverSubtree(query.node(1), frozenset({1, 2, 3})),
             ],
         )
         assert is_root_split_cover(cover)
@@ -94,15 +92,15 @@ class TestCoverPredicates:
         cover = Cover(
             query,
             [
-                make_subtree(query.root, [query.root, query.node(1)]),
-                make_subtree(query.node(2), [query.node(2), query.node(3)]),
+                CoverSubtree(query.root, frozenset({0, 1})),
+                CoverSubtree(query.node(2), frozenset({2, 3})),
             ],
         )
         assert not is_root_split_cover(cover)
 
     def test_single_subtree_cover_is_root_split(self) -> None:
         query = parse_query("S(NP)(VP)")
-        cover = Cover(query, [make_subtree(query.root, query.nodes())])
+        cover = Cover(query, [CoverSubtree(query.root, frozenset(range(query.size())))])
         assert is_root_split_cover(cover)
 
     def test_join_count(self) -> None:
@@ -110,8 +108,8 @@ class TestCoverPredicates:
         cover = Cover(
             query,
             [
-                make_subtree(query.root, [query.root, query.node(1)]),
-                make_subtree(query.root, [query.root, query.node(2)]),
+                CoverSubtree(query.root, frozenset({0, 1})),
+                CoverSubtree(query.root, frozenset({0, 2})),
             ],
         )
         assert cover.join_count == 1
@@ -126,8 +124,8 @@ class TestDeepBranchingAnomaly:
         cover = Cover(
             query,
             [
-                make_subtree(a, [a, b, c, d]),
-                make_subtree(b, [b, c, e, f]),
+                CoverSubtree(a, frozenset({0, 1, 2, 3})),
+                CoverSubtree(b, frozenset({1, 2, 4, 5})),
             ],
         )
         assert has_deep_branching_anomaly(cover)
@@ -138,9 +136,9 @@ class TestDeepBranchingAnomaly:
         cover = Cover(
             query,
             [
-                make_subtree(a, [a, b, c, d]),
-                make_subtree(b, [b, c, e, f]),
-                make_subtree(c, [c, d, e, f]),
+                CoverSubtree(a, frozenset({0, 1, 2, 3})),
+                CoverSubtree(b, frozenset({1, 2, 4, 5})),
+                CoverSubtree(c, frozenset({2, 3, 4, 5})),
             ],
         )
         # The extra C(D)(E)(F) subtree does not remove the anomalous pair itself.
@@ -148,9 +146,9 @@ class TestDeepBranchingAnomaly:
         safe = Cover(
             query,
             [
-                make_subtree(a, [a, b]),
-                make_subtree(b, [b, c]),
-                make_subtree(c, [c, d, e, f]),
+                CoverSubtree(a, frozenset({0, 1})),
+                CoverSubtree(b, frozenset({1, 2})),
+                CoverSubtree(c, frozenset({2, 3, 4, 5})),
             ],
         )
         assert not has_deep_branching_anomaly(safe)
@@ -158,5 +156,5 @@ class TestDeepBranchingAnomaly:
     def test_shared_root_is_not_anomalous(self) -> None:
         query = parse_query("NP(DT)(NN)(JJ)")
         np, dt, nn, jj = query.nodes()
-        cover = Cover(query, [make_subtree(np, [np, dt]), make_subtree(np, [np, nn, jj])])
+        cover = Cover(query, [CoverSubtree(np, frozenset({0, 1})), CoverSubtree(np, frozenset({0, 2, 3}))])
         assert not has_deep_branching_anomaly(cover)

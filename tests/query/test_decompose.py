@@ -13,8 +13,6 @@ from repro.query.covers import (
     is_valid_cover,
 )
 from repro.query.decompose import (
-    component_roots,
-    component_size,
     decompose,
     min_rc,
     optimal_cover,
@@ -24,19 +22,6 @@ from repro.query.parser import parse_query
 
 #: The query of Figure 1(a): S(NP(NNS(agouti)))(VP(VBZ(is))(NP(DT(a))(NN))).
 FIGURE1_QUERY = "S(NP(NNS(agouti)))(VP(VBZ(is))(NP(DT(a))(NN)))"
-
-
-class TestComponents:
-    def test_single_component(self) -> None:
-        query = parse_query("S(NP)(VP)")
-        assert [node.label for node in component_roots(query)] == ["S"]
-        assert component_size(query.root) == 3
-
-    def test_descendant_edges_split_components(self) -> None:
-        query = parse_query("S(NP(//NN))(VP)")
-        roots = component_roots(query)
-        assert [node.label for node in roots] == ["S", "NN"]
-        assert component_size(query.root) == 3  # S, NP, VP
 
 
 class TestOptimalCover:

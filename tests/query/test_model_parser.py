@@ -15,17 +15,12 @@ class TestQueryModel:
         np = root.add_child(QueryNode("NP"))
         vp = root.add_child(QueryNode("VP"), axis="//")
         assert root.child_axes == ["/", "//"]
-        assert root.axis_to(np) == "/"
-        assert root.axis_to(vp) == "//"
         assert np.parent is root and np.parent_axis == "/"
+        assert vp.parent is root and vp.parent_axis == "//"
 
     def test_invalid_axis_rejected(self) -> None:
         with pytest.raises(ValueError):
             QueryNode("S").add_child(QueryNode("NP"), axis="///")
-
-    def test_axis_to_non_child_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            QueryNode("S").axis_to(QueryNode("NP"))
 
     def test_query_tree_assigns_preorder_ids(self) -> None:
         query = parse_query("S(NP(DT)(NN))(VP)")
@@ -38,19 +33,6 @@ class TestQueryModel:
         assert ("S", "NP", "/") in edges
         assert ("S", "VP", "//") in edges
         assert ("VP", "VBZ", "/") in edges
-        assert query.has_descendant_axis()
-
-    def test_path_between(self) -> None:
-        query = parse_query("S(NP(//NN(x)))")
-        s, np, nn, x = query.nodes()
-        assert query.path_between(s, x) == ["/", "//", "/"]
-        with pytest.raises(ValueError):
-            query.path_between(x, s)
-
-    def test_depth_of(self) -> None:
-        query = parse_query("S(NP(DT))")
-        assert query.depth_of(query.root) == 0
-        assert query.depth_of(query.node(2)) == 2
 
     def test_copy_is_independent(self) -> None:
         query = parse_query("S(NP)(VP)")

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.query.covers import is_valid_cover, make_subtree
+from repro.query.covers import CoverSubtree, is_valid_cover
 from repro.query.decompose import compile_query
 from repro.query.model import QueryNode, QueryTree
 from repro.query.parser import QuerySyntaxError, parse_query
@@ -63,8 +63,7 @@ def test_compiler_reproduces_the_pinned_covers(text: str) -> None:
         assert cover.join_count == pinned["join_count"], config
         # The key composed while packing is the key of the node set.
         for subtree in cover.subtrees:
-            nodes = [cover.query.node(node_id) for node_id in subtree.node_ids]
-            assert make_subtree(subtree.root, nodes).key() == subtree.key(), config
+            assert CoverSubtree(subtree.root, subtree.node_ids).key() == subtree.key(), config
 
 
 def test_split_twins_name_the_groups_no_subtree_holds() -> None:

