@@ -47,7 +47,7 @@ True
 
 from repro.coding import FilterBasedCoding, RootSplitCoding, SubtreeIntervalCoding, get_coding
 from repro.core import SegmentSet, SubtreeIndex
-from repro.corpus import Corpus, CorpusGenerator, TreeStore, generate_corpus
+from repro.corpus import Corpus, CorpusGenerator, TreeStore
 from repro.exec import QueryExecutor, QueryResult
 from repro.live import LiveIndex
 from repro.query import QueryTree, min_rc, optimal_cover, parse_query
@@ -66,7 +66,6 @@ __all__ = [
     "Corpus",
     "TreeStore",
     "CorpusGenerator",
-    "generate_corpus",
     # Index and codings
     "SegmentSet",
     "SubtreeIndex",

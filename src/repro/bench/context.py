@@ -96,7 +96,6 @@ class ExperimentContext:
         mss: int,
         shards: int,
         workers: int = 1,
-        partitioner: str = "hash",
     ) -> SegmentSet:
         """Build (or reuse) a sharded index for the given configuration.
 
@@ -104,11 +103,11 @@ class ExperimentContext:
         of the returned index is a valid build-time measurement for that
         (shards, workers) configuration.
         """
-        key = (sentence_count, coding, mss, shards, workers, partitioner)
+        key = (sentence_count, coding, mss, shards, workers)
         if key not in self._sharded:
             path = os.path.join(
                 self.workdir,
-                f"shard-{sentence_count}-{coding}-{mss}-n{shards}-w{workers}-{partitioner}.si",
+                f"shard-{sentence_count}-{coding}-{mss}-n{shards}-w{workers}.si",
             )
             self._sharded[key] = SegmentSet.open(build_sharded(
                 self.corpus(sentence_count),
@@ -117,7 +116,6 @@ class ExperimentContext:
                 path=path,
                 shards=shards,
                 workers=workers,
-                partitioner=partitioner,
             ))
         return self._sharded[key]
 

@@ -349,7 +349,6 @@ def shard_scalability(
     sentences: int = 1_200,
     mss: int = 3,
     coding: str = "root-split",
-    partitioner: str = "hash",
     cold_passes: int = 5,
     warm_passes: int = 2,
 ) -> Row:
@@ -378,9 +377,7 @@ def shard_scalability(
     queries = [item.query for item in context.wh_queries()]
 
     def built(count: int):
-        return context.sharded_index(
-            sentences, coding, mss, count, workers=count, partitioner=partitioner
-        )
+        return context.sharded_index(sentences, coding, mss, count, workers=count)
 
     sharded = built(shards)
     build_seconds = sharded.manifest.build_seconds

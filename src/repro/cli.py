@@ -76,7 +76,7 @@ from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.exec.plan import JoinPlan, build_plan, cover_relations
 from repro.live import LiveIndex, WalError
 from repro.service.service import PreparedQuery, QueryService
-from repro.shard import build_sharded, partitioner_names
+from repro.shard import build_sharded
 from repro.storage.bptree import BPlusTreeError
 from repro.storage.pager import PageError
 from repro.trees.penn import scan_penn
@@ -114,11 +114,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.live and args.shards > 1:
         print("error: --live and --shards cannot be combined", file=sys.stderr)
         return 2
-    if args.shards == 1 and not args.live and (
-        args.workers is not None or args.partitioner is not None
-    ):
+    if args.shards == 1 and not args.live and args.workers is not None:
         print(
-            "warning: --workers/--partitioner only apply to sharded builds; "
+            "warning: --workers only applies to sharded builds; "
             "pass --shards N (> 1) for a parallel build",
             file=sys.stderr,
         )
@@ -136,7 +134,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             path=args.out,
             shards=args.shards,
             workers=args.workers,
-            partitioner=args.partitioner or "hash",
         ))
         what = f"{args.coding} index"
         detail = (
@@ -783,10 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--workers", type=int, default=None,
         help="parallel build processes (default: one per shard, capped at the core count)",
-    )
-    build.add_argument(
-        "--partitioner", choices=partitioner_names(), default=None,
-        help="tid -> shard policy for --shards > 1 (default: hash)",
     )
     build.add_argument(
         "--live", action="store_true",

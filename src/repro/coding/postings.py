@@ -118,7 +118,7 @@ def merge_columns(parts: Sequence[PostingColumns]) -> PostingColumns:
     Every part is ascending in tid already.  When the populated parts' tid
     ranges follow one another in the order given (a live index: segments,
     then the delta) the columns are concatenated; when they interleave (the
-    shards of either partitioner) one stable sort permutation of the
+    shards of a sharded build) one stable sort permutation of the
     concatenated tids is applied to every column, which keeps the order of
     a tree's postings.  A single populated part is returned as it is.
     """

@@ -15,8 +15,8 @@
   the read API over tid-disjoint sources merged column-wise -- a plain index
   file (one source) or a sharded index as it stands, and the base of the
   live index.
-* :mod:`repro.core.stats` -- index statistics (key counts, posting counts,
-  size on disk) backing the Figure 2/3/8/9/10 and Table 1 experiments.
+* :mod:`repro.core.stats` -- key and posting counts of a corpus, without
+  building an index, backing the Figure 2/3/8/9/10 and Table 1 experiments.
 """
 
 from repro.core.enumeration import (
@@ -24,10 +24,9 @@ from repro.core.enumeration import (
     subtree_count_by_root_branching,
 )
 from repro.core.index import IndexMetadata, SubtreeIndex
-from repro.core.keys import SubtreeKey, canonical_key, decode_key, key_from_query_subtree
+from repro.core.keys import SubtreeKey, canonical_key, decode_key
 from repro.core.manifest import Manifest, ManifestError, SegmentEntry, is_manifest
 from repro.core.segments import SegmentSet, Snapshot, Source
-from repro.core.stats import IndexStats, collect_index_stats
 
 __all__ = [
     "SubtreeIndex",
@@ -42,9 +41,6 @@ __all__ = [
     "SubtreeKey",
     "canonical_key",
     "decode_key",
-    "key_from_query_subtree",
     "extract_subtrees",
     "subtree_count_by_root_branching",
-    "IndexStats",
-    "collect_index_stats",
 ]

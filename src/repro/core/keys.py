@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.trees.node import Node
-
 
 class KeyFormatError(ValueError):
     """Raised when a serialised key cannot be parsed back into a subtree."""
@@ -86,10 +84,6 @@ class SubtreeKey:
         text = self.label + "".join(f"({child.encode().decode('utf-8')})" for child in self.children)
         return text.encode("utf-8")
 
-    def to_node(self) -> Node:
-        """Materialise the key as a :class:`~repro.trees.node.Node` tree."""
-        return Node(self.label, [child.to_node() for child in self.children])
-
     def __str__(self) -> str:
         return self.encode().decode("utf-8")
 
@@ -122,19 +116,3 @@ def decode_key(data: bytes | str) -> SubtreeKey:
     if position != len(text):
         raise KeyFormatError(f"trailing characters at position {position} in {text!r}")
     return key
-
-
-def key_from_node(node: Node) -> SubtreeKey:
-    """Build the canonical :class:`SubtreeKey` of a node tree."""
-    children = tuple(sorted((key_from_node(child) for child in node.children), key=str))
-    return SubtreeKey(node.label, children)
-
-
-def key_from_query_subtree(root: object) -> Tuple[bytes, List[object]]:
-    """Canonicalise a cover subtree of a query.
-
-    Cover subtrees are produced by the decomposition layer; their nodes expose
-    ``label`` and ``children`` exactly like data nodes, so this is a thin
-    alias of :func:`canonical_key` kept for readability at call sites.
-    """
-    return canonical_key(root)

@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import heapq
 import os
+import struct
 import time
 import weakref
+import zlib
 from bisect import bisect_left
 from contextlib import ExitStack
 from dataclasses import asdict
@@ -69,6 +71,17 @@ from repro.trees.node import Node, ParseTree
 
 #: ``(epoch, mutation counter)``; constant on an index that cannot change.
 Version = Tuple[int, int]
+
+#: The policy a sharded build records in its manifest: :func:`hash_shard`.
+HASH_PARTITIONER = "hash"
+
+
+def hash_shard(tid: int, shard_count: int) -> int:
+    """The shard of *shard_count* a sharded build deals *tid* to: a crc32 of
+    its 8-byte encoding, stable across processes and Python versions (unlike
+    the builtin ``hash``), so a reader routes a tid to the one shard that
+    holds it."""
+    return zlib.crc32(struct.pack("<q", tid)) % shard_count
 
 
 class Lineage(NamedTuple):
@@ -336,12 +349,10 @@ class SegmentSet:
         self.coding: CodingScheme = get_coding(described.coding)
         #: Maximum subtree size every source indexes.
         self.mss: int = described.mss
-        #: Routes a tid to the segment a sharded build dealt it to, if one did.
-        self._partitioner = None
-        if manifest is not None and manifest.partitioner is not None:
-            from repro.shard.partitioner import get_partitioner  # local: shard builds on core
-
-            self._partitioner = get_partitioner(manifest.partitioner, len(manifest.segments))
+        #: The shards a tid is dealt over by :func:`hash_shard`; 0 when no
+        #: sharded build dealt them so (a manifest naming any other policy).
+        hashed = manifest is not None and manifest.partitioner == HASH_PARTITIONER
+        self._hashed = len(manifest.segments) if hashed else 0
         #: What readers see.  Rebound as a whole by a subclass that mutates.
         self.snapshot = Snapshot.of(version, tuple(sources), self._delta)
         #: A finalizer per source a mutation replaced: its files stay open
@@ -500,11 +511,11 @@ class SegmentSet:
     def locate(self, tid: int, sources: Optional[Tuple[Source, ...]] = None) -> Optional[int]:
         """Position among *sources* (default: the snapshot's) of the one that
         holds *tid* if any does, when that follows from the tid alone: a
-        hash-partitioned build deals tids by hash, and a live index's files
+        sharded build deals tids by :func:`hash_shard`, and a live index's files
         hold ascending tid ranges (bisected by their ``max_tid``) with the
         delta past the last.  ``None`` means ask every source."""
-        if self._partitioner is not None:
-            return self._partitioner.locate(tid)
+        if self._hashed:
+            return hash_shard(tid, self._hashed)
         if not self._delta:
             return None
         sources = self.snapshot.sources if sources is None else sources

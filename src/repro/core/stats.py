@@ -2,52 +2,19 @@
 
 Figures 2, 3, 8, 9, 10 and Table 1 of the paper describe the *index itself*
 (number of unique keys, number of postings, bytes on disk, build time) rather
-than query behaviour.  This module computes those quantities either from a
-built :class:`~repro.core.index.SubtreeIndex` or directly from a corpus
-without materialising an index (used for the cheap key-count sweeps).
+than query behaviour.  A built index reports its own (its metadata and
+``size_bytes``); this module computes them directly from a corpus without
+materialising an index (used for the cheap key-count sweeps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
 from repro.coding.base import get_coding
 from repro.core.enumeration import extract_root_texts, number
-from repro.core.index import SubtreeIndex, numbered, tree_rows
+from repro.core.index import numbered, tree_rows
 from repro.trees.node import ParseTree
-
-
-@dataclass
-class IndexStats:
-    """Summary statistics of one built index."""
-
-    mss: int
-    coding: str
-    tree_count: int
-    key_count: int
-    posting_count: int
-    size_bytes: int
-    build_seconds: float
-
-    @classmethod
-    def of(cls, index: SubtreeIndex) -> "IndexStats":
-        """Collect the statistics of a built index."""
-        meta = index.metadata
-        return cls(
-            mss=meta.mss,
-            coding=meta.coding,
-            tree_count=meta.tree_count,
-            key_count=meta.key_count,
-            posting_count=meta.posting_count,
-            size_bytes=index.size_bytes(),
-            build_seconds=meta.build_seconds,
-        )
-
-
-def collect_index_stats(index: SubtreeIndex) -> IndexStats:
-    """Convenience alias of :meth:`IndexStats.of`."""
-    return IndexStats.of(index)
 
 
 def count_unique_keys(trees: Iterable[ParseTree], mss_values: Sequence[int]) -> Dict[int, int]:

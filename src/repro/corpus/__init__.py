@@ -16,7 +16,7 @@ Members
   flat on-disk "data file" used by the filtering phase.
 """
 
-from repro.corpus.generator import CorpusGenerator, generate_corpus
+from repro.corpus.generator import CorpusGenerator
 from repro.corpus.grammar import Grammar, Vocabulary, default_grammar
 from repro.corpus.store import Corpus, TreeStore, data_file_path
 
@@ -26,7 +26,6 @@ __all__ = [
     "Vocabulary",
     "default_grammar",
     "CorpusGenerator",
-    "generate_corpus",
     "Corpus",
     "TreeStore",
 ]

@@ -78,14 +78,3 @@ class CorpusGenerator:
     def generate_list(self, count: int, start_tid: int = 0) -> List[ParseTree]:
         """Materialise :meth:`generate` into a list."""
         return list(self.generate(count, start_tid=start_tid))
-
-
-def generate_corpus(
-    sentence_count: int,
-    seed: int = 0,
-    grammar: Optional[Grammar] = None,
-    wrap_root: bool = True,
-) -> List[ParseTree]:
-    """Convenience wrapper: generate a corpus of *sentence_count* parse trees."""
-    generator = CorpusGenerator(grammar=grammar, seed=seed, wrap_root=wrap_root)
-    return generator.generate_list(sentence_count)

@@ -123,9 +123,10 @@ def fetch_postings(
 ) -> List[PostingColumns]:
     """Stage 2: fetch the posting list of each cover subtree.
 
-    *fetch* is any key -> postings function: a bare ``index.lookup``, a
-    caching wrapper, or a batch-local memo built by
-    :meth:`repro.service.QueryService.run_many`.
+    *fetch* is any key -> postings function: a bare ``index.lookup``, or
+    the per-call memo in front of the posting cache through which
+    :class:`repro.service.QueryService` reads (``run`` and ``run_many``
+    alike).
     """
     if not obs.enabled():
         return [fetch(subtree.key_bytes()) for subtree in cover.subtrees]
@@ -157,11 +158,12 @@ def join_postings(
 ) -> QueryResult:
     """Stage 3: combine the cover's posting lists into the final matches.
 
-    *postings* holds each cover subtree's list as ``lookup`` returns it, or
-    ``[]`` for a key the index lacks.  Dispatches on the coding
-    scheme: tid intersection plus the filtering phase for filter-based
-    coding, structural merge joins otherwise, in *order* (a prepared
-    query's) or else smallest list first.  When a *stats* object is
+    *postings* holds each cover subtree's list as ``lookup`` returns it; a
+    key the index lacks has an empty one and matches nothing, so no plan is
+    built.  Otherwise dispatches on the coding scheme: tid intersection
+    plus the filtering phase for filter-based coding, structural merge
+    joins otherwise, in *order* (a prepared query's) or else smallest list
+    first.  When a *stats* object is
     passed it receives the join-phase counters (``candidates_filtered``).
     """
     stats = stats if stats is not None else ExecutionStats()
@@ -182,6 +184,8 @@ def _dispatch_join(
     stats: ExecutionStats,
     order: Optional[Sequence[int]],
 ) -> QueryResult:
+    if not all(postings):  # a cover key without a posting: no match, and no plan to build
+        return QueryResult()
     if isinstance(coding, FilterBasedCoding):
         return _join_filter_based(query, cover, postings, store, stats)
     if isinstance(coding, (RootSplitCoding, SubtreeIntervalCoding)):

@@ -15,14 +15,13 @@
 
 from repro.query.covers import Cover, CoverSubtree, has_deep_branching_anomaly, is_root_split_cover, is_valid_cover
 from repro.query.decompose import compile_query, decompose, min_rc, optimal_cover
-from repro.query.model import QueryNode, QueryTree, query_from_node, query_from_tree
+from repro.query.model import QueryNode, QueryTree, query_from_node
 from repro.query.parser import QuerySyntaxError, parse_query
 
 __all__ = [
     "QueryNode",
     "QueryTree",
     "query_from_node",
-    "query_from_tree",
     "parse_query",
     "QuerySyntaxError",
     "Cover",

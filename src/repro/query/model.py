@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.trees.matching import AXIS_CHILD, AXIS_DESCENDANT
-from repro.trees.node import Node, ParseTree
+from repro.trees.node import Node
 
 VALID_AXES = (AXIS_CHILD, AXIS_DESCENDANT)
 
@@ -142,12 +142,6 @@ def query_from_node(node: Node, axis: str = AXIS_CHILD) -> QueryNode:
     for child in node.children:
         query.add_child(query_from_node(child), axis)
     return query
-
-
-def query_from_tree(tree: ParseTree | Node) -> QueryTree:
-    """Convert a full data tree (or subtree) into a :class:`QueryTree`."""
-    root = tree.root if isinstance(tree, ParseTree) else tree
-    return QueryTree(query_from_node(root))
 
 
 def has_duplicate_siblings(query: QueryTree | QueryNode) -> bool:

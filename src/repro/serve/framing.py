@@ -154,7 +154,7 @@ def _parse_head(head: str, max_header_bytes: int, max_body_bytes: int) -> Tuple[
     if "transfer-encoding" in headers:
         raise ProtocolError(400, "Transfer-Encoding is not supported; send a Content-Length body")
     raw_length = headers.get("content-length", "0")
-    if not raw_length.isdigit():  # also rejects signs, spaces and '1_0'
+    if not (raw_length.isascii() and raw_length.isdigit()):  # also rejects signs, spaces, '1_0' and '²'
         raise ProtocolError(400, f"invalid Content-Length {raw_length!r}")
     length = int(raw_length)
     if length > max_body_bytes:

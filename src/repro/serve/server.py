@@ -152,7 +152,6 @@ class QueryServer:
         trace: bool = False,
         trace_log: Optional[str] = None,
         slow_ms: Optional[float] = None,
-        trace_buffer: int = 256,
         header_timeout: float = 10.0,
         request_timeout: float = 30.0,
         write_timeout: float = 15.0,
@@ -191,7 +190,6 @@ class QueryServer:
         self.trace = bool(trace or trace_log or slow_ms is not None)
         self.trace_log = trace_log
         self.slow_ms = slow_ms
-        self.trace_buffer = trace_buffer
         self.metrics = ServerMetrics(ENDPOINTS)
         #: The wire name of what is served: ``plain`` / ``sharded`` / ``live``.
         self.flavor = service.index.flavor
@@ -231,9 +229,7 @@ class QueryServer:
             if self.trace_log:
                 self._trace_sink = JsonlSink(self.trace_log)
                 sinks.append(self._trace_sink)
-            obs.enable(
-                obs.Tracer(sinks=sinks, slow_ms=self.slow_ms, capacity=self.trace_buffer)
-            )
+            obs.enable(obs.Tracer(sinks=sinks, slow_ms=self.slow_ms))
             self._owns_tracer = True
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="repro-serve"

@@ -38,12 +38,15 @@ moves no tag: the trees removed from a part since its entry was cached are
 cut from it when it is next served, and it is cached back cut.  Size 0
 disables a layer.
 
-On top of these, :meth:`QueryService.run_many` batches: it prepares every
-query first, fetches each *distinct* cover key exactly once, and joins each
-query against the shared fetch memo.  All structures are thread-safe -- each
-cache is one locked LRU map and the B+Tree serialises its descents -- so one
-service instance can sit behind a thread pool.  The caches are the
-service's own: two services over one index share none of them.
+A query is a batch of one: :meth:`QueryService.run` and
+:meth:`QueryService.run_many` are one loop, which prepares every query
+first, looks each part of each up in the result cache, fetches each
+*distinct* cover key a part missed exactly once a call, and joins each
+distinct query once against that fetch memo.  All structures are
+thread-safe -- each cache is one locked LRU map and the B+Tree serialises
+its descents -- so one service instance can sit behind a thread pool.
+The caches are the service's own: two services over one index share none
+of them.
 """
 
 from __future__ import annotations
@@ -362,13 +365,10 @@ class QueryService:
             join_count=prepared.cover.join_count,
             postings_fetched=sum(len(plist) for plist in postings),
         )
-        if not all(postings):  # a cover key without a posting: no match, and no plan to build
-            result = QueryResult()
-        else:
-            result = join_postings(
-                prepared.query, prepared.cover, postings, self.index.coding, store=self.store, stats=stats,
-                order=prepared.order,
-            )
+        result = join_postings(
+            prepared.query, prepared.cover, postings, self.index.coding, store=self.store, stats=stats,
+            order=prepared.order,
+        )
         stats.elapsed_seconds = time.perf_counter() - started
         result.stats = stats
         return result
@@ -404,7 +404,8 @@ class QueryService:
         return True
 
     def run(self, query: QueryLike) -> QueryResult:
-        """Evaluate one query through the cached pipeline.
+        """Evaluate one query through the cached pipeline: a batch of one
+        (:meth:`run_many`), which counts as no batch.
 
         A part whose result of an identical (up to normalization) earlier
         query is still current is answered from the result cache; the
@@ -415,27 +416,95 @@ class QueryService:
         wrapped in a ``query`` span whose children are the pipeline stages.
         """
         if not obs.enabled():
-            return self._run_impl(query)
+            return self._serve((query,))[0][0]
         text = query.strip() if isinstance(query, str) else query.root.to_string()
         with obs.trace(
             "query", flavor=self.index.flavor, query=text, query_sha1=obs.query_hash(text)
         ) as span:
-            result = self._run_impl(query)
+            result = self._serve((query,))[0][0]
             span.set(matches=result.total_matches)
             return result
 
-    def _run_impl(self, query: QueryLike) -> QueryResult:
+    def run_many(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
+        """Evaluate a batch, fetching each distinct cover key exactly once a part.
+
+        The batch is prepared first and looked up in the result cache; each
+        query then fetches, into a memo the call shares, the lists of the
+        parts it missed that no earlier query in the batch needed (one fetch
+        through the posting cache -- hence at most one B+Tree descent per
+        source -- per distinct key and part), and joins them once; identical
+        queries share one join.  Results keep the input order; a result's
+        ``stats.elapsed_seconds`` covers its join and the fetches it was
+        the first to need (time the ``run_many`` call itself for batch
+        totals).  With tracing enabled the call is one ``batch`` span.
+        """
+        if not obs.enabled():
+            results, deduped = self._serve(queries)
+        else:
+            with obs.trace("batch", flavor=self.index.flavor, queries=len(queries)) as span:
+                results, deduped = self._serve(queries)
+                span.set(matches=sum(result.total_matches for result in results))
+        self._batches += 1
+        self._batch_keys_deduped += deduped
+        return results
+
+    def _serve(self, queries: Sequence[QueryLike]) -> Tuple[List[QueryResult], int]:
+        """The one cached pipeline behind :meth:`run` and :meth:`run_many`:
+        *queries*' results, and how many of the lists their missed parts
+        needed the call's fetch memo already held."""
         snapshot = self.index.snapshot
-        with obs.trace("prepare") as span:
-            prepared = self.prepare(query)
-            span.set(cover=len(prepared.cover))
-        results = self._result_cache
-        cached = [_cached(results, prepared.normalized, part, _without) for part in snapshot.parts]
-        missed = [part for part, hit in zip(snapshot.parts, cached) if hit is None]
-        obs.annotate(result_cache="miss" if missed else "hit", parts_joined=len(missed), epoch=snapshot.version[0])
-        self._queries += 1
-        joined = self._execute_uncached(prepared, missed) if missed else None
-        return self._answer(prepared, snapshot.parts, cached, joined)
+        parts = snapshot.parts
+        prepared_batch = []
+        for query in queries:
+            with obs.trace("prepare") as span:
+                prepared = self.prepare(query)
+                span.set(cover=len(prepared.cover))
+            prepared_batch.append(prepared)
+        cached = [
+            [_cached(self._result_cache, prepared.normalized, part, _without) for part in parts]
+            for prepared in prepared_batch
+        ]
+        if obs.enabled():
+            hits = sum(hit is not None for row in cached for hit in row)
+            misses = len(parts) * len(cached) - hits
+            obs.annotate(
+                result_cache="miss" if misses else "hit", result_cache_hits=hits, parts_joined=misses,
+                epoch=snapshot.version[0],
+            )
+
+        memo: Dict[Tuple[bytes, object], PostingColumns] = {}
+        computed: Dict[str, QueryResult] = {}  # a join runs once per distinct query
+        results: List[QueryResult] = []
+        needed = 0
+        for prepared, row in zip(prepared_batch, cached):
+            missed = [part for part, hit in zip(parts, row) if hit is None]
+            needed += len(prepared.key_bytes) * len(missed)
+            answer = computed.get(prepared.normalized)
+            if answer is None:
+                joined = None
+                if missed:
+                    started = time.perf_counter()
+                    if not obs.enabled():
+                        postings = [self._memoized(memo, missed, key) for key in prepared.key_bytes]
+                    else:
+                        postings = fetch_postings(prepared.cover, partial(self._memoized, memo, missed))
+                    joined = self._execute_prepared(prepared, postings, started)
+                answer = computed[prepared.normalized] = self._answer(prepared, parts, row, joined)
+            results.append(answer)
+        self._queries += len(prepared_batch)
+        return results, needed - len(memo)
+
+    def _memoized(self, memo: Dict[Tuple[bytes, object], PostingColumns], parts: Sequence[Part],
+                  key: bytes) -> PostingColumns:
+        """*key*'s list over *parts* end to end, each part's read once a call
+        (:meth:`_postings`) into *memo*."""
+        lists = []
+        for part in parts:
+            columns = memo.get((key, part.key))
+            if columns is None:
+                columns = memo[key, part.key] = self._postings(part, key)
+            lists.append(columns)
+        return lists[0] if len(lists) == 1 else merge_columns(lists)
 
     def _answer(self, prepared: PreparedQuery, parts: Sequence[Part],
                 cached: List[Optional[QueryResult]], joined: Optional[QueryResult]) -> QueryResult:
@@ -455,80 +524,6 @@ class QueryService:
                 _remember(self._result_cache, prepared.normalized, part, hit)
             results.append(hit)
         return results[0] if len(results) == 1 else _concatenated(results)
-
-    def _execute_uncached(self, prepared: PreparedQuery, parts: Sequence[Part]) -> QueryResult:
-        """Stages 2+3 of the *parts* one query missed in the result cache:
-        one join over their lists end to end."""
-        started = time.perf_counter()
-        return self._execute_prepared(prepared, self._fetch_for_run(prepared, parts), started)
-
-    def _fetch_for_run(self, prepared: PreparedQuery, parts: Sequence[Part]) -> List[PostingColumns]:
-        if len(parts) == 1:
-            fetch = partial(self._postings, parts[0])
-        else:
-            def fetch(key: bytes) -> PostingColumns:
-                return merge_columns([self._postings(part, key) for part in parts])
-
-        if not obs.enabled():
-            return [fetch(key) for key in prepared.key_bytes]
-        return fetch_postings(prepared.cover, fetch)
-
-    def run_many(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
-        """Evaluate a batch, fetching each distinct cover key exactly once a part.
-
-        The batch is prepared first; the union of the cover keys of what the
-        result cache cannot answer is deduplicated and fetched into a memo
-        (one fetch through the posting cache -- hence at most one B+Tree
-        descent per source -- per distinct key and part),
-        every query joins the parts it missed once against the shared memo,
-        and identical queries share one join.  Results keep the input order;
-        each result's ``stats.elapsed_seconds`` covers only its own join,
-        since the prepare/fetch work is shared by the whole batch (time the
-        ``run_many`` call itself for batch totals).
-        """
-        if not obs.enabled():
-            return self._run_many_impl(queries)
-        with obs.trace("batch", flavor=self.index.flavor, queries=len(queries)) as span:
-            results = self._run_many_impl(queries)
-            span.set(matches=sum(result.total_matches for result in results))
-            return results
-
-    def _run_many_impl(self, queries: Sequence[QueryLike]) -> List[QueryResult]:
-        parts = self.index.snapshot.parts
-        prepared_batch = [self.prepare(query) for query in queries]
-        cached = [
-            [_cached(self._result_cache, prepared.normalized, part, _without) for part in parts]
-            for prepared in prepared_batch
-        ]
-        obs.annotate(result_cache_hits=sum(hit is not None for row in cached for hit in row))
-
-        memo: Dict[Tuple[bytes, object], PostingColumns] = {}
-        for prepared, row in zip(prepared_batch, cached):
-            for part, hit in zip(parts, row):
-                for key in prepared.key_bytes if hit is None else ():
-                    if (key, part.key) not in memo:
-                        memo[key, part.key] = self._postings(part, key)
-
-        results: List[QueryResult] = []
-        computed: Dict[str, QueryResult] = {}  # a join runs once per distinct query
-        total_keys = 0
-        for prepared, row in zip(prepared_batch, cached):
-            missed = [part for part, hit in zip(parts, row) if hit is None]
-            total_keys += len(prepared.key_bytes) * len(missed)
-            answer = computed.get(prepared.normalized)
-            if answer is None:
-                joined = None
-                if missed:
-                    postings = [
-                        merge_columns([memo[key, part.key] for part in missed]) for key in prepared.key_bytes
-                    ]
-                    joined = self._execute_prepared(prepared, postings, time.perf_counter())
-                answer = computed[prepared.normalized] = self._answer(prepared, parts, row, joined)
-            results.append(answer)
-        self._queries += len(prepared_batch)
-        self._batches += 1
-        self._batch_keys_deduped += total_keys - len(memo)
-        return results
 
     # ------------------------------------------------------------------
     # Introspection and maintenance

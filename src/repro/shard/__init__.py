@@ -1,10 +1,9 @@
 """Horizontal partitioning of the subtree index by tree id.
 
-* :mod:`repro.shard.partitioner` -- the tid -> shard policies
-  (``round-robin`` and stable-``hash``).
-* :mod:`repro.shard.builder` -- parallel shard construction via
-  ``ProcessPoolExecutor`` (one ``write_segment`` per shard), published by
-  one ``Manifest.commit``.
+:mod:`repro.shard.builder` deals the trees over the shards by a stable hash
+of the tid (:func:`repro.core.segments.hash_shard`) and builds the shards in
+parallel via ``ProcessPoolExecutor`` (one ``write_segment`` per shard),
+published by one ``Manifest.commit``.
 
 What a sharded build writes is a *frozen segment set*: its manifest
 (:mod:`repro.core.manifest`) records the partitioner, and
@@ -16,21 +15,9 @@ over it as over any other index.
 """
 
 from repro.shard.builder import build_sharded, default_worker_count, partition_corpus
-from repro.shard.partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
-    get_partitioner,
-    partitioner_names,
-)
 
 __all__ = [
     "build_sharded",
     "partition_corpus",
     "default_worker_count",
-    "Partitioner",
-    "RoundRobinPartitioner",
-    "HashPartitioner",
-    "get_partitioner",
-    "partitioner_names",
 ]

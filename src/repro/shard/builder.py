@@ -4,8 +4,8 @@ The build partitions the corpus by tree id, hands each shard's trees to a
 worker and writes one ``SubtreeIndex`` + ``TreeStore`` pair per shard through
 the one segment writer (:func:`repro.core.segments.write_segment`, which
 fsyncs both files), then commits them as a live index commits a compaction:
-:meth:`repro.core.manifest.Manifest.commit` puts the manifest (the
-partitioner recorded in it) over the old one in a single rename and only then
+:meth:`repro.core.manifest.Manifest.commit` puts the manifest (``hash``, the
+partitioner, recorded in it) over the old one in a single rename and only then
 removes the files the replaced manifest listed and the new one does not.  A
 rebuild bumps the epoch and names its files after it, so until that rename
 the old manifest's files stay as they were; a build that fails removes what
@@ -34,8 +34,7 @@ from repro.core.index import accumulate_posting_lists, encode_posting_lists
 from repro.core.manifest import (
     MANIFEST_SUFFIX, Manifest, ManifestError, SegmentEntry, UnsyncedCommit, segment_file_names,
 )
-from repro.core.segments import write_segment
-from repro.shard.partitioner import Partitioner, get_partitioner
+from repro.core.segments import HASH_PARTITIONER, hash_shard, write_segment
 from repro.trees.node import ParseTree
 from repro.trees.penn import scan_penn, to_penn
 
@@ -70,19 +69,16 @@ def default_worker_count(shard_count: int) -> int:
     return max(1, min(shard_count, os.cpu_count() or 1))
 
 
-def partition_corpus(
-    trees: Iterable[ParseTree],
-    partitioner: Partitioner,
-) -> List[List[ParseTree]]:
-    """Split *trees* into per-shard lists.
+def partition_corpus(trees: Iterable[ParseTree], shards: int) -> List[List[ParseTree]]:
+    """Split *trees* into per-shard lists, dealt by :func:`hash_shard`.
 
     Trees arrive in corpus order and each shard receives its subset in that
     same order, so per-shard posting lists stay ascending in tid -- the
     invariant the query-time merge relies on.
     """
-    per_shard: List[List[ParseTree]] = [[] for _ in range(partitioner.shard_count)]
+    per_shard: List[List[ParseTree]] = [[] for _ in range(shards)]
     for tree in trees:
-        per_shard[partitioner.assign(tree.tid)].append(tree)
+        per_shard[hash_shard(tree.tid, shards)].append(tree)
     return per_shard
 
 
@@ -93,23 +89,18 @@ def build_sharded(
     path: str,
     shards: int,
     workers: Optional[int] = None,
-    partitioner: str | Partitioner = "hash",
 ) -> str:
     """Build a sharded index at manifest *path*; returns the manifest path.
 
     *path* is the manifest file; :data:`MANIFEST_SUFFIX` is appended when
     missing so ``corpus.si`` becomes ``corpus.si.manifest.json``.  Shard
     files are written next to it.  *workers* defaults to one process per
-    shard capped at the core count; ``workers=1`` builds inline.
+    shard capped at the core count; ``workers=1`` builds inline.  Each tree
+    goes to the shard :func:`~repro.core.segments.hash_shard` deals it to.
     """
     coding_name = coding if isinstance(coding, str) else coding.name
-    if isinstance(partitioner, str):
-        partitioner = get_partitioner(partitioner, shards)
-    elif partitioner.shard_count != shards:
-        raise ValueError(
-            f"partitioner is sized for {partitioner.shard_count} shards, "
-            f"but {shards} shards were requested"
-        )
+    if shards < 1:
+        raise ValueError(f"shard count must be at least 1, got {shards}")
     if workers is None:
         workers = default_worker_count(shards)
     if workers < 1:
@@ -122,7 +113,7 @@ def build_sharded(
         epoch = Manifest.load(path).epoch + 1
     except ManifestError:
         epoch = 0
-    per_shard = partition_corpus(trees, partitioner)
+    per_shard = partition_corpus(trees, shards)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     jobs: List[_ShardJob] = [
@@ -143,7 +134,7 @@ def build_sharded(
             next_tid=max((shard[-1].tid for shard in per_shard if shard), default=-1) + 1,
             next_segment_id=shards,
             segments=entries,
-            partitioner=partitioner.name,
+            partitioner=HASH_PARTITIONER,
             build_seconds=time.perf_counter() - started,
         )
         manifest.commit(path)

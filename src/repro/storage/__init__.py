@@ -15,10 +15,8 @@ than fetching it (see :mod:`repro.storage.pager`):
 
 from repro.storage.bptree import BPlusTree
 from repro.storage.codec import (
-    decode_uint32_list,
     decode_varint,
     decode_varint_run,
-    encode_uint32_list,
     encode_varint,
 )
 from repro.storage.pager import PAGE_SIZE, Pager
@@ -30,6 +28,4 @@ __all__ = [
     "encode_varint",
     "decode_varint",
     "decode_varint_run",
-    "encode_uint32_list",
-    "decode_uint32_list",
 ]

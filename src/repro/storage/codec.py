@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from itertools import chain
 from operator import sub
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 _UINT32 = struct.Struct("<I")
 
@@ -129,18 +129,6 @@ def delta_gaps(sorted_values: Sequence[int]) -> List[int]:
     if min(gaps, default=0) < 0:
         raise ValueError("delta encoding requires a non-decreasing sequence")
     return gaps
-
-
-def encode_uint32_list(values: Iterable[int]) -> bytes:
-    """Encode integers as fixed-width little-endian uint32 (page pointers)."""
-    return b"".join(_UINT32.pack(value) for value in values)
-
-
-def decode_uint32_list(data: bytes) -> List[int]:
-    """Decode a byte string of packed uint32 values."""
-    if len(data) % 4:
-        raise ValueError("uint32 list payload must be a multiple of 4 bytes")
-    return [_UINT32.unpack_from(data, offset)[0] for offset in range(0, len(data), 4)]
 
 
 def encode_length_prefixed(payload: bytes) -> bytes:

@@ -17,20 +17,18 @@ This package provides the substrate every other layer builds on:
 """
 
 from repro.trees.node import Node, ParseTree
-from repro.trees.penn import parse_penn, parse_penn_corpus, to_penn
+from repro.trees.penn import parse_penn, to_penn
 from repro.trees.numbering import IntervalCode, number_tree
-from repro.trees.matching import count_matches, find_matches, tree_matches_query
+from repro.trees.matching import count_matches, find_matches
 from repro.trees.stats import TreeShapeStats, corpus_stats, tree_stats
 
 __all__ = [
     "Node",
     "ParseTree",
     "parse_penn",
-    "parse_penn_corpus",
     "to_penn",
     "IntervalCode",
     "number_tree",
-    "tree_matches_query",
     "find_matches",
     "count_matches",
     "TreeShapeStats",

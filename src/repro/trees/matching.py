@@ -109,12 +109,6 @@ def count_matches(query: QueryLike, tree: ParseTree | Node) -> int:
     return len(find_matches(query, tree))
 
 
-def tree_matches_query(query: QueryLike, tree: ParseTree | Node) -> bool:
-    """``True`` when *query* matches *tree* at least once."""
-    root = tree.root if isinstance(tree, ParseTree) else tree
-    return any(_match_at(query, node) for node in root.preorder())
-
-
 # Nothing in the package calls this: it is the brute-force oracle the tests
 # hold every executor, flavor and coding to.
 def match_corpus(query: QueryLike, trees: Sequence[ParseTree]) -> Dict[int, int]:

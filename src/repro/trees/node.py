@@ -83,12 +83,6 @@ class Node:
             yield node
             stack.extend(reversed(node.children))
 
-    def postorder(self) -> Iterator["Node"]:
-        """Yield the nodes of this subtree in post-order."""
-        for child in self.children:
-            yield from child.postorder()
-        yield self
-
     def leaves(self) -> Iterator["Node"]:
         """Yield the leaf nodes of this subtree, left to right."""
         for node in self.preorder():

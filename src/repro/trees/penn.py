@@ -17,9 +17,9 @@ is all an index needs of a tree; :func:`parse_penn` builds the nodes from it.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, List, Tuple
+from typing import List, Tuple
 
-from repro.trees.node import Node, ParseTree
+from repro.trees.node import Node
 
 _UNWRITABLE = re.compile(r"[\s()]")  # what a label must not hold to be one Penn token
 
@@ -148,21 +148,6 @@ def parse_penn(text: str) -> Node:
             for child in node.children:
                 child.parent = node
     return nodes[0]
-
-
-def parse_penn_corpus(lines: Iterable[str], start_tid: int = 0) -> Iterator[ParseTree]:
-    """Parse an iterable of bracketed tree strings into :class:`ParseTree` objects.
-
-    Blank lines and lines starting with ``#`` are skipped.  Tree identifiers
-    are assigned sequentially starting at *start_tid*.
-    """
-    tid = start_tid
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield ParseTree(parse_penn(stripped), tid=tid)
-        tid += 1
 
 
 def to_penn(node: Node, pretty: bool = False, _indent: int = 0) -> str:

@@ -9,7 +9,7 @@
   matches (the bins of Figure 11) and by query size (Figure 12).
 """
 
-from repro.workloads.binning import MATCH_BINS, bin_for_match_count, group_by_match_bin, group_by_query_size
+from repro.workloads.binning import MATCH_BINS, bin_for_match_count, group_by_query_size
 from repro.workloads.fb import FBQuery, FBQuerySet, FREQUENCY_CLASSES, generate_fb_queries
 from repro.workloads.wh import WHQuery, WH_GROUPS, generate_wh_queries
 
@@ -23,6 +23,5 @@ __all__ = [
     "generate_fb_queries",
     "MATCH_BINS",
     "bin_for_match_count",
-    "group_by_match_bin",
     "group_by_query_size",
 ]

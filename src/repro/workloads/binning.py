@@ -32,16 +32,6 @@ def bin_for_match_count(match_count: int) -> str:
     return MATCH_BINS[-1][0]  # pragma: no cover - unreachable
 
 
-def group_by_match_bin(
-    entries: Iterable[Tuple[int, float]]
-) -> Dict[str, List[float]]:
-    """Group ``(match_count, runtime)`` pairs into the Figure 11 bins."""
-    grouped: Dict[str, List[float]] = defaultdict(list)
-    for match_count, runtime in entries:
-        grouped[bin_for_match_count(match_count)].append(runtime)
-    return dict(grouped)
-
-
 def group_by_query_size(
     entries: Iterable[Tuple[int, int, float]],
     min_matches: int = 100,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import decode_key
-from repro.core.stats import IndexStats, count_postings, count_unique_keys
+from repro.core.stats import count_postings, count_unique_keys
 from repro.corpus.store import Corpus
 from repro.trees.node import ParseTree, build_tree
 
@@ -182,13 +182,6 @@ class TestCounts:
     def test_key_count_matches_iteration(self, tmp_path, mini_corpus: Corpus) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=3, coding="filter", path=str(tmp_path / "i.si"))
         assert sum(1 for _ in index.items()) == index.key_count
-
-    def test_stats_of(self, tmp_path, mini_corpus: Corpus) -> None:
-        index = SubtreeIndex.build(mini_corpus, mss=2, coding="filter", path=str(tmp_path / "i.si"))
-        stats = IndexStats.of(index)
-        assert stats.size_bytes == index.size_bytes()
-        assert stats.key_count == index.key_count
-        assert stats.coding == "filter"
 
     def test_count_unique_keys_monotone_in_mss(self, mini_corpus: Corpus) -> None:
         counts = count_unique_keys(mini_corpus, [1, 2, 3, 4])

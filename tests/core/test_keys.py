@@ -9,7 +9,6 @@ from repro.core.keys import (
     KeyFormatError,
     canonical_key,
     decode_key,
-    key_from_node,
 )
 from repro.trees.node import Node, build_tree
 
@@ -59,19 +58,11 @@ class TestSubtreeKey:
         original = b"S(NP(DT)(NN))(VP(VBZ))"
         assert decode_key(original).encode() == original
 
-    def test_to_node(self) -> None:
-        node = decode_key(b"NP(DT)(NN)").to_node()
-        assert node.label == "NP"
-        assert node.size() == 3
-
     @pytest.mark.parametrize("bad", [b"", b"(", b"A(", b"A(B", b"A()", b"A(B))", b"A)B"])
     def test_malformed_keys_rejected(self, bad: bytes) -> None:
         with pytest.raises(KeyFormatError):
             decode_key(bad)
 
-    def test_key_from_node_matches_canonical_key(self) -> None:
-        tree = build_tree(("S", [("VP", ["VBZ"]), ("NP", ["DT", "NN"])]))
-        assert key_from_node(tree).encode() == canonical_key(tree)[0]
 
 
 # ----------------------------------------------------------------------

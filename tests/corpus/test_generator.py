@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from repro.corpus.generator import CorpusGenerator, generate_corpus
+from repro.corpus.generator import CorpusGenerator
 from repro.corpus.grammar import Grammar, Production, Vocabulary, default_grammar
 from repro.trees.penn import parse_penn, to_penn
 from repro.trees.stats import corpus_stats
@@ -51,17 +51,17 @@ class TestGrammar:
 
 class TestGenerator:
     def test_deterministic_for_seed(self) -> None:
-        first = [to_penn(tree.root) for tree in generate_corpus(10, seed=42)]
-        second = [to_penn(tree.root) for tree in generate_corpus(10, seed=42)]
+        first = [to_penn(tree.root) for tree in CorpusGenerator(seed=42).generate_list(10)]
+        second = [to_penn(tree.root) for tree in CorpusGenerator(seed=42).generate_list(10)]
         assert first == second
 
     def test_different_seeds_differ(self) -> None:
-        first = [to_penn(tree.root) for tree in generate_corpus(10, seed=1)]
-        second = [to_penn(tree.root) for tree in generate_corpus(10, seed=2)]
+        first = [to_penn(tree.root) for tree in CorpusGenerator(seed=1).generate_list(10)]
+        second = [to_penn(tree.root) for tree in CorpusGenerator(seed=2).generate_list(10)]
         assert first != second
 
     def test_tids_are_sequential(self) -> None:
-        trees = generate_corpus(5, seed=0)
+        trees = CorpusGenerator(seed=0).generate_list(5)
         assert [tree.tid for tree in trees] == [0, 1, 2, 3, 4]
 
     def test_root_wrapping(self) -> None:
@@ -78,12 +78,12 @@ class TestGenerator:
         assert sum(5 <= length <= 30 for length in lengths) >= 45
 
     def test_output_is_valid_penn(self) -> None:
-        for tree in generate_corpus(20, seed=9):
+        for tree in CorpusGenerator(seed=9).generate_list(20):
             round_tripped = parse_penn(to_penn(tree.root))
             assert round_tripped.structurally_equal(tree.root)
 
     def test_shape_statistics_match_paper(self) -> None:
-        stats = corpus_stats(generate_corpus(200, seed=13))
+        stats = corpus_stats(CorpusGenerator(seed=13).generate_list(200))
         assert 1.2 <= stats.avg_branching_factor <= 2.0
         assert stats.avg_tree_size >= 15
         assert stats.max_branching <= 15

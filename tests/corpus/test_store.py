@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.corpus.generator import generate_corpus
+from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore
 from repro.trees.node import ParseTree
 from repro.trees.penn import parse_penn
@@ -24,21 +24,21 @@ class TestCorpus:
             corpus.add(ParseTree(parse_penn("(NP (NN b))"), tid=5))
 
     def test_get_and_contains(self) -> None:
-        corpus = Corpus(generate_corpus(5, seed=0))
+        corpus = Corpus(CorpusGenerator(seed=0).generate_list(5))
         assert 3 in corpus
         assert corpus.get(3).tid == 3
         with pytest.raises(KeyError):
             corpus.get(99)
 
     def test_round_trip_through_penn_lines(self) -> None:
-        corpus = Corpus(generate_corpus(8, seed=1))
+        corpus = Corpus(CorpusGenerator(seed=1).generate_list(8))
         rebuilt = Corpus.from_penn_lines(corpus.to_penn_lines())
         assert len(rebuilt) == len(corpus)
         for original, copy in zip(corpus, rebuilt):
             assert original.root.structurally_equal(copy.root)
 
     def test_save_and_load(self, tmp_path) -> None:
-        corpus = Corpus(generate_corpus(6, seed=2))
+        corpus = Corpus(CorpusGenerator(seed=2).generate_list(6))
         path = tmp_path / "corpus.penn"
         corpus.save(path)
         loaded = Corpus.load(path)
@@ -46,7 +46,7 @@ class TestCorpus:
         assert loaded.get(0).root.structurally_equal(corpus.get(0).root)
 
     def test_total_nodes(self) -> None:
-        corpus = Corpus(generate_corpus(4, seed=3))
+        corpus = Corpus(CorpusGenerator(seed=3).generate_list(4))
         assert corpus.total_nodes() == sum(tree.size() for tree in corpus)
 
 
@@ -66,7 +66,7 @@ class TestTreeStore:
 
     def test_build_and_reopen(self, tmp_path) -> None:
         path = tmp_path / "data.bin"
-        corpus = generate_corpus(10, seed=4)
+        corpus = CorpusGenerator(seed=4).generate_list(10)
         store = TreeStore.build(path, corpus)
         store.close()
         reopened = TreeStore(path)
@@ -90,7 +90,7 @@ class TestTreeStore:
 
 class TestTreeStoreIteration:
     def test_iter_streams_in_file_order(self, tmp_path) -> None:
-        corpus = generate_corpus(12, seed=6)
+        corpus = CorpusGenerator(seed=6).generate_list(12)
         store = TreeStore.build(tmp_path / "data.bin", corpus)
         streamed = list(store)
         assert [tree.tid for tree in streamed] == store.tids()
@@ -98,7 +98,7 @@ class TestTreeStoreIteration:
             assert streamed_tree.root.structurally_equal(original.root)
 
     def test_iter_matches_get(self, tmp_path) -> None:
-        corpus = generate_corpus(8, seed=7)
+        corpus = CorpusGenerator(seed=7).generate_list(8)
         store = TreeStore.build(tmp_path / "data.bin", corpus)
         via_get = [store.get(tid) for tid in store.tids()]
         via_iter = list(store)
@@ -108,7 +108,7 @@ class TestTreeStoreIteration:
         assert list(TreeStore(tmp_path / "data.bin")) == []
 
     def test_iter_does_not_disturb_random_access(self, tmp_path) -> None:
-        corpus = generate_corpus(6, seed=8)
+        corpus = CorpusGenerator(seed=8).generate_list(6)
         store = TreeStore.build(tmp_path / "data.bin", corpus)
         iterator = iter(store)
         next(iterator)

@@ -20,7 +20,8 @@ below a ``//`` edge (ROADMAP item 4).
 
 The third property takes the first one's queries to every *shape* an index
 has: one index file and its data file opened as the set of one, the corpus
-split over one to three shards by either partitioner, or laid out as a live
+split over one to three shards -- read routed by the hash deal, or with the
+manifest relabelled to name another partitioner, by asking every shard -- or laid out as a live
 index -- base segments, a delta, tombstones, compacted or not -- under all
 three codings, through ``QueryService``.  The fourth
 keeps one warm ``QueryService`` per coding over a live index and queries it
@@ -31,8 +32,10 @@ would show.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -265,13 +268,16 @@ def _plain(data, trees: List[ParseTree], mss: int, coding: str, path: str):
 
 
 def _sharded(data, trees: List[ParseTree], mss: int, coding: str, path: str):
-    """The corpus over 1-3 shards; returns ``(index, tombstoned tids)``."""
-    index = SegmentSet.open(build_sharded(
-        trees, mss, coding, path, workers=1,
-        shards=data.draw(st.integers(min_value=1, max_value=3), label="shards"),
-        partitioner=data.draw(st.sampled_from(["hash", "round-robin"]), label="partitioner"),
-    ))
-    return index, set()
+    """The corpus over 1-3 shards, its manifest naming the ``hash`` deal or
+    relabelled to another policy; returns ``(index, tombstoned tids)``."""
+    shards = data.draw(st.integers(min_value=1, max_value=3), label="shards")
+    manifest_path = build_sharded(trees, mss, coding, path, shards=shards, workers=1)
+    partitioner = data.draw(st.sampled_from(["hash", "round-robin"]), label="partitioner")
+    if partitioner != "hash":
+        payload = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        payload["partitioner"] = partitioner
+        Path(manifest_path).write_text(json.dumps(payload), encoding="utf-8")
+    return SegmentSet.open(manifest_path), set()
 
 
 def _live(data, trees: List[ParseTree], mss: int, coding: str, path: str):

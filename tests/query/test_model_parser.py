@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.query.model import QueryNode, has_duplicate_siblings, query_from_tree
+from repro.query.model import QueryNode, QueryTree, has_duplicate_siblings, query_from_node
 from repro.query.parser import QuerySyntaxError, parse_query
 from repro.trees.node import build_tree
 
@@ -43,7 +43,7 @@ class TestQueryModel:
 
     def test_query_from_node(self) -> None:
         data = build_tree(("NP", [("DT", ["the"]), ("NN", ["dog"])]))
-        query = query_from_tree(data)
+        query = QueryTree(query_from_node(data))
         assert query.size() == 5
         assert all(axis == "/" for _, _, axis in query.edges())
 

@@ -38,7 +38,8 @@ def service(index_path):
 
 
 class HeldMisses(QueryService):
-    """A real QueryService whose uncached executions wait for a gate."""
+    """A real QueryService whose joins -- of a ``run`` or of a batch's
+    queries -- wait for a gate."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -46,11 +47,11 @@ class HeldMisses(QueryService):
         self.gate.set()
         self.held = 0
 
-    def _execute_uncached(self, prepared, parts):
+    def _execute_prepared(self, prepared, postings, started):
         if not self.gate.is_set():
-            self.held += 1  # executions the gate has stopped, not warm-up runs
+            self.held += 1  # joins the gate has stopped, not warm-up runs
         assert self.gate.wait(30.0), "the test never opened the gate"
-        return super()._execute_uncached(prepared, parts)
+        return super()._execute_prepared(prepared, postings, started)
 
 
 @pytest.fixture()

@@ -101,6 +101,36 @@ def test_resident_batch_is_answered_on_the_loop_and_one_miss_sends_it_to_the_poo
         batch_sock.close()
 
 
+def test_a_batch_of_misses_is_held_like_a_query(held_service, start_server) -> None:
+    # A batch joins through the one path a query does, so the gate holds it:
+    # its first join keeps the one worker while a hit is answered on the loop.
+    expected = held_service.run(HIT).total_matches  # now resident
+    thread = start_server(service_override=held_service, max_workers=1, max_queue=4)
+    held_service.gate.clear()
+    batch_sock, hit_sock = connect(thread.port), connect(thread.port)
+    try:
+        _post_batch(batch_sock, MISSES[:2])
+        wait_for(lambda: held_service.held == 1)  # the batch's first join is held
+        _post_query(hit_sock, HIT)
+        response = read_http_response(hit_sock, timeout=5.0)
+        assert response is not None and response.status == 200
+        assert response.json()["result"]["total_matches"] == expected
+        assert not held_service.gate.is_set()  # answered before the gate opened
+        assert thread.server.metrics.query_answers == {"loop": 1, "pool": 0}
+        held_service.gate.set()
+        response = read_http_response(batch_sock, timeout=10.0)
+        assert response is not None and response.status == 200
+        assert [item["result"]["total_matches"] for item in response.json()["results"]] == [
+            held_service.run(text).total_matches for text in MISSES[:2]
+        ]
+        assert held_service.held == 1 and held_service.stats().batches == 1
+        assert thread.server.metrics.query_answers == {"loop": 1, "pool": 1}
+    finally:
+        held_service.gate.set()
+        batch_sock.close()
+        hit_sock.close()
+
+
 def test_hit_takes_no_queue_slot(held_service, start_server) -> None:
     expected = held_service.run(HIT).total_matches
     thread = start_server(service_override=held_service, max_workers=1, max_queue=2)

@@ -170,6 +170,18 @@ def test_conflicting_content_lengths_are_a_400(start_server, service) -> None:
     assert response.json()["result"]["total_matches"] == service.run(QUERIES[0]).total_matches
 
 
+def test_a_superscript_content_length_is_a_400(start_server, service) -> None:
+    # '\xb2' is '²' in the Latin-1 head: a digit to str.isdigit, not to
+    # int(), whose ValueError killed the connection without a response.
+    thread = start_server()
+    for digit in (b"\xb2", b"\xb3", b"\xb9", b"1\xb2"):
+        response = _fire(thread.port, b"POST /query HTTP/1.1\r\nContent-Length: " + digit + b"\r\n\r\nxx")
+        assert response is not None and response.status == 400
+        assert "Content-Length" in response.json()["error"]
+    assert thread.server._server_errors == 0
+    assert thread.server.metrics.protocol_errors == 4
+
+
 def test_header_limit_counts_header_lines_to_the_byte(start_server) -> None:
     thread = start_server(max_header_bytes=1024)
     for line_end in (b"\r\n", b"\n"):

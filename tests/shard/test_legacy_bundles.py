@@ -18,12 +18,11 @@ from typing import Iterator, List
 import pytest
 
 from repro.core.index import SubtreeIndex
-from repro.core.segments import SegmentSet
+from repro.core.segments import SegmentSet, hash_shard
 from repro.corpus.generator import CorpusGenerator
 from repro.exec.executor import QueryExecutor
 from repro.service.service import QueryService
 from repro.shard import build_sharded
-from repro.shard.partitioner import HashPartitioner
 from repro.trees.node import ParseTree
 from repro.workloads.wh import generate_wh_queries
 from tests.core.fsynckit import file_states
@@ -37,7 +36,8 @@ def _corpus() -> List[ParseTree]:
 
 
 def build_fixtures(directory: str) -> None:
-    """What wrote ``data/`` (at PR 21's commit; see the module docstring)."""
+    """What wrote ``data/`` (at PR 21's commit, whose ``build_sharded`` took
+    a ``partitioner=``; see the module docstring)."""
     for name, (partitioner, shards) in BUNDLES.items():
         path = os.path.join(directory, name[: -len(".manifest.json")])
         build_sharded(_corpus(), 3, "root-split", path, shards=shards, workers=1, partitioner=partitioner)
@@ -95,7 +95,7 @@ def test_locate_routes_under_hash_and_asks_everyone_under_round_robin(legacy) ->
     with SegmentSet.open(str(legacy / "hash2.si.manifest.json")) as hashed:
         for tid in range(60):
             position = hashed.locate(tid)
-            assert position == HashPartitioner(2).locate(tid)
+            assert position == hash_shard(tid, 2)
             assert tid in hashed.segments[position].store
             assert hashed.store.get(tid).tid == tid
     with SegmentSet.open(str(legacy / "rr3.si.manifest.json")) as dealt:

@@ -1,71 +1,31 @@
-"""Unit tests for the tid -> shard partitioning policies."""
+"""Unit tests for the one tid -> shard deal, a stable crc32 of the tid."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.shard.partitioner import (
-    HashPartitioner,
-    RoundRobinPartitioner,
-    get_partitioner,
-    partitioner_names,
-)
-
-
-class TestRoundRobin:
-    def test_deals_in_arrival_order(self) -> None:
-        partitioner = RoundRobinPartitioner(3)
-        assigned = [partitioner.assign(tid) for tid in (10, 99, 5, 7, 0, 42)]
-        assert assigned == [0, 1, 2, 0, 1, 2]
-
-    def test_balances_any_tid_distribution(self) -> None:
-        partitioner = RoundRobinPartitioner(4)
-        counts = [0, 0, 0, 0]
-        for tid in range(0, 1000, 7):  # deliberately gappy tids
-            counts[partitioner.assign(tid)] += 1
-        assert max(counts) - min(counts) <= 1
-
-    def test_locate_is_unknown(self) -> None:
-        partitioner = RoundRobinPartitioner(3)
-        partitioner.assign(5)
-        assert partitioner.locate(5) is None
+from repro.core.segments import hash_shard
+from repro.shard import build_sharded
 
 
 class TestHash:
     def test_assign_is_deterministic_and_in_range(self) -> None:
-        first = HashPartitioner(4)
-        second = HashPartitioner(4)
         for tid in range(200):
-            shard = first.assign(tid)
+            shard = hash_shard(tid, 4)
             assert 0 <= shard < 4
-            assert second.assign(tid) == shard
+            assert hash_shard(tid, 4) == shard
 
-    def test_locate_matches_assign(self) -> None:
-        partitioner = HashPartitioner(8)
-        assert all(partitioner.locate(tid) == partitioner.assign(tid) for tid in range(100))
+    def test_pinned_values(self) -> None:
+        # Stable across processes and Python versions: committed bundles
+        # (tests/shard/data/) were dealt by it.
+        assert [hash_shard(tid, 4) for tid in range(8)] == [1, 3, 0, 2, 3, 1, 2, 0]
 
     def test_spreads_sequential_tids(self) -> None:
-        partitioner = HashPartitioner(4)
         counts = [0, 0, 0, 0]
         for tid in range(400):
-            counts[partitioner.assign(tid)] += 1
+            counts[hash_shard(tid, 4)] += 1
         assert min(counts) > 0  # no empty shard on a sequential corpus
 
-
-class TestRegistry:
-    def test_names(self) -> None:
-        assert partitioner_names() == ["hash", "round-robin"]
-
-    @pytest.mark.parametrize("name", ["hash", "round-robin"])
-    def test_get(self, name) -> None:
-        partitioner = get_partitioner(name, 5)
-        assert partitioner.name == name
-        assert partitioner.shard_count == 5
-
-    def test_unknown_name(self) -> None:
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            get_partitioner("alphabetical", 2)
-
-    def test_bad_shard_count(self) -> None:
+    def test_bad_shard_count(self, tmp_path, tiny_corpus) -> None:
         with pytest.raises(ValueError, match="shard count"):
-            get_partitioner("hash", 0)
+            build_sharded(tiny_corpus, 2, "root-split", str(tmp_path / "none.si"), shards=0)

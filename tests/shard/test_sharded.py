@@ -2,7 +2,8 @@
 
 The heart of this module is the merge-correctness property: for every
 workload query (the full WH set plus a generated FB set) and every coding
-scheme, a 4-shard index -- under either partitioner -- must return
+scheme, a 4-shard index -- read routed by the hash deal, or with its
+manifest naming another partitioner, by asking every shard -- must return
 *byte-identical, tid-ordered* results to a single monolithic index over the
 same corpus, through ``QueryExecutor`` and through ``QueryService``: both
 read the shards' posting lists merged column-wise below ``lookup``.
@@ -18,7 +19,7 @@ import pytest
 
 from repro.core.index import SubtreeIndex
 from repro.core.manifest import ManifestError
-from repro.core.segments import SegmentSet
+from repro.core.segments import SegmentSet, hash_shard
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus, TreeStore, data_file_path
 from repro.exec.executor import QueryExecutor
@@ -32,6 +33,15 @@ from tests.core.fsynckit import assert_committed_durably, needs_proc_fd, record_
 CODINGS = ("filter", "root-split", "subtree-interval")
 MSS = 3
 SHARDS = 4
+
+
+def relabel(manifest_path: str, partitioner: str) -> str:
+    """Make a hash build's manifest name *partitioner* instead: the trees stay
+    where the hash dealt them, and a reader can no longer route a tid."""
+    payload = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    payload["partitioner"] = partitioner
+    Path(manifest_path).write_text(json.dumps(payload), encoding="utf-8")
+    return manifest_path
 
 
 # ----------------------------------------------------------------------
@@ -68,12 +78,13 @@ def indexes(workdir, small_corpus):
 
 @pytest.fixture(scope="module")
 def round_robin(workdir, small_corpus):
-    """``coding -> sharded index`` under the positional partitioner."""
+    """``coding -> sharded index`` whose manifest names the ``round-robin``
+    partitioner of old builds: read by asking every shard."""
     built = {
-        coding: SegmentSet.open(build_sharded(
+        coding: SegmentSet.open(relabel(build_sharded(
             small_corpus, mss=MSS, coding=coding, path=str(workdir / f"rr-{coding}.si"),
-            shards=SHARDS, workers=1, partitioner="round-robin",
-        ))
+            shards=SHARDS, workers=1,
+        ), "round-robin"))
         for coding in CODINGS
     }
     yield built
@@ -133,21 +144,19 @@ class TestBuild:
         assert sharded.posting_count == sum(e.posting_count for e in manifest.segments)
         assert sharded.mss == MSS
 
-    def test_round_robin_partitioner(self, tmp_path, tiny_corpus) -> None:
-        sharded = SegmentSet.open(build_sharded(
-            tiny_corpus,
-            mss=2,
-            coding="root-split",
-            path=str(tmp_path / "rr.si"),
-            shards=3,
-            workers=1,
-            partitioner="round-robin",
-        ))
-        sizes = [len(shard.store) for shard in sharded.segments]
-        assert max(sizes) - min(sizes) <= 1  # perfectly balanced
-        assert sharded.locate(0) is None  # positional policy: not derivable
-        assert 0 in sharded.store  # membership probing still routes
-        sharded.close()
+    def test_a_manifest_naming_another_partitioner_asks_every_shard(self, tmp_path, tiny_corpus) -> None:
+        path = build_sharded(
+            tiny_corpus, mss=2, coding="root-split", path=str(tmp_path / "rr.si"), shards=3, workers=1
+        )
+        with SegmentSet.open(path) as hashed:
+            assert hashed.manifest.partitioner == "hash" and hashed.locate(0) == hash_shard(0, 3)
+            expected = QueryExecutor(hashed).execute(parse_query("NP(DT)(NN)"))
+        for name in ("round-robin", "alphabetical"):
+            with SegmentSet.open(relabel(path, name)) as sharded:
+                assert sharded.manifest.partitioner == name
+                assert {sharded.locate(tid) for tid in tiny_corpus.tids()} == {None}  # ask every shard
+                assert [sharded.store.get(tid).tid for tid in tiny_corpus.tids()] == tiny_corpus.tids()
+                assert QueryExecutor(sharded).execute(parse_query("NP(DT)(NN)")) == expected
 
     def test_process_pool_build_matches_inline(self, tmp_path, tiny_corpus) -> None:
         """A worker writes the records it was sent; its shards are the inline
@@ -287,11 +296,11 @@ class TestCommit:
 
     def test_the_manifest_records_what_the_builder_knows(self, tmp_path, tiny_corpus) -> None:
         manifest_path = build_sharded(
-            tiny_corpus, 2, "root-split", str(tmp_path / "m.si"), 2, workers=1, partitioner="round-robin"
+            tiny_corpus, 2, "root-split", str(tmp_path / "m.si"), 2, workers=1
         )
         with SegmentSet.open(manifest_path) as sharded:
             manifest = sharded.manifest
-            assert (manifest.partitioner, manifest.epoch, manifest.next_segment_id) == ("round-robin", 0, 2)
+            assert (manifest.partitioner, manifest.epoch, manifest.next_segment_id) == ("hash", 0, 2)
             assert manifest.next_tid == max(tiny_corpus.tids()) + 1 and manifest.build_seconds > 0
             for shard in sharded.segments:
                 tids = shard.store.tids()

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage.codec import (
-    decode_uint32_list,
     decode_varint,
     decode_varint_list,
     decode_varint_run,
     delta_gaps,
     encode_length_prefixed,
-    encode_uint32_list,
     encode_varint,
     encode_varint_list,
     varint_size,
@@ -139,14 +137,6 @@ class TestDeltaList:
 
 
 class TestOtherCodecs:
-    def test_uint32_round_trip(self) -> None:
-        values = [0, 1, 2**31, 2**32 - 1]
-        assert decode_uint32_list(encode_uint32_list(values)) == values
-
-    def test_uint32_bad_length(self) -> None:
-        with pytest.raises(ValueError):
-            decode_uint32_list(b"\x01\x02\x03")
-
     @given(st.binary(max_size=200))
     def test_length_prefixed_property(self, payload: bytes) -> None:
         length, offset = decode_varint(encode_length_prefixed(payload), 0)

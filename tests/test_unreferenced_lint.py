@@ -1,7 +1,8 @@
 """The CI lint step *Nothing unreferenced*, run as CI runs it.
 
 The step fails when a def or class in ``src/`` is referenced nowhere in
-``src/``, ``perfbench/``, ``examples/`` or ``benchmarks/``, or when a name of
+``src/``, ``perfbench/``, ``examples/`` or ``benchmarks/`` -- its own body and
+its package's re-export do not count -- or when a name of
 the deleted posting record view or of the old regression gate comes back.
 These tests run the step's script from ``.github/workflows/ci.yml`` on the
 checkout, which must pass, and on copies with one such change, which must not.
@@ -69,6 +70,29 @@ def test_a_def_nothing_calls_fails_the_step(tmp_path: Path) -> None:
     done = _run(tree, tmp_path)
     assert done.returncode != 0
     assert "_never_called is referenced nowhere" in done.stdout
+
+
+def test_a_def_only_its_own_body_calls_fails_the_step(tmp_path: Path) -> None:
+    tree = _copy(tmp_path)
+    _append(
+        tree / "src" / "repro" / "coding" / "postings.py",
+        "\n\ndef _countdown(n: int) -> int:\n    return 0 if n == 0 else _countdown(n - 1)\n",
+    )
+    done = _run(tree, tmp_path)
+    assert done.returncode != 0
+    assert "_countdown is referenced nowhere" in done.stdout
+
+
+def test_a_def_only_its_package_reexports_fails_the_step(tmp_path: Path) -> None:
+    tree = _copy(tmp_path)
+    _append(tree / "src" / "repro" / "coding" / "postings.py", "\n\ndef reexported_only() -> None:\n    pass\n")
+    _append(
+        tree / "src" / "repro" / "coding" / "__init__.py",
+        "\nfrom repro.coding.postings import reexported_only\n\n__all__ += [\"reexported_only\"]\n",
+    )
+    done = _run(tree, tmp_path)
+    assert done.returncode != 0
+    assert "reexported_only is referenced nowhere" in done.stdout
 
 
 def test_a_record_view_name_coming_back_fails_the_step(tmp_path: Path) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.trees.matching import count_matches, find_matches, match_corpus, tree_matches_query
+from repro.trees.matching import count_matches, find_matches, match_corpus
 from repro.trees.node import ParseTree
 from repro.trees.penn import parse_penn
 
@@ -102,11 +102,6 @@ class TestCorpusMatching:
         nodes = find_matches(Q("NP").child(Q("DT")), tree)
         assert len(nodes) == 2
         assert all(node.label == "NP" for node in nodes)
-
-    def test_tree_matches_query(self) -> None:
-        tree = _sentence()
-        assert tree_matches_query(Q("VP"), tree)
-        assert not tree_matches_query(Q("QP"), tree)
 
     def test_match_corpus(self) -> None:
         trees = [_sentence(), ParseTree(parse_penn("(NP (DT the) (NN cat))"), tid=2)]

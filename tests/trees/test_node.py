@@ -55,11 +55,6 @@ class TestTraversals:
             "S", "NP", "DT", "NN", "VP", "VBZ",
         ]
 
-    def test_postorder_sequence(self, sample: Node) -> None:
-        assert [node.label for node in sample.postorder()] == [
-            "DT", "NN", "NP", "VBZ", "VP", "S",
-        ]
-
     def test_descendants_excludes_self(self, sample: Node) -> None:
         labels = [node.label for node in sample.descendants()]
         assert "S" not in labels

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.enumeration import number
 from repro.trees.node import Node, ParseTree, build_tree
-from repro.trees.penn import PennSyntaxError, parse_penn, parse_penn_corpus, scan_penn, to_penn
+from repro.trees.penn import PennSyntaxError, parse_penn, scan_penn, to_penn
 
 
 class TestParsePenn:
@@ -188,15 +188,3 @@ class TestLabelsWithoutAPennForm:
         for root in (Node("S", [Node("NP", [Node(label)])]), Node(label, [Node("NP")]), Node(label)):
             with pytest.raises(ValueError, match=re.escape(repr(label))):
                 to_penn(root)
-
-
-class TestParseCorpus:
-    def test_sequential_tids(self) -> None:
-        lines = ["(NP (NN a))", "", "# comment", "(NP (NN b))"]
-        trees = list(parse_penn_corpus(lines))
-        assert [tree.tid for tree in trees] == [0, 1]
-        assert trees[1].tokens() == ["b"]
-
-    def test_start_tid(self) -> None:
-        trees = list(parse_penn_corpus(["(NP (NN a))"], start_tid=100))
-        assert trees[0].tid == 100

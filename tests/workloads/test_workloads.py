@@ -10,7 +10,6 @@ from repro.workloads.binning import (
     MATCH_BINS,
     average,
     bin_for_match_count,
-    group_by_match_bin,
     group_by_query_size,
 )
 from repro.workloads.fb import FREQUENCY_CLASSES, generate_fb_queries
@@ -96,12 +95,6 @@ class TestBinning:
         labels = [label for label, _, _ in MATCH_BINS]
         assert len(labels) == 5
         assert labels[0] == "<10" and labels[-1] == ">10k"
-
-    def test_group_by_match_bin(self) -> None:
-        grouped = group_by_match_bin([(5, 0.1), (50, 0.2), (55, 0.3), (20_000, 0.4)])
-        assert grouped["<10"] == [0.1]
-        assert grouped["10-100"] == [0.2, 0.3]
-        assert grouped[">10k"] == [0.4]
 
     def test_group_by_query_size_filters_low_match_queries(self) -> None:
         entries = [(3, 500, 0.1), (3, 5, 0.9), (7, 200, 0.3)]
