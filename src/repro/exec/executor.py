@@ -63,6 +63,13 @@ class ExecutionStats:
     candidates_filtered: int = 0
     elapsed_seconds: float = 0.0
 
+    @classmethod
+    def of(
+        cls, coding: CodingScheme, strategy: str, cover: Cover, postings: Sequence[PostingColumns]
+    ) -> ExecutionStats:
+        """The counters known before the join: *cover*'s and its *postings*'."""
+        return cls(coding.name, strategy, len(cover), cover.join_count, sum(len(plist) for plist in postings))
+
 
 @dataclass
 class QueryResult:
@@ -163,8 +170,8 @@ def join_postings(
     built.  Otherwise dispatches on the coding scheme: tid intersection
     plus the filtering phase for filter-based coding, structural merge
     joins otherwise, in *order* (a prepared query's) or else smallest list
-    first.  When a *stats* object is
-    passed it receives the join-phase counters (``candidates_filtered``).
+    first.  The result carries *stats* (a new one when none is passed),
+    which receives the join-phase counters (``candidates_filtered``).
     """
     stats = stats if stats is not None else ExecutionStats()
     if not obs.enabled():
@@ -184,9 +191,15 @@ def _dispatch_join(
     stats: ExecutionStats,
     order: Optional[Sequence[int]],
 ) -> QueryResult:
+    filtered = isinstance(coding, FilterBasedCoding)
+    if filtered and store is None:  # whatever the keys: an absent one must not hide it
+        raise RuntimeError(
+            "filter-based execution needs a data file (TreeStore) or Corpus "
+            "to run its filtering phase; pass `store=` to QueryExecutor"
+        )
     if not all(postings):  # a cover key without a posting: no match, and no plan to build
-        return QueryResult()
-    if isinstance(coding, FilterBasedCoding):
+        return QueryResult(stats=stats)
+    if filtered:
         return _join_filter_based(query, cover, postings, store, stats)
     if isinstance(coding, (RootSplitCoding, SubtreeIntervalCoding)):
         if len(cover.subtrees) == 1:
@@ -195,9 +208,9 @@ def _dispatch_join(
             # small queries at larger mss, and of single-label queries).
             only = PostingColumns.from_postings(postings[0])
             pairs = zip(only.tids, only.slots[0][0]) if only.tids else ()
-            return QueryResult(matches_per_tree=count_distinct_roots(pairs))
+            return QueryResult(count_distinct_roots(pairs), stats)
         plan = build_plan(query, cover_relations(cover, postings), cover.edges, cover.twin_pairs, order)
-        return QueryResult(matches_per_tree=run_plan(plan))
+        return QueryResult(run_plan(plan), stats)
     raise TypeError(f"unsupported coding scheme {type(coding).__name__}")
 
 
@@ -205,15 +218,10 @@ def _join_filter_based(
     query: QueryTree,
     cover: Cover,
     postings: Sequence[PostingColumns],
-    store: Optional[TreeStore | Corpus],
+    store: TreeStore | Corpus,
     stats: ExecutionStats,
 ) -> QueryResult:
     """Filter-based coding: intersect tid lists, then validate candidates."""
-    if store is None:
-        raise RuntimeError(
-            "filter-based execution needs a data file (TreeStore) or Corpus "
-            "to run its filtering phase; pass `store=` to QueryExecutor"
-        )
     candidates = intersect_sorted_tid_lists(
         [PostingColumns.from_postings(plist).tids for plist in postings]
     )
@@ -230,7 +238,7 @@ def _join_filter_based(
             if count:
                 matches[tid] = count
         span.set(matched_trees=len(matches))
-    return QueryResult(matches_per_tree=matches)
+    return QueryResult(matches, stats)
 
 
 # ----------------------------------------------------------------------
@@ -276,29 +284,24 @@ class QueryExecutor:
         return decompose_query(query, self.index.mss, self.strategy, pad=self.pad)
 
     def execute(self, query: QueryTree) -> QueryResult:
-        """Evaluate *query* and return its matches and execution statistics."""
+        """Evaluate *query* and return its matches and execution statistics.
+
+        Asks once whether a tracer listens: untraced, the three stages are
+        direct calls; traced, each is its spanned stage function.
+        """
+        index, started = self.index, time.perf_counter()
         if not obs.enabled():
-            return self._execute(query)
-        with obs.trace("query", engine="executor", coding=self.index.coding.name) as span:
-            result = self._execute(query)
+            cover = compile_query(query, index.mss, self.strategy, self.pad)
+            postings = [index.lookup(subtree.key_bytes()) for subtree in cover.subtrees]
+            stats = ExecutionStats.of(index.coding, self.strategy, cover, postings)
+            result = _dispatch_join(query, cover, postings, index.coding, self.store, stats, None)
+            stats.elapsed_seconds = time.perf_counter() - started
+            return result
+        with obs.trace("query", engine="executor", coding=index.coding.name) as span:
+            cover = self.decompose(query)
+            postings = fetch_postings(cover, index.lookup)
+            stats = ExecutionStats.of(index.coding, self.strategy, cover, postings)
+            result = join_postings(query, cover, postings, index.coding, store=self.store, stats=stats)
+            stats.elapsed_seconds = time.perf_counter() - started
             span.set(matches=result.total_matches)
             return result
-
-    def _execute(self, query: QueryTree) -> QueryResult:
-        started = time.perf_counter()
-        cover = self.decompose(query)
-        postings = fetch_postings(cover, self.index.lookup)
-
-        stats = ExecutionStats(
-            coding=self.index.coding.name,
-            strategy=self.strategy,
-            cover_size=len(cover),
-            join_count=cover.join_count,
-            postings_fetched=sum(len(plist) for plist in postings),
-        )
-        result = join_postings(
-            query, cover, postings, self.index.coding, store=self.store, stats=stats
-        )
-        stats.elapsed_seconds = time.perf_counter() - started
-        result.stats = stats
-        return result

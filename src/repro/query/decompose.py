@@ -27,7 +27,8 @@ node's canonical text, composed from its children's finished texts the way
 :func:`repro.core.enumeration.extract_subtrees` composes the keys of a data
 tree.  Packing then works on node ids over those arrays, and every cover
 subtree is born with its key: a bin's key is the root's label followed by
-the sorted texts of the pieces packed into it.
+the sorted texts of the pieces packed into it.  A query that is one key (no
+``//`` edge, at most ``mss`` nodes) never reaches the pass (:func:`_one_key`).
 
 Three deviations from the paper's pseudocode:
 
@@ -58,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.query.covers import Cover, CoverSubtree, Edge
 from repro.query.model import QueryNode, QueryTree
-from repro.trees.matching import AXIS_CHILD
+from repro.trees.matching import AXIS_CHILD, AXIS_DESCENDANT
 
 STRATEGIES = ("min-rc", "optimal")
 
@@ -79,6 +80,14 @@ def _compose(label: str, texts: Sequence[str]) -> str:
 # ----------------------------------------------------------------------
 # The pass
 # ----------------------------------------------------------------------
+def _same_labels(children: Sequence[QueryNode]) -> List[Tuple[int, int]]:
+    """The ``pairs`` of :func:`_scan` that *children* add."""
+    if len(children) < 2 or len({child.label for child in children}) == len(children):
+        return []
+    same = [(one.node_id, two.node_id) for one, two in combinations(children, 2) if one.label == two.label]
+    return [pair for one, two in same for pair in ((one, two), (two, one))]
+
+
 def _scan(nodes: Sequence[QueryNode], mss: int):
     """One reverse pre-order pass over *nodes* (``node_id`` == index).
 
@@ -132,11 +141,7 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
             else:
                 edges[child_id - 1] = (index, child_id, False)
                 cuts.append((index, child_id))
-        if len(children) > 1 and len({child.label for child in children}) < len(children):
-            same = [
-                (one.node_id, two.node_id) for one, two in combinations(children, 2) if one.label == two.label
-            ]
-            pairs[:0] = [pair for one, two in same for pair in ((one, two), (two, one))]
+        pairs[:0] = _same_labels(children)
         rigid = len(below) == len(children)
         kids[index], size[index], forced[index] = below, total, holds_cut or not rigid
         if total > mss:
@@ -174,6 +179,24 @@ def query_links(query: QueryTree) -> Tuple[Tuple[Edge, ...], Tuple[Tuple[int, in
 # ----------------------------------------------------------------------
 # The compiler
 # ----------------------------------------------------------------------
+def _one_key(query: QueryTree) -> Optional[Cover]:
+    """The cover of a query that is one key, composed over its nodes without
+    the pass; ``None`` when a ``//`` edge cuts the query."""
+    nodes = query._nodes
+    text = [node.label for node in nodes]
+    pairs: List[Tuple[int, int]] = []
+    for node in reversed(nodes):
+        children = node.children
+        if children:
+            if AXIS_DESCENDANT in node.child_axes:
+                return None
+            text[node.node_id] = _compose(node.label, [text[child.node_id] for child in children])
+            pairs[:0] = _same_labels(children)
+    edges = tuple((node.parent.node_id, node.node_id, True) for node in nodes[1:])
+    only = CoverSubtree(query.root, frozenset(range(len(nodes))), text[0].encode("utf-8"))
+    return Cover(query, [only], edges, twin_pairs=tuple(pairs))
+
+
 def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bool = True) -> Cover:
     """Compile *query* to a cover of subtrees of at most *mss* nodes.
 
@@ -190,11 +213,9 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
         known = ", ".join(sorted(STRATEGIES))
         raise ValueError(f"unknown decomposition strategy {strategy!r} (known: {known})")
     nodes = query._nodes
+    if len(nodes) <= mss and (cover := _one_key(query)) is not None:
+        return cover
     kids, size, forced, text, full, members, edges, cuts, twins, pairs = _scan(nodes, mss)
-    if size[0] <= mss and not cuts:
-        # The whole query is one key.
-        only = CoverSubtree(query.root, frozenset(members[0]), text[0].encode("utf-8"))
-        return Cover(query, [only], edges, twin_pairs=pairs)
     capacity = mss - 1
     out: List[CoverSubtree] = []
 

@@ -40,50 +40,59 @@ class QuerySyntaxError(ValueError):
         self.position = position
 
 
-#: One token with the whitespace before it: ``)``, or an optional ``(``, an
-#: optional axis and a label.  The label may be empty, so the pattern matches
-#: at every position of every text and consecutive matches tile the input;
-#: an empty label after ``(`` or an axis is the "expected a node label" error.
-_TOKEN = re.compile(r"\s*(?:(\))|(\()?\s*(//?)?\s*([^()/\s]*))")
+#: The separators: a bracket, an axis or a whitespace run.  ``split`` keeps
+#: them, so the pieces alternate label, separator, label, ... -- a label may
+#: be empty -- and each piece starts where the ones before it end.
+_SEPARATOR = re.compile(r"([()]|//?|\s+)")
 
 
 def parse_query(text: str) -> QueryTree:
     """Parse a query string into a :class:`~repro.query.model.QueryTree`.
 
-    One pass over the tokens: a label that follows ``(`` or an axis is a new
-    child of the current node and becomes the current node; ``(`` also
-    remembers the node it hangs off, and ``)`` returns to it.  Nodes are
-    created in pre-order.
+    One pass over the pieces of one split: a label that follows ``(`` or an
+    axis is a new child of the current node and becomes the current node;
+    ``(`` also remembers the node it hangs off, and ``)`` returns to it.
+    Nodes are created in pre-order.
     """
     nodes: List[QueryNode] = []
     owners: List[QueryNode] = []  # the nodes whose "(" is still open
     current = None
-    for token in _TOKEN.finditer(text):
-        close, opened, axis, label = token.groups()
-        if current is None:
-            if close or opened or axis:
-                raise QuerySyntaxError("expected a node label", token.start(1 if close else 2 if opened else 3))
-            if not label:
-                raise QuerySyntaxError("empty query", 0)
-            current = QueryNode(label)
+    opened = False  # a "(" waits for its label
+    axis = None  # an axis waits for its label
+    at = 0
+    for index, piece in enumerate(_SEPARATOR.split(text)):
+        if not piece:
+            continue
+        if index % 2 == 0:  # a label
+            if current is None:
+                current = QueryNode(piece)
+            elif opened or axis:
+                if opened:
+                    owners.append(current)
+                current = current.add_child(QueryNode(piece), axis or AXIS_CHILD)
+                opened, axis = False, None
+            elif owners:
+                raise QuerySyntaxError("missing ')'", at)
+            else:
+                raise QuerySyntaxError(f"unexpected trailing text {text[at:]!r}", at)
             nodes.append(current)
-        elif close:
+        elif piece.isspace():
+            pass
+        elif current is None or axis or opened and piece[0] != "/":  # a label is due
+            raise QuerySyntaxError("expected a node label", at)
+        elif piece == "(":
+            opened = True
+        elif piece == ")":
             if not owners:
-                at = token.start(1)
                 raise QuerySyntaxError(f"unexpected trailing text {text[at:]!r}", at)
             current = owners.pop()
-        elif opened or axis:
-            if not label:
-                raise QuerySyntaxError("expected a node label", token.end())
-            if opened:
-                owners.append(current)
-            current = current.add_child(QueryNode(label), axis or AXIS_CHILD)
-            nodes.append(current)
-        elif label:
-            at = token.start(4)
-            if owners:
-                raise QuerySyntaxError("missing ')'", at)
-            raise QuerySyntaxError(f"unexpected trailing text {text[at:]!r}", at)
-        elif owners:  # the end of the text
-            raise QuerySyntaxError("missing ')'", len(text))
+        else:
+            axis = piece
+        at += len(piece)
+    if current is None:
+        raise QuerySyntaxError("empty query", 0)
+    if opened or axis:
+        raise QuerySyntaxError("expected a node label", at)
+    if owners:
+        raise QuerySyntaxError("missing ')'", at)
     return QueryTree(nodes[0], nodes)

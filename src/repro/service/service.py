@@ -358,19 +358,12 @@ class QueryService:
         postings: Sequence[PostingColumns],
         started: float,
     ) -> QueryResult:
-        stats = ExecutionStats(
-            coding=self.index.coding.name,
-            strategy=self.strategy,
-            cover_size=len(prepared.cover),
-            join_count=prepared.cover.join_count,
-            postings_fetched=sum(len(plist) for plist in postings),
-        )
+        stats = ExecutionStats.of(self.index.coding, self.strategy, prepared.cover, postings)
         result = join_postings(
             prepared.query, prepared.cover, postings, self.index.coding, store=self.store, stats=stats,
             order=prepared.order,
         )
         stats.elapsed_seconds = time.perf_counter() - started
-        result.stats = stats
         return result
 
     def _postings(self, part: Part, key: bytes) -> PostingColumns:

@@ -149,8 +149,10 @@ class TestExecutionStats:
     def test_filter_without_store_raises(self, executors, corpus, tmp_path) -> None:
         index = SubtreeIndex.build(list(corpus)[:5], mss=2, coding="filter", path=str(tmp_path / "f.si"))
         executor = QueryExecutor(index, store=None)
-        with pytest.raises(RuntimeError):
-            executor.execute(parse_query("NP(DT)"))
+        # A cover key the index lacks must not hide the missing data file.
+        for text in ("NP(DT)", "NP(ZZZ)"):
+            with pytest.raises(RuntimeError, match="needs a data file"):
+                executor.execute(parse_query(text))
 
     def test_default_strategies(self, executors) -> None:
         assert executors[("root-split", 2)].strategy == "min-rc"

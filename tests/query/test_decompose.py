@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.query.covers import (
+    CoverSubtree,
     has_deep_branching_anomaly,
     is_root_split_cover,
     is_valid_cover,
@@ -16,6 +18,7 @@ from repro.query.decompose import (
     decompose,
     min_rc,
     optimal_cover,
+    query_links,
 )
 from repro.query.model import QueryNode, QueryTree
 from repro.query.parser import parse_query
@@ -170,3 +173,54 @@ def test_min_rc_always_valid_root_split_and_anomaly_free(query: QueryTree, mss: 
 @given(query=random_queries(), mss=st.integers(min_value=2, max_value=5))
 def test_optimal_cover_not_larger_than_min_rc(query: QueryTree, mss: int) -> None:
     assert len(optimal_cover(query, mss)) <= len(min_rc(query, mss))
+
+
+# ----------------------------------------------------------------------
+# The one-key exit: a query that is one key never reaches the pass.
+# ----------------------------------------------------------------------
+@st.composite
+def one_key_queries(draw):
+    """``(query, mss)``: a ``/``-only query of at most ``mss`` nodes, mss 1-5,
+    over few labels so that twins and same-label siblings are common."""
+    mss = draw(st.integers(min_value=1, max_value=5))
+    labels = st.sampled_from(["NP", "NN", "DT"])
+    nodes = [QueryNode(draw(labels))]
+    for at in range(1, draw(st.integers(min_value=1, max_value=mss))):
+        parent = nodes[draw(st.integers(min_value=0, max_value=at - 1))]
+        nodes.append(parent.add_child(QueryNode(draw(labels))))
+    return QueryTree(nodes[0]), mss
+
+
+#: The compiler module (``repro.query.decompose`` is also the name of a function).
+compiler = importlib.import_module("repro.query.decompose")
+_CONFIGS = [(strategy, pad) for strategy in ("min-rc", "optimal") for pad in (True, False)]
+
+
+def test_a_one_key_query_never_reaches_the_pass(monkeypatch) -> None:
+    calls = []
+    scan = compiler._scan
+    monkeypatch.setattr(compiler, "_scan", lambda *args: calls.append(args) or scan(*args))
+    for text, mss in [("NP", 1), ("NP(DT)(NN)", 3), ("NP(NN)(NN)", 5), (FIGURE1_QUERY, 11)]:
+        for strategy, pad in _CONFIGS:
+            assert len(compiler.compile_query(parse_query(text), mss, strategy, pad)) == 1
+    assert calls == []
+    # The spy sees the pass where there is one: too large, or cut by "//".
+    compiler.compile_query(parse_query("NP(DT)(NN)"), 2)
+    compiler.compile_query(parse_query("NP(//NN)"), 3)
+    assert len(calls) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=one_key_queries())
+@example(case=(parse_query("NP(NN(DT)(DT))(NN)"), 5))  # same-label pairs under two parents
+def test_the_one_key_cover_is_the_hand_built_key(case) -> None:
+    query, mss = case
+    every = frozenset(range(query.size()))
+    edges, pairs = query_links(query)  # what the pass puts on a cover
+    for strategy, pad in _CONFIGS:
+        cover = compiler.compile_query(query, mss, strategy, pad)
+        (only,) = cover.subtrees
+        assert only.root is query.root and only.node_ids == every
+        assert only.key_bytes() == CoverSubtree(query.root, every).key()[0]
+        assert cover.edges == edges and cover.twin_pairs == pairs
+        assert cover.split_twins == []

@@ -10,13 +10,17 @@ only covers allowed to differ are those of a query with twin siblings, where
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.guard import timing_bars_enabled
 from repro.query.covers import CoverSubtree, is_valid_cover
 from repro.query.decompose import compile_query
 from repro.query.model import QueryNode, QueryTree
@@ -25,6 +29,9 @@ from repro.query.parser import QuerySyntaxError, parse_query
 DATA = Path(__file__).parent / "data"
 PINNED = json.loads((DATA / "covers.json").read_text())
 PARSE_ERRORS = json.loads((DATA / "parse_errors.json").read_text())
+#: The sha256 of :func:`_scope_outcomes`, recorded with the tokenising
+#: parser the one-split parser replaced.
+PARSE_SCOPE = (DATA / "parse_scope.sha256").read_text().strip()
 
 #: The configurations of a twin-sibling query whose cover changed: the NN
 #: twins of this template fit one bin at mss 3 and are no longer split.
@@ -87,6 +94,27 @@ def test_malformed_input_gives_the_pinned_error(row: dict) -> None:
         parse_query(row["text"])
     assert str(caught.value) == row["message"]
     assert caught.value.position == row["position"]
+
+
+def _scope_outcomes():
+    """One line per string of at most six characters over ``( ) / ␠ a b``,
+    shortest first: the text and the tree it parses to, or its error's
+    message and position."""
+    for length in range(7):
+        for chars in itertools.product("()/ ab", repeat=length):
+            text = "".join(chars)
+            try:
+                yield f"{text!r} {parse_query(text).to_string()}\n"
+            except QuerySyntaxError as exc:
+                yield f"{text!r} ! {exc} @{exc.position}\n"
+
+
+def test_every_short_string_parses_as_it_did() -> None:
+    started = time.perf_counter()
+    digest = hashlib.sha256("".join(_scope_outcomes()).encode("utf-8")).hexdigest()
+    assert digest == PARSE_SCOPE
+    if timing_bars_enabled():
+        assert time.perf_counter() - started < 2.0
 
 
 def test_whitespace_around_an_axis_inside_brackets_is_not_an_error() -> None:

@@ -304,8 +304,12 @@ class TestPlainIndexWithoutDataFile:
             assert service.run("NP(DT)(NN)").total_matches == 71
             assert service.index.metadata.tree_count == 60  # from the file, not a data file
         with QueryService.open(str(directory / "filter.si")) as service:
+            # A cover key the index lacks must not hide the missing data file.
+            for text in ("NP(DT)(NN)", "NP(ZZZ)"):
+                with pytest.raises(RuntimeError, match="filter-based execution needs a data file"):
+                    service.run(text)
             with pytest.raises(RuntimeError, match="filter-based execution needs a data file"):
-                service.run("NP(DT)(NN)")
+                service.run_many(["NP(ZZZ)"])
         assert sorted(os.listdir(directory)) == ["filter.si", "root-split.si"]
 
 
