@@ -77,6 +77,8 @@ class QueryResult:
 
     matches_per_tree: Dict[int, int] = field(default_factory=dict)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
+    #: Its JSON, once the HTTP server has sent it (``serve.server._encoded``).
+    encoded: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def total_matches(self) -> int:

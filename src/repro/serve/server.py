@@ -135,6 +135,24 @@ def result_to_dict(result: QueryResult) -> Dict[str, object]:
     }
 
 
+def _encoded(result: QueryResult) -> bytes:
+    """*result*'s JSON, encoded the first time it is sent and kept on it.
+
+    A resident answer is the object the result cache holds, so each cached
+    result is encoded once; a result cut by a delete or concatenated from
+    live parts is a new object and is encoded afresh.  Only the event loop
+    serialises, so the slot needs no lock.
+    """
+    if result.encoded is None:
+        result.encoded = json.dumps(result_to_dict(result)).encode("utf-8")
+    return result.encoded
+
+
+def _answer_bytes(text: object, result: QueryResult) -> bytes:
+    """``{"query": text, "result": ...}`` as ``json.dumps`` writes it."""
+    return b'{"query": ' + json.dumps(text).encode("utf-8") + b', "result": ' + _encoded(result) + b"}"
+
+
 class BadRequest(ValueError):
     """A client error the handler converts into a 400 JSON response."""
 
@@ -403,13 +421,14 @@ class QueryServer:
                     413,
                     f"a batch of {len(texts)} queries exceeds the limit (max_queue={self.max_queue})",
                 )
-            run, argument = service.run_many, texts
         else:
             if "query" not in payload:
                 raise BadRequest("missing 'query' field")
             texts = [payload["query"]]
-            run, argument = service.run, texts[0]
+        # Each text is prepared once: run / run_many take the prepared query
+        # as it is, so a served query is one plan-cache lookup.
         prepared = [self._prepare_or_400(text) for text in texts]
+        run, argument = (service.run_many, prepared) if batch else (service.run, prepared[0])
         # Resident results cost microseconds each: answer them here, with no
         # hand-off and no queue slot.  Only a real QueryService is asked --
         # a wrapper that forwards the probe to one and then blocks in its
@@ -457,10 +476,12 @@ class QueryServer:
         return self._queries_ok(texts, answer, path == "/query/batch")
 
     def _queries_ok(self, texts: List[object], answer, batch: bool) -> Response:
+        """The body ``json.dumps`` would write, spliced from each result's
+        bytes (:func:`_encoded`)."""
         if not batch:
-            return self._json_ok({"query": texts[0], "result": result_to_dict(answer)})
-        results = [{"query": text, "result": result_to_dict(result)} for text, result in zip(texts, answer)]
-        return self._json_ok({"count": len(results), "results": results})
+            return 200, _JSON, _answer_bytes(texts[0], answer)
+        results = b", ".join([_answer_bytes(text, result) for text, result in zip(texts, answer)])
+        return 200, _JSON, b'{"count": %d, "results": [' % len(texts) + results + b"]}"
 
     def _server_error(self, path: str, request_id: str, error: BaseException) -> Response:
         """A 500, and one structured line for it: request id, error, full traceback.

@@ -75,9 +75,6 @@ from repro.query.parser import parse_query
 from repro.service.cache import CacheStats, LRUCache
 from repro.storage.bptree import ProbeStats
 
-#: Anything `run` / `run_many` accept as a query.
-QueryLike = Union[str, QueryTree]
-
 #: Entry bound of the prepared-query cache.
 PLAN_CACHE_SIZE = 256
 
@@ -99,6 +96,10 @@ class PreparedQuery:
     cover: Cover
     key_bytes: Tuple[bytes, ...]
     order: Tuple[int, ...]
+
+
+#: Anything `run` / `run_many` accept as a query (a prepared one as it is).
+QueryLike = Union[str, QueryTree, PreparedQuery]
 
 
 @dataclass
@@ -319,9 +320,12 @@ class QueryService:
         Query strings are normalized by parsing and re-serialising, so
         whitespace variants and the linear path form share a cache entry.  A
         raw-text alias entry is kept as well, making the exact-repeat case a
-        single cache probe with no parsing at all.
+        single cache probe with no parsing at all.  A canonical text's miss
+        is one lookup, and a :class:`PreparedQuery` is returned as it is.
         """
-        if isinstance(query, QueryTree):
+        if not isinstance(query, str):
+            if isinstance(query, PreparedQuery):
+                return query
             return self._prepare_parsed(query.root.to_string(), query)
 
         text_key = query.strip()
@@ -329,13 +333,16 @@ class QueryService:
         if cached is not None:
             return cached  # type: ignore[return-value]
         parsed = parse_query(query)
-        prepared = self._prepare_parsed(parsed.root.to_string(), parsed)
-        if text_key != prepared.normalized:
+        normalized = parsed.root.to_string()
+        prepared = self._prepare_parsed(normalized, parsed, probed=text_key == normalized)
+        if text_key != normalized:
             self._plan_cache.put(text_key, prepared)
         return prepared
 
-    def _prepare_parsed(self, normalized: str, parsed: QueryTree) -> PreparedQuery:
-        cached = self._plan_cache.get(normalized)
+    def _prepare_parsed(self, normalized: str, parsed: QueryTree, probed: bool = False) -> PreparedQuery:
+        """*parsed*'s plan, cached under *normalized* -- looked up there
+        unless the caller just *probed* that very key."""
+        cached = None if probed else self._plan_cache.get(normalized)
         if cached is not None:
             return cached  # type: ignore[return-value]
         cover = decompose_query(parsed, self.index.mss, self.strategy)
@@ -410,7 +417,10 @@ class QueryService:
         """
         if not obs.enabled():
             return self._serve((query,))[0][0]
-        text = query.strip() if isinstance(query, str) else query.root.to_string()
+        if isinstance(query, PreparedQuery):
+            text = query.normalized
+        else:
+            text = query.strip() if isinstance(query, str) else query.root.to_string()
         with obs.trace(
             "query", flavor=self.index.flavor, query=text, query_sha1=obs.query_hash(text)
         ) as span:

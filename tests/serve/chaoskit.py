@@ -198,15 +198,15 @@ class GatedService:
     def release(self) -> None:
         self._gate.set()
 
-    def run(self, text: str):
+    def run(self, query):
         self.entered += 1
         self._gate.wait(self._hold_timeout)
-        return self._inner.run(text)
+        return self._inner.run(query)
 
-    def run_many(self, texts):
+    def run_many(self, queries):
         self.entered += 1
         self._gate.wait(self._hold_timeout)
-        return self._inner.run_many(texts)
+        return self._inner.run_many(queries)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
@@ -219,13 +219,13 @@ class SlowService:
         self._inner = inner
         self.delay = delay
 
-    def run(self, text: str):
+    def run(self, query):
         time.sleep(self.delay)
-        return self._inner.run(text)
+        return self._inner.run(query)
 
-    def run_many(self, texts):
+    def run_many(self, queries):
         time.sleep(self.delay)
-        return self._inner.run_many(texts)
+        return self._inner.run_many(queries)
 
     def __getattr__(self, name: str):
         return getattr(self._inner, name)

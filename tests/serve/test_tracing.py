@@ -113,6 +113,20 @@ class TestRequestIdPropagation:
             assert batch["attrs"]["queries"] == 2
             assert batch["duration_us"] <= trace["spans"]["duration_us"]
 
+    def test_a_served_query_span_names_the_normalized_text(self, service) -> None:
+        # The handler prepares the text once and hands run() the prepared
+        # query, whose normalized text is what the span records.
+        with ServerThread(service, trace=True) as thread:
+            status, _, body = _request(
+                thread.url + "/query", {"query": " NP( DT )( NN ) "}, headers={"X-Request-ID": "rid-norm"}
+            )
+            assert status == 200 and body["query"] == " NP( DT )( NN ) "
+            _, _, debug = _request(thread.url + "/debug/trace?n=10")
+        (trace,) = [t for t in debug["traces"] if t["request_id"] == "rid-norm"]
+        (query,) = [c for c in trace["spans"]["children"] if c["name"] == "query"]
+        assert query["attrs"]["query"] == QUERY
+        assert query["attrs"]["query_sha1"] == obs.query_hash(QUERY)
+
     def test_hostile_request_id_is_sanitised(self, service) -> None:
         with ServerThread(service) as thread:
             _, headers, _ = _request(

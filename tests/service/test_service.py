@@ -84,6 +84,23 @@ class TestPreparedQueryCache:
         service.prepare("NP(DT)(NN)")
         assert service.stats().plans.hits == before + 1
 
+    def test_a_canonical_text_misses_once(self, service) -> None:
+        # Its text is its normalized form: one key, so one lookup, one miss.
+        service.prepare("NP(DT)(NN)")
+        plans = service.stats().plans
+        assert (plans.lookups, plans.misses, plans.size) == (1, 1, 1)
+        service.prepare("NP( DT )( NN )")  # the alias misses, the normalized entry hits
+        plans = service.stats().plans
+        assert (plans.lookups, plans.misses, plans.size) == (3, 2, 2)
+
+    def test_a_prepared_query_is_taken_as_it_is(self, service) -> None:
+        prepared = service.prepare("S(NP)(VP(VBZ))")
+        lookups = service.stats().plans.lookups
+        assert service.prepare(prepared) is prepared
+        assert service.run(prepared) is service.run("S(NP)(VP(VBZ))")
+        assert service.run_many([prepared, "S(NP)(VP(VBZ))"]) == [service.run(prepared)] * 2
+        assert service.stats().plans.lookups == lookups + 2  # the two texts only
+
     def test_prepared_keys_match_cover(self, service) -> None:
         prepared = service.prepare("S(NP)(VP(VBZ))")
         assert len(prepared.key_bytes) == len(prepared.cover.subtrees)
