@@ -99,7 +99,3 @@ class ExperimentResult:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        """Print the rendered table."""
-        print(self.to_text())

@@ -135,10 +135,9 @@ def fetch_postings(
     *fetch* is any key -> postings function: a bare ``index.lookup``, or
     the per-call memo in front of the posting cache through which
     :class:`repro.service.QueryService` reads (``run`` and ``run_many``
-    alike).
+    alike).  Both call it with a tracer on only -- an untraced query reads
+    its keys directly -- and untraced its spans are no-ops.
     """
-    if not obs.enabled():
-        return [fetch(subtree.key_bytes()) for subtree in cover.subtrees]
     with obs.trace("fetch_postings", keys=len(cover.subtrees)) as span:
         postings: List[PostingColumns] = []
         total = 0

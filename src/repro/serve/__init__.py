@@ -14,8 +14,9 @@ The package splits into four small modules:
     connection with its read and write clocks, plus helpers for running
     it from synchronous code;
 ``loadgen``
-    the closed-loop load generator behind ``repro loadtest`` and the
-    ``serve_http_throughput`` bench experiment.
+    the closed- and open-loop load generators, one client under both,
+    behind ``repro loadtest`` and the ``serve_http_throughput``,
+    ``serve_overload`` and ``serve_mixed_rw`` bench experiments.
 """
 
 from repro.serve.loadgen import LoadgenReport, parse_base_url, run_load

@@ -1,37 +1,39 @@
 """Closed- and open-loop load generation against a running query server.
 
-``run_load`` drives ``concurrency`` worker threads, each owning one
-keep-alive :class:`http.client.HTTPConnection` and issuing ``POST /query``
-requests back-to-back (closed loop: a worker sends its next request only
-after the previous response lands, so offered load adapts to what the
-server sustains instead of queueing unboundedly).  Workers walk a shared
-query mix round-robin from staggered offsets, so at any instant the server
-sees a blend of repeated (cache-friendly) and fresh queries -- the shape
-the WH + FB workloads of the paper's experiments produce.
+Both loops send through one client (:class:`_Client`): a keep-alive
+:class:`http.client.HTTPConnection` (reopened after a transport failure or
+a ``Connection: close``) that POSTs ``/query`` and sorts each answer one
+way.  A 200 is *accepted*: its latency is a sample, timed from a start
+instant the caller passes, and with an ``expected`` mapping its answer is
+checked.  A 503 is *shed* (the server protecting its queue).  Any other
+status, or a transport failure, is an *error*.
 
-``run_open_loop`` is the honest overload instrument: requests are issued
-at a *fixed* arrival rate (Poisson or uniform arrivals) regardless of how
-fast responses come back, the way independent users hit a service.  A
-closed loop slows down when the server does, which **hides latency under
-overload** (coordinated omission); the open loop keeps offering load, so
-queueing delay shows up in the percentiles and the server's load-shedding
-(503 + ``Retry-After``) is measured rather than masked.  Virtual clients
-are unbounded: each arrival grabs an idle keep-alive connection or opens a
-new one, and per-request latency is measured from the *scheduled* arrival
-instant, so dispatch lag counts against the server, not for it.
+``run_load`` is the closed loop: ``concurrency`` workers send back-to-back,
+each its next request only after the previous response lands, so offered
+load adapts to what the server sustains.  Workers walk a shared query mix
+round-robin from staggered offsets, so the server sees a blend of repeated
+(cache-friendly) and fresh queries -- the shape of the paper's WH + FB
+workloads.  A sample starts when its request is sent.  Its report counts
+every HTTP response in ``requests`` and every non-200 one (503 included)
+plus every transport failure in ``errors``.
 
-Latencies are recorded per request as raw samples; the report computes
-exact percentiles from the sorted series (unlike the server's ``/metrics``
-histogram, which estimates them from log-spaced buckets -- comparing the
-two is a useful sanity check of the bucket resolution).
+``run_open_loop`` is the honest overload instrument: requests arrive at a
+*fixed* rate (Poisson or uniform) however fast responses come back, the way
+independent users hit a service.  A closed loop slows down when the server
+does, which **hides latency under overload** (coordinated omission); the
+open loop keeps offering load, so queueing delay shows in the percentiles
+and load-shedding (503 + ``Retry-After``) is measured rather than masked.
+Each arrival goes to an idle virtual client or a new one, and its sample
+starts at the *scheduled* arrival, so dispatch lag counts against the
+server, not for it.
 
-An optional ``expected`` mapping (query text -> result dict, as produced by
-``result_to_dict``) makes every worker verify each response against the
-in-process ground truth; mismatches are counted in the report.  Compared
-are the *answer* fields -- ``total_matches``, ``matched_tids``,
-``matches_per_tree`` -- not the per-execution telemetry under ``stats``
-(``elapsed_seconds`` differs on every run by construction).  This is the
-served-vs-direct equivalence check the bench experiment relies on.
+The reports compute exact percentiles from the sorted samples (the server's
+``/metrics`` histogram estimates them from log-spaced buckets; comparing
+the two checks the bucket resolution).  ``expected`` maps a query text to
+its ``result_to_dict`` payload, and compared are the *answer* fields --
+``total_matches``, ``matched_tids``, ``matches_per_tree`` -- not the
+per-execution telemetry under ``stats``.  This is the served-vs-direct
+equivalence check the bench experiments rely on.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from repro.serve.metrics import REPORTED_QUANTILES, percentile_of_sorted
 
 #: The result fields that constitute the answer (vs per-execution telemetry).
 ANSWER_FIELDS = ("total_matches", "matched_tids", "matches_per_tree")
+
+_HEADERS = {"Content-Type": "application/json"}
 
 
 def answer_of(result: Dict[str, object]) -> Tuple[object, ...]:
@@ -75,9 +79,78 @@ class _Latencies:
         return out
 
 
+class _Client:
+    """One keep-alive connection that sends queries and sorts their answers.
+
+    ``requests`` counts HTTP responses, ``shed`` the 503s among them and
+    ``errors`` the other non-200 ones plus transport failures;
+    ``latencies`` holds one sample per 200, ``mismatches`` the 200s whose
+    answer differs from *expected*.
+    """
+
+    def __init__(
+        self, host: str, port: int, expected: Optional[Dict[str, Dict[str, object]]], timeout: float
+    ):
+        # Closed -- after a transport failure here, or by http.client after
+        # a response that says ``Connection: close`` -- it reconnects on the
+        # next request.
+        self.connection = http.client.HTTPConnection(host, port, timeout=timeout)
+        self._expected = expected
+        self.requests = 0
+        self.shed = 0
+        self.errors = 0
+        self.mismatches = 0
+        self.latencies: List[float] = []
+
+    def send(self, text: str, started: float) -> None:
+        """POST *text*, then sort the answer, timing a 200 from *started*."""
+        try:
+            self.connection.request("POST", "/query", body=json.dumps({"query": text}), headers=_HEADERS)
+            response = self.connection.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException):
+            self.errors += 1
+            self.connection.close()
+            return
+        finished = time.perf_counter()
+        self.requests += 1
+        if response.status == 503:
+            self.shed += 1
+        elif response.status != 200:
+            self.errors += 1
+        else:
+            self.latencies.append(finished - started)
+            if self._expected is not None and not self._answers(text, payload):
+                self.mismatches += 1
+
+    def _answers(self, text: str, payload: bytes) -> bool:
+        """Whether *payload* holds the expected answer to *text*."""
+        try:
+            result = json.loads(payload)["result"]
+        except (ValueError, KeyError):  # not JSON (a decode error is a ValueError), or no result
+            return False
+        reference = self._expected.get(text)
+        return reference is not None and answer_of(result) == answer_of(reference)
+
+
+#: What a :class:`_Client` counts, summed over a run's clients by ``_added_up``.
+_COUNTS = ("requests", "shed", "errors", "mismatches")
+
+
+def _added_up(clients: Sequence[_Client]) -> Tuple[Dict[str, int], List[float]]:
+    """*clients*' counts summed, and their latencies sorted ascending."""
+    counts = {name: sum(getattr(client, name) for client in clients) for name in _COUNTS}
+    return counts, sorted(sample for client in clients for sample in client.latencies)
+
+
 @dataclass
 class LoadgenReport(_Latencies):
-    """What one closed-loop run measured."""
+    """What one closed-loop run measured.
+
+    ``requests`` counts every HTTP response; ``errors`` every non-200
+    response (503 included) plus every transport failure; ``latencies``
+    the 200s only, sorted ascending.
+    """
 
     concurrency: int
     duration_seconds: float  # measured wall time, not the requested duration
@@ -85,7 +158,7 @@ class LoadgenReport(_Latencies):
     errors: int
     #: Responses that differed from the expected (in-process) result.
     mismatches: int
-    #: Per-request latencies in seconds, sorted ascending.
+    #: Latencies of the 200s in seconds, sorted ascending.
     latencies: List[float] = field(default_factory=list)
 
     @property
@@ -95,91 +168,42 @@ class LoadgenReport(_Latencies):
             return 0.0
         return self.requests / self.duration_seconds
 
-    def as_dict(self) -> Dict[str, object]:
-        """The JSON-friendly summary (raw samples reduced to percentiles)."""
-        return {
-            "concurrency": self.concurrency,
-            "duration_seconds": self.duration_seconds,
-            "requests": self.requests,
-            "errors": self.errors,
-            "mismatches": self.mismatches,
-            "qps": self.qps,
-            "latency_ms": self.percentiles_ms(),
-        }
-
 
 class _Worker(threading.Thread):
-    """One closed-loop client: connect, fire, record, repeat until deadline."""
+    """One closed-loop client: connect, send, repeat until the deadline."""
 
     def __init__(
         self,
-        host: str,
-        port: int,
+        client: _Client,
         queries: Sequence[str],
         offset: int,
         barrier: threading.Barrier,
         deadline_holder: List[float],
-        expected: Optional[Dict[str, Dict[str, object]]],
-        timeout: float,
     ):
         super().__init__(name=f"loadgen-{offset}", daemon=True)
-        self._host = host
-        self._port = port
+        self.client = client
         self._queries = queries
-        self._position = offset % len(queries)
+        self._offset = offset
         self._barrier = barrier
         self._deadline_holder = deadline_holder
-        self._expected = expected
-        self._timeout = timeout
-        self.latencies: List[float] = []
-        self.errors = 0
-        self.mismatches = 0
         self.failure: Optional[BaseException] = None
 
     def run(self) -> None:  # pragma: no cover - exercised via run_load
         try:
-            connection = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout)
-            connection.connect()  # fail fast: a refused connection aborts the run
+            self.client.connection.connect()  # fail fast: a refused connection aborts the run
             try:
                 self._barrier.wait()
                 deadline = self._deadline_holder[0]
+                position = self._offset
                 while time.perf_counter() < deadline:
-                    self._one_request(connection)
+                    text = self._queries[position % len(self._queries)]
+                    position += 1
+                    self.client.send(text, time.perf_counter())
             finally:
-                connection.close()
+                self.client.connection.close()
         except BaseException as error:  # noqa: BLE001 - reported by run_load
             self.failure = error
             self._barrier.abort()  # release everyone blocked on the start line
-
-    def _one_request(self, connection: http.client.HTTPConnection) -> None:
-        text = self._queries[self._position]
-        self._position = (self._position + 1) % len(self._queries)
-        body = json.dumps({"query": text})
-        started = time.perf_counter()
-        try:
-            connection.request(
-                "POST", "/query", body=body, headers={"Content-Type": "application/json"}
-            )
-            response = connection.getresponse()
-            payload = response.read()
-            status = response.status
-        except (OSError, http.client.HTTPException):
-            self.errors += 1
-            connection.close()  # reconnect lazily on the next request
-            return
-        self.latencies.append(time.perf_counter() - started)
-        if status != 200:
-            self.errors += 1
-            return
-        if self._expected is not None:
-            try:
-                result = json.loads(payload)["result"]
-            except (json.JSONDecodeError, KeyError, UnicodeDecodeError):
-                self.mismatches += 1
-                return
-            reference = self._expected.get(text)
-            if reference is None or answer_of(result) != answer_of(reference):
-                self.mismatches += 1
 
 
 def parse_base_url(url: str) -> Tuple[str, int]:
@@ -217,10 +241,10 @@ def run_load(
 
     deadline_holder = [0.0]
     barrier = threading.Barrier(concurrency + 1)
-    stagger = max(1, len(queries) // max(concurrency, 1))
+    stagger = max(1, len(queries) // concurrency)
     workers = [
         _Worker(
-            host, port, queries, offset * stagger, barrier, deadline_holder, expected, timeout
+            _Client(host, port, expected, timeout), queries, offset * stagger, barrier, deadline_holder
         )
         for offset in range(concurrency)
     ]
@@ -246,20 +270,13 @@ def run_load(
     if failures:
         raise failures[0]
 
-    latencies: List[float] = []
-    errors = 0
-    mismatches = 0
-    for worker in workers:
-        latencies.extend(worker.latencies)
-        errors += worker.errors
-        mismatches += worker.mismatches
-    latencies.sort()
+    counts, latencies = _added_up([worker.client for worker in workers])
     return LoadgenReport(
         concurrency=concurrency,
         duration_seconds=elapsed,
-        requests=len(latencies),
-        errors=errors,
-        mismatches=mismatches,
+        requests=counts["requests"],
+        errors=counts["errors"] + counts["shed"],
+        mismatches=counts["mismatches"],
         latencies=latencies,
     )
 
@@ -335,116 +352,31 @@ class OpenLoopReport(_Latencies):
     clients_peak: int
     latencies: List[float] = field(default_factory=list)
 
-    @property
-    def completed(self) -> int:
-        """Requests that received a non-error HTTP response (accepted + shed)."""
-        return self.accepted + self.shed
-
-    def as_dict(self) -> Dict[str, object]:
-        """The JSON-friendly summary (raw samples reduced to percentiles)."""
-        return {
-            "rate": self.rate,
-            "arrivals": self.arrivals,
-            "duration_seconds": self.duration_seconds,
-            "offered": self.offered,
-            "accepted": self.accepted,
-            "shed": self.shed,
-            "errors": self.errors,
-            "mismatches": self.mismatches,
-            "overflowed": self.overflowed,
-            "clients_peak": self.clients_peak,
-            "latency_ms": self.percentiles_ms(),
-        }
-
 
 class _OpenClient(threading.Thread):
-    """One virtual client: a keep-alive connection fed scheduled requests.
+    """One virtual client: a :class:`_Client` fed scheduled requests.
 
     The dispatcher hands it ``(query text, scheduled start)`` pairs through
     an inbox queue; after each response the client parks itself back on the
     idle stack.  ``None`` in the inbox ends the thread.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        idle: List["_OpenClient"],
-        idle_lock: threading.Lock,
-        expected: Optional[Dict[str, Dict[str, object]]],
-        timeout: float,
-        name: str,
-    ):
+    def __init__(self, client: _Client, idle: List["_OpenClient"], idle_lock: threading.Lock, name: str):
         super().__init__(name=name, daemon=True)
-        self._host = host
-        self._port = port
+        self.client = client
         self._idle = idle
         self._idle_lock = idle_lock
-        self._expected = expected
-        self._timeout = timeout
         self.inbox: "queue.Queue" = queue.Queue()
-        self._connection: Optional[http.client.HTTPConnection] = None
-        self.latencies: List[float] = []
-        self.accepted = 0
-        self.shed = 0
-        self.errors = 0
-        self.mismatches = 0
 
     def run(self) -> None:  # pragma: no cover - exercised via run_open_loop
         while True:
             item = self.inbox.get()
             if item is None:
                 break
-            text, scheduled = item
-            self._one_request(text, scheduled)
+            self.client.send(*item)
             with self._idle_lock:
                 self._idle.append(self)
-        if self._connection is not None:
-            self._connection.close()
-
-    def _one_request(self, text: str, scheduled: float) -> None:
-        if self._connection is None:
-            self._connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout
-            )
-        body = json.dumps({"query": text})
-        try:
-            self._connection.request(
-                "POST", "/query", body=body, headers={"Content-Type": "application/json"}
-            )
-            response = self._connection.getresponse()
-            payload = response.read()
-            status = response.status
-            if response.will_close:
-                self._connection.close()
-                self._connection = None
-        except (OSError, http.client.HTTPException):
-            self.errors += 1
-            if self._connection is not None:
-                self._connection.close()
-            self._connection = None  # reconnect on the next request
-            return
-        finished = time.perf_counter()
-        if status == 503:
-            self.shed += 1  # the server protecting its queue; not an error
-            return
-        if status != 200:
-            self.errors += 1
-            return
-        self.accepted += 1
-        # Open-loop latency runs from the *scheduled* arrival: time the
-        # request spent waiting to be dispatched counts too (that is the
-        # latency a real user at that arrival instant would have seen).
-        self.latencies.append(finished - scheduled)
-        if self._expected is not None:
-            try:
-                result = json.loads(payload)["result"]
-            except (json.JSONDecodeError, KeyError, UnicodeDecodeError):
-                self.mismatches += 1
-                return
-            reference = self._expected.get(text)
-            if reference is None or answer_of(result) != answer_of(reference):
-                self.mismatches += 1
+        self.client.connection.close()
 
 
 def run_open_loop(
@@ -464,15 +396,12 @@ def run_open_loop(
     (exponential gaps, bursty like independent users) or ``uniform``
     (evenly spaced) -- and each arrival is dispatched to an idle virtual
     client, or a fresh one if all are busy (up to *max_clients*; beyond
-    that the arrival is counted in ``overflowed`` rather than silently
-    skipped, so generator saturation is never hidden -- and never blamed
-    on the server).  The default cap sits below ``QueryServer``'s default
-    ``max_connections`` (256) on purpose: a fleet larger than the server's
-    connection budget is shed at accept with ``Connection: close``, and
-    the reconnect churn can overflow the listen backlog into client-side
-    resets that would read as server errors.  Unlike the closed loop, a slow or
-    overloaded server does **not** slow the offered load down: queueing
-    and shedding become visible instead of being absorbed by the client.
+    that the arrival is counted in ``overflowed``, so generator saturation
+    is never hidden -- and never blamed on the server).  The default cap
+    sits below ``QueryServer``'s default ``max_connections`` (256) on
+    purpose: a fleet larger than the server's connection budget is shed at
+    accept with ``Connection: close``, and the reconnect churn can overflow
+    the listen backlog into client-side resets that would read as errors.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
@@ -512,8 +441,7 @@ def run_open_loop(
                 overflowed += 1
                 continue
             client = _OpenClient(
-                host, port, idle, idle_lock, expected, timeout,
-                name=f"openloop-{len(clients)}",
+                _Client(host, port, expected, timeout), idle, idle_lock, name=f"openloop-{len(clients)}"
             )
             client.start()
             clients.append(client)
@@ -524,24 +452,16 @@ def run_open_loop(
         client.join()
     elapsed = time.perf_counter() - started
 
-    latencies: List[float] = []
-    accepted = shed = errors = mismatches = 0
-    for client in clients:
-        latencies.extend(client.latencies)
-        accepted += client.accepted
-        shed += client.shed
-        errors += client.errors
-        mismatches += client.mismatches
-    latencies.sort()
+    counts, latencies = _added_up([client.client for client in clients])
     return OpenLoopReport(
         rate=rate,
         arrivals=arrivals,
         duration_seconds=elapsed,
         offered=len(offsets),
-        accepted=accepted,
-        shed=shed,
-        errors=errors,
-        mismatches=mismatches,
+        accepted=len(latencies),
+        shed=counts["shed"],
+        errors=counts["errors"],
+        mismatches=counts["mismatches"],
         overflowed=overflowed,
         clients_peak=len(clients),
         latencies=latencies,

@@ -63,15 +63,6 @@ class Node:
         """Number of nodes in the subtree rooted at this node."""
         return 1 + sum(child.size() for child in self.children)
 
-    def depth(self) -> int:
-        """Depth of this node from the root (the root has depth 0)."""
-        depth = 0
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            depth += 1
-        return depth
-
     # ------------------------------------------------------------------
     # Traversals
     # ------------------------------------------------------------------
@@ -93,13 +84,6 @@ class Node:
         """Yield all proper descendants of this node in pre-order."""
         for child in self.children:
             yield from child.preorder()
-
-    def ancestors(self) -> Iterator["Node"]:
-        """Yield the proper ancestors of this node, nearest first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     # ------------------------------------------------------------------
     # Label utilities

@@ -50,10 +50,6 @@ class FBQuerySet:
         """All queries of one frequency class."""
         return [query for query in self.queries if query.frequency_class == frequency_class]
 
-    def by_size(self, size: int) -> List[FBQuery]:
-        """All queries of one size."""
-        return [query for query in self.queries if query.size == size]
-
     def classes(self) -> List[str]:
         """Frequency classes present in the set, in canonical order."""
         present = {query.frequency_class for query in self.queries}

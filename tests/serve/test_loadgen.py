@@ -1,4 +1,4 @@
-"""Tests of the closed-loop load generator against a real served index."""
+"""Tests of the closed- and open-loop load generators against a real served index."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ import json
 import pytest
 
 from repro.core.index import SubtreeIndex
-from repro.serve.loadgen import LoadgenReport, parse_base_url, run_load
-from repro.serve.server import open_server, result_to_dict
+from repro.serve.loadgen import LoadgenReport, parse_base_url, run_load, run_open_loop
+from repro.serve.server import ServerThread, open_server, result_to_dict
+from repro.service.service import QueryService
+from tests.serve.chaoskit import SlowService
 
 QUERIES = ["NP(DT)(NN)", "VP(VBZ)", "S(NP)(VP)"]
 
@@ -91,15 +93,48 @@ class TestLoadgenReport:
         assert report.percentile(0.5) is None
         assert report.percentiles_ms() == {"p50": None, "p95": None, "p99": None}
 
-    def test_as_dict_is_json_friendly(self) -> None:
-        report = LoadgenReport(
-            concurrency=2,
-            duration_seconds=1.0,
-            requests=2,
-            errors=0,
-            mismatches=0,
-            latencies=[0.001, 0.003],
+
+@pytest.fixture(scope="module")
+def shedding(tmp_path_factory, small_corpus):
+    """A server that runs one query at a time, admits no second, and sheds
+    the rest: ``max_queue=1``, one worker, a slowed service and no result
+    cache, so every request reaches the pool.  Yields the URL and the
+    expected answer of every query."""
+    path = str(tmp_path_factory.mktemp("shedding") / "corpus.si")
+    SubtreeIndex.build(small_corpus, mss=3, coding="root-split", path=path).close()
+    with QueryService.open(path, result_cache_size=0) as service:
+        expected = {
+            text: json.loads(json.dumps(result_to_dict(service.run(text)))) for text in QUERIES
+        }
+        slow = SlowService(service, delay=0.02)
+        with ServerThread(slow, max_queue=1, max_workers=1) as thread:
+            yield thread.url, expected
+
+
+class TestOneClient:
+    def test_open_loop_sorts_every_dispatched_arrival(self, shedding) -> None:
+        url, expected = shedding
+        report = run_open_loop(
+            url, QUERIES, rate=200.0, duration=0.3, arrivals="uniform", expected=expected, max_clients=8
         )
-        payload = json.loads(json.dumps(report.as_dict()))
-        assert payload["qps"] == 2.0
-        assert payload["latency_ms"]["p50"] == pytest.approx(2.0)
+        assert report.offered == 60
+        assert report.accepted > 0 and report.shed > 0
+        assert report.errors == 0 and report.mismatches == 0
+        assert report.accepted + report.shed + report.errors == report.offered - report.overflowed
+        assert len(report.latencies) == report.accepted
+        assert report.latencies == sorted(report.latencies)
+
+    def test_closed_loop_keeps_no_latency_for_a_shed_answer(self, shedding) -> None:
+        url, expected = shedding
+        report = run_load(url, QUERIES, concurrency=3, duration=0.3, expected=expected)
+        assert report.errors > 0, "max_queue=1 under three clients must shed"
+        assert len(report.latencies) == report.requests - report.errors > 0
+        assert report.mismatches == 0
+
+    def test_wrong_expectations_are_mismatches_on_both_loops(self, shedding) -> None:
+        url, _ = shedding
+        wrong = {text: {"total_matches": -1} for text in QUERIES}
+        closed = run_load(url, QUERIES, concurrency=1, duration=0.2, expected=wrong)
+        assert closed.mismatches == len(closed.latencies) > 0
+        opened = run_open_loop(url, QUERIES, rate=20.0, duration=0.2, arrivals="uniform", expected=wrong)
+        assert opened.mismatches == opened.accepted > 0

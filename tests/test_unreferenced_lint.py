@@ -2,7 +2,8 @@
 
 The step fails when a def or class in ``src/`` is referenced nowhere in
 ``src/``, ``perfbench/``, ``examples/`` or ``benchmarks/`` -- its own body and
-its package's re-export do not count -- or when a name of
+its package's re-export do not count, nor, for a def in a class body, a bare
+name of its spelling -- or when a name of
 the deleted posting record view or of the old regression gate comes back.
 These tests run the step's script from ``.github/workflows/ci.yml`` on the
 checkout, which must pass, and on copies with one such change, which must not.
@@ -93,6 +94,24 @@ def test_a_def_only_its_package_reexports_fails_the_step(tmp_path: Path) -> None
     done = _run(tree, tmp_path)
     assert done.returncode != 0
     assert "reexported_only is referenced nowhere" in done.stdout
+
+
+def test_a_method_only_a_bare_name_mentions_fails_the_step(tmp_path: Path) -> None:
+    # A local variable and a builtin call spell the methods' names, but only
+    # an attribute or a string reaches a def in a class body.
+    tree = _copy(tmp_path)
+    _append(
+        tree / "src" / "repro" / "coding" / "postings.py",
+        "\n\nclass _Shelf:\n"
+        "    def sorted(self) -> list:\n        return []\n\n"
+        "    def shelf_count(self) -> int:\n        return 0\n\n\n"
+        "def _shelve() -> int:\n    shelf_count = len(sorted(_Shelf.__mro__))\n    return shelf_count\n\n\n"
+        "_SHELVED = _shelve()\n",
+    )
+    done = _run(tree, tmp_path)
+    assert done.returncode != 0
+    orphans = [line.rpartition(": ")[2] for line in done.stdout.splitlines()]
+    assert orphans == ["sorted is referenced nowhere", "shelf_count is referenced nowhere"]
 
 
 def test_a_record_view_name_coming_back_fails_the_step(tmp_path: Path) -> None:

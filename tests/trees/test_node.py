@@ -43,11 +43,6 @@ class TestNodeBasics:
         assert child.parent is root
         assert root.children == [child]
 
-    def test_depth(self, sample: Node) -> None:
-        assert sample.depth() == 0
-        assert sample.children[0].depth() == 1
-        assert sample.children[0].children[1].depth() == 2
-
 
 class TestTraversals:
     def test_preorder_sequence(self, sample: Node) -> None:
@@ -59,10 +54,6 @@ class TestTraversals:
         labels = [node.label for node in sample.descendants()]
         assert "S" not in labels
         assert len(labels) == sample.size() - 1
-
-    def test_ancestors_nearest_first(self, sample: Node) -> None:
-        dt = sample.children[0].children[0]
-        assert [node.label for node in dt.ancestors()] == ["NP", "S"]
 
     def test_find_label(self, sample: Node) -> None:
         assert len(list(sample.find_label("NN"))) == 1
