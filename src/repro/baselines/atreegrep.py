@@ -19,9 +19,9 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.corpus.store import Corpus, TreeStore
-from repro.exec.executor import ExecutionStats, QueryResult
+from repro.exec.executor import ExecutionStats, QueryResult, filter_candidates
 from repro.query.model import QueryNode, QueryTree
-from repro.trees.matching import AXIS_CHILD, count_matches
+from repro.trees.matching import AXIS_CHILD
 from repro.trees.node import Node, ParseTree
 
 
@@ -139,14 +139,7 @@ class ATreeGrepIndex:
                 candidates &= self._tids_with_path_prefix(path)
                 if not candidates:
                     break
-
-        matches: Dict[int, int] = {}
-        for tid in sorted(candidates):
-            tree = self._store.get(tid)
-            count = count_matches(query.root, tree)
-            if count:
-                matches[tid] = count
-
+        matches = filter_candidates(query, sorted(candidates), self._store)
         stats = ExecutionStats(
             coding="atreegrep",
             strategy="path-suffix",

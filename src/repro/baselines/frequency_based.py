@@ -19,12 +19,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.enumeration import extract_subtrees, number
 from repro.corpus.store import Corpus, TreeStore
-from repro.exec.executor import ExecutionStats, QueryResult
+from repro.exec.executor import ExecutionStats, QueryResult, filter_candidates
 from repro.exec.joins import intersect_sorted_tid_lists
 from repro.query.covers import Cover
 from repro.query.decompose import optimal_cover
 from repro.query.model import QueryTree
-from repro.trees.matching import count_matches
 from repro.trees.node import ParseTree
 
 
@@ -112,12 +111,7 @@ class FrequencyBasedIndex:
         """Evaluate *query*: candidate pruning followed by post-validation."""
         started = time.perf_counter()
         candidates = self._candidate_tids(query)
-        matches: Dict[int, int] = {}
-        for tid in candidates:
-            tree = self._store.get(tid)
-            count = count_matches(query.root, tree)
-            if count:
-                matches[tid] = count
+        matches = filter_candidates(query, candidates, self._store)
         stats = ExecutionStats(
             coding=f"frequency-based({self.frequency_cutoff:g})",
             strategy="treepi",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.coding.base import CodingScheme
@@ -227,19 +227,32 @@ def _join_filter_based(
         [PostingColumns.from_postings(plist).tids for plist in postings]
     )
     stats.candidates_filtered = len(candidates)
-
-    matches: Dict[int, int] = {}
     with obs.trace("filter", candidates=len(candidates)) as span:
-        for tid in candidates:
-            try:
-                tree = store.get(tid)
-            except TreeGone:  # deleted since its postings were read (live index)
-                continue
-            count = count_matches(query.root, tree)
-            if count:
-                matches[tid] = count
+        matches = filter_candidates(query, candidates, store)
         span.set(matched_trees=len(matches))
     return QueryResult(matches, stats)
+
+
+def filter_candidates(
+    query: QueryTree, candidates: Iterable[int], store: TreeStore | Corpus
+) -> Dict[int, int]:
+    """The filtering phase (Section 4.3): fetch each candidate tree from
+    *store* and count *query*'s matches in it with the exact matcher.
+
+    Returns ``{tid: matches}`` of the candidates that match, in candidate
+    order.  A tid deleted since its postings were read (a live index) is
+    skipped.  The filter-based coding and both baselines end here.
+    """
+    matches: Dict[int, int] = {}
+    for tid in candidates:
+        try:
+            tree = store.get(tid)
+        except TreeGone:
+            continue
+        count = count_matches(query.root, tree)
+        if count:
+            matches[tid] = count
+    return matches
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,8 @@ Multi-Predicate MerGe JoiN (MPMGJN) the paper adopts off the shelf
 * :func:`run_plan` -- executes a :class:`~repro.exec.plan.JoinPlan` over
   posting *columns* with the kernel generated for its shape
   (:mod:`repro.exec.codegen`) and returns the distinct query-root matches
-  per tree.  The LPath-style node-index baseline runs it too, with one
-  single-slot relation per query node.
+  per tree.  At ``mss = 1`` every relation is one query node's
+  single-slot list: the paper's node approach (Section 6.3.1).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@
 """
 
 from repro.query.covers import Cover, CoverSubtree, has_deep_branching_anomaly, is_root_split_cover, is_valid_cover
-from repro.query.decompose import compile_query, decompose, min_rc, optimal_cover
+from repro.query.decompose import compile_query, min_rc, optimal_cover
 from repro.query.model import QueryNode, QueryTree, query_from_node
 from repro.query.parser import QuerySyntaxError, parse_query
 
@@ -32,5 +32,4 @@ __all__ = [
     "compile_query",
     "optimal_cover",
     "min_rc",
-    "decompose",
 ]

@@ -343,7 +343,3 @@ def optimal_cover(query: QueryTree, mss: int, pad: bool = True) -> Cover:
 def min_rc(query: QueryTree, mss: int, pad: bool = True) -> Cover:
     """Smallest root-split cover of *query* (paper's ``minRC``)."""
     return compile_query(query, mss, "min-rc", pad)
-
-
-#: Decompose a query with the named strategy: the compiler's older name.
-decompose = compile_query

@@ -149,7 +149,7 @@ class LoadgenReport(_Latencies):
 
     ``requests`` counts every HTTP response; ``errors`` every non-200
     response (503 included) plus every transport failure; ``latencies``
-    the 200s only, sorted ascending.
+    the 200s only, sorted ascending, and ``qps`` the 200s a second.
     """
 
     concurrency: int
@@ -163,10 +163,10 @@ class LoadgenReport(_Latencies):
 
     @property
     def qps(self) -> float:
-        """Completed requests per second of wall time."""
+        """Answers (200s) per second of wall time: a 503 or a 500 is no answer."""
         if self.duration_seconds <= 0:
             return 0.0
-        return self.requests / self.duration_seconds
+        return len(self.latencies) / self.duration_seconds
 
 
 class _Worker(threading.Thread):

@@ -6,9 +6,10 @@ This package provides the substrate every other layer builds on:
   the in-memory representation of a syntactically annotated tree
   (Definition 1 of the paper).
 * :mod:`repro.trees.penn` -- reading and writing Penn-Treebank style
-  bracketed strings such as ``(S (NP (DT the) (NN agouti)) (VP (VBZ is)))``.
-* :mod:`repro.trees.numbering` -- the interval (pre, post, level, order)
-  numbering scheme used by the coding layers (Section 3 of the paper).
+  bracketed strings such as ``(S (NP (DT the) (NN agouti)) (VP (VBZ is)))``;
+  :func:`~repro.trees.penn.scan_penn` also reads a tree's interval
+  ``(pre, post, level)`` numbering (Section 3 of the paper) straight off the
+  text, the one :func:`repro.core.enumeration.number` takes from a node tree.
 * :mod:`repro.trees.matching` -- exact tree-query matching semantics
   (Definition 3); used both for validation phases and as a reference
   implementation against which the index executors are tested.
@@ -18,7 +19,6 @@ This package provides the substrate every other layer builds on:
 
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import parse_penn, to_penn
-from repro.trees.numbering import IntervalCode, number_tree
 from repro.trees.matching import count_matches, find_matches
 from repro.trees.stats import TreeShapeStats, corpus_stats, tree_stats
 
@@ -27,8 +27,6 @@ __all__ = [
     "ParseTree",
     "parse_penn",
     "to_penn",
-    "IntervalCode",
-    "number_tree",
     "find_matches",
     "count_matches",
     "TreeShapeStats",

@@ -1,23 +1,29 @@
-"""Tests for the three baseline systems.
+"""Tests for the baseline systems.
 
 Every baseline must return exactly the matches of the reference matcher; the
 comparisons in Table 2 are only meaningful if all engines answer queries
-identically.
+identically.  The paper's node approach (Section 6.3.1) is no engine of its
+own: it is root-split coding at ``mss = 1``, pinned here row for row.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 import pytest
 
 from repro.baselines.atreegrep import ATreeGrepIndex
 from repro.baselines.frequency_based import FrequencyBasedIndex
-from repro.baselines.node_index import NodeIntervalIndex
+from repro.coding.root_split import RootSplitCoding
+from repro.core.enumeration import number
+from repro.core.index import SubtreeIndex
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
+from repro.exec import QueryExecutor
 from repro.query.parser import parse_query
 from repro.trees.matching import match_corpus
+from repro.workloads.fb import generate_fb_queries
+from repro.workloads.wh import generate_wh_queries
 
 QUERY_TEXTS = [
     "NP",
@@ -43,27 +49,48 @@ def expected(corpus) -> Dict[str, Dict[int, int]]:
     return {text: match_corpus(parse_query(text).root, list(corpus)) for text in QUERY_TEXTS}
 
 
-class TestNodeIntervalIndex:
+class TestNodeApproach:
+    """The LPath-style node index -- one ``(tid, pre, post, level)`` row per
+    node under its label, one structural join per query edge -- is
+    ``SubtreeIndex.build(trees, 1, "root-split", path)``."""
+
     @pytest.fixture(scope="class")
-    def index(self, corpus, tmp_path_factory) -> NodeIntervalIndex:
-        path = str(tmp_path_factory.mktemp("node") / "node.bpt")
-        return NodeIntervalIndex.build(corpus, path)
+    def index(self, corpus, tmp_path_factory) -> SubtreeIndex:
+        path = str(tmp_path_factory.mktemp("node") / "node.si")
+        SubtreeIndex.build(corpus, 1, "root-split", path).close()
+        index = SubtreeIndex.open(path)  # what a reader of the file sees
+        yield index
+        index.close()
+
+    def test_one_row_per_node_under_its_label(self, index, corpus) -> None:
+        rows: Dict[str, List[int]] = {}
+        for tree in corpus:
+            labels, codes, _ = number(tree)
+            for label, (pre, post, level) in zip(labels, codes):
+                rows.setdefault(label, []).extend((tree.tid, pre, post, level))
+        coding = RootSplitCoding()
+        assert list(index.raw_items()) == [
+            (label.encode("utf-8"), coding.encode_body(body)) for label, body in sorted(rows.items())
+        ]
+
+    def test_wh_and_fb_equal_the_matcher(self, index, corpus) -> None:
+        trees = list(corpus)
+        fb = generate_fb_queries(trees, CorpusGenerator(seed=304).generate_list(30), seed=3).queries
+        texts = [item.text for item in generate_wh_queries()] + [item.text for item in fb]
+        assert len(texts) > 48
+        executor = QueryExecutor(index)
+        for text in texts:
+            query = parse_query(text)
+            assert executor.execute(query).matches_per_tree == match_corpus(query.root, trees), text
 
     def test_matches_reference(self, index, expected) -> None:
+        executor = QueryExecutor(index)
         for text in QUERY_TEXTS:
-            assert index.execute(parse_query(text)).matches_per_tree == expected[text], text
+            assert executor.execute(parse_query(text)).matches_per_tree == expected[text], text
 
-    def test_reopen(self, corpus, tmp_path) -> None:
-        path = str(tmp_path / "node.bpt")
-        NodeIntervalIndex.build(corpus, path).close()
-        reopened = NodeIntervalIndex.open(path)
-        assert len(reopened.postings("NP")) > 0
-        assert reopened.size_bytes() > 0
-        reopened.close()
-
-    def test_join_stats(self, index) -> None:
-        result = index.execute(parse_query("S(NP)(VP)"))
-        assert result.stats.coding == "node-interval"
+    def test_one_join_per_query_edge(self, index) -> None:
+        result = QueryExecutor(index).execute(parse_query("S(NP)(VP)"))
+        assert result.stats.cover_size == 3
         assert result.stats.join_count == 2
         assert result.stats.postings_fetched > 0
 

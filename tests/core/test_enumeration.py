@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
 from math import comb
 
 import pytest
@@ -17,8 +18,7 @@ from repro.core.enumeration import (
     subtree_count_by_root_branching,
 )
 from repro.core.index import accumulate_posting_lists, numbered
-from repro.trees.node import ParseTree, build_tree
-from repro.trees.numbering import number_tree
+from repro.trees.node import Node, ParseTree, build_tree
 from tests.coding.recordkit import rows
 
 
@@ -148,6 +148,22 @@ def _brute_force(root, mss: int) -> Counter:
     return found
 
 
+def _interval_codes(root: Node) -> dict:
+    """``id(node) -> (pre, post, level)`` by recursion: a DFS's visit rank,
+    its unwind rank and the depth, each counted from the root."""
+    codes: dict = {}
+    pres, posts = count(1), count(1)
+
+    def visit(node: Node, level: int) -> None:
+        pre = next(pres)
+        for child in node.children:
+            visit(child, level + 1)
+        codes[id(node)] = (pre, next(posts), level)
+
+    visit(root, 0)
+    return codes
+
+
 @settings(max_examples=150, deadline=None)
 @given(_shapes, st.integers(min_value=1, max_value=5))
 def test_kernel_matches_brute_force(shape, mss: int) -> None:
@@ -158,15 +174,14 @@ def test_kernel_matches_brute_force(shape, mss: int) -> None:
     assert labels == [node.label for node in nodes]
     assert children == [[nodes.index(child) for child in node.children] for node in nodes]
     extracted = extract_subtrees(numbering, mss)
-    codes = number_tree(tree)
+    codes = _interval_codes(tree.root)
     got: Counter = Counter()
     for node, found in zip(nodes, extracted):
         for text, occurrence, size in found:
             assert size == len(occurrence)
             assert occurrence[0][0] - 1 == nodes.index(node)  # rooted where it is listed
             for pre, post, level in occurrence:
-                code = codes[id(nodes[pre - 1])]
-                assert (pre, post, level) == (code.pre, code.post, code.level)
+                assert (pre, post, level) == codes[id(nodes[pre - 1])]
             got[(text.encode("utf-8"), tuple(pre - 1 for pre, _, _ in occurrence))] += 1
     assert got == expected  # same key multiset, same canonical node order
 

@@ -1,51 +1,49 @@
-"""Unit tests for the interval numbering scheme."""
+"""The interval numbering every index is built from (Section 3 of the paper):
+:func:`repro.core.enumeration.number`'s ``(pre, post, level)`` codes answer
+containment by arithmetic."""
 
 from __future__ import annotations
 
+from repro.core.enumeration import number
 from repro.trees.node import ParseTree, build_tree
-from repro.trees.numbering import number_tree
 from repro.trees.penn import parse_penn
 
 
 def _codes_by_label(tree: ParseTree) -> dict:
-    codes = number_tree(tree)
-    return {node.label: codes[id(node)] for node in tree.preorder()}
+    labels, codes, _ = number(tree)
+    return dict(zip(labels, codes))
 
 
-class TestNumberTree:
+def _ancestor(upper: tuple, lower: tuple) -> bool:
+    return upper[0] < lower[0] and upper[1] > lower[1]
+
+
+class TestNumber:
     def test_pre_numbers_follow_preorder(self) -> None:
         tree = ParseTree(build_tree(("S", [("NP", ["DT", "NN"]), ("VP", ["VBZ"])])), tid=0)
-        codes = number_tree(tree)
-        pres = [codes[id(node)].pre for node in tree.preorder()]
-        assert pres == sorted(pres)
-        assert pres[0] == 1
-        assert len(set(pres)) == tree.size()
+        labels, codes, _ = number(tree)
+        assert labels == [node.label for node in tree.preorder()]
+        assert [pre for pre, _, _ in codes] == list(range(1, tree.size() + 1))
 
     def test_post_numbers_are_a_permutation(self) -> None:
         tree = ParseTree(build_tree(("S", [("NP", ["DT", "NN"]), ("VP", ["VBZ"])])), tid=0)
-        codes = number_tree(tree)
-        posts = sorted(code.post for code in codes.values())
+        posts = sorted(post for _, post, _ in number(tree)[1])
         assert posts == list(range(1, tree.size() + 1))
 
     def test_levels(self) -> None:
         tree = ParseTree(build_tree(("S", [("NP", ["DT", "NN"]), ("VP", ["VBZ"])])), tid=0)
         by_label = _codes_by_label(tree)
-        assert by_label["S"].level == 0
-        assert by_label["NP"].level == 1
-        assert by_label["DT"].level == 2
+        assert by_label["S"][2] == 0
+        assert by_label["NP"][2] == 1
+        assert by_label["DT"][2] == 2
 
     def test_ancestor_relation(self) -> None:
         tree = ParseTree(parse_penn("(S (NP (DT the) (NN dog)) (VP (VBZ barks)))"), tid=0)
         by_label = _codes_by_label(tree)
-
-        def is_ancestor(upper: str, lower: str) -> bool:
-            a, d = by_label[upper], by_label[lower]
-            return a.pre < d.pre and a.post > d.post
-
-        assert is_ancestor("S", "DT")
-        assert is_ancestor("NP", "NN")
-        assert not is_ancestor("NP", "VBZ")
-        assert not is_ancestor("DT", "S")
+        assert _ancestor(by_label["S"], by_label["DT"])
+        assert _ancestor(by_label["NP"], by_label["NN"])
+        assert not _ancestor(by_label["NP"], by_label["VBZ"])
+        assert not _ancestor(by_label["DT"], by_label["S"])
 
     def test_parent_relation(self) -> None:
         tree = ParseTree(parse_penn("(S (NP (DT the) (NN dog)) (VP (VBZ barks)))"), tid=0)
@@ -53,7 +51,7 @@ class TestNumberTree:
 
         def is_parent(upper: str, lower: str) -> bool:
             a, d = by_label[upper], by_label[lower]
-            return a.pre < d.pre and a.post > d.post and a.level + 1 == d.level
+            return _ancestor(a, d) and a[2] + 1 == d[2]
 
         assert is_parent("NP", "DT")
         assert not is_parent("S", "DT")
@@ -61,11 +59,9 @@ class TestNumberTree:
 
     def test_containment_matches_descendant_sets(self) -> None:
         tree = ParseTree(parse_penn("(S (NP (DT the) (NN dog)) (VP (VBZ barks) (NP (NNS cats))))"), tid=0)
-        codes = number_tree(tree)
-        for node in tree.preorder():
+        nodes = list(tree.preorder())
+        codes = number(tree)[1]
+        for node, upper in zip(nodes, codes):
             descendants = {id(d) for d in node.descendants()}
-            for other in tree.preorder():
-                expected = id(other) in descendants
-                upper, lower = codes[id(node)], codes[id(other)]
-                assert (upper.pre < lower.pre and upper.post > lower.post) == expected
-
+            for other, lower in zip(nodes, codes):
+                assert _ancestor(upper, lower) == (id(other) in descendants)

@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.node_index import NodeIntervalIndex
 from repro.coding.postings import PostingColumns
 from repro.core.index import SubtreeIndex
 from repro.core.segments import SegmentSet
@@ -134,7 +133,6 @@ def deep(tmp_path_factory):
         coding: SubtreeIndex.build(_DEEP, 1, coding, str(workdir / f"{coding}.si"))
         for coding in ("root-split", "subtree-interval")
     }
-    opened["node-index"] = NodeIntervalIndex.build(_DEEP, str(workdir / "labels.idx"))
     yield opened
     for index in opened.values():
         index.close()
@@ -148,10 +146,8 @@ class TestChainedFunctions:
 
     @pytest.mark.parametrize("coding", ["root-split", "subtree-interval"])
     def test_executor_at_mss_1(self, deep, coding, text) -> None:
+        """One relation per query node; root-split at mss 1 is the paper's node approach."""
         assert QueryExecutor(deep[coding]).execute(parse_query(text)).matches_per_tree == _oracle(text)
-
-    def test_node_index_baseline(self, deep, text) -> None:
-        assert deep["node-index"].execute(parse_query(text)).matches_per_tree == _oracle(text)
 
     def test_post_query(self, deep, text) -> None:
         with ServerThread(QueryService(SegmentSet.of(deep["root-split"]))) as server:

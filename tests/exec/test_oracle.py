@@ -17,7 +17,6 @@ from typing import Dict
 
 import pytest
 
-from repro.baselines.node_index import NodeIntervalIndex
 from repro.core.index import SubtreeIndex
 from repro.core.segments import SegmentSet
 from repro.corpus.generator import CorpusGenerator
@@ -140,20 +139,17 @@ _TWINS = [text for text in _WH if has_duplicate_siblings(parse_query(text))]
 @pytest.fixture(scope="module")
 def per_node_engines(tmp_path_factory):
     """Engines with one relation per query node: both structural codings
-    at mss 1 and the node-index baseline."""
+    at mss 1 (root-split at mss 1 is the paper's node approach)."""
     workdir = tmp_path_factory.mktemp("per-node")
     indexes = [
         SubtreeIndex.build(_TREES, 1, coding, str(workdir / f"{coding}.si")) for coding in CODINGS[1:]
     ]
-    labels = NodeIntervalIndex.build(_TREES, str(workdir / "labels.idx"))
-    run = {index.coding.name: QueryExecutor(index).execute for index in indexes}
-    run["node-index"] = labels.execute
-    yield run
-    for index in indexes + [labels]:
+    yield {index.coding.name: QueryExecutor(index).execute for index in indexes}
+    for index in indexes:
         index.close()
 
 
-@pytest.mark.parametrize("engine", ["root-split", "subtree-interval", "node-index"])
+@pytest.mark.parametrize("engine", ["root-split", "subtree-interval"])
 @pytest.mark.parametrize("text", _TWINS)
 def test_twins_in_relations_of_their_own_are_exact(engine, text, per_node_engines, oracle) -> None:
     assert per_node_engines[engine](parse_query(text)).matches_per_tree == oracle[text]

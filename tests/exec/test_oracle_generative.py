@@ -13,8 +13,8 @@ failure shrinks to a minimal tree and query.
 Siblings with one label that are *not* twins, or twins too large to share a
 subtree, are not drawn there.  The second property draws them freely: the
 join keeps apart the ones it binds in different relations, which makes
-subtree-interval, mss 1 and the node-index baseline exact and leaves
-root-split a superset (``docs/query-language.md``) -- bar one shape it does
+subtree-interval and mss 1 -- root-split there is the paper's node approach,
+built on every example -- exact and leaves root-split a superset (``docs/query-language.md``) -- bar one shape it does
 not draw, pinned as a table below it: same-label siblings that differ only
 below a ``//`` edge (ROADMAP item 4).
 
@@ -41,7 +41,6 @@ from typing import List
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.baselines.node_index import NodeIntervalIndex
 from repro.coding.root_split import RootSplitCoding
 from repro.core.index import SubtreeIndex
 from repro.core.segments import SegmentSet
@@ -193,9 +192,9 @@ def _siblings_differ_only_below_a_descendant_edge(root: QueryNode) -> bool:
 @given(data=st.data(), mss=st.integers(min_value=1, max_value=3), specs=st.lists(_narrow_specs, max_size=4))
 def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tuple]) -> None:
     """Where the plan binds every query node -- subtree-interval coding, any
-    coding at mss 1, the node-index baseline -- the answer is exact; under
-    root-split a sibling buried in a key may still over-count, but the ``!=``
-    never loses a match."""
+    coding at mss 1, so the node approach (root-split at mss 1) on every
+    example -- the answer is exact; under root-split a sibling buried in a
+    key may still over-count, but the ``!=`` never loses a match."""
     query = data.draw(_free_queries(5))
     # The one known hole, pinned cell by cell in the table below.
     assume(not _siblings_differ_only_below_a_descendant_edge(query.root))
@@ -208,9 +207,9 @@ def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tup
             SubtreeIndex.build(trees, mss, coding, os.path.join(workdir, f"{coding}.si"))
             for coding in CODINGS
         ]
-        labels = NodeIntervalIndex.build(trees, os.path.join(workdir, "labels.idx"))
+        nodes = SubtreeIndex.build(trees, 1, "root-split", os.path.join(workdir, "nodes.si"))
         try:
-            assert labels.execute(query).matches_per_tree == expected
+            assert QueryExecutor(nodes).execute(query).matches_per_tree == expected
             for index in indexes:
                 found = QueryExecutor(index).execute(query).matches_per_tree
                 if mss == 1 or not isinstance(index.coding, RootSplitCoding):
@@ -218,7 +217,7 @@ def test_same_label_siblings_bind_distinct_nodes(data, mss: int, specs: List[tup
                 else:
                     assert all(found.get(tid, 0) >= count for tid, count in expected.items())
         finally:
-            for index in indexes + [labels]:
+            for index in indexes + [nodes]:
                 index.close()
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import math
 
 import pytest
@@ -14,8 +13,9 @@ from repro.query.covers import (
     is_root_split_cover,
     is_valid_cover,
 )
+from repro.query import decompose as compiler
 from repro.query.decompose import (
-    decompose,
+    compile_query,
     min_rc,
     optimal_cover,
     query_links,
@@ -126,12 +126,12 @@ class TestMinRC:
 class TestDecomposeDispatch:
     def test_strategies(self) -> None:
         query = parse_query(FIGURE1_QUERY)
-        assert len(decompose(query, 3, "optimal")) == len(optimal_cover(query, 3))
-        assert len(decompose(query, 3, "min-rc")) == len(min_rc(query, 3))
+        assert len(compile_query(query, 3, "optimal")) == len(optimal_cover(query, 3))
+        assert len(compile_query(query, 3, "min-rc")) == len(min_rc(query, 3))
 
     def test_unknown_strategy_rejected(self) -> None:
         with pytest.raises(ValueError):
-            decompose(parse_query("NP"), 3, "magic")
+            compile_query(parse_query("NP"), 3, "magic")
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +191,6 @@ def one_key_queries(draw):
     return QueryTree(nodes[0]), mss
 
 
-#: The compiler module (``repro.query.decompose`` is also the name of a function).
-compiler = importlib.import_module("repro.query.decompose")
 _CONFIGS = [(strategy, pad) for strategy in ("min-rc", "optimal") for pad in (True, False)]
 
 

@@ -130,6 +130,9 @@ class TestOneClient:
         assert report.errors > 0, "max_queue=1 under three clients must shed"
         assert len(report.latencies) == report.requests - report.errors > 0
         assert report.mismatches == 0
+        # Throughput counts answers: a shed request is no answer.
+        assert report.qps == len(report.latencies) / report.duration_seconds
+        assert report.qps < report.requests / report.duration_seconds
 
     def test_wrong_expectations_are_mismatches_on_both_loops(self, shedding) -> None:
         url, _ = shedding
