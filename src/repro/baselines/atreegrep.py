@@ -134,8 +134,9 @@ class ATreeGrepIndex:
         """Evaluate *query*: pre-filter, path matching, then post-validation."""
         started = time.perf_counter()
         candidates = self._prefilter(query)
+        paths = self._query_paths(query)
         if candidates:
-            for path in self._query_paths(query):
+            for path in paths:
                 candidates &= self._tids_with_path_prefix(path)
                 if not candidates:
                     break
@@ -143,7 +144,7 @@ class ATreeGrepIndex:
         stats = ExecutionStats(
             coding="atreegrep",
             strategy="path-suffix",
-            cover_size=len(self._query_paths(query)),
+            cover_size=len(paths),
             join_count=0,
             postings_fetched=0,
             candidates_filtered=len(candidates),

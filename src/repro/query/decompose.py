@@ -36,10 +36,14 @@ Three deviations from the paper's pseudocode:
   assigned ancestor; this implementation instead propagates a *connected
   remainder rooted at the current node* upwards, which preserves the
   join-optimality argument while always producing a valid cover;
-* the optional padding step ("fill subtrees up to ``mss``") only absorbs
-  *whole, already covered* child subtrees, never partial paths into covered
-  regions, because partial padding is exactly what re-introduces the
-  deep-branching anomaly the root-split cover must avoid;
+* padding ("fill subtrees up to ``mss``") grows a ``minRC`` subtree in
+  pre-order over its root's rigid component, each node once its parent is
+  in, up to ``mss`` nodes.  A root-split key ``K' ⊇ K`` at the same root
+  has ``list(K') ⊆ list(K)``, and a true match restricted to ``K'`` is an
+  occurrence of ``K'`` at that root: no true binding is lost or added, so
+  exact answers stay exact, the same-label over-count can only shrink, and
+  no more postings are read.  ``optimalCover``, whose keys bind every
+  node, pads only with *whole, already covered* child subtrees;
 * ``assign`` packs canonically-equal siblings (*twins*) as one piece when
   the group fits a bin: only a key that holds both, ``NP(NN)(NN)``, makes
   them bind distinct data nodes.  Twins too large to share a subtree stay
@@ -204,8 +208,8 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
     root's parent roots another subtree, and so does the parent of every
     ``//`` edge, since the executor can only anchor a join on a node whose
     code is stored) or ``"optimal"`` (fewest subtrees; subtrees may overlap
-    on internal nodes).  With *pad*, subtrees are grown towards *mss* with
-    whole child subtrees that other subtrees already cover.
+    on internal nodes).  With *pad*, subtrees are grown towards *mss*: in
+    pre-order (min-rc) or with whole, already covered child subtrees.
     """
     if mss < 1:
         raise ValueError("mss must be at least 1")
@@ -255,11 +259,28 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
                 bins.append([piece_size, ids, texts])
         return bins
 
+    def filled(node: int, ids: Tuple[int, ...]) -> CoverSubtree:
+        """*node*'s bin grown in pre-order over its rigid component, each node
+        whose parent it holds, until it has ``mss`` nodes or none is left."""
+        held, stack = {node, *ids}, kids[node][::-1]
+        while stack and len(held) < mss:
+            at = stack.pop()
+            held.add(at)
+            stack += kids[at][::-1]
+
+        def compose(at: int) -> str:
+            return _compose(nodes[at].label, [compose(kid) for kid in kids[at] if kid in held])
+
+        return CoverSubtree(nodes[node], frozenset(held), compose(node).encode("utf-8"))
+
     def root_bins(node: int, bins: List[list]) -> None:
         """The bins packed at *node* as cover subtrees rooted there."""
         below = kids[node]
         for fill, ids, texts in bins:
             if pad and fill + 1 < mss and fill + 1 < size[node]:
+                if strategy == "min-rc":
+                    out.append(filled(node, ids))
+                    continue
                 # Only whole child components other subtrees cover, and never
                 # the twin of a child the bin already holds.
                 held = set(ids)

@@ -23,6 +23,7 @@ from repro.corpus.generator import CorpusGenerator
 from repro.corpus.store import Corpus
 from repro.exec import QueryExecutor
 from repro.live import LiveIndex
+from repro.query.decompose import min_rc
 from repro.query.model import has_duplicate_siblings
 from repro.query.parser import parse_query
 from repro.service import QueryService
@@ -30,6 +31,7 @@ from repro.shard import build_sharded
 from repro.trees.matching import count_matches
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
+from tests.coding.recordkit import rows
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 FLAVORS = ("executor", "sharded", "live")
@@ -153,3 +155,32 @@ def per_node_engines(tmp_path_factory):
 @pytest.mark.parametrize("text", _TWINS)
 def test_twins_in_relations_of_their_own_are_exact(engine, text, per_node_engines, oracle) -> None:
     assert per_node_engines[engine](parse_query(text)).matches_per_tree == oracle[text]
+
+
+# ----------------------------------------------------------------------
+# Filled root-split keys: a bigger key at the same root reads a subset
+# ----------------------------------------------------------------------
+def test_a_filled_key_reads_a_subset_of_its_bare_keys_rows(tmp_path, small_corpus) -> None:
+    """For every WH template, each key of the padded ``minRC`` cover holds
+    no ``(tid, pre)`` row that its unpadded key lacks, and the answer is
+    the brute-force one."""
+    trees = list(small_corpus)
+    index = SubtreeIndex.build(trees, MSS, "root-split", str(tmp_path / "rs.si"))
+    executor = QueryExecutor(index, store=small_corpus)
+    filled = 0
+    try:
+        for text in _WH:
+            query = parse_query(text)
+            for padded, bare in zip(min_rc(query, MSS), min_rc(query, MSS, pad=False)):
+                assert padded.root is bare.root
+                if padded.node_ids == bare.node_ids:
+                    continue
+                filled += 1
+                narrow = {row[:2] for row in rows(index.lookup(padded.key_bytes()))}
+                assert narrow <= {row[:2] for row in rows(index.lookup(bare.key_bytes()))}, text
+            counts = ((tree.tid, count_matches(query.root, tree)) for tree in trees)
+            expected = {tid: count for tid, count in counts if count}
+            assert executor.execute(query).matches_per_tree == expected, text
+    finally:
+        index.close()
+    assert filled

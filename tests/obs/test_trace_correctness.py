@@ -255,18 +255,22 @@ class TestDisabledOverhead:
         # query, run through the cache-free executor with the index pages
         # warm.  The span count comes from an actual traced run, the noop
         # cost and query time from measurement, so the bound tracks the real
-        # call sites and the real join kernel as they evolve.
+        # call sites and the real join kernel as they evolve.  Each side is
+        # its minimum over alternating rounds, so a burst of load on a small
+        # host slows one round of one side, not the verdict.
         executor = QueryExecutor(plain_service.index)
         query = parse_query(WH_QUERY)
         spans_per_query = self._spans_of_traced_call(lambda: executor.execute(query))
         assert spans_per_query >= 6  # query, decompose, fetch (+keys, descents), join
 
-        noop_seconds = self._disabled_span_seconds()
-        rounds = 200
-        started = time.perf_counter()
-        for _ in range(rounds):
-            executor.execute(query)
-        uncached_seconds = (time.perf_counter() - started) / rounds
+        noop_seconds = uncached_seconds = float("inf")
+        runs = 200
+        for _ in range(5):
+            noop_seconds = min(noop_seconds, self._disabled_span_seconds())
+            started = time.perf_counter()
+            for _ in range(runs):
+                executor.execute(query)
+            uncached_seconds = min(uncached_seconds, (time.perf_counter() - started) / runs)
 
         budget = spans_per_query * noop_seconds
         if timing_bars_enabled():

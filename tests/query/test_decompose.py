@@ -222,3 +222,27 @@ def test_the_one_key_cover_is_the_hand_built_key(case) -> None:
         assert only.key_bytes() == CoverSubtree(query.root, every).key()[0]
         assert cover.edges == edges and cover.twin_pairs == pairs
         assert cover.split_twins == []
+
+
+# ----------------------------------------------------------------------
+# Padding: a root-split key filled to mss.
+# ----------------------------------------------------------------------
+def _rigid_size(node: QueryNode) -> int:
+    """Node count of the ``/``-connected component below *node*."""
+    return 1 + sum(_rigid_size(child) for child, axis in zip(node.children, node.child_axes) if axis == "/")
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=random_queries(), mss=st.integers(min_value=1, max_value=5))
+@example(query=parse_query("S(NP(DT)(NN)(NN))(VP(VBD)(NP))"), mss=3)  # twins
+@example(query=parse_query("VP(VBZ/is)(NP//NN)"), mss=2)  # the first child in pre-order
+def test_a_padded_min_rc_key_fills_its_bare_one_to_mss(query: QueryTree, mss: int) -> None:
+    padded, bare = min_rc(query, mss), min_rc(query, mss, pad=False)
+    assert [subtree.root.node_id for subtree in padded] == [subtree.root.node_id for subtree in bare]
+    assert padded.join_count == bare.join_count
+    for subtree, unpadded in zip(padded, bare):
+        assert subtree.node_ids >= unpadded.node_ids
+        # Connected through "/" edges, and keyed by its node set.
+        assert subtree.key_bytes() == CoverSubtree(subtree.root, subtree.node_ids).key()[0]
+        # Short of mss only where the root's rigid component runs out.
+        assert subtree.size == min(mss, _rigid_size(subtree.root))

@@ -5,7 +5,11 @@ parent of PR 17 by the recursive ``_min_rc_component`` / ``_optimal_component``
 / ``_pad_bins`` chain and the character-loop parser, both since deleted.  The
 one-pass compiler and the tokenising parser must reproduce them exactly; the
 only covers allowed to differ are those of a query with twin siblings, where
-``assign`` now keeps the twins in one subtree.
+``assign`` now keeps the twins in one subtree.  The ``min-rc/*/pad`` rows were
+rewritten when root-split keys began to be filled to ``mss``: each such cover
+must also keep the roots, in order, and the join count of the whole-component
+padding it replaced (``whole_padded``), every subtree a superset of its
+unpadded node set and no smaller than its old one.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ PARSE_SCOPE = (DATA / "parse_scope.sha256").read_text().strip()
 #: The configurations of a twin-sibling query whose cover changed: the NN
 #: twins of this template fit one bin at mss 3 and are no longer split.
 REPACKED = {
-    ("S(NP(DT)(NN)(NN))(VP(VBD)(NP))", f"{strategy}/3/{pad}")
-    for strategy in ("min-rc", "optimal")
-    for pad in ("pad", "nopad")
+    ("S(NP(DT)(NN)(NN))(VP(VBD)(NP))", config)
+    for config in ("min-rc/3/nopad", "optimal/3/pad", "optimal/3/nopad")
 }
 
 
@@ -68,6 +71,17 @@ def test_compiler_reproduces_the_pinned_covers(text: str) -> None:
             continue
         assert _rows(cover) == pinned["subtrees"], config
         assert cover.join_count == pinned["join_count"], config
+        if strategy == "min-rc" and pad == "pad":
+            # A filled key holds its unpadded node set and is never smaller
+            # than the whole-component key.  It need not hold that key's
+            # nodes: the walk takes the first child in pre-order, where the
+            # old rule could skip a child too big and pad with a later one.
+            whole = pinned.get("whole_padded", pinned["subtrees"])
+            bare = _rows(compile_query(parse_query(text), int(mss), strategy, False))
+            assert [row[0] for row in whole] == [row[0] for row in pinned["subtrees"]], config
+            assert cover.join_count == len(whole) - 1, config
+            for new, old, unpadded in zip(pinned["subtrees"], whole, bare):
+                assert set(new[2]) >= set(unpadded[2]) and len(new[2]) >= len(old[2]), config
         # The key composed while packing is the key of the node set.
         for subtree in cover.subtrees:
             assert CoverSubtree(subtree.root, subtree.node_ids).key() == subtree.key(), config
