@@ -1,4 +1,4 @@
-"""Ablation: the decomposition choice called out in DESIGN.md.
+"""Ablation: the decomposition choices of ``docs/architecture.md`` (*Query path*).
 
 Over the cached query corpus and the root-split index at mss = 3:
 

@@ -10,8 +10,11 @@ sequential build on a single-core box).
 
 from __future__ import annotations
 
+import time
+
 from benchmarks.conftest import run_experiment
-from repro.bench.guard import timing_bars_enabled
+from repro.bench.guard import alternating_minimums, timing_bars_enabled
+from repro.service import QueryService
 
 #: The speedup the 4-shard/4-worker build must reach over the 1-shard
 #: baseline -- when at least this many physical cores are available.
@@ -21,9 +24,20 @@ CORES_FOR_BAR = 4
 #: either way, so the difference is eight descents and decodes per key and
 #: the column merge.  Per-shard fan-out was at 2.4x (0.96 -> 2.30 ms).
 COLD_8_SHARDS_BAR = 1.75
+#: Alternating rounds of a cold pass over one shard, then over eight.
+COLD_ROUNDS = 9
 
 
-def test_shard_scalability(runner) -> None:
+def _cold_ms_per_query(index, queries) -> float:
+    """One pass of *queries* through a fresh service (empty caches)."""
+    with QueryService(index) as service:
+        started = time.perf_counter()
+        for query in queries:
+            service.run(query)
+        return (time.perf_counter() - started) * 1000 / len(queries)
+
+
+def test_shard_scalability(runner, context) -> None:
     report = run_experiment(runner, "shard_scalability")
     result = report.result
     rows = {row["shards"]: row for row in result.as_dicts()}
@@ -39,14 +53,25 @@ def test_shard_scalability(runner) -> None:
     for row in rows.values():
         assert row["warm_ms_per_query"] < row["cold_ms_per_query"], row
 
-    # Both cells are the fastest of several cold passes, measured after the
-    # experiment's warm-up run compiled the join kernels (else the 1-shard
-    # row, first in the process, would carry them and flatter the ratio).
+    # The bar re-measures the two cells over the experiment's indexes, after
+    # its warm-up run compiled the join kernels: a cold pass over one shard,
+    # then over eight, for several rounds, each side its fastest.  A burst of
+    # load on a small host slows one round of one side, not the ratio (the
+    # experiment's own cells are measured one shard count after the other).
     if timing_bars_enabled() and {1, 8} <= set(rows):
-        ratio = rows[8]["cold_ms_per_query"] / rows[1]["cold_ms_per_query"]
+        params = report.params
+        queries = [item.query for item in context.wh_queries()]
+        indexes = [
+            context.sharded_index(params["sentences"], params["coding"], params["mss"], count, workers=count)
+            for count in (1, 8)
+        ]
+        one, eight = alternating_minimums(
+            [lambda index=index: _cold_ms_per_query(index, queries) for index in indexes], COLD_ROUNDS
+        )
+        ratio = eight / one
         assert ratio <= COLD_8_SHARDS_BAR, (
             f"a cold query over 8 shards costs {ratio:.2f}x the 1-shard one "
-            f"(bar: {COLD_8_SHARDS_BAR}x)"
+            f"(bar: {COLD_8_SHARDS_BAR}x; {eight:.3f} vs {one:.3f} ms)"
         )
 
     # The parallel-build bar: only meaningful with free cores to run the

@@ -1,22 +1,17 @@
 """The shared CI / low-core guard for timing-sensitive benchmark assertions.
 
-Several benchmarks gate wall-clock *ordering* assertions (speedup bars,
-system-vs-system latency ratios) behind the same two conditions:
-
-* shared CI runners (GitHub sets ``CI=true``) are too noisy and throttled
-  to gate a hardware-sensitive wall-clock ratio on, and
-* boxes with too few cores cannot physically show parallel speedups, and
-  any concurrent load lands on the measured core.
-
-Correctness and completeness assertions (match totals, every system
-measured on every class) never go through this guard -- they hold on any
-machine.  The measured numbers are always recorded in the run's
-artefacts either way.
+Wall-clock *ordering* bars (speedups, latency ratios) are enforced only off
+shared CI runners (GitHub sets ``CI=true``; too noisy and throttled) and on
+boxes with enough cores to show a parallel speedup, where concurrent load
+does not land on the measured core.  Correctness assertions never go through
+this guard, and the measured numbers are recorded either way.  The two sides
+of a ratio are measured in alternating rounds (:func:`alternating_minimums`).
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable, List, Sequence
 
 #: Default core floor: on a 1-CPU box any concurrent load (the rest of the
 #: suite, the host) lands on the measured core.
@@ -32,3 +27,13 @@ def timing_bars_enabled(min_cores: int = DEFAULT_MIN_CORES) -> bool:
     if os.environ.get("CI"):
         return False
     return (os.cpu_count() or 1) >= min_cores
+
+
+def alternating_minimums(sides: Sequence[Callable[[], float]], rounds: int = 5) -> List[float]:
+    """The fastest time each of *sides* returned, run in turn for *rounds*
+    rounds: a burst of load slows one round of one side, not the ratio."""
+    best = [float("inf")] * len(sides)
+    for _ in range(rounds):
+        for at, side in enumerate(sides):
+            best[at] = min(best[at], side())
+    return best

@@ -176,7 +176,6 @@ def _explain_query(service: QueryService, text: str) -> None:
     prepared = service.prepare(text)
     cover = prepared.cover
     index = service.index
-    node = prepared.query.node
     postings = [index.lookup(key) for key in prepared.key_bytes]
     plan = None
     if len(cover) > 1 and not isinstance(index.coding, FilterBasedCoding):
@@ -188,19 +187,6 @@ def _explain_query(service: QueryService, text: str) -> None:
         f"coding={index.coding.name}"
     )
     print(f"  cover: {len(cover)} subtree(s), {cover.join_count} join(s)")
-    # Twins the plan binds in relations of their own are kept apart by the
-    # join; a twin buried inside a key is out of its reach.
-    bound = set().union(*(relation.nodes for relation in plan.relations)) if plan else set()
-    split = [(parent, twins) for parent, twins in cover.split_twins if not bound.issuperset(twins)]
-    if split:
-        groups = ", ".join(
-            node(parent).label + "".join(f"({node(twin).to_string()})" for twin in twins)
-            for parent, twins in split
-        )
-        print(
-            f"  warning: twin siblings do not fit one cover subtree and may bind "
-            f"the same node (matches can be over-counted): {groups}"
-        )
     for key, plist in zip(prepared.key_bytes, postings):
         print(f"    {key.decode('utf-8'):<40s} {len(plist):,} postings")
     total = sum(len(plist) for plist in postings)

@@ -3,7 +3,7 @@
 The paper's evaluation uses up to one million sentences of the AQUAINT news
 corpus parsed with the Stanford parser.  Neither the corpus nor the parser is
 available offline, so this package provides the substitution documented in
-DESIGN.md: a deterministic PCFG-style generator that produces
+``docs/architecture.md``: a deterministic PCFG-style generator that produces
 Penn-Treebank-tagged constituency trees whose *shape statistics* (average
 branching factor, branching-factor tail, label alphabet growth, tree size
 distribution) track the values the paper reports for parsed English news.

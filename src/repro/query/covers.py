@@ -116,17 +116,13 @@ class Cover:
     ordered pairs of its same-label siblings, which the compiler emits in
     passing (``None`` on a cover built by hand:
     :func:`repro.exec.plan.build_plan` then derives them from the query).
-
-    ``split_twins`` lists the groups of canonically-equal siblings, as
-    ``(parent id, child ids)``, that no single cover subtree holds together:
-    nothing then makes the twins bind distinct data nodes, and the answer
-    may over-count (see ``docs/query-language.md``).
+    A compiled cover leaves every same-label sibling pair no key holds to
+    the join.
     """
 
     query: QueryTree
     subtrees: List[CoverSubtree] = field(default_factory=list)
     edges: Optional[Sequence[Edge]] = None
-    split_twins: List[Tuple[int, Tuple[int, ...]]] = field(default_factory=list)
     twin_pairs: Optional[Sequence[Tuple[int, int]]] = None
 
     # ------------------------------------------------------------------

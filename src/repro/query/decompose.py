@@ -41,13 +41,17 @@ Three deviations from the paper's pseudocode:
   in, up to ``mss`` nodes.  A root-split key ``K' ⊇ K`` at the same root
   has ``list(K') ⊆ list(K)``, and a true match restricted to ``K'`` is an
   occurrence of ``K'`` at that root: no true binding is lost or added, so
-  exact answers stay exact, the same-label over-count can only shrink, and
-  no more postings are read.  ``optimalCover``, whose keys bind every
-  node, pads only with *whole, already covered* child subtrees;
-* ``assign`` packs canonically-equal siblings (*twins*) as one piece when
-  the group fits a bin: only a key that holds both, ``NP(NN)(NN)``, makes
-  them bind distinct data nodes.  Twins too large to share a subtree stay
-  apart and are reported in :attr:`~repro.query.covers.Cover.split_twins`.
+  exact answers stay exact and no more postings are read.
+  ``optimalCover``, whose keys bind every node, pads only with *whole,
+  already covered* child subtrees, never a second child of one label;
+* same-label siblings map to distinct data nodes (Definition 3), which a
+  key's root code alone does not ensure.  A group of *twins* -- all of a
+  label's children, on ``/`` edges, equal in text, fitting one bin -- is
+  packed as one piece, and that key (``NP(NN)(NN)``) holds them apart.
+  Every other ``/``-child with a same-label sibling is *forced* like the
+  parent of a ``//`` edge: it roots its own ``minRC`` subtree, so the join
+  binds it and ``JoinStep.distinct`` applies; ``optimalCover`` keys bind
+  every node, and there a bin never takes a second piece of one root label.
 
 Queries with ``//`` (ancestor-descendant) edges are split into rigid
 components first -- index keys cannot express ``//`` -- and each component is
@@ -92,6 +96,29 @@ def _same_labels(children: Sequence[QueryNode]) -> List[Tuple[int, int]]:
     return [pair for one, two in same for pair in ((one, two), (two, one))]
 
 
+def _twins(node: QueryNode, forced: List[bool], text: List[str], size: List[int], room: int):
+    """The groups of same-label children of *node* one key holds -- all of
+    the label's children, on ``/`` edges, not ``forced``, equal in text, at
+    most *room* nodes together -- and whether two ``/``-children are left to
+    the join.  Every ``/``-child of another group is marked ``forced``."""
+    groups: Dict[str, List[Tuple[int, str]]] = {}
+    for child, axis in zip(node.children, node.child_axes):
+        groups.setdefault(child.label, []).append((child.node_id, axis))
+    held, crowded = [], False
+    for group in groups.values():
+        ids = tuple(child for child, axis in group if axis == AXIS_CHILD)
+        if len(group) < 2:
+            continue
+        rigid = len(ids) == len(group) and not any(forced[child] for child in ids)
+        if rigid and len({text[child] for child in ids}) == 1 and sum(size[child] for child in ids) <= room:
+            held.append(ids)
+            continue
+        crowded = crowded or len(ids) > 1
+        for child in ids:
+            forced[child] = True
+    return held, crowded
+
+
 def _scan(nodes: Sequence[QueryNode], mss: int):
     """One reverse pre-order pass over *nodes* (``node_id`` == index).
 
@@ -99,15 +126,17 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
 
     ``kids``     ids of the children on ``/`` edges, in query order;
     ``size``     node count of the rigid component subtree below the node;
-    ``forced``   that component contains the parent of a ``//`` edge;
+    ``forced``   the node must root a ``minRC`` subtree of its own: its
+                 component holds the parent of a ``//`` edge or of a
+                 same-label sibling the join binds, or it is such a sibling;
     ``text``     canonical text of that component;
-    ``full``     canonical text over *all* children, axes ignored (what
-                 makes two siblings twins); the same list as ``text`` for a
-                 query without ``//`` edges;
-    ``members``  ids of that component in pre-order, when ``size <= mss``;
+    ``members``  ids of that component in pre-order, when one key may hold
+                 it whole: at most ``mss`` nodes and no two same-label
+                 siblings but twins;
     ``edges``    every query edge ``(parent, child, is "/")``, by child id;
     ``cuts``     ``(parent, child)`` of every ``//`` edge, in edge order;
-    ``twins``    parent id -> groups (child ids) of equal ``full`` text;
+    ``twins``    parent id -> groups (child ids) of twins one key holds
+                 (:func:`_twins`);
     ``pairs``    ``(first, second)`` and ``(second, first)`` of every two
                  same-label siblings, parents in pre-order: they map to
                  distinct data nodes, which labels alone do not ensure.
@@ -117,7 +146,6 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
     size = [1] * count
     forced = [False] * count
     text = [node.label for node in nodes]
-    full = text
     members: List[Optional[Tuple[int, ...]]] = [(index,) for index in range(count)]
     edges: List[Edge] = [(0, 0, True)] * (count - 1)
     cuts: List[Tuple[int, int]] = []
@@ -140,37 +168,23 @@ def _scan(nodes: Sequence[QueryNode], mss: int):
                 below.append(child_id)
                 texts.append(text[child_id])
                 total += size[child_id]
-                if forced[child_id]:
-                    holds_cut = True
+                holds_cut = holds_cut or forced[child_id]
             else:
                 edges[child_id - 1] = (index, child_id, False)
                 cuts.append((index, child_id))
-        pairs[:0] = _same_labels(children)
-        rigid = len(below) == len(children)
-        kids[index], size[index], forced[index] = below, total, holds_cut or not rigid
-        if total > mss:
+        crowded = False
+        if same := _same_labels(children):
+            pairs[:0] = same
+            twins[index], crowded = _twins(node, forced, text, size, mss - 1)
+        kids[index], size[index] = below, total
+        forced[index] = holds_cut or crowded or len(below) < len(children)
+        if total > mss or crowded or any(members[child_id] is None for child_id in below):
             members[index] = None
         else:
-            ids = (index,)
-            for child_id in below:
-                ids += members[child_id]
-            members[index] = ids
-        if len(texts) > 1:
-            texts.sort()
-        if texts:
-            text[index] += "(" + ")(".join(texts) + ")"
-        if full is not text or not rigid:
-            if full is text:
-                full = list(text)
-            texts = sorted([full[child.node_id] for child in children])
-            full[index] = _compose(node.label, texts)
-        if len(texts) > 1 and len(set(texts)) < len(texts):
-            groups: Dict[str, List[int]] = {}
-            for child in children:
-                groups.setdefault(full[child.node_id], []).append(child.node_id)
-            twins[index] = [tuple(group) for group in groups.values() if len(group) > 1]
+            members[index] = sum((members[child_id] for child_id in below), (index,))
+        text[index] = _compose(node.label, texts)
     cuts.sort()
-    return kids, size, forced, text, full, members, tuple(edges), cuts, twins, tuple(pairs)
+    return kids, size, forced, text, members, tuple(edges), cuts, twins, tuple(pairs)
 
 
 def query_links(query: QueryTree) -> Tuple[Tuple[Edge, ...], Tuple[Tuple[int, int], ...]]:
@@ -219,7 +233,7 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
     nodes = query._nodes
     if len(nodes) <= mss and (cover := _one_key(query)) is not None:
         return cover
-    kids, size, forced, text, full, members, edges, cuts, twins, pairs = _scan(nodes, mss)
+    kids, size, forced, text, members, edges, cuts, twins, pairs = _scan(nodes, mss)
     capacity = mss - 1
     out: List[CoverSubtree] = []
 
@@ -228,35 +242,35 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
         out.append(CoverSubtree(nodes[node], frozenset(members[node]), text[node].encode("utf-8")))
 
     def merge_twins(node: int, pieces: List[_Part]) -> List[_Part]:
-        """Each group of twins below *node* as one piece, where all of the
-        group are pieces here and together fit a bin."""
+        """Each group of twins below *node* as one piece."""
         for group in twins[node]:
             at = [i for i, piece in enumerate(pieces) if piece[3][0] in group]
-            total = sum(pieces[i][0] for i in at)
-            if len(at) == len(group) and total <= capacity:
-                merged = tuple(sum((pieces[i][part] for i in at), ()) for part in (1, 2, 3))
-                pieces[at[0]] = (total,) + merged
-                for i in reversed(at[1:]):
-                    del pieces[i]
+            merged = tuple(sum((pieces[i][part] for i in at), ()) for part in (1, 2, 3))
+            pieces[at[0]] = (sum(pieces[i][0] for i in at),) + merged
+            for i in reversed(at[1:]):
+                del pieces[i]
         return pieces
 
     def assign(node: int, pieces: List[_Part]) -> List[list]:
         """First-fit-decreasing packing of *pieces* into bins of ``mss - 1``
-        nodes; a bin is ``[fill, ids, texts]``."""
+        nodes, never two pieces of one root label in a bin; a bin is
+        ``[fill, ids, texts, root labels]``."""
         if node in twins:
             pieces = merge_twins(node, pieces)
         if len(pieces) > 1:
             pieces.sort(key=_size_of, reverse=True)
         bins: List[list] = []
-        for piece_size, ids, texts, _ in pieces:
+        for piece_size, ids, texts, roots in pieces:
+            label = nodes[roots[0]].label
             for held in bins:
-                if held[0] + piece_size <= capacity:
+                if held[0] + piece_size <= capacity and label not in held[3]:
                     held[0] += piece_size
                     held[1] += ids
                     held[2] += texts
+                    held[3] += (label,)
                     break
             else:
-                bins.append([piece_size, ids, texts])
+                bins.append([piece_size, ids, texts, (label,)])
         return bins
 
     def filled(node: int, ids: Tuple[int, ...]) -> CoverSubtree:
@@ -276,23 +290,24 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
     def root_bins(node: int, bins: List[list]) -> None:
         """The bins packed at *node* as cover subtrees rooted there."""
         below = kids[node]
-        for fill, ids, texts in bins:
+        for fill, ids, texts, *_ in bins:
             if pad and fill + 1 < mss and fill + 1 < size[node]:
                 if strategy == "min-rc":
                     out.append(filled(node, ids))
                     continue
                 # Only whole child components other subtrees cover, and never
-                # the twin of a child the bin already holds.
+                # a second child of one label.
                 held = set(ids)
-                seen = {full[child] for child in below if child in held}
+                seen = {nodes[child].label for child in below if child in held}
                 for child in below:
-                    if child in held or fill + 1 + size[child] > mss or full[child] in seen:
+                    label = nodes[child].label
+                    if child in held or members[child] is None or fill + 1 + size[child] > mss or label in seen:
                         continue
                     fill += size[child]
                     ids += members[child]
                     texts += (text[child],)
                     held.update(members[child])
-                    seen.add(full[child])
+                    seen.add(label)
             key = _compose(nodes[node].label, texts).encode("utf-8")
             out.append(CoverSubtree(nodes[node], frozenset((node,) + ids), key))
 
@@ -315,12 +330,13 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
         rooted at *node* to the parent's packing."""
         pieces: List[_Part] = []
         for child in kids[node]:
-            if size[child] == mss:
-                whole(child)
-            elif size[child] > mss:
+            if members[child] is None:
+                # Too large, or holding same-label siblings no key may hold.
                 deferred = cover_optimal(child, False)
                 if deferred is not None:
                     pieces.append(deferred)
+            elif size[child] == mss:
+                whole(child)
             else:
                 pieces.append((size[child], members[child], (text[child],), (child,)))
         bins = assign(node, pieces)
@@ -339,7 +355,7 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
         root_bins(node, bins)
         if rest is None:
             return None
-        fill, ids, texts = rest
+        fill, ids, texts, *_ = rest
         return fill + 1, (node,) + ids, (_compose(nodes[node].label, texts),), (node,)
 
     for root in [0] + [child for _, child in cuts]:
@@ -347,13 +363,7 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
             cover_min_rc(root)
         else:
             cover_optimal(root, True)
-    split = [
-        (parent, group)
-        for parent, groups in sorted(twins.items())
-        for group in groups
-        if not any(subtree.node_ids.issuperset(group) for subtree in out)
-    ]
-    return Cover(query, out, edges, split, pairs)
+    return Cover(query, out, edges, pairs)
 
 
 def optimal_cover(query: QueryTree, mss: int, pad: bool = True) -> Cover:

@@ -147,10 +147,10 @@ def query_from_node(node: Node, axis: str = AXIS_CHILD) -> QueryNode:
 def has_duplicate_siblings(query: QueryTree | QueryNode) -> bool:
     """``True`` when some node has two children with identical unordered structure.
 
-    Queries with canonically-equal sibling subtrees are ambiguous corner cases
-    for decomposition-based evaluation (see DESIGN.md); the workload
-    generators skip them so that every executor and the reference matcher
-    agree on the result counts.
+    Every engine answers such *twin* queries exactly
+    (``docs/query-language.md``, *Repeated siblings*).  The workload
+    generators still skip them so that the committed tables keep their exact
+    cells until they are all refreshed at one commit (ROADMAP item 5(c)).
     """
     from repro.core.keys import canonical_key
 

@@ -8,8 +8,8 @@ For each of the seven classes the paper builds 10 subtrees of sizes 1 to 10.
 This module reproduces that construction: label frequency classes are
 computed from the indexed corpus, candidate subtrees are harvested from a
 held-out generated corpus, classified and sampled per (class, size) cell.
-Queries with canonically identical sibling subtrees are skipped (see
-DESIGN.md) so every engine agrees on the expected results.
+Queries with canonically identical sibling subtrees are skipped
+(:func:`repro.query.model.has_duplicate_siblings` says why).
 """
 
 from __future__ import annotations

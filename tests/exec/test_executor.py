@@ -24,8 +24,8 @@ CODINGS = ["filter", "root-split", "subtree-interval"]
 MSS_VALUES = [1, 2, 3]
 
 #: Structural queries exercised against the shared corpus.  They only use
-#: Penn tags produced by the generator grammar, and avoid duplicate siblings
-#: (see DESIGN.md on ambiguity of such queries).
+#: Penn tags produced by the generator grammar; same-label siblings are
+#: covered in ``test_oracle.py`` (see ``docs/query-language.md``).
 QUERY_TEXTS = [
     "NP",
     "VBZ",

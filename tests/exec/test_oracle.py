@@ -55,10 +55,11 @@ _FB = [
 QUERIES = _WH + _FB
 
 #: Six WH templates have twin siblings.  In all six the twins fit one cover
-#: subtree at mss 3, and ``assign`` packs them together (PR 17) -- including
+#: subtree at mss 3, and ``assign`` packs them together -- including
 #: ``S(NP(DT)(NN)(NN))(VP(VBD)(NP))``, which FFD used to split across
 #: ``NP(DT)(NN)`` and ``NP(NN)`` and which over-counted 14 vs 3 under both
-#: structural codings.
+#: structural codings.  Where they do not fit, the join binds them
+#: (``test_every_wh_template_is_exact_at_every_mss``, below).
 
 
 def _cases():
@@ -184,3 +185,34 @@ def test_a_filled_key_reads_a_subset_of_its_bare_keys_rows(tmp_path, small_corpu
     finally:
         index.close()
     assert filled
+
+
+# ----------------------------------------------------------------------
+# WH at the paper's scale: every coding, every mss
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def wh_corpus():
+    """1 200 sentences and ``WH text -> {tid: matches}`` by brute force over them."""
+    trees = CorpusGenerator(seed=1).generate_list(1200)
+    answers: Dict[str, Dict[int, int]] = {}
+    for text in _WH:
+        root = parse_query(text).root
+        counts = ((tree.tid, count_matches(root, tree)) for tree in trees)
+        answers[text] = {tid: count for tid, count in counts if count}
+    return trees, answers
+
+
+@pytest.mark.parametrize("mss", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("coding", CODINGS)
+def test_every_wh_template_is_exact_at_every_mss(tmp_path, wh_corpus, coding: str, mss: int) -> None:
+    """All 48 templates, twins included: root-split at mss 2 returned 149
+    matches for ``S(NP(NN)(NN))(VP(VBZ)(NP))`` against 3 while its twins
+    were split over two ``NP(NN)`` keys."""
+    trees, oracle = wh_corpus
+    index = SubtreeIndex.build(trees, mss, coding, str(tmp_path / "wh.si"))
+    try:
+        executor = QueryExecutor(index, store=Corpus(trees))
+        wrong = [text for text in _WH if executor.execute(parse_query(text)).matches_per_tree != oracle[text]]
+        assert wrong == []
+    finally:
+        index.close()

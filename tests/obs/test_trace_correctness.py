@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.bench.guard import timing_bars_enabled
+from repro.bench.guard import alternating_minimums, timing_bars_enabled
 from repro.core.index import SubtreeIndex
 from repro.core.segments import SegmentSet
 from repro.exec import QueryExecutor
@@ -263,14 +263,13 @@ class TestDisabledOverhead:
         spans_per_query = self._spans_of_traced_call(lambda: executor.execute(query))
         assert spans_per_query >= 6  # query, decompose, fetch (+keys, descents), join
 
-        noop_seconds = uncached_seconds = float("inf")
-        runs = 200
-        for _ in range(5):
-            noop_seconds = min(noop_seconds, self._disabled_span_seconds())
+        def uncached(runs: int = 200) -> float:
             started = time.perf_counter()
             for _ in range(runs):
                 executor.execute(query)
-            uncached_seconds = min(uncached_seconds, (time.perf_counter() - started) / runs)
+            return (time.perf_counter() - started) / runs
+
+        noop_seconds, uncached_seconds = alternating_minimums([self._disabled_span_seconds, uncached])
 
         budget = spans_per_query * noop_seconds
         if timing_bars_enabled():

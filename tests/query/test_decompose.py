@@ -221,7 +221,6 @@ def test_the_one_key_cover_is_the_hand_built_key(case) -> None:
         assert only.root is query.root and only.node_ids == every
         assert only.key_bytes() == CoverSubtree(query.root, every).key()[0]
         assert cover.edges == edges and cover.twin_pairs == pairs
-        assert cover.split_twins == []
 
 
 # ----------------------------------------------------------------------

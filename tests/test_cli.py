@@ -294,23 +294,17 @@ class TestExplain:
         assert main(["query", index_file, "NP(DT)(NN)", "--explain"]) == 0
         assert "join:" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("coding, mss, warned, apart", [
-        ("root-split", 1, False, True),  # every node a relation: `!=` in the join
-        ("root-split", 2, True, False),  # the NNs are buried in two NP(NN) keys
-        ("subtree-interval", 2, False, True),  # every slot is bound
-        ("root-split", 3, False, False),  # NP(NN)(NN) is one key
-        ("filter", 2, True, False),  # nothing is planned; validation is exact anyway
-    ])
-    def test_explain_warns_only_of_twins_the_join_cannot_reach(
-        self, tmp_path, corpus_file, capsys, coding, mss, warned, apart
-    ) -> None:
+    def test_explain_binds_twins_no_key_holds_in_the_join(self, tmp_path, corpus_file, capsys) -> None:
+        # At mss 2 no key holds NP(NN)(NN): each NN roots a relation of its
+        # own, and the join keeps the two apart.
         path = str(tmp_path / "twins.si")
-        assert main(["build", corpus_file, "--mss", str(mss), "--coding", coding, "--out", path]) == 0
+        assert main(["build", corpus_file, "--mss", "2", "--coding", "root-split", "--out", path]) == 0
         capsys.readouterr()
         assert main(["query", path, "S(NP(NN)(NN))(VP(VBZ)(NP))", "--explain"]) == 0
         out = capsys.readouterr().out
-        assert ("warning: twin siblings" in out) == warned
-        assert ("NN#2.pre != NN#3.pre" in out) == apart
+        assert [line.split()[0] for line in out.splitlines() if line.endswith(" postings")].count("NN") == 2
+        assert out.count(" binds NN#") == 2
+        assert out.count(".pre != ") == 1 and "NN#2.pre != NN#3.pre" in out
 
     def test_explain_rejects_batch_and_repeat(self, index_file, capsys) -> None:
         assert main(["query", index_file, "NP", "--explain", "--batch"]) == 2
