@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import accumulate
-from typing import AbstractSet, Dict, Iterable, List, Sequence, Tuple, Type
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.coding.postings import PostingColumns
 from repro.storage.codec import (
@@ -32,10 +32,9 @@ class CodingScheme(ABC):
 
     A scheme says what one *row* is -- the flat ints of one posting, tree id
     first -- and which rows a tree contributes to each key (:meth:`rows`).
-    A key's rows end to end are its *body*, the unit of the write path: the
-    builder appends to it, a compaction cuts dead trees' rows out of it
-    (:meth:`cut_rows`), :meth:`encode_body` turns it into the stored bytes
-    and the columns the join reads are strided slices of it.
+    A key's rows end to end are its *body*: the builder writes each row in
+    its stored form, a compaction cuts dead trees' rows out of a body
+    (:meth:`cut`) and the columns the join reads are strided slices of it.
     """
 
     #: Short machine name used in file metadata and experiment reports.
@@ -62,13 +61,6 @@ class CodingScheme(ABC):
         """Values per row of a key's (non-empty) *body*."""
 
     # ------------------------------------------------------------------
-    def columns(self, body: Sequence[int]) -> PostingColumns:
-        """A body's columns (its tids are absolute: nothing is summed)."""
-        if not body:
-            return PostingColumns(())
-        width = self.width(body)
-        return PostingColumns.from_body(body, width, body[0::width])
-
     def encode_body(self, body: Sequence[int]) -> bytes:
         """Serialise a key's body: the row count, then the rows with the tid
         stride turned into gaps, as varints."""
@@ -99,14 +91,17 @@ class CodingScheme(ABC):
         body[0::width] = accumulate(body[0::width])
         return body
 
-    def cut_rows(self, body: Sequence[int], dead: AbstractSet[int]) -> Sequence[int]:
-        """*body* (tids absolute) less the rows of the trees in *dead*; *body*
-        itself when it holds none.  The runs of rows between dead ones are
-        copied a slice at a time."""
+    def cut(self, data: bytes, dead: AbstractSet[int]) -> Optional[bytes]:
+        """The stored list *data* less the rows of the trees in *dead*, cut from
+        its body (never columns) a run of rows at a time, for a compaction to
+        write: *data* itself when none is in it, ``None`` when no row is left."""
+        if not dead:
+            return data
+        body = self.decode_body(data)
         width = self.width(body)
         tids = body[0::width]
         if dead.isdisjoint(tids):
-            return body
+            return data
         kept: List[int] = []
         start = 0  # the first row of the run being kept
         for row, tid in enumerate(tids):
@@ -114,14 +109,14 @@ class CodingScheme(ABC):
                 kept += body[start * width:row * width]
                 start = row + 1
         kept += body[start * width:]
-        return kept
+        return self.encode_body(kept) if kept else None
 
     def decode_postings(self, data: bytes) -> PostingColumns:
         """Deserialise a list produced by :meth:`encode_body`.
 
         The result is columnar -- field ``f`` of all rows is the strided
         slice ``body[f::width]`` of the varint body, tids summed from their
-        gaps -- and equal to :meth:`columns` of the body that was encoded.
+        gaps -- and equal to the columns of the body that was encoded.
         A body that is not exactly ``count * width`` values long is corrupt.
         """
         count, offset = decode_varint(data, 0)

@@ -14,14 +14,14 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.coding.base import CodingScheme, get_coding
 from repro.coding.postings import PostingColumns
 from repro.core.enumeration import extract_root_texts, extract_subtrees, number
 from repro.core.keys import SubtreeKey, canonical_key
 from repro.storage.bptree import MAGIC, BPlusTree, ProbeStats
-from repro.storage.codec import decode_varint
+from repro.storage.codec import decode_varint, encode_varint, encode_varint_list
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import Numbering
 
@@ -85,38 +85,59 @@ def numbered(trees: Iterable[ParseTree]) -> Iterator[Tuple[int, Numbering]]:
         yield tree.tid, number(tree)
 
 
-def accumulate_posting_lists(
-    trees: Iterable[Tuple[int, Numbering]], mss: int, coding: CodingScheme
-) -> Tuple[Dict[bytes, List[int]], int]:
-    """Extract and code every ``(tid, numbering)``; returns ``(key -> body,
-    tree count)``.
+class StoredList(bytearray):
+    """A key's posting list as the B+Tree stores it, but for the leading row
+    ``count``: each row's varints, its tid the gap from ``last``, the tid of
+    the row before (the first row's from 0)."""
 
-    A key's body is its posting list as flat rows of ints with absolute
-    tids (:class:`~repro.coding.base.CodingScheme`).  The one loop behind an
-    index build (over :func:`numbered` node trees), a live delta's
-    ``add_tree`` (one tree, numbered by :func:`~repro.trees.penn.scan_penn`)
-    and a shard worker.  Trees must arrive in ascending tid order,
-    which keeps every list tid-ascending by construction.
+    __slots__ = ("count", "last")
+
+    def __init__(self, tid: int, tail: bytes):  # the first row
+        super().__init__(encode_varint(tid) + tail)
+        self.count, self.last = 1, tid
+
+
+_SMALL_GAPS = [bytes((gap,)) for gap in range(0x80)]  # a varint below 128 is its own byte
+
+
+def accumulate_posting_lists(
+    trees: Iterable[Tuple[int, Numbering]], mss: int, coding: CodingScheme,
+    lists: Optional[Dict[str, StoredList]] = None,
+) -> Tuple[Dict[str, StoredList], int]:
+    """Extract and code every ``(tid, numbering)`` into *lists* (a new dict
+    by default); returns ``(key text -> stored list, tree count)``.
+
+    The one loop behind an index build (over :func:`numbered` node trees), a
+    shard worker and a live delta's ``add_tree`` (one tree, numbered by
+    :func:`~repro.trees.penn.scan_penn`, into the delta's lists).  A row goes
+    onto its key's list as it is written, in one ``+=`` (a reader racing an
+    add never sees half a row); trees arrive in ascending tid order.
     """
-    bodies: Dict[str, List[int]] = {}
+    lists = {} if lists is None else lists
     tree_count = 0
     for tid, numbering in trees:
         tree_count += 1
+        row_coded = None
         for text, row in tree_rows(tid, numbering, mss, coding):
-            if text in bodies:
-                bodies[text] += row
-            else:
-                bodies[text] = list(row)
-    return {text.encode("utf-8"): body for text, body in bodies.items()}, tree_count
+            if row is not row_coded:  # one row object serves all a root's keys (filter: a tree's)
+                row_coded, tail = row, encode_varint_list(row[1:])
+            stored = lists.get(text)
+            if stored is None:
+                lists[text] = StoredList(tid, tail)
+                continue
+            gap = tid - stored.last  # never negative: encode_varint refuses it
+            stored += (_SMALL_GAPS[gap] if 0 <= gap < 0x80 else encode_varint(gap)) + tail
+            stored.last = tid
+            stored.count += 1
+    return lists, tree_count
 
 
-def encode_posting_lists(
-    bodies: Dict[bytes, Sequence[int]], coding: CodingScheme
-) -> Iterator[Tuple[bytes, bytes]]:
-    """Yield ``(key, encoded posting list)`` in key order, skipping empty lists."""
-    for key in sorted(bodies):
-        if bodies[key]:
-            yield key, coding.encode_body(bodies[key])
+def encode_posting_lists(lists: Dict[str, StoredList]) -> Iterator[Tuple[bytes, bytes]]:
+    """Yield ``(key, stored list)`` in key order (a text's order is its
+    UTF-8 bytes'), emptying *lists*: each list is dropped as it is yielded."""
+    for text in sorted(lists):
+        stored = lists.pop(text)
+        yield text.encode("utf-8"), encode_varint(stored.count) + stored
 
 
 class SubtreeIndex:
@@ -150,16 +171,15 @@ class SubtreeIndex:
         """Build an index over *trees* at *path* and return it opened.
 
         Subtrees of sizes ``1..mss`` are extracted from every tree and the
-        coding scheme's rows for them appended to each key's body
-        (:func:`accumulate_posting_lists`); the encoded bodies are then
+        coding scheme's rows for them appended to each key's list in its
+        stored form (:func:`accumulate_posting_lists`); the lists are then
         bulk-loaded into the B+Tree in key order (:meth:`write_posting_lists`).
         """
         if isinstance(coding, str):
             coding = get_coding(coding)
         started = time.perf_counter()
-        posting_lists, tree_count = accumulate_posting_lists(numbered(trees), mss, coding)
-        encoded = encode_posting_lists(posting_lists, coding)
-        return cls.write_posting_lists(path, mss, coding, tree_count, encoded, started)
+        lists, tree_count = accumulate_posting_lists(numbered(trees), mss, coding)
+        return cls.write_posting_lists(path, mss, coding, tree_count, encode_posting_lists(lists), started)
 
     @classmethod
     def write_posting_lists(
@@ -290,16 +310,12 @@ class SubtreeIndex:
 
     def encoded_lists(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
         """``(key, encoded list)`` in key order without the rows of the trees
-        in *dead*, a list going back to its body, never to columns: one no dead
-        tree is in as it is stored, a key left with no row not at all."""
-        coding = self.coding
+        in *dead* (:meth:`~repro.coding.base.CodingScheme.cut`): a key left
+        with no row not at all."""
         for key, raw in self.raw_items():
-            body = coding.decode_body(raw)
-            kept = coding.cut_rows(body, dead)
-            if kept is body:
-                yield key, raw
-            elif kept:
-                yield key, coding.encode_body(kept)
+            kept = self.coding.cut(raw, dead)
+            if kept is not None:
+                yield key, kept
 
     @property
     def mss(self) -> int:

@@ -43,7 +43,7 @@ def count_postings(
 
     Computed without building the index files: the rows every coding yields
     for a tree (:func:`repro.core.index.tree_rows`, what a build appends to
-    the keys' bodies) are counted.
+    the keys' stored lists) are counted.
     """
     codings = [get_coding(name) for name in coding_names]
     totals: Dict[str, int] = {name: 0 for name in coding_names}

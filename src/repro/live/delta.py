@@ -10,11 +10,10 @@ kernel, one coding scheme), over the numbering
 build numbers a node tree -- so merging delta postings with base-segment
 postings by tid is byte-identical to a full rebuild, and a compaction can
 write the delta's finished lists out instead of indexing its trees again.
-What it holds per key is the build's own unit, the flat *body* of rows
-(:class:`~repro.coding.base.CodingScheme`); a lookup hands out
-:class:`~repro.coding.postings.PostingColumns`, what the join kernel reads
--- strided slices of the body, taken the first time the key is looked up
-after an add touched it and kept until the next one does.  Its trees are
+What it holds per key is what a build holds, the stored list
+(:class:`~repro.core.index.StoredList`); a lookup hands out
+:class:`~repro.coding.postings.PostingColumns`, what the join kernel reads,
+decoding only the rows added since the key's last lookup.  Its trees are
 the records a data file holds (:class:`DeltaTrees`), copied out as they are.
 
 Trees must be added in ascending tid order (the live index assigns
@@ -25,15 +24,18 @@ merge and the join operators rely on.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterator, List, Tuple
+from itertools import accumulate
+from typing import AbstractSet, Dict, Iterator, List, Sequence, Tuple
 
 from repro.coding.base import CodingScheme
 from repro.coding.postings import PostingColumns
-from repro.core.index import accumulate_posting_lists
+from repro.core.index import StoredList, accumulate_posting_lists
+from repro.storage.codec import decode_varint, decode_varint_run, encode_varint
 from repro.trees.node import ParseTree
 from repro.trees.penn import Numbering, parse_penn
 
 _EMPTY = PostingColumns(())
+_UNREAD = (0, b"", _EMPTY)  # no byte of a list decoded yet
 
 
 class DeltaTrees:
@@ -68,10 +70,9 @@ class DeltaSegment:
         self.coding = coding
         #: The delta's trees, in insertion (= ascending tid) order.
         self.trees = DeltaTrees()
-        self._bodies: Dict[bytes, List[int]] = {}
-        #: key -> (the body length sliced, its columns); good while the body
-        #: (which only grows) is that long.
-        self._columns: Dict[bytes, Tuple[int, PostingColumns]] = {}
+        self._lists: Dict[str, StoredList] = {}
+        #: key -> (bytes of its list decoded, their values, their columns).
+        self._decoded: Dict[str, Tuple[int, Sequence[int], PostingColumns]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -81,59 +82,67 @@ class DeltaSegment:
 
         *record* is its data-file record (``to_penn`` of the tree, in UTF-8)
         and *numbering* the tree as :func:`~repro.trees.penn.scan_penn` read
-        it from that line.  A key's body grows in place by the tree's rows
-        (one ``+=``, atomic under the GIL), and a reader racing the add cuts
-        the body where :meth:`lookup` found it.  (Readers racing the *whole*
-        add may still see the new tree on some keys and not yet on others;
-        see :class:`repro.live.live.LiveIndex` for the visibility contract.)
+        it from that line.  A key's list grows in place a row at a time (one
+        ``+=`` each, atomic under the GIL), and a reader racing the add decodes
+        it up to where :meth:`lookup` found it.  (Readers racing the *whole* add
+        may still see the new tree on some keys and not yet on others; see
+        :class:`repro.live.live.LiveIndex` for the visibility contract.)
         """
         if tid < 0:
             raise ValueError("delta trees need an assigned tid")
         last = next(reversed(self.trees.records), -1)
         if tid <= last:
             raise ValueError(f"delta tids must be ascending: got {tid} after {last}")
-        per_key, _ = accumulate_posting_lists([(tid, numbering)], self.mss, self.coding)
         self.trees.records[tid] = record  # the tree before its postings: a
         # posting a reader can see must always name a fetchable tree
-        for key, rows in per_key.items():
-            body = self._bodies.setdefault(key, rows)
-            if body is not rows:
-                body += rows
+        accumulate_posting_lists([(tid, numbering)], self.mss, self.coding, self._lists)
 
     # ------------------------------------------------------------------
     # The SubtreeIndex-shaped read surface
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> PostingColumns:
         """The delta's posting list of *key* (empty when absent)."""
-        body = self._bodies.get(key)
-        if body is None:
+        text = key.decode("utf-8")
+        stored = self._lists.get(text)
+        if stored is None:
             return _EMPTY
-        length = len(body)
-        sliced = self._columns.get(key)
-        if sliced is None or sliced[0] != length:
-            sliced = self._columns[key] = (length, self.coding.columns(body[:length]))
-        return sliced[1]
+        start, body, columns = self._decoded.get(text, _UNREAD)
+        added = stored[start:]  # whole rows: each is appended in one +=
+        if added:
+            # The first value, a tid gap, is the one often wide (a list's first
+            # row holds its tid whole): decoded apart, the rest is one run --
+            # bytes when every value is below 128 -- behind a 0 in its place.
+            # The columns take no tid from the body: the tids are summed apart.
+            first, offset = (added[0], 1) if added[0] < 0x80 else decode_varint(added)
+            rest = decode_varint_run(added, offset)
+            run = [0, *rest] if type(rest) is list else b"\x00" + rest
+            width = self.coding.width(run)
+            tids = list(accumulate(run[width::width], initial=first + (columns.tids[-1] if start else 0)))
+            body = body + run if type(body) is type(run) else [*body, *run]  # what was handed out stays
+            columns = PostingColumns.from_body(body, width, columns.tids + tids if start else tids)
+            self._decoded[text] = (start + len(added), body, columns)
+        return columns
 
     def posting_list_length(self, key: bytes) -> int:
         """Length of the delta's posting list of *key* (0 when absent)."""
-        body = self._bodies.get(key)
-        return len(body) // self.coding.width(body) if body else 0
+        stored = self._lists.get(key.decode("utf-8"))
+        return 0 if stored is None else stored.count
 
     def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
         """Yield ``(key bytes, posting list)`` pairs in ascending key order."""
-        for key in sorted(self._bodies):
+        for text in sorted(self._lists):
+            key = text.encode("utf-8")
             yield key, self.lookup(key)
 
     def encoded_lists(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, encoded posting list)`` in key order, the rows of
-        trees in *dead* cut from each body first -- what a compaction writes,
-        as ``SubtreeIndex.encoded_lists`` yields a segment's.  A key left with
-        no row disappears."""
-        coding = self.coding
-        for key in sorted(self._bodies):
-            kept = coding.cut_rows(self._bodies[key], dead)
-            if kept:
-                yield key, coding.encode_body(kept)
+        """Yield ``(key, encoded posting list)`` in key order without the rows
+        of the trees in *dead* -- what a compaction writes, as
+        ``SubtreeIndex.encoded_lists`` yields a segment's."""
+        for text in sorted(self._lists):
+            stored = self._lists[text]
+            kept = self.coding.cut(encode_varint(stored.count) + stored, dead)
+            if kept is not None:
+                yield text.encode("utf-8"), kept
 
     # ------------------------------------------------------------------
     @property
@@ -144,10 +153,9 @@ class DeltaSegment:
     @property
     def key_count(self) -> int:
         """Number of distinct keys the delta indexes."""
-        return len(self._bodies)
+        return len(self._lists)
 
     @property
     def posting_count(self) -> int:
         """Number of postings the delta holds (tombstoned trees' included)."""
-        width = self.coding.width
-        return sum(len(body) // width(body) for body in list(self._bodies.values()))
+        return sum(stored.count for stored in list(self._lists.values()))

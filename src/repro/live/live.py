@@ -40,8 +40,8 @@ compaction replaces with a single rebind, so a list is never assembled from
 two generations of sources (a compaction's new segment *and* the delta it
 was flushed from, say).  Between compactions a source only grows: the delta
 gains trees, a tombstone set gains tids (in place -- a delete does not copy
-the tombstones before it), a delta body gains rows in place (the columns
-a reader holds are its own slices).  A posting of an added tree always
+the tombstones before it), a delta list gains rows in place (the columns
+a reader holds are its own).  A posting of an added tree always
 names a fetchable tree, and segments replaced by a compaction are retired
 -- kept open until no snapshot reaches them -- so in-flight queries finish
 on the old epoch's files.  A query that *overlaps* a mutation may
@@ -154,10 +154,10 @@ class LiveIndex(SegmentSet):
             if tids != sorted(set(tids)):
                 raise ValueError("seed trees must have strictly ascending unique tids")
             started = time.perf_counter()
-            bodies, _ = accumulate_posting_lists(numbered(seed), mss, scheme)
+            lists, _ = accumulate_posting_lists(numbered(seed), mss, scheme)
             records = ((tree.tid, to_penn(tree.root).encode("utf-8")) for tree in seed)
             segment = write_segment(
-                path, 0, mss, scheme, encode_posting_lists(bodies, scheme), records, started, fsync=fsync
+                path, 0, mss, scheme, encode_posting_lists(lists), records, started, fsync=fsync
             )
             segment.close()
             manifest.segments.append(segment.entry)
@@ -320,7 +320,7 @@ class LiveIndex(SegmentSet):
             segments: List[Source] = []  # of the new epoch, ascending in tid
             written: List[Source] = []
             # What is already indexed is merged, never indexed again: a
-            # source's lists (stored, or the delta's bodies) and its records
+            # source's stored lists (the delta's held in memory) and its records
             # are written back out without its tombstoned trees, under the
             # lineage they came from -- what is cached of them stays served.
             for source in sources:

@@ -42,6 +42,8 @@ from repro.core.manifest import fsync_path
 #: Identifies a WAL header record.
 WAL_FORMAT = "repro-live-wal"
 WAL_VERSION = 1
+#: What encodes every record (``json.dumps`` given separators builds one a call).
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class WalError(RuntimeError):
@@ -58,7 +60,7 @@ class WalOp:
 
 
 def _encode_record(payload: dict) -> bytes:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _ENCODER.encode(payload).encode("utf-8")
     return b"%08x " % zlib.crc32(body) + body + b"\n"
 
 

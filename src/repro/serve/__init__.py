@@ -10,8 +10,8 @@ The package splits into four small modules:
     every size limit, and the response encoder;
 ``server``
     the stdlib-only asyncio HTTP server (``/query``, ``/query/batch``,
-    ``/stats``, ``/healthz``, ``/metrics``), one ``asyncio.Protocol`` a
-    connection with its read and write clocks, plus helpers for running
+    ``/stats``, ``/healthz``, ``/metrics``), one ``asyncio.BufferedProtocol``
+    a connection with its read and write clocks, plus helpers for running
     it from synchronous code;
 ``loadgen``
     the closed- and open-loop load generators, one client under both,

@@ -2,7 +2,7 @@
 
 ``QueryServer`` speaks just enough HTTP/1.1 (:mod:`repro.serve.framing`:
 request line, headers, ``Content-Length`` bodies, keep-alive), one
-``asyncio.Protocol`` per connection, to serve six JSON/text endpoints:
+``asyncio.BufferedProtocol`` per connection, to serve six JSON/text endpoints:
 
 ``POST /query``
     ``{"query": "NP(DT)(NN)"}`` -> one result (matches per tree, stats);
@@ -31,7 +31,7 @@ stays free to accept further requests.  The one exception is a request
 whose every result is already resident in a real
 :class:`~repro.service.service.QueryService`'s result cache: that costs
 microseconds a query, so it is answered on the loop, in the
-``data_received`` call that completed it, like every GET and refusal.  The
+``buffer_updated`` call that completed it, like every GET and refusal.  The
 server owns nothing: pass an open service, close it yourself -- or use
 :func:`open_server` / ``repro serve`` which open and close the service
 around the server.
@@ -114,6 +114,8 @@ Answer = Union[Response, Awaitable[Response]]
 #: The hardening knobs by what a valid value is (``limits`` in ``/stats``).
 _POSITIVE = ("header_timeout", "request_timeout", "write_timeout", "drain_timeout")
 _AT_LEAST_ONE = ("max_connections", "max_queue", "max_header_bytes", "max_body_bytes")
+#: The most one read takes off a socket, into its server's one buffer (``sock.recv`` allocates one a read).
+_READ_BYTES = 64 * 1024
 
 
 def result_to_dict(result: QueryResult) -> Dict[str, object]:
@@ -224,6 +226,7 @@ class QueryServer:
         self._trace_sink: Optional[JsonlSink] = None
         self._owns_tracer = False
         self._server_errors = 0
+        self._read_buffer = memoryview(bytearray(_READ_BYTES))  # every read, copied out at once
 
     @property
     def url(self) -> str:
@@ -579,11 +582,12 @@ class QueryServer:
         return 200, _PROMETHEUS, body.encode("utf-8")
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: its receive buffer, its one clock, at most one task.
 
-    A request whose answer is ready -- a GET, any refusal, a resident
-    ``/query`` -- is answered in the ``data_received`` call that completed
+    A read lands in the server's one read buffer, copied to the parser's at
+    once.  A request whose answer is ready -- a GET, any refusal, a resident
+    ``/query`` -- is answered in the ``buffer_updated`` call that completed
     it.  One that needs the pool (or runs traced) pauses reading and becomes
     one task, which writes its response and comes back to the buffer a loop
     turn later -- as does the next of several pipelined requests.  The clock
@@ -628,8 +632,11 @@ class _Connection(asyncio.Protocol):
         server.metrics.sheds[reason] += 1
         self._write(server._json_error(503, message), keep_alive=False)
 
-    def data_received(self, data: bytes) -> None:
-        self.parser.buffer += data
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.parser.buffer += self.server._read_buffer[:nbytes]
         self._next()
 
     def eof_received(self) -> bool:

@@ -55,9 +55,9 @@ def _build_shard(job: _ShardJob) -> SegmentEntry:
     started = time.perf_counter()
     coding = get_coding(coding_name)
     numbered = ((tid, scan_penn(record.decode("utf-8"))[1]) for tid, record in records)
-    bodies, _ = accumulate_posting_lists(numbered, mss, coding)
+    lists, _ = accumulate_posting_lists(numbered, mss, coding)
     shard = write_segment(
-        manifest_path, shard_id, mss, coding, encode_posting_lists(bodies, coding), records, started,
+        manifest_path, shard_id, mss, coding, encode_posting_lists(lists), records, started,
         shard_epoch=epoch,
     )
     shard.close()

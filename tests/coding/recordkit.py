@@ -28,6 +28,15 @@ def rows(columns: PostingColumns) -> List[Row]:
     return list(zip(*fields))
 
 
+def body_columns(coding: CodingScheme, body: Sequence[int]) -> PostingColumns:
+    """The columns of a body -- rows of plain ints end to end, tids
+    absolute -- as a decoded list of the same rows has them."""
+    if not body:
+        return PostingColumns(())
+    width = coding.width(body)
+    return PostingColumns.from_body(body, width, body[0::width])
+
+
 def encode_records(coding: CodingScheme, postings: Sequence[Row]) -> bytes:
     """*postings* (rows) as *coding* stores them: end to end, through
     ``encode_body``."""

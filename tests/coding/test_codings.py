@@ -14,7 +14,7 @@ from repro.coding import (
     get_coding,
 )
 from repro.coding.base import coding_names
-from tests.coding.recordkit import encode_records, rows
+from tests.coding.recordkit import body_columns, encode_records, rows
 
 #: One embedding of a key: the tree and its nodes' ``(pre, post, level)`` in
 #: the key's canonical order, root first.
@@ -28,7 +28,7 @@ def _occurrence(tid: int, codes: list[tuple[int, int, int]]) -> Occurrence:
 def _postings(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
     """The rows *coding* stores for one key given as embeddings of any
     trees, read back through ``columns``."""
-    return rows(coding.columns(_body(coding, occurrences)))
+    return rows(body_columns(coding, _body(coding, occurrences)))
 
 
 def _body(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
@@ -162,12 +162,12 @@ CODINGS = ["filter", "root-split", "subtree-interval"]
 def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
     coding = get_coding(name)
     body = _body(coding, occurrences)
-    postings = rows(coding.columns(body))
+    postings = rows(body_columns(coding, body))
     decoded = coding.decode_postings(encode_records(coding, postings))
     assert isinstance(decoded, PostingColumns)
     assert len(decoded) == len(postings) and rows(decoded) == postings
     if body:
-        assert decoded == coding.columns(body)
+        assert decoded == body_columns(coding, body)
     # Posting lists are sorted by tid, which downstream merge joins rely on.
     tids = [posting[0] for posting in postings]
     assert tids == sorted(tids) == list(decoded.tids)
@@ -177,16 +177,19 @@ def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
 @given(occurrences=_occurrences(), data=st.data())
 def test_a_compaction_cuts_bodies_not_columns(name: str, occurrences: list[Occurrence], data) -> None:
     """``decode_body`` undoes ``encode_body`` -- a wide first tid included --
-    and ``cut_rows`` drops exactly the dead trees' rows, handing the body
-    back itself when it holds none of them."""
+    and ``cut`` drops exactly the dead trees' rows, handing the stored list
+    back itself when it holds none of them and ``None`` for none left."""
     coding = get_coding(name)
     body = _body(coding, occurrences)
-    assert coding.decode_body(coding.encode_body(body)) == body
+    stored = coding.encode_body(body)
+    assert coding.decode_body(stored) == body
     tids = sorted({tid for tid, _ in occurrences})
     dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
-    kept = coding.cut_rows(body, dead)
-    assert rows(coding.columns(kept)) == [row for row in rows(coding.columns(body)) if row[0] not in dead]
-    assert (kept is body) == dead.isdisjoint(tids)
+    kept = coding.cut(stored, dead)
+    survivors = [row for row in rows(body_columns(coding, body)) if row[0] not in dead]
+    assert (kept is None) == (not survivors and not dead.isdisjoint(tids))
+    assert ([] if kept is None else rows(coding.decode_postings(kept))) == survivors
+    assert (kept is stored) == dead.isdisjoint(tids)
 
 
 # ----------------------------------------------------------------------
@@ -203,12 +206,12 @@ def test_a_bytes_column_equals_a_list_column_of_the_same_values(name, occurrence
     are the same list either way."""
     coding = get_coding(name)
     body = _body(coding, occurrences)
-    listed, packed = coding.columns(body), coding.columns(bytes(body))
+    listed, packed = body_columns(coding, body), body_columns(coding, bytes(body))
     assert type(listed.tids) is list and type(packed.tids) is bytes
     assert listed == packed and packed == listed
     changed = list(body)
     changed[-1] ^= 1  # a level, an order value or (filter coding) a tid
-    assert coding.columns(changed) != packed and packed != coding.columns(changed)
+    assert body_columns(coding, changed) != packed and packed != body_columns(coding, changed)
 
 
 @given(
@@ -216,9 +219,9 @@ def test_a_bytes_column_equals_a_list_column_of_the_same_values(name, occurrence
     code=st.tuples(_byte, _byte, _byte),
 )
 def test_a_root_split_list_never_equals_another_codings_list_of_the_same_tids(tids, code) -> None:
-    root_split = RootSplitCoding().columns([value for tid in tids for value in (tid, *code)])
-    filtered = FilterBasedCoding().columns(tids)
-    one_node = SubtreeIntervalCoding().columns([value for tid in tids for value in (tid, 1, *code, 1)])
+    root_split = body_columns(RootSplitCoding(), [value for tid in tids for value in (tid, *code)])
+    filtered = body_columns(FilterBasedCoding(), tids)
+    one_node = body_columns(SubtreeIntervalCoding(), [value for tid in tids for value in (tid, 1, *code, 1)])
     assert list(root_split.tids) == list(filtered.tids) == list(one_node.tids) == tids
     assert root_split.slots == one_node.slots  # the same node codes, but one also has order values
     for other in (filtered, one_node):
@@ -253,10 +256,10 @@ def test_every_column_takes_part_in_equality(name: str, position: int) -> None:
     body = _TWO_POSTINGS[name]
     changed = list(body)
     changed[position] += 1
-    original = coding.columns(bytes(body))
-    assert coding.columns(list(body)) == original
-    assert coding.columns(changed) != original and original != coding.columns(changed)
-    assert coding.columns(bytes(changed)) != original
+    original = body_columns(coding, bytes(body))
+    assert body_columns(coding, list(body)) == original
+    assert body_columns(coding, changed) != original and original != body_columns(coding, changed)
+    assert body_columns(coding, bytes(changed)) != original
 
 
 @pytest.mark.parametrize("name", CODINGS)
@@ -270,9 +273,9 @@ def test_from_postings_passes_a_decoded_list_through(name: str) -> None:
 def test_a_list_cut_to_nothing_equals_the_empty_list(name: str) -> None:
     """A key whose every tree was deleted reads the same as a key the index
     lacks, whatever slots the coding gave the list before."""
-    emptied = get_coding(name).columns(_TWO_POSTINGS[name]).without_tids({3, 7})
+    emptied = body_columns(get_coding(name), _TWO_POSTINGS[name]).without_tids({3, 7})
     assert len(emptied) == 0
-    assert emptied == PostingColumns.from_postings([]) == get_coding(name).columns([])
+    assert emptied == PostingColumns.from_postings([]) == body_columns(get_coding(name), [])
 
 
 def test_from_postings_takes_nothing_but_columns_or_the_empty_list() -> None:
@@ -284,15 +287,16 @@ def test_from_postings_takes_nothing_but_columns_or_the_empty_list() -> None:
 @given(occurrences=_occurrences(), data=st.data())
 def test_cutting_columns_agrees_with_cutting_the_body(name: str, occurrences: list[Occurrence], data) -> None:
     """``without_tids`` -- what a service or a segment with deletes does to a
-    decoded list -- keeps the list a compaction's ``cut_rows`` would have
+    decoded list -- keeps the list a compaction's ``cut`` would have
     stored, and hands the list back itself when it holds no dead tree."""
     coding = get_coding(name)
     body = _body(coding, occurrences)
-    columns = coding.columns(body)
+    columns = body_columns(coding, body)
     tids = sorted({tid for tid, _ in occurrences})
     dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
     cut = columns.without_tids(dead)
-    assert cut == coding.columns(coding.cut_rows(body, dead))
+    kept = coding.cut(coding.encode_body(body), dead)
+    assert cut == (PostingColumns(()) if kept is None else coding.decode_postings(kept))
     assert rows(cut) == [row for row in rows(columns) if row[0] not in dead]
     assert (cut is columns) == dead.isdisjoint(tids)
 

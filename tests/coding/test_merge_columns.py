@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from repro.coding import PostingColumns, get_coding
 from repro.coding.postings import merge_columns
-from tests.coding.recordkit import Row, encode_records, rows
+from tests.coding.recordkit import Row, body_columns, encode_records, rows
 
 CODINGS = ("filter", "root-split", "subtree-interval")
 
@@ -74,7 +74,7 @@ def test_merged_list_is_the_tid_sorted_records(drawn, data) -> None:
         elif data.draw(st.booleans()):  # as stored: bytes columns where the values fit
             columns.append(coding.decode_postings(encode_records(coding, records)))
         else:  # as a delta holds them: lists throughout
-            columns.append(coding.columns([value for row in records for value in row]))
+            columns.append(body_columns(coding, [value for row in records for value in row]))
     merged = merge_columns(columns)
     expected = sorted((row for records in parts for row in records), key=lambda row: row[0])
     assert rows(merged) == expected  # stable: a tree's postings keep their order
@@ -89,7 +89,7 @@ def test_bytes_and_list_columns_concatenate() -> None:
     coding = get_coding("root-split")
     stored = coding.decode_postings(encode_records(coding, [(1, 2, 3, 0)]))
     assert isinstance(stored.slots[0][0], bytes)  # the trap: bytes + list raises
-    delta = coding.columns([7, 300, 4, 1])
+    delta = body_columns(coding, [7, 300, 4, 1])
     assert rows(merge_columns([stored, delta])) == [(1, 2, 3, 0), (7, 300, 4, 1)]
     assert rows(merge_columns([delta, stored])) == [(1, 2, 3, 0), (7, 300, 4, 1)]
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count
+from itertools import accumulate, count
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.coding.base import get_coding
@@ -17,7 +17,7 @@ from repro.core.enumeration import (
     number,
     subtree_count_by_root_branching,
 )
-from repro.core.index import accumulate_posting_lists, numbered
+from repro.core.index import accumulate_posting_lists, encode_posting_lists, numbered, tree_rows
 from repro.trees.node import Node, ParseTree, build_tree
 from tests.coding.recordkit import rows
 
@@ -236,8 +236,55 @@ def test_posting_lists_match_the_per_occurrence_reference(shapes, mss: int) -> N
             per_key.setdefault(key, []).append((tree.tid, codes))
     for name in ("filter", "root-split", "subtree-interval"):
         coding = get_coding(name)
-        bodies, tree_count = accumulate_posting_lists(numbered(trees), mss, coding)
+        lists, tree_count = accumulate_posting_lists(numbered(trees), mss, coding)
         assert tree_count == len(trees)
-        assert {key: rows(coding.columns(body)) for key, body in bodies.items()} == {
+        assert {key: rows(coding.decode_postings(stored)) for key, stored in encode_posting_lists(lists)} == {
             key: _reference_postings(name, occurrences) for key, occurrences in per_key.items()
         }
+
+
+def _caterpillar(length: int) -> tuple:
+    """A spine of *length* nodes, each with a leaf: ``2 * length + 1`` nodes."""
+    spec: tuple = ("B", [])
+    for at in range(length):
+        spec = ("AB"[at % 2], [("B", []), spec])
+    return spec
+
+
+#: 141 nodes: pre and post numbers past 127 take two varint bytes.
+_LONG = _caterpillar(70)
+
+
+def _encoded_from_int_rows(trees, mss: int, coding) -> list:
+    """Each key's rows as ints end to end, then encoded whole
+    (``encode_body``): the reference the stored form is held to."""
+    bodies: dict = {}
+    for tid, numbering in numbered(trees):
+        for text, row in tree_rows(tid, numbering, mss, coding):
+            bodies.setdefault(text.encode("utf-8"), []).extend(row)
+    return [(key, coding.encode_body(body)) for key, body in sorted(bodies.items())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_shapes, min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=300),
+    st.lists(st.integers(min_value=1, max_value=300), min_size=3, max_size=3),
+    st.integers(min_value=1, max_value=5),
+)
+@example(shapes=[("A", [("B", [])])], at=1, first=200, gaps=[130, 1, 1], mss=5)
+def test_lists_are_built_in_their_stored_form(shapes, at: int, first: int, gaps: list, mss: int) -> None:
+    """The accumulator's bytes are ``encode_body`` of the same rows on every
+    coding -- a tree of more than 127 nodes, tid gaps and a first tid of
+    two varint bytes (a live delta's tids) included -- and each list is
+    dropped as it is written."""
+    specs = [*shapes]
+    specs.insert(min(at, len(specs)), _LONG)
+    tids = accumulate([first, *gaps])
+    trees = [ParseTree(build_tree(spec), tid=tid) for spec, tid in zip(specs, tids)]
+    for name in ("filter", "root-split", "subtree-interval"):
+        coding = get_coding(name)
+        lists, _ = accumulate_posting_lists(numbered(trees), mss, coding)
+        assert list(encode_posting_lists(lists)) == _encoded_from_int_rows(trees, mss, coding)
+        assert not lists

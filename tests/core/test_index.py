@@ -272,3 +272,21 @@ class TestStorageFootprint:
             assert index.posting_list_length(key) == count
             assert pager.read_count - before <= 3
         index.close()
+
+
+def test_a_build_holds_its_lists_in_their_stored_form(tmp_path) -> None:
+    """A build's memory is its lists' stored bytes: the ``tracemalloc`` peak
+    of a root-split mss-3 build of 1 200 generated sentences is at most
+    3.5 MB (6.3 MB when every list was held as Python ints, then encoded)."""
+    import tracemalloc
+
+    from repro.corpus.generator import CorpusGenerator
+
+    trees = CorpusGenerator(seed=20120801).generate_list(1200)
+    tracemalloc.start()
+    try:
+        SubtreeIndex.build(trees, mss=3, coding="root-split", path=str(tmp_path / "peak.si")).close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6, f"build peak {peak / 1e6:.2f} MB"

@@ -15,6 +15,7 @@ from repro.exec.joins import (
 )
 from repro.exec.plan import Relation, build_plan
 from repro.query.parser import parse_query
+from tests.coding.recordkit import body_columns
 
 
 class CountingList(Sequence):
@@ -78,7 +79,7 @@ class TestIntersection:
 
 def _relation(node_id: int, postings: list[tuple[int, int, int, int]]) -> Relation:
     """A single-slot relation binding query node *node_id*."""
-    columns = RootSplitCoding().columns([value for posting in postings for value in posting])
+    columns = body_columns(RootSplitCoding(), [value for posting in postings for value in posting])
     return Relation(columns, {node_id: 0})
 
 

@@ -8,12 +8,12 @@ from repro.coding import PostingColumns, RootSplitCoding, SubtreeIntervalCoding
 from repro.exec.plan import build_plan, cover_relations, plan_skeleton
 from repro.query.decompose import min_rc, optimal_cover
 from repro.query.parser import parse_query
-from tests.coding.recordkit import encode_records
+from tests.coding.recordkit import body_columns, encode_records
 
 
 def _root_split(*rows: tuple[int, int, int, int]) -> PostingColumns:
     """A root-split list of ``(tid, pre, post, level)`` rows."""
-    return RootSplitCoding().columns([value for row in rows for value in row])
+    return body_columns(RootSplitCoding(), [value for row in rows for value in row])
 
 
 def _node_of_offset(plan) -> dict[int, int]:
@@ -60,7 +60,7 @@ class TestBuildPlan:
         query = parse_query("NP(DT)(NN)")
         cover = optimal_cover(query, 3)
         # One row: tid 1, three nodes of (pre, post, level, order).
-        postings = [SubtreeIntervalCoding().columns([1, 3, 1, 5, 0, 1, 2, 1, 1, 2, 3, 4, 1, 3])]
+        postings = [body_columns(SubtreeIntervalCoding(), [1, 3, 1, 5, 0, 1, 2, 1, 1, 2, 3, 4, 1, 3])]
         plan = build_plan(query, cover_relations(cover, postings))
         assert set(plan.relations[0].nodes) == {0, 1, 2}
         assert len(plan.steps[0].columns) == 9  # pre, post, level of three slots

@@ -170,3 +170,35 @@ def test_trees_are_kept_as_data_file_records(tiny_corpus) -> None:
     assert trees[2].tid not in delta.trees
     with pytest.raises(KeyError):
         delta.trees.get(trees[2].tid)
+
+
+@pytest.mark.parametrize("coding", CODINGS)
+def test_a_lookup_remembers_only_the_rows_it_decoded(tmp_path, tiny_corpus, coding) -> None:
+    """An add that lands between a lookup's read of a list and its memo of
+    that list's columns is picked up by the next lookup: the memo covers
+    the bytes the lookup decoded, not the list's length by then."""
+    from repro.core.index import StoredList
+
+    trees = list(tiny_corpus)[:4]
+    delta = DeltaSegment(mss=2, coding=get_coding(coding))
+    for tree in trees[:3]:
+        _add(delta, tree)
+
+    class RacedList(StoredList):
+        def __getitem__(self, item):
+            read = super().__getitem__(item)
+            if len(delta.trees) == 3:
+                _add(delta, trees[3])  # the writer gets in right after the read
+            return read
+
+    key = b"NP"
+    text = key.decode()
+    held = delta._lists[text]
+    raced = RacedList.__new__(RacedList)
+    bytearray.__init__(raced, held)
+    raced.count, raced.last = held.count, held.last
+    delta._lists[text] = raced
+    before = delta.lookup(key)
+    with SubtreeIndex.build(trees, mss=2, coding=coding, path=str(tmp_path / "all.si")) as built:
+        assert len(before) < len(built.lookup(key))  # the fourth tree has an NP
+        assert delta.lookup(key) == built.lookup(key)

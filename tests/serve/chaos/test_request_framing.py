@@ -80,7 +80,7 @@ def test_request_split_across_three_segments_is_answered_once(start_server, serv
 
 
 def test_request_sent_one_byte_per_segment_is_answered_once(start_server, service) -> None:
-    # Every byte is one data_received: the head and the body are parsed out
+    # Every byte is one buffer_updated: the head and the body are parsed out
     # of the buffer only once their last byte is in, never twice.
     thread = start_server()
     request = _query_request(QUERIES[2])
