@@ -21,8 +21,8 @@ from repro.service import QueryService
 SPEEDUP_BAR = 1.5
 CORES_FOR_BAR = 4
 #: A cold WH query over 8 shards against the same query over 1: one join
-#: either way, so the difference is eight descents and decodes per key and
-#: the column merge.  Per-shard fan-out was at 2.4x (0.96 -> 2.30 ms).
+#: either way, plus eight descents and a merge per key where one shard
+#: makes one descent and no merge.  Preparing the query reads no index.
 COLD_8_SHARDS_BAR = 1.75
 #: Alternating rounds of a cold pass over one shard, then over eight.
 COLD_ROUNDS = 9

@@ -169,9 +169,9 @@ def _print_result(args: argparse.Namespace, text: str, result, extra: str = "") 
 def _explain_query(service: QueryService, text: str) -> None:
     """Print the cover plan, per-stage posting counts and join plan of one query.
 
-    Runs stages 1 (decomposition) and 2 (posting fetch) and plans stage 3 --
-    join order, each step's predicates, the generated kernel -- but executes
-    neither the join nor the filtering phase.
+    Runs stages 1 (decomposition) and 2 (posting fetch) and plans stage 3 -- the
+    join order ``run`` executes, each step's predicates, the generated kernel --
+    but executes neither the join nor the filtering phase.
     """
     prepared = service.prepare(text)
     cover = prepared.cover

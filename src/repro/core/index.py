@@ -273,18 +273,6 @@ class SubtreeIndex:
         self.probe_stats.node_decodes += tree_stats.node_decodes - decodes_before
         return PostingColumns(()) if raw is None else self.coding.decode_postings(raw)
 
-    def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
-        """Length of the posting list of *key* (0 when absent).
-
-        Every coding stores the count as the leading varint of the encoded
-        list, so nothing is decoded and only the head of a long list is read.
-        """
-        tree_stats = self._tree.probe_stats
-        decodes_before = tree_stats.node_decodes  # no get, but the pages it parses count as a lookup's
-        raw = self._tree.peek(self._normalise_key(key), 10)  # the longest varint
-        self.probe_stats.node_decodes += tree_stats.node_decodes - decodes_before
-        return 0 if raw is None else decode_varint(raw)[0]
-
     def reset_probe_stats(self) -> ProbeStats:
         """Zero the lookup counters and return the pre-reset snapshot."""
         snapshot = self.probe_stats.snapshot()

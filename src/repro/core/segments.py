@@ -102,9 +102,8 @@ class Lineage(NamedTuple):
 class Source(NamedTuple):
     """One readable part of a segment set: a shard, a base segment or a delta."""
 
-    #: ``lookup`` (-> ``PostingColumns``) / ``posting_list_length`` /
-    #: ``items`` over canonical key bytes: a ``SubtreeIndex`` or a live
-    #: index's delta.
+    #: ``lookup`` (-> ``PostingColumns``) / ``items`` over canonical key
+    #: bytes: a ``SubtreeIndex`` or a live index's delta.
     index: object
     #: The source's trees by tid: a data file, a delta's records, an
     #: in-memory ``Corpus``, or ``None`` for a plain index file without one.
@@ -417,19 +416,6 @@ class SegmentSet:
             merged = merge_columns([source.postings(encoded) for source in part.sources])
             span.set(postings=len(merged))
         return merged
-
-    def posting_list_length(self, key: bytes | str | SubtreeKey | Node) -> int:
-        """Length of the merged posting list of *key* (0 when absent).
-
-        The stored counts add up; only a source holding tombstoned trees
-        has to decode its list to tell which postings are theirs.
-        """
-        encoded = SubtreeIndex._normalise_key(key)
-        return sum(
-            len(source.postings(encoded)) if source.dead
-            else source.index.posting_list_length(encoded)
-            for source in self.snapshot.sources
-        )
 
     def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
         """Yield ``(key bytes, merged posting list)`` in global key order.

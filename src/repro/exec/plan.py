@@ -7,7 +7,7 @@ plus the query nodes those columns bind -- the planner produces what
 * a left-deep join order that starts from the smallest relation and always
   joins a relation connected to what has been joined so far (Section 5.1:
   plans are left-deep trees over the cover's posting-list streams).  A
-  prepared query brings the order it chose once, from stored list counts;
+  prepared query brings the order its first join chose, by the same rule;
 * one :class:`JoinStep` per relation in that order.  A binding is a flat
   sequence of ``pre, post, level`` values, three per bound slot, laid out in
   join order; every structural predicate -- equality on a query node bound

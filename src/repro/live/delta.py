@@ -123,11 +123,6 @@ class DeltaSegment:
             self._decoded[text] = (start + len(added), body, columns)
         return columns
 
-    def posting_list_length(self, key: bytes) -> int:
-        """Length of the delta's posting list of *key* (0 when absent)."""
-        stored = self._lists.get(key.decode("utf-8"))
-        return 0 if stored is None else stored.count
-
     def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
         """Yield ``(key bytes, posting list)`` pairs in ascending key order."""
         for text in sorted(self._lists):

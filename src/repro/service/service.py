@@ -11,8 +11,8 @@ three caches in front of the pipeline:
 prepared-query cache
     parse + decomposition are pure functions of the query text and the index
     parameters, so their output (a :class:`PreparedQuery`: the parsed tree,
-    its cover, the cover's key bytes and a join order, kept however writes
-    move the lists) is cached under the *normalized* query string.
+    its cover, the cover's key bytes and the join order its first join chose,
+    kept however writes move the lists) is cached under the *normalized* query string.
     ``NP( DT ) ( NN )``, ``NP(DT)(NN)`` and the path form share one entry.
 
 posting cache
@@ -84,18 +84,20 @@ Value = TypeVar("Value")
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """The cacheable output of the parse + decomposition stages, and the join
-    order, chosen once from the whole index's stored list counts.
+    """The cacheable output of the parse + decomposition stages, made without
+    reading the index, and the join order its first join chose (``None`` before).
 
-    Immutable and shared between threads.  Writes can make the order stale,
-    which costs speed, never an answer: any connected order gives the same matches.
+    Shared between threads.  ``order`` is set by the first join, from the lengths
+    of the lists it read (:func:`~repro.exec.plan.choose_order`), and kept: a
+    stale order costs speed, never an answer, so either of two racing first
+    joins may set it.
     """
 
     normalized: str
     query: QueryTree
     cover: Cover
     key_bytes: Tuple[bytes, ...]
-    order: Tuple[int, ...]
+    order: Optional[Tuple[int, ...]] = field(default=None, compare=False)
 
 
 #: Anything `run` / `run_many` accept as a query (a prepared one as it is).
@@ -247,6 +249,9 @@ def _split(joined: QueryResult, parts: Sequence[Part]) -> List[QueryResult]:
 class QueryService:
     """Serves repeated and concurrent queries over one open index.
 
+    Preparing a query reads nothing from the index; its first join chooses
+    the join order every later one keeps (:class:`PreparedQuery`).
+
     Parameters
     ----------
     index:
@@ -347,12 +352,7 @@ class QueryService:
             return cached  # type: ignore[return-value]
         cover = decompose_query(parsed, self.index.mss, self.strategy)
         keys = tuple(subtree.key_bytes() for subtree in cover.subtrees)
-        order: Tuple[int, ...] = (0,)
-        if len(keys) > 1:  # a relation binds what the coding stores of a key: its root, or every node
-            roots_only = self.index.coding.roots_only
-            nodes = [subtree.binding(1 if roots_only else subtree.size) for subtree in cover.subtrees]
-            order = choose_order([self.index.posting_list_length(key) for key in keys], nodes, cover.edges)
-        prepared = PreparedQuery(normalized, parsed, cover, keys, order)
+        prepared = PreparedQuery(normalized, parsed, cover, keys)
         self._plan_cache.put(normalized, prepared)
         return prepared
 
@@ -366,6 +366,11 @@ class QueryService:
         started: float,
     ) -> QueryResult:
         stats = ExecutionStats.of(self.index.coding, self.strategy, prepared.cover, postings)
+        if prepared.order is None:  # the first join: a relation binds what the coding stores of a key
+            cover, roots_only = prepared.cover, self.index.coding.roots_only
+            nodes = [subtree.binding(1 if roots_only else subtree.size) for subtree in cover.subtrees]
+            order = choose_order([len(columns) for columns in postings], nodes, cover.edges)
+            object.__setattr__(prepared, "order", order)
         result = join_postings(
             prepared.query, prepared.cover, postings, self.index.coding, store=self.store, stats=stats,
             order=prepared.order,

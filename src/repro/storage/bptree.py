@@ -402,13 +402,11 @@ class BPlusTree:
             page_id = next_page
         return True, pointer
 
-    def _load_value(self, is_overflow: bool, payload: bytes, limit: Optional[int] = None) -> bytes:
-        """The value behind a leaf payload, or its first *limit* bytes."""
+    def _load_value(self, is_overflow: bool, payload: bytes) -> bytes:
+        """The value behind a leaf payload."""
         if not is_overflow:
-            return payload[:limit]
+            return payload
         page_id, remaining, offset = _POINTER.unpack(payload)
-        if limit is not None and limit < remaining:
-            remaining = limit
         header = _OVERFLOW_HEADER.size
         capacity = self.pager.page_size - header
         parts: List[bytes] = []
@@ -476,22 +474,15 @@ class BPlusTree:
         with self._descent_lock:
             return self._get_from_tree(key)
 
-    def _get_from_tree(self, key: bytes, limit: Optional[int] = None) -> Optional[bytes]:
+    def _get_from_tree(self, key: bytes) -> Optional[bytes]:
         """Point lookup; the caller must hold ``_descent_lock``."""
         self.probe_stats.tree_descents += 1
         _, leaf = self._find_leaf(key)
         index = bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
             is_overflow, payload = leaf.values[index]
-            return self._load_value(is_overflow, payload, limit)
+            return self._load_value(is_overflow, payload)
         return None
-
-    def peek(self, key: bytes, size: int) -> Optional[bytes]:
-        """The first *size* bytes of the value under *key*, or ``None``: reads only
-        the overflow pages they lie on (none for ``size`` 0, the leaf hit that
-        answers "present?") and is not counted as a ``get``."""
-        with self._descent_lock:
-            return self._get_from_tree(key, size)
 
     # ------------------------------------------------------------------
     # Iteration

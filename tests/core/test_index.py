@@ -8,6 +8,7 @@ from repro.core.index import IndexMetadata, SubtreeIndex
 from repro.core.keys import decode_key
 from repro.core.stats import count_postings, count_unique_keys
 from repro.corpus.store import Corpus
+from repro.storage.codec import decode_varint
 from repro.trees.node import ParseTree, build_tree
 
 
@@ -154,29 +155,24 @@ class TestCounts:
         assert actual == index.posting_count
 
     @pytest.mark.parametrize("coding", ["filter", "root-split", "subtree-interval"])
-    def test_posting_list_length_reads_the_stored_count(
-        self, tmp_path, mini_corpus: Corpus, coding: str, monkeypatch
-    ) -> None:
+    def test_every_stored_list_leads_with_its_count(self, tmp_path, mini_corpus: Corpus, coding: str) -> None:
         index = SubtreeIndex.build(mini_corpus, mss=3, coding=coding, path=str(tmp_path / "i.si"))
-        lengths = {key: len(postings) for key, postings in index.items()}
-        # The count is the leading varint of the stored value: no list is decoded.
-        monkeypatch.setattr(index.coding, "decode_postings", lambda data: pytest.fail("decoded"))
-        for key, length in lengths.items():
-            assert index.posting_list_length(key) == length
-        assert index.posting_list_length("ZZTOP(QQ)") == 0
+        for key, value in index.raw_items():
+            assert decode_varint(value)[0] == len(index.lookup(key)) > 0
+        assert len(index.lookup("ZZTOP(QQ)")) == 0
 
-    def test_a_count_read_on_a_cold_index_counts_the_pages_it_parses(self, tmp_path, small_corpus) -> None:
+    def test_a_cold_lookup_counts_the_pages_it_parses(self, tmp_path, small_corpus) -> None:
         path = str(tmp_path / "i.si")
         SubtreeIndex.build(small_corpus, mss=3, coding="root-split", path=path).close()
         index = SubtreeIndex.open(path)
         assert index.probe_stats.node_decodes == 0
-        assert index.posting_list_length("NP(DT)(NN)") > 0
+        assert len(index.lookup("NP(DT)(NN)")) > 0
         decodes = index.probe_stats.node_decodes
         assert decodes > 0
-        # The lookup that follows finds the path resident; a count read is no get.
+        # The lookup that follows finds the path resident.
         index.lookup("NP(DT)(NN)")
         assert index.probe_stats.node_decodes == decodes
-        assert (index.probe_stats.gets, index.probe_stats.tree_descents) == (1, 1)
+        assert (index.probe_stats.gets, index.probe_stats.tree_descents) == (2, 2)
         index.close()
 
     def test_key_count_matches_iteration(self, tmp_path, mini_corpus: Corpus) -> None:
@@ -245,10 +241,10 @@ class TestStorageFootprint:
         assert census.get("overflow", {"slack_bytes": 0})["slack_bytes"] < PAGE_SIZE
         assert census["meta"]["pages"] == 1
 
-    def test_presence_and_length_of_a_long_list_do_not_read_it(self, tmp_path, trees) -> None:
+    def test_an_absent_key_reads_no_page_and_a_long_list_reads_its_chain(self, tmp_path, trees) -> None:
         path = str(tmp_path / "si.si")
         built = SubtreeIndex.build(trees, mss=3, coding="subtree-interval", path=path)
-        lengths = {key: (len(value), built.posting_list_length(key)) for key, value in built.raw_items()}
+        lengths = {key: (len(value), len(built.lookup(key))) for key, value in built.raw_items()}
         built.close()
         longest = max(lengths, key=lambda key: lengths[key][0])
         assert lengths[longest][0] > 4096  # a list on two pages at least
@@ -256,21 +252,13 @@ class TestStorageFootprint:
         index = SubtreeIndex.open(path)
         pager = index._tree.pager
         absent = longest + b"(ZZTOP)"
-        assert index.posting_list_length(absent) == 0
+        assert len(index.lookup(absent)) == 0
         reads = pager.read_count  # the path to the leaf is resident from here on
-        assert index.posting_list_length(absent) == 0  # absent: the leaf says so
+        assert len(index.lookup(absent)) == 0  # absent: the leaf says so
         assert pager.read_count == reads
-        assert index.posting_list_length(longest) == lengths[longest][1]
-        assert pager.read_count == reads + 1  # the page the list starts on
         assert len(index.lookup(longest)) == lengths[longest][1]
-        assert pager.read_count > reads + 1  # the lookup walks the rest
-        # Every key: present, and as long as stored, by at most two page reads
-        # (the leaf, and the overflow page a long list starts on -- or two,
-        # when the count straddles them).
-        for key, (_, count) in lengths.items():
-            before = pager.read_count
-            assert index.posting_list_length(key) == count
-            assert pager.read_count - before <= 3
+        assert pager.read_count >= reads + 2  # every page the list lies on
+        assert all(len(index.lookup(key)) == count for key, (_, count) in lengths.items())
         index.close()
 
 

@@ -181,14 +181,14 @@ class TestLifecycle:
             assert len(live.lookup("NP(DT)")) == 0
             tid = live.add_tree("(ROOT (S (NP (DT the) (NN dog)) (VP (VBZ runs))))")
             assert tid == 0
-            assert live.posting_list_length("NP(DT)") == 1
+            assert len(live.lookup("NP(DT)")) == 1
             live.compact()
             assert live.segment_count == 1
-            assert live.posting_list_length("NP(DT)") == 1
+            assert len(live.lookup("NP(DT)")) == 1
         finally:
             live.close()
 
-    def test_posting_list_length_with_and_without_tombstones(self, workdir, tiny_corpus) -> None:
+    def test_lookup_lengths_with_and_without_tombstones(self, workdir, tiny_corpus) -> None:
         trees = list(tiny_corpus)
         live = LiveIndex.create(
             str(workdir / "lengths"), mss=2, coding="root-split", trees=trees[:10]
@@ -197,20 +197,14 @@ class TestLifecycle:
             for tree in trees[10:15]:
                 live.add_tree(tree.root)  # segment + delta, nothing deleted
             keys = [key for key, _ in live.items()]
-            assert [live.posting_list_length(key) for key in keys] == [
-                len(live.lookup(key)) for key in keys
-            ]
+            sources = live.snapshot.sources  # the segments and the delta
+            stored = {key: [tid for s in sources for tid in s.index.lookup(key).tids] for key in keys}
+            assert [len(live.lookup(key)) for key in keys] == [len(stored[key]) for key in keys]
             live.delete_tree(3)   # in the base segment
             live.delete_tree(12)  # in the delta
-            assert [live.posting_list_length(key) for key in keys] == [
-                len(live.lookup(key)) for key in keys
-            ]
-            assert any(
-                live.posting_list_length(key)
-                < sum(s.index.posting_list_length(key) for s in live.segments)
-                + len(live.delta.lookup(key))
-                for key in keys
-            )
+            cut = [sum(tid not in (3, 12) for tid in stored[key]) for key in keys]
+            assert [len(live.lookup(key)) for key in keys] == cut
+            assert sum(cut) < sum(len(tids) for tids in stored.values())
         finally:
             live.close()
 

@@ -112,7 +112,7 @@ class TestPersistence:
         before = file_states(tmp_path)
         tree = BPlusTree(str(path), page_size=512)
         assert tree.get(b"k0100") == bytes(100) and tree.get(b"k0599") == bytes(199)
-        assert len(list(tree.items())) == 600 and tree.peek(b"k0199", 3) == bytes(3)
+        assert len(list(tree.items())) == 600 and tree.get(b"k0199") == bytes(199)
         tree.page_census()
         with pytest.raises(BPlusTreeError, match="written once"):
             tree.bulk_load([(b"a", b"1")])
@@ -661,7 +661,7 @@ class TestOverflowCorruption:
         tree = _patch(self._tree(tmp_path), 2, 1, b"\x00\x00\x00\x00")  # next page of the first
         with pytest.raises(BPlusTreeError, match="chain ends at page 2 with 6151 bytes owed"):
             tree.get(b"big")
-        assert tree.peek(b"big", 10) == bytes(range(10))  # the head is all on page 2
+        assert tree.get(b"next") == b"n" * 3000  # a chain of its own, whole
         assert tree.get(b"small") == b"s"
         tree.close()
 
@@ -699,44 +699,39 @@ class TestOverflowCorruption:
         tree.close()
 
 
-class TestPresenceAndHeadReads:
-    """"Present?" is the leaf hit; a value's head is at most the page it starts
-    on (and the next, when the head straddles the two)."""
+class TestValueReads:
+    """A get reads the leaf and the overflow pages its value lies on: none
+    for an inline value or an absent key once the path is resident."""
 
-    def test_presence_and_peek_read_no_more_than_they_say(self, tmp_path) -> None:
+    def test_a_get_reads_the_pages_its_value_lies_on(self, tmp_path) -> None:
         tree = _make(tmp_path)
         big = bytes(range(256)) * 200  # 13 overflow pages
         tree.bulk_load([(b"big", big), (b"other", b"o" * 2000), (b"small", b"tiny")])
         tree.close()
         tree = _make(tmp_path)
-        assert tree.peek(b"small", 0) == b""  # the path is resident from here on
+        assert tree.get(b"small") == b"tiny"  # the path is resident from here on
         reads = tree.pager.read_count
-        assert tree.peek(b"other", 0) == b""
-        assert tree.peek(b"big", 0) == b"" and tree.peek(b"absent", 0) is None
+        assert tree.get(b"absent") is None and tree.get(b"small") == b"tiny"
         assert tree.pager.read_count == reads
-        assert tree.peek(b"big", 10) == big[:10]
-        assert tree.pager.read_count == reads + 1
-        assert tree.peek(b"small", 2) == b"ti" and tree.peek(b"small", 10) == b"tiny"
-        assert tree.peek(b"other", 10) == b"o" * 10  # starts where "big" ends
-        assert tree.pager.read_count == reads + 2
         assert tree.get(b"big") == big
         assert tree.pager.read_count == reads + 13
+        assert tree.get(b"other") == b"o" * 2000  # starts on the page "big" ends on
+        assert tree.pager.read_count == reads + 14
         tree.close()
 
-    def test_a_head_that_straddles_two_pages(self, tmp_path) -> None:
+    def test_a_value_that_straddles_two_pages(self, tmp_path) -> None:
         tree = _make(tmp_path, page_size=256)
         # "b" starts four bytes before the first overflow page ends.
         tree.bulk_load([(b"a", b"a" * 245), (b"b", bytes(range(100)))])
-        assert tree.peek(b"b", 10) == bytes(range(10))
-        assert tree.peek(b"b", 4) == bytes(range(4))
+        assert tree.get(b"b") == bytes(range(100))
+        assert tree.get(b"a") == b"a" * 245
         tree.close()
 
-    def test_a_peek_is_not_counted_as_a_get(self, tmp_path) -> None:
+    def test_every_get_is_counted_present_or_absent(self, tmp_path) -> None:
         tree = _loaded(tmp_path, [(b"key", b"value")])
-        assert tree.peek(b"key", 0) == b"" and tree.peek(b"nope", 0) is None
-        assert (tree.probe_stats.gets, tree.probe_stats.cache_hits) == (0, 0)
-        assert tree.get(b"key") == b"value"
-        assert tree.probe_stats.tree_descents == 3
+        assert tree.get(b"key") == b"value" and tree.get(b"nope") is None
+        stats = tree.probe_stats
+        assert (stats.gets, stats.cache_hits, stats.tree_descents) == (2, 0, 2)
         tree.close()
 
 
@@ -762,11 +757,11 @@ def test_the_overflow_stream_wastes_less_than_one_page(tmp_path_factory, values)
     assert census.get("overflow", {"pages": 0})["pages"] == -(-stream // (512 - _HEADER))
     assert sum(row["pages"] for row in census.values()) * 512 == tree.size_bytes()
     assert list(tree.items()) == items
-    assert all(tree.get(key) == value and tree.peek(key, 3) == value[:3] for key, value in items)
+    assert all(tree.get(key) == value for key, value in items)
     tree.close()
     reopened = BPlusTree(path, page_size=512)
     assert list(reopened.items()) == items
-    assert all(reopened.peek(key, 3) == value[:3] for key, value in items)
+    assert all(reopened.get(key) == value for key, value in items)
     reopened.close()
 
 

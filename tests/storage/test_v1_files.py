@@ -101,8 +101,7 @@ def test_a_v1_index_holds_and_answers_what_a_fresh_build_does(committed, tmp_pat
         assert 2 not in _page_types(tmp_path / "fresh.si")  # the writer writes v2 only
         assert fresh.size_bytes() < old.size_bytes()
         assert list(old.raw_items()) == list(fresh.raw_items())
-        for key, value in fresh.raw_items():
-            assert old.posting_list_length(key) == fresh.posting_list_length(key)
+        for key, _ in fresh.raw_items():
             assert old.lookup(key) == fresh.lookup(key)
         assert _answers(old) == _answers(fresh)
         assert any(result.total_matches for result in _answers(old))
