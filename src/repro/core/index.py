@@ -264,13 +264,12 @@ class SubtreeIndex:
         latter two are canonicalised before the lookup.  Every call descends
         the B+Tree and decodes the list.
         """
-        self.probe_stats.gets += 1
-        self.probe_stats.tree_descents += 1
-        encoded = self._normalise_key(key)
-        tree_stats = self._tree.probe_stats
+        stats, tree, tree_stats = self.probe_stats, self._tree, self._tree.probe_stats
+        stats.gets += 1
+        stats.tree_descents += 1
         decodes_before = tree_stats.node_decodes
-        raw = self._tree.get(encoded)
-        self.probe_stats.node_decodes += tree_stats.node_decodes - decodes_before
+        raw = tree.get(key if isinstance(key, bytes) else self._normalise_key(key))
+        stats.node_decodes += tree_stats.node_decodes - decodes_before
         return PostingColumns(()) if raw is None else self.coding.decode_postings(raw)
 
     def reset_probe_stats(self) -> ProbeStats:

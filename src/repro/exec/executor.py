@@ -51,7 +51,7 @@ from repro.query.model import QueryTree
 from repro.trees.matching import count_matches
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionStats:
     """Counters describing how a query was evaluated."""
 
@@ -68,10 +68,10 @@ class ExecutionStats:
         cls, coding: CodingScheme, strategy: str, cover: Cover, postings: Sequence[PostingColumns]
     ) -> ExecutionStats:
         """The counters known before the join: *cover*'s and its *postings*'."""
-        return cls(coding.name, strategy, len(cover), cover.join_count, sum(len(plist) for plist in postings))
+        return cls(coding.name, strategy, len(cover), cover.join_count, sum(map(len, postings)))
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """The outcome of evaluating one query."""
 
@@ -198,18 +198,17 @@ def _dispatch_join(
             "filter-based execution needs a data file (TreeStore) or Corpus "
             "to run its filtering phase; pass `store=` to QueryExecutor"
         )
+    if len(postings) == 1 and not filtered:
+        # One structural key encodes the whole query, so its postings are the
+        # matches: nothing to plan or join (the very common case of small
+        # queries at larger mss, and of single-label queries).
+        only = postings[0]
+        return QueryResult(count_distinct_roots(zip(only.tids, only.slots[0][0])) if only else {}, stats)
     if not all(postings):  # a cover key without a posting: no match, and no plan to build
         return QueryResult(stats=stats)
     if filtered:
         return _join_filter_based(query, cover, postings, store, stats)
     if isinstance(coding, (RootSplitCoding, SubtreeIntervalCoding)):
-        if len(cover.subtrees) == 1:
-            # The key encodes the whole query, so its postings are the
-            # matches: nothing to plan or join (the very common case of
-            # small queries at larger mss, and of single-label queries).
-            only = PostingColumns.from_postings(postings[0])
-            pairs = zip(only.tids, only.slots[0][0]) if only.tids else ()
-            return QueryResult(count_distinct_roots(pairs), stats)
         plan = build_plan(query, cover_relations(cover, postings), cover.edges, cover.twin_pairs, order)
         return QueryResult(run_plan(plan), stats)
     raise TypeError(f"unsupported coding scheme {type(coding).__name__}")

@@ -109,7 +109,7 @@ class CoverSubtree:
         return f"CoverSubtree({self}, node_ids={sorted(self.node_ids)})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Cover:
     """A cover of a query: the query, its cover subtrees and what a join
     planner needs of the query -- its edges as node-id triples and the

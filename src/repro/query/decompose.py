@@ -197,10 +197,18 @@ def query_links(query: QueryTree) -> Tuple[Tuple[Edge, ...], Tuple[Tuple[int, in
 # ----------------------------------------------------------------------
 # The compiler
 # ----------------------------------------------------------------------
+#: The node set of a one-node query's key, shared by every such cover.
+_ROOT_ONLY = frozenset((0,))
+
+
 def _one_key(query: QueryTree) -> Optional[Cover]:
     """The cover of a query that is one key, composed over its nodes without
-    the pass; ``None`` when a ``//`` edge cuts the query."""
+    the pass -- a one-node query's is its label, with no edge and no pair;
+    ``None`` when a ``//`` edge cuts the query."""
     nodes = query._nodes
+    if len(nodes) == 1:
+        root = query.root
+        return Cover(query, [CoverSubtree(root, _ROOT_ONLY, root.label.encode("utf-8"))], (), ())
     text = [node.label for node in nodes]
     pairs: List[Tuple[int, int]] = []
     for node in reversed(nodes):

@@ -69,22 +69,27 @@ def decode_varint_run(data: bytes, offset: int = 0) -> Sequence[int]:
     when no byte of the tail has the continuation bit set the ``bytes`` slice
     itself is returned -- indexing, iterating and strided slicing it yield
     the integers with no per-value work.  Otherwise the values are decoded
-    into a list.  A trailing unterminated varint raises ``ValueError``.
+    into a list, testing first for the one-byte varint that most of them
+    still are.  A trailing unterminated varint raises ``ValueError``.
     """
     tail = data[offset:]
     if tail.isascii():
         return tail
     values: List[int] = []
+    append = values.append
     result = shift = 0
     for byte in tail:
-        if byte & 0x80:
+        if byte < 0x80:
+            if shift:
+                append(result | byte << shift)
+                result = shift = 0
+            else:
+                append(byte)
+        else:
             result |= (byte & 0x7F) << shift
             shift += 7
             if shift > 63:
                 raise ValueError("varint too long")
-        else:
-            values.append(result | (byte << shift))
-            result = shift = 0
     if shift:
         raise ValueError("truncated varint")
     return values

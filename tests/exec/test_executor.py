@@ -175,6 +175,38 @@ class TestExecutionStats:
                 constructor(SegmentSet.of(index, corpus), strategy="optimal")
 
 
+class TestOneKeyAnswer:
+    """A query one key covers is answered from that key's postings alone,
+    before the join dispatches on the coding: on every coding its answer is
+    the exact matcher's, through the executor and through the service."""
+
+    @pytest.mark.parametrize("coding", CODINGS)
+    def test_rare_label_queries_match_the_exact_matcher(self, executors, corpus, coding: str) -> None:
+        from repro.core.segments import SegmentSet
+        from repro.corpus.generator import CorpusGenerator
+        from repro.service.service import QueryService
+        from repro.workloads import generate_fb_queries
+
+        # Queries cut from the indexed trees all match; from held-out ones, most
+        # name a key the index lacks.
+        queries = [
+            item.query
+            for trees in (list(corpus), CorpusGenerator(seed=2_000_004).generate_list(60))
+            for item in generate_fb_queries(list(corpus), trees, seed=5, classes=("L", "M", "ML"))
+        ]
+        answered = {True: 0, False: 0}  # one-key queries, by whether they match
+        for mss in MSS_VALUES:
+            executor = executors[(coding, mss)]
+            service = QueryService(SegmentSet.of(executor.index, corpus))
+            for query in queries:
+                expected = _expected(corpus, query)
+                if len(executor.decompose(query)) == 1:
+                    answered[bool(expected)] += 1
+                assert executor.execute(query).matches_per_tree == expected, (coding, mss, query.to_string())
+                assert service.run(query).matches_per_tree == expected, (coding, mss, query.to_string())
+        assert min(answered.values()) >= 5
+
+
 class TestStagedJoin:
     """``join_postings`` called stage by stage, as a caller that reads the
     B+Tree itself does (``perfbench``): ``[]`` stands for a key the index

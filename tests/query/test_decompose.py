@@ -211,6 +211,11 @@ def test_a_one_key_query_never_reaches_the_pass(monkeypatch) -> None:
 @settings(max_examples=200, deadline=None)
 @given(case=one_key_queries())
 @example(case=(parse_query("NP(NN(DT)(DT))(NN)"), 5))  # same-label pairs under two parents
+@example(case=(parse_query("NP"), 1))  # one-node queries at every mss
+@example(case=(parse_query("VBZ"), 2))
+@example(case=(parse_query("wrb_0000"), 3))
+@example(case=(parse_query("NN"), 4))
+@example(case=(parse_query("DT"), 5))
 def test_the_one_key_cover_is_the_hand_built_key(case) -> None:
     query, mss = case
     every = frozenset(range(query.size()))
@@ -221,6 +226,9 @@ def test_the_one_key_cover_is_the_hand_built_key(case) -> None:
         assert only.root is query.root and only.node_ids == every
         assert only.key_bytes() == CoverSubtree(query.root, every).key()[0]
         assert cover.edges == edges and cover.twin_pairs == pairs
+        if len(every) == 1:  # a one-node query's key is its label, with no edge and no pair
+            assert only.key_bytes() == query.root.label.encode("utf-8")
+            assert cover.edges == () and cover.twin_pairs == ()
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.storage.codec import (
     decode_varint,
@@ -97,6 +97,46 @@ class TestVarintRun:
             _, offset = decode_varint(data, offset)
         expected, _ = decode_varint_list(data, len(values) - min(skip, len(values)), offset)
         assert list(decode_varint_run(data, offset)) == expected
+
+
+def padded(value: int, width: int) -> bytes:
+    """*value*'s varint stretched to *width* bytes by zero continuation
+    groups: a ``width``-byte varint of a value that needs fewer."""
+    canonical = encode_varint(value)
+    if width <= len(canonical):
+        return canonical
+    return bytes(byte | 0x80 for byte in canonical) + b"\x80" * (width - len(canonical) - 1) + b"\x00"
+
+
+#: ``(value, width)``: a value up to 2**63 - 1 and a varint width of 1-10
+#: bytes, its canonical width when that is wider.
+wide_varints = st.tuples(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=1, max_value=10))
+
+
+class TestWideRun:
+    """The slow path of :func:`decode_varint_run`, over runs that mix one-
+    to ten-byte varints."""
+
+    @given(st.lists(wide_varints, min_size=1, max_size=40))
+    def test_a_mixed_run_decodes_to_its_values(self, cases: list[tuple[int, int]]) -> None:
+        values = [value for value, _ in cases]
+        assert list(decode_varint_run(encode_varint_list(values))) == values
+        assert list(decode_varint_run(b"".join(padded(value, width) for value, width in cases))) == values
+
+    @given(st.lists(wide_varints, min_size=1, max_size=20), st.data())
+    def test_a_run_cut_inside_a_varint_is_truncated(self, cases: list[tuple[int, int]], data) -> None:
+        run = b"".join(padded(value, width) for value, width in cases)
+        inside = [cut for cut in range(1, len(run)) if run[cut - 1] & 0x80]
+        assume(inside)  # every varint one byte long leaves no cut inside one
+        with pytest.raises(ValueError, match="truncated varint"):
+            decode_varint_run(run[: data.draw(st.sampled_from(inside))])
+
+    @given(st.lists(wide_varints, max_size=20), st.integers(min_value=0, max_value=2**63 - 1), st.data())
+    def test_an_eleven_byte_varint_is_too_long(self, cases: list[tuple[int, int]], long: int, data) -> None:
+        pieces = [padded(value, width) for value, width in cases]
+        pieces.insert(data.draw(st.integers(min_value=0, max_value=len(pieces))), padded(long, 11))
+        with pytest.raises(ValueError, match="varint too long"):
+            decode_varint_run(b"".join(pieces))
 
 
 def encode_delta_list(values: list[int]) -> bytes:
