@@ -6,13 +6,15 @@ nodes listed in the canonical order of the key -- or, for a scheme that
 stores nothing below an occurrence's root, the keys rooted at each node.  A
 coding scheme says which flat rows of ints those become, serialises a key's
 rows for storage in the B+Tree and hands them back as columns at query time.
+That stored form (a row count, then varint rows, each tid a gap) is written,
+cut and read here only: :class:`StoredList`, :func:`encoded_lists`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import accumulate
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.coding.postings import PostingColumns
 from repro.storage.codec import (
@@ -25,6 +27,52 @@ from repro.storage.codec import (
 
 #: A node's interval code as a plain ``(pre, post, level)`` triple.
 Code = Tuple[int, int, int]
+
+_SMALL = [bytes((value,)) for value in range(0x80)]  # a varint below 128 is its own byte
+_UNREAD = (0, b"", PostingColumns([]))  # no byte of a list decoded yet
+
+
+class StoredList(bytearray):
+    """A key's posting list as the B+Tree stores it but for the row ``count``:
+    each row's varints, its tid the gap from ``last``, the row before's (or
+    0); ``read`` is what :meth:`CodingScheme.decode_appended` last decoded."""
+
+    __slots__ = ("count", "last", "read")
+
+    def __init__(self) -> None:
+        self.count, self.last, self.read = 0, 0, _UNREAD
+
+    def append(self, tid: int, tail: bytes) -> None:
+        """Write the row of tree *tid* (``last`` or later) and *tail*
+        (:func:`row_tail`) in one ``+=``, which a racing reader sees whole."""
+        gap = tid - self.last  # never negative: encode_varint refuses it
+        self += (_SMALL[gap] if 0 <= gap < 0x80 else encode_varint(gap)) + tail
+        self.last = tid
+        self.count += 1
+
+    def encoded(self) -> bytes:
+        """The list as the B+Tree stores it: the row count, then the rows."""
+        return encode_varint(self.count) + self
+
+
+def row_tail(row: Sequence[int]) -> bytes:
+    """The values of *row* after its tid as :meth:`StoredList.append` takes them."""
+    return encode_varint_list(row[1:])
+
+
+def row_count(data: bytes) -> int:
+    """The row count a stored list leads with."""
+    return decode_varint(data)[0]
+
+
+def encoded_lists(source, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
+    """What a compaction writes of *source* (an index file, the live delta):
+    its ``raw_items()`` less the rows of the trees in *dead*
+    (:meth:`CodingScheme.cut`), a key left with no row not at all."""
+    for key, raw in source.raw_items():
+        kept = source.coding.cut(raw, dead)
+        if kept is not None:
+            yield key, kept
 
 
 class CodingScheme(ABC):
@@ -69,27 +117,33 @@ class CodingScheme(ABC):
         width = self.width(body)
         flat = list(body)
         flat[0::width] = delta_gaps(body[0::width])
-        # The first tid is the one value that is often wide (any list of a
-        # later segment); the gaps and codes after it nearly always fit a
-        # byte each, which is the case ``encode_varint_list`` is fast in.
+        # The first tid is often wide (:meth:`decode_rows`); what follows nearly
+        # always fits a byte each, the case ``encode_varint_list`` is fast in.
         return encode_varint(len(flat) // width) + encode_varint(flat[0]) + encode_varint_list(flat[1:])
 
-    def decode_body(self, data: bytes) -> List[int]:
-        """The body :meth:`encode_body` was given, tids absolute, for a
-        compaction to cut; its often wide first tid is decoded on its own,
-        so the one-byte varints after it come back in one pass."""
-        count, offset = decode_varint(data, 0)
-        if not count:
-            return []
+    def decode_rows(self, data: bytes, offset: int = 0, base: int = 0) -> Tuple[Sequence[int], int, List[int]]:
+        """The rows stored in *data* from *offset* on, the first tid the gap
+        from *base*, as ``(body, width, absolute tids)``.  The first value (a
+        list's first tid, or the gap before rows appended to it) is often
+        wide: decoded apart, a 0 in its place, it leaves the body ``bytes``."""
         first, offset = decode_varint(data, offset)
-        body = [first, *decode_varint_run(data, offset)]
+        rest = decode_varint_run(data, offset)
+        body = [0, *rest] if type(rest) is list else b"\x00" + rest  # bytes, from bytes or a bytearray
         width = self.width(body)
-        if len(body) != count * width:
-            raise ValueError(
-                f"corrupt posting list: {count} records of {width} values, {len(body)} values found"
-            )
-        body[0::width] = accumulate(body[0::width])
-        return body
+        return body, width, list(accumulate(body[width::width], initial=base + first))
+
+    def decode_appended(self, stored: StoredList) -> PostingColumns:
+        """The columns of *stored*, a list rows are still appended to: only the
+        rows appended since the last call are decoded (:meth:`decode_rows`),
+        and what was read is remembered in ``stored.read``."""
+        read, body, columns = stored.read
+        added = stored[read:]  # whole rows: each is appended in one +=
+        if added:
+            run, width, tids = self.decode_rows(added, 0, columns.tids[-1] if read else 0)
+            body = body + run if type(body) is type(run) else [*body, *run]  # what was handed out stays
+            columns = PostingColumns.from_body(body, width, columns.tids + tids)
+            stored.read = (read + len(added), body, columns)
+        return columns
 
     def cut(self, data: bytes, dead: AbstractSet[int]) -> Optional[bytes]:
         """The stored list *data* less the rows of the trees in *dead*, cut from
@@ -97,11 +151,18 @@ class CodingScheme(ABC):
         write: *data* itself when none is in it, ``None`` when no row is left."""
         if not dead:
             return data
-        body = self.decode_body(data)
-        width = self.width(body)
-        tids = body[0::width]
+        count, offset = decode_varint(data, 0)
+        if not count:
+            return data
+        body, width, tids = self.decode_rows(data, offset)
+        if len(body) != count * width:
+            raise ValueError(
+                f"corrupt posting list: {count} records of {width} values, {len(body)} values found"
+            )
         if dead.isdisjoint(tids):
             return data
+        body = list(body)
+        body[0::width] = tids
         kept: List[int] = []
         start = 0  # the first row of the run being kept
         for row, tid in enumerate(tids):
@@ -112,7 +173,7 @@ class CodingScheme(ABC):
         return self.encode_body(kept) if kept else None
 
     def decode_postings(self, data: bytes) -> PostingColumns:
-        """Deserialise a list produced by :meth:`encode_body`.
+        """Deserialise a stored list (:meth:`StoredList.encoded`, :meth:`encode_body`) whole.
 
         The result is columnar -- field ``f`` of all rows is the strided
         slice ``body[f::width]`` of the varint body, tids summed from their

@@ -14,14 +14,13 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import AbstractSet, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.coding.base import CodingScheme, get_coding
+from repro.coding.base import CodingScheme, StoredList, get_coding, row_count, row_tail
 from repro.coding.postings import PostingColumns
 from repro.core.enumeration import extract_root_texts, extract_subtrees, number
 from repro.core.keys import SubtreeKey, canonical_key
 from repro.storage.bptree import MAGIC, BPlusTree, ProbeStats
-from repro.storage.codec import decode_varint, encode_varint, encode_varint_list
 from repro.trees.node import Node, ParseTree
 from repro.trees.penn import Numbering
 
@@ -85,21 +84,6 @@ def numbered(trees: Iterable[ParseTree]) -> Iterator[Tuple[int, Numbering]]:
         yield tree.tid, number(tree)
 
 
-class StoredList(bytearray):
-    """A key's posting list as the B+Tree stores it, but for the leading row
-    ``count``: each row's varints, its tid the gap from ``last``, the tid of
-    the row before (the first row's from 0)."""
-
-    __slots__ = ("count", "last")
-
-    def __init__(self, tid: int, tail: bytes):  # the first row
-        super().__init__(encode_varint(tid) + tail)
-        self.count, self.last = 1, tid
-
-
-_SMALL_GAPS = [bytes((gap,)) for gap in range(0x80)]  # a varint below 128 is its own byte
-
-
 def accumulate_posting_lists(
     trees: Iterable[Tuple[int, Numbering]], mss: int, coding: CodingScheme,
     lists: Optional[Dict[str, StoredList]] = None,
@@ -110,8 +94,8 @@ def accumulate_posting_lists(
     The one loop behind an index build (over :func:`numbered` node trees), a
     shard worker and a live delta's ``add_tree`` (one tree, numbered by
     :func:`~repro.trees.penn.scan_penn`, into the delta's lists).  A row goes
-    onto its key's list as it is written, in one ``+=`` (a reader racing an
-    add never sees half a row); trees arrive in ascending tid order.
+    onto its key's list as it is written (:meth:`StoredList.append`); trees
+    arrive in ascending tid order.
     """
     lists = {} if lists is None else lists
     tree_count = 0
@@ -120,15 +104,11 @@ def accumulate_posting_lists(
         row_coded = None
         for text, row in tree_rows(tid, numbering, mss, coding):
             if row is not row_coded:  # one row object serves all a root's keys (filter: a tree's)
-                row_coded, tail = row, encode_varint_list(row[1:])
+                row_coded, tail = row, row_tail(row)
             stored = lists.get(text)
             if stored is None:
-                lists[text] = StoredList(tid, tail)
-                continue
-            gap = tid - stored.last  # never negative: encode_varint refuses it
-            stored += (_SMALL_GAPS[gap] if 0 <= gap < 0x80 else encode_varint(gap)) + tail
-            stored.last = tid
-            stored.count += 1
+                stored = lists[text] = StoredList()
+            stored.append(tid, tail)
     return lists, tree_count
 
 
@@ -136,8 +116,7 @@ def encode_posting_lists(lists: Dict[str, StoredList]) -> Iterator[Tuple[bytes, 
     """Yield ``(key, stored list)`` in key order (a text's order is its
     UTF-8 bytes'), emptying *lists*: each list is dropped as it is yielded."""
     for text in sorted(lists):
-        stored = lists.pop(text)
-        yield text.encode("utf-8"), encode_varint(stored.count) + stored
+        yield text.encode("utf-8"), lists.pop(text).encoded()
 
 
 class SubtreeIndex:
@@ -204,8 +183,7 @@ class SubtreeIndex:
             coding=coding.name,
             tree_count=tree_count,
             key_count=len(items) - 1,
-            # Every coding leads an encoded list with its posting count.
-            posting_count=sum(decode_varint(value)[0] for _, value in items[1:]),
+            posting_count=sum(row_count(value) for _, value in items[1:]),
             build_seconds=0.0,
         )
         items[0] = (_META_KEY, metadata.to_json())
@@ -283,26 +261,12 @@ class SubtreeIndex:
     # ------------------------------------------------------------------
     def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
         """Yield ``(canonical key bytes, decoded posting list)`` pairs."""
-        for key, value in self._tree.items():
-            if key == _META_KEY:
-                continue
+        for key, value in self.raw_items():
             yield key, self.coding.decode_postings(value)
 
     def raw_items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Yield ``(key bytes, encoded posting list)`` without decoding."""
-        for key, value in self._tree.items():
-            if key == _META_KEY:
-                continue
-            yield key, value
-
-    def encoded_lists(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
-        """``(key, encoded list)`` in key order without the rows of the trees
-        in *dead* (:meth:`~repro.coding.base.CodingScheme.cut`): a key left
-        with no row not at all."""
-        for key, raw in self.raw_items():
-            kept = self.coding.cut(raw, dead)
-            if kept is not None:
-                yield key, kept
+        return ((key, value) for key, value in self._tree.items() if key != _META_KEY)
 
     @property
     def mss(self) -> int:

@@ -11,9 +11,10 @@ build numbers a node tree -- so merging delta postings with base-segment
 postings by tid is byte-identical to a full rebuild, and a compaction can
 write the delta's finished lists out instead of indexing its trees again.
 What it holds per key is what a build holds, the stored list
-(:class:`~repro.core.index.StoredList`); a lookup hands out
+(:class:`~repro.coding.base.StoredList`); a lookup hands out
 :class:`~repro.coding.postings.PostingColumns`, what the join kernel reads,
-decoding only the rows added since the key's last lookup.  Its trees are
+decoding only the rows added since the key's last lookup
+(:meth:`~repro.coding.base.CodingScheme.decode_appended`).  Its trees are
 the records a data file holds (:class:`DeltaTrees`), copied out as they are.
 
 Trees must be added in ascending tid order (the live index assigns
@@ -24,18 +25,15 @@ merge and the join operators rely on.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import AbstractSet, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.coding.base import CodingScheme
+from repro.coding.base import CodingScheme, StoredList
 from repro.coding.postings import PostingColumns
-from repro.core.index import StoredList, accumulate_posting_lists
-from repro.storage.codec import decode_varint, decode_varint_run, encode_varint
+from repro.core.index import accumulate_posting_lists
 from repro.trees.node import ParseTree
 from repro.trees.penn import Numbering, parse_penn
 
 _EMPTY = PostingColumns(())
-_UNREAD = (0, b"", _EMPTY)  # no byte of a list decoded yet
 
 
 class DeltaTrees:
@@ -71,8 +69,6 @@ class DeltaSegment:
         #: The delta's trees, in insertion (= ascending tid) order.
         self.trees = DeltaTrees()
         self._lists: Dict[str, StoredList] = {}
-        #: key -> (bytes of its list decoded, their values, their columns).
-        self._decoded: Dict[str, Tuple[int, Sequence[int], PostingColumns]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -102,26 +98,8 @@ class DeltaSegment:
     # ------------------------------------------------------------------
     def lookup(self, key: bytes) -> PostingColumns:
         """The delta's posting list of *key* (empty when absent)."""
-        text = key.decode("utf-8")
-        stored = self._lists.get(text)
-        if stored is None:
-            return _EMPTY
-        start, body, columns = self._decoded.get(text, _UNREAD)
-        added = stored[start:]  # whole rows: each is appended in one +=
-        if added:
-            # The first value, a tid gap, is the one often wide (a list's first
-            # row holds its tid whole): decoded apart, the rest is one run --
-            # bytes when every value is below 128 -- behind a 0 in its place.
-            # The columns take no tid from the body: the tids are summed apart.
-            first, offset = (added[0], 1) if added[0] < 0x80 else decode_varint(added)
-            rest = decode_varint_run(added, offset)
-            run = [0, *rest] if type(rest) is list else b"\x00" + rest
-            width = self.coding.width(run)
-            tids = list(accumulate(run[width::width], initial=first + (columns.tids[-1] if start else 0)))
-            body = body + run if type(body) is type(run) else [*body, *run]  # what was handed out stays
-            columns = PostingColumns.from_body(body, width, columns.tids + tids if start else tids)
-            self._decoded[text] = (start + len(added), body, columns)
-        return columns
+        stored = self._lists.get(key.decode("utf-8"))
+        return _EMPTY if stored is None else self.coding.decode_appended(stored)
 
     def items(self) -> Iterator[Tuple[bytes, PostingColumns]]:
         """Yield ``(key bytes, posting list)`` pairs in ascending key order."""
@@ -129,15 +107,11 @@ class DeltaSegment:
             key = text.encode("utf-8")
             yield key, self.lookup(key)
 
-    def encoded_lists(self, dead: AbstractSet[int] = frozenset()) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, encoded posting list)`` in key order without the rows
-        of the trees in *dead* -- what a compaction writes, as
-        ``SubtreeIndex.encoded_lists`` yields a segment's."""
+    def raw_items(self) -> Iterator[Tuple[bytes, bytes]]:
+        """Yield ``(key bytes, stored list)`` in ascending key order, for a
+        compaction, which no add races (:meth:`items` reads no row count)."""
         for text in sorted(self._lists):
-            stored = self._lists[text]
-            kept = self.coding.cut(encode_varint(stored.count) + stored, dead)
-            if kept is not None:
-                yield text.encode("utf-8"), kept
+            yield text.encode("utf-8"), self._lists[text].encoded()
 
     # ------------------------------------------------------------------
     @property

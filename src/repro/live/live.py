@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.coding.base import CodingScheme, get_coding
+from repro.coding.base import CodingScheme, encoded_lists, get_coding
 from repro.core.index import accumulate_posting_lists, encode_posting_lists, numbered
 from repro.core.manifest import (
     LIVE_SUFFIX, Manifest, ManifestError, is_manifest, wal_file_path,
@@ -332,7 +332,7 @@ class LiveIndex(SegmentSet):
                     records = ((tid, source.store.record(tid)) for tid in survivors)
                     segment = write_segment(
                         self.manifest_path, segment_id, self.mss, self.coding,
-                        source.index.encoded_lists(source.dead), records, time.perf_counter(),
+                        encoded_lists(source.index, source.dead), records, time.perf_counter(),
                         fsync=self._fsync,
                     )
                     segment_id += 1

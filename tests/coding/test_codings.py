@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.coding import (
     CodingScheme,
@@ -13,7 +13,7 @@ from repro.coding import (
     SubtreeIntervalCoding,
     get_coding,
 )
-from repro.coding.base import coding_names
+from repro.coding.base import StoredList, coding_names, row_tail
 from tests.coding.recordkit import body_columns, encode_records, rows
 
 #: One embedding of a key: the tree and its nodes' ``(pre, post, level)`` in
@@ -176,13 +176,12 @@ def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
 @pytest.mark.parametrize("name", CODINGS)
 @given(occurrences=_occurrences(), data=st.data())
 def test_a_compaction_cuts_bodies_not_columns(name: str, occurrences: list[Occurrence], data) -> None:
-    """``decode_body`` undoes ``encode_body`` -- a wide first tid included --
-    and ``cut`` drops exactly the dead trees' rows, handing the stored list
-    back itself when it holds none of them and ``None`` for none left."""
+    """``cut`` drops exactly the dead trees' rows -- a wide first tid
+    included -- handing the stored list back itself when it holds none of
+    them and ``None`` for none left."""
     coding = get_coding(name)
     body = _body(coding, occurrences)
     stored = coding.encode_body(body)
-    assert coding.decode_body(stored) == body
     tids = sorted({tid for tid, _ in occurrences})
     dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
     kept = coding.cut(stored, dead)
@@ -190,6 +189,69 @@ def test_a_compaction_cuts_bodies_not_columns(name: str, occurrences: list[Occur
     assert (kept is None) == (not survivors and not dead.isdisjoint(tids))
     assert ([] if kept is None else rows(coding.decode_postings(kept))) == survivors
     assert (kept is stored) == dead.isdisjoint(tids)
+
+
+def _varint_of(size: int) -> st.SearchStrategy[int]:
+    """A value whose varint is *size* bytes long (1 to 10)."""
+    return st.integers(min_value=0 if size == 1 else 128 ** (size - 1), max_value=128 ** size - 1)
+
+
+def _values(sizes: st.SearchStrategy[int]) -> st.SearchStrategy[int]:
+    return sizes.flatmap(_varint_of)
+
+
+@st.composite
+def _appended_rows(draw, name: str) -> list[tuple[int, ...]]:
+    """Rows of one key under coding *name*: the first tid up to 2**40, each
+    later one a gap of 1 to 10 bytes after the one before, and every value
+    after a tid 1 to *widest* bytes."""
+    base = draw(st.integers(min_value=0, max_value=2**40))
+    widest = draw(st.integers(min_value=1, max_value=10))
+    value = _values(st.integers(min_value=1, max_value=widest))
+    nodes = draw(st.integers(min_value=1, max_value=3))
+    tail = {
+        "filter": st.just(()),
+        "root-split": st.tuples(value, value, value),
+        "subtree-interval": st.lists(value, min_size=4 * nodes, max_size=4 * nodes).map(
+            lambda values: (nodes, *values)
+        ),
+    }[name]
+    gaps = draw(st.lists(_values(st.integers(min_value=1, max_value=10)), min_size=0, max_size=7))
+    tids = [base]
+    for gap in gaps:
+        tids.append(tids[-1] + gap)
+    return [(tid, *draw(tail)) for tid in tids]
+
+
+@pytest.mark.parametrize("name", CODINGS)
+@given(data=st.data())
+@example(data=None)
+def test_the_first_value_apart_reader_decodes_every_suffix(name: str, data) -> None:
+    """``decode_rows`` -- the reader of ``cut`` and of a delta's lookup --
+    decodes a stored list from any row boundary on, given the tid of the row
+    before, to the rows written there; and its columns are ``bytes`` when
+    the first value it reads is the only wide one."""
+    coding = get_coding(name)
+    if data is None:  # a wide first tid, every value after it one byte
+        listed = [(2**20, 1, 7, 2, 9, 0), (2**20 + 5, 1, 6, 1, 4, 0)]
+        listed = [row[:coding.width(row)] for row in listed]
+    else:
+        listed = data.draw(_appended_rows(name))
+    stored, boundaries = StoredList(), []
+    for row in listed:
+        boundaries.append(len(stored))
+        stored.append(row[0], row_tail(row))
+    assert stored.encoded() == encode_records(coding, listed)
+    for at, offset in enumerate(boundaries):
+        before = listed[at - 1][0] if at else 0
+        body, width, tids = coding.decode_rows(stored, offset, before)  # a bytearray, as a delta reads it
+        decoded = PostingColumns.from_body(body, width, tids)
+        assert rows(decoded) == rows(body_columns(coding, [value for row in listed[at:] for value in row]))
+        gaps = [listed[at][0] - before, *(b[0] - a[0] for a, b in zip(listed[at:], listed[at + 1:]))]
+        after_first = [value for row, gap in zip(listed[at:], gaps) for value in (gap, *row[1:])][1:]
+        if all(value < 0x80 for value in after_first):
+            columns = [column for slot in decoded.slots for column in slot] + list(decoded.orders or ())
+            assert type(body) is bytes and all(type(column) is bytes for column in columns)
 
 
 # ----------------------------------------------------------------------

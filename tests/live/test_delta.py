@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coding.base import get_coding
+from repro.coding.base import StoredList, encoded_lists, get_coding
 from repro.coding.postings import PostingColumns
 from repro.core.index import SubtreeIndex
 from repro.live.delta import DeltaSegment
+from repro.trees.node import ParseTree
 from repro.trees.penn import scan_penn, to_penn
 from tests.coding.recordkit import rows
 
@@ -48,7 +49,7 @@ def test_delta_stores_what_a_fresh_build_would(tmp_path, tiny_corpus, coding, ms
             assert isinstance(delta_postings, PostingColumns)
             assert delta_postings == built_postings, key
             assert _columns(delta_postings) == _columns(built_postings), key
-        assert list(delta.encoded_lists()) == list(built.raw_items())
+        assert list(encoded_lists(delta)) == list(built.raw_items())
         assert delta.key_count == built.key_count
         assert delta.posting_count == built.posting_count
         assert delta.tree_count == built.metadata.tree_count
@@ -65,7 +66,23 @@ def test_encoded_without_dead_trees_is_a_build_of_the_survivors(tmp_path, tiny_c
     dead = {trees[0].tid, trees[4].tid, trees[9].tid}
     survivors = [tree for tree in trees if tree.tid not in dead]
     with SubtreeIndex.build(survivors, mss=3, coding=coding, path=str(tmp_path / "alive.si")) as built:
-        assert list(delta.encoded_lists(dead)) == list(built.raw_items())
+        assert list(encoded_lists(delta, dead)) == list(built.raw_items())
+
+
+@pytest.mark.parametrize("coding", CODINGS)
+def test_a_lookup_reads_what_a_segment_reader_reads_of_the_same_bytes(tiny_corpus, coding) -> None:
+    """After every add, a lookup -- which decodes only the rows added since
+    the key's last one -- equals ``decode_postings`` of the list the delta
+    would write, read whole.  Tids start at 2**14, so every list's first
+    varint is wide, and some gaps are wide too."""
+    scheme = get_coding(coding)
+    delta = DeltaSegment(mss=3, coding=scheme)
+    tid = 2**14
+    for position, tree in enumerate(list(tiny_corpus)[:12]):
+        tid += (1, 200, 3, 2**15)[position % 4]
+        _add(delta, ParseTree(tree.root, tid=tid))
+        stored = dict(delta.raw_items())
+        assert stored and all(delta.lookup(key) == scheme.decode_postings(raw) for key, raw in stored.items())
 
 
 @pytest.mark.parametrize("coding", CODINGS)
@@ -175,8 +192,6 @@ def test_a_lookup_remembers_only_the_rows_it_decoded(tmp_path, tiny_corpus, codi
     """An add that lands between a lookup's read of a list and its memo of
     that list's columns is picked up by the next lookup: the memo covers
     the bytes the lookup decoded, not the list's length by then."""
-    from repro.core.index import StoredList
-
     trees = list(tiny_corpus)[:4]
     delta = DeltaSegment(mss=2, coding=get_coding(coding))
     for tree in trees[:3]:
@@ -192,8 +207,8 @@ def test_a_lookup_remembers_only_the_rows_it_decoded(tmp_path, tiny_corpus, codi
     key = b"NP"
     text = key.decode()
     held = delta._lists[text]
-    raced = RacedList.__new__(RacedList)
-    bytearray.__init__(raced, held)
+    raced = RacedList()
+    raced += held
     raced.count, raced.last = held.count, held.last
     delta._lists[text] = raced
     before = delta.lookup(key)

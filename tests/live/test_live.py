@@ -18,6 +18,7 @@ import zlib
 
 import pytest
 
+from repro.coding.base import encoded_lists
 from repro.core.index import SubtreeIndex
 from repro.core.segments import SegmentSet
 from repro.core.manifest import ManifestError, wal_file_path
@@ -572,7 +573,7 @@ class TestEveryFormOfAnAdd:
                 with open(live.wal.path, "rb") as handle:
                     log = handle.read()
                 delta = live.delta
-                held[form] = (log, dict(delta.trees.records), list(delta.encoded_lists()), list(delta.items()))
+                held[form] = (log, dict(delta.trees.records), list(encoded_lists(delta)), list(delta.items()))
             finally:
                 live.close()
         assert held["text"] == held["node"] == held["parse tree"]
