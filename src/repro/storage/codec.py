@@ -66,11 +66,14 @@ def decode_varint_run(data: bytes, offset: int = 0) -> Sequence[int]:
 
     Posting bodies are almost entirely one-byte varints (tid gaps, pre/post
     numbers and levels below 128), and a one-byte varint is its own value:
-    when no byte of the tail has the continuation bit set the ``bytes`` slice
-    itself is returned -- indexing, iterating and strided slicing it yield
-    the integers with no per-value work.  Otherwise the values are decoded
-    into a list, testing first for the one-byte varint that most of them
-    still are.  A trailing unterminated varint raises ``ValueError``.
+    when no byte of the tail has the continuation bit set the slice
+    ``data[offset:]`` itself is returned, of *data*'s own type (a
+    ``bytearray`` for a live delta's list) -- indexing, iterating and
+    strided slicing it yield the integers with no per-value work.  Otherwise
+    the values are decoded into a ``list``, testing first for the one-byte
+    varint that most of them still are, so a caller tells the two apart with
+    ``type(run) is list``.  A trailing unterminated varint raises
+    ``ValueError``.
     """
     tail = data[offset:]
     if tail.isascii():

@@ -1,8 +1,8 @@
 """The committed tables under ``benchmarks/results/``.
 
 ``benchmarks/`` holds every non-timing cell of a fresh run to these files, so
-each must stay a valid document of a registered experiment, and the text
-table beside it must be its rendering.
+each must stay a valid document of a registered experiment, with the columns
+it declares, and the text table beside it must be its rendering.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import experiment_names
+from repro.bench import experiment_names, get_experiment
 from repro.bench.results import ExperimentResult
 from repro.bench.schema import validate_document
 
@@ -35,6 +35,16 @@ def test_a_committed_table_is_a_valid_document(path: Path) -> None:
     document = _load(path)
     assert validate_document(document) == []
     assert path.name == f"BENCH_{document['experiment']}.json"
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda path: path.stem)
+def test_a_committed_table_has_its_declared_columns(path: Path) -> None:
+    # The header is the declared variables, the row identity `bench list
+    # --json` prints as `key_columns`, then the value columns.
+    declared = get_experiment(path.stem[len("BENCH_"):])
+    key_columns = declared.as_dict()["key_columns"]
+    assert declared.columns[: len(key_columns)] == key_columns
+    assert _load(path)["result"]["columns"] == declared.columns
 
 
 @pytest.mark.parametrize("path", COMMITTED, ids=lambda path: path.stem)

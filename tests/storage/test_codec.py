@@ -70,6 +70,14 @@ class TestVarintRun:
         assert isinstance(run, bytes) and list(run) == [0, 1, 127, 64]
         assert run[1::2] == bytes([1, 64])  # columns are strided slices
 
+    def test_a_bytearray_run_is_a_bytearray_slice_or_a_list(self) -> None:
+        # A live delta's list is a bytearray: its one-byte runs come back as
+        # a bytearray, not bytes, and only a wide run is a list.
+        run = decode_varint_run(bytearray(b"\x05" + bytes([0, 1, 127, 64])), 1)
+        assert type(run) is bytearray and list(run) == [0, 1, 127, 64]
+        wide = decode_varint_run(bytearray(encode_varint_list([3, 300, 1])))
+        assert type(wide) is list and wide == [3, 300, 1]
+
     def test_empty_tail(self) -> None:
         assert len(decode_varint_run(b"\x00", 1)) == 0
         assert len(decode_varint_run(b"")) == 0
