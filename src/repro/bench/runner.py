@@ -156,6 +156,10 @@ class ExperimentRunner:
         scale: Optional[float] = None,
         trace: bool = False,
     ) -> None:
+        if scale is None:
+            scale = float(os.environ.get(SCALE_ENV_VAR, "1.0"))
+        if not 0 < scale < float("inf"):  # NaN too; refused before a directory is made
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         if workdir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-bench-")
             workdir = self._tempdir.name
@@ -164,10 +168,6 @@ class ExperimentRunner:
         self.workdir = workdir
         self.out_dir = out_dir
         self.seed = seed
-        if scale is None:
-            scale = float(os.environ.get(SCALE_ENV_VAR, "1.0"))
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
         self.scale = scale
         self.trace = trace
         self.context = ExperimentContext(workdir=workdir, seed=seed)

@@ -120,7 +120,11 @@ def cmd_build(args: argparse.Namespace) -> int:
             "pass --shards N (> 1) for a parallel build",
             file=sys.stderr,
         )
-    corpus = Corpus.load(args.corpus)
+    try:
+        corpus = Corpus.load(args.corpus)
+    except (OSError, ValueError) as error:  # e.g. a malformed Penn line
+        print(f"error: cannot read corpus {args.corpus!r}: {error}", file=sys.stderr)
+        return 2
 
     # Three constructions (they differ), one report.
     if args.live:
@@ -237,6 +241,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.trace and args.explain:
         print("error: --trace cannot be combined with --explain "
               "(--explain does not execute the query)", file=sys.stderr)
+        return 2
+    if args.limit < 0:
+        print(f"error: --limit must be at least 0, got {args.limit}", file=sys.stderr)
         return 2
     try:
         # With --repeat the point is to measure the plan+posting caches, so
@@ -450,6 +457,9 @@ def _stats_payload(path: str, index: SegmentSet) -> dict:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Print metadata and the largest posting lists of an index."""
+    if args.top < 0:
+        print(f"error: --top must be at least 0, got {args.top}", file=sys.stderr)
+        return 2
     try:
         index = SegmentSet.open(args.index)  # whatever the file says it is
     except _OPEN_ERRORS as error:
@@ -697,10 +707,14 @@ def _bench_run(args: argparse.Namespace) -> int:
     from repro.bench.runner import ExperimentRunner
 
     names = args.names or experiment_names()
-    runner = ExperimentRunner(
-        workdir=args.workdir, out_dir=args.out, seed=args.seed, scale=args.scale,
-        trace=args.trace,
-    )
+    try:
+        runner = ExperimentRunner(
+            workdir=args.workdir, out_dir=args.out, seed=args.seed, scale=args.scale,
+            trace=args.trace,
+        )
+    except ValueError as error:  # a scale that is not a positive number
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     documents = []
     try:
         for name in names:

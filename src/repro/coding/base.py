@@ -12,15 +12,15 @@ cut and read here only: :class:`StoredList`, :func:`encoded_lists`.
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.coding.postings import PostingColumns
 from repro.storage.codec import (
     decode_varint,
     decode_varint_run,
-    delta_gaps,
     encode_varint,
     encode_varint_list,
 )
@@ -30,6 +30,8 @@ Code = Tuple[int, int, int]
 
 _SMALL = [bytes((value,)) for value in range(0x80)]  # a varint below 128 is its own byte
 _UNREAD = (0, b"", PostingColumns([]))  # no byte of a list decoded yet
+#: A row of ``%d + 1`` varints: its tid gap, then (group 1) the values after it.
+_ROW = rb"[\x80-\xff]*[\x00-\x7f]((?:[\x80-\xff]*[\x00-\x7f]){%d})"
 
 
 class StoredList(bytearray):
@@ -81,7 +83,7 @@ class CodingScheme(ABC):
     A scheme says what one *row* is -- the flat ints of one posting, tree id
     first -- and which rows a tree contributes to each key (:meth:`rows`).
     A key's rows end to end are its *body*: the builder writes each row in
-    its stored form, a compaction cuts dead trees' rows out of a body
+    its stored form, a compaction splices the stored runs of rows it keeps
     (:meth:`cut`) and the columns the join reads are strided slices of it.
     """
 
@@ -109,18 +111,6 @@ class CodingScheme(ABC):
         """Values per row of a key's (non-empty) *body*."""
 
     # ------------------------------------------------------------------
-    def encode_body(self, body: Sequence[int]) -> bytes:
-        """Serialise a key's body: the row count, then the rows with the tid
-        stride turned into gaps, as varints."""
-        if not body:
-            return encode_varint(0)
-        width = self.width(body)
-        flat = list(body)
-        flat[0::width] = delta_gaps(body[0::width])
-        # The first tid is often wide (:meth:`decode_rows`); what follows nearly
-        # always fits a byte each, the case ``encode_varint_list`` is fast in.
-        return encode_varint(len(flat) // width) + encode_varint(flat[0]) + encode_varint_list(flat[1:])
-
     def decode_rows(self, data: bytes, offset: int = 0, base: int = 0) -> Tuple[Sequence[int], int, List[int]]:
         """The rows stored in *data* from *offset* on, the first tid the gap
         from *base*, as ``(body, width, absolute tids)``.  The first value (a
@@ -146,14 +136,14 @@ class CodingScheme(ABC):
         return columns
 
     def cut(self, data: bytes, dead: AbstractSet[int]) -> Optional[bytes]:
-        """The stored list *data* less the rows of the trees in *dead*, cut from
-        its body (never columns) a run of rows at a time, for a compaction to
-        write: *data* itself when none is in it, ``None`` when no row is left."""
-        if not dead:
+        """The stored list *data* less the rows of the trees in *dead*, for a
+        compaction to write: each run of rows kept is copied as the bytes it
+        was stored as, and only the row count and the tid gap after each cut
+        are encoded again.  *data* itself when no dead tree is in it, ``None``
+        when no row is left."""
+        if not dead or data[:1] == b"\x00":  # nothing to cut, or a list of no rows
             return data
         count, offset = decode_varint(data, 0)
-        if not count:
-            return data
         body, width, tids = self.decode_rows(data, offset)
         if len(body) != count * width:
             raise ValueError(
@@ -161,19 +151,24 @@ class CodingScheme(ABC):
             )
         if dead.isdisjoint(tids):
             return data
-        body = list(body)
-        body[0::width] = tids
-        kept: List[int] = []
-        start = 0  # the first row of the run being kept
-        for row, tid in enumerate(tids):
-            if tid in dead:
-                kept += body[start * width:row * width]
-                start = row + 1
-        kept += body[start * width:]
-        return self.encode_body(kept) if kept else None
+        if type(body) is list:  # a value past the first is wide: each row is found
+            found = re.compile(_ROW % (width - 1)).finditer(data, offset)
+            starts, ends = zip(*(row.span(1) for row in found))
+        else:  # every value past the first is its own byte
+            first = len(data) - len(body) + 1  # past the first tid
+            starts, ends = range(first, len(data) + 1, width), range(first + width - 1, len(data) + 1, width)
+        pieces, kept, last, row = [b""], 0, 0, 0  # row: the first of the run being kept
+        for stop in [*compress(range(count), map(dead.__contains__, tids)), count]:  # dead rows, the end
+            if row < stop:
+                gap = tids[row] - last
+                pieces += _SMALL[gap] if gap < 0x80 else encode_varint(gap), data[starts[row]:ends[stop - 1]]
+                kept, last = kept + stop - row, tids[stop - 1]
+            row = stop + 1
+        pieces[0] = encode_varint(kept)
+        return b"".join(pieces) if kept else None
 
     def decode_postings(self, data: bytes) -> PostingColumns:
-        """Deserialise a stored list (:meth:`StoredList.encoded`, :meth:`encode_body`) whole.
+        """Deserialise a stored list (:meth:`StoredList.encoded`, :meth:`cut`) whole.
 
         The result is columnar -- field ``f`` of all rows is the strided
         slice ``body[f::width]`` of the varint body, tids summed from their

@@ -9,8 +9,6 @@ the index auditable and easy to test exhaustively.
 from __future__ import annotations
 
 import struct
-from itertools import chain
-from operator import sub
 from typing import List, Sequence, Tuple
 
 _UINT32 = struct.Struct("<I")
@@ -129,14 +127,6 @@ def decode_varint_list(data: bytes, count: int, offset: int = 0) -> Tuple[List[i
         value, offset = decode_varint(data, offset)
         values.append(value)
     return values, offset
-
-
-def delta_gaps(sorted_values: Sequence[int]) -> List[int]:
-    """The gaps of a non-decreasing sequence, the first measured from zero."""
-    gaps = list(map(sub, sorted_values, chain((0,), sorted_values)))
-    if min(gaps, default=0) < 0:
-        raise ValueError("delta encoding requires a non-decreasing sequence")
-    return gaps
 
 
 def encode_length_prefixed(payload: bytes) -> bytes:

@@ -24,6 +24,7 @@ from repro.query.parser import parse_query
 from repro.trees.matching import match_corpus
 from repro.workloads.fb import generate_fb_queries
 from repro.workloads.wh import generate_wh_queries
+from tests.coding.recordkit import encode_body
 
 QUERY_TEXTS = [
     "NP",
@@ -70,7 +71,7 @@ class TestNodeApproach:
                 rows.setdefault(label, []).extend((tree.tid, pre, post, level))
         coding = RootSplitCoding()
         assert list(index.raw_items()) == [
-            (label.encode("utf-8"), coding.encode_body(body)) for label, body in sorted(rows.items())
+            (label.encode("utf-8"), encode_body(coding, body)) for label, body in sorted(rows.items())
         ]
 
     def test_wh_and_fb_equal_the_matcher(self, index, corpus) -> None:

@@ -14,7 +14,7 @@ from repro.coding import (
     get_coding,
 )
 from repro.coding.base import StoredList, coding_names, row_tail
-from tests.coding.recordkit import body_columns, encode_records, rows
+from tests.coding.recordkit import body_columns, encode_body, encode_records, rows
 
 #: One embedding of a key: the tree and its nodes' ``(pre, post, level)`` in
 #: the key's canonical order, root first.
@@ -175,20 +175,28 @@ def test_round_trip_property(name: str, occurrences: list[Occurrence]) -> None:
 
 @pytest.mark.parametrize("name", CODINGS)
 @given(occurrences=_occurrences(), data=st.data())
+@example(occurrences=[_occurrence(tid, [(2, 1, 0)]) for tid in (0, 100, 200)], data=None)
 def test_a_compaction_cuts_bodies_not_columns(name: str, occurrences: list[Occurrence], data) -> None:
     """``cut`` drops exactly the dead trees' rows -- a wide first tid
-    included -- handing the stored list back itself when it holds none of
-    them and ``None`` for none left."""
+    included -- and writes what the reference writer writes of the rows
+    left, byte for byte, handing the stored list back itself when it holds
+    none of them and ``None`` for none left.  The example cuts tree 100:
+    tree 200's gap, stored in one byte, is re-based to 200, two bytes."""
     coding = get_coding(name)
     body = _body(coding, occurrences)
-    stored = coding.encode_body(body)
+    stored = encode_body(coding, body)
     tids = sorted({tid for tid, _ in occurrences})
-    dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
+    if data is None:
+        dead = {100}
+    else:
+        dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
     kept = coding.cut(stored, dead)
     survivors = [row for row in rows(body_columns(coding, body)) if row[0] not in dead]
     assert (kept is None) == (not survivors and not dead.isdisjoint(tids))
     assert ([] if kept is None else rows(coding.decode_postings(kept))) == survivors
     assert (kept is stored) == dead.isdisjoint(tids)
+    if kept is not None:
+        assert kept == encode_records(coding, survivors)
 
 
 def _varint_of(size: int) -> st.SearchStrategy[int]:
@@ -327,7 +335,7 @@ def test_every_column_takes_part_in_equality(name: str, position: int) -> None:
 @pytest.mark.parametrize("name", CODINGS)
 def test_from_postings_passes_a_decoded_list_through(name: str) -> None:
     coding = get_coding(name)
-    decoded = coding.decode_postings(coding.encode_body(_TWO_POSTINGS[name]))
+    decoded = coding.decode_postings(encode_body(coding, _TWO_POSTINGS[name]))
     assert PostingColumns.from_postings(decoded) is decoded
 
 
@@ -357,7 +365,7 @@ def test_cutting_columns_agrees_with_cutting_the_body(name: str, occurrences: li
     tids = sorted({tid for tid, _ in occurrences})
     dead = data.draw(st.sets(st.sampled_from(tids) | _tid, max_size=4) if tids else st.just(set()))
     cut = columns.without_tids(dead)
-    kept = coding.cut(coding.encode_body(body), dead)
+    kept = coding.cut(encode_body(coding, body), dead)
     assert cut == (PostingColumns(()) if kept is None else coding.decode_postings(kept))
     assert rows(cut) == [row for row in rows(columns) if row[0] not in dead]
     assert (cut is columns) == dead.isdisjoint(tids)
@@ -370,12 +378,11 @@ def test_damaged_input_raises_instead_of_answering(name, occurrences, data) -> N
     postings = _postings(coding, occurrences)
     encoded = encode_records(coding, postings)
     cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
-    with pytest.raises(ValueError):
-        coding.decode_postings(encoded[:cut])
-    with pytest.raises(ValueError):
-        coding.decode_postings(encoded + b"\x01")
-    with pytest.raises(ValueError):
-        coding.decode_postings(encoded[:-1] + bytes([encoded[-1] | 0x80]))
+    for damaged in (encoded[:cut], encoded + b"\x01", encoded[:-1] + bytes([encoded[-1] | 0x80])):
+        with pytest.raises(ValueError):
+            coding.decode_postings(damaged)
+        with pytest.raises(ValueError):  # a compaction refuses it too, whatever it cuts
+            coding.cut(damaged, {0})
 
 
 @pytest.mark.parametrize("name", CODINGS)

@@ -19,7 +19,7 @@ from repro.core.enumeration import (
 )
 from repro.core.index import accumulate_posting_lists, encode_posting_lists, numbered, tree_rows
 from repro.trees.node import Node, ParseTree, build_tree
-from tests.coding.recordkit import rows
+from tests.coding.recordkit import encode_body, rows
 
 
 def _occurrences(tree: ParseTree, mss: int):
@@ -257,12 +257,12 @@ _LONG = _caterpillar(70)
 
 def _encoded_from_int_rows(trees, mss: int, coding) -> list:
     """Each key's rows as ints end to end, then encoded whole
-    (``encode_body``): the reference the stored form is held to."""
+    (``recordkit.encode_body``): the reference the stored form is held to."""
     bodies: dict = {}
     for tid, numbering in numbered(trees):
         for text, row in tree_rows(tid, numbering, mss, coding):
             bodies.setdefault(text.encode("utf-8"), []).extend(row)
-    return [(key, coding.encode_body(body)) for key, body in sorted(bodies.items())]
+    return [(key, encode_body(coding, body)) for key, body in sorted(bodies.items())]
 
 
 @settings(max_examples=40, deadline=None)

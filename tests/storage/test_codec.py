@@ -11,12 +11,12 @@ from repro.storage.codec import (
     decode_varint,
     decode_varint_list,
     decode_varint_run,
-    delta_gaps,
     encode_length_prefixed,
     encode_varint,
     encode_varint_list,
     varint_size,
 )
+from tests.coding.recordkit import delta_gaps
 
 
 class TestVarint:

@@ -65,6 +65,11 @@ class TestBuildAndStats:
         captured = capsys.readouterr()
         assert "top 5 keys" in captured.out
 
+    def test_stats_refuses_a_negative_top(self, index_file, capsys) -> None:
+        assert main(["stats", index_file, "--top", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --top must be at least 0, got -3\n" and captured.out == ""
+
     @pytest.mark.parametrize("coding", ["filter", "subtree-interval"])
     def test_build_other_codings(self, tmp_path, corpus_file, coding) -> None:
         out = str(tmp_path / f"{coding}.si")
@@ -81,6 +86,16 @@ class TestBuildValidation:
         out = str(tmp_path / "bad.si")
         assert main(["build", str(tmp_path / "nope.penn"), "--out", out]) == 2
         assert "corpus file not found" in capsys.readouterr().err
+
+    def test_malformed_corpus_is_friendly(self, tmp_path, capsys) -> None:
+        """As ``add`` does: one error line, exit 2, no file written."""
+        bad = tmp_path / "bad.penn"
+        bad.write_text("(S (NP (NN cats)))\n(NP ((BAD\n", encoding="utf-8")
+        out = tmp_path / "bad.si"
+        assert main(["build", str(bad), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read corpus") and captured.err.count("\n") == 1
+        assert captured.out == "" and sorted(path.name for path in tmp_path.iterdir()) == ["bad.penn"]
 
     def test_bad_shard_and_worker_counts(self, corpus_file, tmp_path, capsys) -> None:
         out = str(tmp_path / "bad.si")
@@ -345,6 +360,15 @@ class TestBench:
         assert main(["bench"]) == 2
         assert "pass an action" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    def test_bench_run_refuses_a_scale_that_is_not_positive(self, tmp_path, capsys, scale) -> None:
+        out, work = tmp_path / "out", tmp_path / "work"
+        assert main(["bench", "run", "table3_join_counts", "--scale", scale,
+                     "--out", str(out), "--workdir", str(work)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: scale must be positive and finite, got {float(scale)}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     def test_bench_run_unknown_experiment(self, tmp_path, capsys) -> None:
         assert main([
             "bench", "run", "no_such_experiment",
@@ -392,6 +416,11 @@ class TestQuery:
         captured = capsys.readouterr()
         assert "NP(DT):" in captured.out
         assert "matches" in captured.out
+
+    def test_query_refuses_a_negative_limit(self, index_file, capsys) -> None:
+        assert main(["query", index_file, "NP", "--show-tids", "--limit", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --limit must be at least 0, got -2\n" and captured.out == ""
 
     def test_query_show_tids(self, index_file, capsys) -> None:
         assert main(["query", index_file, "NP", "--show-tids", "--limit", "3"]) == 0

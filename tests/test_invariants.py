@@ -285,11 +285,18 @@ def test_the_http_hop_stays_on_one_buffer() -> None:
 
 
 def test_a_compaction_stays_on_bytes() -> None:
-    """A compaction is a pass over bytes the live index already holds: dead
-    rows are cut from flat bodies (CodingScheme.cut) and the delta's
-    trees are data-file records, so neither posting columns nor node trees
-    come back on the write path."""
+    """A compaction is a pass over bytes the live index already holds: a
+    list's kept runs of rows are spliced as they were stored
+    (CodingScheme.cut re-encodes only the row count and the gap after a
+    cut) and the delta's trees are data-file records, so neither posting
+    columns, nor node trees, nor a body of ints come back on the write
+    path.  Turning rows of ints into a stored list is the tests' reference
+    writer (tests/coding/recordkit.py::encode_body), not src/'s."""
     assert matches(r"without_tids|encode_postings|from_postings|Corpus", "src/repro/live") == []
+    assert matches(r"def encode_body|delta_gaps", "src", glob="*.py") == []
+    cut = _def("src/repro/coding/base.py", "cut", within="CodingScheme")
+    writers = ("encode_varint_list", "encode_body", "row_tail")
+    assert [ast.unparse(call) for name in writers for call in _calls(cut, name)] == []
 
 
 def test_a_list_is_built_in_its_stored_form() -> None:
