@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.corpus.store import Corpus, TreeStore
 from repro.exec.executor import ExecutionStats, QueryResult, filter_candidates
-from repro.query.model import QueryNode, QueryTree
+from repro.query.model import QueryTree
 from repro.trees.matching import AXIS_CHILD
 from repro.trees.node import Node, ParseTree
 
@@ -92,34 +92,22 @@ class ATreeGrepIndex:
 
     @staticmethod
     def _query_paths(query: QueryTree) -> List[List[str]]:
-        """Rigid (all-``/``) root-to-leaf label paths of the query."""
-        paths: List[List[str]] = []
-
-        def walk(node: QueryNode, prefix: List[str]) -> None:
-            prefix.append(node.label)
-            rigid_children = [
-                child
-                for child, axis in zip(node.children, node.child_axes)
-                if axis == AXIS_CHILD
-            ]
-            if not rigid_children:
-                paths.append(list(prefix))
-            else:
-                for child in rigid_children:
-                    walk(child, prefix)
-            prefix.pop()
-
-        walk(query.root, [])
-        return paths
+        """Rigid (all-``/``) root-to-leaf label paths of the query, leaves in pre-order."""
+        label_of, parent_of, axis_of = query.label_of, query.parent_of, query.axis_of
+        path_of: List[Optional[List[str]]] = [[label_of[0]]]  # None: not reached from the root by "/"
+        for node in range(1, len(label_of)):
+            above = path_of[parent_of[node]]
+            path_of.append(above + [label_of[node]] if above is not None and axis_of[node] == AXIS_CHILD else None)
+        inner = {parent_of[node] for node, path in enumerate(path_of) if node and path is not None}
+        return [path for node, path in enumerate(path_of) if path is not None and node not in inner]
 
     def _prefilter(self, query: QueryTree) -> Set[int]:
         """Intersect the label and edge hash lists of the query (the hash pre-filter)."""
-        candidate_sets: List[Set[int]] = []
-        for node in query.nodes():
-            candidate_sets.append(self._label_tids.get(node.label, set()))
-        for parent, child, axis in query.edges():
-            if axis == AXIS_CHILD:
-                candidate_sets.append(self._edge_tids.get((parent.label, child.label), set()))
+        label_of, parent_of = query.label_of, query.parent_of
+        candidate_sets = [self._label_tids.get(label, set()) for label in label_of] + [
+            self._edge_tids.get((label_of[parent_of[node]], label_of[node]), set())
+            for node in range(1, len(label_of)) if query.axis_of[node] == AXIS_CHILD
+        ]
         if not candidate_sets:
             return set()
         candidates = set(candidate_sets[0])

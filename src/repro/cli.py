@@ -88,8 +88,18 @@ _OPEN_ERRORS = (OSError, ValueError, ManifestError, WalError, BPlusTreeError, Pa
 # ----------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------
+def _below(option: str, value: Optional[int], least: int) -> bool:
+    """Whether *option* was given a *value* under *least*, said in one ``error:`` line."""
+    if value is None or value >= least:
+        return False
+    print(f"error: {option} must be at least {least}, got {value}", file=sys.stderr)
+    return True
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     """Generate a synthetic corpus of parse trees."""
+    if _below("--sentences", args.sentences, 1):
+        return 2
     generator = CorpusGenerator(seed=args.seed)
     corpus = Corpus(generator.generate(args.sentences))
     corpus.save(args.out)
@@ -99,14 +109,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     """Build a (possibly sharded) subtree index over a Penn corpus file."""
-    if args.mss < 1:
-        print(f"error: --mss must be at least 1, got {args.mss}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"error: --shards must be at least 1, got {args.shards}", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be at least 1, got {args.workers}", file=sys.stderr)
+    if _below("--mss", args.mss, 1) or _below("--shards", args.shards, 1) or _below("--workers", args.workers, 1):
         return 2
     if not os.path.isfile(args.corpus):
         print(f"error: corpus file not found: {args.corpus!r}", file=sys.stderr)
@@ -201,12 +204,8 @@ def _explain_query(service: QueryService, text: str) -> None:
 
 def _explain_join(prepared: PreparedQuery, plan: JoinPlan) -> None:
     """Print *plan*: join order, predicates in query-node terms, kernel source."""
-    nodes = prepared.query.nodes()
-    labels = [item.label for item in nodes]
-    names = [
-        item.label if labels.count(item.label) == 1 else f"{item.label}#{item.node_id}"
-        for item in nodes
-    ]
+    labels = prepared.query.label_of
+    names = [label if labels.count(label) == 1 else f"{label}#{item}" for item, label in enumerate(labels)]
     print(f"  join: {len(plan.steps)} step(s), left-deep from the smallest relation")
     at: dict = {}  # binding offset of a pre value -> the query node bound there
     for number, step in enumerate(plan.steps, 1):
@@ -232,6 +231,8 @@ def _explain_join(prepared: PreparedQuery, plan: JoinPlan) -> None:
 
 def cmd_query(args: argparse.Namespace) -> int:
     """Run queries against a built index through the query service."""
+    if _below("--repeat", args.repeat, 1) or _below("--limit", args.limit, 0):
+        return 2
     if args.batch and args.repeat > 1:
         print("error: --batch and --repeat cannot be combined", file=sys.stderr)
         return 2
@@ -241,9 +242,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.trace and args.explain:
         print("error: --trace cannot be combined with --explain "
               "(--explain does not execute the query)", file=sys.stderr)
-        return 2
-    if args.limit < 0:
-        print(f"error: --limit must be at least 0, got {args.limit}", file=sys.stderr)
         return 2
     try:
         # With --repeat the point is to measure the plan+posting caches, so
@@ -457,8 +455,7 @@ def _stats_payload(path: str, index: SegmentSet) -> dict:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Print metadata and the largest posting lists of an index."""
-    if args.top < 0:
-        print(f"error: --top must be at least 0, got {args.top}", file=sys.stderr)
+    if _below("--top", args.top, 0):
         return 2
     try:
         index = SegmentSet.open(args.index)  # whatever the file says it is

@@ -29,8 +29,7 @@ from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.coding.postings import PostingColumns
 from repro.exec.codegen import Shape, compile_kernel
-from repro.query.covers import Cover, Edge
-from repro.query.decompose import query_links
+from repro.query.covers import Cover, Edge, query_links
 from repro.query.model import QueryTree
 
 
@@ -179,7 +178,7 @@ def build_plan(
     if not all(sizes):
         return plan
     bindings = tuple(tuple(relation.nodes.items()) for relation in relations)
-    steps, plan.shape = plan_skeleton(bindings, tuple(edges), tuple(twins), query.root.node_id, tuple(order))
+    steps, plan.shape = plan_skeleton(bindings, tuple(edges), tuple(twins), 0, tuple(order))  # the root is node 0
     plan.steps = [
         JoinStep(at, tuple(column for slot in slots for column in relations[at].columns.slots[slot]), *rest)
         for at, slots, *rest in steps

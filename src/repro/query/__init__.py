@@ -1,13 +1,12 @@
 """Tree queries, the query language and query decomposition.
 
 * :mod:`repro.query.model` -- the query tree data model (Definition 2):
-  labelled nodes connected by ``/`` (parent-child) or ``//``
-  (ancestor-descendant) axes.
+  pre-order arrays of labelled nodes joined by ``/`` or ``//`` axes.
 * :mod:`repro.query.parser` -- a compact textual query syntax.
 * :mod:`repro.query.covers` -- covers, valid covers, root-split covers and
   the deep-branching-anomaly test (Definitions 5--10).
 * :mod:`repro.query.decompose` -- the query compiler: one pass over the
-  query's nodes, then the paper's ``optimalCover``, ``assign`` and ``minRC``
+  query's arrays, then the paper's ``optimalCover``, ``assign`` and ``minRC``
   (Section 5.2) over flat arrays, each rigid component (the query split at
   its ``//`` edges) covered on its own; every cover subtree leaves with its
   key.

@@ -12,6 +12,7 @@ needs the more constrained *root-split covers* of Definition 8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.keys import canonical_key
@@ -22,8 +23,23 @@ from repro.trees.matching import AXIS_CHILD
 Edge = Tuple[int, int, bool]
 
 
+def query_links(query: QueryTree) -> Tuple[Tuple[Edge, ...], Tuple[Tuple[int, int], ...]]:
+    """The query's edges ``(parent, child, is "/")`` by child id, and both
+    orders of every two same-label siblings (distinct data nodes), parents in pre-order."""
+    label_of, parent_of, axis_of = query.label_of, query.parent_of, query.axis_of
+    count = len(parent_of)
+    edges = tuple(zip(parent_of[1:], range(1, count), [axis == AXIS_CHILD for axis in axis_of[1:]]))
+    if len(set(zip(parent_of, label_of))) == count:
+        return edges, ()
+    groups: Dict[Tuple[int, str], List[int]] = {}
+    for node in range(1, count):
+        groups.setdefault((parent_of[node], label_of[node]), []).append(node)
+    same = sorted((parent_of[ids[0]], *pair) for ids in groups.values() for pair in combinations(ids, 2))
+    return edges, tuple(pair for _, one, two in same for pair in ((one, two), (two, one)))
+
+
 class CoverSubtree:
-    """One element of a cover: a connected, ``/``-only subtree of the query.
+    """One element of a cover: a connected, ``/``-only subtree of *query*.
 
     The compiler (:func:`repro.query.decompose.compile_query`) passes the
     canonical *key* it composed while packing; its subtrees are connected by
@@ -31,10 +47,11 @@ class CoverSubtree:
     node set is canonicalised -- and checked -- on first use.
     """
 
-    __slots__ = ("root", "node_ids", "_key", "_positions")
+    __slots__ = ("query", "root_id", "node_ids", "_key", "_positions")
 
-    def __init__(self, root: QueryNode, node_ids: FrozenSet[int], key: Optional[bytes] = None):
-        self.root = root
+    def __init__(self, query: QueryTree, root_id: int, node_ids: FrozenSet[int], key: Optional[bytes] = None):
+        self.query = query
+        self.root_id = root_id
         self.node_ids = node_ids
         self._key = key
         self._positions: Optional[Dict[int, int]] = None
@@ -42,12 +59,17 @@ class CoverSubtree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoverSubtree):
             return NotImplemented
-        return self.root is other.root and self.node_ids == other.node_ids
+        return self.query is other.query and self.root_id == other.root_id and self.node_ids == other.node_ids
 
     def __hash__(self) -> int:
-        return hash((id(self.root), self.node_ids))
+        return hash((id(self.query), self.root_id, self.node_ids))
 
     # ------------------------------------------------------------------
+    @property
+    def root(self) -> QueryNode:
+        """The root's query node."""
+        return self.query.node(self.root_id)
+
     @property
     def size(self) -> int:
         """Number of query nodes in this cover subtree."""
@@ -78,7 +100,7 @@ class CoverSubtree:
         """
         if self._positions is None:
             key, ordered = self._canonical()
-            if len(ordered) != len(self.node_ids) or self.root.node_id not in self.node_ids:
+            if len(ordered) != len(self.node_ids) or self.root_id not in self.node_ids:
                 reachable = {node.node_id for node in ordered}
                 raise ValueError(
                     f"cover subtree rooted at {self.root.label!r} is not connected via '/' edges; "
@@ -96,7 +118,7 @@ class CoverSubtree:
     def binding(self, slots: int) -> Dict[int, int]:
         """Query node id -> posting slot, for postings that store *slots* nodes:
         the root alone (canonical position 0) or every node of the key."""
-        return self.key()[1] if slots > 1 else {self.root.node_id: 0}
+        return self.key()[1] if slots > 1 else {self.root_id: 0}
 
     def query_nodes(self) -> List[QueryNode]:
         """The query nodes of this subtree (root first, canonical pre-order)."""
@@ -113,17 +135,27 @@ class CoverSubtree:
 class Cover:
     """A cover of a query: the query, its cover subtrees and what a join
     planner needs of the query -- its edges as node-id triples and the
-    ordered pairs of its same-label siblings, which the compiler emits in
-    passing (``None`` on a cover built by hand:
-    :func:`repro.exec.plan.build_plan` then derives them from the query).
-    A compiled cover leaves every same-label sibling pair no key holds to
-    the join.
+    ordered pairs of its same-label siblings, both read off the query's
+    arrays when first asked for (:func:`query_links`):
+    a cover of one key is never planned.  A compiled cover leaves every
+    same-label sibling pair no key holds to the join.
     """
 
     query: QueryTree
     subtrees: List[CoverSubtree] = field(default_factory=list)
-    edges: Optional[Sequence[Edge]] = None
-    twin_pairs: Optional[Sequence[Tuple[int, int]]] = None
+    _links: Optional[tuple] = field(default=None, init=False, compare=False)
+
+    @property
+    def edges(self) -> Sequence[Edge]:
+        """Every query edge ``(parent, child, is "/")``, by child id."""
+        self._links = self._links or query_links(self.query)
+        return self._links[0]
+
+    @property
+    def twin_pairs(self) -> Sequence[Tuple[int, int]]:
+        """The ordered pairs of same-label siblings, parents in pre-order."""
+        self._links = self._links or query_links(self.query)
+        return self._links[1]
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -139,10 +171,7 @@ class Cover:
 
     def covered_node_ids(self) -> Set[int]:
         """Union of the node ids covered by the subtrees."""
-        covered: Set[int] = set()
-        for subtree in self.subtrees:
-            covered |= subtree.node_ids
-        return covered
+        return set().union(*(subtree.node_ids for subtree in self.subtrees))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         rendered = ", ".join(str(subtree) for subtree in self.subtrees)
@@ -154,8 +183,7 @@ class Cover:
 # ----------------------------------------------------------------------
 def is_node_cover(cover: Cover) -> bool:
     """Definition 5: every query node appears in at least one subtree."""
-    all_ids = {node.node_id for node in cover.query.nodes()}
-    return cover.covered_node_ids() == all_ids
+    return cover.covered_node_ids() == set(range(cover.query.size()))
 
 
 def is_valid_cover(cover: Cover, mss: int) -> bool:
@@ -185,16 +213,14 @@ def is_root_split_cover(cover: Cover) -> bool:
     """
     if len(cover.subtrees) <= 1:
         return True
-    root_ids = [subtree.root.node_id for subtree in cover.subtrees]
-    root_id_set = set(root_ids)
-    for subtree in cover.subtrees:
-        root = subtree.root
-        same = root_ids.count(root.node_id) > 1
-        parent_is_root = root.parent is not None and root.parent.node_id in root_id_set
-        child_is_root = any(child.node_id in root_id_set for child in root.children)
-        if not (same or parent_is_root or child_is_root):
-            return False
-    return True
+    parent_of = cover.query.parent_of
+    root_ids = [subtree.root_id for subtree in cover.subtrees]
+    roots = set(root_ids)
+    # The same node roots another subtree, or its parent or a child does.
+    return all(
+        root_ids.count(root) > 1 or parent_of[root] in roots or any(parent_of[other] == root for other in roots)
+        for root in root_ids
+    )
 
 
 def has_deep_branching_anomaly(cover: Cover) -> bool:
@@ -203,22 +229,15 @@ def has_deep_branching_anomaly(cover: Cover) -> bool:
     The anomaly makes root-only joins ambiguous (Figure 5); root-split covers
     produced by ``minRC`` must avoid it.
     """
+    parent_of = cover.query.parent_of
     subtrees = cover.subtrees
     for i, si in enumerate(subtrees):
         for sj in subtrees[i + 1:]:
-            shared = si.node_ids & sj.node_ids
-            for node_id in shared:
-                node = cover.query.node(node_id)
-                if node is si.root or node is sj.root:
+            apart = si.node_ids ^ sj.node_ids
+            for node in si.node_ids & sj.node_ids:
+                if node in (si.root_id, sj.root_id):
                     continue
-                in_si_only = any(
-                    child.node_id in si.node_ids and child.node_id not in sj.node_ids
-                    for child in node.children
-                )
-                in_sj_only = any(
-                    child.node_id in sj.node_ids and child.node_id not in si.node_ids
-                    for child in node.children
-                )
-                if in_si_only and in_sj_only:
+                below = {child for child in apart if parent_of[child] == node}
+                if below & si.node_ids and below & sj.node_ids:
                     return True
     return False

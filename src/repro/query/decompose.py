@@ -19,16 +19,14 @@ Both are built on the same child-remainder packing primitive the paper calls
 packed into bins of capacity ``mss - 1`` rooted at the current node (Lemma 3
 maps this to FFD bin packing, optimal for ``mss <= 6``).
 
-:func:`compile_query` runs either of them in two steps.  One pass over the
-query's nodes in reverse pre-order (:func:`_scan`) fills flat per-node
-arrays -- ``/``-children, size and member ids of the rigid component below
-the node, whether that component holds the parent of a ``//`` edge, and the
-node's canonical text, composed from its children's finished texts the way
-:func:`repro.core.enumeration.extract_subtrees` composes the keys of a data
-tree.  Packing then works on node ids over those arrays, and every cover
-subtree is born with its key: a bin's key is the root's label followed by
-the sorted texts of the pieces packed into it.  A query that is one key (no
-``//`` edge, at most ``mss`` nodes) never reaches the pass (:func:`_one_key`).
+:func:`compile_query` reads the query's pre-order arrays (label, parent, axis,
+canonical text by node id) and never a query node.  A query that is one key
+(no ``//`` edge, at most ``mss`` nodes) is answered first (:func:`_one_key`),
+keyed by its root's text.  Otherwise a pass (:func:`_scan`) fills flat
+per-node arrays -- ``/``-children, size and member ids of the rigid component
+below the node, whether that component holds the parent of a ``//`` edge --
+and packing works on node ids over them, every cover subtree born with its
+key: the root's label followed by the sorted texts of the pieces in its bin.
 
 Three deviations from the paper's pseudocode:
 
@@ -61,12 +59,11 @@ joins.
 
 from __future__ import annotations
 
-from itertools import combinations
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.query.covers import Cover, CoverSubtree, Edge
-from repro.query.model import QueryNode, QueryTree
+from repro.query.covers import Cover, CoverSubtree
+from repro.query.model import QueryTree, canonical_text
 from repro.trees.matching import AXIS_CHILD, AXIS_DESCENDANT
 
 STRATEGIES = ("min-rc", "optimal")
@@ -80,37 +77,24 @@ _Part = Tuple[int, Tuple[int, ...], Tuple[str, ...], Tuple[int, ...]]
 _size_of = itemgetter(0)
 
 
-def _compose(label: str, texts: Sequence[str]) -> str:
-    """Canonical text of a node over the canonical *texts* of its children."""
-    return label + "(" + ")(".join(sorted(texts)) + ")" if texts else label
-
-
 # ----------------------------------------------------------------------
 # The pass
 # ----------------------------------------------------------------------
-def _same_labels(children: Sequence[QueryNode]) -> List[Tuple[int, int]]:
-    """The ``pairs`` of :func:`_scan` that *children* add."""
-    if len(children) < 2 or len({child.label for child in children}) == len(children):
-        return []
-    same = [(one.node_id, two.node_id) for one, two in combinations(children, 2) if one.label == two.label]
-    return [pair for one, two in same for pair in ((one, two), (two, one))]
-
-
-def _twins(node: QueryNode, forced: List[bool], text: List[str], size: List[int], room: int):
-    """The groups of same-label children of *node* one key holds -- all of
-    the label's children, on ``/`` edges, not ``forced``, equal in text, at
-    most *room* nodes together -- and whether two ``/``-children are left to
-    the join.  Every ``/``-child of another group is marked ``forced``."""
-    groups: Dict[str, List[Tuple[int, str]]] = {}
-    for child, axis in zip(node.children, node.child_axes):
-        groups.setdefault(child.label, []).append((child.node_id, axis))
+def _twins(children: List[int], query: QueryTree, forced: List[bool], size: List[int], room: int):
+    """The groups of same-label *children* one key holds (all of the label's, on ``/``
+    edges, not ``forced``, equal in text, at most *room* nodes together) and whether
+    two ``/``-children are left to the join; every other group's are ``forced``."""
+    label_of, axis_of, text_of = query.label_of, query.axis_of, query.text_of
+    groups: Dict[str, List[int]] = {}
+    for child in children:
+        groups.setdefault(label_of[child], []).append(child)
     held, crowded = [], False
     for group in groups.values():
-        ids = tuple(child for child, axis in group if axis == AXIS_CHILD)
+        ids = tuple(child for child in group if axis_of[child] == AXIS_CHILD)
         if len(group) < 2:
             continue
         rigid = len(ids) == len(group) and not any(forced[child] for child in ids)
-        if rigid and len({text[child] for child in ids}) == 1 and sum(size[child] for child in ids) <= room:
+        if rigid and len({text_of[child] for child in ids}) == 1 and sum(size[child] for child in ids) <= room:
             held.append(ids)
             continue
         crowded = crowded or len(ids) > 1
@@ -119,108 +103,78 @@ def _twins(node: QueryNode, forced: List[bool], text: List[str], size: List[int]
     return held, crowded
 
 
-def _scan(nodes: Sequence[QueryNode], mss: int):
-    """One reverse pre-order pass over *nodes* (``node_id`` == index).
-
-    Returns, indexed by node id unless noted:
+def _scan(query: QueryTree, mss: int):
+    """One pass over the parent array, then one over the node ids in reverse
+    pre-order.  Returns, indexed by node id unless noted:
 
     ``kids``     ids of the children on ``/`` edges, in query order;
     ``size``     node count of the rigid component subtree below the node;
     ``forced``   the node must root a ``minRC`` subtree of its own: its
                  component holds the parent of a ``//`` edge or of a
                  same-label sibling the join binds, or it is such a sibling;
-    ``text``     canonical text of that component;
     ``members``  ids of that component in pre-order, when one key may hold
                  it whole: at most ``mss`` nodes and no two same-label
                  siblings but twins;
-    ``edges``    every query edge ``(parent, child, is "/")``, by child id;
     ``cuts``     ``(parent, child)`` of every ``//`` edge, in edge order;
     ``twins``    parent id -> groups (child ids) of twins one key holds
-                 (:func:`_twins`);
-    ``pairs``    ``(first, second)`` and ``(second, first)`` of every two
-                 same-label siblings, parents in pre-order: they map to
-                 distinct data nodes, which labels alone do not ensure.
+                 (:func:`_twins`).
     """
-    count = len(nodes)
+    label_of, parent_of, axis_of = query.label_of, query.parent_of, query.axis_of
+    count = len(parent_of)
+    children: List[List[int]] = [[] for _ in range(count)]
+    for node in range(1, count):
+        children[parent_of[node]].append(node)
     kids: List[Sequence[int]] = [()] * count
     size = [1] * count
     forced = [False] * count
-    text = [node.label for node in nodes]
     members: List[Optional[Tuple[int, ...]]] = [(index,) for index in range(count)]
-    edges: List[Edge] = [(0, 0, True)] * (count - 1)
-    cuts: List[Tuple[int, int]] = []
+    cuts = sorted((parent_of[node], node) for node in range(1, count) if axis_of[node] != AXIS_CHILD)
     twins: Dict[int, List[Tuple[int, ...]]] = {}
-    pairs: List[Tuple[int, int]] = []
+    siblings = len(set(zip(parent_of, label_of))) < count  # two siblings share a label
 
     for index in range(count - 1, -1, -1):
-        node = nodes[index]
-        children = node.children
-        if not children:
+        every = children[index]
+        if not every:
             continue
-        below: List[int] = []
-        texts: List[str] = []
-        total = 1
-        holds_cut = False
-        for child, axis in zip(children, node.child_axes):
-            child_id = child.node_id
-            if axis == AXIS_CHILD:
-                edges[child_id - 1] = (index, child_id, True)
-                below.append(child_id)
-                texts.append(text[child_id])
-                total += size[child_id]
-                holds_cut = holds_cut or forced[child_id]
-            else:
-                edges[child_id - 1] = (index, child_id, False)
-                cuts.append((index, child_id))
+        kids[index] = below = [child for child in every if axis_of[child] == AXIS_CHILD]
         crowded = False
-        if same := _same_labels(children):
-            pairs[:0] = same
-            twins[index], crowded = _twins(node, forced, text, size, mss - 1)
-        kids[index], size[index] = below, total
-        forced[index] = holds_cut or crowded or len(below) < len(children)
-        if total > mss or crowded or any(members[child_id] is None for child_id in below):
+        if siblings and len({label_of[child] for child in every}) < len(every):
+            twins[index], crowded = _twins(every, query, forced, size, mss - 1)
+        size[index] = total = 1 + sum(size[child] for child in below)
+        forced[index] = len(below) < len(every) or crowded or any(forced[child] for child in below)
+        if total > mss or crowded or any(members[child] is None for child in below):
             members[index] = None
         else:
-            members[index] = sum((members[child_id] for child_id in below), (index,))
-        text[index] = _compose(node.label, texts)
-    cuts.sort()
-    return kids, size, forced, text, members, tuple(edges), cuts, twins, tuple(pairs)
-
-
-def query_links(query: QueryTree) -> Tuple[Tuple[Edge, ...], Tuple[Tuple[int, int], ...]]:
-    """The query's edges and same-label sibling pairs, as :func:`compile_query`
-    puts them on a cover (for a cover built by hand, which has neither)."""
-    *_, edges, _, _, pairs = _scan(query._nodes, 0)
-    return edges, pairs
+            members[index] = sum((members[child] for child in below), (index,))
+    return kids, size, forced, members, cuts, twins
 
 
 # ----------------------------------------------------------------------
 # The compiler
 # ----------------------------------------------------------------------
-#: The node set of a one-node query's key, shared by every such cover.
-_ROOT_ONLY = frozenset((0,))
+#: ``frozenset(range(count))``, a one-key cover's node set, shared by every such cover.
+_EVERY = tuple(frozenset(range(count)) for count in range(8))
 
 
 def _one_key(query: QueryTree) -> Optional[Cover]:
-    """The cover of a query that is one key, composed over its nodes without
-    the pass -- a one-node query's is its label, with no edge and no pair;
-    ``None`` when a ``//`` edge cuts the query."""
-    nodes = query._nodes
-    if len(nodes) == 1:
-        root = query.root
-        return Cover(query, [CoverSubtree(root, _ROOT_ONLY, root.label.encode("utf-8"))], (), ())
-    text = [node.label for node in nodes]
-    pairs: List[Tuple[int, int]] = []
-    for node in reversed(nodes):
-        children = node.children
-        if children:
-            if AXIS_DESCENDANT in node.child_axes:
-                return None
-            text[node.node_id] = _compose(node.label, [text[child.node_id] for child in children])
-            pairs[:0] = _same_labels(children)
-    edges = tuple((node.parent.node_id, node.node_id, True) for node in nodes[1:])
-    only = CoverSubtree(query.root, frozenset(range(len(nodes))), text[0].encode("utf-8"))
-    return Cover(query, [only], edges, twin_pairs=tuple(pairs))
+    """The cover of a query that is one key, the text the parser composed
+    for its root; ``None`` when a ``//`` edge cuts the query."""
+    if AXIS_DESCENDANT in query.axis_of:
+        return None
+    count = len(query.label_of)
+    every = _EVERY[count] if count < len(_EVERY) else frozenset(range(count))
+    return Cover(query, [CoverSubtree(query, 0, every, query.text_of[0].encode("utf-8"))])
+
+
+def _merge_twins(groups: List[Tuple[int, ...]], pieces: List[_Part]) -> List[_Part]:
+    """Each of the *groups* of twins among the *pieces* as one piece."""
+    for group in groups:
+        at = [i for i, piece in enumerate(pieces) if piece[3][0] in group]
+        merged = tuple(sum((pieces[i][part] for i in at), ()) for part in (1, 2, 3))
+        pieces[at[0]] = (sum(pieces[i][0] for i in at),) + merged
+        for i in reversed(at[1:]):
+            del pieces[i]
+    return pieces
 
 
 def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bool = True) -> Cover:
@@ -238,38 +192,33 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
     if strategy not in STRATEGIES:
         known = ", ".join(sorted(STRATEGIES))
         raise ValueError(f"unknown decomposition strategy {strategy!r} (known: {known})")
-    nodes = query._nodes
-    if len(nodes) <= mss and (cover := _one_key(query)) is not None:
+    if len(query.label_of) <= mss and (cover := _one_key(query)) is not None:
         return cover
-    kids, size, forced, text, members, edges, cuts, twins, pairs = _scan(nodes, mss)
+    return _packed(query, mss, strategy, pad, _scan(query, mss))
+
+
+def _packed(query: QueryTree, mss: int, strategy: str, pad: bool, scanned: tuple) -> Cover:
+    """:func:`compile_query` past the one-key exit, which pays for none of these closures."""
+    kids, size, forced, members, cuts, twins = scanned
+    label_of, text_of = query.label_of, query.text_of
     capacity = mss - 1
     out: List[CoverSubtree] = []
 
     def whole(node: int) -> None:
         """The component below *node* as one cover subtree."""
-        out.append(CoverSubtree(nodes[node], frozenset(members[node]), text[node].encode("utf-8")))
-
-    def merge_twins(node: int, pieces: List[_Part]) -> List[_Part]:
-        """Each group of twins below *node* as one piece."""
-        for group in twins[node]:
-            at = [i for i, piece in enumerate(pieces) if piece[3][0] in group]
-            merged = tuple(sum((pieces[i][part] for i in at), ()) for part in (1, 2, 3))
-            pieces[at[0]] = (sum(pieces[i][0] for i in at),) + merged
-            for i in reversed(at[1:]):
-                del pieces[i]
-        return pieces
+        out.append(CoverSubtree(query, node, frozenset(members[node]), text_of[node].encode("utf-8")))
 
     def assign(node: int, pieces: List[_Part]) -> List[list]:
         """First-fit-decreasing packing of *pieces* into bins of ``mss - 1``
         nodes, never two pieces of one root label in a bin; a bin is
         ``[fill, ids, texts, root labels]``."""
         if node in twins:
-            pieces = merge_twins(node, pieces)
+            pieces = _merge_twins(twins[node], pieces)
         if len(pieces) > 1:
             pieces.sort(key=_size_of, reverse=True)
         bins: List[list] = []
         for piece_size, ids, texts, roots in pieces:
-            label = nodes[roots[0]].label
+            label = label_of[roots[0]]
             for held in bins:
                 if held[0] + piece_size <= capacity and label not in held[3]:
                     held[0] += piece_size
@@ -291,9 +240,9 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
             stack += kids[at][::-1]
 
         def compose(at: int) -> str:
-            return _compose(nodes[at].label, [compose(kid) for kid in kids[at] if kid in held])
+            return canonical_text(label_of[at], [compose(kid) for kid in kids[at] if kid in held])
 
-        return CoverSubtree(nodes[node], frozenset(held), compose(node).encode("utf-8"))
+        return CoverSubtree(query, node, frozenset(held), compose(node).encode("utf-8"))
 
     def root_bins(node: int, bins: List[list]) -> None:
         """The bins packed at *node* as cover subtrees rooted there."""
@@ -306,18 +255,18 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
                 # Only whole child components other subtrees cover, and never
                 # a second child of one label.
                 held = set(ids)
-                seen = {nodes[child].label for child in below if child in held}
+                seen = {label_of[child] for child in below if child in held}
                 for child in below:
-                    label = nodes[child].label
+                    label = label_of[child]
                     if child in held or members[child] is None or fill + 1 + size[child] > mss or label in seen:
                         continue
                     fill += size[child]
                     ids += members[child]
-                    texts += (text[child],)
+                    texts += (text_of[child],)
                     held.update(members[child])
                     seen.add(label)
-            key = _compose(nodes[node].label, texts).encode("utf-8")
-            out.append(CoverSubtree(nodes[node], frozenset((node,) + ids), key))
+            key = canonical_text(label_of[node], texts).encode("utf-8")
+            out.append(CoverSubtree(query, node, frozenset((node,) + ids), key))
 
     def cover_min_rc(node: int) -> None:
         """Smallest root-split cover of the rigid component below *node*."""
@@ -329,7 +278,7 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
             elif size[child] == mss:
                 whole(child)
             else:
-                pieces.append((size[child], members[child], (text[child],), (child,)))
+                pieces.append((size[child], members[child], (text_of[child],), (child,)))
         # With nothing to pack the node still needs a subtree rooted here.
         root_bins(node, assign(node, pieces) or [[0, (), ()]])
 
@@ -346,7 +295,7 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
             elif size[child] == mss:
                 whole(child)
             else:
-                pieces.append((size[child], members[child], (text[child],), (child,)))
+                pieces.append((size[child], members[child], (text_of[child],), (child,)))
         bins = assign(node, pieces)
         rest: Optional[list] = None
         if not component_root and mss > 1:
@@ -364,14 +313,14 @@ def compile_query(query: QueryTree, mss: int, strategy: str = "optimal", pad: bo
         if rest is None:
             return None
         fill, ids, texts, *_ = rest
-        return fill + 1, (node,) + ids, (_compose(nodes[node].label, texts),), (node,)
+        return fill + 1, (node,) + ids, (canonical_text(label_of[node], texts),), (node,)
 
     for root in [0] + [child for _, child in cuts]:
         if strategy == "min-rc":
             cover_min_rc(root)
         else:
             cover_optimal(root, True)
-    return Cover(query, out, edges, pairs)
+    return Cover(query, out)
 
 
 def optimal_cover(query: QueryTree, mss: int, pad: bool = True) -> Cover:

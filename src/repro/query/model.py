@@ -1,20 +1,44 @@
 """The tree-query data model (Definition 2 of the paper).
 
 A query is an unordered, labelled tree whose edges carry a navigational axis:
-``/`` for parent-child or ``//`` for ancestor-descendant.  Query nodes follow
-the same ``label`` / ``children`` shape as data nodes (so canonicalisation
-and the reference matcher work on them unchanged) and additionally expose a
-parallel ``child_axes`` list.
+``/`` for parent-child or ``//`` for ancestor-descendant.  A :class:`QueryTree`
+is four arrays by pre-order node id (label, parent, axis, canonical text), all
+the compiler reads.  Its :class:`QueryNode` objects (data nodes' ``label`` /
+``children`` shape plus ``child_axes``) are built only for a caller that walks
+them: the filtering phase's matcher, the baselines, a hand-built key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.trees.matching import AXIS_CHILD, AXIS_DESCENDANT
 from repro.trees.node import Node
 
 VALID_AXES = (AXIS_CHILD, AXIS_DESCENDANT)
+
+
+def canonical_text(label: str, texts: Sequence[str]) -> str:
+    """Canonical text of a node over its children's *texts*: the rule
+    :func:`repro.core.enumeration.extract_subtrees` keys data subtrees by."""
+    if len(texts) < 2:
+        return label + "(" + texts[0] + ")" if texts else label
+    return label + "(" + ")(".join(sorted(texts)) + ")"
+
+
+def canonical_texts(label_of: List[str], parent_of: List[int], axis_of: List[Optional[str]]) -> List[str]:
+    """Each node's canonical text over its rigid component (it and what hangs
+    below it through ``/`` edges), in one reverse pre-order sweep."""
+    text_of = list(label_of)
+    if len(text_of) == 1:  # a one-node query's text is its label
+        return text_of
+    below: Dict[int, List[str]] = {}  # the texts of a node's "/"-children
+    for node in range(len(label_of) - 1, -1, -1):
+        if node in below:
+            text_of[node] = canonical_text(label_of[node], below.pop(node))
+        if axis_of[node] == AXIS_CHILD:
+            below.setdefault(parent_of[node], []).append(text_of[node])
+    return text_of
 
 
 class QueryNode:
@@ -53,11 +77,6 @@ class QueryNode:
         """Number of nodes in this query subtree."""
         return 1 + sum(child.size() for child in self.children)
 
-    def descendants(self) -> Iterator["QueryNode"]:
-        """Yield proper descendants in pre-order."""
-        for child in self.children:
-            yield from child.preorder()
-
     def copy(self) -> "QueryNode":
         """Deep copy of this query subtree (node ids are not copied)."""
         clone = QueryNode(self.label)
@@ -78,52 +97,85 @@ class QueryNode:
 
 
 class QueryTree:
-    """A query with stable node identifiers and convenience accessors."""
+    """A query as arrays indexed by pre-order node id (the root is 0):
+    ``label_of``, ``parent_of`` (-1 for the root), ``axis_of`` (of the edge
+    from the parent; ``None`` for the root) and ``text_of``, the canonical
+    text of the node's rigid component (it and what hangs below it through
+    ``/`` edges).  ``QueryTree(root)`` numbers the nodes below *root* in one
+    pre-order walk and fills the same arrays.
+    """
 
-    def __init__(self, root: QueryNode, preorder: Optional[List[QueryNode]] = None):
-        """Number the nodes below *root*.
+    __slots__ = ("label_of", "parent_of", "axis_of", "text_of", "_nodes")
 
-        *preorder* is for builders that already hold the nodes of *root* in
-        pre-order (the parser creates them in that order) and spares the
-        walk; it must be exactly ``list(root.preorder())``.
-        """
-        self.root = root
-        self._nodes: List[QueryNode] = list(root.preorder()) if preorder is None else preorder
-        for index, node in enumerate(self._nodes):
-            node.node_id = index
+    def __init__(self, root: QueryNode):
+        self._nodes: Optional[List[QueryNode]] = list(root.preorder())
+        for node_id, node in enumerate(self._nodes):
+            node.node_id = node_id
+        self.label_of = [node.label for node in self._nodes]
+        self.parent_of = [-1] + [node.parent.node_id for node in self._nodes[1:]]
+        self.axis_of = [None] + [node.parent_axis for node in self._nodes[1:]]
+        self.text_of = canonical_texts(self.label_of, self.parent_of, self.axis_of)
+
+    @classmethod
+    def of_arrays(cls, label_of: List[str], parent_of: List[int], axis_of: List[Optional[str]]) -> "QueryTree":
+        """The query the arrays describe, its canonical texts composed over them."""
+        query = cls.__new__(cls)
+        query.label_of, query.parent_of, query.axis_of = label_of, parent_of, axis_of
+        query.text_of = canonical_texts(label_of, parent_of, axis_of)
+        query._nodes = None
+        return query
 
     # ------------------------------------------------------------------
+    def _walkable(self) -> List[QueryNode]:
+        """The query's nodes in pre-order, built on first use."""
+        if self._nodes is None:
+            nodes = [QueryNode(label) for label in self.label_of]
+            for child in range(1, len(nodes)):
+                nodes[self.parent_of[child]].add_child(nodes[child], self.axis_of[child])
+            for node_id, node in enumerate(nodes):
+                node.node_id = node_id
+            self._nodes = nodes
+        return self._nodes
+
+    @property
+    def root(self) -> QueryNode:
+        """The root node."""
+        return self._walkable()[0]
+
     def nodes(self) -> List[QueryNode]:
         """All query nodes in pre-order (index == ``node_id``)."""
-        return list(self._nodes)
+        return list(self._walkable())
 
     def node(self, node_id: int) -> QueryNode:
         """The node with the given identifier."""
-        return self._nodes[node_id]
+        return self._walkable()[node_id]
 
     def size(self) -> int:
         """Number of nodes in the query."""
-        return len(self._nodes)
+        return len(self.label_of)
 
     def edges(self) -> List[Tuple[QueryNode, QueryNode, str]]:
-        """All ``(parent, child, axis)`` edges of the query."""
-        out: List[Tuple[QueryNode, QueryNode, str]] = []
-        for node in self._nodes:
-            for child, axis in zip(node.children, node.child_axes):
-                out.append((node, child, axis))
-        return out
+        """All ``(parent, child, axis)`` edges of the query, children in pre-order."""
+        nodes = self._walkable()
+        return [(nodes[self.parent_of[child]], nodes[child], self.axis_of[child]) for child in range(1, len(nodes))]
 
     def labels(self) -> List[str]:
         """Labels of the query nodes in pre-order."""
-        return [node.label for node in self._nodes]
+        return list(self.label_of)
 
     def to_string(self) -> str:
-        """Serialise the query in the textual syntax."""
-        return self.root.to_string()
+        """Serialise the query in the textual syntax (:meth:`QueryNode.to_string`'s)."""
+        depth, parts = [0], [self.label_of[0]]
+        for node in range(1, len(self.label_of)):
+            depth.append(depth[self.parent_of[node]] + 1)
+            # Close the brackets of the nodes left, then open this one's.
+            parts += [")" * (depth[node - 1] - depth[node] + 1), "(" if self.axis_of[node] == AXIS_CHILD else "(//"]
+            parts.append(self.label_of[node])
+        return "".join(parts) + ")" * depth[-1]
 
     def copy(self) -> "QueryTree":
         """Deep copy with freshly assigned node ids."""
-        return QueryTree(self.root.copy())
+        return QueryTree.of_arrays(list(self.label_of), list(self.parent_of), list(self.axis_of))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"QueryTree({self.to_string()!r})"
@@ -152,14 +204,7 @@ def has_duplicate_siblings(query: QueryTree | QueryNode) -> bool:
     generators still skip them so that the committed tables keep their exact
     cells until they are all refreshed at one commit (ROADMAP item 5(c)).
     """
-    from repro.core.keys import canonical_key
-
-    root = query.root if isinstance(query, QueryTree) else query
-    for node in root.preorder():
-        seen: Dict[bytes, int] = {}
-        for child in node.children:
-            key, _ = canonical_key(child)
-            if key in seen:
-                return True
-            seen[key] = 1
-    return False
+    tree = query if isinstance(query, QueryTree) else QueryTree(query.copy())  # leaves its ids alone
+    # Structure alone: every edge read as "/", so a text is the whole subtree's.
+    texts = canonical_texts(tree.label_of, tree.parent_of, [AXIS_CHILD] * tree.size())
+    return len(set(zip(tree.parent_of, texts))) < tree.size()

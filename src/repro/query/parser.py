@@ -26,9 +26,9 @@ Whitespace around tokens is ignored.
 from __future__ import annotations
 
 import re
-from typing import List
+from typing import List, Optional
 
-from repro.query.model import QueryNode, QueryTree
+from repro.query.model import QueryTree
 from repro.trees.matching import AXIS_CHILD
 
 
@@ -49,14 +49,16 @@ _SEPARATOR = re.compile(r"([()]|//?|\s+)")
 def parse_query(text: str) -> QueryTree:
     """Parse a query string into a :class:`~repro.query.model.QueryTree`.
 
-    One pass over the pieces of one split: a label that follows ``(`` or an
-    axis is a new child of the current node and becomes the current node;
-    ``(`` also remembers the node it hangs off, and ``)`` returns to it.
-    Nodes are created in pre-order.
+    One pass over the pieces of one split fills the pre-order arrays: a
+    label that follows ``(`` or an axis is a new child of the current node
+    and becomes the current node; ``(`` also remembers the node it hangs
+    off, and ``)`` returns to it.  A one-key query leaves with its key.
     """
-    nodes: List[QueryNode] = []
-    owners: List[QueryNode] = []  # the nodes whose "(" is still open
-    current = None
+    label_of: List[str] = []
+    parent_of: List[int] = []
+    axis_of: List[Optional[str]] = []
+    owners: List[int] = []  # the nodes whose "(" is still open
+    current = -1
     opened = False  # a "(" waits for its label
     axis = None  # an axis waits for its label
     at = 0
@@ -64,21 +66,23 @@ def parse_query(text: str) -> QueryTree:
         if not piece:
             continue
         if index % 2 == 0:  # a label
-            if current is None:
-                current = QueryNode(piece)
+            if current < 0:
+                axis_of.append(None)
             elif opened or axis:
                 if opened:
                     owners.append(current)
-                current = current.add_child(QueryNode(piece), axis or AXIS_CHILD)
+                axis_of.append(axis or AXIS_CHILD)
                 opened, axis = False, None
             elif owners:
                 raise QuerySyntaxError("missing ')'", at)
             else:
                 raise QuerySyntaxError(f"unexpected trailing text {text[at:]!r}", at)
-            nodes.append(current)
+            parent_of.append(current)
+            current = len(label_of)
+            label_of.append(piece)
         elif piece.isspace():
             pass
-        elif current is None or axis or opened and piece[0] != "/":  # a label is due
+        elif current < 0 or axis or opened and piece[0] != "/":  # a label is due
             raise QuerySyntaxError("expected a node label", at)
         elif piece == "(":
             opened = True
@@ -89,10 +93,10 @@ def parse_query(text: str) -> QueryTree:
         else:
             axis = piece
         at += len(piece)
-    if current is None:
+    if current < 0:
         raise QuerySyntaxError("empty query", 0)
     if opened or axis:
         raise QuerySyntaxError("expected a node label", at)
     if owners:
         raise QuerySyntaxError("missing ')'", at)
-    return QueryTree(nodes[0], nodes)
+    return QueryTree.of_arrays(label_of, parent_of, axis_of)

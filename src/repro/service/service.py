@@ -331,14 +331,14 @@ class QueryService:
         if not isinstance(query, str):
             if isinstance(query, PreparedQuery):
                 return query
-            return self._prepare_parsed(query.root.to_string(), query)
+            return self._prepare_parsed(query.to_string(), query)
 
         text_key = query.strip()
         cached = self._plan_cache.get(text_key)
         if cached is not None:
             return cached  # type: ignore[return-value]
         parsed = parse_query(query)
-        normalized = parsed.root.to_string()
+        normalized = parsed.to_string()
         prepared = self._prepare_parsed(normalized, parsed, probed=text_key == normalized)
         if text_key != normalized:
             self._plan_cache.put(text_key, prepared)
@@ -425,7 +425,7 @@ class QueryService:
         if isinstance(query, PreparedQuery):
             text = query.normalized
         else:
-            text = query.strip() if isinstance(query, str) else query.root.to_string()
+            text = query.strip() if isinstance(query, str) else query.to_string()
         with obs.trace(
             "query", flavor=self.index.flavor, query=text, query_sha1=obs.query_hash(text)
         ) as span:

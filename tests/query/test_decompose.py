@@ -12,13 +12,13 @@ from repro.query.covers import (
     has_deep_branching_anomaly,
     is_root_split_cover,
     is_valid_cover,
+    query_links,
 )
 from repro.query import decompose as compiler
 from repro.query.decompose import (
     compile_query,
     min_rc,
     optimal_cover,
-    query_links,
 )
 from repro.query.model import QueryNode, QueryTree
 from repro.query.parser import parse_query
@@ -219,12 +219,12 @@ def test_a_one_key_query_never_reaches_the_pass(monkeypatch) -> None:
 def test_the_one_key_cover_is_the_hand_built_key(case) -> None:
     query, mss = case
     every = frozenset(range(query.size()))
-    edges, pairs = query_links(query)  # what the pass puts on a cover
+    edges, pairs = query_links(query)  # what a planner reads off the arrays
     for strategy, pad in _CONFIGS:
         cover = compiler.compile_query(query, mss, strategy, pad)
         (only,) = cover.subtrees
         assert only.root is query.root and only.node_ids == every
-        assert only.key_bytes() == CoverSubtree(query.root, every).key()[0]
+        assert only.key_bytes() == CoverSubtree(query, 0, every).key()[0]
         assert cover.edges == edges and cover.twin_pairs == pairs
         if len(every) == 1:  # a one-node query's key is its label, with no edge and no pair
             assert only.key_bytes() == query.root.label.encode("utf-8")
@@ -250,6 +250,6 @@ def test_a_padded_min_rc_key_fills_its_bare_one_to_mss(query: QueryTree, mss: in
     for subtree, unpadded in zip(padded, bare):
         assert subtree.node_ids >= unpadded.node_ids
         # Connected through "/" edges, and keyed by its node set.
-        assert subtree.key_bytes() == CoverSubtree(subtree.root, subtree.node_ids).key()[0]
+        assert subtree.key_bytes() == CoverSubtree(query, subtree.root_id, subtree.node_ids).key()[0]
         # Short of mss only where the root's rigid component runs out.
         assert subtree.size == min(mss, _rigid_size(subtree.root))

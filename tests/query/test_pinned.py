@@ -153,7 +153,7 @@ def test_compiler_reproduces_the_pinned_covers(text: str) -> None:
                     assert set(new[2]) >= set(unpadded[2]) and len(new[2]) >= len(old[2]), config
         # The key composed while packing is the key of the node set.
         for subtree in cover.subtrees:
-            assert CoverSubtree(subtree.root, subtree.node_ids).key() == subtree.key(), config
+            assert CoverSubtree(cover.query, subtree.root_id, subtree.node_ids).key() == subtree.key(), config
 
 
 # ----------------------------------------------------------------------

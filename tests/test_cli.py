@@ -45,6 +45,13 @@ class TestGenerate:
         main(["generate", "--sentences", "10", "--seed", "5", "--out", second])
         assert open(first).read() == open(second).read()
 
+    def test_generate_refuses_a_negative_sentence_count(self, tmp_path, capsys) -> None:
+        path = tmp_path / "g.penn"
+        assert main(["generate", "--sentences", "-5", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --sentences must be at least 1, got -5\n" and captured.out == ""
+        assert not path.exists()
+
 
 class TestBuildAndStats:
     def test_build_reports_counts(self, tmp_path, corpus_file, capsys) -> None:
@@ -421,6 +428,11 @@ class TestQuery:
         assert main(["query", index_file, "NP", "--show-tids", "--limit", "-2"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --limit must be at least 0, got -2\n" and captured.out == ""
+
+    def test_query_refuses_a_negative_repeat(self, index_file, capsys) -> None:
+        assert main(["query", index_file, "NP(DT)", "--repeat", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --repeat must be at least 1, got -3\n" and captured.out == ""
 
     def test_query_show_tids(self, index_file, capsys) -> None:
         assert main(["query", index_file, "NP", "--show-tids", "--limit", "3"]) == 0

@@ -419,6 +419,19 @@ def test_one_query_tokenizer() -> None:
     assert isinstance(body[one_key], ast.If) and isinstance(body[one_key].body[-1], ast.Return)
 
 
+def test_a_query_is_arrays() -> None:
+    """A query is its pre-order arrays (label, parent, axis, canonical text
+    by node id): the compiler reads those and never walks a query node, so
+    a point query builds no QueryNode (tests/exec/test_point_query_nodes.py
+    holds the executor to that)."""
+    compiler = "src/repro/query/decompose.py"
+    walked = [
+        node for node in ast.walk(_module(compiler))
+        if isinstance(node, ast.Attribute) and node.attr in ("children", "child_axes", "parent", "node_id")
+    ]
+    assert _where(compiler, walked) == []
+
+
 def test_a_tree_is_written_once() -> None:
     """A B+Tree file is written once (bulk_load into a new file, then only
     BPlusTree.overwrite of a same-length value): a tree opened from an
