@@ -4,8 +4,8 @@ The index builder extracts *occurrences* of subtrees from data trees: per
 tree and index key, the ``(pre, post, level)`` codes of each occurrence's
 nodes listed in the canonical order of the key -- or, for a scheme that
 stores nothing below an occurrence's root, the keys rooted at each node.  A
-coding scheme says which flat rows of ints those become, serialises a key's
-rows for storage in the B+Tree and hands them back as columns at query time.
+coding scheme says which flat rows of ints those become, on which keys, writes
+them for storage in the B+Tree and hands them back as columns at query time.
 That stored form (a row count, then varint rows, each tid a gap) is written,
 cut and read here only: :class:`StoredList`, :func:`encoded_lists`.
 """
@@ -27,6 +27,8 @@ from repro.storage.codec import (
 
 #: A node's interval code as a plain ``(pre, post, level)`` triple.
 Code = Tuple[int, int, int]
+#: A tree's rows as :meth:`CodingScheme.rows` yields them, each with its keys.
+Rows = Iterable[Tuple[Sequence[int], Iterable[str]]]
 
 _SMALL = [bytes((value,)) for value in range(0x80)]  # a varint below 128 is its own byte
 _UNREAD = (0, b"", PostingColumns([]))  # no byte of a list decoded yet
@@ -44,22 +46,9 @@ class StoredList(bytearray):
     def __init__(self) -> None:
         self.count, self.last, self.read = 0, 0, _UNREAD
 
-    def append(self, tid: int, tail: bytes) -> None:
-        """Write the row of tree *tid* (``last`` or later) and *tail*
-        (:func:`row_tail`) in one ``+=``, which a racing reader sees whole."""
-        gap = tid - self.last  # never negative: encode_varint refuses it
-        self += (_SMALL[gap] if 0 <= gap < 0x80 else encode_varint(gap)) + tail
-        self.last = tid
-        self.count += 1
-
     def encoded(self) -> bytes:
         """The list as the B+Tree stores it: the row count, then the rows."""
         return encode_varint(self.count) + self
-
-
-def row_tail(row: Sequence[int]) -> bytes:
-    """The values of *row* after its tid as :meth:`StoredList.append` takes them."""
-    return encode_varint_list(row[1:])
 
 
 def row_count(data: bytes) -> int:
@@ -81,10 +70,10 @@ class CodingScheme(ABC):
     """Strategy interface for the three coding schemes of Section 4.4.
 
     A scheme says what one *row* is -- the flat ints of one posting, tree id
-    first -- and which rows a tree contributes to each key (:meth:`rows`).
-    A key's rows end to end are its *body*: the builder writes each row in
-    its stored form, a compaction splices the stored runs of rows it keeps
-    (:meth:`cut`) and the columns the join reads are strided slices of it.
+    first -- and on which keys' lists a tree's rows go (:meth:`rows`).  A
+    key's rows end to end are its *body*: the builder writes them in their
+    stored form (:meth:`write_tree`), a compaction splices the stored runs
+    it keeps (:meth:`cut`) and the columns the join reads are its slices.
     """
 
     #: Short machine name used in file metadata and experiment reports.
@@ -95,8 +84,8 @@ class CodingScheme(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def rows(self, tid: int, heads: Sequence[Code], found: Sequence) -> Iterable[Tuple[str, Sequence[int]]]:
-        """Yield ``(key text, row)`` for every posting tree *tid* contributes.
+    def rows(self, tid: int, heads: Sequence[Code], found: Sequence) -> Rows:
+        """Yield ``(row, key texts)``: each row tree *tid* contributes, once, with the keys it is on.
 
         *heads* are the tree's node codes in pre-order and *found*, parallel
         to them, what the extraction returned for the tree:
@@ -109,6 +98,23 @@ class CodingScheme(ABC):
     @abstractmethod
     def width(self, body: Sequence[int]) -> int:
         """Values per row of a key's (non-empty) *body*."""
+
+    def write_tree(self, lists: Dict[str, StoredList], tid: int, rows: Rows) -> None:
+        """Write tree *tid*'s *rows* (:meth:`rows`; *tid* is at least every tid
+        written before) onto their keys' lists in *lists*, made as needed: a
+        row's values after its tid are encoded once and go behind each key's
+        tid gap in one ``+=``, which a racing reader sees whole."""
+        small, get = _SMALL, lists.get
+        for row, keys in rows:
+            tail = encode_varint_list(row[1:])
+            for key in keys:
+                stored = get(key)
+                if stored is None:
+                    stored = lists[key] = StoredList()
+                gap = tid - stored.last  # never negative: encode_varint refuses it
+                stored += (small[gap] if 0 <= gap < 0x80 else encode_varint(gap)) + tail
+                stored.last = tid
+                stored.count += 1
 
     # ------------------------------------------------------------------
     def decode_rows(self, data: bytes, offset: int = 0, base: int = 0) -> Tuple[Sequence[int], int, List[int]]:

@@ -10,7 +10,7 @@ the exact matcher.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, ItemsView, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.coding.base import Code, CodingScheme, register_coding
 
@@ -23,8 +23,8 @@ class FilterBasedCoding(CodingScheme):
 
     def rows(
         self, tid: int, heads: Sequence[Code], found: Sequence[Dict[str, int]]
-    ) -> ItemsView[str, Tuple[int]]:
-        return dict.fromkeys(chain.from_iterable(found), (tid,)).items()  # one row a key
+    ) -> List[Tuple[Tuple[int], Dict[str, None]]]:
+        return [((tid,), dict.fromkeys(chain.from_iterable(found)))]  # one row, on every key of the tree
 
     def width(self, body: Sequence[int]) -> int:
         return 1

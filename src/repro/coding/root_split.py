@@ -14,7 +14,7 @@ The price is that queries may only be decomposed into *root-split covers*
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.coding.base import Code, CodingScheme, register_coding
 
@@ -27,14 +27,9 @@ class RootSplitCoding(CodingScheme):
 
     def rows(
         self, tid: int, heads: Sequence[Code], found: Sequence[Dict[str, int]]
-    ) -> List[Tuple[str, Tuple[int, int, int, int]]]:
-        # Roots arrive in pre-order and a root's texts are distinct already.
-        return [
-            (text, row)
-            for root, texts in zip(heads, found)
-            for row in ((tid, *root),)
-            for text in texts
-        ]
+    ) -> Iterator[Tuple[Tuple[int, int, int, int], Dict[str, int]]]:
+        # A row a root (in pre-order), on each text rooted there (distinct already).
+        return zip([(tid, *root) for root in heads], found)
 
     def width(self, body: Sequence[int]) -> int:
         return 4

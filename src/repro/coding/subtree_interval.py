@@ -28,27 +28,23 @@ class SubtreeIntervalCoding(CodingScheme):
 
     def rows(
         self, tid: int, heads: Sequence[Code], found: Sequence[Sequence[Tuple[str, Tuple[Code, ...], int]]]
-    ) -> Iterator[Tuple[str, List[int]]]:
-        # ``[tid, node count, (pre, post, level, order) per node]``.  Roots
-        # arrive in pre-order; a root's embeddings of one key are stored
+    ) -> Iterator[Tuple[List[int], Tuple[str]]]:
+        # ``[tid, node count, (pre, post, level, order) per node]`` on its key.
+        # Roots arrive in pre-order; a root's embeddings of one key are stored
         # ascending as rows (order values included: two embeddings may agree
         # on a node and differ in its rank).
         for subtrees in found:
             built = []
             for text, codes, size in subtrees:
                 row = [tid, size]
-                if size == 1:
-                    row += codes[0]
-                    row.append(1)
-                else:
-                    by_pre = sorted(codes)
-                    for code in codes:
-                        row += code
-                        row.append(by_pre.index(code) + 1)
+                by_pre = sorted(codes) if size > 1 else codes
+                for code in codes:
+                    row += code
+                    row.append(by_pre.index(code) + 1)
                 built.append((text, row))
-            if len(built) > 1:
-                built.sort()
-            yield from built
+            built.sort()
+            for text, row in built:
+                yield row, (text,)
 
     def width(self, body: Sequence[int]) -> int:
         # The second value of every row is the key's node count.  (A body too

@@ -12,8 +12,8 @@ the subtrees already extracted at that child, so its canonical text and its
 nodes in canonical order are *composed* from the children's finished entries
 (label + the stable-sorted child texts, the recursion of
 :func:`repro.core.keys.canonical_key`) rather than re-derived by walking the
-subtree again.  The per-node lists stay small because parse trees branch
-little (Figure 3 of the paper; reproduced by the Figure 3 benchmark here).
+subtree again; several children's entries are sorted once and joined in that
+order.  Per-node lists stay small as parse trees branch little (Figure 3).
 :func:`extract_root_texts` is the same composition over texts alone, for the
 codings that store no node below an occurrence's root.  Index builds, the
 live delta and the statistics all read one of the two; the Figure 3 counters
@@ -27,7 +27,7 @@ tree added to a live index is never built as nodes.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -86,34 +86,45 @@ def extract_subtrees(numbering: Numbering, mss: int) -> List[List[Extracted]]:
         raise ValueError("mss must be at least 1")
     labels, numbered, children = numbering
     room = mss - 1
-    extracted: List[List[Extracted]] = [[] for _ in labels]
+    extracted: List[List[Extracted]] = [[(label, (code,), 1)] for label, code in zip(labels, numbered)]
+    if not room:
+        return extracted
     # Reverse pre-order visits every child before its parent.
     for position in range(len(labels) - 1, -1, -1):
-        label = labels[position]
-        own = (numbered[position],)
-        found = extracted[position]
-        found.append((label, own, 1))
-        if not room or not children[position]:
+        below = children[position]
+        if not below:
             continue
-        # Every way of giving some children one of their subtrees each.
-        choices: List[Tuple[Tuple[Extracted, ...], int]] = [((), 0)]
-        for child in children[position]:
-            options = extracted[child]
-            choices += [
-                (chosen + (option,), used + option[2])
-                for chosen, used in choices
-                for option in options
-                if used + option[2] <= room
-            ]
-        for chosen, used in choices[1:]:
-            if len(chosen) > 1:
-                chosen = sorted(chosen, key=_TEXT)
-            text, codes = label, own
-            for child_text, child_codes, _ in chosen:
-                text += "(" + child_text + ")"
-                codes += child_codes
-            found.append((text, codes, used + 1))
+        found, head = extracted[position], labels[position] + "("
+        own = found[0][1]
+        if len(below) == 1:  # the label around each subtree of the child
+            for text, codes, size in extracted[below[0]]:
+                if size <= room:
+                    found.append((head + text + ")", own + codes, size + 1))
+            continue
+        shared = []  # the children's subtrees that leave room for a sibling's
+        for bit, child in enumerate(below):
+            for text, codes, size in extracted[child]:
+                if size < room:
+                    shared.append((text, codes, size, 1 << bit))
+                elif size == room:
+                    found.append((head + text + ")", own + codes, size + 1))
+        shared.sort(key=_TEXT)  # stable: twins stay in data-tree order
+        _compose_subtrees(found, shared, 0, head, own, 0, 0, room)
     return extracted
+
+
+def _compose_subtrees(
+    found: list, shared: list, start: int, text: str, codes: tuple, used: int, chosen: int, room: int
+) -> None:
+    """:func:`_compose`, each text with its nodes in canonical order."""
+    for at in range(start, len(shared)):
+        option, more, size, bit = shared[at]
+        size += used
+        if size <= room and not bit & chosen:
+            grown = text + option
+            found.append((grown + ")", codes + more, size + 1))
+            if size < room:
+                _compose_subtrees(found, shared, at + 1, grown + ")(", codes + more, size, chosen | bit, room)
 
 
 def extract_root_texts(numbering: Numbering, mss: int) -> List[Dict[str, int]]:
@@ -134,41 +145,40 @@ def extract_root_texts(numbering: Numbering, mss: int) -> List[Dict[str, int]]:
     if not room:
         return texts
     for position in range(len(labels) - 1, -1, -1):
-        if not children[position]:
+        below = children[position]
+        if not below:
             continue
-        choices: List[Tuple[Tuple[str, ...], int]] = [((), 0)]
-        for child in children[position]:
-            options = texts[child].items()
-            choices += [
-                (chosen + (text,), used + size)
-                for chosen, used in choices
-                for text, size in options
-                if used + size <= room
-            ]
-        label = labels[position]
-        found = texts[position]
-        for chosen, used in choices[1:]:
-            if len(chosen) > 1:
-                chosen = sorted(chosen)
-            found[label + "(" + ")(".join(chosen) + ")"] = used + 1
+        found, head = texts[position], labels[position] + "("
+        if len(below) == 1:  # the label around each text of the child
+            for text, size in texts[below[0]].items():
+                if size <= room:
+                    found[head + text + ")"] = size + 1
+            continue
+        shared = []  # the children's texts that leave room for a sibling's
+        for bit, child in enumerate(below):
+            for text, size in texts[child].items():
+                if size < room:
+                    shared.append((text, size, 1 << bit))
+                elif size == room:
+                    found[head + text + ")"] = size + 1
+        shared.sort()
+        _compose(found, shared, 0, head, 0, 0, room)
     return texts
 
 
-def _tally_by_branching(
-    trees: Iterable[ParseTree | Node], sizes: Sequence[int]
-) -> Tuple[Dict[int, Dict[int, int]], Dict[int, int]]:
-    """Per branching factor: extracted subtrees counted by size, and the nodes seen."""
-    totals: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    node_counts: Dict[int, int] = defaultdict(int)
-    for tree in trees:
-        numbering = number(tree)
-        for below, found in zip(numbering[2], extract_subtrees(numbering, max(sizes))):
-            node_counts[len(below)] += 1
-            counts = totals[len(below)]
-            for _, _, size in found:
-                if size in sizes:
-                    counts[size] += 1
-    return totals, node_counts
+def _compose(
+    found: Dict[str, int], shared: list, start: int, text: str, used: int, chosen: int, room: int
+) -> None:
+    """Add to *found* what *text* (a head, the texts of the children in *chosen*, *used*
+    nodes) joins with other children's from the sorted ``shared[start:]``, picked in order."""
+    for at in range(start, len(shared)):
+        option, size, bit = shared[at]
+        size += used
+        if size <= room and not bit & chosen:
+            grown = text + option
+            found[grown + ")"] = size + 1
+            if size < room:
+                _compose(found, shared, at + 1, grown + ")(", size, chosen | bit, room)
 
 
 def subtree_count_by_root_branching(
@@ -180,7 +190,13 @@ def subtree_count_by_root_branching(
     *ss* in *sizes*, the average number of subtrees of that size rooted at a
     node with branching factor *b*.
     """
-    totals, node_counts = _tally_by_branching(trees, sizes)
+    totals: Dict[int, Counter] = defaultdict(Counter)
+    node_counts: Counter = Counter()
+    for tree in trees:
+        numbering = number(tree)
+        for below, found in zip(numbering[2], extract_subtrees(numbering, max(sizes))):
+            node_counts[len(below)] += 1
+            totals[len(below)].update(size for _, _, size in found if size in sizes)
     return {
         degree: {size: counts.get(size, 0) / node_counts[degree] for size in sizes}
         for degree, counts in sorted(totals.items())

@@ -14,9 +14,9 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.coding.base import CodingScheme, StoredList, get_coding, row_count, row_tail
+from repro.coding.base import CodingScheme, Rows, StoredList, get_coding, row_count
 from repro.coding.postings import PostingColumns
 from repro.core.enumeration import extract_root_texts, extract_subtrees, number
 from repro.core.keys import SubtreeKey, canonical_key
@@ -66,14 +66,10 @@ class IndexMetadata:
         return cls(**record)
 
 
-def tree_rows(
-    tid: int, numbering: Numbering, mss: int, coding: CodingScheme
-) -> Iterable[Tuple[str, Sequence[int]]]:
-    """``(key text, row)`` for every posting *coding* stores of tree *tid*.
-
-    Only a coding that stores nodes below a key's root needs every embedding
-    extracted; the others get the keys rooted at each node.
-    """
+def tree_rows(tid: int, numbering: Numbering, mss: int, coding: CodingScheme) -> Rows:
+    """``(row, key texts)`` of each row *coding* stores of tree *tid*: only a
+    coding that stores nodes below a key's root needs every embedding
+    extracted, the others get the keys rooted at each node."""
     extract = extract_root_texts if coding.roots_only else extract_subtrees
     return coding.rows(tid, numbering[1], extract(numbering, mss))
 
@@ -93,22 +89,15 @@ def accumulate_posting_lists(
 
     The one loop behind an index build (over :func:`numbered` node trees), a
     shard worker and a live delta's ``add_tree`` (one tree, numbered by
-    :func:`~repro.trees.penn.scan_penn`, into the delta's lists).  A row goes
-    onto its key's list as it is written (:meth:`StoredList.append`); trees
-    arrive in ascending tid order.
+    :func:`~repro.trees.penn.scan_penn`, into the delta's lists): one
+    :meth:`~repro.coding.base.CodingScheme.write_tree` call a tree, in
+    ascending tid order.
     """
     lists = {} if lists is None else lists
     tree_count = 0
     for tid, numbering in trees:
         tree_count += 1
-        row_coded = None
-        for text, row in tree_rows(tid, numbering, mss, coding):
-            if row is not row_coded:  # one row object serves all a root's keys (filter: a tree's)
-                row_coded, tail = row, row_tail(row)
-            stored = lists.get(text)
-            if stored is None:
-                stored = lists[text] = StoredList()
-            stored.append(tid, tail)
+        coding.write_tree(lists, tid, tree_rows(tid, numbering, mss, coding))
     return lists, tree_count
 
 

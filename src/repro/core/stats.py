@@ -30,10 +30,7 @@ def count_unique_keys(trees: Iterable[ParseTree], mss_values: Sequence[int]) -> 
         for found in extract_root_texts(number(tree), max_mss):
             for text, size in found.items():
                 keys_by_size[size].add(text)
-    counts: Dict[int, int] = {}
-    for mss in mss_values:
-        counts[mss] = sum(len(keys_by_size[size]) for size in range(1, mss + 1))
-    return counts
+    return {mss: sum(len(keys_by_size[size]) for size in range(1, mss + 1)) for mss in mss_values}
 
 
 def count_postings(
@@ -41,13 +38,13 @@ def count_postings(
 ) -> Dict[str, int]:
     """Total number of postings each coding scheme would store (Figure 9).
 
-    Computed without building the index files: the rows every coding yields
-    for a tree (:func:`repro.core.index.tree_rows`, what a build appends to
-    the keys' stored lists) are counted.
+    Computed without building the index files: each row every coding yields
+    for a tree (:func:`repro.core.index.tree_rows`, what a build writes) is
+    counted once for each key whose list it is stored on.
     """
     codings = [get_coding(name) for name in coding_names]
     totals: Dict[str, int] = {name: 0 for name in coding_names}
     for tid, numbering in numbered(trees):
         for coding in codings:
-            totals[coding.name] += sum(1 for _ in tree_rows(tid, numbering, mss, coding))
+            totals[coding.name] += sum(len(keys) for _, keys in tree_rows(tid, numbering, mss, coding))
     return totals

@@ -13,7 +13,7 @@ from repro.coding import (
     SubtreeIntervalCoding,
     get_coding,
 )
-from repro.coding.base import StoredList, coding_names, row_tail
+from repro.coding.base import coding_names
 from tests.coding.recordkit import body_columns, encode_body, encode_records, rows
 
 #: One embedding of a key: the tree and its nodes' ``(pre, post, level)`` in
@@ -45,7 +45,7 @@ def _body(coding: CodingScheme, occurrences: list[Occurrence]) -> list:
             extraction = roots, [("",)] * len(roots)
         else:
             extraction = None, [[("", codes, len(codes)) for codes in embeddings]]
-        for _, row in coding.rows(tid, *extraction):
+        for row, _ in coding.rows(tid, *extraction):
             body += row
     return body
 
@@ -83,7 +83,7 @@ class TestFilterBasedCoding:
 
     def test_one_row_a_tree_however_many_roots(self) -> None:
         keyed = FilterBasedCoding().rows(9, [(1, 3, 0), (2, 1, 1), (3, 2, 1)], [["A", "A(B)"], ["B"], ["B"]])
-        assert sorted(keyed) == [("A", (9,)), ("A(B)", (9,)), ("B", (9,))]
+        assert [(row, sorted(keys)) for row, keys in keyed] == [((9,), ["A", "A(B)", "B"])]
 
 
 class TestRootSplitCoding:
@@ -245,10 +245,11 @@ def test_the_first_value_apart_reader_decodes_every_suffix(name: str, data) -> N
         listed = [row[:coding.width(row)] for row in listed]
     else:
         listed = data.draw(_appended_rows(name))
-    stored, boundaries = StoredList(), []
+    lists, boundaries = {}, []
     for row in listed:
-        boundaries.append(len(stored))
-        stored.append(row[0], row_tail(row))
+        boundaries.append(len(lists.get("k", b"")))
+        coding.write_tree(lists, row[0], [(row, ["k"])])
+    stored = lists["k"]
     assert stored.encoded() == encode_records(coding, listed)
     for at, offset in enumerate(boundaries):
         before = listed[at - 1][0] if at else 0

@@ -17,9 +17,11 @@ from repro.core.enumeration import (
     number,
     subtree_count_by_root_branching,
 )
-from repro.core.index import accumulate_posting_lists, encode_posting_lists, numbered, tree_rows
+from repro.core.index import SubtreeIndex, accumulate_posting_lists, encode_posting_lists, numbered, tree_rows
+from repro.core.stats import count_postings
 from repro.trees.node import Node, ParseTree, build_tree
 from tests.coding.recordkit import encode_body, rows
+from tests.exec.test_oracle_generative import _examples
 
 
 def _occurrences(tree: ParseTree, mss: int):
@@ -114,6 +116,33 @@ _shapes = st.recursive(
 )
 
 
+
+def _chain(labels: str, shape: tuple) -> tuple:
+    """*shape* below a unary chain of *labels*, the first on top."""
+    for label in reversed(labels):
+        shape = (label, [shape])
+    return shape
+
+
+_small = st.recursive(
+    st.sampled_from("AB").map(lambda label: (label, [])),
+    lambda children: st.tuples(st.sampled_from("AB"), st.lists(children, max_size=2)),
+    max_leaves=3,
+)
+#: The shapes the kernel treats apart: unary chains up to 8 deep, nodes of 6
+#: to 8 children, and twin siblings (one subtree twice under a node).
+_paths = st.one_of(
+    st.builds(_chain, st.text("AB", min_size=1, max_size=8), _shapes),
+    st.tuples(st.sampled_from("AB"), st.lists(_small, min_size=6, max_size=8)),
+    st.builds(lambda label, twin, others: (label, [twin, *others, twin]), st.sampled_from("AB"), _small,
+              st.lists(_small, max_size=2)),
+)
+_UNARY = _chain("ABBABAAB", ("A", [("B", []), ("B", [])]))
+_WIDE = ("A", [("B", []), ("A", []), ("B", [("A", [])]), ("B", []), ("A", [("A", []), ("B", [])]),
+               ("B", []), ("A", []), ("B", [])])
+_TWINS = ("A", [("B", [("A", [])]), ("A", []), ("B", [("A", [])]), ("B", [("A", []), ("A", [])])])
+
+
 def _brute_force(root, mss: int) -> Counter:
     """Every connected node set of at most *mss* nodes, keyed by its top node.
 
@@ -164,8 +193,11 @@ def _interval_codes(root: Node) -> dict:
     return codes
 
 
-@settings(max_examples=150, deadline=None)
-@given(_shapes, st.integers(min_value=1, max_value=5))
+@settings(max_examples=_examples(150), deadline=None)
+@given(_shapes | _paths, st.integers(min_value=1, max_value=5))
+@example(_UNARY, 5)
+@example(_WIDE, 5)
+@example(_TWINS, 5)
 def test_kernel_matches_brute_force(shape, mss: int) -> None:
     tree = ParseTree(build_tree(shape), tid=3)
     expected = _brute_force(tree.root, mss)
@@ -186,8 +218,11 @@ def test_kernel_matches_brute_force(shape, mss: int) -> None:
     assert got == expected  # same key multiset, same canonical node order
 
 
-@settings(max_examples=150, deadline=None)
-@given(_shapes, st.integers(min_value=1, max_value=5))
+@settings(max_examples=_examples(150), deadline=None)
+@given(_shapes | _paths, st.integers(min_value=1, max_value=5))
+@example(_UNARY, 5)
+@example(_WIDE, 5)
+@example(_TWINS, 5)
 def test_root_texts_are_the_kernels_keys_by_root(shape, mss: int) -> None:
     """The root-only extraction is ``{(text, root)}`` of the full one: the
     same numbering, every key a node roots exactly once, its size with it."""
@@ -226,7 +261,7 @@ def _reference_postings(coding: str, occurrences) -> list:
     return sorted(postings)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=_examples(60), deadline=None)
 @given(st.lists(_shapes, min_size=1, max_size=3), st.integers(min_value=1, max_value=5))
 def test_posting_lists_match_the_per_occurrence_reference(shapes, mss: int) -> None:
     trees = [ParseTree(build_tree(shape), tid=5 + 2 * at) for at, shape in enumerate(shapes)]
@@ -260,12 +295,13 @@ def _encoded_from_int_rows(trees, mss: int, coding) -> list:
     (``recordkit.encode_body``): the reference the stored form is held to."""
     bodies: dict = {}
     for tid, numbering in numbered(trees):
-        for text, row in tree_rows(tid, numbering, mss, coding):
-            bodies.setdefault(text.encode("utf-8"), []).extend(row)
+        for row, keys in tree_rows(tid, numbering, mss, coding):
+            for text in keys:
+                bodies.setdefault(text.encode("utf-8"), []).extend(row)
     return [(key, encode_body(coding, body)) for key, body in sorted(bodies.items())]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_examples(40), deadline=None)
 @given(
     st.lists(_shapes, min_size=1, max_size=3),
     st.integers(min_value=0, max_value=3),
@@ -288,3 +324,16 @@ def test_lists_are_built_in_their_stored_form(shapes, at: int, first: int, gaps:
         lists, _ = accumulate_posting_lists(numbered(trees), mss, coding)
         assert list(encode_posting_lists(lists)) == _encoded_from_int_rows(trees, mss, coding)
         assert not lists
+
+
+@pytest.mark.parametrize("mss", range(1, 6))
+def test_count_postings_is_each_builds_posting_count(tmp_path, small_corpus, mss: int) -> None:
+    """A tree's rows have one definition (``CodingScheme.rows``): what
+    ``count_postings`` counts is what a build writes, on every coding --
+    on the 120-sentence corpus and on a tree of more than 127 nodes."""
+    names = ["filter", "root-split", "subtree-interval"]
+    for trees in (list(small_corpus), [ParseTree(build_tree(_LONG), tid=0)]):
+        counted = count_postings(trees, mss, names)
+        for name in names:
+            with SubtreeIndex.build(trees, mss, name, str(tmp_path / f"{name}-{len(trees)}.si")) as built:
+                assert counted[name] == built.metadata.posting_count, (name, len(trees))

@@ -295,16 +295,32 @@ def test_a_compaction_stays_on_bytes() -> None:
     assert matches(r"without_tids|encode_postings|from_postings|Corpus", "src/repro/live") == []
     assert matches(r"def encode_body|delta_gaps", "src", glob="*.py") == []
     cut = _def("src/repro/coding/base.py", "cut", within="CodingScheme")
-    writers = ("encode_varint_list", "encode_body", "row_tail")
+    writers = ("encode_varint_list", "encode_body", "write_tree")
     assert [ast.unparse(call) for name in writers for call in _calls(cut, name)] == []
 
 
 def test_a_list_is_built_in_its_stored_form() -> None:
     """A key's list is built in the form the B+Tree stores it
-    (core/index.py::accumulate_posting_lists hands each row to
-    coding/base.py::StoredList.append, which writes it as varints, its
-    tid a gap): no build holds a list as ints and encodes it after."""
+    (core/index.py::accumulate_posting_lists hands each tree to
+    coding/base.py::CodingScheme.write_tree, which writes its rows as
+    varints, each tid a gap): no build holds a list as ints and encodes it
+    after."""
     assert matches(r"encode_body\(", "src/repro/core/index.py") == []
+
+
+def test_a_tree_is_written_in_one_call() -> None:
+    """The build and a live add pay per tree, not per row: the loop of
+    core/index.py::accumulate_posting_lists makes one call of its coding a
+    tree (CodingScheme.write_tree, which encodes each row's tail once and
+    writes it behind each key's gap inline) and no loop of its own over
+    rows, and coding/base.py::StoredList has no per-row append."""
+    accumulate = _def("src/repro/core/index.py", "accumulate_posting_lists")
+    loops = [node for node in ast.walk(accumulate) if isinstance(node, (ast.For, ast.comprehension))]
+    assert len(loops) == 1, [ast.unparse(node) for node in loops]
+    called = [ast.unparse(node.func) for node in ast.walk(loops[0]) if isinstance(node, ast.Call)]
+    assert [name for name in called if name.startswith("coding.")] == ["coding.write_tree"], called
+    stored = _def("src/repro/coding/base.py", "StoredList")
+    assert [node.name for node in stored.body if isinstance(node, _FUNCTIONS)] == ["__init__", "encoded"]
 
 
 def test_a_lists_bytes_have_one_home() -> None:
